@@ -312,12 +312,18 @@ func benchLaneGroupCfg(b *testing.B) pard.SimConfig {
 // BenchmarkLaneGroupBarrier measures the lane-group exchange machinery by
 // running the identical 2-group simulation over both Transport
 // implementations: the in-process memTransport (Config.Groups) and the
-// framed gob transport over real loopback TCP (internal/dist, the -hosts
-// path). The mem/gob gap is the wire cost of the lockstep protocol — gob
-// encode/decode plus kernel round trips per exchange; the gob variant also
-// spans two full cluster replicas, hub and spoke, per op. Both are gated in
-// the BENCH_<n>.json trajectory so protocol regressions (chattier barriers,
-// per-exchange allocation growth) surface in CI.
+// framed binary exchange codec over real loopback TCP (internal/dist, the
+// -hosts path). The gap between the two is the wire cost of the lockstep
+// protocol — one kernel round trip and one encode/decode per exchange; the
+// loopback variant also spans two full cluster replicas, hub and spoke, per
+// op. Both are gated in the BENCH_<n>.json trajectory so protocol
+// regressions (chattier barriers, per-exchange allocation growth) surface
+// in CI.
+//
+// The loopback sub-benchmark is still called "gob-loopback": the exchanges
+// left gob in PR 12 (only the session handshake is gob now), but
+// pard-benchtrend matches trajectory entries by name, and the name carries
+// the history the gate compares against.
 func BenchmarkLaneGroupBarrier(b *testing.B) {
 	cfg := benchLaneGroupCfg(b)
 

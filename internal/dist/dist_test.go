@@ -130,42 +130,48 @@ func TestKeyCrossCheckRejectsSkew(t *testing.T) {
 }
 
 // TestVersionMismatchRefused: both sides refuse a peer speaking another
-// protocol version.
+// protocol version — a future one, and v3, the last before the lockstep
+// exchanges left gob — and neither side hangs doing so.
 func TestVersionMismatchRefused(t *testing.T) {
-	t.Run("worker-side", func(t *testing.T) {
-		coordSide, workerSide := net.Pipe()
-		done := make(chan error, 1)
-		go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1}) }()
-		f := newFramed(coordSide)
-		if err := f.send(Hello{Proto: ProtoVersion + 1}); err != nil {
-			t.Fatal(err)
-		}
-		// The worker still acks (net.Pipe is synchronous, so the refusal
-		// ack must be consumed) but then refuses to serve.
-		var ack HelloAck
-		if err := f.recv(&ack, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-done; err == nil || !strings.Contains(err.Error(), "version mismatch") {
-			t.Fatalf("worker accepted a future protocol: %v", err)
-		}
-		coordSide.Close()
-	})
-	t.Run("coordinator-side", func(t *testing.T) {
-		c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
-		defer c.Close()
-		coordSide, fakeWorker := net.Pipe()
-		go func() {
-			f := newFramed(fakeWorker)
-			var h Hello
-			if f.recv(&h, 0) == nil {
-				f.send(HelloAck{Proto: ProtoVersion + 1, Capacity: 1})
+	for _, peer := range []int{ProtoVersion + 1, 3} {
+		t.Run(fmt.Sprintf("worker-side/v%d", peer), func(t *testing.T) {
+			coordSide, workerSide := net.Pipe()
+			done := make(chan error, 1)
+			go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1}) }()
+			f := newFramed(coordSide)
+			if err := f.send(Hello{Proto: peer}); err != nil {
+				t.Fatal(err)
 			}
-		}()
-		if err := c.AddConn(coordSide); err == nil || !strings.Contains(err.Error(), "version mismatch") {
-			t.Fatalf("coordinator accepted a future protocol: %v", err)
-		}
-	})
+			// The worker still acks (net.Pipe is synchronous, so the refusal
+			// ack must be consumed) but then refuses to serve.
+			var ack HelloAck
+			if err := f.recv(&ack, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if ack.Proto != ProtoVersion {
+				t.Fatalf("refusal ack names protocol %d, want this side's %d", ack.Proto, ProtoVersion)
+			}
+			if err := <-done; err == nil || !strings.Contains(err.Error(), "version mismatch") {
+				t.Fatalf("worker accepted protocol %d: %v", peer, err)
+			}
+			coordSide.Close()
+		})
+		t.Run(fmt.Sprintf("coordinator-side/v%d", peer), func(t *testing.T) {
+			c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+			defer c.Close()
+			coordSide, fakeWorker := net.Pipe()
+			go func() {
+				f := newFramed(fakeWorker)
+				var h Hello
+				if f.recv(&h, 0) == nil {
+					f.send(HelloAck{Proto: peer, Capacity: 1})
+				}
+			}()
+			if err := c.AddConn(coordSide); err == nil || !strings.Contains(err.Error(), "version mismatch") {
+				t.Fatalf("coordinator accepted protocol %d: %v", peer, err)
+			}
+		})
+	}
 }
 
 // TestStaleEpochResultDropped: a result frame carrying a stale epoch (or an

@@ -2,12 +2,17 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
+	"net"
 	"testing"
 	"time"
 
+	"pard/internal/core"
+	"pard/internal/metrics"
 	"pard/internal/pipeline"
+	"pard/internal/sched"
 	"pard/internal/sweep"
 	"pard/internal/trace"
 )
@@ -69,6 +74,220 @@ func FuzzWorkUnit(f *testing.F) {
 		var ju WorkUnit
 		if err := json.Unmarshal(data, &ju); err == nil {
 			_ = ju.Spec.Key()
+		}
+	})
+}
+
+// exchangeSeeds are frames a real session carries: an empty-drain barrier, a
+// barrier with posts, intents, charges and merge resets from both groups, an
+// opening step, a five-module board with full 512-sample reservoirs, a
+// scaling round and a finish with probe series.
+func exchangeSeeds() [][]byte {
+	frame := func(seq uint64, kind uint8, n int, body func([]byte) []byte) []byte {
+		return body(appendExchangeHeader(nil, seq, kind, n))
+	}
+	ms := time.Millisecond
+	waits := make([]float64, 512)
+	for i := range waits {
+		waits[i] = float64(i%37) * 1e-4
+	}
+	var board []sched.BoardMsg
+	for g := int32(0); g < 2; g++ {
+		m := sched.BoardMsg{Group: g}
+		for k := g; k < 5; k += 2 {
+			m.Rows = append(m.Rows, sched.WireBoardRow{Mod: k, State: core.ModuleState{
+				QueueDelay: 3 * ms, ProfiledDur: 21 * ms, BatchWait: waits,
+				InputRate: 297.5, Throughput: 1523.8, WCL: 48 * ms,
+			}})
+		}
+		board = append(board, m)
+	}
+	probe := &metrics.Series{Name: "queue-delay/1", T: []time.Duration{100 * ms, 200 * ms}, V: []float64{0.004, 0.006}}
+	return [][]byte{
+		frame(1, simKindStep, 1, func(b []byte) []byte {
+			return appendStep(b, sched.StepMsg{Group: 1, CtrlAt: 100 * ms, CtrlOK: true, LaneAt: 3 * ms, LaneOK: true})
+		}),
+		frame(2, simKindBarrier, 2, func(b []byte) []byte {
+			b = appendBarrier(b, sched.BarrierMsg{Group: 0, CtrlAt: 100 * ms, CtrlOK: true})
+			return appendBarrier(b, sched.BarrierMsg{Group: 1, CtrlAt: 100 * ms, CtrlOK: true})
+		}),
+		frame(977, simKindBarrier, 2, func(b []byte) []byte {
+			b = appendBarrier(b, sched.BarrierMsg{
+				Group: 0, CtrlAt: 1100 * ms, CtrlOK: true, LaneAt: 1043 * ms, LaneOK: true,
+				Posts:   []sched.WirePost{{At: 1044 * ms, Src: 0, Dst: 1, Req: 311}, {At: 1044 * ms, Src: 0, Dst: 3, Req: 311}},
+				Charges: []sched.WireCharge{{Mod: 0, Req: 311, GPU: 4 * ms, Q: ms, W: 2 * ms, D: 7 * ms}},
+				Merges:  []sched.WireMergeReset{{At: 1043 * ms, Mod: 0, Req: 311, Expected: 2}},
+			})
+			return appendBarrier(b, sched.BarrierMsg{
+				Group: 1, CtrlAt: 1100 * ms, CtrlOK: true, LaneAt: 1047 * ms, LaneOK: true,
+				Posts:   []sched.WirePost{{At: 1046 * ms, Src: 1, Dst: 4, Req: 305}},
+				Intents: []sched.WireIntent{{At: 1043 * ms, Mod: 3, Req: 298, Drop: true}, {At: 1043 * ms, Mod: 1, Req: 290}},
+			})
+		}),
+		frame(1200, simKindBoard, 2, func(b []byte) []byte {
+			return appendBoard(appendBoard(b, board[0]), board[1])
+		}),
+		frame(1201, simKindScale, 1, func(b []byte) []byte {
+			return appendScale(b, sched.ScaleMsg{Group: 1, Rows: []sched.WireScaleRow{{Mod: 1, Desired: 3}, {Mod: 3, Desired: 2}}})
+		}),
+		frame(3420, simKindFinish, 1, func(b []byte) []byte {
+			return appendFinish(b, sched.FinishMsg{Group: 1, LaneFired: 5012, Reports: []sched.ModuleReport{
+				{Mod: 1, Peak: 8, QueueDelay: probe, Load: &metrics.Series{Name: "load/1"}, WaitSamples: waits[:64]},
+				{Mod: 3, Peak: 8},
+			}})
+		}),
+	}
+}
+
+// decodedElems counts every slice element a decoded message holds.
+func decodedElems(msg any) int {
+	switch m := msg.(type) {
+	case *sched.BarrierMsg:
+		return len(m.Posts) + len(m.Intents) + len(m.Charges) + len(m.Merges)
+	case *sched.BoardMsg:
+		n := len(m.Rows)
+		for i := range m.Rows {
+			n += len(m.Rows[i].State.BatchWait)
+		}
+		return n
+	case *sched.ScaleMsg:
+		return len(m.Rows)
+	case *sched.FinishMsg:
+		n := len(m.Reports)
+		for i := range m.Reports {
+			rep := &m.Reports[i]
+			n += len(rep.WaitSamples)
+			for _, s := range []*metrics.Series{rep.QueueDelay, rep.Load, rep.Mode, rep.Budget, rep.Remain} {
+				if s != nil {
+					n += len(s.Name) + len(s.T) + len(s.V)
+				}
+			}
+		}
+		return n
+	}
+	return 0
+}
+
+// fuzzExchangeKind feeds one payload to one kind's decoder at the sequence
+// number and arity the payload itself announces (so the fuzzer reaches the
+// message bodies), and holds whatever decodes to the codec's contract.
+func fuzzExchangeKind[T any](t *testing.T, k *wireKind[T], data []byte, seq uint64, arity int) {
+	var r wireReader
+	into := make([]T, arity)
+	if err := decodeExchange(&r, data, k, seq, into); err != nil {
+		return
+	}
+	// Every decoded element consumed at least one byte of the frame: a
+	// count cannot make the decoder allocate what the frame does not hold.
+	elems := 0
+	for i := range into {
+		elems += decodedElems(&into[i])
+	}
+	if elems > len(data) {
+		t.Fatalf("%s: %d decoded elements from a %d-byte frame", simKindName(k.kind), elems, len(data))
+	}
+	again := appendExchangeHeader(nil, seq, k.kind, arity)
+	for i := range into {
+		again = k.enc(again, into[i])
+	}
+	if !bytes.Equal(data, again) {
+		t.Fatalf("%s: frame decodes but re-encodes differently:\n in  %x\n out %x", simKindName(k.kind), data, again)
+	}
+}
+
+// FuzzSimExchange fuzzes the lockstep phase's one decode surface — the
+// exchange frame, as a spoke's envelope (arity 1) and as the hub's reply
+// (arity = groups) — for all five kinds. Arbitrary bytes must never panic,
+// never decode into more elements than the frame has bytes, and whatever
+// decodes must re-encode to the identical bytes (the format is canonical:
+// minimal varints, 0/1 booleans, no trailing bytes).
+func FuzzSimExchange(f *testing.F) {
+	for _, seed := range exchangeSeeds() {
+		f.Add(seed)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, simKindBarrier, 1, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			return // keep adversarial inputs cheap
+		}
+		// Read the header the way a peer in lockstep would have predicted it.
+		hdr := wireReader{b: data}
+		seq, _, arity := hdr.uint(), hdr.byte(), hdr.count(minWireMsg)
+		if hdr.err != nil || arity > 64 {
+			seq, arity = 0, 1
+		}
+		for _, a := range []int{arity, 1} {
+			fuzzExchangeKind(t, &stepWire, data, seq, a)
+			fuzzExchangeKind(t, &barrierWire, data, seq, a)
+			fuzzExchangeKind(t, &boardWire, data, seq, a)
+			fuzzExchangeKind(t, &scaleWire, data, seq, a)
+			fuzzExchangeKind(t, &finishWire, data, seq, a)
+		}
+	})
+}
+
+// streamConn is a net.Conn whose peer already sent everything it will.
+type streamConn struct {
+	net.Conn // nil: only the methods below are reachable
+	r        *bytes.Reader
+}
+
+func (c streamConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
+func (c streamConn) SetReadDeadline(time.Time) error { return nil }
+func (c streamConn) Close() error                    { return nil }
+
+// FuzzFrame fuzzes the framing layer under both payload readers: a stream of
+// arbitrary bytes must never panic recv (the gob reader of the handshakes
+// and the sweep protocol) or readFrame (the lockstep reader); readFrame's
+// buffer must stay within a small multiple of the bytes that actually
+// arrived, whatever the headers announce; and every frame it returns must
+// re-frame to the bytes it was read from.
+func FuzzFrame(f *testing.F) {
+	for _, seed := range exchangeSeeds() {
+		framedSeed := append(make([]byte, frameHeaderLen), seed...)
+		binary.BigEndian.PutUint32(framedSeed, uint32(len(seed)))
+		f.Add(framedSeed)
+	}
+	var hello bytes.Buffer
+	hello.Write(make([]byte, frameHeaderLen))
+	if err := gob.NewEncoder(&hello).Encode(SimAck{Proto: ProtoVersion, LibraryFP: 0xfeed}); err != nil {
+		f.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(hello.Bytes(), uint32(hello.Len()-frameHeaderLen))
+	f.Add(hello.Bytes())
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})       // a 4 GiB lie
+	f.Add([]byte{0x03, 0xff, 0xff, 0xff, 1, 2}) // within the limit, never arrives
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 7})    // an empty frame, then a 1-byte one
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			return
+		}
+		fr := newFramed(streamConn{r: bytes.NewReader(data)})
+		var reframed []byte
+		for {
+			payload, err := fr.readFrame(time.Second)
+			if err != nil {
+				break
+			}
+			at := len(reframed)
+			reframed = append(append(reframed, make([]byte, frameHeaderLen)...), payload...)
+			binary.BigEndian.PutUint32(reframed[at:], uint32(len(payload)))
+		}
+		if !bytes.HasPrefix(data, reframed) {
+			t.Fatalf("frames read do not re-frame to the stream's prefix")
+		}
+		if limit := 2*len(data) + rxInitial; len(fr.rx) > limit {
+			t.Fatalf("receive buffer grew to %d bytes on a %d-byte stream", len(fr.rx), len(data))
+		}
+		// recv allocates the announced length up front — bounded by
+		// MaxFrameLen, its documented guard — so streams announcing more
+		// than they hold by over 1 MiB are left to readFrame above.
+		if len(data) >= frameHeaderLen {
+			if n := binary.BigEndian.Uint32(data); n > MaxFrameLen || int(n) <= len(data)+1<<20 {
+				var ack SimAck
+				_ = newFramed(streamConn{r: bytes.NewReader(data)}).recv(&ack, time.Second)
+			}
 		}
 	})
 }

@@ -13,7 +13,7 @@
 // loopback differential harness in this package's tests, including under
 // injected worker crashes.
 //
-// Wire protocol (gob, one stream per direction, version-guarded):
+// Wire protocol (gob frames, one stream per direction, version-guarded):
 //
 //	coordinator → worker:  Hello, then WorkUnit*
 //	worker → coordinator:  HelloAck, then UnitResult* (any order)
@@ -48,7 +48,14 @@ import (
 // gained the distributed-simulation session (SimHello/SimAck plus the
 // lockstep exchange envelopes). A v2 peer would misparse the length prefix
 // as gob type wiring.
-const ProtoVersion = 3
+//
+// Version 4: the lockstep exchanges of a simulation session left gob for
+// the binary codec of wire.go, the barrier message gained the sender's lane
+// heads, and the per-iteration step exchange is gone. A v3 peer would send
+// gob envelopes after the handshake and wait for a step exchange that never
+// comes. The sweep protocol's frames did not change, but the version is one
+// number for the whole package.
+const ProtoVersion = 4
 
 // Hello opens a coordinator→worker stream. It carries everything a worker
 // needs to reproduce the coordinator's derivation of per-run seeds and

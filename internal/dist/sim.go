@@ -21,8 +21,10 @@ import (
 // holds one framed connection per remote group; each spoke runs exactly one
 // group. One exchange round is:
 //
-//	spoke g → hub:  simEnvelope{Seq, Kind, own contribution}
-//	hub → spoke g:  simReply{Seq, Kind, merged contributions in group order}
+//	spoke g → hub:  seq, kind, its own contribution
+//	hub → spoke g:  seq, kind, every contribution in group order
+//
+// in the binary exchange format of wire.go (the handshake before it is gob).
 //
 // The hub gathers in connection-slot order — a spoke's group index is the
 // slot it was handed in the handshake, never self-claimed — merges with its
@@ -125,57 +127,6 @@ type SimAck struct {
 	Err       string
 }
 
-// Exchange kind tags on the wire; they mirror the sharded executor's
-// rendezvous kinds so lockstep violations carry a readable name.
-const (
-	simKindStep uint8 = iota + 1
-	simKindBarrier
-	simKindBoard
-	simKindScale
-	simKindFinish
-)
-
-func simKindName(k uint8) string {
-	switch k {
-	case simKindStep:
-		return "step"
-	case simKindBarrier:
-		return "barrier"
-	case simKindBoard:
-		return "board"
-	case simKindScale:
-		return "scale"
-	case simKindFinish:
-		return "finish"
-	}
-	return fmt.Sprintf("kind(%d)", k)
-}
-
-// simEnvelope is one spoke's contribution to one exchange round. Exactly
-// one payload pointer is set, matching Kind.
-type simEnvelope struct {
-	Seq     uint64
-	Kind    uint8
-	Step    *sched.StepMsg
-	Barrier *sched.BarrierMsg
-	Board   *sched.BoardMsg
-	Scale   *sched.ScaleMsg
-	Finish  *sched.FinishMsg
-}
-
-// simReply is the hub's broadcast: every group's contribution for the
-// round, ordered by group index. Exactly one slice is non-nil, matching
-// Kind.
-type simReply struct {
-	Seq      uint64
-	Kind     uint8
-	Steps    []sched.StepMsg
-	Barriers []sched.BarrierMsg
-	Boards   []sched.BoardMsg
-	Scales   []sched.ScaleMsg
-	Finishes []sched.FinishMsg
-}
-
 // SimOptions parameterizes both ends of a distributed simulation session.
 type SimOptions struct {
 	// Library provides the model profiles (default profile.DefaultLibrary());
@@ -205,252 +156,222 @@ func (o SimOptions) withDefaults() SimOptions {
 	return o
 }
 
-// simHub is lane group 0's Transport: it gathers peer envelopes over the
-// spoke connections, merges, and broadcasts. Methods are called from the
-// hub replica's executor only; the lock exists so Abort (called from error
-// paths, possibly another goroutine) composes with an in-flight exchange.
-type simHub struct {
-	peers   []*framed // peers[i] serves lane group i+1
-	timeout time.Duration
-	seq     uint64
-	err     error
+// simStats are one end's session counters, kept under the session lock and
+// logged once when the session closes: the "bytes on the wire" of a
+// distributed run, and how long this end sat blocked on its peers.
+type simStats struct {
+	exchanges          [simKindFinish + 1]uint64 // by kind
+	framesTx, framesRx uint64
+	bytesTx, bytesRx   uint64
+	readWait           time.Duration
+}
+
+func (s *simStats) String() string {
+	return fmt.Sprintf("exchanges step=%d barrier=%d board=%d scale=%d finish=%d; tx %d frames %d B; rx %d frames %d B; blocked in read %v",
+		s.exchanges[simKindStep], s.exchanges[simKindBarrier], s.exchanges[simKindBoard],
+		s.exchanges[simKindScale], s.exchanges[simKindFinish],
+		s.framesTx, s.bytesTx, s.framesRx, s.bytesRx, s.readWait.Round(time.Millisecond))
+}
+
+// simSession is what both ends of a session share: the lockstep sequence
+// number, the first error (which poisons every later exchange), the send
+// buffer and decoder every exchange reuses, and the counters. Methods of the
+// ends are called from the replica's executor only; the lock exists so Abort
+// (called from error paths, possibly another goroutine) composes with an
+// in-flight exchange.
+type simSession struct {
 	mu      sync.Mutex
-}
-
-func newSimHub(peers []*framed, timeout time.Duration) *simHub {
-	return &simHub{peers: peers, timeout: timeout}
-}
-
-// fail poisons the session (first error wins) and closes every spoke
-// connection so blocked peers unblock into an abort instead of timing out.
-// Callers hold the lock.
-func (h *simHub) fail(err error) error {
-	if h.err == nil && err != nil {
-		h.err = err
-		for _, p := range h.peers {
-			p.Close()
-		}
-	}
-	return err
-}
-
-func (h *simHub) Abort(err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.fail(err)
-}
-
-// exchange runs one gather/broadcast round. The merged reply holds the
-// hub's own contribution at index 0 and spoke i's at index i+1 — slot
-// position is authoritative, and an envelope claiming a different group,
-// the wrong kind, or a skewed sequence number kills the session.
-func (h *simHub) exchange(kind uint8, own simEnvelope) (simReply, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.err != nil {
-		return simReply{}, h.err
-	}
-	h.seq++
-	reply := simReply{Seq: h.seq, Kind: kind}
-	if err := appendContribution(&reply, 0, own); err != nil {
-		return simReply{}, h.fail(err)
-	}
-	for i, p := range h.peers {
-		g := i + 1
-		var env simEnvelope
-		if err := p.recv(&env, h.timeout); err != nil {
-			return simReply{}, h.fail(fmt.Errorf("dist: sim %s exchange: lane group %d: %w", simKindName(kind), g, err))
-		}
-		if env.Seq != h.seq || env.Kind != kind {
-			return simReply{}, h.fail(fmt.Errorf("dist: sim lockstep divergence: lane group %d sent %s seq %d while the session is at %s seq %d",
-				g, simKindName(env.Kind), env.Seq, simKindName(kind), h.seq))
-		}
-		if err := appendContribution(&reply, g, env); err != nil {
-			return simReply{}, h.fail(err)
-		}
-	}
-	for i, p := range h.peers {
-		if err := p.send(reply); err != nil {
-			return simReply{}, h.fail(fmt.Errorf("dist: sim %s broadcast: lane group %d: %w", simKindName(kind), i+1, err))
-		}
-	}
-	return reply, nil
-}
-
-// appendContribution merges group g's envelope into the reply, verifying
-// the payload shape and that the message's self-reported group matches its
-// connection slot.
-func appendContribution(r *simReply, g int, env simEnvelope) error {
-	claim := func(got int32) error {
-		if int(got) != g {
-			return fmt.Errorf("dist: sim %s exchange: connection slot %d claims to be lane group %d", simKindName(r.Kind), g, got)
-		}
-		return nil
-	}
-	switch r.Kind {
-	case simKindStep:
-		if env.Step == nil {
-			break
-		}
-		if err := claim(env.Step.Group); err != nil {
-			return err
-		}
-		r.Steps = append(r.Steps, *env.Step)
-		return nil
-	case simKindBarrier:
-		if env.Barrier == nil {
-			break
-		}
-		if err := claim(env.Barrier.Group); err != nil {
-			return err
-		}
-		r.Barriers = append(r.Barriers, *env.Barrier)
-		return nil
-	case simKindBoard:
-		if env.Board == nil {
-			break
-		}
-		if err := claim(env.Board.Group); err != nil {
-			return err
-		}
-		r.Boards = append(r.Boards, *env.Board)
-		return nil
-	case simKindScale:
-		if env.Scale == nil {
-			break
-		}
-		if err := claim(env.Scale.Group); err != nil {
-			return err
-		}
-		r.Scales = append(r.Scales, *env.Scale)
-		return nil
-	case simKindFinish:
-		if env.Finish == nil {
-			break
-		}
-		if err := claim(env.Finish.Group); err != nil {
-			return err
-		}
-		r.Finishes = append(r.Finishes, *env.Finish)
-		return nil
-	}
-	return fmt.Errorf("dist: sim %s exchange: lane group %d envelope carries no %s payload", simKindName(r.Kind), g, simKindName(r.Kind))
-}
-
-func (h *simHub) Step(m sched.StepMsg) ([]sched.StepMsg, error) {
-	r, err := h.exchange(simKindStep, simEnvelope{Step: &m})
-	return r.Steps, err
-}
-
-func (h *simHub) Barrier(m sched.BarrierMsg) ([]sched.BarrierMsg, error) {
-	r, err := h.exchange(simKindBarrier, simEnvelope{Barrier: &m})
-	return r.Barriers, err
-}
-
-func (h *simHub) Board(m sched.BoardMsg) ([]sched.BoardMsg, error) {
-	r, err := h.exchange(simKindBoard, simEnvelope{Board: &m})
-	return r.Boards, err
-}
-
-func (h *simHub) Scale(m sched.ScaleMsg) ([]sched.ScaleMsg, error) {
-	r, err := h.exchange(simKindScale, simEnvelope{Scale: &m})
-	return r.Scales, err
-}
-
-func (h *simHub) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {
-	r, err := h.exchange(simKindFinish, simEnvelope{Finish: &m})
-	return r.Finishes, err
-}
-
-// simSpoke is a remote lane group's Transport: send the contribution, read
-// back the merged broadcast, verify lockstep.
-type simSpoke struct {
-	f       *framed
-	group   int
+	conns   []*framed // every connection of this end; all closed on failure
 	groups  int
 	timeout time.Duration
 	seq     uint64
 	err     error
-	mu      sync.Mutex
+	tx      []byte
+	rd      wireReader
+	stats   simStats
+
+	// Step and Barrier replies decode into these every round: the executor
+	// is done with a reply before its next exchange (see sched.Transport).
+	steps    []sched.StepMsg
+	barriers []sched.BarrierMsg
 }
 
-func newSimSpoke(f *framed, group, groups int, timeout time.Duration) *simSpoke {
-	return &simSpoke{f: f, group: group, groups: groups, timeout: timeout}
+func newSimSession(conns []*framed, groups int, timeout time.Duration) simSession {
+	return simSession{
+		conns:    conns,
+		groups:   groups,
+		timeout:  timeout,
+		tx:       make([]byte, frameHeaderLen, rxInitial),
+		steps:    make([]sched.StepMsg, groups),
+		barriers: make([]sched.BarrierMsg, groups),
+	}
 }
 
-func (s *simSpoke) fail(err error) error {
+// fail poisons the session (first error wins) and closes every connection so
+// blocked peers unblock into an abort instead of timing out. Callers hold
+// the lock.
+func (s *simSession) fail(err error) error {
 	if s.err == nil && err != nil {
 		s.err = err
-		s.f.Close()
+		for _, c := range s.conns {
+			c.Close()
+		}
 	}
 	return err
 }
 
-func (s *simSpoke) Abort(err error) {
+func (s *simSession) Abort(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fail(err)
 }
 
-func (s *simSpoke) exchange(kind uint8, env simEnvelope) (simReply, error) {
+// summary returns the counters' log line.
+func (s *simSession) summary() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats.String()
+}
+
+// read receives one frame from c, counting it.
+func (s *simSession) read(c *framed) ([]byte, error) {
+	start := time.Now()
+	payload, err := c.readFrame(s.timeout)
+	s.stats.readWait += time.Since(start)
+	if err == nil {
+		s.stats.framesRx++
+		s.stats.bytesRx += uint64(frameHeaderLen + len(payload))
+	}
+	return payload, err
+}
+
+// write sends the frame staged in s.tx to c, counting it.
+func (s *simSession) write(c *framed) error {
+	err := c.writeFrame(s.tx)
+	if err == nil {
+		s.stats.framesTx++
+		s.stats.bytesTx += uint64(len(s.tx))
+	}
+	return err
+}
+
+// simHub is lane group 0's Transport: it gathers peer contributions over the
+// spoke connections (conns[i] serves lane group i+1), merges, and broadcasts.
+type simHub struct{ simSession }
+
+// hubExchange runs one gather/broadcast round into reply, which has one slot
+// per lane group. The merged reply holds the hub's own contribution at index
+// 0 and spoke i's at index i+1 — slot position is authoritative, and a frame
+// claiming a different group, the wrong kind, or a skewed sequence number
+// kills the session.
+func hubExchange[T any](h *simHub, k *wireKind[T], own T, reply []T) ([]T, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.err != nil {
+		return nil, h.err
+	}
+	h.seq++
+	h.stats.exchanges[k.kind]++
+	reply[0] = own
+	for g := range reply {
+		if g > 0 {
+			payload, err := h.read(h.conns[g-1])
+			if err == nil {
+				err = decodeExchange(&h.rd, payload, k, h.seq, reply[g:g+1])
+			}
+			if err != nil {
+				return nil, h.fail(fmt.Errorf("dist: sim %s exchange: lane group %d: %w", simKindName(k.kind), g, err))
+			}
+		}
+		if got := k.group(&reply[g]); int(got) != g {
+			return nil, h.fail(fmt.Errorf("dist: sim %s exchange: connection slot %d claims to be lane group %d", simKindName(k.kind), g, got))
+		}
+	}
+	h.tx = appendExchangeHeader(h.tx[:frameHeaderLen], h.seq, k.kind, len(reply))
+	for i := range reply {
+		h.tx = k.enc(h.tx, reply[i])
+	}
+	for i, c := range h.conns {
+		if err := h.write(c); err != nil {
+			return nil, h.fail(fmt.Errorf("dist: sim %s broadcast: lane group %d: %w", simKindName(k.kind), i+1, err))
+		}
+	}
+	return reply, nil
+}
+
+func (h *simHub) Step(m sched.StepMsg) ([]sched.StepMsg, error) {
+	return hubExchange(h, &stepWire, m, h.steps)
+}
+
+func (h *simHub) Barrier(m sched.BarrierMsg) ([]sched.BarrierMsg, error) {
+	return hubExchange(h, &barrierWire, m, h.barriers)
+}
+
+func (h *simHub) Board(m sched.BoardMsg) ([]sched.BoardMsg, error) {
+	return hubExchange(h, &boardWire, m, make([]sched.BoardMsg, h.groups))
+}
+
+func (h *simHub) Scale(m sched.ScaleMsg) ([]sched.ScaleMsg, error) {
+	return hubExchange(h, &scaleWire, m, make([]sched.ScaleMsg, h.groups))
+}
+
+func (h *simHub) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {
+	return hubExchange(h, &finishWire, m, make([]sched.FinishMsg, h.groups))
+}
+
+// simSpoke is a remote lane group's Transport: send the contribution, read
+// back the merged broadcast, verify lockstep.
+type simSpoke struct{ simSession }
+
+// spokeExchange sends own and decodes the hub's broadcast into reply, which
+// has one slot per lane group: exactly that many contributions, each in the
+// slot of the group it names.
+func spokeExchange[T any](s *simSpoke, k *wireKind[T], own T, reply []T) ([]T, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
-		return simReply{}, s.err
+		return nil, s.err
 	}
 	s.seq++
-	env.Seq, env.Kind = s.seq, kind
-	if err := s.f.send(env); err != nil {
-		return simReply{}, s.fail(fmt.Errorf("dist: sim %s exchange: %w", simKindName(kind), err))
+	s.stats.exchanges[k.kind]++
+	s.tx = k.enc(appendExchangeHeader(s.tx[:frameHeaderLen], s.seq, k.kind, 1), own)
+	err := s.write(s.conns[0])
+	var payload []byte
+	if err == nil {
+		payload, err = s.read(s.conns[0])
 	}
-	var r simReply
-	if err := s.f.recv(&r, s.timeout); err != nil {
-		return simReply{}, s.fail(fmt.Errorf("dist: sim %s exchange: %w", simKindName(kind), err))
+	if err == nil {
+		err = decodeExchange(&s.rd, payload, k, s.seq, reply)
 	}
-	if r.Seq != s.seq || r.Kind != kind {
-		return simReply{}, s.fail(fmt.Errorf("dist: sim lockstep divergence: hub sent %s seq %d while this group is at %s seq %d",
-			simKindName(r.Kind), r.Seq, simKindName(kind), s.seq))
-	}
-	return r, nil
-}
-
-// merged validates a broadcast's arity: every exchange must return exactly
-// one contribution per lane group.
-func merged[T any](s *simSpoke, kind uint8, got []T, err error) ([]T, error) {
 	if err != nil {
-		return nil, err
+		return nil, s.fail(fmt.Errorf("dist: sim %s exchange: %w", simKindName(k.kind), err))
 	}
-	if len(got) != s.groups {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return nil, s.fail(fmt.Errorf("dist: sim %s exchange: hub merged %d contributions for %d lane groups", simKindName(kind), len(got), s.groups))
+	for g := range reply {
+		if got := k.group(&reply[g]); int(got) != g {
+			return nil, s.fail(fmt.Errorf("dist: sim %s exchange: hub put lane group %d in slot %d", simKindName(k.kind), got, g))
+		}
 	}
-	return got, nil
+	return reply, nil
 }
 
 func (s *simSpoke) Step(m sched.StepMsg) ([]sched.StepMsg, error) {
-	r, err := s.exchange(simKindStep, simEnvelope{Step: &m})
-	return merged(s, simKindStep, r.Steps, err)
+	return spokeExchange(s, &stepWire, m, s.steps)
 }
 
 func (s *simSpoke) Barrier(m sched.BarrierMsg) ([]sched.BarrierMsg, error) {
-	r, err := s.exchange(simKindBarrier, simEnvelope{Barrier: &m})
-	return merged(s, simKindBarrier, r.Barriers, err)
+	return spokeExchange(s, &barrierWire, m, s.barriers)
 }
 
 func (s *simSpoke) Board(m sched.BoardMsg) ([]sched.BoardMsg, error) {
-	r, err := s.exchange(simKindBoard, simEnvelope{Board: &m})
-	return merged(s, simKindBoard, r.Boards, err)
+	return spokeExchange(s, &boardWire, m, make([]sched.BoardMsg, s.groups))
 }
 
 func (s *simSpoke) Scale(m sched.ScaleMsg) ([]sched.ScaleMsg, error) {
-	r, err := s.exchange(simKindScale, simEnvelope{Scale: &m})
-	return merged(s, simKindScale, r.Scales, err)
+	return spokeExchange(s, &scaleWire, m, make([]sched.ScaleMsg, s.groups))
 }
 
 func (s *simSpoke) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {
-	r, err := s.exchange(simKindFinish, simEnvelope{Finish: &m})
-	return merged(s, simKindFinish, r.Finishes, err)
+	return spokeExchange(s, &finishWire, m, make([]sched.FinishMsg, s.groups))
 }
 
 // RunSimDistributed runs cfg as a cross-host lockstep simulation: this
@@ -526,10 +447,13 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 		opts.Logf("dist: sim session open: %d lane groups (hub + %d remote)", groups, len(conns))
 	}
 
-	hub := newSimHub(peers, opts.ExchangeTimeout)
+	hub := &simHub{newSimSession(peers, groups, opts.ExchangeTimeout)}
 	run := cfg
 	run.Remote = &simgpu.RemoteTopology{Groups: groups, Group: 0, Transport: hub}
 	res, err := simgpu.Run(run)
+	if opts.Logf != nil {
+		opts.Logf("dist: sim session closed: lane group 0/%d: %s", groups, hub.summary())
+	}
 	if err != nil {
 		hub.Abort(err)
 		return nil, fmt.Errorf("dist: distributed simulation: %w", err)
@@ -572,11 +496,14 @@ func ServeSim(conn net.Conn, opts SimOptions) (*simgpu.Result, error) {
 		opts.Logf("dist: serving sim lane group %d/%d", h.Group, h.Groups)
 	}
 
-	spoke := newSimSpoke(f, h.Group, h.Groups, opts.ExchangeTimeout)
+	spoke := &simSpoke{newSimSession([]*framed{f}, h.Groups, opts.ExchangeTimeout)}
 	cfg := h.Job.config()
 	cfg.Lib = opts.Library
 	cfg.Remote = &simgpu.RemoteTopology{Groups: h.Groups, Group: h.Group, Transport: spoke}
 	res, err := simgpu.Run(cfg)
+	if opts.Logf != nil {
+		opts.Logf("dist: sim session closed: lane group %d/%d: %s", h.Group, h.Groups, spoke.summary())
+	}
 	if err != nil {
 		spoke.Abort(err)
 		return nil, fmt.Errorf("dist: sim lane group %d: %w", h.Group, err)

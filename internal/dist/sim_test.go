@@ -20,7 +20,7 @@ import (
 // The distributed-simulation differential harness is the cross-host half of
 // determinism invariant #5: one simulation split across N lane-group
 // PROCESSES — hub plus spokes over real loopback TCP, through the framed
-// gob transport — must be gob byte-identical to the same config run in one
+// binary exchange codec — must be gob byte-identical to the same config run in one
 // process, on every replica. It also proves the failure contract: a lane
 // group disconnecting mid-run aborts the whole session loudly on every
 // group, never a hang and never a silently divergent result.
@@ -282,6 +282,8 @@ func TestServeSimRefusals(t *testing.T) {
 		want  string
 	}{
 		{"version-skew", SimHello{Proto: ProtoVersion + 1, LibraryFP: fp, Groups: 2, Group: 1, Job: job}, "version mismatch"},
+		// A v3 hub would follow the handshake with gob exchange envelopes.
+		{"v3-peer", SimHello{Proto: 3, LibraryFP: fp, Groups: 2, Group: 1, Job: job}, "version mismatch"},
 		{"library-skew", SimHello{Proto: ProtoVersion, LibraryFP: fp ^ 1, Groups: 2, Group: 1, Job: job}, "library mismatch"},
 		{"group-out-of-range", SimHello{Proto: ProtoVersion, LibraryFP: fp, Groups: 2, Group: 2, Job: job}, "out of range"},
 	}
@@ -333,7 +335,8 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 			return
 		}
 		// A replica that lost count: wrong sequence number on round one.
-		f.send(simEnvelope{Seq: 999, Kind: simKindStep, Step: &sched.StepMsg{Group: 1}})
+		skewed := appendExchangeHeader(make([]byte, frameHeaderLen), 999, simKindStep, 1)
+		f.writeFrame(appendStep(skewed, sched.StepMsg{Group: 1}))
 	}()
 	_, err := RunSimDistributed(cfg, []net.Conn{hubSide}, SimOptions{ExchangeTimeout: 20 * time.Second})
 	if err == nil {
@@ -341,5 +344,95 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "lockstep divergence") {
 		t.Fatalf("want a lockstep divergence error, got: %v", err)
+	}
+}
+
+// TestRunSimDistributedRefusesPeerVersion is the hub's half of the version
+// gate: a spoke acking with another protocol version — a v3 spoke would send gob
+// envelopes after the handshake — ends the session before any exchange, on both sides.
+func TestRunSimDistributedRefusesPeerVersion(t *testing.T) {
+	cfg := simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)}
+	for _, peer := range []int{ProtoVersion + 1, 3} {
+		t.Run(fmt.Sprintf("v%d", peer), func(t *testing.T) {
+			hubSide, spokeSide := net.Pipe()
+			spokeDone := make(chan error, 1)
+			go func() {
+				f := newFramed(spokeSide)
+				var h SimHello
+				if err := f.recv(&h, 5*time.Second); err != nil {
+					spokeDone <- err
+					return
+				}
+				if err := f.send(SimAck{Proto: peer, LibraryFP: h.LibraryFP}); err != nil {
+					spokeDone <- err
+					return
+				}
+				// The hub must hang up rather than start exchanging.
+				_, err := f.readFrame(5 * time.Second)
+				spokeDone <- err
+			}()
+			_, err := RunSimDistributed(cfg, []net.Conn{hubSide}, SimOptions{})
+			if err == nil || !strings.Contains(err.Error(), "version mismatch") {
+				t.Fatalf("hub error = %v, want a version mismatch", err)
+			}
+			if serr := <-spokeDone; serr == nil {
+				t.Fatal("the hub kept the session open after refusing the peer's version")
+			}
+		})
+	}
+}
+
+// TestSimSessionCountersLogged pins the session's observability: both ends
+// log one line of counters when the session closes, the run made exactly one
+// step exchange (the opening rendezvous), and the two ends of the one
+// connection agree on what crossed it.
+func TestSimSessionCountersLogged(t *testing.T) {
+	cfg := simgpu.Config{
+		Spec: pipeline.LV(), PolicyName: "pard",
+		Trace: simTrace(trace.Steady, 60, 2), Seed: 1,
+		SyncPeriod: 200 * time.Millisecond,
+	}
+	var mu sync.Mutex
+	var lines []string
+	opts := SimOptions{ExchangeTimeout: 30 * time.Second, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}}
+	if _, _, err := runOverLoopback(t, cfg, 2, opts); err != nil {
+		t.Fatal(err)
+	}
+	var hub, spoke string
+	for _, l := range lines {
+		if rest, ok := strings.CutPrefix(l, "dist: sim session closed: lane group 0/2: "); ok {
+			hub = rest
+		}
+		if rest, ok := strings.CutPrefix(l, "dist: sim session closed: lane group 1/2: "); ok {
+			spoke = rest
+		}
+	}
+	if hub == "" || spoke == "" {
+		t.Fatalf("missing a session-close line in %q", lines)
+	}
+	var h, s struct{ step, barrier, board, scale, finish, txF, txB, rxF, rxB uint64 }
+	const layout = "exchanges step=%d barrier=%d board=%d scale=%d finish=%d; tx %d frames %d B; rx %d frames %d B;"
+	if _, err := fmt.Sscanf(hub, layout, &h.step, &h.barrier, &h.board, &h.scale, &h.finish, &h.txF, &h.txB, &h.rxF, &h.rxB); err != nil {
+		t.Fatalf("hub line %q: %v", hub, err)
+	}
+	if _, err := fmt.Sscanf(spoke, layout, &s.step, &s.barrier, &s.board, &s.scale, &s.finish, &s.txF, &s.txB, &s.rxF, &s.rxB); err != nil {
+		t.Fatalf("spoke line %q: %v", spoke, err)
+	}
+	if h.step != 1 || h.finish != 1 || h.barrier < 100 || h.board == 0 {
+		t.Fatalf("hub exchanges %+v: want one step, one finish, the run's barriers and boards", h)
+	}
+	if h.step != s.step || h.barrier != s.barrier || h.board != s.board || h.scale != s.scale || h.finish != s.finish {
+		t.Fatalf("ends disagree on the exchanges: hub %+v, spoke %+v", h, s)
+	}
+	total := h.step + h.barrier + h.board + h.scale + h.finish
+	if h.txF != total || h.rxF != total || h.txF != s.rxF || h.txB != s.rxB || h.rxF != s.txF || h.rxB != s.txB {
+		t.Fatalf("ends disagree on the traffic (%d exchanges): hub %+v, spoke %+v", total, h, s)
+	}
+	if !strings.Contains(hub, "blocked in read") {
+		t.Fatalf("hub line %q does not report the read wait", hub)
 	}
 }

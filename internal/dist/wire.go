@@ -1,0 +1,477 @@
+package dist
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"time"
+
+	"pard/internal/metrics"
+	"pard/internal/sched"
+)
+
+// Exchange codec: the lockstep phase of a distributed-simulation session
+// speaks a hand-written binary format instead of gob. The five message kinds
+// are by-value structs of integers, durations, booleans and float slices, a
+// session makes thousands of exchanges, and gob — a fresh encoder, decoder
+// and the type descriptors of all five kinds on every frame — cost twenty
+// times the engine run it was synchronizing. Encoders append to a
+// caller-supplied buffer and decoders read from a byte slice, so a
+// steady-state exchange allocates nothing.
+//
+// One exchange frame, in either direction, is
+//
+//	seq uvarint | kind byte | count uvarint | count × message
+//
+// with count 1 from a spoke (its own contribution) and count = groups from
+// the hub (every contribution, in group order). Integers and durations are
+// zigzag varints, unsigned values uvarints, booleans one byte (0 or 1),
+// floats 8 bytes big-endian IEEE 754, strings and slices a uvarint length
+// followed by the elements, optional pointers a presence byte.
+//
+// The decoder fails closed: every count is checked against the bytes left in
+// the frame before anything is allocated, varints must be minimal and
+// booleans 0 or 1 (so whatever decodes re-encodes to the identical bytes),
+// and truncated frames, trailing bytes, unknown kinds and a count other than
+// the expected arity are errors — each of which poisons the session. An
+// empty slice decodes as nil, as it did under gob.
+
+// Exchange kind tags on the wire; they mirror the sharded executor's
+// rendezvous kinds so lockstep violations carry a readable name.
+const (
+	simKindStep uint8 = iota + 1
+	simKindBarrier
+	simKindBoard
+	simKindScale
+	simKindFinish
+)
+
+func simKindName(k uint8) string {
+	switch k {
+	case simKindStep:
+		return "step"
+	case simKindBarrier:
+		return "barrier"
+	case simKindBoard:
+		return "board"
+	case simKindScale:
+		return "scale"
+	case simKindFinish:
+		return "finish"
+	}
+	return fmt.Sprintf("kind(%d)", k)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendFloat(b []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendFloats(b []byte, v []float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(v)))
+	for _, f := range v {
+		b = appendFloat(b, f)
+	}
+	return b
+}
+
+func appendSeries(b []byte, s *metrics.Series) []byte {
+	if s == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = binary.AppendUvarint(b, uint64(len(s.Name)))
+	b = append(b, s.Name...)
+	b = binary.AppendUvarint(b, uint64(len(s.T)))
+	for _, t := range s.T {
+		b = binary.AppendVarint(b, int64(t))
+	}
+	return appendFloats(b, s.V)
+}
+
+// wireReader consumes one frame's payload. The first failure sticks: later
+// reads return zero values, so a decoder checks err once at the end.
+type wireReader struct {
+	b   []byte
+	err error
+}
+
+var (
+	errWireTruncated = errors.New("truncated frame")
+	errWireVarint    = errors.New("malformed or non-minimal varint")
+)
+
+func (r *wireReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.b = nil
+}
+
+func (r *wireReader) uint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.fail(errWireTruncated)
+		return 0
+	case n < 0, n > 1 && r.b[n-1] == 0: // overflow, or padded: would not re-encode to the same bytes
+		r.fail(errWireVarint)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *wireReader) int() int64 {
+	u := r.uint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
+func (r *wireReader) dur() time.Duration { return time.Duration(r.int()) }
+
+func (r *wireReader) int32() int32 {
+	v := r.int()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		r.fail(fmt.Errorf("value %d overflows a 32-bit field", v))
+		return 0
+	}
+	return int32(v)
+}
+
+func (r *wireReader) byte() byte {
+	if len(r.b) == 0 {
+		r.fail(errWireTruncated)
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *wireReader) bool() bool {
+	v := r.byte()
+	if v > 1 {
+		r.fail(fmt.Errorf("boolean byte %#x", v))
+	}
+	return v == 1
+}
+
+func (r *wireReader) float() float64 {
+	if len(r.b) < 8 {
+		r.fail(errWireTruncated)
+		return 0
+	}
+	v := math.Float64frombits(binary.BigEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return v
+}
+
+// count reads an element count and refuses it unless the frame still holds
+// at least min bytes per element — before the caller allocates anything.
+func (r *wireReader) count(min int) int {
+	n := r.uint()
+	if n > uint64(len(r.b)/min) {
+		r.fail(fmt.Errorf("count %d exceeds the %d bytes left in the frame", n, len(r.b)))
+		return 0
+	}
+	return int(n)
+}
+
+func (r *wireReader) floats() []float64 {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r.float()
+	}
+	return out
+}
+
+func (r *wireReader) series() *metrics.Series {
+	if !r.bool() {
+		return nil
+	}
+	s := &metrics.Series{}
+	if n := r.count(1); n > 0 {
+		s.Name = string(r.b[:n])
+		r.b = r.b[n:]
+	}
+	if n := r.count(1); n > 0 {
+		s.T = make([]time.Duration, n)
+		for i := range s.T {
+			s.T[i] = r.dur()
+		}
+	}
+	s.V = r.floats()
+	if len(s.V) != len(s.T) {
+		r.fail(fmt.Errorf("series %q has %d timestamps for %d values", s.Name, len(s.T), len(s.V)))
+	}
+	return s
+}
+
+// Minimum encoded sizes of the repeated elements, for count's guard.
+const (
+	minWirePost   = 4  // At, Src, Dst, Req
+	minWireIntent = 4  // At, Mod, Req, Drop
+	minWireCharge = 6  // Mod, Req, GPU, Q, W, D
+	minWireMerge  = 4  // At, Mod, Req, Expected
+	minBoardRow   = 22 // Mod, three durations, BatchWait count, two floats, Overloaded
+	minScaleRow   = 2  // Mod, Desired
+	minReport     = 8  // Mod, Peak, five presence bytes, WaitSamples count
+	minWireMsg    = 2  // the smallest message: a ScaleMsg with no rows
+)
+
+func appendStep(b []byte, m sched.StepMsg) []byte {
+	b = binary.AppendVarint(b, int64(m.Group))
+	b = binary.AppendVarint(b, int64(m.CtrlAt))
+	b = appendBool(b, m.CtrlOK)
+	b = binary.AppendVarint(b, int64(m.LaneAt))
+	return appendBool(b, m.LaneOK)
+}
+
+func (r *wireReader) step(m *sched.StepMsg) {
+	m.Group = r.int32()
+	m.CtrlAt, m.CtrlOK = r.dur(), r.bool()
+	m.LaneAt, m.LaneOK = r.dur(), r.bool()
+}
+
+func appendBarrier(b []byte, m sched.BarrierMsg) []byte {
+	b = binary.AppendVarint(b, int64(m.Group))
+	b = binary.AppendVarint(b, int64(m.CtrlAt))
+	b = appendBool(b, m.CtrlOK)
+	b = binary.AppendVarint(b, int64(m.LaneAt))
+	b = appendBool(b, m.LaneOK)
+	b = binary.AppendUvarint(b, uint64(len(m.Posts)))
+	for _, p := range m.Posts {
+		b = binary.AppendVarint(b, int64(p.At))
+		b = binary.AppendVarint(b, int64(p.Src))
+		b = binary.AppendVarint(b, int64(p.Dst))
+		b = binary.AppendUvarint(b, p.Req)
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Intents)))
+	for _, it := range m.Intents {
+		b = binary.AppendVarint(b, int64(it.At))
+		b = binary.AppendVarint(b, int64(it.Mod))
+		b = binary.AppendUvarint(b, it.Req)
+		b = appendBool(b, it.Drop)
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Charges)))
+	for _, c := range m.Charges {
+		b = binary.AppendVarint(b, int64(c.Mod))
+		b = binary.AppendUvarint(b, c.Req)
+		b = binary.AppendVarint(b, int64(c.GPU))
+		b = binary.AppendVarint(b, int64(c.Q))
+		b = binary.AppendVarint(b, int64(c.W))
+		b = binary.AppendVarint(b, int64(c.D))
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Merges)))
+	for _, mr := range m.Merges {
+		b = binary.AppendVarint(b, int64(mr.At))
+		b = binary.AppendVarint(b, int64(mr.Mod))
+		b = binary.AppendUvarint(b, mr.Req)
+		b = binary.AppendVarint(b, int64(mr.Expected))
+	}
+	return b
+}
+
+// barrier decodes into m, reusing the capacity of m's slices: the executor
+// copies out what it keeps before the next exchange (see sched.Transport), so
+// a session decodes every barrier into the same storage.
+func (r *wireReader) barrier(m *sched.BarrierMsg) {
+	m.Group = r.int32()
+	m.CtrlAt, m.CtrlOK = r.dur(), r.bool()
+	m.LaneAt, m.LaneOK = r.dur(), r.bool()
+	n := r.count(minWirePost)
+	m.Posts = slices.Grow(m.Posts[:0], n)
+	for i := 0; i < n; i++ {
+		m.Posts = append(m.Posts, sched.WirePost{At: r.dur(), Src: r.int32(), Dst: r.int32(), Req: r.uint()})
+	}
+	n = r.count(minWireIntent)
+	m.Intents = slices.Grow(m.Intents[:0], n)
+	for i := 0; i < n; i++ {
+		m.Intents = append(m.Intents, sched.WireIntent{At: r.dur(), Mod: r.int32(), Req: r.uint(), Drop: r.bool()})
+	}
+	n = r.count(minWireCharge)
+	m.Charges = slices.Grow(m.Charges[:0], n)
+	for i := 0; i < n; i++ {
+		m.Charges = append(m.Charges, sched.WireCharge{Mod: r.int32(), Req: r.uint(), GPU: r.dur(), Q: r.dur(), W: r.dur(), D: r.dur()})
+	}
+	n = r.count(minWireMerge)
+	m.Merges = slices.Grow(m.Merges[:0], n)
+	for i := 0; i < n; i++ {
+		m.Merges = append(m.Merges, sched.WireMergeReset{At: r.dur(), Mod: r.int32(), Req: r.uint(), Expected: r.int32()})
+	}
+}
+
+func appendBoard(b []byte, m sched.BoardMsg) []byte {
+	b = binary.AppendVarint(b, int64(m.Group))
+	b = binary.AppendUvarint(b, uint64(len(m.Rows)))
+	for i := range m.Rows {
+		row := &m.Rows[i]
+		b = binary.AppendVarint(b, int64(row.Mod))
+		b = binary.AppendVarint(b, int64(row.State.QueueDelay))
+		b = binary.AppendVarint(b, int64(row.State.ProfiledDur))
+		b = appendFloats(b, row.State.BatchWait)
+		b = appendFloat(b, row.State.InputRate)
+		b = appendFloat(b, row.State.Throughput)
+		b = appendBool(b, row.State.Overloaded)
+		b = binary.AppendVarint(b, int64(row.State.WCL))
+	}
+	return b
+}
+
+// board decodes into freshly allocated rows: the caller publishes them (and
+// their BatchWait samples) to its state board, which keeps them.
+func (r *wireReader) board(m *sched.BoardMsg) {
+	m.Group = r.int32()
+	m.Rows = nil
+	if n := r.count(minBoardRow); n > 0 {
+		m.Rows = make([]sched.WireBoardRow, n)
+	}
+	for i := range m.Rows {
+		row := &m.Rows[i]
+		row.Mod = r.int32()
+		row.State.QueueDelay = r.dur()
+		row.State.ProfiledDur = r.dur()
+		row.State.BatchWait = r.floats()
+		row.State.InputRate = r.float()
+		row.State.Throughput = r.float()
+		row.State.Overloaded = r.bool()
+		row.State.WCL = r.dur()
+	}
+}
+
+func appendScale(b []byte, m sched.ScaleMsg) []byte {
+	b = binary.AppendVarint(b, int64(m.Group))
+	b = binary.AppendUvarint(b, uint64(len(m.Rows)))
+	for _, row := range m.Rows {
+		b = binary.AppendVarint(b, int64(row.Mod))
+		b = binary.AppendVarint(b, int64(row.Desired))
+	}
+	return b
+}
+
+func (r *wireReader) scale(m *sched.ScaleMsg) {
+	m.Group = r.int32()
+	m.Rows = nil
+	if n := r.count(minScaleRow); n > 0 {
+		m.Rows = make([]sched.WireScaleRow, n)
+	}
+	for i := range m.Rows {
+		m.Rows[i] = sched.WireScaleRow{Mod: r.int32(), Desired: r.int32()}
+	}
+}
+
+func appendFinish(b []byte, m sched.FinishMsg) []byte {
+	b = binary.AppendVarint(b, int64(m.Group))
+	b = binary.AppendUvarint(b, m.LaneFired)
+	b = binary.AppendUvarint(b, uint64(len(m.Reports)))
+	for i := range m.Reports {
+		rep := &m.Reports[i]
+		b = binary.AppendVarint(b, int64(rep.Mod))
+		b = binary.AppendVarint(b, int64(rep.Peak))
+		for _, s := range [...]*metrics.Series{rep.QueueDelay, rep.Load, rep.Mode, rep.Budget, rep.Remain} {
+			b = appendSeries(b, s)
+		}
+		b = appendFloats(b, rep.WaitSamples)
+	}
+	return b
+}
+
+// finish decodes into freshly allocated reports: the caller assembles its
+// result from them.
+func (r *wireReader) finish(m *sched.FinishMsg) {
+	m.Group = r.int32()
+	m.LaneFired = r.uint()
+	m.Reports = nil
+	if n := r.count(minReport); n > 0 {
+		m.Reports = make([]sched.ModuleReport, n)
+	}
+	for i := range m.Reports {
+		rep := &m.Reports[i]
+		rep.Mod = r.int32()
+		peak := r.int()
+		if int64(int(peak)) != peak {
+			r.fail(fmt.Errorf("peak worker count %d overflows int", peak))
+		}
+		rep.Peak = int(peak)
+		rep.QueueDelay, rep.Load, rep.Mode = r.series(), r.series(), r.series()
+		rep.Budget, rep.Remain = r.series(), r.series()
+		rep.WaitSamples = r.floats()
+	}
+}
+
+// wireKind binds one exchange kind to its codec. Encoders take the message
+// by value and decoders a pointer into the reply slice, so going through the
+// function values moves nothing to the heap.
+type wireKind[T any] struct {
+	kind  uint8
+	enc   func([]byte, T) []byte
+	dec   func(*wireReader, *T)
+	group func(*T) int32
+}
+
+var (
+	stepWire = wireKind[sched.StepMsg]{simKindStep, appendStep, (*wireReader).step,
+		func(m *sched.StepMsg) int32 { return m.Group }}
+	barrierWire = wireKind[sched.BarrierMsg]{simKindBarrier, appendBarrier, (*wireReader).barrier,
+		func(m *sched.BarrierMsg) int32 { return m.Group }}
+	boardWire = wireKind[sched.BoardMsg]{simKindBoard, appendBoard, (*wireReader).board,
+		func(m *sched.BoardMsg) int32 { return m.Group }}
+	scaleWire = wireKind[sched.ScaleMsg]{simKindScale, appendScale, (*wireReader).scale,
+		func(m *sched.ScaleMsg) int32 { return m.Group }}
+	finishWire = wireKind[sched.FinishMsg]{simKindFinish, appendFinish, (*wireReader).finish,
+		func(m *sched.FinishMsg) int32 { return m.Group }}
+)
+
+// appendExchangeHeader starts an exchange frame's payload; count encoded
+// messages follow.
+func appendExchangeHeader(b []byte, seq uint64, kind uint8, count int) []byte {
+	b = binary.AppendUvarint(b, seq)
+	b = append(b, kind)
+	return binary.AppendUvarint(b, uint64(count))
+}
+
+// decodeExchange decodes one exchange frame's payload into the len(into)
+// messages the session expects at (seq, kind), through the caller's reader
+// (kept in the session so decoding allocates no reader). A different
+// sequence number or kind means the peer has left lockstep.
+func decodeExchange[T any](r *wireReader, payload []byte, k *wireKind[T], seq uint64, into []T) error {
+	*r = wireReader{b: payload}
+	gotSeq, gotKind := r.uint(), r.byte()
+	if r.err == nil && (gotSeq != seq || gotKind != k.kind) {
+		return fmt.Errorf("lockstep divergence: peer sent %s seq %d while the session is at %s seq %d",
+			simKindName(gotKind), gotSeq, simKindName(k.kind), seq)
+	}
+	n := r.count(minWireMsg)
+	if r.err == nil && n != len(into) {
+		return fmt.Errorf("frame carries %d contributions, want %d", n, len(into))
+	}
+	for i := range into {
+		if r.err != nil {
+			break
+		}
+		k.dec(r, &into[i])
+	}
+	if r.err != nil {
+		return fmt.Errorf("decoding %s frame: %w", simKindName(k.kind), r.err)
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("decoding %s frame: %d trailing bytes", simKindName(k.kind), len(r.b))
+	}
+	return nil
+}

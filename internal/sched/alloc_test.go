@@ -124,3 +124,70 @@ func TestAllocsMailboxCommit(t *testing.T) {
 		t.Fatalf("intent commit allocates %.1f per barrier, want 0", avg)
 	}
 }
+
+// echoTransport answers a barrier the way a two-group fabric would: the
+// caller's own message in slot 0 and a fixed peer contribution in slot 1,
+// in storage it reuses (as the wire transport's decode buffers are).
+type echoTransport struct {
+	Transport
+	reply [2]BarrierMsg
+}
+
+func (e *echoTransport) Barrier(m BarrierMsg) ([]BarrierMsg, error) {
+	e.reply[0] = m
+	return e.reply[:], nil
+}
+
+// TestAllocsBarrierExchange: the executor's side of one multi-group window
+// barrier — encoding intents, charges and merge resets into the alternating
+// wire buffers, handing off the cross-group posts, staging and delivering the
+// peer's, applying the merged commit and deriving the next watermark —
+// allocates nothing in steady state. With internal/dist's
+// TestAllocsWireExchange (zero on the transport) a lockstep exchange is
+// allocation-free end to end.
+func TestAllocsBarrierExchange(t *testing.T) {
+	reqs := []Request{{ID: 0}, {ID: 1}}
+	tr := &echoTransport{}
+	tr.reply[1] = BarrierMsg{
+		Group: 1, LaneAt: time.Hour, LaneOK: true,
+		Posts:   []WirePost{{At: time.Hour, Src: 1, Dst: 0, Req: 1}},
+		Charges: []WireCharge{{Mod: 1, Req: 1, GPU: time.Millisecond}},
+	}
+	x, err := NewShardedExecutorTopo(2, 1, time.Millisecond, Topology{Groups: 2, Group: 0}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &Cluster{
+		modules: []*module{{}, {}},
+		shx:     x, topo: x.topo, tr: tr,
+		resolve: func(id uint64) *Request { return &reqs[id] },
+	}
+	cl.bridge = newLaneBridge(cl, 2)
+	round := func() {
+		reqs[0].Dropped = false
+		cl.bridge.add(0, &reqs[0], time.Second, true)
+		cl.modules[0].charges = append(cl.modules[0].charges, chargeRec{req: &reqs[0], gpu: time.Millisecond})
+		cl.modules[0].mergeResets = append(cl.modules[0].mergeResets, WireMergeReset{Mod: 0, Req: 0, Expected: 2})
+		x.wireOut = append(x.wireOut, WirePost{At: time.Second, Src: 0, Dst: 1, Req: 0})
+		if err := cl.barrier(); err != nil {
+			t.Fatal(err)
+		}
+		// Drop the delivered post unfired: its destination module is a shell.
+		if _, _, ok := x.lanes[0].q.PopMin(); !ok {
+			t.Fatal("the peer's post was not delivered")
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round() // warm both wire buffer sets and the staging scratch
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("one multi-group barrier allocates %.1f on the executor's side, want 0", avg)
+	}
+	// The earliest pending event anywhere is the post this group just sent.
+	if !x.wmFresh || !x.wmOK || x.wmAt != time.Second {
+		t.Fatalf("barrier left watermark (%v,%t,fresh=%t), want the outgoing post's 1s", x.wmAt, x.wmOK, x.wmFresh)
+	}
+	if reqs[0].GPU == 0 || reqs[1].GPU == 0 || !reqs[0].Dropped {
+		t.Fatal("the merged commit was not applied")
+	}
+}

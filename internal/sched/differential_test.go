@@ -3,10 +3,12 @@ package sched_test
 import (
 	"bytes"
 	"encoding/gob"
+	"sync"
 	"testing"
 	"time"
 
 	"pard/internal/pipeline"
+	"pard/internal/sched"
 	"pard/internal/simgpu"
 	"pard/internal/trace"
 )
@@ -78,12 +80,9 @@ func diffCorpus() []diffCase {
 	}
 }
 
-// runShards executes one corpus case at the given shard count and returns
-// the result plus its gob serialization (the byte-identity witness — the
-// same encoding the sweep disk cache persists).
-func runShards(t *testing.T, c diffCase, tr *trace.Trace, shards int) (*simgpu.Result, []byte) {
-	t.Helper()
-	res, err := simgpu.Run(simgpu.Config{
+// config is the corpus case's simulation over tr, on the default topology.
+func (c diffCase) config(tr *trace.Trace) simgpu.Config {
+	return simgpu.Config{
 		Spec:         c.spec,
 		PolicyName:   c.policy,
 		Trace:        tr,
@@ -92,8 +91,17 @@ func runShards(t *testing.T, c diffCase, tr *trace.Trace, shards int) (*simgpu.R
 		Probes:       c.probes,
 		FixedWorkers: c.fixed,
 		Failures:     c.fails,
-		Shards:       shards,
-	})
+	}
+}
+
+// runShards executes one corpus case at the given shard count and returns
+// the result plus its gob serialization (the byte-identity witness — the
+// same encoding the sweep disk cache persists).
+func runShards(t *testing.T, c diffCase, tr *trace.Trace, shards int) (*simgpu.Result, []byte) {
+	t.Helper()
+	cfg := c.config(tr)
+	cfg.Shards = shards
+	res, err := simgpu.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s shards=%d: %v", c.name, shards, err)
 	}
@@ -167,17 +175,9 @@ func TestShardedDifferential(t *testing.T) {
 // the in-process transport and returns the byte-identity witness.
 func runGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) (*simgpu.Result, []byte) {
 	t.Helper()
-	res, err := simgpu.Run(simgpu.Config{
-		Spec:         c.spec,
-		PolicyName:   c.policy,
-		Trace:        tr,
-		Seed:         c.seed,
-		SyncPeriod:   200 * time.Millisecond,
-		Probes:       c.probes,
-		FixedWorkers: c.fixed,
-		Failures:     c.fails,
-		Groups:       groups,
-	})
+	cfg := c.config(tr)
+	cfg.Groups = groups
+	res, err := simgpu.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s groups=%d: %v", c.name, groups, err)
 	}
@@ -226,5 +226,104 @@ func TestShardedOversharded(t *testing.T) {
 	_, over := runShards(t, c, tr, 64)
 	if !bytes.Equal(seq, over) {
 		t.Fatal("shards=64 (more shards than modules) diverged from sequential")
+	}
+}
+
+// stepCountingTransport counts one lane group's Step and Barrier exchanges.
+type stepCountingTransport struct {
+	sched.Transport
+	steps, barriers int
+}
+
+func (t *stepCountingTransport) Step(m sched.StepMsg) ([]sched.StepMsg, error) {
+	t.steps++
+	return t.Transport.Step(m)
+}
+
+func (t *stepCountingTransport) Barrier(m sched.BarrierMsg) ([]sched.BarrierMsg, error) {
+	t.barriers++
+	return t.Transport.Barrier(m)
+}
+
+// runCountedGroups runs one corpus case as in-process lane-group replicas,
+// each behind a counting transport, and returns group 0's witness bytes and
+// every group's counters.
+func runCountedGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) ([]byte, []*stepCountingTransport) {
+	t.Helper()
+	trs := sched.NewMemTransports(groups)
+	cts := make([]*stepCountingTransport, groups)
+	results := make([]*simgpu.Result, groups)
+	errs := make([]error, groups)
+	var wg sync.WaitGroup
+	for g := range trs {
+		cts[g] = &stepCountingTransport{Transport: trs[g]}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cfg := c.config(tr)
+			cfg.Remote = &simgpu.RemoteTopology{Groups: groups, Group: g, Transport: cts[g]}
+			results[g], errs[g] = simgpu.Run(cfg)
+			if errs[g] != nil {
+				cts[g].Abort(errs[g]) // release the peers from their rendezvous
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("%s groups=%d: group %d: %v", c.name, groups, g, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(results[0]); err != nil {
+		t.Fatalf("%s groups=%d: encode: %v", c.name, groups, err)
+	}
+	return buf.Bytes(), cts
+}
+
+// TestLaneGroupWatermark pins the soundness of carrying the low watermark on
+// the barrier: with the cross-check on, every loop head of every replica also
+// runs the Step exchange the piggyback replaced and aborts the run unless the
+// two watermarks are equal — over the whole differential corpus (DAG traffic,
+// failures, scaling, host callbacks). With it off, a run makes exactly one
+// Step exchange, the opening rendezvous. Both must reproduce the ungrouped
+// bytes.
+func TestLaneGroupWatermark(t *testing.T) {
+	for _, c := range diffCorpus() {
+		if testing.Short() && !c.short {
+			continue
+		}
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			tr := trace.MustGenerate(trace.Config{
+				Kind: c.kind, Duration: 8 * time.Second, PeakRate: c.rate, Seed: c.seed + 100,
+			})
+			_, flatBytes := runShards(t, c, tr, 1)
+			for _, groups := range []int{2, 3} {
+				sched.SetVerifyWatermark(true)
+				checked, cts := runCountedGroups(t, c, tr, groups)
+				sched.SetVerifyWatermark(false)
+				if !bytes.Equal(flatBytes, checked) {
+					t.Errorf("groups=%d: cross-checked run differs from the ungrouped run", groups)
+				}
+				for g, ct := range cts {
+					// Every iteration ends in at least one barrier, so the
+					// cross-check ran about once per barrier or more often.
+					if ct.steps < 2 || ct.steps > ct.barriers+1 {
+						t.Errorf("groups=%d group %d: %d step exchanges beside %d barriers: the cross-check did not run at every loop head",
+							groups, g, ct.steps, ct.barriers)
+					}
+				}
+				plain, cts := runCountedGroups(t, c, tr, groups)
+				if !bytes.Equal(flatBytes, plain) {
+					t.Errorf("groups=%d: run differs from the ungrouped run", groups)
+				}
+				for g, ct := range cts {
+					if ct.steps != 1 {
+						t.Errorf("groups=%d group %d: %d step exchanges, want only the opening rendezvous", groups, g, ct.steps)
+					}
+				}
+			}
+		})
 	}
 }

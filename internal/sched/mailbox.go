@@ -133,13 +133,12 @@ func (b *laneBridge) seesAny(req *Request) bool {
 	return false
 }
 
-// encodeIntents drains the pending intents into their wire shape, gathered
-// in (module, decision order) — the same order commit's merge would have
-// gathered them. The retired maps stay populated until commitWire applies
-// the merged set (the deciding module must keep seeing its own intents
-// until the commit makes them globally visible).
-func (b *laneBridge) encodeIntents() []WireIntent {
-	var out []WireIntent
+// encodeIntents drains the pending intents into their wire shape, appending
+// to out, gathered in (module, decision order) — the same order commit's
+// merge would have gathered them. The retired maps stay populated until
+// commitWire applies the merged set (the deciding module must keep seeing
+// its own intents until the commit makes them globally visible).
+func (b *laneBridge) encodeIntents(out []WireIntent) []WireIntent {
 	for k, list := range b.intents {
 		for _, it := range list {
 			out = append(out, WireIntent{At: it.at, Mod: int32(k), Req: it.req.ID, Drop: it.drop})

@@ -125,6 +125,15 @@ type Cluster struct {
 	topo    Topology
 	tr      Transport
 	resolve func(uint64) *Request
+	// wireBufs are the barrier message's encode buffers. Two sets alternate
+	// because a transport may hand a message's slices to peers by reference
+	// until this group's next exchange has returned (see Transport).
+	wireBufs [2]struct {
+		intents []WireIntent
+		charges []WireCharge
+		merges  []WireMergeReset
+	}
+	wireCur int
 
 	// classicEvents recycles event carriers on the classic-executor path
 	// (see classicEvent). Per-cluster so pooled carriers never cross runs;
@@ -407,17 +416,30 @@ func (c *Cluster) ControlFlush() {
 // group's cross-group posts, pending termination intents and buffered
 // charges; deliver the incoming posts in mailbox order; apply the merged
 // charges (integer sums — order-free) and commit the merged intents in the
-// global deterministic order. Control flushes reuse it with nil posts.
+// global deterministic order. Control flushes reuse it with nil posts. The
+// message also carries this group's lane heads, from which every replica
+// derives the next low watermark without a round trip of its own. The
+// gathered slices may live in transport buffers that the next exchange
+// overwrites: everything kept is copied out before returning.
 func (c *Cluster) exchangeBarrier(posts []WirePost) error {
+	buf := &c.wireBufs[c.wireCur]
+	c.wireCur ^= 1
+	buf.intents = c.bridge.encodeIntents(buf.intents[:0])
+	buf.charges = c.encodeCharges(buf.charges[:0])
+	buf.merges = c.encodeMergeResets(buf.merges[:0])
 	msg := BarrierMsg{
 		Group:   int32(c.topo.Group),
 		Posts:   posts,
-		Intents: c.bridge.encodeIntents(),
-		Charges: c.encodeCharges(),
-		Merges:  c.encodeMergeResets(),
+		Intents: buf.intents,
+		Charges: buf.charges,
+		Merges:  buf.merges,
 	}
+	msg.CtrlAt, msg.CtrlOK, msg.LaneAt, msg.LaneOK = c.shx.heads()
 	all, err := c.tr.Barrier(msg)
 	if err != nil {
+		return err
+	}
+	if err := c.shx.noteBarrier(all); err != nil {
 		return err
 	}
 	for i := range all {
@@ -462,9 +484,8 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) error {
 }
 
 // encodeCharges drains every owned module's charge buffer into wire shape,
-// in (module, decision order).
-func (c *Cluster) encodeCharges() []WireCharge {
-	var out []WireCharge
+// in (module, decision order), appending to out.
+func (c *Cluster) encodeCharges(out []WireCharge) []WireCharge {
 	for k, m := range c.modules {
 		for i := range m.charges {
 			ch := &m.charges[i]
@@ -740,9 +761,8 @@ func (c *Cluster) resetMerge(req *Request, k int, now time.Duration, n int) {
 }
 
 // encodeMergeResets drains every module's buffered merge-arms in (module,
-// decision order).
-func (c *Cluster) encodeMergeResets() []WireMergeReset {
-	var out []WireMergeReset
+// decision order), appending to out.
+func (c *Cluster) encodeMergeResets(out []WireMergeReset) []WireMergeReset {
 	for _, m := range c.modules {
 		out = append(out, m.mergeResets...)
 		m.mergeResets = m.mergeResets[:0]

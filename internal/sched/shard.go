@@ -40,11 +40,12 @@ import (
 //
 // With a multi-group Topology (NewShardedExecutorTopo), the executor is one
 // lane group of a replicated cluster: it executes only the lanes it owns,
-// exchanges its low watermark and cross-group mailbox posts through the
-// Transport each iteration, and verifies control-lane lockstep against its
-// peers — see transport.go for the distribution model. The single-group
-// path never touches the Transport and is bit- and allocation-identical to
-// the pre-topology executor.
+// exchanges its cross-group mailbox posts — and, riding on the same message,
+// its lane heads — through the Transport at every barrier, derives the next
+// global low watermark from the gathered replies, and verifies control-lane
+// lockstep against its peers — see transport.go for the distribution model.
+// The single-group path never touches the Transport and is bit- and
+// allocation-identical to the pre-topology executor.
 type ShardedExecutor struct {
 	lookahead time.Duration
 	shards    int
@@ -67,9 +68,23 @@ type ShardedExecutor struct {
 	ctrlHook  func() error // runs after every control event (multi-group)
 	err       error        // first transport/lockstep error; aborts the run
 	wireOut   []WirePost   // this window's cross-group posts (handed off per barrier)
+	wireSpare []WirePost   // the previous barrier's posts, possibly still read by peers
 	staged    []post       // this barrier's local + decoded remote posts
 	laneFired uint64
+
+	// The next global low watermark, as derived from the last barrier
+	// exchange (see noteBarrier) and from the control-context schedules made
+	// since the loop head (see scheduleLaneEvent). wmFresh is false until an
+	// exchange of the current iteration has refreshed it.
+	wmAt, ctxAt time.Duration
+	wmOK, ctxOK bool
+	wmFresh     bool
 }
+
+// verifyWatermark makes every loop head of a multi-group run also perform
+// the Step exchange and abort the run if the watermark derived from the
+// barrier differs from it. Only tests set it (export_test.go).
+var verifyWatermark bool
 
 // laneEvent is one scheduled event inside a lane. The hot-path kinds —
 // request arrivals and hops, batch completions, worker warmups — are
@@ -295,14 +310,21 @@ func (x *ShardedExecutor) scheduleLane(src, dst int, at time.Duration, name stri
 func (x *ShardedExecutor) scheduleLaneEvent(src, dst int, at time.Duration, ev laneEvent) {
 	l := x.lanes[dst]
 	if src < 0 || !x.running {
-		// Host/control context is replicated across lane groups: every group
-		// executes this schedule, so a group only enqueues events for lanes
-		// it owns — the owner's identical copy is the one that runs.
-		if x.tr != nil && !x.topo.owns(dst) {
-			return
-		}
 		if at < x.frontier {
 			at = x.frontier
+		}
+		if x.tr != nil {
+			// Host/control context is replicated across lane groups: every
+			// group executes this schedule, so every group learns here — with
+			// no exchange — that some lane's head may have dropped to at, and
+			// only the lane's owner enqueues the event: its identical copy is
+			// the one that runs.
+			if !x.ctxOK || at < x.ctxAt {
+				x.ctxAt, x.ctxOK = at, true
+			}
+			if !x.topo.owns(dst) {
+				return
+			}
 		}
 		l.push(at, ev)
 		return
@@ -329,12 +351,14 @@ func (x *ShardedExecutor) setBarrierHook(fn func() error) { x.barrierFn = fn }
 // terminations, keeping the replicas lockstep-identical between events.
 func (x *ShardedExecutor) setControlHook(fn func() error) { x.ctrlHook = fn }
 
-// takeWirePosts hands off this window's cross-group posts. Ownership moves
-// to the caller (the slice goes on the wire or into a peer's hands), so the
-// buffer is not recycled.
+// takeWirePosts hands off this window's cross-group posts. The slice stays
+// untouched until the barrier after next: a transport may pass it to peers
+// by reference, and they are done reading it before this group's next
+// exchange returns (see Transport). Two buffers alternate, so the steady
+// state allocates nothing.
 func (x *ShardedExecutor) takeWirePosts() []WirePost {
 	out := x.wireOut
-	x.wireOut = nil
+	x.wireOut, x.wireSpare = x.wireSpare[:0], out
 	return out
 }
 
@@ -484,10 +508,80 @@ func (x *ShardedExecutor) flushOutboxes() {
 	}
 }
 
-// stepExchange all-reduces the per-iteration step state across lane groups:
-// it verifies the replicated control lane is in lockstep (aborting on
-// divergence — never drifting silently) and returns the global low
-// watermark over every group's owned lanes.
+// heads returns what this group reports in a BarrierMsg: the replicated
+// control lane's head and the earliest event this group will hold once the
+// barrier's locally staged posts are delivered.
+func (x *ShardedExecutor) heads() (ctrlAt time.Duration, ctrlOK bool, laneAt time.Duration, laneOK bool) {
+	ctrlAt, ctrlOK = x.ctrl.peek()
+	laneAt, laneOK = x.minLane()
+	for i := range x.staged {
+		if at := x.staged[i].at; !laneOK || at < laneAt {
+			laneAt, laneOK = at, true
+		}
+	}
+	return
+}
+
+// noteBarrier derives the next global low watermark from one all-gathered
+// barrier round: the minimum over every group's reported lane head and over
+// every cross-group post about to be delivered. It also verifies that the
+// replicated control lanes agreed when the messages were built — diverging
+// control queues abort the run, never silently drift.
+func (x *ShardedExecutor) noteBarrier(all []BarrierMsg) error {
+	if len(all) != x.topo.Groups {
+		return fmt.Errorf("sched: barrier exchange returned %d contributions for %d lane groups", len(all), x.topo.Groups)
+	}
+	own := &all[x.topo.Group]
+	x.wmAt, x.wmOK = 0, false
+	for i := range all {
+		m := &all[i]
+		if m.CtrlOK != own.CtrlOK || (own.CtrlOK && m.CtrlAt != own.CtrlAt) {
+			return fmt.Errorf("sched: control-lane divergence: group %d next control (%v,%t), group %d (%v,%t)",
+				x.topo.Group, own.CtrlAt, own.CtrlOK, m.Group, m.CtrlAt, m.CtrlOK)
+		}
+		if m.LaneOK && (!x.wmOK || m.LaneAt < x.wmAt) {
+			x.wmAt, x.wmOK = m.LaneAt, true
+		}
+		for j := range m.Posts {
+			if at := m.Posts[j].At; !x.wmOK || at < x.wmAt {
+				x.wmAt, x.wmOK = at, true
+			}
+		}
+	}
+	x.wmFresh = true
+	return nil
+}
+
+// globalWatermark returns the low watermark over every group's owned lanes
+// at the loop head. Once an exchange of the previous iteration has carried
+// the groups' heads it costs no round trip: between the moment those
+// messages were built and now, a lane head can only have been lowered by the
+// delivered posts (in the gathered reply) or by a control-context schedule
+// made while the merged commit was applied (replicated, tracked in
+// scheduleLaneEvent). The Step exchange remains for the opening rendezvous,
+// and for any iteration that made no barrier exchange.
+func (x *ShardedExecutor) globalWatermark(tCtrl time.Duration, okC bool, tLane time.Duration, okL bool) (time.Duration, bool) {
+	at, ok := x.wmAt, x.wmOK
+	if x.ctxOK && (!ok || x.ctxAt < at) {
+		at, ok = x.ctxAt, true
+	}
+	fresh := x.wmFresh
+	x.wmFresh, x.ctxOK = false, false
+	if fresh && !verifyWatermark {
+		return at, ok
+	}
+	sAt, sOK := x.stepExchange(tCtrl, okC, tLane, okL)
+	if fresh && x.err == nil && (sOK != ok || (ok && sAt != at)) {
+		x.fail(fmt.Errorf("sched: group %d derived low watermark (%v,%t) from the barrier, a step exchange says (%v,%t)",
+			x.topo.Group, at, ok, sAt, sOK))
+	}
+	return sAt, sOK
+}
+
+// stepExchange all-reduces the step state across lane groups: it verifies
+// the replicated control lane is in lockstep (aborting on divergence —
+// never drifting silently) and returns the global low watermark over every
+// group's owned lanes.
 func (x *ShardedExecutor) stepExchange(tCtrl time.Duration, okC bool, tLane time.Duration, okL bool) (time.Duration, bool) {
 	all, err := x.tr.Step(StepMsg{
 		Group:  int32(x.topo.Group),
@@ -540,8 +634,8 @@ func (x *ShardedExecutor) Run() time.Duration {
 		if x.tr != nil {
 			// The watermark is a global minimum over every group's owned
 			// lanes; the control queues must agree exactly (they are
-			// replicated), which stepExchange verifies.
-			tLane, okL = x.stepExchange(tCtrl, okC, tLane, okL)
+			// replicated), which every exchange verifies.
+			tLane, okL = x.globalWatermark(tCtrl, okC, tLane, okL)
 			if x.err != nil {
 				break
 			}

@@ -19,20 +19,39 @@ import (
 // the complete request slab — but only executes the lanes it owns
 // (module k belongs to group k % Groups). Control-lane events (sync ticks,
 // scaling ticks, injected failures) are replicated: every group schedules
-// and fires them identically, with owner-only guards inside. Four exchange
+// and fires them identically, with owner-only guards inside. Five exchange
 // kinds keep the replicas bit-identical:
 //
-//   - Step: per-iteration low-watermark all-reduce (global minimum lane
-//     time) plus a control-lane lockstep check — diverging control queues
-//     abort the run, never silently drift.
 //   - Barrier: the window barrier's combined payload — cross-group mailbox
 //     posts, deferred termination intents, and batched per-request charges —
-//     all-gathered so every group applies the identical merged commit.
+//     all-gathered so every group applies the identical merged commit. Every
+//     iteration of the executor's loop ends in one: after the window, or
+//     after each control event. The message also carries the sender's
+//     control-lane head and owned-lane low watermark as of the moment it was
+//     built, so the same round trip verifies control-lane lockstep —
+//     diverging control queues abort the run, never silently drift — and
+//     lets every replica derive the next global low watermark.
+//   - Step: the low-watermark all-reduce on its own. It opens the run (no
+//     barrier has happened yet) and backs any iteration that made no barrier
+//     exchange; a steady-state iteration makes none.
 //   - Board / Scale: sync-tick board rows and scaling-demand rows
 //     all-gathered between the owner-local measure phase and the replicated
 //     decide phase.
 //   - Finish: end-of-run per-module reports (probes, peak workers, lane
 //     event counts) so any group can assemble the full result.
+//
+// Why the watermark can ride on the barrier: between the moment a group
+// builds its BarrierMsg and the next loop head no lane runs, so a lane's
+// head can only be lowered by (a) the barrier's own posts — the locally
+// staged ones are folded into the sender's reported head, the cross-group
+// ones are in the gathered reply every replica sees — or (b) a
+// control-context schedule made while the merged commit is applied (host
+// OnDone/OnDrop callbacks), which every replica executes identically and
+// records before the ownership filter. The global watermark is the minimum
+// over the reported heads, the gathered posts and (b), taken from the last
+// exchange before the loop head. TestLaneGroupWatermark runs the Step
+// exchange beside it at every iteration of the differential corpus and
+// requires the two to agree.
 //
 // Merges are deterministic by construction: per-group contributions are
 // gathered in (local module order, decision/send order) and concatenated in
@@ -41,8 +60,9 @@ import (
 // single-process order.
 //
 // memTransport (below) is the in-process implementation backing
-// Config.Groups > 1 and the unit harness. The cross-host gob implementation
-// lives in internal/dist, built on its framing/handshake discipline.
+// Config.Groups > 1 and the unit harness. The cross-host implementation — a
+// hand-written binary codec over framed TCP — lives in internal/dist, built
+// on its framing/handshake discipline.
 
 // Topology places the per-module event lanes into lane groups. Ownership is
 // derived, not configured: lane k belongs to group k % Groups (round-robin,
@@ -128,7 +148,7 @@ type WireMergeReset struct {
 	Expected int32
 }
 
-// StepMsg is one group's contribution to the per-iteration low-watermark
+// StepMsg is one group's contribution to the stand-alone low-watermark
 // exchange. CtrlAt/CtrlOK must be identical across groups (the control lane
 // is replicated); the executor verifies this and aborts on divergence.
 type StepMsg struct {
@@ -143,8 +163,17 @@ type StepMsg struct {
 // termination intents, and charge records, each in deterministic local
 // order. Control-event flushes reuse the same shape with only Intents set;
 // an all-empty exchange (an empty-drain round) is valid and common.
+//
+// CtrlAt/CtrlOK and LaneAt/LaneOK are the StepMsg fields as of the moment
+// the message was built: the replicated control lane's head (identical on
+// every group, or the run aborts) and the earliest event the sender holds,
+// its locally staged posts included.
 type BarrierMsg struct {
 	Group   int32
+	CtrlAt  time.Duration
+	CtrlOK  bool
+	LaneAt  time.Duration
+	LaneOK  bool
 	Posts   []WirePost
 	Intents []WireIntent
 	Charges []WireCharge
@@ -206,9 +235,18 @@ type FinishMsg struct {
 // implementations propagate failure rather than let replicas diverge
 // silently.
 //
+// Buffer ownership. The slices inside a message passed in stay the
+// caller's; the caller leaves them unmodified until its next exchange has
+// returned, so an implementation may pass them to peers by reference
+// (memTransport does: a peer is done with round n's slices before it enters
+// round n+1) or encode them before returning (internal/dist does). The
+// slices returned by Step and Barrier are valid only until the caller's next
+// exchange — an implementation may decode into per-session buffers — so the
+// caller copies out what it keeps. Board rows and Finish reports are
+// retained by the caller and must be freshly allocated.
+//
 // The in-process implementation is memTransport; internal/dist provides the
-// cross-host gob implementation over its framed, handshake-checked TCP
-// protocol.
+// cross-host implementation over its framed, handshake-checked TCP protocol.
 type Transport interface {
 	Step(StepMsg) ([]StepMsg, error)
 	Barrier(BarrierMsg) ([]BarrierMsg, error)

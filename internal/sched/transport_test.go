@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -14,8 +12,8 @@ import (
 
 // These tests pin the mailbox-ordering edge cases the lane-group merge
 // proof rests on: equal virtual-time posts across groups, send-sequence
-// stability through an encode/decode round trip, empty-drain barrier
-// rounds, and the lockstep-divergence guard.
+// stability through staging and sort, empty-drain barrier rounds, the
+// lockstep-divergence guard, and the watermark carried by the barrier.
 
 // wirePostAt builds a minimal wire-shaped post (typed receive, no closure).
 func wirePostAt(at time.Duration, src, dst int, id uint64) post {
@@ -87,44 +85,22 @@ func TestSortPostsEqualTimeAcrossGroups(t *testing.T) {
 	}
 }
 
-// TestWirePostRoundTripKeepsSendOrder pins the wire leg of the sequence
+// TestSortPostsKeepSendOrder pins the receiving leg of the sequence
 // tiebreak: posts sharing (At, Src) carry no explicit sequence number —
-// their send order IS the order of the Posts slice — so the gob round trip
-// internal/dist performs must preserve slice order exactly, and a stable
-// sort after decoding must leave equal-key runs untouched.
-func TestWirePostRoundTripKeepsSendOrder(t *testing.T) {
-	msg := BarrierMsg{
-		Group: 1,
-		Posts: []WirePost{
-			{At: 10 * time.Millisecond, Src: 1, Dst: 2, Req: 7},
-			{At: 10 * time.Millisecond, Src: 1, Dst: 4, Req: 3}, // same (At, Src): order is the tiebreak
-			{At: 10 * time.Millisecond, Src: 1, Dst: 2, Req: 9},
-			{At: 12 * time.Millisecond, Src: 1, Dst: 2, Req: 1},
-		},
-		Intents: []WireIntent{
-			{At: 10 * time.Millisecond, Mod: 3, Req: 7, Drop: true},
-			{At: 10 * time.Millisecond, Mod: 3, Req: 9},
-		},
-		Charges: []WireCharge{{Mod: 3, Req: 7, GPU: time.Millisecond, Q: 2 * time.Millisecond}},
-		Merges:  []WireMergeReset{{At: 10 * time.Millisecond, Mod: 0, Req: 7, Expected: 2}},
+// their send order IS the order of the Posts slice — so the stable sort that
+// follows staging must leave equal-key runs in wire order. (That the wire
+// itself preserves slice order is internal/dist's
+// TestWirePostRoundTripKeepsSendOrder, on the real codec.)
+func TestSortPostsKeepSendOrder(t *testing.T) {
+	wire := []WirePost{
+		{At: 12 * time.Millisecond, Src: 1, Dst: 2, Req: 1},
+		{At: 10 * time.Millisecond, Src: 1, Dst: 2, Req: 7},
+		{At: 10 * time.Millisecond, Src: 1, Dst: 4, Req: 3}, // same (At, Src): order is the tiebreak
+		{At: 10 * time.Millisecond, Src: 1, Dst: 2, Req: 9},
 	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		t.Fatal(err)
-	}
-	var got BarrierMsg
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(msg, got) {
-		t.Fatalf("gob round trip altered the payload:\n sent %+v\n got  %+v", msg, got)
-	}
-
-	// Decode to posts the way exchangeBarrier stages them and re-sort: the
-	// equal-(At, Src) run must come out in wire order.
-	staged := make([]post, 0, len(got.Posts))
-	for _, wp := range got.Posts {
+	// Stage the way exchangeBarrier does, then sort.
+	staged := make([]post, 0, len(wire))
+	for _, wp := range wire {
 		staged = append(staged, wirePostAt(wp.At, int(wp.Src), int(wp.Dst), wp.Req))
 	}
 	sortPosts(staged)
@@ -315,5 +291,65 @@ func TestExchangeKindNames(t *testing.T) {
 	}
 	if s := exchangeKind(99).String(); s != fmt.Sprintf("kind(%d)", 99) {
 		t.Fatalf("unknown kind printed %q", s)
+	}
+}
+
+// TestWatermarkSeesControlContextSchedules pins source (b) of the piggyback
+// argument in transport.go: an event scheduled from replicated control
+// context after the barrier messages were built — what a host OnDone/OnDrop
+// callback does while the merged commit is applied — lowers the next
+// watermark on every replica although no message reported it. With the
+// cross-check on, a replica that missed it would abort the run.
+func TestWatermarkSeesControlContextSchedules(t *testing.T) {
+	verifyWatermark = true
+	defer func() { verifyWatermark = false }()
+
+	const groups = 2
+	trs := NewMemTransports(groups)
+	fired := make([][]time.Duration, groups)
+	errs := make([]error, groups)
+	var wg sync.WaitGroup
+	for g := 0; g < groups; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			x, err := NewShardedExecutorTopo(groups, 1, time.Millisecond, Topology{Groups: groups, Group: g}, trs[g])
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			record := laneEvent{name: "record", fn: func(now time.Duration) { fired[g] = append(fired[g], now) }}
+			barriers := 0
+			x.setBarrierHook(func() error {
+				msg := BarrierMsg{Group: int32(g), Posts: x.takeWirePosts()}
+				msg.CtrlAt, msg.CtrlOK, msg.LaneAt, msg.LaneOK = x.heads()
+				all, err := x.tr.Barrier(msg)
+				if err != nil {
+					return err
+				}
+				if err := x.noteBarrier(all); err != nil {
+					return err
+				}
+				if barriers++; barriers == 1 {
+					// The replicated "callback": both groups make the
+					// schedule, only lane 1's owner enqueues it.
+					x.scheduleLaneEvent(-1, 1, 20*time.Millisecond, record)
+				}
+				return nil
+			})
+			x.scheduleLaneEvent(-1, 0, 10*time.Millisecond, record)
+			x.scheduleLaneEvent(-1, 1, 50*time.Millisecond, record)
+			x.Run()
+			errs[g] = x.Err()
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("group %d: %v", g, err)
+		}
+	}
+	if want := []time.Duration{20 * time.Millisecond, 50 * time.Millisecond}; !reflect.DeepEqual(fired[1], want) {
+		t.Fatalf("lane 1 fired at %v, want %v", fired[1], want)
 	}
 }
