@@ -318,7 +318,10 @@ func (q *FIFO[T]) pop() (T, int64, bool) {
 	var zentry entry[T]
 	q.buf[q.head] = zentry
 	q.head++
-	if q.head > 1024 && q.head*2 > len(q.buf) {
+	if q.head == len(q.buf) {
+		// Drained, as a worker's queue is between bursts: refill from the front.
+		q.buf, q.head = q.buf[:0], 0
+	} else if q.head > 1024 && q.head*2 > len(q.buf) {
 		q.buf = append([]entry[T](nil), q.buf[q.head:]...)
 		q.head = 0
 	}

@@ -314,6 +314,33 @@ func TestFIFOCompaction(t *testing.T) {
 	}
 }
 
+// TestFIFOReusesItsArray: a queue that drains between bursts — a worker's
+// queue, most of the time — refills the array it has from the front instead
+// of growing past its dead prefix until the next compaction.
+func TestFIFOReusesItsArray(t *testing.T) {
+	q := NewFIFO[int]()
+	next, want := 0, 0
+	burst := func() { // fills to 8, drains to empty
+		for i := 0; i < 8; i++ {
+			q.Push(next, 0)
+			next++
+		}
+		for q.Len() > 0 {
+			if v, _, ok := q.PopMin(); !ok || v != want {
+				t.Fatalf("pop = %d, %v; want %d", v, ok, want)
+			}
+			want++
+		}
+	}
+	burst()
+	if avg := testing.AllocsPerRun(1000, burst); avg != 0 {
+		t.Fatalf("a draining FIFO allocates %.2f per burst, want 0", avg)
+	}
+	if q.head != 0 || len(q.buf) != 0 || cap(q.buf) > 16 {
+		t.Fatalf("drained FIFO: head %d len %d cap %d, want the front of a small array", q.head, len(q.buf), cap(q.buf))
+	}
+}
+
 // Both implementations satisfy the Queue interface.
 var (
 	_ Queue[int] = (*DEPQ[int])(nil)

@@ -131,9 +131,14 @@ func TestDistributedDifferential(t *testing.T) {
 	t.Run("crash-mid-sweep", func(t *testing.T) {
 		c := NewCoordinator(CoordinatorConfig{Engine: sweep.New(diffEngineConfig())})
 		defer c.Close()
-		crashed := startLoopbackWorker(t, c, WorkerConfig{Workers: 4, CrashAfterUnits: 1})
-		startLoopbackWorker(t, c, WorkerConfig{Workers: 2})
-		startLoopbackWorker(t, c, WorkerConfig{Workers: 2})
+		// Every unit is held for 50 ms before it runs: a unit of this grid
+		// simulates in a few milliseconds, and on a loaded box the survivors
+		// could otherwise drain the queue before the crashing worker had
+		// pulled its second unit, leaving it nothing to lose.
+		const hold = 50 * time.Millisecond
+		crashed := startLoopbackWorker(t, c, WorkerConfig{Workers: 4, CrashAfterUnits: 1, UnitDelay: hold})
+		startLoopbackWorker(t, c, WorkerConfig{Workers: 2, UnitDelay: hold})
+		startLoopbackWorker(t, c, WorkerConfig{Workers: 2, UnitDelay: hold})
 		got, err := c.Sweep(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)

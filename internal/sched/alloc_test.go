@@ -39,6 +39,85 @@ func TestAllocsEventDispatch(t *testing.T) {
 	}
 }
 
+// TestAllocsLaneQueue: the lane queue's two halves both settle. A run that
+// drains starts again at the front of the array it already has, a run that
+// never quite drains slides its tail down instead of growing, and the heap
+// under it keeps its storage — so steady-state push/pop allocates nothing.
+func TestAllocsLaneQueue(t *testing.T) {
+	var q laneQueue
+	ev := laneEvent{op: opWarmup}
+	at := time.Duration(0)
+	round := func() {
+		// 64 ascending arrivals into the run, the first 32 pops each leaving
+		// a follow-up in the heap (a batch end); the last arrival stays
+		// pending, so the run is never empty between rounds.
+		for i := 0; i < 64; i++ {
+			at++
+			q.push(at, ev)
+		}
+		for i := 0; len(q.run)-q.head > 1 || len(q.heap) > 0; i++ {
+			popped, _ := q.peek()
+			q.pop()
+			if i < 32 {
+				q.pushHeap(popped+1, ev)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		round() // let both arrays reach their steady size
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("steady-state lane queue traffic allocates %.1f per round, want 0", avg)
+	}
+	if cap(q.run) > 256 {
+		t.Fatalf("a run with at most 65 pending entries grew to %d: the consumed prefix is not being reclaimed", cap(q.run))
+	}
+
+	// Drain, then refill: same array, from the front.
+	for q.head < len(q.run) {
+		q.pop()
+	}
+	was := &q.run[:1][0]
+	if avg := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 64; i++ {
+			at++
+			q.push(at, ev)
+		}
+		for i := 0; i < 64; i++ {
+			q.pop()
+		}
+	}); avg != 0 {
+		t.Fatalf("refilling a drained run allocates %.1f, want 0", avg)
+	}
+	if q.head != 0 || len(q.run) != 0 || &q.run[:1][0] != was {
+		t.Fatal("a drained run did not go back to the front of its array")
+	}
+}
+
+// TestAllocsLaneReservation: once the host has announced a trace's length,
+// injecting it allocates nothing — the source lane's run is sized once rather
+// than grown a quarter at a time under every arrival (a fifth of the bytes a
+// grid run allocated, and as many trips to the collector).
+func TestAllocsLaneReservation(t *testing.T) {
+	const n = 4096
+	x := NewShardedExecutor(2, 1, time.Millisecond)
+	ev := laneEvent{op: opWarmup}
+	x.Reserve(1, n)
+	was := cap(x.lanes[1].q.run)
+	at := time.Duration(0)
+	if avg := testing.AllocsPerRun(1, func() { // runs twice: half the trace each
+		for i := 0; i < n/2; i++ {
+			at++
+			x.scheduleLaneEvent(-1, 1, at, ev)
+		}
+	}); avg != 0 {
+		t.Fatalf("injecting a reserved trace allocates %.0f times, want 0", avg)
+	}
+	if q := &x.lanes[1].q; cap(q.run) != was || len(q.run) != n || len(q.heap) != 0 {
+		t.Fatalf("reserved run: cap %d → %d, %d in the run, %d in the heap; want cap unchanged, %d, 0", was, cap(q.run), len(q.run), len(q.heap), n)
+	}
+}
+
 // TestAllocsScheduleEventLanePath: Cluster.scheduleEvent with the lane
 // scheduler wired allocates nothing per event. The classic-heap fallback is
 // quarantined behind a noinline wrapper precisely so the by-value event
@@ -173,9 +252,10 @@ func TestAllocsBarrierExchange(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Drop the delivered post unfired: its destination module is a shell.
-		if _, _, ok := x.lanes[0].q.PopMin(); !ok {
+		if x.lanes[0].q.len() != 1 {
 			t.Fatal("the peer's post was not delivered")
 		}
+		x.lanes[0].q.pop()
 	}
 	for i := 0; i < 4; i++ {
 		round() // warm both wire buffer sets and the staging scratch

@@ -1,0 +1,120 @@
+package sched
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"pard/internal/pipeline"
+	"pard/internal/profile"
+)
+
+// scanLeastLoaded is the dispatcher as it was before the table: walk the
+// workers, skip the inactive, keep the first with strictly less load.
+func scanLeastLoaded(m *module) int {
+	best := -1
+	for i, w := range m.workers {
+		if !w.active {
+			continue
+		}
+		if best < 0 || w.load() < m.workers[best].load() {
+			best = i
+		}
+	}
+	return best
+}
+
+// TestDispatchTableTracksWorkers steps a cluster one event at a time through
+// a load that swings hard enough for the scaling engine to cold-start,
+// deactivate and reactivate workers, with machine failures on top, and checks
+// after every single event that the dispatch table says what the workers say:
+// loads[i] is workers[i].load() for an active worker and the sentinel for any
+// other, and the table's argmin is the worker the pointer scan picks.
+func TestDispatchTableTracksWorkers(t *testing.T) {
+	man := NewManualExecutor()
+	spec := pipeline.LV()
+	workers := make([]int, spec.N())
+	for k := range workers {
+		workers[k] = 3
+	}
+	cl, err := New(Config{
+		Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "pard", Seed: 3,
+		Workers: workers, NetDelay: time.Millisecond,
+		Scaling: ScalingConfig{Enabled: true, ColdStart: 300 * time.Millisecond, Headroom: 1.2, MaxWorkers: 8, MinWorkers: 1},
+	}, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Three seconds of heavy traffic, three of a trickle, three heavy again.
+	const horizon = 9 * time.Second
+	rng := rand.New(rand.NewSource(11))
+	var reqs []*Request
+	for at := time.Duration(0); at < horizon; {
+		rate := 600.0
+		if at >= 3*time.Second && at < 6*time.Second {
+			rate = 20
+		}
+		at += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+		reqs = append(reqs, &Request{ID: uint64(len(reqs)), Send: at, Deadline: at + spec.SLO})
+	}
+	for _, r := range reqs {
+		cl.Inject(r, r.Send)
+	}
+	for at := 100 * time.Millisecond; at < horizon; at += 100 * time.Millisecond {
+		man.Schedule(at, "sync", cl.SyncTick)
+		if at%(500*time.Millisecond) == 0 {
+			man.Schedule(at, "scale", cl.ScaleTick)
+		}
+		if at%(1700*time.Millisecond) == 0 {
+			k := rng.Intn(spec.N())
+			man.Schedule(at, "crash", func(now time.Duration) { cl.Crash(k, now, 1) })
+		}
+	}
+
+	var events, sawIdle, sawDead, sawCold int
+	for {
+		ev, ok := man.pop(horizon + time.Minute)
+		if !ok {
+			break
+		}
+		man.now = ev.at
+		ev.fn(ev.at)
+		events++
+		for _, m := range cl.modules {
+			if len(m.loads) != len(m.workers) {
+				t.Fatalf("event %d (%s): module %d has %d workers and %d table entries", events, ev.name, m.idx, len(m.workers), len(m.loads))
+			}
+			for i, w := range m.workers {
+				want := int32(ineligible)
+				switch {
+				case w.active:
+					want = int32(w.load())
+				case w.dead:
+					sawDead++
+				default:
+					sawIdle++
+				}
+				if w.coldUntil > 0 {
+					sawCold++
+				}
+				if m.loads[i] != want {
+					t.Fatalf("event %d (%s at %v): module %d worker %d (active %t, dead %t, load %d) has table entry %d, want %d",
+						events, ev.name, ev.at, m.idx, i, w.active, w.dead, w.load(), m.loads[i], want)
+				}
+			}
+			if got, want := m.leastLoaded(), scanLeastLoaded(m); got != want {
+				t.Fatalf("event %d (%s at %v): module %d dispatches to worker %d, the pointer scan to %d", events, ev.name, ev.at, m.idx, got, want)
+			}
+		}
+	}
+	if sawIdle == 0 || sawDead == 0 || sawCold == 0 {
+		t.Fatalf("the run never exercised deactivation (%d), a crash (%d) and a cold start (%d) together", sawIdle, sawDead, sawCold)
+	}
+	for _, r := range reqs {
+		if !r.Dropped && !r.Finished {
+			t.Fatalf("request %d never terminated", r.ID)
+		}
+	}
+	t.Logf("%d events, %d requests", events, len(reqs))
+}

@@ -12,8 +12,9 @@ import (
 //
 //   - posts: events one lane schedules on another (batch hand-off, DAG
 //     fan-out and merge hops). They are buffered in the sending lane's
-//     outbox and delivered at the window barrier sorted by
-//     (virtual time, source module, send sequence).
+//     outbox and delivered at the window barrier in (virtual time, source
+//     module, send sequence) order — a merge of the outboxes, each already
+//     in time order (ShardedExecutor.flushOutboxes).
 //   - intents: request terminations (drops and completions) decided inside a
 //     window. They are buffered per lane and committed at the barrier sorted
 //     by (virtual time, module, decision sequence), so the globally visible
@@ -32,11 +33,13 @@ type post struct {
 	ev       laneEvent
 }
 
-// sortPosts orders a merged mailbox by (virtual time, source module). Posts
-// are gathered in (source module, send order) sequence, so the stable sort
-// yields the full deterministic key (time, module, sequence). The sort is
-// slices.SortStableFunc — in-place and reflection-free — so a barrier's
-// mailbox merge allocates nothing in steady state.
+// sortPosts puts a multi-group barrier's staged posts — this group's own,
+// already merged, followed by each peer's as decoded — into mailbox order,
+// (virtual time, source module). Equal keys come from one source lane and so
+// from one group, in send order, which the stable sort keeps: the full key is
+// (time, module, sequence). slices.SortStableFunc is in-place and
+// reflection-free, so the barrier allocates nothing in steady state. The
+// single-group barrier merges (flushOutboxes) and sorts only a stray outbox.
 func sortPosts(posts []post) {
 	slices.SortStableFunc(posts, func(a, b post) int {
 		if a.at != b.at {

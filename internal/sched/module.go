@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -32,6 +33,10 @@ type module struct {
 
 	workers []*worker
 	nextWID int
+	// loads is the dispatch table, kept current by worker.noteLoad: loads[i]
+	// is workers[i].load(), or ineligible while the dispatcher must skip that
+	// worker, so a dispatch scans one array instead of chasing every worker.
+	loads []int32
 
 	// Controller state (State Planner inputs, §4.1 step ①).
 	qWin    *stats.SlidingWindow // queueing delay samples (seconds)
@@ -55,7 +60,7 @@ type module struct {
 	mergeResets []WireMergeReset
 
 	// publish scratch, reused across sync ticks: wclScratch holds the WCL
-	// window values (module-owned, safe to sort in place), pctScratch the
+	// window values (module-owned, safe to reorder in place), pctScratch the
 	// percentile outputs.
 	wclScratch []float64
 	pctScratch []float64
@@ -87,6 +92,8 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 		waitRes:     stats.NewReservoir(c.cfg.WaitReservoir, statRng),
 		rateWin:     stats.NewRateWindow(c.cfg.QueueWindow),
 		inWin:       stats.NewRateWindow(2 * time.Second),
+		workers:     make([]*worker, 0, workers),
+		loads:       make([]int32, 0, workers),
 	}
 	if c.cfg.Probes.QueueDelay {
 		m.queueDelayProbe = &metrics.Series{Name: "queue-delay"}
@@ -119,8 +126,13 @@ func (m *module) addWorker(now time.Duration, cold bool) *worker {
 		m.cl.scheduleWarmup(w, w.coldUntil)
 	}
 	m.workers = append(m.workers, w)
+	m.loads = append(m.loads, 0)
 	return w
 }
+
+// ineligible marks a deactivated or crashed worker in module.loads; no real
+// load reaches it, so the dispatcher's argmin never picks one.
+const ineligible = math.MaxInt32
 
 // activeWorkers counts dispatcher-eligible workers.
 func (m *module) activeWorkers() int {
@@ -207,24 +219,28 @@ func (m *module) receive(r *Request, now time.Duration) {
 	m.dispatch(e, now)
 }
 
-// dispatch routes the entry to the least-loaded active worker.
-func (m *module) dispatch(e entry, now time.Duration) {
-	var best *worker
-	for _, w := range m.workers {
-		if !w.active {
-			continue
-		}
-		if best == nil || w.load() < best.load() {
-			best = w
+// leastLoaded returns the index of the least-loaded active worker, the
+// lowest among equals, or -1 when none is active.
+func (m *module) leastLoaded() int {
+	best, least := -1, int32(ineligible)
+	for i, l := range m.loads {
+		if l < least {
+			best, least = i, l
 		}
 	}
-	if best == nil {
+	return best
+}
+
+// dispatch routes the entry to the least-loaded active worker.
+func (m *module) dispatch(e entry, now time.Duration) {
+	best := m.leastLoaded()
+	if best < 0 {
 		// All workers deactivated (should not happen with MinWorkers >= 1);
 		// drop defensively rather than stranding the request.
 		m.cl.drop(e.req, m.idx, now)
 		return
 	}
-	best.enqueue(e, now)
+	m.workers[best].enqueue(e, now)
 }
 
 // chargeRequest records a batch execution's per-request accounting. Lane
@@ -355,8 +371,9 @@ func (m *module) applyScale(now time.Duration, desired int) {
 	case desired < active:
 		// Deactivate highest-id active workers; they drain naturally.
 		for i := len(m.workers) - 1; i >= 0 && active > desired; i-- {
-			if m.workers[i].active {
-				m.workers[i].active = false
+			if w := m.workers[i]; w.active {
+				w.active = false
+				w.noteLoad()
 				active--
 			}
 		}
@@ -386,6 +403,7 @@ func (m *module) crash(now time.Duration, count int) int {
 			m.cl.drop(mem.e.req, m.idx, now)
 		}
 		w.forming, w.executing = nil, nil
+		w.noteLoad()
 		killed++
 	}
 	return killed

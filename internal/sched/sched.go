@@ -504,7 +504,7 @@ func (c *Cluster) encodeCharges(out []WireCharge) []WireCharge {
 func (c *Cluster) SyncTick(now time.Duration) {
 	c.control(func() {
 		if c.ls != nil {
-			// Publication is module-local (each module sorts its own state
+			// Publication is module-local (each module reads its own state
 			// windows and writes its own board slot), so it fans out across
 			// the shards; the policy refresh below stays serial — it reads
 			// the whole board and draws from the shared policy stream. In a

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -79,6 +80,57 @@ func TestShardedExecutorMailboxOrder(t *testing.T) {
 		want := []string{"from0@10ns", "from1@10ns", "from1b@10ns"}
 		if !reflect.DeepEqual(logs[2], want) {
 			t.Fatalf("shards=%d: delivery order = %v, want %v", shards, logs[2], want)
+		}
+	}
+}
+
+// TestFlushOutboxesMergesInMailboxOrder checks the barrier's merge against
+// the definition of mailbox order: gather every outbox in (source lane, send
+// order), stable-sort by (time, source lane). Outboxes are random — silent
+// lanes, equal timestamps within and across lanes, and now and then a post
+// sent out of time order, which only a host closure can do and which takes
+// the per-outbox sort first.
+func TestFlushOutboxesMergesInMailboxOrder(t *testing.T) {
+	const lanes = 5
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		x := NewShardedExecutor(lanes, 1, time.Millisecond)
+		var id uint64
+		var gathered []post
+		for src, l := range x.lanes {
+			at := time.Duration(rng.Intn(4))
+			for k := rng.Intn(8) - 2; k > 0; k-- {
+				at += time.Duration(rng.Intn(3)) // 0: a tie inside the outbox
+				postAt := at
+				if rng.Intn(10) == 0 {
+					postAt = time.Duration(rng.Intn(4)) // out of order
+				}
+				id++
+				l.outbox = append(l.outbox, wirePostAt(postAt, src, rng.Intn(lanes), id))
+			}
+			gathered = append(gathered, l.outbox...)
+		}
+		sortPosts(gathered)
+		want := make([][]uint64, lanes)
+		for _, p := range gathered {
+			want[p.dst] = append(want[p.dst], p.ev.req.ID)
+		}
+
+		x.flushOutboxes()
+		for dst, l := range x.lanes {
+			if len(l.outbox) != 0 || l.sent != 0 {
+				t.Fatalf("trial %d: lane %d's outbox was not emptied", trial, dst)
+			}
+			var got []uint64
+			for {
+				if _, ok := l.q.peek(); !ok {
+					break
+				}
+				got = append(got, l.q.pop().req.ID)
+			}
+			if !reflect.DeepEqual(got, want[dst]) {
+				t.Fatalf("trial %d: lane %d received %v, mailbox order is %v", trial, dst, got, want[dst])
+			}
 		}
 	}
 }

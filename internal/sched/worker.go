@@ -53,6 +53,17 @@ func newWorker(m *module, id int) *worker {
 // load is the dispatcher's balancing metric.
 func (w *worker) load() int { return w.queue.Len() + len(w.forming) }
 
+// noteLoad refreshes this worker's entry of the module's dispatch table,
+// wherever load or eligibility changes: at the end of pump and batchEnd (every
+// enqueue, fill and batch start happens under one), on deactivation and crash.
+func (w *worker) noteLoad() {
+	l := int32(ineligible)
+	if w.active {
+		l = int32(w.load())
+	}
+	w.mod.loads[w.id] = l
+}
+
 // warm reports whether the worker can serve at time now.
 func (w *worker) warm(now time.Duration) bool { return now >= w.coldUntil }
 
@@ -65,17 +76,17 @@ func (w *worker) enqueue(e entry, now time.Duration) {
 // pump advances the worker: fills the forming batch and starts execution
 // when the GPU is idle.
 func (w *worker) pump(now time.Duration) {
-	if w.dead || !w.warm(now) {
-		return
-	}
-	if w.busy {
+	switch {
+	case w.dead || !w.warm(now):
+	case w.busy:
 		w.fill(now, w.execEnd)
-		return
+	default:
+		w.fill(now, now)
+		if len(w.forming) > 0 {
+			w.startBatch(now)
+		}
 	}
-	w.fill(now, now)
-	if len(w.forming) > 0 {
-		w.startBatch(now)
-	}
+	w.noteLoad()
 }
 
 // fill pops queued requests into the forming batch up to the target size,
@@ -177,6 +188,7 @@ func (w *worker) batchEnd(now time.Duration) {
 	// Promote the batch that formed during execution, or refill from queue.
 	if len(w.forming) > 0 {
 		w.startBatch(now)
+		w.noteLoad()
 		return
 	}
 	w.pump(now)

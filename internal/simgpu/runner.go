@@ -194,6 +194,9 @@ func (r *Runner) inject() {
 	r.slab = make([]sched.Request, r.cfg.Trace.Len())
 	slab := r.slab
 	r.requests = make([]*sched.Request, 0, len(slab))
+	if r.shx != nil {
+		r.shx.Reserve(r.cfg.Spec.Source(), len(slab))
+	}
 	for i, at := range r.cfg.Trace.Arrivals {
 		req := &slab[i]
 		req.ID = uint64(i)

@@ -8,7 +8,7 @@ import (
 )
 
 // The tests in this file pin the package's aliasing contracts: which APIs
-// return live internal buffers, which sort their inputs in place, and which
+// return live internal buffers, which reorder their inputs in place, and which
 // are guaranteed read-only. Call sites across sched/metrics/experiments rely
 // on these distinctions to share cached slices safely.
 
@@ -50,7 +50,7 @@ func TestPercentilesIntoSortsInPlace(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	got := PercentilesInto(nil, xs, 0, 0.5, 1)
 	if !slices.IsSorted(xs) {
-		t.Fatalf("PercentilesInto left input unsorted: %v (the documented contract is an in-place sort)", xs)
+		t.Fatalf("PercentilesInto left input unsorted: %v (with several quantiles the documented contract is an in-place sort; one quantile only reorders, see TestSelectionMatchesSort)", xs)
 	}
 	if got[0] != 1 || got[1] != 3 || got[2] != 5 {
 		t.Fatalf("quantiles = %v", got)

@@ -34,6 +34,50 @@ func TestAllocsPercentilesInto(t *testing.T) {
 	}
 }
 
+// TestAllocsSelectP95: the State Planner's call — one quantile over a window
+// copy — selects in place and allocates nothing.
+func TestAllocsSelectP95(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	w := NewSlidingWindow(5 * time.Second)
+	for i := 0; i < 4096; i++ {
+		w.Add(time.Duration(i)*time.Millisecond, rng.Float64())
+	}
+	now := 4095 * time.Millisecond
+	var vals, pcts []float64
+	vals = w.ValuesInto(now, vals)
+	pcts = PercentilesInto(pcts[:0], vals, 0.95)
+	if avg := testing.AllocsPerRun(100, func() {
+		vals = w.ValuesInto(now, vals)
+		pcts = PercentilesInto(pcts[:0], vals, 0.95)
+	}); avg != 0 {
+		t.Fatalf("single-quantile window path allocates %.1f per call, want 0", avg)
+	}
+}
+
+// TestAllocsWindowsSteadyFeed: windows compact in place, so what a steadily
+// fed window allocates is the handful of doublings that take its array to
+// two spans' worth — not one fresh array per compaction, which over twenty
+// spans at this rate was about forty.
+func TestAllocsWindowsSteadyFeed(t *testing.T) {
+	const span, perSpan, spans = time.Second, 10000, 20
+	sw, rw := NewSlidingWindow(span), NewRateWindow(span)
+	at := time.Duration(0)
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			at += span / perSpan
+			sw.Add(at, 1)
+			rw.Observe(at)
+		}
+	}
+	feed(3 * perSpan) // reach the steady array size
+	if avg := testing.AllocsPerRun(1, func() { feed((spans - 3) * perSpan) }); avg != 0 {
+		t.Fatalf("windows fed at a steady rate allocated %.0f times after warm-up, want 0", avg)
+	}
+	if sw.Len() != perSpan+1 || rw.Count(at) != perSpan+1 {
+		t.Fatalf("windows hold %d and %d samples, want %d", sw.Len(), rw.Count(at), perSpan+1)
+	}
+}
+
 // TestAllocsConvolveInto: Monte-Carlo convolution through a reused sum
 // scratch is allocation-free.
 func TestAllocsConvolveInto(t *testing.T) {

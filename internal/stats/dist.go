@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -64,17 +66,7 @@ func (d *Empirical) Quantile(q float64) float64 {
 		return 0
 	}
 	d.ensureSorted()
-	if q <= 0 {
-		return d.samples[0]
-	}
-	if q >= 1 {
-		return d.samples[len(d.samples)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(d.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return d.samples[idx]
+	return d.samples[rankIndex(len(d.samples), q)]
 }
 
 // Mean returns the sample mean, or 0 when empty.
@@ -209,27 +201,18 @@ func ConvolveQuantile(sources [][]float64, q float64, m int, rng *rand.Rand) flo
 
 // ConvolveQuantileInto is ConvolveQuantile with a caller-supplied scratch
 // buffer for the Monte-Carlo sums: scratch is resized (reallocating only when
-// capacity is short), filled, and sorted in place. It returns the quantile
-// and the (possibly grown) scratch for reuse on the next call. The sequence
-// of RNG draws is identical to ConvolveQuantile's, so results are
-// byte-for-byte the same for the same rng state.
+// capacity is short), filled, and reordered in place — the quantile is
+// selected, not sorted out, so the returned scratch holds the sums in no
+// particular order. It returns the quantile and the (possibly grown) scratch
+// for reuse on the next call. The sequence of RNG draws is identical to
+// ConvolveQuantile's, so results are byte-for-byte the same for the same rng
+// state.
 func ConvolveQuantileInto(scratch []float64, sources [][]float64, q float64, m int, rng *rand.Rand) (float64, []float64) {
 	if m <= 0 || len(sources) == 0 {
 		return 0, scratch
 	}
 	sums := convolveInto(scratch, sources, m, rng)
-	slices.Sort(sums)
-	if q <= 0 {
-		return sums[0], sums
-	}
-	if q >= 1 {
-		return sums[m-1], sums
-	}
-	idx := int(math.Ceil(q*float64(m))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sums[idx], sums
+	return selectQuantile(sums, q), sums
 }
 
 // ConvolveSamples draws m Monte-Carlo samples of the sum of one draw per
@@ -308,12 +291,19 @@ func Percentiles(xs []float64, qs ...float64) []float64 {
 	return out
 }
 
-// PercentilesInto evaluates the given quantiles over xs, SORTING xs IN
+// PercentilesInto evaluates the given quantiles over xs, REORDERING xs IN
 // PLACE, and appends the results to dst (which may be nil). Use it on
 // buffers the caller owns outright — never on live Reservoir.Values slices
-// or cached result slices shared with other readers. Quantile semantics
-// match Percentiles (nearest rank, clamped, 0 when xs is empty).
+// or cached result slices shared with other readers. A single quantile — the
+// State Planner's one p95 per module per sync — is selected in linear time
+// and leaves xs partitioned around it, not sorted; several quantiles sort xs
+// once. Either way each result is the element an ascending sort puts at the
+// quantile's rank. Quantile semantics match Percentiles (nearest rank,
+// clamped, 0 when xs is empty).
 func PercentilesInto(dst []float64, xs []float64, qs ...float64) []float64 {
+	if len(qs) == 1 {
+		return append(dst, selectQuantile(xs, qs[0]))
+	}
 	slices.Sort(xs)
 	for _, q := range qs {
 		dst = append(dst, QuantileSorted(xs, q))
@@ -327,15 +317,77 @@ func QuantileSorted(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
+	return xs[rankIndex(len(xs), q)]
+}
+
+// rankIndex is the nearest-rank definition every quantile in this package
+// shares: the 0-based index, in ascending order, of the q-quantile of n > 0
+// samples, with q clamped to [0,1].
+func rankIndex(n int, q float64) int {
 	if q <= 0 {
-		return xs[0]
+		return 0
 	}
 	if q >= 1 {
-		return xs[len(xs)-1]
+		return n - 1
 	}
-	idx := int(math.Ceil(q*float64(len(xs)))) - 1
+	idx := int(math.Ceil(q*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	return xs[idx]
+	return idx
+}
+
+// selectQuantile returns the nearest-rank q-quantile of xs (0 when empty),
+// reordering xs in place.
+func selectQuantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	k := rankIndex(len(xs), q)
+	selectNth(xs, k)
+	return xs[k]
+}
+
+// selectNth reorders xs so that xs[k] is the element slices.Sort would put
+// there (the same order, NaNs first), nothing before it is greater and
+// nothing after it smaller: quickselect on a median-of-three pivot. Once the
+// range still in play is short, or an unlucky input has used up 2·log2(n)
+// partitions, that range is sorted, so the worst case is the sort's.
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs) // xs[k] lies in xs[lo:hi]
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 12 && budget > 0; budget-- {
+		// Order first, middle and last; the outer two then bound the scans.
+		mid, last := lo+(hi-lo)/2, hi-1
+		if cmp.Less(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if cmp.Less(xs[last], xs[mid]) {
+			xs[last], xs[mid] = xs[mid], xs[last]
+			if cmp.Less(xs[mid], xs[lo]) {
+				xs[mid], xs[lo] = xs[lo], xs[mid]
+			}
+		}
+		p := xs[mid]
+		i, j := lo, last
+		for {
+			for i++; cmp.Less(xs[i], p); i++ {
+			}
+			for j--; cmp.Less(p, xs[j]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		// xs[lo:i] <= p <= xs[j+1:hi], and anything between j and i equals p.
+		switch {
+		case k <= j:
+			hi = j + 1
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	slices.Sort(xs[lo:hi])
 }

@@ -60,9 +60,11 @@ func (w *SlidingWindow) evict(now time.Duration) {
 	for w.head < len(w.samples) && w.samples[w.head].at < cut {
 		w.head++
 	}
-	// Compact when the dead prefix dominates to bound memory.
+	// Compact when the dead prefix dominates to bound memory: the live tail
+	// slides down the same backing array, so a window fed at a steady rate
+	// stops allocating once that array holds two spans' worth.
 	if w.head > 1024 && w.head*2 > len(w.samples) {
-		w.samples = append([]sample(nil), w.samples[w.head:]...)
+		w.samples = w.samples[:copy(w.samples, w.samples[w.head:])]
 		w.head = 0
 	}
 }
@@ -173,7 +175,7 @@ func (r *RateWindow) evict(now time.Duration) {
 		r.head++
 	}
 	if r.head > 4096 && r.head*2 > len(r.times) {
-		r.times = append([]time.Duration(nil), r.times[r.head:]...)
+		r.times = r.times[:copy(r.times, r.times[r.head:])] // in place, as in SlidingWindow.evict
 		r.head = 0
 	}
 }
