@@ -486,6 +486,38 @@ func BenchmarkServerSubmit(b *testing.B) {
 	s.Stop()
 }
 
+// BenchmarkTimerExecutor measures the live server's paced executor with no
+// core behind it: one op schedules 10 k events a few microseconds ahead from
+// outside and waits for the drainer to fire them — queue push and pop, the
+// wake-up, the lag counters. The callback is pre-bound and a first round,
+// queued whole behind a callback that holds the drainer, sizes the queue for
+// any later one, so what is pinned is the steady state: 0 allocs/op (one
+// runtime timer per event cost ≥ 3 per event).
+func BenchmarkTimerExecutor(b *testing.B) {
+	const events = 10000
+	x := sched.NewTimerExecutor()
+	defer x.Stop()
+	var wg sync.WaitGroup
+	fired := func(time.Duration) { wg.Done() }
+	round := func() {
+		wg.Add(events)
+		for k := 0; k < events; k++ {
+			x.Schedule(x.Now()+5*time.Microsecond, "ev", fired)
+		}
+	}
+	hold := make(chan struct{})
+	x.Schedule(x.Now(), "hold", func(time.Duration) { <-hold })
+	round()
+	close(hold)
+	wg.Wait()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+		wg.Wait()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
+}
+
 // Layer rows of the lane engine: the three pieces of work PR 14 replaced,
 // each on the sizes BenchmarkShardedDASequential gives them, so the
 // trajectory says which layer moved when the whole-run number does.

@@ -1,24 +1,30 @@
 // Command pard-server hosts a pipeline — chain or DAG — behind HTTP with
-// live PARD scheduling. Model execution is simulated by letting batch
-// timers elapse for the profiled durations; everything else (queues,
-// batching, dropping, priority, state sync) is the real scheduler, the same
-// shared core the simulator runs.
+// live PARD scheduling. Model execution is simulated by letting the
+// profiled batch durations elapse on the wall clock; everything else
+// (queues, batching, dropping, priority, state sync) is the real scheduler,
+// the same shared core the simulator runs. SIGINT or SIGTERM drains: the
+// listener closes, requests in flight are answered, the process exits 0.
 //
 // Usage:
 //
 //	pard-server -app lv -policy pard -addr :8080
 //	pard-server -app da            # the fan-out/merge DAG pipeline
 //	curl -X POST localhost:8080/infer
-//	curl localhost:8080/stats
+//	curl localhost:8080/stats      # summary, plus the executor's own counters
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
+	"syscall"
+	"time"
 
 	"pard"
 )
@@ -42,18 +48,53 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	srv.Start()
-	defer srv.Stop()
 
 	gate := "off"
 	if *admission {
 		gate = "on"
 	}
 	fmt.Printf("pard-server: serving %s (%d modules, SLO %v) with policy %s on %s (admission %s)\n",
-		*app, spec.N(), spec.SLO, *policyName, *addr, gate)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+		*app, spec.N(), spec.SLO, *policyName, l.Addr(), gate)
+	if err := serve(l, srv, 10*spec.SLO); err != nil {
 		fatal(err)
 	}
+}
+
+// serve runs the HTTP data plane on l until SIGINT or SIGTERM, then shuts
+// down in order: the listener closes, requests in flight are answered (for at
+// most drain, the /infer handler's own limit), the pipeline stops and the
+// executor's account of the run is printed.
+func serve(l net.Listener, srv *pard.Server, drain time.Duration) error {
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       time.Minute,
+	}
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(l) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		dctx, cancelDrain := context.WithTimeout(context.Background(), drain)
+		defer cancelDrain()
+		if err = hs.Shutdown(dctx); err != nil {
+			hs.Close() // cut what did not finish in time
+		}
+	}
+	srv.Stop()
+	if st := srv.ExecStats(); st != nil {
+		fmt.Printf("pard-server: executor fired %d events (%d pending), wake-up lag mean %.0f us, max %.0f us, by power of two from 1 us: %v\n",
+			st.Fired, st.Pending, st.LagMeanUS, st.LagMaxUS, st.LagHist)
+	}
+	return err
 }
 
 // newServer builds (but does not start) the live server for an app name.

@@ -271,3 +271,27 @@ func TestAllocsBarrierExchange(t *testing.T) {
 		t.Fatal("the merged commit was not applied")
 	}
 }
+
+// TestAllocsTimerExecutor: the paced executor holds events by value in one
+// queue and re-arms one timer, so scheduling a pre-bound func and firing it
+// allocates nothing. (One runtime timer, closure and map entry per event
+// cost at least three.)
+func TestAllocsTimerExecutor(t *testing.T) {
+	x := NewTimerExecutor()
+	defer x.Stop()
+	fired := make(chan struct{}, 1)
+	fn := func(time.Duration) { fired <- struct{}{} }
+	round := func() {
+		// One event the drainer is woken for, one it arms its timer for.
+		x.Schedule(x.Now(), "now", fn)
+		<-fired
+		x.Schedule(x.Now()+50*time.Microsecond, "soon", fn)
+		<-fired
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("schedule + fire allocates %.1f per two events, want 0", avg)
+	}
+}

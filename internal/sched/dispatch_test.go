@@ -74,12 +74,13 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 
 	var events, sawIdle, sawDead, sawCold int
 	for {
-		ev, ok := man.pop(horizon + time.Minute)
-		if !ok {
+		at, ok := man.q.peek()
+		if !ok || at > horizon+time.Minute {
 			break
 		}
-		man.now = ev.at
-		ev.fn(ev.at)
+		ev := man.q.pop()
+		man.now = at
+		ev.fn(at)
 		events++
 		for _, m := range cl.modules {
 			if len(m.loads) != len(m.workers) {
@@ -100,11 +101,11 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 				}
 				if m.loads[i] != want {
 					t.Fatalf("event %d (%s at %v): module %d worker %d (active %t, dead %t, load %d) has table entry %d, want %d",
-						events, ev.name, ev.at, m.idx, i, w.active, w.dead, w.load(), m.loads[i], want)
+						events, ev.name, at, m.idx, i, w.active, w.dead, w.load(), m.loads[i], want)
 				}
 			}
 			if got, want := m.leastLoaded(), scanLeastLoaded(m); got != want {
-				t.Fatalf("event %d (%s at %v): module %d dispatches to worker %d, the pointer scan to %d", events, ev.name, ev.at, m.idx, got, want)
+				t.Fatalf("event %d (%s at %v): module %d dispatches to worker %d, the pointer scan to %d", events, ev.name, at, m.idx, got, want)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -9,18 +11,20 @@ import (
 
 // Executor is the small time-and-callback interface the scheduling core is
 // parameterized over. The discrete-event simulator satisfies it with the
-// virtual event-heap clock (SimExecutor); the live server with wall-clock
-// timers (TimerExecutor); deterministic tests with an injected fake clock
-// (ManualExecutor).
+// virtual event-heap clock (SimExecutor); the live server with one event
+// queue paced by the wall clock (TimerExecutor); deterministic tests with the
+// same queue stepped by hand (ManualExecutor).
 //
-// The core is single-threaded by contract: an Executor must never run two
-// callbacks concurrently. SimExecutor and ManualExecutor are inherently
-// serial; TimerExecutor serializes callbacks through an internal run lock.
+// The core is single-threaded by contract: an Executor never runs two
+// callbacks concurrently. All three fire events in (timestamp, schedule
+// order) and hand each callback its event's due instant, never a clock read
+// at fire: callbacks must compute with their argument, and Now is for callers
+// outside callbacks (a host stamping an arrival).
 type Executor interface {
 	// Now returns the elapsed time since the start of the run.
 	Now() time.Duration
-	// Schedule registers fn to run at absolute time at (immediately when at
-	// is in the past). fn receives the executor's time at fire.
+	// Schedule registers fn to run at absolute time at; a time in the past is
+	// raised to the last fired event's. fn receives that due instant.
 	Schedule(at time.Duration, name string, fn func(now time.Duration))
 }
 
@@ -41,99 +45,161 @@ func (x SimExecutor) Schedule(at time.Duration, name string, fn func(time.Durati
 	x.eng.Schedule(at, name, func(e *sim.Engine) { fn(e.Now()) })
 }
 
-// TimerExecutor runs callbacks on real wall-clock timers. All callbacks are
-// serialized through a run lock, so the single-threaded core sees the same
-// execution model as under the simulator, while timer goroutines provide the
-// real concurrency (batch executions overlap in real time across workers).
+// TimerExecutor is the live server's executor: one (at, seq) event queue
+// paced by the wall clock. A single goroutine pops events in queue order,
+// waits until the wall clock has reached the event's due instant, and fires
+// the callback with that due instant. An event never fires early, and however
+// late the host wakes the drainer — Go's netpoller sleeps in whole
+// milliseconds, so a sub-millisecond timer in an idle process fires ≈0.8 ms
+// late — the lag stays out of the model's clock: the next batch is scheduled
+// from the due instant, so lag neither compounds per stage nor leaks into the
+// policy's windows. Now is the wall clock, for callers outside callbacks.
 type TimerExecutor struct {
 	clock sim.Clock
+	wake  chan struct{} // 1-slot: Schedule inserted ahead of parked
+	stop  chan struct{} // closed by Stop
+	done  chan struct{} // closed when the drainer exits
 
-	run sync.Mutex // serializes callback execution
-
-	mu      sync.Mutex // guards timers + stopped
+	mu      sync.Mutex // guards everything below
+	q       laneQueue
+	now     time.Duration // the model's clock: the last fired event's due instant
+	parked  time.Duration // instant the drainer sleeps toward: 0 while it runs, MaxInt64 with nothing pending
+	started bool          // the drainer goroutine exists
 	stopped bool
-	timers  map[*time.Timer]struct{}
-	wg      sync.WaitGroup
+	stats   ExecStats // Pending and LagMeanUS are filled in by Stats
+	lagSum  time.Duration
 }
 
-// NewTimerExecutor returns an executor anchored at the current instant.
+// ExecStats is a TimerExecutor's account of itself. Lag is how far past its
+// due instant the wall clock stood when an event fired: the host's wake-up
+// latency while the drainer keeps up, a growing backlog when it does not.
+type ExecStats struct {
+	Fired     uint64  `json:"fired"`
+	Pending   int     `json:"pending"`
+	LagMeanUS float64 `json:"lag_mean_us"`
+	LagMaxUS  float64 `json:"lag_max_us"`
+	// LagHist[0] counts lags under 1 µs, [k] those in [2^(k-1), 2^k) µs and
+	// [15] everything from 16.4 ms up.
+	LagHist [16]uint64 `json:"lag_hist_pow2_us"`
+}
+
+// NewTimerExecutor returns an executor anchored at the current instant. Its
+// goroutine starts with the first Schedule.
 func NewTimerExecutor() *TimerExecutor {
 	return &TimerExecutor{
-		clock:  sim.NewWallClock(),
-		timers: map[*time.Timer]struct{}{},
+		clock: sim.NewWallClock(),
+		wake:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
 // Now returns the wall-clock time elapsed since construction.
 func (x *TimerExecutor) Now() time.Duration { return x.clock.Now() }
 
-// Schedule arms a timer firing at time at (immediately when in the past).
-// Safe for concurrent use, including from inside callbacks.
+// Schedule queues fn for time at. Safe for concurrent use, including from
+// inside callbacks; it wakes the drainer only when the new event is due before
+// the instant the drainer is parked on.
 func (x *TimerExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
-	d := at - x.clock.Now()
-	if d < 0 {
-		d = 0
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.stopped {
-		return
-	}
-	x.wg.Add(1)
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		defer x.wg.Done()
-		x.mu.Lock()
-		delete(x.timers, t)
-		stopped := x.stopped
-		x.mu.Unlock()
-		if stopped {
-			return
-		}
-		x.run.Lock()
-		defer x.run.Unlock()
-		fn(x.clock.Now())
-	})
-	x.timers[t] = struct{}{}
-}
-
-// Stop cancels all pending timers and waits for in-flight callbacks to
-// finish. After Stop, Schedule is a no-op.
-func (x *TimerExecutor) Stop() {
 	x.mu.Lock()
 	if x.stopped {
 		x.mu.Unlock()
 		return
 	}
-	x.stopped = true
-	for t := range x.timers {
-		if t.Stop() {
-			// The callback will never run; release its wait slot.
-			x.wg.Done()
-		}
-		delete(x.timers, t)
+	if at < x.now {
+		at = x.now
+	}
+	x.q.push(at, laneEvent{name: name, fn: fn})
+	wake := at < x.parked
+	if wake {
+		x.parked = at // later schedules behind this one need not signal again
+	}
+	if !x.started {
+		x.started = true
+		go x.drain()
 	}
 	x.mu.Unlock()
-	x.wg.Wait()
+	if wake {
+		select {
+		case x.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
-// manualEvent is one pending ManualExecutor callback.
-type manualEvent struct {
-	at   time.Duration
-	seq  int
-	name string
-	fn   func(time.Duration)
+// drain is the executor's one goroutine: fire what is due, park until the
+// next event is, a Schedule cuts ahead of it, or Stop.
+func (x *TimerExecutor) drain() {
+	defer close(x.done)
+	timer := time.NewTimer(0) // a stale tick only makes the loop look again
+	defer timer.Stop()
+	for {
+		x.mu.Lock()
+		if x.stopped {
+			x.mu.Unlock()
+			return
+		}
+		at, ok := x.q.peek()
+		wall := x.clock.Now()
+		if ok && wall >= at {
+			ev := x.q.pop()
+			x.now, x.parked = at, 0 // at >= x.now: Schedule clamps
+			lagUS := (wall - at).Microseconds()
+			x.stats.Fired++
+			x.lagSum += wall - at
+			x.stats.LagMaxUS = max(x.stats.LagMaxUS, float64(lagUS))
+			x.stats.LagHist[min(bits.Len64(uint64(lagUS)), 15)]++
+			x.mu.Unlock()
+			ev.fn(at)
+			continue
+		}
+		x.parked = math.MaxInt64
+		if ok {
+			x.parked = at
+			timer.Reset(at - wall)
+		}
+		x.mu.Unlock()
+		select {
+		case <-timer.C:
+		case <-x.wake:
+		case <-x.stop:
+			return
+		}
+	}
 }
 
-// ManualExecutor is a deterministic executor with an injected clock: time
+// Stats returns the drainer's counters.
+func (x *TimerExecutor) Stats() ExecStats {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	s := x.stats
+	s.Pending = x.q.len()
+	s.LagMeanUS = float64(x.lagSum.Microseconds()) / float64(max(s.Fired, 1))
+	return s
+}
+
+// Stop discards pending events and returns once the drainer has exited, so
+// after any in-flight callback ends. After Stop, Schedule is a no-op.
+func (x *TimerExecutor) Stop() {
+	x.mu.Lock()
+	first, started := !x.stopped, x.started
+	x.stopped = true
+	x.mu.Unlock()
+	if first {
+		close(x.stop)
+	}
+	if started {
+		<-x.done
+	}
+}
+
+// ManualExecutor is TimerExecutor's queue with an injected clock: time
 // advances only when the caller steps it, and due callbacks fire in
-// (timestamp, schedule-order) order — the same contract as the simulator,
-// implemented independently. It stands in for wall-clock time in parity and
-// server tests.
+// (timestamp, schedule-order) order. It stands in for wall-clock time in
+// parity and server tests.
 type ManualExecutor struct {
-	now    time.Duration
-	seq    int
-	events []manualEvent
+	now time.Duration
+	q   laneQueue
 }
 
 // NewManualExecutor returns an executor at t = 0 with no pending events.
@@ -147,41 +213,16 @@ func (x *ManualExecutor) Schedule(at time.Duration, name string, fn func(time.Du
 	if at < x.now {
 		at = x.now
 	}
-	x.events = append(x.events, manualEvent{at: at, seq: x.seq, name: name, fn: fn})
-	x.seq++
-}
-
-// pop removes and returns the earliest pending event, or false when none.
-func (x *ManualExecutor) pop(limit time.Duration) (manualEvent, bool) {
-	best := -1
-	for i, e := range x.events {
-		if e.at > limit {
-			continue
-		}
-		if best < 0 || e.at < x.events[best].at ||
-			(e.at == x.events[best].at && e.seq < x.events[best].seq) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return manualEvent{}, false
-	}
-	e := x.events[best]
-	x.events = append(x.events[:best], x.events[best+1:]...)
-	return e, true
+	x.q.push(at, laneEvent{name: name, fn: fn})
 }
 
 // RunUntil fires every event due at or before t in order, then advances the
 // clock to t. Callbacks may schedule further events, which fire in the same
 // pass when due.
 func (x *ManualExecutor) RunUntil(t time.Duration) {
-	for {
-		e, ok := x.pop(t)
-		if !ok {
-			break
-		}
-		x.now = e.at
-		e.fn(e.at)
+	for at, ok := x.q.peek(); ok && at <= t; at, ok = x.q.peek() {
+		x.now = at
+		x.q.pop().fn(at)
 	}
 	if t > x.now {
 		x.now = t
@@ -191,19 +232,11 @@ func (x *ManualExecutor) RunUntil(t time.Duration) {
 // Drain fires all pending events (including ones scheduled while draining)
 // and returns the final time.
 func (x *ManualExecutor) Drain() time.Duration {
-	for len(x.events) > 0 {
-		// Find the max pending timestamp and run up to it; new events may
-		// extend the horizon, hence the loop.
-		max := x.events[0].at
-		for _, e := range x.events {
-			if e.at > max {
-				max = e.at
-			}
-		}
-		x.RunUntil(max)
+	for at, ok := x.q.peek(); ok; at, ok = x.q.peek() {
+		x.RunUntil(at)
 	}
 	return x.now
 }
 
 // Pending returns the number of queued events.
-func (x *ManualExecutor) Pending() int { return len(x.events) }
+func (x *ManualExecutor) Pending() int { return x.q.len() }

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,5 +139,274 @@ func TestTimerExecutorReentrantSchedule(t *testing.T) {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("reentrant schedule never fired")
+	}
+}
+
+// TestTimerExecutorNeverEarly: whatever the host's wake-up latency, an event
+// fires with the wall clock at or past its due instant, and the instants
+// handed to callbacks form the model's clock: each is the event's due
+// instant, raised to the previous one when the event was already overdue.
+func TestTimerExecutorNeverEarly(t *testing.T) {
+	x := NewTimerExecutor()
+	defer x.Stop()
+	type firing struct{ at, arg, wall time.Duration }
+	const n = 2000
+	fired := make([]firing, 0, n) // callbacks are serial: appended in firing order
+	var wg sync.WaitGroup
+	wg.Add(n)
+	rng := rand.New(rand.NewSource(1))
+	base := x.Now()
+	for i := 0; i < n; i++ {
+		at := base + time.Duration(rng.Int63n(int64(20*time.Millisecond)))
+		x.Schedule(at, "ev", func(now time.Duration) {
+			fired = append(fired, firing{at: at, arg: now, wall: x.Now()})
+			wg.Done()
+		})
+	}
+	wg.Wait()
+	var prev time.Duration
+	for i, f := range fired {
+		if f.wall < f.at {
+			t.Fatalf("event %d due at %v fired early, at %v on the wall", i, f.at, f.wall)
+		}
+		if want := max(f.at, prev); f.arg != want {
+			t.Fatalf("event %d due at %v after %v was handed %v, want %v", i, f.at, prev, f.arg, want)
+		}
+		prev = f.arg
+	}
+	if st := x.Stats(); st.Fired != n || st.Pending != 0 || st.LagMaxUS < st.LagMeanUS {
+		t.Fatalf("stats after %d events: %+v", n, st)
+	}
+}
+
+// TestTimerExecutorDeterministicOrder: events with equal and interleaved
+// timestamps, scheduled from outside before the first fires and from inside a
+// callback, fire in (timestamp, schedule order) — the simulator's order. (One
+// runtime timer per event raced their goroutines for a run lock.)
+func TestTimerExecutorDeterministicOrder(t *testing.T) {
+	x := NewTimerExecutor()
+	defer x.Stop()
+	type key struct {
+		at  time.Duration
+		seq int
+	}
+	var want, got []key
+	var wg sync.WaitGroup
+	schedule := func(at time.Duration) {
+		k := key{at, len(want)}
+		want = append(want, k)
+		wg.Add(1)
+		x.Schedule(at, "ev", func(now time.Duration) {
+			if now != k.at {
+				t.Errorf("event %d due at %v was handed %v", k.seq, k.at, now)
+			}
+			got = append(got, k)
+			wg.Done()
+		})
+	}
+	// The drainer sits inside this callback until everything is queued.
+	gate := make(chan struct{})
+	x.Schedule(x.Now(), "gate", func(time.Duration) { <-gate })
+	base := x.Now() + 2*time.Millisecond
+	wg.Add(1)
+	x.Schedule(base, "first", func(now time.Duration) {
+		for j := 0; j < 200; j++ {
+			schedule(now + time.Duration(j%5)*100*time.Microsecond)
+		}
+		wg.Done()
+	})
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 800; i++ {
+		schedule(base + time.Duration(rng.Intn(5))*100*time.Microsecond)
+	}
+	close(gate)
+	wg.Wait()
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(got) != len(want) {
+		t.Fatalf("%d events fired, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d was %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestTimerExecutorLagDoesNotCompound: a chain of 200 events, each scheduling
+// the next 300 µs after the instant it was handed, spans 60 ms of model time
+// and must take about that on the wall. Handing callbacks the wall clock at
+// fire instead makes every link start from a late instant: ≈220 ms here.
+func TestTimerExecutorLagDoesNotCompound(t *testing.T) {
+	x := NewTimerExecutor()
+	defer x.Stop()
+	const links, step = 200, 300 * time.Microsecond
+	done := make(chan time.Duration)
+	n := 0
+	var link func(time.Duration)
+	link = func(now time.Duration) {
+		if n++; n == links {
+			done <- now
+			return
+		}
+		x.Schedule(now+step, "link", link)
+	}
+	start := x.Now()
+	x.Schedule(start+step, "link", link)
+	end := <-done
+	wall := x.Now() - start
+	if end != start+links*step {
+		t.Fatalf("the chain ended at model time %v, want %v", end-start, links*step)
+	}
+	if limit := links*step*3/2 + 20*time.Millisecond; wall > limit {
+		t.Fatalf("%d links of %v took %v on the wall, want under %v", links, step, wall, limit)
+	}
+}
+
+// TestTimerExecutorWakesParkedDrainer: a Schedule from outside that lands
+// ahead of the event the drainer is parked on cuts in.
+func TestTimerExecutorWakesParkedDrainer(t *testing.T) {
+	x := NewTimerExecutor()
+	defer x.Stop()
+	x.Schedule(x.Now()+time.Hour, "far", func(time.Duration) { t.Error("an event an hour away fired") })
+	for x.parkedOn() == 0 {
+		runtime.Gosched() // until the drainer has parked on it
+	}
+	fired := make(chan time.Duration, 1)
+	start := x.Now()
+	x.Schedule(start+2*time.Millisecond, "near", func(time.Duration) { fired <- x.Now() })
+	select {
+	case at := <-fired:
+		if at < start+2*time.Millisecond || at > start+50*time.Millisecond {
+			t.Fatalf("an event due 2 ms out fired %v after it was scheduled", at-start)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked drainer never woke")
+	}
+	if st := x.Stats(); st.Fired != 1 || st.Pending != 1 {
+		t.Fatalf("stats = %+v, want 1 fired and 1 pending", st)
+	}
+}
+
+func (x *TimerExecutor) parkedOn() time.Duration {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.parked
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the executor existed", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestTimerExecutorStop: Stop from another goroutine waits for the callback
+// in flight, nothing fires afterwards, and the executor owns a goroutine only
+// between its first Schedule and Stop.
+func TestTimerExecutorStop(t *testing.T) {
+	base := runtime.NumGoroutine()
+	x := NewTimerExecutor()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after construction, %d before", n, base)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var finished, after atomic.Bool
+	x.Schedule(x.Now(), "slow", func(time.Duration) {
+		close(entered)
+		<-release
+		finished.Store(true)
+	})
+	x.Schedule(x.Now(), "next", func(time.Duration) { after.Store(true) })
+	<-entered
+	stopped := make(chan struct{})
+	go func() {
+		x.Stop()
+		if !finished.Load() {
+			t.Error("Stop returned while a callback was in flight")
+		}
+		close(stopped)
+	}()
+	for !x.isStopped() {
+		runtime.Gosched() // until Stop has latched and is waiting
+	}
+	close(release)
+	<-stopped
+	x.Schedule(x.Now(), "late", func(time.Duration) { after.Store(true) })
+	x.Stop()
+	waitGoroutines(t, base)
+	if after.Load() {
+		t.Fatal("an event fired after Stop")
+	}
+
+	// Stop with no drainer to wait for.
+	y := NewTimerExecutor()
+	y.Stop()
+	y.Schedule(y.Now(), "late", func(time.Duration) { after.Store(true) })
+	y.Stop()
+	if n := runtime.NumGoroutine(); n > base || after.Load() {
+		t.Fatalf("a never-used executor left %d goroutines (%d before), fired %t", n, base, after.Load())
+	}
+}
+
+func (x *TimerExecutor) isStopped() bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.stopped
+}
+
+// TestTimerExecutorHammer: eight goroutines schedule events whose callbacks
+// schedule more, and a Stop lands in the middle: every event fires at most
+// once and none after Stop has returned.
+func TestTimerExecutorHammer(t *testing.T) {
+	base := runtime.NumGoroutine()
+	x := NewTimerExecutor()
+	const producers, each, stopAfter = 8, 2000, 300
+	fires := make([]atomic.Int32, 2*producers*each)
+	var total atomic.Int32
+	var stopped atomic.Bool
+	midway := make(chan struct{})
+	fire := func(id int) {
+		if stopped.Load() {
+			t.Error("an event fired after Stop returned")
+		}
+		fires[id].Add(1)
+		if total.Add(1) == stopAfter {
+			close(midway)
+		}
+	}
+	var wg sync.WaitGroup
+	for p := 0; p <= producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			if p == producers {
+				<-midway
+				x.Stop()
+				stopped.Store(true)
+				return
+			}
+			rng := rand.New(rand.NewSource(int64(p)))
+			for i := 0; i < each; i++ {
+				id := 2 * (p*each + i)
+				x.Schedule(x.Now()+time.Duration(rng.Intn(500))*time.Microsecond, "outer", func(now time.Duration) {
+					fire(id)
+					x.Schedule(now+100*time.Microsecond, "inner", func(time.Duration) { fire(id + 1) })
+				})
+				runtime.Gosched()
+			}
+		}(p)
+	}
+	wg.Wait()
+	waitGoroutines(t, base)
+	for i := range fires {
+		if n := fires[i].Load(); n > 1 {
+			t.Fatalf("event %d fired %d times", i, n)
+		}
+	}
+	if n := int(total.Load()); n < stopAfter || n == len(fires) {
+		t.Fatalf("%d of %d events fired: Stop was meant to land mid-run", n, len(fires))
 	}
 }

@@ -15,8 +15,9 @@ import "time"
 // warm-ups, an execution ahead of the posts still to come — in the run they
 // would send every later post to the heap) enter the binary min-heap, which
 // stays as deep as the lane has batches in flight whatever the trace length.
-// pop takes the smaller of the two heads. The queue lives for one run: popped
-// slots are not cleared.
+// pop takes the smaller of the two heads. Popped slots are not cleared: a lane's
+// queue lives for one run, and the global-queue executors' (exec.go) retains at
+// most its pending high-water mark of stale events.
 type laneQueue struct {
 	heap []laneItem // binary min-heap on (at, seq)
 	run  []laneItem // run[head:] is pending, in (at, seq) order
@@ -79,6 +80,8 @@ func (q *laneQueue) pushHeap(at time.Duration, ev laneEvent) {
 func (q *laneQueue) heapFirst() bool {
 	return q.head == len(q.run) || (len(q.heap) > 0 && q.heap[0].before(&q.run[q.head]))
 }
+
+func (q *laneQueue) len() int { return len(q.heap) + len(q.run) - q.head }
 
 // peek returns the earliest pending timestamp.
 func (q *laneQueue) peek() (time.Duration, bool) {

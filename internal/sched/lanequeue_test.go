@@ -91,8 +91,6 @@ func runLaneQueueProgram(t testing.TB, prog []byte) {
 	}
 }
 
-func (q *laneQueue) len() int { return len(q.heap) + len(q.run) - q.head }
-
 // laneQueueMixes weight the op kinds: a random program draws each op's top
 // bits from a mix and, unless the mix spells its pushes out, the low bits
 // uniformly.

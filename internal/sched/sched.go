@@ -8,8 +8,8 @@
 //
 //   - the discrete-event simulator (internal/simgpu) instantiates it with
 //     the virtual event-heap clock (SimExecutor over internal/sim), and
-//   - the live server (internal/server) instantiates it with wall-clock
-//     timers and real goroutines (TimerExecutor).
+//   - the live server (internal/server) instantiates it with the same kind
+//     of event queue paced by the wall clock (TimerExecutor).
 //
 // Both instantiations exercise the exact same dropping, batching and
 // priority code paths; a parity test in internal/server proves the

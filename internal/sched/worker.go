@@ -17,7 +17,7 @@ type batchMember struct {
 
 // worker is one GPU container serving a module. Under the simulator it is a
 // simulated machine; under the live server its batch executions occupy real
-// wall-clock timers.
+// wall-clock time.
 type worker struct {
 	mod *module
 	id  int

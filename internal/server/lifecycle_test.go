@@ -216,6 +216,9 @@ func TestStatsSingleCleanDocument(t *testing.T) {
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
 		t.Fatalf("stats body has trailing content after the document: %v", err)
 	}
+	if _, ok := sum["executor"]; ok {
+		t.Fatalf("stats reports an executor the server does not own: %v", sum["executor"])
+	}
 }
 
 // TestConcurrencyHammer drives the full HTTP data plane from many clients

@@ -1,8 +1,11 @@
 // Package server is the wall-clock serving runtime: a thin shell over the
 // shared scheduling core (internal/sched) — the same controller / worker /
 // policy state machine the discrete-event simulator runs — instantiated
-// with wall-clock timers and an HTTP data plane. Model execution is
-// simulated by letting batch timers elapse for the profiled duration; the
+// with one event queue paced by the wall clock (sched.TimerExecutor) and an
+// HTTP data plane. Model execution is simulated by letting the profiled batch
+// duration elapse: a batch end fires late, never early, with its due instant,
+// so the host's wake-up lag stays out of the model's clock, while the request
+// ledger (latency, good/late) is read off the wall clock at resolution. The
 // scheduler code paths (queueing, batching, dropping, priority, state sync)
 // are literally the simulator's, byte for byte.
 //
@@ -16,6 +19,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -56,11 +60,11 @@ type Config struct {
 	Scaling sched.ScalingConfig
 	// Probes selects optional core recordings (diagnostics and tests).
 	Probes sched.ProbeConfig
-	// Exec overrides the executor driving the core. Nil selects wall-clock
-	// timers; tests inject a deterministic executor (sched.ManualExecutor)
-	// to replay workloads reproducibly. Concurrent Submit calls require a
-	// concurrency-safe executor (the wall-clock default is; ManualExecutor
-	// must be driven from one goroutine).
+	// Exec overrides the executor driving the core. Nil selects the paced
+	// wall-clock executor; tests inject a deterministic executor
+	// (sched.ManualExecutor) to replay workloads reproducibly. Concurrent
+	// Submit calls require a concurrency-safe executor (the wall-clock
+	// default is; ManualExecutor must be driven from one goroutine).
 	Exec sched.Executor
 	// Admission configures estimator-driven admission control. The zero
 	// value disables the gate, leaving the submit path bit-identical to a
@@ -362,7 +366,7 @@ func (s *Server) isStopped() bool {
 	return s.stopped
 }
 
-// Stop cancels all pending timers, waits for in-flight callbacks, then
+// Stop discards all pending events, waits for an in-flight callback, then
 // resolves every request still outstanding inside the core as dropped
 // (DropModule -1): no client is left hanging on a response channel the core
 // will never fill. With an injected executor the drain happens immediately;
@@ -408,7 +412,7 @@ func (s *Server) Submit() <-chan Response {
 // and list pointers; a submit racing Stop either resolves here (stop latch
 // observed), resolves in Stop's drain (registered before the latch), or
 // resolves through the core — exactly once in every interleaving, because
-// the arrival timer armed after the executor stopped never fires.
+// the arrival scheduled after the executor stopped never fires.
 func (s *Server) submit() *pendingReq {
 	now := s.exec.Now()
 	id := s.nextID.Add(1) - 1
@@ -489,25 +493,30 @@ func (s *Server) unregister(pr *pendingReq) bool {
 }
 
 // onDone resolves a request that completed the sink module.
-func (s *Server) onDone(req *sched.Request, now time.Duration) {
-	out := OutcomeGood
-	if now > req.Deadline {
-		out = OutcomeLate
-	}
-	s.finish(req, Response{ID: req.ID, Outcome: out}, now, -1)
+func (s *Server) onDone(req *sched.Request, _ time.Duration) {
+	s.finish(req, Response{ID: req.ID, Outcome: OutcomeGood}, -1)
 }
 
 // onDrop resolves a request the policy dropped at module k.
-func (s *Server) onDrop(req *sched.Request, k int, now time.Duration) {
-	s.finish(req, Response{ID: req.ID, Outcome: OutcomeDropped, DropModule: k}, now, k)
+func (s *Server) onDrop(req *sched.Request, k int, _ time.Duration) {
+	s.finish(req, Response{ID: req.ID, Outcome: OutcomeDropped, DropModule: k}, k)
 }
 
 // finish records a terminal outcome decided by the core and delivers the
-// client response, unless Stop's drain already resolved the request.
-func (s *Server) finish(req *sched.Request, resp Response, now time.Duration, dropModule int) {
+// client response, unless Stop's drain already resolved the request. The
+// ledger is kept on the executor's clock at resolution, not on the callback's
+// due instant: the paced wall-clock executor fires late, never early, so a
+// completion that met its deadline in the model but was delivered past it is
+// late, and no latency is reported shorter than what elapsed. (Under
+// ManualExecutor the two instants are the same.)
+func (s *Server) finish(req *sched.Request, resp Response, dropModule int) {
 	pr := req.Payload.(*pendingReq)
 	if !s.unregister(pr) {
 		return
+	}
+	now := s.exec.Now()
+	if resp.Outcome == OutcomeGood && now > req.Deadline {
+		resp.Outcome = OutcomeLate
 	}
 	s.resolve(pr, resp, now, dropModule)
 }
@@ -541,6 +550,26 @@ func (s *Server) Summary() metrics.Summary {
 	return s.col.Summary()
 }
 
+// ExecStats returns the wall-clock executor's account of itself (events
+// fired and pending, wake-up lag), nil under an injected executor.
+func (s *Server) ExecStats() *sched.ExecStats {
+	if s.wall == nil {
+		return nil
+	}
+	st := s.wall.Stats()
+	return &st
+}
+
+// statsDoc is the /stats document: the summary's fields with the executor's
+// beside them. (metrics.Summary itself is gob-encoded in the sweep cache.)
+type statsDoc struct {
+	metrics.Summary
+	Executor *sched.ExecStats `json:"executor,omitempty"`
+}
+
+// maxInferBody bounds what POST /infer accepts from one client.
+const maxInferBody = 1 << 20
+
 // bufPool recycles the encode-before-write staging buffers.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -572,7 +601,7 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 // Handler returns the HTTP data plane:
 //
 //	POST /infer   — run one request through the pipeline
-//	GET  /stats   — metrics summary JSON
+//	GET  /stats   — metrics summary JSON, plus the executor's counters
 //	GET  /healthz — liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -580,6 +609,13 @@ func (s *Server) Handler() http.Handler {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
+		}
+		if r.ContentLength != 0 {
+			// Execution is modelled, so a payload is read only to be bounded.
+			if _, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, maxInferBody)); err != nil {
+				http.Error(w, "request body over 1 MiB or unreadable", http.StatusRequestEntityTooLarge)
+				return
+			}
 		}
 		pr := s.submit()
 		// A stoppable timer, not time.After: the common (resolved) case
@@ -610,7 +646,7 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
-		writeJSON(w, s.Summary())
+		writeJSON(w, statsDoc{s.Summary(), s.ExecStats()})
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"pard/internal/metrics"
 	"pard/internal/pipeline"
 	"pard/internal/profile"
+	"pard/internal/sched"
 )
 
 // fastLib returns a profile library with sub-millisecond models so live
@@ -177,6 +179,16 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("infer outcome = %s (latency %.1fms)", out.Outcome, out.LatencyMS)
 	}
 
+	// a payload past the bound is refused before it reaches the pipeline
+	resp, err = http.Post(ts.URL+"/infer", "application/json", strings.NewReader(strings.Repeat("x", maxInferBody+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || s.Summary().Total != 1 {
+		t.Fatalf("oversized POST /infer = %d with %d requests counted, want 413 and 1", resp.StatusCode, s.Summary().Total)
+	}
+
 	// stats
 	resp, err = http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -189,6 +201,13 @@ func TestHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if sum["Total"].(float64) < 1 {
 		t.Fatalf("stats total = %v", sum["Total"])
+	}
+	// The paced executor's own counters sit beside the summary's fields: one
+	// request on three stages is at least an arrival and three batch ends.
+	ex, _ := sum["executor"].(map[string]any)
+	if ex == nil || ex["fired"].(float64) < 4 || ex["lag_max_us"].(float64) < ex["lag_mean_us"].(float64) ||
+		len(ex["lag_hist_pow2_us"].([]any)) != 16 {
+		t.Fatalf("stats executor object = %v", sum["executor"])
 	}
 }
 
@@ -277,5 +296,69 @@ func TestAllPoliciesServe(t *testing.T) {
 			t.Fatalf("%s: outcome %s", pol, r.Outcome)
 		}
 		s.Stop()
+	}
+}
+
+// TestIsolatedRequestLatency: on a jitter-free chain of three 0.3 ms stages
+// an isolated request spends 0.9 ms in the model. Over the real paced
+// executor the server reports no less than that (nothing fires early), no
+// more than the test itself saw elapse around Submit (the ledger is the wall
+// clock), and the host's wake-up lag is paid once, not once per stage: one
+// timer per event, each handed the wall clock at fire, read about 3.5 ms.
+func TestIsolatedRequestLatency(t *testing.T) {
+	s := fastServer(t, "pard")
+	s.Start()
+	defer s.Stop()
+	best := 1e9
+	for i := 0; i < 5; i++ { // a busy host can delay any one wake-up
+		before := time.Now()
+		r := <-s.Submit()
+		wallMS := float64(time.Since(before)) / float64(time.Millisecond)
+		if r.Outcome != OutcomeGood || r.LatencyMS < 0.9 || r.LatencyMS > wallMS {
+			t.Fatalf("request %d: %+v, with %.3f ms elapsed around it and 0.9 ms modelled", i, r, wallMS)
+		}
+		best = min(best, r.LatencyMS)
+		time.Sleep(2 * time.Millisecond)
+	}
+	if best >= 3 {
+		t.Fatalf("the quickest of 5 isolated requests took %.3f ms, want under 3", best)
+	}
+}
+
+// TestLedgerOnExecutorClock: latency, the good/late verdict and the metrics
+// record are read off the executor's clock when the request resolves. With an
+// SLO equal to the modelled 0.9 ms the completion meets its deadline in the
+// model; under the injected clock that is the whole story (good, 0.9 ms
+// exactly, as before), on the wall clock the delivery comes after the
+// deadline and the request is late.
+func TestLedgerOnExecutorClock(t *testing.T) {
+	const modelled = 900 * time.Microsecond
+	serve := func(exec sched.Executor, step func()) (Response, metrics.Record, metrics.Summary) {
+		s, err := New(Config{
+			Spec: pipeline.Uniform("ledger", 3, "fast", modelled), Lib: fastLib(t),
+			PolicyName: "naive", Seed: 1, Exec: exec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		defer s.Stop()
+		ch := s.Submit()
+		step()
+		r := <-ch
+		return r, s.col.Records()[0], s.Summary()
+	}
+
+	man := sched.NewManualExecutor()
+	r, rec, sum := serve(man, func() { man.RunUntil(10 * time.Millisecond) })
+	if r.Outcome != OutcomeGood || r.LatencyMS != 0.9 || rec.Done-rec.Send != modelled || rec.Outcome != metrics.Good || sum.Good != 1 {
+		t.Fatalf("injected clock: %+v, record %+v, want good at exactly 0.9 ms", r, rec)
+	}
+
+	r, rec, sum = serve(nil, func() {})
+	elapsed := rec.Done - rec.Send
+	if r.Outcome != OutcomeLate || rec.Outcome != metrics.Late || sum.Late != 1 || elapsed <= modelled ||
+		r.LatencyMS != float64(elapsed.Microseconds())/1000 {
+		t.Fatalf("wall clock: %+v, record %+v, want late, with the %v that elapsed", r, rec, elapsed)
 	}
 }

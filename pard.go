@@ -239,7 +239,7 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentOutput, error) {
 type (
 	// ServerConfig describes a live serving deployment.
 	ServerConfig = server.Config
-	// Server hosts one pipeline — chain or DAG — on wall-clock timers.
+	// Server hosts one pipeline — chain or DAG — on the wall clock.
 	Server = server.Server
 	// ServerResponse is the JSON reply of POST /infer.
 	ServerResponse = server.Response
