@@ -1,6 +1,10 @@
 package rag
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -159,6 +163,42 @@ func BenchmarkRAGProactive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRAGGolden pins one full run per policy at DefaultConfig, seed 1: the
+// outcome counts, the drops per stage, and a hash of the gob-encoded Result
+// (latency samples included), so a change of event loop or event order shows
+// byte for byte and not only count for count.
+func TestRAGGolden(t *testing.T) {
+	golden := []struct {
+		policy              PolicyKind
+		good, late, dropped int
+		drops               [numStages]int
+		sha                 string
+	}{
+		{Predict, 7534, 2, 2464, [numStages]int{1362, 37, 0, 1065}, "0c0eccddd67158305c88725aa710bd35b06f4ac606fe4bc2c4fad5e66402aa18"},
+		{Reactive, 3026, 1944, 5030, [numStages]int{0, 4001, 0, 1029}, "3d8fd3ab7eb748e80e7868d51fb7f0d4bb9e75c23870a80c0ad122c452f0e468"},
+		{Proactive, 6762, 0, 3238, [numStages]int{1055, 1113, 0, 1070}, "cd117325a9bf520fef1d1fe632f4ec741ea156979b42c68fd185f84f9973e94b"},
+		{NoDrop, 2967, 7033, 0, [numStages]int{}, "a002576e20a7fbc40ccbfac4e84256949be7711f6f02c150fe8f4e0851a3ab69"},
+	}
+	for _, g := range golden {
+		res, err := Run(DefaultConfig(g.policy))
+		if err != nil {
+			t.Fatalf("%s: %v", g.policy, err)
+		}
+		if res.Good != g.good || res.Late != g.late || res.Dropped != g.dropped || res.DropsPerStage != g.drops {
+			t.Errorf("%s: good/late/dropped %d/%d/%d drops %v, want %d/%d/%d %v",
+				g.policy, res.Good, res.Late, res.Dropped, res.DropsPerStage, g.good, g.late, g.dropped, g.drops)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+			t.Fatalf("%s: %v", g.policy, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != g.sha {
+			t.Errorf("%s: gob(Result) sha256 %s, want %s", g.policy, got, g.sha)
 		}
 	}
 }
