@@ -237,9 +237,9 @@ func BenchmarkDAGDynamicPaths(b *testing.B) {
 
 // benchShardedDA runs the paper's 5-module DA DAG at a balanced high load
 // (every module processes the full request stream, so all five lanes carry
-// dense traffic) on the selected engine. NetDelay doubles as the lane
-// engine's conservative lookahead window.
-func benchShardedDA(b *testing.B, engine string, shards int) {
+// dense traffic). NetDelay doubles as the lane engine's conservative
+// lookahead window.
+func benchShardedDA(b *testing.B, shards int) {
 	tr := pard.GenerateTrace(pard.TraceConfig{
 		Kind: pard.Steady, Duration: 20 * time.Second, PeakRate: 3500, Seed: 1,
 	})
@@ -251,7 +251,6 @@ func benchShardedDA(b *testing.B, engine string, shards int) {
 		SyncPeriod:   time.Second,
 		NetDelay:     5 * time.Millisecond,
 		FixedWorkers: []int{40, 40, 40, 40, 40},
-		Engine:       engine,
 		Shards:       shards,
 	}
 	b.ResetTimer()
@@ -267,33 +266,25 @@ func benchShardedDA(b *testing.B, engine string, shards int) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
-// BenchmarkShardedDAClassic is the deprecated pre-flip engine — one global
-// totally-ordered event heap — kept as the trajectory baseline the lane
-// benchmarks below are measured against. Since the default flip it must be
-// requested explicitly (Shards: 0 now means "lane engine, sequential").
-func BenchmarkShardedDAClassic(b *testing.B) { benchShardedDA(b, pard.EngineClassic, 0) }
-
-// BenchmarkShardedDASequential is the default engine exactly as an unset
-// config runs it: per-module lanes, one worker. The canonical event order of
-// the sharded path with zero concurrency, and the baseline the differential
-// harness compares against. Even single-threaded it beats the classic
-// engine on this workload: typed lane events need no per-event allocation,
-// and no lane keeps a deep heap — the source lane's 70 k arrivals, all
-// queued at t = 0, sit in a time-ordered array that is read front to back,
-// and each lane's heap holds only its in-flight batch ends and the posts of
-// the current window (tens of entries), where the classic engine pushes
-// every event through one global heap.
-func BenchmarkShardedDASequential(b *testing.B) { benchShardedDA(b, "", 1) }
+// BenchmarkShardedDASequential is the engine exactly as an unset config runs
+// it: per-module lanes, one worker. The canonical event order of the sharded
+// path with zero concurrency, and the baseline the differential harness
+// compares against. Typed lane events need no per-event allocation, and no
+// lane keeps a deep heap — the source lane's 70 k arrivals, all queued at
+// t = 0, sit in a time-ordered array that is read front to back, and each
+// lane's heap holds only its in-flight batch ends and the posts of the
+// current window (tens of entries).
+func BenchmarkShardedDASequential(b *testing.B) { benchShardedDA(b, 1) }
 
 // BenchmarkShardedDASharded runs the same workload with one shard per
 // module: lanes advance concurrently inside lookahead windows and the sync
 // tick's per-module publication fans out across the shards. Comparing
-// ns/op against the two baselines above measures the intra-run speedup of
+// ns/op against the baseline above measures the intra-run speedup of
 // per-module event sharding (the win over Sequential requires
 // GOMAXPROCS > 1; on a single CPU the two are within noise, i.e. the
 // sharding machinery itself costs ~nothing). The differential harness in
 // internal/sched proves the outputs are byte-identical to Sequential.
-func BenchmarkShardedDASharded(b *testing.B) { benchShardedDA(b, "", 5) }
+func BenchmarkShardedDASharded(b *testing.B) { benchShardedDA(b, 5) }
 
 // benchLaneGroupCfg is the workload for the lane-group barrier benchmarks:
 // a short DA run with a tight sync period, so the per-window barrier

@@ -3,16 +3,19 @@
 // them. It reads benchmark output on stdin and, per flags:
 //
 //	-write FILE    write the parsed results as a trajectory entry
-//	-compare FILE  fail (exit 1) if any benchmark present in FILE regressed
-//	               beyond the tolerances below
+//	-compare FILE  fail (exit 1) if any benchmark present in FILE is missing
+//	               or its allocs/op or B/op regressed beyond the tolerances
+//	               below
 //
 // Both flags may be given together (compare against the previous entry,
-// then write the new one). Tolerances are deliberately loose — CI runs with
-// -benchtime=1x on shared runners, so ns/op is noisy — while allocs/op and
-// B/op are nearly deterministic and pinned tightly: the trajectory exists to
-// catch "someone reintroduced per-event allocation", not 10% wall-clock
-// wiggle. -compare also reports metrics that land far under their floor, so
-// a stale floor is visible and the trajectory ratchets downward over time.
+// then write the new one). The gate is on what is deterministic: allocs/op
+// and B/op are nearly exact per run and pinned tightly — the trajectory
+// exists to catch "someone reintroduced per-event allocation". Wall time is
+// not gated: CI runs one iteration on a host whose CPU flips between two
+// speeds 1.25x apart, so a single ns/op is noise, and an ns/op far over its
+// floor only prints an "info:" line; wall-time claims belong to bench/'s
+// paired runs. -compare also reports metrics that land far under their floor,
+// so a stale floor is visible and the trajectory ratchets downward over time.
 package main
 
 import (
@@ -29,10 +32,13 @@ import (
 
 // Tolerances for -compare: current value must stay below floor*factor.
 const (
-	nsTolerance     = 4.0 // wall clock: shared-runner noise dominates at -benchtime=1x
 	allocsTolerance = 1.5 // allocation counts: near-deterministic, pinned tight
 	bytesTolerance  = 1.5 // bytes/op: tracks allocation volume, similarly stable
 )
+
+// nsTolerance is where a single-run ns/op is worth an info line; it gates
+// nothing.
+const nsTolerance = 4.0
 
 // improveAt is the fraction of the floor below which -compare calls out an
 // improvement, signalling that the floor is stale and a tighter BENCH_<n>.json
@@ -99,10 +105,11 @@ func parse(r io.Reader) ([]Result, error) {
 
 // compare checks cur against the floor entry; every violation is returned
 // (not just the first) so one CI run reports the full damage. The second
-// return lists improvements — metrics that came in far enough under their
-// floor (see improveAt) that the trajectory should ratchet: commit a new
-// BENCH_<n>.json so the tightened numbers become the gate.
-func compare(floor Trend, cur []Result) (bad, improved []string) {
+// return is what to print without failing: "IMPROVEMENT" lines — metrics that
+// came in far enough under their floor (see improveAt) that the trajectory
+// should ratchet: commit a new BENCH_<n>.json so the tightened numbers become
+// the gate — and "info:" lines for an ns/op beyond nsTolerance.
+func compare(floor Trend, cur []Result) (bad, notes []string) {
 	byName := make(map[string]Result, len(cur))
 	for _, r := range cur {
 		byName[r.Name] = r
@@ -113,24 +120,28 @@ func compare(floor Trend, cur []Result) (bad, improved []string) {
 			bad = append(bad, fmt.Sprintf("%s: present in floor but not in current run", f.Name))
 			continue
 		}
-		check := func(metric string, cv, fv, tol float64) {
+		check := func(metric string, cv, fv, tol float64, gated bool) {
 			if fv <= 0 {
 				return
 			}
 			switch {
 			case cv > fv*tol:
-				bad = append(bad, fmt.Sprintf("%s: %.0f %s exceeds floor %.0f x%.1f",
-					f.Name, cv, metric, fv, tol))
+				over := fmt.Sprintf("%s: %.0f %s exceeds floor %.0f x%.1f", f.Name, cv, metric, fv, tol)
+				if gated {
+					bad = append(bad, over)
+				} else {
+					notes = append(notes, "info: "+over+" (one run's wall time; not gated)")
+				}
 			case cv > 0 && cv < fv*improveAt:
-				improved = append(improved, fmt.Sprintf("%s: %.0f %s is %.1fx under floor %.0f — ratchet the trajectory",
+				notes = append(notes, fmt.Sprintf("IMPROVEMENT %s: %.0f %s is %.1fx under floor %.0f — ratchet the trajectory",
 					f.Name, cv, metric, fv/cv, fv))
 			}
 		}
-		check("ns/op", c.NsPerOp, f.NsPerOp, nsTolerance)
-		check("allocs/op", c.AllocsPerOp, f.AllocsPerOp, allocsTolerance)
-		check("B/op", c.BytesPerOp, f.BytesPerOp, bytesTolerance)
+		check("ns/op", c.NsPerOp, f.NsPerOp, nsTolerance, false)
+		check("allocs/op", c.AllocsPerOp, f.AllocsPerOp, allocsTolerance, true)
+		check("B/op", c.BytesPerOp, f.BytesPerOp, bytesTolerance, true)
 	}
-	return bad, improved
+	return bad, notes
 }
 
 func main() {
@@ -164,9 +175,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchtrend: %s: %v\n", *compareTo, err)
 			os.Exit(2)
 		}
-		bad, improved := compare(floor, cur)
-		for _, s := range improved {
-			fmt.Println("IMPROVEMENT " + s)
+		bad, notes := compare(floor, cur)
+		for _, s := range notes {
+			fmt.Println(s)
 		}
 		if len(bad) > 0 {
 			for _, b := range bad {

@@ -55,6 +55,12 @@ func TestCompare(t *testing.T) {
 	if len(bad) != 2 {
 		t.Fatalf("want 2 violations (allocs regression + missing B), got: %v", bad)
 	}
+	// Wall time never fails the gate: far over the floor is an info line.
+	slow := []Result{{Name: "A", NsPerOp: 100*nsTolerance + 1, AllocsPerOp: 1000}, {Name: "B", NsPerOp: 100}}
+	bad, notes := compare(floor, slow)
+	if len(bad) != 0 || len(notes) != 1 || !strings.HasPrefix(notes[0], "info: A: ") || !strings.Contains(notes[0], "ns/op") {
+		t.Fatalf("slow run: bad=%v notes=%v, want no violation and one info line", bad, notes)
+	}
 }
 
 func TestCompareGatesBytes(t *testing.T) {

@@ -55,6 +55,14 @@ import (
 // gob envelopes after the handshake and wait for a step exchange that never
 // comes. The sweep protocol's frames did not change, but the version is one
 // number for the whole package.
+//
+// Removing the classic engine (and RunOpts.Engine / simgpu.Config.Engine with
+// it) did not bump the version, because no v4 peer can be served a different
+// result: gob drops the vanished field in both directions, an absent field
+// always meant the lane engine, a v4 coordinator's classic unit carries a
+// |eng=classic key that this worker's own derivation (|eng=lane) refuses per
+// unit (runUnit's key check), and no hub ever shipped a classic config —
+// RunSimDistributed refused it before the handshake.
 const ProtoVersion = 4
 
 // Hello opens a coordinator→worker stream. It carries everything a worker

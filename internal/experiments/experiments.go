@@ -73,11 +73,6 @@ type Config struct {
 	// CacheDir, when set, persists finished simulation runs to disk so
 	// repeated invocations reuse finished grid points (see sweep.Config).
 	CacheDir string
-	// Engine, when set, selects the execution engine for every simulation
-	// (see simgpu.Config.Engine): simgpu.EngineClassic reproduces pre-flip
-	// numbers on the deprecated global event heap; "" and simgpu.EngineLane
-	// are the lane-engine default.
-	Engine string
 	// Shards, when >= 1, sets the lane engine's worker count for every
 	// simulation (see simgpu.Config.Shards). Zero is the sequential lane
 	// default.
@@ -160,9 +155,6 @@ type Spec = sweep.Spec
 
 // applyEngine fills a spec's engine options from the harness defaults.
 func (h *Harness) applyEngine(opts *RunOpts) {
-	if opts.Engine == "" {
-		opts.Engine = h.cfg.Engine
-	}
 	if opts.Shards == 0 {
 		opts.Shards = h.cfg.Shards
 	}
@@ -177,7 +169,7 @@ func (h *Harness) Run(app string, kind trace.Kind, policy string, opts RunOpts) 
 // Sweep executes a grid of specs concurrently and returns results in input
 // order; see sweep.Engine.Sweep for the determinism contract.
 func (h *Harness) Sweep(specs []Spec) ([]*simgpu.Result, error) {
-	if h.cfg.Shards != 0 || h.cfg.Engine != "" {
+	if h.cfg.Shards != 0 {
 		specs = append([]Spec(nil), specs...)
 		for i := range specs {
 			h.applyEngine(&specs[i].Opts)

@@ -18,6 +18,16 @@
 // the TTFT SLO is already violated), proactive (PARD-style estimates from
 // recent averages and offline profiles), and predict (proactive plus oracle
 // knowledge of rewrite output lengths).
+//
+// The run is a host of the repo's event queue (sched.ManualExecutor, drained
+// on a virtual clock), not a pipeline.Spec on the module core of
+// internal/sched. That core is a state machine for batched modules: a queue
+// per worker, a batch formed after a batch wait, a profiled duration per
+// batch size. None of the RAG stages has that shape: rewrite and generate are
+// continuous-batching slot pools with no batch wait, search has unbounded
+// concurrency and no queue at all, and every request's stage durations are
+// drawn when the request is sampled (from its token counts) instead of looked
+// up per batch. Forcing them into modules would model a different system.
 package rag
 
 import (
@@ -26,7 +36,7 @@ import (
 	"math/rand"
 	"time"
 
-	"pard/internal/sim"
+	"pard/internal/sched"
 	"pard/internal/stats"
 )
 
@@ -168,7 +178,7 @@ func (s *slotPool) release(now time.Duration) {
 
 type runner struct {
 	cfg Config
-	eng *sim.Engine
+	eng *sched.ManualExecutor
 	rng *rand.Rand
 
 	rewrite  *slotPool
@@ -201,7 +211,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r := &runner{
 		cfg:          cfg,
-		eng:          sim.New(cfg.Seed),
+		eng:          sched.NewManualExecutor(),
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		rewrite:      &slotPool{cap: cfg.RewriteSlots},
 		generate:     &slotPool{cap: cfg.GenerateSlots},
@@ -217,7 +227,7 @@ func Run(cfg Config) (*Result, error) {
 		r.res.Latencies[i] = StageLatency{Name: StageNames[i]}
 	}
 	r.inject()
-	r.eng.Run(0)
+	r.eng.Drain()
 	r.finalize()
 	return r.res, nil
 }
@@ -268,7 +278,7 @@ func (r *runner) inject() {
 		at := time.Duration(t * float64(time.Second))
 		req := r.sampleRequest(i, at)
 		r.reqs = append(r.reqs, req)
-		r.eng.Schedule(at, "rag-arrive", func(e *sim.Engine) { r.enterRewrite(req, e.Now()) })
+		r.eng.Schedule(at, "rag-arrive", func(now time.Duration) { r.enterRewrite(req, now) })
 	}
 }
 
@@ -361,14 +371,14 @@ func (r *runner) enterRewrite(req *request, now time.Duration) {
 	enter := now
 	r.rewrite.acquire(now, func(start time.Duration) {
 		end := start + req.rewriteDur
-		r.eng.Schedule(end, "rewrite-done", func(e *sim.Engine) {
-			total := e.Now() - enter // slot queueing + decoding
-			r.rewriteWin.Add(e.Now(), total.Seconds())
-			r.rewriteQWin.Add(e.Now(), (start - enter).Seconds())
-			r.rewriteDWin.Add(e.Now(), req.rewriteDur.Seconds())
+		r.eng.Schedule(end, "rewrite-done", func(now time.Duration) {
+			total := now - enter // slot queueing + decoding
+			r.rewriteWin.Add(now, total.Seconds())
+			r.rewriteQWin.Add(now, (start - enter).Seconds())
+			r.rewriteDWin.Add(now, req.rewriteDur.Seconds())
 			r.record(StageRewrite, total)
-			r.rewrite.release(e.Now())
-			r.enterBranches(req, e.Now())
+			r.rewrite.release(now)
+			r.enterBranches(req, now)
 		})
 	})
 }
@@ -380,16 +390,16 @@ func (r *runner) enterBranches(req *request, now time.Duration) {
 	}
 	// Retrieve branch (batched vector DB; modeled as near-constant).
 	retEnd := now + r.cfg.RetrieveDur + time.Duration(r.rng.Intn(10))*time.Millisecond
-	r.eng.Schedule(retEnd, "retrieve-done", func(e *sim.Engine) {
-		r.record(StageRetrieve, e.Now()-now)
-		r.branchDone(req, e.Now())
+	r.eng.Schedule(retEnd, "retrieve-done", func(end time.Duration) {
+		r.record(StageRetrieve, end-now)
+		r.branchDone(req, end)
 	})
 	// Search branch (web API, unbounded concurrency, heavy tail).
 	searchEnd := now + req.searchDur
-	r.eng.Schedule(searchEnd, "search-done", func(e *sim.Engine) {
-		r.searchWin.Add(e.Now(), req.searchDur.Seconds())
+	r.eng.Schedule(searchEnd, "search-done", func(end time.Duration) {
+		r.searchWin.Add(end, req.searchDur.Seconds())
 		r.record(StageSearch, req.searchDur)
-		r.branchDone(req, e.Now())
+		r.branchDone(req, end)
 	})
 }
 
@@ -408,13 +418,13 @@ func (r *runner) enterGenerate(req *request, now time.Duration) {
 	enter := now
 	r.generate.acquire(now, func(start time.Duration) {
 		end := start + req.prefillDur
-		r.eng.Schedule(end, "prefill-done", func(e *sim.Engine) {
-			r.generateQWin.Add(e.Now(), (start - enter).Seconds())
-			r.generateDWin.Add(e.Now(), req.prefillDur.Seconds())
-			r.record(StageGenerate, e.Now()-enter)
-			r.generate.release(e.Now())
+		r.eng.Schedule(end, "prefill-done", func(now time.Duration) {
+			r.generateQWin.Add(now, (start - enter).Seconds())
+			r.generateDWin.Add(now, req.prefillDur.Seconds())
+			r.record(StageGenerate, now-enter)
+			r.generate.release(now)
 			req.finished = true
-			req.ttft = e.Now() - req.send
+			req.ttft = now - req.send
 		})
 	})
 }

@@ -3,6 +3,8 @@ package sched
 import (
 	"testing"
 	"time"
+
+	"pard/internal/pipeline"
 )
 
 // These tests pin the allocation floors the engine-flip refactor bought:
@@ -118,15 +120,15 @@ func TestAllocsLaneReservation(t *testing.T) {
 	}
 }
 
-// TestAllocsScheduleEventLanePath: Cluster.scheduleEvent with the lane
-// scheduler wired allocates nothing per event. The classic-heap fallback is
-// quarantined behind a noinline wrapper precisely so the by-value event
-// parameter cannot be forced to escape at scheduleEvent entry; this floor
-// catches anyone re-merging the two branches.
+// TestAllocsScheduleEventLanePath: Cluster.scheduleEvent on the lane engine
+// allocates nothing per event: the event goes by value from the caller's
+// frame into the source lane's outbox. This floor catches anything on the way
+// (an interface conversion of the event, a closure over it) that would make
+// the by-value parameter escape.
 func TestAllocsScheduleEventLanePath(t *testing.T) {
 	x := NewShardedExecutor(2, 1, time.Millisecond)
 	x.running = true
-	cl := &Cluster{ls: x}
+	cl := &Cluster{exec: x}
 	fired := 0
 	ev := laneEvent{name: "hop", fn: func(now time.Duration) { fired++ }}
 
@@ -148,6 +150,38 @@ func TestAllocsScheduleEventLanePath(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Fatal("events never fired")
+	}
+}
+
+// TestAllocsScheduleEventGlobalQueue: the same call on a global-queue
+// executor — the live data plane's path — allocates nothing either. The
+// core's typed events (an arrival or hop, a batch end) sit in the executor's
+// one queue by value and fire through laneEvent.fire, with no closure and no
+// carrier per event. The module is a merge point still waiting for branches
+// and the worker is dead, so firing goes no further than the dispatch.
+func TestAllocsScheduleEventGlobalQueue(t *testing.T) {
+	man := NewManualExecutor()
+	cl := &Cluster{exec: man}
+	m := &module{cl: cl, spec: pipeline.Module{Pres: []int{0, 1}}}
+	req := &Request{ExpectedMerge: 1 << 30}
+	receive := laneEvent{name: "hop", op: opReceive, m: m, req: req}
+	batchEnd := laneEvent{name: "batch-end", op: opBatchEnd, w: &worker{dead: true}}
+
+	at := time.Duration(0)
+	round := func() {
+		at++
+		cl.scheduleEvent(-1, 0, at, receive)
+		cl.scheduleEvent(0, 0, at+1, batchEnd)
+		man.RunUntil(at + 1)
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("global-queue scheduleEvent + fire allocates %.1f per two events, want 0", avg)
+	}
+	if req.mergeArrived != int(at) || man.Pending() != 0 {
+		t.Fatalf("%d of %d arrivals fired, %d events left", req.mergeArrived, at, man.Pending())
 	}
 }
 

@@ -80,7 +80,7 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 		}
 		ev := man.q.pop()
 		man.now = at
-		ev.fn(at)
+		ev.fire(at)
 		events++
 		for _, m := range cl.modules {
 			if len(m.loads) != len(m.workers) {

@@ -5,15 +5,15 @@ import (
 	"math/bits"
 	"sync"
 	"time"
-
-	"pard/internal/sim"
 )
 
 // Executor is the small time-and-callback interface the scheduling core is
-// parameterized over. The discrete-event simulator satisfies it with the
-// virtual event-heap clock (SimExecutor); the live server with one event
-// queue paced by the wall clock (TimerExecutor); deterministic tests with the
-// same queue stepped by hand (ManualExecutor).
+// parameterized over. The discrete-event simulator satisfies it with
+// per-module event lanes on a virtual clock (ShardedExecutor); the live server
+// with one event queue paced by the wall clock (TimerExecutor); deterministic
+// tests and the RAG case study with the same queue stepped by hand
+// (ManualExecutor). All three sit on laneQueue and are the interface's only
+// implementations: its unexported method keeps it inside this package.
 //
 // The core is single-threaded by contract: an Executor never runs two
 // callbacks concurrently. All three fire events in (timestamp, schedule
@@ -26,23 +26,12 @@ type Executor interface {
 	// Schedule registers fn to run at absolute time at; a time in the past is
 	// raised to the last fired event's. fn receives that due instant.
 	Schedule(at time.Duration, name string, fn func(now time.Duration))
-}
-
-// SimExecutor adapts the discrete-event engine to the Executor interface:
-// callbacks fire in virtual timestamp order, ties broken by schedule order.
-type SimExecutor struct {
-	eng *sim.Engine
-}
-
-// NewSimExecutor wraps a simulation engine.
-func NewSimExecutor(eng *sim.Engine) SimExecutor { return SimExecutor{eng: eng} }
-
-// Now returns the current virtual time.
-func (x SimExecutor) Now() time.Duration { return x.eng.Now() }
-
-// Schedule registers fn on the engine's event heap.
-func (x SimExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
-	x.eng.Schedule(at, name, func(e *sim.Engine) { fn(e.Now()) })
+	// scheduleLaneEvent is Schedule for the core's typed events: ev travels by
+	// value and fires through ev.fire, so scheduling one allocates nothing.
+	// src is the module whose event is executing (-1 for host or control
+	// context) and dst the module the event belongs to; the lane engine routes
+	// by them, the global-queue executors have one queue and ignore both.
+	scheduleLaneEvent(src, dst int, at time.Duration, ev laneEvent)
 }
 
 // TimerExecutor is the live server's executor: one (at, seq) event queue
@@ -55,7 +44,7 @@ func (x SimExecutor) Schedule(at time.Duration, name string, fn func(time.Durati
 // from the due instant, so lag neither compounds per stage nor leaks into the
 // policy's windows. Now is the wall clock, for callers outside callbacks.
 type TimerExecutor struct {
-	clock sim.Clock
+	start time.Time
 	wake  chan struct{} // 1-slot: Schedule inserted ahead of parked
 	stop  chan struct{} // closed by Stop
 	done  chan struct{} // closed when the drainer exits
@@ -87,7 +76,7 @@ type ExecStats struct {
 // goroutine starts with the first Schedule.
 func NewTimerExecutor() *TimerExecutor {
 	return &TimerExecutor{
-		clock: sim.NewWallClock(),
+		start: time.Now(),
 		wake:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -95,12 +84,16 @@ func NewTimerExecutor() *TimerExecutor {
 }
 
 // Now returns the wall-clock time elapsed since construction.
-func (x *TimerExecutor) Now() time.Duration { return x.clock.Now() }
+func (x *TimerExecutor) Now() time.Duration { return time.Since(x.start) }
 
 // Schedule queues fn for time at. Safe for concurrent use, including from
 // inside callbacks; it wakes the drainer only when the new event is due before
 // the instant the drainer is parked on.
 func (x *TimerExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
+	x.scheduleLaneEvent(-1, -1, at, laneEvent{name: name, fn: fn})
+}
+
+func (x *TimerExecutor) scheduleLaneEvent(_, _ int, at time.Duration, ev laneEvent) {
 	x.mu.Lock()
 	if x.stopped {
 		x.mu.Unlock()
@@ -109,7 +102,7 @@ func (x *TimerExecutor) Schedule(at time.Duration, name string, fn func(time.Dur
 	if at < x.now {
 		at = x.now
 	}
-	x.q.push(at, laneEvent{name: name, fn: fn})
+	x.q.push(at, ev)
 	wake := at < x.parked
 	if wake {
 		x.parked = at // later schedules behind this one need not signal again
@@ -140,7 +133,7 @@ func (x *TimerExecutor) drain() {
 			return
 		}
 		at, ok := x.q.peek()
-		wall := x.clock.Now()
+		wall := x.Now()
 		if ok && wall >= at {
 			ev := x.q.pop()
 			x.now, x.parked = at, 0 // at >= x.now: Schedule clamps
@@ -150,7 +143,7 @@ func (x *TimerExecutor) drain() {
 			x.stats.LagMaxUS = max(x.stats.LagMaxUS, float64(lagUS))
 			x.stats.LagHist[min(bits.Len64(uint64(lagUS)), 15)]++
 			x.mu.Unlock()
-			ev.fn(at)
+			ev.fire(at)
 			continue
 		}
 		x.parked = math.MaxInt64
@@ -196,7 +189,8 @@ func (x *TimerExecutor) Stop() {
 // ManualExecutor is TimerExecutor's queue with an injected clock: time
 // advances only when the caller steps it, and due callbacks fire in
 // (timestamp, schedule-order) order. It stands in for wall-clock time in
-// parity and server tests.
+// parity and server tests, and Drain makes it a plain virtual-clock event
+// loop, which is how the RAG case study (internal/rag) runs.
 type ManualExecutor struct {
 	now time.Duration
 	q   laneQueue
@@ -210,10 +204,14 @@ func (x *ManualExecutor) Now() time.Duration { return x.now }
 
 // Schedule registers fn at time at (clamped to Now for past times).
 func (x *ManualExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
+	x.scheduleLaneEvent(-1, -1, at, laneEvent{name: name, fn: fn})
+}
+
+func (x *ManualExecutor) scheduleLaneEvent(_, _ int, at time.Duration, ev laneEvent) {
 	if at < x.now {
 		at = x.now
 	}
-	x.q.push(at, laneEvent{name: name, fn: fn})
+	x.q.push(at, ev)
 }
 
 // RunUntil fires every event due at or before t in order, then advances the
@@ -222,7 +220,8 @@ func (x *ManualExecutor) Schedule(at time.Duration, name string, fn func(time.Du
 func (x *ManualExecutor) RunUntil(t time.Duration) {
 	for at, ok := x.q.peek(); ok && at <= t; at, ok = x.q.peek() {
 		x.now = at
-		x.q.pop().fn(at)
+		ev := x.q.pop()
+		ev.fire(at)
 	}
 	if t > x.now {
 		x.now = t

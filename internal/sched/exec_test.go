@@ -8,26 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pard/internal/sim"
 )
-
-func TestSimExecutorOrdersByTimestamp(t *testing.T) {
-	eng := sim.New(1)
-	x := NewSimExecutor(eng)
-	var order []int
-	x.Schedule(2*time.Second, "b", func(now time.Duration) {
-		if now != 2*time.Second {
-			t.Fatalf("b fired at %v", now)
-		}
-		order = append(order, 2)
-	})
-	x.Schedule(time.Second, "a", func(now time.Duration) { order = append(order, 1) })
-	eng.Run(0)
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v", order)
-	}
-}
 
 func TestManualExecutorDeterministicOrder(t *testing.T) {
 	x := NewManualExecutor()
@@ -46,8 +27,15 @@ func TestManualExecutorDeterministicOrder(t *testing.T) {
 	if x.Now() != 750*time.Millisecond {
 		t.Fatalf("clock = %v", x.Now())
 	}
+	// A time already passed is raised to the clock.
+	x.Schedule(100*time.Millisecond, "past", func(now time.Duration) {
+		if now != 750*time.Millisecond {
+			t.Errorf("past event fired at %v, want the clock's 750ms", now)
+		}
+		order = append(order, "past")
+	})
 	x.RunUntil(time.Second)
-	want := []string{"first", "a", "b", "c"}
+	want := []string{"first", "past", "a", "b", "c"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v", order)
 	}

@@ -16,8 +16,13 @@ import "time"
 // would send every later post to the heap) enter the binary min-heap, which
 // stays as deep as the lane has batches in flight whatever the trace length.
 // pop takes the smaller of the two heads. Popped slots are not cleared: a lane's
-// queue lives for one run, and the global-queue executors' (exec.go) retains at
-// most its pending high-water mark of stale events.
+// queue lives for one run. The global-queue executors' one queue (exec.go)
+// lives as long as the server does, and a stale slot there keeps what its
+// event held — for a typed event the *Request and *worker — until a later
+// push overwrites it: at most the queue's pending high-water mark of them.
+// That pins nothing extra while the server's request slab is never reclaimed;
+// reclaiming the slab (ROADMAP, live-server item (1)) must account for these
+// slots, by clearing them or by bounding what they can reference.
 type laneQueue struct {
 	heap []laneItem // binary min-heap on (at, seq)
 	run  []laneItem // run[head:] is pending, in (at, seq) order

@@ -49,17 +49,13 @@ func sortPosts(posts []post) {
 	})
 }
 
-// laneScheduler is the contract a lane-aware executor offers the cluster:
-// per-lane event scheduling from an identified source context plus a
-// barrier hook for intent commits. *ShardedExecutor implements it; classic
-// executors (SimExecutor, TimerExecutor, ManualExecutor) do not, and the
-// cluster falls back to plain Schedule with immediate terminations.
+// laneScheduler is what a lane-aware executor offers the cluster beyond
+// Executor: a barrier hook for intent commits and a fan-out over its lanes.
+// *ShardedExecutor implements it; the global-queue executors (TimerExecutor,
+// ManualExecutor) do not, and on them the cluster commits terminations
+// immediately.
 type laneScheduler interface {
 	Executor
-	// scheduleLaneEvent schedules ev on lane dst; src is the executing lane
-	// or -1 for host/control/barrier context. The event travels by value
-	// (typed hot-path ops carry no closure; see laneEvent).
-	scheduleLaneEvent(src, dst int, at time.Duration, ev laneEvent)
 	// setBarrierHook registers the cluster's barrier commit; a non-nil
 	// error aborts the run (multi-group transport failures).
 	setBarrierHook(func() error)

@@ -245,7 +245,7 @@ func (m *module) dispatch(e entry, now time.Duration) {
 
 // chargeRequest records a batch execution's per-request accounting. Lane
 // mode appends to the module-local buffer (merged at the next barrier);
-// classic and wall-clock executors apply it immediately — they run the
+// the global-queue executors apply it immediately — they run the
 // core serially by contract, so the plain adds in Request.charge are safe.
 func (m *module) chargeRequest(r *Request, gpu, q, w, d time.Duration) {
 	if m.cl.bridge != nil {

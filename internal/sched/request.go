@@ -44,7 +44,7 @@ type Request struct {
 }
 
 // charge accumulates a batch execution's per-request accounting. Callers
-// guarantee serial context: classic and wall-clock executors run the core
+// guarantee serial context: the global-queue executors run the core
 // single-threaded by contract, and lane mode routes charges through
 // per-module buffers merged at the window barrier with every lane parked
 // (see module.chargeRequest) — which is why these are plain adds, not the

@@ -7,9 +7,9 @@
 // scheduled callbacks), so the same state machine runs in two places:
 //
 //   - the discrete-event simulator (internal/simgpu) instantiates it with
-//     the virtual event-heap clock (SimExecutor over internal/sim), and
-//   - the live server (internal/server) instantiates it with the same kind
-//     of event queue paced by the wall clock (TimerExecutor).
+//     per-module event lanes on a virtual clock (ShardedExecutor), and
+//   - the live server (internal/server) instantiates it with one queue of
+//     the same kind paced by the wall clock (TimerExecutor).
 //
 // Both instantiations exercise the exact same dropping, batching and
 // priority code paths; a parity test in internal/server proves the
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
 	"time"
 
 	"pard/internal/core"
@@ -107,7 +106,7 @@ type Cluster struct {
 	batches []int
 	durs    []time.Duration
 
-	// Sharded execution path (nil on classic executors): lanes defer
+	// Sharded execution path (nil on global-queue executors): lanes defer
 	// request terminations to barrier commits and exchange cross-module
 	// events through the executor's ordered mailbox.
 	ls     laneScheduler
@@ -117,7 +116,7 @@ type Cluster struct {
 	// lane mode. Only ever flipped while every lane is parked.
 	inControl bool
 
-	// Multi-group topology (nil/zero on single-group and classic paths):
+	// Multi-group topology (nil/zero on single-group and global-queue paths):
 	// this cluster is one lane-group replica, exchanging board rows,
 	// scaling demands, mailbox posts, charges and termination intents with
 	// its peers through tr. See transport.go for the distribution model.
@@ -134,11 +133,6 @@ type Cluster struct {
 		merges  []WireMergeReset
 	}
 	wireCur int
-
-	// classicEvents recycles event carriers on the classic-executor path
-	// (see classicEvent). Per-cluster so pooled carriers never cross runs;
-	// safe for the live server's concurrent injectors.
-	classicEvents sync.Pool
 }
 
 // streamSeed derives module k's independent seed for one random stream from
@@ -199,15 +193,6 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		jitter:  cfg.JitterPct,
 		batches: batches,
 		durs:    durs,
-	}
-	c.classicEvents.New = func() any {
-		ce := &classicEvent{}
-		ce.fire = func(now time.Duration) {
-			ce.ev.fire(now)
-			ce.ev = laneEvent{} // don't pin requests/workers while pooled
-			c.classicEvents.Put(ce)
-		}
-		return ce
 	}
 	for k := 0; k < n; k++ {
 		c.pathRngs = append(c.pathRngs, rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path"))))
@@ -323,41 +308,13 @@ func (c *Cluster) Inject(req *Request, sendAt time.Duration) {
 		laneEvent{name: "arrive", op: opReceive, m: src, req: req})
 }
 
-// scheduleEvent registers ev on module dst's event lane. src is the module
-// whose event is executing (-1 for host or control context); lane-aware
-// executors route cross-lane schedules through the ordered mailbox — the
-// event travels by value, so the typed hot-path ops allocate nothing —
-// while classic executors wrap it in a closure on the plain global queue.
+// scheduleEvent registers ev for module dst at time at. src is the module
+// whose event is executing (-1 for host or control context). The event
+// travels by value on every executor, so the typed hot-path ops allocate
+// nothing; the lane engine routes cross-lane schedules through the ordered
+// mailbox, the global-queue executors push onto their one queue.
 func (c *Cluster) scheduleEvent(src, dst int, at time.Duration, ev laneEvent) {
-	if c.ls != nil {
-		c.ls.scheduleLaneEvent(src, dst, at, ev)
-		return
-	}
-	c.scheduleClassic(at, ev)
-}
-
-// classicEvent carries one scheduled event across a plain global-queue
-// executor (the classic simulator engine and the live server's wall clock).
-// Carriers are pooled and their callback func bound once at construction,
-// so steady-state classic scheduling allocates nothing per event —
-// previously every schedule heap-escaped a fresh copy of the event through
-// an ev.fire method value, which was the live data plane's dominant
-// allocation under load.
-type classicEvent struct {
-	ev   laneEvent
-	fire func(now time.Duration)
-}
-
-// scheduleClassic hands the event to a plain global-queue executor inside a
-// pooled carrier. Kept out of scheduleEvent — and out of its inliner's
-// reach — so the carrier machinery only exists on the classic path; on the
-// lane path ev stays stack-allocated through scheduleEvent.
-//
-//go:noinline
-func (c *Cluster) scheduleClassic(at time.Duration, ev laneEvent) {
-	ce := c.classicEvents.Get().(*classicEvent)
-	ce.ev = ev
-	c.exec.Schedule(at, ev.name, ce.fire)
+	c.exec.scheduleLaneEvent(src, dst, at, ev)
 }
 
 // control brackets a serial control-context callback (sync, scaling,

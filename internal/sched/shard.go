@@ -16,7 +16,7 @@ import (
 // ANY shard count:
 //
 //   - Within a lane, events fire in (timestamp, insertion-order) order, the
-//     same contract as the global heap.
+//     global-queue executors' contract (exec.go).
 //   - Lanes advance together through windows [low, high): low is the minimum
 //     pending lane timestamp across all lanes (the low watermark), high is
 //     low + lookahead, clamped to the next control event. Cross-lane
@@ -273,8 +273,7 @@ func (x *ShardedExecutor) Schedule(at time.Duration, name string, fn func(now ti
 }
 
 // Ticker repeatedly schedules fn on the control lane every period until the
-// predicate returns false. The first tick fires at Now()+period, mirroring
-// sim.Engine.Ticker.
+// predicate returns false. The first tick fires at Now()+period.
 func (x *ShardedExecutor) Ticker(period time.Duration, name string, fn func(now time.Duration) bool) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sched: Ticker period must be positive, got %v", period))
@@ -307,9 +306,8 @@ func (x *ShardedExecutor) Reserve(dst, n int) {
 // host/control/barrier context (every lane parked). Same-lane and
 // control-context schedules insert directly; cross-lane schedules from a
 // running lane are posted to the source lane's outbox and delivered at the
-// window barrier in mailbox order. This implements the cluster-facing
-// laneScheduler interface; the event travels by value the whole way, so
-// the steady-state hot path allocates nothing.
+// window barrier in mailbox order. The event travels by value the whole way,
+// so the steady-state hot path allocates nothing.
 func (x *ShardedExecutor) scheduleLaneEvent(src, dst int, at time.Duration, ev laneEvent) {
 	l := x.lanes[dst]
 	if src < 0 || !x.running {

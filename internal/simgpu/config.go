@@ -2,8 +2,6 @@ package simgpu
 
 import (
 	"fmt"
-	"log"
-	"sync/atomic"
 	"time"
 
 	"pard/internal/pipeline"
@@ -91,28 +89,19 @@ type Config struct {
 	// PriorityWindow overrides the priority smoothing window when > 0
 	// (Fig. 14d).
 	PriorityWindow time.Duration
-	// Engine selects the execution engine. "" or EngineLane (the default)
-	// runs the lane engine: per-module event lanes advanced by up to Shards
-	// concurrent workers under a low-watermark barrier, with cross-module
-	// events exchanged through deterministic ordered mailboxes.
-	// EngineClassic keeps the deprecated single global event heap for one
-	// deprecation cycle; it will be removed. The two engines'
-	// equal-timestamp tie-breaking differs, so their results are not
-	// interchangeable: sharded results are compared against Shards == 1
-	// (the differential harness), never against the classic heap.
-	Engine string
-	// Shards is the lane engine's worker count. 0 (the default) and 1 both
-	// run the lanes sequentially; N > 1 drains them with N concurrent
-	// workers. Results are identical for every shard count (Shards <= 1 is
-	// the sequential baseline of the differential harness). Must be 0 with
-	// Engine == EngineClassic: the classic heap has no lanes to shard.
+	// Shards is the lane engine's worker count: the run's per-module event
+	// lanes, advanced under a low-watermark barrier with cross-module events
+	// exchanged through deterministic ordered mailboxes, are drained by that
+	// many concurrent workers. 0 (the default) and 1 both run the lanes
+	// sequentially. Results are identical for every shard count (Shards <= 1
+	// is the sequential baseline of the differential harness).
 	Shards int
 	// Groups splits the lane engine's per-module lanes into N lane groups,
 	// each running a full cluster replica in lockstep over an in-process
 	// transport (module k belongs to group k % Groups). Results are
 	// bit-identical for every group count — determinism invariant #5 — and
-	// 0 and 1 both mean the ungrouped fast path. Lane engine only. The
-	// cross-host form of the same topology is configured via Remote.
+	// 0 and 1 both mean the ungrouped fast path. The cross-host form of the
+	// same topology is configured via Remote.
 	Groups int
 	// Remote, when non-nil, runs THIS process as one lane group of a
 	// cross-host simulation over the given transport (set by the
@@ -129,38 +118,6 @@ type RemoteTopology struct {
 	// Transport carries the lockstep exchanges, typically internal/dist's
 	// framed gob transport over TCP.
 	Transport sched.Transport
-}
-
-// Engine names accepted by Config.Engine.
-const (
-	// EngineLane is the default: per-module event lanes with deterministic
-	// ordered mailboxes (see Config.Shards for the worker count).
-	EngineLane = "lane"
-	// EngineClassic is the deprecated single global event heap, kept for
-	// one deprecation cycle to reproduce pre-flip numbers.
-	EngineClassic = "classic"
-)
-
-// Warnf emits deprecation warnings; a package variable so tests (and hosts
-// with their own logging) can capture it. It must be safe to call
-// concurrently.
-var Warnf = func(format string, args ...any) { log.Printf(format, args...) }
-
-// classicWarned collapses the classic-engine deprecation warning to one
-// emission per process: a sweep instantiates hundreds of runners, and the
-// warning is about the selection, not each run. (An atomic rather than a
-// sync.Once so tests can reset it.)
-var classicWarned atomic.Bool
-
-// warnClassicDeprecated announces the classic engine's scheduled removal the
-// first time a run selects it. The deprecation cycle granted at the
-// lane-engine default flip is now over: removal lands in the next PR.
-func warnClassicDeprecated() {
-	if classicWarned.CompareAndSwap(false, true) {
-		Warnf("simgpu: engine %q is deprecated and will be removed in the next PR; "+
-			"the lane engine (the default) is bit-stable across shard counts and lane-group "+
-			"topologies and faster — drop -engine/Engine overrides to migrate now", EngineClassic)
-	}
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -241,22 +198,8 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Groups > out.Spec.N() {
 		out.Groups = out.Spec.N()
 	}
-	switch out.Engine {
-	case "", EngineLane:
-		out.Engine = EngineLane
-		if out.Shards == 0 {
-			out.Shards = 1 // lane engine, sequential
-		}
-	case EngineClassic:
-		if out.Shards != 0 {
-			return out, fmt.Errorf("simgpu: engine %q has no lanes to shard (got Shards=%d); drop Shards or use the lane engine", EngineClassic, out.Shards)
-		}
-		if out.Groups > 1 || out.Remote != nil {
-			return out, fmt.Errorf("simgpu: engine %q has no lanes to group; lane-group topologies need the lane engine", EngineClassic)
-		}
-		warnClassicDeprecated()
-	default:
-		return out, fmt.Errorf("simgpu: unknown engine %q (want %q or %q)", out.Engine, EngineLane, EngineClassic)
+	if out.Shards == 0 {
+		out.Shards = 1 // sequential
 	}
 	if out.FixedWorkers != nil {
 		if len(out.FixedWorkers) != out.Spec.N() {

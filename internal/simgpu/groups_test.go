@@ -119,7 +119,7 @@ func TestLaneGroupsDAG(t *testing.T) {
 
 // TestLaneGroupsClampAndValidation pins the config surface: Groups beyond
 // the module count clamps (a group per module is the finest split), negative
-// counts and classic-engine combinations are rejected.
+// counts and malformed remote topologies are rejected.
 func TestLaneGroupsClampAndValidation(t *testing.T) {
 	tr := steadyTrace(50, 2*time.Second, 1)
 	cfg := Config{Spec: pipeline.LV(), Trace: tr, Groups: 99}
@@ -133,7 +133,6 @@ func TestLaneGroupsClampAndValidation(t *testing.T) {
 
 	bad := []Config{
 		{Spec: pipeline.LV(), Trace: tr, Groups: -1},
-		{Spec: pipeline.LV(), Trace: tr, Engine: EngineClassic, Groups: 2},
 		{Spec: pipeline.LV(), Trace: tr, Remote: &RemoteTopology{Groups: 2, Group: 0}}, // nil transport
 		{Spec: pipeline.LV(), Trace: tr, Groups: 2, Remote: &RemoteTopology{Groups: 2, Group: 0, Transport: sched.NewMemTransports(2)[0]}},
 	}

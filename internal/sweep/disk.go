@@ -26,6 +26,9 @@ import (
 // v3: metrics.Summary gained the Rejected outcome (admission control), which
 // changes the serialized gob type descriptors; pre-gate entries stop
 // matching instead of mixing layouts in shared cache volumes.
+//
+// Removing the classic engine did not bump the version: lane entries keep
+// their keys and their bytes, and |eng=classic entries never match again.
 const diskFormat = 3
 
 func init() {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"pard/internal/simgpu"
 	"pard/internal/trace"
 )
 
@@ -17,10 +16,8 @@ import (
 // literals AND bump dist.ProtoVersion / sweep's diskFormat so old peers and
 // caches are rejected instead of silently mismatched.
 //
-// The |eng= marker is mandatory since the lane engine became the default
-// (dist.ProtoVersion 2): pre-flip caches wrote classic-default entries with
-// no marker, so neither today's default nor an explicit classic run can
-// ever be served a stale pre-flip entry.
+// The |eng=lane marker dates from when there were two engines and is now a
+// frozen literal: dropping it would re-seed every run.
 func TestSpecKeyGolden(t *testing.T) {
 	const base = "|p={QueueDelay:false LoadFactor:false Budget:false Decomposition:false SampleEvery:0}" +
 		"|l=0|slo=0s|w=0s|r=0|rd=0s|fw=[]|fail=[]"
@@ -37,14 +34,6 @@ func TestSpecKeyGolden(t *testing.T) {
 			"gm|wiki|pard" + base + "|eng=lane"},
 		{"da", Spec{App: "da", Kind: trace.Wiki, Policy: "pard"},
 			"da|wiki|pard" + base + "|eng=lane"},
-		// An explicit "lane" normalizes to the same key as the default: same
-		// semantics, same cache entry.
-		{"lane-explicit", Spec{App: "tm", Kind: trace.Wiki, Policy: "pard",
-			Opts: RunOpts{Engine: simgpu.EngineLane}},
-			"tm|wiki|pard" + base + "|eng=lane"},
-		{"classic", Spec{App: "tm", Kind: trace.Wiki, Policy: "pard",
-			Opts: RunOpts{Engine: simgpu.EngineClassic}},
-			"tm|wiki|pard" + base + "|eng=classic"},
 		{"da-sharded", Spec{App: "da", Kind: trace.Tweet, Policy: "pard", Opts: RunOpts{Shards: 4}},
 			"da|tweet|pard" + base + "|eng=lane|sh=4"},
 		{"options", Spec{App: "tm", Kind: trace.Steady, Policy: "nexus", Opts: RunOpts{

@@ -1,76 +1,13 @@
 package sweep
 
-import (
-	"testing"
+import "testing"
 
-	"pard/internal/simgpu"
-)
-
-// TestEngineCacheIsolation is the engine-flip migration test: a cache dir
-// populated under one execution engine must never serve the other. The two
-// engines order equal-timestamp events differently, so a silently shared
-// entry would be a wrong result, not a fast one. Isolation comes from the
-// mandatory |eng= key marker (and, transitively, from the distinct derived
-// seeds those keys imply).
-func TestEngineCacheIsolation(t *testing.T) {
-	laneSpec := smokeSpec()    // engine default = lane
-	classicSpec := smokeSpec() // explicit deprecation-cycle knob
-	classicSpec.Opts.Engine = simgpu.EngineClassic
-	laneKey, classicKey := "run|"+laneSpec.Key(), "run|"+classicSpec.Key()
-	if laneKey == classicKey {
-		t.Fatalf("lane and classic specs share a cache key: %q", laneKey)
-	}
-
-	// Both directions: populate with one engine, probe with a fresh process
-	// (a fresh Engine over the same dir) for both keys.
-	dirs := []struct {
-		name         string
-		warm, cold   Spec
-		warmK, coldK string
-	}{
-		{"classic-then-lane", classicSpec, laneSpec, classicKey, laneKey},
-		{"lane-then-classic", laneSpec, classicSpec, laneKey, classicKey},
-	}
-	for _, d := range dirs {
-		t.Run(d.name, func(t *testing.T) {
-			dir := t.TempDir()
-			e1 := diskEngine(t, dir, 1)
-			if _, err := e1.Run(d.warm); err != nil {
-				t.Fatal(err)
-			}
-
-			e2 := diskEngine(t, dir, 1)
-			if _, ok := e2.Lookup(d.warmK); !ok {
-				t.Fatalf("%s: populated entry %q not served from disk", d.name, d.warmK)
-			}
-			if _, ok := e2.Lookup(d.coldK); ok {
-				t.Fatalf("%s: entry for %q served to the other engine (%q)", d.name, d.warmK, d.coldK)
-			}
-			// And an actual run on the other engine recomputes rather than
-			// reusing the warm entry: the results must differ (different
-			// engine, different derived seed).
-			r1, err := e1.Run(d.warm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, err := e2.Run(d.cold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r1.SimEvents == r2.SimEvents && r1.Summary.GPUTotal == r2.Summary.GPUTotal &&
-				r1.Summary.Good == r2.Summary.Good {
-				t.Fatalf("%s: cross-engine runs produced identical results — entry likely shared", d.name)
-			}
-		})
-	}
-}
-
-// TestTopoCacheIsolation extends the migration contract to the |topo= key
-// marker: a spec with a lane-group topology is a distinct grid point from
-// the flat spec (mirroring |sh=), in both directions. Note the asymmetry
-// with the engine marker: topo entries are bit-identical to flat entries AT
-// THE SAME SEED (invariant #5), but the marker changes the derived seed, so
-// a cross-served entry would still be a wrong result.
+// TestTopoCacheIsolation pins the |topo= key marker: a spec with a
+// lane-group topology is a distinct grid point from the flat spec (mirroring
+// |sh=), in both directions, so a cache dir populated under one never serves
+// the other. Topo entries are bit-identical to flat entries AT THE SAME SEED
+// (invariant #5), but the marker changes the derived seed, so a cross-served
+// entry would still be a wrong result.
 func TestTopoCacheIsolation(t *testing.T) {
 	flat := smokeSpec()
 	grouped := smokeSpec()

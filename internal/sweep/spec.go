@@ -29,14 +29,6 @@ type RunOpts struct {
 	SteadyDur time.Duration
 	// Failures injects worker crashes into the run.
 	Failures []simgpu.Failure
-	// Engine selects the simulator's execution engine (see
-	// simgpu.Config.Engine): "" or simgpu.EngineLane = the per-module lane
-	// engine (the default), simgpu.EngineClassic = the deprecated global
-	// event heap. The normalized engine name always participates in the
-	// cache key because the two engines' results are not interchangeable —
-	// and because pre-flip disk caches carry unmarked classic-default
-	// entries that must never be served to a lane-engine run.
-	Engine string
 	// Shards is the lane engine's worker count (see simgpu.Config.Shards):
 	// 0 and 1 both run the lanes sequentially, N > 1 drains them with N
 	// workers. Participates in the cache key when set, although lane
@@ -79,15 +71,11 @@ func (s Spec) Key() string {
 	fmt.Fprintf(&b, "%s|%s|%s|p=%+v|l=%v|slo=%v|w=%v|r=%v|rd=%v|fw=%v|fail=%v",
 		s.appName(), s.Kind, s.Policy, o.Probes, o.Lambda, o.SLOOverride,
 		o.WindowSize, o.SteadyRate, o.SteadyDur, o.FixedWorkers, o.Failures)
-	// The engine marker is always present (normalized, so "" and an
-	// explicit "lane" share one entry). Pre-flip caches wrote classic runs
-	// with no marker at all, so neither today's lane default nor an
-	// explicit -engine classic can ever be served a stale pre-flip entry.
-	eng := o.Engine
-	if eng == "" {
-		eng = simgpu.EngineLane
-	}
-	fmt.Fprintf(&b, "|eng=%s", eng)
+	// A frozen literal from when there were two engines. It cannot go: the
+	// key seeds its run (Engine.Do derives the seed from it), so changing
+	// the grammar would re-seed every sweep and move every golden. Entries
+	// that a removed engine wrote carry another marker and never match.
+	b.WriteString("|eng=lane")
 	if o.Shards != 0 {
 		fmt.Fprintf(&b, "|sh=%d", o.Shards)
 	}
@@ -199,7 +187,6 @@ func (e *Engine) exec(s Spec, seed int64) (*simgpu.Result, error) {
 		PriorityWindow: s.Opts.WindowSize,
 		FixedWorkers:   s.Opts.FixedWorkers,
 		Failures:       s.Opts.Failures,
-		Engine:         s.Opts.Engine,
 		Shards:         s.Opts.Shards,
 		Groups:         s.Opts.Groups,
 	})
