@@ -11,9 +11,8 @@
 // produces bit-identical results):
 //
 //	pard-sim -groups 4                      # 4 in-process lane-group replicas
-//	pard-sim -hosts hostB:7071,hostC:7071   # hub + 2 remote lane groups
-//	pard-sim -join-sim :7071                # serve one lane group: wait here
-//	                                        # for a -hosts hub to dial in
+//	pard-sim -hosts hostB:7071,hostC:7071   # hub + 2 remote lane groups, each
+//	                                        # served by a pard-worker -listen
 package main
 
 import (
@@ -51,8 +50,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	parallel := fs.Int("parallel", 0, "concurrent simulation runs (0 = all CPU cores, 1 = sequential)")
 	shards := fs.Int("shards", 0, "per-module event-lane workers within each simulation (0 or 1 = the lane engine run sequentially: the recommended mode, and the one CI and the docs measure; N = N concurrent workers, byte-identical output, a wall-clock win only with more idle cores than lanes carrying work — on 2 cores it has measured 0.75-1.0x of sequential)")
 	groups := fs.Int("groups", 0, "in-process lane-group replicas per simulation (0 or 1 = ungrouped; results are bit-identical at every count — determinism invariant #5)")
-	hosts := fs.String("hosts", "", "comma-separated addresses of waiting lane-group peers (pard-sim -join-sim or pard-worker -sim); this process becomes the hub (lane group 0) and the run spans len(hosts)+1 processes")
-	joinSim := fs.String("join-sim", "", "join one distributed simulation as a lane group: listen on this address, serve the hub that dials in, print this replica's result, exit")
+	hosts := fs.String("hosts", "", "comma-separated addresses of waiting lane-group peers (pard-worker -listen); this process becomes the hub (lane group 0) and the run spans len(hosts)+1 processes")
 	list := fs.Bool("list", false, "list policies and exit")
 	window := fs.Duration("window", 24*time.Second, "goodput window size")
 	if err := fs.Parse(args); err != nil {
@@ -67,13 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stdout, p)
 		}
 		return nil
-	}
-
-	if *joinSim != "" {
-		if *hosts != "" {
-			return errors.New("-join-sim (spoke) and -hosts (hub) are mutually exclusive")
-		}
-		return serveSimSpoke(*joinSim, *window, stdout, stderr)
 	}
 
 	spec, err := specFor(*app)
@@ -196,30 +187,6 @@ func runSimHub(addrs []string, cfg pard.SimConfig, stderr io.Writer) (*pard.SimR
 	return dist.RunSimDistributed(cfg, conns, dist.SimOptions{
 		Logf: func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) },
 	})
-}
-
-// serveSimSpoke waits at addr for a hub, serves its lane group, and prints
-// this replica's (bit-identical) result.
-func serveSimSpoke(addr string, window time.Duration, stdout, stderr io.Writer) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-	fmt.Fprintf(stderr, "pard-sim: waiting for a simulation hub on %s\n", l.Addr())
-	conn, err := l.Accept()
-	if err != nil {
-		return err
-	}
-	res, err := dist.ServeSim(conn, dist.SimOptions{
-		Logf: func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) },
-	})
-	if err != nil {
-		return err
-	}
-	printHeader(stdout)
-	printRow(stdout, "(replica)", res, window)
-	return nil
 }
 
 func specFor(app string) (*pard.Pipeline, error) {

@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"regexp"
+	"net"
 	"strings"
-	"sync"
 	"testing"
-	"time"
+
+	"pard/internal/dist"
 )
 
 func TestSpecFor(t *testing.T) {
@@ -55,47 +55,13 @@ func TestCompareParallelDeterministic(t *testing.T) {
 	}
 }
 
-// lockedBuffer lets the test read stderr while run() writes it.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-// awaitAddr polls an in-flight command's stderr for its resolved listen
-// address.
-func awaitAddr(t *testing.T, b *lockedBuffer) string {
-	t.Helper()
-	addrRE := regexp.MustCompile(`on (\S+:\d+)`)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if m := addrRE.FindStringSubmatch(b.String()); m != nil {
-			return m[1]
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("command never reported its address:\n%s", b.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestFlagExclusions pins the topology flag surface: spoke-vs-hub and
-// in-process-vs-cross-host combinations are refused with clear errors.
+// TestFlagExclusions pins the topology flag surface: in-process-vs-cross-host
+// combinations are refused with clear errors, and there is no spoke mode — a
+// lane group is served by pard-worker -listen.
 func TestFlagExclusions(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-join-sim", ":0", "-hosts", "x:1"}, &out, &errb); err == nil {
-		t.Fatal("-join-sim with -hosts accepted")
+	if err := run([]string{"-join-sim", ":0"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-join-sim: %v, want the flag package's undefined-flag error", err)
 	}
 	if err := run([]string{"-hosts", "x:1", "-groups", "2"}, &out, &errb); err == nil {
 		t.Fatal("-hosts with -groups accepted")
@@ -107,8 +73,9 @@ func TestFlagExclusions(t *testing.T) {
 
 // TestDistributedCLI is the command-level slice of determinism invariant
 // #5: the same simulation run flat, with in-process lane groups, and
-// distributed across a pard-sim hub plus a -join-sim spoke over loopback
-// TCP must print the identical report.
+// distributed across a pard-sim hub plus a lane group served the way
+// pard-worker -listen serves it (dist.Serve) over loopback TCP must print the
+// identical report.
 func TestDistributedCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
@@ -127,34 +94,21 @@ func TestDistributedCLI(t *testing.T) {
 		t.Fatalf("-groups diverged:\n--- flat\n%s--- groups\n%s", flat.String(), grouped.String())
 	}
 
-	var spokeOut bytes.Buffer
-	spokeErr := &lockedBuffer{}
-	spokeDone := make(chan error, 1)
-	go func() { spokeDone <- run([]string{"-join-sim", "127.0.0.1:0"}, &spokeOut, spokeErr) }()
-	addr := awaitAddr(t, spokeErr)
-
-	var hubOut bytes.Buffer
-	if err := run(append(base, "-hosts", addr), &hubOut, &errb); err != nil {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-spokeDone:
-		if err != nil {
-			t.Fatalf("spoke exited with %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("spoke never exited after the session completed")
+	served := make(chan error, 1)
+	go func() { served <- dist.Serve(l, dist.WorkerConfig{}) }()
+	var hubOut bytes.Buffer
+	if err := run(append(base, "-hosts", l.Addr().String()), &hubOut, &errb); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("the lane group's listener exited with %v", err)
 	}
 	if hubOut.String() != flat.String() {
 		t.Fatalf("-hosts diverged from the flat run:\n--- flat\n%s--- hosts\n%s", flat.String(), hubOut.String())
-	}
-	// The spoke's replica report carries the same numbers (only the policy
-	// label differs: it prints "(replica)").
-	wantTail := strings.SplitN(flat.String(), "\n", 3)[2]
-	flatRow := strings.Fields(strings.SplitN(wantTail, "\n", 2)[0])[1:]
-	spokeLines := strings.Split(strings.TrimSpace(spokeOut.String()), "\n")
-	spokeRow := strings.Fields(spokeLines[len(spokeLines)-1])[1:]
-	if strings.Join(flatRow, " ") != strings.Join(spokeRow, " ") {
-		t.Fatalf("spoke replica report diverged:\n flat:  %v\n spoke: %v", flatRow, spokeRow)
 	}
 }

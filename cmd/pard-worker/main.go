@@ -1,9 +1,11 @@
-// Command pard-worker runs sweep work units on behalf of a remote
-// coordinator (pard-bench -workers/-listen).
+// Command pard-worker serves cluster work for whoever opens a session on it:
+// sweep work units for a pard-bench coordinator (-workers/-listen) and
+// simulation lane groups for a pard-sim hub (-hosts). The opener's handshake
+// says which; the worker takes no mode.
 //
 // Usage:
 //
-//	pard-worker -listen :7070            # wait for a coordinator to dial in
+//	pard-worker -listen :7070            # wait for coordinators and hubs to dial in
 //	pard-worker -join coord-host:7070    # dial a listening coordinator
 //	pard-worker -listen :7070 -parallel 8 -cache-dir /shared/pard-cache
 //
@@ -18,7 +20,10 @@
 // units already present (from an earlier run, another worker, or a
 // pre-seeded volume) are served without re-execution and reported to the
 // coordinator as cache hits, and a corrupt entry is quarantined and
-// recomputed rather than failing the unit.
+// recomputed rather than failing the unit. A simulation hub ships the whole
+// run configuration in its handshake; the lane group runs to completion in
+// lockstep with the hub, which is the one that reports the (bit-identical)
+// result. -parallel and -cache-dir do not apply to it.
 package main
 
 import (
@@ -43,13 +48,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pard-worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	listen := fs.String("listen", "", "listen address for coordinator connections (e.g. :7070)")
+	listen := fs.String("listen", "", "listen address for sweep coordinators and simulation hubs (e.g. :7070)")
 	join := fs.String("join", "", "coordinator address to dial (host:port)")
 	parallel := fs.Int("parallel", 0, "concurrent unit executions (0 = all CPU cores); advertised as capacity")
 	cacheDir := fs.String("cache-dir", "", "persist finished units here (share it across the cluster for a common artifact store)")
-	once := fs.Bool("once", false, "with -listen: serve a single coordinator connection, then exit")
+	once := fs.Bool("once", false, "with -listen: serve a single connection, then exit")
 	quiet := fs.Bool("quiet", false, "suppress per-unit logging")
-	sim := fs.Bool("sim", false, "serve distributed-simulation sessions (one lane group per connection, see pard-sim -hosts) instead of sweep units; requires -listen")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -58,14 +62,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if (*listen == "") == (*join == "") {
 		return errors.New("exactly one of -listen or -join is required")
-	}
-	if *sim {
-		if *join != "" {
-			return errors.New("-sim sessions are dialed by the hub: use -listen")
-		}
-		if *cacheDir != "" {
-			return errors.New("-cache-dir does not apply to -sim (simulation replicas are never cached mid-run)")
-		}
 	}
 	if *cacheDir != "" {
 		// Preflight: a bad cache dir should fail here with a clear message,
@@ -93,9 +89,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The resolved address matters when -listen binds port 0 (tests, ad-hoc
 	// clusters): print it where orchestration can read it.
 	fmt.Fprintf(stderr, "pard-worker: listening on %s\n", l.Addr())
-	if *sim {
-		return serveSim(l, *once, cfg.Logf, stderr)
-	}
 	if *once {
 		conn, err := l.Accept()
 		if err != nil {
@@ -104,33 +97,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return dist.ServeConn(conn, cfg)
 	}
 	return dist.Serve(l, cfg)
-}
-
-// serveSim accepts simulation hubs and runs one lane group per connection.
-// The replica's result is discarded here — it is bit-identical to the
-// hub's, which is the one presented to the user.
-func serveSim(l net.Listener, once bool, logf func(string, ...any), stderr io.Writer) error {
-	opts := dist.SimOptions{Logf: logf}
-	if once {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		_, err = dist.ServeSim(conn, opts)
-		return err
-	}
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		go func() {
-			if _, err := dist.ServeSim(conn, opts); err != nil {
-				fmt.Fprintf(stderr, "pard-worker: sim session ended: %v\n", err)
-			}
-		}()
-	}
 }

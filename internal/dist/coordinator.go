@@ -193,37 +193,15 @@ func (c *Coordinator) AddConn(conn net.Conn) error {
 		conn.Close()
 		return errors.New("dist: coordinator is closed")
 	}
-	if c.cfg.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
-	}
-	f := newFramed(conn)
 	ecfg := c.cfg.Engine.Config()
-	libFP := ecfg.Library.Fingerprint()
-	if err := f.send(Hello{Proto: ProtoVersion, BaseSeed: ecfg.BaseSeed, TraceDuration: ecfg.TraceDuration, LibraryFP: libFP}); err != nil {
+	f, capacity, err := openSession(conn, c.cfg.HandshakeTimeout, Hello{
+		LibraryFP: ecfg.Library.Fingerprint(), BaseSeed: ecfg.BaseSeed, TraceDuration: ecfg.TraceDuration,
+	})
+	if err != nil {
 		conn.Close()
-		return fmt.Errorf("dist: hello: %w", err)
+		return err
 	}
-	var ack HelloAck
-	if err := f.recv(&ack, 0); err != nil {
-		conn.Close()
-		return fmt.Errorf("dist: hello ack: %w", err)
-	}
-	if ack.Proto != ProtoVersion {
-		conn.Close()
-		return fmt.Errorf("dist: protocol version mismatch: coordinator %d, worker %d", ProtoVersion, ack.Proto)
-	}
-	if ack.Err != "" {
-		conn.Close()
-		return fmt.Errorf("dist: worker refused: %s", ack.Err)
-	}
-	if ack.LibraryFP != libFP {
-		conn.Close()
-		return fmt.Errorf("dist: model-profile library mismatch (coordinator %016x, worker %016x): results would silently diverge", libFP, ack.LibraryFP)
-	}
-	if c.cfg.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Time{})
-	}
-	w := &workerConn{conn: conn, f: f, capacity: max(ack.Capacity, 1), outstanding: map[int]bool{}}
+	w := &workerConn{conn: conn, f: f, capacity: max(capacity, 1), outstanding: map[int]bool{}}
 
 	c.mu.Lock()
 	if c.closed {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -129,12 +130,71 @@ func TestKeyCrossCheckRejectsSkew(t *testing.T) {
 	}
 }
 
+// TestWorkerCapacityBoundsReadLoop: the capacity a worker advertises bounds
+// the worker, whatever the coordinator does. With one slot, unit A runs, unit B
+// is read and waits for the slot, and unit C stays in the socket — its send
+// blocks — until A's result has left; a coordinator that ignores the capacity
+// cannot park decoded units in this process.
+func TestWorkerCapacityBoundsReadLoop(t *testing.T) {
+	coordSide, workerSide := net.Pipe()
+	defer coordSide.Close()
+	done := make(chan error, 1)
+	go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1, UnitDelay: 500 * time.Millisecond}) }()
+	f, capacity, err := openSession(coordSide, 5*time.Second, Hello{
+		LibraryFP: profile.DefaultLibrary().Fingerprint(), BaseSeed: 3, TraceDuration: 10 * time.Second,
+	})
+	if err != nil || capacity != 1 {
+		t.Fatalf("handshake: capacity %d, err %v", capacity, err)
+	}
+	unit := func(id int, policy string) WorkUnit {
+		spec := sweep.Spec{App: "tm", Kind: trace.Steady, Policy: policy}
+		return WorkUnit{Epoch: 1, ID: id, Key: "run|" + spec.Key(), Spec: spec}
+	}
+	for id, policy := range []string{"pard", "naive"} {
+		coordSide.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		if err := f.send(unit(id, policy)); err != nil {
+			t.Fatalf("unit %d was not accepted: %v", id, err)
+		}
+	}
+	coordSide.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+	if err := f.send(unit(2, "nexus")); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a third unit was read while the one slot was taken and one unit waited for it (send error: %v)", err)
+	}
+	var r UnitResult
+	if err := f.recv(&r, 10*time.Second); err != nil || r.ID != 0 || r.Err != "" {
+		t.Fatalf("first result: %+v, %v", r, err)
+	}
+	coordSide.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	if err := f.send(unit(2, "nexus")); err != nil {
+		t.Fatalf("the third unit was still refused after a slot came free: %v", err)
+	}
+	for _, id := range []int{1, 2} {
+		if err := f.recv(&r, 10*time.Second); err != nil || r.ID != id || r.Err != "" {
+			t.Fatalf("result %d: %+v, %v", id, r, err)
+		}
+	}
+	coordSide.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("worker exited with %v after clean close", err)
+	}
+}
+
+// peerName names a refusal subtest after the peer's protocol version; the
+// version after this one is "future", so the name survives the next bump.
+func peerName(proto int) string {
+	if proto > ProtoVersion {
+		return "future"
+	}
+	return fmt.Sprintf("v%d", proto)
+}
+
 // TestVersionMismatchRefused: both sides refuse a peer speaking another
-// protocol version — a future one, and v3, the last before the lockstep
-// exchanges left gob — and neither side hangs doing so.
+// protocol version — a future one, v4, whose hellos this version's Hello
+// decodes field for field, and v3, the last before the lockstep exchanges left
+// gob — and neither side hangs doing so.
 func TestVersionMismatchRefused(t *testing.T) {
-	for _, peer := range []int{ProtoVersion + 1, 3} {
-		t.Run(fmt.Sprintf("worker-side/v%d", peer), func(t *testing.T) {
+	for _, peer := range []int{ProtoVersion + 1, 4, 3} {
+		t.Run("worker-side/"+peerName(peer), func(t *testing.T) {
 			coordSide, workerSide := net.Pipe()
 			done := make(chan error, 1)
 			go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1}) }()
@@ -156,7 +216,7 @@ func TestVersionMismatchRefused(t *testing.T) {
 			}
 			coordSide.Close()
 		})
-		t.Run(fmt.Sprintf("coordinator-side/v%d", peer), func(t *testing.T) {
+		t.Run("coordinator-side/"+peerName(peer), func(t *testing.T) {
 			c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
 			defer c.Close()
 			coordSide, fakeWorker := net.Pipe()

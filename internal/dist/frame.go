@@ -13,26 +13,28 @@ import (
 
 // Framing layer: every message on a dist connection travels as one
 // length-prefixed frame — a 4-byte big-endian payload length followed by the
-// payload. The prefix buys two things a bare stream cannot offer:
+// payload — written by writeFrame and read by readFrame, the only two
+// functions that touch the connection. The prefix buys two things a bare
+// stream cannot offer:
 //
 //   - a max-frame guard: a corrupt or hostile header announcing a huge
-//     payload is rejected from four bytes, before any allocation, instead
-//     of letting a decoder's internal length run the process out of memory;
+//     payload is rejected from four bytes, and a plausible one allocates
+//     nothing ahead of the bytes the peer has actually sent (see fill);
 //   - deadline hygiene: a frame is read in bounded steps, so per-read
 //     deadlines compose cleanly with lockstep exchanges that must detect a
 //     dead peer.
 //
-// Two payload encodings share the framing. Messages that cross once per
-// session or per work unit, and carry arbitrary configuration structs — both
-// handshakes and the whole sweep protocol — are gob, encoded with a fresh
-// encoder so each frame carries its own type wiring and decodes in isolation
-// (send/recv). That re-sends the type descriptors on every frame, which is
-// noise next to a simulation result and ruinous next to a five-integer
-// lockstep message: measured on the 6 754 exchanges of a 4 s two-group run,
-// it was 1 500 allocations and 3 KB per exchange, twenty times the engine
-// run being synchronized. The lockstep exchanges of a simulation session
-// therefore use the binary codec of wire.go through writeFrame/readFrame,
-// which reuse one buffer per direction.
+// One framing, two payload encodings, mixed freely on one connection. Messages
+// that cross once per session or per work unit and carry arbitrary
+// configuration structs — the handshake and the sweep protocol — are gob,
+// through the send/recv shims below: a fresh encoder per frame, so each frame
+// carries its own type wiring and decodes in isolation. That re-sends the type
+// descriptors on every frame, which is noise next to a simulation result and
+// ruinous next to a five-integer lockstep message: measured on the 6 754
+// exchanges of a 4 s two-group run, it was 1 500 allocations and 3 KB per
+// exchange, twenty times the engine run being synchronized. The lockstep
+// exchanges of a simulation session therefore hand writeFrame/readFrame the
+// binary codec of wire.go, on one reused buffer per direction.
 
 // MaxFrameLen bounds one frame's payload. Sweep results and barrier batches
 // are megabytes at the extreme; 64 MiB is an order of magnitude of headroom,
@@ -45,13 +47,12 @@ const frameHeaderLen = 4
 
 // framed wraps a net.Conn with the frame discipline. Sends are serialized
 // by an internal lock (multiple goroutines may report results on one
-// connection); receives must come from a single reader goroutine, as on a
-// bare gob stream.
+// connection); receives must come from a single reader goroutine.
 type framed struct {
 	conn net.Conn
 	wmu  sync.Mutex
 
-	// readFrame's buffer: rx[rpos:rend] holds bytes read from the connection
+	// The receive buffer: rx[rpos:rend] holds bytes read from the connection
 	// and not yet consumed.
 	rx         []byte
 	rpos, rend int
@@ -59,81 +60,42 @@ type framed struct {
 
 func newFramed(conn net.Conn) *framed { return &framed{conn: conn} }
 
-// send encodes v as one frame and writes it atomically with respect to
-// other senders on this connection.
+// send gob-encodes v as one frame.
 func (f *framed) send(v any) error {
 	var buf bytes.Buffer
-	buf.Write(make([]byte, frameHeaderLen))
+	var room [frameHeaderLen]byte
+	buf.Write(room[:])
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("dist: encoding frame: %w", err)
+		return fmt.Errorf("encoding frame: %w", err)
 	}
-	b := buf.Bytes()
-	n := len(b) - frameHeaderLen
-	if n > MaxFrameLen {
-		return fmt.Errorf("dist: frame of %d bytes exceeds the %d-byte limit", n, MaxFrameLen)
-	}
-	binary.BigEndian.PutUint32(b[:frameHeaderLen], uint32(n))
-	f.wmu.Lock()
-	defer f.wmu.Unlock()
-	if _, err := f.conn.Write(b); err != nil {
-		return fmt.Errorf("dist: writing frame: %w", err)
-	}
-	return nil
+	return f.writeFrame(buf.Bytes())
 }
 
-// recv reads one frame into v. A positive timeout arms a read deadline
-// covering the whole frame (header and payload) and clears it afterwards;
-// zero blocks indefinitely (the idle sweep-worker posture, where "no work
-// for hours" is normal and the connection closing is the wakeup).
+// recv reads one frame and gob-decodes it into v; timeout is readFrame's.
 func (f *framed) recv(v any, timeout time.Duration) error {
-	if timeout > 0 {
-		if err := f.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return fmt.Errorf("dist: arming read deadline: %w", err)
-		}
-		defer f.conn.SetReadDeadline(time.Time{})
-	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(f.conn, hdr[:]); err != nil {
-		return err
-	}
-	n, err := frameLen(hdr[:])
+	payload, err := f.readFrame(timeout)
 	if err != nil {
 		return err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(f.conn, payload); err != nil {
-		return fmt.Errorf("dist: reading %d-byte frame payload: %w", n, err)
-	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("dist: decoding frame: %w", err)
+		return fmt.Errorf("decoding frame: %w", err)
 	}
 	return nil
 }
 
-// frameLen reads a frame header and applies the max-frame guard.
-func frameLen(hdr []byte) (int, error) {
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrameLen {
-		// Reject from the header alone: allocating first would let a
-		// four-byte lie commit gigabytes before the payload read fails.
-		return 0, fmt.Errorf("dist: peer announced a %d-byte frame (limit %d): corrupt stream or hostile peer", n, MaxFrameLen)
-	}
-	return int(n), nil
-}
-
 // writeFrame sends b — frameHeaderLen bytes of room for the prefix, then an
-// already encoded payload — as one frame in one write. The caller owns and
-// reuses b.
+// already encoded payload — as one frame in one write, atomically with respect
+// to other senders on this connection. The caller owns b and may reuse it.
 func (f *framed) writeFrame(b []byte) error {
 	n := len(b) - frameHeaderLen
 	if n > MaxFrameLen {
-		return fmt.Errorf("dist: frame of %d bytes exceeds the %d-byte limit", n, MaxFrameLen)
+		return fmt.Errorf("frame of %d bytes exceeds the %d-byte limit", n, MaxFrameLen)
 	}
 	binary.BigEndian.PutUint32(b[:frameHeaderLen], uint32(n))
 	f.wmu.Lock()
 	defer f.wmu.Unlock()
 	if _, err := f.conn.Write(b); err != nil {
-		return fmt.Errorf("dist: writing frame: %w", err)
+		return fmt.Errorf("writing frame: %w", err)
 	}
 	return nil
 }
@@ -141,25 +103,27 @@ func (f *framed) writeFrame(b []byte) error {
 // readFrame returns the next frame's payload, valid until the next call. It
 // reads through the connection's one receive buffer, which grows towards
 // the largest frame seen: a frame that arrives whole costs one read and no
-// allocation. The deadline covers the whole frame, as in recv. A connection
-// is read either through recv or through readFrame from some point on, never
-// recv again after readFrame: the buffer may hold bytes of the next frame.
+// allocation. A positive timeout arms a read deadline covering the whole frame
+// (header and payload) and clears it afterwards; zero blocks indefinitely (the
+// idle sweep-worker posture, where "no work for hours" is normal and the
+// connection closing is the wakeup).
 func (f *framed) readFrame(timeout time.Duration) ([]byte, error) {
 	if timeout > 0 {
 		if err := f.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, fmt.Errorf("dist: arming read deadline: %w", err)
+			return nil, fmt.Errorf("arming read deadline: %w", err)
 		}
 		defer f.conn.SetReadDeadline(time.Time{})
 	}
 	if err := f.fill(frameHeaderLen); err != nil {
 		return nil, err
 	}
-	n, err := frameLen(f.rx[f.rpos:])
-	if err != nil {
-		return nil, err
+	announced := binary.BigEndian.Uint32(f.rx[f.rpos:])
+	if announced > MaxFrameLen {
+		return nil, fmt.Errorf("peer announced a %d-byte frame (limit %d): corrupt stream or hostile peer", announced, MaxFrameLen)
 	}
+	n := int(announced)
 	if err := f.fill(frameHeaderLen + n); err != nil {
-		return nil, fmt.Errorf("dist: reading %d-byte frame payload: %w", n, err)
+		return nil, fmt.Errorf("reading %d-byte frame payload: %w", n, err)
 	}
 	payload := f.rx[f.rpos+frameHeaderLen : f.rpos+frameHeaderLen+n]
 	f.rpos += frameHeaderLen + n
@@ -199,5 +163,5 @@ func (f *framed) fill(need int) error {
 	return nil
 }
 
-// Close closes the underlying connection (unblocking any pending recv).
+// Close closes the underlying connection (unblocking any pending read).
 func (f *framed) Close() error { return f.conn.Close() }

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -41,6 +43,30 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMixedFramesOneBuffer: gob and binary frames share one receive buffer,
+// so a connection may mix them in any order — here all three arrive in one
+// write, and each read finds its frame where the previous one stopped.
+func TestMixedFramesOneBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	w := newFramed(streamConn{w: &stream})
+	raw := append(make([]byte, frameHeaderLen), 1, 2, 3)
+	if err := errors.Join(w.send(Hello{Proto: ProtoVersion, Group: 1}), w.writeFrame(raw), w.send(HelloAck{Capacity: 3})); err != nil {
+		t.Fatal(err)
+	}
+	r := newFramed(streamConn{r: bytes.NewReader(stream.Bytes())})
+	var h Hello
+	if err := r.recv(&h, time.Second); err != nil || h.Group != 1 {
+		t.Fatalf("gob frame: %+v, %v", h, err)
+	}
+	if payload, err := r.readFrame(time.Second); err != nil || !bytes.Equal(payload, raw[frameHeaderLen:]) {
+		t.Fatalf("binary frame: %v, %v", payload, err)
+	}
+	var ack HelloAck
+	if err := r.recv(&ack, time.Second); err != nil || ack.Capacity != 3 {
+		t.Fatalf("gob frame after a binary one: %+v, %v", ack, err)
 	}
 }
 

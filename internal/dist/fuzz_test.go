@@ -227,21 +227,24 @@ func FuzzSimExchange(f *testing.F) {
 	})
 }
 
-// streamConn is a net.Conn whose peer already sent everything it will.
+// streamConn is a net.Conn whose peer already sent everything it will (r) and
+// which keeps what is written to it (w).
 type streamConn struct {
 	net.Conn // nil: only the methods below are reachable
 	r        *bytes.Reader
+	w        *bytes.Buffer
 }
 
 func (c streamConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
+func (c streamConn) Write(p []byte) (int, error)     { return c.w.Write(p) }
 func (c streamConn) SetReadDeadline(time.Time) error { return nil }
 func (c streamConn) Close() error                    { return nil }
 
-// FuzzFrame fuzzes the framing layer under both payload readers: a stream of
-// arbitrary bytes must never panic recv (the gob reader of the handshakes
-// and the sweep protocol) or readFrame (the lockstep reader); readFrame's
-// buffer must stay within a small multiple of the bytes that actually
-// arrived, whatever the headers announce; and every frame it returns must
+// FuzzFrame fuzzes the framing layer under both payload encodings: a stream of
+// arbitrary bytes must never panic readFrame or the gob shim over it (recv,
+// the reader of the handshake and the sweep protocol); the receive buffer must
+// stay within a small multiple of the bytes that actually arrived, whatever
+// the headers announce, on both; and every frame readFrame returns must
 // re-frame to the bytes it was read from.
 func FuzzFrame(f *testing.F) {
 	for _, seed := range exchangeSeeds() {
@@ -249,13 +252,11 @@ func FuzzFrame(f *testing.F) {
 		binary.BigEndian.PutUint32(framedSeed, uint32(len(seed)))
 		f.Add(framedSeed)
 	}
-	var hello bytes.Buffer
-	hello.Write(make([]byte, frameHeaderLen))
-	if err := gob.NewEncoder(&hello).Encode(SimAck{Proto: ProtoVersion, LibraryFP: 0xfeed}); err != nil {
+	var ack bytes.Buffer
+	if err := newFramed(streamConn{w: &ack}).send(HelloAck{Proto: ProtoVersion, LibraryFP: 0xfeed}); err != nil {
 		f.Fatal(err)
 	}
-	binary.BigEndian.PutUint32(hello.Bytes(), uint32(hello.Len()-frameHeaderLen))
-	f.Add(hello.Bytes())
+	f.Add(ack.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})       // a 4 GiB lie
 	f.Add([]byte{0x03, 0xff, 0xff, 0xff, 1, 2}) // within the limit, never arrives
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 7})    // an empty frame, then a 1-byte one
@@ -277,17 +278,17 @@ func FuzzFrame(f *testing.F) {
 		if !bytes.HasPrefix(data, reframed) {
 			t.Fatalf("frames read do not re-frame to the stream's prefix")
 		}
-		if limit := 2*len(data) + rxInitial; len(fr.rx) > limit {
+		limit := 2*len(data) + rxInitial
+		if len(fr.rx) > limit {
 			t.Fatalf("receive buffer grew to %d bytes on a %d-byte stream", len(fr.rx), len(data))
 		}
-		// recv allocates the announced length up front — bounded by
-		// MaxFrameLen, its documented guard — so streams announcing more
-		// than they hold by over 1 MiB are left to readFrame above.
-		if len(data) >= frameHeaderLen {
-			if n := binary.BigEndian.Uint32(data); n > MaxFrameLen || int(n) <= len(data)+1<<20 {
-				var ack SimAck
-				_ = newFramed(streamConn{r: bytes.NewReader(data)}).recv(&ack, time.Second)
-			}
+		// The gob reader goes through the same buffer, so a header announcing
+		// 64 MiB over ten bytes of stream costs it kilobytes too.
+		gr := newFramed(streamConn{r: bytes.NewReader(data)})
+		var ack HelloAck
+		_ = gr.recv(&ack, time.Second)
+		if len(gr.rx) > limit {
+			t.Fatalf("recv grew the receive buffer to %d bytes on a %d-byte stream", len(gr.rx), len(data))
 		}
 	})
 }

@@ -1,22 +1,35 @@
-// Package dist distributes sweep grids across processes: a coordinator
-// partitions a []sweep.Spec grid into work units keyed by Spec.Key(), hands
-// them to workers over a small gob protocol on any net.Conn (TCP in
-// production, net.Pipe in the loopback test harness), reassigns units when a
-// worker disconnects, and merges results back through the owning
+// Package dist is the cluster fabric: it spreads work across processes over
+// any net.Conn (TCP in production, net.Pipe in the loopback test harness), in
+// two kinds of session that share one framing (frame.go) and one handshake
+// (session.go).
+//
+// A sweep session distributes a grid: a coordinator partitions a []sweep.Spec
+// grid into work units keyed by Spec.Key(), hands them to workers, reassigns
+// units when a worker disconnects, and merges results back through the owning
 // sweep.Engine's cache so warm entries are never recomputed anywhere in the
-// cluster.
+// cluster. A simulation session distributes one run: a hub and its spokes each
+// execute one lane group of the same simulation in lockstep (sim.go).
 //
-// Determinism is the package's fourth repo invariant: every run's seed
-// derives from (base seed, spec key) alone, and base seed plus trace
-// duration travel in the handshake, so a sweep distributed across N workers
-// is byte-identical to Engine.Sweep on one machine — enforced by the
-// loopback differential harness in this package's tests, including under
-// injected worker crashes.
+// Determinism is the package's contract, repo invariants four and five: every
+// run's seed derives from (base seed, spec key) alone, and base seed plus
+// trace duration travel in the handshake, so a sweep distributed across N
+// workers is byte-identical to Engine.Sweep on one machine; and one
+// simulation split over N hosts is byte-identical to the same run in one
+// process — both enforced by the loopback differential harnesses in this
+// package's tests, including under injected crashes and transport faults.
 //
-// Wire protocol (gob frames, one stream per direction, version-guarded):
+// Wire protocol (length-prefixed frames, version-guarded):
 //
-//	coordinator → worker:  Hello, then WorkUnit*
-//	worker → coordinator:  HelloAck, then UnitResult* (any order)
+//	opener → server:  Hello                                  (gob)
+//	server → opener:  HelloAck                               (gob)
+//
+//	sweep session (Hello.Job == nil):
+//	coordinator → worker:  WorkUnit*                         (gob)
+//	worker → coordinator:  UnitResult*, in any order         (gob)
+//
+//	simulation session (Hello.Job != nil), per lockstep exchange:
+//	spoke g → hub:  seq, kind, its own contribution          (binary, wire.go)
+//	hub → spoke g:  seq, kind, every group's contribution    (binary, wire.go)
 //
 // Closing the connection is the shutdown signal; there is no goodbye frame.
 // Every dispatch carries the coordinator's sweep epoch (the term/epoch guard
@@ -31,65 +44,18 @@ import (
 	"pard/internal/sweep"
 )
 
-// ProtoVersion guards the wire format. Bump it whenever message layouts,
-// the spec key grammar, or simulation semantics change incompatibly; peers
-// with a different version refuse the handshake instead of silently
-// producing mismatched results.
+// ProtoVersion guards the wire format: message layouts, the spec key grammar
+// and simulation semantics. Bump it whenever one of them changes
+// incompatibly; peers with a different version refuse each other at the
+// handshake instead of silently producing mismatched results. It is one number
+// for the whole package.
 //
-// Version 2: the default execution engine flipped from the classic global
-// event heap to the per-module lane engine, and the spec key grammar
-// gained a mandatory |eng= marker (plus RunOpts.Engine on the wire). A v1
-// peer would silently simulate the same keys on the old engine — the
-// exact divergence the version gate exists to refuse.
-//
-// Version 3: every message now travels as a length-prefixed gob frame (see
-// frame.go) instead of a bare gob stream, the spec key grammar gained a
-// conditional |topo= marker for lane-group placement, and the protocol
-// gained the distributed-simulation session (SimHello/SimAck plus the
-// lockstep exchange envelopes). A v2 peer would misparse the length prefix
-// as gob type wiring.
-//
-// Version 4: the lockstep exchanges of a simulation session left gob for
-// the binary codec of wire.go, the barrier message gained the sender's lane
-// heads, and the per-iteration step exchange is gone. A v3 peer would send
-// gob envelopes after the handshake and wait for a step exchange that never
-// comes. The sweep protocol's frames did not change, but the version is one
-// number for the whole package.
-//
-// Removing the classic engine (and RunOpts.Engine / simgpu.Config.Engine with
-// it) did not bump the version, because no v4 peer can be served a different
-// result: gob drops the vanished field in both directions, an absent field
-// always meant the lane engine, a v4 coordinator's classic unit carries a
-// |eng=classic key that this worker's own derivation (|eng=lane) refuses per
-// unit (runUnit's key check), and no hub ever shipped a classic config —
-// RunSimDistributed refused it before the handshake.
-const ProtoVersion = 4
-
-// Hello opens a coordinator→worker stream. It carries everything a worker
-// needs to reproduce the coordinator's derivation of per-run seeds and
-// traces — the sweep base seed and the trace duration — plus the
-// fingerprint of the coordinator's model-profile library: profiles do not
-// travel in unit keys, so a peer simulating different latency curves must
-// be refused, not silently merged.
-type Hello struct {
-	Proto         int
-	BaseSeed      int64
-	TraceDuration time.Duration
-	LibraryFP     uint64
-}
-
-// HelloAck completes the handshake. Capacity advertises how many units the
-// worker runs concurrently; the coordinator keeps at most that many
-// outstanding on the connection. LibraryFP echoes the worker's own library
-// fingerprint so both sides can reject the mismatch with a clear error. A
-// non-empty Err means the worker refuses to serve (e.g. its cache dir broke)
-// and tells the coordinator why instead of just dropping the stream.
-type HelloAck struct {
-	Proto     int
-	Capacity  int
-	LibraryFP uint64
-	Err       string
-}
+// Version 5: one Hello opens both kinds of session. The bump is needed
+// because the new hello is field-compatible with both hellos of version 4 (gob
+// matches fields by name and skips what it does not know): a v4 sweep worker
+// would read a simulation hello as a sweep hello with seed 0, ack it, and fail
+// only at the first binary frame.
+const ProtoVersion = 5
 
 // WorkUnit assigns one grid point. Key is the coordinator's full cache key
 // ("run|" + Spec.Key()); the worker re-derives it from Spec and refuses the

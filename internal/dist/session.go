@@ -1,0 +1,130 @@
+package dist
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"time"
+
+	"pard/internal/profile"
+)
+
+// Opening a session. Every dist connection starts with one gob round trip:
+// the side that brings the work — a sweep coordinator, a simulation hub —
+// sends a Hello, the side that serves answers with a HelloAck. The hello says
+// which kind of session it opens (Job set: one lane group of a simulation;
+// otherwise sweep units), so one listener serves both. openSession and
+// acceptSession are the only places a protocol version or a library
+// fingerprint is compared; what follows the handshake — and what a failure
+// means there — belongs to the session kind (coordinator.go/worker.go, sim.go).
+
+// Hello opens a session. Proto and LibraryFP guard it: profiles travel in
+// neither unit keys nor simulation jobs, so a peer simulating different
+// latency curves must be refused, not silently merged. A sweep hello carries
+// what a worker needs to reproduce the coordinator's derivation of per-run
+// seeds and traces (BaseSeed, TraceDuration); a simulation hello carries the
+// lane group this peer is assigned (Group of Groups) and the job itself.
+//
+// The struct is flat on purpose: gob describes every field's type on the wire
+// whether or not it is set and the decoder compiles an engine per described
+// type, so each nested message type here costs every handshake allocations.
+type Hello struct {
+	Proto         int
+	LibraryFP     uint64
+	BaseSeed      int64
+	TraceDuration time.Duration
+	Groups        int
+	Group         int
+	Job           *SimJob
+}
+
+// HelloAck completes the handshake. Proto and LibraryFP are the serving
+// side's own, so both ends can name a mismatch. Capacity advertises how many
+// sweep units the worker runs concurrently; the coordinator keeps at most that
+// many outstanding on the connection. A non-empty Err means the peer refuses
+// to serve (version or library skew, a broken cache dir, a lane group out of
+// range, the wrong kind of session) and says why instead of just dropping the
+// stream.
+type HelloAck struct {
+	Proto     int
+	LibraryFP uint64
+	Capacity  int
+	Err       string
+}
+
+// openSession opens a session on conn from the side that brings the work:
+// send hello (Proto is filled in here), read the ack, refuse a peer of another
+// version, one that refuses us, or one with other profiles. A positive timeout
+// bounds the round trip. It returns the framed connection and the capacity
+// the peer advertised; the connection stays the caller's to close.
+func openSession(conn net.Conn, timeout time.Duration, hello Hello) (*framed, int, error) {
+	if timeout > 0 {
+		conn.SetDeadline(time.Now().Add(timeout))
+	}
+	f := newFramed(conn)
+	hello.Proto = ProtoVersion
+	var ack HelloAck
+	if err := f.send(hello); err != nil {
+		return nil, 0, fmt.Errorf("dist: handshake: %w", err)
+	}
+	if err := f.recv(&ack, 0); err != nil {
+		return nil, 0, fmt.Errorf("dist: handshake: %w", err)
+	}
+	switch {
+	case ack.Proto != ProtoVersion:
+		return nil, 0, fmt.Errorf("dist: handshake: protocol version mismatch: this side speaks %d, the peer %d", ProtoVersion, ack.Proto)
+	case ack.Err != "":
+		return nil, 0, fmt.Errorf("dist: handshake: peer refused the session: %s", ack.Err)
+	case ack.LibraryFP != hello.LibraryFP:
+		return nil, 0, fmt.Errorf("dist: handshake: model-profile library mismatch (this side %016x, peer %016x): results would silently diverge", hello.LibraryFP, ack.LibraryFP)
+	}
+	conn.SetDeadline(time.Time{})
+	return f, ack.Capacity, nil
+}
+
+// pendingSession is a session whose hello passed the version and library
+// gates and awaits the serving side's verdict: accept or refuse.
+type pendingSession struct {
+	f     *framed
+	hello Hello
+	fp    uint64
+}
+
+// acceptSession reads the hello of whoever opened conn and refuses another
+// protocol version or another profile library. A positive timeout bounds the
+// whole handshake, up to accept: without it a port scanner — or any peer that
+// connects and sends nothing — would pin the server forever.
+func acceptSession(conn net.Conn, timeout time.Duration, lib *profile.Library) (*pendingSession, error) {
+	if timeout > 0 {
+		conn.SetDeadline(time.Now().Add(timeout))
+	}
+	p := &pendingSession{f: newFramed(conn), fp: lib.Fingerprint()}
+	if err := p.f.recv(&p.hello, 0); err != nil {
+		return nil, fmt.Errorf("dist: handshake: %w", err)
+	}
+	if p.hello.Proto != ProtoVersion {
+		return nil, p.refuse(fmt.Sprintf("protocol version mismatch: this side speaks %d, the peer %d", ProtoVersion, p.hello.Proto))
+	}
+	if p.hello.LibraryFP != p.fp {
+		return nil, p.refuse(fmt.Sprintf("model-profile library mismatch (this side %016x, peer %016x)", p.fp, p.hello.LibraryFP))
+	}
+	return p, nil
+}
+
+// refuse tells the peer why it is not served — best effort, so that it
+// reports the reason too instead of a dropped stream — and returns the
+// refusal as this side's error.
+func (p *pendingSession) refuse(reason string) error {
+	_ = p.f.send(HelloAck{Proto: ProtoVersion, LibraryFP: p.fp, Err: reason})
+	return errors.New("dist: handshake refused: " + reason)
+}
+
+// accept completes the handshake and lifts its deadline; the session's own
+// traffic follows on p.f.
+func (p *pendingSession) accept(capacity int) error {
+	if err := p.f.send(HelloAck{Proto: ProtoVersion, LibraryFP: p.fp, Capacity: capacity}); err != nil {
+		return fmt.Errorf("dist: handshake: %w", err)
+	}
+	p.f.conn.SetDeadline(time.Time{})
+	return nil
+}

@@ -15,7 +15,7 @@ import (
 
 // Distributed-simulation session: the cross-host implementation of
 // sched.Transport, carrying the lane-group lockstep exchanges over the same
-// framed, version-guarded protocol the sweep coordinator uses.
+// frames, opened by the same handshake, as the sweep coordinator's sessions.
 //
 // Topology is hub and spokes. The hub process runs lane group 0 locally and
 // holds one framed connection per remote group; each spoke runs exactly one
@@ -106,25 +106,6 @@ func (j SimJob) config() simgpu.Config {
 		PriorityWindow:   j.PriorityWindow,
 		Shards:           j.Shards,
 	}
-}
-
-// SimHello opens a hub→spoke simulation session: protocol version and
-// profile-library fingerprint (both refused on mismatch, exactly like the
-// sweep handshake), this spoke's assigned lane group, and the job itself.
-type SimHello struct {
-	Proto     int
-	LibraryFP uint64
-	Groups    int
-	Group     int
-	Job       SimJob
-}
-
-// SimAck completes the simulation handshake. A non-empty Err means the
-// spoke refuses the session and says why.
-type SimAck struct {
-	Proto     int
-	LibraryFP uint64
-	Err       string
 }
 
 // SimOptions parameterizes both ends of a distributed simulation session.
@@ -376,15 +357,23 @@ func (s *simSpoke) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {
 
 // RunSimDistributed runs cfg as a cross-host lockstep simulation: this
 // process executes lane group 0 (the hub) and each conns[i] — a connection
-// to a peer running ServeSim — executes lane group i+1. The result is
-// bit-identical to the same config run in one process (determinism
+// to a peer running ServeSim or ServeConn — executes lane group i+1. The
+// result is bit-identical to the same config run in one process (determinism
 // invariant #5); every replica independently assembles it, and the hub's
 // copy is returned. Any failure — a dead peer, a refused handshake, a
-// lockstep divergence — aborts the whole session loudly on every group.
+// lockstep divergence — aborts the whole session loudly on every group: the
+// function owns conns from the call on and closes every one of them on every
+// return, so no spoke is left waiting for a hub that gave up.
 //
 // cfg is consumed RAW (each replica normalizes it exactly once); it must
 // not set Groups (the in-process form) or Remote.
 func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*simgpu.Result, error) {
+	defer func() {
+		// On success the close is the goodbye, as in the sweep protocol.
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
 	opts = opts.withDefaults()
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("dist: distributed simulation needs at least one remote lane group")
@@ -399,101 +388,66 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 	if cfg.Lib == nil {
 		cfg.Lib = opts.Library
 	}
-	fp := cfg.Lib.Fingerprint()
 	job := jobFromConfig(cfg)
-
+	hello := Hello{LibraryFP: cfg.Lib.Fingerprint(), Groups: groups, Job: &job}
 	peers := make([]*framed, len(conns))
-	closeAll := func() {
-		for _, p := range peers {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}
 	for i, conn := range conns {
-		g := i + 1
-		f := newFramed(conn)
-		conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
-		if err := f.send(SimHello{Proto: ProtoVersion, LibraryFP: fp, Groups: groups, Group: g, Job: job}); err != nil {
-			peers[i] = f
-			closeAll()
-			return nil, fmt.Errorf("dist: sim handshake: lane group %d: %w", g, err)
-		}
-		var ack SimAck
-		if err := f.recv(&ack, 0); err != nil {
-			peers[i] = f
-			closeAll()
-			return nil, fmt.Errorf("dist: sim handshake: lane group %d: %w", g, err)
+		hello.Group = i + 1
+		f, _, err := openSession(conn, opts.HandshakeTimeout, hello)
+		if err != nil {
+			return nil, fmt.Errorf("%w (lane group %d)", err, hello.Group)
 		}
 		peers[i] = f
-		if ack.Err != "" {
-			closeAll()
-			return nil, fmt.Errorf("dist: lane group %d refused the session: %s", g, ack.Err)
-		}
-		if ack.Proto != ProtoVersion {
-			closeAll()
-			return nil, fmt.Errorf("dist: protocol version mismatch: hub %d, lane group %d runs %d", ProtoVersion, g, ack.Proto)
-		}
-		if ack.LibraryFP != fp {
-			closeAll()
-			return nil, fmt.Errorf("dist: model-profile library mismatch (hub %016x, lane group %d %016x)", fp, g, ack.LibraryFP)
-		}
-		conn.SetDeadline(time.Time{})
 	}
 	if opts.Logf != nil {
 		opts.Logf("dist: sim session open: %d lane groups (hub + %d remote)", groups, len(conns))
 	}
 
 	hub := &simHub{newSimSession(peers, groups, opts.ExchangeTimeout)}
-	run := cfg
-	run.Remote = &simgpu.RemoteTopology{Groups: groups, Group: 0, Transport: hub}
-	res, err := simgpu.Run(run)
+	cfg.Remote = &simgpu.RemoteTopology{Groups: groups, Group: 0, Transport: hub}
+	res, err := simgpu.Run(cfg)
 	if opts.Logf != nil {
 		opts.Logf("dist: sim session closed: lane group 0/%d: %s", groups, hub.summary())
 	}
 	if err != nil {
-		hub.Abort(err)
 		return nil, fmt.Errorf("dist: distributed simulation: %w", err)
 	}
-	closeAll() // session complete; the close is the goodbye, as in the sweep protocol
 	return res, nil
 }
 
 // ServeSim serves one distributed simulation as the lane group assigned in
-// the hub's SimHello, returning this replica's (bit-identical) result. The
-// connection is closed when the function returns.
+// the hub's Hello, returning this replica's (bit-identical) result; a peer
+// opening a sweep session is refused. The connection is closed when the
+// function returns.
 func ServeSim(conn net.Conn, opts SimOptions) (*simgpu.Result, error) {
-	opts = opts.withDefaults()
 	defer conn.Close()
-	f := newFramed(conn)
-	conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
-	var h SimHello
-	if err := f.recv(&h, 0); err != nil {
-		return nil, fmt.Errorf("dist: sim handshake: %w", err)
+	opts = opts.withDefaults()
+	p, err := acceptSession(conn, opts.HandshakeTimeout, opts.Library)
+	if err != nil {
+		return nil, err
 	}
-	fp := opts.Library.Fingerprint()
-	if h.Proto != ProtoVersion {
-		_ = f.send(SimAck{Proto: ProtoVersion, LibraryFP: fp})
-		return nil, fmt.Errorf("dist: protocol version mismatch: this host %d, hub %d", ProtoVersion, h.Proto)
+	if p.hello.Job == nil {
+		return nil, p.refuse("this peer serves simulation lane groups, not sweep units")
 	}
-	if h.LibraryFP != fp {
-		_ = f.send(SimAck{Proto: ProtoVersion, LibraryFP: fp})
-		return nil, fmt.Errorf("dist: model-profile library mismatch (this host %016x, hub %016x)", fp, h.LibraryFP)
-	}
+	return serveLaneGroup(p, opts)
+}
+
+// serveLaneGroup accepts the simulation session p opened and runs its lane
+// group to completion. The caller closes the connection, which is also what
+// releases the peers should the run fail.
+func serveLaneGroup(p *pendingSession, opts SimOptions) (*simgpu.Result, error) {
+	h := p.hello
 	if h.Groups < 2 || h.Group < 1 || h.Group >= h.Groups {
-		reason := fmt.Sprintf("lane group %d/%d out of range", h.Group, h.Groups)
-		_ = f.send(SimAck{Proto: ProtoVersion, LibraryFP: fp, Err: reason})
-		return nil, fmt.Errorf("dist: sim handshake: %s", reason)
+		return nil, p.refuse(fmt.Sprintf("lane group %d/%d out of range", h.Group, h.Groups))
 	}
-	if err := f.send(SimAck{Proto: ProtoVersion, LibraryFP: fp}); err != nil {
-		return nil, fmt.Errorf("dist: sim handshake: %w", err)
+	if err := p.accept(0); err != nil {
+		return nil, err
 	}
-	conn.SetDeadline(time.Time{})
 	if opts.Logf != nil {
 		opts.Logf("dist: serving sim lane group %d/%d", h.Group, h.Groups)
 	}
 
-	spoke := &simSpoke{newSimSession([]*framed{f}, h.Groups, opts.ExchangeTimeout)}
+	spoke := &simSpoke{newSimSession([]*framed{p.f}, h.Groups, opts.ExchangeTimeout)}
 	cfg := h.Job.config()
 	cfg.Lib = opts.Library
 	cfg.Remote = &simgpu.RemoteTopology{Groups: h.Groups, Group: h.Group, Transport: spoke}
@@ -502,7 +456,6 @@ func ServeSim(conn net.Conn, opts SimOptions) (*simgpu.Result, error) {
 		opts.Logf("dist: sim session closed: lane group %d/%d: %s", h.Group, h.Groups, spoke.summary())
 	}
 	if err != nil {
-		spoke.Abort(err)
 		return nil, fmt.Errorf("dist: sim lane group %d: %w", h.Group, err)
 	}
 	return res, nil

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pard/internal/pipeline"
+	"pard/internal/profile"
 	"pard/internal/sched"
 	"pard/internal/simgpu"
 	"pard/internal/trace"
@@ -271,21 +272,25 @@ func TestSimDistributedDisconnectAborts(t *testing.T) {
 }
 
 // TestServeSimRefusals pins the spoke-side handshake gates: protocol
-// version skew, profile-library skew, and an out-of-range group assignment
-// are refused with an explanatory ack, mirroring the sweep handshake.
+// version skew, profile-library skew, an out-of-range group assignment and a
+// sweep hello are refused with an ack that says why.
 func TestServeSimRefusals(t *testing.T) {
 	job := jobFromConfig(simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)})
 	fp := SimOptions{}.withDefaults().Library.Fingerprint()
 	cases := []struct {
 		name  string
-		hello SimHello
+		hello Hello
 		want  string
 	}{
-		{"version-skew", SimHello{Proto: ProtoVersion + 1, LibraryFP: fp, Groups: 2, Group: 1, Job: job}, "version mismatch"},
-		// A v3 hub would follow the handshake with gob exchange envelopes.
-		{"v3-peer", SimHello{Proto: 3, LibraryFP: fp, Groups: 2, Group: 1, Job: job}, "version mismatch"},
-		{"library-skew", SimHello{Proto: ProtoVersion, LibraryFP: fp ^ 1, Groups: 2, Group: 1, Job: job}, "library mismatch"},
-		{"group-out-of-range", SimHello{Proto: ProtoVersion, LibraryFP: fp, Groups: 2, Group: 2, Job: job}, "out of range"},
+		{"version-skew", Hello{Proto: ProtoVersion + 1, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
+		// A v4 hub's SimHello decodes field for field into this Hello, which is
+		// why the version had to move; a v3 hub would follow the handshake
+		// with gob exchange envelopes.
+		{"v4-peer", Hello{Proto: 4, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
+		{"v3-peer", Hello{Proto: 3, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
+		{"library-skew", Hello{Proto: ProtoVersion, LibraryFP: fp ^ 1, Groups: 2, Group: 1, Job: &job}, "library mismatch"},
+		{"group-out-of-range", Hello{Proto: ProtoVersion, LibraryFP: fp, Groups: 2, Group: 2, Job: &job}, "out of range"},
+		{"sweep-hello", Hello{Proto: ProtoVersion, LibraryFP: fp, BaseSeed: 3, TraceDuration: 10 * time.Second}, "not sweep units"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,7 +305,7 @@ func TestServeSimRefusals(t *testing.T) {
 			if err := f.send(tc.hello); err != nil {
 				t.Fatal(err)
 			}
-			var ack SimAck
+			var ack HelloAck
 			if err := f.recv(&ack, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
@@ -308,11 +313,26 @@ func TestServeSimRefusals(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("spoke error = %v, want mention of %q", err, tc.want)
 			}
-			if tc.name == "group-out-of-range" && !strings.Contains(ack.Err, "out of range") {
-				t.Fatalf("refusal ack should carry the reason, got %+v", ack)
+			if ack.Proto != ProtoVersion || !strings.Contains(ack.Err, tc.want) {
+				t.Fatalf("refusal ack should carry this side's version and the reason, got %+v", ack)
+			}
+			if n := strings.Count(err.Error(), "dist:"); n != 1 {
+				t.Fatalf("error carries %d dist: prefixes, want one: %v", n, err)
 			}
 		})
 	}
+
+	// The opener's view of the last row: a coordinator that dials a
+	// simulation-only peer reports the peer's reason.
+	t.Run("coordinator-sees-reason", func(t *testing.T) {
+		c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+		defer c.Close()
+		coordSide, spokeSide := net.Pipe()
+		go ServeSim(spokeSide, SimOptions{})
+		if err := c.AddConn(coordSide); err == nil || !strings.Contains(err.Error(), "not sweep units") {
+			t.Fatalf("AddConn against a ServeSim peer: %v, want its refusal reason", err)
+		}
+	})
 }
 
 // TestSimLockstepSkewAborts proves the hub refuses a diverged replica: a
@@ -327,11 +347,11 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 	hubSide, spokeSide := net.Pipe()
 	go func() {
 		f := newFramed(spokeSide)
-		var h SimHello
+		var h Hello
 		if err := f.recv(&h, 0); err != nil {
 			return
 		}
-		if err := f.send(SimAck{Proto: ProtoVersion, LibraryFP: h.LibraryFP}); err != nil {
+		if err := f.send(HelloAck{Proto: ProtoVersion, LibraryFP: h.LibraryFP}); err != nil {
 			return
 		}
 		// A replica that lost count: wrong sequence number on round one.
@@ -349,21 +369,22 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 
 // TestRunSimDistributedRefusesPeerVersion is the hub's half of the version
 // gate: a spoke acking with another protocol version — a v3 spoke would send gob
-// envelopes after the handshake — ends the session before any exchange, on both sides.
+// envelopes after the handshake, a v4 sweep worker would take the hello for a
+// coordinator's — ends the session before any exchange, on both sides.
 func TestRunSimDistributedRefusesPeerVersion(t *testing.T) {
 	cfg := simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)}
-	for _, peer := range []int{ProtoVersion + 1, 3} {
-		t.Run(fmt.Sprintf("v%d", peer), func(t *testing.T) {
+	for _, peer := range []int{ProtoVersion + 1, 4, 3} {
+		t.Run(peerName(peer), func(t *testing.T) {
 			hubSide, spokeSide := net.Pipe()
 			spokeDone := make(chan error, 1)
 			go func() {
 				f := newFramed(spokeSide)
-				var h SimHello
+				var h Hello
 				if err := f.recv(&h, 5*time.Second); err != nil {
 					spokeDone <- err
 					return
 				}
-				if err := f.send(SimAck{Proto: peer, LibraryFP: h.LibraryFP}); err != nil {
+				if err := f.send(HelloAck{Proto: peer, LibraryFP: h.LibraryFP}); err != nil {
 					spokeDone <- err
 					return
 				}
@@ -379,6 +400,42 @@ func TestRunSimDistributedRefusesPeerVersion(t *testing.T) {
 				t.Fatal("the hub kept the session open after refusing the peer's version")
 			}
 		})
+	}
+}
+
+// TestRefusedHandshakeReleasesEverySpoke: RunSimDistributed owns every
+// connection it is handed. When the spoke of lane group 1 refuses the session
+// (library skew), the spoke of lane group 2 — whose handshake never began —
+// must be released at once, not left to its own handshake deadline.
+func TestRefusedHandshakeReleasesEverySpoke(t *testing.T) {
+	scaled, err := profile.DefaultLibrary().Scaled(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)}
+	opts := SimOptions{HandshakeTimeout: 5 * time.Second}
+	hub1, spoke1 := net.Pipe()
+	hub2, spoke2 := net.Pipe()
+	go ServeSim(spoke1, SimOptions{Library: scaled, HandshakeTimeout: 5 * time.Second})
+	released := make(chan error, 1)
+	go func() {
+		_, err := ServeSim(spoke2, opts)
+		released <- err
+	}()
+	_, err = RunSimDistributed(cfg, []net.Conn{hub1, hub2}, opts)
+	if err == nil || !strings.Contains(err.Error(), "library mismatch") || !strings.Contains(err.Error(), "lane group 1") {
+		t.Fatalf("hub error = %v, want lane group 1's library mismatch", err)
+	}
+	if n := strings.Count(err.Error(), "dist:"); n != 1 {
+		t.Fatalf("error carries %d dist: prefixes, want one: %v", n, err)
+	}
+	select {
+	case err := <-released:
+		if err == nil {
+			t.Fatal("the spoke behind the refusing one served a session")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the spoke behind the refusing one was left waiting for a hub that gave up")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 	"pard/internal/sweep"
 )
 
-// WorkerConfig parameterizes the worker side of one coordinator connection.
+// WorkerConfig parameterizes the serving side of one connection.
 type WorkerConfig struct {
 	// Workers bounds concurrent unit executions and is advertised to the
 	// coordinator as the connection's capacity (<= 0 selects
@@ -30,10 +30,8 @@ type WorkerConfig struct {
 	Library *profile.Library
 	// Logf, when set, receives per-unit logging.
 	Logf func(format string, args ...any)
-	// HandshakeTimeout bounds how long ServeConn waits for the
-	// coordinator's Hello before giving up the connection (default 10s;
-	// < 0 disables). Without it a port scanner — or any peer that
-	// connects and sends nothing — would pin the worker forever.
+	// HandshakeTimeout bounds how long ServeConn waits for the peer's Hello
+	// before giving up the connection (default 10s; < 0 disables).
 	HandshakeTimeout time.Duration
 	// CrashAfterUnits, when > 0, abruptly closes the connection after that
 	// many results have been sent — the fault-injection hook the
@@ -65,33 +63,26 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 // hook fired.
 var ErrInjectedCrash = errors.New("dist: injected worker crash")
 
-// ServeConn serves one coordinator over conn: handshake, then a pull/run/
-// push loop until the coordinator closes the connection (the shutdown
-// signal, reported as nil). The sweep engine executing units is built from
-// the coordinator's Hello — base seed and trace duration — so every seed
-// and trace derives exactly as it would have locally on the coordinator.
+// ServeConn serves whichever session the peer opens on conn. A sweep
+// coordinator gets a pull/run/push loop until it closes the connection (the
+// shutdown signal, reported as nil); the sweep engine executing its units is
+// built from the coordinator's Hello — base seed and trace duration — so
+// every seed and trace derives exactly as it would have locally on the
+// coordinator. A simulation hub gets its lane group run to completion, as
+// under ServeSim; the replica's result is dropped — it is bit-identical to
+// the hub's, which is the one presented to the user.
 func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 	defer conn.Close()
 	cfg = cfg.withDefaults()
-	f := newFramed(conn)
-
-	if cfg.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(cfg.HandshakeTimeout))
+	p, err := acceptSession(conn, cfg.HandshakeTimeout, cfg.Library)
+	if err != nil {
+		return err
 	}
-	var h Hello
-	if err := f.recv(&h, 0); err != nil {
-		return fmt.Errorf("dist: worker handshake: %w", err)
+	if p.hello.Job != nil {
+		_, err := serveLaneGroup(p, SimOptions{Library: cfg.Library, Logf: cfg.Logf}.withDefaults())
+		return err
 	}
-	libFP := cfg.Library.Fingerprint()
-	if h.Proto != ProtoVersion {
-		// Best-effort ack so the coordinator reports the mismatch too.
-		_ = f.send(HelloAck{Proto: ProtoVersion, LibraryFP: libFP})
-		return fmt.Errorf("dist: protocol version mismatch: worker %d, coordinator %d", ProtoVersion, h.Proto)
-	}
-	if h.LibraryFP != libFP {
-		_ = f.send(HelloAck{Proto: ProtoVersion, LibraryFP: libFP})
-		return fmt.Errorf("dist: model-profile library mismatch (worker %016x, coordinator %016x)", libFP, h.LibraryFP)
-	}
+	h, f := p.hello, p.f
 	eng := sweep.New(sweep.Config{
 		Workers:       cfg.Workers,
 		BaseSeed:      h.BaseSeed,
@@ -103,14 +94,10 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 	if err := eng.DiskError(); err != nil {
 		// Refuse with the reason: the coordinator should see "cache dir
 		// broke on the worker", not a dropped stream.
-		_ = f.send(HelloAck{Proto: ProtoVersion, LibraryFP: libFP, Err: err.Error()})
+		return p.refuse(err.Error())
+	}
+	if err := p.accept(eng.Config().Workers); err != nil {
 		return err
-	}
-	if err := f.send(HelloAck{Proto: ProtoVersion, Capacity: eng.Config().Workers, LibraryFP: libFP}); err != nil {
-		return fmt.Errorf("dist: worker handshake: %w", err)
-	}
-	if cfg.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Time{})
 	}
 	if cfg.Logf != nil {
 		cfg.Logf("dist: serving coordinator (seed=%d dur=%v capacity=%d)",
@@ -125,7 +112,9 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 	)
 	// Enforce the advertised capacity locally too: a coordinator is
 	// expected to keep at most Capacity units outstanding, but a buggy or
-	// hostile one must not be able to oversubscribe this worker.
+	// hostile one must not be able to oversubscribe this worker. The read
+	// loop takes a slot before it spawns a unit, so the excess waits in the
+	// socket, not decoded in this process.
 	sem := make(chan struct{}, cfg.Workers)
 	sendResult := func(r UnitResult) {
 		sendMu.Lock()
@@ -158,10 +147,10 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 			}
 			return fmt.Errorf("dist: worker receive: %w", err)
 		}
+		sem <- struct{}{}
 		wg.Add(1)
 		go func(u WorkUnit) {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
 			sendResult(runUnit(eng, u, cfg))
 		}(u)
@@ -206,8 +195,8 @@ func runUnit(eng *sweep.Engine, u WorkUnit, cfg WorkerConfig) UnitResult {
 	return r
 }
 
-// Serve accepts coordinator connections on l and serves each (concurrently)
-// until the listener closes.
+// Serve accepts connections on l and serves each (concurrently, sweep
+// coordinators and simulation hubs alike) until the listener closes.
 func Serve(l net.Listener, cfg WorkerConfig) error {
 	for {
 		conn, err := l.Accept()

@@ -105,8 +105,8 @@ type Config struct {
 	Groups int
 	// Remote, when non-nil, runs THIS process as one lane group of a
 	// cross-host simulation over the given transport (set by the
-	// internal/dist glue — cmd/pard-sim -hosts / -join-sim — not by
-	// users). Mutually exclusive with Groups.
+	// internal/dist glue — cmd/pard-sim -hosts on the hub, cmd/pard-worker
+	// -listen on each spoke — not by users). Mutually exclusive with Groups.
 	Remote *RemoteTopology
 }
 
@@ -116,7 +116,7 @@ type RemoteTopology struct {
 	// process's index in [0, Groups).
 	Groups, Group int
 	// Transport carries the lockstep exchanges, typically internal/dist's
-	// framed gob transport over TCP.
+	// framed binary transport over TCP.
 	Transport sched.Transport
 }
 
