@@ -20,14 +20,19 @@
 // knowledge of rewrite output lengths).
 //
 // The run is a host of the repo's event queue (sched.ManualExecutor, drained
-// on a virtual clock), not a pipeline.Spec on the module core of
-// internal/sched. That core is a state machine for batched modules: a queue
-// per worker, a batch formed after a batch wait, a profiled duration per
-// batch size. None of the RAG stages has that shape: rewrite and generate are
-// continuous-batching slot pools with no batch wait, search has unbounded
-// concurrency and no queue at all, and every request's stage durations are
-// drawn when the request is sampled (from its token counts) instead of looked
-// up per batch. Forcing them into modules would model a different system.
+// on a virtual clock) and schedules typed events on it: every request is a
+// record in one slab, and each event kind is a named pointer type over that
+// record (sched.Handler), so a run allocates per slice it grows, not per
+// event.
+//
+// It is not a pipeline.Spec on the module core of internal/sched. That core
+// is a state machine for batched modules: a queue per worker, a batch formed
+// after a batch wait, a profiled duration per batch size. None of the RAG
+// stages has that shape: rewrite and generate are continuous-batching slot
+// pools with no batch wait, search has unbounded concurrency and no queue at
+// all, and every request's stage durations are drawn when the request is
+// sampled (from its token counts) instead of looked up per batch. Forcing
+// them into modules would model a different system.
 package rag
 
 import (
@@ -108,8 +113,11 @@ func DefaultConfig(p PolicyKind) Config {
 	}
 }
 
-// request is one RAG query.
+// request is one RAG query. It carries what its own pending events read back
+// when they fire — the runner and the instant it entered each stage — so an
+// event is nothing but a pointer to it.
 type request struct {
+	r    *runner
 	id   int
 	send time.Duration
 
@@ -121,12 +129,26 @@ type request struct {
 	searchDur  time.Duration
 	prefillDur time.Duration
 
+	rewriteEnter time.Duration // admitted to rewrite: queued for a slot
+	branchAt     time.Duration // retrieve and search began
+	genEnter     time.Duration // admitted to generate: queued for a slot
+
 	branchDone int // retrieve/search completions collected
 	dropped    bool
 	dropStage  int
 	finished   bool
 	ttft       time.Duration
 }
+
+// The run's events, one pointer type per kind: (*rewriteDone)(req) is a
+// conversion, where a callback closing over req would be an allocation.
+type (
+	arrival      request
+	rewriteDone  request
+	retrieveDone request
+	searchDone   request
+	prefillDone  request
+)
 
 // StageLatency records observed per-stage latencies for Fig. 15b.
 type StageLatency struct {
@@ -154,26 +176,32 @@ type Result struct {
 type slotPool struct {
 	cap     int
 	busy    int
-	waiting []func(now time.Duration)
+	start   func(req *request, now time.Duration) // req has a slot as of now
+	waiting []*request                            // waiting[head:] is the queue
+	head    int
 }
 
-func (s *slotPool) acquire(now time.Duration, fn func(now time.Duration)) {
+func (s *slotPool) queued() int { return len(s.waiting) - s.head }
+
+func (s *slotPool) acquire(req *request, now time.Duration) {
 	if s.busy < s.cap {
 		s.busy++
-		fn(now)
+		s.start(req, now)
 		return
 	}
-	s.waiting = append(s.waiting, fn)
+	s.waiting = append(s.waiting, req)
 }
 
 func (s *slotPool) release(now time.Duration) {
-	if len(s.waiting) > 0 {
-		next := s.waiting[0]
-		s.waiting = s.waiting[0:copy(s.waiting, s.waiting[1:])]
-		next(now)
+	if s.queued() == 0 {
+		s.busy--
 		return
 	}
-	s.busy--
+	next := s.waiting[s.head]
+	if s.head++; s.head == len(s.waiting) {
+		s.waiting, s.head = s.waiting[:0], 0
+	}
+	s.start(next, now)
 }
 
 type runner struct {
@@ -181,18 +209,15 @@ type runner struct {
 	eng *sched.ManualExecutor
 	rng *rand.Rand
 
-	rewrite  *slotPool
-	generate *slotPool
+	rewrite  slotPool
+	generate slotPool
 
 	// Recent-average estimators for the proactive policy.
-	rewriteWin   *stats.SlidingWindow // total rewrite-stage latency (Fig. 15b probe)
-	rewriteQWin  *stats.SlidingWindow // rewrite slot-queue wait
 	rewriteDWin  *stats.SlidingWindow // rewrite decode durations (output-length proxy)
 	searchWin    *stats.SlidingWindow
-	generateQWin *stats.SlidingWindow // generate slot-queue wait (probe)
 	generateDWin *stats.SlidingWindow // generate prefill durations
 
-	reqs []*request
+	reqs []request
 	res  *Result
 }
 
@@ -209,23 +234,24 @@ func Run(cfg Config) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("rag: unknown policy %q", cfg.Policy)
 	}
+	// Everything a run touches is made here and dropped with the runner:
+	// two runs share no state, so each is a function of its Config alone.
 	r := &runner{
 		cfg:          cfg,
 		eng:          sched.NewManualExecutor(),
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
-		rewrite:      &slotPool{cap: cfg.RewriteSlots},
-		generate:     &slotPool{cap: cfg.GenerateSlots},
-		rewriteWin:   stats.NewSlidingWindow(10 * time.Second),
-		rewriteQWin:  stats.NewSlidingWindow(10 * time.Second),
 		rewriteDWin:  stats.NewSlidingWindow(10 * time.Second),
 		searchWin:    stats.NewSlidingWindow(10 * time.Second),
-		generateQWin: stats.NewSlidingWindow(10 * time.Second),
 		generateDWin: stats.NewSlidingWindow(10 * time.Second),
+		reqs:         make([]request, cfg.Queries),
+		res:          &Result{Policy: cfg.Policy},
 	}
-	r.res = &Result{Policy: cfg.Policy}
+	r.rewrite = slotPool{cap: cfg.RewriteSlots, start: r.startRewrite}
+	r.generate = slotPool{cap: cfg.GenerateSlots, start: r.startGenerate}
 	for i := range r.res.Latencies {
-		r.res.Latencies[i] = StageLatency{Name: StageNames[i]}
+		r.res.Latencies[i] = StageLatency{Name: StageNames[i], Samples: make([]float64, 0, min(cfg.Queries, maxSamples))}
 	}
+	r.eng.Reserve(cfg.Queries)
 	r.inject()
 	r.eng.Drain()
 	r.finalize()
@@ -234,14 +260,15 @@ func Run(cfg Config) (*Result, error) {
 
 // sampleRequest draws workload parameters: HotpotQA-like question lengths,
 // rewrite output lengths correlated with input, and long-tail search.
-func (r *runner) sampleRequest(id int, at time.Duration) *request {
+func (r *runner) sampleRequest(req *request, id int, at time.Duration) {
 	in := 16 + r.rng.Intn(48) // question tokens
 	out := 10 + int(r.rng.ExpFloat64()*70)
 	if out > 600 {
 		out = 600
 	}
 	ctx := in + out + 300 + r.rng.Intn(900) // retrieved + searched context
-	req := &request{
+	*req = request{
+		r:             r,
 		id:            id,
 		send:          at,
 		inputTokens:   in,
@@ -254,7 +281,6 @@ func (r *runner) sampleRequest(id int, at time.Duration) *request {
 	// Log-normal search latency with occasional multi-second tail.
 	ln := math.Exp(r.rng.NormFloat64() * r.cfg.SearchSigma)
 	req.searchDur = time.Duration(float64(r.cfg.SearchMedian) * ln)
-	return req
 }
 
 func (r *runner) inject() {
@@ -276,9 +302,9 @@ func (r *runner) inject() {
 			}
 		}
 		at := time.Duration(t * float64(time.Second))
-		req := r.sampleRequest(i, at)
-		r.reqs = append(r.reqs, req)
-		r.eng.Schedule(at, "rag-arrive", func(now time.Duration) { r.enterRewrite(req, now) })
+		req := &r.reqs[i]
+		r.sampleRequest(req, i, at)
+		r.eng.ScheduleHandler(at, (*arrival)(req))
 	}
 }
 
@@ -297,7 +323,7 @@ func (r *runner) estimate(req *request, stage int, now time.Duration) time.Durat
 		// duration (output length is unknown before the rewrite runs), while
 		// predict has oracle knowledge of this request's output length —
 		// exactly the gap §7 quantifies.
-		rest += r.queueEstimate(r.rewrite, r.meanDur(r.rewriteDWin, now, 500*time.Millisecond))
+		rest += r.queueEstimate(&r.rewrite, r.meanDur(r.rewriteDWin, now, 500*time.Millisecond))
 		if r.cfg.Policy == Predict {
 			rest += req.rewriteDur
 		} else if d, ok := r.rewriteDWin.Mean(now); ok {
@@ -320,7 +346,7 @@ func (r *runner) estimate(req *request, stage int, now time.Duration) time.Durat
 		fallthrough
 	case StageGenerate:
 		rest += req.prefillDur // profiled from known context length
-		rest += r.queueEstimate(r.generate, r.meanDur(r.generateDWin, now, 2*time.Second))
+		rest += r.queueEstimate(&r.generate, r.meanDur(r.generateDWin, now, 2*time.Second))
 	}
 	return elapsed + rest
 }
@@ -344,7 +370,7 @@ func (r *runner) queueEstimate(pool *slotPool, meanService time.Duration) time.D
 	if pool.cap == 0 {
 		return 0
 	}
-	return time.Duration(len(pool.waiting)) * meanService / time.Duration(pool.cap)
+	return time.Duration(pool.queued()) * meanService / time.Duration(pool.cap)
 }
 
 // admit applies the dropping policy before a stage; false means dropped.
@@ -364,43 +390,60 @@ func (r *runner) admit(req *request, stage int, now time.Duration) bool {
 	return false
 }
 
+// The stages. Every schedule call below is made at the point in the event's
+// handling where it always was: (instant, schedule order) is the queue's
+// tiebreak, and TestRAGGolden hashes what follows from it.
+
+func (e *arrival) Fire(now time.Duration) {
+	req := (*request)(e)
+	req.r.enterRewrite(req, now)
+}
+
 func (r *runner) enterRewrite(req *request, now time.Duration) {
 	if !r.admit(req, StageRewrite, now) {
 		return
 	}
-	enter := now
-	r.rewrite.acquire(now, func(start time.Duration) {
-		end := start + req.rewriteDur
-		r.eng.Schedule(end, "rewrite-done", func(now time.Duration) {
-			total := now - enter // slot queueing + decoding
-			r.rewriteWin.Add(now, total.Seconds())
-			r.rewriteQWin.Add(now, (start - enter).Seconds())
-			r.rewriteDWin.Add(now, req.rewriteDur.Seconds())
-			r.record(StageRewrite, total)
-			r.rewrite.release(now)
-			r.enterBranches(req, now)
-		})
-	})
+	req.rewriteEnter = now
+	r.rewrite.acquire(req, now)
+}
+
+func (r *runner) startRewrite(req *request, start time.Duration) {
+	r.eng.ScheduleHandler(start+req.rewriteDur, (*rewriteDone)(req))
+}
+
+func (e *rewriteDone) Fire(now time.Duration) {
+	req := (*request)(e)
+	r := req.r
+	r.rewriteDWin.Add(now, req.rewriteDur.Seconds())
+	r.record(StageRewrite, now-req.rewriteEnter) // slot queueing + decoding
+	r.rewrite.release(now)
+	r.enterBranches(req, now)
 }
 
 func (r *runner) enterBranches(req *request, now time.Duration) {
-	okRetrieve := r.admit(req, StageRetrieve, now)
-	if !okRetrieve {
+	if !r.admit(req, StageRetrieve, now) {
 		return
 	}
+	req.branchAt = now
 	// Retrieve branch (batched vector DB; modeled as near-constant).
 	retEnd := now + r.cfg.RetrieveDur + time.Duration(r.rng.Intn(10))*time.Millisecond
-	r.eng.Schedule(retEnd, "retrieve-done", func(end time.Duration) {
-		r.record(StageRetrieve, end-now)
-		r.branchDone(req, end)
-	})
+	r.eng.ScheduleHandler(retEnd, (*retrieveDone)(req))
 	// Search branch (web API, unbounded concurrency, heavy tail).
-	searchEnd := now + req.searchDur
-	r.eng.Schedule(searchEnd, "search-done", func(end time.Duration) {
-		r.searchWin.Add(end, req.searchDur.Seconds())
-		r.record(StageSearch, req.searchDur)
-		r.branchDone(req, end)
-	})
+	r.eng.ScheduleHandler(now+req.searchDur, (*searchDone)(req))
+}
+
+func (e *retrieveDone) Fire(end time.Duration) {
+	req := (*request)(e)
+	req.r.record(StageRetrieve, end-req.branchAt)
+	req.r.branchDone(req, end)
+}
+
+func (e *searchDone) Fire(end time.Duration) {
+	req := (*request)(e)
+	r := req.r
+	r.searchWin.Add(end, req.searchDur.Seconds())
+	r.record(StageSearch, req.searchDur)
+	r.branchDone(req, end)
 }
 
 func (r *runner) branchDone(req *request, now time.Duration) {
@@ -415,23 +458,30 @@ func (r *runner) enterGenerate(req *request, now time.Duration) {
 	if !r.admit(req, StageGenerate, now) {
 		return
 	}
-	enter := now
-	r.generate.acquire(now, func(start time.Duration) {
-		end := start + req.prefillDur
-		r.eng.Schedule(end, "prefill-done", func(now time.Duration) {
-			r.generateQWin.Add(now, (start - enter).Seconds())
-			r.generateDWin.Add(now, req.prefillDur.Seconds())
-			r.record(StageGenerate, now-enter)
-			r.generate.release(now)
-			req.finished = true
-			req.ttft = now - req.send
-		})
-	})
+	req.genEnter = now
+	r.generate.acquire(req, now)
 }
+
+func (r *runner) startGenerate(req *request, start time.Duration) {
+	r.eng.ScheduleHandler(start+req.prefillDur, (*prefillDone)(req))
+}
+
+func (e *prefillDone) Fire(now time.Duration) {
+	req := (*request)(e)
+	r := req.r
+	r.generateDWin.Add(now, req.prefillDur.Seconds())
+	r.record(StageGenerate, now-req.genEnter)
+	r.generate.release(now)
+	req.finished = true
+	req.ttft = now - req.send
+}
+
+// maxSamples caps each stage's latency sample for Fig. 15b.
+const maxSamples = 20000
 
 func (r *runner) record(stage int, lat time.Duration) {
 	s := &r.res.Latencies[stage]
-	if len(s.Samples) < 20000 {
+	if len(s.Samples) < maxSamples {
 		s.Samples = append(s.Samples, lat.Seconds())
 	}
 }
@@ -439,7 +489,8 @@ func (r *runner) record(stage int, lat time.Duration) {
 func (r *runner) finalize() {
 	res := r.res
 	res.Total = len(r.reqs)
-	for _, req := range r.reqs {
+	for i := range r.reqs {
+		req := &r.reqs[i]
 		switch {
 		case req.finished && req.ttft <= r.cfg.SLO:
 			res.Good++

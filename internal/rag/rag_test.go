@@ -157,6 +157,72 @@ func TestNoDropBaseline(t *testing.T) {
 	}
 }
 
+func gobBytes(t *testing.T, res *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+		t.Fatalf("%s: %v", res.Policy, err)
+	}
+	return buf.Bytes()
+}
+
+// TestRunRepeatable: nothing survives a Run. The four policies, then all four
+// again twice in other orders, give byte-identical Results per policy every
+// time, and the first pass's Results, kept alive throughout, still encode to
+// the same bytes at the end — what the benchmark's grid op checks against its
+// first op. A slab, window, queue or sample array carried from one run into
+// the next would show here.
+func TestRunRepeatable(t *testing.T) {
+	orders := [][]PolicyKind{
+		{Predict, Reactive, Proactive, NoDrop},
+		{NoDrop, Proactive, Reactive, Predict},
+		{Reactive, NoDrop, Predict, Proactive},
+	}
+	kept, first := map[PolicyKind]*Result{}, map[PolicyKind][]byte{}
+	for pass, order := range orders {
+		for _, p := range order {
+			cfg := DefaultConfig(p)
+			cfg.Queries = 4000
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			if pass == 0 {
+				kept[p], first[p] = res, gobBytes(t, res)
+			} else if !bytes.Equal(gobBytes(t, res), first[p]) {
+				t.Fatalf("pass %d: %s differs from its first run", pass+1, p)
+			}
+		}
+	}
+	for p, res := range kept {
+		if !bytes.Equal(gobBytes(t, res), first[p]) {
+			t.Fatalf("%s: the first run's Result changed under the runs that followed", p)
+		}
+	}
+}
+
+// TestAllocsRun: a run allocates per slice it grows, never per event or per
+// request: four times the queries (and events) add a few doublings, not a few
+// thousand closures. At the parent commit the difference was 20 000.
+func TestAllocsRun(t *testing.T) {
+	for _, p := range append(Policies(), NoDrop) {
+		allocs := func(queries int) float64 {
+			cfg := DefaultConfig(p)
+			cfg.Queries = queries
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(1000), allocs(4000)
+		t.Logf("%s: %.0f allocations at 1000 queries, %.0f at 4000", p, small, large)
+		if large-small >= 64 {
+			t.Errorf("%s: %.0f allocations at 1000 queries, %.0f at 4000: want under 64 apart", p, small, large)
+		}
+	}
+}
+
 func BenchmarkRAGProactive(b *testing.B) {
 	cfg := DefaultConfig(Proactive)
 	cfg.Queries = 2000
@@ -192,11 +258,7 @@ func TestRAGGolden(t *testing.T) {
 			t.Errorf("%s: good/late/dropped %d/%d/%d drops %v, want %d/%d/%d %v",
 				g.policy, res.Good, res.Late, res.Dropped, res.DropsPerStage, g.good, g.late, g.dropped, g.drops)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-			t.Fatalf("%s: %v", g.policy, err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
+		sum := sha256.Sum256(gobBytes(t, res))
 		if got := hex.EncodeToString(sum[:]); got != g.sha {
 			t.Errorf("%s: gob(Result) sha256 %s, want %s", g.policy, got, g.sha)
 		}

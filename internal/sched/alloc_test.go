@@ -19,7 +19,7 @@ import (
 func TestAllocsEventDispatch(t *testing.T) {
 	l := newLaneState(0)
 	fired := 0
-	ev := laneEvent{name: "tick", fn: func(now time.Duration) { fired++ }}
+	ev := fnEvent(func(now time.Duration) { fired++ })
 
 	// Warm the queue's backing array past the test's working set.
 	for i := 0; i < 64; i++ {
@@ -130,7 +130,7 @@ func TestAllocsScheduleEventLanePath(t *testing.T) {
 	x.running = true
 	cl := &Cluster{exec: x}
 	fired := 0
-	ev := laneEvent{name: "hop", fn: func(now time.Duration) { fired++ }}
+	ev := fnEvent(func(now time.Duration) { fired++ })
 
 	for i := 0; i < 64; i++ {
 		cl.scheduleEvent(0, 1, time.Duration(i), ev)
@@ -164,8 +164,8 @@ func TestAllocsScheduleEventGlobalQueue(t *testing.T) {
 	cl := &Cluster{exec: man}
 	m := &module{cl: cl, spec: pipeline.Module{Pres: []int{0, 1}}}
 	req := &Request{ExpectedMerge: 1 << 30}
-	receive := laneEvent{name: "hop", op: opReceive, m: m, req: req}
-	batchEnd := laneEvent{name: "batch-end", op: opBatchEnd, w: &worker{dead: true}}
+	receive := laneEvent{op: opReceive, m: m, req: req}
+	batchEnd := laneEvent{op: opBatchEnd, w: &worker{dead: true}}
 
 	at := time.Duration(0)
 	round := func() {
@@ -192,7 +192,7 @@ func TestAllocsMailboxCommit(t *testing.T) {
 	x := NewShardedExecutor(2, 1, time.Millisecond)
 	x.running = true // cross-lane sends take the outbox path only while running
 	fired := 0
-	ev := laneEvent{name: "hop", fn: func(now time.Duration) { fired++ }}
+	ev := fnEvent(func(now time.Duration) { fired++ })
 
 	// Warm outbox, mailbox, and destination queue storage.
 	for i := 0; i < 64; i++ {
@@ -327,5 +327,62 @@ func TestAllocsTimerExecutor(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Fatalf("schedule + fire allocates %.1f per two events, want 0", avg)
+	}
+}
+
+// tickProbe is a typed host event over a record the host owns.
+type tickProbe struct{ fired chan struct{} }
+
+func (p *tickProbe) Fire(time.Duration) {
+	if p.fired != nil {
+		p.fired <- struct{}{}
+	}
+}
+
+// TestAllocsHandlerEvent: a typed host event is a pointer the host already
+// holds, converted to a Handler and queued by value — scheduling and firing
+// one allocates nothing on either global-queue executor. (A callback per
+// event costs the closure: internal/rag made 200 000 a run that way.)
+func TestAllocsHandlerEvent(t *testing.T) {
+	man := NewManualExecutor()
+	probe := &tickProbe{}
+	at := time.Duration(0)
+	manual := func() {
+		at++
+		man.ScheduleHandler(at, probe)
+		man.RunUntil(at)
+	}
+	for i := 0; i < 64; i++ {
+		manual()
+	}
+	if avg := testing.AllocsPerRun(200, manual); avg != 0 {
+		t.Fatalf("ManualExecutor: schedule + fire of a handler allocates %.1f, want 0", avg)
+	}
+
+	// A reserved queue takes a whole trace of them without growing.
+	const trace = 4096
+	res := NewManualExecutor()
+	res.Reserve(trace)
+	if avg := testing.AllocsPerRun(1, func() { // runs twice: half the trace each
+		for i := 0; i < trace/2; i++ {
+			at++
+			res.ScheduleHandler(at, probe)
+		}
+	}); avg != 0 || res.Pending() != trace {
+		t.Fatalf("ManualExecutor: a reserved trace allocates %.0f times and leaves %d pending, want 0 and %d", avg, res.Pending(), trace)
+	}
+
+	tim := NewTimerExecutor()
+	defer tim.Stop()
+	paced := &tickProbe{fired: make(chan struct{}, 1)}
+	timer := func() {
+		tim.scheduleLaneEvent(-1, -1, tim.Now(), laneEvent{h: paced})
+		<-paced.fired
+	}
+	for i := 0; i < 64; i++ {
+		timer()
+	}
+	if avg := testing.AllocsPerRun(200, timer); avg != 0 {
+		t.Fatalf("TimerExecutor: schedule + fire of a handler allocates %.1f, want 0", avg)
 	}
 }

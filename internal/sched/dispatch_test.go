@@ -84,7 +84,7 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 		events++
 		for _, m := range cl.modules {
 			if len(m.loads) != len(m.workers) {
-				t.Fatalf("event %d (%s): module %d has %d workers and %d table entries", events, ev.name, m.idx, len(m.workers), len(m.loads))
+				t.Fatalf("event %d (op %d): module %d has %d workers and %d table entries", events, ev.op, m.idx, len(m.workers), len(m.loads))
 			}
 			for i, w := range m.workers {
 				want := int32(ineligible)
@@ -100,12 +100,12 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 					sawCold++
 				}
 				if m.loads[i] != want {
-					t.Fatalf("event %d (%s at %v): module %d worker %d (active %t, dead %t, load %d) has table entry %d, want %d",
-						events, ev.name, at, m.idx, i, w.active, w.dead, w.load(), m.loads[i], want)
+					t.Fatalf("event %d (op %d at %v): module %d worker %d (active %t, dead %t, load %d) has table entry %d, want %d",
+						events, ev.op, at, m.idx, i, w.active, w.dead, w.load(), m.loads[i], want)
 				}
 			}
 			if got, want := m.leastLoaded(), scanLeastLoaded(m); got != want {
-				t.Fatalf("event %d (%s at %v): module %d dispatches to worker %d, the pointer scan to %d", events, ev.name, at, m.idx, got, want)
+				t.Fatalf("event %d (op %d at %v): module %d dispatches to worker %d, the pointer scan to %d", events, ev.op, at, m.idx, got, want)
 			}
 		}
 	}

@@ -20,19 +20,44 @@ import (
 // order) and hand each callback its event's due instant, never a clock read
 // at fire: callbacks must compute with their argument, and Now is for callers
 // outside callbacks (a host stamping an arrival).
+//
+// An event in a queue is a value, never a closure the executor made: the
+// core's own events are typed ops, and a host event is a Handler — a
+// callback handed to Schedule, or a host's own type handed to
+// ManualExecutor.ScheduleHandler.
 type Executor interface {
 	// Now returns the elapsed time since the start of the run.
 	Now() time.Duration
 	// Schedule registers fn to run at absolute time at; a time in the past is
-	// raised to the last fired event's. fn receives that due instant.
+	// raised to the last fired event's. fn receives that due instant. name
+	// labels the call for its reader and is not kept: an event carries no
+	// string.
 	Schedule(at time.Duration, name string, fn func(now time.Duration))
-	// scheduleLaneEvent is Schedule for the core's typed events: ev travels by
-	// value and fires through ev.fire, so scheduling one allocates nothing.
+	// scheduleLaneEvent is Schedule for typed events: ev travels by value and
+	// fires through ev.fire, so scheduling one allocates nothing.
 	// src is the module whose event is executing (-1 for host or control
 	// context) and dst the module the event belongs to; the lane engine routes
 	// by them, the global-queue executors have one queue and ignore both.
 	scheduleLaneEvent(src, dst int, at time.Duration, ev laneEvent)
 }
+
+// Handler is a host event in typed form: the executor keeps the value in its
+// queue and calls Fire with the event's due instant. A host that schedules one
+// event per request names a pointer type per event kind over the request
+// record it already has, and converting that pointer to a Handler allocates
+// nothing — where a callback would cost a closure per event.
+type Handler interface {
+	Fire(now time.Duration)
+}
+
+// funcHandler is a callback as a Handler. A func value is pointer-shaped, so
+// the interface holds it directly: wrapping one does not allocate.
+type funcHandler func(now time.Duration)
+
+func (f funcHandler) Fire(now time.Duration) { f(now) }
+
+// fnEvent is the event Schedule(at, name, fn) queues.
+func fnEvent(fn func(now time.Duration)) laneEvent { return laneEvent{h: funcHandler(fn)} }
 
 // TimerExecutor is the live server's executor: one (at, seq) event queue
 // paced by the wall clock. A single goroutine pops events in queue order,
@@ -90,7 +115,7 @@ func (x *TimerExecutor) Now() time.Duration { return time.Since(x.start) }
 // inside callbacks; it wakes the drainer only when the new event is due before
 // the instant the drainer is parked on.
 func (x *TimerExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
-	x.scheduleLaneEvent(-1, -1, at, laneEvent{name: name, fn: fn})
+	x.scheduleLaneEvent(-1, -1, at, fnEvent(fn))
 }
 
 func (x *TimerExecutor) scheduleLaneEvent(_, _ int, at time.Duration, ev laneEvent) {
@@ -204,7 +229,13 @@ func (x *ManualExecutor) Now() time.Duration { return x.now }
 
 // Schedule registers fn at time at (clamped to Now for past times).
 func (x *ManualExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
-	x.scheduleLaneEvent(-1, -1, at, laneEvent{name: name, fn: fn})
+	x.scheduleLaneEvent(-1, -1, at, fnEvent(fn))
+}
+
+// ScheduleHandler registers h at time at, in the same queue and the same
+// (timestamp, schedule order) as Schedule's callbacks. It allocates nothing.
+func (x *ManualExecutor) ScheduleHandler(at time.Duration, h Handler) {
+	x.scheduleLaneEvent(-1, -1, at, laneEvent{h: h})
 }
 
 func (x *ManualExecutor) scheduleLaneEvent(_, _ int, at time.Duration, ev laneEvent) {
@@ -213,6 +244,11 @@ func (x *ManualExecutor) scheduleLaneEvent(_, _ int, at time.Duration, ev laneEv
 	}
 	x.q.push(at, ev)
 }
+
+// Reserve makes room for n events scheduled in time order before the run
+// starts: a trace of arrivals then lands in one array, not in one grown a
+// quarter at a time.
+func (x *ManualExecutor) Reserve(n int) { x.q.reserve(n) }
 
 // RunUntil fires every event due at or before t in order, then advances the
 // clock to t. Callbacks may schedule further events, which fire in the same

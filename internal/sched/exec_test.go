@@ -220,6 +220,83 @@ func TestTimerExecutorDeterministicOrder(t *testing.T) {
 	}
 }
 
+// orderProbe is a host's typed event, as internal/rag's are: a pointer to a
+// record the host already has, fired through Handler.
+type orderProbe struct {
+	at   time.Duration
+	fire func(now, due time.Duration)
+}
+
+func (p *orderProbe) Fire(now time.Duration) { p.fire(now, p.at) }
+
+// TestHandlerEventsInterleave: typed host events and callbacks share one
+// queue and one (timestamp, schedule order) on both global-queue executors,
+// whether scheduled from outside or from inside a firing event, and each is
+// handed its due instant.
+func TestHandlerEventsInterleave(t *testing.T) {
+	man := NewManualExecutor()
+	checkInterleave(t, man, man.ScheduleHandler, func() { man.Drain() })
+
+	tim := NewTimerExecutor()
+	defer tim.Stop()
+	// The drainer sits inside this callback until everything is queued.
+	gate := make(chan struct{})
+	tim.Schedule(tim.Now(), "gate", func(time.Duration) { <-gate })
+	checkInterleave(t, tim, func(at time.Duration, h Handler) {
+		tim.scheduleLaneEvent(-1, -1, at, laneEvent{h: h})
+	}, func() { close(gate) })
+}
+
+func checkInterleave(t *testing.T, x Executor, scheduleHandler func(time.Duration, Handler), start func()) {
+	var due []time.Duration // by schedule order
+	var got []int           // schedule-order numbers, in firing order
+	var wg sync.WaitGroup
+	rng := rand.New(rand.NewSource(3))
+	schedule := func(at time.Duration) {
+		seq := len(due)
+		due = append(due, at)
+		wg.Add(1)
+		fire := func(now, at time.Duration) {
+			if now != at {
+				t.Errorf("event %d due at %v was handed %v", seq, at, now)
+			}
+			got = append(got, seq)
+			wg.Done()
+		}
+		if rng.Intn(2) == 0 {
+			scheduleHandler(at, &orderProbe{at: at, fire: fire})
+		} else {
+			x.Schedule(at, "callback", func(now time.Duration) { fire(now, at) })
+		}
+	}
+	base := x.Now() + 2*time.Millisecond
+	wg.Add(1)
+	scheduleHandler(base, &orderProbe{at: base, fire: func(now, _ time.Duration) {
+		for j := 0; j < 200; j++ {
+			schedule(now + time.Duration(j%5)*100*time.Microsecond)
+		}
+		wg.Done()
+	}})
+	for i := 0; i < 800; i++ {
+		schedule(base + time.Duration(rng.Intn(5))*100*time.Microsecond)
+	}
+	start()
+	wg.Wait()
+	want := make([]int, len(due))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(i, j int) bool { return due[want[i]] < due[want[j]] })
+	if len(got) != len(want) {
+		t.Fatalf("%d events fired, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d was event %d (due %v), want event %d (due %v)", i, got[i], due[got[i]], want[i], due[want[i]])
+		}
+	}
+}
+
 // TestTimerExecutorLagDoesNotCompound: a chain of 200 events, each scheduling
 // the next 300 µs after the instant it was handed, spans 60 ms of model time
 // and must take about that on the wall. Handing callbacks the wall clock at

@@ -18,8 +18,9 @@ import "time"
 // pop takes the smaller of the two heads. Popped slots are not cleared: a lane's
 // queue lives for one run. The global-queue executors' one queue (exec.go)
 // lives as long as the server does, and a stale slot there keeps what its
-// event held — for a typed event the *Request and *worker — until a later
-// push overwrites it: at most the queue's pending high-water mark of them.
+// event held — the *Request and *worker of a core event, the Handler of a host
+// event — until a later push overwrites it: at most the queue's pending
+// high-water mark of them.
 // That pins nothing extra while the server's request slab is never reclaimed;
 // reclaiming the slab (ROADMAP, live-server item (1)) must account for these
 // slots, by clearing them or by bounding what they can reference.
@@ -30,6 +31,8 @@ type laneQueue struct {
 	seq  uint64 // pushes so far: the FIFO tiebreak among equal timestamps
 }
 
+// laneItem is 64 bytes (TestLaneItemSize bounds it): every event of a run is
+// copied in and out of one, so a field added to laneEvent is paid per event.
 type laneItem struct {
 	at  time.Duration
 	seq uint64

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pard/internal/depq"
 )
@@ -141,4 +142,14 @@ func FuzzLaneQueue(f *testing.F) {
 		}
 		runLaneQueueProgram(t, prog)
 	})
+}
+
+// TestLaneItemSize: six hundred thousand of these pass through the queues per
+// dense simulation, so the item may not grow past the 72 bytes it had when an
+// event carried a label and a func: a Handler takes the func's place and the
+// label's string is gone.
+func TestLaneItemSize(t *testing.T) {
+	if got := unsafe.Sizeof(laneItem{}); got > 72 {
+		t.Fatalf("laneItem is %d bytes, want at most 72", got)
+	}
 }

@@ -305,7 +305,7 @@ func (c *Cluster) Probes(k int) ModuleProbes {
 func (c *Cluster) Inject(req *Request, sendAt time.Duration) {
 	src := c.modules[c.cfg.Spec.Source()]
 	c.scheduleEvent(-1, src.idx, sendAt+c.cfg.NetDelay,
-		laneEvent{name: "arrive", op: opReceive, m: src, req: req})
+		laneEvent{op: opReceive, m: src, req: req})
 }
 
 // scheduleEvent registers ev for module dst at time at. src is the module
@@ -414,7 +414,7 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) error {
 			}
 			dst := c.modules[wp.Dst]
 			c.shx.stagePost(post{src: int(wp.Src), dst: int(wp.Dst), at: wp.At,
-				ev: laneEvent{name: "hop", op: opReceive, m: dst, req: req}})
+				ev: laneEvent{op: opReceive, m: dst, req: req}})
 		}
 	}
 	c.shx.deliverStaged()
@@ -591,12 +591,12 @@ func (c *Cluster) Crash(k int, now time.Duration, count int) int {
 // scheduleBatchEnd registers the batch-completion event on the worker's own
 // lane.
 func (c *Cluster) scheduleBatchEnd(w *worker, at time.Duration) {
-	c.scheduleEvent(w.mod.idx, w.mod.idx, at, laneEvent{name: "batch-end", op: opBatchEnd, w: w})
+	c.scheduleEvent(w.mod.idx, w.mod.idx, at, laneEvent{op: opBatchEnd, w: w})
 }
 
 // scheduleWarmup wakes a cold-started worker.
 func (c *Cluster) scheduleWarmup(w *worker, at time.Duration) {
-	c.scheduleEvent(w.mod.idx, w.mod.idx, at, laneEvent{name: "warmup", op: opWarmup, w: w})
+	c.scheduleEvent(w.mod.idx, w.mod.idx, at, laneEvent{op: opWarmup, w: w})
 }
 
 // barrier runs at every lane-window barrier (all lanes parked): first the
@@ -693,7 +693,7 @@ func (c *Cluster) forward(req *Request, k int, now time.Duration) {
 	if mod.Exclusive {
 		sub := mod.Subs[c.pickBranch(mod)]
 		c.resetMerge(req, k, now, 1)
-		c.scheduleEvent(k, sub, arrive, laneEvent{name: "hop", op: opReceive, m: c.modules[sub], req: req})
+		c.scheduleEvent(k, sub, arrive, laneEvent{op: opReceive, m: c.modules[sub], req: req})
 		return
 	}
 	subs := mod.Subs
@@ -701,7 +701,7 @@ func (c *Cluster) forward(req *Request, k int, now time.Duration) {
 		c.resetMerge(req, k, now, len(subs))
 	}
 	for _, sub := range subs {
-		c.scheduleEvent(k, sub, arrive, laneEvent{name: "hop", op: opReceive, m: c.modules[sub], req: req})
+		c.scheduleEvent(k, sub, arrive, laneEvent{op: opReceive, m: c.modules[sub], req: req})
 	}
 }
 

@@ -89,22 +89,23 @@ var verifyWatermark bool
 // request arrivals and hops, batch completions, worker warmups — are
 // encoded as typed ops dispatched by fire, so scheduling one moves a plain
 // value through the lane queues and mailboxes with no per-event closure
-// allocation; host and control events (sync ticks, failures) keep the
-// closure form.
+// allocation. Host and control events carry a Handler: a host's own typed
+// event (the RAG case study's stage completions), or a plain callback (sync
+// ticks, failures) wrapped by fnEvent. The event carries no label — a Schedule
+// call's name stays at the call site — so a queued item is 64 bytes.
 type laneEvent struct {
-	name string
-	fn   func(now time.Duration) // opFn only
-	op   laneOp
-	m    *module  // opReceive destination
-	w    *worker  // opBatchEnd / opWarmup worker
-	req  *Request // opReceive payload
+	h   Handler // opHandler only
+	op  laneOp
+	m   *module  // opReceive destination
+	w   *worker  // opBatchEnd / opWarmup worker
+	req *Request // opReceive payload
 }
 
 // laneOp tags a laneEvent's dispatch kind.
 type laneOp uint8
 
 const (
-	opFn       laneOp = iota // fire the fn closure
+	opHandler  laneOp = iota // h.Fire(now)
 	opReceive                // m.receive(req, now): arrivals and cross-module hops
 	opBatchEnd               // w.batchEnd(now)
 	opWarmup                 // w.pump(now): cold-start wakeup
@@ -120,7 +121,7 @@ func (ev *laneEvent) fire(now time.Duration) {
 	case opWarmup:
 		ev.w.pump(now)
 	default:
-		ev.fn(now)
+		ev.h.Fire(now)
 	}
 }
 
@@ -269,7 +270,7 @@ func (x *ShardedExecutor) Schedule(at time.Duration, name string, fn func(now ti
 	if at < x.frontier {
 		at = x.frontier
 	}
-	x.ctrl.push(at, laneEvent{name: name, fn: fn})
+	x.ctrl.push(at, fnEvent(fn))
 }
 
 // Ticker repeatedly schedules fn on the control lane every period until the
@@ -291,7 +292,7 @@ func (x *ShardedExecutor) Ticker(period time.Duration, name string, fn func(now 
 // scheduleLane registers fn on lane dst at absolute time at; it is the
 // closure-form convenience over scheduleLaneEvent.
 func (x *ShardedExecutor) scheduleLane(src, dst int, at time.Duration, name string, fn func(time.Duration)) {
-	x.scheduleLaneEvent(src, dst, at, laneEvent{name: name, fn: fn})
+	x.scheduleLaneEvent(src, dst, at, fnEvent(fn))
 }
 
 // Reserve makes room for n host-scheduled events on lane dst (where this group enqueues them).
@@ -387,8 +388,8 @@ func (x *ShardedExecutor) deliverStaged() {
 // typed receive op may cross the boundary; a closure reaching the wire is a
 // programming error and aborts the run loudly.
 func encodeWirePost(p *post) (WirePost, error) {
-	if p.ev.op != opReceive || p.ev.fn != nil || p.ev.req == nil {
-		return WirePost{}, fmt.Errorf("sched: event %q (op %d) cannot cross lane groups: only typed receive events are wire-shaped", p.ev.name, p.ev.op)
+	if p.ev.op != opReceive || p.ev.h != nil || p.ev.req == nil {
+		return WirePost{}, fmt.Errorf("sched: a lane %d → %d event at %v (op %d) cannot cross lane groups: only typed receive events are wire-shaped", p.src, p.dst, p.at, p.ev.op)
 	}
 	return WirePost{At: p.at, Src: int32(p.src), Dst: int32(p.dst), Req: p.ev.req.ID}, nil
 }

@@ -21,7 +21,7 @@ func wirePostAt(at time.Duration, src, dst int, id uint64) post {
 		src: src,
 		dst: dst,
 		at:  at,
-		ev:  laneEvent{name: "hop", op: opReceive, req: &Request{ID: id}},
+		ev:  laneEvent{op: opReceive, req: &Request{ID: id}},
 	}
 }
 
@@ -126,7 +126,7 @@ func TestEncodeWirePostRejectsClosures(t *testing.T) {
 	}
 
 	bad := post{src: 0, dst: 1, at: time.Millisecond,
-		ev: laneEvent{name: "closure", op: opFn, fn: func(time.Duration) {}}}
+		ev: fnEvent(func(time.Duration) {})}
 	if _, err := encodeWirePost(&bad); err == nil {
 		t.Fatal("closure event crossed the lane-group boundary")
 	} else if !strings.Contains(err.Error(), "cannot cross lane groups") {
@@ -318,7 +318,7 @@ func TestWatermarkSeesControlContextSchedules(t *testing.T) {
 				errs[g] = err
 				return
 			}
-			record := laneEvent{name: "record", fn: func(now time.Duration) { fired[g] = append(fired[g], now) }}
+			record := fnEvent(func(now time.Duration) { fired[g] = append(fired[g], now) })
 			barriers := 0
 			x.setBarrierHook(func() error {
 				msg := BarrierMsg{Group: int32(g), Posts: x.takeWirePosts()}

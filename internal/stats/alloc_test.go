@@ -57,7 +57,8 @@ func TestAllocsSelectP95(t *testing.T) {
 // TestAllocsWindowsSteadyFeed: windows compact in place, so what a steadily
 // fed window allocates is the handful of doublings that take its array to
 // two spans' worth — not one fresh array per compaction, which over twenty
-// spans at this rate was about forty.
+// spans at this rate was about forty. Mean reads the window's running sums
+// and allocates nothing at all.
 func TestAllocsWindowsSteadyFeed(t *testing.T) {
 	const span, perSpan, spans = time.Second, 10000, 20
 	sw, rw := NewSlidingWindow(span), NewRateWindow(span)
@@ -67,6 +68,9 @@ func TestAllocsWindowsSteadyFeed(t *testing.T) {
 			at += span / perSpan
 			sw.Add(at, 1)
 			rw.Observe(at)
+			if m, ok := sw.Mean(at); !ok || m != 1 {
+				t.Fatalf("Mean of %d ones = %v, %t", sw.Len(), m, ok)
+			}
 		}
 	}
 	feed(3 * perSpan) // reach the steady array size

@@ -19,10 +19,26 @@ type sample struct {
 // average queries. Mean applies linear weighting: a sample's weight decays
 // linearly from 1 (now) to 0 (window edge), matching the paper's "5s linear
 // weighted window" used for recent queueing delay.
+//
+// Mean is O(1). A weight is linear in the sample's timestamp, so the weighted
+// sums follow from three running sums over the live samples, kept by Add and
+// evict with timestamps taken relative to base:
+//
+//	Σw   = n  − (n·(now−base)  − Σt)/span
+//	Σw·v = Σv − (Σv·(now−base) − Σt·v)/span     t = at − base
+//
+// The sums are rebuilt from the samples each time evict compacts, so rounding
+// error is what some thousand updates accumulate however long the window
+// lives, and they are set to zero, not left at what cancellation made of the
+// evicted values, whenever no live sample is nonzero: a mean of zeros is zero.
 type SlidingWindow struct {
 	span    time.Duration
 	samples []sample // ring-ish: evicted from the front lazily
 	head    int
+
+	base              time.Duration // origin of t: the oldest sample at the last rebuild
+	sumV, sumT, sumTV float64       // Σv, Σt, Σt·v over samples[head:]
+	nonzero           int           // live samples with v != 0
 }
 
 // NewSlidingWindow returns a window covering the last span of virtual time.
@@ -48,24 +64,56 @@ func (w *SlidingWindow) SetSpan(span time.Duration) {
 // out-of-order samples are clamped forward to preserve the eviction
 // invariant.
 func (w *SlidingWindow) Add(now time.Duration, v float64) {
-	if n := len(w.samples); n > w.head && now < w.samples[n-1].at {
-		now = w.samples[n-1].at
+	if n := len(w.samples); n > w.head {
+		now = max(now, w.samples[n-1].at)
 	}
-	w.samples = append(w.samples, sample{at: now, v: v})
 	w.evict(now)
+	if w.head == len(w.samples) {
+		w.base, w.sumT = now, 0
+	}
+	s := sample{at: now, v: v}
+	w.samples = append(w.samples, s)
+	w.tally(s, 1)
+}
+
+// tally adds a live sample to the running sums (sign 1) or takes an evicted
+// one out (sign -1).
+func (w *SlidingWindow) tally(s sample, sign float64) {
+	t := float64(s.at - w.base)
+	w.sumT += sign * t
+	if s.v != 0 {
+		w.nonzero += int(sign)
+		w.sumV += sign * s.v
+		w.sumTV += sign * t * s.v
+	}
 }
 
 func (w *SlidingWindow) evict(now time.Duration) {
-	cut := now - w.span
+	cut, from := now-w.span, w.head
 	for w.head < len(w.samples) && w.samples[w.head].at < cut {
+		w.tally(w.samples[w.head], -1)
 		w.head++
+	}
+	if w.head == from {
+		return
+	}
+	if w.nonzero == 0 {
+		w.sumV, w.sumTV = 0, 0
 	}
 	// Compact when the dead prefix dominates to bound memory: the live tail
 	// slides down the same backing array, so a window fed at a steady rate
-	// stops allocating once that array holds two spans' worth.
+	// stops allocating once that array holds two spans' worth. The sums are
+	// rebuilt on the way, from a base moved up to the oldest live sample.
 	if w.head > 1024 && w.head*2 > len(w.samples) {
 		w.samples = w.samples[:copy(w.samples, w.samples[w.head:])]
 		w.head = 0
+		w.sumV, w.sumT, w.sumTV, w.nonzero = 0, 0, 0, 0
+		if len(w.samples) > 0 {
+			w.base = w.samples[0].at
+		}
+		for _, s := range w.samples {
+			w.tally(s, 1)
+		}
 	}
 }
 
@@ -79,6 +127,24 @@ func (w *SlidingWindow) Advance(now time.Duration) { w.evict(now) }
 // time now, and false when the window is empty.
 func (w *SlidingWindow) Mean(now time.Duration) (float64, bool) {
 	w.evict(now)
+	n := w.Len()
+	if n <= 1 || now < w.samples[len(w.samples)-1].at {
+		// Nothing to save on a single sample, and the sums do not know a
+		// sample newer than now, whose age the loop clamps to zero.
+		return w.meanByLoop(now)
+	}
+	span, age := float64(w.span), float64(now-w.base)
+	wsum := float64(n) - (float64(n)*age-w.sumT)/span
+	if wsum < 1e-6*float64(n) {
+		// Every live sample sits on the window's far edge: the weights are
+		// what is left of a cancellation, so take them one by one.
+		return w.meanByLoop(now)
+	}
+	return (w.sumV - (w.sumV*age-w.sumTV)/span) / wsum, true
+}
+
+// meanByLoop is Mean from the samples themselves, in O(live samples).
+func (w *SlidingWindow) meanByLoop(now time.Duration) (float64, bool) {
 	var sum, wsum float64
 	for i := w.head; i < len(w.samples); i++ {
 		s := w.samples[i]
