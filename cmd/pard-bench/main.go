@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	plots := fs.Bool("plot", false, "render ASCII charts for time-series tables")
 	seed := fs.Int64("seed", 1, "random seed")
 	parallel := fs.Int("parallel", 0, "concurrent simulation runs (0 = all CPU cores, 1 = sequential)")
-	shards := fs.Int("shards", 0, "per-module event-lane workers within each simulation (0 or 1 = the lane engine run sequentially: the recommended mode, and the one CI and the docs measure; N = N concurrent workers, byte-identical output, a wall-clock win only with more idle cores than lanes carrying work — on 2 cores it has measured 0.75-1.0x of sequential)")
 	cacheDir := fs.String("cache-dir", "", "persist finished runs here so repeated invocations reuse them")
 	workers := fs.String("workers", "", "comma-separated pard-worker addresses to distribute runs to (e.g. h1:7070,h2:7070)")
 	listen := fs.String("listen", "", "listen address where pard-worker -join processes register (e.g. :7071)")
@@ -74,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	cfg := pard.ExperimentConfig{Scale: pard.ScaleQuick, Seed: *seed, Parallel: *parallel, CacheDir: *cacheDir, Shards: *shards}
+	cfg := pard.ExperimentConfig{Scale: pard.ScaleQuick, Seed: *seed, Parallel: *parallel, CacheDir: *cacheDir}
 	if *cacheDir != "" {
 		// Cache maintenance (e.g. a corrupt entry quarantined instead of
 		// failing the run) is rare and worth an operator's attention.

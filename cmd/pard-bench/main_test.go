@@ -33,6 +33,9 @@ func TestBadFlagsRejected(t *testing.T) {
 	if err := run([]string{"-only", "nope"}, &out, &errb); err == nil {
 		t.Fatal("unknown -only accepted")
 	}
+	if err := run([]string{"-shards", "2"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-shards: %v, want the flag package's undefined-flag error", err)
+	}
 }
 
 // TestSmokeRun regenerates one cheap artifact end-to-end in parallel mode,

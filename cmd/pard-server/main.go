@@ -65,6 +65,15 @@ func main() {
 	}
 }
 
+// Per-request read bounds. readTimeout covers the headers plus a declared
+// body of up to 1 MiB, so a client that sends its headers and then trickles
+// the body is cut there. It does not bound the handler's wait for the
+// pipeline: net/http lifts the read deadline once the body has been read.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+)
+
 // serve runs the HTTP data plane on l until SIGINT or SIGTERM, then shuts
 // down in order: the listener closes, requests in flight are answered (for at
 // most drain, the /infer handler's own limit), the pipeline stops and the
@@ -72,7 +81,8 @@ func main() {
 func serve(l net.Listener, srv *pard.Server, drain time.Duration) error {
 	hs := &http.Server{
 		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       time.Minute,
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

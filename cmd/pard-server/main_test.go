@@ -138,6 +138,81 @@ func TestSigtermDrains(t *testing.T) {
 	}
 }
 
+// TestReadTimeoutCutsTrickledBody: a client that declares a 1 MiB body and
+// then trickles it a byte at a time is answered 400 and cut once readTimeout
+// has passed, while a request with a normal body is served as before and the
+// trickled one never reaches the pipeline.
+func TestReadTimeoutCutsTrickledBody(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipped in -short")
+	}
+	srv, spec, err := newServer("tm", "pard", 2, 1, pard.AdmissionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	served := make(chan error, 1)
+	go func() { served <- serve(l, srv, 10*spec.SLO) }()
+	defer func() {
+		l.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /infer HTTP/1.1\r\nHost: pard\r\nContent-Length: 1048576\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	stop, trickled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(trickled)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Millisecond):
+			}
+			if _, err := conn.Write([]byte{'x'}); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-trickled
+	}()
+
+	resp, err := http.Post("http://"+l.Addr().String()+"/infer", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /infer beside the trickling client = %d, want 200", resp.StatusCode)
+	}
+
+	conn.SetReadDeadline(start.Add(readTimeout + 5*time.Second))
+	cut, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("trickled body not answered within %v: %v", readTimeout+5*time.Second, err)
+	}
+	cut.Body.Close()
+	if took := time.Since(start); cut.StatusCode != http.StatusBadRequest || took < readTimeout-time.Second || took > readTimeout+2*time.Second {
+		t.Fatalf("trickled body answered %d after %v, want 400 at the %v read timeout", cut.StatusCode, took, readTimeout)
+	}
+	if n := srv.Summary().Total; n != 1 {
+		t.Fatalf("the pipeline saw %d requests, want only the normal one", n)
+	}
+}
+
 func TestUnknownAppRejected(t *testing.T) {
 	if _, _, err := newServer("bogus", "pard", 2, 1, pard.AdmissionConfig{}); err == nil {
 		t.Fatal("unknown app accepted")

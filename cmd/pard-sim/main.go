@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	compare := fs.Bool("compare", false, "run the four headline systems instead of one policy")
 	parallel := fs.Int("parallel", 0, "concurrent simulation runs (0 = all CPU cores, 1 = sequential)")
-	shards := fs.Int("shards", 0, "per-module event-lane workers within each simulation (0 or 1 = the lane engine run sequentially: the recommended mode, and the one CI and the docs measure; N = N concurrent workers, byte-identical output, a wall-clock win only with more idle cores than lanes carrying work — on 2 cores it has measured 0.75-1.0x of sequential)")
 	groups := fs.Int("groups", 0, "in-process lane-group replicas per simulation (0 or 1 = ungrouped; results are bit-identical at every count — determinism invariant #5)")
 	hosts := fs.String("hosts", "", "comma-separated addresses of waiting lane-group peers (pard-worker -listen); this process becomes the hub (lane group 0) and the run spans len(hosts)+1 processes")
 	list := fs.Bool("list", false, "list policies and exit")
@@ -95,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			PolicyName: *policyName,
 			Trace:      tr,
 			Seed:       *seed,
-			Shards:     *shards,
 		}, stderr)
 		if err != nil {
 			return err
@@ -125,7 +123,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 					PolicyName: pol,
 					Trace:      tr,
 					Seed:       *seed,
-					Shards:     *shards,
 					Groups:     *groups,
 				})
 			},

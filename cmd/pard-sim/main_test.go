@@ -56,12 +56,15 @@ func TestCompareParallelDeterministic(t *testing.T) {
 }
 
 // TestFlagExclusions pins the topology flag surface: in-process-vs-cross-host
-// combinations are refused with clear errors, and there is no spoke mode — a
-// lane group is served by pard-worker -listen.
+// combinations are refused with clear errors, there is no spoke mode — a
+// lane group is served by pard-worker -listen — and no shard count: -groups
+// and -hosts are the ways to spread a run, -parallel the one that pays.
 func TestFlagExclusions(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-join-sim", ":0"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("-join-sim: %v, want the flag package's undefined-flag error", err)
+	for _, args := range [][]string{{"-join-sim", ":0"}, {"-shards", "2"}} {
+		if err := run(args, &out, &errb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: %v, want the flag package's undefined-flag error", args[0], err)
+		}
 	}
 	if err := run([]string{"-hosts", "x:1", "-groups", "2"}, &out, &errb); err == nil {
 		t.Fatal("-hosts with -groups accepted")

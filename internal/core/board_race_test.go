@@ -180,7 +180,7 @@ func BenchmarkBoardGetParallel(b *testing.B) {
 		Throughput:  400,
 		BatchWait:   []float64{0.01, 0.02},
 	}
-	for k := 0; k < board.N(); k++ {
+	for k := 0; k < len(board.states); k++ {
 		board.Publish(k, st)
 	}
 	stop := make(chan struct{})
@@ -192,7 +192,7 @@ func BenchmarkBoardGetParallel(b *testing.B) {
 				return
 			default:
 			}
-			board.Publish(i%board.N(), st)
+			board.Publish(i%len(board.states), st)
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -27,8 +27,8 @@ func boardFor(spec *pipeline.Spec, q, d time.Duration, waits []float64) *Board {
 
 func TestBoardPublishGet(t *testing.T) {
 	b := NewBoard(3)
-	if b.N() != 3 {
-		t.Fatalf("N = %d", b.N())
+	if len(b.states) != 3 {
+		t.Fatalf("N = %d", len(b.states))
 	}
 	b.Publish(1, ModuleState{QueueDelay: time.Millisecond})
 	if got := b.Get(1).QueueDelay; got != time.Millisecond {
@@ -303,8 +303,8 @@ func TestPriorityControllerOverloadSwitchesToHBF(t *testing.T) {
 	if m != HBF {
 		t.Fatalf("mode = %v under μ=1.5, want HBF", m)
 	}
-	if p.LoadFactor() != 1.5 {
-		t.Fatalf("μ = %v", p.LoadFactor())
+	if p.lastMu != 1.5 {
+		t.Fatalf("μ = %v", p.lastMu)
 	}
 }
 
@@ -321,7 +321,7 @@ func TestPriorityControllerHysteresisHolds(t *testing.T) {
 	}
 	// μ = 1.05 is inside [1−ε, 1+ε] for ε ≥ 0.1 → hold HBF.
 	if m := p.Update(11*time.Second, 210, 200); m != HBF {
-		t.Fatalf("mode flipped inside hysteresis band: %v (ε=%v)", m, p.Epsilon())
+		t.Fatalf("mode flipped inside hysteresis band: %v (ε=%v)", m, p.lastEps)
 	}
 	// μ = 0.5 clearly below band → LBF.
 	if m := p.Update(12*time.Second, 100, 200); m != LBF {
@@ -367,8 +367,8 @@ func TestPriorityControllerEpsilonGrowsWithBurstiness(t *testing.T) {
 		}
 		bursty.Update(now, tin, 100)
 	}
-	if bursty.Epsilon() <= steady.Epsilon() {
-		t.Fatalf("ε should expand under bursts: bursty %v vs steady %v", bursty.Epsilon(), steady.Epsilon())
+	if bursty.lastEps <= steady.lastEps {
+		t.Fatalf("ε should expand under bursts: bursty %v vs steady %v", bursty.lastEps, steady.lastEps)
 	}
 }
 

@@ -152,12 +152,6 @@ func (p *PriorityController) Update(now time.Duration, tin, tm float64) Mode {
 // Mode returns the current mode without updating.
 func (p *PriorityController) Mode() Mode { return p.mode }
 
-// LoadFactor returns the last computed μ.
-func (p *PriorityController) LoadFactor() float64 { return p.lastMu }
-
-// Epsilon returns the last computed hysteresis boundary ε.
-func (p *PriorityController) Epsilon() float64 { return p.lastEps }
-
 // Switches returns how many HBF↔LBF transitions have occurred; Fig. 13
 // contrasts PARD's few transitions with PARD-instant's thrashing.
 func (p *PriorityController) Switches() int { return p.switches }

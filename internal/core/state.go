@@ -74,9 +74,6 @@ func NewBoard(n int) *Board {
 	return b
 }
 
-// N returns the module count.
-func (b *Board) N() int { return len(b.states) }
-
 // Publish stores module k's snapshot: the value is copied once onto the
 // heap and installed with a single atomic pointer swap.
 func (b *Board) Publish(k int, s ModuleState) {

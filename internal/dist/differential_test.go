@@ -25,9 +25,9 @@ import (
 // socket.
 
 // diffGrid is the corpus: every app shape in the comparison set, bursty and
-// smooth traces, two policy families, plus option transport (sharded
-// engine, steady-rate override) and a duplicate spec (dedupe must hand both
-// inputs one unit).
+// smooth traces, two policy families, plus a DAG, option transport
+// (steady-rate override) and a duplicate spec (dedupe must hand both inputs
+// one unit).
 func diffGrid() []sweep.Spec {
 	var specs []sweep.Spec
 	for _, app := range []string{"tm", "lv"} {
@@ -38,7 +38,7 @@ func diffGrid() []sweep.Spec {
 		}
 	}
 	specs = append(specs,
-		sweep.Spec{App: "da", Kind: trace.Tweet, Policy: "pard", Opts: sweep.RunOpts{Shards: 2}},
+		sweep.Spec{App: "da", Kind: trace.Tweet, Policy: "pard"},
 		sweep.Spec{App: "gm", Kind: trace.Steady, Policy: "pard", Opts: sweep.RunOpts{SteadyRate: 60}},
 		specs[0],
 	)

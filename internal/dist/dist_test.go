@@ -98,7 +98,9 @@ func TestPoisonedSpecAbortsDistributedSweep(t *testing.T) {
 
 // TestKeyCrossCheckRejectsSkew speaks the protocol by hand and sends a unit
 // whose key does not match its spec — the worker must refuse to run it
-// (version-skew guard) rather than compute under the wrong key.
+// (version-skew guard) rather than compute under the wrong key. The key is
+// what a peer that still had a shard option sends for a sharded run: gob
+// drops the unknown Shards field on decode, the |sh= marker stays in the key.
 func TestKeyCrossCheckRejectsSkew(t *testing.T) {
 	coordSide, workerSide := net.Pipe()
 	done := make(chan error, 1)
@@ -114,7 +116,7 @@ func TestKeyCrossCheckRejectsSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := sweep.Spec{App: "tm", Kind: trace.Steady, Policy: "pard"}
-	if err := f.send(WorkUnit{Epoch: 1, ID: 0, Key: "run|tampered-key", Spec: spec}); err != nil {
+	if err := f.send(WorkUnit{Epoch: 1, ID: 0, Key: "run|" + spec.Key() + "|sh=2", Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
 	var r UnitResult

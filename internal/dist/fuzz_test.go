@@ -23,15 +23,15 @@ import (
 // the debugging representation) must never panic, and any frame that does
 // decode must re-encode and derive its key without panicking. A worker is
 // one Accept away from arbitrary network input, so this is the package's
-// robustness floor. Seeds cover all four apps, the sharded/steady option
-// variants, a result frame, and malformed shapes.
+// robustness floor. Seeds cover all four apps, the steady option variants,
+// a result frame, and malformed shapes.
 func FuzzWorkUnit(f *testing.F) {
 	seedUnits := []WorkUnit{
 		{Epoch: 1, ID: 0, Key: "run|k", Spec: sweep.Spec{App: "tm", Kind: trace.Wiki, Policy: "pard"}},
 		{Epoch: 2, ID: 7, Key: "run|k2", Spec: sweep.Spec{App: "lv", Kind: trace.Tweet, Policy: "nexus"}},
 		{Epoch: 3, ID: 1, Key: "run|k3", Spec: sweep.Spec{App: "gm", Kind: trace.Azure, Policy: "clipper++"}},
 		{Epoch: 4, ID: 2, Key: "run|k4", Spec: sweep.Spec{App: "da", Kind: trace.Steady, Policy: "pard",
-			Opts: sweep.RunOpts{Shards: 4, SteadyRate: 80, SLOOverride: 450 * time.Millisecond}}},
+			Opts: sweep.RunOpts{SteadyRate: 80, SLOOverride: 450 * time.Millisecond}}},
 		{Epoch: 5, ID: 3, Key: "run|k5", Spec: sweep.Spec{Pipeline: pipeline.DADynamic(0.5), Policy: "naive"}},
 	}
 	for _, u := range seedUnits {

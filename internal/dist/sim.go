@@ -40,7 +40,8 @@ import (
 // applied before encoding (its NetDelay/JitterPct sentinels are not
 // idempotent), so every replica normalizes the identical raw input exactly
 // once. The profile library does not travel: like sweep units, profiles are
-// fingerprint-checked at the handshake instead.
+// fingerprint-checked at the handshake instead. Neither does Shards: a shard
+// count cannot change a result, so spokes run their lanes sequentially.
 type SimJob struct {
 	Spec             *pipeline.Spec
 	PolicyName       string
@@ -59,7 +60,6 @@ type SimJob struct {
 	Lambda           float64
 	EstimatorSamples int
 	PriorityWindow   time.Duration
-	Shards           int
 }
 
 func jobFromConfig(cfg simgpu.Config) SimJob {
@@ -81,7 +81,6 @@ func jobFromConfig(cfg simgpu.Config) SimJob {
 		Lambda:           cfg.Lambda,
 		EstimatorSamples: cfg.EstimatorSamples,
 		PriorityWindow:   cfg.PriorityWindow,
-		Shards:           cfg.Shards,
 	}
 }
 
@@ -104,7 +103,6 @@ func (j SimJob) config() simgpu.Config {
 		Lambda:           j.Lambda,
 		EstimatorSamples: j.EstimatorSamples,
 		PriorityWindow:   j.PriorityWindow,
-		Shards:           j.Shards,
 	}
 }
 

@@ -40,7 +40,8 @@ func simTrace(kind trace.Kind, rate float64, seed int64) *trace.Trace {
 // simCorpus covers every app shape (three chains and both DAG variants —
 // cross-group fan-out/merge traffic), bursty and smooth traces, two policy
 // families, injected failures with the scaler on, probes, and a sharded
-// (Shards > 1) replica configuration.
+// (Shards > 1) hub: the shard count does not travel, so its spokes run
+// sequentially and the bytes must not move.
 func simCorpus() []simCase {
 	return []simCase{
 		{"tm-wiki-pard", simgpu.Config{

@@ -73,10 +73,6 @@ type Config struct {
 	// CacheDir, when set, persists finished simulation runs to disk so
 	// repeated invocations reuse finished grid points (see sweep.Config).
 	CacheDir string
-	// Shards, when >= 1, sets the lane engine's worker count for every
-	// simulation (see simgpu.Config.Shards). Zero is the sequential lane
-	// default.
-	Shards int
 	// Logf, when set, receives cache-maintenance logging (see sweep.Config).
 	Logf func(format string, args ...any)
 }
@@ -153,28 +149,14 @@ type RunOpts = sweep.RunOpts
 // Spec identifies one grid point of a sweep.
 type Spec = sweep.Spec
 
-// applyEngine fills a spec's engine options from the harness defaults.
-func (h *Harness) applyEngine(opts *RunOpts) {
-	if opts.Shards == 0 {
-		opts.Shards = h.cfg.Shards
-	}
-}
-
 // Run executes (or retrieves from cache) one simulation.
 func (h *Harness) Run(app string, kind trace.Kind, policy string, opts RunOpts) (*simgpu.Result, error) {
-	h.applyEngine(&opts)
 	return h.eng.Run(Spec{App: app, Kind: kind, Policy: policy, Opts: opts})
 }
 
 // Sweep executes a grid of specs concurrently and returns results in input
 // order; see sweep.Engine.Sweep for the determinism contract.
 func (h *Harness) Sweep(specs []Spec) ([]*simgpu.Result, error) {
-	if h.cfg.Shards != 0 {
-		specs = append([]Spec(nil), specs...)
-		for i := range specs {
-			h.applyEngine(&specs[i].Opts)
-		}
-	}
 	return h.eng.Sweep(specs)
 }
 

@@ -46,9 +46,9 @@ func fig6(h *Harness) (*Output, error) {
 	}
 	paperQ10 := []float64{0.31, 0.28, 0.22, 0.10}
 	d := res.ProfiledDurs[0].Seconds()
-	// One Monte-Carlo scratch serves all 12 convolutions; the RNG draw
-	// sequence is identical to per-call ConvolveQuantile, so the table bytes
-	// don't move. The cached WaitSamples sources are read-only throughout.
+	// One Monte-Carlo scratch serves all 12 convolutions; reusing it does not
+	// change the RNG draws. The cached WaitSamples sources are read-only
+	// throughout.
 	var conv []float64
 	sources := make([][]float64, 0, 4)
 	for k := 0; k < 4; k++ {

@@ -67,9 +67,6 @@ func (h *Hist) Record(d time.Duration) {
 	}
 }
 
-// Count returns the number of recorded observations.
-func (h *Hist) Count() uint64 { return h.total.Load() }
-
 // Max returns the largest recorded value exactly.
 func (h *Hist) Max() time.Duration { return time.Duration(h.max.Load()) }
 

@@ -10,8 +10,8 @@ import (
 
 func TestHistEmpty(t *testing.T) {
 	var h Hist
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatalf("empty hist: count %d max %v", h.Count(), h.Max())
+	if h.total.Load() != 0 || h.Max() != 0 {
+		t.Fatalf("empty hist: count %d max %v", h.total.Load(), h.Max())
 	}
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
@@ -26,8 +26,8 @@ func TestHistQuantileAccuracy(t *testing.T) {
 	for us := 1; us <= 10000; us++ {
 		h.Record(time.Duration(us) * time.Microsecond)
 	}
-	if h.Count() != 10000 {
-		t.Fatalf("count = %d", h.Count())
+	if h.total.Load() != 10000 {
+		t.Fatalf("count = %d", h.total.Load())
 	}
 	if h.Max() != 10*time.Millisecond {
 		t.Fatalf("max = %v, want exactly 10ms", h.Max())
@@ -99,8 +99,8 @@ func TestHistConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
+	if h.total.Load() != workers*per {
+		t.Fatalf("count = %d, want %d", h.total.Load(), workers*per)
 	}
 	if h.Max() >= time.Second || h.Max() <= 0 {
 		t.Fatalf("max = %v outside (0, 1s)", h.Max())

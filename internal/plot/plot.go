@@ -152,25 +152,3 @@ func trimFloat(v float64) string {
 		return fmt.Sprintf("%.3f", v)
 	}
 }
-
-// Sparkline renders values as a compact one-line bar chart.
-func Sparkline(vs []float64) string {
-	if len(vs) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range vs {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	var b strings.Builder
-	for _, v := range vs {
-		i := int((v - lo) / (hi - lo) * float64(len(blocks)-1))
-		b.WriteRune(blocks[i])
-	}
-	return b.String()
-}

@@ -92,21 +92,3 @@ func TestPropertyRenderStable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	if s := Sparkline(nil); s != "" {
-		t.Fatalf("empty sparkline = %q", s)
-	}
-	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
-	if got := len([]rune(s)); got != 8 {
-		t.Fatalf("sparkline runes = %d", got)
-	}
-	runes := []rune(s)
-	if runes[0] != '▁' || runes[7] != '█' {
-		t.Fatalf("sparkline scale wrong: %s", s)
-	}
-	// Constant series should not divide by zero.
-	if s := Sparkline([]float64{3, 3, 3}); len([]rune(s)) != 3 {
-		t.Fatalf("constant sparkline = %q", s)
-	}
-}

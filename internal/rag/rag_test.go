@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,10 +128,10 @@ func TestLatencyDistributions(t *testing.T) {
 	}
 	// Fig. 15b: retrieve is the fastest stage; search has the heaviest tail.
 	med := func(stage int) float64 {
-		return stats.Percentiles(res.Latencies[stage].Samples, 0.5)[0]
+		return stats.PercentilesInto(nil, slices.Clone(res.Latencies[stage].Samples), 0.5)[0]
 	}
 	p99 := func(stage int) float64 {
-		return stats.Percentiles(res.Latencies[stage].Samples, 0.99)[0]
+		return stats.PercentilesInto(nil, slices.Clone(res.Latencies[stage].Samples), 0.99)[0]
 	}
 	if med(StageRetrieve) >= med(StageRewrite) || med(StageRetrieve) >= med(StageSearch) {
 		t.Fatalf("retrieve should be fastest: med retrieve %.3f rewrite %.3f search %.3f",

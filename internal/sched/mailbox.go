@@ -62,8 +62,9 @@ type laneScheduler interface {
 	// parallelLanes fans a lane-local function out over all lanes from
 	// control context.
 	parallelLanes(fn func(lane int))
-	// Lanes returns the executor's lane count (must equal the module count).
-	Lanes() int
+	// laneCount returns the executor's lane count (must equal the module
+	// count).
+	laneCount() int
 }
 
 // intent is one deferred request termination.

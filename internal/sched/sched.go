@@ -198,8 +198,8 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		c.pathRngs = append(c.pathRngs, rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path"))))
 	}
 	if ls, ok := exec.(laneScheduler); ok {
-		if ls.Lanes() != n {
-			return nil, fmt.Errorf("sched: executor has %d lanes for %d modules", ls.Lanes(), n)
+		if ls.laneCount() != n {
+			return nil, fmt.Errorf("sched: executor has %d lanes for %d modules", ls.laneCount(), n)
 		}
 		c.ls = ls
 		c.bridge = newLaneBridge(c, n)
@@ -268,9 +268,6 @@ func (c *Cluster) PeakWorkers(k int) int { return c.modules[k].peakWorkers }
 
 // ActiveWorkers returns module k's current dispatcher-eligible worker count.
 func (c *Cluster) ActiveWorkers(k int) int { return c.modules[k].activeWorkers() }
-
-// Drops returns how many requests module k has dropped.
-func (c *Cluster) Drops(k int) int { return c.modules[k].drops }
 
 // ModuleProbes bundles module k's optional probe outputs (nil / empty unless
 // the corresponding probe was enabled in the config).

@@ -244,14 +244,7 @@ func (x *ShardedExecutor) fail(err error) {
 	}
 }
 
-// Lanes returns the lane count (the cluster's module count).
-func (x *ShardedExecutor) Lanes() int { return len(x.lanes) }
-
-// Shards returns the effective worker count.
-func (x *ShardedExecutor) Shards() int { return x.shards }
-
-// Lookahead returns the conservative window size.
-func (x *ShardedExecutor) Lookahead() time.Duration { return x.lookahead }
+func (x *ShardedExecutor) laneCount() int { return len(x.lanes) }
 
 // Now returns the executor's committed virtual time (the barrier frontier).
 // Lane callbacks should use the time passed to them, which may run ahead of

@@ -86,14 +86,6 @@ func (t Topology) owns(lane int) bool { return t.Groups <= 1 || lane%t.Groups ==
 // which modules this group holds authoritative state for.
 func (t Topology) Owns(lane int) bool { return t.owns(lane) }
 
-// OwnerOf returns the group index owning lane k.
-func (t Topology) OwnerOf(lane int) int {
-	if t.Groups <= 1 {
-		return 0
-	}
-	return lane % t.Groups
-}
-
 func (t Topology) validate() error {
 	if t.Groups < 0 {
 		return fmt.Errorf("sched: negative lane-group count %d", t.Groups)

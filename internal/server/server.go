@@ -18,6 +18,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -613,7 +614,12 @@ func (s *Server) Handler() http.Handler {
 		if r.ContentLength != 0 {
 			// Execution is modelled, so a payload is read only to be bounded.
 			if _, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, maxInferBody)); err != nil {
-				http.Error(w, "request body over 1 MiB or unreadable", http.StatusRequestEntityTooLarge)
+				var tooLarge *http.MaxBytesError
+				if errors.As(err, &tooLarge) {
+					http.Error(w, "request body over 1 MiB", http.StatusRequestEntityTooLarge)
+				} else {
+					http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
+				}
 				return
 			}
 		}

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -179,16 +182,6 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("infer outcome = %s (latency %.1fms)", out.Outcome, out.LatencyMS)
 	}
 
-	// a payload past the bound is refused before it reaches the pipeline
-	resp, err = http.Post(ts.URL+"/infer", "application/json", strings.NewReader(strings.Repeat("x", maxInferBody+1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || s.Summary().Total != 1 {
-		t.Fatalf("oversized POST /infer = %d with %d requests counted, want 413 and 1", resp.StatusCode, s.Summary().Total)
-	}
-
 	// stats
 	resp, err = http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -208,6 +201,55 @@ func TestHTTPEndpoints(t *testing.T) {
 	if ex == nil || ex["fired"].(float64) < 4 || ex["lag_max_us"].(float64) < ex["lag_mean_us"].(float64) ||
 		len(ex["lag_hist_pow2_us"].([]any)) != 16 {
 		t.Fatalf("stats executor object = %v", sum["executor"])
+	}
+}
+
+// TestInferBodyErrors: a body that cannot be read whole is refused before
+// it reaches the pipeline — 413 when it runs past the 1 MiB bound, 400 with
+// the read error's own message for anything else, here a client that goes
+// away halfway through the body it declared.
+func TestInferBodyErrors(t *testing.T) {
+	s := fastServer(t, "pard")
+	s.Start()
+	defer s.Stop()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	t.Run("over-bound", func(t *testing.T) {
+		resp, err := http.Post(ts.URL+"/infer", "application/json", strings.NewReader(strings.Repeat("x", maxInferBody+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "over 1 MiB") {
+			t.Fatalf("oversized POST /infer = %d %q, want 413", resp.StatusCode, body)
+		}
+	})
+	t.Run("client-gone-mid-body", func(t *testing.T) {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "POST /infer HTTP/1.1\r\nHost: pard\r\nContent-Length: 100\r\n\r\n{\"half\":"); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unexpected EOF") {
+			t.Fatalf("POST /infer with a truncated body = %d %q, want 400 naming the EOF", resp.StatusCode, body)
+		}
+	})
+	if n := s.Summary().Total; n != 0 {
+		t.Fatalf("%d refused requests reached the pipeline", n)
 	}
 }
 

@@ -27,24 +27,6 @@ type (
 // DefaultScaling returns the scaling configuration used by the experiments.
 func DefaultScaling() ScalingConfig { return sched.DefaultScaling() }
 
-// TargetBatches picks each module's target batch size; see
-// sched.TargetBatches.
-func TargetBatches(spec *pipeline.Spec, lib *profile.Library, frac float64) ([]int, []time.Duration, error) {
-	return sched.TargetBatches(spec, lib, frac)
-}
-
-// ApplyGPUBudget scales per-module worker demands down proportionally when
-// their sum exceeds the cluster budget; see sched.ApplyGPUBudget.
-func ApplyGPUBudget(desired []int, budget, min int) {
-	sched.ApplyGPUBudget(desired, budget, min)
-}
-
-// ProvisionWorkers computes per-module worker counts able to sustain the
-// given request rate; see sched.ProvisionWorkers.
-func ProvisionWorkers(spec *pipeline.Spec, lib *profile.Library, batches []int, rate, headroom float64, min, max int) ([]int, error) {
-	return sched.ProvisionWorkers(spec, lib, batches, rate, headroom, min, max)
-}
-
 // Config fully describes one simulation run.
 type Config struct {
 	Spec *pipeline.Spec
@@ -93,8 +75,10 @@ type Config struct {
 	// lanes, advanced under a low-watermark barrier with cross-module events
 	// exchanged through deterministic ordered mailboxes, are drained by that
 	// many concurrent workers. 0 (the default) and 1 both run the lanes
-	// sequentially. Results are identical for every shard count (Shards <= 1
-	// is the sequential baseline of the differential harness).
+	// sequentially, which on the 2-core hosts measured was never slower than
+	// a shard pool; no command sets it. Results are identical for every shard
+	// count (Shards <= 1 is the sequential baseline of the differential
+	// harness).
 	Shards int
 	// Groups splits the lane engine's per-module lanes into N lane groups,
 	// each running a full cluster replica in lockstep over an in-process

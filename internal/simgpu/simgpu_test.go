@@ -7,6 +7,7 @@ import (
 
 	"pard/internal/pipeline"
 	"pard/internal/profile"
+	"pard/internal/sched"
 	"pard/internal/trace"
 )
 
@@ -113,7 +114,7 @@ func TestNetDelayZeroMatchesNanosecond(t *testing.T) {
 func TestTargetBatches(t *testing.T) {
 	spec := pipeline.LV()
 	lib := profile.DefaultLibrary()
-	batches, durs, err := TargetBatches(spec, lib, 0.25)
+	batches, durs, err := sched.TargetBatches(spec, lib, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestTargetBatches(t *testing.T) {
 	if sum > spec.SLO/2 {
 		t.Fatalf("Σd = %v too large for SLO %v", sum, spec.SLO)
 	}
-	if _, _, err := TargetBatches(spec, lib, 0); err == nil {
+	if _, _, err := sched.TargetBatches(spec, lib, 0); err == nil {
 		t.Fatal("frac=0 accepted")
 	}
 }
@@ -143,8 +144,8 @@ func TestTargetBatches(t *testing.T) {
 func TestProvisionWorkers(t *testing.T) {
 	spec := pipeline.LV()
 	lib := profile.DefaultLibrary()
-	batches, _, _ := TargetBatches(spec, lib, 0.25)
-	ws, err := ProvisionWorkers(spec, lib, batches, 1000, 1.2, 1, 16)
+	batches, _, _ := sched.TargetBatches(spec, lib, 0.25)
+	ws, err := sched.ProvisionWorkers(spec, lib, batches, 1000, 1.2, 1, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

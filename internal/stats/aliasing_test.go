@@ -34,18 +34,6 @@ func TestReservoirValuesIsLiveBuffer(t *testing.T) {
 	}
 }
 
-func TestPercentilesDoesNotMutateInput(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	orig := append([]float64(nil), xs...)
-	got := Percentiles(xs, 0, 0.5, 1)
-	if !slices.Equal(xs, orig) {
-		t.Fatalf("Percentiles reordered its input: %v", xs)
-	}
-	if got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("quantiles = %v", got)
-	}
-}
-
 func TestPercentilesIntoSortsInPlace(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	got := PercentilesInto(nil, xs, 0, 0.5, 1)
@@ -62,34 +50,12 @@ func TestPercentilesIntoSortsInPlace(t *testing.T) {
 	}
 }
 
-func TestPercentilesIntoMatchesPercentiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	qs := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}
-	for trial := 0; trial < 50; trial++ {
-		xs := make([]float64, 1+rng.Intn(200))
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		want := Percentiles(xs, qs...)
-		got := PercentilesInto(nil, append([]float64(nil), xs...), qs...)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: PercentilesInto %v != Percentiles %v", trial, got, want)
-		}
-	}
-	if got := PercentilesInto(nil, nil, 0.5); got[0] != 0 {
-		t.Fatalf("empty input quantile = %v, want 0", got[0])
-	}
-}
-
 func TestConvolveDoesNotMutateSources(t *testing.T) {
 	src := [][]float64{{3, 1, 2}, {9, 7, 8}}
 	orig := [][]float64{append([]float64(nil), src[0]...), append([]float64(nil), src[1]...)}
 	rng := rand.New(rand.NewSource(3))
-	ConvolveQuantile(src, 0.5, 100, rng)
 	ConvolveSamples(src, 100, rng)
-	var scratch []float64
-	_, scratch = ConvolveQuantileInto(scratch, src, 0.5, 100, rng)
-	ConvolveSamplesInto(scratch, src, 100, rng)
+	ConvolveQuantileInto(nil, src, 0.5, 100, rng)
 	for i := range src {
 		if !slices.Equal(src[i], orig[i]) {
 			t.Fatalf("source %d mutated: %v", i, src[i])
@@ -97,26 +63,23 @@ func TestConvolveDoesNotMutateSources(t *testing.T) {
 	}
 }
 
+// TestConvolveIntoMatchesConvolve: from the same rng state, the quantile
+// ConvolveQuantileInto selects is the one the sorted ConvolveSamples output
+// holds at that rank, whatever a reused scratch held before.
 func TestConvolveIntoMatchesConvolve(t *testing.T) {
 	src := [][]float64{{0.1, 0.2, 0.3}, nil, {0.5}, {0.05, 0.15}}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
 		a := rand.New(rand.NewSource(11))
 		b := rand.New(rand.NewSource(11))
-		want := ConvolveQuantile(src, q, 500, a)
-		var scratch []float64
+		sums := ConvolveSamples(src, 500, a)
+		slices.Sort(sums)
 		// Warm the scratch with garbage first to prove it is fully reset.
-		scratch = append(scratch, 1e9, -1e9)
+		scratch := make([]float64, 2, 600)
+		scratch[0], scratch[1] = 1e9, -1e9
 		got, _ := ConvolveQuantileInto(scratch, src, q, 500, b)
-		if got != want {
-			t.Fatalf("q=%v: Into %v != plain %v (RNG draw order must be identical)", q, got, want)
+		if want := QuantileSorted(sums, q); got != want {
+			t.Fatalf("q=%v: Into %v != sorted samples %v (RNG draw order must be identical)", q, got, want)
 		}
-	}
-	a := rand.New(rand.NewSource(13))
-	b := rand.New(rand.NewSource(13))
-	want := ConvolveSamples(src, 300, a)
-	got := ConvolveSamplesInto(make([]float64, 5, 400), src, 300, b)
-	if !slices.Equal(got, want) {
-		t.Fatal("ConvolveSamplesInto diverged from ConvolveSamples")
 	}
 }
 
@@ -136,8 +99,8 @@ func TestEmpiricalCopiesItsInput(t *testing.T) {
 	}
 	// Reset reuses the internal buffer across calls.
 	e.Reset([]float64{9})
-	if e.Len() != 1 || e.Quantile(0.5) != 9 {
-		t.Fatalf("Reset did not reload: len=%d", e.Len())
+	if len(e.samples) != 1 || e.Quantile(0.5) != 9 {
+		t.Fatalf("Reset did not reload: len=%d", len(e.samples))
 	}
 }
 
@@ -147,11 +110,11 @@ func TestSlidingWindowValuesIntoMatchesValues(t *testing.T) {
 		w.Add(time.Duration(i)*time.Second, float64(i))
 	}
 	now := 19 * time.Second
-	want := w.Values(now)
+	want := []float64{14, 15, 16, 17, 18, 19} // the window's live values, oldest first
 	buf := make([]float64, 3, 64)
 	got := w.ValuesInto(now, buf)
 	if !slices.Equal(got, want) {
-		t.Fatalf("ValuesInto %v != Values %v", got, want)
+		t.Fatalf("ValuesInto %v, want %v", got, want)
 	}
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("ValuesInto did not reuse the provided buffer capacity")

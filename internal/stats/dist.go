@@ -7,11 +7,10 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // Empirical is an empirical distribution over float64 samples supporting
-// CDF evaluation and quantile inversion. Samples are sorted lazily.
+// quantile queries and histograms. Samples are sorted lazily.
 type Empirical struct {
 	samples []float64
 	sorted  bool
@@ -32,30 +31,11 @@ func (d *Empirical) Reset(samples []float64) {
 	d.sorted = false
 }
 
-// Add appends one sample.
-func (d *Empirical) Add(v float64) {
-	d.samples = append(d.samples, v)
-	d.sorted = false
-}
-
-// Len returns the sample count.
-func (d *Empirical) Len() int { return len(d.samples) }
-
 func (d *Empirical) ensureSorted() {
 	if !d.sorted {
 		slices.Sort(d.samples)
 		d.sorted = true
 	}
-}
-
-// CDF returns P(X <= x), or 0 for an empty distribution.
-func (d *Empirical) CDF(x float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.ensureSorted()
-	i := sort.SearchFloat64s(d.samples, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(d.samples))
 }
 
 // Quantile returns the q-quantile (q in [0,1]) using the nearest-rank
@@ -67,50 +47,6 @@ func (d *Empirical) Quantile(q float64) float64 {
 	}
 	d.ensureSorted()
 	return d.samples[rankIndex(len(d.samples), q)]
-}
-
-// Mean returns the sample mean, or 0 when empty.
-func (d *Empirical) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range d.samples {
-		sum += v
-	}
-	return sum / float64(len(d.samples))
-}
-
-// Std returns the population standard deviation, or 0 when empty.
-func (d *Empirical) Std() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	m := d.Mean()
-	var ss float64
-	for _, v := range d.samples {
-		dv := v - m
-		ss += dv * dv
-	}
-	return math.Sqrt(ss / float64(len(d.samples)))
-}
-
-// CV returns the coefficient of variation (std/mean), or 0 when the mean
-// is 0.
-func (d *Empirical) CV() float64 {
-	m := d.Mean()
-	if m == 0 {
-		return 0
-	}
-	return d.Std() / m
-}
-
-// Sample draws one value uniformly from the samples.
-func (d *Empirical) Sample(rng *rand.Rand) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return d.samples[rng.Intn(len(d.samples))]
 }
 
 // Histogram bins the samples into n equal-width buckets over [min, max] and
@@ -175,38 +111,27 @@ func (r *Reservoir) Add(v float64) {
 	}
 }
 
-// Len returns the number of held samples.
-func (r *Reservoir) Len() int { return len(r.buf) }
-
-// Seen returns how many values were offered in total.
-func (r *Reservoir) Seen() int { return r.seen }
-
 // Values returns the live internal buffer, NOT a copy. The contract is
 // strictly read-only: callers must not sort, append to, or otherwise mutate
 // the returned slice (in particular, never pass it to PercentilesInto),
 // and must copy it before handing it to anything that outlives the next
-// Add. Percentiles and ConvolveQuantile/ConvolveSamples are safe consumers:
-// they copy or only read.
+// Add. NewEmpirical, Empirical.Reset and ConvolveQuantileInto/ConvolveSamples
+// (as sources) are safe consumers: they copy or only read.
 func (r *Reservoir) Values() []float64 { return r.buf }
 
-// ConvolveQuantile estimates the q-quantile of the sum of independent draws,
-// one from each source distribution, by Monte-Carlo with m samples. This is
-// PARD's F^{-1}_{k+1→N}(λ) estimator for aggregated batch wait: each source
-// is a module's observed batch-wait sample set. Empty sources contribute 0.
-// The source slices are read-only; they are never reordered or written.
-func ConvolveQuantile(sources [][]float64, q float64, m int, rng *rand.Rand) float64 {
-	v, _ := ConvolveQuantileInto(nil, sources, q, m, rng)
-	return v
-}
-
-// ConvolveQuantileInto is ConvolveQuantile with a caller-supplied scratch
-// buffer for the Monte-Carlo sums: scratch is resized (reallocating only when
-// capacity is short), filled, and reordered in place — the quantile is
-// selected, not sorted out, so the returned scratch holds the sums in no
-// particular order. It returns the quantile and the (possibly grown) scratch
-// for reuse on the next call. The sequence of RNG draws is identical to
-// ConvolveQuantile's, so results are byte-for-byte the same for the same rng
-// state.
+// ConvolveQuantileInto estimates the q-quantile of the sum of independent
+// draws, one from each source distribution, by Monte-Carlo with m samples.
+// This is PARD's F^{-1}_{k+1→N}(λ) estimator for aggregated batch wait: each
+// source is a module's observed batch-wait sample set. Empty sources
+// contribute 0, and the source slices are read-only.
+//
+// The sums go into a caller-supplied scratch buffer: scratch is resized
+// (reallocating only when capacity is short), filled, and reordered in place —
+// the quantile is selected, not sorted out, so the returned scratch holds the
+// sums in no particular order. It returns the quantile and the (possibly
+// grown) scratch for reuse on the next call. The RNG draws are ConvolveSamples'
+// own, so the result is the q-quantile of what ConvolveSamples would return
+// from the same rng state.
 func ConvolveQuantileInto(scratch []float64, sources [][]float64, q float64, m int, rng *rand.Rand) (float64, []float64) {
 	if m <= 0 || len(sources) == 0 {
 		return 0, scratch
@@ -220,13 +145,6 @@ func ConvolveQuantileInto(scratch []float64, sources [][]float64, q float64, m i
 // slices are read-only.
 func ConvolveSamples(sources [][]float64, m int, rng *rand.Rand) []float64 {
 	return convolveInto(nil, sources, m, rng)
-}
-
-// ConvolveSamplesInto is ConvolveSamples writing into a caller-supplied
-// scratch buffer (grown only when capacity is short). The returned slice
-// aliases scratch and is valid until the next call that reuses it.
-func ConvolveSamplesInto(scratch []float64, sources [][]float64, m int, rng *rand.Rand) []float64 {
-	return convolveInto(scratch, sources, m, rng)
 }
 
 func convolveInto(scratch []float64, sources [][]float64, m int, rng *rand.Rand) []float64 {
@@ -279,18 +197,6 @@ func CoefficientOfVariation(xs []float64) float64 {
 	return s / m
 }
 
-// Percentiles evaluates the given quantiles (each in [0,1]) over xs.
-// xs is read-only: this copies before sorting, so callers may pass live or
-// shared buffers (e.g. Reservoir.Values results, cached slices).
-func Percentiles(xs []float64, qs ...float64) []float64 {
-	d := NewEmpirical(xs)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = d.Quantile(q)
-	}
-	return out
-}
-
 // PercentilesInto evaluates the given quantiles over xs, REORDERING xs IN
 // PLACE, and appends the results to dst (which may be nil). Use it on
 // buffers the caller owns outright — never on live Reservoir.Values slices
@@ -298,7 +204,7 @@ func Percentiles(xs []float64, qs ...float64) []float64 {
 // State Planner's one p95 per module per sync — is selected in linear time
 // and leaves xs partitioned around it, not sorted; several quantiles sort xs
 // once. Either way each result is the element an ascending sort puts at the
-// quantile's rank. Quantile semantics match Percentiles (nearest rank,
+// quantile's rank. Quantile semantics match Empirical.Quantile (nearest rank,
 // clamped, 0 when xs is empty).
 func PercentilesInto(dst []float64, xs []float64, qs ...float64) []float64 {
 	if len(qs) == 1 {

@@ -71,7 +71,7 @@ func NormalQuantile(p float64) float64 {
 // terms it applies the central-limit normal approximation with the exact
 // first two moments (mean Σdᵢ/2, variance Σdᵢ²/12), clamped to the support
 // [0, Σdᵢ]. This is the closed-form counterpart of the Monte-Carlo
-// ConvolveQuantile for the Fig. 6 Irwin-Hall setting.
+// ConvolveQuantileInto for the Fig. 6 Irwin-Hall setting.
 func UniformSumQuantile(ds []float64, q float64) float64 {
 	if len(ds) == 0 {
 		return 0

@@ -99,7 +99,7 @@ func TestUniformSumQuantileMatchesMonteCarlo(t *testing.T) {
 		sources[i] = s
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9} {
-		mc := ConvolveQuantile(sources, q, 20000, rng)
+		mc, _ := ConvolveQuantileInto(nil, sources, q, 20000, rng)
 		an := UniformSumQuantile(ds, q)
 		if math.Abs(mc-an) > 0.01 {
 			t.Fatalf("q=%v: MC %v vs analytic %v", q, mc, an)

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -19,9 +20,8 @@ func TestSlidingWindowEviction(t *testing.T) {
 	if got := w.Len(); got != 6 {
 		t.Fatalf("Len = %d, want 6", got)
 	}
-	m, ok := w.UnweightedMean(9 * time.Second)
-	if !ok || m != 6.5 {
-		t.Fatalf("UnweightedMean = %v ok=%v, want 6.5", m, ok)
+	if m := w.Sum(9*time.Second) / float64(w.Len()); m != 6.5 {
+		t.Fatalf("plain mean = %v, want 6.5", m)
 	}
 }
 
@@ -33,8 +33,8 @@ func TestSlidingWindowExactSpanBoundary(t *testing.T) {
 	if got := w.Len(); got != 3 {
 		t.Fatalf("Len at exact boundary = %d, want 3", got)
 	}
-	if vs := w.Values(5 * time.Second); len(vs) != 3 || vs[0] != 1 {
-		t.Fatalf("boundary sample missing from Values: %v", vs)
+	if vs := w.ValuesInto(5*time.Second, nil); len(vs) != 3 || vs[0] != 1 {
+		t.Fatalf("boundary sample missing from ValuesInto: %v", vs)
 	}
 	// The boundary sample carries zero linear weight, so it survives eviction
 	// but contributes nothing to the weighted mean.
@@ -44,7 +44,7 @@ func TestSlidingWindowExactSpanBoundary(t *testing.T) {
 		t.Fatalf("weighted mean = %v, want %v", m, want)
 	}
 	// One nanosecond past the span, the boundary sample is evicted.
-	w.Advance(5*time.Second + time.Nanosecond)
+	w.evict(5*time.Second + time.Nanosecond)
 	if got := w.Len(); got != 2 {
 		t.Fatalf("Len one tick past boundary = %d, want 2", got)
 	}
@@ -69,9 +69,6 @@ func TestSlidingWindowEmpty(t *testing.T) {
 	w := NewSlidingWindow(time.Second)
 	if _, ok := w.Mean(0); ok {
 		t.Fatal("empty window reported a mean")
-	}
-	if _, ok := w.UnweightedMean(0); ok {
-		t.Fatal("empty window reported an unweighted mean")
 	}
 	if w.Sum(0) != 0 {
 		t.Fatal("empty window sum != 0")
@@ -124,28 +121,6 @@ func TestRateWindow(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if _, ok := e.Value(); ok {
-		t.Fatal("uninitialized EWMA reported a value")
-	}
-	e.Add(10)
-	e.Add(20)
-	v, ok := e.Value()
-	if !ok || v != 15 {
-		t.Fatalf("EWMA = %v, want 15", v)
-	}
-}
-
-func TestEWMAPanicsOnBadAlpha(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewEWMA(0)
-}
-
 func TestEmpiricalQuantileCDF(t *testing.T) {
 	d := NewEmpirical([]float64{4, 1, 3, 2, 5})
 	if got := d.Quantile(0); got != 1 {
@@ -157,44 +132,42 @@ func TestEmpiricalQuantileCDF(t *testing.T) {
 	if got := d.Quantile(0.5); got != 3 {
 		t.Fatalf("median = %v, want 3", got)
 	}
-	if got := d.CDF(3); got != 0.6 {
-		t.Fatalf("CDF(3) = %v, want 0.6", got)
-	}
-	if got := d.CDF(0.5); got != 0 {
-		t.Fatalf("CDF(0.5) = %v, want 0", got)
-	}
-	if got := d.CDF(10); got != 1 {
-		t.Fatalf("CDF(10) = %v, want 1", got)
+	// Nearest rank inverts the step CDF: F(3) = 0.6, so every q in (0.4, 0.6]
+	// maps to 3 and the next step starts just above 0.6.
+	for _, c := range []struct{ q, want float64 }{{0.41, 3}, {0.6, 3}, {0.61, 4}, {0.4, 2}} {
+		if got := d.Quantile(c.q); got != c.want {
+			t.Fatalf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
 	}
 }
 
 func TestEmpiricalEmpty(t *testing.T) {
 	d := NewEmpirical(nil)
-	if d.Quantile(0.5) != 0 || d.CDF(1) != 0 || d.Mean() != 0 || d.Std() != 0 || d.CV() != 0 {
+	if d.Quantile(0.5) != 0 || d.Quantile(1) != 0 {
 		t.Fatal("empty distribution should return zeros")
+	}
+	if edges, dens := d.Histogram(4); edges != nil || dens != nil {
+		t.Fatal("empty distribution should have no histogram")
 	}
 }
 
 func TestEmpiricalMoments(t *testing.T) {
-	d := NewEmpirical([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if d.Mean() != 5 {
-		t.Fatalf("mean = %v, want 5", d.Mean())
+	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	if m, s := MeanStd(xs); m != 5 || s != 2 {
+		t.Fatalf("mean, std = %v, %v; want 5, 2", m, s)
 	}
-	if d.Std() != 2 {
-		t.Fatalf("std = %v, want 2", d.Std())
-	}
-	if math.Abs(d.CV()-0.4) > 1e-12 {
-		t.Fatalf("cv = %v, want 0.4", d.CV())
+	if cv := CoefficientOfVariation(xs); math.Abs(cv-0.4) > 1e-12 {
+		t.Fatalf("cv = %v, want 0.4", cv)
 	}
 }
 
 func TestEmpiricalHistogramIntegratesToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := NewEmpirical(nil)
-	for i := 0; i < 1000; i++ {
-		d.Add(rng.Float64() * 10)
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = rng.Float64() * 10
 	}
-	edges, dens := d.Histogram(20)
+	edges, dens := NewEmpirical(xs).Histogram(20)
 	if len(edges) != 20 || len(dens) != 20 {
 		t.Fatalf("got %d edges, %d densities", len(edges), len(dens))
 	}
@@ -214,8 +187,8 @@ func TestReservoirUniformity(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		r.Add(float64(i))
 	}
-	if r.Len() != 100 || r.Seen() != 10000 {
-		t.Fatalf("len=%d seen=%d", r.Len(), r.Seen())
+	if len(r.Values()) != 100 || r.seen != 10000 {
+		t.Fatalf("len=%d seen=%d", len(r.Values()), r.seen)
 	}
 	m, _ := MeanStd(r.Values())
 	// Mean of a uniform sample of 0..9999 should be near 5000.
@@ -238,7 +211,7 @@ func TestConvolveQuantileIrwinHall(t *testing.T) {
 		for i := range sources {
 			sources[i] = uniform
 		}
-		got := ConvolveQuantile(sources, 0.1, 20000, rng)
+		got, _ := ConvolveQuantileInto(nil, sources, 0.1, 20000, rng)
 		if math.Abs(got-want[j-1]) > 0.05 {
 			t.Fatalf("j=%d quantile = %v, want ≈%v", j, got, want[j-1])
 		}
@@ -248,24 +221,30 @@ func TestConvolveQuantileIrwinHall(t *testing.T) {
 func TestConvolveQuantileEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	src := [][]float64{{1, 2, 3}}
-	if got := ConvolveQuantile(src, 0, 100, rng); got != 1 {
-		t.Fatalf("q=0 → %v, want 1", got)
-	}
-	if got := ConvolveQuantile(src, 1, 100, rng); got != 3 {
-		t.Fatalf("q=1 → %v, want 3", got)
-	}
-	if got := ConvolveQuantile(nil, 0.5, 100, rng); got != 0 {
-		t.Fatalf("no sources → %v, want 0", got)
-	}
-	if got := ConvolveQuantile([][]float64{{}, {5}}, 0.5, 100, rng); got != 5 {
-		t.Fatalf("empty source skipped → %v, want 5", got)
+	for _, c := range []struct {
+		name    string
+		sources [][]float64
+		q, want float64
+	}{
+		{"q=0", src, 0, 1},
+		{"q=1", src, 1, 3},
+		{"no sources", nil, 0.5, 0},
+		{"empty source skipped", [][]float64{{}, {5}}, 0.5, 5},
+	} {
+		if got, _ := ConvolveQuantileInto(nil, c.sources, c.q, 100, rng); got != c.want {
+			t.Fatalf("%s → %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
 func TestPercentiles(t *testing.T) {
-	got := Percentiles([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.5, 0.9)
+	xs := []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
+	got := PercentilesInto(nil, slices.Clone(xs), 0.5, 0.9)
 	if got[0] != 5 || got[1] != 9 {
 		t.Fatalf("percentiles = %v", got)
+	}
+	if got := PercentilesInto(nil, nil, 0.5); got[0] != 0 {
+		t.Fatalf("empty input quantile = %v, want 0", got[0])
 	}
 }
 
@@ -302,7 +281,8 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 	}
 }
 
-// Property: CDF(Quantile(q)) >= q for all q in (0,1].
+// Property: the share of samples at or below Quantile(q) — the CDF there —
+// is at least q, for all q in (0,1].
 func TestPropertyCDFQuantileGalois(t *testing.T) {
 	f := func(raw []float64, q float64) bool {
 		if len(raw) == 0 {
@@ -317,15 +297,20 @@ func TestPropertyCDFQuantileGalois(t *testing.T) {
 		if qq == 0 {
 			qq = 0.5
 		}
-		d := NewEmpirical(raw)
-		return d.CDF(d.Quantile(qq))+1e-12 >= qq
+		x, below := NewEmpirical(raw).Quantile(qq), 0
+		for _, v := range raw {
+			if v <= x {
+				below++
+			}
+		}
+		return float64(below)/float64(len(raw))+1e-12 >= qq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: sliding-window unweighted mean equals the mean of Values().
+// Property: a window's Sum over Len equals the mean of its ValuesInto.
 func TestPropertyWindowMeanConsistent(t *testing.T) {
 	f := func(vals []uint16) bool {
 		w := NewSlidingWindow(time.Hour)
@@ -334,13 +319,13 @@ func TestPropertyWindowMeanConsistent(t *testing.T) {
 			now += time.Millisecond
 			w.Add(now, float64(v))
 		}
-		got, ok := w.UnweightedMean(now)
-		vs := w.Values(now)
+		sum := w.Sum(now)
+		vs := w.ValuesInto(now, nil)
 		if len(vals) == 0 {
-			return !ok
+			return sum == 0 && len(vs) == 0
 		}
 		m, _ := MeanStd(vs)
-		return ok && math.Abs(got-m) < 1e-9
+		return len(vs) == w.Len() && math.Abs(sum/float64(w.Len())-m) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -359,7 +344,7 @@ func TestPropertyReservoirSize(t *testing.T) {
 		if want > 50 {
 			want = 50
 		}
-		return r.Len() == want
+		return len(r.Values()) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -402,6 +387,6 @@ func BenchmarkConvolveQuantile(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConvolveQuantile(src, 0.1, 10000, rng)
+		ConvolveQuantileInto(nil, src, 0.1, 10000, rng)
 	}
 }

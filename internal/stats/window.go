@@ -1,8 +1,8 @@
 // Package stats provides the statistical substrate PARD's State Planner is
 // built on: time-based sliding windows with linear weighting (§4.2 footnote
-// 4), exponential moving averages, empirical distributions with quantile
-// inversion, reservoir sampling, and Monte-Carlo convolution of per-module
-// batch-wait distributions (the F_{k+1→N} estimator behind w_k).
+// 4), empirical distributions with quantile inversion, reservoir sampling,
+// and Monte-Carlo convolution of per-module batch-wait distributions (the
+// F_{k+1→N} estimator behind w_k).
 package stats
 
 import (
@@ -47,17 +47,6 @@ func NewSlidingWindow(span time.Duration) *SlidingWindow {
 		panic(fmt.Sprintf("stats: window span must be positive, got %v", span))
 	}
 	return &SlidingWindow{span: span}
-}
-
-// Span returns the configured window horizon.
-func (w *SlidingWindow) Span() time.Duration { return w.span }
-
-// SetSpan changes the horizon; existing samples are re-evaluated lazily.
-func (w *SlidingWindow) SetSpan(span time.Duration) {
-	if span <= 0 {
-		panic(fmt.Sprintf("stats: window span must be positive, got %v", span))
-	}
-	w.span = span
 }
 
 // Add records value v observed at time now. Timestamps must be nondecreasing;
@@ -117,11 +106,8 @@ func (w *SlidingWindow) evict(now time.Duration) {
 	}
 }
 
-// Len returns the number of live samples as of the last Add/advance.
+// Len returns the number of live samples as of the last Add or query.
 func (w *SlidingWindow) Len() int { return len(w.samples) - w.head }
-
-// Advance evicts samples older than now-span without adding a sample.
-func (w *SlidingWindow) Advance(now time.Duration) { w.evict(now) }
 
 // Mean returns the linear-weighted mean of samples within the window as of
 // time now, and false when the window is empty.
@@ -165,19 +151,6 @@ func (w *SlidingWindow) meanByLoop(now time.Duration) (float64, bool) {
 	return sum / wsum, true
 }
 
-// UnweightedMean returns the plain average of live samples.
-func (w *SlidingWindow) UnweightedMean(now time.Duration) (float64, bool) {
-	w.evict(now)
-	if w.Len() == 0 {
-		return 0, false
-	}
-	var sum float64
-	for i := w.head; i < len(w.samples); i++ {
-		sum += w.samples[i].v
-	}
-	return sum / float64(w.Len()), true
-}
-
 // Sum returns the sum of live sample values.
 func (w *SlidingWindow) Sum(now time.Duration) float64 {
 	w.evict(now)
@@ -186,16 +159,6 @@ func (w *SlidingWindow) Sum(now time.Duration) float64 {
 		sum += w.samples[i].v
 	}
 	return sum
-}
-
-// Values copies the live sample values, oldest first.
-func (w *SlidingWindow) Values(now time.Duration) []float64 {
-	w.evict(now)
-	out := make([]float64, 0, w.Len())
-	for i := w.head; i < len(w.samples); i++ {
-		out = append(out, w.samples[i].v)
-	}
-	return out
 }
 
 // ValuesInto appends the live sample values (oldest first) to buf[:0] and
@@ -257,30 +220,3 @@ func (r *RateWindow) Rate(now time.Duration) float64 {
 	n := r.Count(now)
 	return float64(n) / r.span.Seconds()
 }
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	alpha float64
-	v     float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: EWMA alpha must be in (0,1], got %v", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds v into the average.
-func (e *EWMA) Add(v float64) {
-	if !e.init {
-		e.v, e.init = v, true
-		return
-	}
-	e.v = e.alpha*v + (1-e.alpha)*e.v
-}
-
-// Value returns the current average and whether any sample was added.
-func (e *EWMA) Value() (float64, bool) { return e.v, e.init }

@@ -69,7 +69,7 @@ func checkMean(t *testing.T, w *SlidingWindow, ref *refWindow, now time.Duration
 }
 
 // TestSlidingWindowMeanMatchesLoop drives the window and the reference with
-// the same random interleaving of Add, Mean, Advance and SetSpan — bursts at
+// the same random interleaving of Add, Mean, eviction and span changes — bursts at
 // one instant, gaps longer than the span, out-of-order adds, runs of zeros,
 // queries older than the newest sample and queries with every live sample on
 // the window's far edge — and compares every Mean.
@@ -117,11 +117,11 @@ func TestSlidingWindowMeanMatchesLoop(t *testing.T) {
 				checkMean(t, w, ref, now-time.Duration(rng.Int63n(int64(span))), "stale mean")
 			case op < 98:
 				q := now + time.Duration(rng.Int63n(int64(span)))
-				w.Advance(q)
+				w.evict(q)
 				ref.evict(q)
 			default:
 				span = time.Duration(1+rng.Intn(5000)) * time.Millisecond
-				w.SetSpan(span)
+				w.span = span
 				ref.span = span
 			}
 		}

@@ -11,8 +11,8 @@ import (
 // workers as work-unit identifiers, name entries in shared disk caches, and
 // seed per-run RNG derivation. Any change to the key grammar silently
 // invalidates every cache and desynchronizes mixed-version clusters, so the
-// exact strings for the paper's four applications (and engine/shard
-// variants) are pinned here. If a change is intentional, update these
+// exact strings for the paper's four applications (and an options variant)
+// are pinned here. If a change is intentional, update these
 // literals AND bump dist.ProtoVersion / sweep's diskFormat so old peers and
 // caches are rejected instead of silently mismatched.
 //
@@ -34,8 +34,6 @@ func TestSpecKeyGolden(t *testing.T) {
 			"gm|wiki|pard" + base + "|eng=lane"},
 		{"da", Spec{App: "da", Kind: trace.Wiki, Policy: "pard"},
 			"da|wiki|pard" + base + "|eng=lane"},
-		{"da-sharded", Spec{App: "da", Kind: trace.Tweet, Policy: "pard", Opts: RunOpts{Shards: 4}},
-			"da|tweet|pard" + base + "|eng=lane|sh=4"},
 		{"options", Spec{App: "tm", Kind: trace.Steady, Policy: "nexus", Opts: RunOpts{
 			Lambda:      0.5,
 			SLOOverride: 450 * time.Millisecond,

@@ -29,15 +29,10 @@ type RunOpts struct {
 	SteadyDur time.Duration
 	// Failures injects worker crashes into the run.
 	Failures []simgpu.Failure
-	// Shards is the lane engine's worker count (see simgpu.Config.Shards):
-	// 0 and 1 both run the lanes sequentially, N > 1 drains them with N
-	// workers. Participates in the cache key when set, although lane
-	// results are byte-identical for every shard count.
-	Shards int
 	// Groups splits the lane engine into N in-process lane-group replicas
 	// in lockstep (see simgpu.Config.Groups). Participates in the cache key
-	// when set — mirroring Shards — although lane results are bit-identical
-	// for every group count (determinism invariant #5).
+	// when set, although lane results are bit-identical for every group
+	// count (determinism invariant #5).
 	Groups int
 }
 
@@ -74,11 +69,9 @@ func (s Spec) Key() string {
 	// A frozen literal from when there were two engines. It cannot go: the
 	// key seeds its run (Engine.Do derives the seed from it), so changing
 	// the grammar would re-seed every sweep and move every golden. Entries
-	// that a removed engine wrote carry another marker and never match.
+	// that a removed engine or a removed shard option (|sh=) wrote carry
+	// another marker and never match.
 	b.WriteString("|eng=lane")
-	if o.Shards != 0 {
-		fmt.Fprintf(&b, "|sh=%d", o.Shards)
-	}
 	if o.Groups != 0 {
 		fmt.Fprintf(&b, "|topo=%d", o.Groups)
 	}
@@ -187,7 +180,6 @@ func (e *Engine) exec(s Spec, seed int64) (*simgpu.Result, error) {
 		PriorityWindow: s.Opts.WindowSize,
 		FixedWorkers:   s.Opts.FixedWorkers,
 		Failures:       s.Opts.Failures,
-		Shards:         s.Opts.Shards,
 		Groups:         s.Opts.Groups,
 	})
 }

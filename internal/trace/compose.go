@@ -6,25 +6,6 @@ import (
 	"time"
 )
 
-// Merge combines several traces into one (e.g. multiple client populations
-// hitting the same pipeline). Durations extend to the longest input.
-func Merge(name string, traces ...*Trace) *Trace {
-	total := 0
-	var dur time.Duration
-	for _, tr := range traces {
-		total += len(tr.Arrivals)
-		if tr.Duration > dur {
-			dur = tr.Duration
-		}
-	}
-	out := make([]time.Duration, 0, total)
-	for _, tr := range traces {
-		out = append(out, tr.Arrivals...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return &Trace{Name: name, Arrivals: out, Duration: dur}
-}
-
 // ScaleRate returns a copy with arrivals thinned (factor < 1) or replicated
 // with small offsets (factor > 1) so the mean rate scales by factor while
 // preserving the temporal shape. The stretch is deterministic.

@@ -12,26 +12,6 @@ func mkSteady(rate float64, dur time.Duration, seed int64) *Trace {
 	return MustGenerate(Config{Kind: Steady, Duration: dur, PeakRate: rate, Seed: seed})
 }
 
-func TestMerge(t *testing.T) {
-	a := mkSteady(50, 10*time.Second, 1)
-	b := mkSteady(100, 20*time.Second, 2)
-	m := Merge("both", a, b)
-	if m.Len() != a.Len()+b.Len() {
-		t.Fatalf("merge len %d != %d + %d", m.Len(), a.Len(), b.Len())
-	}
-	if m.Duration != 20*time.Second {
-		t.Fatalf("merge duration %v", m.Duration)
-	}
-	if !sort.SliceIsSorted(m.Arrivals, func(i, j int) bool { return m.Arrivals[i] < m.Arrivals[j] }) {
-		t.Fatal("merge not sorted")
-	}
-	// First half of the merged trace carries both populations.
-	firstHalf := m.Slice(0, 10*time.Second)
-	if r := firstHalf.MeanRate(); math.Abs(r-150) > 15 {
-		t.Fatalf("merged rate %v, want ≈150", r)
-	}
-}
-
 func TestScaleRateUp(t *testing.T) {
 	tr := mkSteady(100, 20*time.Second, 3)
 	up, err := tr.ScaleRate(2.5)

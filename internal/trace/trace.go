@@ -34,9 +34,6 @@ const (
 	Step   Kind = "step"   // constant rate that doubles halfway through
 )
 
-// Kinds lists the built-in shapes.
-func Kinds() []Kind { return []Kind{Wiki, Tweet, Azure, Steady, Step} }
-
 // RateFunc maps elapsed time to an instantaneous request rate in req/s.
 type RateFunc func(t time.Duration) float64
 

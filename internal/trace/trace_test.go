@@ -11,8 +11,11 @@ import (
 	"time"
 )
 
+// allKinds lists the built-in shapes.
+var allKinds = []Kind{Wiki, Tweet, Azure, Steady, Step}
+
 func TestGenerateAllKinds(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range allKinds {
 		tr, err := Generate(Config{Kind: k, Duration: 100 * time.Second, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
@@ -249,7 +252,7 @@ func TestPropertyThinningBounds(t *testing.T) {
 
 // Property: rate functions are nonnegative and bounded by the reported max.
 func TestPropertyRateBounded(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range allKinds {
 		c := Config{Kind: k, Duration: 500 * time.Second}
 		f, maxRate, err := c.Rate()
 		if err != nil {
