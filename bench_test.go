@@ -24,6 +24,7 @@ import (
 	"pard/internal/rag"
 	"pard/internal/sched"
 	"pard/internal/server"
+	"pard/internal/simgpu"
 	"pard/internal/stats"
 
 	"math/rand"
@@ -308,14 +309,14 @@ func benchLaneGroupCfg(b *testing.B) pard.SimConfig {
 
 // BenchmarkLaneGroupBarrier measures the lane-group exchange machinery by
 // running the identical 2-group simulation over both Transport
-// implementations: the in-process memTransport (Config.Groups) and the
-// framed binary exchange codec over real loopback TCP (internal/dist, the
-// -hosts path). The gap between the two is the wire cost of the lockstep
-// protocol — one kernel round trip and one encode/decode per exchange; the
-// loopback variant also spans two full cluster replicas, hub and spoke, per
-// op. Both are gated in the BENCH_<n>.json trajectory so protocol
-// regressions (chattier barriers, per-exchange allocation growth) surface
-// in CI.
+// implementations: the in-process fabric (sched.NewMemTransports, one
+// goroutine per group with Config.Remote set) and the framed binary exchange
+// codec over real loopback TCP (internal/dist, the -hosts path). The gap
+// between the two is the wire cost of the lockstep protocol — one kernel
+// round trip and one encode/decode per exchange; both variants span two full
+// cluster replicas per op. Both are gated in the BENCH_<n>.json trajectory
+// so protocol regressions (chattier barriers, per-exchange allocation
+// growth) surface in CI.
 //
 // The loopback sub-benchmark is still called "gob-loopback": the exchanges
 // left gob in PR 12 (only the session handshake is gob now), but
@@ -325,11 +326,27 @@ func BenchmarkLaneGroupBarrier(b *testing.B) {
 	cfg := benchLaneGroupCfg(b)
 
 	b.Run("mem", func(b *testing.B) {
-		c := cfg
-		c.Groups = 2
+		const groups = 2
+		var errs [groups]error
 		for i := 0; i < b.N; i++ {
-			if _, err := pard.Simulate(c); err != nil {
-				b.Fatal(err)
+			trs := sched.NewMemTransports(groups)
+			var wg sync.WaitGroup
+			for g := range trs {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					c := cfg
+					c.Remote = &simgpu.RemoteTopology{Groups: groups, Group: g, Transport: trs[g]}
+					if _, errs[g] = pard.Simulate(c); errs[g] != nil {
+						trs[g].Abort(errs[g])
+					}
+				}(g)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

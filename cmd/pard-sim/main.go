@@ -7,10 +7,9 @@
 //	pard-sim -app da -trace azure -policy nexus -seed 7 -compare
 //	pard-sim -compare -parallel 4    # fan the comparison out over 4 workers
 //
-// Distributed simulation (determinism invariant #5 — every topology below
-// produces bit-identical results):
+// Distributed simulation: one run split into lane groups across processes,
+// bit-identical to the same run in one process (determinism invariant #5):
 //
-//	pard-sim -groups 4                      # 4 in-process lane-group replicas
 //	pard-sim -hosts hostB:7071,hostC:7071   # hub + 2 remote lane groups, each
 //	                                        # served by a pard-worker -listen
 package main
@@ -48,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	compare := fs.Bool("compare", false, "run the four headline systems instead of one policy")
 	parallel := fs.Int("parallel", 0, "concurrent simulation runs (0 = all CPU cores, 1 = sequential)")
-	groups := fs.Int("groups", 0, "in-process lane-group replicas per simulation (0 or 1 = ungrouped; results are bit-identical at every count — determinism invariant #5)")
 	hosts := fs.String("hosts", "", "comma-separated addresses of waiting lane-group peers (pard-worker -listen); this process becomes the hub (lane group 0) and the run spans len(hosts)+1 processes")
 	list := fs.Bool("list", false, "list policies and exit")
 	window := fs.Duration("window", 24*time.Second, "goodput window size")
@@ -86,9 +84,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *compare {
 			return errors.New("-compare runs several policies; -hosts runs one simulation distributed")
 		}
-		if *groups > 1 {
-			return errors.New("-groups (in-process lane groups) and -hosts (cross-host lane groups) are mutually exclusive")
-		}
 		res, err := runSimHub(strings.Split(*hosts, ","), pard.SimConfig{
 			Spec:       spec,
 			PolicyName: *policyName,
@@ -123,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 					PolicyName: pol,
 					Trace:      tr,
 					Seed:       *seed,
-					Groups:     *groups,
 				})
 			},
 		}

@@ -55,19 +55,16 @@ func TestCompareParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestFlagExclusions pins the topology flag surface: in-process-vs-cross-host
-// combinations are refused with clear errors, there is no spoke mode — a
-// lane group is served by pard-worker -listen — and no shard count: -groups
-// and -hosts are the ways to spread a run, -parallel the one that pays.
+// TestFlagExclusions pins the topology flag surface: there is no spoke mode —
+// a lane group is served by pard-worker -listen — no shard count and no
+// in-process lane groups: -hosts is the way to spread one run, -parallel the
+// way to spread many, and -hosts with -compare is refused.
 func TestFlagExclusions(t *testing.T) {
 	var out, errb bytes.Buffer
-	for _, args := range [][]string{{"-join-sim", ":0"}, {"-shards", "2"}} {
+	for _, args := range [][]string{{"-join-sim", ":0"}, {"-shards", "2"}, {"-groups", "2"}} {
 		if err := run(args, &out, &errb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%s: %v, want the flag package's undefined-flag error", args[0], err)
 		}
-	}
-	if err := run([]string{"-hosts", "x:1", "-groups", "2"}, &out, &errb); err == nil {
-		t.Fatal("-hosts with -groups accepted")
 	}
 	if err := run([]string{"-hosts", "x:1", "-compare"}, &out, &errb); err == nil {
 		t.Fatal("-hosts with -compare accepted")
@@ -75,26 +72,18 @@ func TestFlagExclusions(t *testing.T) {
 }
 
 // TestDistributedCLI is the command-level slice of determinism invariant
-// #5: the same simulation run flat, with in-process lane groups, and
-// distributed across a pard-sim hub plus a lane group served the way
-// pard-worker -listen serves it (dist.Serve) over loopback TCP must print the
-// identical report.
+// #5: the same simulation run flat and distributed across a pard-sim hub
+// plus a lane group served the way pard-worker -listen serves it
+// (dist.Serve) over loopback TCP must print the identical report.
 func TestDistributedCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
 	base := []string{"-app", "lv", "-trace", "tweet", "-duration", "20s", "-seed", "9"}
 
-	var flat, grouped bytes.Buffer
-	var errb bytes.Buffer
+	var flat, errb bytes.Buffer
 	if err := run(base, &flat, &errb); err != nil {
 		t.Fatal(err)
-	}
-	if err := run(append(base, "-groups", "3"), &grouped, &errb); err != nil {
-		t.Fatal(err)
-	}
-	if flat.String() != grouped.String() {
-		t.Fatalf("-groups diverged:\n--- flat\n%s--- groups\n%s", flat.String(), grouped.String())
 	}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")

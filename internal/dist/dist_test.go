@@ -96,39 +96,44 @@ func TestPoisonedSpecAbortsDistributedSweep(t *testing.T) {
 	}
 }
 
-// TestKeyCrossCheckRejectsSkew speaks the protocol by hand and sends a unit
-// whose key does not match its spec — the worker must refuse to run it
-// (version-skew guard) rather than compute under the wrong key. The key is
-// what a peer that still had a shard option sends for a sharded run: gob
-// drops the unknown Shards field on decode, the |sh= marker stays in the key.
+// TestKeyCrossCheckRejectsSkew speaks the protocol by hand and sends units
+// whose key does not match their spec — the worker must refuse to run them
+// (version-skew guard) rather than compute under the wrong key. The keys are
+// what a peer that still had a removed option sends: a sharded run (|sh=) or
+// an in-process lane-group run (|topo=). gob drops the unknown Shards or
+// Groups field on decode; the marker stays in the key.
 func TestKeyCrossCheckRejectsSkew(t *testing.T) {
-	coordSide, workerSide := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1}) }()
-	f := newFramed(coordSide)
-	hello := Hello{Proto: ProtoVersion, BaseSeed: 3, TraceDuration: 10 * time.Second,
-		LibraryFP: profile.DefaultLibrary().Fingerprint()}
-	if err := f.send(hello); err != nil {
-		t.Fatal(err)
-	}
-	var ack HelloAck
-	if err := f.recv(&ack, 0); err != nil {
-		t.Fatal(err)
-	}
-	spec := sweep.Spec{App: "tm", Kind: trace.Steady, Policy: "pard"}
-	if err := f.send(WorkUnit{Epoch: 1, ID: 0, Key: "run|" + spec.Key() + "|sh=2", Spec: spec}); err != nil {
-		t.Fatal(err)
-	}
-	var r UnitResult
-	if err := f.recv(&r, 0); err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != 0 || r.Result != nil || !strings.Contains(r.Err, "key mismatch") {
-		t.Fatalf("tampered unit produced %+v, want a key-mismatch refusal", r)
-	}
-	coordSide.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("worker exited with %v after clean close", err)
+	for _, marker := range []string{"|sh=2", "|topo=2"} {
+		t.Run(strings.TrimPrefix(marker, "|"), func(t *testing.T) {
+			coordSide, workerSide := net.Pipe()
+			done := make(chan error, 1)
+			go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1}) }()
+			f := newFramed(coordSide)
+			hello := Hello{Proto: ProtoVersion, BaseSeed: 3, TraceDuration: 10 * time.Second,
+				LibraryFP: profile.DefaultLibrary().Fingerprint()}
+			if err := f.send(hello); err != nil {
+				t.Fatal(err)
+			}
+			var ack HelloAck
+			if err := f.recv(&ack, 0); err != nil {
+				t.Fatal(err)
+			}
+			spec := sweep.Spec{App: "tm", Kind: trace.Steady, Policy: "pard"}
+			if err := f.send(WorkUnit{Epoch: 1, ID: 0, Key: "run|" + spec.Key() + marker, Spec: spec}); err != nil {
+				t.Fatal(err)
+			}
+			var r UnitResult
+			if err := f.recv(&r, 0); err != nil {
+				t.Fatal(err)
+			}
+			if r.ID != 0 || r.Result != nil || !strings.Contains(r.Err, "key mismatch") {
+				t.Fatalf("tampered unit produced %+v, want a key-mismatch refusal", r)
+			}
+			coordSide.Close()
+			if err := <-done; err != nil {
+				t.Fatalf("worker exited with %v after clean close", err)
+			}
+		})
 	}
 }
 

@@ -364,7 +364,7 @@ func (s *simSpoke) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {
 // return, so no spoke is left waiting for a hub that gave up.
 //
 // cfg is consumed RAW (each replica normalizes it exactly once); it must
-// not set Groups (the in-process form) or Remote.
+// not set Remote.
 func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*simgpu.Result, error) {
 	defer func() {
 		// On success the close is the goodbye, as in the sweep protocol.
@@ -376,7 +376,7 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("dist: distributed simulation needs at least one remote lane group")
 	}
-	if cfg.Groups > 1 || cfg.Remote != nil {
+	if cfg.Remote != nil {
 		return nil, fmt.Errorf("dist: config already carries a lane-group topology; RunSimDistributed assigns its own")
 	}
 	groups := len(conns) + 1

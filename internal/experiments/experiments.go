@@ -6,8 +6,7 @@
 //
 // Absolute numbers differ from the paper — the substrate is a simulator,
 // not a 64-GPU testbed — but the shapes (who wins, by what factor, where
-// crossovers fall) are the reproduction targets; EXPERIMENTS.md records
-// paper-vs-measured for each artifact.
+// crossovers fall) are the reproduction targets.
 package experiments
 
 import (

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -303,6 +304,61 @@ func TestAllocsBarrierExchange(t *testing.T) {
 	}
 	if reqs[0].GPU == 0 || reqs[1].GPU == 0 || !reqs[0].Dropped {
 		t.Fatal("the merged commit was not applied")
+	}
+}
+
+// TestAllocsMemExchange: the in-process fabric's side of a lockstep round — a
+// Step and a Barrier between two groups — allocates nothing in steady state.
+// Messages pass by value into typed slots; each kind's merged slices are cut
+// from a chunk refilled once per memChunkRounds rounds, which the floor's
+// integer average reads as 0 and a per-round allocation would read as 1 or
+// more. With TestAllocsBarrierExchange, a two-group in-process run makes no
+// allocation per barrier.
+func TestAllocsMemExchange(t *testing.T) {
+	const warm, runs = 2 * memChunkRounds, 200
+	trs := NewMemTransports(2)
+	posts := [2][]WirePost{nil, {{At: time.Millisecond, Src: 1, Dst: 0, Req: 1}}}
+	round := func(g int) error {
+		if _, err := trs[g].Step(StepMsg{Group: int32(g), LaneOK: true}); err != nil {
+			return err
+		}
+		all, err := trs[g].Barrier(BarrierMsg{Group: int32(g), Posts: posts[g]})
+		if err == nil && (len(all) != 2 || len(all[1].Posts) != 1) {
+			err = fmt.Errorf("barrier merged %+v", all)
+			trs[g].Abort(err) // release the peer from its rendezvous
+		}
+		return err
+	}
+	peer := make(chan error, 1)
+	go func() {
+		// AllocsPerRun calls its function runs+1 times.
+		for i := 0; i < warm+runs+1; i++ {
+			if err := round(1); err != nil {
+				peer <- err
+				return
+			}
+		}
+		peer <- nil
+	}()
+	for i := 0; i < warm; i++ {
+		if err := round(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	avg := testing.AllocsPerRun(runs, func() {
+		if err == nil {
+			err = round(0)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-peer; err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Fatalf("a Step + Barrier round on the in-process fabric allocates %.1f, want 0", avg)
 	}
 }
 

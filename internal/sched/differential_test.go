@@ -171,29 +171,12 @@ func TestShardedDifferential(t *testing.T) {
 	}
 }
 
-// runGroups executes one corpus case split into lane-group replicas over
-// the in-process transport and returns the byte-identity witness.
-func runGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) (*simgpu.Result, []byte) {
-	t.Helper()
-	cfg := c.config(tr)
-	cfg.Groups = groups
-	res, err := simgpu.Run(cfg)
-	if err != nil {
-		t.Fatalf("%s groups=%d: %v", c.name, groups, err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-		t.Fatalf("%s groups=%d: encode: %v", c.name, groups, err)
-	}
-	return res, buf.Bytes()
-}
-
 // TestLaneGroupDifferential replays the corpus split into 2 and 3 lockstep
 // lane-group replicas over the in-process transport and asserts byte
 // identity with the ungrouped run — the in-process half of determinism
 // invariant #5 on the same adversarial corpus the shard invariant uses
 // (DAG fan-out/merge across group boundaries, failures, scaling, every
-// policy family). The cross-host half — the gob transport over loopback
+// policy family). The cross-host half — the binary codec over loopback
 // TCP — lives in internal/dist's TestSimDistributedDifferential.
 func TestLaneGroupDifferential(t *testing.T) {
 	for _, c := range diffCorpus() {
@@ -207,7 +190,7 @@ func TestLaneGroupDifferential(t *testing.T) {
 			})
 			flatRes, flatBytes := runShards(t, c, tr, 1)
 			for _, groups := range []int{2, 3} {
-				res, b := runGroups(t, c, tr, groups)
+				res, b, _ := runCountedGroups(t, c, tr, groups)
 				if !bytes.Equal(flatBytes, b) {
 					explainDivergence(t, c.name, groups, flatRes, res)
 				}
@@ -246,9 +229,10 @@ func (t *stepCountingTransport) Barrier(m sched.BarrierMsg) ([]sched.BarrierMsg,
 }
 
 // runCountedGroups runs one corpus case as in-process lane-group replicas,
-// each behind a counting transport, and returns group 0's witness bytes and
-// every group's counters.
-func runCountedGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) ([]byte, []*stepCountingTransport) {
+// each behind a counting transport, requires every replica to assemble the
+// same bytes, and returns group 0's result and witness bytes and every
+// group's counters.
+func runCountedGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) (*simgpu.Result, []byte, []*stepCountingTransport) {
 	t.Helper()
 	trs := sched.NewMemTransports(groups)
 	cts := make([]*stepCountingTransport, groups)
@@ -274,11 +258,19 @@ func runCountedGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) ([]
 			t.Fatalf("%s groups=%d: group %d: %v", c.name, groups, g, err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(results[0]); err != nil {
-		t.Fatalf("%s groups=%d: encode: %v", c.name, groups, err)
+	var ref []byte
+	for g, res := range results {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+			t.Fatalf("%s groups=%d: encode: %v", c.name, groups, err)
+		}
+		if g == 0 {
+			ref = buf.Bytes()
+		} else if !bytes.Equal(ref, buf.Bytes()) {
+			t.Fatalf("%s groups=%d: group %d assembled a different result than group 0", c.name, groups, g)
+		}
 	}
-	return buf.Bytes(), cts
+	return results[0], ref, cts
 }
 
 // TestLaneGroupWatermark pins the soundness of carrying the low watermark on
@@ -301,7 +293,7 @@ func TestLaneGroupWatermark(t *testing.T) {
 			_, flatBytes := runShards(t, c, tr, 1)
 			for _, groups := range []int{2, 3} {
 				sched.SetVerifyWatermark(true)
-				checked, cts := runCountedGroups(t, c, tr, groups)
+				_, checked, cts := runCountedGroups(t, c, tr, groups)
 				sched.SetVerifyWatermark(false)
 				if !bytes.Equal(flatBytes, checked) {
 					t.Errorf("groups=%d: cross-checked run differs from the ungrouped run", groups)
@@ -314,7 +306,7 @@ func TestLaneGroupWatermark(t *testing.T) {
 							groups, g, ct.steps, ct.barriers)
 					}
 				}
-				plain, cts := runCountedGroups(t, c, tr, groups)
+				_, plain, cts := runCountedGroups(t, c, tr, groups)
 				if !bytes.Equal(flatBytes, plain) {
 					t.Errorf("groups=%d: run differs from the ungrouped run", groups)
 				}

@@ -59,10 +59,11 @@ import (
 // module — hence a single group — so the stable sorts reproduce the exact
 // single-process order.
 //
-// memTransport (below) is the in-process implementation backing
-// Config.Groups > 1 and the unit harness. The cross-host implementation — a
-// hand-written binary codec over framed TCP — lives in internal/dist, built
-// on its framing/handshake discipline.
+// memTransport (below) is the in-process implementation: tests and the
+// benchmark run a multi-group simulation in one process by handing each
+// group's simgpu.Config.Remote one of NewMemTransports' endpoints. The
+// cross-host implementation — a hand-written binary codec over framed TCP —
+// lives in internal/dist, built on its framing/handshake discipline.
 
 // Topology places the per-module event lanes into lane groups. Ownership is
 // derived, not configured: lane k belongs to group k % Groups (round-robin,
@@ -280,9 +281,10 @@ func (k exchangeKind) String() string {
 }
 
 // memHub is the in-process rendezvous backing memTransport: a reusable
-// all-gather barrier over a mutex and condition variable. Each round, every
-// group deposits its message; the last arrival publishes the merged slice
-// (ordered by group index) and wakes the others.
+// all-gather barrier over a mutex and condition variable. The first arrival
+// of a round opens the round's merged slice, every group writes its message
+// into its own slot, and the last arrival wakes the others; all of them
+// return that one slice, ordered by group index.
 type memHub struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -290,20 +292,47 @@ type memHub struct {
 	arrived int
 	round   uint64
 	kind    exchangeKind
-	inbox   []any
-	out     []any
 	err     error
+
+	steps    memSlots[StepMsg]
+	barriers memSlots[BarrierMsg]
+	boards   memSlots[BoardMsg]
+	scales   memSlots[ScaleMsg]
+	finishes memSlots[FinishMsg]
 }
 
 func newMemHub(n int) *memHub {
-	h := &memHub{n: n, inbox: make([]any, n)}
+	h := &memHub{n: n}
 	h.cond = sync.NewCond(&h.mu)
 	return h
 }
 
-// exchange deposits group g's message for one round and blocks until every
-// group has arrived, returning the merged contributions in group order.
-func (h *memHub) exchange(g int, kind exchangeKind, msg any) ([]any, error) {
+// memChunkRounds is how many rounds of one exchange kind share a chunk.
+const memChunkRounds = 64
+
+// memSlots hands out one exchange kind's merged slices. Each round's slice is
+// cut from a chunk holding memChunkRounds rounds and is never written again
+// once its round has closed: a reply stays intact however long its caller
+// keeps it, and the fabric allocates once per memChunkRounds rounds of a
+// kind rather than boxing every message and copying every reply.
+type memSlots[T any] struct {
+	cur  []T // the open round's merged slice
+	free []T // the unused rest of the current chunk
+}
+
+func (s *memSlots[T]) open(n int) {
+	if len(s.free) < n {
+		s.free = make([]T, n*memChunkRounds)
+	}
+	s.cur, s.free = s.free[:n:n], s.free[n:]
+}
+
+// gather deposits t's message in slots for one round of kind and blocks until
+// every group has arrived, returning the merged contributions in group order.
+// Rounds of different kinds cannot interleave: a group arriving with another
+// kind than the open round's is a lockstep divergence and poisons the hub.
+func gather[T any](t *memTransport, kind exchangeKind, slots *memSlots[T], msg T) ([]T, error) {
+	h := t.hub
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.err != nil {
@@ -311,18 +340,17 @@ func (h *memHub) exchange(g int, kind exchangeKind, msg any) ([]any, error) {
 	}
 	if h.arrived == 0 {
 		h.kind = kind
+		slots.open(h.n)
 	} else if h.kind != kind {
-		err := fmt.Errorf("sched: lane-group lockstep divergence: group %d exchanging %v while round is %v", g, kind, h.kind)
+		err := fmt.Errorf("sched: lane-group lockstep divergence: group %d exchanging %v while round is %v", t.group, kind, h.kind)
 		h.failLocked(err)
 		return nil, err
 	}
-	h.inbox[g] = msg
+	out := slots.cur // a peer may open the next round before this one wakes
+	out[t.group] = msg
 	myRound := h.round
 	h.arrived++
 	if h.arrived == h.n {
-		out := make([]any, h.n)
-		copy(out, h.inbox)
-		h.out = out
 		h.arrived = 0
 		h.round++
 		h.cond.Broadcast()
@@ -334,7 +362,7 @@ func (h *memHub) exchange(g int, kind exchangeKind, msg any) ([]any, error) {
 	if h.err != nil {
 		return nil, h.err
 	}
-	return h.out, nil
+	return out, nil
 }
 
 func (h *memHub) abort(err error) {
@@ -350,11 +378,12 @@ func (h *memHub) failLocked(err error) {
 	}
 }
 
-// memTransport is one group's endpoint on an in-process hub: today's
-// shared-memory behavior expressed through the Transport seam. The
-// single-group fast path never reaches a Transport at all (exchanges are
-// skipped entirely when Topology.single()), which is what keeps the
-// in-process hot loop allocation-free under the TestAllocs* floors.
+// memTransport is one group's endpoint on an in-process hub. Each group runs
+// its replica on its own goroutine with simgpu.Config.Remote set to its
+// endpoint. Messages pass by value and their slices by reference, so a
+// steady-state round costs no allocation beyond its share of a memSlots
+// chunk (TestAllocsMemExchange). The single-group fast path never reaches a
+// Transport at all: exchanges are skipped when Topology.single().
 type memTransport struct {
 	hub   *memHub
 	group int
@@ -375,35 +404,23 @@ func NewMemTransports(groups int) []Transport {
 }
 
 func (t *memTransport) Step(m StepMsg) ([]StepMsg, error) {
-	return gatherAs[StepMsg](t, kindStep, m)
+	return gather(t, kindStep, &t.hub.steps, m)
 }
 
 func (t *memTransport) Barrier(m BarrierMsg) ([]BarrierMsg, error) {
-	return gatherAs[BarrierMsg](t, kindBarrier, m)
+	return gather(t, kindBarrier, &t.hub.barriers, m)
 }
 
 func (t *memTransport) Board(m BoardMsg) ([]BoardMsg, error) {
-	return gatherAs[BoardMsg](t, kindBoard, m)
+	return gather(t, kindBoard, &t.hub.boards, m)
 }
 
 func (t *memTransport) Scale(m ScaleMsg) ([]ScaleMsg, error) {
-	return gatherAs[ScaleMsg](t, kindScale, m)
+	return gather(t, kindScale, &t.hub.scales, m)
 }
 
 func (t *memTransport) Finish(m FinishMsg) ([]FinishMsg, error) {
-	return gatherAs[FinishMsg](t, kindFinish, m)
+	return gather(t, kindFinish, &t.hub.finishes, m)
 }
 
 func (t *memTransport) Abort(err error) { t.hub.abort(err) }
-
-func gatherAs[T any](t *memTransport, kind exchangeKind, msg T) ([]T, error) {
-	raw, err := t.hub.exchange(t.group, kind, msg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, len(raw))
-	for i, v := range raw {
-		out[i] = v.(T)
-	}
-	return out, nil
-}

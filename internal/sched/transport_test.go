@@ -195,6 +195,38 @@ func TestMemTransportEmptyDrainRounds(t *testing.T) {
 	}
 }
 
+// TestMemTransportRepliesOutliveRounds pins what the chunked reply slots
+// promise beyond the Transport rule: a merged slice is never written again
+// after its round, so a caller that keeps replies across rounds — and across
+// chunk refills — still reads each round's own messages.
+func TestMemTransportRepliesOutliveRounds(t *testing.T) {
+	const groups, rounds = 2, 3 * memChunkRounds
+	trs := NewMemTransports(groups)
+	kept := make([][][]StepMsg, groups)
+	_, errs := runGroupsConcurrently(groups, func(g int) ([]StepMsg, error) {
+		for i := 0; i < rounds; i++ {
+			all, err := trs[g].Step(StepMsg{Group: int32(g), LaneAt: time.Duration(i), LaneOK: true})
+			if err != nil {
+				return nil, err
+			}
+			kept[g] = append(kept[g], all)
+		}
+		return nil, nil
+	})
+	for g := 0; g < groups; g++ {
+		if errs[g] != nil {
+			t.Fatalf("group %d: %v", g, errs[g])
+		}
+		for i, all := range kept[g] {
+			for peer, m := range all {
+				if int(m.Group) != peer || m.LaneAt != time.Duration(i) {
+					t.Fatalf("group %d kept round %d's reply; slot %d now holds group %d at %v", g, i, peer, m.Group, m.LaneAt)
+				}
+			}
+		}
+	}
+}
+
 // TestMemTransportLockstepDivergence pins the guard against replica drift:
 // one group arriving at a Step while the round is a Barrier must abort both
 // sides with a diagnosable error, not deadlock.

@@ -80,27 +80,21 @@ type Config struct {
 	// count (Shards <= 1 is the sequential baseline of the differential
 	// harness).
 	Shards int
-	// Groups splits the lane engine's per-module lanes into N lane groups,
-	// each running a full cluster replica in lockstep over an in-process
-	// transport (module k belongs to group k % Groups). Results are
-	// bit-identical for every group count — determinism invariant #5 — and
-	// 0 and 1 both mean the ungrouped fast path. The cross-host form of the
-	// same topology is configured via Remote.
-	Groups int
-	// Remote, when non-nil, runs THIS process as one lane group of a
-	// cross-host simulation over the given transport (set by the
-	// internal/dist glue — cmd/pard-sim -hosts on the hub, cmd/pard-worker
-	// -listen on each spoke — not by users). Mutually exclusive with Groups.
+	// Remote, when non-nil, runs this configuration as one lane group of a
+	// multi-group simulation; every replica assembles the bit-identical
+	// result (determinism invariant #5). internal/dist sets it for pard-sim
+	// -hosts and pard-worker -listen; tests and the benchmark set it with
+	// sched.NewMemTransports to run the groups as goroutines of one process.
 	Remote *RemoteTopology
 }
 
-// RemoteTopology places this process in a cross-host lane-group topology.
+// RemoteTopology places one run in a multi-group lane topology.
 type RemoteTopology struct {
-	// Groups is the total lane-group (process) count; Group is this
-	// process's index in [0, Groups).
+	// Groups is the total lane-group count; Group is this run's index in
+	// [0, Groups).
 	Groups, Group int
-	// Transport carries the lockstep exchanges, typically internal/dist's
-	// framed binary transport over TCP.
+	// Transport carries the lockstep exchanges: internal/dist's framed
+	// binary transport over TCP, or an endpoint of sched.NewMemTransports.
 	Transport sched.Transport
 }
 
@@ -162,25 +156,13 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Shards < 0 {
 		return out, fmt.Errorf("simgpu: negative shard count %d", out.Shards)
 	}
-	if out.Groups < 0 {
-		return out, fmt.Errorf("simgpu: negative lane-group count %d", out.Groups)
-	}
 	if out.Remote != nil {
-		if out.Groups > 1 {
-			return out, fmt.Errorf("simgpu: Groups and Remote are mutually exclusive")
-		}
 		if out.Remote.Groups < 2 || out.Remote.Group < 0 || out.Remote.Group >= out.Remote.Groups {
 			return out, fmt.Errorf("simgpu: remote lane group %d/%d out of range", out.Remote.Group, out.Remote.Groups)
 		}
 		if out.Remote.Transport == nil {
 			return out, fmt.Errorf("simgpu: remote topology needs a transport")
 		}
-	}
-	// A group per module is the finest useful split; clamping keeps the
-	// owner mapping (k % Groups) total. Normalized identically on every
-	// host, so shipping the raw config cross-host is safe.
-	if out.Groups > out.Spec.N() {
-		out.Groups = out.Spec.N()
 	}
 	if out.Shards == 0 {
 		out.Shards = 1 // sequential

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,12 +25,47 @@ func encodeResult(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestLaneGroupsBitIdentical is the in-process half of determinism invariant
-// #5: splitting the lane engine into N lockstep lane-group replicas changes
-// nothing about the result — not one byte.
+// runRemote runs cfg as `groups` lane groups on goroutines of this process,
+// each with Remote set to its endpoint of an in-process fabric, requires
+// every replica to assemble the same bytes, and returns them.
+func runRemote(t *testing.T, cfg Config, groups int) []byte {
+	t.Helper()
+	trs := sched.NewMemTransports(groups)
+	results := make([]*Result, groups)
+	errs := make([]error, groups)
+	var wg sync.WaitGroup
+	for g := range trs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			gcfg := cfg
+			gcfg.Remote = &RemoteTopology{Groups: groups, Group: g, Transport: trs[g]}
+			if results[g], errs[g] = Run(gcfg); errs[g] != nil {
+				trs[g].Abort(errs[g]) // release the peers from their rendezvous
+			}
+		}(g)
+	}
+	wg.Wait()
+	var ref []byte
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("groups=%d: group %d: %v", groups, g, err)
+		}
+		if got := encodeResult(t, results[g]); g == 0 {
+			ref = got
+		} else if !bytes.Equal(ref, got) {
+			t.Fatalf("groups=%d: group %d assembled a different result than group 0", groups, g)
+		}
+	}
+	return ref
+}
+
+// TestLaneGroupsBitIdentical splits a probed LV run into four lockstep lane
+// groups — one more than internal/sched's TestLaneGroupDifferential covers —
+// and requires the ungrouped result, byte for byte.
 func TestLaneGroupsBitIdentical(t *testing.T) {
 	tr := trace.MustGenerate(trace.Config{Kind: trace.Tweet, Duration: 6 * time.Second, PeakRate: 120, Seed: 7})
-	base := Config{
+	cfg := Config{
 		Spec:       pipeline.LV(),
 		PolicyName: "pard",
 		Trace:      tr,
@@ -37,109 +73,35 @@ func TestLaneGroupsBitIdentical(t *testing.T) {
 		SyncPeriod: 200 * time.Millisecond,
 		Probes:     ProbeConfig{QueueDelay: true, LoadFactor: true, Decomposition: true},
 	}
-	ref, err := Run(base)
+	ref, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := encodeResult(t, ref)
-	for _, groups := range []int{2, 3, 4} {
-		cfg := base
-		cfg.Groups = groups
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("groups=%d: %v", groups, err)
-		}
-		if got := encodeResult(t, res); !bytes.Equal(want, got) {
-			t.Fatalf("groups=%d: result diverged from single-group run (%d vs %d encoded bytes)", groups, len(got), len(want))
-		}
+	if got, want := runRemote(t, cfg, 4), encodeResult(t, ref); !bytes.Equal(want, got) {
+		t.Fatalf("groups=4: result diverged from single-group run (%d vs %d encoded bytes)", len(got), len(want))
 	}
 }
 
-// TestLaneGroupsFailuresAndScaling covers the control-lane exchanges: an
-// injected failure (owner-only crash, drops learned via control flush) and
-// the scaling engine (demand all-gather) under a 2-group split.
-func TestLaneGroupsFailuresAndScaling(t *testing.T) {
-	tr := steadyTrace(150, 6*time.Second, 3)
-	base := Config{
-		Spec:       pipeline.LV(),
-		PolicyName: "pard",
-		Trace:      tr,
-		Seed:       11,
-		SyncPeriod: 200 * time.Millisecond,
-		Failures: []Failure{
-			{At: 2 * time.Second, Module: 1, Count: 1},
-			{At: 4 * time.Second, Module: 0, Count: 2},
-		},
-	}
-	ref, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := encodeResult(t, ref)
-	for _, groups := range []int{2, 3} {
-		cfg := base
-		cfg.Groups = groups
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("groups=%d: %v", groups, err)
-		}
-		if got := encodeResult(t, res); !bytes.Equal(want, got) {
-			t.Fatalf("groups=%d: result diverged from single-group run", groups)
-		}
-	}
-}
-
-// TestLaneGroupsDAG exercises cross-group mailbox traffic on a DAG app:
-// fan-out and merge hops land on lanes owned by different groups under the
-// round-robin placement.
-func TestLaneGroupsDAG(t *testing.T) {
-	tr := trace.MustGenerate(trace.Config{Kind: trace.Tweet, Duration: 6 * time.Second, PeakRate: 100, Seed: 9})
-	base := Config{
-		Spec:       pipeline.DA(),
-		PolicyName: "pard",
-		Trace:      tr,
-		Seed:       5,
-		SyncPeriod: 200 * time.Millisecond,
-	}
-	ref, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := encodeResult(t, ref)
-	cfg := base
-	cfg.Groups = 2
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeResult(t, res); !bytes.Equal(want, got) {
-		t.Fatal("groups=2: DAG result diverged from single-group run")
-	}
-}
-
-// TestLaneGroupsClampAndValidation pins the config surface: Groups beyond
-// the module count clamps (a group per module is the finest split), negative
-// counts and malformed remote topologies are rejected.
+// TestLaneGroupsClampAndValidation pins the config surface: a remote
+// topology needs at least two groups, an index in range and a transport.
 func TestLaneGroupsClampAndValidation(t *testing.T) {
 	tr := steadyTrace(50, 2*time.Second, 1)
-	cfg := Config{Spec: pipeline.LV(), Trace: tr, Groups: 99}
-	out, err := cfg.withDefaults()
-	if err != nil {
-		t.Fatal(err)
+	mem := sched.NewMemTransports(2)[0]
+	bad := []*RemoteTopology{
+		{Groups: 2, Group: 0}, // nil transport
+		{Groups: 1, Group: 0, Transport: mem},
+		{Groups: 2, Group: 2, Transport: mem},
+		{Groups: 2, Group: -1, Transport: mem},
 	}
-	if out.Groups != pipeline.LV().N() {
-		t.Fatalf("Groups=99 clamped to %d, want module count %d", out.Groups, pipeline.LV().N())
-	}
-
-	bad := []Config{
-		{Spec: pipeline.LV(), Trace: tr, Groups: -1},
-		{Spec: pipeline.LV(), Trace: tr, Remote: &RemoteTopology{Groups: 2, Group: 0}}, // nil transport
-		{Spec: pipeline.LV(), Trace: tr, Groups: 2, Remote: &RemoteTopology{Groups: 2, Group: 0, Transport: sched.NewMemTransports(2)[0]}},
-	}
-	for i, c := range bad {
+	for i, rt := range bad {
+		c := Config{Spec: pipeline.LV(), Trace: tr, Remote: rt}
 		if _, err := c.withDefaults(); err == nil {
-			t.Fatalf("config %d accepted", i)
+			t.Fatalf("remote topology %d (%+v) accepted", i, *rt)
 		}
+	}
+	ok := Config{Spec: pipeline.LV(), Trace: tr, Remote: &RemoteTopology{Groups: 2, Group: 1, Transport: mem}}
+	if _, err := ok.withDefaults(); err != nil {
+		t.Fatalf("a valid remote topology was refused: %v", err)
 	}
 }
 

@@ -1,10 +1,7 @@
 package simgpu
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sync"
 	"time"
 
 	"pard/internal/core"
@@ -408,74 +405,10 @@ func (r *Runner) buildResult() *Result {
 }
 
 // Run is the one-call entry point: build a runner from cfg and execute it.
-// Config.Groups > 1 fans the run out over in-process lane-group replicas.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Remote == nil {
-		full, err := cfg.withDefaults()
-		if err != nil {
-			return nil, err
-		}
-		if full.Groups > 1 {
-			return runGroups(cfg, full.Groups)
-		}
-	}
 	r, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return r.Run()
-}
-
-// runGroups executes one run as `groups` in-process lane-group replicas over
-// a memTransport fabric, then verifies determinism invariant #5: every
-// replica must assemble the bit-identical result. Divergence is an error,
-// never a silent pick-one.
-//
-// Each goroutine gets the RAW config: withDefaults is not idempotent (the
-// NetDelay <= 0 sentinels), so normalization must happen exactly once per
-// replica — identically — rather than once here and again inside.
-func runGroups(cfg Config, groups int) (*Result, error) {
-	trs := sched.NewMemTransports(groups)
-	results := make([]*Result, groups)
-	errs := make([]error, groups)
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			gcfg := cfg
-			gcfg.Groups = 0
-			gcfg.Remote = &RemoteTopology{Groups: groups, Group: g, Transport: trs[g]}
-			res, err := Run(gcfg)
-			if err != nil {
-				// Poison the fabric so peer groups abort instead of hanging
-				// at their next exchange.
-				trs[g].Abort(err)
-				errs[g] = err
-				return
-			}
-			results[g] = res
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("simgpu: lane group %d/%d: %w", g, groups, err)
-		}
-	}
-	var ref []byte
-	for g, res := range results {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-			return nil, fmt.Errorf("simgpu: encoding lane group %d result: %w", g, err)
-		}
-		if g == 0 {
-			ref = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(ref, buf.Bytes()) {
-			return nil, fmt.Errorf("simgpu: lane-group divergence: group %d result differs from group 0 (%d vs %d encoded bytes); determinism invariant #5 violated", g, buf.Len(), len(ref))
-		}
-	}
-	return results[0], nil
 }

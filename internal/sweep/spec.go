@@ -29,11 +29,6 @@ type RunOpts struct {
 	SteadyDur time.Duration
 	// Failures injects worker crashes into the run.
 	Failures []simgpu.Failure
-	// Groups splits the lane engine into N in-process lane-group replicas
-	// in lockstep (see simgpu.Config.Groups). Participates in the cache key
-	// when set, although lane results are bit-identical for every group
-	// count (determinism invariant #5).
-	Groups int
 }
 
 // Spec identifies one grid point of a sweep: which pipeline, workload and
@@ -69,12 +64,10 @@ func (s Spec) Key() string {
 	// A frozen literal from when there were two engines. It cannot go: the
 	// key seeds its run (Engine.Do derives the seed from it), so changing
 	// the grammar would re-seed every sweep and move every golden. Entries
-	// that a removed engine or a removed shard option (|sh=) wrote carry
-	// another marker and never match.
+	// that a removed engine, a removed shard option (|sh=) or the removed
+	// in-process lane-group option (|topo) wrote carry another marker and
+	// never match.
 	b.WriteString("|eng=lane")
-	if o.Groups != 0 {
-		fmt.Fprintf(&b, "|topo=%d", o.Groups)
-	}
 	if s.Pipeline != nil {
 		// An explicit pipeline is keyed by its full structure: two
 		// overrides sharing an App name must not collide in the cache.
@@ -180,7 +173,6 @@ func (e *Engine) exec(s Spec, seed int64) (*simgpu.Result, error) {
 		PriorityWindow: s.Opts.WindowSize,
 		FixedWorkers:   s.Opts.FixedWorkers,
 		Failures:       s.Opts.Failures,
-		Groups:         s.Opts.Groups,
 	})
 }
 
