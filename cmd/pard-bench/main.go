@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.String("workers", "", "comma-separated pard-worker addresses to distribute runs to (e.g. h1:7070,h2:7070)")
 	listen := fs.String("listen", "", "listen address where pard-worker -join processes register (e.g. :7071)")
 	minWorkers := fs.Int("min-workers", 1, "with -listen: wait for this many workers before starting")
-	speculateAfter := fs.Duration("speculate-after", 0, "re-dispatch a straggling unit to an idle worker after this long (0 = adapt to observed unit latency, negative = never)")
 	progress := fs.Bool("progress", false, "print per-run progress to stderr")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	if err := fs.Parse(args); err != nil {
@@ -127,11 +126,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		coord = dist.NewCoordinator(dist.CoordinatorConfig{
 			Engine:         harness.Engine(),
 			WaitForWorkers: *listen != "",
-			SpeculateAfter: *speculateAfter,
 			// Cluster lifecycle events (joins, losses, requeues, empty-
-			// cluster waits, speculative re-dispatches) are rare and
-			// operationally important, so they log unconditionally —
-			// unlike per-run -progress output.
+			// cluster waits) are rare and operationally important, so they
+			// log unconditionally — unlike per-run -progress output.
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(stderr, format+"\n", args...)
 			},
@@ -241,13 +238,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if coord != nil {
 		// Cluster accounting likewise stays off stdout.
 		st := coord.Stats()
-		fmt.Fprintf(stderr, "cluster: %d units dispatched (%d speculative), %d completed, %d requeued, %d cache hits (%d local, %d on workers), %d workers (%d lost)\n",
-			st.Dispatched, st.Speculated, st.Completed, st.Requeued,
+		fmt.Fprintf(stderr, "cluster: %d units dispatched (%d endgame duplicates), %d completed, %d requeued, %d cache hits (%d local, %d on workers), %d workers (%d lost)\n",
+			st.Dispatched, st.Duplicated, st.Completed, st.Requeued,
 			st.LocalHits+st.RemoteHits, st.LocalHits, st.RemoteHits, coord.Workers(), st.WorkersLost)
 		for _, id := range slices.Sorted(maps.Keys(st.PerWorker)) {
 			ws := st.PerWorker[id]
-			fmt.Fprintf(stderr, "cluster: worker %d: %d completed (%d warm-cache hits, %d speculative assignments)\n",
-				id, ws.Completed, ws.CacheHits, ws.Speculative)
+			fmt.Fprintf(stderr, "cluster: worker %d: %d completed (%d warm-cache hits)\n",
+				id, ws.Completed, ws.CacheHits)
 		}
 	}
 	fmt.Fprintf(stdout, "ran %d experiments in %.1fs (scale=%s seed=%d parallel=%d)\n",

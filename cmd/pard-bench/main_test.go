@@ -33,8 +33,10 @@ func TestBadFlagsRejected(t *testing.T) {
 	if err := run([]string{"-only", "nope"}, &out, &errb); err == nil {
 		t.Fatal("unknown -only accepted")
 	}
-	if err := run([]string{"-shards", "2"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("-shards: %v, want the flag package's undefined-flag error", err)
+	for _, args := range [][]string{{"-shards", "2"}, {"-speculate-after", "1s"}} {
+		if err := run(args, &out, &errb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: %v, want the flag package's undefined-flag error", args[0], err)
+		}
 	}
 }
 

@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pard-worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	listen := fs.String("listen", "", "listen address for sweep coordinators and simulation hubs (e.g. :7070)")
-	join := fs.String("join", "", "coordinator address to dial (host:port)")
+	join := fs.String("join", "", "coordinator address to dial (host:port); redialed for up to 10s until it listens")
 	parallel := fs.Int("parallel", 0, "concurrent unit executions (0 = all CPU cores); advertised as capacity")
 	cacheDir := fs.String("cache-dir", "", "persist finished units here (share it across the cluster for a common artifact store)")
 	once := fs.Bool("once", false, "with -listen: serve a single connection, then exit")

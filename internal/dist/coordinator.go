@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,20 +29,11 @@ type CoordinatorConfig struct {
 	HandshakeTimeout time.Duration
 	// Logf, when set, receives dispatch/requeue/worker-lifecycle logging.
 	Logf func(format string, args ...any)
-	// SpeculateAfter tunes straggler speculation: once a dispatched unit's
-	// age exceeds this duration it is queued for one speculative copy on
-	// another worker, first valid result wins (per-key seed derivation makes
-	// the copies byte-identical, so dropping the loser is safe — the same
-	// guard that already absorbs requeue races). Zero (the default) adapts
-	// the threshold from observed unit latency (3× the running mean, with a
-	// floor, once enough units completed); a negative value disables
-	// speculation entirely.
-	SpeculateAfter time.Duration
 	// OnUnitDone, when set, is invoked after each remotely executed unit is
 	// merged (outside the coordinator lock). This is the distributed
 	// counterpart of sweep.Config.OnProgress, which remote execution
 	// bypasses (cache installs are not local work). Dropped duplicates of
-	// speculated units are not merges and are never reported.
+	// endgame copies are not merges and are never reported.
 	OnUnitDone func(UnitDone)
 }
 
@@ -62,17 +52,15 @@ type UnitDone struct {
 }
 
 // Stats counts coordinator activity; Requeued > 0 means at least one unit
-// was reassigned after a worker loss, Speculated > 0 that at least one
-// straggling unit was re-dispatched.
+// was reassigned after a worker loss, Duplicated > 0 that the endgame rule
+// put at least one unit on a second worker. Over sweeps that succeed with
+// nothing requeued, Dispatched − Duplicated == Completed: every unit is
+// dispatched once, and only the first result of its copies is accepted.
 type Stats struct {
-	Dispatched int // units sent to workers (reassignments + speculation included)
-	Completed  int // unit results accepted (dropped duplicates excluded)
-	Requeued   int // units reassigned after a worker was lost
-	// Speculated counts speculative copies QUEUED for straggling units; a
-	// copy whose original resolves first (or that finds no eligible worker)
-	// never dispatches, so the per-worker Speculative dispatch counts can
-	// sum below this.
-	Speculated    int
+	Dispatched    int // units sent to workers (reassignments and duplicates included)
+	Completed     int // unit results accepted (dropped duplicates excluded)
+	Requeued      int // units reassigned after a worker was lost
+	Duplicated    int // copies dispatched of a unit already running on another worker
 	LocalHits     int // units resolved from the coordinator's own cache, never dispatched
 	RemoteHits    int // accepted results a worker served from its warm cache
 	WorkersJoined int
@@ -84,9 +72,17 @@ type Stats struct {
 
 // WorkerStats counts one worker's activity.
 type WorkerStats struct {
-	Completed   int // results accepted from this worker
-	CacheHits   int // of those, served from the worker's warm cache
-	Speculative int // speculative duplicate assignments sent to this worker
+	Completed int // results accepted from this worker
+	CacheHits int // of those, served from the worker's warm cache
+}
+
+// unitRef names one assignment: a unit of one sweep. A worker's slots are
+// keyed by it, so a result that arrives after its sweep has moved on — the
+// loser of an endgame race, a unit of an aborted sweep — still frees the
+// slot it held.
+type unitRef struct {
+	epoch uint64
+	id    int
 }
 
 // workerConn is one registered worker. The dispatch loop is the connection's
@@ -97,7 +93,7 @@ type workerConn struct {
 	conn        net.Conn
 	f           *framed
 	capacity    int
-	outstanding map[int]bool
+	outstanding map[unitRef]bool // held assignments; true marks an endgame copy
 	dead        bool
 }
 
@@ -105,20 +101,11 @@ type workerConn struct {
 type sweepState struct {
 	epoch    uint64
 	units    []WorkUnit
-	pending  []int // unit IDs awaiting assignment
+	pending  []int // unit IDs awaiting assignment, running nowhere
 	results  map[int]*simgpu.Result
 	failures map[int]string
 	aborted  bool // stop dispatching: a unit failed or the context fired
 	ctxErr   error
-	// dispatchedAt is the last dispatch time of each unresolved unit — the
-	// age the speculation scan compares against the straggler threshold.
-	dispatchedAt map[int]time.Time
-	// speculated marks units already granted their one speculative copy.
-	speculated map[int]bool
-	// latencySum/latencyN estimate the mean dispatch→result latency of
-	// executed (non-cache-hit) units, feeding the adaptive threshold.
-	latencySum time.Duration
-	latencyN   int
 	// installs tracks cache merges running off the coordinator lock (disk
 	// I/O must not serialize dispatch); Sweep drains it before returning
 	// so a finished sweep is fully visible to the next one's Lookup.
@@ -127,6 +114,13 @@ type sweepState struct {
 
 // remaining reports how many units are still unresolved.
 func (st *sweepState) remaining() int { return len(st.units) - len(st.results) - len(st.failures) }
+
+// resolved reports whether unit id has merged, as a result or a failure.
+func (st *sweepState) resolved(id int) bool {
+	_, ok := st.results[id]
+	_, failed := st.failures[id]
+	return ok || failed
+}
 
 // Coordinator partitions sweep grids into work units and drives a dynamic
 // set of workers: workers may join at any time (even mid-sweep, stealing
@@ -163,18 +157,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	return c
 }
 
-// Speculation scan cadence and adaptive-threshold guards. The floor keeps a
-// noisy estimate over very short units from re-dispatching everything, and
-// the warmup keeps the mean from being read before it means anything.
-// Spurious speculation is never a correctness risk — duplicate results are
-// byte-identical and dropped — only wasted work.
-const (
-	speculateTick         = 25 * time.Millisecond
-	speculateAdaptiveMin  = 250 * time.Millisecond
-	speculateWarmupUnits  = 3
-	speculateAdaptiveMult = 3
-)
-
 // logf forwards to the configured logger.
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
@@ -201,7 +183,7 @@ func (c *Coordinator) AddConn(conn net.Conn) error {
 		conn.Close()
 		return err
 	}
-	w := &workerConn{conn: conn, f: f, capacity: max(capacity, 1), outstanding: map[int]bool{}}
+	w := &workerConn{conn: conn, f: f, capacity: max(capacity, 1), outstanding: map[unitRef]bool{}}
 
 	c.mu.Lock()
 	if c.closed {
@@ -381,7 +363,9 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []sweep.Spec) ([]*simgpu.
 }
 
 // runUnits drives the cluster until every pending unit is resolved into
-// results, a unit fails, the context fires, or the cluster empties.
+// results, a unit fails, the context fires, or the cluster empties. An
+// aborted sweep returns at once: units still running are the workers'
+// business, and their late results free their slots when they arrive.
 func (c *Coordinator) runUnits(ctx context.Context, units []WorkUnit, pending []int, results map[int]*simgpu.Result) error {
 	c.mu.Lock()
 	if c.closed {
@@ -390,13 +374,11 @@ func (c *Coordinator) runUnits(ctx context.Context, units []WorkUnit, pending []
 	}
 	c.epoch++
 	st := &sweepState{
-		epoch:        c.epoch,
-		units:        units,
-		pending:      pending,
-		results:      results,
-		failures:     map[int]string{},
-		dispatchedAt: map[int]time.Time{},
-		speculated:   map[int]bool{},
+		epoch:    c.epoch,
+		units:    units,
+		pending:  pending,
+		results:  results,
+		failures: map[int]string{},
 	}
 	for i := range st.units {
 		st.units[i].Epoch = st.epoch
@@ -415,11 +397,6 @@ func (c *Coordinator) runUnits(ctx context.Context, units []WorkUnit, pending []
 		c.mu.Unlock()
 	})
 	defer stop()
-	if c.cfg.SpeculateAfter >= 0 {
-		stopSpec := make(chan struct{})
-		defer close(stopSpec)
-		go c.speculationLoop(st, stopSpec)
-	}
 	// Drain off-lock cache merges before returning: a caller observing the
 	// sweep as done must find every result via Lookup (warm restarts
 	// dispatch nothing).
@@ -432,23 +409,13 @@ func (c *Coordinator) runUnits(ctx context.Context, units []WorkUnit, pending []
 		c.mu.Unlock()
 	}()
 	emptyLogged := false
-	for {
-		if st.remaining() == 0 {
-			break
-		}
-		outstanding := 0
-		for _, w := range c.workers {
-			outstanding += len(w.outstanding)
-		}
-		if st.aborted && outstanding == 0 {
-			break
-		}
+	for st.remaining() > 0 && !st.aborted {
 		// Closed-coordinator wins over empty-cluster: Close clears the
 		// worker set, and "no workers remain" would misdiagnose a shutdown.
 		if c.closed {
 			return errors.New("dist: coordinator closed mid-sweep")
 		}
-		if !st.aborted && outstanding == 0 && len(c.workers) == 0 {
+		if len(c.workers) == 0 {
 			if !c.cfg.WaitForWorkers {
 				return fmt.Errorf("dist: no workers remain (%d of %d units incomplete)", st.remaining(), len(st.units))
 			}
@@ -476,79 +443,13 @@ func (c *Coordinator) runUnits(ctx context.Context, units []WorkUnit, pending []
 	return nil
 }
 
-// speculationLoop periodically scans the active sweep for straggling units
-// until the sweep finishes or stop closes.
-func (c *Coordinator) speculationLoop(st *sweepState, stop <-chan struct{}) {
-	t := time.NewTicker(speculateTick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		c.mu.Lock()
-		if c.closed || c.st != st {
-			c.mu.Unlock()
-			return
-		}
-		c.speculateLocked(st)
-		c.mu.Unlock()
-	}
-}
-
-// speculateLocked (c.mu held) queues one speculative copy of every
-// dispatched unit older than the straggler threshold. The copy goes to the
-// back of pending, so first dispatches are never delayed, and nextUnit
-// refuses to hand it to a worker already running the unit. First valid
-// result wins; the loser is dropped by the outstanding/duplicate guards.
-func (c *Coordinator) speculateLocked(st *sweepState) {
-	if st.aborted {
-		return
-	}
-	threshold := c.cfg.SpeculateAfter
-	if threshold == 0 {
-		if st.latencyN < speculateWarmupUnits {
-			return
-		}
-		threshold = speculateAdaptiveMult * st.latencySum / time.Duration(st.latencyN)
-		threshold = max(threshold, speculateAdaptiveMin)
-	}
-	now := time.Now()
-	queued := false
-	for id, at := range st.dispatchedAt {
-		if st.speculated[id] || now.Sub(at) < threshold {
-			continue
-		}
-		if _, done := st.results[id]; done {
-			continue
-		}
-		if _, failed := st.failures[id]; failed {
-			continue
-		}
-		if slices.Contains(st.pending, id) {
-			// A copy is already queued (e.g. speculation re-armed after a
-			// worker loss before the first copy dispatched).
-			continue
-		}
-		st.speculated[id] = true
-		st.pending = append(st.pending, id)
-		c.stats.Speculated++
-		queued = true
-		c.logf("dist: unit %d straggling (%v > %v), queueing speculative copy",
-			id, now.Sub(at).Round(time.Millisecond), threshold.Round(time.Millisecond))
-	}
-	if queued {
-		// Only wake the dispatch loops when there is new work; an
-		// unconditional broadcast would storm every blocked worker each tick
-		// for the whole sweep.
-		c.cond.Broadcast()
-	}
-}
-
-// nextUnit blocks until a unit is assignable to w (or w is gone / the
-// coordinator closes, reporting false). Units the worker is already running
-// are skipped: a speculative copy must land on a different worker to help.
+// nextUnit blocks until w has a free slot and a unit to fill it (or w is
+// gone / the coordinator closes, reporting false). Pending units go first, in
+// order. With none pending, the endgame rule applies: a worker holding nothing
+// gets a copy of an unresolved unit running on another worker, so a sweep
+// finishes whatever holds up the original — a slow worker or a silent one. No
+// clock is involved; the first valid result wins and complete drops the
+// loser, a byte-identical copy by per-key seeding.
 func (c *Coordinator) nextUnit(w *workerConn) (WorkUnit, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -557,39 +458,44 @@ func (c *Coordinator) nextUnit(w *workerConn) (WorkUnit, bool) {
 			return WorkUnit{}, false
 		}
 		if st := c.st; st != nil && !st.aborted && len(w.outstanding) < w.capacity {
-			for i := 0; i < len(st.pending); {
-				id := st.pending[i]
-				if _, done := st.results[id]; done {
-					// Resolved while queued (a speculative copy whose
-					// original came through): drop it for everyone.
-					st.pending = append(st.pending[:i], st.pending[i+1:]...)
-					continue
-				}
-				if w.outstanding[id] {
-					i++
-					continue
-				}
-				st.pending = append(st.pending[:i], st.pending[i+1:]...)
-				duplicate := c.outstandingElsewhere(w, id)
-				w.outstanding[id] = true
-				if _, ok := st.dispatchedAt[id]; !ok {
-					// A speculative copy keeps the original dispatch time:
-					// the unit really has been pending that long, and a
-					// reset would feed near-zero samples into the adaptive
-					// latency estimate when the original completes.
-					st.dispatchedAt[id] = time.Now()
-				}
+			id, dup := -1, false
+			if len(st.pending) > 0 {
+				id, st.pending = st.pending[0], st.pending[1:]
+			} else if len(w.outstanding) == 0 {
+				id = c.endgameUnit(st)
+				dup = id >= 0
+			}
+			if id >= 0 {
+				w.outstanding[unitRef{st.epoch, id}] = dup
 				c.stats.Dispatched++
-				if duplicate {
-					ws := c.stats.PerWorker[w.id]
-					ws.Speculative++
-					c.stats.PerWorker[w.id] = ws
+				if dup {
+					c.stats.Duplicated++
 				}
 				return st.units[id], true
 			}
 		}
 		c.cond.Wait()
 	}
+}
+
+// endgameUnit (c.mu held) picks the unit the endgame rule copies: the lowest
+// unresolved unit of st running on a live worker. It returns -1 if there is
+// none, or while any copy is still running. Workers cannot cancel a unit, so
+// a losing copy runs to its end; one at a time, copies never take more than
+// one slot from the originals or from the next sweep.
+func (c *Coordinator) endgameUnit(st *sweepState) int {
+	best := -1
+	for _, w := range c.workers {
+		for ref, dup := range w.outstanding {
+			if dup {
+				return -1
+			}
+			if ref.epoch == st.epoch && !st.resolved(ref.id) && (best < 0 || ref.id < best) {
+				best = ref.id
+			}
+		}
+	}
+	return best
 }
 
 // dispatchLoop is w's connection writer: it feeds assignable units to the
@@ -620,42 +526,32 @@ func (c *Coordinator) readLoop(w *workerConn) {
 	}
 }
 
-// complete merges one result. The epoch/outstanding guards drop anything
-// stale: results for a previous sweep, for a unit already reassigned after
-// this worker was (wrongly) presumed lost, or for units never assigned.
-// With speculation the same unit can be legitimately outstanding on two
-// workers at once; the first valid result wins and the loser — by per-key
-// seed derivation a byte-identical copy — is dropped here.
+// complete merges one result. A result for an assignment w holds frees its
+// slot, whatever else becomes of it. It merges only if it belongs to the
+// active sweep and is the first of its unit's copies to arrive; the rest are
+// dropped: results of a previous or aborted sweep, the losers of an endgame
+// race, and anything never assigned to w.
 func (c *Coordinator) complete(w *workerConn, r UnitResult) {
 	c.mu.Lock()
-	st := c.st
-	if st == nil || r.Epoch != st.epoch || !w.outstanding[r.ID] {
+	ref := unitRef{r.Epoch, r.ID}
+	if _, held := w.outstanding[ref]; !held {
 		c.mu.Unlock()
-		c.logf("dist: dropping stale result (worker %d, unit %d, epoch %d)", w.id, r.ID, r.Epoch)
+		c.logf("dist: dropping unassigned result (worker %d, unit %d, epoch %d)", w.id, r.ID, r.Epoch)
 		return
 	}
-	delete(w.outstanding, r.ID)
-	_, succeeded := st.results[r.ID]
-	_, failed := st.failures[r.ID]
-	if succeeded || failed {
-		// The speculative race was lost (or won — either way a copy of this
-		// unit was merged first, as a result or as the recorded failure):
-		// not a completion, just freed capacity. Checking failures too keeps
-		// a unit from landing in both maps and double-counting Done.
-		c.cond.Broadcast()
+	delete(w.outstanding, ref)
+	c.cond.Broadcast()
+	st := c.st
+	if st == nil || r.Epoch != st.epoch || st.resolved(r.ID) {
+		// Expected, not logged: every endgame copy but one loses. Checking
+		// failures too (resolved) keeps a unit from landing in both maps and
+		// double-counting Done.
 		c.mu.Unlock()
-		c.logf("dist: dropping duplicate result for unit %d from worker %d (speculation race resolved)", r.ID, w.id)
 		return
 	}
 	c.stats.Completed++
 	ws := c.stats.PerWorker[w.id]
 	ws.Completed++
-	if at, ok := st.dispatchedAt[r.ID]; ok && r.Err == "" && !r.CacheHit {
-		// Executed units feed the adaptive straggler estimate; cache hits
-		// return in microseconds and would drag it toward zero.
-		st.latencySum += time.Since(at)
-		st.latencyN++
-	}
 	switch {
 	case r.Err != "":
 		st.failures[r.ID] = r.Err
@@ -674,7 +570,6 @@ func (c *Coordinator) complete(w *workerConn, r UnitResult) {
 			ws.CacheHits++
 		}
 		st.results[r.ID] = r.Result
-		delete(st.dispatchedAt, r.ID)
 		// Merge into the shared cache off the coordinator lock (Install
 		// gob-encodes to disk when a cache dir is configured; dispatch
 		// must not serialize on that): later sweeps (local or
@@ -694,26 +589,16 @@ func (c *Coordinator) complete(w *workerConn, r UnitResult) {
 		Key: st.units[r.ID].Key, Err: st.failures[r.ID],
 		Elapsed: r.Elapsed, CacheHit: r.CacheHit, Worker: w.id,
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	if c.cfg.OnUnitDone != nil {
 		c.cfg.OnUnitDone(ud)
 	}
 }
 
-// outstandingElsewhere reports whether id is outstanding on a live worker
-// other than w (c.mu held).
-func (c *Coordinator) outstandingElsewhere(w *workerConn, id int) bool {
-	for _, other := range c.workers {
-		if other != w && other.outstanding[id] {
-			return true
-		}
-	}
-	return false
-}
-
-// dropWorker removes w after a connection failure, reassigning its
-// outstanding units (lowest unit ID first, for reproducible logs).
+// dropWorker removes w after a connection failure and requeues each unit of
+// the active sweep it held that no live worker still runs (lowest unit ID
+// first, for reproducible logs); a unit with an endgame copy elsewhere needs
+// no requeue.
 func (c *Coordinator) dropWorker(w *workerConn, cause error) {
 	c.mu.Lock()
 	if w.dead {
@@ -725,39 +610,23 @@ func (c *Coordinator) dropWorker(w *workerConn, cause error) {
 	c.stats.WorkersLost++
 	var requeued []int
 	if st := c.st; st != nil && !st.aborted {
-		for id := range w.outstanding {
-			if _, done := st.results[id]; done {
+	held:
+		for ref := range w.outstanding {
+			if ref.epoch != st.epoch || st.resolved(ref.id) {
 				continue
 			}
-			if c.outstandingElsewhere(w, id) {
-				// A copy is still running on a live worker; it covers this
-				// unit, no requeue needed. Re-arm speculation so that copy
-				// gets a backup of its own if it too turns out to straggle.
-				delete(st.speculated, id)
-				continue
+			for _, other := range c.workers {
+				if _, ok := other.outstanding[ref]; ok {
+					continue held
+				}
 			}
-			if slices.Contains(st.pending, id) {
-				// Already queued (a speculative copy not yet dispatched):
-				// requeueing would double-queue the unit.
-				delete(st.dispatchedAt, id)
-				delete(st.speculated, id)
-				continue
-			}
-			requeued = append(requeued, id)
+			requeued = append(requeued, ref.id)
 		}
 		sort.Ints(requeued)
 		st.pending = append(st.pending, requeued...)
-		for _, id := range requeued {
-			// The unit is no longer running anywhere: its age is meaningless
-			// until redispatch, so keep it out of the speculation scan — and
-			// re-arm its speculative copy, since the dispatch it covered died
-			// with the worker.
-			delete(st.dispatchedAt, id)
-			delete(st.speculated, id)
-		}
 		c.stats.Requeued += len(requeued)
 	}
-	w.outstanding = map[int]bool{}
+	w.outstanding = map[unitRef]bool{}
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	w.conn.Close()

@@ -115,7 +115,8 @@ func TestDistributedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := c.Stats(); st.Dispatched == 0 || st.Requeued != 0 || st.WorkersLost != 0 {
+			if st := c.Stats(); st.Dispatched == 0 || st.Requeued != 0 || st.WorkersLost != 0 ||
+				st.Dispatched-st.Duplicated != st.Completed {
 				t.Fatalf("unexpected dispatch stats: %+v", st)
 			}
 			if !bytes.Equal(encodeResults(t, got), want) {
@@ -190,7 +191,7 @@ func TestDistributedDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := c.Stats()
-				if st.Dispatched == 0 || st.Completed != st.Dispatched || st.RemoteHits != st.Completed {
+				if st.Dispatched == 0 || st.Completed != st.Dispatched-st.Duplicated || st.RemoteHits != st.Completed {
 					t.Fatalf("warm workers executed units (want every dispatch a remote hit): %+v", st)
 				}
 				if st.LocalHits != 0 {
@@ -241,13 +242,13 @@ func TestDistributedDifferential(t *testing.T) {
 	})
 }
 
-// TestSpeculationDifferential injects a straggler — a worker that stalls
-// every execution far beyond the speculation threshold — and proves the
-// coordinator re-dispatches the stuck units to idle workers with the merged
-// grid still gob byte-identical to the local run: first valid result wins,
-// the straggler's late duplicates are dropped by the outstanding/duplicate
-// guards. Runs in -short too (the CI speculation step), at 2 and 4 workers.
-func TestSpeculationDifferential(t *testing.T) {
+// TestEndgameDifferential injects a straggler — a worker that stalls every
+// execution for 20 s — and proves the endgame rule finishes the grid around
+// it in a fraction of that, gob byte-identical to the local run: once nothing
+// is pending, an idle worker gets a copy of the stuck unit, the first valid
+// result wins, and the straggler's late result is dropped. Runs in -short too
+// (the CI endgame step), at 2 and 4 workers.
+func TestEndgameDifferential(t *testing.T) {
 	grid := diffGrid()
 	local := sweep.New(diffEngineConfig())
 	baseline, err := local.Sweep(grid)
@@ -256,40 +257,37 @@ func TestSpeculationDifferential(t *testing.T) {
 	}
 	want := encodeResults(t, baseline)
 
+	const delay = 20 * time.Second
 	for _, workers := range []int{2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := NewCoordinator(CoordinatorConfig{
-				Engine:         sweep.New(diffEngineConfig()),
-				SpeculateAfter: 100 * time.Millisecond,
-				Logf:           t.Logf,
-			})
+			c := NewCoordinator(CoordinatorConfig{Engine: sweep.New(diffEngineConfig()), Logf: t.Logf})
 			defer c.Close()
 			// The straggler joins first so its dispatch loop is running
 			// before the sweep starts; capacity 1 wedges exactly one unit.
-			startLoopbackWorker(t, c, WorkerConfig{Workers: 1, UnitDelay: 20 * time.Second})
+			startLoopbackWorker(t, c, WorkerConfig{Workers: 1, UnitDelay: delay})
 			for i := 1; i < workers; i++ {
 				startLoopbackWorker(t, c, WorkerConfig{Workers: 2})
 			}
+			start := time.Now()
 			got, err := c.Sweep(context.Background(), grid)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if elapsed := time.Since(start); elapsed > delay/4 {
+				t.Fatalf("sweep took %v: it waited on the straggler", elapsed)
+			}
 			st := c.Stats()
-			if st.Speculated == 0 {
-				t.Fatalf("straggler never triggered speculation: %+v", st)
+			if st.Duplicated == 0 {
+				t.Fatalf("the straggler's unit was never copied: %+v", st)
 			}
 			if st.WorkersLost != 0 || st.Requeued != 0 {
-				t.Fatalf("speculation must not be accounted as worker loss: %+v", st)
+				t.Fatalf("endgame copies must not be accounted as worker loss: %+v", st)
 			}
-			specDispatches := 0
-			for _, ws := range st.PerWorker {
-				specDispatches += ws.Speculative
-			}
-			if specDispatches == 0 {
-				t.Fatalf("no speculative copy was ever dispatched: %+v", st)
+			if st.Dispatched-st.Duplicated != st.Completed {
+				t.Fatalf("Dispatched − Duplicated = %d, want Completed = %d: %+v", st.Dispatched-st.Duplicated, st.Completed, st)
 			}
 			if !bytes.Equal(encodeResults(t, got), want) {
-				diffFailure(t, fmt.Sprintf("speculation/workers=%d", workers), baseline, got)
+				diffFailure(t, fmt.Sprintf("endgame/workers=%d", workers), baseline, got)
 			}
 		})
 	}

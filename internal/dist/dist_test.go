@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -438,10 +439,10 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Dispatched != 2 || st.Completed != 2 || st.LocalHits != 0 ||
-		st.RemoteHits != 0 || st.Speculated != 0 || st.Requeued != 0 {
+		st.RemoteHits != 0 || st.Duplicated != 0 || st.Requeued != 0 {
 		t.Fatalf("cold sweep stats: %+v", st)
 	}
-	if ws := st.PerWorker[1]; ws.Completed != 2 || ws.CacheHits != 0 || ws.Speculative != 0 {
+	if ws := st.PerWorker[1]; ws.Completed != 2 || ws.CacheHits != 0 {
 		t.Fatalf("cold sweep per-worker stats: %+v", st.PerWorker)
 	}
 
@@ -470,11 +471,12 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestStatsAccountingUnderSpeculation: a wedged worker forces a speculative
-// duplicate of its unit; the winning copy is counted once, the loser is
-// dropped — Completed never exceeds the number of units.
-func TestStatsAccountingUnderSpeculation(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), SpeculateAfter: 50 * time.Millisecond})
+// TestStatsAccountingUnderEndgame: a wedged worker's unit gets an endgame
+// copy on the idle one; the winning copy is counted once and the loser is
+// dropped — Completed never exceeds the number of units, and every dispatch
+// beyond one per unit is counted as a duplicate.
+func TestStatsAccountingUnderEndgame(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
 	defer c.Close()
 	startLoopbackWorker(t, c, WorkerConfig{Workers: 1, UnitDelay: 20 * time.Second})
 	startLoopbackWorker(t, c, WorkerConfig{Workers: 1})
@@ -486,41 +488,72 @@ func TestStatsAccountingUnderSpeculation(t *testing.T) {
 		t.Fatalf("sweep returned %v", rs)
 	}
 	st := c.Stats()
-	if st.Speculated == 0 {
-		t.Fatalf("wedged worker never triggered speculation: %+v", st)
+	if st.Duplicated == 0 {
+		t.Fatalf("wedged worker's unit was never copied: %+v", st)
 	}
 	if st.Completed != 2 {
 		t.Fatalf("Completed = %d, want 2 (duplicates must not be counted): %+v", st.Completed, st)
 	}
-	if st.Dispatched < 3 || st.Dispatched > 2+st.Speculated {
-		t.Fatalf("Dispatched = %d, want 2 originals + 1..%d speculative: %+v", st.Dispatched, st.Speculated, st)
+	if st.Dispatched-st.Duplicated != st.Completed {
+		t.Fatalf("Dispatched − Duplicated = %d, want Completed = %d: %+v", st.Dispatched-st.Duplicated, st.Completed, st)
 	}
 	if st.Requeued != 0 || st.WorkersLost != 0 {
-		t.Fatalf("speculation accounted as loss: %+v", st)
-	}
-	// Per-worker Speculative counts copies actually DISPATCHED — exactly
-	// the dispatches beyond the two originals (queued copies whose original
-	// resolved first never dispatch and are only in Speculated).
-	spec := 0
-	for _, ws := range st.PerWorker {
-		spec += ws.Speculative
-	}
-	if spec != st.Dispatched-2 {
-		t.Fatalf("per-worker speculative dispatches (%d) disagree with Dispatched-2 (%d): %+v", spec, st.Dispatched-2, st)
+		t.Fatalf("endgame copy accounted as loss: %+v", st)
 	}
 }
 
-// TestLateDuplicateAfterFailureDropped: under speculation a unit can resolve
-// as a failure while its other copy is still running. The copy's later
+// handDrivenWorker connects a worker the test speaks for: it performs the
+// handshake with capacity 1, hands the first unit it is assigned to the test
+// and then reads nothing more. It answers only if the test sends a result on
+// the returned stream; left alone it is a worker gone silent with the
+// connection still open.
+func handDrivenWorker(t *testing.T, c *Coordinator) (*framed, <-chan WorkUnit) {
+	t.Helper()
+	coordSide, workerSide := net.Pipe()
+	f := newFramed(workerSide)
+	units := make(chan WorkUnit, 1)
+	go func() {
+		var h Hello
+		if f.recv(&h, 0) != nil {
+			return
+		}
+		if f.send(HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP}) != nil {
+			return
+		}
+		var u WorkUnit
+		if f.recv(&u, 0) != nil {
+			return
+		}
+		units <- u
+	}()
+	if err := c.AddConn(coordSide); err != nil {
+		t.Fatal(err)
+	}
+	return f, units
+}
+
+// heldSlots counts the assignments the coordinator's live workers hold.
+func heldSlots(c *Coordinator) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, w := range c.workers {
+		n += len(w.outstanding)
+	}
+	return n
+}
+
+// TestLateDuplicateAfterFailureDropped: with an endgame copy out, a unit can
+// resolve as a failure while its other copy is still running. The sweep
+// returns on the failure without waiting for that copy, and the copy's later
 // success must be dropped — not merged into the cache, not double-counted,
-// and OnUnitDone's Done must never exceed Total.
+// OnUnitDone's Done never above Total — while still freeing its slot.
 func TestLateDuplicateAfterFailureDropped(t *testing.T) {
 	type call struct{ done, total int }
 	var mu sync.Mutex
 	var calls []call
 	c := NewCoordinator(CoordinatorConfig{
-		Engine:         testEngine(),
-		SpeculateAfter: 30 * time.Millisecond,
+		Engine: testEngine(),
 		OnUnitDone: func(u UnitDone) {
 			mu.Lock()
 			calls = append(calls, call{u.Done, u.Total})
@@ -529,73 +562,44 @@ func TestLateDuplicateAfterFailureDropped(t *testing.T) {
 	})
 	defer c.Close()
 
-	// A hand-driven worker that performs the handshake and hands back its
-	// encoder plus the single unit it gets assigned.
-	fakeWorker := func() (*framed, chan WorkUnit) {
-		coordSide, workerSide := net.Pipe()
-		f := newFramed(workerSide)
-		units := make(chan WorkUnit, 1)
-		go func() {
-			var h Hello
-			if f.recv(&h, 0) != nil {
-				return
-			}
-			if f.send(HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP}) != nil {
-				return
-			}
-			var u WorkUnit
-			if f.recv(&u, 0) != nil {
-				return
-			}
-			units <- u
-		}()
-		if err := c.AddConn(coordSide); err != nil {
-			t.Fatal(err)
-		}
-		return f, units
-	}
-
 	grid := tinyGrid()[:1]
-	straggler, stragglerUnits := fakeWorker()
+	straggler, stragglerUnits := handDrivenWorker(t, c)
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Sweep(context.Background(), grid)
 		done <- err
 	}()
 	// The straggler takes the only unit and sits on it; the second worker
-	// joins afterwards, receives the speculative copy, and fails it.
-	uA := <-stragglerUnits
-	failer, failerUnits := fakeWorker()
-	uB := <-failerUnits
+	// joins afterwards, receives the endgame copy, and fails it.
+	uA := within(t, "the straggler's unit", stragglerUnits)
+	failer, failerUnits := handDrivenWorker(t, c)
+	uB := within(t, "the endgame copy", failerUnits)
 	if uB.ID != uA.ID {
-		t.Fatalf("speculative copy is unit %d, want %d", uB.ID, uA.ID)
+		t.Fatalf("endgame copy is unit %d, want %d", uB.ID, uA.ID)
 	}
 	if err := failer.send(UnitResult{Epoch: uB.Epoch, ID: uB.ID, Key: uB.Key, Err: "boom"}); err != nil {
 		t.Fatal(err)
 	}
-	// Once the failure is merged, the straggler wakes up with a SUCCESS for
-	// the same unit — which must be dropped, not merged.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().Completed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("failure never merged")
-		}
-		time.Sleep(time.Millisecond)
+	if err := within(t, "the failed sweep", done); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("sweep err = %v, want the copy's failure", err)
 	}
+	if n := heldSlots(c); n != 1 {
+		t.Fatalf("%d slots held after the failure, want the straggler's 1", n)
+	}
+	// The straggler wakes up with a SUCCESS for the same unit, after its
+	// sweep is over: dropped, and its slot comes free.
 	if err := straggler.send(UnitResult{Epoch: uA.Epoch, ID: uA.ID, Key: uA.Key, Result: &simgpu.Result{}}); err != nil {
 		t.Fatal(err)
 	}
-
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "boom") {
-			t.Fatalf("sweep err = %v, want the copy's failure", err)
+	deadline := time.Now().Add(5 * time.Second)
+	for heldSlots(c) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the late result did not free the straggler's slot")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("sweep never returned")
+		time.Sleep(time.Millisecond)
 	}
-	if st := c.Stats(); st.Completed != 1 {
-		t.Fatalf("Completed = %d, want 1 (late duplicate must not count): %+v", st.Completed, st)
+	if st := c.Stats(); st.Completed != 1 || st.Duplicated != 1 {
+		t.Fatalf("Completed = %d, Duplicated = %d, want 1 and 1 (late duplicate must not count): %+v", st.Completed, st.Duplicated, st)
 	}
 	if _, ok := c.cfg.Engine.Lookup("run|" + grid[0].Key()); ok {
 		t.Fatal("late duplicate success reached the cache")
@@ -604,5 +608,106 @@ func TestLateDuplicateAfterFailureDropped(t *testing.T) {
 	defer mu.Unlock()
 	if len(calls) != 1 || calls[0] != (call{1, 1}) {
 		t.Fatalf("OnUnitDone calls = %+v, want exactly [{1 1}]", calls)
+	}
+}
+
+// TestSweepCtxCancelWithSilentWorker: a worker that takes a unit and goes
+// silent with its connection open must not pin a cancelled sweep — Sweep
+// returns the context's error without waiting for that unit.
+func TestSweepCtxCancelWithSilentWorker(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+	defer c.Close()
+	_, units := handDrivenWorker(t, c)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Sweep(ctx, tinyGrid())
+		done <- err
+	}()
+	within(t, "the silent worker's unit", units)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want deadline exceeded", err)
+		}
+	case <-time.After(time.Second - time.Since(start)):
+		t.Fatal("cancelled sweep still blocked 1 s after it started, on the silent worker's unit")
+	}
+}
+
+// TestSilentWorkerSweepCompletes: a worker that takes a unit and goes silent
+// with its connection open cannot hang a sweep that has a healthy peer — the
+// peer gets an endgame copy of the unit, and the grid ends byte-identical to
+// the local sweep with the silent worker neither lost nor waited for.
+func TestSilentWorkerSweepCompletes(t *testing.T) {
+	grid := tinyGrid()
+	baseline, err := testEngine().Sweep(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+	defer c.Close()
+	_, units := handDrivenWorker(t, c)
+	type outcome struct {
+		rs  []*simgpu.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rs, err := c.Sweep(context.Background(), grid)
+		done <- outcome{rs, err}
+	}()
+	within(t, "the silent worker's unit", units)
+	startLoopbackWorker(t, c, WorkerConfig{Workers: 1})
+	o := within(t, "the sweep", done)
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if st := c.Stats(); st.Duplicated < 1 || st.WorkersLost != 0 {
+		t.Fatalf("want an endgame copy and no lost worker: %+v", st)
+	}
+	if !bytes.Equal(encodeResults(t, o.rs), encodeResults(t, baseline)) {
+		diffFailure(t, "silent-worker", baseline, o.rs)
+	}
+}
+
+// TestEndgameOneCopyAtATime: the cluster runs one endgame copy at a time. A
+// third idle worker gets nothing while the first copy runs, and the copy's
+// result ends the sweep.
+func TestEndgameOneCopyAtATime(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+	defer c.Close()
+	_, silentUnits := handDrivenWorker(t, c)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Sweep(context.Background(), tinyGrid()[:1])
+		done <- err
+	}()
+	u := within(t, "the silent worker's unit", silentUnits)
+	copier, copierUnits := handDrivenWorker(t, c)
+	cp := within(t, "the endgame copy", copierUnits)
+	if cp.ID != u.ID {
+		t.Fatalf("endgame copy is unit %d, want %d", cp.ID, u.ID)
+	}
+	_, idleUnits := handDrivenWorker(t, c)
+	select {
+	case extra := <-idleUnits:
+		t.Fatalf("a second copy (unit %d) went out while the first was running", extra.ID)
+	case <-time.After(100 * time.Millisecond):
+	}
+	res, err := testEngine().Run(cp.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := copier.send(UnitResult{Epoch: cp.Epoch, ID: cp.ID, Key: cp.Key, Result: res}); err != nil {
+		t.Fatal(err)
+	}
+	if err := within(t, "the sweep", done); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Duplicated != 1 || st.Completed != 1 {
+		t.Fatalf("Duplicated = %d, Completed = %d, want 1 and 1: %+v", st.Duplicated, st.Completed, st)
 	}
 }

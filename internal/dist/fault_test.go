@@ -170,11 +170,10 @@ func TestSweepUnderTransportFaults(t *testing.T) {
 	// the first unit. A result is tens of kilobytes.
 	for _, tc := range faultCases(1500, 3000) {
 		// A sweep session has no read deadline once it is open — an idle
-		// worker is normal — so a peer gone silent is the handshake deadline's
-		// to catch; after that only a close ends a session.
-		if tc.late && (tc.opener.stall || tc.server.stall) {
-			continue
-		}
+		// worker is normal — so a peer that stalls after the handshake stays
+		// registered, holding its unit: a late stall is for the endgame rule
+		// to route around, not a loss.
+		silent := tc.late && (tc.opener.stall || tc.server.stall)
 		t.Run(tc.name, func(t *testing.T) {
 			timeout, _ := tc.timeouts()
 			c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), WaitForWorkers: true, HandshakeTimeout: timeout})
@@ -199,6 +198,31 @@ func TestSweepUnderTransportFaults(t *testing.T) {
 					rs, err := c.Sweep(context.Background(), grid)
 					swept <- outcome{rs, err}
 				}()
+			}
+			if silent {
+				// The worker went silent holding a unit: a healthy worker that
+				// joins afterwards gets an endgame copy and finishes the grid.
+				deadline := time.Now().Add(10 * time.Second)
+				for !oc.didFire() && !sc.didFire() {
+					if time.Now().After(deadline) {
+						t.Fatal("the fault never fired: the case tests nothing")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				startLoopbackWorker(t, c, WorkerConfig{Workers: 1})
+				o := within(t, "the sweep", swept)
+				if o.err != nil {
+					t.Fatal(o.err)
+				}
+				if st := c.Stats(); st.Duplicated == 0 || st.WorkersLost != 0 || st.Requeued != 0 {
+					t.Fatalf("want the stalled unit copied and no worker lost: %+v", st)
+				}
+				if !bytes.Equal(encodeResults(t, o.rs), want) {
+					diffFailure(t, tc.name, baseline, o.rs)
+				}
+				c.Close()
+				within(t, "the stalled worker after Close", served)
+				return
 			}
 			if tc.faulty() {
 				within(t, "the worker behind the faulty connection", served)

@@ -72,12 +72,12 @@ type WorkUnit struct {
 // set. Epoch and ID echo the assignment so the coordinator can drop stale
 // or duplicate completions. CacheHit marks a result the worker served from
 // its own warm cache (Lookup, no execution) — the coordinator surfaces the
-// distinction through Stats so "zero recompute cluster-wide" is observable,
-// and keeps warm results out of its straggler latency estimate. Elapsed is
-// the worker-measured execution time (zero for cache hits); both fields are
-// telemetry only and never participate in result bytes, so mixed warm/cold
-// clusters stay byte-identical. (New fields decode as zero values from older
-// peers: gob tolerates missing fields, so the flag is not a version break.)
+// distinction through Stats so "zero recompute cluster-wide" is observable.
+// Elapsed is the worker-measured execution time (zero for cache hits); both
+// fields are telemetry only and never participate in result bytes, so mixed
+// warm/cold clusters stay byte-identical. (New fields decode as zero values
+// from older peers: gob tolerates missing fields, so the flag is not a version
+// break.)
 type UnitResult struct {
 	Epoch    uint64
 	ID       int

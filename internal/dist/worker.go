@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"runtime"
 	"sync"
@@ -31,7 +32,9 @@ type WorkerConfig struct {
 	// Logf, when set, receives per-unit logging.
 	Logf func(format string, args ...any)
 	// HandshakeTimeout bounds how long ServeConn waits for the peer's Hello
-	// before giving up the connection (default 10s; < 0 disables).
+	// before giving up the connection, and how long Join keeps retrying a
+	// coordinator that is not listening yet (default 10s). A negative value
+	// removes the bound: ServeConn waits and Join redials forever.
 	HandshakeTimeout time.Duration
 	// CrashAfterUnits, when > 0, abruptly closes the connection after that
 	// many results have been sent — the fault-injection hook the
@@ -39,10 +42,9 @@ type WorkerConfig struct {
 	// byte-identical sweeps. Zero disables.
 	CrashAfterUnits int
 	// UnitDelay, when > 0, stalls every unit execution by that long before
-	// it runs — the straggler-injection hook the differential harness uses
-	// to prove speculative re-dispatch preserves byte-identical sweeps.
-	// Cache hits are not delayed (there is nothing to straggle on). Zero
-	// disables.
+	// it runs — the slow-worker hook the differential harness uses to prove
+	// that endgame re-dispatch finishes a sweep around a straggler and keeps
+	// it byte-identical. Cache hits are not delayed. Zero disables.
 	UnitDelay time.Duration
 }
 
@@ -214,17 +216,43 @@ func Serve(l net.Listener, cfg WorkerConfig) error {
 	}
 }
 
-// Join dials a coordinator at addr (bounded by the handshake timeout, so a
-// firewalled host fails fast instead of hanging on the OS connect timeout)
-// and serves it until it hangs up.
+// Join dials a coordinator at addr and serves it until it hangs up. A failed
+// dial is retried with exponential backoff plus jitter until the handshake
+// timeout has passed, so workers and their coordinator may start in any
+// order; the same deadline bounds each attempt, so a firewalled host fails
+// fast instead of hanging on the OS connect timeout.
 func Join(addr string, cfg WorkerConfig) error {
-	timeout := cfg.withDefaults().HandshakeTimeout
-	if timeout < 0 {
-		timeout = 0 // net.DialTimeout: 0 means no timeout
+	var deadline time.Time
+	if timeout := cfg.withDefaults().HandshakeTimeout; timeout > 0 {
+		deadline = time.Now().Add(timeout)
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return fmt.Errorf("dist: join %s: %w", addr, err)
+	for round := uint64(1); ; round++ {
+		conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
+		if err == nil {
+			return ServeConn(conn, cfg)
+		}
+		wait := backoff(round, joinRetryBase, joinRetryLimit)
+		wait += rand.N(wait) // jitter: a fleet started together does not redial in phase
+		if !deadline.IsZero() && time.Until(deadline) < wait {
+			return fmt.Errorf("dist: join %s: %w", addr, err)
+		}
+		time.Sleep(wait)
 	}
-	return ServeConn(conn, cfg)
+}
+
+// Join's redial backoff: the first retry waits about joinRetryBase, and the
+// wait doubles up to joinRetryLimit (before jitter).
+const (
+	joinRetryBase  = 50 * time.Millisecond
+	joinRetryLimit = time.Second
+)
+
+// backoff scales base exponentially up until limit. round is an increasing
+// counter starting at 1.
+func backoff(round uint64, base, limit time.Duration) time.Duration {
+	wait := base
+	for i := uint64(1); i < round && wait < limit; i++ {
+		wait *= 2
+	}
+	return min(wait, limit)
 }
