@@ -235,13 +235,16 @@ func BenchmarkDAGDynamicPaths(b *testing.B) {
 	b.ReportMetric(float64(len(out.Tables[0].Rows)), "traces")
 }
 
-// Sharded single-run execution (per-module event lanes).
+// Whole operations. Each is defined once, below, and run both by its
+// Benchmark* (ns/op, for profiling) and by TestAllocsWholeOps (allocation and
+// byte ceilings, a tier-1 test). An op returns the simulated events it fired,
+// 0 where nothing is simulated.
 
-// benchShardedDA runs the paper's 5-module DA DAG at a balanced high load
+// shardedDA is one run of the paper's 5-module DA DAG at a balanced high load
 // (every module processes the full request stream, so all five lanes carry
-// dense traffic). NetDelay doubles as the lane engine's conservative
-// lookahead window.
-func benchShardedDA(b *testing.B, shards int) {
+// dense traffic): 3 500 req/s for 20 s of virtual time, 70 k requests.
+// NetDelay doubles as the lane engine's conservative lookahead window.
+func shardedDA(tb testing.TB, shards int) func() uint64 {
 	tr := pard.GenerateTrace(pard.TraceConfig{
 		Kind: pard.Steady, Duration: 20 * time.Second, PeakRate: 3500, Seed: 1,
 	})
@@ -255,16 +258,23 @@ func benchShardedDA(b *testing.B, shards int) {
 		FixedWorkers: []int{40, 40, 40, 40, 40},
 		Shards:       shards,
 	}
-	b.ResetTimer()
-	var res *pard.SimResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = pard.Simulate(cfg)
+	return func() uint64 {
+		res, err := pard.Simulate(cfg)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		return res.SimEvents
 	}
-	b.ReportMetric(float64(res.SimEvents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+func benchShardedDA(b *testing.B, shards int) {
+	op := shardedDA(b, shards)
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		events = op()
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
@@ -280,20 +290,17 @@ func BenchmarkShardedDASequential(b *testing.B) { benchShardedDA(b, 1) }
 
 // BenchmarkShardedDASharded runs the same workload with one shard per
 // module: lanes advance concurrently inside lookahead windows and the sync
-// tick's per-module publication fans out across the shards. Comparing
-// ns/op against the baseline above measures the intra-run speedup of
-// per-module event sharding (the win over Sequential requires
-// GOMAXPROCS > 1; on a single CPU the two are within noise, i.e. the
-// sharding machinery itself costs ~nothing). The differential harness in
-// internal/sched proves the outputs are byte-identical to Sequential.
+// tick's per-module publication fans out across the shards. It has never
+// beaten Sequential on the 2-core hosts measured: every window costs a pool
+// wake-up and a barrier, and the benchmark's 2-shard speedup has read
+// 0.75–1.0×. The differential harness in internal/sched proves the outputs
+// are byte-identical to Sequential.
 func BenchmarkShardedDASharded(b *testing.B) { benchShardedDA(b, 5) }
 
-// benchLaneGroupCfg is the workload for the lane-group barrier benchmarks:
-// a short DA run with a tight sync period, so the per-window barrier
-// exchange (posts + intents + charges all-gather) dominates the topology
-// overhead being measured.
-func benchLaneGroupCfg(b *testing.B) pard.SimConfig {
-	b.Helper()
+// laneGroupCfg is the workload of the lane-group ops: a short DA run with a
+// tight sync period, so the per-window barrier exchange (posts + intents +
+// charges all-gather) dominates the topology overhead being measured.
+func laneGroupCfg() pard.SimConfig {
 	tr := pard.GenerateTrace(pard.TraceConfig{
 		Kind: pard.Steady, Duration: 4 * time.Second, PeakRate: 300, Seed: 1,
 	})
@@ -307,127 +314,148 @@ func benchLaneGroupCfg(b *testing.B) pard.SimConfig {
 	}
 }
 
-// BenchmarkLaneGroupBarrier measures the lane-group exchange machinery by
-// running the identical 2-group simulation over both Transport
-// implementations: the in-process fabric (sched.NewMemTransports, one
-// goroutine per group with Config.Remote set) and the framed binary exchange
-// codec over real loopback TCP (internal/dist, the -hosts path). The gap
-// between the two is the wire cost of the lockstep protocol — one kernel
-// round trip and one encode/decode per exchange; both variants span two full
-// cluster replicas per op. Both are gated in the BENCH_<n>.json trajectory
-// so protocol regressions (chattier barriers, per-exchange allocation
-// growth) surface in CI.
-//
-// The loopback sub-benchmark is still called "gob-loopback": the exchanges
-// left gob in PR 12 (only the session handshake is gob now), but
-// pard-benchtrend matches trajectory entries by name, and the name carries
-// the history the gate compares against.
-func BenchmarkLaneGroupBarrier(b *testing.B) {
-	cfg := benchLaneGroupCfg(b)
-
-	b.Run("mem", func(b *testing.B) {
+// laneGroupMem is one 2-group run on the in-process fabric: one goroutine per
+// group, each with Config.Remote set to an endpoint of sched.NewMemTransports.
+func laneGroupMem(tb testing.TB) func() uint64 {
+	cfg := laneGroupCfg()
+	return func() uint64 {
 		const groups = 2
+		var res [groups]*pard.SimResult
 		var errs [groups]error
-		for i := 0; i < b.N; i++ {
-			trs := sched.NewMemTransports(groups)
-			var wg sync.WaitGroup
-			for g := range trs {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					c := cfg
-					c.Remote = &simgpu.RemoteTopology{Groups: groups, Group: g, Transport: trs[g]}
-					if _, errs[g] = pard.Simulate(c); errs[g] != nil {
-						trs[g].Abort(errs[g])
-					}
-				}(g)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
+		trs := sched.NewMemTransports(groups)
+		var wg sync.WaitGroup
+		for g := range trs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				c := cfg
+				c.Remote = &simgpu.RemoteTopology{Groups: groups, Group: g, Transport: trs[g]}
+				if res[g], errs[g] = pard.Simulate(c); errs[g] != nil {
+					trs[g].Abort(errs[g])
 				}
-			}
+			}(g)
 		}
-	})
-
-	b.Run("gob-loopback", func(b *testing.B) {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer l.Close()
-		for i := 0; i < b.N; i++ {
-			spokeDone := make(chan error, 1)
-			go func() {
-				conn, err := l.Accept()
-				if err != nil {
-					spokeDone <- err
-					return
-				}
-				_, err = dist.ServeSim(conn, dist.SimOptions{})
-				spokeDone <- err
-			}()
-			conn, err := net.Dial("tcp", l.Addr().String())
+		wg.Wait()
+		for _, err := range errs {
 			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := dist.RunSimDistributed(cfg, []net.Conn{conn}, dist.SimOptions{}); err != nil {
-				b.Fatal(err)
-			}
-			if err := <-spokeDone; err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
-	})
+		return res[0].SimEvents
+	}
 }
 
-// BenchmarkSweepGrid measures the end-to-end sweep hot loop — trace
-// generation, simulation, metrics collection, and percentile finalization —
-// on a small Fig. 13-style grid (lv × tweet × {pard, pard-instant} with
-// load-factor probes). Each iteration builds a fresh engine with no disk
-// cache, so nothing is served warm: allocs/op here is the allocation cost
-// of one whole grid, which is what the scratch-buffer reuse across
-// metrics/stats/trace/sweep is meant to hold down.
-func BenchmarkSweepGrid(b *testing.B) {
+// laneGroupLoopback is the same 2-group run over real loopback TCP through
+// the framed binary exchange codec (internal/dist, the -hosts path): a hub
+// dialing one spoke served from a listener the op keeps open.
+func laneGroupLoopback(tb testing.TB) func() uint64 {
+	cfg := laneGroupCfg()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { l.Close() })
+	return func() uint64 {
+		spokeDone := make(chan error, 1)
+		go func() {
+			conn, err := l.Accept()
+			if err != nil {
+				spokeDone <- err
+				return
+			}
+			_, err = dist.ServeSim(conn, dist.SimOptions{})
+			spokeDone <- err
+		}()
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res, err := dist.RunSimDistributed(cfg, []net.Conn{conn}, dist.SimOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := <-spokeDone; err != nil {
+			tb.Fatal(err)
+		}
+		return res.SimEvents
+	}
+}
+
+// benchOp times op.
+func benchOp(b *testing.B, op func() uint64) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// BenchmarkLaneGroupBarrier measures the lane-group exchange machinery by
+// running the identical 2-group simulation over both Transport
+// implementations: the in-process fabric and the framed binary exchange
+// codec over real loopback TCP. The gap between the two is the wire cost of
+// the lockstep protocol — one kernel round trip and one encode/decode per
+// exchange; both variants span two full cluster replicas per op.
+func BenchmarkLaneGroupBarrier(b *testing.B) {
+	b.Run("mem", func(b *testing.B) { benchOp(b, laneGroupMem(b)) })
+	b.Run("loopback", func(b *testing.B) { benchOp(b, laneGroupLoopback(b)) })
+}
+
+// sweepGrid is the end-to-end sweep hot loop — trace generation, simulation,
+// metrics collection, and percentile finalization — on a small Fig. 13-style
+// grid (lv × tweet × {pard, pard-instant} with load-factor probes). Each op
+// builds a fresh engine with no disk cache, so nothing is served warm: its
+// allocations are those of one whole grid, which is what the scratch-buffer
+// reuse across metrics/stats/trace/sweep is meant to hold down.
+func sweepGrid(tb testing.TB) func() uint64 {
 	specs := []pard.SweepSpec{
 		{App: "lv", Kind: pard.Tweet, Policy: "pard",
 			Opts: pard.SweepRunOpts{Probes: pard.ProbeConfig{LoadFactor: true}}},
 		{App: "lv", Kind: pard.Tweet, Policy: "pard-instant",
 			Opts: pard.SweepRunOpts{Probes: pard.ProbeConfig{LoadFactor: true}}},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() uint64 {
 		eng := pard.NewSweepEngine(pard.SweepConfig{
 			Workers: 1, BaseSeed: 1, TraceDuration: 30 * time.Second,
 		})
 		results, err := eng.Sweep(specs)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		// Finalize the derived metrics every real sweep consumer reads.
+		var events uint64
 		for _, res := range results {
 			s := res.Collector.Summary()
 			if s.Total == 0 {
-				b.Fatal("empty run")
+				tb.Fatal("empty run")
 			}
 			res.Collector.MinNormalizedGoodput(10 * time.Second)
 			res.Collector.MaxDropRate(10 * time.Second)
 			res.Collector.LatencyQuantiles(0.5, 0.9, 0.99)
+			events += res.SimEvents
 		}
+		return events
 	}
-	b.ReportMetric(float64(len(specs)), "grid-points")
 }
 
-// BenchmarkServerSubmit measures the live server's request lifecycle on the
-// data-plane hot path: submit (atomic ID, slab-allocated request, pooled
-// channel, outstanding-list registration), core traversal of a 3-module
-// chain, and response delivery. The executor is a deterministic manual
-// clock, so no wall-time sleeping pollutes ns/op: requests are submitted in
-// batches and the virtual clock stepped until every response resolves.
-// Gated in the BENCH_<n>.json trajectory alongside the engine benchmarks —
-// this is the path pard-load hammers over HTTP.
-func BenchmarkServerSubmit(b *testing.B) {
+func BenchmarkSweepGrid(b *testing.B) { benchOp(b, sweepGrid(b)) }
+
+// serverSubmitter starts a live server on the data-plane hot path — submit
+// (atomic ID, slab-allocated request, pooled channel, outstanding-list
+// registration), core traversal of a 3-module chain, and response delivery —
+// on a deterministic manual clock, so no wall-time sleeping pollutes the op.
+// It returns submit, which sends n requests and steps virtual time until
+// every response resolves (the core guarantees every injected request
+// terminates).
+//
+// A warm-up before it returns: the first requests pay for the request slab,
+// the channel pool, the worker batch slabs and the collector's first growth,
+// and for one timed request that one-time cost was the whole measurement (81
+// allocations against 6 a request over 100). Three quarters of a batch, so
+// that the first timed request is not request 513, the one that finds every
+// doubling slice and the 256-request slab full at once. What one submit(1)
+// then costs is one request plus the three sync ticks inside one SLO of
+// virtual time.
+func serverSubmitter(tb testing.TB) (submit func(n int)) {
 	lib := profile.NewLibrary()
 	if err := lib.Add(profile.Model{
 		Name:     "fast",
@@ -435,7 +463,7 @@ func BenchmarkServerSubmit(b *testing.B) {
 		Beta:     100 * time.Microsecond,
 		MaxBatch: 8,
 	}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	const slo = 150 * time.Millisecond
 	man := sched.NewManualExecutor()
@@ -448,15 +476,12 @@ func BenchmarkServerSubmit(b *testing.B) {
 		Exec:       man,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s.Start()
-	const batch = 512
-	chans := make([]<-chan server.Response, batch)
-	// submit sends n requests and steps virtual time until all of them
-	// resolved (complete or dropped); the core guarantees every injected
-	// request terminates.
-	submit := func(n int) {
+	tb.Cleanup(s.Stop)
+	chans := make([]<-chan server.Response, serverBatch)
+	submit = func(n int) {
 		for j := 0; j < n; j++ {
 			chans[j] = s.Submit()
 		}
@@ -472,27 +497,29 @@ func BenchmarkServerSubmit(b *testing.B) {
 			}
 		stepped:
 			if guard > 1000 {
-				b.Fatalf("batch stalled: %d/%d resolved", next, n)
+				tb.Fatalf("batch stalled: %d/%d resolved", next, n)
 			}
 		}
 	}
-	// A warm-up batch before the clock starts: the first requests pay for
-	// the request slab, the channel pool, the worker batch slabs and the
-	// collector's first growth, and at the gate's -benchtime=1x that
-	// one-time cost was the whole measurement (81 allocs/op against 6 at
-	// 100x). Three quarters of a batch, so that the first timed request is
-	// not request 513, the one that finds every doubling slice and the
-	// 256-request slab full at once. What 1x still times is one request plus
-	// the three sync ticks inside one SLO of virtual time.
-	submit(batch * 3 / 4)
+	submit(serverBatch * 3 / 4)
+	return submit
+}
+
+// serverBatch is the most requests one submit call takes.
+const serverBatch = 512
+
+// BenchmarkServerSubmit measures the live server's request lifecycle,
+// submitting in batches and stepping the virtual clock until every response
+// resolves. This is the path pard-load hammers over HTTP.
+func BenchmarkServerSubmit(b *testing.B) {
+	submit := serverSubmitter(b)
 	b.ResetTimer()
 	for done := 0; done < b.N; {
-		n := min(batch, b.N-done)
+		n := min(serverBatch, b.N-done)
 		submit(n)
 		done += n
 	}
 	b.StopTimer()
-	s.Stop()
 }
 
 // BenchmarkTimerExecutor measures the live server's paced executor with no
@@ -527,29 +554,32 @@ func BenchmarkTimerExecutor(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
 }
 
-// BenchmarkRAGRun measures the §7 case study as a host of the event queue:
-// one op is one rag.Run at DefaultConfig under the proactive policy — 10 k
-// queries, ≈ 41 k typed events on a ManualExecutor, three sliding windows read
-// at every admission. The events are pointers into the run's request slab, so
-// allocs/op counts slices grown, not events fired (a closure per event made it
-// ≈ 67 k), and the window mean is O(1), so ns/op does not scale with the
-// ≈ 460 samples a window holds.
-func BenchmarkRAGRun(b *testing.B) {
+// ragRun is the §7 case study as a host of the event queue: one rag.Run at
+// DefaultConfig under the proactive policy — 10 k queries, ≈ 41 k typed
+// events on a ManualExecutor, three sliding windows read at every admission.
+// The events are pointers into the run's request slab, so its allocations
+// count slices grown, not events fired (a closure per event made it ≈ 67 k),
+// and the window mean is O(1), so its time does not scale with the ≈ 460
+// samples a window holds.
+func ragRun(tb testing.TB) func() uint64 {
 	cfg := rag.DefaultConfig(rag.Proactive)
-	for i := 0; i < b.N; i++ {
+	return func() uint64 {
 		res, err := rag.Run(cfg)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if res.Good == 0 || res.Dropped == 0 {
-			b.Fatalf("good %d, dropped %d: the run is not in the regime it models", res.Good, res.Dropped)
+			tb.Fatalf("good %d, dropped %d: the run is not in the regime it models", res.Good, res.Dropped)
 		}
+		return 0
 	}
 }
 
-// Layer rows of the lane engine: the three pieces of work PR 14 replaced,
-// each on the sizes BenchmarkShardedDASequential gives them, so the
-// trajectory says which layer moved when the whole-run number does.
+func BenchmarkRAGRun(b *testing.B) { benchOp(b, ragRun(b)) }
+
+// Layer rows of the lane engine: three pieces of work under a simulation's
+// hot loop, each on the sizes BenchmarkShardedDASequential gives them, so
+// that when the whole-run number moves, each layer can be timed on its own.
 
 // BenchmarkLaneQueue measures one push and one pop on a lane queue in the
 // source lane's regime: a 70 k-event trace queued up front in time order,
@@ -578,17 +608,18 @@ func BenchmarkLaneQueue(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*trace), "ns/event")
 }
 
-// BenchmarkModulePublish measures the sync tick's per-module state
-// publication (§4.1 step ②) over full windows: a single-module cluster is
-// fed 3 500 req/s for one queue window, so its queueing-delay and Q+W+D
-// windows hold about 17.5 k samples each — what every DA module holds in
-// BenchmarkShardedDASequential — and then one control event times SyncTick:
-// the window mean, the window copy, the p95 selection, the reservoir copy
-// and, for one module with nothing downstream, a trivial policy refresh.
-func BenchmarkModulePublish(b *testing.B) {
+// modulePublish sets up the sync tick's per-module state publication (§4.1
+// step ②) over full windows: a single-module cluster is fed 3 500 req/s for
+// one queue window, so its queueing-delay and Q+W+D windows hold about
+// 17.5 k samples each — what every DA module holds in shardedDA — and then,
+// from one control event, hands measure a tick that runs SyncTick: the
+// window mean, the window copy, the p95 selection, the reservoir copy and,
+// for one module with nothing downstream, a trivial policy refresh. The
+// module's scratch buffers are warmed before measure is called.
+func modulePublish(tb testing.TB, measure func(tick func())) {
 	lib := profile.NewLibrary()
 	if err := lib.Add(profile.Model{Name: "stage", Alpha: 2 * time.Millisecond, Beta: 500 * time.Microsecond, MaxBatch: 16}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	const rate, window = 3500, 5 * time.Second
 	x := sched.NewShardedExecutor(1, 1, time.Millisecond)
@@ -602,7 +633,7 @@ func BenchmarkModulePublish(b *testing.B) {
 		NetDelay:    time.Millisecond,
 	}, x)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	reqs := make([]sched.Request, rate*int(window/time.Second))
 	for i := range reqs {
@@ -611,16 +642,84 @@ func BenchmarkModulePublish(b *testing.B) {
 		cl.Inject(&reqs[i], at)
 	}
 	x.Schedule(window, "publish", func(now time.Duration) {
-		cl.SyncTick(now) // warm the module's scratch buffers
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cl.SyncTick(now)
-		}
-		b.StopTimer()
+		tick := func() { cl.SyncTick(now) }
+		tick()
+		measure(tick)
 	})
 	x.Run()
 	if wcl := cl.Board().Get(0).WCL; wcl <= 0 {
-		b.Fatalf("published WCL = %v: the window was empty", wcl)
+		tb.Fatalf("published WCL = %v: the window was empty", wcl)
+	}
+}
+
+func BenchmarkModulePublish(b *testing.B) {
+	modulePublish(b, func(tick func()) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tick()
+		}
+		b.StopTimer()
+	})
+}
+
+// TestAllocsWholeOps holds each whole op above under two ceilings: the
+// allocations of one op (testing.AllocsPerRun) and the bytes it allocates
+// (runtime.MemStats.TotalAlloc around one warmed op). A ceiling is the count
+// measured when it was set plus a slack at least as wide as the spread seen
+// over 20 runs and under -race, and at most 5 %: one extra allocation per
+// scheduled event fails every op that schedules events, and one per sync
+// tick fails every op but RAGRun (no ticks) and the loopback run (its -race
+// spread is wider than its 80 ticks). A simulation's event count is pinned
+// exactly. A change that earns a lower count lowers its ceiling in the same
+// commit; the paths pinned at zero per operation live beside the code they
+// pin (TestAllocsTimerExecutor, TestAllocsLaneQueue, TestAllocsSelectP95, ...).
+func TestAllocsWholeOps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs whole simulations")
+	}
+	type measure func(op func() uint64)
+	ops := []struct {
+		name          string
+		allocs, bytes uint64 // ceilings per op
+		events        uint64 // simulated events per op, exact (0: not a simulation)
+		run           func(tb testing.TB, m measure)
+	}{
+		{"ShardedDASequential", 2925, 58_300_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 1)) }},
+		{"ShardedDASharded", 2947, 58_300_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 5)) }},
+		{"LaneGroupBarrier/mem", 2290, 3_550_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
+		{"LaneGroupBarrier/loopback", 3740, 3_880_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
+		{"SweepGrid", 3462, 13_920_000, 113338, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"ServerSubmit", 27, 30_000, 0, func(tb testing.TB, m measure) {
+			submit := serverSubmitter(tb)
+			m(func() uint64 { submit(1); return 0 })
+		}},
+		{"RAGRun", 81, 2_660_000, 0, func(tb testing.TB, m measure) { m(ragRun(tb)) }},
+		{"ModulePublish", 5, 4_300, 0, func(tb testing.TB, m measure) {
+			modulePublish(tb, func(tick func()) { m(func() uint64 { tick(); return 0 }) })
+		}},
+	}
+	for _, o := range ops {
+		t.Run(o.name, func(t *testing.T) {
+			o.run(t, func(op func() uint64) {
+				var events uint64
+				allocs := uint64(testing.AllocsPerRun(1, func() { events = op() }))
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				op()
+				runtime.ReadMemStats(&after)
+				bytes := after.TotalAlloc - before.TotalAlloc
+				t.Logf("%s: %d allocations, %d bytes, %d events per op", o.name, allocs, bytes, events)
+				if events != o.events {
+					t.Errorf("%s: %d simulated events per op, want %d", o.name, events, o.events)
+				}
+				if allocs > o.allocs {
+					t.Errorf("%s: %d allocations per op, ceiling %d", o.name, allocs, o.allocs)
+				}
+				if bytes > o.bytes {
+					t.Errorf("%s: %d bytes allocated per op, ceiling %d", o.name, bytes, o.bytes)
+				}
+			})
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -493,4 +494,65 @@ func TestSimSessionCountersLogged(t *testing.T) {
 	if !strings.Contains(hub, "blocked in read") {
 		t.Fatalf("hub line %q does not report the read wait", hub)
 	}
+}
+
+// TestSimJobCarriesEveryConfigField: a spoke runs the configuration its
+// SimJob carries, so a simgpu.Config field the job dropped would silently run
+// every spoke on that field's default. Every field travels — same name, same
+// type, through both copies — unless it is kept out here with a reason.
+func TestSimJobCarriesEveryConfigField(t *testing.T) {
+	kept := map[string]string{
+		"Lib":    "fingerprint-checked at the handshake instead",
+		"Shards": "a shard count cannot change a result's bytes",
+		"Remote": "each replica is assigned its own lane group",
+	}
+	ct, jt := reflect.TypeOf(simgpu.Config{}), reflect.TypeOf(SimJob{})
+	for name := range kept {
+		if _, ok := ct.FieldByName(name); !ok {
+			t.Errorf("the keep list names %s, which simgpu.Config no longer has", name)
+		}
+	}
+	var cfg simgpu.Config
+	cv := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if _, ok := kept[f.Name]; ok {
+			continue
+		}
+		if jf, ok := jt.FieldByName(f.Name); !ok || jf.Type != f.Type {
+			t.Errorf("simgpu.Config.%s (%v) does not travel in SimJob: carry it, or keep it out with a reason", f.Name, f.Type)
+			continue
+		}
+		cv.Field(i).Set(nonZero(t, f.Type))
+	}
+	got := reflect.ValueOf(jobFromConfig(cfg).config())
+	for i := 0; i < ct.NumField(); i++ {
+		if !reflect.DeepEqual(got.Field(i).Interface(), cv.Field(i).Interface()) {
+			t.Errorf("simgpu.Config.%s does not survive jobFromConfig and config", ct.Field(i).Name)
+		}
+	}
+}
+
+// nonZero returns a value of type typ other than its zero value.
+func nonZero(t *testing.T, typ reflect.Type) reflect.Value {
+	v := reflect.New(typ).Elem()
+	switch typ.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(typ.Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(typ, 1, 1))
+	case reflect.Struct:
+		v.Field(0).Set(nonZero(t, typ.Field(0).Type))
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(1)
+	default:
+		t.Fatalf("no non-zero %v to carry", typ)
+	}
+	return v
 }

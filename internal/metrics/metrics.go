@@ -225,13 +225,11 @@ func (c *Collector) Summary() Summary {
 		s.Goodput = float64(c.good) / c.end.Seconds()
 		s.OfferedRate = float64(s.Total) / c.end.Seconds()
 	}
+	s.PerModuleDropPct = make([]float64, c.NModules)
 	if c.dropped > 0 {
-		s.PerModuleDropPct = make([]float64, c.NModules)
 		for k, n := range c.perModuleDrops {
 			s.PerModuleDropPct[k] = 100 * float64(n) / float64(c.dropped)
 		}
-	} else {
-		s.PerModuleDropPct = make([]float64, c.NModules)
 	}
 	return s
 }

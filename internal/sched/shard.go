@@ -282,12 +282,6 @@ func (x *ShardedExecutor) Ticker(period time.Duration, name string, fn func(now 
 	x.Schedule(x.frontier+period, name, tick)
 }
 
-// scheduleLane registers fn on lane dst at absolute time at; it is the
-// closure-form convenience over scheduleLaneEvent.
-func (x *ShardedExecutor) scheduleLane(src, dst int, at time.Duration, name string, fn func(time.Duration)) {
-	x.scheduleLaneEvent(src, dst, at, fnEvent(fn))
-}
-
 // Reserve makes room for n host-scheduled events on lane dst (where this group enqueues them).
 func (x *ShardedExecutor) Reserve(dst, n int) {
 	if x.tr == nil || x.topo.owns(dst) {

@@ -8,6 +8,12 @@ import (
 	"time"
 )
 
+// scheduleLane registers fn on lane dst at absolute time at: the closure form
+// of scheduleLaneEvent, for scripted tests. name labels the call site only.
+func (x *ShardedExecutor) scheduleLane(src, dst int, at time.Duration, name string, fn func(time.Duration)) {
+	x.scheduleLaneEvent(src, dst, at, fnEvent(fn))
+}
+
 // logOf runs a scripted cascade on a fresh executor and returns the per-lane
 // firing logs plus the control log. The script seeds initial events; each
 // lane callback appends "name@time" to its lane's log (lane callbacks only
