@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"pard/internal/pipeline"
@@ -48,17 +47,17 @@ type ModuleState struct {
 // module, which is up to one sync period stale — exactly the information
 // staleness the real system has.
 //
-// Publish and Get are safe for concurrent use and lock-free: each module
-// slot holds an atomic pointer to an immutable snapshot, published
-// copy-on-write. The simulator drives the board single-threaded; the live
-// server shares it across real goroutines (sync ticks, the admission gate's
-// per-request reads at arbitrary HTTP concurrency), and no reader ever
-// blocks a publisher or another reader. A reader never observes a partially
-// published state — it sees the whole previous snapshot or the whole new
-// one (the BatchWait slice is built fresh by the publisher and treated as
-// immutable thereafter).
+// The board owns its snapshots: each module's slot keeps its own BatchWait
+// storage, which Publish copies into and reuses, so a slot stops allocating
+// once it has held its module's largest sample set. A Board is for one
+// goroutine at a time, except that goroutines may publish to and read
+// distinct slots at once (the sharded executor publishes every lane's slot
+// in parallel). Every host reads it from its executor's serial context only:
+// the sync tick, the admission gate's refresh and the lane-group board
+// exchange. The gate's per-request check reads a cached atomic, never the
+// board.
 type Board struct {
-	states []atomic.Pointer[ModuleState]
+	states []ModuleState
 }
 
 // NewBoard returns a board for n modules with zeroed state.
@@ -66,25 +65,23 @@ func NewBoard(n int) *Board {
 	if n < 1 {
 		panic(fmt.Sprintf("core: board needs >=1 modules, got %d", n))
 	}
-	b := &Board{states: make([]atomic.Pointer[ModuleState], n)}
-	zero := new(ModuleState) // immutable, safe to share across slots
-	for i := range b.states {
-		b.states[i].Store(zero)
-	}
-	return b
+	return &Board{states: make([]ModuleState, n)}
 }
 
-// Publish stores module k's snapshot: the value is copied once onto the
-// heap and installed with a single atomic pointer swap.
+// Publish copies s into module k's slot, BatchWait samples included: the
+// caller keeps s.BatchWait and may change it as soon as Publish returns.
+// s.BatchWait may be the slot's own samples, as Publish(k, Get(k)) passes.
 func (b *Board) Publish(k int, s ModuleState) {
-	b.states[k].Store(&s)
+	slot := &b.states[k]
+	s.BatchWait = append(slot.BatchWait[:0], s.BatchWait...)
+	*slot = s
 }
 
 // Get returns module k's last published snapshot by value. The returned
-// BatchWait slice aliases the published snapshot and must be treated as
-// read-only.
+// BatchWait slice is the slot's storage: it is read-only, and valid until
+// the next Publish to slot k.
 func (b *Board) Get(k int) ModuleState {
-	return *b.states[k].Load()
+	return b.states[k]
 }
 
 // WaitMode selects how the estimator treats downstream batch wait ΣW.
@@ -291,7 +288,7 @@ func (e *Estimator) Explain(b *Board, k int) Breakdown {
 // the predicted end-to-end latency of a request arriving at module k right
 // now — k's recent queueing delay plus its profiled execution plus the
 // cached downstream estimate Lsub. Unlike Refresh this allocates nothing and
-// costs one lock-free board read, so a host may evaluate it per sync tick
+// costs one board read, so a host may evaluate it per sync tick
 // (after Refresh) and compare the cached result against the SLO per request.
 func (e *Estimator) EntryEstimate(b *Board, k int) time.Duration {
 	s := b.Get(k)

@@ -169,10 +169,13 @@ type simSession struct {
 	rd      wireReader
 	stats   simStats
 
-	// Step and Barrier replies decode into these every round: the executor
-	// is done with a reply before its next exchange (see sched.Transport).
+	// Step, Barrier, Board and Scale replies decode into these every round:
+	// the executor is done with a reply before its next exchange (see
+	// sched.Transport).
 	steps    []sched.StepMsg
 	barriers []sched.BarrierMsg
+	boards   []sched.BoardMsg
+	scales   []sched.ScaleMsg
 }
 
 func newSimSession(conns []*framed, groups int, timeout time.Duration) simSession {
@@ -183,6 +186,8 @@ func newSimSession(conns []*framed, groups int, timeout time.Duration) simSessio
 		tx:       make([]byte, frameHeaderLen, rxInitial),
 		steps:    make([]sched.StepMsg, groups),
 		barriers: make([]sched.BarrierMsg, groups),
+		boards:   make([]sched.BoardMsg, groups),
+		scales:   make([]sched.ScaleMsg, groups),
 	}
 }
 
@@ -287,11 +292,11 @@ func (h *simHub) Barrier(m sched.BarrierMsg) ([]sched.BarrierMsg, error) {
 }
 
 func (h *simHub) Board(m sched.BoardMsg) ([]sched.BoardMsg, error) {
-	return hubExchange(h, &boardWire, m, make([]sched.BoardMsg, h.groups))
+	return hubExchange(h, &boardWire, m, h.boards)
 }
 
 func (h *simHub) Scale(m sched.ScaleMsg) ([]sched.ScaleMsg, error) {
-	return hubExchange(h, &scaleWire, m, make([]sched.ScaleMsg, h.groups))
+	return hubExchange(h, &scaleWire, m, h.scales)
 }
 
 func (h *simHub) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {
@@ -342,11 +347,11 @@ func (s *simSpoke) Barrier(m sched.BarrierMsg) ([]sched.BarrierMsg, error) {
 }
 
 func (s *simSpoke) Board(m sched.BoardMsg) ([]sched.BoardMsg, error) {
-	return spokeExchange(s, &boardWire, m, make([]sched.BoardMsg, s.groups))
+	return spokeExchange(s, &boardWire, m, s.boards)
 }
 
 func (s *simSpoke) Scale(m sched.ScaleMsg) ([]sched.ScaleMsg, error) {
-	return spokeExchange(s, &scaleWire, m, make([]sched.ScaleMsg, s.groups))
+	return spokeExchange(s, &scaleWire, m, s.scales)
 }
 
 func (s *simSpoke) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {

@@ -189,16 +189,15 @@ func (r *wireReader) count(min int) int {
 	return int(n)
 }
 
-func (r *wireReader) floats() []float64 {
+// floats decodes a float slice into dst's storage, allocating only when dst
+// is too short; a nil dst with no floats to read stays nil.
+func (r *wireReader) floats(dst []float64) []float64 {
 	n := r.count(8)
-	if n == 0 {
-		return nil
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = r.float()
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.float()
-	}
-	return out
+	return dst
 }
 
 func (r *wireReader) series() *metrics.Series {
@@ -216,7 +215,7 @@ func (r *wireReader) series() *metrics.Series {
 			s.T[i] = r.dur()
 		}
 	}
-	s.V = r.floats()
+	s.V = r.floats(nil)
 	if len(s.V) != len(s.T) {
 		r.fail(fmt.Errorf("series %q has %d timestamps for %d values", s.Name, len(s.T), len(s.V)))
 	}
@@ -334,20 +333,19 @@ func appendBoard(b []byte, m sched.BoardMsg) []byte {
 	return b
 }
 
-// board decodes into freshly allocated rows: the caller publishes them (and
-// their BatchWait samples) to its state board, which keeps them.
+// board decodes into m, reusing the capacity of m's rows and of each row's
+// BatchWait samples: the executor publishes the rows to its state board,
+// which copies them, before the next exchange (see sched.Transport).
 func (r *wireReader) board(m *sched.BoardMsg) {
 	m.Group = r.int32()
-	m.Rows = nil
-	if n := r.count(minBoardRow); n > 0 {
-		m.Rows = make([]sched.WireBoardRow, n)
-	}
+	n := r.count(minBoardRow)
+	m.Rows = slices.Grow(m.Rows[:0], n)[:n]
 	for i := range m.Rows {
 		row := &m.Rows[i]
 		row.Mod = r.int32()
 		row.State.QueueDelay = r.dur()
 		row.State.ProfiledDur = r.dur()
-		row.State.BatchWait = r.floats()
+		row.State.BatchWait = r.floats(row.State.BatchWait)
 		row.State.InputRate = r.float()
 		row.State.Throughput = r.float()
 		row.State.Overloaded = r.bool()
@@ -365,12 +363,11 @@ func appendScale(b []byte, m sched.ScaleMsg) []byte {
 	return b
 }
 
+// scale decodes into m, reusing the capacity of m's rows, as board does.
 func (r *wireReader) scale(m *sched.ScaleMsg) {
 	m.Group = r.int32()
-	m.Rows = nil
-	if n := r.count(minScaleRow); n > 0 {
-		m.Rows = make([]sched.WireScaleRow, n)
-	}
+	n := r.count(minScaleRow)
+	m.Rows = slices.Grow(m.Rows[:0], n)[:n]
 	for i := range m.Rows {
 		m.Rows[i] = sched.WireScaleRow{Mod: r.int32(), Desired: r.int32()}
 	}
@@ -411,7 +408,7 @@ func (r *wireReader) finish(m *sched.FinishMsg) {
 		rep.Peak = int(peak)
 		rep.QueueDelay, rep.Load, rep.Mode = r.series(), r.series(), r.series()
 		rep.Budget, rep.Remain = r.series(), r.series()
-		rep.WaitSamples = r.floats()
+		rep.WaitSamples = r.floats(nil)
 	}
 }
 

@@ -98,6 +98,26 @@ func TestWireRoundTrip(t *testing.T) {
 			{Mod: -1, Peak: math.MinInt},
 		}}})
 	})
+	t.Run("board-into-reused-storage", func(t *testing.T) {
+		// A session decodes every board reply into the same rows and samples:
+		// a reply with fewer of either must not show the last one's.
+		big := sched.BoardMsg{Group: 1, Rows: []sched.WireBoardRow{
+			{Mod: 1, State: core.ModuleState{QueueDelay: time.Second, BatchWait: []float64{1, 2, 3}, Overloaded: true}},
+			{Mod: 3, State: core.ModuleState{BatchWait: []float64{4}, InputRate: 7}},
+		}}
+		small := sched.BoardMsg{Group: 1, Rows: []sched.WireBoardRow{{Mod: 3, State: core.ModuleState{BatchWait: []float64{5}}}}}
+		got := make([]sched.BoardMsg, 1)
+		var r wireReader
+		for i, want := range []sched.BoardMsg{big, small, big} {
+			payload := boardWire.enc(appendExchangeHeader(nil, uint64(i), simKindBoard, 1), want)
+			if err := decodeExchange(&r, payload, &boardWire, uint64(i), got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[0], want) {
+				t.Fatalf("decode %d into reused storage: got %+v, want %+v", i, got[0], want)
+			}
+		}
+	})
 	t.Run("nan-bits", func(t *testing.T) {
 		// DeepEqual cannot compare NaNs; the bit pattern must survive.
 		nan := math.Float64frombits(0x7ff8_0000_dead_beef)
@@ -217,10 +237,12 @@ func wirePair(t testing.TB) (*simHub, *simSpoke) {
 
 // TestAllocsWireExchange pins the transport's steady state over a live
 // connection: one Step and one Barrier exchange — a typical barrier's
-// posts, intents, charges and merge resets — allocate nothing on the hub or
-// on the spoke (AllocsPerRun counts both goroutines). The executor's side of
-// a barrier is pinned at zero too: it builds the message into buffers it
-// alternates (see sched.Cluster.exchangeBarrier).
+// posts, intents, charges and merge resets — and one sync tick's Board and
+// Scale exchanges — rows carrying a full reservoir's 512 batch-wait samples
+// — allocate nothing on the hub or on the spoke (AllocsPerRun counts both
+// goroutines): every reply decodes into per-session storage. The executor's
+// side of a barrier is pinned at zero too: it builds the message into
+// buffers it alternates (see sched.Cluster.exchangeBarrier).
 func TestAllocsWireExchange(t *testing.T) {
 	hub, spoke := wirePair(t)
 	barrier := func(g int32) sched.BarrierMsg {
@@ -232,7 +254,26 @@ func TestAllocsWireExchange(t *testing.T) {
 			Merges:  []sched.WireMergeReset{{At: 2900 * time.Millisecond, Mod: g, Req: 871, Expected: 2}},
 		}
 	}
+	waits := make([]float64, 512)
+	for i := range waits {
+		waits[i] = float64(i) * 1e-4
+	}
+	board := func(g int32) sched.BoardMsg {
+		m := sched.BoardMsg{Group: g}
+		for k := g; k < 5; k += 2 {
+			m.Rows = append(m.Rows, sched.WireBoardRow{Mod: k, State: core.ModuleState{
+				QueueDelay: 3 * time.Millisecond, ProfiledDur: 21 * time.Millisecond, BatchWait: waits,
+				InputRate: 297.5, Throughput: 1523.8, WCL: 48 * time.Millisecond,
+			}})
+		}
+		return m
+	}
+	scale := func(g int32) sched.ScaleMsg {
+		return sched.ScaleMsg{Group: g, Rows: []sched.WireScaleRow{{Mod: g, Desired: 3}, {Mod: g + 2, Desired: 2}}}
+	}
 	hubMsg, spokeMsg := barrier(0), barrier(1)
+	hubBoard, spokeBoard := board(0), board(1)
+	hubScale, spokeScale := scale(0), scale(1)
 	done := make(chan error)
 	rounds := make(chan struct{})
 	go func() {
@@ -240,6 +281,12 @@ func TestAllocsWireExchange(t *testing.T) {
 			_, err := spoke.Step(sched.StepMsg{Group: 1, LaneAt: time.Second, LaneOK: true})
 			if err == nil {
 				_, err = spoke.Barrier(spokeMsg)
+			}
+			if err == nil {
+				_, err = spoke.Board(spokeBoard)
+			}
+			if err == nil {
+				_, err = spoke.Scale(spokeScale)
 			}
 			done <- err
 		}
@@ -250,8 +297,16 @@ func TestAllocsWireExchange(t *testing.T) {
 		rounds <- struct{}{}
 		_, err := hub.Step(sched.StepMsg{LaneAt: time.Second, LaneOK: true})
 		var all []sched.BarrierMsg
+		var boards []sched.BoardMsg
+		var scales []sched.ScaleMsg
 		if err == nil {
 			all, err = hub.Barrier(hubMsg)
+		}
+		if err == nil {
+			boards, err = hub.Board(hubBoard)
+		}
+		if err == nil {
+			scales, err = hub.Scale(hubScale)
 		}
 		if serr := <-done; err == nil {
 			err = serr
@@ -262,11 +317,14 @@ func TestAllocsWireExchange(t *testing.T) {
 		if check && (len(all) != 2 || !reflect.DeepEqual(all[1], spokeMsg)) {
 			t.Fatalf("hub decoded %+v, spoke sent %+v", all, spokeMsg)
 		}
+		if check && (len(boards) != 2 || !reflect.DeepEqual(boards[1], spokeBoard) || len(scales) != 2 || !reflect.DeepEqual(scales[1], spokeScale)) {
+			t.Fatalf("hub decoded boards %+v and scales %+v, spoke sent %+v and %+v", boards, scales, spokeBoard, spokeScale)
+		}
 	}
 	round()       // warm the reply and receive buffers
 	check = false // DeepEqual allocates; the channel operations do not
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
-		t.Fatalf("one Step + one Barrier exchange allocates %.2f, want 0", avg)
+		t.Fatalf("one Step, Barrier, Board and Scale exchange each allocate %.2f together, want 0", avg)
 	}
 	if got := hub.stats.exchanges[simKindBarrier]; got != 202 {
 		t.Fatalf("hub counted %d barrier exchanges, want 202", got)

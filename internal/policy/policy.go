@@ -81,7 +81,9 @@ type Policy interface {
 	// returning false drops it.
 	Decide(ctx DecideCtx) bool
 	// OnSync runs once per state-synchronization tick, after every module
-	// published fresh ModuleState to the board.
+	// published fresh ModuleState to the board. The board's snapshots, and
+	// the batch-wait samples Get returns, are valid only until the next
+	// tick's publication: a policy keeps what it needs by value or copies it.
 	OnSync(now time.Duration, board *core.Board)
 }
 

@@ -276,6 +276,7 @@ func (m *module) probeBudget(arrive, done time.Duration) {
 }
 
 // publish pushes this module's snapshot to the shared board (sync step ②).
+// The board copies the reservoir's live samples into the module's slot.
 func (m *module) publish(now time.Duration, board *core.Board) {
 	qMean, _ := m.qWin.Mean(now)
 	wcl := 0.0
@@ -287,7 +288,7 @@ func (m *module) publish(now time.Duration, board *core.Board) {
 	st := core.ModuleState{
 		QueueDelay:  time.Duration(qMean * float64(time.Second)),
 		ProfiledDur: m.targetDur,
-		BatchWait:   append([]float64(nil), m.waitRes.Values()...),
+		BatchWait:   m.waitRes.Values(),
 		InputRate:   m.inWin.Rate(now),
 		Throughput:  m.throughput(now),
 		WCL:         time.Duration(wcl * float64(time.Second)),

@@ -106,6 +106,14 @@ type Cluster struct {
 	batches []int
 	durs    []time.Duration
 
+	// Sync and scaling tick scratch, so a tick allocates nothing: syncNow is
+	// the instant of the sync tick in progress, read by publishLane, the
+	// per-lane publication bound once in New; desired holds a scaling tick's
+	// per-module demands.
+	syncNow     time.Duration
+	publishLane func(k int)
+	desired     []int
+
 	// Sharded execution path (nil on global-queue executors): lanes defer
 	// request terminations to barrier commits and exchange cross-module
 	// events through the executor's ordered mailbox.
@@ -133,6 +141,13 @@ type Cluster struct {
 		merges  []WireMergeReset
 	}
 	wireCur int
+	// boardRows and scaleRows hold this group's rows of the sync and scaling
+	// exchanges. One set suffices: the control flush after every control
+	// event is an exchange, so peers are done with one tick's rows — and
+	// with the board slots a board row's samples point into — before the
+	// next tick rewrites them (see Transport).
+	boardRows []WireBoardRow
+	scaleRows []WireScaleRow
 }
 
 // streamSeed derives module k's independent seed for one random stream from
@@ -193,6 +208,12 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		jitter:  cfg.JitterPct,
 		batches: batches,
 		durs:    durs,
+		desired: make([]int, n),
+	}
+	c.publishLane = func(k int) {
+		if c.owns(k) {
+			c.modules[k].publish(c.syncNow, c.board)
+		}
 	}
 	for k := 0; k < n; k++ {
 		c.pathRngs = append(c.pathRngs, rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path"))))
@@ -454,7 +475,9 @@ func (c *Cluster) encodeCharges(out []WireCharge) []WireCharge {
 // module publishes its snapshot, the policy refreshes from the board, and
 // priority probes record the outcome. On a lane-aware executor it must run
 // in control context (all lanes parked): it reads and writes cross-module
-// state freely.
+// state freely. In a multi-group topology two sync ticks must not share one
+// control event: the exchange that follows each event (the control flush) is
+// what lets this tick's publications overwrite the last tick's rows.
 func (c *Cluster) SyncTick(now time.Duration) {
 	c.control(func() {
 		if c.ls != nil {
@@ -465,11 +488,8 @@ func (c *Cluster) SyncTick(now time.Duration) {
 			// multi-group topology only owned modules have state to publish;
 			// the board exchange below fills in the peers' rows before the
 			// (replicated) policy refresh reads the full board.
-			c.ls.parallelLanes(func(k int) {
-				if c.owns(k) {
-					c.modules[k].publish(now, c.board)
-				}
-			})
+			c.syncNow = now
+			c.ls.parallelLanes(c.publishLane)
 		} else {
 			for _, m := range c.modules {
 				m.publish(now, c.board)
@@ -495,12 +515,13 @@ func (c *Cluster) exchangeBoard() error {
 	if c.shx == nil {
 		return nil
 	}
-	rows := make([]WireBoardRow, 0, (len(c.modules)+c.topo.Groups-1)/c.topo.Groups)
+	rows := c.boardRows[:0]
 	for k := range c.modules {
 		if c.owns(k) {
 			rows = append(rows, WireBoardRow{Mod: int32(k), State: c.board.Get(k)})
 		}
 	}
+	c.boardRows = rows
 	all, err := c.tr.Board(BoardMsg{Group: int32(c.topo.Group), Rows: rows})
 	if err != nil {
 		return err
@@ -518,13 +539,15 @@ func (c *Cluster) exchangeBoard() error {
 
 // ScaleTick runs one scaling-engine round: per-module demand from recent
 // input rates, granted proportionally under a TotalGPUs budget. No-op when
-// scaling is disabled.
+// scaling is disabled. In a multi-group topology, as with SyncTick, two
+// scaling ticks must not share one control event.
 func (c *Cluster) ScaleTick(now time.Duration) {
 	if !c.cfg.Scaling.Enabled {
 		return
 	}
 	c.control(func() {
-		desired := make([]int, len(c.modules))
+		desired := c.desired
+		clear(desired)
 		for k, m := range c.modules {
 			if c.owns(k) {
 				desired[k] = m.desiredWorkers(now)
@@ -550,12 +573,13 @@ func (c *Cluster) exchangeScale(desired []int) error {
 	if c.shx == nil {
 		return nil
 	}
-	rows := make([]WireScaleRow, 0, (len(c.modules)+c.topo.Groups-1)/c.topo.Groups)
+	rows := c.scaleRows[:0]
 	for k := range c.modules {
 		if c.owns(k) {
 			rows = append(rows, WireScaleRow{Mod: int32(k), Desired: int32(desired[k])})
 		}
 	}
+	c.scaleRows = rows
 	all, err := c.tr.Scale(ScaleMsg{Group: int32(c.topo.Group), Rows: rows})
 	if err != nil {
 		return err

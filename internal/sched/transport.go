@@ -233,10 +233,11 @@ type FinishMsg struct {
 // returned, so an implementation may pass them to peers by reference
 // (memTransport does: a peer is done with round n's slices before it enters
 // round n+1) or encode them before returning (internal/dist does). The
-// slices returned by Step and Barrier are valid only until the caller's next
-// exchange — an implementation may decode into per-session buffers — so the
-// caller copies out what it keeps. Board rows and Finish reports are
-// retained by the caller and must be freshly allocated.
+// slices returned by Step, Barrier, Board and Scale are valid only until the
+// caller's next exchange — an implementation may decode into per-session
+// buffers — so the caller copies out what it keeps (the state board's
+// Publish copies a board row's samples). Finish reports are retained by the
+// caller and must be freshly allocated.
 //
 // The in-process implementation is memTransport; internal/dist provides the
 // cross-host implementation over its framed, handshake-checked TCP protocol.

@@ -125,6 +125,11 @@ func (w *worker) fill(now, te time.Duration) {
 			m.cl.drop(e.req, m.idx, now)
 			continue
 		}
+		if w.forming == nil {
+			// A slab of the target size, once: with spare, a worker's two
+			// slabs then serve every batch it runs.
+			w.forming = make([]batchMember, 0, m.targetBatch)
+		}
 		w.forming = append(w.forming, batchMember{e: e, tb: now, q: now - e.arrive})
 	}
 }

@@ -24,7 +24,8 @@ func TestReservoirValuesIsLiveBuffer(t *testing.T) {
 	// The contract is "live buffer, read-only": the same backing array keeps
 	// receiving replacements on subsequent Adds, so a caller that held on to
 	// the slice observes them. This is intentional — publication paths must
-	// copy (and do: module.publish copies into ModuleState.BatchWait).
+	// copy (and do: core.Board.Publish copies the samples module.publish
+	// hands it into the board's own storage).
 	before := append([]float64(nil), vs...)
 	for i := 0; i < 100; i++ {
 		r.Add(float64(100 + i))

@@ -103,6 +103,9 @@ func NewReservoir(capacity int, rng *rand.Rand) *Reservoir {
 func (r *Reservoir) Add(v float64) {
 	r.seen++
 	if len(r.buf) < r.cap {
+		if r.buf == nil {
+			r.buf = make([]float64, 0, r.cap) // full size at once, not grown toward it
+		}
 		r.buf = append(r.buf, v)
 		return
 	}
@@ -115,8 +118,9 @@ func (r *Reservoir) Add(v float64) {
 // strictly read-only: callers must not sort, append to, or otherwise mutate
 // the returned slice (in particular, never pass it to PercentilesInto),
 // and must copy it before handing it to anything that outlives the next
-// Add. NewEmpirical, Empirical.Reset and ConvolveQuantileInto/ConvolveSamples
-// (as sources) are safe consumers: they copy or only read.
+// Add. NewEmpirical, Empirical.Reset, core.Board.Publish and
+// ConvolveQuantileInto/ConvolveSamples (as sources) are safe consumers: they
+// copy or only read.
 func (r *Reservoir) Values() []float64 { return r.buf }
 
 // ConvolveQuantileInto estimates the q-quantile of the sum of independent

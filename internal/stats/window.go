@@ -61,6 +61,12 @@ func (w *SlidingWindow) Add(now time.Duration, v float64) {
 		w.base, w.sumT = now, 0
 	}
 	s := sample{at: now, v: v}
+	if w.samples == nil {
+		// Room for a window fed once per sync tick (the priority controller's
+		// hold a handful of samples), so it does not grow 1, 2, 4, 8 on the
+		// tick path.
+		w.samples = make([]sample, 0, 16)
+	}
 	w.samples = append(w.samples, s)
 	w.tally(s, 1)
 }
