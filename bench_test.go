@@ -6,7 +6,9 @@
 package pard_test
 
 import (
+	"io"
 	"net"
+	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
@@ -18,6 +20,7 @@ import (
 	"pard/internal/core"
 	"pard/internal/depq"
 	"pard/internal/dist"
+	"pard/internal/load"
 	"pard/internal/pipeline"
 	"pard/internal/policy"
 	"pard/internal/profile"
@@ -456,28 +459,8 @@ func BenchmarkSweepGrid(b *testing.B) { benchOp(b, sweepGrid(b)) }
 // then costs is one request plus the three sync ticks inside one SLO of
 // virtual time.
 func serverSubmitter(tb testing.TB) (submit func(n int)) {
-	lib := profile.NewLibrary()
-	if err := lib.Add(profile.Model{
-		Name:     "fast",
-		Alpha:    200 * time.Microsecond,
-		Beta:     100 * time.Microsecond,
-		MaxBatch: 8,
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	const slo = 150 * time.Millisecond
 	man := sched.NewManualExecutor()
-	s, err := server.New(server.Config{
-		Spec:       pipeline.Uniform("bench", 3, "fast", slo),
-		Lib:        lib,
-		PolicyName: "pard",
-		SyncPeriod: 50 * time.Millisecond,
-		Seed:       1,
-		Exec:       man,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	s := fastServer(tb, man)
 	s.Start()
 	tb.Cleanup(s.Stop)
 	chans := make([]<-chan server.Response, serverBatch)
@@ -487,7 +470,7 @@ func serverSubmitter(tb testing.TB) (submit func(n int)) {
 		}
 		next := 0
 		for guard := 0; next < n; guard++ {
-			man.RunUntil(man.Now() + slo)
+			man.RunUntil(man.Now() + fastSLO)
 			for ; next < n; next++ {
 				select {
 				case <-chans[next]:
@@ -503,6 +486,36 @@ func serverSubmitter(tb testing.TB) (submit func(n int)) {
 	}
 	submit(serverBatch * 3 / 4)
 	return submit
+}
+
+// fastSLO is fastServer's end-to-end SLO.
+const fastSLO = 150 * time.Millisecond
+
+// fastServer is the live server of the server ops: a 3-stage chain of a
+// model whose batches take about a millisecond, on exec (nil: the wall
+// clock).
+func fastServer(tb testing.TB, exec sched.Executor) *server.Server {
+	lib := profile.NewLibrary()
+	if err := lib.Add(profile.Model{
+		Name:     "fast",
+		Alpha:    200 * time.Microsecond,
+		Beta:     100 * time.Microsecond,
+		MaxBatch: 8,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	s, err := server.New(server.Config{
+		Spec:       pipeline.Uniform("bench", 3, "fast", fastSLO),
+		Lib:        lib,
+		PolicyName: "pard",
+		SyncPeriod: 50 * time.Millisecond,
+		Seed:       1,
+		Exec:       exec,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }
 
 // serverBatch is the most requests one submit call takes.
@@ -521,6 +534,52 @@ func BenchmarkServerSubmit(b *testing.B) {
 	}
 	b.StopTimer()
 }
+
+// httpRequests is how many requests one HTTPInfer op sends.
+const httpRequests = 200
+
+// httpInfer puts fastServer on the wall clock behind a loopback listener and
+// returns an op that sends httpRequests requests one after another through
+// load.Run over one kept-alive connection, streaming a record per request:
+// the /infer handler, its reply codec and the load client, plus what
+// net/http itself allocates per request. A first op opens the connection and
+// fills the pools before the op is returned.
+func httpInfer(tb testing.TB) func() uint64 {
+	s := fastServer(tb, nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hs := &http.Server{Handler: s.Handler()}
+	client := &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone(), Timeout: 30 * time.Second}
+	s.Start()
+	go hs.Serve(l)
+	tb.Cleanup(func() {
+		hs.Close()
+		s.Stop()
+		client.CloseIdleConnections()
+	})
+	target := "http://" + l.Addr().String()
+	op := func() uint64 {
+		rep, err := load.Run(load.Config{
+			Target: target, Mode: load.ModeClosed, Conns: 1, Requests: httpRequests,
+			Client: client, Stream: io.Discard, Seed: 1,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rep.Answered != httpRequests {
+			tb.Fatalf("%d of %d requests answered: %+v", rep.Answered, httpRequests, rep)
+		}
+		return 0
+	}
+	op()
+	return op
+}
+
+// BenchmarkHTTPInfer measures httpRequests sequential POST /infer round
+// trips over loopback, from the load client's send to its decoded reply.
+func BenchmarkHTTPInfer(b *testing.B) { benchOp(b, httpInfer(b)) }
 
 // BenchmarkTimerExecutor measures the live server's paced executor with no
 // core behind it: one op schedules 10 k events a few microseconds ahead from
@@ -669,15 +728,21 @@ func BenchmarkModulePublish(b *testing.B) {
 // measured when it was set plus a slack at least as wide as the spread seen
 // over 20 runs and under -race, and at most 5 % — except the loopback run,
 // whose -race readings (sync.Pool drops items under the race detector) sit
-// up to 6 % above its plain ones. One extra allocation per scheduled event
+// up to 6 % above its plain ones, and HTTPInfer, which is skipped under
+// -race (its pooled per-request state is rebuilt whenever the pool drops
+// it, ≈ 10 % more allocations). One extra allocation per scheduled event
 // fails every op that schedules events, and one per sync tick fails every op
 // but RAGRun (no ticks) and the loopback run (its -race spread is wider than
 // its 80 ticks). A sync tick allocates nothing (ModulePublish); ServerSubmit's
 // two allocations are the request's response channel, which only the /infer
-// handler returns to its pool. A simulation's event count is pinned
-// exactly. A change that earns a lower count lowers its ceiling in the same
-// commit; the paths pinned at zero per operation live beside the code they
-// pin (TestAllocsTimerExecutor, TestAllocsLaneQueue, TestAllocsSelectP95, ...).
+// handler returns to its pool. Of HTTPInfer's ≈ 75 allocations a request
+// all but five are net/http's own (the handler's five: the header map entry,
+// its clone at the first write, the request context's done channel); three
+// more a request, one stall timer's worth, fail it. A simulation's event
+// count is pinned exactly. A change that earns a lower count lowers its
+// ceiling in the same commit; the paths pinned at zero per operation live
+// beside the code they pin (TestAllocsTimerExecutor, TestAllocsLaneQueue,
+// TestAllocsSelectP95, TestAllocsReplyCodec, ...).
 func TestAllocsWholeOps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs whole simulations")
@@ -697,6 +762,12 @@ func TestAllocsWholeOps(t *testing.T) {
 		{"ServerSubmit", 2, 168, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
 			m(func() uint64 { submit(1); return 0 })
+		}},
+		{"HTTPInfer", 15_400, 1_435_000, 0, func(tb testing.TB, m measure) {
+			if raceDetector {
+				tb.Skip("the handler's and the load client's pools drop items under -race")
+			}
+			m(httpInfer(tb))
 		}},
 		{"RAGRun", 71, 2_660_000, 0, func(tb testing.TB, m measure) { m(ragRun(tb)) }},
 		{"ModulePublish", 0, 0, 0, func(tb testing.TB, m measure) {

@@ -206,6 +206,12 @@ type run struct {
 	cfg    Config
 	client *http.Client
 	start  time.Time
+	// infer is the POST /infer request every sender copies: the URL is
+	// built and parsed once per run.
+	infer *http.Request
+	// senders recycles the open loop's per-request state; a closed-loop
+	// worker keeps one sender for its whole run.
+	senders sync.Pool
 
 	requests, answered        atomic.Uint64
 	good, late, dropped       atomic.Uint64
@@ -216,14 +222,42 @@ type run struct {
 
 	hist Hist
 
-	mu      sync.Mutex // guards sendOffsets and the stream encoder state
+	mu      sync.Mutex // guards offsets and the stream state
 	offsets []time.Duration
 	// enc is the one JSONL encoder for the whole run (built once in Run, not
-	// per record); streamErr/streamErrs surface write failures instead of
-	// swallowing them.
+	// per record), and rec the record it encodes, passed by pointer so that
+	// no record is boxed; streamErr/streamErrs surface write failures
+	// instead of swallowing them.
 	enc        *json.Encoder
+	rec        streamRecord
 	streamErr  error
 	streamErrs uint64
+}
+
+// maxReply bounds how much of one /infer reply the generator reads. The
+// server's replies are under 100 bytes; a longer one is a protocol error,
+// never an unbounded buffer.
+const maxReply = 4 << 10
+
+// errReplyTooLong is the protocol error for a reply over maxReply bytes.
+var errReplyTooLong = fmt.Errorf("load: reply longer than %d bytes", maxReply)
+
+// sender is the state one request in flight owns and the next request
+// reuses once the reply has been read and its body closed, as net/http
+// allows: the request (a POST with no body, so no Content-Type), the reply
+// buffer and the decoded reply.
+type sender struct {
+	req   *http.Request
+	reply []byte // maxReply+1 bytes: a reply that fills it is too long
+	sr    server.Response
+}
+
+// newSender copies the run's request with a header map of its own, so no
+// two requests in flight share one.
+func (r *run) newSender() *sender {
+	req := r.infer.WithContext(context.Background())
+	req.Header = make(http.Header)
+	return &sender{req: req, reply: make([]byte, maxReply+1)}
 }
 
 // Run executes one load-generation run and blocks until every request has
@@ -233,7 +267,12 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &run{cfg: cfg, client: cfg.Client}
+	infer, err := http.NewRequest(http.MethodPost, cfg.Target+"/infer", nil)
+	if err != nil {
+		return nil, fmt.Errorf("load: target: %w", err)
+	}
+	r := &run{cfg: cfg, client: cfg.Client, infer: infer}
+	r.senders.New = func() any { return r.newSender() }
 	if r.client == nil {
 		r.client = &http.Client{Timeout: cfg.Timeout}
 	}
@@ -251,9 +290,11 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // runOpen replays the trace schedule: each arrival is dispatched at its
-// offset whether or not earlier requests have finished. When MaxInFlight is
-// hit the arrival is shed (counted, not sent) — the open-loop analogue of a
-// full accept queue.
+// offset whether or not earlier requests have finished, and its latency runs
+// from that offset, not from the send, so a generator that falls behind
+// schedule adds its lag to the latencies it reports instead of hiding it
+// (coordinated omission). When MaxInFlight is hit the arrival is shed
+// (counted, not sent) — the open-loop analogue of a full accept queue.
 func (r *run) runOpen() {
 	var wg sync.WaitGroup
 	for _, at := range r.cfg.Trace.Arrivals {
@@ -269,18 +310,21 @@ func (r *run) runOpen() {
 		}
 		r.inFlight.Add(1)
 		wg.Add(1)
-		go func() {
+		go func(due time.Time) {
 			defer wg.Done()
 			defer r.inFlight.Add(-1)
-			r.doOne()
-		}()
+			s := r.senders.Get().(*sender)
+			r.doOne(s, due)
+			r.senders.Put(s)
+		}(r.start.Add(at))
 	}
 	wg.Wait()
 }
 
 // runClosed runs Conns synchronous workers, each pausing for a think time
-// between requests (pgcheetah-style). The run ends when the request cap or
-// the duration cap is reached, whichever comes first.
+// between requests (pgcheetah-style) and timing each request from its send.
+// The run ends when the request cap or the duration cap is reached,
+// whichever comes first.
 func (r *run) runClosed() {
 	ctx := context.Background()
 	if r.cfg.Duration > 0 {
@@ -295,6 +339,10 @@ func (r *run) runClosed() {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(r.cfg.Seed + int64(w)*7919))
+			s := r.newSender()
+			think := time.NewTimer(time.Hour)
+			think.Stop()
+			defer think.Stop()
 			for {
 				if r.cfg.Requests > 0 && issued.Add(1) > int64(r.cfg.Requests) {
 					return
@@ -302,12 +350,13 @@ func (r *run) runClosed() {
 				if ctx.Err() != nil {
 					return
 				}
-				r.doOne()
-				if think := r.cfg.Think.sample(rng); think > 0 {
+				r.doOne(s, time.Time{})
+				if d := r.cfg.Think.sample(rng); d > 0 {
+					think.Reset(d)
 					select {
 					case <-ctx.Done():
 						return
-					case <-time.After(think):
+					case <-think.C:
 					}
 				}
 			}
@@ -316,17 +365,21 @@ func (r *run) runClosed() {
 	wg.Wait()
 }
 
-// doOne sends one POST /infer, classifies the reply and records latency.
-func (r *run) doOne() {
+// doOne sends one POST /infer with s, classifies the reply and records its
+// latency, timed from due — the instant the request was meant to leave — or,
+// when due is zero, from the send.
+func (r *run) doOne(s *sender, due time.Time) {
 	offset := time.Since(r.start)
 	r.mu.Lock()
 	r.offsets = append(r.offsets, offset)
 	r.mu.Unlock()
 	r.requests.Add(1)
 
-	t0 := time.Now()
-	resp, err := r.client.Post(r.cfg.Target+"/infer", "application/json", nil)
-	lat := time.Since(t0)
+	if due.IsZero() {
+		due = time.Now()
+	}
+	resp, err := r.client.Do(s.req)
+	lat := time.Since(due)
 	if err != nil {
 		var ne net.Error
 		if errors.Is(err, context.DeadlineExceeded) || (errors.As(err, &ne) && ne.Timeout()) {
@@ -338,10 +391,8 @@ func (r *run) doOne() {
 		}
 		return
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
+	body, err := readReply(resp.Body, s.reply)
+	resp.Body.Close()
 	if resp.StatusCode == http.StatusTooManyRequests {
 		// The server's admission gate turned the request away at the door:
 		// a deliberate, well-formed refusal — not a generic bad status.
@@ -354,13 +405,16 @@ func (r *run) doOne() {
 		r.stream(offset, lat, fmt.Sprintf("http_%d", resp.StatusCode), nil)
 		return
 	}
-	var sr server.Response
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err == nil {
+		s.sr = server.Response{}
+		err = s.sr.UnmarshalJSON(body)
+	}
+	if err != nil {
 		r.errs.Add(1)
 		r.stream(offset, lat, "error", err)
 		return
 	}
-	switch sr.Outcome {
+	switch s.sr.Outcome {
 	case server.OutcomeGood:
 		r.good.Add(1)
 	case server.OutcomeLate:
@@ -372,30 +426,47 @@ func (r *run) doOne() {
 		// not an answer. (Pre-fix it counted as both answered and dropped,
 		// skewing SLO attainment.)
 		r.errs.Add(1)
-		r.stream(offset, lat, "error", fmt.Errorf("load: 200 reply with unknown outcome %q", sr.Outcome))
+		r.stream(offset, lat, "error", fmt.Errorf("load: 200 reply with unknown outcome %q", s.sr.Outcome))
 		return
 	}
 	r.answered.Add(1)
 	r.hist.Record(lat)
-	r.stream(offset, lat, string(sr.Outcome), nil)
+	r.stream(offset, lat, string(s.sr.Outcome), nil)
+}
+
+// readReply reads body to its end into buf and returns what it read, or
+// errReplyTooLong once the reply fills buf.
+func readReply(body io.Reader, buf []byte) ([]byte, error) {
+	for n := 0; ; {
+		m, err := body.Read(buf[n:])
+		n += m
+		switch {
+		case n == len(buf):
+			return nil, errReplyTooLong
+		case err == io.EOF:
+			return buf[:n], nil
+		case err != nil:
+			return nil, err
+		}
+	}
 }
 
 // stream writes one JSONL record per completed request when configured.
 func (r *run) stream(offset, lat time.Duration, outcome string, err error) {
-	if r.cfg.Stream == nil {
+	if r.enc == nil {
 		return
 	}
-	rec := streamRecord{
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rec = streamRecord{
 		OffsetMS:  ms(offset),
 		LatencyMS: ms(lat),
 		Outcome:   outcome,
 	}
 	if err != nil {
-		rec.Error = err.Error()
+		r.rec.Error = err.Error()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if werr := r.enc.Encode(rec); werr != nil {
+	if werr := r.enc.Encode(&r.rec); werr != nil {
 		r.streamErrs++
 		if r.streamErr == nil {
 			r.streamErr = werr

@@ -3,6 +3,7 @@ package load
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -355,5 +356,98 @@ func TestWriteTableFailureLines(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "shed 1") || !strings.Contains(out, "timeouts 2") {
 		t.Fatalf("table missing generator/failure lines:\n%s", out)
+	}
+}
+
+// TestReplyOverBound pins the bounded reply read: a 200 reply longer than
+// maxReply — here a well-formed reply padded with whitespace, which a
+// streaming JSON decoder would have accepted — is a counted protocol error,
+// and the generator never buffers more than the bound.
+func TestReplyOverBound(t *testing.T) {
+	ts := fakeInfer(t, func(w http.ResponseWriter, r *http.Request) {
+		replyOutcome(w, server.OutcomeGood)
+		w.Write(bytes.Repeat([]byte{' '}, 2*maxReply))
+	})
+	var buf bytes.Buffer
+	rep, err := Run(Config{Target: ts.URL, Mode: ModeClosed, Conns: 1, Requests: 3, Stream: &buf, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 3 || rep.Answered != 0 {
+		t.Fatalf("errors %d answered %d, want 3/0", rep.Errors, rep.Answered)
+	}
+	if !strings.Contains(buf.String(), "longer than") {
+		t.Fatalf("stream does not name the bound:\n%s", buf.String())
+	}
+}
+
+// handlerTransport serves each request in process with a handler, so a
+// reply takes microseconds and no connection is ever dialed.
+type handlerTransport http.HandlerFunc
+
+func (h handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	h(rec, req)
+	return rec.Result(), nil
+}
+
+// TestOpenLoopTimedFromDue pins the coordinated-omission fix: an open-loop
+// request is timed from the instant the trace says it is due, not from when
+// the generator got round to sending it. All 2 000 arrivals are due at
+// offset 0 and an in-process handler answers each at once, so most leave
+// well after they were due and come back within microseconds: each record's
+// latency must still cover its own send offset.
+func TestOpenLoopTimedFromDue(t *testing.T) {
+	client := &http.Client{Transport: handlerTransport(func(w http.ResponseWriter, r *http.Request) {
+		replyOutcome(w, server.OutcomeGood)
+	})}
+	tr := &trace.Trace{Name: "burst", Arrivals: make([]time.Duration, 2000), Duration: time.Second}
+	var buf bytes.Buffer
+	rep, err := Run(Config{Target: "http://pard.invalid", Trace: tr, Client: client, Stream: &buf, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Good != 2000 {
+		t.Fatalf("%d of 2000 good: %+v", rep.Good, rep)
+	}
+	dec := json.NewDecoder(&buf)
+	n := 0
+	for ; dec.More(); n++ {
+		var rec streamRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.LatencyMS < rec.OffsetMS {
+			t.Fatalf("record %d: latency %.3f ms < send offset %.3f ms: timed from the send, not from the due instant", n, rec.LatencyMS, rec.OffsetMS)
+		}
+	}
+	if n != 2000 {
+		t.Fatalf("streamed %d records", n)
+	}
+}
+
+// TestAllocsReplyPath: what the generator itself does with a reply — read it
+// into the sender's buffer, decode it and stream its record — allocates
+// nothing.
+func TestAllocsReplyPath(t *testing.T) {
+	r := &run{enc: json.NewEncoder(io.Discard)}
+	s := &sender{reply: make([]byte, maxReply+1)}
+	reply := []byte(`{"id":42,"outcome":"good","latency_ms":1.25}` + "\n")
+	var body bytes.Reader
+	n := testing.AllocsPerRun(100, func() {
+		body.Reset(reply)
+		got, err := readReply(&body, s.reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.sr = server.Response{}
+		if err := s.sr.UnmarshalJSON(got); err != nil || s.sr.Outcome != server.OutcomeGood {
+			t.Fatalf("decoded %+v, %v", s.sr, err)
+		}
+		r.hist.Record(1250 * time.Microsecond)
+		r.stream(time.Millisecond, 1250*time.Microsecond, string(s.sr.Outcome), nil)
+	})
+	if n != 0 {
+		t.Fatalf("the reply path allocates %.1f per reply", n)
 	}
 }

@@ -111,7 +111,7 @@ const (
 	OutcomeRejected Outcome = "rejected"
 )
 
-// Response is the JSON reply of POST /infer.
+// Response is the JSON reply of POST /infer. Its codec is in reply.go.
 type Response struct {
 	ID        uint64  `json:"id"`
 	Outcome   Outcome `json:"outcome"`
@@ -120,24 +120,6 @@ type Response struct {
 	// dropped the request, or -1 when the server resolved it at shutdown
 	// rather than by a policy decision.
 	DropModule int `json:"drop_module"`
-}
-
-// MarshalJSON emits drop_module exactly when the outcome is "dropped" — for
-// every drop, including module 0. (A plain `omitempty` tag silently omitted
-// drops at module 0, which clients then decoded as the zero value:
-// indistinguishable from "no drop module".)
-func (r Response) MarshalJSON() ([]byte, error) {
-	type wire struct {
-		ID         uint64  `json:"id"`
-		Outcome    Outcome `json:"outcome"`
-		LatencyMS  float64 `json:"latency_ms"`
-		DropModule *int    `json:"drop_module,omitempty"`
-	}
-	w := wire{ID: r.ID, Outcome: r.Outcome, LatencyMS: r.LatencyMS}
-	if r.Outcome == OutcomeDropped {
-		w.DropModule = &r.DropModule
-	}
-	return json.Marshal(w)
 }
 
 // pendingReq is one in-flight request: the core's Request, the client's
@@ -187,7 +169,7 @@ type Server struct {
 	gatePredicted atomic.Int64
 	inFlight      atomic.Int64
 	sloLimitNs    int64
-	retryAfter    string // precomputed Retry-After header value (seconds)
+	retryAfter    []string // precomputed Retry-After header value (seconds)
 
 	// pmu guards the request-lifecycle state below. It is held only for
 	// pointer-sized work (slab bump, list link/unlink, stop latch) — never
@@ -267,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 		if secs < 1 {
 			secs = 1
 		}
-		s.retryAfter = strconv.Itoa(secs)
+		s.retryAfter = []string{strconv.Itoa(secs)}
 	}
 	if cfg.Exec != nil {
 		s.exec = cfg.Exec
@@ -571,20 +553,17 @@ type statsDoc struct {
 // maxInferBody bounds what POST /infer accepts from one client.
 const maxInferBody = 1 << 20
 
-// bufPool recycles the encode-before-write staging buffers.
+// contentTypeJSON is the Content-Type of every JSON reply, put into the
+// header map as is (net/http only reads it), so no reply builds its own.
+var contentTypeJSON = []string{"application/json"}
+
+// bufPool recycles /stats' encode-before-write staging buffers.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeJSON encodes v into a staging buffer first, so an encoding failure
 // produces a clean 500 instead of an error message appended to a partial
 // body with a misleading 200 status.
 func writeJSON(w http.ResponseWriter, v any) {
-	writeJSONStatus(w, http.StatusOK, v)
-}
-
-// writeJSONStatus is writeJSON with a non-200 status code (encode-before-
-// write still applies: an encoding failure yields a clean 500, never a
-// partial body under the intended status).
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer bufPool.Put(buf)
 	buf.Reset()
@@ -592,12 +571,25 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if status != http.StatusOK {
-		w.WriteHeader(status)
-	}
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.Write(buf.Bytes())
 }
+
+// inferScratch is what one /infer request borrows for its lifetime: the
+// stall timer and the reply buffer.
+type inferScratch struct {
+	stall *time.Timer
+	reply []byte
+}
+
+// scratchPool recycles inferScratch. A pooled stall timer is always stopped.
+// Since Go 1.23 (go.mod says 1.24) Stop and Reset discard a pending fire, so
+// a timer that fired for one request can never wake the next one.
+var scratchPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &inferScratch{stall: t, reply: make([]byte, 0, 128)}
+}}
 
 // Handler returns the HTTP data plane:
 //
@@ -624,26 +616,31 @@ func (s *Server) Handler() http.Handler {
 			}
 		}
 		pr := s.submit()
+		sc := scratchPool.Get().(*inferScratch)
+		defer scratchPool.Put(sc)
 		// A stoppable timer, not time.After: the common (resolved) case
-		// must not leak a live 10×SLO timer per request until it fires.
-		stall := time.NewTimer(10 * s.cfg.Spec.SLO)
-		defer stall.Stop()
+		// must not leave a live 10×SLO timer per request until it fires.
+		sc.stall.Reset(10 * s.cfg.Spec.SLO)
+		defer sc.stall.Stop()
 		select {
 		case resp := <-pr.done:
 			respChans.Put(pr.done)
+			h := w.Header()
+			h["Content-Type"] = contentTypeJSON
 			if resp.Outcome == OutcomeRejected {
-				w.Header().Set("Retry-After", s.retryAfter)
-				writeJSONStatus(w, http.StatusTooManyRequests, resp)
-				return
+				h["Retry-After"] = s.retryAfter
+				w.WriteHeader(http.StatusTooManyRequests)
 			}
-			writeJSON(w, resp)
+			// The bytes json.NewEncoder(w).Encode(resp) writes.
+			sc.reply = append(appendResponse(sc.reply[:0], resp), '\n')
+			w.Write(sc.reply)
 		case <-r.Context().Done():
 			// Client disconnected: stop waiting. The request keeps
 			// draining through the core (its outcome still lands in the
 			// metrics), but the channel cannot be reused — a late
 			// resolution may still land in its buffer.
 			return
-		case <-stall.C:
+		case <-sc.stall.C:
 			http.Error(w, "pipeline stalled", http.StatusGatewayTimeout)
 		}
 	})
