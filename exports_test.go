@@ -15,10 +15,6 @@ import (
 var keepExports = map[string]string{
 	"core.Estimator.Explain":       "the per-path breakdown a sampled decision trace will print",
 	"core.Estimator.Lsub":          "the per-path breakdown a sampled decision trace will print",
-	"depq.DEPQ.PeekMin":            "shedding doomed requests from the end that is not being served",
-	"depq.DEPQ.PeekMax":            "shedding doomed requests from the end that is not being served",
-	"depq.FIFO.PeekMin":            "shedding doomed requests from the end that is not being served",
-	"depq.FIFO.PeekMax":            "shedding doomed requests from the end that is not being served",
 	"sched.ManualExecutor.Pending": "tests in other packages observe the core through it",
 	"sched.Cluster.ActiveWorkers":  "tests in other packages observe the core through it",
 	"metrics.Collector.GobEncode":  "called by encoding/gob through reflection",

@@ -6,7 +6,8 @@
 // the min-heap property, odd levels the max-heap property, so both the
 // smallest and largest key are accessible in O(1) and removable in O(log n).
 // PARD pops from the min end under Low-Budget-First and the max end under
-// High-Budget-First.
+// High-Budget-First; serving the max end, it sheds doomed requests from the
+// min end.
 package depq
 
 import "math/bits"
@@ -23,8 +24,6 @@ type Queue[T any] interface {
 	PopMax() (T, int64, bool)
 	// PeekMin returns the smallest-key entry without removing it.
 	PeekMin() (T, int64, bool)
-	// PeekMax returns the largest-key entry without removing it.
-	PeekMax() (T, int64, bool)
 	// Len returns the number of queued entries.
 	Len() int
 	// Drain removes and returns all entries in unspecified order.
@@ -151,16 +150,6 @@ func (q *DEPQ[T]) PeekMin() (T, int64, bool) {
 		return zero, 0, false
 	}
 	e := q.h[q.minIndex()]
-	return e.value, e.key, true
-}
-
-// PeekMax returns the entry with the largest key without removing it.
-func (q *DEPQ[T]) PeekMax() (T, int64, bool) {
-	var zero T
-	if len(q.h) == 0 {
-		return zero, 0, false
-	}
-	e := q.h[q.maxIndex()]
 	return e.value, e.key, true
 }
 
@@ -343,9 +332,6 @@ func (q *FIFO[T]) PeekMin() (T, int64, bool) {
 	e := q.buf[q.head]
 	return e.value, e.key, true
 }
-
-// PeekMax returns the oldest entry without removing it.
-func (q *FIFO[T]) PeekMax() (T, int64, bool) { return q.PeekMin() }
 
 // Drain removes and returns all values in arrival order.
 func (q *FIFO[T]) Drain() []T {

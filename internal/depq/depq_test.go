@@ -21,9 +21,6 @@ func TestEmptyQueue(t *testing.T) {
 	if _, _, ok := q.PeekMin(); ok {
 		t.Fatal("PeekMin on empty returned ok")
 	}
-	if _, _, ok := q.PeekMax(); ok {
-		t.Fatal("PeekMax on empty returned ok")
-	}
 }
 
 func TestSingleElement(t *testing.T) {
@@ -31,9 +28,6 @@ func TestSingleElement(t *testing.T) {
 	q.Push("a", 5)
 	if v, k, ok := q.PeekMin(); !ok || v != "a" || k != 5 {
 		t.Fatalf("PeekMin = %v %v %v", v, k, ok)
-	}
-	if v, k, ok := q.PeekMax(); !ok || v != "a" || k != 5 {
-		t.Fatalf("PeekMax = %v %v %v", v, k, ok)
 	}
 	if v, _, ok := q.PopMax(); !ok || v != "a" {
 		t.Fatalf("PopMax = %v %v", v, ok)
@@ -50,8 +44,8 @@ func TestTwoElements(t *testing.T) {
 	if v, _, _ := q.PeekMin(); v != 2 {
 		t.Fatalf("PeekMin = %d, want 2", v)
 	}
-	if v, _, _ := q.PeekMax(); v != 1 {
-		t.Fatalf("PeekMax = %d, want 1", v)
+	if v, _, _ := q.PopMax(); v != 1 {
+		t.Fatalf("PopMax = %d, want 1", v)
 	}
 }
 
@@ -160,10 +154,8 @@ func TestModelBasedRandomOps(t *testing.T) {
 			}
 			model = model[:len(model)-1]
 		default:
-			_, kmin, _ := q.PeekMin()
-			_, kmax, _ := q.PeekMax()
-			if kmin != model[0] || kmax != model[len(model)-1] {
-				t.Fatalf("op %d: peeks (%d,%d) want (%d,%d)", op, kmin, kmax, model[0], model[len(model)-1])
+			if _, k, _ := q.PeekMin(); k != model[0] {
+				t.Fatalf("op %d: PeekMin = %d, want %d", op, k, model[0])
 			}
 		}
 		if q.Len() != len(model) {
@@ -288,9 +280,6 @@ func TestFIFOPeekAndDrain(t *testing.T) {
 	q.Push("b", 2)
 	if v, _, _ := q.PeekMin(); v != "a" {
 		t.Fatalf("PeekMin = %v", v)
-	}
-	if v, _, _ := q.PeekMax(); v != "a" {
-		t.Fatalf("PeekMax = %v, want arrival head", v)
 	}
 	out := q.Drain()
 	if len(out) != 2 || out[0] != "a" || out[1] != "b" {

@@ -62,3 +62,13 @@ func TestAllocsLatencyQuantiles(t *testing.T) {
 		t.Fatalf("LatencyQuantiles allocates %.1f per call, want <= 1 (the result slice)", avg)
 	}
 }
+
+// TestAllocsTallyAdd: the server's ledger is fixed memory, so counting a
+// request allocates nothing.
+func TestAllocsTallyAdd(t *testing.T) {
+	tally := NewTally(3)
+	r := Record{Send: time.Second, Done: 2 * time.Second, Outcome: DroppedOutcome, DropModule: 1, GPUTime: time.Millisecond}
+	if avg := testing.AllocsPerRun(1000, func() { tally.Add(r) }); avg != 0 {
+		t.Fatalf("Tally.Add allocates %.1f per record, want 0", avg)
+	}
+}

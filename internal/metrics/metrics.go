@@ -8,7 +8,8 @@
 // The Collector stores one record per request and derives windowed series
 // post-hoc, which is what Figs. 2, 8, 9 and 10 plot: minimum normalized
 // goodput across window sizes, maximum average drop rate across window
-// sizes, and transient (per-bucket) rates over time.
+// sizes, and transient (per-bucket) rates over time. A Tally keeps only the
+// run-level aggregates, in fixed memory, for a server that runs for days.
 package metrics
 
 import (
@@ -71,20 +72,69 @@ type Record struct {
 // Bad reports whether the record counts as dropped for drop-rate purposes.
 func (r Record) Bad() bool { return r.Outcome != Good }
 
-// Collector accumulates request records for one run. It reuses internal
-// scratch buffers across derived-metric calls (windows, latency quantiles),
-// so a Collector is NOT safe for concurrent use; the sweep engine only ever
-// finalizes a collector from a single goroutine.
+// Tally keeps a run's aggregates — counts by outcome, drops by module, GPU
+// time, the latest timestamp — in fixed memory: Add is O(1) and keeps no
+// record, so a long-running server can account for every request forever.
+// Not safe for concurrent use.
+type Tally struct {
+	total, good, late, dropped, rejected int
+	gpuTotal, gpuWasted                  time.Duration
+	perModuleDrops                       []int // one per module
+	end                                  time.Duration
+}
+
+// NewTally returns a tally for a pipeline with n modules.
+func NewTally(n int) *Tally {
+	if n < 1 {
+		panic(fmt.Sprintf("metrics: module count must be >=1, got %d", n))
+	}
+	return &Tally{perModuleDrops: make([]int, n)}
+}
+
+// Add counts one finished request.
+func (t *Tally) Add(r Record) {
+	t.total++
+	switch r.Outcome {
+	case Good:
+		t.good++
+	case Late:
+		t.late++
+	case DroppedOutcome:
+		t.dropped++
+		if r.DropModule >= 0 && r.DropModule < len(t.perModuleDrops) {
+			t.perModuleDrops[r.DropModule]++
+		}
+	case Rejected:
+		t.rejected++
+	}
+	t.gpuTotal += r.GPUTime
+	if r.Bad() {
+		t.gpuWasted += r.GPUTime
+	}
+	if r.Done > t.end {
+		t.end = r.Done
+	}
+	if r.Send > t.end {
+		t.end = r.Send
+	}
+}
+
+// End returns the latest timestamp observed.
+func (t *Tally) End() time.Duration { return t.end }
+
+// Collector is a Tally that also keeps every record, from which it derives
+// windowed series and latency quantiles. It reuses internal scratch buffers
+// across derived-metric calls (windows, latency quantiles), so a Collector is
+// NOT safe for concurrent use; the sweep engine only ever finalizes a
+// collector from a single goroutine.
 type Collector struct {
 	SLO      time.Duration
 	NModules int
 
+	// tally stays unexported: gob puts even a GobEncoder's exported fields'
+	// types on the wire, and the disk cache's bytes are pinned.
+	tally   Tally
 	records []Record
-	// aggregates maintained incrementally
-	good, late, dropped, rejected int
-	gpuTotal, gpuWasted           time.Duration
-	perModuleDrops                []int
-	end                           time.Duration
 
 	// finalization scratch, reused across calls (never serialized; the gob
 	// format is pinned by collectorWire)
@@ -97,10 +147,7 @@ func NewCollector(slo time.Duration, n int) *Collector {
 	if slo <= 0 {
 		panic(fmt.Sprintf("metrics: SLO must be positive, got %v", slo))
 	}
-	if n < 1 {
-		panic(fmt.Sprintf("metrics: module count must be >=1, got %d", n))
-	}
-	return &Collector{SLO: slo, NModules: n, perModuleDrops: make([]int, n)}
+	return &Collector{SLO: slo, NModules: n, tally: *NewTally(n)}
 }
 
 // Grow pre-sizes the record buffer for at least n additional records,
@@ -118,29 +165,7 @@ func (c *Collector) Grow(n int) {
 
 // Add records one finished request.
 func (c *Collector) Add(r Record) {
-	switch r.Outcome {
-	case Good:
-		c.good++
-	case Late:
-		c.late++
-	case DroppedOutcome:
-		c.dropped++
-		if r.DropModule >= 0 && r.DropModule < c.NModules {
-			c.perModuleDrops[r.DropModule]++
-		}
-	case Rejected:
-		c.rejected++
-	}
-	c.gpuTotal += r.GPUTime
-	if r.Bad() {
-		c.gpuWasted += r.GPUTime
-	}
-	if r.Done > c.end {
-		c.end = r.Done
-	}
-	if r.Send > c.end {
-		c.end = r.Send
-	}
+	c.tally.Add(r)
 	c.records = append(c.records, r)
 }
 
@@ -184,7 +209,10 @@ func (c *Collector) Len() int { return len(c.records) }
 func (c *Collector) Records() []Record { return c.records }
 
 // End returns the latest timestamp observed.
-func (c *Collector) End() time.Duration { return c.end }
+func (c *Collector) End() time.Duration { return c.tally.End() }
+
+// Summary computes the aggregate metrics.
+func (c *Collector) Summary() Summary { return c.tally.Summary() }
 
 // Summary is the run-level aggregate.
 type Summary struct {
@@ -205,30 +233,30 @@ type Summary struct {
 }
 
 // Summary computes the aggregate metrics.
-func (c *Collector) Summary() Summary {
+func (t *Tally) Summary() Summary {
 	s := Summary{
-		Total:     len(c.records),
-		Good:      c.good,
-		Late:      c.late,
-		Dropped:   c.dropped,
-		Rejected:  c.rejected,
-		GPUTotal:  c.gpuTotal,
-		GPUWasted: c.gpuWasted,
+		Total:     t.total,
+		Good:      t.good,
+		Late:      t.late,
+		Dropped:   t.dropped,
+		Rejected:  t.rejected,
+		GPUTotal:  t.gpuTotal,
+		GPUWasted: t.gpuWasted,
 	}
 	if s.Total > 0 {
-		s.DropRate = float64(c.dropped+c.late) / float64(s.Total)
+		s.DropRate = float64(t.dropped+t.late) / float64(s.Total)
 	}
-	if c.gpuTotal > 0 {
-		s.InvalidRate = float64(c.gpuWasted) / float64(c.gpuTotal)
+	if t.gpuTotal > 0 {
+		s.InvalidRate = float64(t.gpuWasted) / float64(t.gpuTotal)
 	}
-	if c.end > 0 {
-		s.Goodput = float64(c.good) / c.end.Seconds()
-		s.OfferedRate = float64(s.Total) / c.end.Seconds()
+	if t.end > 0 {
+		s.Goodput = float64(t.good) / t.end.Seconds()
+		s.OfferedRate = float64(s.Total) / t.end.Seconds()
 	}
-	s.PerModuleDropPct = make([]float64, c.NModules)
-	if c.dropped > 0 {
-		for k, n := range c.perModuleDrops {
-			s.PerModuleDropPct[k] = 100 * float64(n) / float64(c.dropped)
+	s.PerModuleDropPct = make([]float64, len(t.perModuleDrops))
+	if t.dropped > 0 {
+		for k, n := range t.perModuleDrops {
+			s.PerModuleDropPct[k] = 100 * float64(n) / float64(t.dropped)
 		}
 	}
 	return s
@@ -284,7 +312,7 @@ func (c *Collector) windowsInto(buf []WindowPoint, width time.Duration) []Window
 	if len(c.records) == 0 {
 		return nil
 	}
-	n := int(c.end/width) + 1
+	n := int(c.tally.end/width) + 1
 	var out []WindowPoint
 	if cap(buf) >= n {
 		out = buf[:n]

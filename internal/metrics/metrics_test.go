@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -355,5 +356,84 @@ func TestCollectorGobRoundTrip(t *testing.T) {
 	}
 	if got.End() != c.End() || got.Len() != c.Len() {
 		t.Fatal("end/len differ after round trip")
+	}
+}
+
+// summaryOf is the oracle for Summary: every aggregate recounted from the
+// records in one pass.
+func summaryOf(recs []Record, n int) Summary {
+	s := Summary{Total: len(recs), PerModuleDropPct: make([]float64, n)}
+	perModule := make([]int, n)
+	var end time.Duration
+	for _, r := range recs {
+		switch r.Outcome {
+		case Good:
+			s.Good++
+		case Late:
+			s.Late++
+		case DroppedOutcome:
+			s.Dropped++
+			if r.DropModule >= 0 && r.DropModule < n {
+				perModule[r.DropModule]++
+			}
+		case Rejected:
+			s.Rejected++
+		}
+		s.GPUTotal += r.GPUTime
+		if r.Bad() {
+			s.GPUWasted += r.GPUTime
+		}
+		end = max(end, r.Send, r.Done)
+	}
+	if s.Total > 0 {
+		s.DropRate = float64(s.Dropped+s.Late) / float64(s.Total)
+	}
+	if s.GPUTotal > 0 {
+		s.InvalidRate = float64(s.GPUWasted) / float64(s.GPUTotal)
+	}
+	if end > 0 {
+		s.Goodput = float64(s.Good) / end.Seconds()
+		s.OfferedRate = float64(s.Total) / end.Seconds()
+	}
+	if s.Dropped > 0 {
+		for k, d := range perModule {
+			s.PerModuleDropPct[k] = 100 * float64(d) / float64(s.Dropped)
+		}
+	}
+	return s
+}
+
+// TestTallyMatchesCollector: a Tally, which keeps no records, summarizes a
+// record stream exactly as the Collector that keeps them does, and both equal
+// the summary recounted from the records — over random streams of every
+// outcome, rejected ones included, with drop modules in and out of range.
+func TestTallyMatchesCollector(t *testing.T) {
+	const n = 3
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		tally, col := NewTally(n), NewCollector(100*time.Millisecond, n)
+		recs := make([]Record, rng.Intn(300))
+		for i := range recs {
+			send := time.Duration(rng.Intn(10_000)) * time.Millisecond
+			recs[i] = Record{
+				Send:       send,
+				Done:       send + time.Duration(rng.Intn(500))*time.Millisecond,
+				Outcome:    Outcome(rng.Intn(4)),
+				DropModule: rng.Intn(n+3) - 2, // -2 … n: out of range at both ends
+				GPUTime:    time.Duration(rng.Intn(50_000)) * time.Microsecond,
+			}
+			tally.Add(recs[i])
+			col.Add(recs[i])
+		}
+		want := summaryOf(recs, n)
+		if got := tally.Summary(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: tally summary\n%+v\nwant\n%+v", trial, got, want)
+		}
+		if got := col.Summary(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: collector summary\n%+v\nwant\n%+v", trial, got, want)
+		}
+		if tally.End() != col.End() || col.Len() != len(recs) {
+			t.Fatalf("trial %d: end %v vs %v, %d records of %d", trial, tally.End(), col.End(), col.Len(), len(recs))
+		}
 	}
 }

@@ -93,12 +93,38 @@ func (w *worker) pump(now time.Duration) {
 // applying the drop policy to each popped request (decision time t_b = now,
 // expected batch start t_e = te). This is the Request Broker step ⑥ of
 // Fig. 4.
+//
+// Serving the max end (High Budget First), fill first sheds the min end: the
+// smallest remaining budgets are the requests most certainly doomed, and
+// nothing else would look at them again until the priority flips back. The
+// min end is popped while its head is already retired or Decide, at the
+// forming batch's expected start, says it cannot make its SLO. te is the
+// earliest any queued request can start, so what is shed is doomed wherever
+// it would sit in line, and the cost is one Decide plus one per drop. Serving
+// the min end, the pops below shed as they serve.
 func (w *worker) fill(now, te time.Duration) {
 	m := w.mod
+	maxEnd := m.cl.pol.PopEnd(m.idx) == policy.MaxEnd
+	if maxEnd {
+		for {
+			e, _, ok := w.queue.PeekMin()
+			if !ok {
+				break
+			}
+			live := !m.retired(e.req)
+			if live && w.decide(e, now, te) {
+				break
+			}
+			w.queue.PopMin()
+			if live {
+				m.cl.drop(e.req, m.idx, now)
+			}
+		}
+	}
 	for len(w.forming) < m.targetBatch && w.queue.Len() > 0 {
 		var e entry
 		var ok bool
-		if m.cl.pol.PopEnd(m.idx) == policy.MaxEnd {
+		if maxEnd {
 			e, _, ok = w.queue.PopMax()
 		} else {
 			e, _, ok = w.queue.PopMin()
@@ -109,19 +135,7 @@ func (w *worker) fill(now, te time.Duration) {
 		if m.retired(e.req) {
 			continue // dropped in a parallel branch; discard silently
 		}
-		ctx := policy.DecideCtx{
-			Req: policy.RequestInfo{
-				Send:         e.req.Send,
-				Deadline:     e.req.Deadline,
-				ArriveModule: e.arrive,
-			},
-			Module:        m.idx,
-			Now:           now,
-			ExpectedStart: te,
-			ExecDur:       m.targetDur,
-			SLO:           m.cl.cfg.Spec.SLO,
-		}
-		if !m.cl.pol.Decide(ctx) {
+		if !w.decide(e, now, te) {
 			m.cl.drop(e.req, m.idx, now)
 			continue
 		}
@@ -132,6 +146,24 @@ func (w *worker) fill(now, te time.Duration) {
 		}
 		w.forming = append(w.forming, batchMember{e: e, tb: now, q: now - e.arrive})
 	}
+}
+
+// decide asks the policy whether the queued request e can still make its SLO
+// in a batch decided at now and expected to start at te.
+func (w *worker) decide(e entry, now, te time.Duration) bool {
+	m := w.mod
+	return m.cl.pol.Decide(policy.DecideCtx{
+		Req: policy.RequestInfo{
+			Send:         e.req.Send,
+			Deadline:     e.req.Deadline,
+			ArriveModule: e.arrive,
+		},
+		Module:        m.idx,
+		Now:           now,
+		ExpectedStart: te,
+		ExecDur:       m.targetDur,
+		SLO:           m.cl.cfg.Spec.SLO,
+	})
 }
 
 // startBatch promotes the forming batch to the GPU and immediately begins

@@ -141,12 +141,30 @@ type pendingReq struct {
 // slabChunk is the pendingReq slab allocation granularity.
 const slabChunk = 256
 
-// respChans recycles per-request response channels. Only the /infer handler
-// returns channels to the pool — after consuming the single buffered
-// response, when no further send can happen. Channels handed to external
-// Submit callers, or abandoned on the client-disconnect path, are never
-// reused (a late resolution may still land in their buffer).
+// respChans recycles per-request response channels. A channel carries one
+// Response, and the goroutine that sends it puts the channel back right
+// after the send: resolve, or submit's own immediate answers. The value may
+// still sit in the buffer then, so takeChan hands a pooled channel out again
+// only once it is empty — its one receiver has taken the value and, by
+// Submit's contract, will not receive again. A channel nobody drains (a
+// client that disconnected or timed out, a Submit caller that never reads)
+// is left to the garbage collector.
 var respChans = sync.Pool{New: func() any { return make(chan Response, 1) }}
+
+// takeChan returns an empty response channel: a pooled one whose value has
+// been received, or a new one.
+func takeChan() chan Response {
+	if ch := respChans.Get().(chan Response); len(ch) == 0 {
+		return ch
+	}
+	return make(chan Response, 1)
+}
+
+// answer sends a request's one Response and returns its channel to the pool.
+func answer(ch chan Response, resp Response) {
+	ch <- resp
+	respChans.Put(ch)
+}
 
 // Server hosts one pipeline on the shared scheduling core.
 type Server struct {
@@ -182,10 +200,11 @@ type Server struct {
 	slab     []pendingReq
 	slabNext int
 
-	// cmu guards the metrics collector (finish callbacks run on the
-	// executor; Stop's shutdown drain runs on the caller's goroutine).
-	cmu sync.Mutex
-	col *metrics.Collector
+	// cmu guards the metrics tally (finish callbacks run on the executor;
+	// Stop's shutdown drain runs on the caller's goroutine). It keeps the
+	// aggregates only, so the ledger's memory does not grow with the run.
+	cmu   sync.Mutex
+	tally *metrics.Tally
 }
 
 // New validates the config and builds (but does not start) a server for any
@@ -235,8 +254,8 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg: cfg,
-		col: metrics.NewCollector(cfg.Spec.SLO, n),
+		cfg:   cfg,
+		tally: metrics.NewTally(n),
 	}
 	if cfg.Admission.Enabled {
 		// The gate's estimator draws from its own seed-derived stream so
@@ -385,6 +404,11 @@ func (s *Server) Stop() {
 
 // Submit enqueues one request and returns a channel delivering its outcome.
 // After Stop the channel resolves immediately as dropped.
+//
+// The channel delivers exactly one Response. Receive it at most once: once
+// received, the channel may carry a later request's Response, so a second
+// receive could take another caller's outcome. Not receiving at all is fine;
+// the channel is then never reused.
 func (s *Server) Submit() <-chan Response {
 	return s.submit().done
 }
@@ -399,7 +423,7 @@ func (s *Server) Submit() <-chan Response {
 func (s *Server) submit() *pendingReq {
 	now := s.exec.Now()
 	id := s.nextID.Add(1) - 1
-	done := respChans.Get().(chan Response)
+	done := takeChan()
 	if !s.admitNow() {
 		// Fast rejection: the request never touches the core — no queue
 		// slot, no arrival timer, no scheduler work. Recorded so /stats
@@ -407,9 +431,9 @@ func (s *Server) submit() *pendingReq {
 		pr := &pendingReq{done: done}
 		pr.req.ID = id
 		s.cmu.Lock()
-		s.col.Add(metrics.Record{Send: now, Done: now, Outcome: metrics.Rejected, DropModule: -1})
+		s.tally.Add(metrics.Record{Send: now, Done: now, Outcome: metrics.Rejected, DropModule: -1})
 		s.cmu.Unlock()
-		done <- Response{ID: id, Outcome: OutcomeRejected}
+		answer(done, Response{ID: id, Outcome: OutcomeRejected})
 		return pr
 	}
 	s.pmu.Lock()
@@ -417,7 +441,7 @@ func (s *Server) submit() *pendingReq {
 		s.pmu.Unlock()
 		pr := &pendingReq{done: done}
 		pr.req.ID = id
-		done <- Response{ID: id, Outcome: OutcomeDropped, DropModule: -1}
+		answer(done, Response{ID: id, Outcome: OutcomeDropped, DropModule: -1})
 		return pr
 	}
 	pr := s.allocLocked()
@@ -521,16 +545,16 @@ func (s *Server) resolve(pr *pendingReq, resp Response, now time.Duration, dropM
 		rec.DropModule = dropModule
 	}
 	s.cmu.Lock()
-	s.col.Add(rec)
+	s.tally.Add(rec)
 	s.cmu.Unlock()
-	pr.done <- resp
+	answer(pr.done, resp)
 }
 
 // Summary returns the live metrics snapshot.
 func (s *Server) Summary() metrics.Summary {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
-	return s.col.Summary()
+	return s.tally.Summary()
 }
 
 // ExecStats returns the wall-clock executor's account of itself (events
@@ -624,7 +648,6 @@ func (s *Server) Handler() http.Handler {
 		defer sc.stall.Stop()
 		select {
 		case resp := <-pr.done:
-			respChans.Put(pr.done)
 			h := w.Header()
 			h["Content-Type"] = contentTypeJSON
 			if resp.Outcome == OutcomeRejected {
@@ -637,8 +660,7 @@ func (s *Server) Handler() http.Handler {
 		case <-r.Context().Done():
 			// Client disconnected: stop waiting. The request keeps
 			// draining through the core (its outcome still lands in the
-			// metrics), but the channel cannot be reused — a late
-			// resolution may still land in its buffer.
+			// metrics); its channel, never drained, is never reused.
 			return
 		case <-sc.stall.C:
 			http.Error(w, "pipeline stalled", http.StatusGatewayTimeout)

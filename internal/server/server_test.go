@@ -368,14 +368,16 @@ func TestIsolatedRequestLatency(t *testing.T) {
 }
 
 // TestLedgerOnExecutorClock: latency, the good/late verdict and the metrics
-// record are read off the executor's clock when the request resolves. With an
+// tally are read off the executor's clock when the request resolves. With an
 // SLO equal to the modelled 0.9 ms the completion meets its deadline in the
 // model; under the injected clock that is the whole story (good, 0.9 ms
 // exactly, as before), on the wall clock the delivery comes after the
 // deadline and the request is late.
 func TestLedgerOnExecutorClock(t *testing.T) {
 	const modelled = 900 * time.Microsecond
-	serve := func(exec sched.Executor, step func()) (Response, metrics.Record, metrics.Summary) {
+	// serve returns the reply, the tally's resolution instant less the
+	// request's own Send, and the summary.
+	serve := func(exec sched.Executor, step func()) (Response, time.Duration, metrics.Summary) {
 		s, err := New(Config{
 			Spec: pipeline.Uniform("ledger", 3, "fast", modelled), Lib: fastLib(t),
 			PolicyName: "naive", Seed: 1, Exec: exec,
@@ -385,22 +387,21 @@ func TestLedgerOnExecutorClock(t *testing.T) {
 		}
 		s.Start()
 		defer s.Stop()
-		ch := s.Submit()
+		pr := s.submit()
 		step()
-		r := <-ch
-		return r, s.col.Records()[0], s.Summary()
+		r := <-pr.done
+		return r, s.tally.End() - pr.req.Send, s.Summary()
 	}
 
 	man := sched.NewManualExecutor()
-	r, rec, sum := serve(man, func() { man.RunUntil(10 * time.Millisecond) })
-	if r.Outcome != OutcomeGood || r.LatencyMS != 0.9 || rec.Done-rec.Send != modelled || rec.Outcome != metrics.Good || sum.Good != 1 {
-		t.Fatalf("injected clock: %+v, record %+v, want good at exactly 0.9 ms", r, rec)
+	r, elapsed, sum := serve(man, func() { man.RunUntil(10 * time.Millisecond) })
+	if r.Outcome != OutcomeGood || r.LatencyMS != 0.9 || elapsed != modelled || sum.Good != 1 {
+		t.Fatalf("injected clock: %+v, tallied done %v after send, want good at exactly 0.9 ms", r, elapsed)
 	}
 
-	r, rec, sum = serve(nil, func() {})
-	elapsed := rec.Done - rec.Send
-	if r.Outcome != OutcomeLate || rec.Outcome != metrics.Late || sum.Late != 1 || elapsed <= modelled ||
+	r, elapsed, sum = serve(nil, func() {})
+	if r.Outcome != OutcomeLate || sum.Late != 1 || elapsed <= modelled ||
 		r.LatencyMS != float64(elapsed.Microseconds())/1000 {
-		t.Fatalf("wall clock: %+v, record %+v, want late, with the %v that elapsed", r, rec, elapsed)
+		t.Fatalf("wall clock: %+v, tallied done %v after send, want late with exactly that latency", r, elapsed)
 	}
 }
