@@ -9,6 +9,7 @@
 //
 //	pard-server -app lv -policy pard -addr :8080
 //	pard-server -app da            # the fan-out/merge DAG pipeline
+//	pard-server -max-inflight 32   # 429 + Retry-After: 1 past 32 outstanding
 //	curl -X POST localhost:8080/infer
 //	curl localhost:8080/stats      # summary, plus the executor's own counters
 package main
@@ -35,16 +36,10 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 2, "workers per module")
 	seed := flag.Int64("seed", 1, "random seed")
-	admission := flag.Bool("admission", false, "enable estimator-driven admission control (429 + Retry-After at predicted SLO misses)")
-	admInFlight := flag.Int("admission-inflight", 0, "admission gate in-flight bound (0 = unbounded; needs -admission)")
-	admSLOFactor := flag.Float64("admission-slo-factor", 1.0, "admission threshold as a fraction of the SLO (needs -admission)")
+	maxInFlight := flag.Int("max-inflight", 0, "requests outstanding at once; arrivals over it get 429 + Retry-After: 1 (0 = unbounded)")
 	flag.Parse()
 
-	srv, spec, err := newServer(*app, *policyName, *workers, *seed, pard.AdmissionConfig{
-		Enabled:     *admission,
-		MaxInFlight: *admInFlight,
-		SLOFactor:   *admSLOFactor,
-	})
+	srv, spec, err := newServer(*app, *policyName, *workers, *seed, *maxInFlight)
 	if err != nil {
 		fatal(err)
 	}
@@ -54,12 +49,12 @@ func main() {
 	}
 	srv.Start()
 
-	gate := "off"
-	if *admission {
-		gate = "on"
+	bound := "unbounded"
+	if *maxInFlight > 0 {
+		bound = fmt.Sprintf("at most %d in flight", *maxInFlight)
 	}
-	fmt.Printf("pard-server: serving %s (%d modules, SLO %v) with policy %s on %s (admission %s)\n",
-		*app, spec.N(), spec.SLO, *policyName, l.Addr(), gate)
+	fmt.Printf("pard-server: serving %s (%d modules, SLO %v) with policy %s on %s (%s)\n",
+		*app, spec.N(), spec.SLO, *policyName, l.Addr(), bound)
 	if err := serve(l, srv, 10*spec.SLO); err != nil {
 		fatal(err)
 	}
@@ -108,7 +103,7 @@ func serve(l net.Listener, srv *pard.Server, drain time.Duration) error {
 }
 
 // newServer builds (but does not start) the live server for an app name.
-func newServer(app, policyName string, workers int, seed int64, adm pard.AdmissionConfig) (*pard.Server, *pard.Pipeline, error) {
+func newServer(app, policyName string, workers int, seed int64, maxInFlight int) (*pard.Server, *pard.Pipeline, error) {
 	spec, ok := pard.Apps()[app]
 	if !ok {
 		return nil, nil, fmt.Errorf("unknown app %q (have %s)", app, strings.Join(appNames(), ", "))
@@ -119,11 +114,11 @@ func newServer(app, policyName string, workers int, seed int64, adm pard.Admissi
 		ws[i] = workers
 	}
 	srv, err := pard.NewServer(pard.ServerConfig{
-		Spec:       spec,
-		PolicyName: policyName,
-		Workers:    ws,
-		Seed:       seed,
-		Admission:  adm,
+		Spec:        spec,
+		PolicyName:  policyName,
+		Workers:     ws,
+		Seed:        seed,
+		MaxInFlight: maxInFlight,
 	})
 	if err != nil {
 		return nil, nil, err

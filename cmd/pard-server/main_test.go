@@ -13,8 +13,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"pard"
 )
 
 // TestMain lets the test binary stand in for the command: re-executed with
@@ -146,7 +144,7 @@ func TestReadTimeoutCutsTrickledBody(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	srv, spec, err := newServer("tm", "pard", 2, 1, pard.AdmissionConfig{})
+	srv, spec, err := newServer("tm", "pard", 2, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +212,7 @@ func TestReadTimeoutCutsTrickledBody(t *testing.T) {
 }
 
 func TestUnknownAppRejected(t *testing.T) {
-	if _, _, err := newServer("bogus", "pard", 2, 1, pard.AdmissionConfig{}); err == nil {
+	if _, _, err := newServer("bogus", "pard", 2, 1, 0); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }
@@ -225,7 +223,7 @@ func TestServeDAGApp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	srv, spec, err := newServer("da", "pard", 2, 1, pard.AdmissionConfig{})
+	srv, spec, err := newServer("da", "pard", 2, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +251,7 @@ func TestServeOneRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	srv, spec, err := newServer("tm", "pard", 2, 1, pard.AdmissionConfig{})
+	srv, spec, err := newServer("tm", "pard", 2, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

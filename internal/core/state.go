@@ -53,9 +53,8 @@ type ModuleState struct {
 // goroutine at a time, except that goroutines may publish to and read
 // distinct slots at once (the sharded executor publishes every lane's slot
 // in parallel). Every host reads it from its executor's serial context only:
-// the sync tick, the admission gate's refresh and the lane-group board
-// exchange. The gate's per-request check reads a cached atomic, never the
-// board.
+// the sync tick and the lane-group board exchange. Nothing reads it per
+// request from another goroutine.
 type Board struct {
 	states []ModuleState
 }
@@ -284,12 +283,10 @@ func (e *Estimator) Explain(b *Board, k int) Breakdown {
 	return best
 }
 
-// EntryEstimate is the admission gate's read of Eq. 1 at the pipeline entry:
-// the predicted end-to-end latency of a request arriving at module k right
-// now — k's recent queueing delay plus its profiled execution plus the
-// cached downstream estimate Lsub. Unlike Refresh this allocates nothing and
-// costs one board read, so a host may evaluate it per sync tick
-// (after Refresh) and compare the cached result against the SLO per request.
+// EntryEstimate is Eq. 1 read at module k: the predicted end-to-end latency
+// of a request arriving at k right now — k's recent queueing delay plus its
+// profiled execution plus the cached downstream estimate Lsub. Unlike Refresh
+// this allocates nothing and costs one board read.
 func (e *Estimator) EntryEstimate(b *Board, k int) time.Duration {
 	s := b.Get(k)
 	return s.QueueDelay + s.ProfiledDur + e.lsub[k]

@@ -153,8 +153,8 @@ type Report struct {
 	Good     uint64 `json:"good"`
 	Late     uint64 `json:"late"`
 	Dropped  uint64 `json:"dropped"`
-	// Rejected counts 429 replies from the server's admission gate: refused
-	// at the door, not answered, tracked apart from generic bad statuses.
+	// Rejected counts 429 replies, the server's in-flight bound refusing a
+	// request at the door: not answered, tracked apart from bad statuses.
 	Rejected uint64 `json:"rejected"`
 	// Shed counts open-loop arrivals not sent because MaxInFlight was
 	// reached; LateDispatch those sent more than 2 ms behind schedule (the
@@ -171,7 +171,7 @@ type Report struct {
 	// when it beat the pipeline SLO.
 	SLOAttainment float64 `json:"slo_attainment"`
 	// RejectRate is Rejected/Requests: the fraction of attempted sends the
-	// admission gate turned away.
+	// server turned away with a 429.
 	RejectRate float64 `json:"reject_rate"`
 
 	// StreamErrors counts JSONL stream write failures (StreamError carries
@@ -394,7 +394,7 @@ func (r *run) doOne(s *sender, due time.Time) {
 	body, err := readReply(resp.Body, s.reply)
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusTooManyRequests {
-		// The server's admission gate turned the request away at the door:
+		// The server's in-flight bound turned the request away at the door:
 		// a deliberate, well-formed refusal — not a generic bad status.
 		r.rejected.Add(1)
 		r.stream(offset, lat, string(server.OutcomeRejected), nil)
@@ -598,7 +598,7 @@ func (r *Report) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "  requests   %8d   (%.1f/s offered)\n", r.Requests, r.OfferedRate)
 	fmt.Fprintf(w, "  answered   %8d   good %d  late %d  dropped %d\n", r.Answered, r.Good, r.Late, r.Dropped)
 	if r.Rejected > 0 {
-		fmt.Fprintf(w, "  rejected   %8d   (admission control, %.1f%% of requests)\n", r.Rejected, 100*r.RejectRate)
+		fmt.Fprintf(w, "  rejected   %8d   (429 at the in-flight bound, %.1f%% of requests)\n", r.Rejected, 100*r.RejectRate)
 	}
 	if r.Shed > 0 || r.LateDispatch > 0 {
 		fmt.Fprintf(w, "  generator  shed %d  late-dispatch %d\n", r.Shed, r.LateDispatch)

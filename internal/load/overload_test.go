@@ -18,7 +18,7 @@ import (
 	"pard/internal/trace"
 )
 
-// TestRejectedClassification pins the 429 path in doOne: admission-gate
+// TestRejectedClassification pins the 429 path in doOne: the server's
 // rejections count as rejected — not bad_status, not answered — and reach
 // the JSONL stream as "rejected".
 func TestRejectedClassification(t *testing.T) {
@@ -161,18 +161,18 @@ func slowLib(t *testing.T) *profile.Library {
 // overloadRun drives one live server at ~2.5× capacity and returns the
 // report: 3 slow modules, one worker each (≈100 req/s pipeline capacity)
 // against a 250 req/s fixed schedule. The naive policy never drops, so
-// without admission control the queues absorb the whole overload.
-func overloadRun(t *testing.T, adm server.AdmissionConfig) *Report {
+// without an in-flight bound the queues absorb the whole overload.
+func overloadRun(t *testing.T, maxInFlight int) *Report {
 	t.Helper()
 	spec := pipeline.Uniform("overload", 3, "slow", 300*time.Millisecond)
 	s, err := server.New(server.Config{
-		Spec:       spec,
-		Lib:        slowLib(t),
-		PolicyName: "naive",
-		Workers:    []int{1, 1, 1},
-		SyncPeriod: 50 * time.Millisecond,
-		Seed:       1,
-		Admission:  adm,
+		Spec:        spec,
+		Lib:         slowLib(t),
+		PolicyName:  "naive",
+		Workers:     []int{1, 1, 1},
+		SyncPeriod:  50 * time.Millisecond,
+		Seed:        1,
+		MaxInFlight: maxInFlight,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,32 +189,32 @@ func overloadRun(t *testing.T, adm server.AdmissionConfig) *Report {
 	return rep
 }
 
-// TestOverloadAdmissionExperiment is the PR's headline experiment: at ~2.5×
-// capacity, estimator-driven admission control must strictly improve on
-// queue-everything. With the gate off the naive policy buries the overload
-// in its queues (requests go late or stall); with the gate on the doomed
-// share is turned away at the door with 429s and the admitted share keeps
-// meeting the SLO — goodput(on) ≥ goodput(off) with rejections flowing.
-func TestOverloadAdmissionExperiment(t *testing.T) {
+// TestOverloadInFlightBound pins the in-flight bound's payoff under a policy
+// that never drops: at ~2.5× capacity, naive without a bound buries the
+// overload in its queues (requests go late or stall), while with one the
+// excess is turned away at the door with 429s and the admitted share keeps
+// meeting the SLO — goodput(bounded) ≥ goodput(unbounded), rejections
+// flowing.
+func TestOverloadInFlightBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload experiment runs seconds of wall-clock traffic")
 	}
-	off := overloadRun(t, server.AdmissionConfig{})
-	on := overloadRun(t, server.AdmissionConfig{Enabled: true, MaxInFlight: 16})
+	off := overloadRun(t, 0)
+	on := overloadRun(t, 16)
 
 	if off.Rejected != 0 {
-		t.Fatalf("gate off rejected %d requests", off.Rejected)
+		t.Fatalf("unbounded server rejected %d requests", off.Rejected)
 	}
 	if on.Rejected == 0 {
-		t.Fatal("gate on rejected nothing at 2.5x capacity")
+		t.Fatal("bounded server rejected nothing at 2.5x capacity")
 	}
 	if on.Good == 0 || on.Goodput <= 0 {
-		t.Fatalf("gate on produced no goodput: %+v", on)
+		t.Fatalf("bounded server produced no goodput: %+v", on)
 	}
 	if on.Goodput < off.Goodput {
-		t.Fatalf("admission control lost goodput: on %.1f/s < off %.1f/s (on: good=%d rejected=%d; off: good=%d late=%d bad=%d)",
+		t.Fatalf("the bound lost goodput: bounded %.1f/s < unbounded %.1f/s (bounded: good=%d rejected=%d; unbounded: good=%d late=%d bad=%d)",
 			on.Goodput, off.Goodput, on.Good, on.Rejected, off.Good, off.Late, off.BadStatus)
 	}
-	t.Logf("overload 2.5x: goodput off=%.1f/s on=%.1f/s, on-side rejected %d/%d (%.0f%%)",
+	t.Logf("overload 2.5x: goodput unbounded=%.1f/s bounded=%.1f/s, bounded rejected %d/%d (%.0f%%)",
 		off.Goodput, on.Goodput, on.Rejected, on.Requests, 100*on.RejectRate)
 }

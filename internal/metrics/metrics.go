@@ -34,10 +34,10 @@ const (
 	Late
 	// DroppedOutcome: explicitly dropped by the policy at some module.
 	DroppedOutcome
-	// Rejected: refused at the door by admission control, before entering
-	// the pipeline. Counts as bad (the client got no answer) but is kept
-	// distinct from policy drops: a rejection consumed no GPU time and no
-	// queue slot, and the client was told to retry.
+	// Rejected: refused at the door by the live server's in-flight bound,
+	// before entering the pipeline. Counts as bad (the client got no answer)
+	// but is kept distinct from policy drops: a rejection consumed no GPU
+	// time and no queue slot, and the client was told to retry.
 	Rejected
 )
 
@@ -220,7 +220,7 @@ type Summary struct {
 	Good        int
 	Late        int
 	Dropped     int     // policy drops only (excludes late and rejected)
-	Rejected    int     // refused by admission control, never entered the pipeline
+	Rejected    int     // refused at the in-flight bound, never entered the pipeline
 	DropRate    float64 // (dropped + late) / total; rejections tracked separately
 	InvalidRate float64 // wasted GPU time / total GPU time
 	Goodput     float64 // good per second over the run span

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -11,31 +12,36 @@ import (
 	"pard/internal/sched"
 )
 
-// admissionServer is manualServer with an admission gate.
-func admissionServer(t *testing.T, slo time.Duration, adm AdmissionConfig) (*Server, *sched.ManualExecutor) {
+// boundedServer is manualServer with an in-flight bound, on the executor exec.
+func boundedServer(t *testing.T, slo time.Duration, maxInFlight int, exec sched.Executor) *Server {
 	t.Helper()
-	spec := pipeline.Uniform("manual", 3, "fast", slo)
-	man := sched.NewManualExecutor()
 	s, err := New(Config{
-		Spec:       spec,
-		Lib:        fastLib(t),
-		PolicyName: "pard",
-		SyncPeriod: 50 * time.Millisecond,
-		Seed:       1,
-		Exec:       man,
-		Admission:  adm,
+		Spec:        pipeline.Uniform("manual", 3, "fast", slo),
+		Lib:         fastLib(t),
+		PolicyName:  "pard",
+		SyncPeriod:  50 * time.Millisecond,
+		Seed:        1,
+		Exec:        exec,
+		MaxInFlight: maxInFlight,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, man
+	return s
+}
+
+// admissionServer is boundedServer on a fresh ManualExecutor.
+func admissionServer(t *testing.T, slo time.Duration, maxInFlight int) (*Server, *sched.ManualExecutor) {
+	t.Helper()
+	man := sched.NewManualExecutor()
+	return boundedServer(t, slo, maxInFlight, man), man
 }
 
 // TestAdmissionMaxInFlight pins the in-flight bound end to end: submissions
 // beyond the cap reject immediately without touching the core, resolved
 // requests free their slots, and /stats accounts for every rejection.
 func TestAdmissionMaxInFlight(t *testing.T) {
-	s, man := admissionServer(t, time.Second, AdmissionConfig{Enabled: true, MaxInFlight: 2})
+	s, man := admissionServer(t, time.Second, 2)
 	s.Start()
 	defer s.Stop()
 
@@ -90,45 +96,14 @@ func TestAdmissionMaxInFlight(t *testing.T) {
 	}
 }
 
-// TestAdmissionEstimatorReject pins the estimator-driven path: before the
-// first board refresh the gate admits (prediction zero); after one sync
-// period the cached prediction is the entry module's Q+d+Lsub, which is
-// strictly positive (ProfiledDur always is), so a vanishing SLOFactor flips
-// the gate to rejecting.
-func TestAdmissionEstimatorReject(t *testing.T) {
-	s, man := admissionServer(t, time.Second, AdmissionConfig{Enabled: true, SLOFactor: 1e-12})
-	s.Start()
-	defer s.Stop()
-
-	ch := s.Submit() // pre-refresh: admitted
-	select {
-	case r := <-ch:
-		t.Fatalf("pre-refresh submit resolved immediately: %+v", r)
-	default:
-	}
-
-	man.RunUntil(man.Now() + 60*time.Millisecond) // one sync + one gate refresh
-	select {
-	case r := <-s.Submit():
-		if r.Outcome != OutcomeRejected {
-			t.Fatalf("post-refresh submit resolved %q, want rejected", r.Outcome)
-		}
-	default:
-		t.Fatal("post-refresh submit did not resolve immediately")
-	}
-	if sum := s.Summary(); sum.Rejected != 1 {
-		t.Fatalf("summary rejected = %d, want 1", sum.Rejected)
-	}
-}
-
 // TestAdmissionRejectedHTTP pins the wire shape of a rejection: 429 status,
-// a Retry-After hint, and a JSON body with outcome "rejected" and no
-// drop_module key.
+// a one-second Retry-After hint, and a JSON body with outcome "rejected" and
+// no drop_module key.
 func TestAdmissionRejectedHTTP(t *testing.T) {
-	s, man := admissionServer(t, time.Second, AdmissionConfig{Enabled: true, SLOFactor: 1e-12})
+	s, _ := admissionServer(t, time.Second, 1)
 	s.Start()
 	defer s.Stop()
-	man.RunUntil(man.Now() + 60*time.Millisecond)
+	s.Submit() // takes the one slot; the clock never moves, so it keeps it
 
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", nil))
@@ -136,15 +111,14 @@ func TestAdmissionRejectedHTTP(t *testing.T) {
 		t.Fatalf("rejected request answered %d, want 429", rec.Code)
 	}
 	if ra := rec.Header().Get("Retry-After"); ra != "1" {
-		// RetryAfter defaults to the 50 ms sync period, clamped up to 1 s.
 		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	var body map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("429 body not JSON: %v", err)
 	}
-	if body["outcome"] != "rejected" {
-		t.Fatalf("429 body outcome = %v", body["outcome"])
+	if body["outcome"] != "rejected" || body["id"] != 1.0 {
+		t.Fatalf("429 body %s, want id 1 and outcome rejected", rec.Body.String())
 	}
 	if _, ok := body["drop_module"]; ok {
 		t.Fatalf("429 body carries drop_module: %s", rec.Body.String())
@@ -155,9 +129,9 @@ func TestAdmissionRejectedHTTP(t *testing.T) {
 // requests admitted before Stop drain as dropped exactly once; a rejected
 // request was never injected, so replaying the executor afterwards must not
 // resolve it a second time; and submissions after Stop keep the immediate
-// dropped fast path even with the gate enabled.
+// dropped fast path even with a bound set.
 func TestAdmissionStopRace(t *testing.T) {
-	s, man := admissionServer(t, time.Second, AdmissionConfig{Enabled: true, MaxInFlight: 1})
+	s, man := admissionServer(t, time.Second, 1)
 	s.Start()
 
 	admitted := s.Submit()
@@ -183,7 +157,7 @@ func TestAdmissionStopRace(t *testing.T) {
 	}
 
 	// Post-stop submissions drop immediately (in-flight slot freed by the
-	// drain, so the gate admits and the stop latch answers).
+	// drain, so the bound admits and the stop latch answers).
 	select {
 	case r := <-s.Submit():
 		if r.Outcome != OutcomeDropped || r.DropModule != -1 {
@@ -200,16 +174,37 @@ func TestAdmissionStopRace(t *testing.T) {
 	}
 }
 
-// TestAdmissionDisabledUntouched pins the off switch: with a zero
-// AdmissionConfig no gate state exists and submissions follow the exact
-// pre-gate path (nothing rejected, no admission timer scheduled).
+// namingExec is a ManualExecutor that records the name of every callback
+// scheduled on it.
+type namingExec struct {
+	*sched.ManualExecutor
+	names []string
+}
+
+func (x *namingExec) Schedule(at time.Duration, name string, fn func(time.Duration)) {
+	x.names = append(x.names, name)
+	x.ManualExecutor.Schedule(at, name, fn)
+}
+
+// TestAdmissionDisabledUntouched pins what the bound leaves alone: it has no
+// tick of its own, so Start schedules exactly the events with a bound as
+// without one, and an unbounded server admits and serves every submission.
 func TestAdmissionDisabledUntouched(t *testing.T) {
-	s, man := manualServer(t, time.Second)
+	started := func(maxInFlight int) []string {
+		x := &namingExec{ManualExecutor: sched.NewManualExecutor()}
+		s := boundedServer(t, time.Second, maxInFlight, x)
+		s.Start()
+		defer s.Stop()
+		return append([]string(nil), x.names...)
+	}
+	unbounded, bounded := started(0), started(1)
+	if fmt.Sprint(bounded) != fmt.Sprint(unbounded) {
+		t.Fatalf("Start scheduled %q with a bound, %q without", bounded, unbounded)
+	}
+
+	s, man := admissionServer(t, time.Second, 0)
 	s.Start()
 	defer s.Stop()
-	if s.gateEst != nil {
-		t.Fatal("disabled admission built an estimator")
-	}
 	before := man.Pending()
 	ch := s.Submit()
 	if man.Pending() <= before {
@@ -218,10 +213,10 @@ func TestAdmissionDisabledUntouched(t *testing.T) {
 	man.RunUntil(man.Now() + 10*time.Second)
 	r := <-ch
 	if r.Outcome == OutcomeRejected {
-		t.Fatalf("disabled gate rejected a request: %+v", r)
+		t.Fatalf("unbounded server rejected a request: %+v", r)
 	}
 	if sum := s.Summary(); sum.Rejected != 0 {
-		t.Fatalf("disabled gate recorded %d rejections", sum.Rejected)
+		t.Fatalf("unbounded server recorded %d rejections", sum.Rejected)
 	}
 }
 

@@ -167,17 +167,17 @@ func TestSoakLiveHeapFlat(t *testing.T) {
 // on the virtual clock, byte for byte: the ledger's aggregates, and the
 // fields they are reported under, are the same whether the server keeps a
 // record per request or only a tally. The run is nexus's, whose queues are
-// FIFO and so shed nothing ahead of service, behind an admission gate that
-// bounds in-flight requests, so every outcome is counted.
+// FIFO and so shed nothing ahead of service, behind an in-flight bound, so
+// every outcome is counted.
 func TestStatsBytesShortRun(t *testing.T) {
 	man := sched.NewManualExecutor()
 	s, err := New(Config{
-		Spec:       pipeline.TM(),
-		PolicyName: "nexus",
-		Workers:    []int{1, 1, 1},
-		Seed:       1,
-		Exec:       man,
-		Admission:  AdmissionConfig{Enabled: true, SLOFactor: 100, MaxInFlight: 64},
+		Spec:        pipeline.TM(),
+		PolicyName:  "nexus",
+		Workers:     []int{1, 1, 1},
+		Seed:        1,
+		Exec:        man,
+		MaxInFlight: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

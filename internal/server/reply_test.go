@@ -89,7 +89,7 @@ func TestReplyBytes(t *testing.T) {
 }
 
 // TestInferReplyBytes pins the bytes the handler itself writes: a served
-// request, an admission-gate rejection (429) and a request
+// request, a rejection at the in-flight bound (429) and a request
 // that arrives after Stop (dropped, module -1), each the reference encoding
 // of the reply with a JSON Content-Type.
 func TestInferReplyBytes(t *testing.T) {
@@ -119,11 +119,11 @@ func TestInferReplyBytes(t *testing.T) {
 		}
 	})
 	t.Run("rejected", func(t *testing.T) {
-		s, man := admissionServer(t, time.Second, AdmissionConfig{Enabled: true, SLOFactor: 1e-12})
+		s, _ := admissionServer(t, time.Second, 1)
 		s.Start()
 		defer s.Stop()
-		man.RunUntil(man.Now() + 60*time.Millisecond)
-		if got, want := string(infer(t, s, http.StatusTooManyRequests)), `{"id":0,"outcome":"rejected","latency_ms":0}`+"\n"; got != want {
+		s.Submit() // holds the one slot
+		if got, want := string(infer(t, s, http.StatusTooManyRequests)), `{"id":1,"outcome":"rejected","latency_ms":0}`+"\n"; got != want {
 			t.Fatalf("429 body %q, want %q", got, want)
 		}
 	})

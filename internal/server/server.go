@@ -21,14 +21,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pard/internal/core"
 	"pard/internal/metrics"
 	"pard/internal/pipeline"
 	"pard/internal/profile"
@@ -67,35 +64,11 @@ type Config struct {
 	// Submit calls require a concurrency-safe executor (the wall-clock
 	// default is; ManualExecutor must be driven from one goroutine).
 	Exec sched.Executor
-	// Admission configures estimator-driven admission control. The zero
-	// value disables the gate, leaving the submit path bit-identical to a
-	// server without one.
-	Admission AdmissionConfig
-}
-
-// AdmissionConfig parameterizes the admission gate guarding submit(). When
-// enabled, the gate consults the paper's proactive latency estimator (§4.2):
-// once per sync period it refreshes a private core.Estimator from the state
-// board and caches the predicted entry-to-sink latency; each arrival then
-// compares that cached prediction (one atomic load, no allocation) against
-// the SLO and is fast-rejected with HTTP 429 + Retry-After when it is
-// predicted to miss — before consuming a queue slot or any scheduler work.
-type AdmissionConfig struct {
-	// Enabled turns the gate on.
-	Enabled bool
-	// SLOFactor scales the admission threshold: reject when the predicted
-	// entry latency exceeds SLOFactor × SLO (default 1.0). Below 1 the gate
-	// rejects earlier (headroom for estimator error); above 1 it admits
-	// requests the estimator already condemns.
-	SLOFactor float64
-	// MaxInFlight additionally bounds concurrently outstanding requests
-	// (0 = no bound). A hard backstop for the estimator's blind window:
-	// the prediction only moves once per sync period, while a burst can
-	// arrive entirely inside one.
+	// MaxInFlight bounds the requests outstanding at once (0 = unbounded).
+	// It is a memory bound, not a latency prediction: an arrival that finds
+	// MaxInFlight requests unresolved is answered at once as rejected (HTTP
+	// 429 + Retry-After: 1) and never touches the core.
 	MaxInFlight int
-	// RetryAfter is the hint sent on 429 responses (default: the sync
-	// period — the earliest moment the gate's view of the board changes).
-	RetryAfter time.Duration
 }
 
 // Outcome is the terminal state of a live request.
@@ -106,7 +79,7 @@ const (
 	OutcomeGood    Outcome = "good"
 	OutcomeLate    Outcome = "late"
 	OutcomeDropped Outcome = "dropped"
-	// OutcomeRejected: refused by admission control before entering the
+	// OutcomeRejected: refused at the MaxInFlight bound before entering the
 	// pipeline (HTTP 429 + Retry-After on the wire).
 	OutcomeRejected Outcome = "rejected"
 )
@@ -177,17 +150,9 @@ type Server struct {
 	// submit order without serializing submitters on a mutex.
 	nextID atomic.Uint64
 
-	// Admission-gate state. gateEst is a private estimator refreshed once
-	// per sync period on the executor (never concurrently — its rng draw
-	// order is deterministic); gatePredicted caches its entry-latency
-	// prediction in nanoseconds so the per-request admit check is one
-	// atomic load. inFlight counts admitted-but-unresolved requests for
-	// the MaxInFlight bound. All nil/zero when the gate is disabled.
-	gateEst       *core.Estimator
-	gatePredicted atomic.Int64
-	inFlight      atomic.Int64
-	sloLimitNs    int64
-	retryAfter    []string // precomputed Retry-After header value (seconds)
+	// inFlight counts admitted-but-unresolved requests for the MaxInFlight
+	// bound.
+	inFlight atomic.Int64
 
 	// pmu guards the request-lifecycle state below. It is held only for
 	// pointer-sized work (slab bump, list link/unlink, stop latch) — never
@@ -238,37 +203,13 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Workers) != n {
 		return nil, fmt.Errorf("server: %d worker counts for %d modules", len(cfg.Workers), n)
 	}
-	if cfg.Admission.SLOFactor < 0 {
-		return nil, fmt.Errorf("server: admission SLO factor %v < 0", cfg.Admission.SLOFactor)
-	}
-	if cfg.Admission.MaxInFlight < 0 {
-		return nil, fmt.Errorf("server: admission max in-flight %d < 0", cfg.Admission.MaxInFlight)
-	}
-	if cfg.Admission.Enabled {
-		if cfg.Admission.SLOFactor == 0 {
-			cfg.Admission.SLOFactor = 1
-		}
-		if cfg.Admission.RetryAfter <= 0 {
-			cfg.Admission.RetryAfter = cfg.SyncPeriod
-		}
+	if cfg.MaxInFlight < 0 {
+		return nil, fmt.Errorf("server: max in-flight %d < 0", cfg.MaxInFlight)
 	}
 
 	s := &Server{
 		cfg:   cfg,
 		tally: metrics.NewTally(n),
-	}
-	if cfg.Admission.Enabled {
-		// The gate's estimator draws from its own seed-derived stream so
-		// its Monte-Carlo sampling never perturbs the policy's
-		// deterministic streams (clock-parity invariant).
-		rng := rand.New(rand.NewSource(cfg.Seed ^ admissionSeedSalt))
-		s.gateEst = core.NewEstimator(cfg.Spec, core.DefaultEstimatorConfig(), rng)
-		s.sloLimitNs = int64(float64(cfg.Spec.SLO) * cfg.Admission.SLOFactor)
-		secs := int(cfg.Admission.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		s.retryAfter = []string{strconv.Itoa(secs)}
 	}
 	if cfg.Exec != nil {
 		s.exec = cfg.Exec
@@ -312,41 +253,16 @@ func (s *Server) Start() {
 	s.pmu.Unlock()
 
 	s.every(s.cfg.SyncPeriod, "sync", s.cl.SyncTick)
-	if s.cfg.Admission.Enabled {
-		// Scheduled after "sync" so that at tied timestamps the modules
-		// publish first and the gate reads the fresh board (executors fire
-		// equal-time events in schedule order).
-		s.every(s.cfg.SyncPeriod, "admission", s.refreshAdmission)
-	}
 	if s.cfg.Scaling.Enabled {
 		s.every(s.cfg.Scaling.Period, "scale", s.cl.ScaleTick)
 	}
 }
 
-// refreshAdmission recomputes the gate's cached entry-latency prediction
-// from the board: Q_src + d_src + Lsub(source) — Eq. 1 evaluated at the
-// pipeline entry. Runs on the executor once per sync period; submitters only
-// ever read the cached atomic.
-func (s *Server) refreshAdmission(now time.Duration) {
-	b := s.cl.Board()
-	s.gateEst.Refresh(b)
-	s.gatePredicted.Store(int64(s.gateEst.EntryEstimate(b, s.cfg.Spec.Source())))
-}
-
-// admissionSeedSalt decorrelates the gate estimator's rng stream from the
-// core's seed-derived streams.
-const admissionSeedSalt int64 = 0x3e3779b97f4a7c15
-
-// admitNow is the per-request admission decision: lock-free and
-// allocation-free (an atomic counter load and an atomic prediction load).
+// admitNow reports whether an arrival fits under the MaxInFlight bound: one
+// atomic load, no lock, no allocation.
 func (s *Server) admitNow() bool {
-	if !s.cfg.Admission.Enabled {
-		return true
-	}
-	if m := s.cfg.Admission.MaxInFlight; m > 0 && s.inFlight.Load() >= int64(m) {
-		return false
-	}
-	return s.gatePredicted.Load() <= s.sloLimitNs
+	m := s.cfg.MaxInFlight
+	return m == 0 || s.inFlight.Load() < int64(m)
 }
 
 // every runs fn on the executor each period until the server stops.
@@ -425,7 +341,7 @@ func (s *Server) submit() *pendingReq {
 	id := s.nextID.Add(1) - 1
 	done := takeChan()
 	if !s.admitNow() {
-		// Fast rejection: the request never touches the core — no queue
+		// Over the bound: the request never touches the core — no queue
 		// slot, no arrival timer, no scheduler work. Recorded so /stats
 		// and Summary surface the rejection rate.
 		pr := &pendingReq{done: done}
@@ -577,9 +493,14 @@ type statsDoc struct {
 // maxInferBody bounds what POST /infer accepts from one client.
 const maxInferBody = 1 << 20
 
-// contentTypeJSON is the Content-Type of every JSON reply, put into the
-// header map as is (net/http only reads it), so no reply builds its own.
-var contentTypeJSON = []string{"application/json"}
+// contentTypeJSON is the Content-Type of every JSON reply, and retryAfter the
+// Retry-After of every 429, each put into the header map as is (net/http only
+// reads it), so no reply builds its own. A slot frees as soon as any request
+// resolves, so one second is the shortest hint the header can carry.
+var (
+	contentTypeJSON = []string{"application/json"}
+	retryAfter      = []string{"1"}
+)
 
 // bufPool recycles /stats' encode-before-write staging buffers.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -651,7 +572,7 @@ func (s *Server) Handler() http.Handler {
 			h := w.Header()
 			h["Content-Type"] = contentTypeJSON
 			if resp.Outcome == OutcomeRejected {
-				h["Retry-After"] = s.retryAfter
+				h["Retry-After"] = retryAfter
 				w.WriteHeader(http.StatusTooManyRequests)
 			}
 			// The bytes json.NewEncoder(w).Encode(resp) writes.

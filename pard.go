@@ -227,16 +227,14 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentOutput, error) {
 // a thin shell over the same scheduling core the simulator runs, so it
 // serves chains and DAGs alike with identical drop/priority decisions.
 type (
-	// ServerConfig describes a live serving deployment.
+	// ServerConfig describes a live serving deployment. Its MaxInFlight
+	// bounds the requests outstanding at once: an arrival over the bound is
+	// answered HTTP 429 + Retry-After: 1 before entering the pipeline.
 	ServerConfig = server.Config
 	// Server hosts one pipeline — chain or DAG — on the wall clock.
 	Server = server.Server
 	// ServerResponse is the JSON reply of POST /infer.
 	ServerResponse = server.Response
-	// AdmissionConfig parameterizes the estimator-driven admission gate:
-	// requests predicted to miss the SLO are fast-rejected with HTTP 429 +
-	// Retry-After before entering the pipeline (ServerConfig.Admission).
-	AdmissionConfig = server.AdmissionConfig
 )
 
 // NewServer builds (but does not start) a live pipeline server for any
