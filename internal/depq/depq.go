@@ -287,8 +287,11 @@ type FIFO[T any] struct {
 	head int
 }
 
-// NewFIFO returns an empty FIFO queue.
-func NewFIFO[T any]() *FIFO[T] { return &FIFO[T]{} }
+// NewFIFO returns an empty FIFO queue with room for capacity entries before
+// Push grows it.
+func NewFIFO[T any](capacity int) *FIFO[T] {
+	return &FIFO[T]{buf: make([]entry[T], 0, capacity)}
+}
 
 // Len returns the number of queued entries.
 func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
@@ -311,8 +314,11 @@ func (q *FIFO[T]) pop() (T, int64, bool) {
 		// Drained, as a worker's queue is between bursts: refill from the front.
 		q.buf, q.head = q.buf[:0], 0
 	} else if q.head > 1024 && q.head*2 > len(q.buf) {
-		q.buf = append([]entry[T](nil), q.buf[q.head:]...)
-		q.head = 0
+		// Slide the live tail down the same array and clear what it left
+		// behind, so the stale copies hold no value alive.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
 	}
 	return e.value, e.key, true
 }

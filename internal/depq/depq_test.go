@@ -253,7 +253,7 @@ func checkInvariant(q *DEPQ[int]) bool {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	q := NewFIFO[int]()
+	q := NewFIFO[int](0)
 	for i := 0; i < 10; i++ {
 		q.Push(i, int64(100-i)) // keys deliberately reversed: must not matter
 	}
@@ -275,7 +275,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFIFOPeekAndDrain(t *testing.T) {
-	q := NewFIFO[string]()
+	q := NewFIFO[string](0)
 	q.Push("a", 1)
 	q.Push("b", 2)
 	if v, _, _ := q.PeekMin(); v != "a" {
@@ -288,7 +288,7 @@ func TestFIFOPeekAndDrain(t *testing.T) {
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	q := NewFIFO[int]()
+	q := NewFIFO[int](0)
 	for i := 0; i < 100000; i++ {
 		q.Push(i, 0)
 		if i%2 == 1 {
@@ -307,7 +307,7 @@ func TestFIFOCompaction(t *testing.T) {
 // queue, most of the time — refills the array it has from the front instead
 // of growing past its dead prefix until the next compaction.
 func TestFIFOReusesItsArray(t *testing.T) {
-	q := NewFIFO[int]()
+	q := NewFIFO[int](0)
 	next, want := 0, 0
 	burst := func() { // fills to 8, drains to empty
 		for i := 0; i < 8; i++ {
@@ -327,6 +327,42 @@ func TestFIFOReusesItsArray(t *testing.T) {
 	}
 	if q.head != 0 || len(q.buf) != 0 || cap(q.buf) > 16 {
 		t.Fatalf("drained FIFO: head %d len %d cap %d, want the front of a small array", q.head, len(q.buf), cap(q.buf))
+	}
+}
+
+// TestAllocsFIFOCycle: a warmed FIFO held at a steady depth, one push and
+// one pop at a time, compacts in place — it allocates nothing however many
+// compactions it goes through — keeps arrival order across them, and leaves
+// no stale copy of a value behind its live tail.
+func TestAllocsFIFOCycle(t *testing.T) {
+	const depth = 1500 // past the compaction threshold, so cycles compact
+	q := NewFIFO[*int](0)
+	vals := make([]int, 3*depth)
+	next, want := 0, 0
+	push := func() {
+		q.Push(&vals[next%len(vals)], 0)
+		next++
+	}
+	for q.Len() < depth {
+		push()
+	}
+	cycles := func() {
+		for i := 0; i < 4*depth; i++ { // two compactions or more
+			push()
+			if v, _, ok := q.PopMin(); !ok || v != &vals[want%len(vals)] {
+				t.Fatalf("pop %d out of arrival order", want)
+			}
+			want++
+		}
+	}
+	cycles()
+	if avg := testing.AllocsPerRun(10, cycles); avg != 0 {
+		t.Fatalf("a steady FIFO allocates %.2f per %d push/pop cycles, want 0", avg, 4*depth)
+	}
+	for i, e := range q.buf[len(q.buf):cap(q.buf)] {
+		if e.value != nil {
+			t.Fatalf("slot %d past the live tail still holds a value", len(q.buf)+i)
+		}
 	}
 }
 
@@ -363,7 +399,7 @@ func BenchmarkDEPQPushPopBothEnds(b *testing.B) {
 }
 
 func BenchmarkFIFOPushPop(b *testing.B) {
-	q := NewFIFO[int]()
+	q := NewFIFO[int](0)
 	for i := 0; i < b.N; i++ {
 		q.Push(i, 0)
 		if q.Len() > 1024 {

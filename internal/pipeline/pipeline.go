@@ -357,12 +357,23 @@ func Uniform(app string, n int, model string, slo time.Duration) *Spec {
 	return chain(app, slo, names...)
 }
 
+// apps maps the paper's four applications to their constructors.
+var apps = map[string]func() *Spec{"tm": TM, "lv": LV, "gm": GM, "da": DA}
+
+// App builds the paper's application called name, and only that one.
+func App(name string) (*Spec, bool) {
+	build, ok := apps[name]
+	if !ok {
+		return nil, false
+	}
+	return build(), true
+}
+
 // Apps returns the paper's four applications keyed by name.
 func Apps() map[string]*Spec {
-	return map[string]*Spec{
-		"tm": TM(),
-		"lv": LV(),
-		"gm": GM(),
-		"da": DA(),
+	m := make(map[string]*Spec, len(apps))
+	for name, build := range apps {
+		m[name] = build()
 	}
+	return m
 }

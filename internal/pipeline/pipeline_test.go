@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,20 @@ func TestBuildersValid(t *testing.T) {
 	}
 	if err := Uniform("u4", 4, "facerec", 300*time.Millisecond).Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppBuildsOne: App builds the application Apps keys by that name, and
+// knows no other.
+func TestAppBuildsOne(t *testing.T) {
+	for name, want := range Apps() {
+		got, ok := App(name)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("App(%q) = %+v, %v; want %+v", name, got, ok, want)
+		}
+	}
+	if s, ok := App("da-dyn"); ok || s != nil {
+		t.Fatalf("App(\"da-dyn\") = %v, %v; want nothing", s, ok)
 	}
 }
 

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 	"time"
 
@@ -440,5 +442,28 @@ func TestAllocsHandlerEvent(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, timer); avg != 0 {
 		t.Fatalf("TimerExecutor: schedule + fire of a handler allocates %.1f, want 0", avg)
+	}
+}
+
+// TestStreamSeedMatchesFNV: the inline hash is FNV-64a of "seed|k|purpose"
+// as fmt prints it, so every module stream keeps the seed it always had.
+func TestStreamSeedMatchesFNV(t *testing.T) {
+	for _, c := range []struct {
+		seed    int64
+		k       int
+		purpose string
+	}{
+		{0, 0, "stat"}, {1, 0, "exec"}, {1, 4, "path"}, {-7, 12, "stat"},
+		{math.MaxInt64, math.MaxInt32, "exec"}, {math.MinInt64, 3, ""},
+		{42, 1 << 40, "a purpose longer than the stack buffer holds, twice over"},
+	} {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%d|%s", c.seed, c.k, c.purpose)
+		if got, want := streamSeed(c.seed, c.k, c.purpose), int64(h.Sum64()); got != want {
+			t.Errorf("streamSeed(%d, %d, %q) = %d, want %d", c.seed, c.k, c.purpose, got, want)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { streamSeed(-1, 3, "stat") }); avg != 0 {
+		t.Fatalf("streamSeed allocates %.1f, want 0", avg)
 	}
 }

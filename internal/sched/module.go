@@ -91,7 +91,7 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 		wclWin:      stats.NewSlidingWindow(c.cfg.QueueWindow),
 		waitRes:     stats.NewReservoir(c.cfg.WaitReservoir, statRng),
 		rateWin:     stats.NewRateWindow(c.cfg.QueueWindow),
-		inWin:       stats.NewRateWindow(2 * time.Second),
+		inWin:       stats.NewRateWindow(inputRateSpan),
 		workers:     make([]*worker, 0, workers),
 		loads:       make([]int32, 0, workers),
 	}
@@ -115,6 +115,9 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 	m.peakWorkers = workers
 	return m
 }
+
+// inputRateSpan is the horizon of the fast T_in window priority control reads.
+const inputRateSpan = 2 * time.Second
 
 // addWorker spawns a worker; cold workers serve only after the cold-start
 // delay.

@@ -18,8 +18,8 @@ package sched
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"pard/internal/core"
@@ -27,6 +27,7 @@ import (
 	"pard/internal/pipeline"
 	"pard/internal/policy"
 	"pard/internal/profile"
+	"pard/internal/stats"
 )
 
 // Config describes one cluster instantiation of the scheduling core.
@@ -152,11 +153,24 @@ type Cluster struct {
 
 // streamSeed derives module k's independent seed for one random stream from
 // the cluster seed via FNV-64a, the same derivation style the sweep engine
-// uses for per-run seeds.
+// uses for per-run seeds: the hash of "seed|k|purpose" in decimal, computed
+// inline over a stack buffer so that a cluster's setup does not allocate a
+// hasher and a formatter per stream.
 func streamSeed(seed int64, k int, purpose string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s", seed, k, purpose)
-	return int64(h.Sum64())
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	var buf [48]byte // two decimal int64s and two separators
+	b := strconv.AppendInt(buf[:0], seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, '|')
+	h := uint64(offset64)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime64
+	}
+	for i := 0; i < len(purpose); i++ {
+		h = (h ^ uint64(purpose[i])) * prime64
+	}
+	return int64(h)
 }
 
 // New validates the configuration and assembles the cluster on the executor.
@@ -315,6 +329,29 @@ func (c *Cluster) Probes(k int) ModuleProbes {
 		p.WaitSamples = append([]float64(nil), m.waitProbe.Values()...)
 	}
 	return p
+}
+
+// Reserve sizes every owned module's State Planner windows, and the scratch
+// publish copies the WCL window into, for a run whose requests are sent at
+// the sorted times arrivals, so that they do not grow while it runs. A module
+// sees each request once, about one hop delay after its neighbours, so the
+// trace's peak count within a window's span is what the window holds live,
+// give or take the bunching the reservation's slack absorbs. Storage only: a
+// window that outgrows it grows as an unreserved one (the live server's) does.
+func (c *Cluster) Reserve(arrivals []time.Duration) {
+	n := len(arrivals)
+	peakQ := stats.PeakCount(arrivals, c.cfg.QueueWindow)
+	peakIn := stats.PeakCount(arrivals, inputRateSpan)
+	for _, m := range c.modules {
+		if !c.owns(m.idx) {
+			continue
+		}
+		m.qWin.Reserve(peakQ, n)
+		m.wclWin.Reserve(peakQ, n)
+		m.rateWin.Reserve(peakQ, n)
+		m.inWin.Reserve(peakIn, n)
+		m.wclScratch = make([]float64, 0, min(2*peakQ, n))
+	}
 }
 
 // Inject schedules the request's arrival at the source module, one network

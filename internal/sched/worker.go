@@ -45,7 +45,9 @@ func newWorker(m *module, id int) *worker {
 	if m.cl.pol.Queue() == policy.KindDEPQ {
 		w.queue = depq.New[entry]()
 	} else {
-		w.queue = depq.NewFIFO[entry]()
+		// Room for four batches: the queue of a worker keeping up holds
+		// about one, and one that falls behind grows it as it would anyway.
+		w.queue = depq.NewFIFO[entry](4 * m.targetBatch)
 	}
 	return w
 }

@@ -179,6 +179,7 @@ func (r *Runner) inject() {
 	slab := r.slab
 	r.requests = make([]*sched.Request, 0, len(slab))
 	r.shx.Reserve(r.cfg.Spec.Source(), len(slab))
+	r.cl.Reserve(r.cfg.Trace.Arrivals)
 	for i, at := range r.cfg.Trace.Arrivals {
 		req := &slab[i]
 		req.ID = uint64(i)

@@ -83,6 +83,33 @@ func (w *SlidingWindow) tally(s sample, sign float64) {
 	}
 }
 
+// Reserve sizes the window's storage for a stream that keeps at most peak
+// samples live at once and adds at most total in all, so that Add never
+// grows it. It changes storage only: compaction keys on the dead prefix, not
+// on capacity, so every answer stays bit-identical.
+func (w *SlidingWindow) Reserve(peak, total int) {
+	n := reservation(peak, total, slidingCompactAfter)
+	if n > cap(w.samples) {
+		w.samples = append(make([]sample, 0, n), w.samples...)
+	}
+}
+
+// reservation is Reserve's capacity for a window that compacts once its dead
+// prefix is longer than both compactAfter and the live tail. Its array then
+// never holds more than peak + max(peak, compactAfter) + 1 samples; two
+// peaks plus the threshold leave slack for a stream that bunches past the
+// peak it was sized for, and a stream shorter than that fits whole.
+func reservation(peak, total, compactAfter int) int {
+	return min(2*peak+compactAfter, total)
+}
+
+// slidingCompactAfter and rateCompactAfter are the dead-prefix lengths past
+// which the windows compact.
+const (
+	slidingCompactAfter = 1024
+	rateCompactAfter    = 4096
+)
+
 func (w *SlidingWindow) evict(now time.Duration) {
 	cut, from := now-w.span, w.head
 	for w.head < len(w.samples) && w.samples[w.head].at < cut {
@@ -99,7 +126,7 @@ func (w *SlidingWindow) evict(now time.Duration) {
 	// slides down the same backing array, so a window fed at a steady rate
 	// stops allocating once that array holds two spans' worth. The sums are
 	// rebuilt on the way, from a base moved up to the oldest live sample.
-	if w.head > 1024 && w.head*2 > len(w.samples) {
+	if w.head > slidingCompactAfter && w.head*2 > len(w.samples) {
 		w.samples = w.samples[:copy(w.samples, w.samples[w.head:])]
 		w.head = 0
 		w.sumV, w.sumT, w.sumTV, w.nonzero = 0, 0, 0, 0
@@ -204,12 +231,22 @@ func (r *RateWindow) Observe(now time.Duration) {
 	r.evict(now)
 }
 
+// Reserve sizes the window's storage as SlidingWindow.Reserve does, for a
+// stream that keeps at most peak events live at once and observes at most
+// total in all.
+func (r *RateWindow) Reserve(peak, total int) {
+	n := reservation(peak, total, rateCompactAfter)
+	if n > cap(r.times) {
+		r.times = append(make([]time.Duration, 0, n), r.times...)
+	}
+}
+
 func (r *RateWindow) evict(now time.Duration) {
 	cut := now - r.span
 	for r.head < len(r.times) && r.times[r.head] < cut {
 		r.head++
 	}
-	if r.head > 4096 && r.head*2 > len(r.times) {
+	if r.head > rateCompactAfter && r.head*2 > len(r.times) {
 		r.times = r.times[:copy(r.times, r.times[r.head:])] // in place, as in SlidingWindow.evict
 		r.head = 0
 	}
@@ -225,4 +262,18 @@ func (r *RateWindow) Count(now time.Duration) int {
 func (r *RateWindow) Rate(now time.Duration) float64 {
 	n := r.Count(now)
 	return float64(n) / r.span.Seconds()
+}
+
+// PeakCount returns the most of the sorted times that fall within one closed
+// interval of length span: the most samples a window of that span, fed at
+// those times, holds live at once. One pass, two pointers.
+func PeakCount(sorted []time.Duration, span time.Duration) int {
+	peak, lo := 0, 0
+	for hi, t := range sorted {
+		for sorted[lo] < t-span {
+			lo++
+		}
+		peak = max(peak, hi-lo+1)
+	}
+	return peak
 }

@@ -81,7 +81,7 @@ func (s Spec) pipelineSpec() (*pipeline.Spec, error) {
 	if s.Pipeline != nil {
 		return s.Pipeline, nil
 	}
-	if sp, ok := pipeline.Apps()[s.App]; ok {
+	if sp, ok := pipeline.App(s.App); ok {
 		return sp, nil
 	}
 	switch s.App {
