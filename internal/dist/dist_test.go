@@ -112,11 +112,10 @@ func TestKeyCrossCheckRejectsSkew(t *testing.T) {
 			f := newFramed(coordSide)
 			hello := Hello{Proto: ProtoVersion, BaseSeed: 3, TraceDuration: 10 * time.Second,
 				LibraryFP: profile.DefaultLibrary().Fingerprint()}
-			if err := f.send(hello); err != nil {
+			if err := sendHello(f, hello); err != nil {
 				t.Fatal(err)
 			}
-			var ack HelloAck
-			if err := f.recv(&ack, 0); err != nil {
+			if _, err := recvAck(f, 0); err != nil {
 				t.Fatal(err)
 			}
 			spec := sweep.Spec{App: "tm", Kind: trace.Steady, Policy: "pard"}
@@ -197,46 +196,40 @@ func peerName(proto int) string {
 }
 
 // TestVersionMismatchRefused: both sides refuse a peer speaking another
-// protocol version — a future one, v4, whose hellos this version's Hello
-// decodes field for field, and v3, the last before the lockstep exchanges left
-// gob — and neither side hangs doing so.
+// protocol version — a future one, and v5, v4 and v3, whose handshakes are
+// gob — and neither side hangs doing so. A gob peer cannot read this side's
+// hello or ack either: as a worker it hangs up, as a coordinator it fails to
+// decode the refusal.
 func TestVersionMismatchRefused(t *testing.T) {
-	for _, peer := range []int{ProtoVersion + 1, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 5, 4, 3} {
 		t.Run("worker-side/"+peerName(peer), func(t *testing.T) {
 			coordSide, workerSide := net.Pipe()
+			defer coordSide.Close()
 			done := make(chan error, 1)
 			go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1}) }()
 			f := newFramed(coordSide)
-			if err := f.send(Hello{Proto: peer}); err != nil {
+			if err := peerHello(f, Hello{Proto: peer}); err != nil {
 				t.Fatal(err)
 			}
 			// The worker still acks (net.Pipe is synchronous, so the refusal
 			// ack must be consumed) but then refuses to serve.
-			var ack HelloAck
-			if err := f.recv(&ack, 5*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if ack.Proto != ProtoVersion {
-				t.Fatalf("refusal ack names protocol %d, want this side's %d", ack.Proto, ProtoVersion)
-			}
-			if err := <-done; err == nil || !strings.Contains(err.Error(), "version mismatch") {
+			checkRefusalAck(t, f, peer, "version mismatch")
+			if err := within(t, "the worker", done); err == nil || !strings.Contains(err.Error(), "version mismatch") {
 				t.Fatalf("worker accepted protocol %d: %v", peer, err)
 			}
-			coordSide.Close()
 		})
 		t.Run("coordinator-side/"+peerName(peer), func(t *testing.T) {
-			c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+			c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), HandshakeTimeout: 5 * time.Second})
 			defer c.Close()
 			coordSide, fakeWorker := net.Pipe()
-			go func() {
-				f := newFramed(fakeWorker)
-				var h Hello
-				if f.recv(&h, 0) == nil {
-					f.send(HelloAck{Proto: peer, Capacity: 1})
-				}
-			}()
-			if err := c.AddConn(coordSide); err == nil || !strings.Contains(err.Error(), "version mismatch") {
-				t.Fatalf("coordinator accepted protocol %d: %v", peer, err)
+			defer fakeWorker.Close()
+			go peerServer(fakeWorker, peer, 5*time.Second)
+			want := "version mismatch"
+			if peer <= lastGobProto {
+				want = "handshake: EOF" // the gob worker hung up on a hello it could not read
+			}
+			if err := c.AddConn(coordSide); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("coordinator joined a protocol %d worker: %v, want %q", peer, err, want)
 			}
 		})
 	}
@@ -254,11 +247,11 @@ func TestStaleEpochResultDropped(t *testing.T) {
 	handshake.Add(1)
 	go func() {
 		defer handshake.Done()
-		var h Hello
-		if f.recv(&h, 0) != nil {
+		h, err := recvHello(f, 0)
+		if err != nil {
 			return
 		}
-		f.send(HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP})
+		sendAck(f, HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP})
 	}()
 	if err := c.AddConn(coordSide); err != nil {
 		t.Fatal(err)
@@ -323,11 +316,8 @@ func TestEchoedKeyMismatchFailsUnit(t *testing.T) {
 	coordSide, fakeWorker := net.Pipe()
 	go func() {
 		f := newFramed(fakeWorker)
-		var h Hello
-		if f.recv(&h, 0) != nil {
-			return
-		}
-		if f.send(HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP}) != nil {
+		h, err := recvHello(f, 0)
+		if err != nil || sendAck(f, HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP}) != nil {
 			return
 		}
 		var u WorkUnit
@@ -513,11 +503,8 @@ func handDrivenWorker(t *testing.T, c *Coordinator) (*framed, <-chan WorkUnit) {
 	f := newFramed(workerSide)
 	units := make(chan WorkUnit, 1)
 	go func() {
-		var h Hello
-		if f.recv(&h, 0) != nil {
-			return
-		}
-		if f.send(HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP}) != nil {
+		h, err := recvHello(f, 0)
+		if err != nil || sendAck(f, HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP}) != nil {
 			return
 		}
 		var u WorkUnit

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pard/internal/pipeline"
+	"pard/internal/profile"
 	"pard/internal/simgpu"
 	"pard/internal/trace"
 )
@@ -103,11 +104,12 @@ func within[T any](t *testing.T, what string, ch <-chan T) T {
 
 // faultCase is one row of the table both stacks run. The opener is the side
 // that sends the hello (coordinator, hub), the server the side that acks. A
-// cut that is not late lands inside the first frame its side writes — 2 and
-// 100 bytes into a hello of 1–2 KB, 2 and 50 into an ack of 90 bytes — and must
-// fail the handshake; a late one lands in the session's own traffic (a
-// WorkUnit or UnitResult of the sweep, a barrier frame of the simulation),
-// after a handshake that must have succeeded.
+// cut that is not late lands inside the first frame its side writes, derived
+// from that frame's encoded length — 2 bytes in, inside the length prefix, and
+// 100 bytes into the hello or 50 into the ack, or the frame's middle if it is
+// shorter — and must fail the handshake; a late one lands in the session's own
+// traffic (a WorkUnit or UnitResult of the sweep, a barrier frame of the
+// simulation), after a handshake that must have succeeded.
 type faultCase struct {
 	name           string
 	opener, server fault
@@ -134,7 +136,9 @@ func (tc faultCase) timeouts() (handshake, exchange time.Duration) {
 // fragmenting cases only make it awkward.
 func (tc faultCase) faulty() bool { return tc.opener.cut+tc.server.cut > 0 }
 
-func faultCases(openerLate, serverLate int) []faultCase {
+// faultCases returns the table for a stack whose hello and ack frames are
+// helloLen and ackLen bytes long, with late cuts at openerLate and serverLate.
+func faultCases(helloLen, ackLen, openerLate, serverLate int) []faultCase {
 	cases := []faultCase{
 		{name: "fragment-3-5", opener: fault{frag: 3}, server: fault{frag: 5}},
 		{name: "fragment-7-11", opener: fault{frag: 7}, server: fault{frag: 11}},
@@ -144,12 +148,12 @@ func faultCases(openerLate, serverLate int) []faultCase {
 		if stall {
 			kind = "stall"
 		}
-		for _, cut := range []int{2, 100, openerLate} {
+		for _, cut := range []int{2, min(100, helloLen/2), openerLate} {
 			cases = append(cases, faultCase{
 				name: fmt.Sprintf("%s-opener@%d", kind, cut), opener: fault{cut: cut, stall: stall}, late: cut == openerLate,
 			})
 		}
-		for _, cut := range []int{2, 50, serverLate} {
+		for _, cut := range []int{2, min(50, ackLen/2), serverLate} {
 			cases = append(cases, faultCase{
 				name: fmt.Sprintf("%s-server@%d", kind, cut), server: fault{cut: cut, stall: stall}, late: cut == serverLate,
 			})
@@ -166,9 +170,12 @@ func TestSweepUnderTransportFaults(t *testing.T) {
 	}
 	want := encodeResults(t, baseline)
 
-	// The hello is 1 012 bytes and a WorkUnit of this grid 875: 1 500 is inside
-	// the first unit. A result is tens of kilobytes.
-	for _, tc := range faultCases(1500, 3000) {
+	// The hello is 24 bytes, the ack 17 and a WorkUnit of this grid 875: with
+	// one unit outstanding at a time, 1 500 is inside the second unit. A
+	// result is tens of kilobytes.
+	hello := sweepHello(testEngine())
+	ackLen := ackFrameLen(HelloAck{Proto: ProtoVersion, LibraryFP: hello.LibraryFP, Capacity: 1})
+	for _, tc := range faultCases(helloFrameLen(hello), ackLen, 1500, 3000) {
 		// A sweep session has no read deadline once it is open — an idle
 		// worker is normal — so a peer that stalls after the handshake stays
 		// registered, holding its unit: a late stall is for the endgame rule
@@ -269,9 +276,13 @@ func TestSimUnderTransportFaults(t *testing.T) {
 	}
 	want := encodeSimResult(t, baseline)
 
-	// The hub's hello is 1.8 KB (it carries the trace) and a barrier frame
-	// tens of bytes: 3 000 is some hundred exchanges into the run on both sides.
-	for _, tc := range faultCases(3000, 3000) {
+	// The hub's hello is 835 bytes (it carries the trace), the ack 17 and a
+	// barrier frame tens of bytes: 3 000 is some hundred exchanges into the run
+	// on both sides.
+	job := jobFromConfig(cfg)
+	hello := Hello{Proto: ProtoVersion, LibraryFP: profile.DefaultLibrary().Fingerprint(), Groups: 2, Group: 1, Job: &job}
+	ackLen := ackFrameLen(HelloAck{Proto: ProtoVersion, LibraryFP: hello.LibraryFP})
+	for _, tc := range faultCases(helloFrameLen(hello), ackLen, 3000, 3000) {
 		t.Run(tc.name, func(t *testing.T) {
 			var opts SimOptions
 			opts.HandshakeTimeout, opts.ExchangeTimeout = tc.timeouts()

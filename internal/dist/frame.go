@@ -24,17 +24,17 @@ import (
 //     deadlines compose cleanly with lockstep exchanges that must detect a
 //     dead peer.
 //
-// One framing, two payload encodings, mixed freely on one connection. Messages
-// that cross once per session or per work unit and carry arbitrary
-// configuration structs — the handshake and the sweep protocol — are gob,
-// through the send/recv shims below: a fresh encoder per frame, so each frame
-// carries its own type wiring and decodes in isolation. That re-sends the type
-// descriptors on every frame, which is noise next to a simulation result and
-// ruinous next to a five-integer lockstep message: measured on the 6 754
-// exchanges of a 4 s two-group run, it was 1 500 allocations and 3 KB per
-// exchange, twenty times the engine run being synchronized. The lockstep
-// exchanges of a simulation session therefore hand writeFrame/readFrame the
-// binary codec of wire.go, on one reused buffer per direction.
+// One framing, two payload encodings, mixed freely on one connection. The
+// handshake and the lockstep exchanges of a simulation session hand
+// writeFrame/readFrame the binary codec of wire.go. Only the sweep protocol's
+// work units and results are still gob, through the send/recv shims below: a
+// fresh encoder per frame, so each frame carries its own type wiring and
+// decodes in isolation. That re-sends the type descriptors on every frame,
+// which is noise next to a simulation result and ruinous next to a
+// five-integer lockstep message: measured on the 6 754 exchanges of a 4 s
+// two-group run, it was 1 500 allocations and 3 KB per exchange, twenty times
+// the engine run being synchronized, and a third of a whole two-group run's
+// allocations went to the gob handshake alone.
 
 // MaxFrameLen bounds one frame's payload. Sweep results and barrier batches
 // are megabytes at the extreme; 64 MiB is an order of magnitude of headroom,

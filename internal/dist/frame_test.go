@@ -12,7 +12,7 @@ import (
 
 // TestFrameRoundTrip pins the framing layer in isolation: a message sent as
 // one frame decodes identically on the far end, and consecutive frames on
-// one stream stay self-delimiting (each carries its own gob type wiring).
+// one stream stay self-delimiting.
 func TestFrameRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -21,21 +21,21 @@ func TestFrameRoundTrip(t *testing.T) {
 	want := Hello{Proto: ProtoVersion, BaseSeed: 42, TraceDuration: 9 * time.Second, LibraryFP: 0xfeed}
 	errc := make(chan error, 1)
 	go func() {
-		if err := fa.send(want); err != nil {
+		if err := sendHello(fa, want); err != nil {
 			errc <- err
 			return
 		}
-		errc <- fa.send(HelloAck{Proto: ProtoVersion, Capacity: 3})
+		errc <- sendAck(fa, HelloAck{Proto: ProtoVersion, Capacity: 3})
 	}()
-	var got Hello
-	if err := fb.recv(&got, time.Second); err != nil {
+	got, err := recvHello(fb, time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("frame round trip: got %+v, want %+v", got, want)
 	}
-	var ack HelloAck
-	if err := fb.recv(&ack, time.Second); err != nil {
+	ack, err := recvAck(fb, time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if ack.Capacity != 3 {
@@ -47,26 +47,26 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestMixedFramesOneBuffer: gob and binary frames share one receive buffer,
-// so a connection may mix them in any order — here all three arrive in one
-// write, and each read finds its frame where the previous one stopped.
+// so a connection may mix them in any order — here a binary hello, a gob
+// work unit and a binary ack arrive in one write, and each read finds its
+// frame where the previous one stopped.
 func TestMixedFramesOneBuffer(t *testing.T) {
 	var stream bytes.Buffer
 	w := newFramed(streamConn{w: &stream})
-	raw := append(make([]byte, frameHeaderLen), 1, 2, 3)
-	if err := errors.Join(w.send(Hello{Proto: ProtoVersion, Group: 1}), w.writeFrame(raw), w.send(HelloAck{Capacity: 3})); err != nil {
+	unit := WorkUnit{Epoch: 2, ID: 5, Key: "run|k"}
+	if err := errors.Join(sendHello(w, Hello{Proto: ProtoVersion, Group: 1}), w.send(unit), sendAck(w, HelloAck{Proto: ProtoVersion, Capacity: 3})); err != nil {
 		t.Fatal(err)
 	}
 	r := newFramed(streamConn{r: bytes.NewReader(stream.Bytes())})
-	var h Hello
-	if err := r.recv(&h, time.Second); err != nil || h.Group != 1 {
-		t.Fatalf("gob frame: %+v, %v", h, err)
+	if h, err := recvHello(r, time.Second); err != nil || h.Group != 1 {
+		t.Fatalf("binary frame: %+v, %v", h, err)
 	}
-	if payload, err := r.readFrame(time.Second); err != nil || !bytes.Equal(payload, raw[frameHeaderLen:]) {
-		t.Fatalf("binary frame: %v, %v", payload, err)
+	var u WorkUnit
+	if err := r.recv(&u, time.Second); err != nil || u.ID != unit.ID || u.Key != unit.Key {
+		t.Fatalf("gob frame after a binary one: %+v, %v", u, err)
 	}
-	var ack HelloAck
-	if err := r.recv(&ack, time.Second); err != nil || ack.Capacity != 3 {
-		t.Fatalf("gob frame after a binary one: %+v, %v", ack, err)
+	if ack, err := recvAck(r, time.Second); err != nil || ack.Capacity != 3 {
+		t.Fatalf("binary frame after a gob one: %+v, %v", ack, err)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestOversizedFrameHeaderRejected(t *testing.T) {
 	defer b.Close()
 	errc := make(chan error, 1)
 	go func() {
-		var h Hello
-		errc <- newFramed(b).recv(&h, 2*time.Second)
+		_, err := recvHello(newFramed(b), 2*time.Second)
+		errc <- err
 	}()
 	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(0xFFFFFFFF)) // a 4 GiB lie

@@ -242,7 +242,7 @@ func (c streamConn) Close() error                    { return nil }
 
 // FuzzFrame fuzzes the framing layer under both payload encodings: a stream of
 // arbitrary bytes must never panic readFrame or the gob shim over it (recv,
-// the reader of the handshake and the sweep protocol); the receive buffer must
+// the reader of the sweep protocol's units and results); the receive buffer must
 // stay within a small multiple of the bytes that actually arrived, whatever
 // the headers announce, on both; and every frame readFrame returns must
 // re-frame to the bytes it was read from.
@@ -253,7 +253,7 @@ func FuzzFrame(f *testing.F) {
 		f.Add(framedSeed)
 	}
 	var ack bytes.Buffer
-	if err := newFramed(streamConn{w: &ack}).send(HelloAck{Proto: ProtoVersion, LibraryFP: 0xfeed}); err != nil {
+	if err := sendAck(newFramed(streamConn{w: &ack}), HelloAck{Proto: ProtoVersion, LibraryFP: 0xfeed}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(ack.Bytes())
@@ -285,8 +285,8 @@ func FuzzFrame(f *testing.F) {
 		// The gob reader goes through the same buffer, so a header announcing
 		// 64 MiB over ten bytes of stream costs it kilobytes too.
 		gr := newFramed(streamConn{r: bytes.NewReader(data)})
-		var ack HelloAck
-		_ = gr.recv(&ack, time.Second)
+		var res UnitResult
+		_ = gr.recv(&res, time.Second)
 		if len(gr.rx) > limit {
 			t.Fatalf("recv grew the receive buffer to %d bytes on a %d-byte stream", len(gr.rx), len(data))
 		}

@@ -20,8 +20,8 @@
 //
 // Wire protocol (length-prefixed frames, version-guarded):
 //
-//	opener → server:  Hello                                  (gob)
-//	server → opener:  HelloAck                               (gob)
+//	opener → server:  Hello                                  (binary, wire.go)
+//	server → opener:  HelloAck                               (binary, wire.go)
 //
 //	sweep session (Hello.Job == nil):
 //	coordinator → worker:  WorkUnit*                         (gob)
@@ -50,12 +50,11 @@ import (
 // handshake instead of silently producing mismatched results. It is one number
 // for the whole package.
 //
-// Version 5: one Hello opens both kinds of session. The bump is needed
-// because the new hello is field-compatible with both hellos of version 4 (gob
-// matches fields by name and skips what it does not know): a v4 sweep worker
-// would read a simulation hello as a sweep hello with seed 0, ack it, and fail
-// only at the first binary frame.
-const ProtoVersion = 5
+// Version 6: the handshake left gob for wire.go's binary codec, which opens
+// with the version itself. A v5 peer's gob hello or ack reads here as some
+// other version and is refused as one; this side's binary hello or ack fails
+// a v5 peer's gob decoder, which drops the connection.
+const ProtoVersion = 6
 
 // WorkUnit assigns one grid point. Key is the coordinator's full cache key
 // ("run|" + Spec.Key()); the worker re-derives it from Spec and refuses the

@@ -9,14 +9,15 @@ import (
 	"pard/internal/profile"
 )
 
-// Opening a session. Every dist connection starts with one gob round trip:
-// the side that brings the work — a sweep coordinator, a simulation hub —
-// sends a Hello, the side that serves answers with a HelloAck. The hello says
-// which kind of session it opens (Job set: one lane group of a simulation;
-// otherwise sweep units), so one listener serves both. openSession and
-// acceptSession are the only places a protocol version or a library
-// fingerprint is compared; what follows the handshake — and what a failure
-// means there — belongs to the session kind (coordinator.go/worker.go, sim.go).
+// Opening a session. Every dist connection starts with one round trip in
+// wire.go's binary format: the side that brings the work — a sweep
+// coordinator, a simulation hub — sends a Hello, the side that serves answers
+// with a HelloAck. The hello says which kind of session it opens (Job set: one
+// lane group of a simulation; otherwise sweep units), so one listener serves
+// both. openSession and acceptSession are the only places a protocol version
+// or a library fingerprint is compared; what follows the handshake — and what
+// a failure means there — belongs to the session kind (coordinator.go/
+// worker.go, sim.go).
 
 // Hello opens a session. Proto and LibraryFP guard it: profiles travel in
 // neither unit keys nor simulation jobs, so a peer simulating different
@@ -24,10 +25,6 @@ import (
 // what a worker needs to reproduce the coordinator's derivation of per-run
 // seeds and traces (BaseSeed, TraceDuration); a simulation hello carries the
 // lane group this peer is assigned (Group of Groups) and the job itself.
-//
-// The struct is flat on purpose: gob describes every field's type on the wire
-// whether or not it is set and the decoder compiles an engine per described
-// type, so each nested message type here costs every handshake allocations.
 type Hello struct {
 	Proto         int
 	LibraryFP     uint64
@@ -63,16 +60,17 @@ func openSession(conn net.Conn, timeout time.Duration, hello Hello) (*framed, in
 	}
 	f := newFramed(conn)
 	hello.Proto = ProtoVersion
-	var ack HelloAck
-	if err := f.send(hello); err != nil {
+	if err := f.writeFrame(appendHello(make([]byte, frameHeaderLen, helloCap(hello)), hello)); err != nil {
 		return nil, 0, fmt.Errorf("dist: handshake: %w", err)
 	}
-	if err := f.recv(&ack, 0); err != nil {
-		return nil, 0, fmt.Errorf("dist: handshake: %w", err)
+	var ack HelloAck
+	payload, err := f.readFrame(0)
+	if err == nil {
+		err = decodeHelloAck(payload, &ack)
 	}
 	switch {
-	case ack.Proto != ProtoVersion:
-		return nil, 0, fmt.Errorf("dist: handshake: protocol version mismatch: this side speaks %d, the peer %d", ProtoVersion, ack.Proto)
+	case err != nil:
+		return nil, 0, fmt.Errorf("dist: handshake: %w", err)
 	case ack.Err != "":
 		return nil, 0, fmt.Errorf("dist: handshake: peer refused the session: %s", ack.Err)
 	case ack.LibraryFP != hello.LibraryFP:
@@ -90,20 +88,22 @@ type pendingSession struct {
 	fp    uint64
 }
 
-// acceptSession reads the hello of whoever opened conn and refuses another
-// protocol version or another profile library. A positive timeout bounds the
-// whole handshake, up to accept: without it a port scanner — or any peer that
-// connects and sends nothing — would pin the server forever.
+// acceptSession reads the hello of whoever opened conn and refuses a
+// malformed one, another protocol version or another profile library. A
+// positive timeout bounds the whole handshake, up to accept: without it a port
+// scanner — or any peer that connects and sends nothing — would pin the server
+// forever.
 func acceptSession(conn net.Conn, timeout time.Duration, lib *profile.Library) (*pendingSession, error) {
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 	}
 	p := &pendingSession{f: newFramed(conn), fp: lib.Fingerprint()}
-	if err := p.f.recv(&p.hello, 0); err != nil {
+	payload, err := p.f.readFrame(0)
+	if err != nil {
 		return nil, fmt.Errorf("dist: handshake: %w", err)
 	}
-	if p.hello.Proto != ProtoVersion {
-		return nil, p.refuse(fmt.Sprintf("protocol version mismatch: this side speaks %d, the peer %d", ProtoVersion, p.hello.Proto))
+	if err := decodeHello(payload, &p.hello); err != nil {
+		return nil, p.refuse(err.Error())
 	}
 	if p.hello.LibraryFP != p.fp {
 		return nil, p.refuse(fmt.Sprintf("model-profile library mismatch (this side %016x, peer %016x)", p.fp, p.hello.LibraryFP))
@@ -115,16 +115,22 @@ func acceptSession(conn net.Conn, timeout time.Duration, lib *profile.Library) (
 // reports the reason too instead of a dropped stream — and returns the
 // refusal as this side's error.
 func (p *pendingSession) refuse(reason string) error {
-	_ = p.f.send(HelloAck{Proto: ProtoVersion, LibraryFP: p.fp, Err: reason})
+	_ = p.sendAck(HelloAck{Err: reason})
 	return errors.New("dist: handshake refused: " + reason)
 }
 
 // accept completes the handshake and lifts its deadline; the session's own
 // traffic follows on p.f.
 func (p *pendingSession) accept(capacity int) error {
-	if err := p.f.send(HelloAck{Proto: ProtoVersion, LibraryFP: p.fp, Capacity: capacity}); err != nil {
+	if err := p.sendAck(HelloAck{Capacity: capacity}); err != nil {
 		return fmt.Errorf("dist: handshake: %w", err)
 	}
 	p.f.conn.SetDeadline(time.Time{})
 	return nil
+}
+
+// sendAck sends ack as this side's: its protocol version and fingerprint.
+func (p *pendingSession) sendAck(ack HelloAck) error {
+	ack.Proto, ack.LibraryFP = ProtoVersion, p.fp
+	return p.f.writeFrame(appendHelloAck(make([]byte, frameHeaderLen), ack))
 }

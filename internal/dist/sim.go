@@ -24,7 +24,7 @@ import (
 //	spoke g → hub:  seq, kind, its own contribution
 //	hub → spoke g:  seq, kind, every contribution in group order
 //
-// in the binary exchange format of wire.go (the handshake before it is gob).
+// in the binary exchange format of wire.go, as is the handshake before it.
 //
 // The hub gathers in connection-slot order — a spoke's group index is the
 // slot it was handed in the handshake, never self-claimed — merges with its

@@ -275,7 +275,8 @@ func TestSimDistributedDisconnectAborts(t *testing.T) {
 
 // TestServeSimRefusals pins the spoke-side handshake gates: protocol
 // version skew, profile-library skew, an out-of-range group assignment and a
-// sweep hello are refused with an ack that says why.
+// sweep hello are refused with an ack that says why — one a gob hub of
+// version 5 or older cannot decode, and fails on cleanly.
 func TestServeSimRefusals(t *testing.T) {
 	job := jobFromConfig(simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)})
 	fp := SimOptions{}.withDefaults().Library.Fingerprint()
@@ -285,9 +286,8 @@ func TestServeSimRefusals(t *testing.T) {
 		want  string
 	}{
 		{"version-skew", Hello{Proto: ProtoVersion + 1, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
-		// A v4 hub's SimHello decodes field for field into this Hello, which is
-		// why the version had to move; a v3 hub would follow the handshake
-		// with gob exchange envelopes.
+		// Hubs of versions 3 to 5 open with a gob hello.
+		{"v5-peer", Hello{Proto: 5, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		{"v4-peer", Hello{Proto: 4, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		{"v3-peer", Hello{Proto: 3, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		{"library-skew", Hello{Proto: ProtoVersion, LibraryFP: fp ^ 1, Groups: 2, Group: 1, Job: &job}, "library mismatch"},
@@ -304,19 +304,13 @@ func TestServeSimRefusals(t *testing.T) {
 				done <- err
 			}()
 			f := newFramed(hubSide)
-			if err := f.send(tc.hello); err != nil {
+			if err := peerHello(f, tc.hello); err != nil {
 				t.Fatal(err)
 			}
-			var ack HelloAck
-			if err := f.recv(&ack, 5*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			err := <-done
+			checkRefusalAck(t, f, tc.hello.Proto, tc.want)
+			err := within(t, "the spoke", done)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("spoke error = %v, want mention of %q", err, tc.want)
-			}
-			if ack.Proto != ProtoVersion || !strings.Contains(ack.Err, tc.want) {
-				t.Fatalf("refusal ack should carry this side's version and the reason, got %+v", ack)
 			}
 			if n := strings.Count(err.Error(), "dist:"); n != 1 {
 				t.Fatalf("error carries %d dist: prefixes, want one: %v", n, err)
@@ -349,11 +343,8 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 	hubSide, spokeSide := net.Pipe()
 	go func() {
 		f := newFramed(spokeSide)
-		var h Hello
-		if err := f.recv(&h, 0); err != nil {
-			return
-		}
-		if err := f.send(HelloAck{Proto: ProtoVersion, LibraryFP: h.LibraryFP}); err != nil {
+		h, err := recvHello(f, 0)
+		if err != nil || sendAck(f, HelloAck{Proto: ProtoVersion, LibraryFP: h.LibraryFP}) != nil {
 			return
 		}
 		// A replica that lost count: wrong sequence number on round one.
@@ -370,35 +361,33 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 }
 
 // TestRunSimDistributedRefusesPeerVersion is the hub's half of the version
-// gate: a spoke acking with another protocol version — a v3 spoke would send gob
-// envelopes after the handshake, a v4 sweep worker would take the hello for a
-// coordinator's — ends the session before any exchange, on both sides.
+// gate: a spoke acking with another protocol version ends the session before
+// any exchange, on both sides. A spoke of version 5 or older never acks: its
+// gob decoder cannot read the hello, and it hangs up.
 func TestRunSimDistributedRefusesPeerVersion(t *testing.T) {
 	cfg := simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)}
-	for _, peer := range []int{ProtoVersion + 1, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 5, 4, 3} {
 		t.Run(peerName(peer), func(t *testing.T) {
 			hubSide, spokeSide := net.Pipe()
 			spokeDone := make(chan error, 1)
 			go func() {
-				f := newFramed(spokeSide)
-				var h Hello
-				if err := f.recv(&h, 5*time.Second); err != nil {
-					spokeDone <- err
-					return
-				}
-				if err := f.send(HelloAck{Proto: peer, LibraryFP: h.LibraryFP}); err != nil {
+				if err := peerServer(spokeSide, peer, 5*time.Second); err != nil {
 					spokeDone <- err
 					return
 				}
 				// The hub must hang up rather than start exchanging.
-				_, err := f.readFrame(5 * time.Second)
+				_, err := newFramed(spokeSide).readFrame(5 * time.Second)
 				spokeDone <- err
 			}()
-			_, err := RunSimDistributed(cfg, []net.Conn{hubSide}, SimOptions{})
-			if err == nil || !strings.Contains(err.Error(), "version mismatch") {
-				t.Fatalf("hub error = %v, want a version mismatch", err)
+			_, err := RunSimDistributed(cfg, []net.Conn{hubSide}, SimOptions{HandshakeTimeout: 5 * time.Second})
+			want := "version mismatch"
+			if peer <= lastGobProto {
+				want = "handshake: EOF"
 			}
-			if serr := <-spokeDone; serr == nil {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("hub error = %v, want %q", err, want)
+			}
+			if serr := within(t, "the spoke", spokeDone); serr == nil {
 				t.Fatal("the hub kept the session open after refusing the peer's version")
 			}
 		})

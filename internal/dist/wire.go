@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"pard/internal/metrics"
+	"pard/internal/pipeline"
 	"pard/internal/sched"
+	"pard/internal/trace"
 )
 
 // Exchange codec: the lockstep phase of a distributed-simulation session
@@ -87,14 +89,22 @@ func appendSeries(b []byte, s *metrics.Series) []byte {
 	if s == nil {
 		return append(b, 0)
 	}
-	b = append(b, 1)
-	b = binary.AppendUvarint(b, uint64(len(s.Name)))
-	b = append(b, s.Name...)
-	b = binary.AppendUvarint(b, uint64(len(s.T)))
-	for _, t := range s.T {
-		b = binary.AppendVarint(b, int64(t))
-	}
+	b = appendStr(append(b, 1), s.Name)
+	b = appendInts(b, s.T)
 	return appendFloats(b, s.V)
+}
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func appendInts[T ~int | ~int64](b []byte, v []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(v)))
+	for _, x := range v {
+		b = binary.AppendVarint(b, int64(x))
+	}
+	return b
 }
 
 // wireReader consumes one frame's payload. The first failure sticks: later
@@ -204,22 +214,56 @@ func (r *wireReader) series() *metrics.Series {
 	if !r.bool() {
 		return nil
 	}
-	s := &metrics.Series{}
-	if n := r.count(1); n > 0 {
-		s.Name = string(r.b[:n])
-		r.b = r.b[n:]
-	}
-	if n := r.count(1); n > 0 {
-		s.T = make([]time.Duration, n)
-		for i := range s.T {
-			s.T[i] = r.dur()
-		}
-	}
+	s := &metrics.Series{Name: r.str(), T: ints[time.Duration](r)}
 	s.V = r.floats(nil)
 	if len(s.V) != len(s.T) {
 		r.fail(fmt.Errorf("series %q has %d timestamps for %d values", s.Name, len(s.T), len(s.V)))
 	}
 	return s
+}
+
+func (r *wireReader) str() string {
+	n := r.count(1)
+	if n == 0 {
+		return ""
+	}
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// integer reads one zigzag varint into T, refusing a value T cannot hold.
+func integer[T ~int | ~int64](r *wireReader) T {
+	v := r.int()
+	if int64(T(v)) != v {
+		r.fail(fmt.Errorf("value %d overflows %T", v, T(0)))
+		return 0
+	}
+	return T(v)
+}
+
+// ints decodes a slice of zigzag varints; none to read decodes as nil.
+func ints[T ~int | ~int64](r *wireReader) []T {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	v := make([]T, n)
+	for i := range v {
+		v[i] = integer[T](r)
+	}
+	return v
+}
+
+// done reports the first failure of a decode of what, or the bytes it left.
+func (r *wireReader) done(what string) error {
+	if r.err != nil {
+		return fmt.Errorf("decoding %s frame: %w", what, r.err)
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("decoding %s frame: %d trailing bytes", what, len(r.b))
+	}
+	return nil
 }
 
 // Minimum encoded sizes of the repeated elements, for count's guard.
@@ -401,11 +445,7 @@ func (r *wireReader) finish(m *sched.FinishMsg) {
 	for i := range m.Reports {
 		rep := &m.Reports[i]
 		rep.Mod = r.int32()
-		peak := r.int()
-		if int64(int(peak)) != peak {
-			r.fail(fmt.Errorf("peak worker count %d overflows int", peak))
-		}
-		rep.Peak = int(peak)
+		rep.Peak = integer[int](r)
 		rep.QueueDelay, rep.Load, rep.Mode = r.series(), r.series(), r.series()
 		rep.Budget, rep.Remain = r.series(), r.series()
 		rep.WaitSamples = r.floats(nil)
@@ -464,11 +504,212 @@ func decodeExchange[T any](r *wireReader, payload []byte, k *wireKind[T], seq ui
 		}
 		k.dec(r, &into[i])
 	}
-	if r.err != nil {
-		return fmt.Errorf("decoding %s frame: %w", simKindName(k.kind), r.err)
+	return r.done(simKindName(k.kind))
+}
+
+// Handshake codec: the Hello and HelloAck that open every session, in the
+// exchanges' format, each alone in its frame. Both payloads begin with the
+// sender's protocol version, and a decoder stops there when it is not this
+// side's: the rest is another version's layout, so the refusal names the
+// version instead of a malformed field. A peer of version 5 or older opens
+// with gob instead, whose leading message length reads as a stray version.
+//
+//	hello:  proto | LibraryFP | BaseSeed | TraceDuration | Groups | Group | job?
+//	job:    spec? | PolicyName | trace? | Seed | BatchFrac | SyncPeriod |
+//	        QueueWindow | WaitReservoir | NetDelay | JitterPct | Scaling |
+//	        FixedWorkers | Probes | Failures | Lambda | EstimatorSamples |
+//	        PriorityWindow
+//	ack:    proto | LibraryFP | Capacity | Err
+//
+// with a spec App | SLO | modules (ID | Name | Pres | Subs | Exclusive |
+// BranchProb), a trace Name | Arrivals | Duration, and the scaling, probe and
+// failure fields in their declaration order.
+
+// Minimum encoded sizes of the handshake's repeated elements.
+const (
+	minModule  = 6 // ID, Name, Pres, Subs, Exclusive, BranchProb
+	minFailure = 3 // At, Module, Count
+)
+
+// versionMismatch is the refusal of a peer speaking protocol version peer.
+func versionMismatch(peer int) error {
+	return fmt.Errorf("protocol version mismatch: this side speaks %d, the peer %d (up to version 5 the handshake is gob, read here as a stray number)", ProtoVersion, peer)
+}
+
+// helloCap is room for a hello frame that its encoding rarely outgrows: the
+// widest varint per trace arrival and 512 bytes for everything else.
+func helloCap(h Hello) int {
+	n := frameHeaderLen + 512
+	if h.Job != nil && h.Job.Trace != nil {
+		n += binary.MaxVarintLen64 * len(h.Job.Trace.Arrivals)
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("decoding %s frame: %d trailing bytes", simKindName(k.kind), len(r.b))
+	return n
+}
+
+func appendHello(b []byte, h Hello) []byte {
+	b = binary.AppendVarint(b, int64(h.Proto))
+	b = binary.AppendUvarint(b, h.LibraryFP)
+	b = binary.AppendVarint(b, h.BaseSeed)
+	b = binary.AppendVarint(b, int64(h.TraceDuration))
+	b = binary.AppendVarint(b, int64(h.Groups))
+	b = binary.AppendVarint(b, int64(h.Group))
+	if h.Job == nil {
+		return append(b, 0)
 	}
-	return nil
+	return appendJob(append(b, 1), h.Job)
+}
+
+// decodeHello decodes a hello payload into h. A hello of another protocol
+// version decodes only as far as its version and fails with versionMismatch.
+func decodeHello(payload []byte, h *Hello) error {
+	r := wireReader{b: payload}
+	*h = Hello{Proto: integer[int](&r)}
+	if r.err == nil && h.Proto != ProtoVersion {
+		return versionMismatch(h.Proto)
+	}
+	h.LibraryFP = r.uint()
+	h.BaseSeed = r.int()
+	h.TraceDuration = r.dur()
+	h.Groups, h.Group = integer[int](&r), integer[int](&r)
+	if r.bool() {
+		h.Job = r.job()
+	}
+	return r.done("hello")
+}
+
+func appendHelloAck(b []byte, a HelloAck) []byte {
+	b = binary.AppendVarint(b, int64(a.Proto))
+	b = binary.AppendUvarint(b, a.LibraryFP)
+	b = binary.AppendVarint(b, int64(a.Capacity))
+	return appendStr(b, a.Err)
+}
+
+// decodeHelloAck decodes an ack payload into a, as decodeHello does a hello.
+func decodeHelloAck(payload []byte, a *HelloAck) error {
+	r := wireReader{b: payload}
+	*a = HelloAck{Proto: integer[int](&r)}
+	if r.err == nil && a.Proto != ProtoVersion {
+		return versionMismatch(a.Proto)
+	}
+	a.LibraryFP = r.uint()
+	a.Capacity = integer[int](&r)
+	a.Err = r.str()
+	return r.done("hello ack")
+}
+
+func appendJob(b []byte, j *SimJob) []byte {
+	b = appendSpec(b, j.Spec)
+	b = appendStr(b, j.PolicyName)
+	b = appendTrace(b, j.Trace)
+	b = binary.AppendVarint(b, j.Seed)
+	b = appendFloat(b, j.BatchFrac)
+	b = binary.AppendVarint(b, int64(j.SyncPeriod))
+	b = binary.AppendVarint(b, int64(j.QueueWindow))
+	b = binary.AppendVarint(b, int64(j.WaitReservoir))
+	b = binary.AppendVarint(b, int64(j.NetDelay))
+	b = appendFloat(b, j.JitterPct)
+	sc := j.Scaling
+	b = appendBool(b, sc.Enabled)
+	b = binary.AppendVarint(b, int64(sc.Period))
+	b = binary.AppendVarint(b, int64(sc.ColdStart))
+	b = appendFloat(b, sc.Headroom)
+	b = binary.AppendVarint(b, int64(sc.MaxWorkers))
+	b = binary.AppendVarint(b, int64(sc.MinWorkers))
+	b = binary.AppendVarint(b, int64(sc.TotalGPUs))
+	b = appendInts(b, j.FixedWorkers)
+	p := j.Probes
+	b = appendBool(b, p.QueueDelay)
+	b = appendBool(b, p.LoadFactor)
+	b = appendBool(b, p.Budget)
+	b = appendBool(b, p.Decomposition)
+	b = binary.AppendVarint(b, int64(p.SampleEvery))
+	b = binary.AppendUvarint(b, uint64(len(j.Failures)))
+	for _, f := range j.Failures {
+		b = binary.AppendVarint(b, int64(f.At))
+		b = binary.AppendVarint(b, int64(f.Module))
+		b = binary.AppendVarint(b, int64(f.Count))
+	}
+	b = appendFloat(b, j.Lambda)
+	b = binary.AppendVarint(b, int64(j.EstimatorSamples))
+	return binary.AppendVarint(b, int64(j.PriorityWindow))
+}
+
+func (r *wireReader) job() *SimJob {
+	j := &SimJob{Spec: r.spec(), PolicyName: r.str(), Trace: r.trace(), Seed: r.int()}
+	j.BatchFrac = r.float()
+	j.SyncPeriod, j.QueueWindow = r.dur(), r.dur()
+	j.WaitReservoir = integer[int](r)
+	j.NetDelay = r.dur()
+	j.JitterPct = r.float()
+	sc := &j.Scaling
+	sc.Enabled = r.bool()
+	sc.Period, sc.ColdStart = r.dur(), r.dur()
+	sc.Headroom = r.float()
+	sc.MaxWorkers, sc.MinWorkers, sc.TotalGPUs = integer[int](r), integer[int](r), integer[int](r)
+	j.FixedWorkers = ints[int](r)
+	p := &j.Probes
+	p.QueueDelay, p.LoadFactor, p.Budget, p.Decomposition = r.bool(), r.bool(), r.bool(), r.bool()
+	p.SampleEvery = integer[int](r)
+	if n := r.count(minFailure); n > 0 {
+		j.Failures = make([]sched.Failure, n)
+		for i := range j.Failures {
+			j.Failures[i] = sched.Failure{At: r.dur(), Module: integer[int](r), Count: integer[int](r)}
+		}
+	}
+	j.Lambda = r.float()
+	j.EstimatorSamples = integer[int](r)
+	j.PriorityWindow = r.dur()
+	return j
+}
+
+func appendSpec(b []byte, s *pipeline.Spec) []byte {
+	if s == nil {
+		return append(b, 0)
+	}
+	b = appendStr(append(b, 1), s.App)
+	b = binary.AppendVarint(b, int64(s.SLO))
+	b = binary.AppendUvarint(b, uint64(len(s.Modules)))
+	for i := range s.Modules {
+		m := &s.Modules[i]
+		b = binary.AppendVarint(b, int64(m.ID))
+		b = appendStr(b, m.Name)
+		b = appendInts(b, m.Pres)
+		b = appendInts(b, m.Subs)
+		b = appendBool(b, m.Exclusive)
+		b = appendFloats(b, m.BranchProb)
+	}
+	return b
+}
+
+func (r *wireReader) spec() *pipeline.Spec {
+	if !r.bool() {
+		return nil
+	}
+	s := &pipeline.Spec{App: r.str(), SLO: r.dur()}
+	if n := r.count(minModule); n > 0 {
+		s.Modules = make([]pipeline.Module, n)
+		for i := range s.Modules {
+			m := &s.Modules[i]
+			m.ID, m.Name = integer[int](r), r.str()
+			m.Pres, m.Subs = ints[int](r), ints[int](r)
+			m.Exclusive, m.BranchProb = r.bool(), r.floats(nil)
+		}
+	}
+	return s
+}
+
+func appendTrace(b []byte, tr *trace.Trace) []byte {
+	if tr == nil {
+		return append(b, 0)
+	}
+	b = appendStr(append(b, 1), tr.Name)
+	b = appendInts(b, tr.Arrivals)
+	return binary.AppendVarint(b, int64(tr.Duration))
+}
+
+func (r *wireReader) trace() *trace.Trace {
+	if !r.bool() {
+		return nil
+	}
+	return &trace.Trace{Name: r.str(), Arrivals: ints[time.Duration](r), Duration: r.dur()}
 }

@@ -9,10 +9,10 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -129,12 +129,30 @@ func (l *Library) Fingerprint() uint64 {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	h := fnv.New64a()
+	// FNV-64a of "name|alpha|beta|maxbatch|jitter\x00" per model, as
+	// fmt.Fprintf would print it, hashed inline over a stack buffer instead of
+	// through a formatter and a heap hasher.
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	var buf [96]byte // a separator, three decimal int64s and a float each
 	for _, name := range names {
 		m := l.Models[name]
-		fmt.Fprintf(h, "%s|%d|%d|%d|%v\x00", name, m.Alpha, m.Beta, m.MaxBatch, m.JitterPct)
+		for i := 0; i < len(name); i++ {
+			h = (h ^ uint64(name[i])) * prime64
+		}
+		b := append(buf[:0], '|')
+		b = strconv.AppendInt(b, int64(m.Alpha), 10)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(m.Beta), 10)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(m.MaxBatch), 10)
+		b = append(b, '|')
+		b = strconv.AppendFloat(b, m.JitterPct, 'g', -1, 64)
+		for _, c := range append(b, 0) {
+			h = (h ^ uint64(c)) * prime64
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // Add validates and registers a model, rejecting duplicates.

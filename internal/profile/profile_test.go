@@ -2,6 +2,9 @@ package profile
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -203,5 +206,47 @@ func BenchmarkBestBatch(b *testing.B) {
 	m := validModel()
 	for i := 0; i < b.N; i++ {
 		m.BestBatch(time.Duration(i%100) * time.Millisecond)
+	}
+}
+
+// fingerprintFNV is the fingerprint as fmt and hash/fnv define it: FNV-64a
+// over each model's line in name order.
+func fingerprintFNV(l *Library) uint64 {
+	names := make([]string, 0, len(l.Models))
+	for name := range l.Models {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := fnv.New64a()
+	for _, name := range names {
+		m := l.Models[name]
+		fmt.Fprintf(h, "%s|%d|%d|%d|%v\x00", name, m.Alpha, m.Beta, m.MaxBatch, m.JitterPct)
+	}
+	return h.Sum64()
+}
+
+// TestFingerprintMatchesFNV: the inline hash is the fmt + hash/fnv one, so
+// every library keeps the fingerprint its peers compare, whatever form its
+// jitter takes in decimal; and it allocates only its sorted name list.
+func TestFingerprintMatchesFNV(t *testing.T) {
+	libs := []*Library{DefaultLibrary(), NewLibrary()}
+	tenth := 0.1 // a variable, so that the sum below is rounded: 0.30000000000000004
+	for _, jitter := range []float64{0, 12.5, 1e-7, 1e21, tenth + 0.2} {
+		l := NewLibrary()
+		for i, m := range []Model{validModel(), {Name: "a-much-longer-model-name", Alpha: -1 << 62, Beta: 1<<63 - 1, MaxBatch: -1 << 63}} {
+			m.Name += fmt.Sprint(i)
+			m.JitterPct = jitter
+			l.Models[m.Name] = m // unvalidated: the widest fields the hash must format
+		}
+		libs = append(libs, l)
+	}
+	for i, l := range libs {
+		if got, want := l.Fingerprint(), fingerprintFNV(l); got != want {
+			t.Errorf("library %d: Fingerprint() = %016x, want %016x", i, got, want)
+		}
+	}
+	lib := DefaultLibrary()
+	if avg := testing.AllocsPerRun(100, func() { lib.Fingerprint() }); avg > 1 {
+		t.Fatalf("Fingerprint allocates %.1f, want at most 1 (the name list)", avg)
 	}
 }
