@@ -742,7 +742,7 @@ func withoutGC(op func() uint64) func() uint64 {
 // measured when it was set plus a slack at least as wide as the spread seen
 // over 20 runs and under -race, and at most 5 % — except the loopback run,
 // whose -race readings (sync.Pool drops items under the race detector) sit
-// up to 7 % above its plain ones, and HTTPInfer, which is skipped under
+// up to 8 % above its plain ones, and HTTPInfer, which is skipped under
 // -race (its pooled per-request state is rebuilt whenever the pool drops
 // it, ≈ 10 % more allocations). RAGRun is counted with the collector paused
 // (withoutGC), so its count is the run's own and has no spread. One extra
@@ -770,11 +770,11 @@ func TestAllocsWholeOps(t *testing.T) {
 		events        uint64 // simulated events per op, exact (0: not a simulation)
 		run           func(tb testing.TB, m measure)
 	}{
-		{"ShardedDASequential", 1430, 27_600_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 1)) }},
-		{"ShardedDASharded", 1450, 27_600_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 5)) }},
-		{"LaneGroupBarrier/mem", 1075, 2_360_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
-		{"LaneGroupBarrier/loopback", 1225, 1_700_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
-		{"SweepGrid", 1480, 8_450_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"ShardedDASequential", 450, 27_600_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 1)) }},
+		{"ShardedDASharded", 470, 27_600_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 5)) }},
+		{"LaneGroupBarrier/mem", 835, 2_360_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
+		{"LaneGroupBarrier/loopback", 990, 1_700_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
+		{"SweepGrid", 1380, 8_450_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
 		{"ServerSubmit", 0, 0, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
 			m(func() uint64 { submit(1); return 0 })

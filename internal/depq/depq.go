@@ -46,6 +46,31 @@ type DEPQ[T any] struct {
 // New returns an empty DEPQ.
 func New[T any]() *DEPQ[T] { return &DEPQ[T]{} }
 
+// NewDEPQs returns n empty DEPQs carved from one storage array, each with
+// room for room entries: the whole set costs two allocations. A queue that
+// outgrows its room moves onto an array of its own and never writes into a
+// neighbour's.
+func NewDEPQs[T any](n, room int) []DEPQ[T] {
+	qs := make([]DEPQ[T], n)
+	store := make([]entry[T], n*room)
+	for i := range qs {
+		qs[i].h = store[i*room : i*room : (i+1)*room]
+	}
+	return qs
+}
+
+// push appends e to s. A full s moves onto a larger array and clears the one
+// it leaves, because a carved room stays reachable through its neighbours'
+// storage and must not keep the moved values alive.
+func push[T any](s []entry[T], e entry[T]) []entry[T] {
+	if len(s) < cap(s) {
+		return append(s, e)
+	}
+	grown := append(s, e)
+	clear(s)
+	return grown
+}
+
 // Len returns the number of queued entries.
 func (q *DEPQ[T]) Len() int { return len(q.h) }
 
@@ -72,7 +97,7 @@ func hasGrandparent(i int) bool {
 
 // Push inserts value with the given key.
 func (q *DEPQ[T]) Push(value T, key int64) {
-	q.h = append(q.h, entry[T]{value: value, key: key, seq: q.seq})
+	q.h = push(q.h, entry[T]{value: value, key: key, seq: q.seq})
 	q.seq++
 	q.bubbleUp(len(q.h) - 1)
 }
@@ -269,12 +294,14 @@ func (q *DEPQ[T]) trickleDownMax(i int) {
 	}
 }
 
-// Drain removes and returns all values in unspecified order.
+// Drain removes and returns all values in unspecified order. It clears the
+// slots it empties, as PopMin and PopMax do.
 func (q *DEPQ[T]) Drain() []T {
 	out := make([]T, 0, len(q.h))
 	for _, e := range q.h {
 		out = append(out, e.value)
 	}
+	clear(q.h)
 	q.h = q.h[:0]
 	return out
 }
@@ -287,10 +314,16 @@ type FIFO[T any] struct {
 	head int
 }
 
-// NewFIFO returns an empty FIFO queue with room for capacity entries before
-// Push grows it.
-func NewFIFO[T any](capacity int) *FIFO[T] {
-	return &FIFO[T]{buf: make([]entry[T], 0, capacity)}
+// NewFIFOs returns n empty FIFO queues carved from one storage array, each
+// with room for room entries, as NewDEPQs does for DEPQs. The zero FIFO is
+// ready to use as well.
+func NewFIFOs[T any](n, room int) []FIFO[T] {
+	qs := make([]FIFO[T], n)
+	store := make([]entry[T], n*room)
+	for i := range qs {
+		qs[i].buf = store[i*room : i*room : (i+1)*room]
+	}
+	return qs
 }
 
 // Len returns the number of queued entries.
@@ -298,7 +331,7 @@ func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
 
 // Push appends value; key is stored but does not affect order.
 func (q *FIFO[T]) Push(value T, key int64) {
-	q.buf = append(q.buf, entry[T]{value: value, key: key})
+	q.buf = push(q.buf, entry[T]{value: value, key: key})
 }
 
 func (q *FIFO[T]) pop() (T, int64, bool) {
@@ -339,12 +372,14 @@ func (q *FIFO[T]) PeekMin() (T, int64, bool) {
 	return e.value, e.key, true
 }
 
-// Drain removes and returns all values in arrival order.
+// Drain removes and returns all values in arrival order. It clears the
+// slots it empties, as a pop does.
 func (q *FIFO[T]) Drain() []T {
 	out := make([]T, 0, q.Len())
 	for i := q.head; i < len(q.buf); i++ {
 		out = append(out, q.buf[i].value)
 	}
+	clear(q.buf)
 	q.buf = q.buf[:0]
 	q.head = 0
 	return out

@@ -253,7 +253,7 @@ func checkInvariant(q *DEPQ[int]) bool {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	q := NewFIFO[int](0)
+	q := new(FIFO[int])
 	for i := 0; i < 10; i++ {
 		q.Push(i, int64(100-i)) // keys deliberately reversed: must not matter
 	}
@@ -275,7 +275,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFIFOPeekAndDrain(t *testing.T) {
-	q := NewFIFO[string](0)
+	q := new(FIFO[string])
 	q.Push("a", 1)
 	q.Push("b", 2)
 	if v, _, _ := q.PeekMin(); v != "a" {
@@ -288,7 +288,7 @@ func TestFIFOPeekAndDrain(t *testing.T) {
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	q := NewFIFO[int](0)
+	q := new(FIFO[int])
 	for i := 0; i < 100000; i++ {
 		q.Push(i, 0)
 		if i%2 == 1 {
@@ -307,7 +307,7 @@ func TestFIFOCompaction(t *testing.T) {
 // queue, most of the time — refills the array it has from the front instead
 // of growing past its dead prefix until the next compaction.
 func TestFIFOReusesItsArray(t *testing.T) {
-	q := NewFIFO[int](0)
+	q := new(FIFO[int])
 	next, want := 0, 0
 	burst := func() { // fills to 8, drains to empty
 		for i := 0; i < 8; i++ {
@@ -336,7 +336,7 @@ func TestFIFOReusesItsArray(t *testing.T) {
 // no stale copy of a value behind its live tail.
 func TestAllocsFIFOCycle(t *testing.T) {
 	const depth = 1500 // past the compaction threshold, so cycles compact
-	q := NewFIFO[*int](0)
+	q := new(FIFO[*int])
 	vals := make([]int, 3*depth)
 	next, want := 0, 0
 	push := func() {
@@ -399,7 +399,7 @@ func BenchmarkDEPQPushPopBothEnds(b *testing.B) {
 }
 
 func BenchmarkFIFOPushPop(b *testing.B) {
-	q := NewFIFO[int](0)
+	q := new(FIFO[int])
 	for i := 0; i < b.N; i++ {
 		q.Push(i, 0)
 		if q.Len() > 1024 {

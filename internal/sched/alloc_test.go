@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"pard/internal/pipeline"
+	"pard/internal/profile"
 )
 
 // These tests pin the allocation floors the engine-flip refactor bought:
@@ -465,5 +467,71 @@ func TestStreamSeedMatchesFNV(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { streamSeed(-1, 3, "stat") }); avg != 0 {
 		t.Fatalf("streamSeed allocates %.1f, want 0", avg)
+	}
+}
+
+// TestAllocsWorkerPool: a module builds its worker pool in one piece — worker
+// structs, queues, queue storage and batch slabs are four arrays carved per
+// worker — so a pool's size costs no allocations. A cluster of 64 workers a
+// module allocates exactly as often as one of a single worker, and one
+// scale-out of k cold workers allocates the same for every k, under a DEPQ
+// policy (pard) and a FIFO one (nexus).
+func TestAllocsWorkerPool(t *testing.T) {
+	spec := pipeline.LV()
+	newCluster := func(pol string, workers int) (*Cluster, *ManualExecutor) {
+		man := NewManualExecutor()
+		ws := make([]int, spec.N())
+		for k := range ws {
+			ws[k] = workers
+		}
+		cl, err := New(Config{
+			Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: pol, Seed: 1, Workers: ws,
+			Scaling: ScalingConfig{Enabled: true, ColdStart: time.Second, Headroom: 1.2, MaxWorkers: 1 << 10, MinWorkers: 1},
+		}, man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl, man
+	}
+	// fewest is the fewest allocations of three tries: under -race the
+	// runtime now and then adds one of its own.
+	fewest := func(try func() uint64) uint64 {
+		n := try()
+		for i := 0; i < 2; i++ {
+			n = min(n, try())
+		}
+		return n
+	}
+	for _, pol := range []string{"pard", "nexus"} {
+		build := func(workers int) uint64 {
+			return fewest(func() uint64 {
+				return uint64(testing.AllocsPerRun(5, func() { newCluster(pol, workers) }))
+			})
+		}
+		if one, many := build(1), build(64); one != many {
+			t.Errorf("%s: New allocates %d times with 1 worker a module, %d with 64", pol, one, many)
+		}
+
+		scaleOut := func(k int) uint64 {
+			return fewest(func() uint64 {
+				cl, man := newCluster(pol, 1)
+				man.Reserve(k) // k warm-up events: the executor's queue must not grow
+				m := cl.modules[0]
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				m.applyScale(0, 1+k)
+				runtime.ReadMemStats(&after)
+				if len(m.workers) != 1+k || man.Pending() != k {
+					t.Fatalf("%s: scaling out by %d left %d workers and %d warm-ups", pol, k, len(m.workers), man.Pending())
+				}
+				return after.Mallocs - before.Mallocs
+			})
+		}
+		one := scaleOut(1)
+		for _, k := range []int{4, 64} {
+			if n := scaleOut(k); n != one {
+				t.Errorf("%s: scaling out by %d allocates %d times, by 1 %d", pol, k, n, one)
+			}
+		}
 	}
 }

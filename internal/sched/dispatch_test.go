@@ -119,3 +119,40 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 	}
 	t.Logf("%d events, %d requests", events, len(reqs))
 }
+
+// TestCrashClearsWorker: a crashed worker's batch slabs keep no request
+// alive. They are carved from storage the module's other workers keep
+// reachable, so crash clears them as it drops their requests.
+func TestCrashClearsWorker(t *testing.T) {
+	for _, pol := range []string{"pard", "nexus"} {
+		man := NewManualExecutor()
+		spec := pipeline.LV()
+		cl, err := New(Config{
+			Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: pol, Seed: 1,
+			Workers: []int{1, 1, 1, 1, 1},
+		}, man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := cl.modules[spec.Source()]
+		for i := 0; i < 3*m.targetBatch; i++ {
+			cl.Inject(&Request{ID: uint64(i), Deadline: 10 * spec.SLO}, 0)
+		}
+		man.RunUntil(0)
+		w := m.workers[0]
+		if len(w.executing) == 0 || len(w.forming) == 0 || w.queue.Len() == 0 {
+			t.Fatalf("%s: worker holds %d executing, %d forming, %d queued: nothing to crash", pol, len(w.executing), len(w.forming), w.queue.Len())
+		}
+		slabs := [][]batchMember{w.forming[:cap(w.forming)], w.executing[:cap(w.executing)]}
+		if cl.Crash(m.idx, 0, 1) != 1 {
+			t.Fatalf("%s: the worker did not crash", pol)
+		}
+		for _, s := range slabs {
+			for i, mem := range s {
+				if mem.e.req != nil {
+					t.Fatalf("%s: slot %d of a crashed worker's slab still holds request %d", pol, i, mem.e.req.ID)
+				}
+			}
+		}
+	}
+}

@@ -3,9 +3,11 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"pard/internal/core"
+	"pard/internal/depq"
 	"pard/internal/metrics"
 	"pard/internal/pipeline"
 	"pard/internal/policy"
@@ -31,6 +33,9 @@ type module struct {
 	execRng *rand.Rand // execution jitter
 	statRng *rand.Rand // reservoir sampling
 
+	// workers point into the arrays addWorkers carves each pool from: an
+	// event holds its *worker, so a worker never moves. nextWID numbers the
+	// next one; a worker's id is its index here.
 	workers []*worker
 	nextWID int
 	// loads is the dispatch table, kept current by worker.noteLoad: loads[i]
@@ -109,9 +114,7 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 	if c.cfg.Probes.Decomposition {
 		m.waitProbe = stats.NewReservoir(10000, statRng)
 	}
-	for i := 0; i < workers; i++ {
-		m.addWorker(0, false)
-	}
+	m.addWorkers(workers, 0, false)
 	m.peakWorkers = workers
 	return m
 }
@@ -119,18 +122,48 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 // inputRateSpan is the horizon of the fast T_in window priority control reads.
 const inputRateSpan = 2 * time.Second
 
-// addWorker spawns a worker; cold workers serve only after the cold-start
-// delay.
-func (m *module) addWorker(now time.Duration, cold bool) *worker {
-	w := newWorker(m, m.nextWID)
-	m.nextWID++
-	if cold {
-		w.coldUntil = now + m.cl.cfg.Scaling.ColdStart
-		m.cl.scheduleWarmup(w, w.coldUntil)
+// depqRoom is a DEPQ worker queue's room before it grows onto an array of its
+// own. A worker keeping up holds at most one queued request (the rest wait in
+// its forming batch), as every worker of a dense steady run does.
+const depqRoom = 1
+
+// addWorkers spawns n workers, numbered on from nextWID, in one piece: the
+// worker structs, their queues, the queues' storage and two batch slabs per
+// worker are four arrays carved per worker, so a pool costs the same
+// allocations whatever its size. Cold workers serve only after the
+// cold-start delay.
+func (m *module) addWorkers(n int, now time.Duration, cold bool) {
+	ws := make([]worker, n)
+	if m.cl.pol.Queue() == policy.KindDEPQ {
+		qs := depq.NewDEPQs[entry](n, depqRoom)
+		for i := range ws {
+			ws[i].queue = &qs[i]
+		}
+	} else {
+		// Room for four batches: the queue of a worker keeping up holds
+		// about one, and one that falls behind grows it as it would anyway.
+		qs := depq.NewFIFOs[entry](n, 4*m.targetBatch)
+		for i := range ws {
+			ws[i].queue = &qs[i]
+		}
 	}
-	m.workers = append(m.workers, w)
-	m.loads = append(m.loads, 0)
-	return w
+	b := m.targetBatch
+	slabs := make([]batchMember, 2*n*b)
+	m.workers = slices.Grow(m.workers, n)
+	m.loads = slices.Grow(m.loads, n)
+	for i := range ws {
+		w := &ws[i]
+		w.mod, w.id, w.active = m, m.nextWID, true
+		m.nextWID++
+		s := slabs[2*i*b : 2*(i+1)*b]
+		w.forming, w.spare = s[:0:b], s[b:b]
+		if cold {
+			w.coldUntil = now + m.cl.cfg.Scaling.ColdStart
+			m.cl.scheduleWarmup(w, w.coldUntil)
+		}
+		m.workers = append(m.workers, w)
+		m.loads = append(m.loads, 0)
+	}
 }
 
 // ineligible marks a deactivated or crashed worker in module.loads; no real
@@ -369,9 +402,7 @@ func (m *module) applyScale(now time.Duration, desired int) {
 				need--
 			}
 		}
-		for ; need > 0; need-- {
-			m.addWorker(now, true)
-		}
+		m.addWorkers(need, now, true)
 	case desired < active:
 		// Deactivate highest-id active workers; they drain naturally.
 		for i := len(m.workers) - 1; i >= 0 && active > desired; i-- {
@@ -406,7 +437,12 @@ func (m *module) crash(now time.Duration, count int) int {
 		for _, mem := range w.executing {
 			m.cl.drop(mem.e.req, m.idx, now)
 		}
-		w.forming, w.executing = nil, nil
+		// The slabs are carved from storage the module's other workers keep
+		// reachable: clear them, so a dead worker keeps no request alive.
+		clear(w.forming[:cap(w.forming)])
+		clear(w.executing[:cap(w.executing)])
+		clear(w.spare[:cap(w.spare)])
+		w.forming, w.executing, w.spare = nil, nil, nil
 		w.noteLoad()
 		killed++
 	}

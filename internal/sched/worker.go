@@ -24,11 +24,14 @@ type worker struct {
 
 	queue depq.Queue[entry]
 
+	// forming, executing and spare share the worker's two batch slabs,
+	// carved from its module's pool at construction (module.addWorkers),
+	// each with room for exactly one target batch. spare holds the last
+	// finished batch's slab until startBatch hands it to the next forming
+	// batch, so a worker cycles its two slabs for as long as it lives and
+	// allocates none.
 	forming   []batchMember
 	executing []batchMember
-	// spare recycles the last finished batch's slab: startBatch hands it to
-	// the next forming batch, so a worker in steady state cycles two slabs
-	// indefinitely instead of allocating one per batch.
 	spare     []batchMember
 	busy      bool
 	execStart time.Duration
@@ -38,18 +41,6 @@ type worker struct {
 	active    bool // dispatcher eligibility
 	dead      bool // crashed (never serves again)
 	coldUntil time.Duration
-}
-
-func newWorker(m *module, id int) *worker {
-	w := &worker{mod: m, id: id, active: true}
-	if m.cl.pol.Queue() == policy.KindDEPQ {
-		w.queue = depq.New[entry]()
-	} else {
-		// Room for four batches: the queue of a worker keeping up holds
-		// about one, and one that falls behind grows it as it would anyway.
-		w.queue = depq.NewFIFO[entry](4 * m.targetBatch)
-	}
-	return w
 }
 
 // load is the dispatcher's balancing metric.
@@ -140,11 +131,6 @@ func (w *worker) fill(now, te time.Duration) {
 		if !w.decide(e, now, te) {
 			m.cl.drop(e.req, m.idx, now)
 			continue
-		}
-		if w.forming == nil {
-			// A slab of the target size, once: with spare, a worker's two
-			// slabs then serve every batch it runs.
-			w.forming = make([]batchMember, 0, m.targetBatch)
 		}
 		w.forming = append(w.forming, batchMember{e: e, tb: now, q: now - e.arrive})
 	}

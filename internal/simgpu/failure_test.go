@@ -1,10 +1,13 @@
 package simgpu
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"pard/internal/metrics"
 	"pard/internal/pipeline"
+	"pard/internal/trace"
 )
 
 func TestFailureValidation(t *testing.T) {
@@ -124,6 +127,51 @@ func TestFailureDeterminism(t *testing.T) {
 	b := runLV(t, "pard", tr, mut)
 	if a.Summary.Good != b.Summary.Good || a.Summary.Dropped != b.Summary.Dropped {
 		t.Fatalf("failure runs diverged: %+v vs %+v", a.Summary, b.Summary)
+	}
+}
+
+// TestScaleOutAndCrashPinned pins two runs that cold-start workers and crash
+// some to numbers recorded before module worker pools were built in one piece
+// (worker structs, queues and batch slabs carved from per-module arrays): the
+// rate doubles halfway, so the scaling engine adds workers several at a time,
+// and a crash drains two of module 1's queues. pard serves from a DEPQ,
+// nexus from a FIFO. TestFailureDeterminism compares the engine only with
+// itself; these values hold it to an independent record.
+func TestScaleOutAndCrashPinned(t *testing.T) {
+	tr := trace.MustGenerate(trace.Config{Kind: trace.Step, Duration: 30 * time.Second, PeakRate: 400, Seed: 21})
+	for _, c := range []struct {
+		policy string
+		sum    metrics.Summary
+		events uint64
+		peak   []int
+	}{
+		{"pard", metrics.Summary{
+			Total: 9023, Good: 3962, Late: 2, Dropped: 5059,
+			DropRate: 0.560899922420481, InvalidRate: 0.14841707901526865,
+			Goodput: 127.80645161290323, OfferedRate: 291.06451612903226,
+			PerModuleDropPct: []float64{34.84878434473216, 56.05850958687488, 7.550899387230678, 0.21743427554852737, 1.3243724056137576},
+			GPUTotal:         3*time.Minute + 30424093630, GPUWasted: 31230529331,
+		}, 35889, []int{4, 3, 2, 2, 2}},
+		{"nexus", metrics.Summary{
+			Total: 9023, Good: 2935, Dropped: 6088,
+			DropRate: 0.6747201595921534, InvalidRate: 0.26466276667413546,
+			Goodput: 94.6774193548387, OfferedRate: 291.06451612903226,
+			PerModuleDropPct: []float64{27.792378449408673, 54.566360052562416, 9.132720105124836, 4.829172141918528, 3.679369250985545},
+			GPUTotal:         3*time.Minute + 7692807992, GPUWasted: 49675297848,
+		}, 33318, []int{4, 3, 2, 2, 2}},
+	} {
+		res := runLV(t, c.policy, tr, func(cfg *Config) {
+			cfg.Failures = []Failure{{At: 18 * time.Second, Module: 1, Count: 2}}
+		})
+		if !reflect.DeepEqual(res.Summary, c.sum) {
+			t.Errorf("%s: summary\n got %+v\nwant %+v", c.policy, res.Summary, c.sum)
+		}
+		if res.SimEvents != c.events {
+			t.Errorf("%s: %d events, want %d", c.policy, res.SimEvents, c.events)
+		}
+		if !reflect.DeepEqual(res.PeakWorkers, c.peak) {
+			t.Errorf("%s: peak workers %v, want %v", c.policy, res.PeakWorkers, c.peak)
+		}
 	}
 }
 
