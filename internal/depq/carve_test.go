@@ -179,6 +179,28 @@ func TestCarvedQueuesMatchOracles(t *testing.T) {
 	})
 }
 
+// TestCarveStaysInRoom: a carved room is capped at its own end, so neither
+// an append past it nor a reslice up to its capacity reaches the next room.
+func TestCarveStaysInRoom(t *testing.T) {
+	const room = 3
+	store := make([]int, 4*room)
+	for i := 0; i < 4; i++ {
+		s := Carve(store, i, room)
+		if len(s) != 0 || cap(s) != room {
+			t.Fatalf("room %d has len %d, cap %d, want 0, %d", i, len(s), cap(s), room)
+		}
+		for k := 0; k <= room; k++ {
+			s = append(s, i+1)
+		}
+		clear(s[:cap(s)])
+	}
+	for k, v := range store {
+		if want := k/room + 1; v != want {
+			t.Fatalf("store[%d] = %d, want %d: a room was written from outside", k, v, want)
+		}
+	}
+}
+
 // TestAllocsCarvedQueues: a carved set costs two allocations whatever its
 // size, and pushes that stay within a queue's room allocate nothing.
 func TestAllocsCarvedQueues(t *testing.T) {

@@ -46,6 +46,14 @@ type DEPQ[T any] struct {
 // New returns an empty DEPQ.
 func New[T any]() *DEPQ[T] { return &DEPQ[T]{} }
 
+// Carve returns the i-th of the rooms of room elements that store is cut
+// into, empty and capped at its room's end. An append past the room moves
+// onto an array of its own and never writes into room i+1, and nothing that
+// reslices it up to its capacity reaches a neighbour's elements.
+func Carve[E any](store []E, i, room int) []E {
+	return store[i*room : i*room : (i+1)*room]
+}
+
 // NewDEPQs returns n empty DEPQs carved from one storage array, each with
 // room for room entries: the whole set costs two allocations. A queue that
 // outgrows its room moves onto an array of its own and never writes into a
@@ -54,7 +62,7 @@ func NewDEPQs[T any](n, room int) []DEPQ[T] {
 	qs := make([]DEPQ[T], n)
 	store := make([]entry[T], n*room)
 	for i := range qs {
-		qs[i].h = store[i*room : i*room : (i+1)*room]
+		qs[i].h = Carve(store, i, room)
 	}
 	return qs
 }
@@ -321,7 +329,7 @@ func NewFIFOs[T any](n, room int) []FIFO[T] {
 	qs := make([]FIFO[T], n)
 	store := make([]entry[T], n*room)
 	for i := range qs {
-		qs[i].buf = store[i*room : i*room : (i+1)*room]
+		qs[i].buf = Carve(store, i, room)
 	}
 	return qs
 }

@@ -121,31 +121,46 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 }
 
 // TestCrashClearsWorker: a crashed worker's batch slabs keep no request
-// alive. They are carved from storage the module's other workers keep
-// reachable, so crash clears them as it drops their requests.
+// alive, and clearing them touches no other worker's. The slabs are carved
+// from storage the module's other workers keep reachable, so crash clears
+// them as it drops their requests; each is capped at one target batch, so a
+// scaled-down neighbour still draining its batches keeps them whole.
 func TestCrashClearsWorker(t *testing.T) {
 	for _, pol := range []string{"pard", "nexus"} {
 		man := NewManualExecutor()
 		spec := pipeline.LV()
 		cl, err := New(Config{
 			Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: pol, Seed: 1,
-			Workers: []int{1, 1, 1, 1, 1},
+			Workers: []int{3, 3, 3, 3, 3},
 		}, man)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := cl.modules[spec.Source()]
-		for i := 0; i < 3*m.targetBatch; i++ {
+		for _, w := range m.workers {
+			if cap(w.forming) != m.targetBatch || cap(w.spare) != m.targetBatch {
+				t.Fatalf("%s: worker %d slabs have room %d and %d, want %d each", pol, w.id, cap(w.forming), cap(w.spare), m.targetBatch)
+			}
+		}
+		for i := 0; i < 9*m.targetBatch; i++ {
 			cl.Inject(&Request{ID: uint64(i), Deadline: 10 * spec.SLO}, 0)
 		}
 		man.RunUntil(0)
-		w := m.workers[0]
-		if len(w.executing) == 0 || len(w.forming) == 0 || w.queue.Len() == 0 {
-			t.Fatalf("%s: worker holds %d executing, %d forming, %d queued: nothing to crash", pol, len(w.executing), len(w.forming), w.queue.Len())
+		for _, w := range m.workers {
+			if len(w.executing) == 0 || len(w.forming) == 0 || w.queue.Len() == 0 {
+				t.Fatalf("%s: worker %d holds %d executing, %d forming, %d queued: nothing to crash", pol, w.id, len(w.executing), len(w.forming), w.queue.Len())
+			}
+		}
+		// Scale the top worker down: it stops taking work but drains what it
+		// holds. Then crash the worker below it.
+		m.applyScale(0, 2)
+		top, w := m.workers[2], m.workers[1]
+		if top.active {
+			t.Fatalf("%s: the top worker is still active", pol)
 		}
 		slabs := [][]batchMember{w.forming[:cap(w.forming)], w.executing[:cap(w.executing)]}
-		if cl.Crash(m.idx, 0, 1) != 1 {
-			t.Fatalf("%s: the worker did not crash", pol)
+		if cl.Crash(m.idx, 0, 1) != 1 || !w.dead || top.dead {
+			t.Fatalf("%s: crash did not kill exactly the worker below the top", pol)
 		}
 		for _, s := range slabs {
 			for i, mem := range s {
@@ -153,6 +168,17 @@ func TestCrashClearsWorker(t *testing.T) {
 					t.Fatalf("%s: slot %d of a crashed worker's slab still holds request %d", pol, i, mem.e.req.ID)
 				}
 			}
+		}
+		for _, b := range [][]batchMember{top.executing, top.forming} {
+			for i, mem := range b {
+				if mem.e.req == nil {
+					t.Fatalf("%s: member %d of the scaled-down worker's batch was wiped by its neighbour's crash", pol, i)
+				}
+			}
+		}
+		man.Drain()
+		if top.busy || len(top.forming) != 0 || top.queue.Len() != 0 {
+			t.Fatalf("%s: the scaled-down worker did not drain", pol)
 		}
 	}
 }

@@ -155,8 +155,7 @@ func (m *module) addWorkers(n int, now time.Duration, cold bool) {
 		w := &ws[i]
 		w.mod, w.id, w.active = m, m.nextWID, true
 		m.nextWID++
-		s := slabs[2*i*b : 2*(i+1)*b]
-		w.forming, w.spare = s[:0:b], s[b:b]
+		w.forming, w.spare = depq.Carve(slabs, 2*i, b), depq.Carve(slabs, 2*i+1, b)
 		if cold {
 			w.coldUntil = now + m.cl.cfg.Scaling.ColdStart
 			m.cl.scheduleWarmup(w, w.coldUntil)

@@ -26,10 +26,10 @@ type worker struct {
 
 	// forming, executing and spare share the worker's two batch slabs,
 	// carved from its module's pool at construction (module.addWorkers),
-	// each with room for exactly one target batch. spare holds the last
-	// finished batch's slab until startBatch hands it to the next forming
-	// batch, so a worker cycles its two slabs for as long as it lives and
-	// allocates none.
+	// each capped at exactly one target batch (depq.Carve), so no reslice
+	// reaches a neighbour's slab. spare holds the last finished batch's slab
+	// until startBatch hands it to the next forming batch, so a worker cycles
+	// its two slabs for as long as it lives and allocates none.
 	forming   []batchMember
 	executing []batchMember
 	spare     []batchMember
