@@ -685,13 +685,12 @@ func modulePublish(tb testing.TB, measure func(tick func())) {
 	const rate, window = 3500, 5 * time.Second
 	x := sched.NewShardedExecutor(1, 1, time.Millisecond)
 	cl, err := sched.New(sched.Config{
-		Spec:        pipeline.Uniform("publish", 1, "stage", 400*time.Millisecond),
-		Lib:         lib,
-		PolicyName:  "pard",
-		Seed:        1,
-		Workers:     []int{40},
-		QueueWindow: window,
-		NetDelay:    time.Millisecond,
+		Spec:       pipeline.Uniform("publish", 1, "stage", 400*time.Millisecond),
+		Lib:        lib,
+		PolicyName: "pard",
+		Seed:       1,
+		Workers:    []int{40},
+		NetDelay:   time.Millisecond,
 	}, x)
 	if err != nil {
 		tb.Fatal(err)

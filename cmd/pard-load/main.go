@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"pard"
+	"pard/internal/server"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 		app        = flag.String("app", "tm", "pipeline the target serves (for -compare-sim)")
 		policy     = flag.String("policy", "pard", "drop policy the target runs (for -compare-sim)")
 		workers    = flag.Int("workers", 2, "workers per module the target runs (for -compare-sim)")
-		sync       = flag.Duration("sync", 250*time.Millisecond, "target's state-sync period (for -compare-sim)")
+		sync       = flag.Duration("sync", server.DefaultSyncPeriod, "target's state-sync period (for -compare-sim)")
 	)
 	flag.Parse()
 

@@ -137,16 +137,16 @@ func TestDistributedDifferential(t *testing.T) {
 		// could otherwise drain the queue before the crashing worker had
 		// pulled its second unit, leaving it nothing to lose.
 		const hold = 50 * time.Millisecond
-		crashed := startLoopbackWorker(t, c, WorkerConfig{Workers: 4, CrashAfterUnits: 1, UnitDelay: hold})
-		startLoopbackWorker(t, c, WorkerConfig{Workers: 2, UnitDelay: hold})
-		startLoopbackWorker(t, c, WorkerConfig{Workers: 2, UnitDelay: hold})
+		crashed := startLoopbackWorker(t, c, WorkerConfig{Workers: 4, crashAfterUnits: 1, unitDelay: hold})
+		startLoopbackWorker(t, c, WorkerConfig{Workers: 2, unitDelay: hold})
+		startLoopbackWorker(t, c, WorkerConfig{Workers: 2, unitDelay: hold})
 		got, err := c.Sweep(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case werr := <-crashed:
-			if !errors.Is(werr, ErrInjectedCrash) {
+			if !errors.Is(werr, errInjectedCrash) {
 				t.Fatalf("crashing worker exited with %v, want injected crash", werr)
 			}
 		case <-time.After(10 * time.Second):
@@ -264,7 +264,7 @@ func TestEndgameDifferential(t *testing.T) {
 			defer c.Close()
 			// The straggler joins first so its dispatch loop is running
 			// before the sweep starts; capacity 1 wedges exactly one unit.
-			startLoopbackWorker(t, c, WorkerConfig{Workers: 1, UnitDelay: delay})
+			startLoopbackWorker(t, c, WorkerConfig{Workers: 1, unitDelay: delay})
 			for i := 1; i < workers; i++ {
 				startLoopbackWorker(t, c, WorkerConfig{Workers: 2})
 			}

@@ -146,7 +146,7 @@ func TestWorkerCapacityBoundsReadLoop(t *testing.T) {
 	coordSide, workerSide := net.Pipe()
 	defer coordSide.Close()
 	done := make(chan error, 1)
-	go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1, UnitDelay: 500 * time.Millisecond}) }()
+	go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1, unitDelay: 500 * time.Millisecond}) }()
 	f, capacity, err := openSession(coordSide, 5*time.Second, Hello{
 		LibraryFP: profile.DefaultLibrary().Fingerprint(), BaseSeed: 3, TraceDuration: 10 * time.Second,
 	})
@@ -196,12 +196,13 @@ func peerName(proto int) string {
 }
 
 // TestVersionMismatchRefused: both sides refuse a peer speaking another
-// protocol version — a future one, and v5, v4 and v3, whose handshakes are
-// gob — and neither side hangs doing so. A gob peer cannot read this side's
-// hello or ack either: as a worker it hangs up, as a coordinator it fails to
-// decode the refusal.
+// protocol version — a future one, v6, whose binary handshake carried a job
+// of another layout, and v5, v4 and v3, whose handshakes are gob — and
+// neither side hangs doing so. A gob peer cannot read this side's hello or
+// ack either: as a worker it hangs up, as a coordinator it fails to decode
+// the refusal.
 func TestVersionMismatchRefused(t *testing.T) {
-	for _, peer := range []int{ProtoVersion + 1, 5, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 6, 5, 4, 3} {
 		t.Run("worker-side/"+peerName(peer), func(t *testing.T) {
 			coordSide, workerSide := net.Pipe()
 			defer coordSide.Close()
@@ -468,7 +469,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestStatsAccountingUnderEndgame(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
 	defer c.Close()
-	startLoopbackWorker(t, c, WorkerConfig{Workers: 1, UnitDelay: 20 * time.Second})
+	startLoopbackWorker(t, c, WorkerConfig{Workers: 1, unitDelay: 20 * time.Second})
 	startLoopbackWorker(t, c, WorkerConfig{Workers: 1})
 	rs, err := c.Sweep(context.Background(), tinyGrid())
 	if err != nil {

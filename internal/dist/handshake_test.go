@@ -311,11 +311,18 @@ func helloElems(h *Hello, a *HelloAck) int {
 // worker, and the one a dialing coordinator or hub reaches next: the hello
 // and the ack. Arbitrary bytes must never panic, never decode into more
 // elements than they have bytes, and whatever decodes must re-encode to the
-// identical bytes.
+// identical bytes. A hello that decodes with a job then meets the spoke's
+// own validation: it is refused there, or its lane group builds, and either
+// way nothing panics.
 func FuzzHello(f *testing.F) {
 	f.Add(appendHello(nil, sweepHello(testEngine())))
 	for _, h := range simHellos() {
 		f.Add(appendHello(nil, h))
+	}
+	lib := profile.DefaultLibrary()
+	for _, bj := range badJobs() {
+		job := jobFromConfig(bj.cfg)
+		f.Add(appendHello(nil, Hello{Proto: ProtoVersion, LibraryFP: lib.Fingerprint(), Groups: 2, Group: 1, Job: &job}))
 	}
 	f.Add(appendHelloAck(nil, HelloAck{Proto: ProtoVersion, LibraryFP: math.MaxUint64, Capacity: 4}))
 	f.Add(appendHelloAck(nil, HelloAck{Proto: ProtoVersion, Err: "lane group 2/2 out of range"}))
@@ -331,6 +338,9 @@ func FuzzHello(f *testing.F) {
 			}
 			if again := appendHello(nil, h); !bytes.Equal(again, data) {
 				t.Fatalf("hello decodes but re-encodes differently:\n in  %x\n out %x", data, again)
+			}
+			if h.Job != nil {
+				buildLaneGroup(h, lib, &simSpoke{})
 			}
 		}
 		var a HelloAck

@@ -54,7 +54,12 @@ import (
 // with the version itself. A v5 peer's gob hello or ack reads here as some
 // other version and is refused as one; this side's binary hello or ack fails
 // a v5 peer's gob decoder, which drops the connection.
-const ProtoVersion = 6
+//
+// Version 7: the job lost BatchFrac, QueueWindow, WaitReservoir and
+// EstimatorSamples, whose one value each is now a constant of the
+// scheduling core. A v6 hello or ack is refused at its version, before its
+// job is read.
+const ProtoVersion = 7
 
 // WorkUnit assigns one grid point. Key is the coordinator's full cache key
 // ("run|" + Spec.Key()); the worker re-derives it from Spec and refuses the

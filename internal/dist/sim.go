@@ -43,66 +43,54 @@ import (
 // fingerprint-checked at the handshake instead. Neither does Shards: a shard
 // count cannot change a result, so spokes run their lanes sequentially.
 type SimJob struct {
-	Spec             *pipeline.Spec
-	PolicyName       string
-	Trace            *trace.Trace
-	Seed             int64
-	BatchFrac        float64
-	SyncPeriod       time.Duration
-	QueueWindow      time.Duration
-	WaitReservoir    int
-	NetDelay         time.Duration
-	JitterPct        float64
-	Scaling          sched.ScalingConfig
-	FixedWorkers     []int
-	Probes           sched.ProbeConfig
-	Failures         []sched.Failure
-	Lambda           float64
-	EstimatorSamples int
-	PriorityWindow   time.Duration
+	Spec           *pipeline.Spec
+	PolicyName     string
+	Trace          *trace.Trace
+	Seed           int64
+	SyncPeriod     time.Duration
+	NetDelay       time.Duration
+	JitterPct      float64
+	Scaling        sched.ScalingConfig
+	FixedWorkers   []int
+	Probes         sched.ProbeConfig
+	Failures       []sched.Failure
+	Lambda         float64
+	PriorityWindow time.Duration
 }
 
 func jobFromConfig(cfg simgpu.Config) SimJob {
 	return SimJob{
-		Spec:             cfg.Spec,
-		PolicyName:       cfg.PolicyName,
-		Trace:            cfg.Trace,
-		Seed:             cfg.Seed,
-		BatchFrac:        cfg.BatchFrac,
-		SyncPeriod:       cfg.SyncPeriod,
-		QueueWindow:      cfg.QueueWindow,
-		WaitReservoir:    cfg.WaitReservoir,
-		NetDelay:         cfg.NetDelay,
-		JitterPct:        cfg.JitterPct,
-		Scaling:          cfg.Scaling,
-		FixedWorkers:     cfg.FixedWorkers,
-		Probes:           cfg.Probes,
-		Failures:         cfg.Failures,
-		Lambda:           cfg.Lambda,
-		EstimatorSamples: cfg.EstimatorSamples,
-		PriorityWindow:   cfg.PriorityWindow,
+		Spec:           cfg.Spec,
+		PolicyName:     cfg.PolicyName,
+		Trace:          cfg.Trace,
+		Seed:           cfg.Seed,
+		SyncPeriod:     cfg.SyncPeriod,
+		NetDelay:       cfg.NetDelay,
+		JitterPct:      cfg.JitterPct,
+		Scaling:        cfg.Scaling,
+		FixedWorkers:   cfg.FixedWorkers,
+		Probes:         cfg.Probes,
+		Failures:       cfg.Failures,
+		Lambda:         cfg.Lambda,
+		PriorityWindow: cfg.PriorityWindow,
 	}
 }
 
 func (j SimJob) config() simgpu.Config {
 	return simgpu.Config{
-		Spec:             j.Spec,
-		PolicyName:       j.PolicyName,
-		Trace:            j.Trace,
-		Seed:             j.Seed,
-		BatchFrac:        j.BatchFrac,
-		SyncPeriod:       j.SyncPeriod,
-		QueueWindow:      j.QueueWindow,
-		WaitReservoir:    j.WaitReservoir,
-		NetDelay:         j.NetDelay,
-		JitterPct:        j.JitterPct,
-		Scaling:          j.Scaling,
-		FixedWorkers:     j.FixedWorkers,
-		Probes:           j.Probes,
-		Failures:         j.Failures,
-		Lambda:           j.Lambda,
-		EstimatorSamples: j.EstimatorSamples,
-		PriorityWindow:   j.PriorityWindow,
+		Spec:           j.Spec,
+		PolicyName:     j.PolicyName,
+		Trace:          j.Trace,
+		Seed:           j.Seed,
+		SyncPeriod:     j.SyncPeriod,
+		NetDelay:       j.NetDelay,
+		JitterPct:      j.JitterPct,
+		Scaling:        j.Scaling,
+		FixedWorkers:   j.FixedWorkers,
+		Probes:         j.Probes,
+		Failures:       j.Failures,
+		Lambda:         j.Lambda,
+		PriorityWindow: j.PriorityWindow,
 	}
 }
 
@@ -385,9 +373,6 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 		return nil, fmt.Errorf("dist: config already carries a lane-group topology; RunSimDistributed assigns its own")
 	}
 	groups := len(conns) + 1
-	if cfg.Spec != nil && groups > cfg.Spec.N() {
-		return nil, fmt.Errorf("dist: %d lane groups for %d modules; at most one group per module", groups, cfg.Spec.N())
-	}
 	if cfg.Lib == nil {
 		cfg.Lib = opts.Library
 	}
@@ -440,21 +425,20 @@ func ServeSim(conn net.Conn, opts SimOptions) (*simgpu.Result, error) {
 // releases the peers should the run fail.
 func serveLaneGroup(p *pendingSession, opts SimOptions) (*simgpu.Result, error) {
 	h := p.hello
-	if h.Groups < 2 || h.Group < 1 || h.Group >= h.Groups {
-		return nil, p.refuse(fmt.Sprintf("lane group %d/%d out of range", h.Group, h.Groups))
+	spoke := &simSpoke{}
+	r, err := buildLaneGroup(h, opts.Library, spoke)
+	if err != nil {
+		return nil, p.refuse(err.Error())
 	}
+	// Sized by the hello's group count: made only once the job is valid.
+	spoke.simSession = newSimSession([]*framed{p.f}, h.Groups, opts.ExchangeTimeout)
 	if err := p.accept(0); err != nil {
 		return nil, err
 	}
 	if opts.Logf != nil {
 		opts.Logf("dist: serving sim lane group %d/%d", h.Group, h.Groups)
 	}
-
-	spoke := &simSpoke{newSimSession([]*framed{p.f}, h.Groups, opts.ExchangeTimeout)}
-	cfg := h.Job.config()
-	cfg.Lib = opts.Library
-	cfg.Remote = &simgpu.RemoteTopology{Groups: h.Groups, Group: h.Group, Transport: spoke}
-	res, err := simgpu.Run(cfg)
+	res, err := r.Run()
 	if opts.Logf != nil {
 		opts.Logf("dist: sim session closed: lane group %d/%d: %s", h.Group, h.Groups, spoke.summary())
 	}
@@ -462,4 +446,18 @@ func serveLaneGroup(p *pendingSession, opts SimOptions) (*simgpu.Result, error) 
 		return nil, fmt.Errorf("dist: sim lane group %d: %w", h.Group, err)
 	}
 	return res, nil
+}
+
+// buildLaneGroup builds the runner of the lane group a simulation hello
+// assigns, over transport tr. It is the whole of a spoke's validation of the
+// job: a hello it refuses is refused before the session is accepted, so no
+// job value off the wire reaches a running simulation unchecked.
+func buildLaneGroup(h Hello, lib *profile.Library, tr sched.Transport) (*simgpu.Runner, error) {
+	if h.Groups < 2 || h.Group < 1 || h.Group >= h.Groups {
+		return nil, fmt.Errorf("lane group %d/%d out of range", h.Group, h.Groups)
+	}
+	cfg := h.Job.config()
+	cfg.Lib = lib
+	cfg.Remote = &simgpu.RemoteTopology{Groups: h.Groups, Group: h.Group, Transport: tr}
+	return simgpu.New(cfg)
 }

@@ -274,18 +274,23 @@ func TestSimDistributedDisconnectAborts(t *testing.T) {
 }
 
 // TestServeSimRefusals pins the spoke-side handshake gates: protocol
-// version skew, profile-library skew, an out-of-range group assignment and a
-// sweep hello are refused with an ack that says why — one a gob hub of
-// version 5 or older cannot decode, and fails on cleanly.
+// version skew, profile-library skew, an out-of-range group assignment, a
+// sweep hello and a job that cannot run are refused with an ack that says
+// why — one a gob hub of version 5 or older cannot decode, and fails on
+// cleanly. A spoke builds its lane group before it accepts, so no bad job
+// reaches a running simulation, and neither end panics.
 func TestServeSimRefusals(t *testing.T) {
 	job := jobFromConfig(simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)})
 	fp := SimOptions{}.withDefaults().Library.Fingerprint()
-	cases := []struct {
+	type refusal struct {
 		name  string
 		hello Hello
 		want  string
-	}{
+	}
+	cases := []refusal{
 		{"version-skew", Hello{Proto: ProtoVersion + 1, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
+		// A v6 hub's binary hello carries a job of another layout.
+		{"v6-peer", Hello{Proto: 6, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		// Hubs of versions 3 to 5 open with a gob hello.
 		{"v5-peer", Hello{Proto: 5, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		{"v4-peer", Hello{Proto: 4, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
@@ -293,6 +298,10 @@ func TestServeSimRefusals(t *testing.T) {
 		{"library-skew", Hello{Proto: ProtoVersion, LibraryFP: fp ^ 1, Groups: 2, Group: 1, Job: &job}, "library mismatch"},
 		{"group-out-of-range", Hello{Proto: ProtoVersion, LibraryFP: fp, Groups: 2, Group: 2, Job: &job}, "out of range"},
 		{"sweep-hello", Hello{Proto: ProtoVersion, LibraryFP: fp, BaseSeed: 3, TraceDuration: 10 * time.Second}, "not sweep units"},
+	}
+	for _, bj := range badJobs() {
+		job := jobFromConfig(bj.cfg)
+		cases = append(cases, refusal{bj.name, Hello{Proto: ProtoVersion, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, bj.field})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -329,6 +338,44 @@ func TestServeSimRefusals(t *testing.T) {
 			t.Fatalf("AddConn against a ServeSim peer: %v, want its refusal reason", err)
 		}
 	})
+	// And a hub's view of a job its spoke refused: the field to blame.
+	t.Run("hub-sees-reason", func(t *testing.T) {
+		for _, bj := range badJobs() {
+			hubSide, spokeSide := net.Pipe()
+			go ServeSim(spokeSide, SimOptions{})
+			if _, err := RunSimDistributed(bj.cfg, []net.Conn{hubSide}, SimOptions{}); err == nil || !strings.Contains(err.Error(), "peer refused") || !strings.Contains(err.Error(), bj.field) {
+				t.Errorf("%s: hub error = %v, want the spoke's refusal naming %s", bj.name, err, bj.field)
+			}
+		}
+	})
+}
+
+// badJob is a simulation job whose values once panicked the spoke serving it
+// inside simgpu.Run, with the field its refusal must name.
+type badJob struct {
+	name, field string
+	cfg         simgpu.Config
+}
+
+func badJobs() []badJob {
+	base := func(mod func(*simgpu.Config)) simgpu.Config {
+		cfg := simgpu.Config{Spec: pipeline.TM(), Trace: simTrace(trace.Steady, 50, 1)}
+		mod(&cfg)
+		return cfg
+	}
+	scaled := func(mod func(*sched.ScalingConfig)) simgpu.Config {
+		return base(func(c *simgpu.Config) {
+			c.Scaling = sched.DefaultScaling()
+			mod(&c.Scaling)
+		})
+	}
+	return []badJob{
+		{"fixed-workers-negative", "FixedWorkers", base(func(c *simgpu.Config) { c.FixedWorkers = []int{-1, 1, 1} })},
+		{"fixed-workers-zero", "FixedWorkers", base(func(c *simgpu.Config) { c.FixedWorkers = []int{1, 0, 1} })},
+		{"max-workers-negative", "Scaling.MaxWorkers", scaled(func(sc *sched.ScalingConfig) { sc.MaxWorkers = -3 })},
+		{"scale-period-negative", "Scaling.Period", scaled(func(sc *sched.ScalingConfig) { sc.Period = -1 })},
+		{"lambda-above-one", "Lambda", base(func(c *simgpu.Config) { c.Lambda = 5 })},
+	}
 }
 
 // TestSimLockstepSkewAborts proves the hub refuses a diverged replica: a
@@ -366,7 +413,7 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 // gob decoder cannot read the hello, and it hangs up.
 func TestRunSimDistributedRefusesPeerVersion(t *testing.T) {
 	cfg := simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)}
-	for _, peer := range []int{ProtoVersion + 1, 5, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 6, 5, 4, 3} {
 		t.Run(peerName(peer), func(t *testing.T) {
 			hubSide, spokeSide := net.Pipe()
 			spokeDone := make(chan error, 1)

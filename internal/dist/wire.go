@@ -515,9 +515,8 @@ func decodeExchange[T any](r *wireReader, payload []byte, k *wireKind[T], seq ui
 // with gob instead, whose leading message length reads as a stray version.
 //
 //	hello:  proto | LibraryFP | BaseSeed | TraceDuration | Groups | Group | job?
-//	job:    spec? | PolicyName | trace? | Seed | BatchFrac | SyncPeriod |
-//	        QueueWindow | WaitReservoir | NetDelay | JitterPct | Scaling |
-//	        FixedWorkers | Probes | Failures | Lambda | EstimatorSamples |
+//	job:    spec? | PolicyName | trace? | Seed | SyncPeriod | NetDelay |
+//	        JitterPct | Scaling | FixedWorkers | Probes | Failures | Lambda |
 //	        PriorityWindow
 //	ack:    proto | LibraryFP | Capacity | Err
 //
@@ -602,10 +601,7 @@ func appendJob(b []byte, j *SimJob) []byte {
 	b = appendStr(b, j.PolicyName)
 	b = appendTrace(b, j.Trace)
 	b = binary.AppendVarint(b, j.Seed)
-	b = appendFloat(b, j.BatchFrac)
 	b = binary.AppendVarint(b, int64(j.SyncPeriod))
-	b = binary.AppendVarint(b, int64(j.QueueWindow))
-	b = binary.AppendVarint(b, int64(j.WaitReservoir))
 	b = binary.AppendVarint(b, int64(j.NetDelay))
 	b = appendFloat(b, j.JitterPct)
 	sc := j.Scaling
@@ -630,16 +626,12 @@ func appendJob(b []byte, j *SimJob) []byte {
 		b = binary.AppendVarint(b, int64(f.Count))
 	}
 	b = appendFloat(b, j.Lambda)
-	b = binary.AppendVarint(b, int64(j.EstimatorSamples))
 	return binary.AppendVarint(b, int64(j.PriorityWindow))
 }
 
 func (r *wireReader) job() *SimJob {
 	j := &SimJob{Spec: r.spec(), PolicyName: r.str(), Trace: r.trace(), Seed: r.int()}
-	j.BatchFrac = r.float()
-	j.SyncPeriod, j.QueueWindow = r.dur(), r.dur()
-	j.WaitReservoir = integer[int](r)
-	j.NetDelay = r.dur()
+	j.SyncPeriod, j.NetDelay = r.dur(), r.dur()
 	j.JitterPct = r.float()
 	sc := &j.Scaling
 	sc.Enabled = r.bool()
@@ -657,7 +649,6 @@ func (r *wireReader) job() *SimJob {
 		}
 	}
 	j.Lambda = r.float()
-	j.EstimatorSamples = integer[int](r)
 	j.PriorityWindow = r.dur()
 	return j
 }

@@ -36,16 +36,15 @@ type WorkerConfig struct {
 	// coordinator that is not listening yet (default 10s). A negative value
 	// removes the bound: ServeConn waits and Join redials forever.
 	HandshakeTimeout time.Duration
-	// CrashAfterUnits, when > 0, abruptly closes the connection after that
-	// many results have been sent — the fault-injection hook the
-	// differential harness uses to prove reassignment preserves
-	// byte-identical sweeps. Zero disables.
-	CrashAfterUnits int
-	// UnitDelay, when > 0, stalls every unit execution by that long before
-	// it runs — the slow-worker hook the differential harness uses to prove
-	// that endgame re-dispatch finishes a sweep around a straggler and keeps
-	// it byte-identical. Cache hits are not delayed. Zero disables.
-	UnitDelay time.Duration
+
+	// Fault seams for this package's tests; zero disables each.
+	// crashAfterUnits abruptly closes the connection after that many results
+	// have been sent, to prove reassignment keeps sweeps byte-identical.
+	// unitDelay stalls every unit execution (not cache hits) by that long
+	// before it runs, to prove endgame re-dispatch finishes a sweep around a
+	// straggler.
+	crashAfterUnits int
+	unitDelay       time.Duration
 }
 
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
@@ -61,9 +60,9 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 	return cfg
 }
 
-// ErrInjectedCrash is returned by ServeConn when the CrashAfterUnits fault
-// hook fired.
-var ErrInjectedCrash = errors.New("dist: injected worker crash")
+// errInjectedCrash is returned by ServeConn when the crashAfterUnits fault
+// seam fired.
+var errInjectedCrash = errors.New("dist: injected worker crash")
 
 // ServeConn serves whichever session the peer opens on conn. A sweep
 // coordinator gets a pull/run/push loop until it closes the connection (the
@@ -128,7 +127,7 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 			return // reader will see the broken stream too
 		}
 		sent++
-		if cfg.CrashAfterUnits > 0 && sent >= cfg.CrashAfterUnits {
+		if cfg.crashAfterUnits > 0 && sent >= cfg.crashAfterUnits {
 			crashed = true
 			conn.Close() // abrupt: in-flight assignments die with the conn
 		}
@@ -141,7 +140,7 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 			wasCrash := crashed
 			sendMu.Unlock()
 			if wasCrash {
-				return fmt.Errorf("%w (after %d units)", ErrInjectedCrash, sent)
+				return fmt.Errorf("%w (after %d units)", errInjectedCrash, sent)
 			}
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
 				errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
@@ -181,8 +180,8 @@ func runUnit(eng *sweep.Engine, u WorkUnit, cfg WorkerConfig) UnitResult {
 			return r
 		}
 	}
-	if cfg.UnitDelay > 0 {
-		time.Sleep(cfg.UnitDelay)
+	if cfg.unitDelay > 0 {
+		time.Sleep(cfg.unitDelay)
 	}
 	if cfg.Logf != nil {
 		cfg.Logf("dist: running unit %d: %s", u.ID, u.Key)

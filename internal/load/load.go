@@ -531,10 +531,9 @@ type SimSpec struct {
 	// Workers is the per-module worker count (matching the live server's
 	// fixed deployment; scaling stays off in the twin).
 	Workers []int
-	// SyncPeriod should match the live server's (default 250 ms, the live
-	// default — not the simulator's paper-default 1 s).
+	// SyncPeriod should match the live server's (default
+	// server.DefaultSyncPeriod, not the simulator's paper-default 1 s).
 	SyncPeriod time.Duration
-	BatchFrac  float64
 	Seed       int64
 }
 
@@ -547,7 +546,7 @@ func (r *Report) CompareSim(s SimSpec) (*SimComparison, error) {
 		return nil, fmt.Errorf("load: report has no recorded send offsets to replay")
 	}
 	if s.SyncPeriod <= 0 {
-		s.SyncPeriod = 250 * time.Millisecond
+		s.SyncPeriod = server.DefaultSyncPeriod
 	}
 	dur := r.sendOffsets[len(r.sendOffsets)-1] + time.Second
 	tr := &trace.Trace{
@@ -562,7 +561,6 @@ func (r *Report) CompareSim(s SimSpec) (*SimComparison, error) {
 		Trace:        tr,
 		Seed:         s.Seed,
 		SyncPeriod:   s.SyncPeriod,
-		BatchFrac:    s.BatchFrac,
 		FixedWorkers: s.Workers,
 		JitterPct:    -1, // live batches take exactly the profiled duration
 		NetDelay:     -1, // live hops are in-process: explicitly zero, not the 1 ms default

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,6 +23,18 @@ func scanLeastLoaded(m *module) int {
 		}
 	}
 	return best
+}
+
+// TestNewRefusesWorkerCounts: a module with no worker would drop every
+// request, and a negative or huge count once sized a pool's slabs into a
+// panic (the live server's -workers reaches New unchecked).
+func TestNewRefusesWorkerCounts(t *testing.T) {
+	for _, bad := range []int{0, -1, PoolLimit + 1} {
+		_, err := New(Config{Spec: pipeline.TM(), Lib: profile.DefaultLibrary(), Workers: []int{1, bad, 1}}, NewManualExecutor())
+		if err == nil || !strings.Contains(err.Error(), "workers outside") {
+			t.Errorf("New with %d workers for module 1 = %v, want a refusal", bad, err)
+		}
+	}
 }
 
 // TestDispatchTableTracksWorkers steps a cluster one event at a time through

@@ -92,10 +92,10 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 		jitter:      c.jitter,
 		execRng:     rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "exec"))),
 		statRng:     statRng,
-		qWin:        stats.NewSlidingWindow(c.cfg.QueueWindow),
-		wclWin:      stats.NewSlidingWindow(c.cfg.QueueWindow),
-		waitRes:     stats.NewReservoir(c.cfg.WaitReservoir, statRng),
-		rateWin:     stats.NewRateWindow(c.cfg.QueueWindow),
+		qWin:        stats.NewSlidingWindow(queueWindow),
+		wclWin:      stats.NewSlidingWindow(queueWindow),
+		waitRes:     stats.NewReservoir(waitReservoir, statRng),
+		rateWin:     stats.NewRateWindow(queueWindow),
 		inWin:       stats.NewRateWindow(inputRateSpan),
 		workers:     make([]*worker, 0, workers),
 		loads:       make([]int32, 0, workers),
@@ -119,8 +119,15 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 	return m
 }
 
-// inputRateSpan is the horizon of the fast T_in window priority control reads.
-const inputRateSpan = 2 * time.Second
+// A module's State Planner statistics: inputRateSpan is the horizon of the
+// fast T_in window priority control reads, queueWindow the span of the
+// queueing-delay, WCL and rate windows (§4.2 footnote 4), and waitReservoir
+// the size of the batch-wait sample reservoir.
+const (
+	inputRateSpan = 2 * time.Second
+	queueWindow   = 5 * time.Second
+	waitReservoir = 512
+)
 
 // depqRoom is a DEPQ worker queue's room before it grows onto an array of its
 // own. A worker keeping up holds at most one queued request (the rest wait in

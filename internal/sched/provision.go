@@ -72,6 +72,31 @@ type Failure struct {
 	Count  int
 }
 
+// BatchFrac is the SLO share one pass of pure execution may take when target
+// batch sizes are chosen: module k's execution budget is
+// SLO·BatchFrac·d₁(k)/Σd₁, the paper-like regime where one execution pass
+// consumes half the SLO.
+const BatchFrac = 0.5
+
+// PoolLimit bounds a module's worker count. The paper's whole cluster has 64
+// GPUs; the bound is there so that a malformed count, such as one in a job
+// off the wire, cannot size a pool's slabs past memory.
+const PoolLimit = 1 << 12
+
+// CheckWorkers requires one worker count per module of an n-module pipeline,
+// each in [1, PoolLimit]: a module with no worker would drop every request.
+func CheckWorkers(counts []int, n int) error {
+	if len(counts) != n {
+		return fmt.Errorf("%d worker counts for %d modules", len(counts), n)
+	}
+	for k, w := range counts {
+		if w < 1 || w > PoolLimit {
+			return fmt.Errorf("module %d: %d workers outside [1, %d]", k, w, PoolLimit)
+		}
+	}
+	return nil
+}
+
 // TargetBatches picks each module's target batch size: the largest batch
 // whose profiled duration fits the module's share of the execution budget
 // SLO·frac, distributed proportionally to single-request durations. It

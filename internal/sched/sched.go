@@ -47,31 +47,21 @@ type Config struct {
 	// stream (drawn only in serial contexts: sync ticks and source-module
 	// admission).
 	Seed int64
-	// BatchFrac sets the SLO share available for one pass of pure execution
-	// when choosing target batch sizes (default 0.5).
-	BatchFrac float64
-	// Workers is the initial per-module worker count (required).
+	// Workers is the initial per-module worker count (required, each in
+	// [1, PoolLimit]).
 	Workers []int
-	// QueueWindow is the sliding window for recent queueing delay
-	// (default 5 s, §4.2 footnote 4).
-	QueueWindow time.Duration
-	// WaitReservoir is the per-module batch-wait sample reservoir size
-	// (default 512).
-	WaitReservoir int
 	// NetDelay is the per-hop transfer delay between modules (>= 0).
 	NetDelay time.Duration
 	// JitterPct multiplies execution durations by 1 ± U[0,JitterPct]
 	// (0 disables jitter unless the model profile carries its own).
 	JitterPct float64
-	// Scaling configures the resource scaling engine; ScaleTick is a no-op
-	// unless Scaling.Enabled.
+	// Scaling configures the resource scaling engine, which runs when the
+	// host ticks ScaleTick.
 	Scaling ScalingConfig
 	// Probes selects optional recordings.
 	Probes ProbeConfig
 	// Lambda overrides the PARD estimator quantile when > 0.
 	Lambda float64
-	// EstimatorSamples overrides the Monte-Carlo sample count when > 0.
-	EstimatorSamples int
 	// PriorityWindow overrides the priority smoothing window when > 0.
 	PriorityWindow time.Duration
 
@@ -190,15 +180,6 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 	if cfg.PolicyName == "" {
 		cfg.PolicyName = "pard"
 	}
-	if cfg.BatchFrac <= 0 {
-		cfg.BatchFrac = 0.5
-	}
-	if cfg.QueueWindow <= 0 {
-		cfg.QueueWindow = 5 * time.Second
-	}
-	if cfg.WaitReservoir <= 0 {
-		cfg.WaitReservoir = 512
-	}
 	if cfg.NetDelay < 0 {
 		return nil, fmt.Errorf("sched: negative net delay %v", cfg.NetDelay)
 	}
@@ -206,11 +187,11 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		cfg.Probes.SampleEvery = 1
 	}
 	n := cfg.Spec.N()
-	if len(cfg.Workers) != n {
-		return nil, fmt.Errorf("sched: %d worker counts for %d modules", len(cfg.Workers), n)
+	if err := CheckWorkers(cfg.Workers, n); err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
 	}
 
-	batches, durs, err := TargetBatches(cfg.Spec, cfg.Lib, cfg.BatchFrac)
+	batches, durs, err := TargetBatches(cfg.Spec, cfg.Lib, BatchFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -251,9 +232,6 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 	estCfg := core.DefaultEstimatorConfig()
 	if cfg.Lambda > 0 {
 		estCfg.Lambda = cfg.Lambda
-	}
-	if cfg.EstimatorSamples > 0 {
-		estCfg.Samples = cfg.EstimatorSamples
 	}
 	priCfg := core.DefaultPriorityConfig()
 	if cfg.PriorityWindow > 0 {
@@ -340,7 +318,7 @@ func (c *Cluster) Probes(k int) ModuleProbes {
 // window that outgrows it grows as an unreserved one (the live server's) does.
 func (c *Cluster) Reserve(arrivals []time.Duration) {
 	n := len(arrivals)
-	peakQ := stats.PeakCount(arrivals, c.cfg.QueueWindow)
+	peakQ := stats.PeakCount(arrivals, queueWindow)
 	peakIn := stats.PeakCount(arrivals, inputRateSpan)
 	for _, m := range c.modules {
 		if !c.owns(m.idx) {
@@ -575,13 +553,10 @@ func (c *Cluster) exchangeBoard() error {
 }
 
 // ScaleTick runs one scaling-engine round: per-module demand from recent
-// input rates, granted proportionally under a TotalGPUs budget. No-op when
-// scaling is disabled. In a multi-group topology, as with SyncTick, two
-// scaling ticks must not share one control event.
+// input rates, granted proportionally under a TotalGPUs budget. A host ticks
+// it only when Scaling.Enabled. In a multi-group topology, as with SyncTick,
+// two scaling ticks must not share one control event.
 func (c *Cluster) ScaleTick(now time.Duration) {
-	if !c.cfg.Scaling.Enabled {
-		return
-	}
 	c.control(func() {
 		desired := c.desired
 		clear(desired)

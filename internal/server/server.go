@@ -32,6 +32,10 @@ import (
 	"pard/internal/sched"
 )
 
+// DefaultSyncPeriod is the live state-synchronization interval: the live
+// server favors responsiveness over the paper's 1 s.
+const DefaultSyncPeriod = 250 * time.Millisecond
+
 // Config describes a live serving deployment.
 type Config struct {
 	Spec *pipeline.Spec
@@ -40,11 +44,9 @@ type Config struct {
 	PolicyName string
 	// Workers is the per-module worker count (default 2 each).
 	Workers []int
-	// SyncPeriod is the state-synchronization interval (default 250 ms; the
-	// live demo favors responsiveness over the paper's 1 s).
+	// SyncPeriod is the state-synchronization interval (default
+	// DefaultSyncPeriod).
 	SyncPeriod time.Duration
-	// BatchFrac as in the simulator (default 0.5).
-	BatchFrac float64
 	// NetDelay is the per-hop transfer delay between modules (default 0:
 	// in-process hops are immediate).
 	NetDelay time.Duration
@@ -53,9 +55,6 @@ type Config struct {
 	JitterPct float64
 	// Seed drives the core's deterministic random streams.
 	Seed int64
-	// Scaling optionally enables the autoscaling engine (zero = fixed
-	// worker counts).
-	Scaling sched.ScalingConfig
 	// Probes selects optional core recordings (diagnostics and tests).
 	Probes sched.ProbeConfig
 	// Exec overrides the executor driving the core. Nil selects the paced
@@ -188,10 +187,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.PolicyName = "pard"
 	}
 	if cfg.SyncPeriod <= 0 {
-		cfg.SyncPeriod = 250 * time.Millisecond
-	}
-	if cfg.BatchFrac <= 0 {
-		cfg.BatchFrac = 0.5
+		cfg.SyncPeriod = DefaultSyncPeriod
 	}
 	n := cfg.Spec.N()
 	if cfg.Workers == nil {
@@ -199,9 +195,6 @@ func New(cfg Config) (*Server, error) {
 		for i := range cfg.Workers {
 			cfg.Workers[i] = 2
 		}
-	}
-	if len(cfg.Workers) != n {
-		return nil, fmt.Errorf("server: %d worker counts for %d modules", len(cfg.Workers), n)
 	}
 	if cfg.MaxInFlight < 0 {
 		return nil, fmt.Errorf("server: max in-flight %d < 0", cfg.MaxInFlight)
@@ -222,11 +215,9 @@ func New(cfg Config) (*Server, error) {
 		Lib:        cfg.Lib,
 		PolicyName: cfg.PolicyName,
 		Seed:       cfg.Seed,
-		BatchFrac:  cfg.BatchFrac,
 		Workers:    cfg.Workers,
 		NetDelay:   cfg.NetDelay,
 		JitterPct:  cfg.JitterPct,
-		Scaling:    cfg.Scaling,
 		Probes:     cfg.Probes,
 		OnDone:     s.onDone,
 		OnDrop:     s.onDrop,
@@ -241,8 +232,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start launches the periodic state-synchronization (and, when enabled,
-// scaling) loops on the executor.
+// Start launches the periodic state-synchronization loop on the executor; it
+// runs until the server stops.
 func (s *Server) Start() {
 	s.pmu.Lock()
 	if s.started || s.stopped {
@@ -252,10 +243,16 @@ func (s *Server) Start() {
 	s.started = true
 	s.pmu.Unlock()
 
-	s.every(s.cfg.SyncPeriod, "sync", s.cl.SyncTick)
-	if s.cfg.Scaling.Enabled {
-		s.every(s.cfg.Scaling.Period, "scale", s.cl.ScaleTick)
+	period := s.cfg.SyncPeriod
+	var tick func(now time.Duration)
+	tick = func(now time.Duration) {
+		if s.isStopped() {
+			return
+		}
+		s.cl.SyncTick(now)
+		s.exec.Schedule(now+period, "sync", tick)
 	}
+	s.exec.Schedule(s.exec.Now()+period, "sync", tick)
 }
 
 // admitNow reports whether an arrival fits under the MaxInFlight bound: one
@@ -263,19 +260,6 @@ func (s *Server) Start() {
 func (s *Server) admitNow() bool {
 	m := s.cfg.MaxInFlight
 	return m == 0 || s.inFlight.Load() < int64(m)
-}
-
-// every runs fn on the executor each period until the server stops.
-func (s *Server) every(period time.Duration, name string, fn func(now time.Duration)) {
-	var tick func(now time.Duration)
-	tick = func(now time.Duration) {
-		if s.isStopped() {
-			return
-		}
-		fn(now)
-		s.exec.Schedule(now+period, name, tick)
-	}
-	s.exec.Schedule(s.exec.Now()+period, name, tick)
 }
 
 func (s *Server) isStopped() bool {

@@ -2,6 +2,8 @@ package simgpu
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"pard/internal/pipeline"
@@ -36,17 +38,8 @@ type Config struct {
 	Trace      *trace.Trace
 	Seed       int64
 
-	// BatchFrac sets the SLO share available for one pass of pure execution
-	// when choosing target batch sizes: the per-module execution budget is
-	// SLO·BatchFrac·d₁(k)/Σd₁. Default 0.5 (the paper-like regime where one execution pass consumes half the SLO).
-	BatchFrac float64
 	// SyncPeriod is the state-synchronization interval (default 1 s, §5.4).
 	SyncPeriod time.Duration
-	// QueueWindow is the sliding window for recent queueing delay
-	// (default 5 s, §4.2 footnote 4).
-	QueueWindow time.Duration
-	// WaitReservoir is the per-module batch-wait sample reservoir size.
-	WaitReservoir int
 	// NetDelay is the per-hop transfer delay between modules. Zero selects
 	// the 1 ms default; a negative value requests an explicit zero delay
 	// (in-process hops, e.g. the live server's simulator twin) — mirroring
@@ -66,8 +59,6 @@ type Config struct {
 	Failures []Failure
 	// Lambda overrides the PARD estimator quantile when > 0 (Fig. 14c).
 	Lambda float64
-	// EstimatorSamples overrides the Monte-Carlo sample count when > 0.
-	EstimatorSamples int
 	// PriorityWindow overrides the priority smoothing window when > 0
 	// (Fig. 14d).
 	PriorityWindow time.Duration
@@ -115,17 +106,8 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Trace == nil || out.Trace.Len() == 0 {
 		return out, fmt.Errorf("simgpu: config needs a non-empty trace")
 	}
-	if out.BatchFrac <= 0 {
-		out.BatchFrac = 0.5
-	}
 	if out.SyncPeriod <= 0 {
 		out.SyncPeriod = time.Second
-	}
-	if out.QueueWindow <= 0 {
-		out.QueueWindow = 5 * time.Second
-	}
-	if out.WaitReservoir <= 0 {
-		out.WaitReservoir = 512
 	}
 	if out.NetDelay == 0 {
 		out.NetDelay = time.Millisecond
@@ -138,6 +120,15 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.JitterPct < 0 {
 		out.JitterPct = 0
+	}
+	if !(out.JitterPct <= 1) {
+		return out, fmt.Errorf("simgpu: JitterPct %v above 1 would draw negative durations", out.JitterPct)
+	}
+	if !(out.Lambda >= 0 && out.Lambda <= 1) {
+		return out, fmt.Errorf("simgpu: Lambda %v outside [0, 1]", out.Lambda)
+	}
+	if a := out.Trace.Arrivals; !slices.IsSorted(a) || a[0] < 0 {
+		return out, fmt.Errorf("simgpu: trace arrivals must be sorted and non-negative")
 	}
 	if out.Scaling == (ScalingConfig{}) {
 		out.Scaling = DefaultScaling()
@@ -157,8 +148,9 @@ func (c *Config) withDefaults() (Config, error) {
 		return out, fmt.Errorf("simgpu: negative shard count %d", out.Shards)
 	}
 	if out.Remote != nil {
-		if out.Remote.Groups < 2 || out.Remote.Group < 0 || out.Remote.Group >= out.Remote.Groups {
-			return out, fmt.Errorf("simgpu: remote lane group %d/%d out of range", out.Remote.Group, out.Remote.Groups)
+		// At most one lane group per module.
+		if rt := out.Remote; rt.Groups < 2 || rt.Groups > out.Spec.N() || rt.Group < 0 || rt.Group >= rt.Groups {
+			return out, fmt.Errorf("simgpu: remote lane group %d/%d out of range for %d modules", rt.Group, rt.Groups, out.Spec.N())
 		}
 		if out.Remote.Transport == nil {
 			return out, fmt.Errorf("simgpu: remote topology needs a transport")
@@ -168,11 +160,30 @@ func (c *Config) withDefaults() (Config, error) {
 		out.Shards = 1 // sequential
 	}
 	if out.FixedWorkers != nil {
-		if len(out.FixedWorkers) != out.Spec.N() {
-			return out, fmt.Errorf("simgpu: %d fixed worker counts for %d modules",
-				len(out.FixedWorkers), out.Spec.N())
+		if err := sched.CheckWorkers(out.FixedWorkers, out.Spec.N()); err != nil {
+			return out, fmt.Errorf("simgpu: FixedWorkers: %w", err)
 		}
 		out.Scaling.Enabled = false
+	} else if err := checkScaling(out.Scaling); err != nil {
+		return out, err
 	}
 	return out, nil
+}
+
+// checkScaling range-checks what provisioning and the scaling engine read.
+// A configuration with pinned workers reads none of it.
+func checkScaling(sc ScalingConfig) error {
+	switch {
+	case sc.MaxWorkers < 1 || sc.MaxWorkers > sched.PoolLimit:
+		return fmt.Errorf("simgpu: Scaling.MaxWorkers %d outside [1, %d]", sc.MaxWorkers, sched.PoolLimit)
+	case sc.MinWorkers < 1 || sc.MinWorkers > sc.MaxWorkers:
+		return fmt.Errorf("simgpu: Scaling.MinWorkers %d outside [1, MaxWorkers %d]", sc.MinWorkers, sc.MaxWorkers)
+	case !(sc.Headroom > 0) || math.IsInf(sc.Headroom, 1):
+		return fmt.Errorf("simgpu: Scaling.Headroom %v is not a positive factor", sc.Headroom)
+	case sc.ColdStart < 0:
+		return fmt.Errorf("simgpu: Scaling.ColdStart %v < 0", sc.ColdStart)
+	case sc.Enabled && sc.Period <= 0:
+		return fmt.Errorf("simgpu: Scaling.Period %v must be positive", sc.Period)
+	}
+	return nil
 }

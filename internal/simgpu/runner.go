@@ -77,7 +77,7 @@ func New(cfg Config) (*Runner, error) {
 	// left to the scaling engine.
 	workers := full.FixedWorkers
 	if workers == nil {
-		batches, _, err := sched.TargetBatches(full.Spec, full.Lib, full.BatchFrac)
+		batches, _, err := sched.TargetBatches(full.Spec, full.Lib, sched.BatchFrac)
 		if err != nil {
 			return nil, err
 		}
@@ -112,24 +112,20 @@ func New(cfg Config) (*Runner, error) {
 		r.shx = sched.NewShardedExecutor(full.Spec.N(), full.Shards, full.NetDelay)
 	}
 	cl, err := sched.New(sched.Config{
-		Spec:             full.Spec,
-		Lib:              full.Lib,
-		PolicyName:       full.PolicyName,
-		Seed:             full.Seed,
-		BatchFrac:        full.BatchFrac,
-		Workers:          workers,
-		QueueWindow:      full.QueueWindow,
-		WaitReservoir:    full.WaitReservoir,
-		NetDelay:         full.NetDelay,
-		JitterPct:        full.JitterPct,
-		Scaling:          full.Scaling,
-		Probes:           full.Probes,
-		Lambda:           full.Lambda,
-		EstimatorSamples: full.EstimatorSamples,
-		PriorityWindow:   full.PriorityWindow,
-		OnDone:           r.onDone,
-		OnDrop:           r.onDrop,
-		Resolve:          r.resolveRequest,
+		Spec:           full.Spec,
+		Lib:            full.Lib,
+		PolicyName:     full.PolicyName,
+		Seed:           full.Seed,
+		Workers:        workers,
+		NetDelay:       full.NetDelay,
+		JitterPct:      full.JitterPct,
+		Scaling:        full.Scaling,
+		Probes:         full.Probes,
+		Lambda:         full.Lambda,
+		PriorityWindow: full.PriorityWindow,
+		OnDone:         r.onDone,
+		OnDrop:         r.onDrop,
+		Resolve:        r.resolveRequest,
 	}, r.shx)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package simgpu
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,18 +34,56 @@ func runLV(t *testing.T, pol string, tr *trace.Trace, mutate func(*Config)) *Res
 	return res
 }
 
+// TestConfigValidation: New refuses a malformed config with an error that
+// names what is wrong, and never panics. Every value past the first four
+// reaches a spoke in a simulation job off the wire, and each once panicked
+// inside Run or built a cluster that dropped every request.
 func TestConfigValidation(t *testing.T) {
-	tr := steadyTrace(50, 5*time.Second, 1)
-	bad := []Config{
-		{},
-		{Spec: pipeline.LV()},
-		{Spec: pipeline.LV(), Trace: tr, PolicyName: "bogus"},
-		{Spec: pipeline.LV(), Trace: tr, FixedWorkers: []int{1, 2}},
-	}
-	for i, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
-			t.Fatalf("config %d accepted", i)
+	tr := steadyTrace(50, 2*time.Second, 1)
+	scaling := func(mod func(*ScalingConfig)) func(*Config) {
+		return func(c *Config) {
+			c.Scaling = DefaultScaling()
+			mod(&c.Scaling)
 		}
+	}
+	cases := []struct {
+		name string
+		mod  func(*Config)
+		want string
+	}{
+		{"no-spec", func(c *Config) { c.Spec = nil }, "pipeline spec"},
+		{"no-trace", func(c *Config) { c.Trace = nil }, "non-empty trace"},
+		{"unknown-policy", func(c *Config) { c.PolicyName = "bogus" }, "bogus"},
+		{"fixed-workers-short", func(c *Config) { c.FixedWorkers = []int{1, 2} }, "FixedWorkers: 2 worker counts"},
+		{"fixed-workers-negative", func(c *Config) { c.FixedWorkers = []int{-1, 1, 1, 1, 1} }, "FixedWorkers"},
+		{"fixed-workers-zero", func(c *Config) { c.FixedWorkers = []int{1, 1, 0, 1, 1} }, "FixedWorkers"},
+		{"fixed-workers-past-limit", func(c *Config) { c.FixedWorkers = []int{1, 1, 1, 1, sched.PoolLimit + 1} }, "FixedWorkers"},
+		{"max-workers-negative", scaling(func(sc *ScalingConfig) { sc.MaxWorkers = -3 }), "Scaling.MaxWorkers"},
+		{"min-workers-above-max", scaling(func(sc *ScalingConfig) { sc.MinWorkers = sc.MaxWorkers + 1 }), "Scaling.MinWorkers"},
+		{"headroom-nan", scaling(func(sc *ScalingConfig) { sc.Headroom = math.NaN() }), "Scaling.Headroom"},
+		{"cold-start-negative", scaling(func(sc *ScalingConfig) { sc.ColdStart = -time.Second }), "Scaling.ColdStart"},
+		{"scale-period-negative", scaling(func(sc *ScalingConfig) { sc.Period = -1 }), "Scaling.Period"},
+		{"lambda-above-one", func(c *Config) { c.Lambda = 5 }, "Lambda"},
+		{"lambda-nan", func(c *Config) { c.Lambda = math.NaN() }, "Lambda"},
+		{"jitter-above-one", func(c *Config) { c.JitterPct = 2 }, "JitterPct"},
+		{"arrivals-out-of-order", func(c *Config) {
+			c.Trace = &trace.Trace{Arrivals: []time.Duration{time.Second, 0}, Duration: 2 * time.Second}
+		}, "trace arrivals"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Spec: pipeline.LV(), Trace: tr}
+			tc.mod(&cfg)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("New panicked: %v", p)
+				}
+			}()
+			_, err := New(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 
