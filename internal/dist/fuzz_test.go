@@ -81,7 +81,9 @@ func FuzzWorkUnit(f *testing.F) {
 // exchangeSeeds are frames a real session carries: an empty-drain barrier, a
 // barrier with posts, intents, charges and merge resets from both groups, an
 // opening step, a five-module board with full 512-sample reservoirs, a
-// scaling round and a finish with probe series.
+// scaling round and a finish with probe series — and two a hostile peer
+// sends, which once panicked the replica reading them: a board row and a
+// post naming modules 99 and 1000 of five.
 func exchangeSeeds() [][]byte {
 	frame := func(seq uint64, kind uint8, n int, body func([]byte) []byte) []byte {
 		return body(appendExchangeHeader(nil, seq, kind, n))
@@ -136,7 +138,47 @@ func exchangeSeeds() [][]byte {
 				{Mod: 3, Peak: 8},
 			}})
 		}),
+		frame(1202, simKindBoard, 1, func(b []byte) []byte {
+			return appendBoard(b, sched.BoardMsg{Group: 1, Rows: []sched.WireBoardRow{{Mod: 99}}})
+		}),
+		frame(978, simKindBarrier, 1, func(b []byte) []byte {
+			return appendBarrier(b, sched.BarrierMsg{Group: 1, Posts: []sched.WirePost{{At: 1044 * ms, Src: 1, Dst: 1000, Req: 311}}})
+		}),
 	}
+}
+
+// namedModules lists the module indices a decoded message names: those of
+// posts, intents, charges and merge resets, and — owned, one per module its
+// sender holds — those of board and scaling rows and of reports.
+func namedModules(msg any) (named, owned []int32) {
+	switch m := msg.(type) {
+	case *sched.BarrierMsg:
+		for _, p := range m.Posts {
+			named = append(named, p.Src, p.Dst)
+		}
+		for _, it := range m.Intents {
+			named = append(named, it.Mod)
+		}
+		for _, c := range m.Charges {
+			named = append(named, c.Mod)
+		}
+		for _, mr := range m.Merges {
+			named = append(named, mr.Mod)
+		}
+	case *sched.BoardMsg:
+		for _, r := range m.Rows {
+			owned = append(owned, r.Mod)
+		}
+	case *sched.ScaleMsg:
+		for _, r := range m.Rows {
+			owned = append(owned, r.Mod)
+		}
+	case *sched.FinishMsg:
+		for _, r := range m.Reports {
+			owned = append(owned, r.Mod)
+		}
+	}
+	return named, owned
 }
 
 // decodedElems counts every slice element a decoded message holds.
@@ -193,6 +235,31 @@ func fuzzExchangeKind[T any](t *testing.T, k *wireKind[T], data []byte, seq uint
 	if !bytes.Equal(data, again) {
 		t.Fatalf("%s: frame decodes but re-encodes differently:\n in  %x\n out %x", simKindName(k.kind), data, again)
 	}
+	// A session of five modules checks what it decoded: a spoke's envelope
+	// as lane group 1's of two, a reply's slot i as group i's of arity.
+	shape := wireShape{mods: 5, groups: max(arity, 2)}
+	for i := range into {
+		g := i
+		if arity == 1 {
+			g = 1
+		}
+		if k.check(shape, &into[i], g) != nil {
+			continue
+		}
+		named, owned := namedModules(&into[i])
+		seen := map[int32]bool{}
+		for _, mod := range append(named, owned...) {
+			if mod < 0 || int(mod) >= shape.mods {
+				t.Fatalf("%s: group %d's message passed the check naming module %d of %d", simKindName(k.kind), g, mod, shape.mods)
+			}
+		}
+		for _, mod := range owned {
+			if int(mod)%shape.groups != g || seen[mod] {
+				t.Fatalf("%s: group %d's message passed the check with a row for module %d (owner %d, seen before %t)", simKindName(k.kind), g, mod, int(mod)%shape.groups, seen[mod])
+			}
+			seen[mod] = true
+		}
+	}
 }
 
 // FuzzSimExchange fuzzes the lockstep phase's one decode surface — the
@@ -200,7 +267,9 @@ func fuzzExchangeKind[T any](t *testing.T, k *wireKind[T], data []byte, seq uint
 // (arity = groups) — for all five kinds. Arbitrary bytes must never panic,
 // never decode into more elements than the frame has bytes, and whatever
 // decodes must re-encode to the identical bytes (the format is canonical:
-// minimal varints, 0/1 booleans, no trailing bytes).
+// minimal varints, 0/1 booleans, no trailing bytes). A message that passes
+// the session's shape check names only modules in range, and rows only for
+// modules its sender owns, each once.
 func FuzzSimExchange(f *testing.F) {
 	for _, seed := range exchangeSeeds() {
 		f.Add(seed)

@@ -149,7 +149,7 @@ func (s *simStats) String() string {
 type simSession struct {
 	mu      sync.Mutex
 	conns   []*framed // every connection of this end; all closed on failure
-	groups  int
+	shape   wireShape // every decoded message is checked against it
 	timeout time.Duration
 	seq     uint64
 	err     error
@@ -166,16 +166,16 @@ type simSession struct {
 	scales   []sched.ScaleMsg
 }
 
-func newSimSession(conns []*framed, groups int, timeout time.Duration) simSession {
+func newSimSession(conns []*framed, shape wireShape, timeout time.Duration) simSession {
 	return simSession{
 		conns:    conns,
-		groups:   groups,
+		shape:    shape,
 		timeout:  timeout,
 		tx:       make([]byte, frameHeaderLen, rxInitial),
-		steps:    make([]sched.StepMsg, groups),
-		barriers: make([]sched.BarrierMsg, groups),
-		boards:   make([]sched.BoardMsg, groups),
-		scales:   make([]sched.ScaleMsg, groups),
+		steps:    make([]sched.StepMsg, shape.groups),
+		barriers: make([]sched.BarrierMsg, shape.groups),
+		boards:   make([]sched.BoardMsg, shape.groups),
+		scales:   make([]sched.ScaleMsg, shape.groups),
 	}
 }
 
@@ -234,8 +234,8 @@ type simHub struct{ simSession }
 // hubExchange runs one gather/broadcast round into reply, which has one slot
 // per lane group. The merged reply holds the hub's own contribution at index
 // 0 and spoke i's at index i+1 — slot position is authoritative, and a frame
-// claiming a different group, the wrong kind, or a skewed sequence number
-// kills the session.
+// claiming a different group, the wrong kind, a skewed sequence number, or a
+// module outside the session's shape kills the session.
 func hubExchange[T any](h *simHub, k *wireKind[T], own T, reply []T) ([]T, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -245,18 +245,19 @@ func hubExchange[T any](h *simHub, k *wireKind[T], own T, reply []T) ([]T, error
 	h.seq++
 	h.stats.exchanges[k.kind]++
 	reply[0] = own
-	for g := range reply {
-		if g > 0 {
-			payload, err := h.read(h.conns[g-1])
-			if err == nil {
-				err = decodeExchange(&h.rd, payload, k, h.seq, reply[g:g+1])
-			}
-			if err != nil {
-				return nil, h.fail(fmt.Errorf("dist: sim %s exchange: lane group %d: %w", simKindName(k.kind), g, err))
-			}
+	for g := 1; g < len(reply); g++ {
+		payload, err := h.read(h.conns[g-1])
+		if err == nil {
+			err = decodeExchange(&h.rd, payload, k, h.seq, reply[g:g+1])
+		}
+		if err != nil {
+			return nil, h.fail(fmt.Errorf("dist: sim %s exchange: lane group %d: %w", simKindName(k.kind), g, err))
 		}
 		if got := k.group(&reply[g]); int(got) != g {
 			return nil, h.fail(fmt.Errorf("dist: sim %s exchange: connection slot %d claims to be lane group %d", simKindName(k.kind), g, got))
+		}
+		if err := k.check(h.shape, &reply[g], g); err != nil {
+			return nil, h.fail(fmt.Errorf("dist: sim %s exchange: lane group %d: %w", simKindName(k.kind), g, err))
 		}
 	}
 	h.tx = appendExchangeHeader(h.tx[:frameHeaderLen], h.seq, k.kind, len(reply))
@@ -288,7 +289,7 @@ func (h *simHub) Scale(m sched.ScaleMsg) ([]sched.ScaleMsg, error) {
 }
 
 func (h *simHub) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {
-	return hubExchange(h, &finishWire, m, make([]sched.FinishMsg, h.groups))
+	return hubExchange(h, &finishWire, m, make([]sched.FinishMsg, h.shape.groups))
 }
 
 // simSpoke is a remote lane group's Transport: send the contribution, read
@@ -297,7 +298,7 @@ type simSpoke struct{ simSession }
 
 // spokeExchange sends own and decodes the hub's broadcast into reply, which
 // has one slot per lane group: exactly that many contributions, each in the
-// slot of the group it names.
+// slot of the group it names and within the session's shape.
 func spokeExchange[T any](s *simSpoke, k *wireKind[T], own T, reply []T) ([]T, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -322,6 +323,9 @@ func spokeExchange[T any](s *simSpoke, k *wireKind[T], own T, reply []T) ([]T, e
 		if got := k.group(&reply[g]); int(got) != g {
 			return nil, s.fail(fmt.Errorf("dist: sim %s exchange: hub put lane group %d in slot %d", simKindName(k.kind), got, g))
 		}
+		if err := k.check(s.shape, &reply[g], g); err != nil {
+			return nil, s.fail(fmt.Errorf("dist: sim %s exchange: lane group %d: %w", simKindName(k.kind), g, err))
+		}
 	}
 	return reply, nil
 }
@@ -343,7 +347,7 @@ func (s *simSpoke) Scale(m sched.ScaleMsg) ([]sched.ScaleMsg, error) {
 }
 
 func (s *simSpoke) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {
-	return spokeExchange(s, &finishWire, m, make([]sched.FinishMsg, s.groups))
+	return spokeExchange(s, &finishWire, m, make([]sched.FinishMsg, s.shape.groups))
 }
 
 // RunSimDistributed runs cfg as a cross-host lockstep simulation: this
@@ -372,6 +376,9 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 	if cfg.Remote != nil {
 		return nil, fmt.Errorf("dist: config already carries a lane-group topology; RunSimDistributed assigns its own")
 	}
+	if cfg.Spec == nil {
+		return nil, fmt.Errorf("dist: distributed simulation needs a pipeline spec")
+	}
 	groups := len(conns) + 1
 	if cfg.Lib == nil {
 		cfg.Lib = opts.Library
@@ -391,7 +398,7 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 		opts.Logf("dist: sim session open: %d lane groups (hub + %d remote)", groups, len(conns))
 	}
 
-	hub := &simHub{newSimSession(peers, groups, opts.ExchangeTimeout)}
+	hub := &simHub{newSimSession(peers, wireShape{mods: cfg.Spec.N(), groups: groups}, opts.ExchangeTimeout)}
 	cfg.Remote = &simgpu.RemoteTopology{Groups: groups, Group: 0, Transport: hub}
 	res, err := simgpu.Run(cfg)
 	if opts.Logf != nil {
@@ -431,7 +438,7 @@ func serveLaneGroup(p *pendingSession, opts SimOptions) (*simgpu.Result, error) 
 		return nil, p.refuse(err.Error())
 	}
 	// Sized by the hello's group count: made only once the job is valid.
-	spoke.simSession = newSimSession([]*framed{p.f}, h.Groups, opts.ExchangeTimeout)
+	spoke.simSession = newSimSession([]*framed{p.f}, wireShape{mods: h.Job.Spec.N(), groups: h.Groups}, opts.ExchangeTimeout)
 	if err := p.accept(0); err != nil {
 		return nil, err
 	}

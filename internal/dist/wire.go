@@ -39,6 +39,10 @@ import (
 // and truncated frames, trailing bytes, unknown kinds and a count other than
 // the expected arity are errors — each of which poisons the session. An
 // empty slice decodes as nil, as it did under gob.
+//
+// A session then checks every decoded message against its simulation's
+// shape (wireShape) before the engine sees it, since the engine indexes its
+// modules with what the peers send.
 
 // Exchange kind tags on the wire; they mirror the sharded executor's
 // rendezvous kinds so lockstep violations carry a readable name.
@@ -452,27 +456,101 @@ func (r *wireReader) finish(m *sched.FinishMsg) {
 	}
 }
 
-// wireKind binds one exchange kind to its codec. Encoders take the message
-// by value and decoders a pointer into the reply slice, so going through the
-// function values moves nothing to the heap.
+// wireShape is what a session knows of its simulation: the module count and
+// the lane-group count. The codec decodes any integer; the checks below
+// refuse a message naming a module outside [0, mods), and a board row,
+// scaling row or report for a module its sender does not own (k % groups) or
+// names twice. Senders emit rows and reports in module order, so a module
+// named twice shows as one not after its predecessor.
+type wireShape struct{ mods, groups int }
+
+// mod checks one module index.
+func (s wireShape) mod(field string, k int32) error {
+	if k < 0 || int(k) >= s.mods {
+		return fmt.Errorf("%s %d outside [0,%d)", field, k, s.mods)
+	}
+	return nil
+}
+
+// ownedRows checks the modules of group's rows or reports: each in range,
+// owned by group, and after the one before.
+func ownedRows[R any](s wireShape, field string, rows []R, mod func(*R) int32, group int) error {
+	prev := int32(-1)
+	for i := range rows {
+		k := mod(&rows[i])
+		if err := s.mod(field, k); err != nil {
+			return err
+		}
+		if owner := int(k) % s.groups; owner != group {
+			return fmt.Errorf("%s %d is lane group %d's module", field, k, owner)
+		}
+		if k <= prev {
+			return fmt.Errorf("%s %d appears twice or out of module order", field, k)
+		}
+		prev = k
+	}
+	return nil
+}
+
+func (s wireShape) checkBarrier(m *sched.BarrierMsg, _ int) error {
+	for i := range m.Posts {
+		if err := s.mod("post Src", m.Posts[i].Src); err != nil {
+			return err
+		}
+		if err := s.mod("post Dst", m.Posts[i].Dst); err != nil {
+			return err
+		}
+	}
+	for i := range m.Intents {
+		if err := s.mod("intent Mod", m.Intents[i].Mod); err != nil {
+			return err
+		}
+	}
+	for i := range m.Charges {
+		if err := s.mod("charge Mod", m.Charges[i].Mod); err != nil {
+			return err
+		}
+	}
+	for i := range m.Merges {
+		if err := s.mod("merge reset Mod", m.Merges[i].Mod); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// wireKind binds one exchange kind to its codec and its shape check. Encoders
+// take the message by value and decoders a pointer into the reply slice, so
+// going through the function values moves nothing to the heap.
 type wireKind[T any] struct {
 	kind  uint8
 	enc   func([]byte, T) []byte
 	dec   func(*wireReader, *T)
 	group func(*T) int32
+	check func(wireShape, *T, int) error // the message is from the lane group given
 }
 
 var (
 	stepWire = wireKind[sched.StepMsg]{simKindStep, appendStep, (*wireReader).step,
-		func(m *sched.StepMsg) int32 { return m.Group }}
+		func(m *sched.StepMsg) int32 { return m.Group },
+		func(wireShape, *sched.StepMsg, int) error { return nil }}
 	barrierWire = wireKind[sched.BarrierMsg]{simKindBarrier, appendBarrier, (*wireReader).barrier,
-		func(m *sched.BarrierMsg) int32 { return m.Group }}
+		func(m *sched.BarrierMsg) int32 { return m.Group }, wireShape.checkBarrier}
 	boardWire = wireKind[sched.BoardMsg]{simKindBoard, appendBoard, (*wireReader).board,
-		func(m *sched.BoardMsg) int32 { return m.Group }}
+		func(m *sched.BoardMsg) int32 { return m.Group },
+		func(s wireShape, m *sched.BoardMsg, g int) error {
+			return ownedRows(s, "board row Mod", m.Rows, func(r *sched.WireBoardRow) int32 { return r.Mod }, g)
+		}}
 	scaleWire = wireKind[sched.ScaleMsg]{simKindScale, appendScale, (*wireReader).scale,
-		func(m *sched.ScaleMsg) int32 { return m.Group }}
+		func(m *sched.ScaleMsg) int32 { return m.Group },
+		func(s wireShape, m *sched.ScaleMsg, g int) error {
+			return ownedRows(s, "scale row Mod", m.Rows, func(r *sched.WireScaleRow) int32 { return r.Mod }, g)
+		}}
 	finishWire = wireKind[sched.FinishMsg]{simKindFinish, appendFinish, (*wireReader).finish,
-		func(m *sched.FinishMsg) int32 { return m.Group }}
+		func(m *sched.FinishMsg) int32 { return m.Group },
+		func(s wireShape, m *sched.FinishMsg, g int) error {
+			return ownedRows(s, "report Mod", m.Reports, func(r *sched.ModuleReport) int32 { return r.Mod }, g)
+		}}
 )
 
 // appendExchangeHeader starts an exchange frame's payload; count encoded

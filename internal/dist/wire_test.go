@@ -229,8 +229,8 @@ func wirePair(t testing.TB) (*simHub, *simSpoke) {
 	if spokeConn == nil {
 		t.Fatal("dial failed")
 	}
-	hub := &simHub{newSimSession([]*framed{newFramed(hubConn)}, 2, 10*time.Second)}
-	spoke := &simSpoke{newSimSession([]*framed{newFramed(spokeConn)}, 2, 10*time.Second)}
+	hub := &simHub{newSimSession([]*framed{newFramed(hubConn)}, wireShape{mods: 5, groups: 2}, 10*time.Second)}
+	spoke := &simSpoke{newSimSession([]*framed{newFramed(spokeConn)}, wireShape{mods: 5, groups: 2}, 10*time.Second)}
 	t.Cleanup(func() { hub.Abort(nil); spoke.Abort(nil); hubConn.Close(); spokeConn.Close() })
 	return hub, spoke
 }

@@ -228,14 +228,14 @@ func TestAllocsMailboxCommit(t *testing.T) {
 	req := &Request{ID: 1}
 	b.add(0, req, 1, true)
 	b.add(1, req, 1, false)
-	b.commit()
+	b.commit(nil)
 
 	now := time.Duration(1)
 	avg = testing.AllocsPerRun(200, func() {
 		req.Dropped, req.Finished = false, false
 		b.add(0, req, now, true)
 		b.add(1, req, now+1, false)
-		b.commit()
+		b.commit(nil)
 		now++
 	})
 	if avg != 0 {

@@ -21,10 +21,14 @@ import (
 //     Request state — and the order of host OnDrop/OnDone callbacks — is a
 //     pure function of the workload, independent of shard count.
 //
-// The sequential executor path (a ShardedExecutor with one shard) runs the
-// exact same machinery single-threaded, which is what makes "sharded ≡
-// sequential" hold by construction and lets the differential harness verify
-// it empirically.
+// Intents are the only way a lane-mode termination commits, wherever it was
+// decided — in a window or in a control event — and at any lane-group count:
+// the executor runs the cluster's barrier hook after every window and after
+// every control event, and the hook commits one merge of this replica's own
+// intents with the peers' wire intents (none on a single group). A
+// ShardedExecutor with one shard runs the exact same machinery
+// single-threaded, which is what makes "sharded ≡ sequential" hold by
+// construction and lets the differential harness verify it empirically.
 
 // post is one cross-lane event in flight.
 type post struct {
@@ -47,24 +51,6 @@ func sortPosts(posts []post) {
 		}
 		return cmp.Compare(a.src, b.src)
 	})
-}
-
-// laneScheduler is what a lane-aware executor offers the cluster beyond
-// Executor: a barrier hook for intent commits and a fan-out over its lanes.
-// *ShardedExecutor implements it; the global-queue executors (TimerExecutor,
-// ManualExecutor) do not, and on them the cluster commits terminations
-// immediately.
-type laneScheduler interface {
-	Executor
-	// setBarrierHook registers the cluster's barrier commit; a non-nil
-	// error aborts the run (multi-group transport failures).
-	setBarrierHook(func() error)
-	// parallelLanes fans a lane-local function out over all lanes from
-	// control context.
-	parallelLanes(fn func(lane int))
-	// laneCount returns the executor's lane count (must equal the module
-	// count).
-	laneCount() int
 }
 
 // intent is one deferred request termination.
@@ -120,10 +106,11 @@ func (b *laneBridge) sees(k int, req *Request) bool {
 }
 
 // seesAny reports whether ANY module holds a pending termination for req.
-// Multi-group control context uses it: under a single group, control-context
-// terminations commit immediately and are visible across modules within the
-// same control event; deferred multi-group terminations must reproduce that
-// visibility, so the whole pending set counts.
+// Control context uses it: a control event's terminations commit together
+// when the event ends, yet a termination decided at one module must be
+// visible to every other module within the same event (a scale-induced drop
+// at one module seen by a parallel DAG branch at another), so the whole
+// pending set counts.
 func (b *laneBridge) seesAny(req *Request) bool {
 	for k := range b.retired {
 		if _, ok := b.retired[k][req]; ok {
@@ -133,66 +120,32 @@ func (b *laneBridge) seesAny(req *Request) bool {
 	return false
 }
 
-// encodeIntents drains the pending intents into their wire shape, appending
-// to out, gathered in (module, decision order) — the same order commit's
-// merge would have gathered them. The retired maps stay populated until
-// commitWire applies the merged set (the deciding module must keep seeing
-// its own intents until the commit makes them globally visible).
+// encodeIntents appends the pending intents in their wire shape to out,
+// gathered in (module, decision order) — the order commit gathers them. The
+// intents and the retired maps stay as they are: commit applies and clears
+// them once the peers' intents are in.
 func (b *laneBridge) encodeIntents(out []WireIntent) []WireIntent {
 	for k, list := range b.intents {
 		for _, it := range list {
 			out = append(out, WireIntent{At: it.at, Mod: int32(k), Req: it.req.ID, Drop: it.drop})
 		}
-		b.intents[k] = list[:0]
 	}
 	return out
 }
 
-// commitWire applies the all-gathered intents of every lane group in
-// (virtual time, module, decision order) order — the identical total order
-// a single group's commit produces, because equal (time, module) runs come
-// from exactly one group and the concatenation preserves their decision
-// order. resolve maps wire request IDs onto this group's replica slab.
-func (b *laneBridge) commitWire(all []BarrierMsg, resolve func(uint64) *Request) error {
-	merged := b.scratch[:0]
-	for i := range all {
-		for _, wi := range all[i].Intents {
-			req := resolve(wi.Req)
-			if req == nil {
-				b.scratch = merged[:0]
-				return fmt.Errorf("sched: intent for unknown request %d from group %d", wi.Req, all[i].Group)
-			}
-			merged = append(merged, mergedIntent{intent: intent{at: wi.At, req: req, drop: wi.Drop}, mod: int(wi.Mod)})
-		}
-	}
-	slices.SortStableFunc(merged, func(a, b mergedIntent) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return cmp.Compare(a.mod, b.mod)
-	})
-	for _, m := range merged {
-		if m.drop {
-			b.cl.commitDrop(m.req, m.mod, m.at)
-		} else {
-			b.cl.commitComplete(m.req, m.at)
-		}
-	}
-	b.scratch = merged[:0]
-	for k := range b.retired {
-		clear(b.retired[k])
-	}
-	return nil
-}
-
 // commit applies every deferred termination in (virtual time, module,
-// decision order) order. Committing sets the shared Request flags (making
-// the termination visible to every lane from the next window on), counts the
-// drop against the deciding module, and fires the host callback. The first
-// intent for a request in commit order wins; later ones — a second branch of
-// a DAG deciding to drop the same request inside one window — are no-ops,
-// exactly as under sequential execution.
-func (b *laneBridge) commit() {
+// decision order) order: this replica's own intents, then the peer groups'
+// wire intents from a barrier exchange's reply all (nil on a single group;
+// this group's own entry is skipped, its intents are already in). Equal
+// (time, module) runs come from one module and so from one group, whose
+// decision order the concatenation keeps, so the stable sort gives every
+// replica the total order a single group gives. Committing sets the shared
+// Request flags (making the termination visible to every lane from the next
+// window on), counts the drop against the deciding module, and fires the
+// host callback. The first intent for a request in commit order wins; later
+// ones — a second branch of a DAG deciding to drop the same request inside
+// one window — are no-ops, exactly as under sequential execution.
+func (b *laneBridge) commit(all []BarrierMsg) error {
 	merged := b.scratch[:0]
 	for k, list := range b.intents {
 		for _, it := range list {
@@ -200,9 +153,22 @@ func (b *laneBridge) commit() {
 		}
 		b.intents[k] = list[:0]
 	}
+	for i := range all {
+		if int(all[i].Group) == b.cl.topo.Group {
+			continue
+		}
+		for _, wi := range all[i].Intents {
+			req := b.cl.resolve(wi.Req)
+			if req == nil {
+				b.scratch = merged[:0]
+				return fmt.Errorf("sched: intent for unknown request %d from group %d", wi.Req, all[i].Group)
+			}
+			merged = append(merged, mergedIntent{intent: intent{at: wi.At, req: req, drop: wi.Drop}, mod: int(wi.Mod)})
+		}
+	}
 	if len(merged) == 0 {
 		b.scratch = merged
-		return
+		return nil
 	}
 	slices.SortStableFunc(merged, func(a, b mergedIntent) int {
 		if a.at != b.at {
@@ -223,4 +189,5 @@ func (b *laneBridge) commit() {
 		// instead of re-allocating a map per module per window.
 		clear(b.retired[k])
 	}
+	return nil
 }

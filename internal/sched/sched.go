@@ -105,21 +105,22 @@ type Cluster struct {
 	publishLane func(k int)
 	desired     []int
 
-	// Sharded execution path (nil on global-queue executors): lanes defer
-	// request terminations to barrier commits and exchange cross-module
-	// events through the executor's ordered mailbox.
-	ls     laneScheduler
+	// Lane engine (nil on the global-queue executors): every termination
+	// becomes an intent in bridge, committed by the executor's barrier hook
+	// after each window and each control event; cross-module events travel
+	// through the executor's ordered mailbox.
+	shx    *ShardedExecutor
 	bridge *laneBridge
-	// inControl marks serial control context (sync/scale/failure callbacks
-	// and barrier commits), where terminations apply immediately even in
-	// lane mode. Only ever flipped while every lane is parked.
+	// inControl marks a serial control callback (sync, scaling, injected
+	// failures). Its terminations defer like a window's, but every module of
+	// the event sees all of them at once (see retired). Only ever flipped
+	// while every lane is parked.
 	inControl bool
 
-	// Multi-group topology (nil/zero on single-group and global-queue paths):
+	// Multi-group topology (tr nil on single-group and global-queue paths):
 	// this cluster is one lane-group replica, exchanging board rows,
 	// scaling demands, mailbox posts, charges and termination intents with
 	// its peers through tr. See transport.go for the distribution model.
-	shx     *ShardedExecutor
 	topo    Topology
 	tr      Transport
 	resolve func(uint64) *Request
@@ -133,7 +134,7 @@ type Cluster struct {
 	}
 	wireCur int
 	// boardRows and scaleRows hold this group's rows of the sync and scaling
-	// exchanges. One set suffices: the control flush after every control
+	// exchanges. One set suffices: the barrier hook after every control
 	// event is an exchange, so peers are done with one tick's rows — and
 	// with the board slots a board row's samples point into — before the
 	// next tick rewrites them (see Transport).
@@ -213,19 +214,18 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 	for k := 0; k < n; k++ {
 		c.pathRngs = append(c.pathRngs, rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path"))))
 	}
-	if ls, ok := exec.(laneScheduler); ok {
-		if ls.laneCount() != n {
-			return nil, fmt.Errorf("sched: executor has %d lanes for %d modules", ls.laneCount(), n)
+	if sx, ok := exec.(*ShardedExecutor); ok {
+		if len(sx.lanes) != n {
+			return nil, fmt.Errorf("sched: executor has %d lanes for %d modules", len(sx.lanes), n)
 		}
-		c.ls = ls
+		c.shx = sx
 		c.bridge = newLaneBridge(c, n)
-		ls.setBarrierHook(c.barrier)
-		if sx, ok := exec.(*ShardedExecutor); ok && sx.multi() {
+		sx.setBarrierHook(c.barrier)
+		if sx.tr != nil {
 			if cfg.Resolve == nil {
 				return nil, fmt.Errorf("sched: a %d-group topology needs a Resolve hook (wire requests travel by ID)", sx.topo.Groups)
 			}
-			c.shx, c.topo, c.tr, c.resolve = sx, sx.Topology(), sx.tr, cfg.Resolve
-			sx.setControlHook(c.controlFlush)
+			c.topo, c.tr, c.resolve = sx.topo, sx.tr, cfg.Resolve
 		}
 	}
 
@@ -351,11 +351,11 @@ func (c *Cluster) scheduleEvent(src, dst int, at time.Duration, ev laneEvent) {
 }
 
 // control brackets a serial control-context callback (sync, scaling,
-// injected failures): in single-group lane mode, terminations decided here
-// commit immediately rather than deferring to a barrier. In a multi-group
-// topology they defer and commit at the post-event control flush instead —
-// the deciding group alone knows them, so immediate commits would diverge
-// the replicas.
+// injected failures). In lane mode its terminations defer like a window's and
+// commit when the control event ends, through the barrier hook the executor
+// runs after every control event — on a multi-group topology the deciding
+// group alone knows them until that hook's exchange. Inside the bracket every
+// module sees every pending termination (see retired).
 func (c *Cluster) control(fn func()) {
 	c.inControl = true
 	fn()
@@ -374,44 +374,36 @@ func (c *Cluster) fail(err error) {
 	}
 }
 
-// controlFlush exchanges and commits the terminations (and any charges)
-// decided by the control event that just fired, so every replica observes
-// them — in the identical order — before the next control event or lane
-// window runs. It is the executor's per-control-event hook; hosts whose
-// control callbacks read replicated state after mutating it (e.g. a ticker
-// predicate checking for drained requests right after a sync tick) call
-// ControlFlush explicitly first. No-op outside a multi-group topology; an
-// all-empty exchange (the common case) is a valid empty-drain round.
-func (c *Cluster) controlFlush() error {
-	if c.shx == nil {
-		return nil
-	}
-	return c.exchangeBarrier(nil)
-}
-
-// ControlFlush is the host-facing controlFlush: call it inside a control
-// callback after any state mutation whose effects (dropped or completed
-// requests) the same callback subsequently reads. Errors abort the run via
+// ControlFlush commits the terminations (and charges) decided so far in the
+// running control event, so the same callback can read them: a host whose
+// control callback reads replicated state after mutating it (a ticker
+// predicate checking for drained requests right after a sync tick) calls it
+// first. In lane mode it is the barrier hook, which the executor also runs
+// when the event ends; on a multi-group topology it is an exchange, and an
+// all-empty one (the common case) is a valid empty-drain round. No-op on the
+// global-queue executors, which commit immediately. Errors abort the run via
 // the executor.
 func (c *Cluster) ControlFlush() {
-	if c.shx == nil {
+	if c.bridge == nil {
 		return
 	}
-	if err := c.controlFlush(); err != nil {
+	if err := c.barrier(); err != nil {
 		c.fail(err)
 	}
 }
 
-// exchangeBarrier is the multi-group window barrier: all-gather this
-// group's cross-group posts, pending termination intents and buffered
-// charges; deliver the incoming posts in mailbox order; apply the merged
-// charges (integer sums — order-free) and commit the merged intents in the
-// global deterministic order. Control flushes reuse it with nil posts. The
-// message also carries this group's lane heads, from which every replica
-// derives the next low watermark without a round trip of its own. The
-// gathered slices may live in transport buffers that the next exchange
-// overwrites: everything kept is copied out before returning.
-func (c *Cluster) exchangeBarrier(posts []WirePost) error {
+// exchangeBarrier is the multi-group half of the barrier hook: all-gather
+// this group's cross-group posts, pending termination intents, buffered
+// charges and merge resets; deliver the incoming posts in mailbox order and
+// apply the peers' charges (integer sums — order-free) and merge resets. It
+// returns the gathered messages, whose peer intents the caller commits with
+// its own. After a control event posts is empty: control context schedules
+// straight into the lanes. The message also carries this group's lane heads,
+// from which every replica derives the next low watermark without a round
+// trip of its own. The gathered slices may live in transport buffers that the
+// next exchange overwrites: everything kept is copied out before the barrier
+// returns.
+func (c *Cluster) exchangeBarrier(posts []WirePost) ([]BarrierMsg, error) {
 	buf := &c.wireBufs[c.wireCur]
 	c.wireCur ^= 1
 	buf.intents = c.bridge.encodeIntents(buf.intents[:0])
@@ -427,10 +419,10 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) error {
 	msg.CtrlAt, msg.CtrlOK, msg.LaneAt, msg.LaneOK = c.shx.heads()
 	all, err := c.tr.Barrier(msg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := c.shx.noteBarrier(all); err != nil {
-		return err
+		return nil, err
 	}
 	for i := range all {
 		bm := &all[i]
@@ -443,7 +435,7 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) error {
 			}
 			req := c.resolve(wp.Req)
 			if req == nil {
-				return fmt.Errorf("sched: post for unknown request %d from group %d", wp.Req, bm.Group)
+				return nil, fmt.Errorf("sched: post for unknown request %d from group %d", wp.Req, bm.Group)
 			}
 			dst := c.modules[wp.Dst]
 			c.shx.stagePost(post{src: int(wp.Src), dst: int(wp.Dst), at: wp.At,
@@ -452,36 +444,35 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) error {
 	}
 	c.shx.deliverStaged()
 	for i := range all {
+		if int(all[i].Group) == c.topo.Group {
+			continue // flushCharges applies this group's own charges; forward armed its resets inline
+		}
 		for _, wc := range all[i].Charges {
 			req := c.resolve(wc.Req)
 			if req == nil {
-				return fmt.Errorf("sched: charge for unknown request %d from group %d", wc.Req, all[i].Group)
+				return nil, fmt.Errorf("sched: charge for unknown request %d from group %d", wc.Req, all[i].Group)
 			}
 			req.charge(wc.GPU, wc.Q, wc.W, wc.D)
-		}
-		if int(all[i].Group) == c.topo.Group {
-			continue // this replica armed its own resets inline in forward
 		}
 		for _, wm := range all[i].Merges {
 			req := c.resolve(wm.Req)
 			if req == nil {
-				return fmt.Errorf("sched: merge reset for unknown request %d from group %d", wm.Req, all[i].Group)
+				return nil, fmt.Errorf("sched: merge reset for unknown request %d from group %d", wm.Req, all[i].Group)
 			}
 			req.resetMerge(int(wm.Expected))
 		}
 	}
-	return c.bridge.commitWire(all, c.resolve)
+	return all, nil
 }
 
-// encodeCharges drains every owned module's charge buffer into wire shape,
-// in (module, decision order), appending to out.
+// encodeCharges appends every owned module's buffered charges in wire shape
+// to out, in (module, decision order). The buffers stay for flushCharges.
 func (c *Cluster) encodeCharges(out []WireCharge) []WireCharge {
 	for k, m := range c.modules {
 		for i := range m.charges {
 			ch := &m.charges[i]
 			out = append(out, WireCharge{Mod: int32(k), Req: ch.req.ID, GPU: ch.gpu, Q: ch.q, W: ch.w, D: ch.d})
 		}
-		m.charges = m.charges[:0]
 	}
 	return out
 }
@@ -491,11 +482,11 @@ func (c *Cluster) encodeCharges(out []WireCharge) []WireCharge {
 // priority probes record the outcome. On a lane-aware executor it must run
 // in control context (all lanes parked): it reads and writes cross-module
 // state freely. In a multi-group topology two sync ticks must not share one
-// control event: the exchange that follows each event (the control flush) is
+// control event: the exchange that follows each event (the barrier hook) is
 // what lets this tick's publications overwrite the last tick's rows.
 func (c *Cluster) SyncTick(now time.Duration) {
 	c.control(func() {
-		if c.ls != nil {
+		if c.shx != nil {
 			// Publication is module-local (each module reads its own state
 			// windows and writes its own board slot), so it fans out across
 			// the shards; the policy refresh below stays serial — it reads
@@ -504,7 +495,7 @@ func (c *Cluster) SyncTick(now time.Duration) {
 			// the board exchange below fills in the peers' rows before the
 			// (replicated) policy refresh reads the full board.
 			c.syncNow = now
-			c.ls.parallelLanes(c.publishLane)
+			c.shx.parallelLanes(c.publishLane)
 		} else {
 			for _, m := range c.modules {
 				m.publish(now, c.board)
@@ -527,7 +518,7 @@ func (c *Cluster) SyncTick(now time.Duration) {
 // and therefore every replica's policy refresh — sees the identical
 // cluster-wide state. No-op outside a multi-group topology.
 func (c *Cluster) exchangeBoard() error {
-	if c.shx == nil {
+	if c.tr == nil {
 		return nil
 	}
 	rows := c.boardRows[:0]
@@ -582,7 +573,7 @@ func (c *Cluster) ScaleTick(now time.Duration) {
 // replica applies the identical GPU-budget split. No-op outside a
 // multi-group topology.
 func (c *Cluster) exchangeScale(desired []int) error {
-	if c.shx == nil {
+	if c.tr == nil {
 		return nil
 	}
 	rows := c.scaleRows[:0]
@@ -611,7 +602,7 @@ func (c *Cluster) exchangeScale(desired []int) error {
 // returning how many actually died. In a multi-group topology the failure
 // event is replicated on every control lane but only the owner's workers
 // hold state: non-owners no-op (returning 0) and learn the resulting drops
-// at the post-event control flush.
+// from the barrier hook's exchange when the event ends.
 func (c *Cluster) Crash(k int, now time.Duration, count int) int {
 	if !c.owns(k) {
 		return 0
@@ -632,18 +623,22 @@ func (c *Cluster) scheduleWarmup(w *worker, at time.Duration) {
 	c.scheduleEvent(w.mod.idx, w.mod.idx, at, laneEvent{op: opWarmup, w: w})
 }
 
-// barrier runs at every lane-window barrier (all lanes parked): first the
-// lanes' batched per-request accounting merges into the shared Requests,
-// then deferred terminations commit — in that order, so host OnDone/OnDrop
-// callbacks observe complete sums. In a multi-group topology the same
-// sequencing runs over the all-gathered payloads of every group.
+// barrier is the executor's barrier hook, run after every lane window and
+// after every control event with all lanes parked; it is lane mode's one
+// commit path. On a multi-group topology it first exchanges with the peers.
+// Then the buffered per-request accounting merges into the shared Requests,
+// and the deferred terminations commit — in that order, so host
+// OnDone/OnDrop callbacks observe complete sums.
 func (c *Cluster) barrier() error {
-	if c.shx != nil {
-		return c.exchangeBarrier(c.shx.takeWirePosts())
+	var all []BarrierMsg
+	if c.tr != nil {
+		var err error
+		if all, err = c.exchangeBarrier(c.shx.takeWirePosts()); err != nil {
+			return err
+		}
 	}
 	c.flushCharges()
-	c.bridge.commit()
-	return nil
+	return c.bridge.commit(all)
 }
 
 // flushCharges applies every module's buffered charge records in (module,
@@ -664,7 +659,8 @@ func (c *Cluster) flushCharges() {
 // the current window. A termination decided by *another* module inside the
 // current window becomes visible at the next barrier; that bounded, fully
 // deterministic visibility delay is the ordering contract that lets lanes
-// run concurrently.
+// run concurrently. A control event runs serially, so inside one every
+// pending termination counts, whichever module decided it.
 func (c *Cluster) retired(req *Request, k int) bool {
 	if req.Dropped || req.Finished {
 		return true
@@ -672,24 +668,18 @@ func (c *Cluster) retired(req *Request, k int) bool {
 	if c.bridge == nil {
 		return false
 	}
-	if c.inControl && c.shx != nil {
-		// Multi-group control context defers terminations that a single
-		// group would commit immediately — and immediately-visible to every
-		// module within the same control event (e.g. a scale-induced drop at
-		// one module seen by a parallel DAG branch at another). The whole
-		// pending set reproduces that visibility.
+	if c.inControl {
 		return c.bridge.seesAny(req)
 	}
 	return c.bridge.sees(k, req)
 }
 
 // drop marks a request dropped at module k and notifies the host. In lane
-// mode the decision is deferred to the next barrier commit, keeping the
-// shared Request untouched while other lanes run. Multi-group control
-// context also defers (committed at the post-event control flush): the
-// decision is owner-local knowledge until exchanged.
+// mode the decision becomes an intent, committed by the next barrier hook
+// (after the window or the control event), keeping the shared Request
+// untouched while other lanes run.
 func (c *Cluster) drop(req *Request, k int, now time.Duration) {
-	if c.bridge != nil && (!c.inControl || c.shx != nil) {
+	if c.bridge != nil {
 		if c.retired(req, k) {
 			return
 		}
@@ -744,7 +734,7 @@ func (c *Cluster) forward(req *Request, k int, now time.Duration) {
 // ExpectedMerge, and only the fan-out owner runs this code.
 func (c *Cluster) resetMerge(req *Request, k int, now time.Duration, n int) {
 	req.resetMerge(n)
-	if c.shx != nil {
+	if c.tr != nil {
 		m := c.modules[k]
 		m.mergeResets = append(m.mergeResets, WireMergeReset{At: now, Mod: int32(k), Req: req.ID, Expected: int32(n)})
 	}
@@ -779,9 +769,9 @@ func (c *Cluster) pickBranch(mod pipeline.Module) int {
 }
 
 // complete finalizes a request that finished the sink module k. Like drop,
-// it defers to the barrier commit in lane mode.
+// it defers to the barrier hook in lane mode.
 func (c *Cluster) complete(req *Request, k int, now time.Duration) {
-	if c.bridge != nil && (!c.inControl || c.shx != nil) {
+	if c.bridge != nil {
 		if c.retired(req, k) {
 			return
 		}

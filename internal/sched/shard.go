@@ -64,11 +64,10 @@ type ShardedExecutor struct {
 	// Lane-group state (zero/nil on the single-group path).
 	topo      Topology
 	tr        Transport
-	ctrlHook  func() error // runs after every control event (multi-group)
-	err       error        // first transport/lockstep error; aborts the run
-	wireOut   []WirePost   // this window's cross-group posts (handed off per barrier)
-	wireSpare []WirePost   // the previous barrier's posts, possibly still read by peers
-	staged    []post       // this barrier's local + decoded remote posts
+	err       error      // first transport/lockstep error; aborts the run
+	wireOut   []WirePost // this window's cross-group posts (handed off per barrier)
+	wireSpare []WirePost // the previous barrier's posts, possibly still read by peers
+	staged    []post     // this barrier's local + decoded remote posts
 	laneFired uint64
 
 	// The next global low watermark, as derived from the last barrier
@@ -220,9 +219,6 @@ func NewShardedExecutorTopo(lanes, shards int, lookahead time.Duration, topo Top
 	return x, nil
 }
 
-// multi reports whether this executor is one group of a multi-group run.
-func (x *ShardedExecutor) multi() bool { return x.tr != nil }
-
 // Topology returns the executor's lane-group placement (zero value on the
 // single-group path).
 func (x *ShardedExecutor) Topology() Topology { return x.topo }
@@ -243,8 +239,6 @@ func (x *ShardedExecutor) fail(err error) {
 		x.tr.Abort(err)
 	}
 }
-
-func (x *ShardedExecutor) laneCount() int { return len(x.lanes) }
 
 // Now returns the executor's committed virtual time (the barrier frontier).
 // Lane callbacks should use the time passed to them, which may run ahead of
@@ -329,16 +323,13 @@ func (x *ShardedExecutor) scheduleLaneEvent(src, dst int, at time.Duration, ev l
 	from.outbox = append(from.outbox, post{src: src, dst: dst, at: at, ev: ev})
 }
 
-// setBarrierHook registers fn to run at every window barrier (after mailbox
-// delivery, with all lanes parked). The cluster uses it to commit deferred
-// drop/completion intents in deterministic order; in a multi-group topology
+// setBarrierHook registers fn to run, with all lanes parked, after every
+// window barrier's mailbox delivery and after every control event. The
+// cluster uses it to commit deferred drop/completion intents in
+// deterministic order — a control event's as well as a window's, so its
+// replicas stay lockstep-identical between events; in a multi-group topology
 // the hook also performs the barrier exchange, and its error aborts the run.
 func (x *ShardedExecutor) setBarrierHook(fn func() error) { x.barrierFn = fn }
-
-// setControlHook registers fn to run after every control event. The cluster
-// uses it in multi-group mode to exchange and commit control-context
-// terminations, keeping the replicas lockstep-identical between events.
-func (x *ShardedExecutor) setControlHook(fn func() error) { x.ctrlHook = fn }
 
 // takeWirePosts hands off this window's cross-group posts. The slice stays
 // untouched until the barrier after next: a transport may pass it to peers
@@ -394,10 +385,9 @@ func (x *ShardedExecutor) minLane() (time.Duration, bool) {
 }
 
 // runControl fires every control event at exactly time t, including ones the
-// callbacks schedule at t. In multi-group mode the control hook runs after
-// each event so replicated state commits in lockstep before the next event
-// (or any predicate evaluated by the event's own closure sequencing) reads
-// it.
+// callbacks schedule at t. The barrier hook runs after each event, so the
+// event's terminations commit — in lockstep on every replica — before the
+// next event reads them.
 func (x *ShardedExecutor) runControl(t time.Duration) {
 	for {
 		at, ok := x.ctrl.peek()
@@ -410,8 +400,8 @@ func (x *ShardedExecutor) runControl(t time.Duration) {
 		}
 		x.ctrl.fired++
 		ev.fire(t)
-		if x.ctrlHook != nil {
-			if err := x.ctrlHook(); err != nil {
+		if x.barrierFn != nil {
+			if err := x.barrierFn(); err != nil {
 				x.fail(err)
 			}
 		}

@@ -22,11 +22,12 @@ import (
 // and fires them identically, with owner-only guards inside. Five exchange
 // kinds keep the replicas bit-identical:
 //
-//   - Barrier: the window barrier's combined payload — cross-group mailbox
+//   - Barrier: the barrier hook's combined payload — cross-group mailbox
 //     posts, deferred termination intents, and batched per-request charges —
 //     all-gathered so every group applies the identical merged commit. Every
 //     iteration of the executor's loop ends in one: after the window, or
-//     after each control event. The message also carries the sender's
+//     after each control event (whose message has no posts: control context
+//     schedules straight into the lanes). The message also carries the sender's
 //     control-lane head and owned-lane low watermark as of the moment it was
 //     built, so the same round trip verifies control-lane lockstep —
 //     diverging control queues abort the run, never silently drift — and
@@ -58,6 +59,17 @@ import (
 // group order; items with equal sort keys always originate from a single
 // module — hence a single group — so the stable sorts reproduce the exact
 // single-process order.
+//
+// Why a single group skips the Transport. It commits through the same
+// barrier hook and the same merge as a multi-group replica — its own intents,
+// with no peer's to add — so the wire path would buy it nothing. Sending it
+// through anyway (a one-endpoint transport that hands each message straight
+// back, NewShardedExecutorTopo at every group count) held every golden but
+// cost the per-barrier wire encode, the heads and watermark bookkeeping and
+// the peer merge. Measured on a 2-core x86-64 Xeon: TestAllocsWholeOps
+// allocations an op 438 → 500 (ShardedDASequential) and 1 331 → 1 405
+// (SweepGrid), and over 6 alternating runs of 5 ops each, median wall time
+// +7 % on BenchmarkShardedDASequential and +12 % on BenchmarkSweepGrid.
 //
 // memTransport (below) is the in-process implementation: tests and the
 // benchmark run a multi-group simulation in one process by handing each
@@ -152,10 +164,10 @@ type StepMsg struct {
 	LaneOK bool
 }
 
-// BarrierMsg is one group's window-barrier payload: cross-group posts,
+// BarrierMsg is one group's barrier-hook payload: cross-group posts,
 // termination intents, and charge records, each in deterministic local
-// order. Control-event flushes reuse the same shape with only Intents set;
-// an all-empty exchange (an empty-drain round) is valid and common.
+// order. After a control event Posts is empty; an all-empty exchange (an
+// empty-drain round) is valid and common.
 //
 // CtrlAt/CtrlOK and LaneAt/LaneOK are the StepMsg fields as of the moment
 // the message was built: the replicated control lane's head (identical on

@@ -152,9 +152,9 @@ func runGroupsConcurrently[T any](n int, call func(g int) ([]T, error)) ([][]T, 
 }
 
 // TestMemTransportEmptyDrainRounds pins that an all-empty barrier exchange
-// (a control flush that drained nothing) is a valid round: every group gets
-// the full merged slice in group order, and the fabric is reusable for
-// further rounds of a different kind.
+// (the barrier hook after a control event that decided nothing) is a valid
+// round: every group gets the full merged slice in group order, and the
+// fabric is reusable for further rounds of a different kind.
 func TestMemTransportEmptyDrainRounds(t *testing.T) {
 	const groups = 3
 	trs := NewMemTransports(groups)

@@ -285,8 +285,8 @@ func (r *Runner) moduleProbes(k int) sched.ModuleProbes {
 // events run on the executor's serial control lane (every module lane
 // parked), exactly the cross-module context they need.
 func (r *Runner) runSharded() {
-	// The ControlFlush calls are multi-group no-ops made explicit: a tick's
-	// drops/completions are owner-local until exchanged, and the drained
+	// The ControlFlush calls commit a tick's drops/completions, which the
+	// lane engine otherwise commits when the control event ends: the drained
 	// predicate right after must read the committed counts — on every
 	// replica — or the groups could disagree on when the run ends.
 	r.shx.Ticker(r.cfg.SyncPeriod, "sync", func(now time.Duration) bool {

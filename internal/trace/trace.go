@@ -63,10 +63,13 @@ type Config struct {
 	// req/s. Zero selects the paper's nominal peak for the kind.
 	PeakRate float64
 	Seed     int64
-	// BurstAt positions the tweet/step burst as a fraction of Duration
-	// (default: kind-specific, tweet ≈ 0.6).
-	BurstAt float64
 }
+
+// Where the tweet and step bursts sit, as a fraction of the duration.
+const (
+	tweetBurstAt = 0.6 // ≈ t=850 s of the 1400 s trace in Fig. 2d/10
+	stepBurstAt  = 0.5
+)
 
 // nominalPeak mirrors the y-axis ranges of Fig. 10 (left).
 func nominalPeak(k Kind) float64 {
@@ -100,7 +103,6 @@ func (c Config) Rate() (RateFunc, float64, error) {
 		peak = nominalPeak(c.Kind)
 	}
 	T := dur.Seconds()
-	burstAt := c.BurstAt
 	switch c.Kind {
 	case Wiki:
 		// Smooth ramp from ~25% to 100% of peak with gentle harmonics
@@ -114,21 +116,17 @@ func (c Config) Rate() (RateFunc, float64, error) {
 		}
 		return f, peak * 1.1, nil
 	case Tweet:
-		// Mid-level noisy load with a 2× burst around burstAt (default 0.6 of
-		// the duration ≈ t=850 s for the 1400 s trace in Fig. 2d/10).
-		if burstAt == 0 {
-			burstAt = 0.6
-		}
+		// Mid-level noisy load with a 2× burst around tweetBurstAt.
 		f := func(t time.Duration) float64 {
 			x := t.Seconds() / T
 			base := 0.45 + 0.08*math.Sin(2*math.Pi*3*x) + 0.07*math.Sin(2*math.Pi*11*x+0.7) +
 				0.05*math.Sin(2*math.Pi*23*x+2.1)
 			// Main burst: sharp rise (seconds, faster than cold starts),
 			// exponential-ish decay (§3.2: input doubles around t=850 s).
-			base += burstPulse(x, burstAt, 0.003, 0.035, 0.55)
+			base += burstPulse(x, tweetBurstAt, 0.003, 0.035, 0.55)
 			// Two secondary bursts.
-			base += burstPulse(x, burstAt*0.45, 0.004, 0.02, 0.25)
-			base += burstPulse(x, math.Min(burstAt*1.4, 0.95), 0.004, 0.018, 0.2)
+			base += burstPulse(x, tweetBurstAt*0.45, 0.004, 0.02, 0.25)
+			base += burstPulse(x, math.Min(tweetBurstAt*1.4, 0.95), 0.004, 0.018, 0.2)
 			return clampRate(peak*base, peak)
 		}
 		return f, peak * 1.1, nil
@@ -154,11 +152,8 @@ func (c Config) Rate() (RateFunc, float64, error) {
 		f := func(time.Duration) float64 { return peak }
 		return f, peak, nil
 	case Step:
-		if burstAt == 0 {
-			burstAt = 0.5
-		}
 		f := func(t time.Duration) float64 {
-			if t.Seconds()/T >= burstAt {
+			if t.Seconds()/T >= stepBurstAt {
 				return peak
 			}
 			return peak / 2
