@@ -727,7 +727,9 @@ func BenchmarkModulePublish(b *testing.B) {
 // every cycle empties, and room in a timer heap — and those land in whatever
 // op is being counted: a RAG run's 64 allocations read 64–69 with the
 // collector on, whether it ran alone or after the HTTP ops, and 64 every time
-// with it paused.
+// with it paused. A collection also empties every sync.Pool, so an op that
+// takes pooled objects after one — a request's response channel — pays for
+// new ones.
 func withoutGC(op func() uint64) func() uint64 {
 	return func() uint64 {
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -743,8 +745,9 @@ func withoutGC(op func() uint64) func() uint64 {
 // whose -race readings (sync.Pool drops items under the race detector) sit
 // up to 8 % above its plain ones, and HTTPInfer, which is skipped under
 // -race (its pooled per-request state is rebuilt whenever the pool drops
-// it, ≈ 10 % more allocations). RAGRun is counted with the collector paused
-// (withoutGC), so its count is the run's own and has no spread. One extra
+// it, ≈ 10 % more allocations). RAGRun and ServerSubmit are counted with the
+// collector paused (withoutGC), so their counts are their own and have no
+// spread. One extra
 // allocation per scheduled event fails every op that schedules events, and
 // one per sync tick fails every op but RAGRun (no ticks) and the loopback run
 // (its -race spread is wider than its 80 ticks). A sync tick allocates nothing (ModulePublish), and neither
@@ -776,7 +779,7 @@ func TestAllocsWholeOps(t *testing.T) {
 		{"SweepGrid", 1380, 8_450_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
 		{"ServerSubmit", 0, 0, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
-			m(func() uint64 { submit(1); return 0 })
+			m(withoutGC(func() uint64 { submit(1); return 0 }))
 		}},
 		{"HTTPInfer", 15_400, 1_435_000, 0, func(tb testing.TB, m measure) {
 			if raceDetector {

@@ -309,9 +309,8 @@ func TestPriorityControllerOverloadSwitchesToHBF(t *testing.T) {
 }
 
 func TestPriorityControllerHysteresisHolds(t *testing.T) {
-	cfg := DefaultPriorityConfig()
-	cfg.EpsMin = 0.1
-	p := NewPriorityController(cfg)
+	p := NewPriorityController(DefaultPriorityConfig())
+	p.epsMin = 0.1
 	// Drive into HBF.
 	for i := 0; i < 10; i++ {
 		p.Update(time.Duration(i)*time.Second, 400, 200)
@@ -333,8 +332,8 @@ func TestPriorityControllerInstantThrashes(t *testing.T) {
 	mk := func(instant bool) int {
 		cfg := DefaultPriorityConfig()
 		cfg.Instant = instant
-		cfg.EpsMin = 0.05
 		p := NewPriorityController(cfg)
+		p.epsMin = 0.05
 		// Oscillate μ between 0.97 and 1.03 (inside a 5% band).
 		for i := 0; i < 200; i++ {
 			tin := 97.0
@@ -389,8 +388,6 @@ func TestPriorityControllerFixedModes(t *testing.T) {
 func TestPriorityControllerPanics(t *testing.T) {
 	for _, cfg := range []PriorityConfig{
 		{Window: 0},
-		{Window: time.Second, EpsMin: -1},
-		{Window: time.Second, EpsMin: 0.5, EpsMax: 0.1},
 	} {
 		func() {
 			defer func() {

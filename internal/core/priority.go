@@ -44,17 +44,20 @@ type PriorityConfig struct {
 	Instant bool
 	// Fixed pins the mode permanently (PARD-HBF / PARD-LBF ablations).
 	Fixed *Mode
-	// EpsMin floors ε so micro-noise cannot force a transition exactly at
-	// μ = 1 even on perfectly steady workloads.
-	EpsMin float64
-	// EpsMax caps ε so extreme bursts cannot freeze the controller.
-	EpsMax float64
 }
 
 // DefaultPriorityConfig returns PARD's configuration.
 func DefaultPriorityConfig() PriorityConfig {
-	return PriorityConfig{Window: 5 * time.Second, EpsMin: 0.02, EpsMax: 0.25}
+	return PriorityConfig{Window: 5 * time.Second}
 }
+
+// The hysteresis band's bounds: epsMin floors ε so micro-noise cannot force
+// a transition exactly at μ = 1 even on perfectly steady workloads, and
+// epsMax caps it so extreme bursts cannot freeze the controller.
+const (
+	epsMin = 0.02
+	epsMax = 0.25
+)
 
 // FixedMode returns a PriorityConfig pinning the controller to mode m.
 func FixedMode(m Mode) PriorityConfig {
@@ -75,6 +78,8 @@ type PriorityController struct {
 	lastMu   float64
 	lastEps  float64
 	switches int
+	// epsMin and epsMax are the constants; only tests change them.
+	epsMin, epsMax float64
 }
 
 // NewPriorityController returns a controller starting in LBF (steady-state
@@ -83,14 +88,13 @@ func NewPriorityController(cfg PriorityConfig) *PriorityController {
 	if cfg.Window <= 0 {
 		panic(fmt.Sprintf("core: priority window must be positive, got %v", cfg.Window))
 	}
-	if cfg.EpsMin < 0 || cfg.EpsMax < cfg.EpsMin {
-		panic(fmt.Sprintf("core: bad eps bounds [%v, %v]", cfg.EpsMin, cfg.EpsMax))
-	}
 	return &PriorityController{
 		cfg:     cfg,
 		mode:    LBF,
 		inWin:   stats.NewSlidingWindow(cfg.Window),
 		diffWin: stats.NewSlidingWindow(cfg.Window),
+		epsMin:  epsMin,
+		epsMax:  epsMax,
 	}
 }
 
@@ -120,12 +124,7 @@ func (p *PriorityController) Update(now time.Duration, tin, tm float64) Mode {
 		if sumIn > 0 {
 			eps = p.diffWin.Sum(now) / sumIn
 		}
-		if eps < p.cfg.EpsMin {
-			eps = p.cfg.EpsMin
-		}
-		if eps > p.cfg.EpsMax {
-			eps = p.cfg.EpsMax
-		}
+		eps = min(max(eps, p.epsMin), p.epsMax)
 	}
 
 	mu := 0.0

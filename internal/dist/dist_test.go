@@ -196,13 +196,13 @@ func peerName(proto int) string {
 }
 
 // TestVersionMismatchRefused: both sides refuse a peer speaking another
-// protocol version — a future one, v6, whose binary handshake carried a job
-// of another layout, and v5, v4 and v3, whose handshakes are gob — and
+// protocol version — a future one, v7 and v6, whose binary handshakes carried
+// a job of another layout, and v5, v4 and v3, whose handshakes are gob — and
 // neither side hangs doing so. A gob peer cannot read this side's hello or
 // ack either: as a worker it hangs up, as a coordinator it fails to decode
 // the refusal.
 func TestVersionMismatchRefused(t *testing.T) {
-	for _, peer := range []int{ProtoVersion + 1, 6, 5, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 7, 6, 5, 4, 3} {
 		t.Run("worker-side/"+peerName(peer), func(t *testing.T) {
 			coordSide, workerSide := net.Pipe()
 			defer coordSide.Close()

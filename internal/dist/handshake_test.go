@@ -174,7 +174,7 @@ func fillLeaves(t *testing.T, v reflect.Value, path string, next *int64) {
 
 // TestHelloCarriesEveryField: gob carried every field by name, and a hand
 // codec drops what it forgets. Every leaf under Hello — the SimJob, its spec
-// and modules, trace, scaling, probes and failures — is set non-zero and must
+// and modules, trace, probes and failures — is set non-zero and must
 // survive encode and decode; so must every field of HelloAck.
 func TestHelloCarriesEveryField(t *testing.T) {
 	var next int64
@@ -203,7 +203,7 @@ func TestHelloCarriesEveryField(t *testing.T) {
 
 // TestHelloMatchesGob keeps gob as an independent oracle: every real hello —
 // a sweep's, and one per simulation-corpus job as it is and with every probe,
-// the scaler, fixed workers and failures armed — decodes from the binary
+// fixed workers and failures armed — decodes from the binary
 // codec exactly as its gob round trip does (empty slices as nil under both),
 // and re-encodes to the identical bytes.
 func TestHelloMatchesGob(t *testing.T) {
@@ -211,7 +211,6 @@ func TestHelloMatchesGob(t *testing.T) {
 	for _, h := range simHellos() {
 		j := *h.Job
 		j.Probes = sched.ProbeConfig{QueueDelay: true, LoadFactor: true, Budget: true, Decomposition: true, SampleEvery: 3}
-		j.Scaling = sched.DefaultScaling()
 		j.FixedWorkers = make([]int, j.Spec.N())
 		for k := range j.FixedWorkers {
 			j.FixedWorkers[k] = k + 2
@@ -319,6 +318,15 @@ func FuzzHello(f *testing.F) {
 	for _, h := range simHellos() {
 		f.Add(appendHello(nil, h))
 	}
+	// A job that pins its workers: the one switch that turns scaling off.
+	pinned := simHellos()[0]
+	job := *pinned.Job
+	job.FixedWorkers = make([]int, job.Spec.N())
+	for k := range job.FixedWorkers {
+		job.FixedWorkers[k] = 2
+	}
+	pinned.Job = &job
+	f.Add(appendHello(nil, pinned))
 	lib := profile.DefaultLibrary()
 	for _, bj := range badJobs() {
 		job := jobFromConfig(bj.cfg)

@@ -59,7 +59,12 @@ import (
 // EstimatorSamples, whose one value each is now a constant of the
 // scheduling core. A v6 hello or ack is refused at its version, before its
 // job is read.
-const ProtoVersion = 7
+//
+// Version 8: the job lost its seven scaling fields. The scaling engine's
+// settings are constants of the scheduling core, and a job scales exactly
+// when its FixedWorkers is nil. A v7 hello or ack is refused at its version,
+// before its job is read.
+const ProtoVersion = 8
 
 // WorkUnit assigns one grid point. Key is the coordinator's full cache key
 // ("run|" + Spec.Key()); the worker re-derives it from Spec and refuses the

@@ -50,7 +50,6 @@ type SimJob struct {
 	SyncPeriod     time.Duration
 	NetDelay       time.Duration
 	JitterPct      float64
-	Scaling        sched.ScalingConfig
 	FixedWorkers   []int
 	Probes         sched.ProbeConfig
 	Failures       []sched.Failure
@@ -67,7 +66,6 @@ func jobFromConfig(cfg simgpu.Config) SimJob {
 		SyncPeriod:     cfg.SyncPeriod,
 		NetDelay:       cfg.NetDelay,
 		JitterPct:      cfg.JitterPct,
-		Scaling:        cfg.Scaling,
 		FixedWorkers:   cfg.FixedWorkers,
 		Probes:         cfg.Probes,
 		Failures:       cfg.Failures,
@@ -85,7 +83,6 @@ func (j SimJob) config() simgpu.Config {
 		SyncPeriod:     j.SyncPeriod,
 		NetDelay:       j.NetDelay,
 		JitterPct:      j.JitterPct,
-		Scaling:        j.Scaling,
 		FixedWorkers:   j.FixedWorkers,
 		Probes:         j.Probes,
 		Failures:       j.Failures,

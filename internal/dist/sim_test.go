@@ -289,7 +289,8 @@ func TestServeSimRefusals(t *testing.T) {
 	}
 	cases := []refusal{
 		{"version-skew", Hello{Proto: ProtoVersion + 1, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
-		// A v6 hub's binary hello carries a job of another layout.
+		// A v6 or v7 hub's binary hello carries a job of another layout.
+		{"v7-peer", Hello{Proto: 7, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		{"v6-peer", Hello{Proto: 6, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		// Hubs of versions 3 to 5 open with a gob hello.
 		{"v5-peer", Hello{Proto: 5, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
@@ -363,17 +364,10 @@ func badJobs() []badJob {
 		mod(&cfg)
 		return cfg
 	}
-	scaled := func(mod func(*sched.ScalingConfig)) simgpu.Config {
-		return base(func(c *simgpu.Config) {
-			c.Scaling = sched.DefaultScaling()
-			mod(&c.Scaling)
-		})
-	}
 	return []badJob{
 		{"fixed-workers-negative", "FixedWorkers", base(func(c *simgpu.Config) { c.FixedWorkers = []int{-1, 1, 1} })},
 		{"fixed-workers-zero", "FixedWorkers", base(func(c *simgpu.Config) { c.FixedWorkers = []int{1, 0, 1} })},
-		{"max-workers-negative", "Scaling.MaxWorkers", scaled(func(sc *sched.ScalingConfig) { sc.MaxWorkers = -3 })},
-		{"scale-period-negative", "Scaling.Period", scaled(func(sc *sched.ScalingConfig) { sc.Period = -1 })},
+		{"fixed-workers-past-limit", "FixedWorkers", base(func(c *simgpu.Config) { c.FixedWorkers = []int{1, 1, sched.PoolLimit + 1} })},
 		{"lambda-above-one", "Lambda", base(func(c *simgpu.Config) { c.Lambda = 5 })},
 	}
 }
@@ -413,7 +407,7 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 // gob decoder cannot read the hello, and it hangs up.
 func TestRunSimDistributedRefusesPeerVersion(t *testing.T) {
 	cfg := simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)}
-	for _, peer := range []int{ProtoVersion + 1, 6, 5, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 7, 6, 5, 4, 3} {
 		t.Run(peerName(peer), func(t *testing.T) {
 			hubSide, spokeSide := net.Pipe()
 			spokeDone := make(chan error, 1)
@@ -535,7 +529,8 @@ func TestSimSessionCountersLogged(t *testing.T) {
 // TestSimJobCarriesEveryConfigField: a spoke runs the configuration its
 // SimJob carries, so a simgpu.Config field the job dropped would silently run
 // every spoke on that field's default. Every field travels — same name, same
-// type, through both copies — unless it is kept out here with a reason.
+// type, through both copies — unless it is kept out here with a reason; and
+// the job carries nothing the configuration no longer has.
 func TestSimJobCarriesEveryConfigField(t *testing.T) {
 	kept := map[string]string{
 		"Lib":    "fingerprint-checked at the handshake instead",
@@ -544,8 +539,13 @@ func TestSimJobCarriesEveryConfigField(t *testing.T) {
 	}
 	ct, jt := reflect.TypeOf(simgpu.Config{}), reflect.TypeOf(SimJob{})
 	for name := range kept {
-		if _, ok := ct.FieldByName(name); !ok {
+		if !hasField(ct, name) {
 			t.Errorf("the keep list names %s, which simgpu.Config no longer has", name)
+		}
+	}
+	for i := 0; i < jt.NumField(); i++ {
+		if name := jt.Field(i).Name; !hasField(ct, name) {
+			t.Errorf("SimJob.%s travels, but simgpu.Config has no such field", name)
 		}
 	}
 	var cfg simgpu.Config
@@ -567,6 +567,12 @@ func TestSimJobCarriesEveryConfigField(t *testing.T) {
 			t.Errorf("simgpu.Config.%s does not survive jobFromConfig and config", ct.Field(i).Name)
 		}
 	}
+}
+
+// hasField reports whether struct type typ has a field of that name.
+func hasField(typ reflect.Type, name string) bool {
+	_, ok := typ.FieldByName(name)
+	return ok
 }
 
 // nonZero returns a value of type typ other than its zero value.

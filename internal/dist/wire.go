@@ -594,13 +594,15 @@ func decodeExchange[T any](r *wireReader, payload []byte, k *wireKind[T], seq ui
 //
 //	hello:  proto | LibraryFP | BaseSeed | TraceDuration | Groups | Group | job?
 //	job:    spec? | PolicyName | trace? | Seed | SyncPeriod | NetDelay |
-//	        JitterPct | Scaling | FixedWorkers | Probes | Failures | Lambda |
+//	        JitterPct | FixedWorkers | Probes | Failures | Lambda |
 //	        PriorityWindow
 //	ack:    proto | LibraryFP | Capacity | Err
 //
 // with a spec App | SLO | modules (ID | Name | Pres | Subs | Exclusive |
-// BranchProb), a trace Name | Arrivals | Duration, and the scaling, probe and
-// failure fields in their declaration order.
+// BranchProb), a trace Name | Arrivals | Duration, and the probe and failure
+// fields in their declaration order. The job carries no scaling settings:
+// they are constants of the scheduling core, and a job scales exactly when
+// its FixedWorkers is nil.
 
 // Minimum encoded sizes of the handshake's repeated elements.
 const (
@@ -682,14 +684,6 @@ func appendJob(b []byte, j *SimJob) []byte {
 	b = binary.AppendVarint(b, int64(j.SyncPeriod))
 	b = binary.AppendVarint(b, int64(j.NetDelay))
 	b = appendFloat(b, j.JitterPct)
-	sc := j.Scaling
-	b = appendBool(b, sc.Enabled)
-	b = binary.AppendVarint(b, int64(sc.Period))
-	b = binary.AppendVarint(b, int64(sc.ColdStart))
-	b = appendFloat(b, sc.Headroom)
-	b = binary.AppendVarint(b, int64(sc.MaxWorkers))
-	b = binary.AppendVarint(b, int64(sc.MinWorkers))
-	b = binary.AppendVarint(b, int64(sc.TotalGPUs))
 	b = appendInts(b, j.FixedWorkers)
 	p := j.Probes
 	b = appendBool(b, p.QueueDelay)
@@ -711,11 +705,6 @@ func (r *wireReader) job() *SimJob {
 	j := &SimJob{Spec: r.spec(), PolicyName: r.str(), Trace: r.trace(), Seed: r.int()}
 	j.SyncPeriod, j.NetDelay = r.dur(), r.dur()
 	j.JitterPct = r.float()
-	sc := &j.Scaling
-	sc.Enabled = r.bool()
-	sc.Period, sc.ColdStart = r.dur(), r.dur()
-	sc.Headroom = r.float()
-	sc.MaxWorkers, sc.MinWorkers, sc.TotalGPUs = integer[int](r), integer[int](r), integer[int](r)
 	j.FixedWorkers = ints[int](r)
 	p := &j.Probes
 	p.QueueDelay, p.LoadFactor, p.Budget, p.Decomposition = r.bool(), r.bool(), r.bool(), r.bool()

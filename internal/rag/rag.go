@@ -75,42 +75,30 @@ var StageNames = [numStages]string{"rewrite", "retrieve", "search", "generate"}
 type Config struct {
 	// Queries is the number of requests (paper: 10k from HotpotQA).
 	Queries int
-	// Rate is the mean arrival rate in req/s (Azure-trace-shaped arrivals).
-	Rate float64
-	// SLO is the time-to-first-token objective (paper: 5 s).
-	SLO time.Duration
 	// Policy selects the dropping policy.
 	Policy PolicyKind
 	Seed   int64
-
-	// RewriteSlots / GenerateSlots bound LLM concurrency (continuous
-	// batching capacity).
-	RewriteSlots  int
-	GenerateSlots int
-	// SearchMedian / SearchSigma shape the log-normal web-search latency.
-	SearchMedian time.Duration
-	SearchSigma  float64
-	// RetrieveDur is the profiled vector-DB lookup duration.
-	RetrieveDur time.Duration
-	// TokenTime is the per-token decode/prefill cost.
-	TokenTime time.Duration
 }
+
+// The Table 2 setup, scaled for simulation: the mean arrival rate in req/s
+// (Azure-trace-shaped arrivals), the time-to-first-token SLO (paper: 5 s),
+// the LLM slot pools (continuous-batching capacity), the log-normal
+// web-search latency, the profiled vector-DB lookup and the per-token
+// decode/prefill cost.
+const (
+	meanRate      = 46
+	ttftSLO       = 5 * time.Second
+	rewriteSlots  = 36
+	generateSlots = 96
+	searchMedian  = 800 * time.Millisecond
+	searchSigma   = 0.9
+	retrieveDur   = 35 * time.Millisecond
+	tokenTime     = 9 * time.Millisecond
+)
 
 // DefaultConfig returns the Table 2 setup scaled for simulation.
 func DefaultConfig(p PolicyKind) Config {
-	return Config{
-		Queries:       10000,
-		Rate:          46,
-		SLO:           5 * time.Second,
-		Policy:        p,
-		Seed:          1,
-		RewriteSlots:  36,
-		GenerateSlots: 96,
-		SearchMedian:  800 * time.Millisecond,
-		SearchSigma:   0.9,
-		RetrieveDur:   35 * time.Millisecond,
-		TokenTime:     9 * time.Millisecond,
-	}
+	return Config{Queries: 10000, Policy: p, Seed: 1}
 }
 
 // request is one RAG query. It carries what its own pending events read back
@@ -223,11 +211,8 @@ type runner struct {
 
 // Run executes one RAG simulation.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Queries <= 0 || cfg.Rate <= 0 || cfg.SLO <= 0 {
-		return nil, fmt.Errorf("rag: queries, rate and SLO must be positive")
-	}
-	if cfg.RewriteSlots <= 0 || cfg.GenerateSlots <= 0 {
-		return nil, fmt.Errorf("rag: slot pools must be positive")
+	if cfg.Queries <= 0 {
+		return nil, fmt.Errorf("rag: queries must be positive")
 	}
 	switch cfg.Policy {
 	case Reactive, Proactive, Predict, NoDrop:
@@ -246,8 +231,8 @@ func Run(cfg Config) (*Result, error) {
 		reqs:         make([]request, cfg.Queries),
 		res:          &Result{Policy: cfg.Policy},
 	}
-	r.rewrite = slotPool{cap: cfg.RewriteSlots, start: r.startRewrite}
-	r.generate = slotPool{cap: cfg.GenerateSlots, start: r.startGenerate}
+	r.rewrite = slotPool{cap: rewriteSlots, start: r.startRewrite}
+	r.generate = slotPool{cap: generateSlots, start: r.startGenerate}
 	for i := range r.res.Latencies {
 		r.res.Latencies[i] = StageLatency{Name: StageNames[i], Samples: make([]float64, 0, min(cfg.Queries, maxSamples))}
 	}
@@ -276,11 +261,11 @@ func (r *runner) sampleRequest(req *request, id int, at time.Duration) {
 		contextTokens: ctx,
 		dropStage:     -1,
 	}
-	req.rewriteDur = 60*time.Millisecond + time.Duration(out)*r.cfg.TokenTime
-	req.prefillDur = 40*time.Millisecond + time.Duration(ctx)*r.cfg.TokenTime/4
+	req.rewriteDur = 60*time.Millisecond + time.Duration(out)*tokenTime
+	req.prefillDur = 40*time.Millisecond + time.Duration(ctx)*tokenTime/4
 	// Log-normal search latency with occasional multi-second tail.
-	ln := math.Exp(r.rng.NormFloat64() * r.cfg.SearchSigma)
-	req.searchDur = time.Duration(float64(r.cfg.SearchMedian) * ln)
+	ln := math.Exp(r.rng.NormFloat64() * searchSigma)
+	req.searchDur = time.Duration(float64(searchMedian) * ln)
 }
 
 func (r *runner) inject() {
@@ -290,9 +275,12 @@ func (r *runner) inject() {
 	// three policies differ). Lewis-Shedler thinning over wall time.
 	rate := func(t float64) float64 {
 		s := math.Sin(2 * math.Pi * t / 120)
-		return r.cfg.Rate * (0.5 + 0.9*s*s)
+		return meanRate * (0.5 + 0.9*s*s)
 	}
-	maxRate := r.cfg.Rate * 1.4
+	// A float64 product, not an exact constant one: the pinned runs draw
+	// with 46·1.4 rounded to 64.39999999999999, not 64.4.
+	mean := float64(meanRate)
+	maxRate := mean * 1.4
 	t := 0.0
 	for i := 0; i < r.cfg.Queries; i++ {
 		for {
@@ -339,8 +327,8 @@ func (r *runner) estimate(req *request, stage int, now time.Duration) time.Durat
 		if m, ok := r.searchWin.Mean(now); ok {
 			search = time.Duration(m * float64(time.Second))
 		}
-		if r.cfg.RetrieveDur > search {
-			search = r.cfg.RetrieveDur
+		if retrieveDur > search {
+			search = retrieveDur
 		}
 		rest += search
 		fallthrough
@@ -381,7 +369,7 @@ func (r *runner) admit(req *request, stage int, now time.Duration) bool {
 	if r.cfg.Policy == NoDrop {
 		return true
 	}
-	if r.estimate(req, stage, now) <= r.cfg.SLO {
+	if r.estimate(req, stage, now) <= ttftSLO {
 		return true
 	}
 	req.dropped = true
@@ -426,7 +414,7 @@ func (r *runner) enterBranches(req *request, now time.Duration) {
 	}
 	req.branchAt = now
 	// Retrieve branch (batched vector DB; modeled as near-constant).
-	retEnd := now + r.cfg.RetrieveDur + time.Duration(r.rng.Intn(10))*time.Millisecond
+	retEnd := now + retrieveDur + time.Duration(r.rng.Intn(10))*time.Millisecond
 	r.eng.ScheduleHandler(retEnd, (*retrieveDone)(req))
 	// Search branch (web API, unbounded concurrency, heavy tail).
 	r.eng.ScheduleHandler(now+req.searchDur, (*searchDone)(req))
@@ -492,7 +480,7 @@ func (r *runner) finalize() {
 	for i := range r.reqs {
 		req := &r.reqs[i]
 		switch {
-		case req.finished && req.ttft <= r.cfg.SLO:
+		case req.finished && req.ttft <= ttftSLO:
 			res.Good++
 		case req.finished:
 			res.Late++

@@ -486,7 +486,6 @@ func TestAllocsWorkerPool(t *testing.T) {
 		}
 		cl, err := New(Config{
 			Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: pol, Seed: 1, Workers: ws,
-			Scaling: ScalingConfig{Enabled: true, ColdStart: time.Second, Headroom: 1.2, MaxWorkers: 1 << 10, MinWorkers: 1},
 		}, man)
 		if err != nil {
 			t.Fatal(err)

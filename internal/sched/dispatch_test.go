@@ -53,11 +53,13 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 	cl, err := New(Config{
 		Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "pard", Seed: 3,
 		Workers: workers, NetDelay: time.Millisecond,
-		Scaling: ScalingConfig{Enabled: true, ColdStart: 300 * time.Millisecond, Headroom: 1.2, MaxWorkers: 8, MinWorkers: 1},
 	}, man)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cold starts short enough to end while traffic still flows, and room
+	// to grow past the initial pool.
+	cl.coldStart, cl.maxWorkers = 300*time.Millisecond, 8
 
 	// Three seconds of heavy traffic, three of a trickle, three heavy again.
 	const horizon = 9 * time.Second

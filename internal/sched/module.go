@@ -164,7 +164,7 @@ func (m *module) addWorkers(n int, now time.Duration, cold bool) {
 		m.nextWID++
 		w.forming, w.spare = depq.Carve(slabs, 2*i, b), depq.Carve(slabs, 2*i+1, b)
 		if cold {
-			w.coldUntil = now + m.cl.cfg.Scaling.ColdStart
+			w.coldUntil = now + m.cl.coldStart
 			m.cl.scheduleWarmup(w, w.coldUntil)
 		}
 		m.workers = append(m.workers, w)
@@ -369,17 +369,9 @@ func (m *module) probePriority(now time.Duration, board *core.Board) {
 // desiredWorkers computes the scaling engine's per-module demand from the
 // recent input rate.
 func (m *module) desiredWorkers(now time.Duration) int {
-	sc := m.cl.cfg.Scaling
 	rate := m.rateWin.Rate(now)
 	tp := m.model.Throughput(m.targetBatch)
-	desired := int(rate*sc.Headroom/tp) + 1
-	if desired < sc.MinWorkers {
-		desired = sc.MinWorkers
-	}
-	if desired > sc.MaxWorkers {
-		desired = sc.MaxWorkers
-	}
-	return desired
+	return min(max(int(rate*scaleHeadroom/tp)+1, minWorkers), m.cl.maxWorkers)
 }
 
 // applyScale adjusts the worker pool toward the desired count (scaling

@@ -9,39 +9,19 @@ import (
 	"pard/internal/profile"
 )
 
-// ScalingConfig controls the per-module resource scaling engine.
-type ScalingConfig struct {
-	// Enabled turns autoscaling on. When off, worker counts stay at their
-	// initial provisioning (the Fig. 14a stress-test setup).
-	Enabled bool
-	// Period is how often desired worker counts are re-evaluated.
-	Period time.Duration
-	// ColdStart is the model cold-start delay before a new worker serves
-	// (§2: "resources cannot scale up instantly due to model cold starts").
-	ColdStart time.Duration
-	// Headroom multiplies the measured rate when computing desired workers.
-	Headroom float64
-	// MaxWorkers caps workers per module (cluster capacity).
-	MaxWorkers int
-	// MinWorkers floors workers per module.
-	MinWorkers int
-	// TotalGPUs, when positive, bounds the sum of workers across all
-	// modules (the paper's 64-GPU cluster constraint). When the aggregate
-	// demand exceeds it, capacity is granted proportionally to demand.
-	TotalGPUs int
-}
-
-// DefaultScaling returns the scaling configuration used by the experiments.
-func DefaultScaling() ScalingConfig {
-	return ScalingConfig{
-		Enabled:    true,
-		Period:     3 * time.Second,
-		ColdStart:  10 * time.Second,
-		Headroom:   1.2,
-		MaxWorkers: 4,
-		MinWorkers: 1,
-	}
-}
+// The scaling engine (Fig. 4) that a simulation runs unless its worker counts
+// are pinned. Every ScalePeriod, a module's demand is its recent input rate
+// times scaleHeadroom over one worker's throughput, clamped to
+// [minWorkers, maxWorkers]; a worker added to meet it serves only after
+// coldStart (§2: "resources cannot scale up instantly due to model cold
+// starts"). The initial pool is sized by the same rule (ProvisionWorkers).
+const (
+	ScalePeriod   = 3 * time.Second
+	coldStart     = 10 * time.Second
+	scaleHeadroom = 1.2
+	minWorkers    = 1
+	maxWorkers    = 4
+)
 
 // ProbeConfig enables optional high-volume recordings.
 type ProbeConfig struct {
@@ -131,32 +111,10 @@ func TargetBatches(spec *pipeline.Spec, lib *profile.Library, frac float64) ([]i
 	return batches, durs, nil
 }
 
-// ApplyGPUBudget scales per-module worker demands down proportionally when
-// their sum exceeds the cluster budget, flooring each module at min. A
-// budget <= 0 means unlimited.
-func ApplyGPUBudget(desired []int, budget, min int) {
-	if budget <= 0 {
-		return
-	}
-	total := 0
-	for _, d := range desired {
-		total += d
-	}
-	if total <= budget {
-		return
-	}
-	for k := range desired {
-		grant := desired[k] * budget / total
-		if grant < min {
-			grant = min
-		}
-		desired[k] = grant
-	}
-}
-
 // ProvisionWorkers computes per-module worker counts able to sustain the
-// given request rate with the target batch sizes, clamped to [min, max].
-func ProvisionWorkers(spec *pipeline.Spec, lib *profile.Library, batches []int, rate, headroom float64, min, max int) ([]int, error) {
+// given request rate with the target batch sizes, under the scaling engine's
+// headroom and clamped to its [minWorkers, maxWorkers].
+func ProvisionWorkers(spec *pipeline.Spec, lib *profile.Library, batches []int, rate float64) ([]int, error) {
 	n := spec.N()
 	out := make([]int, n)
 	for k := 0; k < n; k++ {
@@ -165,14 +123,7 @@ func ProvisionWorkers(spec *pipeline.Spec, lib *profile.Library, batches []int, 
 			return nil, err
 		}
 		tp := m.Throughput(batches[k])
-		w := int(math.Ceil(rate * headroom / tp))
-		if w < min {
-			w = min
-		}
-		if w > max {
-			w = max
-		}
-		out[k] = w
+		out[k] = min(max(int(math.Ceil(rate*scaleHeadroom/tp)), minWorkers), maxWorkers)
 	}
 	return out, nil
 }

@@ -55,9 +55,6 @@ type Config struct {
 	// JitterPct multiplies execution durations by 1 ± U[0,JitterPct]
 	// (0 disables jitter unless the model profile carries its own).
 	JitterPct float64
-	// Scaling configures the resource scaling engine, which runs when the
-	// host ticks ScaleTick.
-	Scaling ScalingConfig
 	// Probes selects optional recordings.
 	Probes ProbeConfig
 	// Lambda overrides the PARD estimator quantile when > 0.
@@ -104,6 +101,10 @@ type Cluster struct {
 	syncNow     time.Duration
 	publishLane func(k int)
 	desired     []int
+	// coldStart and maxWorkers are the scaling engine's constants of the
+	// same names; New sets them, and only tests change them.
+	coldStart  time.Duration
+	maxWorkers int
 
 	// Lane engine (nil on the global-queue executors): every termination
 	// becomes an intent in bridge, committed by the executor's barrier hook
@@ -205,6 +206,9 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		batches: batches,
 		durs:    durs,
 		desired: make([]int, n),
+		// The scaling engine's constants, as seams for tests.
+		coldStart:  coldStart,
+		maxWorkers: maxWorkers,
 	}
 	c.publishLane = func(k int) {
 		if c.owns(k) {
@@ -543,10 +547,10 @@ func (c *Cluster) exchangeBoard() error {
 	return nil
 }
 
-// ScaleTick runs one scaling-engine round: per-module demand from recent
-// input rates, granted proportionally under a TotalGPUs budget. A host ticks
-// it only when Scaling.Enabled. In a multi-group topology, as with SyncTick,
-// two scaling ticks must not share one control event.
+// ScaleTick runs one scaling-engine round: every module moves its pool
+// toward its demand from recent input rates. The simulator ticks it every
+// ScalePeriod unless worker counts are pinned. In a multi-group topology, as
+// with SyncTick, two scaling ticks must not share one control event.
 func (c *Cluster) ScaleTick(now time.Duration) {
 	c.control(func() {
 		desired := c.desired
@@ -560,7 +564,6 @@ func (c *Cluster) ScaleTick(now time.Duration) {
 			c.fail(err)
 			return
 		}
-		ApplyGPUBudget(desired, c.cfg.Scaling.TotalGPUs, c.cfg.Scaling.MinWorkers)
 		for k, m := range c.modules {
 			if c.owns(k) {
 				m.applyScale(now, desired[k])
@@ -569,9 +572,9 @@ func (c *Cluster) ScaleTick(now time.Duration) {
 	})
 }
 
-// exchangeScale all-gathers the owned modules' scaling demands so every
-// replica applies the identical GPU-budget split. No-op outside a
-// multi-group topology.
+// exchangeScale all-gathers the owned modules' scaling demands. Each group
+// applies only its own modules' demands, so no replica reads a peer's rows.
+// No-op outside a multi-group topology.
 func (c *Cluster) exchangeScale(desired []int) error {
 	if c.tr == nil {
 		return nil
@@ -583,19 +586,8 @@ func (c *Cluster) exchangeScale(desired []int) error {
 		}
 	}
 	c.scaleRows = rows
-	all, err := c.tr.Scale(ScaleMsg{Group: int32(c.topo.Group), Rows: rows})
-	if err != nil {
-		return err
-	}
-	for i := range all {
-		if int(all[i].Group) == c.topo.Group {
-			continue
-		}
-		for _, r := range all[i].Rows {
-			desired[r.Mod] = int(r.Desired)
-		}
-	}
-	return nil
+	_, err := c.tr.Scale(ScaleMsg{Group: int32(c.topo.Group), Rows: rows})
+	return err
 }
 
 // Crash kills up to count active workers of module k (§2 machine failure),

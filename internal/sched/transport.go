@@ -35,9 +35,11 @@ import (
 //   - Step: the low-watermark all-reduce on its own. It opens the run (no
 //     barrier has happened yet) and backs any iteration that made no barrier
 //     exchange; a steady-state iteration makes none.
-//   - Board / Scale: sync-tick board rows and scaling-demand rows
-//     all-gathered between the owner-local measure phase and the replicated
-//     decide phase.
+//   - Board: sync-tick board rows all-gathered between the owner-local
+//     measure phase and the replicated decide phase.
+//   - Scale: scaling-tick demand rows, all-gathered likewise. Each group
+//     applies only its own modules' demands, so no replica reads a peer's
+//     rows.
 //   - Finish: end-of-run per-module reports (probes, peak workers, lane
 //     event counts) so any group can assemble the full result.
 //

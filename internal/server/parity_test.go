@@ -37,16 +37,17 @@ func parityTrace() *trace.Trace {
 // It returns every response in arrival order and the stopped server.
 func replayOnLiveShell(t *testing.T, tr *trace.Trace) ([]Response, *Server) {
 	man := sched.NewManualExecutor()
-	srv, err := New(Config{
+	srv, err := newServer(Config{
 		Spec:       pipeline.DA(),
 		PolicyName: "pard",
 		Workers:    parityWorkers(),
 		SyncPeriod: paritySync,
-		NetDelay:   parityNet,
-		JitterPct:  0.05,
 		Seed:       paritySeed,
-		Probes:     sched.ProbeConfig{LoadFactor: true},
 		Exec:       man,
+	}, sched.Config{
+		NetDelay:  parityNet,
+		JitterPct: 0.05,
+		Probes:    sched.ProbeConfig{LoadFactor: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,16 +47,8 @@ type Config struct {
 	// SyncPeriod is the state-synchronization interval (default
 	// DefaultSyncPeriod).
 	SyncPeriod time.Duration
-	// NetDelay is the per-hop transfer delay between modules (default 0:
-	// in-process hops are immediate).
-	NetDelay time.Duration
-	// JitterPct adds execution-duration jitter as in the simulator
-	// (default 0: live batches take exactly the profiled duration).
-	JitterPct float64
 	// Seed drives the core's deterministic random streams.
 	Seed int64
-	// Probes selects optional core recordings (diagnostics and tests).
-	Probes sched.ProbeConfig
 	// Exec overrides the executor driving the core. Nil selects the paced
 	// wall-clock executor; tests inject a deterministic executor
 	// (sched.ManualExecutor) to replay workloads reproducibly. Concurrent
@@ -172,8 +164,14 @@ type Server struct {
 }
 
 // New validates the config and builds (but does not start) a server for any
-// validated pipeline spec — chain or DAG.
-func New(cfg Config) (*Server, error) {
+// validated pipeline spec — chain or DAG. Its core hops between modules at
+// once, runs batches for exactly their profiled duration and records no
+// probes.
+func New(cfg Config) (*Server, error) { return newServer(cfg, sched.Config{}) }
+
+// newServer is New on a core whose NetDelay, JitterPct and Probes come from
+// base, so that a test can run the live shell on the simulator's settings.
+func newServer(cfg Config, base sched.Config) (*Server, error) {
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("server: config needs a pipeline spec")
 	}
@@ -210,18 +208,10 @@ func New(cfg Config) (*Server, error) {
 		s.wall = sched.NewTimerExecutor()
 		s.exec = s.wall
 	}
-	cl, err := sched.New(sched.Config{
-		Spec:       cfg.Spec,
-		Lib:        cfg.Lib,
-		PolicyName: cfg.PolicyName,
-		Seed:       cfg.Seed,
-		Workers:    cfg.Workers,
-		NetDelay:   cfg.NetDelay,
-		JitterPct:  cfg.JitterPct,
-		Probes:     cfg.Probes,
-		OnDone:     s.onDone,
-		OnDrop:     s.onDrop,
-	}, s.exec)
+	base.Spec, base.Lib, base.PolicyName = cfg.Spec, cfg.Lib, cfg.PolicyName
+	base.Seed, base.Workers = cfg.Seed, cfg.Workers
+	base.OnDone, base.OnDrop = s.onDone, s.onDrop
+	cl, err := sched.New(base, s.exec)
 	if err != nil {
 		if s.wall != nil {
 			s.wall.Stop()

@@ -2,7 +2,6 @@ package simgpu
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -16,8 +15,6 @@ import (
 // profiling) live in the shared scheduling core; these aliases keep the
 // simulator's configuration surface stable.
 type (
-	// ScalingConfig controls the per-module resource scaling engine.
-	ScalingConfig = sched.ScalingConfig
 	// ProbeConfig enables optional high-volume recordings.
 	ProbeConfig = sched.ProbeConfig
 	// Failure describes one injected machine failure.
@@ -25,9 +22,6 @@ type (
 	// Request is one client request traversing the pipeline.
 	Request = sched.Request
 )
-
-// DefaultScaling returns the scaling configuration used by the experiments.
-func DefaultScaling() ScalingConfig { return sched.DefaultScaling() }
 
 // Config fully describes one simulation run.
 type Config struct {
@@ -47,10 +41,10 @@ type Config struct {
 	NetDelay time.Duration
 	// JitterPct overrides per-model execution jitter when >= 0.
 	JitterPct float64
-	// Scaling configures the resource scaling engine.
-	Scaling ScalingConfig
-	// FixedWorkers, when non-nil, pins per-module worker counts and
-	// disables scaling (stress tests).
+	// FixedWorkers, when non-nil, pins per-module worker counts (the
+	// Fig. 14a stress-test setup). It is the one scaling switch: a run
+	// without it starts from sched.ProvisionWorkers' counts and runs the
+	// scaling engine every sched.ScalePeriod.
 	FixedWorkers []int
 	// Probes selects optional recordings.
 	Probes ProbeConfig
@@ -130,9 +124,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if a := out.Trace.Arrivals; !slices.IsSorted(a) || a[0] < 0 {
 		return out, fmt.Errorf("simgpu: trace arrivals must be sorted and non-negative")
 	}
-	if out.Scaling == (ScalingConfig{}) {
-		out.Scaling = DefaultScaling()
-	}
 	if out.Probes.SampleEvery <= 0 {
 		out.Probes.SampleEvery = 1
 	}
@@ -163,27 +154,6 @@ func (c *Config) withDefaults() (Config, error) {
 		if err := sched.CheckWorkers(out.FixedWorkers, out.Spec.N()); err != nil {
 			return out, fmt.Errorf("simgpu: FixedWorkers: %w", err)
 		}
-		out.Scaling.Enabled = false
-	} else if err := checkScaling(out.Scaling); err != nil {
-		return out, err
 	}
 	return out, nil
-}
-
-// checkScaling range-checks what provisioning and the scaling engine read.
-// A configuration with pinned workers reads none of it.
-func checkScaling(sc ScalingConfig) error {
-	switch {
-	case sc.MaxWorkers < 1 || sc.MaxWorkers > sched.PoolLimit:
-		return fmt.Errorf("simgpu: Scaling.MaxWorkers %d outside [1, %d]", sc.MaxWorkers, sched.PoolLimit)
-	case sc.MinWorkers < 1 || sc.MinWorkers > sc.MaxWorkers:
-		return fmt.Errorf("simgpu: Scaling.MinWorkers %d outside [1, MaxWorkers %d]", sc.MinWorkers, sc.MaxWorkers)
-	case !(sc.Headroom > 0) || math.IsInf(sc.Headroom, 1):
-		return fmt.Errorf("simgpu: Scaling.Headroom %v is not a positive factor", sc.Headroom)
-	case sc.ColdStart < 0:
-		return fmt.Errorf("simgpu: Scaling.ColdStart %v < 0", sc.ColdStart)
-	case sc.Enabled && sc.Period <= 0:
-		return fmt.Errorf("simgpu: Scaling.Period %v must be positive", sc.Period)
-	}
-	return nil
 }

@@ -89,35 +89,6 @@ func TestFailureWithoutScalingDegradesMore(t *testing.T) {
 	}
 }
 
-func TestTotalGPUBudgetCapsScaling(t *testing.T) {
-	tr := steadyTrace(800, 30*time.Second, 11)
-	capped := runLV(t, "pard", tr, func(c *Config) {
-		sc := DefaultScaling()
-		sc.TotalGPUs = 10 // 5 modules × min 1 leaves little slack
-		c.Scaling = sc
-	})
-	total := 0
-	for _, w := range capped.PeakWorkers {
-		total += w
-	}
-	if total > 10+5 { // proportional grant floors at MinWorkers per module
-		t.Fatalf("cluster budget exceeded: peak workers %v", capped.PeakWorkers)
-	}
-	uncapped := runLV(t, "pard", tr, nil)
-	utotal := 0
-	for _, w := range uncapped.PeakWorkers {
-		utotal += w
-	}
-	if utotal <= total {
-		t.Fatalf("budget had no effect: capped %d vs uncapped %d", total, utotal)
-	}
-	// The capped cluster serves less.
-	if capped.Summary.Good >= uncapped.Summary.Good {
-		t.Fatalf("capped cluster should serve less: %d vs %d",
-			capped.Summary.Good, uncapped.Summary.Good)
-	}
-}
-
 func TestFailureDeterminism(t *testing.T) {
 	tr := steadyTrace(300, 20*time.Second, 13)
 	mut := func(c *Config) {

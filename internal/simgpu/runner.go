@@ -86,12 +86,10 @@ func New(cfg Config) (*Runner, error) {
 		if rate <= 0 {
 			rate = full.Trace.MeanRate()
 		}
-		workers, err = sched.ProvisionWorkers(full.Spec, full.Lib, batches, rate,
-			full.Scaling.Headroom, full.Scaling.MinWorkers, full.Scaling.MaxWorkers)
+		workers, err = sched.ProvisionWorkers(full.Spec, full.Lib, batches, rate)
 		if err != nil {
 			return nil, err
 		}
-		sched.ApplyGPUBudget(workers, full.Scaling.TotalGPUs, full.Scaling.MinWorkers)
 	}
 
 	// One event lane per module, up to Shards workers, conservative
@@ -119,7 +117,6 @@ func New(cfg Config) (*Runner, error) {
 		Workers:        workers,
 		NetDelay:       full.NetDelay,
 		JitterPct:      full.JitterPct,
-		Scaling:        full.Scaling,
 		Probes:         full.Probes,
 		Lambda:         full.Lambda,
 		PriorityWindow: full.PriorityWindow,
@@ -294,8 +291,8 @@ func (r *Runner) runSharded() {
 		r.cl.ControlFlush()
 		return !r.drained(now)
 	})
-	if r.cfg.Scaling.Enabled {
-		r.shx.Ticker(r.cfg.Scaling.Period, "scale", func(now time.Duration) bool {
+	if r.cfg.FixedWorkers == nil {
+		r.shx.Ticker(sched.ScalePeriod, "scale", func(now time.Duration) bool {
 			r.cl.ScaleTick(now)
 			r.cl.ControlFlush()
 			return !r.drained(now)

@@ -2,6 +2,7 @@ package simgpu
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -40,12 +41,6 @@ func runLV(t *testing.T, pol string, tr *trace.Trace, mutate func(*Config)) *Res
 // inside Run or built a cluster that dropped every request.
 func TestConfigValidation(t *testing.T) {
 	tr := steadyTrace(50, 2*time.Second, 1)
-	scaling := func(mod func(*ScalingConfig)) func(*Config) {
-		return func(c *Config) {
-			c.Scaling = DefaultScaling()
-			mod(&c.Scaling)
-		}
-	}
 	cases := []struct {
 		name string
 		mod  func(*Config)
@@ -58,11 +53,6 @@ func TestConfigValidation(t *testing.T) {
 		{"fixed-workers-negative", func(c *Config) { c.FixedWorkers = []int{-1, 1, 1, 1, 1} }, "FixedWorkers"},
 		{"fixed-workers-zero", func(c *Config) { c.FixedWorkers = []int{1, 1, 0, 1, 1} }, "FixedWorkers"},
 		{"fixed-workers-past-limit", func(c *Config) { c.FixedWorkers = []int{1, 1, 1, 1, sched.PoolLimit + 1} }, "FixedWorkers"},
-		{"max-workers-negative", scaling(func(sc *ScalingConfig) { sc.MaxWorkers = -3 }), "Scaling.MaxWorkers"},
-		{"min-workers-above-max", scaling(func(sc *ScalingConfig) { sc.MinWorkers = sc.MaxWorkers + 1 }), "Scaling.MinWorkers"},
-		{"headroom-nan", scaling(func(sc *ScalingConfig) { sc.Headroom = math.NaN() }), "Scaling.Headroom"},
-		{"cold-start-negative", scaling(func(sc *ScalingConfig) { sc.ColdStart = -time.Second }), "Scaling.ColdStart"},
-		{"scale-period-negative", scaling(func(sc *ScalingConfig) { sc.Period = -1 }), "Scaling.Period"},
 		{"lambda-above-one", func(c *Config) { c.Lambda = 5 }, "Lambda"},
 		{"lambda-nan", func(c *Config) { c.Lambda = math.NaN() }, "Lambda"},
 		{"jitter-above-one", func(c *Config) { c.JitterPct = 2 }, "JitterPct"},
@@ -180,19 +170,32 @@ func TestTargetBatches(t *testing.T) {
 	}
 }
 
+// TestProvisionWorkers: below the scaling engine's per-module cap every
+// module gets the capacity for the rate, and a rate far past it gets the cap
+// everywhere, no fewer workers than any lower rate.
 func TestProvisionWorkers(t *testing.T) {
 	spec := pipeline.LV()
 	lib := profile.DefaultLibrary()
 	batches, _, _ := sched.TargetBatches(spec, lib, 0.25)
-	ws, err := sched.ProvisionWorkers(spec, lib, batches, 1000, 1.2, 1, 16)
+	const rate = 50
+	ws, err := sched.ProvisionWorkers(spec, lib, batches, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
+	capped, err := sched.ProvisionWorkers(spec, lib, batches, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(ws, capped) {
+		t.Fatalf("%v req/s already reaches the cap %v", float64(rate), capped)
+	}
 	for k, w := range ws {
 		m, _ := lib.Get(spec.Modules[k].Name)
-		cap := float64(w) * m.Throughput(batches[k])
-		if w < 16 && cap < 1000 {
+		if cap := float64(w) * m.Throughput(batches[k]); w < 1 || cap < rate {
 			t.Fatalf("module %d underprovisioned: %d workers, capacity %v", k, w, cap)
+		}
+		if capped[k] != capped[0] || capped[k] < w {
+			t.Fatalf("module %d: %d workers at %v req/s, %d past the cap (module 0: %d)", k, w, float64(rate), capped[k], capped[0])
 		}
 	}
 }

@@ -141,8 +141,6 @@ type (
 	SimResult = simgpu.Result
 	// ProbeConfig selects optional high-volume recordings.
 	ProbeConfig = simgpu.ProbeConfig
-	// ScalingConfig controls the autoscaling engine.
-	ScalingConfig = simgpu.ScalingConfig
 	// Summary is the run-level metric aggregate.
 	Summary = metrics.Summary
 	// MetricsCollector holds per-request outcomes and derives windowed
