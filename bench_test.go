@@ -772,11 +772,11 @@ func TestAllocsWholeOps(t *testing.T) {
 		events        uint64 // simulated events per op, exact (0: not a simulation)
 		run           func(tb testing.TB, m measure)
 	}{
-		{"ShardedDASequential", 450, 27_600_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 1)) }},
-		{"ShardedDASharded", 470, 27_600_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 5)) }},
-		{"LaneGroupBarrier/mem", 835, 2_360_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
-		{"LaneGroupBarrier/loopback", 990, 1_700_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
-		{"SweepGrid", 1380, 8_450_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"ShardedDASequential", 450, 24_800_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 1)) }},
+		{"ShardedDASharded", 470, 24_800_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 5)) }},
+		{"LaneGroupBarrier/mem", 835, 2_300_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
+		{"LaneGroupBarrier/loopback", 990, 1_640_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
+		{"SweepGrid", 1350, 7_300_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
 		{"ServerSubmit", 0, 0, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
 			m(withoutGC(func() uint64 { submit(1); return 0 }))

@@ -26,6 +26,7 @@ import (
 
 	"pard"
 	"pard/internal/dist"
+	"pard/internal/metrics"
 	"pard/internal/sweep"
 )
 
@@ -49,12 +50,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	parallel := fs.Int("parallel", 0, "concurrent simulation runs (0 = all CPU cores, 1 = sequential)")
 	hosts := fs.String("hosts", "", "comma-separated addresses of waiting lane-group peers (pard-worker -listen); this process becomes the hub (lane group 0) and the run spans len(hosts)+1 processes")
 	list := fs.Bool("list", false, "list policies and exit")
-	window := fs.Duration("window", 24*time.Second, "goodput window size")
+	window := fs.Duration("window", 24*time.Second, "goodput window size, a positive multiple of 250ms")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return err
+	}
+	if *window <= 0 || *window%metrics.WindowBase != 0 {
+		return fmt.Errorf("-window %v: must be a positive multiple of %v", *window, metrics.WindowBase)
 	}
 
 	if *list {

@@ -71,6 +71,26 @@ func TestFlagExclusions(t *testing.T) {
 	}
 }
 
+// TestWindowRefusedAtParse: a -window the collector cannot fold from its
+// 250 ms buckets is an error naming the flag, returned before the trace is
+// built or anything is simulated (nothing reaches stdout).
+func TestWindowRefusedAtParse(t *testing.T) {
+	for _, w := range []string{"0", "-24s", "100ms", "24.1s"} {
+		var out, errb bytes.Buffer
+		err := run([]string{"-app", "tm", "-trace", "steady", "-duration", "2s", "-window", w}, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), "-window") || !strings.Contains(err.Error(), "multiple of 250ms") {
+			t.Fatalf("-window %s: %v, want an error naming the flag and the base", w, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-window %s: printed %q before refusing", w, out.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if err := run([]string{"-app", "tm", "-trace", "steady", "-duration", "2s", "-window", "750ms"}, &out, &errb); err != nil {
+		t.Fatalf("-window 750ms: %v", err)
+	}
+}
+
 // TestDistributedCLI is the command-level slice of determinism invariant
 // #5: the same simulation run flat and distributed across a pard-sim hub
 // plus a lane group served the way pard-worker -listen serves it

@@ -17,6 +17,7 @@ var keepExports = map[string]string{
 	"core.Estimator.Lsub":          "the per-path breakdown a sampled decision trace will print",
 	"sched.ManualExecutor.Pending": "tests in other packages observe the core through it",
 	"sched.Cluster.ActiveWorkers":  "tests in other packages observe the core through it",
+	"simgpu.Runner.Requests":       "tests in other packages read the per-request ledger a result does not keep through it",
 	"metrics.Collector.GobEncode":  "called by encoding/gob through reflection",
 	"metrics.Collector.GobDecode":  "called by encoding/gob through reflection",
 	"server.Response.MarshalJSON":  "called by encoding/json through reflection",

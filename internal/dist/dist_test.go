@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pard/internal/metrics"
 	"pard/internal/profile"
 	"pard/internal/simgpu"
 	"pard/internal/sweep"
@@ -196,13 +197,14 @@ func peerName(proto int) string {
 }
 
 // TestVersionMismatchRefused: both sides refuse a peer speaking another
-// protocol version — a future one, v7 and v6, whose binary handshakes carried
-// a job of another layout, and v5, v4 and v3, whose handshakes are gob — and
+// protocol version — a future one, v8, whose sweep results carried a
+// collector of another layout, v7 and v6, whose binary handshakes carried a
+// job of another layout, and v5, v4 and v3, whose handshakes are gob — and
 // neither side hangs doing so. A gob peer cannot read this side's hello or
 // ack either: as a worker it hangs up, as a coordinator it fails to decode
 // the refusal.
 func TestVersionMismatchRefused(t *testing.T) {
-	for _, peer := range []int{ProtoVersion + 1, 7, 6, 5, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 8, 7, 6, 5, 4, 3} {
 		t.Run("worker-side/"+peerName(peer), func(t *testing.T) {
 			coordSide, workerSide := net.Pipe()
 			defer coordSide.Close()
@@ -336,6 +338,63 @@ func TestEchoedKeyMismatchFailsUnit(t *testing.T) {
 	}
 	if _, ok := c.cfg.Engine.Lookup("run|" + tinyGrid()[0].Key()); ok {
 		t.Fatal("tampered result reached the cache")
+	}
+}
+
+// TestHostileCollectorIsSessionError: a worker's result whose collector no
+// run produces — no modules, or a non-positive SLO — reaches the
+// coordinator's result decoder. It must end that worker's session with the
+// decoder's error, never panic the coordinator, and merge nothing.
+func TestHostileCollectorIsSessionError(t *testing.T) {
+	for name, col := range map[string]*metrics.Collector{
+		"no modules": {SLO: time.Second, NModules: 0},
+		"zero SLO":   {SLO: 0, NModules: 1},
+	} {
+		var logMu sync.Mutex
+		var logs []string
+		lost := func() string {
+			logMu.Lock()
+			defer logMu.Unlock()
+			return strings.Join(logs, "\n")
+		}
+		c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		}})
+		coordSide, fakeWorker := net.Pipe()
+		go func() {
+			f := newFramed(fakeWorker)
+			h, err := recvHello(f, 0)
+			if err != nil || sendAck(f, HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP}) != nil {
+				return
+			}
+			var u WorkUnit
+			if f.recv(&u, 0) != nil {
+				return
+			}
+			f.send(UnitResult{Epoch: u.Epoch, ID: u.ID, Key: u.Key, Result: &simgpu.Result{Collector: col}})
+		}()
+		if err := c.AddConn(coordSide); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Sweep(context.Background(), tinyGrid()[:1]); err == nil {
+			t.Fatalf("%s: the sweep succeeded on a hostile result", name)
+		}
+		// The sweep fails once the worker is gone; the drop is logged last.
+		for deadline := time.Now().Add(5 * time.Second); !strings.Contains(lost(), "lost worker") && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		c.Close()
+		if !strings.Contains(lost(), "lost worker") || !strings.Contains(lost(), "metrics: collector:") {
+			t.Fatalf("%s: the worker was not dropped for its result's collector:\n%s", name, lost())
+		}
+		if st := c.Stats(); st.Completed != 0 || st.WorkersLost != 1 {
+			t.Fatalf("%s: stats %+v, want nothing completed and the worker lost", name, st)
+		}
+		if _, ok := c.cfg.Engine.Lookup("run|" + tinyGrid()[0].Key()); ok {
+			t.Fatalf("%s: hostile result reached the cache", name)
+		}
 	}
 }
 

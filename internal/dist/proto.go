@@ -64,7 +64,12 @@ import (
 // settings are constants of the scheduling core, and a job scales exactly
 // when its FixedWorkers is nil. A v7 hello or ack is refused at its version,
 // before its job is read.
-const ProtoVersion = 8
+//
+// Version 9: a sweep session's UnitResult carries the fixed-size collector
+// (send-time buckets, a latency histogram and a record digest) instead of one
+// record per request. Both layouts gob-decode without error, so a v8 peer
+// would merge empty window series; it is refused at its version instead.
+const ProtoVersion = 9
 
 // WorkUnit assigns one grid point. Key is the coordinator's full cache key
 // ("run|" + Spec.Key()); the worker re-derives it from Spec and refuses the

@@ -25,8 +25,13 @@ import (
 	"pard/internal/profile"
 	"pard/internal/server"
 	"pard/internal/simgpu"
+	"pard/internal/stats"
 	"pard/internal/trace"
 )
+
+// Hist names the latency histogram for bench/'s probes; the one
+// implementation is stats.Hist.
+type Hist = stats.Hist
 
 // Generation modes.
 const (
@@ -220,7 +225,7 @@ type run struct {
 	timeouts, errs, badStatus atomic.Uint64
 	inFlight                  atomic.Int64
 
-	hist Hist
+	hist stats.Hist
 
 	mu      sync.Mutex // guards offsets and the stream state
 	offsets []time.Duration

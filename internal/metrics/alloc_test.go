@@ -5,14 +5,14 @@ import (
 	"time"
 )
 
-// These tests pin the finalization hot path: deriving windowed metrics and
-// latency quantiles from a populated collector reuses the collector's
-// scratch buffers, so repeated per-width sweeps (Figs. 2, 8-10) allocate
-// nothing — or, for LatencyQuantiles, only the caller-owned result slice.
+// These tests pin the finalization hot path: deriving windowed metrics from
+// a populated collector folds its buckets in place, so repeated per-width
+// sweeps (Figs. 2, 8-10) allocate nothing, and LatencyQuantiles allocates
+// only the caller-owned result slice.
 
 func populatedCollector(n int) *Collector {
 	c := NewCollector(100*time.Millisecond, 3)
-	c.Grow(n)
+	c.Reserve(time.Duration(n) * 10 * time.Millisecond)
 	for i := 0; i < n; i++ {
 		send := time.Duration(i) * 10 * time.Millisecond
 		r := Record{Send: send, Done: send + 50*time.Millisecond, GPUTime: time.Millisecond}
@@ -29,13 +29,11 @@ func populatedCollector(n int) *Collector {
 	return c
 }
 
-// TestAllocsWindowMetrics: the window-derived scalar metrics reuse the
-// collector's window scratch after the first call.
+// TestAllocsWindowMetrics: the window-derived scalar metrics allocate
+// nothing.
 func TestAllocsWindowMetrics(t *testing.T) {
 	c := populatedCollector(2000)
 	width := time.Second
-	// Warm the scratch.
-	c.MinNormalizedGoodput(width)
 
 	avg := testing.AllocsPerRun(100, func() {
 		c.MinNormalizedGoodput(width)
@@ -47,9 +45,8 @@ func TestAllocsWindowMetrics(t *testing.T) {
 	}
 }
 
-// TestAllocsLatencyQuantiles: after warm-up, the only allocation is the
-// returned result slice — the latency scratch is reused and sorting is
-// in-place.
+// TestAllocsLatencyQuantiles: the only allocation is the returned result
+// slice — every quantile reads the histogram.
 func TestAllocsLatencyQuantiles(t *testing.T) {
 	c := populatedCollector(2000)
 	qs := []float64{0.5, 0.9, 0.99}
@@ -70,5 +67,22 @@ func TestAllocsTallyAdd(t *testing.T) {
 	r := Record{Send: time.Second, Done: 2 * time.Second, Outcome: DroppedOutcome, DropModule: 1, GPUTime: time.Millisecond}
 	if avg := testing.AllocsPerRun(1000, func() { tally.Add(r) }); avg != 0 {
 		t.Fatalf("Tally.Add allocates %.1f per record, want 0", avg)
+	}
+}
+
+// TestAllocsCollectorAdd: a collector reserved for a run's span counts every
+// request of the run without allocating — its size follows the span, not the
+// request count.
+func TestAllocsCollectorAdd(t *testing.T) {
+	c := NewCollector(100*time.Millisecond, 3)
+	c.Reserve(time.Minute)
+	i := 0
+	avg := testing.AllocsPerRun(10_000, func() {
+		send := time.Duration(i) * 5 * time.Millisecond % time.Minute
+		c.Add(Record{Send: send, Done: send + 80*time.Millisecond, Outcome: Outcome(i % 3), DropModule: i % 3})
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("Collector.Add allocates %.2f per record, want 0", avg)
 	}
 }

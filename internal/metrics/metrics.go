@@ -5,11 +5,13 @@
 //     finished inference but violated the SLO also counts as dropped.
 //   - Invalid rate: GPU time consumed by dropped requests / total GPU time.
 //
-// The Collector stores one record per request and derives windowed series
-// post-hoc, which is what Figs. 2, 8, 9 and 10 plot: minimum normalized
-// goodput across window sizes, maximum average drop rate across window
-// sizes, and transient (per-bucket) rates over time. A Tally keeps only the
-// run-level aggregates, in fixed memory, for a server that runs for days.
+// A Tally keeps the run-level aggregates in fixed memory, for a server that
+// runs for days. The Collector adds, per 250 ms of send time, the requests
+// that arrived and were good, and one latency histogram. From the buckets it
+// derives exactly the windowed series Figs. 2, 8, 9 and 10 plot: minimum
+// normalized goodput across window sizes, maximum average drop rate across
+// window sizes, and transient (per-bucket) rates over time. It keeps no
+// record per request.
 package metrics
 
 import (
@@ -57,7 +59,7 @@ func (o Outcome) String() string {
 	}
 }
 
-// Record is the per-request outcome stored by the Collector.
+// Record is one request's outcome, as a Tally or a Collector counts it.
 type Record struct {
 	Send    time.Duration // client send time t_s
 	Done    time.Duration // completion or drop time
@@ -76,11 +78,15 @@ func (r Record) Bad() bool { return r.Outcome != Good }
 // time, the latest timestamp — in fixed memory: Add is O(1) and keeps no
 // record, so a long-running server can account for every request forever.
 // Not safe for concurrent use.
-type Tally struct {
-	total, good, late, dropped, rejected int
-	gpuTotal, gpuWasted                  time.Duration
-	perModuleDrops                       []int // one per module
-	end                                  time.Duration
+type Tally struct{ n tallyCounts }
+
+// tallyCounts are a Tally's aggregates, their fields exported only so that
+// the Collector's wire form carries them whole.
+type tallyCounts struct {
+	Total, Good, Late, Dropped, Rejected int
+	GPUTotal, GPUWasted                  time.Duration
+	ModuleDrops                          []int // one per module
+	End                                  time.Duration
 }
 
 // NewTally returns a tally for a pipeline with n modules.
@@ -88,93 +94,115 @@ func NewTally(n int) *Tally {
 	if n < 1 {
 		panic(fmt.Sprintf("metrics: module count must be >=1, got %d", n))
 	}
-	return &Tally{perModuleDrops: make([]int, n)}
+	return &Tally{tallyCounts{ModuleDrops: make([]int, n)}}
 }
 
 // Add counts one finished request.
 func (t *Tally) Add(r Record) {
-	t.total++
+	n := &t.n
+	n.Total++
 	switch r.Outcome {
 	case Good:
-		t.good++
+		n.Good++
 	case Late:
-		t.late++
+		n.Late++
 	case DroppedOutcome:
-		t.dropped++
-		if r.DropModule >= 0 && r.DropModule < len(t.perModuleDrops) {
-			t.perModuleDrops[r.DropModule]++
+		n.Dropped++
+		if r.DropModule >= 0 && r.DropModule < len(n.ModuleDrops) {
+			n.ModuleDrops[r.DropModule]++
 		}
 	case Rejected:
-		t.rejected++
+		n.Rejected++
 	}
-	t.gpuTotal += r.GPUTime
+	n.GPUTotal += r.GPUTime
 	if r.Bad() {
-		t.gpuWasted += r.GPUTime
+		n.GPUWasted += r.GPUTime
 	}
-	if r.Done > t.end {
-		t.end = r.Done
-	}
-	if r.Send > t.end {
-		t.end = r.Send
-	}
+	n.End = max(n.End, r.Done, r.Send)
 }
 
 // End returns the latest timestamp observed.
-func (t *Tally) End() time.Duration { return t.end }
+func (t *Tally) End() time.Duration { return t.n.End }
 
-// Collector is a Tally that also keeps every record, from which it derives
-// windowed series and latency quantiles. It reuses internal scratch buffers
-// across derived-metric calls (windows, latency quantiles), so a Collector is
-// NOT safe for concurrent use; the sweep engine only ever finalizes a
-// collector from a single goroutine.
+// WindowBase is the send-time bucket a Collector counts in; a window width
+// must be a positive multiple of it. Every width a figure or command uses is
+// one: the paper's widths and a quarter of them floored at 2 s, the 5, 10
+// and 20 s buckets, and pard-sim's -window.
+const WindowBase = 250 * time.Millisecond
+
+// Collector is a Tally that also counts requests per WindowBase of send
+// time and keeps one latency histogram, from which it derives windowed
+// series and latency quantiles. Its buckets cover [0, End], so its size
+// follows a run's length, not its request count. An order-sensitive digest
+// of every record it was given makes two collectors fed different records
+// encode differently. Not safe for concurrent use.
 type Collector struct {
 	SLO      time.Duration
 	NModules int
 
-	// tally stays unexported: gob puts even a GobEncoder's exported fields'
-	// types on the wire, and the disk cache's bytes are pinned.
+	// The rest stays unexported: gob puts even a GobEncoder's exported
+	// fields' types on the wire, and the disk cache's bytes are pinned.
 	tally   Tally
-	records []Record
-
-	// finalization scratch, reused across calls (never serialized; the gob
-	// format is pinned by collectorWire)
-	winScratch []WindowPoint
-	latScratch []float64
+	buckets []bucket   // by send time, one per WindowBase up to End
+	digest  uint64     // every record, in order
+	lat     stats.Hist // Done − Send of every request not dropped
 }
+
+// bucket counts the requests sent within one WindowBase; the ones not good
+// were bad.
+type bucket struct{ Arrived, Good int }
 
 // NewCollector returns a collector for a pipeline with n modules.
 func NewCollector(slo time.Duration, n int) *Collector {
 	if slo <= 0 {
 		panic(fmt.Sprintf("metrics: SLO must be positive, got %v", slo))
 	}
-	return &Collector{SLO: slo, NModules: n, tally: *NewTally(n)}
+	return &Collector{SLO: slo, NModules: n, tally: *NewTally(n), digest: digestBasis}
 }
 
-// Grow pre-sizes the record buffer for at least n additional records,
-// turning the append growth chain in a large run into one allocation.
-func (c *Collector) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	if free := cap(c.records) - len(c.records); free < n {
-		grown := make([]Record, len(c.records), len(c.records)+n)
-		copy(grown, c.records)
-		c.records = grown
+// Reserve sizes the send-time buckets for a run ending within span, so
+// such a run's collector allocates them once.
+func (c *Collector) Reserve(span time.Duration) {
+	if n := int(span/WindowBase) + 1; n > cap(c.buckets) {
+		c.buckets = slices.Grow(c.buckets, n-len(c.buckets))
 	}
 }
 
-// Add records one finished request.
+// The record digest is FNV-1a's, a field at a time: each step is a
+// bijection of the running digest and of the field, so one differing field
+// changes the digest.
+const digestBasis, digestPrime = 14695981039346656037, 1099511628211
+
+// Add counts one finished request.
 func (c *Collector) Add(r Record) {
 	c.tally.Add(r)
-	c.records = append(c.records, r)
+	for n := int(c.tally.n.End/WindowBase) + 1; len(c.buckets) < n; {
+		c.buckets = append(c.buckets, bucket{})
+	}
+	i := max(0, int(r.Send/WindowBase))
+	c.buckets[i].Arrived++
+	if r.Outcome == Good {
+		c.buckets[i].Good++
+	}
+	if r.Outcome != DroppedOutcome {
+		c.lat.Record(r.Done - r.Send)
+	}
+	for _, v := range [...]uint64{uint64(r.Send), uint64(r.Done), uint64(r.Outcome), uint64(r.DropModule), uint64(r.GPUTime)} {
+		c.digest = (c.digest ^ v) * digestPrime
+	}
 }
 
-// collectorWire is the Collector's serialized form: the raw records plus
-// the constructor inputs; aggregates are rebuilt on decode.
+// collectorWire is the Collector's serialized form: the tally's counts, the
+// send-time buckets, the digest and the histogram's slots.
 type collectorWire struct {
 	SLO      time.Duration
 	NModules int
-	Records  []Record
+	Tally    tallyCounts
+
+	Buckets    []bucket
+	Digest     uint64
+	Latency    []uint64 // as stats.Hist.Counts returns them
+	LatencyMax time.Duration
 }
 
 // GobEncode serializes the collector (sweep's on-disk run cache persists
@@ -182,31 +210,85 @@ type collectorWire struct {
 func (c *Collector) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(collectorWire{
-		SLO: c.SLO, NModules: c.NModules, Records: c.records,
+		SLO: c.SLO, NModules: c.NModules, Tally: c.tally.n,
+		Buckets: c.buckets, Digest: c.digest,
+		Latency: c.lat.Counts(), LatencyMax: c.lat.Max(),
 	})
 	return buf.Bytes(), err
 }
 
-// GobDecode rebuilds the collector by replaying the serialized records, so
-// the incremental aggregates are always consistent with them.
+// GobDecode restores a serialized collector. The bytes come from a disk
+// cache or a peer, so a state Add cannot produce is an error, never a
+// collector that panics later.
 func (c *Collector) GobDecode(data []byte) error {
 	var w collectorWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w)
+	if err == nil {
+		err = w.check()
 	}
-	*c = *NewCollector(w.SLO, w.NModules)
-	c.Grow(len(w.Records))
-	for _, r := range w.Records {
-		c.Add(r)
+	if err == nil {
+		err = c.lat.Restore(w.Latency, w.LatencyMax)
+	}
+	if t := &w.Tally; err == nil && c.lat.Count() != uint64(t.Total-t.Dropped) {
+		err = fmt.Errorf("%d latencies for %d requests not dropped", c.lat.Count(), t.Total-t.Dropped)
+	}
+	if err != nil {
+		return fmt.Errorf("metrics: collector: %w", err)
+	}
+	c.SLO, c.NModules, c.tally = w.SLO, w.NModules, Tally{w.Tally}
+	c.buckets, c.digest = w.Buckets, w.Digest
+	return nil
+}
+
+// check refuses what no sequence of Adds produces. Buckets must cover
+// exactly [0, End], so a window series is never longer than the bytes that
+// carried it.
+func (w *collectorWire) check() error {
+	t := &w.Tally
+	spanned := 0 // buckets covering [0, End]; none before the first Add
+	if t.Total > 0 && t.End >= 0 {
+		spanned = int(t.End/WindowBase) + 1
+	}
+	switch {
+	case w.NModules < 1:
+		return fmt.Errorf("module count %d, want >= 1", w.NModules)
+	case w.SLO <= 0:
+		return fmt.Errorf("SLO %v, want > 0", w.SLO)
+	case len(t.ModuleDrops) != w.NModules:
+		return fmt.Errorf("%d per-module drop counts for %d modules", len(t.ModuleDrops), w.NModules)
+	case t.End < 0 || t.Total == 0 && t.End != 0 || len(w.Buckets) != spanned:
+		return fmt.Errorf("%d send-time buckets for a run of %d requests ending at %v", len(w.Buckets), t.Total, t.End)
+	case !within(t.Total, t.Good, t.Late, t.Dropped, t.Rejected):
+		return fmt.Errorf("outcome counts %d good, %d late, %d dropped, %d rejected exceed %d requests",
+			t.Good, t.Late, t.Dropped, t.Rejected, t.Total)
+	case !within(t.Dropped, t.ModuleDrops...):
+		return fmt.Errorf("per-module drops %v exceed %d drops", t.ModuleDrops, t.Dropped)
+	}
+	arrived, good := t.Total, t.Good
+	for _, b := range w.Buckets {
+		if !within(b.Arrived, b.Good) || !within(arrived, b.Arrived) || !within(good, b.Good) {
+			return fmt.Errorf("send-time buckets count more than %d requests, %d good", t.Total, t.Good)
+		}
+		arrived, good = arrived-b.Arrived, good-b.Good
+	}
+	if arrived != 0 || good != 0 {
+		return fmt.Errorf("send-time buckets miss %d of %d requests, %d of %d good", arrived, t.Total, good, t.Good)
 	}
 	return nil
 }
 
-// Len returns the number of recorded requests.
-func (c *Collector) Len() int { return len(c.records) }
-
-// Records returns the raw records (callers must not mutate).
-func (c *Collector) Records() []Record { return c.records }
+// within reports whether whole and parts are non-negative and the parts sum
+// to at most whole; each part is taken off what the others leave, so no sum
+// overflows.
+func within(whole int, parts ...int) bool {
+	for _, p := range parts {
+		if whole < 0 || p < 0 || p > whole {
+			return false
+		}
+		whole -= p
+	}
+	return whole >= 0
+}
 
 // End returns the latest timestamp observed.
 func (c *Collector) End() time.Duration { return c.tally.End() }
@@ -234,29 +316,30 @@ type Summary struct {
 
 // Summary computes the aggregate metrics.
 func (t *Tally) Summary() Summary {
+	n := &t.n
 	s := Summary{
-		Total:     t.total,
-		Good:      t.good,
-		Late:      t.late,
-		Dropped:   t.dropped,
-		Rejected:  t.rejected,
-		GPUTotal:  t.gpuTotal,
-		GPUWasted: t.gpuWasted,
+		Total:     n.Total,
+		Good:      n.Good,
+		Late:      n.Late,
+		Dropped:   n.Dropped,
+		Rejected:  n.Rejected,
+		GPUTotal:  n.GPUTotal,
+		GPUWasted: n.GPUWasted,
 	}
 	if s.Total > 0 {
-		s.DropRate = float64(t.dropped+t.late) / float64(s.Total)
+		s.DropRate = float64(n.Dropped+n.Late) / float64(s.Total)
 	}
-	if t.gpuTotal > 0 {
-		s.InvalidRate = float64(t.gpuWasted) / float64(t.gpuTotal)
+	if n.GPUTotal > 0 {
+		s.InvalidRate = float64(n.GPUWasted) / float64(n.GPUTotal)
 	}
-	if t.end > 0 {
-		s.Goodput = float64(t.good) / t.end.Seconds()
-		s.OfferedRate = float64(s.Total) / t.end.Seconds()
+	if n.End > 0 {
+		s.Goodput = float64(n.Good) / n.End.Seconds()
+		s.OfferedRate = float64(s.Total) / n.End.Seconds()
 	}
-	s.PerModuleDropPct = make([]float64, len(t.perModuleDrops))
-	if t.dropped > 0 {
-		for k, n := range t.perModuleDrops {
-			s.PerModuleDropPct[k] = 100 * float64(n) / float64(t.dropped)
+	s.PerModuleDropPct = make([]float64, len(n.ModuleDrops))
+	if n.Dropped > 0 {
+		for k, d := range n.ModuleDrops {
+			s.PerModuleDropPct[k] = 100 * float64(d) / float64(n.Dropped)
 		}
 	}
 	return s
@@ -288,147 +371,92 @@ func (w WindowPoint) DropRate() float64 {
 }
 
 // Windows buckets requests by send time into consecutive windows of the
-// given width covering [0, End]. The returned slice is freshly allocated and
-// owned by the caller; internal metric derivations use windowsInto instead.
+// given width covering [0, End]; the width must be a positive multiple of
+// WindowBase, or Windows panics.
 func (c *Collector) Windows(width time.Duration) []WindowPoint {
-	return c.windowsInto(nil, width)
+	var ws []WindowPoint
+	c.eachWindow(width, func(w WindowPoint) { ws = append(ws, w) })
+	return ws
 }
 
-// windows returns the bucketing for width via the collector's reusable
-// scratch. The result aliases c.winScratch and is valid until the next
-// windows/Windows call on this collector.
-func (c *Collector) windows(width time.Duration) []WindowPoint {
-	c.winScratch = c.windowsInto(c.winScratch, width)
-	return c.winScratch
-}
-
-// windowsInto is Windows writing into a caller-supplied buffer (grown only
-// when capacity is short), so the repeated per-width sweeps behind Figs. 2
-// and 8-10 don't materialize a fresh []WindowPoint per width.
-func (c *Collector) windowsInto(buf []WindowPoint, width time.Duration) []WindowPoint {
-	if width <= 0 {
-		panic(fmt.Sprintf("metrics: window width must be positive, got %v", width))
+// eachWindow passes fn the windows Windows returns, in order, folding base
+// buckets: ⌊⌊send/base⌋/m⌋ = ⌊send/(m·base)⌋, so every window is exact.
+func (c *Collector) eachWindow(width time.Duration, fn func(WindowPoint)) {
+	if width <= 0 || width%WindowBase != 0 {
+		panic(fmt.Sprintf("metrics: window width must be a positive multiple of %v, got %v", WindowBase, width))
 	}
-	if len(c.records) == 0 {
-		return nil
-	}
-	n := int(c.tally.end/width) + 1
-	var out []WindowPoint
-	if cap(buf) >= n {
-		out = buf[:n]
-	} else {
-		out = make([]WindowPoint, n)
-	}
-	for i := range out {
-		out[i] = WindowPoint{Start: time.Duration(i) * width}
-	}
-	for _, r := range c.records {
-		i := int(r.Send / width)
-		if i >= n {
-			i = n - 1
+	m, nb := int(width/WindowBase), len(c.buckets)
+	for j := 0; j*m < nb; j++ {
+		w := WindowPoint{Start: time.Duration(j) * width}
+		for _, b := range c.buckets[j*m : min(j*m+m, nb)] {
+			w.Arrived += b.Arrived
+			w.Good += b.Good
 		}
-		out[i].Arrived++
-		if r.Outcome == Good {
-			out[i].Good++
-		} else {
-			out[i].Bad++
-		}
+		w.Bad = w.Arrived - w.Good
+		fn(w)
 	}
-	return out
 }
 
 // MinNormalizedGoodput returns the minimum over windows of the normalized
-// goodput, skipping empty windows (Fig. 2a).
+// goodput; an empty window counts as 1 (Fig. 2a).
 func (c *Collector) MinNormalizedGoodput(width time.Duration) float64 {
-	min := math.Inf(1)
-	for _, w := range c.windows(width) {
-		if w.Arrived == 0 {
-			continue
-		}
-		if g := w.NormalizedGoodput(); g < min {
-			min = g
-		}
-	}
-	if math.IsInf(min, 1) {
-		return 1
-	}
+	min := 1.0
+	c.eachWindow(width, func(w WindowPoint) { min = math.Min(min, w.NormalizedGoodput()) })
 	return min
 }
 
-// DropRateAtMinGoodput returns the drop rate of the window achieving the
-// minimum normalized goodput (Fig. 2b pairs drop rates with Fig. 2a's
-// windows).
+// DropRateAtMinGoodput returns the drop rate of the first window achieving
+// the minimum normalized goodput, or 0 when every window's is 1 (Fig. 2b
+// pairs drop rates with Fig. 2a's windows).
 func (c *Collector) DropRateAtMinGoodput(width time.Duration) float64 {
-	min, rate := math.Inf(1), 0.0
-	for _, w := range c.windows(width) {
-		if w.Arrived == 0 {
-			continue
-		}
+	min, rate := 1.0, 0.0
+	c.eachWindow(width, func(w WindowPoint) {
 		if g := w.NormalizedGoodput(); g < min {
 			min, rate = g, w.DropRate()
 		}
-	}
+	})
 	return rate
 }
 
 // MaxDropRate returns the maximum per-window drop rate (Fig. 9).
 func (c *Collector) MaxDropRate(width time.Duration) float64 {
 	max := 0.0
-	for _, w := range c.windows(width) {
-		if r := w.DropRate(); r > max {
-			max = r
-		}
-	}
+	c.eachWindow(width, func(w WindowPoint) { max = math.Max(max, w.DropRate()) })
 	return max
 }
 
 // GoodputSeries returns (start, normalized goodput) pairs for plotting the
 // Fig. 10 timelines.
 func (c *Collector) GoodputSeries(width time.Duration) ([]time.Duration, []float64) {
-	ws := c.windows(width)
-	ts := make([]time.Duration, len(ws))
-	vs := make([]float64, len(ws))
-	for i, w := range ws {
-		ts[i] = w.Start
-		vs[i] = w.NormalizedGoodput()
-	}
-	return ts, vs
+	return c.series(width, WindowPoint.NormalizedGoodput)
 }
 
 // DropRateSeries returns (start, drop rate) pairs (Fig. 2d transient drop
 // rate).
 func (c *Collector) DropRateSeries(width time.Duration) ([]time.Duration, []float64) {
-	ws := c.windows(width)
-	ts := make([]time.Duration, len(ws))
-	vs := make([]float64, len(ws))
-	for i, w := range ws {
-		ts[i] = w.Start
-		vs[i] = w.DropRate()
-	}
+	return c.series(width, WindowPoint.DropRate)
+}
+
+func (c *Collector) series(width time.Duration, f func(WindowPoint) float64) (ts []time.Duration, vs []float64) {
+	c.eachWindow(width, func(w WindowPoint) {
+		ts = append(ts, w.Start)
+		vs = append(vs, f(w))
+	})
 	return ts, vs
 }
 
 // LatencyQuantiles returns end-to-end latency quantiles (each q in [0,1])
-// over completed requests (Good and Late outcomes; drops have no meaningful
-// completion latency). Returns nil when nothing completed. Latencies
-// accumulate into a reusable scratch, sorted once per call with the
-// reflection-free slices.Sort; every quantile reads the one sorted scratch.
+// over completed requests (every outcome but DroppedOutcome: a drop has no
+// meaningful completion latency), read from the latency histogram: each
+// within stats.HistRelErr of the order statistic at rank ⌊q·n⌋, and q = 1
+// the exact maximum. Returns nil when nothing completed.
 func (c *Collector) LatencyQuantiles(qs ...float64) []time.Duration {
-	lats := c.latScratch[:0]
-	for _, r := range c.records {
-		if r.Outcome == DroppedOutcome {
-			continue
-		}
-		lats = append(lats, (r.Done - r.Send).Seconds())
-	}
-	c.latScratch = lats
-	if len(lats) == 0 {
+	if c.lat.Count() == 0 {
 		return nil
 	}
-	slices.Sort(lats)
 	out := make([]time.Duration, len(qs))
 	for i, q := range qs {
-		out[i] = time.Duration(stats.QuantileSorted(lats, q) * float64(time.Second))
+		out[i] = c.lat.Quantile(q)
 	}
 	return out
 }

@@ -94,19 +94,49 @@ func (c diffCase) config(tr *trace.Trace) simgpu.Config {
 	}
 }
 
+// simRun is a result with the per-request ledger its collector does not
+// keep, taken from the runner's requests.
+type simRun struct {
+	*simgpu.Result
+	fates []fate
+}
+
+// fate is how one request ended.
+type fate struct {
+	Finished, Dropped   bool
+	DoneAt, DropAt, GPU time.Duration
+	DropModule          int
+}
+
+func runRecorded(cfg simgpu.Config) (*simRun, error) {
+	r, err := simgpu.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.Run()
+	if err != nil {
+		return nil, err
+	}
+	run := &simRun{Result: res}
+	for _, req := range r.Requests() {
+		run.fates = append(run.fates, fate{req.Finished, req.Dropped, req.DoneAt, req.DropAt, req.GPU, req.DropModule})
+	}
+	return run, nil
+}
+
 // runShards executes one corpus case at the given shard count and returns
 // the result plus its gob serialization (the byte-identity witness — the
 // same encoding the sweep disk cache persists).
-func runShards(t *testing.T, c diffCase, tr *trace.Trace, shards int) (*simgpu.Result, []byte) {
+func runShards(t *testing.T, c diffCase, tr *trace.Trace, shards int) (*simRun, []byte) {
 	t.Helper()
 	cfg := c.config(tr)
 	cfg.Shards = shards
-	res, err := simgpu.Run(cfg)
+	res, err := runRecorded(cfg)
 	if err != nil {
 		t.Fatalf("%s shards=%d: %v", c.name, shards, err)
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(res.Result); err != nil {
 		t.Fatalf("%s shards=%d: encode: %v", c.name, shards, err)
 	}
 	return res, buf.Bytes()
@@ -114,11 +144,11 @@ func runShards(t *testing.T, c diffCase, tr *trace.Trace, shards int) (*simgpu.R
 
 // explainDivergence pinpoints the first differing per-request decision for a
 // readable failure message.
-func explainDivergence(t *testing.T, name string, shards int, base, got *simgpu.Result) {
+func explainDivergence(t *testing.T, name string, shards int, base, got *simRun) {
 	t.Helper()
-	a, b := base.Collector.Records(), got.Collector.Records()
+	a, b := base.fates, got.fates
 	if len(a) != len(b) {
-		t.Errorf("%s: shards=1 has %d records, shards=%d has %d", name, len(a), shards, len(b))
+		t.Errorf("%s: shards=1 has %d requests, shards=%d has %d", name, len(a), shards, len(b))
 		return
 	}
 	for i := range a {
@@ -127,7 +157,7 @@ func explainDivergence(t *testing.T, name string, shards int, base, got *simgpu.
 			return
 		}
 	}
-	t.Errorf("%s: shards=%d output differs beyond per-request records (probes/metrics)", name, shards)
+	t.Errorf("%s: shards=%d output differs beyond per-request fates (probes/metrics)", name, shards)
 }
 
 // TestShardedDifferential replays the corpus through the sequential executor
@@ -232,11 +262,11 @@ func (t *stepCountingTransport) Barrier(m sched.BarrierMsg) ([]sched.BarrierMsg,
 // each behind a counting transport, requires every replica to assemble the
 // same bytes, and returns group 0's result and witness bytes and every
 // group's counters.
-func runCountedGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) (*simgpu.Result, []byte, []*stepCountingTransport) {
+func runCountedGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) (*simRun, []byte, []*stepCountingTransport) {
 	t.Helper()
 	trs := sched.NewMemTransports(groups)
 	cts := make([]*stepCountingTransport, groups)
-	results := make([]*simgpu.Result, groups)
+	results := make([]*simRun, groups)
 	errs := make([]error, groups)
 	var wg sync.WaitGroup
 	for g := range trs {
@@ -246,7 +276,7 @@ func runCountedGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) (*s
 			defer wg.Done()
 			cfg := c.config(tr)
 			cfg.Remote = &simgpu.RemoteTopology{Groups: groups, Group: g, Transport: cts[g]}
-			results[g], errs[g] = simgpu.Run(cfg)
+			results[g], errs[g] = runRecorded(cfg)
 			if errs[g] != nil {
 				cts[g].Abort(errs[g]) // release the peers from their rendezvous
 			}
@@ -261,7 +291,7 @@ func runCountedGroups(t *testing.T, c diffCase, tr *trace.Trace, groups int) (*s
 	var ref []byte
 	for g, res := range results {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(res.Result); err != nil {
 			t.Fatalf("%s groups=%d: encode: %v", c.name, groups, err)
 		}
 		if g == 0 {

@@ -191,7 +191,7 @@ func TestVirtualWallClockParity(t *testing.T) {
 // side's drop behaviour drifting from the other's.
 func TestLaneSimTracksLiveShell(t *testing.T) {
 	tr := parityTrace()
-	res, err := simgpu.Run(simgpu.Config{
+	runner, err := simgpu.New(simgpu.Config{
 		Spec:         pipeline.DA(),
 		PolicyName:   "pard",
 		Trace:        tr,
@@ -202,25 +202,35 @@ func TestLaneSimTracksLiveShell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := runner.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	resps, srv := replayOnLiveShell(t, tr)
 
-	recs := res.Collector.Records()
-	if len(recs) != len(resps) {
-		t.Fatalf("request counts differ: sim %d, live %d", len(recs), len(resps))
+	reqs := runner.Requests()
+	if len(reqs) != len(resps) {
+		t.Fatalf("request counts differ: sim %d, live %d", len(reqs), len(resps))
 	}
 	differ := 0
-	for i, rec := range recs {
-		if Outcome(rec.Outcome.String()) != resps[i].Outcome {
+	for i, req := range reqs {
+		sim := OutcomeDropped
+		if req.Finished && req.DoneAt-req.Send <= pipeline.DA().SLO {
+			sim = OutcomeGood
+		} else if req.Finished {
+			sim = OutcomeLate
+		}
+		if sim != resps[i].Outcome {
 			differ++
 		}
 	}
-	n := float64(len(recs))
+	n := float64(len(reqs))
 	sim, live := res.Summary, srv.Summary()
 	if sim.Dropped == 0 || live.Dropped == 0 {
 		t.Fatalf("workload produced no drops (sim %d, live %d); the comparison is vacuous", sim.Dropped, live.Dropped)
 	}
 	if share := float64(differ) / n; share > 0.03 {
-		t.Errorf("%d of %d per-request outcomes differ (%.2f%%), want <= 3%%", differ, len(recs), 100*share)
+		t.Errorf("%d of %d per-request outcomes differ (%.2f%%), want <= 3%%", differ, len(reqs), 100*share)
 	}
 	if gap := math.Abs(float64(sim.Good-live.Good)) / n; gap > 0.01 {
 		t.Errorf("good: sim %d, live %d, %.2f%% of requests apart, want <= 1%%", sim.Good, live.Good, 100*gap)
@@ -229,5 +239,5 @@ func TestLaneSimTracksLiveShell(t *testing.T) {
 		t.Errorf("goodput: sim %.2f, live %.2f, %.2f%% apart, want <= 1%%", sim.Goodput, live.Goodput, 100*gap)
 	}
 	t.Logf("outcomes differing %d/%d; good sim %d live %d; goodput sim %.2f live %.2f",
-		differ, len(recs), sim.Good, live.Good, sim.Goodput, live.Goodput)
+		differ, len(reqs), sim.Good, live.Good, sim.Goodput, live.Goodput)
 }

@@ -51,16 +51,17 @@ func TestFailureRecoveryViaScaling(t *testing.T) {
 	// With scaling enabled, replacements cold-start after a failure; the
 	// second half of the run recovers.
 	tr := steadyTrace(300, 60*time.Second, 7)
-	res := runLV(t, "pard", tr, func(c *Config) {
+	cfg := lvConfig("pard", tr, func(c *Config) {
 		c.Failures = []Failure{{At: 20 * time.Second, Module: 0, Count: 2}}
 	})
+	_, reqs := runRecorded(t, cfg)
 	// Goodput in the last 20s should be healthy again.
 	tail := 0
 	tailGood := 0
-	for _, rec := range res.Collector.Records() {
-		if rec.Send >= 40*time.Second {
+	for _, req := range reqs {
+		if req.Send >= 40*time.Second {
 			tail++
-			if rec.Outcome == 0 { // metrics.Good
+			if req.Finished && req.DoneAt-req.Send <= cfg.Spec.SLO {
 				tailGood++
 			}
 		}

@@ -11,7 +11,7 @@ import (
 
 // Result is everything one simulation run produces.
 type Result struct {
-	// Collector holds the per-request outcomes and derived metrics.
+	// Collector holds the outcome counts and derived metrics.
 	Collector *metrics.Collector
 	// Summary is Collector.Summary(), precomputed.
 	Summary metrics.Summary
@@ -309,7 +309,7 @@ func (r *Runner) runSharded() {
 
 func (r *Runner) buildResult() *Result {
 	col := metrics.NewCollector(r.cfg.Spec.SLO, r.cfg.Spec.N())
-	col.Grow(len(r.requests))
+	col.Reserve(r.cfg.Trace.Duration)
 	for _, req := range r.requests {
 		rec := metrics.Record{
 			Send:       req.Send,
@@ -397,6 +397,10 @@ func (r *Runner) buildResult() *Result {
 	}
 	return res
 }
+
+// Requests returns the run's requests in arrival order, each holding its
+// fate once Run returns: the per-request ledger a Result does not keep.
+func (r *Runner) Requests() []*sched.Request { return r.requests }
 
 // Run is the one-call entry point: build a runner from cfg and execute it.
 func Run(cfg Config) (*Result, error) {

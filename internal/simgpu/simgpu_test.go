@@ -19,6 +19,11 @@ func steadyTrace(rate float64, dur time.Duration, seed int64) *trace.Trace {
 
 func runLV(t *testing.T, pol string, tr *trace.Trace, mutate func(*Config)) *Result {
 	t.Helper()
+	res, _ := runRecorded(t, lvConfig(pol, tr, mutate))
+	return res
+}
+
+func lvConfig(pol string, tr *trace.Trace, mutate func(*Config)) Config {
 	cfg := Config{
 		Spec:       pipeline.LV(),
 		PolicyName: pol,
@@ -28,11 +33,22 @@ func runLV(t *testing.T, pol string, tr *trace.Trace, mutate func(*Config)) *Res
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	res, err := Run(cfg)
+	return cfg
+}
+
+// runRecorded runs cfg and returns the result with the runner's requests,
+// each holding its fate: the per-request ledger.
+func runRecorded(t *testing.T, cfg Config) (*Result, []*sched.Request) {
+	t.Helper()
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, r.Requests()
 }
 
 // TestConfigValidation: New refuses a malformed config with an error that

@@ -1,17 +1,19 @@
-package load
+package stats
 
 import (
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
 // Hist is a lock-free HDR-style latency histogram: values (in microseconds)
-// land in power-of-two buckets split into 64 linear sub-buckets, giving a
-// bounded relative error of ~3% per recorded value across nine decades
-// (1 µs to ~1 h). All methods are safe for concurrent use — closed-loop
-// workers and open-loop request goroutines record into one shared
-// histogram without coordination.
+// land in power-of-two buckets split into 64 linear sub-buckets across nine
+// decades (1 µs to ~1 h). A quantile reads the midpoint of the slot holding
+// the order statistic at its rank, within HistRelErr of that value (within
+// 1 µs below 64 µs). Record, Max, Count and Quantile are safe for
+// concurrent use — closed-loop workers and open-loop request goroutines
+// record into one shared histogram without coordination.
 type Hist struct {
 	counts [histBuckets * histSubs]atomic.Uint64
 	total  atomic.Uint64
@@ -24,6 +26,10 @@ const (
 	histBuckets = 32
 	histUnit    = time.Microsecond
 )
+
+// HistRelErr bounds a Hist quantile's relative error from 64 µs up: half a
+// slot's width over the smallest value its bucket holds.
+const HistRelErr = 1.0 / 64
 
 // histIndex maps a value in histUnits to its slot. Bucket 0 is linear
 // (values < histSubs); bucket b >= 1 covers [histSubs<<(b-1), histSubs<<b)
@@ -69,6 +75,52 @@ func (h *Hist) Record(d time.Duration) {
 
 // Max returns the largest recorded value exactly.
 func (h *Hist) Max() time.Duration { return time.Duration(h.max.Load()) }
+
+// Count returns the number of recorded values.
+func (h *Hist) Count() uint64 { return h.total.Load() }
+
+// Counts returns the per-slot counts through the last non-empty slot: with
+// Max, the histogram's whole state.
+func (h *Hist) Counts() []uint64 {
+	counts, last := make([]uint64, len(h.counts)), -1
+	for i := range h.counts {
+		if counts[i] = h.counts[i].Load(); counts[i] != 0 {
+			last = i
+		}
+	}
+	return counts[:last+1]
+}
+
+// Restore replaces the histogram's state with counts, as Counts returns
+// them, and max. It refuses a state no sequence of Records produces: more
+// slots than a Hist has, or a max outside the last non-empty slot. Not safe
+// for concurrent use.
+func (h *Hist) Restore(counts []uint64, max time.Duration) error {
+	last, maxSlot := -1, -1
+	for i, c := range counts {
+		if c != 0 {
+			last = i
+		}
+	}
+	if last >= 0 || max != 0 {
+		maxSlot = histIndex(uint64(max / histUnit))
+	}
+	if len(counts) > len(h.counts) || max < 0 || maxSlot != last {
+		return fmt.Errorf("stats: %d histogram slots, last used %d, with max %v: no Record sequence leaves that", len(counts), last, max)
+	}
+	var total uint64
+	for i := range h.counts {
+		var c uint64
+		if i < len(counts) {
+			c = counts[i]
+		}
+		h.counts[i].Store(c)
+		total += c
+	}
+	h.total.Store(total)
+	h.max.Store(int64(max))
+	return nil
+}
 
 // Quantile returns an estimate of the q-quantile (q in [0,1]) with the
 // histogram's bucket resolution; q >= 1 returns the exact max. Concurrent

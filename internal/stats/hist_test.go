@@ -1,4 +1,4 @@
-package load
+package stats
 
 import (
 	"math"
@@ -104,5 +104,48 @@ func TestHistConcurrent(t *testing.T) {
 	}
 	if h.Max() >= time.Second || h.Max() <= 0 {
 		t.Fatalf("max = %v outside (0, 1s)", h.Max())
+	}
+}
+
+// TestHistRestore: Counts and Max are the histogram's whole state —
+// restoring them reproduces every quantile — and Restore refuses a state no
+// sequence of Records leaves.
+func TestHistRestore(t *testing.T) {
+	var h Hist
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 5000; i++ {
+		h.Record(time.Duration(rng.ExpFloat64() * float64(300*time.Millisecond)))
+	}
+	var got Hist
+	if err := got.Restore(h.Counts(), h.Max()); err != nil {
+		t.Fatal(err)
+	}
+	if got.Count() != h.Count() || got.Max() != h.Max() {
+		t.Fatalf("restored %d values, max %v; want %d, %v", got.Count(), got.Max(), h.Count(), h.Max())
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
+		if got.Quantile(q) != h.Quantile(q) {
+			t.Fatalf("q%v: restored %v, want %v", q, got.Quantile(q), h.Quantile(q))
+		}
+	}
+	var empty Hist
+	if err := got.Restore(nil, 0); err != nil || got.Count() != 0 || got.Quantile(0.5) != 0 {
+		t.Fatalf("restoring the empty state: %v, %d values", err, got.Count())
+	}
+	counts := h.Counts()
+	for name, tc := range map[string]struct {
+		counts []uint64
+		max    time.Duration
+	}{
+		"too many slots":       {make([]uint64, histBuckets*histSubs+1), 0},
+		"negative max":         {counts, -time.Second},
+		"max below last slot":  {counts, h.Max() / 2},
+		"max above last slot":  {counts, 2 * h.Max()},
+		"max with no values":   {nil, time.Second},
+		"values with zero max": {[]uint64{0, 0, 3}, 0},
+	} {
+		if err := empty.Restore(tc.counts, tc.max); err == nil {
+			t.Errorf("%s: restored", name)
+		}
 	}
 }

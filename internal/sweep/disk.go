@@ -29,7 +29,11 @@ import (
 //
 // Removing the classic engine did not bump the version: lane entries keep
 // their keys and their bytes, and |eng=classic entries never match again.
-const diskFormat = 3
+//
+// v4: metrics.Collector serializes fixed-size state — its tally, send-time
+// buckets, record digest and latency histogram — instead of one record per
+// request, and refuses on decode a state no run produces.
+const diskFormat = 4
 
 func init() {
 	// The cache stores entry values as `any`; register the concrete types

@@ -9,12 +9,13 @@ import (
 	"sync"
 
 	"os"
-	"pard/internal/simgpu"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"pard/internal/metrics"
+	"pard/internal/simgpu"
 	"pard/internal/trace"
 )
 
@@ -66,8 +67,9 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(r1.Summary, r2.Summary) {
 		t.Fatalf("summaries differ:\ncold %+v\nwarm %+v", r1.Summary, r2.Summary)
 	}
-	if !reflect.DeepEqual(r1.Collector.Records(), r2.Collector.Records()) {
-		t.Fatal("per-request records differ after disk round trip")
+	// The collector's digest folds in every per-request record.
+	if !reflect.DeepEqual(r1.Collector, r2.Collector) {
+		t.Fatal("collector state (record digest, buckets, histogram) differs after disk round trip")
 	}
 	if r1.Workload != r2.Workload || r1.PolicyName != r2.PolicyName ||
 		!reflect.DeepEqual(r1.TargetBatches, r2.TargetBatches) ||
@@ -176,7 +178,7 @@ func TestDiskCacheQuarantinesCorruptEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := bytes.Index(data, []byte("v3|seed="))
+	idx := bytes.Index(data, []byte(fmt.Sprintf("v%d|seed=", diskFormat)))
 	if idx < 0 {
 		t.Fatal("scope string not found in entry bytes")
 	}
@@ -235,5 +237,30 @@ func TestDiskCacheQuarantinesCorruptEntries(t *testing.T) {
 	}
 	if !bytes.Equal(encode(r3), want) {
 		t.Fatal("re-persisted result not byte-identical")
+	}
+}
+
+// TestDiskCacheQuarantinesHostileCollector: an entry that decodes as gob but
+// holds a collector no run produces — no modules, or a non-positive SLO — is
+// a quarantined miss, not a panic inside load.
+func TestDiskCacheQuarantinesHostileCollector(t *testing.T) {
+	for _, col := range []*metrics.Collector{
+		{SLO: time.Second, NModules: 0},
+		{SLO: -time.Second, NModules: 2},
+	} {
+		d, err := newDiskCache(t.TempDir(), 1, "test", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.store("run|hostile", &simgpu.Result{Collector: col})
+		if _, err := os.Stat(d.path("run|hostile")); err != nil {
+			t.Fatalf("collector %+v: entry not stored: %v", col, err)
+		}
+		if v, ok := d.load("run|hostile"); ok {
+			t.Fatalf("collector %+v: served %+v", col, v)
+		}
+		if _, err := os.Stat(d.path("run|hostile") + ".corrupt"); err != nil || d.quarantined != 1 {
+			t.Fatalf("collector %+v: not quarantined (%d quarantined, %v)", col, d.quarantined, err)
+		}
 	}
 }

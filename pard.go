@@ -143,8 +143,9 @@ type (
 	ProbeConfig = simgpu.ProbeConfig
 	// Summary is the run-level metric aggregate.
 	Summary = metrics.Summary
-	// MetricsCollector holds per-request outcomes and derives windowed
-	// goodput/drop series and latency quantiles (SimResult.Collector).
+	// MetricsCollector counts outcomes per 250 ms of send time and keeps a
+	// latency histogram, from which it derives windowed goodput/drop series
+	// and latency quantiles (SimResult.Collector).
 	MetricsCollector = metrics.Collector
 )
 
