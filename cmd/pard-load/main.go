@@ -11,9 +11,16 @@
 //	pard-load -target http://127.0.0.1:8080 -kind fixed -rate 100 -duration 10s
 //	pard-load -mode closed -conns 8 -requests 1000 -think-min 5ms -think-max 20ms
 //	pard-load -kind tweet -duration 30s -compare-sim -app tm -workers 2
+//
+// -kind also takes a trace CSV file, and -trace-csv records the offsets
+// actually sent — the trace -compare-sim replays — for pard-sim -trace:
+//
+//	pard-load -kind fixed -rate 40 -duration 2s -trace-csv sent.csv
+//	pard-sim -app tm -trace sent.csv
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,9 +35,9 @@ func main() {
 	var (
 		target   = flag.String("target", "http://127.0.0.1:8080", "server base URL")
 		mode     = flag.String("mode", "open", "open (trace replay) or closed (workers with think time)")
-		kind     = flag.String("kind", "fixed", "open-loop arrival process: fixed, steady, step, wiki, tweet, azure")
-		rate     = flag.Float64("rate", 100, "request rate for fixed/steady/step arrivals (req/s)")
-		duration = flag.Duration("duration", 10*time.Second, "trace length (open) or run cap (closed)")
+		kind     = flag.String("kind", "fixed", "open-loop arrival process: fixed, steady, step, wiki, tweet, azure, or a trace CSV file")
+		rate     = flag.Float64("rate", 100, "request rate for fixed arrivals, peak rate for the other kinds (req/s)")
+		duration = flag.Duration("duration", 10*time.Second, "generated trace length (open) or run cap (closed)")
 		seed     = flag.Int64("seed", 1, "random seed (trace generation and think times)")
 
 		conns    = flag.Int("conns", 4, "closed-loop worker connections")
@@ -43,7 +50,7 @@ func main() {
 
 		jsonOut  = flag.Bool("json", false, "emit the report as JSON instead of a table")
 		stream   = flag.String("stream", "", "stream per-request JSONL to this file ('-' = stdout)")
-		traceCSV = flag.String("trace-csv", "", "write the recorded send offsets as a trace CSV")
+		traceCSV = flag.String("trace-csv", "", "write the recorded send offsets as a trace CSV (pard-sim -trace replays it)")
 
 		compareSim = flag.Bool("compare-sim", false, "replay the recorded offsets through the simulator twin")
 		app        = flag.String("app", "tm", "pipeline the target serves (for -compare-sim)")
@@ -64,7 +71,7 @@ func main() {
 		Seed:        *seed,
 	}
 	if *mode == pard.LoadModeOpen {
-		tr, err := buildTrace(*kind, *rate, *duration, *seed)
+		tr, err := pard.ResolveTrace(*kind, *duration, *rate, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -124,24 +131,6 @@ func main() {
 	}
 }
 
-// buildTrace resolves the open-loop arrival process: the deterministic
-// fixed-gap generator or any of the synthetic workload shapes.
-func buildTrace(kind string, rate float64, duration time.Duration, seed int64) (*pard.Trace, error) {
-	if kind == "fixed" {
-		tr := pard.FixedTrace(rate, duration)
-		if tr == nil {
-			return nil, fmt.Errorf("fixed trace needs positive -rate and -duration (got %v, %v)", rate, duration)
-		}
-		return tr, nil
-	}
-	return pard.NewTrace(pard.TraceConfig{
-		Kind:     pard.TraceKind(kind),
-		Duration: duration,
-		PeakRate: rate,
-		Seed:     seed,
-	})
-}
-
 // openStream resolves the per-request JSONL destination.
 func openStream(path string) (*os.File, func(), error) {
 	if path == "-" {
@@ -154,24 +143,14 @@ func openStream(path string) (*os.File, func(), error) {
 	return f, func() { f.Close() }, nil
 }
 
-// writeTraceCSV saves the offsets the generator actually sent at, replayable
-// with -kind and pard-sim's CSV trace input.
+// writeTraceCSV saves the trace the generator actually sent, the one
+// -compare-sim replays.
 func writeTraceCSV(path string, rep *pard.LoadReport) error {
-	offs := rep.Offsets()
-	if len(offs) == 0 {
-		return fmt.Errorf("no send offsets recorded")
+	tr := rep.Trace()
+	if tr == nil {
+		return errors.New("no send offsets recorded")
 	}
-	tr := &pard.Trace{
-		Name:     "pard-load",
-		Arrivals: offs,
-		Duration: offs[len(offs)-1] + time.Second,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tr.WriteCSV(f)
+	return tr.WriteFile(path)
 }
 
 func fatal(err error) {

@@ -6,38 +6,17 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"pard"
 )
 
-func TestBuildTrace(t *testing.T) {
-	tr, err := buildTrace("fixed", 50, time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 50 {
-		t.Fatalf("fixed 50/s × 1s: %d arrivals", tr.Len())
-	}
-	if _, err := buildTrace("fixed", 0, time.Second, 1); err == nil {
-		t.Fatal("degenerate fixed trace accepted")
-	}
-	tr, err = buildTrace("steady", 50, 2*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() == 0 {
-		t.Fatal("steady trace empty")
-	}
-	if _, err := buildTrace("bogus", 50, time.Second, 1); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-}
-
 // TestLoadAgainstLiveServer is the end-to-end smoke the CI step mirrors: a
 // real live server, a short open-loop run, the sim twin, and the recorded
-// trace written back out as CSV.
+// trace written back out as CSV, which must read back as exactly the trace
+// the twin replayed.
 func TestLoadAgainstLiveServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
@@ -61,7 +40,7 @@ func TestLoadAgainstLiveServer(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	tr, err := buildTrace("fixed", 40, time.Second, 1)
+	tr, err := pard.ResolveTrace("fixed", time.Second, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +97,9 @@ func TestLoadAgainstLiveServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != len(rep.Offsets()) {
-		t.Fatalf("CSV round trip: %d arrivals, sent %d", back.Len(), len(rep.Offsets()))
+	if !reflect.DeepEqual(back, rep.Trace()) || back.Len() != rep.Sim.Total {
+		t.Fatalf("CSV round trip: read %q, %d arrivals over %v; the twin replayed %d of %+v",
+			back.Name, back.Len(), back.Duration, rep.Sim.Total, rep.Trace())
 	}
 }
 

@@ -7,6 +7,13 @@
 //	pard-sim -app da -trace azure -policy nexus -seed 7 -compare
 //	pard-sim -compare -parallel 4    # fan the comparison out over 4 workers
 //
+// -trace takes a built-in kind, fixed, or a trace CSV file (one arrival
+// offset in seconds per line), such as one -trace-csv wrote or pard-load
+// -trace-csv recorded from a live run:
+//
+//	pard-sim -trace tweet -duration 60s -trace-csv tweet.csv
+//	pard-sim -trace tweet.csv -compare   # the same rows as -trace tweet
+//
 // Distributed simulation: one run split into lane groups across processes,
 // bit-identical to the same run in one process (determinism invariant #5):
 //
@@ -41,10 +48,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pard-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	app := fs.String("app", "lv", "application pipeline: tm, lv, gm, da")
-	traceKind := fs.String("trace", "tweet", "workload trace: wiki, tweet, azure, steady, step")
+	traceArg := fs.String("trace", "tweet", "workload trace: wiki, tweet, azure, steady, step, fixed, or a trace CSV file")
+	traceCSV := fs.String("trace-csv", "", "write the trace the run used to this CSV file")
 	policyName := fs.String("policy", "pard", "drop policy (see -list)")
-	duration := fs.Duration("duration", 300*time.Second, "trace duration")
-	rate := fs.Float64("rate", 0, "peak rate override (req/s; 0 = paper nominal)")
+	duration := fs.Duration("duration", 300*time.Second, "generated trace duration")
+	rate := fs.Float64("rate", 0, "generated trace peak rate (req/s; 0 = paper nominal; required for fixed)")
 	seed := fs.Int64("seed", 1, "random seed")
 	compare := fs.Bool("compare", false, "run the four headline systems instead of one policy")
 	parallel := fs.Int("parallel", 0, "concurrent simulation runs (0 = all CPU cores, 1 = sequential)")
@@ -72,17 +80,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tr, err := pard.NewTrace(pard.TraceConfig{
-		Kind:     pard.TraceKind(*traceKind),
-		Duration: *duration,
-		PeakRate: *rate,
-		Seed:     *seed,
-	})
+	tr, err := pard.ResolveTrace(*traceArg, *duration, *rate, *seed)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "workload %s-%s: %d requests, mean %.1f req/s, SLO %v\n",
-		*app, *traceKind, tr.Len(), tr.MeanRate(), spec.SLO)
+	if *traceCSV != "" {
+		if err := tr.WriteFile(*traceCSV); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(stdout, "workload %s-%s: %d requests, mean %.1f req/s, peak %.0f req/s, SLO %v\n",
+		*app, tr.Name, tr.Len(), tr.MeanRate(), tr.Analyze().PeakRate, spec.SLO)
 
 	if *hosts != "" {
 		if *compare {

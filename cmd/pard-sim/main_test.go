@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -122,5 +124,55 @@ func TestDistributedCLI(t *testing.T) {
 	}
 	if hubOut.String() != flat.String() {
 		t.Fatalf("-hosts diverged from the flat run:\n--- flat\n%s--- hosts\n%s", flat.String(), hubOut.String())
+	}
+}
+
+// TestHeaderNamesTraceAndPeak: the header line summarizes the trace the run
+// used — its name, request count, mean and peak rate.
+func TestHeaderNamesTraceAndPeak(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run([]string{"-app", "tm", "-trace", "fixed", "-rate", "100", "-duration", "5s"}, &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(out.String(), "\n")
+	if want := "workload tm-fixed: 500 requests, mean 100.0 req/s, peak 100 req/s, SLO 400ms"; header != want {
+		t.Fatalf("header %q, want %q", header, want)
+	}
+}
+
+// TestTraceCSVReplay: the trace -trace-csv writes, replayed with -trace
+// <file>, prints the same report byte for byte, one policy or four.
+func TestTraceCSVReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tweet.csv")
+	for _, extra := range [][]string{nil, {"-compare"}} {
+		var gen, replay, errb bytes.Buffer
+		if err := run(append([]string{"-app", "tm", "-trace", "tweet", "-duration", "60s", "-trace-csv", path}, extra...), &gen, &errb); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append([]string{"-app", "tm", "-trace", path}, extra...), &replay, &errb); err != nil {
+			t.Fatal(err)
+		}
+		if gen.String() != replay.String() {
+			t.Fatalf("replay of %s diverged:\n--- generated\n%s--- replayed\n%s", path, gen.String(), replay.String())
+		}
+	}
+}
+
+// TestTraceRefused: an argument that is neither a kind nor a readable trace
+// CSV is refused with the file and line, before anything is printed.
+func TestTraceRefused(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(bad, []byte("0.5\n1e20\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for arg, want := range map[string]string{
+		"bogus": `"bogus" is neither a kind`,
+		bad:     bad + ":2: ",
+	} {
+		var out, errb bytes.Buffer
+		err := run([]string{"-app", "tm", "-trace", arg}, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), want) || out.Len() != 0 {
+			t.Fatalf("-trace %s: %v (printed %q), want an error containing %q", arg, err, out.String(), want)
+		}
 	}
 }

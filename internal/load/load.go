@@ -16,7 +16,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,12 +188,13 @@ type Report struct {
 
 	Sim *SimComparison `json:"sim,omitempty"`
 
-	sendOffsets []time.Duration
+	sent *trace.Trace
 }
 
-// Offsets returns the actual send offsets (sorted), the trace a CompareSim
-// replay runs.
-func (r *Report) Offsets() []time.Duration { return r.sendOffsets }
+// Trace returns the arrivals the generator actually sent, sorted and lasting
+// until 1 s after the last one: the trace CompareSim replays. It is nil when
+// nothing was sent.
+func (r *Report) Trace() *trace.Trace { return r.sent }
 
 // streamRecord is one per-request line written to Config.Stream.
 type streamRecord struct {
@@ -515,13 +516,16 @@ func (r *run) report(elapsed time.Duration) *Report {
 		rep.RejectRate = float64(rep.Rejected) / float64(rep.Requests)
 	}
 	r.mu.Lock()
-	rep.sendOffsets = append([]time.Duration(nil), r.offsets...)
+	sent := slices.Clone(r.offsets)
 	rep.StreamErrors = r.streamErrs
 	if r.streamErr != nil {
 		rep.StreamError = r.streamErr.Error()
 	}
 	r.mu.Unlock()
-	sort.Slice(rep.sendOffsets, func(i, j int) bool { return rep.sendOffsets[i] < rep.sendOffsets[j] })
+	if len(sent) > 0 {
+		slices.Sort(sent)
+		rep.sent = &trace.Trace{Name: "live-replay", Arrivals: sent, Duration: sent[len(sent)-1] + time.Second}
+	}
 	return rep
 }
 
@@ -547,23 +551,17 @@ type SimSpec struct {
 // execution jitter, negligible net delay (the live server runs in-process
 // hops) — and attaches the resulting goodput comparison to the report.
 func (r *Report) CompareSim(s SimSpec) (*SimComparison, error) {
-	if len(r.sendOffsets) == 0 {
+	if r.sent == nil {
 		return nil, fmt.Errorf("load: report has no recorded send offsets to replay")
 	}
 	if s.SyncPeriod <= 0 {
 		s.SyncPeriod = server.DefaultSyncPeriod
 	}
-	dur := r.sendOffsets[len(r.sendOffsets)-1] + time.Second
-	tr := &trace.Trace{
-		Name:     "live-replay",
-		Arrivals: append([]time.Duration(nil), r.sendOffsets...),
-		Duration: dur,
-	}
 	res, err := simgpu.Run(simgpu.Config{
 		Spec:         s.Spec,
 		Lib:          s.Lib,
 		PolicyName:   s.PolicyName,
-		Trace:        tr,
+		Trace:        r.sent,
 		Seed:         s.Seed,
 		SyncPeriod:   s.SyncPeriod,
 		FixedWorkers: s.Workers,

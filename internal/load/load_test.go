@@ -67,7 +67,7 @@ func TestClosedLoopCounts(t *testing.T) {
 	if rep.Goodput <= 0 || rep.SLOAttainment != 1 {
 		t.Fatalf("goodput %v attainment %v", rep.Goodput, rep.SLOAttainment)
 	}
-	offs := rep.Offsets()
+	offs := rep.Trace().Arrivals
 	if len(offs) != 40 {
 		t.Fatalf("recorded %d send offsets", len(offs))
 	}
@@ -336,13 +336,16 @@ func TestLiveVsSim(t *testing.T) {
 
 func TestCompareSimNeedsOffsets(t *testing.T) {
 	rep := &Report{}
+	if rep.Trace() != nil {
+		t.Fatal("an empty report has a trace")
+	}
 	if _, err := rep.CompareSim(SimSpec{Spec: pipeline.TM()}); err == nil {
 		t.Fatal("empty report accepted")
 	}
 }
 
 func TestCompareSimPropagatesErrors(t *testing.T) {
-	rep := &Report{sendOffsets: []time.Duration{0, time.Millisecond}}
+	rep := &Report{sent: &trace.Trace{Arrivals: []time.Duration{0, time.Millisecond}, Duration: time.Second}}
 	if _, err := rep.CompareSim(SimSpec{Spec: nil}); err == nil {
 		t.Fatal("nil spec accepted")
 	}

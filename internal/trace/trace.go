@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"sort"
 	"strconv"
@@ -395,49 +396,120 @@ func (tr *Trace) Slice(from, to time.Duration) *Trace {
 	return &Trace{Name: tr.Name, Arrivals: out, Duration: to - from}
 }
 
-// WriteCSV writes one arrival offset (in seconds, fractional) per line.
+// WriteCSV writes the trace as ReadCSV reads it back: a "# trace=<name>
+// duration_s=<seconds>" header, then one arrival offset in seconds per line,
+// every value to the nanosecond.
 func (tr *Trace) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# trace=%s duration_s=%.3f\n", tr.Name, tr.Duration.Seconds()); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "# trace=%s duration_s=%.9f\n", tr.Name, tr.Duration.Seconds())
+	var line []byte
 	for _, a := range tr.Arrivals {
-		if _, err := fmt.Fprintf(bw, "%.6f\n", a.Seconds()); err != nil {
-			return err
-		}
+		line = append(strconv.AppendFloat(line[:0], a.Seconds(), 'f', 9, 64), '\n')
+		bw.Write(line) // a write error sticks, and Flush returns it
 	}
 	return bw.Flush()
 }
 
-// ReadCSV parses a trace written by WriteCSV (or any newline-separated list
-// of arrival offsets in seconds; '#' lines are comments).
+// WriteFile writes the trace to a CSV file at path (see WriteCSV).
+func (tr *Trace) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// ReadCSV parses a trace written by WriteCSV, or any newline-separated list
+// of arrival offsets in seconds, and sorts the arrivals. Offsets are rounded
+// to the nanosecond, so a WriteCSV round trip is exact for offsets below
+// about 10⁶ s. Lines starting with '#' are comments, except that WriteCSV's
+// header before the first arrival sets the trace's name and duration.
+// Without it the trace is called name and lasts until 1 s after its last
+// arrival. Errors give name and the line number.
 func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var arrivals []time.Duration
+	tr := &Trace{Name: name, Duration: -1}
 	line := 0
 	for sc.Scan() {
 		line++
 		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
+		if rest, ok := strings.CutPrefix(s, "# trace="); ok && len(tr.Arrivals) == 0 {
+			i := strings.LastIndex(rest, " duration_s=")
+			if i < 0 {
+				return nil, fmt.Errorf("trace: %s:%d: header has no duration_s", name, line)
+			}
+			d, err := parseOffset(rest[i+len(" duration_s="):])
+			if err != nil {
+				return nil, fmt.Errorf("trace: %s:%d: duration_s: %w", name, line, err)
+			}
+			tr.Name, tr.Duration = rest[:i], d
 			continue
 		}
-		v, err := strconv.ParseFloat(s, 64)
+		if s == "" || s[0] == '#' {
+			continue
+		}
+		a, err := parseOffset(s)
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+			return nil, fmt.Errorf("trace: %s:%d: %w", name, line, err)
 		}
-		if v < 0 {
-			return nil, fmt.Errorf("trace: line %d: negative arrival %v", line, v)
-		}
-		arrivals = append(arrivals, time.Duration(v*float64(time.Second)))
+		tr.Arrivals = append(tr.Arrivals, a)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: %s:%d: %w", name, line+1, err)
 	}
-	slices.Sort(arrivals)
-	dur := time.Duration(0)
-	if n := len(arrivals); n > 0 {
-		dur = arrivals[n-1] + time.Second
+	slices.Sort(tr.Arrivals)
+	if tr.Duration < 0 {
+		tr.Duration = 0
+		if n := len(tr.Arrivals); n > 0 {
+			tr.Duration = tr.Arrivals[n-1] + time.Second
+		}
 	}
-	return &Trace{Name: name, Arrivals: arrivals, Duration: dur}, nil
+	return tr, nil
+}
+
+// parseOffset reads an offset in seconds, rounded to the nanosecond. It
+// refuses what is not a time.Duration from 0 on: negative, NaN, ±Inf and
+// values past about 292 years.
+func parseOffset(s string) (time.Duration, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	ns := math.Round(v * float64(time.Second))
+	if !(v >= 0 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("offset %s s is not a duration from 0 to %.0f s", s, time.Duration(math.MaxInt64).Seconds())
+	}
+	return time.Duration(ns), nil
+}
+
+// kinds lists the shapes Resolve generates, besides "fixed".
+var kinds = []Kind{Wiki, Tweet, Azure, Steady, Step}
+
+// Resolve returns the trace a command-line argument names. A built-in kind
+// is generated over duration with peak rate (0 = the kind's nominal peak)
+// from seed; "fixed" is one arrival every 1/rate seconds (see Fixed); any
+// other argument is the path of a CSV file, read by ReadCSV, whose header,
+// if any, sets the name and duration.
+func Resolve(arg string, duration time.Duration, rate float64, seed int64) (*Trace, error) {
+	if arg == "fixed" {
+		tr := Fixed(rate, duration)
+		if tr == nil {
+			return nil, fmt.Errorf("trace: fixed needs a positive rate and duration (got %v, %v)", rate, duration)
+		}
+		return tr, nil
+	}
+	if slices.Contains(kinds, Kind(arg)) {
+		return Generate(Config{Kind: Kind(arg), Duration: duration, PeakRate: rate, Seed: seed})
+	}
+	f, err := os.Open(arg)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %q is neither a kind (fixed or one of %v) nor a CSV file: %w", arg, kinds, err)
+	}
+	defer f.Close()
+	return ReadCSV(arg, f)
 }

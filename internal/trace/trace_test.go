@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,11 +15,8 @@ import (
 	"time"
 )
 
-// allKinds lists the built-in shapes.
-var allKinds = []Kind{Wiki, Tweet, Azure, Steady, Step}
-
 func TestGenerateAllKinds(t *testing.T) {
-	for _, k := range allKinds {
+	for _, k := range kinds {
 		tr, err := Generate(Config{Kind: k, Duration: 100 * time.Second, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
@@ -189,39 +190,131 @@ func TestSliceReanchors(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip: WriteCSV then ReadCSV gives back the same trace to the
+// nanosecond — name, duration and every arrival — for the paper's shapes at
+// full length, and for offsets drawn at random below 10⁶ s.
 func TestCSVRoundTrip(t *testing.T) {
-	tr := MustGenerate(Config{Kind: Steady, Duration: 10 * time.Second, PeakRate: 50, Seed: 2})
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(3))
+	random := &Trace{Name: "random name", Duration: time.Duration(1e15)}
+	for range 10000 {
+		random.Arrivals = append(random.Arrivals, time.Duration(rng.Int63n(1e15)))
 	}
-	back, err := ReadCSV("steady", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != tr.Len() {
-		t.Fatalf("round trip len %d vs %d", back.Len(), tr.Len())
-	}
-	for i := range back.Arrivals {
-		if d := back.Arrivals[i] - tr.Arrivals[i]; d < -time.Microsecond || d > time.Microsecond {
-			t.Fatalf("arrival %d drifted by %v", i, d)
+	slices.Sort(random.Arrivals)
+	for _, tr := range []*Trace{
+		MustGenerate(Config{Kind: Tweet, Duration: 1400 * time.Second, Seed: 1}),
+		MustGenerate(Config{Kind: Azure, Duration: 1400 * time.Second, Seed: 1}),
+		Fixed(3, 7*time.Second),
+		random,
+	} {
+		var buf bytes.Buffer
+		if err := tr.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV("other", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			changed := 0
+			for i := range min(back.Len(), tr.Len()) {
+				if back.Arrivals[i] != tr.Arrivals[i] {
+					changed++
+				}
+			}
+			t.Fatalf("%s: read back %q, %d arrivals over %v (%d changed); wrote %q, %d over %v",
+				tr.Name, back.Name, back.Len(), back.Duration, changed, tr.Name, tr.Len(), tr.Duration)
 		}
 	}
 }
 
+// TestReadCSVErrors: a value that is not an offset is an error naming the
+// file and the line, never a panic or a trace the simulator refuses.
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV("x", strings.NewReader("abc\n")); err == nil {
-		t.Fatal("garbage accepted")
+	for _, c := range []struct{ in, want string }{
+		{"abc\n", "f.csv:1: "},
+		{"1\n-1\n", "f.csv:2: "},
+		{"1\n\n1e20\n", "f.csv:3: "},
+		{"# c\nNaN\n", "f.csv:2: "},
+		{"+Inf\n", "f.csv:1: "},
+		{"-Inf\n", "f.csv:1: "},
+		{"1e400\n", "f.csv:1: "},
+		{"9223372037\n", "f.csv:1: "},
+		{"-1e-10\n", "f.csv:1: "},
+		{"# trace=x\n1\n", "f.csv:1: header has no duration_s"},
+		{"# trace=x duration_s=NaN\n1\n", "f.csv:1: duration_s: "},
+		{"# trace=x duration_s=-5\n1\n", "f.csv:1: duration_s: "},
+		{"0.5\n" + strings.Repeat("1", 2<<20) + "\n", "f.csv:2: "},
+	} {
+		_, err := ReadCSV("f.csv", strings.NewReader(c.in))
+		if err == nil || !strings.HasPrefix(err.Error(), "trace: "+c.want) {
+			t.Errorf("%.30q: %v, want an error starting %q", c.in, err, "trace: "+c.want)
+		}
 	}
-	if _, err := ReadCSV("x", strings.NewReader("-1\n")); err == nil {
-		t.Fatal("negative arrival accepted")
-	}
-	tr, err := ReadCSV("x", strings.NewReader("# comment\n\n2.0\n1.0\n"))
+}
+
+// TestReadCSVWithoutHeader: offsets alone are sorted, the trace takes the
+// given name and lasts until 1 s after its last arrival; '#' lines, blank
+// lines and a header-like line after the first arrival are comments.
+func TestReadCSVWithoutHeader(t *testing.T) {
+	tr, err := ReadCSV("x", strings.NewReader("# comment\n\n2.0\n# trace=y duration_s=9\n1\n-0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 2 || tr.Arrivals[0] != time.Second {
-		t.Fatalf("unsorted input not sorted: %v", tr.Arrivals)
+	want := &Trace{Name: "x", Arrivals: []time.Duration{0, time.Second, 2 * time.Second}, Duration: 3 * time.Second}
+	if !reflect.DeepEqual(tr, want) {
+		t.Fatalf("read %+v, want %+v", tr, want)
+	}
+	if tr, err := ReadCSV("x", strings.NewReader("")); err != nil || tr.Len() != 0 || tr.Duration != 0 {
+		t.Fatalf("empty input: %+v, %v", tr, err)
+	}
+}
+
+// TestResolve: a kind is generated exactly as Generate does, "fixed" as
+// Fixed does, and any other argument is a CSV path.
+func TestResolve(t *testing.T) {
+	tr, err := Resolve("fixed", time.Second, 50, 1)
+	if err != nil || !reflect.DeepEqual(tr, Fixed(50, time.Second)) || tr.Len() != 50 {
+		t.Fatalf("fixed 50/s × 1s: %+v, %v", tr, err)
+	}
+	for _, k := range kinds {
+		tr, err := Resolve(string(k), 20*time.Second, 80, 4)
+		want := MustGenerate(Config{Kind: k, Duration: 20 * time.Second, PeakRate: 80, Seed: 4})
+		if err != nil || !reflect.DeepEqual(tr, want) {
+			t.Fatalf("%s: resolved trace differs from Generate's (%v)", k, err)
+		}
+		path := filepath.Join(t.TempDir(), string(k)+".csv")
+		if err := want.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Resolve(path, time.Hour, 1, 9)
+		if err != nil || !reflect.DeepEqual(back, want) {
+			t.Fatalf("%s via %s: %v", k, path, err)
+		}
+	}
+}
+
+func TestResolveErrors(t *testing.T) {
+	for _, c := range []struct {
+		arg  string
+		rate float64
+		dur  time.Duration
+		want string
+	}{
+		{"fixed", 0, time.Second, "fixed needs a positive rate"},
+		{"fixed", 10, 0, "fixed needs a positive rate"},
+		{"steady", 10, 0, "duration must be positive"},
+		{"bogus", 10, time.Second, `"bogus" is neither a kind (fixed or one of [wiki tweet azure steady step]) nor a CSV file`},
+	} {
+		if _, err := Resolve(c.arg, c.dur, c.rate, 1); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Resolve(%q, %v, %v): %v, want %q", c.arg, c.dur, c.rate, err, c.want)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(path, []byte("0.1\n0.2\nNaN\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resolve(path, time.Second, 1, 1); err == nil || !strings.Contains(err.Error(), path+":3: ") {
+		t.Fatalf("malformed CSV: %v, want the path and line 3", err)
 	}
 }
 
@@ -252,7 +345,7 @@ func TestPropertyThinningBounds(t *testing.T) {
 
 // Property: rate functions are nonnegative and bounded by the reported max.
 func TestPropertyRateBounded(t *testing.T) {
-	for _, k := range allKinds {
+	for _, k := range kinds {
 		c := Config{Kind: k, Duration: 500 * time.Second}
 		f, maxRate, err := c.Rate()
 		if err != nil {

@@ -119,19 +119,19 @@ const (
 )
 
 // GenerateTrace synthesizes an arrival trace; it panics on invalid configs
-// (use trace.Generate via NewTrace for error returns).
+// (ResolveTrace returns them as errors).
 func GenerateTrace(c TraceConfig) *Trace { return trace.MustGenerate(c) }
 
-// NewTrace synthesizes an arrival trace, returning configuration errors.
-func NewTrace(c TraceConfig) (*Trace, error) { return trace.Generate(c) }
-
 // ReadTraceCSV replays a real trace from newline-separated arrival offsets
-// in seconds.
+// in seconds, as Trace.WriteCSV writes them.
 func ReadTraceCSV(name string, r io.Reader) (*Trace, error) { return trace.ReadCSV(name, r) }
 
-// FixedTrace returns a deterministic constant-rate trace: exactly
-// rate·duration arrivals at uniform gaps (load testing and calibration).
-func FixedTrace(rate float64, duration time.Duration) *Trace { return trace.Fixed(rate, duration) }
+// ResolveTrace returns the trace a command-line argument names: a built-in
+// kind generated over duration at peak rate (0 = the kind's nominal peak),
+// "fixed" (one arrival every 1/rate seconds), or else a trace CSV file.
+func ResolveTrace(arg string, duration time.Duration, rate float64, seed int64) (*Trace, error) {
+	return trace.Resolve(arg, duration, rate, seed)
+}
 
 // Policies and simulation.
 type (
