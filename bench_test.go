@@ -674,9 +674,10 @@ func BenchmarkLaneQueue(b *testing.B) {
 // 17.5 k samples each — what every DA module holds in shardedDA — and then,
 // from one control event, hands measure a tick that runs SyncTick: the
 // window mean, the window copy, the p95 selection, the board's copy of the
-// reservoir and, for one module with nothing downstream, a trivial policy
-// refresh. The module's scratch buffers and its board slot are warmed before
-// measure is called.
+// reservoir and PARD-WCL's budget reallocation. It runs pard-wcl because only
+// a policy that reads WCL keeps the Q+W+D window (TestWCLWindowOnlyForReaders
+// holds every other one to none). The module's scratch buffers, the policy's
+// budgets and the board slot are warmed before measure is called.
 func modulePublish(tb testing.TB, measure func(tick func())) {
 	lib := profile.NewLibrary()
 	if err := lib.Add(profile.Model{Name: "stage", Alpha: 2 * time.Millisecond, Beta: 500 * time.Microsecond, MaxBatch: 16}); err != nil {
@@ -687,7 +688,7 @@ func modulePublish(tb testing.TB, measure func(tick func())) {
 	cl, err := sched.New(sched.Config{
 		Spec:       pipeline.Uniform("publish", 1, "stage", 400*time.Millisecond),
 		Lib:        lib,
-		PolicyName: "pard",
+		PolicyName: "pard-wcl",
 		Seed:       1,
 		Workers:    []int{40},
 		NetDelay:   time.Millisecond,
@@ -772,11 +773,11 @@ func TestAllocsWholeOps(t *testing.T) {
 		events        uint64 // simulated events per op, exact (0: not a simulation)
 		run           func(tb testing.TB, m measure)
 	}{
-		{"ShardedDASequential", 450, 24_800_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 1)) }},
-		{"ShardedDASharded", 470, 24_800_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 5)) }},
-		{"LaneGroupBarrier/mem", 835, 2_300_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
-		{"LaneGroupBarrier/loopback", 990, 1_640_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
-		{"SweepGrid", 1350, 7_300_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"ShardedDASequential", 420, 20_200_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 1)) }},
+		{"ShardedDASharded", 440, 20_200_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 5)) }},
+		{"LaneGroupBarrier/mem", 800, 2_120_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
+		{"LaneGroupBarrier/loopback", 950, 1_420_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
+		{"SweepGrid", 1290, 5_950_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
 		{"ServerSubmit", 0, 0, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
 			m(withoutGC(func() uint64 { submit(1); return 0 }))

@@ -266,16 +266,16 @@ func TestEstimatorPanicsOnBadConfig(t *testing.T) {
 
 func TestSplitBudgets(t *testing.T) {
 	durs := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
-	budgets := SplitBudgets(600*time.Millisecond, durs)
+	budgets := SplitBudgets(nil, 600*time.Millisecond, durs)
 	if budgets[0] != 100*time.Millisecond || budgets[1] != 200*time.Millisecond || budgets[2] != 300*time.Millisecond {
 		t.Fatalf("budgets = %v", budgets)
 	}
-	cum := CumulativeBudgets(budgets)
+	cum := CumulativeBudgets(nil, budgets)
 	if cum[0] != 100*time.Millisecond || cum[2] != 600*time.Millisecond {
 		t.Fatalf("cumulative = %v", cum)
 	}
 	// Zero durations fall back to an even split.
-	even := SplitBudgets(300*time.Millisecond, []time.Duration{0, 0, 0})
+	even := SplitBudgets(nil, 300*time.Millisecond, []time.Duration{0, 0, 0})
 	if even[0] != 100*time.Millisecond {
 		t.Fatalf("even split = %v", even)
 	}

@@ -303,33 +303,34 @@ func (e *Estimator) EstimateEndToEnd(ts, te time.Duration, dk time.Duration, k i
 
 // SplitBudgets allocates the end-to-end SLO into fixed per-module budgets
 // proportional to profiled durations: SLO_k = SLO·d_k/Σd (the Clipper++ and
-// PARD-split scheme). durs must hold each module's profiled duration.
-func SplitBudgets(slo time.Duration, durs []time.Duration) []time.Duration {
+// PARD-split scheme). durs must hold each module's profiled duration. The
+// budgets are appended to dst[:0], so a caller that passes last round's
+// budgets allocates nothing.
+func SplitBudgets(dst []time.Duration, slo time.Duration, durs []time.Duration) []time.Duration {
 	var sum time.Duration
 	for _, d := range durs {
 		sum += d
 	}
-	out := make([]time.Duration, len(durs))
-	if sum <= 0 {
-		for i := range out {
-			out[i] = slo / time.Duration(len(durs))
+	out := dst[:0]
+	for _, d := range durs {
+		if sum <= 0 {
+			out = append(out, slo/time.Duration(len(durs)))
+		} else {
+			out = append(out, time.Duration(float64(slo)*float64(d)/float64(sum)))
 		}
-		return out
-	}
-	for i, d := range durs {
-		out[i] = time.Duration(float64(slo) * float64(d) / float64(sum))
 	}
 	return out
 }
 
 // CumulativeBudgets turns per-module budgets into prefix sums: the latency a
-// request may have accumulated by the time it finishes module k.
-func CumulativeBudgets(budgets []time.Duration) []time.Duration {
-	out := make([]time.Duration, len(budgets))
+// request may have accumulated by the time it finishes module k. They are
+// appended to dst[:0], which must not share budgets' storage.
+func CumulativeBudgets(dst, budgets []time.Duration) []time.Duration {
+	out := dst[:0]
 	var acc time.Duration
-	for i, b := range budgets {
+	for _, b := range budgets {
 		acc += b
-		out[i] = acc
+		out = append(out, acc)
 	}
 	return out
 }

@@ -11,6 +11,7 @@ package policy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,6 +88,13 @@ type Policy interface {
 	OnSync(now time.Duration, board *core.Board)
 }
 
+// WCLReader is implemented by a policy that may read ModuleState.WCL. The
+// scheduling core keeps each module's Q+W+D window, and publishes WCL, only
+// when ReadsWCL reports true; every other policy sees WCL at 0.
+type WCLReader interface {
+	ReadsWCL() bool
+}
+
 // Setup carries everything policy constructors need.
 type Setup struct {
 	Spec *pipeline.Spec
@@ -157,9 +165,11 @@ type unified struct {
 	est  *core.Estimator // nil unless decideEndToEnd
 	pcs  []*core.PriorityController
 
-	// split budgets (clipper/split); recomputed each sync for WCL
+	// split budgets (clipper/split); recomputed in place each sync for WCL,
+	// from the clamped WCLs in wcl
 	budgets    []time.Duration
 	cumBudgets []time.Duration
+	wcl        []time.Duration
 	durs       []time.Duration
 	slo        time.Duration
 
@@ -226,6 +236,9 @@ func (p *unified) Decide(ctx DecideCtx) bool {
 	}
 }
 
+// ReadsWCL reports whether OnSync reallocates budgets from WCL (PARD-WCL).
+func (p *unified) ReadsWCL() bool { return p.decide == decideWCLCum }
+
 func (p *unified) OnSync(now time.Duration, board *core.Board) {
 	if p.est != nil {
 		p.est.Refresh(board)
@@ -252,7 +265,8 @@ func (p *unified) OnSync(now time.Duration, board *core.Board) {
 // further).
 func (p *unified) reallocWCL(board *core.Board) {
 	n := p.spec.N()
-	wcl := make([]time.Duration, n)
+	p.wcl = slices.Grow(p.wcl[:0], n)[:n]
+	wcl := p.wcl
 	any := false
 	for k := 0; k < n; k++ {
 		wcl[k] = board.Get(k).WCL
@@ -272,8 +286,8 @@ func (p *unified) reallocWCL(board *core.Board) {
 			wcl[k] = p.slo / 2
 		}
 	}
-	p.budgets = core.SplitBudgets(p.slo, wcl)
-	p.cumBudgets = core.CumulativeBudgets(p.budgets)
+	p.budgets = core.SplitBudgets(p.budgets, p.slo, wcl)
+	p.cumBudgets = core.CumulativeBudgets(p.cumBudgets, p.budgets)
 }
 
 // refreshShed recomputes admission shedding: DAGOR propagates overload
@@ -347,8 +361,8 @@ func NewClipper(s Setup) (Policy, error) {
 	p := base("clipper++", s)
 	p.queue = KindFIFO
 	p.decide = decideClipper
-	p.budgets = core.SplitBudgets(s.Spec.SLO, s.Durs)
-	p.cumBudgets = core.CumulativeBudgets(p.budgets)
+	p.budgets = core.SplitBudgets(nil, s.Spec.SLO, s.Durs)
+	p.cumBudgets = core.CumulativeBudgets(nil, p.budgets)
 	return p, nil
 }
 
@@ -432,8 +446,8 @@ func NewPARDSplit(s Setup) (Policy, error) {
 	p := base("pard-split", s)
 	p.queue = KindDEPQ
 	p.decide = decideSplitCum
-	p.budgets = core.SplitBudgets(s.Spec.SLO, s.Durs)
-	p.cumBudgets = core.CumulativeBudgets(p.budgets)
+	p.budgets = core.SplitBudgets(nil, s.Spec.SLO, s.Durs)
+	p.cumBudgets = core.CumulativeBudgets(nil, p.budgets)
 	p.pcs = newPriorityControllers(s, s.priCfg())
 	return p, nil
 }
@@ -447,8 +461,8 @@ func NewPARDWCL(s Setup) (Policy, error) {
 	p := base("pard-wcl", s)
 	p.queue = KindDEPQ
 	p.decide = decideWCLCum
-	p.budgets = core.SplitBudgets(s.Spec.SLO, s.Durs)
-	p.cumBudgets = core.CumulativeBudgets(p.budgets)
+	p.budgets = core.SplitBudgets(nil, s.Spec.SLO, s.Durs)
+	p.cumBudgets = core.CumulativeBudgets(nil, p.budgets)
 	p.pcs = newPriorityControllers(s, s.priCfg())
 	return p, nil
 }

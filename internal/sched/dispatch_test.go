@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,8 +11,8 @@ import (
 	"pard/internal/profile"
 )
 
-// scanLeastLoaded is the dispatcher as it was before the table: walk the
-// workers, skip the inactive, keep the first with strictly less load.
+// scanLeastLoaded is the dispatcher as it was before the dispatch tree: walk
+// the workers, skip the inactive, keep the first with strictly less load.
 func scanLeastLoaded(m *module) int {
 	best := -1
 	for i, w := range m.workers {
@@ -23,6 +24,114 @@ func scanLeastLoaded(m *module) int {
 		}
 	}
 	return best
+}
+
+// checkTree reports where module m's dispatch tree disagrees with its
+// workers: a leaf that is not its worker's load (or the ineligible sentinel)
+// above its id, a leaf past the pool that is not empty, or an inner node that
+// is not the smaller of its children.
+func checkTree(m *module) error {
+	size := len(m.tree) / 2
+	if size < len(m.workers) || size&(size-1) != 0 {
+		return fmt.Errorf("%d leaves for %d workers", size, len(m.workers))
+	}
+	for id := range size {
+		want := uint64(noWorker)
+		if id < len(m.workers) {
+			w := m.workers[id]
+			l := uint64(ineligible)
+			if w.active {
+				l = uint64(w.load())
+			}
+			want = l<<32 | uint64(id)
+		}
+		if got := m.tree[size+id]; got != want {
+			return fmt.Errorf("leaf %d holds load %d id %d, want load %d id %d", id, got>>32, uint32(got), want>>32, uint32(want))
+		}
+	}
+	for i := size - 1; i > 0; i-- {
+		if want := min(m.tree[2*i], m.tree[2*i+1]); m.tree[i] != want {
+			return fmt.Errorf("node %d holds %#x, its children's winner is %#x", i, m.tree[i], want)
+		}
+	}
+	return nil
+}
+
+// FuzzDispatchTable runs a program of pool changes against one module and,
+// after every step, holds its dispatch tree to its workers (checkTree) and
+// its pick to the pointer scan's. The first byte sizes the initial pool (one
+// to eight workers); then each pair of bytes is an op and its argument:
+//
+//	0  push a request onto worker arg's queue (its load rises)
+//	1  pop one from worker arg's queue (its load falls)
+//	2  scale down to active − 1 − arg%3 workers (deactivation; 0 is allowed)
+//	3  crash 1 + arg%2 workers
+//	4  scale up to active + 1 + arg%4 (reactivation first, then cold new ones)
+//	5  add 1 + arg%5 workers, cold when arg is odd
+//
+// Growth stops at 256 workers.
+func FuzzDispatchTable(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 1, 1, 2})                         // loads rise and fall, lowest id wins ties
+	f.Add([]byte{7, 2, 0, 2, 9, 4, 1, 0, 7, 0, 7})                   // scale down to none, then reactivate
+	f.Add([]byte{4, 0, 1, 0, 2, 3, 1, 3, 0, 4, 3, 0, 3})             // crashes, then cold replacements
+	f.Add([]byte{1, 5, 4, 5, 3, 5, 0, 0, 5, 0, 6, 1, 2, 2, 1, 4, 2}) // growth past one and two powers of two
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		if len(prog) > 1<<12 {
+			prog = prog[:1<<12]
+		}
+		man := NewManualExecutor()
+		spec := pipeline.TM()
+		workers := make([]int, spec.N())
+		for k := range workers {
+			workers[k] = 1
+		}
+		workers[0] = 1 + int(prog[0])%8
+		cl, err := New(Config{Spec: spec, Lib: profile.DefaultLibrary(), Seed: 1, Workers: workers}, man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := cl.modules[0]
+		var now time.Duration
+		var id uint64
+		for pc := 1; pc+1 < len(prog); pc += 2 {
+			op, arg := prog[pc]%6, int(prog[pc+1])
+			w := m.workers[arg%len(m.workers)]
+			now += time.Millisecond
+			switch op {
+			case 0:
+				id++
+				w.queue.Push(entry{req: &Request{ID: id, Deadline: now + spec.SLO}, arrive: now}, int64(now+spec.SLO))
+				w.noteLoad()
+			case 1:
+				if w.queue.Len() > 0 {
+					w.queue.PopMin()
+					w.noteLoad()
+				}
+			case 2:
+				m.applyScale(now, max(m.activeWorkers()-1-arg%3, 0))
+			case 3:
+				m.crash(now, 1+arg%2)
+			case 4:
+				if desired := m.activeWorkers() + 1 + arg%4; desired+len(m.workers) <= 256 {
+					m.applyScale(now, desired)
+				}
+			case 5:
+				if n := 1 + arg%5; len(m.workers)+n <= 256 {
+					m.addWorkers(n, now, arg%2 == 1)
+				}
+			}
+			if err := checkTree(m); err != nil {
+				t.Fatalf("step %d (op %d, arg %d): %v", pc/2, op, arg, err)
+			}
+			if got, want := m.leastLoaded(), scanLeastLoaded(m); got != want {
+				t.Fatalf("step %d (op %d, arg %d): the tree picks worker %d, the scan %d", pc/2, op, arg, got, want)
+			}
+		}
+	})
 }
 
 // TestNewRefusesWorkerCounts: a module with no worker would drop every
@@ -40,9 +149,8 @@ func TestNewRefusesWorkerCounts(t *testing.T) {
 // TestDispatchTableTracksWorkers steps a cluster one event at a time through
 // a load that swings hard enough for the scaling engine to cold-start,
 // deactivate and reactivate workers, with machine failures on top, and checks
-// after every single event that the dispatch table says what the workers say:
-// loads[i] is workers[i].load() for an active worker and the sentinel for any
-// other, and the table's argmin is the worker the pointer scan picks.
+// after every single event that the dispatch tree says what the workers say
+// (checkTree), and that its root is the worker the pointer scan picks.
 func TestDispatchTableTracksWorkers(t *testing.T) {
 	man := NewManualExecutor()
 	spec := pipeline.LV()
@@ -98,14 +206,12 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 		ev.fire(at)
 		events++
 		for _, m := range cl.modules {
-			if len(m.loads) != len(m.workers) {
-				t.Fatalf("event %d (op %d): module %d has %d workers and %d table entries", events, ev.op, m.idx, len(m.workers), len(m.loads))
+			if err := checkTree(m); err != nil {
+				t.Fatalf("event %d (op %d at %v): module %d: %v", events, ev.op, at, m.idx, err)
 			}
-			for i, w := range m.workers {
-				want := int32(ineligible)
+			for _, w := range m.workers {
 				switch {
 				case w.active:
-					want = int32(w.load())
 				case w.dead:
 					sawDead++
 				default:
@@ -113,10 +219,6 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 				}
 				if w.coldUntil > 0 {
 					sawCold++
-				}
-				if m.loads[i] != want {
-					t.Fatalf("event %d (op %d at %v): module %d worker %d (active %t, dead %t, load %d) has table entry %d, want %d",
-						events, ev.op, at, m.idx, i, w.active, w.dead, w.load(), m.loads[i], want)
 				}
 			}
 			if got, want := m.leastLoaded(), scanLeastLoaded(m); got != want {

@@ -38,17 +38,22 @@ type module struct {
 	// next one; a worker's id is its index here.
 	workers []*worker
 	nextWID int
-	// loads is the dispatch table, kept current by worker.noteLoad: loads[i]
-	// is workers[i].load(), or ineligible while the dispatcher must skip that
-	// worker, so a dispatch scans one array instead of chasing every worker.
-	loads []int32
+	// tree is the dispatch table, a winner tree kept current by
+	// worker.noteLoad. Its second half holds one leaf per worker in id order,
+	// the worker's dispatchKey, then noWorker up to a power of two; each node
+	// i ≥ 1 of its first half holds the smaller of nodes 2i and 2i+1. So node
+	// 1 is the least-loaded eligible worker, the lowest id among equals: a
+	// dispatch reads one word, and a load change climbs at most log₂ of the
+	// pool's levels.
+	tree []uint64
 
 	// Controller state (State Planner inputs, §4.1 step ①).
 	qWin    *stats.SlidingWindow // queueing delay samples (seconds)
-	wclWin  *stats.SlidingWindow // per-request Q+W+D samples (seconds)
+	wclWin  *stats.SlidingWindow // per-request Q+W+D samples (seconds); nil unless the policy reads WCL
 	waitRes *stats.Reservoir     // batch-wait samples (seconds)
-	rateWin *stats.RateWindow    // input workload for the scaling engine (smooth)
-	inWin   *stats.RateWindow    // input workload T_in for priority control (fast)
+	// rateWin is the input workload: its span feeds the scaling engine
+	// (smooth), its inner span T_in for priority control (fast).
+	rateWin *stats.RateWindow
 
 	drops       int
 	peakWorkers int
@@ -64,9 +69,9 @@ type module struct {
 	// like charges — forward runs on this module's lane.
 	mergeResets []WireMergeReset
 
-	// publish scratch, reused across sync ticks: wclScratch holds the WCL
-	// window values (module-owned, safe to reorder in place), pctScratch the
-	// percentile outputs.
+	// publish scratch, reused across sync ticks, kept only beside wclWin:
+	// wclScratch holds the WCL window values (module-owned, safe to reorder
+	// in place), pctScratch the percentile outputs.
 	wclScratch []float64
 	pctScratch []float64
 
@@ -93,12 +98,12 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 		execRng:     rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "exec"))),
 		statRng:     statRng,
 		qWin:        stats.NewSlidingWindow(queueWindow),
-		wclWin:      stats.NewSlidingWindow(queueWindow),
 		waitRes:     stats.NewReservoir(waitReservoir, statRng),
-		rateWin:     stats.NewRateWindow(queueWindow),
-		inWin:       stats.NewRateWindow(inputRateSpan),
+		rateWin:     stats.NewRateWindow(queueWindow, inputRateSpan),
 		workers:     make([]*worker, 0, workers),
-		loads:       make([]int32, 0, workers),
+	}
+	if c.readsWCL {
+		m.wclWin = stats.NewSlidingWindow(queueWindow)
 	}
 	if c.cfg.Probes.QueueDelay {
 		m.queueDelayProbe = &metrics.Series{Name: "queue-delay"}
@@ -119,10 +124,11 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 	return m
 }
 
-// A module's State Planner statistics: inputRateSpan is the horizon of the
-// fast T_in window priority control reads, queueWindow the span of the
-// queueing-delay, WCL and rate windows (§4.2 footnote 4), and waitReservoir
-// the size of the batch-wait sample reservoir.
+// A module's State Planner statistics: queueWindow is the span of the
+// queueing-delay and WCL windows (§4.2 footnote 4) and of the rate window the
+// scaling engine reads, inputRateSpan the inner span of that same rate window,
+// the horizon of the fast T_in priority control reads, and waitReservoir the
+// size of the batch-wait sample reservoir.
 const (
 	inputRateSpan = 2 * time.Second
 	queueWindow   = 5 * time.Second
@@ -157,7 +163,6 @@ func (m *module) addWorkers(n int, now time.Duration, cold bool) {
 	b := m.targetBatch
 	slabs := make([]batchMember, 2*n*b)
 	m.workers = slices.Grow(m.workers, n)
-	m.loads = slices.Grow(m.loads, n)
 	for i := range ws {
 		w := &ws[i]
 		w.mod, w.id, w.active = m, m.nextWID, true
@@ -168,13 +173,58 @@ func (m *module) addWorkers(n int, now time.Duration, cold bool) {
 			m.cl.scheduleWarmup(w, w.coldUntil)
 		}
 		m.workers = append(m.workers, w)
-		m.loads = append(m.loads, 0)
+	}
+	m.growTree()
+}
+
+// growTree rebuilds the dispatch tree over every worker, new ones included.
+func (m *module) growTree() {
+	size := 1
+	for size < len(m.workers) {
+		size *= 2
+	}
+	t := m.tree
+	if len(t) != 2*size {
+		t = make([]uint64, 2*size)
+	}
+	for id := range size {
+		t[size+id] = noWorker
+		if id < len(m.workers) {
+			t[size+id] = m.workers[id].dispatchKey()
+		}
+	}
+	for i := size - 1; i > 0; i-- {
+		t[i] = min(t[2*i], t[2*i+1])
+	}
+	m.tree = t
+}
+
+// setKey puts worker id's dispatch key into its leaf and replays the matches
+// above it, stopping where a node's winner stays what it was.
+func (m *module) setKey(id int, key uint64) {
+	t := m.tree
+	i := len(t)/2 + id
+	if t[i] == key {
+		return
+	}
+	t[i] = key
+	for i > 1 {
+		win := min(t[i], t[i^1])
+		i /= 2
+		if t[i] == win {
+			return
+		}
+		t[i] = win
 	}
 }
 
-// ineligible marks a deactivated or crashed worker in module.loads; no real
-// load reaches it, so the dispatcher's argmin never picks one.
-const ineligible = math.MaxInt32
+// ineligible is the load half of a deactivated or crashed worker's dispatch
+// key; no real load reaches it, so the dispatcher never picks one. noWorker
+// fills the leaves past the pool.
+const (
+	ineligible = math.MaxInt32
+	noWorker   = math.MaxUint64
+)
 
 // activeWorkers counts dispatcher-eligible workers.
 func (m *module) activeWorkers() int {
@@ -245,7 +295,6 @@ func (m *module) receive(r *Request, now time.Duration) {
 		now = r.mergeMaxArrive
 	}
 	m.rateWin.Observe(now)
-	m.inWin.Observe(now)
 	e := entry{req: r, arrive: now}
 	if m.remainProbe != nil {
 		m.probeCount++
@@ -262,15 +311,13 @@ func (m *module) receive(r *Request, now time.Duration) {
 }
 
 // leastLoaded returns the index of the least-loaded active worker, the
-// lowest among equals, or -1 when none is active.
+// lowest among equals, or -1 when none is active: the dispatch tree's root.
 func (m *module) leastLoaded() int {
-	best, least := -1, int32(ineligible)
-	for i, l := range m.loads {
-		if l < least {
-			best, least = i, l
-		}
+	win := m.tree[1]
+	if win>>32 >= ineligible {
+		return -1
 	}
-	return best
+	return int(uint32(win))
 }
 
 // dispatch routes the entry to the least-loaded active worker.
@@ -302,7 +349,9 @@ func (m *module) chargeRequest(r *Request, gpu, q, w, d time.Duration) {
 func (m *module) observe(q, wait, dur time.Duration, now time.Duration) {
 	m.qWin.Add(now, q.Seconds())
 	m.waitRes.Add(wait.Seconds())
-	m.wclWin.Add(now, (q + wait + dur).Seconds())
+	if m.wclWin != nil {
+		m.wclWin.Add(now, (q + wait + dur).Seconds())
+	}
 	if m.waitProbe != nil {
 		m.waitProbe.Add(wait.Seconds())
 	}
@@ -318,20 +367,23 @@ func (m *module) probeBudget(arrive, done time.Duration) {
 }
 
 // publish pushes this module's snapshot to the shared board (sync step ②).
-// The board copies the reservoir's live samples into the module's slot.
+// The board copies the reservoir's live samples into the module's slot. WCL
+// stays 0 for a policy that does not read it.
 func (m *module) publish(now time.Duration, board *core.Board) {
 	qMean, _ := m.qWin.Mean(now)
 	wcl := 0.0
-	m.wclScratch = m.wclWin.ValuesInto(now, m.wclScratch)
-	if len(m.wclScratch) > 0 {
-		m.pctScratch = stats.PercentilesInto(m.pctScratch[:0], m.wclScratch, 0.95)
-		wcl = m.pctScratch[0]
+	if m.wclWin != nil {
+		m.wclScratch = m.wclWin.ValuesInto(now, m.wclScratch)
+		if len(m.wclScratch) > 0 {
+			m.pctScratch = stats.PercentilesInto(m.pctScratch[:0], m.wclScratch, 0.95)
+			wcl = m.pctScratch[0]
+		}
 	}
 	st := core.ModuleState{
 		QueueDelay:  time.Duration(qMean * float64(time.Second)),
 		ProfiledDur: m.targetDur,
 		BatchWait:   m.waitRes.Values(),
-		InputRate:   m.inWin.Rate(now),
+		InputRate:   m.rateWin.InnerRate(now),
 		Throughput:  m.throughput(now),
 		WCL:         time.Duration(wcl * float64(time.Second)),
 	}

@@ -81,6 +81,9 @@ type Cluster struct {
 	cfg  Config
 	exec Executor
 	pol  policy.Policy
+	// readsWCL is set when the policy reads ModuleState.WCL; otherwise no
+	// module keeps a WCL window.
+	readsWCL bool
 
 	modules []*module
 	board   *core.Board
@@ -252,6 +255,8 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		return nil, err
 	}
 	c.pol = pol
+	wr, ok := pol.(policy.WCLReader)
+	c.readsWCL = ok && wr.ReadsWCL()
 
 	for k := 0; k < n; k++ {
 		model, err := cfg.Lib.Get(cfg.Spec.Modules[k].Name)
@@ -313,26 +318,28 @@ func (c *Cluster) Probes(k int) ModuleProbes {
 	return p
 }
 
-// Reserve sizes every owned module's State Planner windows, and the scratch
-// publish copies the WCL window into, for a run whose requests are sent at
-// the sorted times arrivals, so that they do not grow while it runs. A module
-// sees each request once, about one hop delay after its neighbours, so the
-// trace's peak count within a window's span is what the window holds live,
-// give or take the bunching the reservation's slack absorbs. Storage only: a
-// window that outgrows it grows as an unreserved one (the live server's) does.
+// Reserve sizes every owned module's State Planner windows for a run whose
+// requests are sent at the sorted times arrivals, so that they do not grow
+// while it runs; under a policy that reads WCL, also the WCL window and the
+// scratch publish copies it into. A module sees each request once, about one
+// hop delay after its neighbours, so the trace's peak count within
+// queueWindow, the span of every window (the rate window's inner span shares
+// its timestamps), is what a window holds live, give or take the bunching the
+// reservation's slack absorbs. Storage only: a window that outgrows it grows
+// as an unreserved one (the live server's) does.
 func (c *Cluster) Reserve(arrivals []time.Duration) {
 	n := len(arrivals)
-	peakQ := stats.PeakCount(arrivals, queueWindow)
-	peakIn := stats.PeakCount(arrivals, inputRateSpan)
+	peak := stats.PeakCount(arrivals, queueWindow)
 	for _, m := range c.modules {
 		if !c.owns(m.idx) {
 			continue
 		}
-		m.qWin.Reserve(peakQ, n)
-		m.wclWin.Reserve(peakQ, n)
-		m.rateWin.Reserve(peakQ, n)
-		m.inWin.Reserve(peakIn, n)
-		m.wclScratch = make([]float64, 0, min(2*peakQ, n))
+		m.qWin.Reserve(peak, n)
+		m.rateWin.Reserve(peak, n)
+		if m.wclWin != nil {
+			m.wclWin.Reserve(peak, n)
+			m.wclScratch = make([]float64, 0, min(2*peak, n))
+		}
 	}
 }
 

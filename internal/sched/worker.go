@@ -46,16 +46,20 @@ type worker struct {
 // load is the dispatcher's balancing metric.
 func (w *worker) load() int { return w.queue.Len() + len(w.forming) }
 
-// noteLoad refreshes this worker's entry of the module's dispatch table,
+// dispatchKey is this worker's leaf in the module's dispatch tree: its load,
+// or ineligible while the dispatcher must skip it, above its id.
+func (w *worker) dispatchKey() uint64 {
+	l := uint64(ineligible)
+	if w.active {
+		l = uint64(w.load())
+	}
+	return l<<32 | uint64(w.id)
+}
+
+// noteLoad refreshes this worker's leaf of the module's dispatch tree,
 // wherever load or eligibility changes: at the end of pump and batchEnd (every
 // enqueue, fill and batch start happens under one), on deactivation and crash.
-func (w *worker) noteLoad() {
-	l := int32(ineligible)
-	if w.active {
-		l = int32(w.load())
-	}
-	w.mod.loads[w.id] = l
-}
+func (w *worker) noteLoad() { w.mod.setKey(w.id, w.dispatchKey()) }
 
 // warm reports whether the worker can serve at time now.
 func (w *worker) warm(now time.Duration) bool { return now >= w.coldUntil }

@@ -63,7 +63,7 @@ func TestAllocsSelectP95(t *testing.T) {
 // and allocates nothing at all.
 func TestAllocsWindowsSteadyFeed(t *testing.T) {
 	const span, perSpan, spans = time.Second, 10000, 20
-	sw, rw := NewSlidingWindow(span), NewRateWindow(span)
+	sw, rw := NewSlidingWindow(span), NewRateWindow(span, span)
 	at := time.Duration(0)
 	feed := func(n int) {
 		for i := 0; i < n; i++ {
@@ -127,20 +127,21 @@ func burstyFeed(seed int64, spans int) ([]time.Duration, []float64) {
 
 // TestAllocsWindowsReserved: a window reserved for its stream answers every
 // query bit for bit as one that grew, through many compactions, and neither
-// Add nor Observe allocates once Reserve has run.
+// Add nor Observe allocates once Reserve has run. The rate window has an
+// inner head, reserved by its outer span's peak alone.
 func TestAllocsWindowsReserved(t *testing.T) {
-	const span = time.Second
+	const span, inner = time.Second, 400 * time.Millisecond
 	times, vals := burstyFeed(7, 20)
 	peak := PeakCount(times, span)
 	reserved := func() (*SlidingWindow, *RateWindow) {
-		sw, rw := NewSlidingWindow(span), NewRateWindow(span)
+		sw, rw := NewSlidingWindow(span), NewRateWindow(span, inner)
 		sw.Reserve(peak, len(times))
 		rw.Reserve(peak, len(times))
 		return sw, rw
 	}
 
 	sw, rw := reserved()
-	gsw, grw := NewSlidingWindow(span), NewRateWindow(span)
+	gsw, grw := NewSlidingWindow(span), NewRateWindow(span, inner)
 	var got, want []float64
 	compactions, sh, rh := 0, 0, 0
 	for i, at := range times {
@@ -170,6 +171,9 @@ func TestAllocsWindowsReserved(t *testing.T) {
 		if r, gr := rw.Rate(now), grw.Rate(now); math.Float64bits(r) != math.Float64bits(gr) {
 			t.Fatalf("sample %d: reserved Rate = %v, grown %v", i, r, gr)
 		}
+		if r, gr := rw.InnerRate(now), grw.InnerRate(now); math.Float64bits(r) != math.Float64bits(gr) {
+			t.Fatalf("sample %d: reserved InnerRate = %v, grown %v", i, r, gr)
+		}
 		got, want = sw.ValuesInto(now, got), gsw.ValuesInto(now, want)
 		if !slices.Equal(got, want) {
 			t.Fatalf("sample %d: reserved window holds %d values, grown %d, or they differ", i, len(got), len(want))
@@ -195,6 +199,9 @@ func TestAllocsWindowsReserved(t *testing.T) {
 		for i, at := range times {
 			p.sw.Add(at, vals[i])
 			p.rw.Observe(at)
+			if i%97 == 0 {
+				p.rw.InnerRate(at)
+			}
 		}
 	}); avg != 0 {
 		t.Fatalf("reserved windows allocated %.0f times over %d samples, want 0", avg, len(times))

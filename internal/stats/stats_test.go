@@ -107,7 +107,7 @@ func TestSlidingWindowPanicsOnBadSpan(t *testing.T) {
 }
 
 func TestRateWindow(t *testing.T) {
-	r := NewRateWindow(time.Second)
+	r := NewRateWindow(time.Second, time.Second)
 	for i := 0; i < 100; i++ {
 		r.Observe(time.Duration(i) * 10 * time.Millisecond)
 	}
@@ -118,6 +118,72 @@ func TestRateWindow(t *testing.T) {
 	// 2 seconds later everything expired.
 	if got := r.Count(3 * time.Second); got != 0 {
 		t.Fatalf("count = %d, want 0", got)
+	}
+}
+
+// TestRateWindowInnerHead: a rate window with an inner head answers both
+// spans as two standalone windows fed the same stream do — the scheduling
+// core's 5 s scaling rate and 2 s T_in rate — bit for bit. Each stream runs a
+// clock forward and observes events at it or up to 300 ms behind it (so
+// Observe clamps), queries either head at the clock between observes, idles
+// past a whole span now and then (so a head empties and an event lands
+// unclamped behind the last one), and runs long enough to compact many times,
+// so the inner head must survive the array sliding under it.
+func TestRateWindowInnerHead(t *testing.T) {
+	const span, inner = 5 * time.Second, 2 * time.Second
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		merged := NewRateWindow(span, inner)
+		outer, fast := NewRateWindow(span, span), NewRateWindow(inner, inner)
+		var clock time.Duration
+		compactions, last, queries := 0, 0, 0
+		for i := 0; i < 30000; i++ {
+			switch r := rng.Intn(1000); {
+			case r < 2:
+				clock += time.Duration(rng.Int63n(int64(2 * span)))
+			case r < 500:
+				clock += time.Duration(rng.ExpFloat64() * float64(time.Millisecond) / 2)
+			}
+			at := clock
+			if rng.Intn(4) == 0 {
+				at -= time.Duration(rng.Int63n(int64(300 * time.Millisecond)))
+			}
+			merged.Observe(at)
+			outer.Observe(at)
+			fast.Observe(at)
+			if merged.head < last {
+				compactions++
+			}
+			last = merged.head
+			if rng.Intn(8) != 0 {
+				continue
+			}
+			queries++
+			if rng.Intn(2) == 0 {
+				if got, want := merged.Rate(clock), outer.Rate(clock); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d, event %d at %v: Rate = %v, a standalone %v window says %v", seed, i, clock, got, span, want)
+				}
+			} else if got, want := merged.InnerRate(clock), fast.Rate(clock); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d, event %d at %v: InnerRate = %v, a standalone %v window says %v", seed, i, clock, got, inner, want)
+			}
+		}
+		t.Logf("seed %d: %d compactions, %d queries", seed, compactions, queries)
+		if compactions < 3 || queries == 0 {
+			t.Fatalf("seed %d: %d compactions and %d queries; the stream never exercised them", seed, compactions, queries)
+		}
+	}
+}
+
+func TestRateWindowRefusesSpans(t *testing.T) {
+	for _, c := range [][2]time.Duration{{time.Second, 0}, {time.Second, 2 * time.Second}, {0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRateWindow(%v, %v) did not panic", c[0], c[1])
+				}
+			}()
+			NewRateWindow(c[0], c[1])
+		}()
 	}
 }
 

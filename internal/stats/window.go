@@ -206,20 +206,30 @@ func (w *SlidingWindow) ValuesInto(now time.Duration, buf []float64) []float64 {
 	return buf
 }
 
-// RateWindow counts events inside a horizon and reports their arrival rate.
-// PARD uses it for the module input workload T_in.
+// RateWindow counts events inside a horizon and reports their arrival rate,
+// over its span and, from the same timestamps, over a second, shorter inner
+// span: one array and two heads, so a stream that needs a smooth and a fast
+// rate pays for one Observe. PARD reads the span for the scaling engine and
+// the inner span for the module input workload T_in.
+//
+// Every call evicts both heads, so each answers as a window of its own span
+// fed the same stream would, provided the queries come at nondecreasing
+// instants: an eviction made at an earlier instant is one a later query makes
+// anyway.
 type RateWindow struct {
-	span  time.Duration
-	times []time.Duration
-	head  int
+	span, inner time.Duration
+	times       []time.Duration
+	head        int // first live event over span
+	innerHead   int // first live event over inner; never below head
 }
 
-// NewRateWindow returns a rate estimator over the last span.
-func NewRateWindow(span time.Duration) *RateWindow {
-	if span <= 0 {
-		panic(fmt.Sprintf("stats: rate window span must be positive, got %v", span))
+// NewRateWindow returns a rate estimator over the last span whose inner head
+// counts the last inner of the same events; inner = span gives one window.
+func NewRateWindow(span, inner time.Duration) *RateWindow {
+	if inner <= 0 || inner > span {
+		panic(fmt.Sprintf("stats: rate window spans must satisfy 0 < inner <= span, got %v and %v", inner, span))
 	}
-	return &RateWindow{span: span}
+	return &RateWindow{span: span, inner: inner}
 }
 
 // Observe records one event at time now.
@@ -232,8 +242,8 @@ func (r *RateWindow) Observe(now time.Duration) {
 }
 
 // Reserve sizes the window's storage as SlidingWindow.Reserve does, for a
-// stream that keeps at most peak events live at once and observes at most
-// total in all.
+// stream that keeps at most peak events live at once over span and observes
+// at most total in all.
 func (r *RateWindow) Reserve(peak, total int) {
 	n := reservation(peak, total, rateCompactAfter)
 	if n > cap(r.times) {
@@ -242,26 +252,35 @@ func (r *RateWindow) Reserve(peak, total int) {
 }
 
 func (r *RateWindow) evict(now time.Duration) {
-	cut := now - r.span
-	for r.head < len(r.times) && r.times[r.head] < cut {
+	for cut := now - r.span; r.head < len(r.times) && r.times[r.head] < cut; {
 		r.head++
+	}
+	r.innerHead = max(r.innerHead, r.head) // a call at an earlier instant must not leave it behind
+	for cut := now - r.inner; r.innerHead < len(r.times) && r.times[r.innerHead] < cut; {
+		r.innerHead++
 	}
 	if r.head > rateCompactAfter && r.head*2 > len(r.times) {
 		r.times = r.times[:copy(r.times, r.times[r.head:])] // in place, as in SlidingWindow.evict
+		r.innerHead -= r.head
 		r.head = 0
 	}
 }
 
-// Count returns the number of events within the window at time now.
+// Count returns the number of events within span at time now.
 func (r *RateWindow) Count(now time.Duration) int {
 	r.evict(now)
 	return len(r.times) - r.head
 }
 
-// Rate returns events per second within the window at time now.
+// Rate returns events per second within span at time now.
 func (r *RateWindow) Rate(now time.Duration) float64 {
-	n := r.Count(now)
-	return float64(n) / r.span.Seconds()
+	return float64(r.Count(now)) / r.span.Seconds()
+}
+
+// InnerRate returns events per second within the inner span at time now.
+func (r *RateWindow) InnerRate(now time.Duration) float64 {
+	r.evict(now)
+	return float64(len(r.times)-r.innerHead) / r.inner.Seconds()
 }
 
 // PeakCount returns the most of the sorted times that fall within one closed
