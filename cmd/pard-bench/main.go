@@ -124,8 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var coord *dist.Coordinator
 	if *workers != "" || *listen != "" {
 		coord = dist.NewCoordinator(dist.CoordinatorConfig{
-			Engine:         harness.Engine(),
-			WaitForWorkers: *listen != "",
+			Engine: harness.Engine(),
 			// Cluster lifecycle events (joins, losses, requeues, empty-
 			// cluster waits) are rare and operationally important, so they
 			// log unconditionally — unlike per-run -progress output.

@@ -10,7 +10,10 @@
 //	pard-server -app tm &
 //	pard-load -target http://127.0.0.1:8080 -kind fixed -rate 100 -duration 10s
 //	pard-load -mode closed -conns 8 -requests 1000 -think-min 5ms -think-max 20ms
-//	pard-load -kind tweet -duration 30s -compare-sim -app tm -workers 2
+//	pard-load -kind tweet -duration 30s -compare-sim
+//
+// -compare-sim reads the target's deployment from its GET /deployment route
+// before the run, so the twin takes no flags of its own.
 //
 // -kind also takes a trace CSV file, and -trace-csv records the offsets
 // actually sent — the trace -compare-sim replays — for pard-sim -trace:
@@ -23,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -32,33 +36,40 @@ import (
 )
 
 func main() {
+	if _, err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "pard-load:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, drives the load, writes the report to stdout and returns it.
+func run(args []string, stdout io.Writer) (*pard.LoadReport, error) {
+	fs := flag.NewFlagSet("pard-load", flag.ContinueOnError)
 	var (
-		target   = flag.String("target", "http://127.0.0.1:8080", "server base URL")
-		mode     = flag.String("mode", "open", "open (trace replay) or closed (workers with think time)")
-		kind     = flag.String("kind", "fixed", "open-loop arrival process: fixed, steady, step, wiki, tweet, azure, or a trace CSV file")
-		rate     = flag.Float64("rate", 100, "request rate for fixed arrivals, peak rate for the other kinds (req/s)")
-		duration = flag.Duration("duration", 10*time.Second, "generated trace length (open) or run cap (closed)")
-		seed     = flag.Int64("seed", 1, "random seed (trace generation and think times)")
+		target   = fs.String("target", "http://127.0.0.1:8080", "server base URL")
+		mode     = fs.String("mode", "open", "open (trace replay) or closed (workers with think time)")
+		kind     = fs.String("kind", "fixed", "open-loop arrival process: fixed, steady, step, wiki, tweet, azure, or a trace CSV file")
+		rate     = fs.Float64("rate", 100, "request rate for fixed arrivals, peak rate for the other kinds (req/s)")
+		duration = fs.Duration("duration", 10*time.Second, "generated trace length (open) or run cap (closed)")
+		seed     = fs.Int64("seed", 1, "random seed (trace generation and think times)")
 
-		conns    = flag.Int("conns", 4, "closed-loop worker connections")
-		requests = flag.Int("requests", 0, "closed-loop total request cap (0 = duration-bounded)")
-		thinkMin = flag.Duration("think-min", 0, "closed-loop minimum think time")
-		thinkMax = flag.Duration("think-max", 0, "closed-loop maximum think time (uniform in [min,max])")
+		conns    = fs.Int("conns", 4, "closed-loop worker connections")
+		requests = fs.Int("requests", 0, "closed-loop total request cap (0 = duration-bounded)")
+		thinkMin = fs.Duration("think-min", 0, "closed-loop minimum think time")
+		thinkMax = fs.Duration("think-max", 0, "closed-loop maximum think time (uniform in [min,max])")
 
-		timeout     = flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
-		maxInFlight = flag.Int("max-inflight", 0, "open-loop shed cap on outstanding requests (0 = unlimited)")
+		timeout     = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
+		maxInFlight = fs.Int("max-inflight", 0, "open-loop shed cap on outstanding requests (0 = unlimited)")
 
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON instead of a table")
-		stream   = flag.String("stream", "", "stream per-request JSONL to this file ('-' = stdout)")
-		traceCSV = flag.String("trace-csv", "", "write the recorded send offsets as a trace CSV (pard-sim -trace replays it)")
+		jsonOut  = fs.Bool("json", false, "emit the report as JSON instead of a table")
+		stream   = fs.String("stream", "", "stream per-request JSONL to this file ('-' = stdout)")
+		traceCSV = fs.String("trace-csv", "", "write the recorded send offsets as a trace CSV (pard-sim -trace replays it)")
 
-		compareSim = flag.Bool("compare-sim", false, "replay the recorded offsets through the simulator twin")
-		app        = flag.String("app", "tm", "pipeline the target serves (for -compare-sim)")
-		policy     = flag.String("policy", "pard", "drop policy the target runs (for -compare-sim)")
-		workers    = flag.Int("workers", 2, "workers per module the target runs (for -compare-sim)")
-		sync       = flag.Duration("sync", server.DefaultSyncPeriod, "target's state-sync period (for -compare-sim)")
+		compareSim = fs.Bool("compare-sim", false, "replay the recorded offsets through the simulator twin of the target's deployment")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 
 	cfg := pard.LoadConfig{
 		Target:      strings.TrimRight(*target, "/"),
@@ -73,7 +84,7 @@ func main() {
 	if *mode == pard.LoadModeOpen {
 		tr, err := pard.ResolveTrace(*kind, *duration, *rate, *seed)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		cfg.Trace = tr
 	} else {
@@ -82,10 +93,18 @@ func main() {
 			cfg.Duration = 0 // an explicit request cap bounds the run instead
 		}
 	}
+	var deployment server.Config
+	if *compareSim {
+		// Read before the run: a target that cannot be twinned fails at once.
+		var err error
+		if deployment, err = server.FetchDeployment(cfg.Target); err != nil {
+			return nil, err
+		}
+	}
 	if *stream != "" {
-		w, closeFn, err := openStream(*stream)
+		w, closeFn, err := openStream(*stream, stdout)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		defer closeFn()
 		cfg.Stream = w
@@ -93,48 +112,29 @@ func main() {
 
 	rep, err := pard.RunLoad(cfg)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-
 	if *compareSim {
-		spec, ok := pard.Apps()[*app]
-		if !ok {
-			fatal(fmt.Errorf("unknown app %q for -compare-sim", *app))
-		}
-		ws := make([]int, spec.N())
-		for i := range ws {
-			ws[i] = *workers
-		}
-		if _, err := rep.CompareSim(pard.LoadSimSpec{
-			Spec:       spec,
-			PolicyName: *policy,
-			Workers:    ws,
-			SyncPeriod: *sync,
-			Seed:       *seed,
-		}); err != nil {
-			fatal(err)
+		if _, err := rep.CompareSim(deployment); err != nil {
+			return nil, err
 		}
 	}
-
 	if *traceCSV != "" {
 		if err := writeTraceCSV(*traceCSV, rep); err != nil {
-			fatal(err)
+			return nil, err
 		}
 	}
-
 	if *jsonOut {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-	} else {
-		rep.WriteTable(os.Stdout)
+		return rep, rep.WriteJSON(stdout)
 	}
+	rep.WriteTable(stdout)
+	return rep, nil
 }
 
 // openStream resolves the per-request JSONL destination.
-func openStream(path string) (*os.File, func(), error) {
+func openStream(path string, stdout io.Writer) (io.Writer, func(), error) {
 	if path == "-" {
-		return os.Stdout, func() {}, nil
+		return stdout, func() {}, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -151,9 +151,4 @@ func writeTraceCSV(path string, rep *pard.LoadReport) error {
 		return errors.New("no send offsets recorded")
 	}
 	return tr.WriteFile(path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pard-load:", err)
-	os.Exit(1)
 }

@@ -12,6 +12,7 @@
 //	pard-server -max-inflight 32   # 429 + Retry-After: 1 past 32 outstanding
 //	curl -X POST localhost:8080/infer
 //	curl localhost:8080/stats      # summary, plus the executor's own counters
+//	curl localhost:8080/deployment # what pard-load -compare-sim twins
 package main
 
 import (

@@ -20,13 +20,6 @@ type CoordinatorConfig struct {
 	// result is installed back into it. Its base seed and trace duration
 	// are the handshake parameters workers configure themselves from.
 	Engine *sweep.Engine
-	// WaitForWorkers makes a sweep with an empty cluster block for workers
-	// to join (listen-mode deployments) instead of failing fast (the
-	// dial-mode default, where losing every worker is an error).
-	WaitForWorkers bool
-	// HandshakeTimeout bounds the Hello/HelloAck exchange on a new
-	// connection (default 10s; < 0 disables).
-	HandshakeTimeout time.Duration
 	// Logf, when set, receives dispatch/requeue/worker-lifecycle logging.
 	Logf func(format string, args ...any)
 	// OnUnitDone, when set, is invoked after each remotely executed unit is
@@ -35,6 +28,10 @@ type CoordinatorConfig struct {
 	// bypasses (cache installs are not local work). Dropped duplicates of
 	// endgame copies are not merges and are never reported.
 	OnUnitDone func(UnitDone)
+
+	// handshakeTimeout, a seam for this package's tests, replaces the
+	// constant of that name when positive.
+	handshakeTimeout time.Duration
 }
 
 // UnitDone describes one merged remote unit for CoordinatorConfig.OnUnitDone:
@@ -148,8 +145,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Engine == nil {
 		panic("dist: CoordinatorConfig.Engine is required")
 	}
-	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
+	if cfg.handshakeTimeout <= 0 {
+		cfg.handshakeTimeout = handshakeTimeout
 	}
 	c := &Coordinator{cfg: cfg, workers: map[int]*workerConn{}}
 	c.stats.PerWorker = map[int]WorkerStats{}
@@ -176,7 +173,7 @@ func (c *Coordinator) AddConn(conn net.Conn) error {
 		return errors.New("dist: coordinator is closed")
 	}
 	ecfg := c.cfg.Engine.Config()
-	f, capacity, err := openSession(conn, c.cfg.HandshakeTimeout, Hello{
+	f, capacity, err := openSession(conn, c.cfg.handshakeTimeout, Hello{
 		LibraryFP: ecfg.Library.Fingerprint(), BaseSeed: ecfg.BaseSeed, TraceDuration: ecfg.TraceDuration,
 	})
 	if err != nil {
@@ -416,7 +413,9 @@ func (c *Coordinator) runUnits(ctx context.Context, units []WorkUnit, pending []
 			return errors.New("dist: coordinator closed mid-sweep")
 		}
 		if len(c.workers) == 0 {
-			if !c.cfg.WaitForWorkers {
+			// A coordinator that listens waits for workers to join; one
+			// that only dialed has lost every worker it will ever have.
+			if len(c.listeners) == 0 {
 				return fmt.Errorf("dist: no workers remain (%d of %d units incomplete)", st.remaining(), len(st.units))
 			}
 			if !emptyLogged {

@@ -75,6 +75,36 @@ func startLoopbackWorker(t *testing.T, c *Coordinator, cfg WorkerConfig) <-chan 
 	return done
 }
 
+// listenOn runs c.Listen(l) and returns once the listener is registered: from
+// then on a sweep over an empty cluster waits for workers to join.
+func listenOn(t *testing.T, c *Coordinator, l net.Listener) {
+	t.Helper()
+	go c.Listen(l)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		n := len(c.listeners)
+		c.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the listener was never registered")
+		}
+	}
+}
+
+// listenLoopback makes c listen on a free loopback port and returns its
+// address.
+func listenLoopback(t *testing.T, c *Coordinator) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listenOn(t, c, l)
+	return l.Addr().String()
+}
+
 // diffFailure renders a per-index summary diff for debuggability.
 func diffFailure(t *testing.T, name string, local, distributed []*simgpu.Result) {
 	t.Helper()

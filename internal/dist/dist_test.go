@@ -41,12 +41,13 @@ func TestNoWorkersFailsFast(t *testing.T) {
 	}
 }
 
-// TestLateJoinerCompletesSweep: in WaitForWorkers mode a sweep started
-// against an empty cluster blocks, then completes once a worker registers —
-// the listen-mode deployment shape.
+// TestLateJoinerCompletesSweep: on a coordinator that listens, a sweep
+// started against an empty cluster blocks, then completes once a worker
+// joins through the listener — the listen-mode deployment shape.
 func TestLateJoinerCompletesSweep(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), WaitForWorkers: true})
+	c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
 	defer c.Close()
+	addr := listenLoopback(t, c)
 	type outcome struct {
 		n   int
 		err error
@@ -57,7 +58,7 @@ func TestLateJoinerCompletesSweep(t *testing.T) {
 		done <- outcome{len(rs), err}
 	}()
 	time.Sleep(20 * time.Millisecond) // let the sweep block on the empty cluster
-	startLoopbackWorker(t, c, WorkerConfig{Workers: 1})
+	go Join(addr, WorkerConfig{Workers: 1})
 	select {
 	case o := <-done:
 		if o.err != nil || o.n != 2 {
@@ -71,8 +72,9 @@ func TestLateJoinerCompletesSweep(t *testing.T) {
 // TestSweepCtxCancelUnblocks: canceling the context releases a sweep stuck
 // waiting for workers that never come.
 func TestSweepCtxCancelUnblocks(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), WaitForWorkers: true})
+	c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
 	defer c.Close()
+	listenLoopback(t, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_, err := c.Sweep(ctx, tinyGrid())
@@ -222,7 +224,7 @@ func TestVersionMismatchRefused(t *testing.T) {
 			}
 		})
 		t.Run("coordinator-side/"+peerName(peer), func(t *testing.T) {
-			c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), HandshakeTimeout: 5 * time.Second})
+			c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), handshakeTimeout: 5 * time.Second})
 			defer c.Close()
 			coordSide, fakeWorker := net.Pipe()
 			defer fakeWorker.Close()
@@ -298,15 +300,14 @@ func TestLibraryMismatchRefused(t *testing.T) {
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "library mismatch") {
 		t.Fatalf("worker served a coordinator with different profiles: %v", err)
 	}
-	// Matching custom libraries on both sides are accepted.
-	c2 := NewCoordinator(CoordinatorConfig{Engine: sweep.New(sweep.Config{
-		Workers: 1, BaseSeed: 3, TraceDuration: 10 * time.Second, Library: scaled,
-	})})
+	// A coordinator on the default library, the one every worker runs, is
+	// accepted.
+	c2 := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
 	defer c2.Close()
 	cs2, ws2 := net.Pipe()
-	go ServeConn(ws2, WorkerConfig{Workers: 1, Library: scaled})
+	go ServeConn(ws2, WorkerConfig{Workers: 1})
 	if err := c2.AddConn(cs2); err != nil {
-		t.Fatalf("matching custom libraries refused: %v", err)
+		t.Fatalf("matching libraries refused: %v", err)
 	}
 }
 

@@ -183,13 +183,14 @@ func TestSweepUnderTransportFaults(t *testing.T) {
 		silent := tc.late && (tc.opener.stall || tc.server.stall)
 		t.Run(tc.name, func(t *testing.T) {
 			timeout, _ := tc.timeouts()
-			c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), WaitForWorkers: true, HandshakeTimeout: timeout})
+			c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), handshakeTimeout: timeout})
 			defer c.Close()
+			listenLoopback(t, c) // an emptied cluster waits for the healthy worker
 			coordSide, workerSide := net.Pipe()
 			oc, sc := tc.opener.wrap(coordSide), tc.server.wrap(workerSide)
 			served := make(chan error, 1)
 			go func() {
-				served <- ServeConn(sc, WorkerConfig{Workers: 1, HandshakeTimeout: timeout})
+				served <- ServeConn(sc, WorkerConfig{Workers: 1, handshakeTimeout: timeout})
 			}()
 			joinErr := c.AddConn(oc)
 			if (joinErr == nil) != (tc.late || !tc.faulty()) {
@@ -285,7 +286,7 @@ func TestSimUnderTransportFaults(t *testing.T) {
 	for _, tc := range faultCases(helloFrameLen(hello), ackLen, 3000, 3000) {
 		t.Run(tc.name, func(t *testing.T) {
 			var opts SimOptions
-			opts.HandshakeTimeout, opts.ExchangeTimeout = tc.timeouts()
+			opts.handshakeTimeout, opts.exchangeTimeout = tc.timeouts()
 			hubSide, spokeSide := net.Pipe()
 			oc, sc := tc.opener.wrap(hubSide), tc.server.wrap(spokeSide)
 			type outcome struct {

@@ -178,14 +178,14 @@ func TestHostileModuleIndicesRefused(t *testing.T) {
 					r.Run()
 				}
 			}()
-			_, err := RunSimDistributed(hostileConfig(), []net.Conn{hubSide}, SimOptions{ExchangeTimeout: 20 * time.Second})
+			_, err := RunSimDistributed(hostileConfig(), []net.Conn{hubSide}, SimOptions{exchangeTimeout: 20 * time.Second})
 			wantRefusal(t, err, 1, row)
 		})
 		t.Run("spoke-reads-hub/"+row.name, func(t *testing.T) {
 			hubSide, spokeSide := net.Pipe()
 			served := make(chan error, 1)
 			go func() {
-				_, err := ServeSim(spokeSide, SimOptions{ExchangeTimeout: 20 * time.Second})
+				_, err := ServeSim(spokeSide, SimOptions{exchangeTimeout: 20 * time.Second})
 				served <- err
 			}()
 			cfg := hostileConfig()

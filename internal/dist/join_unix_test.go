@@ -58,7 +58,7 @@ func TestJoinRetriesUntilCoordinatorListens(t *testing.T) {
 	addr, listen := reservedPort(t)
 
 	start := time.Now()
-	if err := Join(addr, WorkerConfig{Workers: 1, HandshakeTimeout: 200 * time.Millisecond}); err == nil {
+	if err := Join(addr, WorkerConfig{Workers: 1, handshakeTimeout: 200 * time.Millisecond}); err == nil {
 		t.Fatal("Join succeeded with no coordinator listening")
 	} else if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Join gave up after %v, want about the 200 ms handshake timeout", elapsed)
@@ -73,8 +73,8 @@ func TestJoinRetriesUntilCoordinatorListens(t *testing.T) {
 	default:
 	}
 	l := listen()
-	c := NewCoordinator(CoordinatorConfig{Engine: testEngine(), WaitForWorkers: true})
-	go c.Listen(l)
+	c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+	listenOn(t, c, l)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	rs, err := c.Sweep(ctx, tinyGrid())

@@ -93,29 +93,27 @@ func (j SimJob) config() simgpu.Config {
 
 // SimOptions parameterizes both ends of a distributed simulation session.
 type SimOptions struct {
-	// Library provides the model profiles (default profile.DefaultLibrary());
-	// its fingerprint must match the peer's.
-	Library *profile.Library
-	// HandshakeTimeout bounds the hello/ack round trip (default 10s).
-	HandshakeTimeout time.Duration
-	// ExchangeTimeout bounds each lockstep read: how long one group waits at
-	// a rendezvous for its peers before declaring the session dead (default
-	// 2m — generous, because a peer may legitimately spend a long stretch
-	// simulating between exchanges).
-	ExchangeTimeout time.Duration
 	// Logf, when set, receives session logging.
 	Logf func(format string, args ...any)
+
+	// Seams for this package's tests; zero selects each default.
+	// handshakeTimeout and exchangeTimeout replace the constants of the same
+	// names.
+	handshakeTimeout time.Duration
+	exchangeTimeout  time.Duration
 }
 
+// exchangeTimeout bounds how long one lane group waits at a rendezvous for its
+// peers before declaring the session dead: generously, because a peer may
+// legitimately spend a long stretch simulating between exchanges.
+const exchangeTimeout = 2 * time.Minute
+
 func (o SimOptions) withDefaults() SimOptions {
-	if o.Library == nil {
-		o.Library = profile.DefaultLibrary()
+	if o.handshakeTimeout <= 0 {
+		o.handshakeTimeout = handshakeTimeout
 	}
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = 10 * time.Second
-	}
-	if o.ExchangeTimeout == 0 {
-		o.ExchangeTimeout = 2 * time.Minute
+	if o.exchangeTimeout <= 0 {
+		o.exchangeTimeout = exchangeTimeout
 	}
 	return o
 }
@@ -378,14 +376,14 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 	}
 	groups := len(conns) + 1
 	if cfg.Lib == nil {
-		cfg.Lib = opts.Library
+		cfg.Lib = profile.DefaultLibrary()
 	}
 	job := jobFromConfig(cfg)
 	hello := Hello{LibraryFP: cfg.Lib.Fingerprint(), Groups: groups, Job: &job}
 	peers := make([]*framed, len(conns))
 	for i, conn := range conns {
 		hello.Group = i + 1
-		f, _, err := openSession(conn, opts.HandshakeTimeout, hello)
+		f, _, err := openSession(conn, opts.handshakeTimeout, hello)
 		if err != nil {
 			return nil, fmt.Errorf("%w (lane group %d)", err, hello.Group)
 		}
@@ -395,7 +393,7 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 		opts.Logf("dist: sim session open: %d lane groups (hub + %d remote)", groups, len(conns))
 	}
 
-	hub := &simHub{newSimSession(peers, wireShape{mods: cfg.Spec.N(), groups: groups}, opts.ExchangeTimeout)}
+	hub := &simHub{newSimSession(peers, wireShape{mods: cfg.Spec.N(), groups: groups}, opts.exchangeTimeout)}
 	cfg.Remote = &simgpu.RemoteTopology{Groups: groups, Group: 0, Transport: hub}
 	res, err := simgpu.Run(cfg)
 	if opts.Logf != nil {
@@ -414,28 +412,29 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 func ServeSim(conn net.Conn, opts SimOptions) (*simgpu.Result, error) {
 	defer conn.Close()
 	opts = opts.withDefaults()
-	p, err := acceptSession(conn, opts.HandshakeTimeout, opts.Library)
+	lib := profile.DefaultLibrary()
+	p, err := acceptSession(conn, opts.handshakeTimeout, lib)
 	if err != nil {
 		return nil, err
 	}
 	if p.hello.Job == nil {
 		return nil, p.refuse("this peer serves simulation lane groups, not sweep units")
 	}
-	return serveLaneGroup(p, opts)
+	return serveLaneGroup(p, lib, opts)
 }
 
 // serveLaneGroup accepts the simulation session p opened and runs its lane
 // group to completion. The caller closes the connection, which is also what
 // releases the peers should the run fail.
-func serveLaneGroup(p *pendingSession, opts SimOptions) (*simgpu.Result, error) {
+func serveLaneGroup(p *pendingSession, lib *profile.Library, opts SimOptions) (*simgpu.Result, error) {
 	h := p.hello
 	spoke := &simSpoke{}
-	r, err := buildLaneGroup(h, opts.Library, spoke)
+	r, err := buildLaneGroup(h, lib, spoke)
 	if err != nil {
 		return nil, p.refuse(err.Error())
 	}
 	// Sized by the hello's group count: made only once the job is valid.
-	spoke.simSession = newSimSession([]*framed{p.f}, wireShape{mods: h.Job.Spec.N(), groups: h.Groups}, opts.ExchangeTimeout)
+	spoke.simSession = newSimSession([]*framed{p.f}, wireShape{mods: h.Job.Spec.N(), groups: h.Groups}, opts.exchangeTimeout)
 	if err := p.accept(0); err != nil {
 		return nil, err
 	}

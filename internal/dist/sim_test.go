@@ -154,7 +154,7 @@ func TestSimDistributedDifferential(t *testing.T) {
 		corpus = []simCase{corpus[3], corpus[5]}
 		groupCounts = []int{2}
 	}
-	opts := SimOptions{ExchangeTimeout: 30 * time.Second}
+	opts := SimOptions{exchangeTimeout: 30 * time.Second}
 	for _, c := range corpus {
 		t.Run(c.name, func(t *testing.T) {
 			baseline, err := simgpu.Run(c.cfg)
@@ -220,7 +220,7 @@ func TestSimDistributedDisconnectAborts(t *testing.T) {
 		Trace: simTrace(trace.Tweet, 120, 6), Seed: 3,
 		SyncPeriod: 200 * time.Millisecond,
 	}
-	opts := SimOptions{ExchangeTimeout: 20 * time.Second}
+	opts := SimOptions{exchangeTimeout: 20 * time.Second}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestSimDistributedDisconnectAborts(t *testing.T) {
 // reaches a running simulation, and neither end panics.
 func TestServeSimRefusals(t *testing.T) {
 	job := jobFromConfig(simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)})
-	fp := SimOptions{}.withDefaults().Library.Fingerprint()
+	fp := profile.DefaultLibrary().Fingerprint()
 	type refusal struct {
 		name  string
 		hello Hello
@@ -394,7 +394,7 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 		skewed := appendExchangeHeader(make([]byte, frameHeaderLen), 999, simKindStep, 1)
 		f.writeFrame(appendStep(skewed, sched.StepMsg{Group: 1}))
 	}()
-	_, err := RunSimDistributed(cfg, []net.Conn{hubSide}, SimOptions{ExchangeTimeout: 20 * time.Second})
+	_, err := RunSimDistributed(cfg, []net.Conn{hubSide}, SimOptions{exchangeTimeout: 20 * time.Second})
 	if err == nil {
 		t.Fatal("hub merged an out-of-lockstep contribution")
 	}
@@ -422,7 +422,7 @@ func TestRunSimDistributedRefusesPeerVersion(t *testing.T) {
 				_, err := newFramed(spokeSide).readFrame(5 * time.Second)
 				spokeDone <- err
 			}()
-			_, err := RunSimDistributed(cfg, []net.Conn{hubSide}, SimOptions{HandshakeTimeout: 5 * time.Second})
+			_, err := RunSimDistributed(cfg, []net.Conn{hubSide}, SimOptions{handshakeTimeout: 5 * time.Second})
 			want := "version mismatch"
 			if peer <= lastGobProto {
 				want = "handshake: EOF"
@@ -446,11 +446,11 @@ func TestRefusedHandshakeReleasesEverySpoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)}
-	opts := SimOptions{HandshakeTimeout: 5 * time.Second}
+	cfg := simgpu.Config{Spec: pipeline.LV(), Lib: scaled, Trace: simTrace(trace.Steady, 50, 1)}
+	opts := SimOptions{handshakeTimeout: 5 * time.Second}
 	hub1, spoke1 := net.Pipe()
 	hub2, spoke2 := net.Pipe()
-	go ServeSim(spoke1, SimOptions{Library: scaled, HandshakeTimeout: 5 * time.Second})
+	go ServeSim(spoke1, opts)
 	released := make(chan error, 1)
 	go func() {
 		_, err := ServeSim(spoke2, opts)
@@ -485,7 +485,7 @@ func TestSimSessionCountersLogged(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var lines []string
-	opts := SimOptions{ExchangeTimeout: 30 * time.Second, Logf: func(format string, args ...any) {
+	opts := SimOptions{exchangeTimeout: 30 * time.Second, Logf: func(format string, args ...any) {
 		mu.Lock()
 		defer mu.Unlock()
 		lines = append(lines, fmt.Sprintf(format, args...))

@@ -24,38 +24,30 @@ type WorkerConfig struct {
 	// CacheDir, when set, persists finished artifacts locally (point it at
 	// a shared volume to turn it into a cluster-wide artifact store).
 	CacheDir string
-	// Library provides the model profiles units run against (default
-	// profile.DefaultLibrary()). Its fingerprint must match the
-	// coordinator's: profiles don't travel in unit keys, so a mismatch is
-	// refused at the handshake rather than silently diverging.
-	Library *profile.Library
 	// Logf, when set, receives per-unit logging.
 	Logf func(format string, args ...any)
-	// HandshakeTimeout bounds how long ServeConn waits for the peer's Hello
-	// before giving up the connection, and how long Join keeps retrying a
-	// coordinator that is not listening yet (default 10s). A negative value
-	// removes the bound: ServeConn waits and Join redials forever.
-	HandshakeTimeout time.Duration
 
-	// Fault seams for this package's tests; zero disables each.
-	// crashAfterUnits abruptly closes the connection after that many results
-	// have been sent, to prove reassignment keeps sweeps byte-identical.
-	// unitDelay stalls every unit execution (not cache hits) by that long
-	// before it runs, to prove endgame re-dispatch finishes a sweep around a
-	// straggler.
-	crashAfterUnits int
-	unitDelay       time.Duration
+	// Seams for this package's tests; zero selects each default.
+	// handshakeTimeout replaces the constant of that name. crashAfterUnits
+	// abruptly closes the connection after that many results have been sent,
+	// to prove reassignment keeps sweeps byte-identical. unitDelay stalls
+	// every unit execution (not cache hits) by that long before it runs, to
+	// prove endgame re-dispatch finishes a sweep around a straggler.
+	handshakeTimeout time.Duration
+	crashAfterUnits  int
+	unitDelay        time.Duration
 }
+
+// handshakeTimeout bounds the hello/ack round trip of every session, and how
+// long Join redials a coordinator that is not listening yet.
+const handshakeTimeout = 10 * time.Second
 
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
-	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
-	}
-	if cfg.Library == nil {
-		cfg.Library = profile.DefaultLibrary()
+	if cfg.handshakeTimeout <= 0 {
+		cfg.handshakeTimeout = handshakeTimeout
 	}
 	return cfg
 }
@@ -75,12 +67,13 @@ var errInjectedCrash = errors.New("dist: injected worker crash")
 func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 	defer conn.Close()
 	cfg = cfg.withDefaults()
-	p, err := acceptSession(conn, cfg.HandshakeTimeout, cfg.Library)
+	lib := profile.DefaultLibrary()
+	p, err := acceptSession(conn, cfg.handshakeTimeout, lib)
 	if err != nil {
 		return err
 	}
 	if p.hello.Job != nil {
-		_, err := serveLaneGroup(p, SimOptions{Library: cfg.Library, Logf: cfg.Logf}.withDefaults())
+		_, err := serveLaneGroup(p, lib, SimOptions{Logf: cfg.Logf}.withDefaults())
 		return err
 	}
 	h, f := p.hello, p.f
@@ -88,7 +81,7 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 		Workers:       cfg.Workers,
 		BaseSeed:      h.BaseSeed,
 		TraceDuration: h.TraceDuration,
-		Library:       cfg.Library,
+		Library:       lib,
 		CacheDir:      cfg.CacheDir,
 		Logf:          cfg.Logf,
 	})
@@ -221,10 +214,7 @@ func Serve(l net.Listener, cfg WorkerConfig) error {
 // order; the same deadline bounds each attempt, so a firewalled host fails
 // fast instead of hanging on the OS connect timeout.
 func Join(addr string, cfg WorkerConfig) error {
-	var deadline time.Time
-	if timeout := cfg.withDefaults().HandshakeTimeout; timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
+	deadline := time.Now().Add(cfg.withDefaults().handshakeTimeout)
 	for round := uint64(1); ; round++ {
 		conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
 		if err == nil {
@@ -232,7 +222,7 @@ func Join(addr string, cfg WorkerConfig) error {
 		}
 		wait := backoff(round, joinRetryBase, joinRetryLimit)
 		wait += rand.N(wait) // jitter: a fleet started together does not redial in phase
-		if !deadline.IsZero() && time.Until(deadline) < wait {
+		if time.Until(deadline) < wait {
 			return fmt.Errorf("dist: join %s: %w", addr, err)
 		}
 		time.Sleep(wait)

@@ -1,6 +1,12 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,17 +43,40 @@ func TestRegistryCoversPaperArtifacts(t *testing.T) {
 	}
 }
 
+// update rewrites the pinned smoke digests from this run.
+var update = flag.Bool("update", false, "rewrite testdata/"+smokeDigests+" from this run")
+
+// smokeDigests pins, per table of the seed-1 smoke run, the SHA-256 of its
+// rendering and of its CSV: one "experiment/table render csv" line each.
+const smokeDigests = "smoke-seed1.digests"
+
 // TestAllExperimentsProduceOutput runs every registered experiment at smoke
 // scale and checks the artifacts are structurally sound. This doubles as the
 // integration test of the whole stack (trace → simgpu → policy → metrics).
+// Every table's rendering and CSV must also hash as pinned in testdata, so a
+// table that moves fails here by name; -update re-pins them.
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke experiment sweep skipped in -short")
 	}
+	path := filepath.Join("testdata", smokeDigests)
+	raw, err := os.ReadFile(path)
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	pinned := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if key, digests, ok := strings.Cut(line, " "); ok {
+			pinned[key] = digests
+		}
+	}
+	// A run of some experiments (-run) checks and re-pins only their tables.
+	got, ran := map[string]string{}, map[string]bool{}
 	h := smokeHarness()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			ran[e.ID] = true
 			out, err := e.Run(h)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
@@ -71,8 +100,32 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 				if !strings.Contains(tab.CSV(), tab.Columns[0]) {
 					t.Fatalf("%s: CSV missing header", e.ID)
 				}
+				key := e.ID + "/" + tab.ID
+				got[key] = fmt.Sprintf("%x %x", sha256.Sum256([]byte(tab.Render())), sha256.Sum256([]byte(tab.CSV())))
+				if want, ok := pinned[key]; !*update && got[key] != want {
+					t.Errorf("table %s moved: render and CSV digests %s, pinned %q (ok=%v)", key, got[key], want, ok)
+				}
 			}
 		})
+	}
+	var lines []string // the digests file after this run
+	for key, digests := range pinned {
+		experiment, _, _ := strings.Cut(key, "/")
+		switch _, produced := got[key]; {
+		case !ran[experiment]:
+			lines = append(lines, key+" "+digests)
+		case !produced && !*update:
+			t.Errorf("pinned table %s was not produced", key)
+		}
+	}
+	if *update {
+		for key, digests := range got {
+			lines = append(lines, key+" "+digests)
+		}
+		slices.Sort(lines)
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

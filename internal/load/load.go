@@ -21,10 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pard/internal/pipeline"
-	"pard/internal/profile"
 	"pard/internal/server"
-	"pard/internal/simgpu"
 	"pard/internal/stats"
 	"pard/internal/trace"
 )
@@ -132,8 +129,8 @@ type Quantiles struct {
 }
 
 // SimComparison is the matched-load simulator replay of a live run: the same
-// arrival offsets the generator actually sent, run through the
-// discrete-event core with pinned workers and no jitter.
+// arrival offsets the generator actually sent, run through the server's
+// discrete-event twin (server.RunTwin).
 type SimComparison struct {
 	Goodput float64 `json:"goodput"`
 	Good    int     `json:"good"`
@@ -529,45 +526,15 @@ func (r *run) report(elapsed time.Duration) *Report {
 	return rep
 }
 
-// SimSpec describes the simulator twin of the live deployment a report was
-// measured against: same pipeline, policy, worker counts and sync period.
-type SimSpec struct {
-	Spec *pipeline.Spec
-	// Lib is the profile library (nil = default), which must match the live
-	// server's for the twin to execute the same latency curves.
-	Lib        *profile.Library
-	PolicyName string
-	// Workers is the per-module worker count (matching the live server's
-	// fixed deployment; scaling stays off in the twin).
-	Workers []int
-	// SyncPeriod should match the live server's (default
-	// server.DefaultSyncPeriod, not the simulator's paper-default 1 s).
-	SyncPeriod time.Duration
-	Seed       int64
-}
-
 // CompareSim replays the report's recorded send offsets through the
-// discrete-event simulator under a matched deployment — pinned workers, no
-// execution jitter, negligible net delay (the live server runs in-process
-// hops) — and attaches the resulting goodput comparison to the report.
-func (r *Report) CompareSim(s SimSpec) (*SimComparison, error) {
+// discrete-event twin of the deployment cfg describes (server.RunTwin) and
+// attaches the resulting goodput comparison to the report. cfg is the config
+// the server was built from, or the one server.FetchDeployment read from it.
+func (r *Report) CompareSim(cfg server.Config) (*SimComparison, error) {
 	if r.sent == nil {
 		return nil, fmt.Errorf("load: report has no recorded send offsets to replay")
 	}
-	if s.SyncPeriod <= 0 {
-		s.SyncPeriod = server.DefaultSyncPeriod
-	}
-	res, err := simgpu.Run(simgpu.Config{
-		Spec:         s.Spec,
-		Lib:          s.Lib,
-		PolicyName:   s.PolicyName,
-		Trace:        r.sent,
-		Seed:         s.Seed,
-		SyncPeriod:   s.SyncPeriod,
-		FixedWorkers: s.Workers,
-		JitterPct:    -1, // live batches take exactly the profiled duration
-		NetDelay:     -1, // live hops are in-process: explicitly zero, not the 1 ms default
-	})
+	res, err := server.RunTwin(cfg, r.sent)
 	if err != nil {
 		return nil, err
 	}

@@ -258,18 +258,19 @@ func fastLib(t *testing.T) *profile.Library {
 // TestLiveVsSim is the end-to-end round trip: drive a real live server
 // open-loop, then replay the recorded send offsets through the simulator
 // twin and check both sides produced comparable goodput under matched load.
+// The twin is built twice, from the deployment the server reports over HTTP
+// and from the config the server was built from, and the two must agree.
 func TestLiveVsSim(t *testing.T) {
-	spec := pipeline.Uniform("livetwin", 3, "fast", 150*time.Millisecond)
 	lib := fastLib(t)
-	workers := []int{2, 2, 2}
-	s, err := server.New(server.Config{
-		Spec:       spec,
+	cfg := server.Config{
+		Spec:       pipeline.Uniform("livetwin", 3, "fast", 150*time.Millisecond),
 		Lib:        lib,
 		PolicyName: "pard",
-		Workers:    workers,
+		Workers:    []int{2, 2, 2},
 		SyncPeriod: 50 * time.Millisecond,
 		Seed:       1,
-	})
+	}
+	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +279,13 @@ func TestLiveVsSim(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	dep, err := server.FetchDeployment(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dep.Lib.Fingerprint() != lib.Fingerprint() {
+		t.Fatalf("library fingerprint %016x over HTTP, %016x on the server", dep.Lib.Fingerprint(), lib.Fingerprint())
+	}
 	tr := trace.Fixed(100, time.Second)
 	rep, err := Run(Config{Target: ts.URL, Trace: tr, Seed: 1})
 	if err != nil {
@@ -290,16 +298,16 @@ func TestLiveVsSim(t *testing.T) {
 		t.Fatalf("outcome split %d+%d+%d != answered %d", rep.Good, rep.Late, rep.Dropped, rep.Answered)
 	}
 
-	cmp, err := rep.CompareSim(SimSpec{
-		Spec:       spec,
-		Lib:        lib,
-		PolicyName: "pard",
-		Workers:    workers,
-		SyncPeriod: 50 * time.Millisecond,
-		Seed:       1,
-	})
+	local, err := rep.CompareSim(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cmp, err := rep.CompareSim(dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *cmp != *local {
+		t.Fatalf("twin over HTTP %+v, in process %+v", *cmp, *local)
 	}
 	if cmp.Goodput <= 0 {
 		t.Fatalf("sim twin produced no goodput: %+v", cmp)
@@ -339,14 +347,14 @@ func TestCompareSimNeedsOffsets(t *testing.T) {
 	if rep.Trace() != nil {
 		t.Fatal("an empty report has a trace")
 	}
-	if _, err := rep.CompareSim(SimSpec{Spec: pipeline.TM()}); err == nil {
+	if _, err := rep.CompareSim(server.Config{Spec: pipeline.TM()}); err == nil {
 		t.Fatal("empty report accepted")
 	}
 }
 
 func TestCompareSimPropagatesErrors(t *testing.T) {
 	rep := &Report{sent: &trace.Trace{Arrivals: []time.Duration{0, time.Millisecond}, Duration: time.Second}}
-	if _, err := rep.CompareSim(SimSpec{Spec: nil}); err == nil {
+	if _, err := rep.CompareSim(server.Config{}); err == nil {
 		t.Fatal("nil spec accepted")
 	}
 }

@@ -176,13 +176,13 @@ func TestSubmitAfterStop(t *testing.T) {
 }
 
 // TestStatsAndHealthzRejectNonGET pins the data-plane method checks
-// (pre-fix, POST /stats happily served the summary).
+// (pre-fix, POST /stats happily served the summary), /deployment's too.
 func TestStatsAndHealthzRejectNonGET(t *testing.T) {
 	s, _ := manualServer(t, time.Second)
 	s.Start()
 	defer s.Stop()
 	h := s.Handler()
-	for _, path := range []string{"/stats", "/healthz"} {
+	for _, path := range []string{"/stats", "/deployment", "/healthz"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, nil))
 		if rec.Code != http.StatusMethodNotAllowed {

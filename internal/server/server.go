@@ -22,14 +22,18 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pard/internal/metrics"
 	"pard/internal/pipeline"
+	"pard/internal/policy"
 	"pard/internal/profile"
 	"pard/internal/sched"
+	"pard/internal/simgpu"
+	"pard/internal/trace"
 )
 
 // DefaultSyncPeriod is the live state-synchronization interval: the live
@@ -163,20 +167,14 @@ type Server struct {
 	tally *metrics.Tally
 }
 
-// New validates the config and builds (but does not start) a server for any
-// validated pipeline spec — chain or DAG. Its core hops between modules at
-// once, runs batches for exactly their profiled duration and records no
-// probes.
-func New(cfg Config) (*Server, error) { return newServer(cfg, sched.Config{}) }
-
-// newServer is New on a core whose NetDelay, JitterPct and Probes come from
-// base, so that a test can run the live shell on the simulator's settings.
-func newServer(cfg Config, base sched.Config) (*Server, error) {
+// withDefaults validates cfg's pipeline and fills in the server's defaults:
+// the default library, policy "pard", DefaultSyncPeriod, 2 workers a module.
+func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Spec == nil {
-		return nil, fmt.Errorf("server: config needs a pipeline spec")
+		return cfg, fmt.Errorf("server: config needs a pipeline spec")
 	}
 	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
+		return cfg, err
 	}
 	if cfg.Lib == nil {
 		cfg.Lib = profile.DefaultLibrary()
@@ -187,12 +185,24 @@ func newServer(cfg Config, base sched.Config) (*Server, error) {
 	if cfg.SyncPeriod <= 0 {
 		cfg.SyncPeriod = DefaultSyncPeriod
 	}
-	n := cfg.Spec.N()
 	if cfg.Workers == nil {
-		cfg.Workers = make([]int, n)
-		for i := range cfg.Workers {
-			cfg.Workers[i] = 2
-		}
+		cfg.Workers = slices.Repeat([]int{2}, cfg.Spec.N())
+	}
+	return cfg, nil
+}
+
+// New validates the config and builds (but does not start) a server for any
+// validated pipeline spec — chain or DAG. Its core hops between modules at
+// once, runs batches for exactly their profiled duration and records no
+// probes.
+func New(cfg Config) (*Server, error) { return newServer(cfg, sched.Config{}) }
+
+// newServer is New on a core whose NetDelay, JitterPct and Probes come from
+// base, so that a test can run the live shell on the simulator's settings.
+func newServer(cfg Config, base sched.Config) (*Server, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MaxInFlight < 0 {
 		return nil, fmt.Errorf("server: max in-flight %d < 0", cfg.MaxInFlight)
@@ -200,7 +210,7 @@ func newServer(cfg Config, base sched.Config) (*Server, error) {
 
 	s := &Server{
 		cfg:   cfg,
-		tally: metrics.NewTally(n),
+		tally: metrics.NewTally(cfg.Spec.N()),
 	}
 	if cfg.Exec != nil {
 		s.exec = cfg.Exec
@@ -512,16 +522,15 @@ var scratchPool = sync.Pool{New: func() any {
 
 // Handler returns the HTTP data plane:
 //
-//	POST /infer   — run one request through the pipeline
-//	GET  /stats   — metrics summary JSON, plus the executor's counters
-//	GET  /healthz — liveness
+//	POST /infer      — run one request through the pipeline
+//	GET  /stats      — metrics summary JSON, plus the executor's counters
+//	GET  /deployment — what a simulator twin needs to rerun this server
+//	GET  /healthz    — liveness
+//
+// Another method on these paths is answered 405.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /infer", func(w http.ResponseWriter, r *http.Request) {
 		if r.ContentLength != 0 {
 			// Execution is modelled, so a payload is read only to be bounded.
 			if _, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, maxInferBody)); err != nil {
@@ -561,19 +570,115 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "pipeline stalled", http.StatusGatewayTimeout)
 		}
 	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statsDoc{s.Summary(), s.ExecStats()})
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
+	mux.HandleFunc("GET /deployment", func(w http.ResponseWriter, r *http.Request) {
+		doc, err := encodeDeployment(s.cfg)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		w.Header()["Content-Type"] = contentTypeJSON
+		w.Write(doc)
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// deployment is the GET /deployment document: the pipeline as Spec.Write writes
+// it, the library as Library.Save does, the rest of the config as defaulted.
+type deployment struct {
+	Pipeline   json.RawMessage `json:"pipeline"`
+	Library    json.RawMessage `json:"library"`
+	Policy     string          `json:"policy"`
+	Workers    []int           `json:"workers"`
+	SyncPeriod time.Duration   `json:"sync_period_ns"`
+	Seed       int64           `json:"seed"`
+}
+
+// maxDeployment bounds the document FetchDeployment reads; the default
+// library's is about 2 KiB.
+const maxDeployment = 1 << 20
+
+// encodeDeployment encodes the /deployment document of cfg, as defaulted.
+func encodeDeployment(cfg Config) ([]byte, error) {
+	var spec, lib bytes.Buffer
+	if err := cfg.Spec.Write(&spec); err != nil {
+		return nil, err
+	}
+	if err := cfg.Lib.Save(&lib); err != nil {
+		return nil, err
+	}
+	return json.Marshal(deployment{spec.Bytes(), lib.Bytes(), cfg.PolicyName, cfg.Workers, cfg.SyncPeriod, cfg.Seed})
+}
+
+// FetchDeployment reads the /deployment document of the server at target
+// and returns the config of the deployment it describes. The document comes
+// off the network, so it is bounded and checked before anything is built
+// from it; an error names the field at fault.
+func FetchDeployment(target string) (Config, error) {
+	resp, err := (&http.Client{Timeout: 10 * time.Second}).Get(target + "/deployment")
+	if err != nil {
+		return Config{}, fmt.Errorf("server: deployment: %w", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxDeployment+1))
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("GET /deployment: %s", resp.Status)
+	} else if err == nil && len(body) > maxDeployment {
+		err = fmt.Errorf("document over %d bytes", maxDeployment)
+	}
+	var d deployment
+	if err == nil {
+		err = json.Unmarshal(body, &d)
+	}
+	if err != nil {
+		return Config{}, fmt.Errorf("server: deployment: %w", err)
+	}
+	cfg := Config{PolicyName: d.Policy, Workers: d.Workers, SyncPeriod: d.SyncPeriod, Seed: d.Seed}
+	if cfg.Spec, err = pipeline.Parse(bytes.NewReader(d.Pipeline)); err != nil {
+		return Config{}, fmt.Errorf("server: deployment pipeline: %w", err)
+	}
+	if cfg.Lib, err = profile.Load(bytes.NewReader(d.Library)); err != nil {
+		return Config{}, fmt.Errorf("server: deployment library: %w", err)
+	}
+	for _, m := range cfg.Spec.Modules {
+		if _, err := cfg.Lib.Get(m.Name); err != nil {
+			return Config{}, fmt.Errorf("server: deployment library: module %d: %w", m.ID, err)
+		}
+	}
+	if !slices.Contains(policy.Names(), d.Policy) {
+		return Config{}, fmt.Errorf("server: deployment policy: unknown policy %q", d.Policy)
+	}
+	if err := sched.CheckWorkers(d.Workers, cfg.Spec.N()); err != nil {
+		return Config{}, fmt.Errorf("server: deployment workers: %w", err)
+	}
+	if d.SyncPeriod <= 0 {
+		return Config{}, fmt.Errorf("server: deployment sync_period_ns: %v is not positive", d.SyncPeriod)
+	}
+	return cfg, nil
+}
+
+// RunTwin replays tr through the discrete-event twin of the deployment cfg
+// describes, after the server's defaults: its worker counts pinned, no
+// execution jitter and no time between modules, as the live core runs.
+func RunTwin(cfg Config, tr *trace.Trace) (*simgpu.Result, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return simgpu.Run(simgpu.Config{
+		Spec:         cfg.Spec,
+		Lib:          cfg.Lib,
+		PolicyName:   cfg.PolicyName,
+		Trace:        tr,
+		Seed:         cfg.Seed,
+		SyncPeriod:   cfg.SyncPeriod,
+		FixedWorkers: cfg.Workers,
+		JitterPct:    -1,
+		NetDelay:     -1,
+	})
 }

@@ -24,14 +24,14 @@ var flagDefs = map[string]int{
 }
 
 // optionType reports whether an exported struct type under internal/ holds
-// options: its name ends in Config, Options or Opts, or it is load.SimSpec.
-func optionType(pkg, name string) bool {
+// options: its name ends in Config, Options or Opts.
+func optionType(name string) bool {
 	for _, suffix := range []string{"Config", "Options", "Opts"} {
 		if strings.HasSuffix(name, suffix) {
 			return true
 		}
 	}
-	return pkg == "load" && name == "SimSpec"
+	return false
 }
 
 // TestOptionsCensus counts the options a user can set: the flags defined in
@@ -128,7 +128,7 @@ func countOptionFields(census map[string]int, pkg string, f *ast.File) {
 		for _, spec := range gd.Specs {
 			ts := spec.(*ast.TypeSpec)
 			st, ok := ts.Type.(*ast.StructType)
-			if !ok || !ts.Name.IsExported() || !optionType(pkg, ts.Name.Name) {
+			if !ok || !ts.Name.IsExported() || !optionType(ts.Name.Name) {
 				continue
 			}
 			key := pkg + "." + ts.Name.Name

@@ -250,9 +250,6 @@ type (
 	LoadReport = load.Report
 	// LoadThinkTime is the closed-loop pause between reply and next request.
 	LoadThinkTime = load.ThinkTime
-	// LoadSimSpec describes the simulator twin of the live deployment for
-	// LoadReport.CompareSim.
-	LoadSimSpec = load.SimSpec
 )
 
 // Load-generation modes.
