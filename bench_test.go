@@ -248,7 +248,7 @@ func BenchmarkDAGDynamicPaths(b *testing.B) {
 // (every module processes the full request stream, so all five lanes carry
 // dense traffic): 3 500 req/s for 20 s of virtual time, 70 k requests.
 // NetDelay doubles as the lane engine's conservative lookahead window.
-func shardedDA(tb testing.TB, shards int) func() uint64 {
+func shardedDA(tb testing.TB) func() uint64 {
 	tr := pard.GenerateTrace(pard.TraceConfig{
 		Kind: pard.Steady, Duration: 20 * time.Second, PeakRate: 3500, Seed: 1,
 	})
@@ -260,7 +260,6 @@ func shardedDA(tb testing.TB, shards int) func() uint64 {
 		SyncPeriod:   time.Second,
 		NetDelay:     5 * time.Millisecond,
 		FixedWorkers: []int{40, 40, 40, 40, 40},
-		Shards:       shards,
 	}
 	return func() uint64 {
 		res, err := pard.Simulate(cfg)
@@ -271,35 +270,21 @@ func shardedDA(tb testing.TB, shards int) func() uint64 {
 	}
 }
 
-func benchShardedDA(b *testing.B, shards int) {
-	op := shardedDA(b, shards)
+// BenchmarkShardedDASequential is the lane engine on the dense DA run:
+// per-module lanes advanced one after another. Typed lane events need no
+// per-event allocation, and no lane keeps a deep heap — the source lane's
+// 70 k arrivals, all queued at t = 0, sit in a time-ordered array that is
+// read front to back, and each lane's heap holds only its in-flight batch
+// ends and the posts of the current window (tens of entries).
+func BenchmarkShardedDASequential(b *testing.B) {
+	op := shardedDA(b)
 	b.ResetTimer()
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		events = op()
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
-
-// BenchmarkShardedDASequential is the engine exactly as an unset config runs
-// it: per-module lanes, one worker. The canonical event order of the sharded
-// path with zero concurrency, and the baseline the differential harness
-// compares against. Typed lane events need no per-event allocation, and no
-// lane keeps a deep heap — the source lane's 70 k arrivals, all queued at
-// t = 0, sit in a time-ordered array that is read front to back, and each
-// lane's heap holds only its in-flight batch ends and the posts of the
-// current window (tens of entries).
-func BenchmarkShardedDASequential(b *testing.B) { benchShardedDA(b, 1) }
-
-// BenchmarkShardedDASharded runs the same workload with one shard per
-// module: lanes advance concurrently inside lookahead windows and the sync
-// tick's per-module publication fans out across the shards. It has never
-// beaten Sequential on the 2-core hosts measured: every window costs a pool
-// wake-up and a barrier, and the benchmark's 2-shard speedup has read
-// 0.75–1.0×. The differential harness in internal/sched proves the outputs
-// are byte-identical to Sequential.
-func BenchmarkShardedDASharded(b *testing.B) { benchShardedDA(b, 5) }
 
 // laneGroupCfg is the workload of the lane-group ops: a short DA run with a
 // tight sync period, so the per-window barrier exchange (posts + intents +
@@ -651,7 +636,7 @@ func BenchmarkRAGRun(b *testing.B) { benchOp(b, ragRun(b)) }
 func BenchmarkLaneQueue(b *testing.B) {
 	const trace, inFlight = 70000, 64
 	for i := 0; i < b.N; i++ {
-		x := sched.NewShardedExecutor(1, 1, 0)
+		x := sched.NewShardedExecutor(1, 0)
 		var arrive, end func(time.Duration)
 		end = func(time.Duration) {}
 		arrive = func(now time.Duration) {
@@ -684,7 +669,7 @@ func modulePublish(tb testing.TB, measure func(tick func())) {
 		tb.Fatal(err)
 	}
 	const rate, window = 3500, 5 * time.Second
-	x := sched.NewShardedExecutor(1, 1, time.Millisecond)
+	x := sched.NewShardedExecutor(1, time.Millisecond)
 	cl, err := sched.New(sched.Config{
 		Spec:       pipeline.Uniform("publish", 1, "stage", 400*time.Millisecond),
 		Lib:        lib,
@@ -773,11 +758,10 @@ func TestAllocsWholeOps(t *testing.T) {
 		events        uint64 // simulated events per op, exact (0: not a simulation)
 		run           func(tb testing.TB, m measure)
 	}{
-		{"ShardedDASequential", 420, 20_200_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 1)) }},
-		{"ShardedDASharded", 440, 20_200_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb, 5)) }},
-		{"LaneGroupBarrier/mem", 800, 2_120_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
-		{"LaneGroupBarrier/loopback", 950, 1_420_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
-		{"SweepGrid", 1290, 5_950_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"ShardedDASequential", 370, 20_200_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb)) }},
+		{"LaneGroupBarrier/mem", 780, 2_120_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
+		{"LaneGroupBarrier/loopback", 935, 1_420_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
+		{"SweepGrid", 1200, 5_950_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
 		{"ServerSubmit", 0, 0, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
 			m(withoutGC(func() uint64 { submit(1); return 0 }))

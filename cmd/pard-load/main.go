@@ -16,7 +16,9 @@
 // before the run, so the twin takes no flags of its own.
 //
 // -kind also takes a trace CSV file, and -trace-csv records the offsets
-// actually sent — the trace -compare-sim replays — for pard-sim -trace:
+// actually sent — the trace -compare-sim replays — for pard-sim -trace. A
+// send the server answered 429 (its -max-inflight bound) never reached its
+// core, so neither the file nor the twin has it:
 //
 //	pard-load -kind fixed -rate 40 -duration 2s -trace-csv sent.csv
 //	pard-sim -app tm -trace sent.csv
@@ -63,7 +65,7 @@ func run(args []string, stdout io.Writer) (*pard.LoadReport, error) {
 
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON instead of a table")
 		stream   = fs.String("stream", "", "stream per-request JSONL to this file ('-' = stdout)")
-		traceCSV = fs.String("trace-csv", "", "write the recorded send offsets as a trace CSV (pard-sim -trace replays it)")
+		traceCSV = fs.String("trace-csv", "", "write the recorded send offsets, less those answered 429, as a trace CSV (pard-sim -trace replays it)")
 
 		compareSim = fs.Bool("compare-sim", false, "replay the recorded offsets through the simulator twin of the target's deployment")
 	)

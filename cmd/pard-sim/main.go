@@ -15,7 +15,7 @@
 //	pard-sim -trace tweet.csv -compare   # the same rows as -trace tweet
 //
 // Distributed simulation: one run split into lane groups across processes,
-// bit-identical to the same run in one process (determinism invariant #5):
+// bit-identical to the same run in one process (determinism invariant #4):
 //
 //	pard-sim -hosts hostB:7071,hostC:7071   # hub + 2 remote lane groups, each
 //	                                        # served by a pard-worker -listen

@@ -10,7 +10,7 @@
 // cluster. A simulation session distributes one run: a hub and its spokes each
 // execute one lane group of the same simulation in lockstep (sim.go).
 //
-// Determinism is the package's contract, repo invariants four and five: every
+// Determinism is the package's contract, repo invariants three and four: every
 // run's seed derives from (base seed, spec key) alone, and base seed plus
 // trace duration travel in the handshake, so a sweep distributed across N
 // workers is byte-identical to Engine.Sweep on one machine; and one

@@ -40,8 +40,8 @@ import (
 // applied before encoding (its NetDelay/JitterPct sentinels are not
 // idempotent), so every replica normalizes the identical raw input exactly
 // once. The profile library does not travel: like sweep units, profiles are
-// fingerprint-checked at the handshake instead. Neither does Shards: a shard
-// count cannot change a result, so spokes run their lanes sequentially.
+// fingerprint-checked at the handshake instead. Neither does the retired
+// Shards field, which changes nothing.
 type SimJob struct {
 	Spec           *pipeline.Spec
 	PolicyName     string
@@ -349,7 +349,7 @@ func (s *simSpoke) Finish(m sched.FinishMsg) ([]sched.FinishMsg, error) {
 // process executes lane group 0 (the hub) and each conns[i] — a connection
 // to a peer running ServeSim or ServeConn — executes lane group i+1. The
 // result is bit-identical to the same config run in one process (determinism
-// invariant #5); every replica independently assembles it, and the hub's
+// invariant #4); every replica independently assembles it, and the hub's
 // copy is returned. Any failure — a dead peer, a refused handshake, a
 // lockstep divergence — aborts the whole session loudly on every group: the
 // function owns conns from the call on and closes every one of them on every

@@ -20,7 +20,7 @@ import (
 )
 
 // The distributed-simulation differential harness is the cross-host half of
-// determinism invariant #5: one simulation split across N lane-group
+// determinism invariant #4: one simulation split across N lane-group
 // PROCESSES — hub plus spokes over real loopback TCP, through the framed
 // binary exchange codec — must be gob byte-identical to the same config run in one
 // process, on every replica. It also proves the failure contract: a lane
@@ -40,9 +40,9 @@ func simTrace(kind trace.Kind, rate float64, seed int64) *trace.Trace {
 
 // simCorpus covers every app shape (three chains and both DAG variants —
 // cross-group fan-out/merge traffic), bursty and smooth traces, two policy
-// families, injected failures with the scaler on, probes, and a sharded
-// (Shards > 1) hub: the shard count does not travel, so its spokes run
-// sequentially and the bytes must not move.
+// families, injected failures with the scaler on, and probes.
+// (gm-azure-sharded is named for the shard count its hub set while the
+// engine had a shard pool.)
 func simCorpus() []simCase {
 	return []simCase{
 		{"tm-wiki-pard", simgpu.Config{
@@ -59,7 +59,7 @@ func simCorpus() []simCase {
 		{"gm-azure-sharded", simgpu.Config{
 			Spec: pipeline.GM(), PolicyName: "pard",
 			Trace: simTrace(trace.Azure, 140, 3), Seed: 13,
-			SyncPeriod: 200 * time.Millisecond, Shards: 2,
+			SyncPeriod: 200 * time.Millisecond,
 		}},
 		{"da-dag-pard", simgpu.Config{
 			Spec: pipeline.DA(), PolicyName: "pard",
@@ -536,7 +536,7 @@ func TestSimSessionCountersLogged(t *testing.T) {
 func TestSimJobCarriesEveryConfigField(t *testing.T) {
 	kept := map[string]string{
 		"Lib":    "fingerprint-checked at the handshake instead",
-		"Shards": "a shard count cannot change a result's bytes",
+		"Shards": "retired: it changes nothing (simgpu.Config.Shards)",
 		"Remote": "each replica is assigned its own lane group",
 	}
 	ct, jt := reflect.TypeOf(simgpu.Config{}), reflect.TypeOf(SimJob{})

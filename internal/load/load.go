@@ -3,8 +3,9 @@
 // think time) against POST /infer, classifies every reply with the server's
 // own outcome taxonomy, and reports goodput, drop/late rates and HDR-style
 // latency quantiles. Because it records the offsets it actually sent at, the
-// same load can be replayed through the discrete-event simulator for a
-// matched-load sim-vs-live comparison (CompareSim).
+// same load — less the sends refused at the door with a 429 — can be
+// replayed through the discrete-event simulator for a matched-load
+// sim-vs-live comparison (CompareSim).
 package load
 
 import (
@@ -130,7 +131,9 @@ type Quantiles struct {
 
 // SimComparison is the matched-load simulator replay of a live run: the same
 // arrival offsets the generator actually sent, run through the server's
-// discrete-event twin (server.RunTwin).
+// discrete-event twin (server.RunTwin). Sends the server's in-flight bound
+// answered with a 429 never reached its core and are not replayed, so the
+// twin models the core behind the door, and Total is Requests − Rejected.
 type SimComparison struct {
 	Goodput float64 `json:"goodput"`
 	Good    int     `json:"good"`
@@ -188,9 +191,10 @@ type Report struct {
 	sent *trace.Trace
 }
 
-// Trace returns the arrivals the generator actually sent, sorted and lasting
+// Trace returns the arrivals the generator actually sent, less those answered
+// 429 (refused at the door, they never reached the core), sorted and lasting
 // until 1 s after the last one: the trace CompareSim replays. It is nil when
-// nothing was sent.
+// no such arrival was sent.
 func (r *Report) Trace() *trace.Trace { return r.sent }
 
 // streamRecord is one per-request line written to Config.Stream.
@@ -373,9 +377,6 @@ func (r *run) runClosed() {
 // when due is zero, from the send.
 func (r *run) doOne(s *sender, due time.Time) {
 	offset := time.Since(r.start)
-	r.mu.Lock()
-	r.offsets = append(r.offsets, offset)
-	r.mu.Unlock()
 	r.requests.Add(1)
 
 	if due.IsZero() {
@@ -383,6 +384,13 @@ func (r *run) doOne(s *sender, due time.Time) {
 	}
 	resp, err := r.client.Do(s.req)
 	lat := time.Since(due)
+	if err != nil || resp.StatusCode != http.StatusTooManyRequests {
+		// Every send that may have reached the core is replayed by the twin;
+		// a 429 was turned away at the door and never did.
+		r.mu.Lock()
+		r.offsets = append(r.offsets, offset)
+		r.mu.Unlock()
+	}
 	if err != nil {
 		var ne net.Error
 		if errors.Is(err, context.DeadlineExceeded) || (errors.As(err, &ne) && ne.Timeout()) {

@@ -159,21 +159,22 @@ func slowLib(t *testing.T) *profile.Library {
 }
 
 // overloadRun drives one live server at ~2.5× capacity and returns the
-// report: 3 slow modules, one worker each (≈100 req/s pipeline capacity)
-// against a 250 req/s fixed schedule. The naive policy never drops, so
-// without an in-flight bound the queues absorb the whole overload.
-func overloadRun(t *testing.T, maxInFlight int) *Report {
+// report and the server's config: 3 slow modules, one worker each (≈100
+// req/s pipeline capacity) against a 250 req/s fixed schedule. The naive
+// policy never drops, so without an in-flight bound the queues absorb the
+// whole overload.
+func overloadRun(t *testing.T, maxInFlight int) (*Report, server.Config) {
 	t.Helper()
-	spec := pipeline.Uniform("overload", 3, "slow", 300*time.Millisecond)
-	s, err := server.New(server.Config{
-		Spec:        spec,
+	cfg := server.Config{
+		Spec:        pipeline.Uniform("overload", 3, "slow", 300*time.Millisecond),
 		Lib:         slowLib(t),
 		PolicyName:  "naive",
 		Workers:     []int{1, 1, 1},
 		SyncPeriod:  50 * time.Millisecond,
 		Seed:        1,
 		MaxInFlight: maxInFlight,
-	})
+	}
+	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func overloadRun(t *testing.T, maxInFlight int) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return rep, cfg
 }
 
 // TestOverloadInFlightBound pins the in-flight bound's payoff under a policy
@@ -199,8 +200,8 @@ func TestOverloadInFlightBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload experiment runs seconds of wall-clock traffic")
 	}
-	off := overloadRun(t, 0)
-	on := overloadRun(t, 16)
+	off, _ := overloadRun(t, 0)
+	on, _ := overloadRun(t, 16)
 
 	if off.Rejected != 0 {
 		t.Fatalf("unbounded server rejected %d requests", off.Rejected)
@@ -217,4 +218,26 @@ func TestOverloadInFlightBound(t *testing.T) {
 	}
 	t.Logf("overload 2.5x: goodput unbounded=%.1f/s bounded=%.1f/s, bounded rejected %d/%d (%.0f%%)",
 		off.Goodput, on.Goodput, on.Rejected, on.Requests, 100*on.RejectRate)
+}
+
+// TestCompareSimSkipsRejected: a bounded server's twin replays only the sends
+// that reached its core. At ~2.5× capacity behind an in-flight bound of 8,
+// the sends answered 429 are left out of the report's trace, so the twin
+// simulates Requests − Rejected arrivals and models the core behind the door.
+func TestCompareSimSkipsRejected(t *testing.T) {
+	rep, cfg := overloadRun(t, 8)
+	if rep.Rejected == 0 {
+		t.Fatal("bounded server rejected nothing at 2.5x capacity")
+	}
+	want := int(rep.Requests - rep.Rejected)
+	if got := len(rep.Trace().Arrivals); got != want {
+		t.Fatalf("trace holds %d arrivals, want %d sent − %d rejected = %d", got, rep.Requests, rep.Rejected, want)
+	}
+	cmp, err := rep.CompareSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.Total != want {
+		t.Fatalf("twin simulated %d requests, want %d sent − %d rejected = %d", cmp.Total, rep.Requests, rep.Rejected, want)
+	}
 }

@@ -107,7 +107,7 @@ func TestAllocsLaneQueue(t *testing.T) {
 // grid run allocated, and as many trips to the collector).
 func TestAllocsLaneReservation(t *testing.T) {
 	const n = 4096
-	x := NewShardedExecutor(2, 1, time.Millisecond)
+	x := NewShardedExecutor(2, time.Millisecond)
 	ev := laneEvent{op: opWarmup}
 	x.Reserve(1, n)
 	was := cap(x.lanes[1].q.run)
@@ -131,7 +131,7 @@ func TestAllocsLaneReservation(t *testing.T) {
 // (an interface conversion of the event, a closure over it) that would make
 // the by-value parameter escape.
 func TestAllocsScheduleEventLanePath(t *testing.T) {
-	x := NewShardedExecutor(2, 1, time.Millisecond)
+	x := NewShardedExecutor(2, time.Millisecond)
 	x.running = true
 	cl := &Cluster{exec: x}
 	fired := 0
@@ -194,7 +194,7 @@ func TestAllocsScheduleEventGlobalQueue(t *testing.T) {
 // barrier mailbox merge, destination dispatch — plus a laneBridge intent
 // commit, all at zero allocations per event in steady state.
 func TestAllocsMailboxCommit(t *testing.T) {
-	x := NewShardedExecutor(2, 1, time.Millisecond)
+	x := NewShardedExecutor(2, time.Millisecond)
 	x.running = true // cross-lane sends take the outbox path only while running
 	fired := 0
 	ev := fnEvent(func(now time.Duration) { fired++ })
@@ -220,7 +220,7 @@ func TestAllocsMailboxCommit(t *testing.T) {
 		t.Fatal("posted events never fired")
 	}
 
-	// Intent commit: the bridge's merge scratch and retired maps must be
+	// Intent commit: the bridge's intent lists and merge scratch must be
 	// reused across barriers. The cluster here is a shell — commit only
 	// touches module drop counters and the (nil) host callbacks.
 	cl := &Cluster{modules: []*module{{}, {}}}
@@ -271,7 +271,7 @@ func TestAllocsBarrierExchange(t *testing.T) {
 		Posts:   []WirePost{{At: time.Hour, Src: 1, Dst: 0, Req: 1}},
 		Charges: []WireCharge{{Mod: 1, Req: 1, GPU: time.Millisecond}},
 	}
-	x, err := NewShardedExecutorTopo(2, 1, time.Millisecond, Topology{Groups: 2, Group: 0}, tr)
+	x, err := NewShardedExecutorTopo(2, time.Millisecond, Topology{Groups: 2, Group: 0}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +281,13 @@ func TestAllocsBarrierExchange(t *testing.T) {
 		resolve: func(id uint64) *Request { return &reqs[id] },
 	}
 	cl.bridge = newLaneBridge(cl, 2)
+	for _, m := range cl.modules {
+		m.cl = cl
+	}
 	round := func() {
 		reqs[0].Dropped = false
 		cl.bridge.add(0, &reqs[0], time.Second, true)
-		cl.modules[0].charges = append(cl.modules[0].charges, chargeRec{req: &reqs[0], gpu: time.Millisecond})
+		cl.modules[0].chargeRequest(&reqs[0], time.Millisecond, 0, 0, 0)
 		cl.modules[0].mergeResets = append(cl.modules[0].mergeResets, WireMergeReset{Mod: 0, Req: 0, Expected: 2})
 		x.wireOut = append(x.wireOut, WirePost{At: time.Second, Src: 0, Dst: 1, Req: 0})
 		if err := cl.barrier(); err != nil {

@@ -26,10 +26,10 @@ func commitRuleLog(t *testing.T, groups, g int, tr Transport) ([]string, error) 
 	spec := pipeline.LV()
 	var x *ShardedExecutor
 	if groups == 1 {
-		x = NewShardedExecutor(spec.N(), 1, time.Millisecond)
+		x = NewShardedExecutor(spec.N(), time.Millisecond)
 	} else {
 		var err error
-		if x, err = NewShardedExecutorTopo(spec.N(), 1, time.Millisecond, Topology{Groups: groups, Group: g}, tr); err != nil {
+		if x, err = NewShardedExecutorTopo(spec.N(), time.Millisecond, Topology{Groups: groups, Group: g}, tr); err != nil {
 			return nil, err
 		}
 	}

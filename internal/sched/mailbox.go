@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// This file implements the deterministic ordered mailboxes of the sharded
-// execution path. Two kinds of cross-module traffic flow through them:
+// This file implements the deterministic ordered mailboxes of the lane
+// engine. Two kinds of cross-module traffic flow through them:
 //
 //   - posts: events one lane schedules on another (batch hand-off, DAG
 //     fan-out and merge hops). They are buffered in the sending lane's
@@ -19,16 +19,14 @@ import (
 //     window. They are buffered per lane and committed at the barrier sorted
 //     by (virtual time, module, decision sequence), so the globally visible
 //     Request state — and the order of host OnDrop/OnDone callbacks — is a
-//     pure function of the workload, independent of shard count.
+//     pure function of the workload, independent of the order the window's
+//     lanes ran in.
 //
 // Intents are the only way a lane-mode termination commits, wherever it was
 // decided — in a window or in a control event — and at any lane-group count:
 // the executor runs the cluster's barrier hook after every window and after
 // every control event, and the hook commits one merge of this replica's own
-// intents with the peers' wire intents (none on a single group). A
-// ShardedExecutor with one shard runs the exact same machinery
-// single-threaded, which is what makes "sharded ≡ sequential" hold by
-// construction and lets the differential harness verify it empirically.
+// intents with the peers' wire intents (none on a single group).
 
 // post is one cross-lane event in flight.
 type post struct {
@@ -66,13 +64,9 @@ type intent struct {
 type laneBridge struct {
 	cl *Cluster
 	// intents[k] holds module k's terminations of the current window, in
-	// decision order.
+	// decision order; pending counts them over every module.
 	intents [][]intent
-	// retired[k] is module k's lane-local view of requests it terminated in
-	// the current window: the deciding lane must see its own drops
-	// immediately, while other lanes learn of them at the next barrier (via
-	// the committed Request flags). Cleared at every barrier.
-	retired []map[*Request]struct{}
+	pending int
 	// scratch reuses the merged commit buffer across barriers.
 	scratch []mergedIntent
 }
@@ -85,24 +79,42 @@ type mergedIntent struct {
 }
 
 func newLaneBridge(cl *Cluster, n int) *laneBridge {
-	b := &laneBridge{cl: cl, intents: make([][]intent, n), retired: make([]map[*Request]struct{}, n)}
-	for k := range b.retired {
-		b.retired[k] = make(map[*Request]struct{})
-	}
-	return b
+	return &laneBridge{cl: cl, intents: make([][]intent, n)}
 }
 
-// add defers one termination decided by module k.
+// add defers one termination decided by module k and marks it on the
+// request (see Request.pendMod). Callers add only what k does not see yet.
 func (b *laneBridge) add(k int, req *Request, at time.Duration, drop bool) {
 	b.intents[k] = append(b.intents[k], intent{at: at, req: req, drop: drop})
-	b.retired[k][req] = struct{}{}
+	b.pending++
+	if req.pendMod == 0 {
+		req.pendMod = int32(k) + 1
+	} else {
+		req.pendMore = true
+	}
 }
 
-// sees reports whether module k already considers req terminated: globally
-// committed, or terminated by k itself inside the current window.
+// sees reports whether module k holds a pending termination for req: the
+// deciding module must see its own drops immediately, while other modules
+// learn of them at the next barrier (via the committed Request flags). Only
+// when a second module has marked the request too does it look through k's
+// own intents.
 func (b *laneBridge) sees(k int, req *Request) bool {
-	_, ok := b.retired[k][req]
-	return ok
+	switch req.pendMod {
+	case 0:
+		return false
+	case int32(k) + 1:
+		return true
+	}
+	if !req.pendMore {
+		return false
+	}
+	for i := range b.intents[k] {
+		if b.intents[k][i].req == req {
+			return true
+		}
+	}
+	return false
 }
 
 // seesAny reports whether ANY module holds a pending termination for req.
@@ -111,19 +123,12 @@ func (b *laneBridge) sees(k int, req *Request) bool {
 // visible to every other module within the same event (a scale-induced drop
 // at one module seen by a parallel DAG branch at another), so the whole
 // pending set counts.
-func (b *laneBridge) seesAny(req *Request) bool {
-	for k := range b.retired {
-		if _, ok := b.retired[k][req]; ok {
-			return true
-		}
-	}
-	return false
-}
+func (b *laneBridge) seesAny(req *Request) bool { return req.pendMod != 0 }
 
 // encodeIntents appends the pending intents in their wire shape to out,
 // gathered in (module, decision order) — the order commit gathers them. The
-// intents and the retired maps stay as they are: commit applies and clears
-// them once the peers' intents are in.
+// intents and their marks stay as they are: commit applies and clears them
+// once the peers' intents are in.
 func (b *laneBridge) encodeIntents(out []WireIntent) []WireIntent {
 	for k, list := range b.intents {
 		for _, it := range list {
@@ -147,11 +152,15 @@ func (b *laneBridge) encodeIntents(out []WireIntent) []WireIntent {
 // one window — are no-ops, exactly as under sequential execution.
 func (b *laneBridge) commit(all []BarrierMsg) error {
 	merged := b.scratch[:0]
-	for k, list := range b.intents {
-		for _, it := range list {
-			merged = append(merged, mergedIntent{intent: it, mod: k})
+	if b.pending > 0 {
+		for k, list := range b.intents {
+			for _, it := range list {
+				it.req.pendMod, it.req.pendMore = 0, false
+				merged = append(merged, mergedIntent{intent: it, mod: k})
+			}
+			b.intents[k] = list[:0]
 		}
-		b.intents[k] = list[:0]
+		b.pending = 0
 	}
 	for i := range all {
 		if int(all[i].Group) == b.cl.topo.Group {
@@ -184,10 +193,5 @@ func (b *laneBridge) commit(all []BarrierMsg) error {
 		}
 	}
 	b.scratch = merged[:0]
-	for k := range b.retired {
-		// clear keeps the map's storage, so a steady-state barrier reuses it
-		// instead of re-allocating a map per module per window.
-		clear(b.retired[k])
-	}
 	return nil
 }

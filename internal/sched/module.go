@@ -27,9 +27,10 @@ type module struct {
 	targetDur   time.Duration
 	jitter      float64
 
-	// Per-module deterministic random streams: sharded execution advances
-	// modules concurrently, so each module consumes its own streams rather
-	// than racing over shared ones.
+	// Per-module deterministic random streams: the lane engine advances
+	// modules lane by lane in any order within a window, so each module
+	// consumes its own streams rather than sharing ones whose draw order
+	// would then depend on the lane order.
 	execRng *rand.Rand // execution jitter
 	statRng *rand.Rand // reservoir sampling
 
@@ -58,9 +59,10 @@ type module struct {
 	drops       int
 	peakWorkers int
 
-	// charges buffers this module's per-request batch accounting in lane
-	// mode; the cluster merges it into the shared Requests at each window
-	// barrier (see Cluster.flushCharges). The slab is reused across windows.
+	// charges holds this module's per-request batch accounting since the
+	// last barrier in a multi-group topology (empty otherwise), for the peer
+	// replicas (see Cluster.encodeCharges). The slab is reused across
+	// windows.
 	charges []chargeRec
 
 	// mergeResets buffers this module's DAG merge-arms in a multi-group
@@ -332,16 +334,14 @@ func (m *module) dispatch(e entry, now time.Duration) {
 	m.workers[best].enqueue(e, now)
 }
 
-// chargeRequest records a batch execution's per-request accounting. Lane
-// mode appends to the module-local buffer (merged at the next barrier);
-// the global-queue executors apply it immediately — they run the
-// core serially by contract, so the plain adds in Request.charge are safe.
+// chargeRequest applies a batch execution's per-request accounting at once,
+// on every executor. In a multi-group topology it also keeps the charge for
+// the peer replicas, which learn of it at the next barrier.
 func (m *module) chargeRequest(r *Request, gpu, q, w, d time.Duration) {
-	if m.cl.bridge != nil {
-		m.charges = append(m.charges, chargeRec{req: r, gpu: gpu, q: q, w: w, d: d})
-		return
-	}
 	r.charge(gpu, q, w, d)
+	if m.cl.tr != nil {
+		m.charges = append(m.charges, chargeRec{req: r, gpu: gpu, q: q, w: w, d: d})
+	}
 }
 
 // observe records decision-time measurements for a batched request

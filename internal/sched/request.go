@@ -20,7 +20,14 @@ type Request struct {
 	SumQ, SumW, SumD time.Duration
 
 	// Drop state. A request dropped in any branch is globally dropped.
-	Dropped    bool
+	Dropped bool
+	// pendMod marks a lane-mode termination decided and not yet committed:
+	// module pendMod-1 decided it (0: none), and pendMore is set once a
+	// second module decided one too (laneBridge.add). The barrier clears
+	// both as it commits (laneBridge.commit). They sit in Dropped's padding,
+	// so a Request does not grow; module indices are int32 on the wire too.
+	pendMore   bool
+	pendMod    int32
 	DropModule int
 	DropAt     time.Duration
 
@@ -43,13 +50,10 @@ type Request struct {
 	mergeMaxArrive time.Duration
 }
 
-// charge accumulates a batch execution's per-request accounting. Callers
-// guarantee serial context: the global-queue executors run the core
-// single-threaded by contract, and lane mode routes charges through
-// per-module buffers merged at the window barrier with every lane parked
-// (see module.chargeRequest) — which is why these are plain adds, not the
-// per-event atomics they once were. The totals are order-independent sums,
-// so the result stays deterministic.
+// charge accumulates a batch execution's per-request accounting. Every
+// executor runs the core on one thread, so these are plain adds, applied at
+// once; the totals are integer sums, so the order of the adds cannot change
+// them.
 func (r *Request) charge(gpu, q, w, d time.Duration) {
 	r.GPU += gpu
 	r.SumQ += q
@@ -57,7 +61,8 @@ func (r *Request) charge(gpu, q, w, d time.Duration) {
 	r.SumD += d
 }
 
-// chargeRec is one buffered charge awaiting the barrier merge (lane mode).
+// chargeRec is one charge of this lane group's modules on its way to the
+// peer replicas at the next barrier (multi-group topologies only).
 type chargeRec struct {
 	req          *Request
 	gpu, q, w, d time.Duration

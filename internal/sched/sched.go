@@ -42,10 +42,10 @@ type Config struct {
 	// Seed derives the core's independent random streams. Execution jitter,
 	// reservoir sampling and DAG branch choice use per-module streams hashed
 	// from (seed, module, purpose) — module-local randomness is what lets
-	// the sharded executor advance modules concurrently without consuming a
-	// shared stream in racy order. Policy internals keep the shared seed+4
-	// stream (drawn only in serial contexts: sync ticks and source-module
-	// admission).
+	// the lane engine advance modules lane by lane without the lane order
+	// deciding a shared stream's draws. Policy internals keep the shared
+	// seed+4 stream (drawn only in serial contexts: sync ticks and
+	// source-module admission).
 	Seed int64
 	// Workers is the initial per-module worker count (required, each in
 	// [1, PoolLimit]).
@@ -97,13 +97,9 @@ type Cluster struct {
 	batches []int
 	durs    []time.Duration
 
-	// Sync and scaling tick scratch, so a tick allocates nothing: syncNow is
-	// the instant of the sync tick in progress, read by publishLane, the
-	// per-lane publication bound once in New; desired holds a scaling tick's
+	// desired is scaling-tick scratch, so a tick allocates nothing: the
 	// per-module demands.
-	syncNow     time.Duration
-	publishLane func(k int)
-	desired     []int
+	desired []int
 	// coldStart and maxWorkers are the scaling engine's constants of the
 	// same names; New sets them, and only tests change them.
 	coldStart  time.Duration
@@ -115,7 +111,7 @@ type Cluster struct {
 	// through the executor's ordered mailbox.
 	shx    *ShardedExecutor
 	bridge *laneBridge
-	// inControl marks a serial control callback (sync, scaling, injected
+	// inControl marks a control callback (sync, scaling, injected
 	// failures). Its terminations defer like a window's, but every module of
 	// the event sees all of them at once (see retired). Only ever flipped
 	// while every lane is parked.
@@ -212,11 +208,6 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		// The scaling engine's constants, as seams for tests.
 		coldStart:  coldStart,
 		maxWorkers: maxWorkers,
-	}
-	c.publishLane = func(k int) {
-		if c.owns(k) {
-			c.modules[k].publish(c.syncNow, c.board)
-		}
 	}
 	for k := 0; k < n; k++ {
 		c.pathRngs = append(c.pathRngs, rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path"))))
@@ -456,7 +447,7 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) ([]BarrierMsg, error) {
 	c.shx.deliverStaged()
 	for i := range all {
 		if int(all[i].Group) == c.topo.Group {
-			continue // flushCharges applies this group's own charges; forward armed its resets inline
+			continue // this group's own charges and resets were applied as they were made
 		}
 		for _, wc := range all[i].Charges {
 			req := c.resolve(wc.Req)
@@ -476,14 +467,16 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) ([]BarrierMsg, error) {
 	return all, nil
 }
 
-// encodeCharges appends every owned module's buffered charges in wire shape
-// to out, in (module, decision order). The buffers stay for flushCharges.
+// encodeCharges drains every owned module's charges since the last barrier
+// into out in wire shape, in (module, decision order). They were applied to
+// this replica's Requests when made; the peers apply them from the message.
 func (c *Cluster) encodeCharges(out []WireCharge) []WireCharge {
 	for k, m := range c.modules {
 		for i := range m.charges {
 			ch := &m.charges[i]
 			out = append(out, WireCharge{Mod: int32(k), Req: ch.req.ID, GPU: ch.gpu, Q: ch.q, W: ch.w, D: ch.d})
 		}
+		m.charges = m.charges[:0]
 	}
 	return out
 }
@@ -497,18 +490,11 @@ func (c *Cluster) encodeCharges(out []WireCharge) []WireCharge {
 // what lets this tick's publications overwrite the last tick's rows.
 func (c *Cluster) SyncTick(now time.Duration) {
 	c.control(func() {
-		if c.shx != nil {
-			// Publication is module-local (each module reads its own state
-			// windows and writes its own board slot), so it fans out across
-			// the shards; the policy refresh below stays serial — it reads
-			// the whole board and draws from the shared policy stream. In a
-			// multi-group topology only owned modules have state to publish;
-			// the board exchange below fills in the peers' rows before the
-			// (replicated) policy refresh reads the full board.
-			c.syncNow = now
-			c.shx.parallelLanes(c.publishLane)
-		} else {
-			for _, m := range c.modules {
+		// In a multi-group topology only owned modules have state to publish;
+		// the board exchange below fills in the peers' rows before the
+		// (replicated) policy refresh reads the full board.
+		for _, m := range c.modules {
+			if c.owns(m.idx) {
 				m.publish(now, c.board)
 			}
 		}
@@ -624,9 +610,8 @@ func (c *Cluster) scheduleWarmup(w *worker, at time.Duration) {
 
 // barrier is the executor's barrier hook, run after every lane window and
 // after every control event with all lanes parked; it is lane mode's one
-// commit path. On a multi-group topology it first exchanges with the peers.
-// Then the buffered per-request accounting merges into the shared Requests,
-// and the deferred terminations commit — in that order, so host
+// commit path. On a multi-group topology it first exchanges with the peers,
+// whose charges it applies. Then the deferred terminations commit, so host
 // OnDone/OnDrop callbacks observe complete sums.
 func (c *Cluster) barrier() error {
 	var all []BarrierMsg
@@ -636,29 +621,15 @@ func (c *Cluster) barrier() error {
 			return err
 		}
 	}
-	c.flushCharges()
 	return c.bridge.commit(all)
-}
-
-// flushCharges applies every module's buffered charge records in (module,
-// decision order) — a deterministic order, and the charges are commutative
-// sums anyway. Buffers keep their slabs across windows.
-func (c *Cluster) flushCharges() {
-	for _, m := range c.modules {
-		for i := range m.charges {
-			ch := &m.charges[i]
-			ch.req.charge(ch.gpu, ch.q, ch.w, ch.d)
-		}
-		m.charges = m.charges[:0]
-	}
 }
 
 // retired reports whether module k should treat the request as terminated:
 // globally committed, or — in lane mode — terminated by module k itself in
 // the current window. A termination decided by *another* module inside the
 // current window becomes visible at the next barrier; that bounded, fully
-// deterministic visibility delay is the ordering contract that lets lanes
-// run concurrently. A control event runs serially, so inside one every
+// deterministic visibility delay is the ordering contract that keeps the
+// order of a window's lanes unobservable. Inside a control event every
 // pending termination counts, whichever module decided it.
 func (c *Cluster) retired(req *Request, k int) bool {
 	if req.Dropped || req.Finished {

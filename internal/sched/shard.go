@@ -3,17 +3,16 @@ package sched
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 )
 
 // ShardedExecutor executes the scheduling core with the global event heap
 // partitioned into per-module lanes (one laneQueue per module: a monotone run
 // beside a small min-heap, see lanequeue.go) plus a serial control lane for
-// cluster-wide events (state sync, scaling, injected failures). Independent
-// modules of a pipeline advance concurrently inside lookahead windows; a
-// low-watermark barrier on virtual time keeps the execution deterministic for
-// ANY shard count:
+// cluster-wide events (state sync, scaling, injected failures). One thread
+// advances the lanes, one after another, through lookahead windows under a
+// low-watermark barrier; the windows are the contract for when a module's
+// effects become visible to the others:
 //
 //   - Within a lane, events fire in (timestamp, insertion-order) order, the
 //     global-queue executors' contract (exec.go).
@@ -22,18 +21,18 @@ import (
 //     low + lookahead, clamped to the next control event. Cross-lane
 //     messages travel at least one network hop (lookahead = the per-hop
 //     delay), so nothing produced inside a window can be consumed inside it:
-//     the lanes of a window are independent and their relative execution
-//     order — and therefore the shard count and thread schedule — is
-//     unobservable.
+//     the order in which a window's lanes run is unobservable.
 //   - Cross-lane events (batch hand-off, DAG fan-out/merge hops) are posted
 //     to per-lane outboxes and merged at the window barrier into their
 //     destination lanes in (virtual time, source module, sequence) order.
-//   - Control events run serially at the barrier with every lane parked, and
-//     take precedence over lane events at equal timestamps.
+//   - A termination decided inside a window is seen at once by the module
+//     that decided it and by every other module from the barrier on, when
+//     it commits (mailbox.go).
+//   - Control events run at the barrier with every lane parked, and take
+//     precedence over lane events at equal timestamps.
 //
 // With a zero lookahead the window degenerates to a single timestamp and
-// same-time cross-lane messages are exchanged through fixpoint sub-rounds;
-// execution stays correct and deterministic, merely without parallelism.
+// same-time cross-lane messages are exchanged through fixpoint sub-rounds.
 //
 // A ShardedExecutor is single-use: build, schedule initial events, Run.
 //
@@ -47,7 +46,6 @@ import (
 // allocation-identical to the pre-topology executor.
 type ShardedExecutor struct {
 	lookahead time.Duration
-	shards    int
 
 	lanes []*laneState
 	ctrl  *laneState
@@ -58,8 +56,7 @@ type ShardedExecutor struct {
 
 	barrierFn func() error
 	sending   []*laneState // barrier-scope scratch: the lanes with posts to merge
-
-	pool *shardPool
+	posted    bool         // some lane posted to its outbox since the last merge
 
 	// Lane-group state (zero/nil on the single-group path).
 	topo      Topology
@@ -171,26 +168,18 @@ func (l *laneState) run(lo, hi time.Duration) {
 	}
 }
 
-// NewShardedExecutor builds an executor with one lane per module and up to
-// shards concurrent workers (clamped to [1, lanes]). lookahead is the
-// minimum cross-lane event delay — the cluster's per-hop network delay — and
-// bounds how far lanes may run ahead of the low watermark.
-func NewShardedExecutor(lanes, shards int, lookahead time.Duration) *ShardedExecutor {
+// NewShardedExecutor builds an executor with one lane per module. lookahead
+// is the minimum cross-lane event delay — the cluster's per-hop network
+// delay — and bounds how far lanes may run ahead of the low watermark.
+func NewShardedExecutor(lanes int, lookahead time.Duration) *ShardedExecutor {
 	if lanes < 1 {
 		panic(fmt.Sprintf("sched: sharded executor needs >= 1 lanes, got %d", lanes))
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > lanes {
-		shards = lanes
 	}
 	if lookahead < 0 {
 		lookahead = 0
 	}
 	x := &ShardedExecutor{
 		lookahead: lookahead,
-		shards:    shards,
 		ctrl:      newLaneState(-1),
 		sending:   make([]*laneState, 0, lanes),
 	}
@@ -204,14 +193,14 @@ func NewShardedExecutor(lanes, shards int, lookahead time.Duration) *ShardedExec
 // multi-group topology over the given transport. With a single-group
 // topology the transport may be nil and the executor is identical to
 // NewShardedExecutor's.
-func NewShardedExecutorTopo(lanes, shards int, lookahead time.Duration, topo Topology, tr Transport) (*ShardedExecutor, error) {
+func NewShardedExecutorTopo(lanes int, lookahead time.Duration, topo Topology, tr Transport) (*ShardedExecutor, error) {
 	if err := topo.validate(); err != nil {
 		return nil, err
 	}
 	if !topo.single() && tr == nil {
 		return nil, fmt.Errorf("sched: %d lane groups need a transport", topo.Groups)
 	}
-	x := NewShardedExecutor(lanes, shards, lookahead)
+	x := NewShardedExecutor(lanes, lookahead)
 	x.topo = topo
 	if !topo.single() {
 		x.tr = tr
@@ -246,7 +235,7 @@ func (x *ShardedExecutor) fail(err error) {
 func (x *ShardedExecutor) Now() time.Duration { return x.frontier }
 
 // Fired returns the number of events dispatched. The count is deterministic:
-// it is identical for every shard count.
+// it is identical at every lane-group count.
 func (x *ShardedExecutor) Fired() uint64 { return x.fired }
 
 // Schedule registers a control event: it runs serially at the barrier with
@@ -321,6 +310,7 @@ func (x *ShardedExecutor) scheduleLaneEvent(src, dst int, at time.Duration, ev l
 		return
 	}
 	from.outbox = append(from.outbox, post{src: src, dst: dst, at: at, ev: ev})
+	x.posted = true
 }
 
 // setBarrierHook registers fn to run, with all lanes parked, after every
@@ -411,36 +401,15 @@ func (x *ShardedExecutor) runControl(t time.Duration) {
 	}
 }
 
-// runWindow executes every lane over [lo, hi), fanned out across the shard
-// pool. Lanes touch disjoint state inside a window (cross-lane effects are
-// mailbox- or barrier-mediated), so the assignment of lanes to shards and
-// the thread schedule cannot change the outcome. Windows with work in a
-// single lane — the common case in sparse phases — run inline on the
-// coordinator, skipping the pool wakeup entirely.
+// runWindow executes every lane over [lo, hi), one after another. Lanes touch
+// disjoint state inside a window (cross-lane effects are mailbox- or
+// barrier-mediated), so their order cannot change the outcome. A lane with
+// no event due in the window is passed over without a call.
 func (x *ShardedExecutor) runWindow(lo, hi time.Duration) {
-	if x.shards <= 1 {
-		for _, l := range x.lanes {
+	for _, l := range x.lanes {
+		if at, ok := l.q.peek(); ok && (at < hi || at == lo) {
 			l.run(lo, hi)
 		}
-		return
-	}
-	var only *laneState
-	active := 0
-	for _, l := range x.lanes {
-		if at, ok := l.peek(); ok && (at < hi || at == lo) {
-			if active++; active > 1 {
-				break
-			}
-			only = l
-		}
-	}
-	switch active {
-	case 0:
-		return
-	case 1:
-		only.run(lo, hi)
-	default:
-		x.pool.run(lo, hi)
 	}
 }
 
@@ -484,6 +453,7 @@ func (x *ShardedExecutor) flushOutboxes() {
 	for _, l := range x.lanes {
 		l.outbox, l.sent = l.outbox[:0], 0
 	}
+	x.posted = false
 }
 
 // deliver routes one merged post: into its destination lane, or — multi-group
@@ -612,10 +582,6 @@ func (x *ShardedExecutor) Run() time.Duration {
 		panic("sched: ShardedExecutor.Run called twice")
 	}
 	x.running = true
-	if x.shards > 1 {
-		x.pool = newShardPool(x.lanes, x.shards)
-		defer x.pool.stop()
-	}
 	defer func() {
 		x.running = false
 		lane := uint64(0)
@@ -653,7 +619,9 @@ func (x *ShardedExecutor) Run() time.Duration {
 				hi = tLane // zero lookahead: the window is the watermark itself
 			}
 			x.runWindow(tLane, hi)
-			x.flushOutboxes()
+			if x.posted {
+				x.flushOutboxes()
+			}
 			if x.barrierFn != nil && x.err == nil {
 				if err := x.barrierFn(); err != nil {
 					x.fail(err)
@@ -672,82 +640,3 @@ func (x *ShardedExecutor) FiredControl() uint64 { return x.ctrl.fired }
 
 // FiredLanes returns the event count of this executor's (owned) lanes.
 func (x *ShardedExecutor) FiredLanes() uint64 { return x.laneFired }
-
-// parallelLanes runs fn(lane) for every lane, fanned out across the shard
-// pool when one is live (control/barrier context between windows), inline
-// otherwise. fn must touch only lane-local state — the cluster uses this to
-// fan out the sync tick's per-module state publication (window mean, window
-// copy, p95 selection: ~0.15 ms per module at 3 500 req/s, a tenth of a
-// sequential run in total since the selection replaced a sort).
-func (x *ShardedExecutor) parallelLanes(fn func(lane int)) {
-	if x.pool == nil {
-		for i := range x.lanes {
-			fn(i)
-		}
-		return
-	}
-	x.pool.each(fn)
-}
-
-// shardPool is a set of persistent worker goroutines, one per shard, each
-// owning a static stripe of lanes (lane i belongs to shard i mod S). Workers
-// park between windows; the coordinator wakes them with a job — a lane
-// window to execute or a per-lane function — and waits for all stripes to
-// finish.
-type shardPool struct {
-	lanes  []*laneState
-	shards int
-	start  []chan shardJob
-	wg     sync.WaitGroup
-}
-
-type shardJob struct {
-	lo, hi time.Duration
-	each   func(lane int) // when set, run this instead of the window
-}
-
-func newShardPool(lanes []*laneState, shards int) *shardPool {
-	p := &shardPool{lanes: lanes, shards: shards}
-	for s := 0; s < shards; s++ {
-		ch := make(chan shardJob)
-		p.start = append(p.start, ch)
-		go func(s int, ch chan shardJob) {
-			for j := range ch {
-				for i := s; i < len(p.lanes); i += p.shards {
-					if j.each != nil {
-						j.each(i)
-					} else {
-						p.lanes[i].run(j.lo, j.hi)
-					}
-				}
-				p.wg.Done()
-			}
-		}(s, ch)
-	}
-	return p
-}
-
-// run executes one window across all shards and blocks until the barrier.
-func (p *shardPool) run(lo, hi time.Duration) {
-	p.dispatch(shardJob{lo: lo, hi: hi})
-}
-
-// each runs fn over every lane across the shards and blocks until done.
-func (p *shardPool) each(fn func(lane int)) {
-	p.dispatch(shardJob{each: fn})
-}
-
-func (p *shardPool) dispatch(j shardJob) {
-	p.wg.Add(p.shards)
-	for _, ch := range p.start {
-		ch <- j
-	}
-	p.wg.Wait()
-}
-
-// stop terminates the worker goroutines.
-func (p *shardPool) stop() {
-	for _, ch := range p.start {
-		close(ch)
-	}
-}

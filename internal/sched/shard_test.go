@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -16,11 +17,10 @@ func (x *ShardedExecutor) scheduleLane(src, dst int, at time.Duration, name stri
 
 // logOf runs a scripted cascade on a fresh executor and returns the per-lane
 // firing logs plus the control log. The script seeds initial events; each
-// lane callback appends "name@time" to its lane's log (lane callbacks only
-// touch their own lane's log, so logging is safe at any shard count).
-func logOf(t *testing.T, lanes, shards int, lookahead time.Duration, script func(x *ShardedExecutor, logs [][]string) [][]string) ([][]string, uint64) {
+// lane callback appends "name@time" to its lane's log.
+func logOf(t *testing.T, lanes int, lookahead time.Duration, script func(x *ShardedExecutor, logs [][]string) [][]string) ([][]string, uint64) {
 	t.Helper()
-	x := NewShardedExecutor(lanes, shards, lookahead)
+	x := NewShardedExecutor(lanes, lookahead)
 	logs := make([][]string, lanes+1) // logs[lanes] is the control log
 	logs = script(x, logs)
 	x.Run()
@@ -48,7 +48,7 @@ func TestShardedExecutorLaneOrder(t *testing.T) {
 		})
 		return logs
 	}
-	logs, fired := logOf(t, 1, 1, 5, script)
+	logs, fired := logOf(t, 1, 5, script)
 	want := []string{"a@10ns", "b@10ns", "clamped@10ns", "mid@20ns", "c@30ns"}
 	if !reflect.DeepEqual(logs[0], want) {
 		t.Fatalf("lane order = %v, want %v", logs[0], want)
@@ -63,30 +63,28 @@ func TestShardedExecutorLaneOrder(t *testing.T) {
 // independent of which lane executed first.
 func TestShardedExecutorMailboxOrder(t *testing.T) {
 	const lookahead = 10
-	for _, shards := range []int{1, 2, 3} {
-		script := func(x *ShardedExecutor, logs [][]string) [][]string {
-			recv := func(tag string) func(time.Duration) {
-				return func(now time.Duration) {
-					logs[2] = append(logs[2], fmt.Sprintf("%s@%v", tag, now))
-				}
+	script := func(x *ShardedExecutor, logs [][]string) [][]string {
+		recv := func(tag string) func(time.Duration) {
+			return func(now time.Duration) {
+				logs[2] = append(logs[2], fmt.Sprintf("%s@%v", tag, now))
 			}
-			// Lanes 0 and 1 both run an event at t=0 posting to lane 2 at
-			// t=10. Lane 1 is seeded FIRST, so naive insertion order would
-			// deliver src1 first; mailbox order must put src0 first.
-			x.scheduleLane(-1, 1, 0, "s1", func(now time.Duration) {
-				x.scheduleLane(1, 2, now+lookahead, "from1", recv("from1"))
-				x.scheduleLane(1, 2, now+lookahead, "from1b", recv("from1b"))
-			})
-			x.scheduleLane(-1, 0, 0, "s0", func(now time.Duration) {
-				x.scheduleLane(0, 2, now+lookahead, "from0", recv("from0"))
-			})
-			return logs
 		}
-		logs, _ := logOf(t, 3, shards, lookahead, script)
-		want := []string{"from0@10ns", "from1@10ns", "from1b@10ns"}
-		if !reflect.DeepEqual(logs[2], want) {
-			t.Fatalf("shards=%d: delivery order = %v, want %v", shards, logs[2], want)
-		}
+		// Lanes 0 and 1 both run an event at t=0 posting to lane 2 at
+		// t=10. Lane 1 is seeded FIRST, so naive insertion order would
+		// deliver src1 first; mailbox order must put src0 first.
+		x.scheduleLane(-1, 1, 0, "s1", func(now time.Duration) {
+			x.scheduleLane(1, 2, now+lookahead, "from1", recv("from1"))
+			x.scheduleLane(1, 2, now+lookahead, "from1b", recv("from1b"))
+		})
+		x.scheduleLane(-1, 0, 0, "s0", func(now time.Duration) {
+			x.scheduleLane(0, 2, now+lookahead, "from0", recv("from0"))
+		})
+		return logs
+	}
+	logs, _ := logOf(t, 3, lookahead, script)
+	want := []string{"from0@10ns", "from1@10ns", "from1b@10ns"}
+	if !reflect.DeepEqual(logs[2], want) {
+		t.Fatalf("delivery order = %v, want %v", logs[2], want)
 	}
 }
 
@@ -100,7 +98,7 @@ func TestFlushOutboxesMergesInMailboxOrder(t *testing.T) {
 	const lanes = 5
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
-		x := NewShardedExecutor(lanes, 1, time.Millisecond)
+		x := NewShardedExecutor(lanes, time.Millisecond)
 		var id uint64
 		var gathered []post
 		for src, l := range x.lanes {
@@ -157,7 +155,7 @@ func TestShardedExecutorZeroLookahead(t *testing.T) {
 		})
 		return logs
 	}
-	logs, fired := logOf(t, 3, 2, 0, script)
+	logs, fired := logOf(t, 3, 0, script)
 	for lane, want := range map[int]string{0: "start@7ns", 1: "hop1@7ns", 2: "hop2@7ns"} {
 		if len(logs[lane]) != 1 || logs[lane][0] != want {
 			t.Fatalf("lane %d log = %v, want [%s]", lane, logs[lane], want)
@@ -174,7 +172,7 @@ func TestShardedExecutorZeroLookahead(t *testing.T) {
 // 10 (the lane engine's one commit path for its terminations) and once for
 // the window that runs the lane event.
 func TestShardedExecutorControlFirst(t *testing.T) {
-	x := NewShardedExecutor(2, 2, 5)
+	x := NewShardedExecutor(2, 5)
 	var order []string
 	barriers := 0
 	x.setBarrierHook(func() error { barriers++; return nil })
@@ -192,7 +190,7 @@ func TestShardedExecutorControlFirst(t *testing.T) {
 // TestShardedExecutorTicker verifies Ticker cadence and termination, and
 // that Now() tracks the committed frontier.
 func TestShardedExecutorTicker(t *testing.T) {
-	x := NewShardedExecutor(1, 1, 0)
+	x := NewShardedExecutor(1, 0)
 	var at []time.Duration
 	x.Ticker(100, "tick", func(now time.Duration) bool {
 		at = append(at, now)
@@ -213,7 +211,7 @@ func TestShardedExecutorTicker(t *testing.T) {
 // event at t=12 shares the window [4,14) with the sender, but the delivery
 // fires strictly after it, at the post's timestamp, in the next window.
 func TestShardedExecutorWindowIsolation(t *testing.T) {
-	x := NewShardedExecutor(2, 2, 10)
+	x := NewShardedExecutor(2, 10)
 	var got []string // appended only by lane 1 callbacks (serial per lane)
 	x.scheduleLane(-1, 0, 4, "a", func(now time.Duration) {
 		x.scheduleLane(0, 1, now+10, "b", func(now time.Duration) {
@@ -230,25 +228,27 @@ func TestShardedExecutorWindowIsolation(t *testing.T) {
 }
 
 // TestShardedExecutorShardCountInvariance runs a deterministic cascading
-// workload at several shard counts and requires identical per-lane logs and
-// event counts — the executor-level statement of the differential harness.
+// workload twice and requires identical per-lane logs, every lane's log in
+// time order, and the event count the cascade defines: each seed event fires
+// 46 (a generation below the fourth fires itself, a self event and two
+// children's subtrees: 1, 4, 10, 22, 46 from the leaves up), six seeds 276.
 func TestShardedExecutorShardCountInvariance(t *testing.T) {
 	const lanes = 6
-	build := func(shards int) ([][]string, uint64) {
-		return logOf(t, lanes, shards, 3, func(x *ShardedExecutor, logs [][]string) [][]string {
+	build := func() ([][]string, uint64) {
+		return logOf(t, lanes, 3, func(x *ShardedExecutor, logs [][]string) [][]string {
 			// Each seed event cascades: lane L at time T sends to lanes
 			// (L+1)%lanes and (L+2)%lanes at T+3 and T+5, for 4 generations.
 			var cascade func(lane, gen int) func(time.Duration)
 			cascade = func(lane, gen int) func(time.Duration) {
 				return func(now time.Duration) {
-					logs[lane] = append(logs[lane], fmt.Sprintf("g%d@%v", gen, now))
+					logs[lane] = append(logs[lane], fmt.Sprintf("g%d@%d", gen, now))
 					if gen >= 4 {
 						return
 					}
 					x.scheduleLane(lane, (lane+1)%lanes, now+3, "n1", cascade((lane+1)%lanes, gen+1))
 					x.scheduleLane(lane, (lane+2)%lanes, now+5, "n2", cascade((lane+2)%lanes, gen+1))
 					x.scheduleLane(lane, lane, now+2, "self", func(now time.Duration) {
-						logs[lane] = append(logs[lane], fmt.Sprintf("self%d@%v", gen, now))
+						logs[lane] = append(logs[lane], fmt.Sprintf("self%d@%d", gen, now))
 					})
 				}
 			}
@@ -258,17 +258,25 @@ func TestShardedExecutorShardCountInvariance(t *testing.T) {
 			return logs
 		})
 	}
-	baseLogs, baseFired := build(1)
-	if baseFired == 0 {
-		t.Fatal("cascade fired no events")
+	baseLogs, baseFired := build()
+	if baseFired != 6*46 {
+		t.Fatalf("cascade fired %d events, want %d", baseFired, 6*46)
 	}
-	for _, shards := range []int{2, 3, 6} {
-		logs, fired := build(shards)
-		if fired != baseFired {
-			t.Errorf("shards=%d fired %d events, sequential fired %d", shards, fired, baseFired)
+	for lane, log := range baseLogs[:lanes] {
+		last := -1
+		for _, e := range log {
+			var at int
+			if _, err := fmt.Sscanf(e[strings.IndexByte(e, '@')+1:], "%d", &at); err != nil {
+				t.Fatalf("lane %d: entry %q: %v", lane, e, err)
+			}
+			if at < last {
+				t.Fatalf("lane %d fired out of time order: %v", lane, log)
+			}
+			last = at
 		}
-		if !reflect.DeepEqual(logs, baseLogs) {
-			t.Errorf("shards=%d produced different per-lane logs", shards)
-		}
+	}
+	logs, fired := build()
+	if fired != baseFired || !reflect.DeepEqual(logs, baseLogs) {
+		t.Errorf("a second run fired %d events and logged differently from the first (%d)", fired, baseFired)
 	}
 }

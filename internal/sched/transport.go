@@ -9,7 +9,7 @@ import (
 	"pard/internal/metrics"
 )
 
-// This file defines the lane-group boundary of the sharded engine: the
+// This file defines the lane-group boundary of the lane engine: the
 // Topology that places per-module event lanes into lane groups, the
 // wire-shaped payloads that cross the boundary, and the Transport interface
 // the exchanges flow through.

@@ -345,7 +345,7 @@ func TestWatermarkSeesControlContextSchedules(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			x, err := NewShardedExecutorTopo(groups, 1, time.Millisecond, Topology{Groups: groups, Group: g}, trs[g])
+			x, err := NewShardedExecutorTopo(groups, time.Millisecond, Topology{Groups: groups, Group: g}, trs[g])
 			if err != nil {
 				errs[g] = err
 				return

@@ -200,10 +200,6 @@ func (w *worker) batchEnd(now time.Duration) {
 		for i := range batch {
 			mem := &batch[i]
 			r := mem.e.req
-			// Lane mode buffers the charge module-locally and merges it at
-			// the next barrier: parallel DAG branches may finish batches
-			// holding copies of the same request in concurrently running
-			// lanes, and batching keeps the hot path free of shared writes.
 			m.chargeRequest(r, perReqGPU, mem.q, w.execStart-mem.tb, w.execDur)
 			m.probeBudget(mem.e.arrive, now)
 			if m.retired(r) {

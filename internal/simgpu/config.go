@@ -56,18 +56,14 @@ type Config struct {
 	// PriorityWindow overrides the priority smoothing window when > 0
 	// (Fig. 14d).
 	PriorityWindow time.Duration
-	// Shards is the lane engine's worker count: the run's per-module event
-	// lanes, advanced under a low-watermark barrier with cross-module events
-	// exchanged through deterministic ordered mailboxes, are drained by that
-	// many concurrent workers. 0 (the default) and 1 both run the lanes
-	// sequentially, which on the 2-core hosts measured was never slower than
-	// a shard pool; no command sets it. Results are identical for every shard
-	// count (Shards <= 1 is the sequential baseline of the differential
-	// harness).
+	// Shards is retired and changes nothing: every value >= 0 runs the one
+	// sequential lane engine, and a negative value is an error. It stays
+	// only because the benchmark module sets it; the benchmark change of
+	// ROADMAP item 3(a) deletes it.
 	Shards int
 	// Remote, when non-nil, runs this configuration as one lane group of a
 	// multi-group simulation; every replica assembles the bit-identical
-	// result (determinism invariant #5). internal/dist sets it for pard-sim
+	// result (determinism invariant #4). internal/dist sets it for pard-sim
 	// -hosts and pard-worker -listen; tests and the benchmark set it with
 	// sched.NewMemTransports to run the groups as goroutines of one process.
 	Remote *RemoteTopology
@@ -146,9 +142,6 @@ func (c *Config) withDefaults() (Config, error) {
 		if out.Remote.Transport == nil {
 			return out, fmt.Errorf("simgpu: remote topology needs a transport")
 		}
-	}
-	if out.Shards == 0 {
-		out.Shards = 1 // sequential
 	}
 	if out.FixedWorkers != nil {
 		if err := sched.CheckWorkers(out.FixedWorkers, out.Spec.N()); err != nil {

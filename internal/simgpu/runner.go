@@ -92,8 +92,8 @@ func New(cfg Config) (*Runner, error) {
 		}
 	}
 
-	// One event lane per module, up to Shards workers, conservative
-	// lookahead = the per-hop network delay.
+	// One event lane per module, conservative lookahead = the per-hop
+	// network delay.
 	r := &Runner{cfg: full}
 	if rt := full.Remote; rt != nil {
 		// One lane group of a multi-group topology: the full cluster is
@@ -102,12 +102,12 @@ func New(cfg Config) (*Runner, error) {
 		// transport's lockstep exchanges.
 		r.topo = sched.Topology{Groups: rt.Groups, Group: rt.Group}
 		r.tr = rt.Transport
-		r.shx, err = sched.NewShardedExecutorTopo(full.Spec.N(), full.Shards, full.NetDelay, r.topo, r.tr)
+		r.shx, err = sched.NewShardedExecutorTopo(full.Spec.N(), full.NetDelay, r.topo, r.tr)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		r.shx = sched.NewShardedExecutor(full.Spec.N(), full.Shards, full.NetDelay)
+		r.shx = sched.NewShardedExecutor(full.Spec.N(), full.NetDelay)
 	}
 	cl, err := sched.New(sched.Config{
 		Spec:           full.Spec,

@@ -174,6 +174,59 @@ func TestRateWindowInnerHead(t *testing.T) {
 	}
 }
 
+// TestRateWindowEvictsWhenRead: Observe only appends, evicting when the array
+// is full, yet every read answers bit for bit as a window that evicts on
+// every Observe, at the instant it records: an eviction at an earlier
+// instant is one the read makes anyway. The stream jumps, dawdles and runs
+// backwards, and the lazy window compacts under it.
+func TestRateWindowEvictsWhenRead(t *testing.T) {
+	const span, inner = 5 * time.Second, 2 * time.Second
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lazy, eager := NewRateWindow(span, inner), NewRateWindow(span, inner)
+		var clock time.Duration
+		compactions, last, queries := 0, 0, 0
+		for i := 0; i < 30000; i++ {
+			switch r := rng.Intn(1000); {
+			case r < 2:
+				clock += time.Duration(rng.Int63n(int64(2 * span)))
+			case r < 500:
+				clock += time.Duration(rng.ExpFloat64() * float64(time.Millisecond) / 2)
+			}
+			at := clock
+			if rng.Intn(4) == 0 {
+				at -= time.Duration(rng.Int63n(int64(300 * time.Millisecond)))
+			}
+			lazy.Observe(at)
+			eager.Observe(at)
+			eager.evict(eager.times[len(eager.times)-1]) // at, as Observe clamped it
+			if lazy.head < last {
+				compactions++
+			}
+			last = lazy.head
+			if rng.Intn(8) != 0 {
+				continue
+			}
+			queries++
+			var got, want float64
+			switch rng.Intn(3) {
+			case 0:
+				got, want = lazy.Rate(clock), eager.Rate(clock)
+			case 1:
+				got, want = lazy.InnerRate(clock), eager.InnerRate(clock)
+			default:
+				got, want = float64(lazy.Count(clock)), float64(eager.Count(clock))
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d, event %d at %v: the lazy window says %v, the eager one %v", seed, i, clock, got, want)
+			}
+		}
+		if compactions < 3 || queries == 0 {
+			t.Fatalf("seed %d: %d compactions and %d queries; the stream never exercised them", seed, compactions, queries)
+		}
+	}
+}
+
 func TestRateWindowRefusesSpans(t *testing.T) {
 	for _, c := range [][2]time.Duration{{time.Second, 0}, {time.Second, 2 * time.Second}, {0, 0}} {
 		func() {

@@ -212,10 +212,12 @@ func (w *SlidingWindow) ValuesInto(now time.Duration, buf []float64) []float64 {
 // rate pays for one Observe. PARD reads the span for the scaling engine and
 // the inner span for the module input workload T_in.
 //
-// Every call evicts both heads, so each answers as a window of its own span
-// fed the same stream would, provided the queries come at nondecreasing
-// instants: an eviction made at an earlier instant is one a later query makes
-// anyway.
+// Every read evicts both heads, so each answers as a window of its own span
+// fed the same stream would, provided the calls come at nondecreasing
+// instants: an eviction made at an earlier instant is one a later read makes
+// anyway. Observe therefore only appends, and evicts only when the array is
+// full, to make room: a stream observed on every arrival and read once per
+// sync tick pays for its evictions once per read, not once per event.
 type RateWindow struct {
 	span, inner time.Duration
 	times       []time.Duration
@@ -234,11 +236,14 @@ func NewRateWindow(span, inner time.Duration) *RateWindow {
 
 // Observe records one event at time now.
 func (r *RateWindow) Observe(now time.Duration) {
-	if n := len(r.times); n > r.head && now < r.times[n-1] {
+	n := len(r.times)
+	if n > r.head && now < r.times[n-1] {
 		now = r.times[n-1]
 	}
+	if n == cap(r.times) {
+		r.evict(now) // compacts in place when enough of the array is dead
+	}
 	r.times = append(r.times, now)
-	r.evict(now)
 }
 
 // Reserve sizes the window's storage as SlidingWindow.Reserve does, for a
