@@ -45,10 +45,10 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestDiskCacheGolden pins the byte format of the sweep disk cache (PR 2):
-// one tiny deterministic run through a cache directory, then every persisted
-// gob entry — the run Result with its metrics Collector, and the generated
-// trace — concatenated in filename order. Any drift in the gob layout, the
+// TestDiskCacheGolden pins the byte format of the sweep disk cache: one tiny
+// deterministic run through a cache directory, then every persisted entry —
+// the run Result with its metrics Collector, and the generated trace —
+// concatenated in filename order. Any drift in the entry layout, the
 // cache key grammar, the scope string, or the simulation itself shows up as
 // a byte diff here instead of as silently mismatching caches in the field.
 func TestDiskCacheGolden(t *testing.T) {
@@ -69,7 +69,7 @@ func TestDiskCacheGolden(t *testing.T) {
 	if res.Summary.Total == 0 {
 		t.Fatal("golden run produced no requests")
 	}
-	entries, err := filepath.Glob(filepath.Join(cache, "*.gob"))
+	entries, err := filepath.Glob(filepath.Join(cache, "*.entry"))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("cache dir holds no entries (err=%v)", err)
 	}
@@ -84,7 +84,7 @@ func TestDiskCacheGolden(t *testing.T) {
 		blob.Write(data)
 		blob.WriteByte('\n')
 	}
-	checkGolden(t, "diskcache.gob.golden", blob.Bytes())
+	checkGolden(t, "diskcache.golden", blob.Bytes())
 }
 
 // TestReportedTableGolden pins pard-bench's rendered artifact output: the

@@ -11,7 +11,7 @@
 //
 // The worker is stateless: base seed and trace duration arrive in the
 // coordinator's handshake, every unit's seed derives from its cache key,
-// and results stream back as gob frames — so a grid computed here is
+// and results stream back as binary frames — so a grid computed here is
 // byte-identical to the same grid computed anywhere else. The worker
 // re-derives each unit's key from its spec and refuses a unit whose key
 // differs (a coordinator from another version), and peers speaking another

@@ -13,14 +13,14 @@ import (
 // keepExports lists exported internal functions that stay without a non-test
 // caller, each with the reason. Key: package.Name or package.Type.Method.
 var keepExports = map[string]string{
-	"core.Estimator.Explain":       "the per-path breakdown a sampled decision trace will print",
-	"core.Estimator.Lsub":          "the per-path breakdown a sampled decision trace will print",
-	"sched.ManualExecutor.Pending": "tests in other packages observe the core through it",
-	"sched.Cluster.ActiveWorkers":  "tests in other packages observe the core through it",
-	"simgpu.Runner.Requests":       "tests in other packages read the per-request ledger a result does not keep through it",
-	"metrics.Collector.GobEncode":  "called by encoding/gob through reflection",
-	"metrics.Collector.GobDecode":  "called by encoding/gob through reflection",
-	"server.Response.MarshalJSON":  "called by encoding/json through reflection",
+	"core.Estimator.Explain":            "the per-path breakdown a sampled decision trace will print",
+	"core.Estimator.Lsub":               "the per-path breakdown a sampled decision trace will print",
+	"sched.ManualExecutor.Pending":      "tests in other packages observe the core through it",
+	"sched.Cluster.ActiveWorkers":       "tests in other packages observe the core through it",
+	"simgpu.Runner.Requests":            "tests in other packages read the per-request ledger a result does not keep through it",
+	"metrics.Collector.MarshalBinary":   "called by encoding/gob through reflection",
+	"metrics.Collector.UnmarshalBinary": "called by encoding/gob through reflection",
+	"server.Response.MarshalJSON":       "called by encoding/json through reflection",
 }
 
 // TestInternalExportsHaveCallers fails for each exported function or method

@@ -500,12 +500,14 @@ func (c *Coordinator) endgameUnit(st *sweepState) int {
 // dispatchLoop is w's connection writer: it feeds assignable units to the
 // worker until the worker leaves or the coordinator closes.
 func (c *Coordinator) dispatchLoop(w *workerConn) {
+	buf := make([]byte, frameHeaderLen, unitCap)
 	for {
 		u, ok := c.nextUnit(w)
 		if !ok {
 			return
 		}
-		if err := w.f.send(u); err != nil {
+		buf = appendWorkUnit(buf[:frameHeaderLen], u)
+		if err := w.f.writeFrame(buf); err != nil {
 			c.dropWorker(w, fmt.Errorf("send unit %d: %w", u.ID, err))
 			return
 		}
@@ -517,7 +519,11 @@ func (c *Coordinator) dispatchLoop(w *workerConn) {
 func (c *Coordinator) readLoop(w *workerConn) {
 	for {
 		var r UnitResult
-		if err := w.f.recv(&r, 0); err != nil {
+		payload, err := w.f.readFrame(0)
+		if err == nil {
+			err = decodeUnitResult(payload, &r)
+		}
+		if err != nil {
 			c.dropWorker(w, err)
 			return
 		}
@@ -551,26 +557,17 @@ func (c *Coordinator) complete(w *workerConn, r UnitResult) {
 	c.stats.Completed++
 	ws := c.stats.PerWorker[w.id]
 	ws.Completed++
-	switch {
-	case r.Err != "":
-		st.failures[r.ID] = r.Err
+	if why := refusal(w.id, st.units[r.ID], r); why != "" {
+		st.failures[r.ID] = why
 		st.aborted = true
-	case r.Result == nil:
-		st.failures[r.ID] = "worker sent neither result nor error"
-		st.aborted = true
-	case r.Key != st.units[r.ID].Key:
-		// The echoed key is an integrity check: a worker computing under a
-		// different key computed under a different seed.
-		st.failures[r.ID] = fmt.Sprintf("worker %d echoed key %q for a unit assigned as %q", w.id, r.Key, st.units[r.ID].Key)
-		st.aborted = true
-	default:
+	} else {
 		if r.CacheHit {
 			c.stats.RemoteHits++
 			ws.CacheHits++
 		}
 		st.results[r.ID] = r.Result
 		// Merge into the shared cache off the coordinator lock (Install
-		// gob-encodes to disk when a cache dir is configured; dispatch
+		// encodes to disk when a cache dir is configured; dispatch
 		// must not serialize on that): later sweeps (local or
 		// distributed, this process or — via a shared cache dir — any
 		// other) never recompute this unit.
@@ -592,6 +589,26 @@ func (c *Coordinator) complete(w *workerConn, r UnitResult) {
 	if c.cfg.OnUnitDone != nil {
 		c.cfg.OnUnitDone(ud)
 	}
+}
+
+// refusal returns why worker's result r cannot merge as unit u's, or "".
+// The echoed key is an integrity check: a worker computing under a different
+// key computed under a different seed. A result is checked against the unit
+// before it is merged, since the experiments index its per-module slices
+// without looking.
+func refusal(worker int, u WorkUnit, r UnitResult) string {
+	switch {
+	case r.Err != "":
+		return r.Err
+	case r.Result == nil:
+		return "worker sent neither result nor error"
+	case r.Key != u.Key:
+		return fmt.Sprintf("worker %d echoed key %q for a unit assigned as %q", worker, r.Key, u.Key)
+	}
+	if err := u.Spec.Fits(r.Result); err != nil {
+		return fmt.Sprintf("worker %d sent a result that does not fit the unit: %v", worker, err)
+	}
+	return ""
 }
 
 // dropWorker removes w after a connection failure and requeues each unit of

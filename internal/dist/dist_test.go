@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pard/internal/metrics"
+	"pard/internal/pipeline"
 	"pard/internal/profile"
 	"pard/internal/simgpu"
 	"pard/internal/sweep"
@@ -122,11 +123,11 @@ func TestKeyCrossCheckRejectsSkew(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := sweep.Spec{App: "tm", Kind: trace.Steady, Policy: "pard"}
-			if err := f.send(WorkUnit{Epoch: 1, ID: 0, Key: "run|" + spec.Key() + marker, Spec: spec}); err != nil {
+			if err := sendUnit(f, WorkUnit{Epoch: 1, ID: 0, Key: "run|" + spec.Key() + marker, Spec: spec}); err != nil {
 				t.Fatal(err)
 			}
 			var r UnitResult
-			if err := f.recv(&r, 0); err != nil {
+			if err := recvResult(f, &r, 0); err != nil {
 				t.Fatal(err)
 			}
 			if r.ID != 0 || r.Result != nil || !strings.Contains(r.Err, "key mismatch") {
@@ -162,24 +163,24 @@ func TestWorkerCapacityBoundsReadLoop(t *testing.T) {
 	}
 	for id, policy := range []string{"pard", "naive"} {
 		coordSide.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		if err := f.send(unit(id, policy)); err != nil {
+		if err := sendUnit(f, unit(id, policy)); err != nil {
 			t.Fatalf("unit %d was not accepted: %v", id, err)
 		}
 	}
 	coordSide.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-	if err := f.send(unit(2, "nexus")); !errors.Is(err, os.ErrDeadlineExceeded) {
+	if err := sendUnit(f, unit(2, "nexus")); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("a third unit was read while the one slot was taken and one unit waited for it (send error: %v)", err)
 	}
 	var r UnitResult
-	if err := f.recv(&r, 10*time.Second); err != nil || r.ID != 0 || r.Err != "" {
+	if err := recvResult(f, &r, 10*time.Second); err != nil || r.ID != 0 || r.Err != "" {
 		t.Fatalf("first result: %+v, %v", r, err)
 	}
 	coordSide.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if err := f.send(unit(2, "nexus")); err != nil {
+	if err := sendUnit(f, unit(2, "nexus")); err != nil {
 		t.Fatalf("the third unit was still refused after a slot came free: %v", err)
 	}
 	for _, id := range []int{1, 2} {
-		if err := f.recv(&r, 10*time.Second); err != nil || r.ID != id || r.Err != "" {
+		if err := recvResult(f, &r, 10*time.Second); err != nil || r.ID != id || r.Err != "" {
 			t.Fatalf("result %d: %+v, %v", id, r, err)
 		}
 	}
@@ -206,7 +207,7 @@ func peerName(proto int) string {
 // ack either: as a worker it hangs up, as a coordinator it fails to decode
 // the refusal.
 func TestVersionMismatchRefused(t *testing.T) {
-	for _, peer := range []int{ProtoVersion + 1, 8, 7, 6, 5, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 9, 8, 7, 6, 5, 4, 3} {
 		t.Run("worker-side/"+peerName(peer), func(t *testing.T) {
 			coordSide, workerSide := net.Pipe()
 			defer coordSide.Close()
@@ -263,7 +264,7 @@ func TestStaleEpochResultDropped(t *testing.T) {
 	}
 	handshake.Wait()
 	// Inject a garbage result before any sweep: no state may change.
-	if err := f.send(UnitResult{Epoch: 99, ID: 0, Key: "run|bogus"}); err != nil {
+	if err := sendResult(f, UnitResult{Epoch: 99, ID: 0, Key: "run|bogus"}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -325,10 +326,10 @@ func TestEchoedKeyMismatchFailsUnit(t *testing.T) {
 			return
 		}
 		var u WorkUnit
-		if f.recv(&u, 0) != nil {
+		if recvUnit(f, &u, 0) != nil {
 			return
 		}
-		f.send(UnitResult{Epoch: u.Epoch, ID: u.ID, Key: "run|tampered", Result: &simgpu.Result{}})
+		sendResult(f, UnitResult{Epoch: u.Epoch, ID: u.ID, Key: "run|tampered", Result: stubResult(tinyGrid()[0], 0)})
 	}()
 	if err := c.AddConn(coordSide); err != nil {
 		t.Fatal(err)
@@ -371,10 +372,10 @@ func TestHostileCollectorIsSessionError(t *testing.T) {
 				return
 			}
 			var u WorkUnit
-			if f.recv(&u, 0) != nil {
+			if recvUnit(f, &u, 0) != nil {
 				return
 			}
-			f.send(UnitResult{Epoch: u.Epoch, ID: u.ID, Key: u.Key, Result: &simgpu.Result{Collector: col}})
+			sendResult(f, UnitResult{Epoch: u.Epoch, ID: u.ID, Key: u.Key, Result: &simgpu.Result{Collector: col}})
 		}()
 		if err := c.AddConn(coordSide); err != nil {
 			t.Fatal(err)
@@ -396,6 +397,80 @@ func TestHostileCollectorIsSessionError(t *testing.T) {
 		if _, ok := c.cfg.Engine.Lookup("run|" + tinyGrid()[0].Key()); ok {
 			t.Fatalf("%s: hostile result reached the cache", name)
 		}
+	}
+}
+
+// stubResult is a result that fits a unit of s, whose probes it leaves off,
+// with extra modules more than s's pipeline has, without running anything.
+func stubResult(s sweep.Spec, extra int) *simgpu.Result {
+	spec, ok := pipeline.App(s.App)
+	if !ok {
+		panic("stubResult: unknown app " + s.App)
+	}
+	n := spec.N() + extra
+	return &simgpu.Result{
+		Collector:     metrics.NewCollector(spec.SLO, n),
+		TargetBatches: make([]int, n),
+		ProfiledDurs:  make([]time.Duration, n),
+		PeakWorkers:   make([]int, n),
+	}
+}
+
+// TestMisfitResultFailsUnit: the coordinator checks a worker's result
+// against its unit before merging it. A well-formed result with another
+// module count, or without the probe series its unit enables, was once
+// merged, and the experiment indexing its per-module slices panicked
+// pard-bench. It now fails the unit with an error naming the worker, and
+// reaches no cache. A result with no collector cannot be encoded at all; it
+// is refused as well.
+func TestMisfitResultFailsUnit(t *testing.T) {
+	plain := tinyGrid()[0]
+	probed := plain
+	probed.Opts.Probes.Budget = true
+	for name, tc := range map[string]struct {
+		spec sweep.Spec
+		res  *simgpu.Result
+		want string
+	}{
+		"module count":        {plain, stubResult(plain, 1), "modules for a pipeline of"},
+		"probe series absent": {probed, stubResult(probed, 0), "consumed-budget series"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+			defer c.Close()
+			coordSide, fakeWorker := net.Pipe()
+			defer fakeWorker.Close()
+			go func() {
+				f := newFramed(fakeWorker)
+				h, err := recvHello(f, 0)
+				if err != nil || sendAck(f, HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: h.LibraryFP}) != nil {
+					return
+				}
+				var u WorkUnit
+				if recvUnit(f, &u, 0) != nil {
+					return
+				}
+				sendResult(f, UnitResult{Epoch: u.Epoch, ID: u.ID, Key: u.Key, Result: tc.res})
+			}()
+			if err := c.AddConn(coordSide); err != nil {
+				t.Fatal(err)
+			}
+			_, err := c.Sweep(context.Background(), []sweep.Spec{tc.spec})
+			if err == nil || !strings.Contains(err.Error(), "worker 1 sent a result that does not fit the unit") ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want a unit failure naming worker 1 and %q", err, tc.want)
+			}
+			if _, ok := c.cfg.Engine.Lookup("run|" + tc.spec.Key()); ok {
+				t.Fatal("the misfit result reached the cache")
+			}
+			if st := c.Stats(); st.WorkersLost != 0 {
+				t.Fatalf("a well-formed frame cost the worker its session: %+v", st)
+			}
+		})
+	}
+	u := WorkUnit{Key: "run|" + plain.Key(), Spec: plain}
+	if why := refusal(7, u, UnitResult{Key: u.Key, Result: &simgpu.Result{}}); !strings.Contains(why, "worker 7") || !strings.Contains(why, "no collector") {
+		t.Fatalf("a result with no collector is refused with %q", why)
 	}
 }
 
@@ -569,7 +644,7 @@ func handDrivenWorker(t *testing.T, c *Coordinator) (*framed, <-chan WorkUnit) {
 			return
 		}
 		var u WorkUnit
-		if f.recv(&u, 0) != nil {
+		if recvUnit(f, &u, 0) != nil {
 			return
 		}
 		units <- u
@@ -625,7 +700,7 @@ func TestLateDuplicateAfterFailureDropped(t *testing.T) {
 	if uB.ID != uA.ID {
 		t.Fatalf("endgame copy is unit %d, want %d", uB.ID, uA.ID)
 	}
-	if err := failer.send(UnitResult{Epoch: uB.Epoch, ID: uB.ID, Key: uB.Key, Err: "boom"}); err != nil {
+	if err := sendResult(failer, UnitResult{Epoch: uB.Epoch, ID: uB.ID, Key: uB.Key, Err: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := within(t, "the failed sweep", done); err == nil || !strings.Contains(err.Error(), "boom") {
@@ -636,7 +711,7 @@ func TestLateDuplicateAfterFailureDropped(t *testing.T) {
 	}
 	// The straggler wakes up with a SUCCESS for the same unit, after its
 	// sweep is over: dropped, and its slot comes free.
-	if err := straggler.send(UnitResult{Epoch: uA.Epoch, ID: uA.ID, Key: uA.Key, Result: &simgpu.Result{}}); err != nil {
+	if err := sendResult(straggler, UnitResult{Epoch: uA.Epoch, ID: uA.ID, Key: uA.Key, Result: stubResult(grid[0], 0)}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -749,7 +824,7 @@ func TestEndgameOneCopyAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := copier.send(UnitResult{Epoch: cp.Epoch, ID: cp.ID, Key: cp.Key, Result: res}); err != nil {
+	if err := sendResult(copier, UnitResult{Epoch: cp.Epoch, ID: cp.ID, Key: cp.Key, Result: res}); err != nil {
 		t.Fatal(err)
 	}
 	if err := within(t, "the sweep", done); err != nil {

@@ -14,6 +14,7 @@ import (
 	"pard/internal/pipeline"
 	"pard/internal/profile"
 	"pard/internal/simgpu"
+	"pard/internal/sweep"
 	"pard/internal/trace"
 )
 
@@ -162,17 +163,29 @@ func faultCases(helloLen, ackLen, openerLate, serverLate int) []faultCase {
 	return cases
 }
 
+// faultGrid is the grid the sweep faults interrupt: eight cheap units, so
+// that the late cuts land inside the session's traffic.
+func faultGrid() []sweep.Spec {
+	var grid []sweep.Spec
+	for _, app := range []string{"tm", "lv"} {
+		for _, pol := range []string{"pard", "naive", "nexus", "clipper++"} {
+			grid = append(grid, sweep.Spec{App: app, Kind: trace.Steady, Policy: pol})
+		}
+	}
+	return grid
+}
+
 func TestSweepUnderTransportFaults(t *testing.T) {
-	grid := tinyGrid()
+	grid := faultGrid()
 	baseline, err := testEngine().Sweep(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := encodeResults(t, baseline)
 
-	// The hello is 24 bytes, the ack 17 and a WorkUnit of this grid 875: with
-	// one unit outstanding at a time, 1 500 is inside the second unit. A
-	// result is tens of kilobytes.
+	// The hello is 24 bytes, the ack 17, a WorkUnit of this grid about 200
+	// and a UnitResult about 1 300: with one unit outstanding at a time,
+	// 1 500 is inside the eighth unit and 3 000 inside the third result.
 	hello := sweepHello(testEngine())
 	ackLen := ackFrameLen(HelloAck{Proto: ProtoVersion, LibraryFP: hello.LibraryFP, Capacity: 1})
 	for _, tc := range faultCases(helloFrameLen(hello), ackLen, 1500, 3000) {

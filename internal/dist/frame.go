@@ -1,9 +1,7 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -24,17 +22,11 @@ import (
 //     deadlines compose cleanly with lockstep exchanges that must detect a
 //     dead peer.
 //
-// One framing, two payload encodings, mixed freely on one connection. The
-// handshake and the lockstep exchanges of a simulation session hand
-// writeFrame/readFrame the binary codec of wire.go. Only the sweep protocol's
-// work units and results are still gob, through the send/recv shims below: a
-// fresh encoder per frame, so each frame carries its own type wiring and
-// decodes in isolation. That re-sends the type descriptors on every frame,
-// which is noise next to a simulation result and ruinous next to a
-// five-integer lockstep message: measured on the 6 754 exchanges of a 4 s
-// two-group run, it was 1 500 allocations and 3 KB per exchange, twenty times
-// the engine run being synchronized, and a third of a whole two-group run's
-// allocations went to the gob handshake alone.
+// One framing, one payload encoding: every frame — the handshake, a sweep
+// session's work units and results, a simulation session's lockstep
+// exchanges — carries a message in the binary codec of wire.go, encoded
+// after frameHeaderLen bytes of room so that writeFrame sends it in one
+// write.
 
 // MaxFrameLen bounds one frame's payload. Sweep results and barrier batches
 // are megabytes at the extreme; 64 MiB is an order of magnitude of headroom,
@@ -59,29 +51,6 @@ type framed struct {
 }
 
 func newFramed(conn net.Conn) *framed { return &framed{conn: conn} }
-
-// send gob-encodes v as one frame.
-func (f *framed) send(v any) error {
-	var buf bytes.Buffer
-	var room [frameHeaderLen]byte
-	buf.Write(room[:])
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("encoding frame: %w", err)
-	}
-	return f.writeFrame(buf.Bytes())
-}
-
-// recv reads one frame and gob-decodes it into v; timeout is readFrame's.
-func (f *framed) recv(v any, timeout time.Duration) error {
-	payload, err := f.readFrame(timeout)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("decoding frame: %w", err)
-	}
-	return nil
-}
 
 // writeFrame sends b — frameHeaderLen bytes of room for the prefix, then an
 // already encoded payload — as one frame in one write, atomically with respect

@@ -46,27 +46,27 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedFramesOneBuffer: gob and binary frames share one receive buffer,
-// so a connection may mix them in any order — here a binary hello, a gob
-// work unit and a binary ack arrive in one write, and each read finds its
-// frame where the previous one stopped.
+// TestMixedFramesOneBuffer: frames of every message kind share one receive
+// buffer, so a connection may mix them in any order — here a hello, a work
+// unit and an ack arrive in one write, and each read finds its frame where
+// the previous one stopped.
 func TestMixedFramesOneBuffer(t *testing.T) {
 	var stream bytes.Buffer
 	w := newFramed(streamConn{w: &stream})
 	unit := WorkUnit{Epoch: 2, ID: 5, Key: "run|k"}
-	if err := errors.Join(sendHello(w, Hello{Proto: ProtoVersion, Group: 1}), w.send(unit), sendAck(w, HelloAck{Proto: ProtoVersion, Capacity: 3})); err != nil {
+	if err := errors.Join(sendHello(w, Hello{Proto: ProtoVersion, Group: 1}), sendUnit(w, unit), sendAck(w, HelloAck{Proto: ProtoVersion, Capacity: 3})); err != nil {
 		t.Fatal(err)
 	}
 	r := newFramed(streamConn{r: bytes.NewReader(stream.Bytes())})
 	if h, err := recvHello(r, time.Second); err != nil || h.Group != 1 {
-		t.Fatalf("binary frame: %+v, %v", h, err)
+		t.Fatalf("hello frame: %+v, %v", h, err)
 	}
 	var u WorkUnit
-	if err := r.recv(&u, time.Second); err != nil || u.ID != unit.ID || u.Key != unit.Key {
-		t.Fatalf("gob frame after a binary one: %+v, %v", u, err)
+	if err := recvUnit(r, &u, time.Second); err != nil || u.ID != unit.ID || u.Key != unit.Key {
+		t.Fatalf("unit frame after a hello: %+v, %v", u, err)
 	}
 	if ack, err := recvAck(r, time.Second); err != nil || ack.Capacity != 3 {
-		t.Fatalf("binary frame after a gob one: %+v, %v", ack, err)
+		t.Fatalf("ack frame after a unit: %+v, %v", ack, err)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestSendRefusesOversizedFrame(t *testing.T) {
 	f := newFramed(a)
 	// net.Pipe writes block until read; send returning at all proves the
 	// refusal happened before the write.
-	err := f.send(UnitResult{Err: strings.Repeat("x", MaxFrameLen+1)})
+	err := sendResult(f, UnitResult{Err: strings.Repeat("x", MaxFrameLen+1)})
 	if err == nil {
 		t.Fatal("oversized frame was sent")
 	}

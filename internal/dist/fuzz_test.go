@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -15,16 +14,19 @@ import (
 	"pard/internal/sched"
 	"pard/internal/sweep"
 	"pard/internal/trace"
+	"pard/internal/wire"
 )
 
-// FuzzWorkUnit fuzzes the dist protocol's decode surface, mirroring
+// FuzzWorkUnit fuzzes the sweep session's decode surface, mirroring
 // FuzzPipelineSpec for the JSON spec surface: arbitrary bytes fed to the
-// work-unit and result decoders (gob — what the wire carries — plus JSON,
-// the debugging representation) must never panic, and any frame that does
-// decode must re-encode and derive its key without panicking. A worker is
-// one Accept away from arbitrary network input, so this is the package's
-// robustness floor. Seeds cover all four apps, the steady option variants,
-// a result frame, and malformed shapes.
+// work-unit and unit-result decoders must never panic, and any frame that
+// does decode must re-encode to the identical bytes — a unit then derives
+// its key, as the worker does first. A worker is one Accept away from
+// arbitrary network input, and a coordinator merges what its workers send,
+// so this is the package's robustness floor. Seeds cover all four apps, the
+// steady option variants, every option armed, an error, a real result and a
+// warm hit, and malformed shapes, among them the gob unit a version 9
+// coordinator sends.
 func FuzzWorkUnit(f *testing.F) {
 	seedUnits := []WorkUnit{
 		{Epoch: 1, ID: 0, Key: "run|k", Spec: sweep.Spec{App: "tm", Kind: trace.Wiki, Policy: "pard"}},
@@ -33,47 +35,53 @@ func FuzzWorkUnit(f *testing.F) {
 		{Epoch: 4, ID: 2, Key: "run|k4", Spec: sweep.Spec{App: "da", Kind: trace.Steady, Policy: "pard",
 			Opts: sweep.RunOpts{SteadyRate: 80, SLOOverride: 450 * time.Millisecond}}},
 		{Epoch: 5, ID: 3, Key: "run|k5", Spec: sweep.Spec{Pipeline: pipeline.DADynamic(0.5), Policy: "naive"}},
+		{Epoch: 6, ID: 4, Key: "run|k6", Spec: sweep.Spec{App: "tm", Kind: trace.Tweet, Policy: "pard", Opts: sweep.RunOpts{
+			Probes:       sched.ProbeConfig{QueueDelay: true, LoadFactor: true, Budget: true, Decomposition: true, SampleEvery: 2},
+			Lambda:       0.3,
+			WindowSize:   2 * time.Second,
+			FixedWorkers: []int{3, 2, 4},
+			SteadyDur:    5 * time.Second,
+			Failures:     []sched.Failure{{At: time.Second, Module: 1, Count: 1}},
+		}}},
 	}
 	for _, u := range seedUnits {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(u); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		js, err := json.Marshal(u)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(js)
+		f.Add(appendWorkUnit(nil, u))
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(UnitResult{Epoch: 1, ID: 0, Key: "run|k", Err: "boom"}); err != nil {
+	res, err := testEngine().Run(tinyGrid()[0])
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	f.Add(appendUnitResult(nil, UnitResult{Epoch: 1, ID: 0, Key: "run|k", Err: "boom"}))
+	f.Add(appendUnitResult(nil, UnitResult{Epoch: 1, ID: 0, Key: "run|k", Result: res, Elapsed: 3 * time.Millisecond}))
+	f.Add(appendUnitResult(nil, UnitResult{Epoch: 9, ID: 2, Key: "run|k", Result: res, CacheHit: true}))
+	var gobUnit bytes.Buffer
+	if err := gob.NewEncoder(&gobUnit).Encode(seedUnits[0]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gobUnit.Bytes())
+	f.Add(appendWorkUnit(nil, seedUnits[3])[:9])
+	f.Add([]byte{})
 	f.Add([]byte("\x00\x01\x02gob"))
-	f.Add([]byte(`{"Epoch":1,"ID":-9,"Key":"run|","Spec":{"App":"tm"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 8<<10 {
+		if len(data) > 64<<10 {
 			return // keep adversarial inputs cheap
 		}
 		var u WorkUnit
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&u); err == nil {
-			// A decodable frame must survive the operations the worker
-			// performs on it: key derivation and re-encoding (the result
-			// echo carries the same fields back).
-			_ = u.Spec.Key()
-			var out bytes.Buffer
-			if err := gob.NewEncoder(&out).Encode(u); err != nil {
-				t.Fatalf("decoded unit failed to re-encode: %v", err)
+		if decodeWorkUnit(data, &u) == nil {
+			if again := appendWorkUnit(nil, u); !bytes.Equal(again, data) {
+				t.Fatalf("unit decodes but re-encodes differently:\n in  %x\n out %x", data, again)
 			}
+			_ = u.Spec.Key()
 		}
 		var r UnitResult
-		_ = gob.NewDecoder(bytes.NewReader(data)).Decode(&r)
-		var ju WorkUnit
-		if err := json.Unmarshal(data, &ju); err == nil {
-			_ = ju.Spec.Key()
+		if decodeUnitResult(data, &r) == nil {
+			if again := appendUnitResult(nil, r); !bytes.Equal(again, data) {
+				t.Fatalf("result decodes but re-encodes differently:\n in  %x\n out %x", data, again)
+			}
+			if r.Result != nil && r.Result.Collector == nil {
+				t.Fatal("a result decoded without a collector")
+			}
 		}
 	})
 }
@@ -214,7 +222,7 @@ func decodedElems(msg any) int {
 // number and arity the payload itself announces (so the fuzzer reaches the
 // message bodies), and holds whatever decodes to the codec's contract.
 func fuzzExchangeKind[T any](t *testing.T, k *wireKind[T], data []byte, seq uint64, arity int) {
-	var r wireReader
+	var r wire.Reader
 	into := make([]T, arity)
 	if err := decodeExchange(&r, data, k, seq, into); err != nil {
 		return
@@ -281,9 +289,9 @@ func FuzzSimExchange(f *testing.F) {
 			return // keep adversarial inputs cheap
 		}
 		// Read the header the way a peer in lockstep would have predicted it.
-		hdr := wireReader{b: data}
-		seq, _, arity := hdr.uint(), hdr.byte(), hdr.count(minWireMsg)
-		if hdr.err != nil || arity > 64 {
+		hdr := wire.NewReader(data)
+		seq, _, arity := hdr.Uint(), hdr.Byte(), hdr.Count(minWireMsg)
+		if hdr.Err() != nil || arity > 64 {
 			seq, arity = 0, 1
 		}
 		for _, a := range []int{arity, 1} {
@@ -309,12 +317,11 @@ func (c streamConn) Write(p []byte) (int, error)     { return c.w.Write(p) }
 func (c streamConn) SetReadDeadline(time.Time) error { return nil }
 func (c streamConn) Close() error                    { return nil }
 
-// FuzzFrame fuzzes the framing layer under both payload encodings: a stream of
-// arbitrary bytes must never panic readFrame or the gob shim over it (recv,
-// the reader of the sweep protocol's units and results); the receive buffer must
-// stay within a small multiple of the bytes that actually arrived, whatever
-// the headers announce, on both; and every frame readFrame returns must
-// re-frame to the bytes it was read from.
+// FuzzFrame fuzzes the framing layer: a stream of arbitrary bytes must never
+// panic readFrame, or the sweep session's decoders over the frames it
+// returns; the receive buffer must stay within a small multiple of the bytes
+// that actually arrived, whatever the headers announce; and every frame
+// readFrame returns must re-frame to the bytes it was read from.
 func FuzzFrame(f *testing.F) {
 	for _, seed := range exchangeSeeds() {
 		framedSeed := append(make([]byte, frameHeaderLen), seed...)
@@ -340,6 +347,9 @@ func FuzzFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
+			var u WorkUnit
+			var r UnitResult
+			_, _ = decodeWorkUnit(payload, &u), decodeUnitResult(payload, &r)
 			at := len(reframed)
 			reframed = append(append(reframed, make([]byte, frameHeaderLen)...), payload...)
 			binary.BigEndian.PutUint32(reframed[at:], uint32(len(payload)))
@@ -350,14 +360,6 @@ func FuzzFrame(f *testing.F) {
 		limit := 2*len(data) + rxInitial
 		if len(fr.rx) > limit {
 			t.Fatalf("receive buffer grew to %d bytes on a %d-byte stream", len(fr.rx), len(data))
-		}
-		// The gob reader goes through the same buffer, so a header announcing
-		// 64 MiB over ten bytes of stream costs it kilobytes too.
-		gr := newFramed(streamConn{r: bytes.NewReader(data)})
-		var res UnitResult
-		_ = gr.recv(&res, time.Second)
-		if len(gr.rx) > limit {
-			t.Fatalf("recv grew the receive buffer to %d bytes on a %d-byte stream", len(gr.rx), len(data))
 		}
 	})
 }

@@ -45,6 +45,52 @@ func recvAck(f *framed, timeout time.Duration) (HelloAck, error) {
 	return a, err
 }
 
+// The sweep session as a hand-rolled peer speaks it: one work unit or unit
+// result per frame, through the codec the coordinator and worker use.
+
+func sendUnit(f *framed, u WorkUnit) error {
+	return f.writeFrame(appendWorkUnit(make([]byte, frameHeaderLen), u))
+}
+
+func recvUnit(f *framed, u *WorkUnit, timeout time.Duration) error {
+	payload, err := f.readFrame(timeout)
+	if err == nil {
+		err = decodeWorkUnit(payload, u)
+	}
+	return err
+}
+
+func sendResult(f *framed, r UnitResult) error {
+	return f.writeFrame(appendUnitResult(make([]byte, frameHeaderLen), r))
+}
+
+func recvResult(f *framed, r *UnitResult, timeout time.Duration) error {
+	payload, err := f.readFrame(timeout)
+	if err == nil {
+		err = decodeUnitResult(payload, r)
+	}
+	return err
+}
+
+// gobSend and gobRecv frame a message as peers of version 5 and older spoke
+// the handshake, and peers of version 9 and older the sweep session: gob, a
+// fresh encoder per frame.
+func gobSend(f *framed, v any) error {
+	buf := bytes.NewBuffer(make([]byte, frameHeaderLen))
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+		return err
+	}
+	return f.writeFrame(buf.Bytes())
+}
+
+func gobRecv(f *framed, v any, timeout time.Duration) error {
+	payload, err := f.readFrame(timeout)
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
+	}
+	return err
+}
+
 // helloFrameLen and ackFrameLen are the bytes a hello or an ack puts on the
 // connection, frame header included.
 func helloFrameLen(h Hello) int { return frameHeaderLen + len(appendHello(nil, h)) }
@@ -87,7 +133,7 @@ const lastGobProto = 5
 // lastGobProto, binary after.
 func peerHello(f *framed, h Hello) error {
 	if h.Proto <= lastGobProto {
-		return f.send(h)
+		return gobSend(f, h)
 	}
 	return sendHello(f, h)
 }
@@ -100,11 +146,11 @@ func peerServer(conn net.Conn, proto int, timeout time.Duration) error {
 	f := newFramed(conn)
 	if proto <= lastGobProto {
 		var h Hello
-		if err := f.recv(&h, timeout); err != nil {
+		if err := gobRecv(f, &h, timeout); err != nil {
 			conn.Close()
 			return err
 		}
-		return f.send(HelloAck{Proto: proto, LibraryFP: h.LibraryFP, Capacity: 1})
+		return gobSend(f, HelloAck{Proto: proto, LibraryFP: h.LibraryFP, Capacity: 1})
 	}
 	h, err := recvHello(f, timeout)
 	if err != nil {
@@ -120,7 +166,7 @@ func checkRefusalAck(t *testing.T, f *framed, proto int, reason string) {
 	t.Helper()
 	if proto <= lastGobProto {
 		var ack HelloAck
-		if err := f.recv(&ack, 5*time.Second); err == nil {
+		if err := gobRecv(f, &ack, 5*time.Second); err == nil {
 			t.Fatalf("a version %d peer decoded this side's ack as %+v", proto, ack)
 		}
 		return

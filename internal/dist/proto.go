@@ -18,18 +18,19 @@
 // process — both enforced by the loopback differential harnesses in this
 // package's tests, including under injected crashes and transport faults.
 //
-// Wire protocol (length-prefixed frames, version-guarded):
+// Wire protocol (length-prefixed frames, version-guarded, every frame in
+// wire.go's binary codec):
 //
-//	opener → server:  Hello                                  (binary, wire.go)
-//	server → opener:  HelloAck                               (binary, wire.go)
+//	opener → server:  Hello
+//	server → opener:  HelloAck
 //
 //	sweep session (Hello.Job == nil):
-//	coordinator → worker:  WorkUnit*                         (gob)
-//	worker → coordinator:  UnitResult*, in any order         (gob)
+//	coordinator → worker:  WorkUnit*
+//	worker → coordinator:  UnitResult*, in any order
 //
 //	simulation session (Hello.Job != nil), per lockstep exchange:
-//	spoke g → hub:  seq, kind, its own contribution          (binary, wire.go)
-//	hub → spoke g:  seq, kind, every group's contribution    (binary, wire.go)
+//	spoke g → hub:  seq, kind, its own contribution
+//	hub → spoke g:  seq, kind, every group's contribution
 //
 // Closing the connection is the shutdown signal; there is no goodbye frame.
 // Every dispatch carries the coordinator's sweep epoch (the term/epoch guard
@@ -69,7 +70,13 @@ import (
 // (send-time buckets, a latency histogram and a record digest) instead of one
 // record per request. Both layouts gob-decode without error, so a v8 peer
 // would merge empty window series; it is refused at its version instead.
-const ProtoVersion = 9
+//
+// Version 10: a sweep session's WorkUnit and UnitResult left gob for the
+// binary codec, the result in simgpu.AppendResult's form, so no frame of any
+// session is gob. A v9 peer's gob unit or result would fail this side's
+// decoder and drop the connection mid-sweep; it is refused at its version
+// in the handshake instead, on both ends.
+const ProtoVersion = 10
 
 // WorkUnit assigns one grid point. Key is the coordinator's full cache key
 // ("run|" + Spec.Key()); the worker re-derives it from Spec and refuses the
@@ -89,9 +96,8 @@ type WorkUnit struct {
 // distinction through Stats so "zero recompute cluster-wide" is observable.
 // Elapsed is the worker-measured execution time (zero for cache hits); both
 // fields are telemetry only and never participate in result bytes, so mixed
-// warm/cold clusters stay byte-identical. (New fields decode as zero values
-// from older peers: gob tolerates missing fields, so the flag is not a version
-// break.)
+// warm/cold clusters stay byte-identical. The frame carries every field in
+// order (wire.go), so a changed layout is a ProtoVersion bump.
 type UnitResult struct {
 	Epoch    uint64
 	ID       int

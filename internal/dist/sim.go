@@ -11,6 +11,7 @@ import (
 	"pard/internal/sched"
 	"pard/internal/simgpu"
 	"pard/internal/trace"
+	"pard/internal/wire"
 )
 
 // Distributed-simulation session: the cross-host implementation of
@@ -149,7 +150,7 @@ type simSession struct {
 	seq     uint64
 	err     error
 	tx      []byte
-	rd      wireReader
+	rd      wire.Reader
 	stats   simStats
 
 	// Step, Barrier, Board and Scale replies decode into these every round:

@@ -289,6 +289,8 @@ func TestServeSimRefusals(t *testing.T) {
 	}
 	cases := []refusal{
 		{"version-skew", Hello{Proto: ProtoVersion + 1, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
+		// A v9 peer's sweep units and results are gob.
+		{"v9-peer", Hello{Proto: 9, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		// A v8 peer's sweep results carry a collector of another layout.
 		{"v8-peer", Hello{Proto: 8, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		// A v6 or v7 hub's binary hello carries a job of another layout.
@@ -409,7 +411,7 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 // gob decoder cannot read the hello, and it hangs up.
 func TestRunSimDistributedRefusesPeerVersion(t *testing.T) {
 	cfg := simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)}
-	for _, peer := range []int{ProtoVersion + 1, 8, 7, 6, 5, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 9, 8, 7, 6, 5, 4, 3} {
 		t.Run(peerName(peer), func(t *testing.T) {
 			hubSide, spokeSide := net.Pipe()
 			spokeDone := make(chan error, 1)

@@ -2,43 +2,35 @@ package dist
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"time"
 
 	"pard/internal/metrics"
 	"pard/internal/pipeline"
 	"pard/internal/sched"
+	"pard/internal/simgpu"
+	"pard/internal/sweep"
 	"pard/internal/trace"
+	"pard/internal/wire"
 )
 
-// Exchange codec: the lockstep phase of a distributed-simulation session
-// speaks a hand-written binary format instead of gob. The five message kinds
-// are by-value structs of integers, durations, booleans and float slices, a
-// session makes thousands of exchanges, and gob — a fresh encoder, decoder
-// and the type descriptors of all five kinds on every frame — cost twenty
-// times the engine run it was synchronizing. Encoders append to a
-// caller-supplied buffer and decoders read from a byte slice, so a
-// steady-state exchange allocates nothing.
+// Every frame of a dist session is written in the binary codec of package
+// wire: the handshake that opens a session, a sweep session's work units and
+// results, and the lockstep exchanges of a simulation session. Encoders
+// append to a caller-supplied buffer and decoders read from a byte slice, so
+// a steady-state exchange allocates nothing.
 //
-// One exchange frame, in either direction, is
+// Exchange codec: the lockstep phase of a distributed-simulation session. The
+// five message kinds are by-value structs of integers, durations, booleans
+// and float slices, and a session makes thousands of exchanges. One exchange
+// frame, in either direction, is
 //
 //	seq uvarint | kind byte | count uvarint | count × message
 //
 // with count 1 from a spoke (its own contribution) and count = groups from
-// the hub (every contribution, in group order). Integers and durations are
-// zigzag varints, unsigned values uvarints, booleans one byte (0 or 1),
-// floats 8 bytes big-endian IEEE 754, strings and slices a uvarint length
-// followed by the elements, optional pointers a presence byte.
-//
-// The decoder fails closed: every count is checked against the bytes left in
-// the frame before anything is allocated, varints must be minimal and
-// booleans 0 or 1 (so whatever decodes re-encodes to the identical bytes),
-// and truncated frames, trailing bytes, unknown kinds and a count other than
-// the expected arity are errors — each of which poisons the session. An
-// empty slice decodes as nil, as it did under gob.
+// the hub (every contribution, in group order). The decoder fails closed as
+// package wire's Reader does; unknown kinds and a count other than the
+// expected arity are errors too, and each poisons the session.
 //
 // A session then checks every decoded message against its simulation's
 // shape (wireShape) before the engine sees it, since the engine indexes its
@@ -70,206 +62,6 @@ func simKindName(k uint8) string {
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendFloats(b []byte, v []float64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	for _, f := range v {
-		b = appendFloat(b, f)
-	}
-	return b
-}
-
-func appendSeries(b []byte, s *metrics.Series) []byte {
-	if s == nil {
-		return append(b, 0)
-	}
-	b = appendStr(append(b, 1), s.Name)
-	b = appendInts(b, s.T)
-	return appendFloats(b, s.V)
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendInts[T ~int | ~int64](b []byte, v []T) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	for _, x := range v {
-		b = binary.AppendVarint(b, int64(x))
-	}
-	return b
-}
-
-// wireReader consumes one frame's payload. The first failure sticks: later
-// reads return zero values, so a decoder checks err once at the end.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-var (
-	errWireTruncated = errors.New("truncated frame")
-	errWireVarint    = errors.New("malformed or non-minimal varint")
-)
-
-func (r *wireReader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-	r.b = nil
-}
-
-func (r *wireReader) uint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.fail(errWireTruncated)
-		return 0
-	case n < 0, n > 1 && r.b[n-1] == 0: // overflow, or padded: would not re-encode to the same bytes
-		r.fail(errWireVarint)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) int() int64 {
-	u := r.uint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
-}
-
-func (r *wireReader) dur() time.Duration { return time.Duration(r.int()) }
-
-func (r *wireReader) int32() int32 {
-	v := r.int()
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		r.fail(fmt.Errorf("value %d overflows a 32-bit field", v))
-		return 0
-	}
-	return int32(v)
-}
-
-func (r *wireReader) byte() byte {
-	if len(r.b) == 0 {
-		r.fail(errWireTruncated)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *wireReader) bool() bool {
-	v := r.byte()
-	if v > 1 {
-		r.fail(fmt.Errorf("boolean byte %#x", v))
-	}
-	return v == 1
-}
-
-func (r *wireReader) float() float64 {
-	if len(r.b) < 8 {
-		r.fail(errWireTruncated)
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-// count reads an element count and refuses it unless the frame still holds
-// at least min bytes per element — before the caller allocates anything.
-func (r *wireReader) count(min int) int {
-	n := r.uint()
-	if n > uint64(len(r.b)/min) {
-		r.fail(fmt.Errorf("count %d exceeds the %d bytes left in the frame", n, len(r.b)))
-		return 0
-	}
-	return int(n)
-}
-
-// floats decodes a float slice into dst's storage, allocating only when dst
-// is too short; a nil dst with no floats to read stays nil.
-func (r *wireReader) floats(dst []float64) []float64 {
-	n := r.count(8)
-	dst = slices.Grow(dst[:0], n)[:n]
-	for i := range dst {
-		dst[i] = r.float()
-	}
-	return dst
-}
-
-func (r *wireReader) series() *metrics.Series {
-	if !r.bool() {
-		return nil
-	}
-	s := &metrics.Series{Name: r.str(), T: ints[time.Duration](r)}
-	s.V = r.floats(nil)
-	if len(s.V) != len(s.T) {
-		r.fail(fmt.Errorf("series %q has %d timestamps for %d values", s.Name, len(s.T), len(s.V)))
-	}
-	return s
-}
-
-func (r *wireReader) str() string {
-	n := r.count(1)
-	if n == 0 {
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// integer reads one zigzag varint into T, refusing a value T cannot hold.
-func integer[T ~int | ~int64](r *wireReader) T {
-	v := r.int()
-	if int64(T(v)) != v {
-		r.fail(fmt.Errorf("value %d overflows %T", v, T(0)))
-		return 0
-	}
-	return T(v)
-}
-
-// ints decodes a slice of zigzag varints; none to read decodes as nil.
-func ints[T ~int | ~int64](r *wireReader) []T {
-	n := r.count(1)
-	if n == 0 {
-		return nil
-	}
-	v := make([]T, n)
-	for i := range v {
-		v[i] = integer[T](r)
-	}
-	return v
-}
-
-// done reports the first failure of a decode of what, or the bytes it left.
-func (r *wireReader) done(what string) error {
-	if r.err != nil {
-		return fmt.Errorf("decoding %s frame: %w", what, r.err)
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("decoding %s frame: %d trailing bytes", what, len(r.b))
-	}
-	return nil
-}
-
 // Minimum encoded sizes of the repeated elements, for count's guard.
 const (
 	minWirePost   = 4  // At, Src, Dst, Req
@@ -285,23 +77,23 @@ const (
 func appendStep(b []byte, m sched.StepMsg) []byte {
 	b = binary.AppendVarint(b, int64(m.Group))
 	b = binary.AppendVarint(b, int64(m.CtrlAt))
-	b = appendBool(b, m.CtrlOK)
+	b = wire.AppendBool(b, m.CtrlOK)
 	b = binary.AppendVarint(b, int64(m.LaneAt))
-	return appendBool(b, m.LaneOK)
+	return wire.AppendBool(b, m.LaneOK)
 }
 
-func (r *wireReader) step(m *sched.StepMsg) {
-	m.Group = r.int32()
-	m.CtrlAt, m.CtrlOK = r.dur(), r.bool()
-	m.LaneAt, m.LaneOK = r.dur(), r.bool()
+func readStep(r *wire.Reader, m *sched.StepMsg) {
+	m.Group = r.Int32()
+	m.CtrlAt, m.CtrlOK = r.Dur(), r.Bool()
+	m.LaneAt, m.LaneOK = r.Dur(), r.Bool()
 }
 
 func appendBarrier(b []byte, m sched.BarrierMsg) []byte {
 	b = binary.AppendVarint(b, int64(m.Group))
 	b = binary.AppendVarint(b, int64(m.CtrlAt))
-	b = appendBool(b, m.CtrlOK)
+	b = wire.AppendBool(b, m.CtrlOK)
 	b = binary.AppendVarint(b, int64(m.LaneAt))
-	b = appendBool(b, m.LaneOK)
+	b = wire.AppendBool(b, m.LaneOK)
 	b = binary.AppendUvarint(b, uint64(len(m.Posts)))
 	for _, p := range m.Posts {
 		b = binary.AppendVarint(b, int64(p.At))
@@ -314,7 +106,7 @@ func appendBarrier(b []byte, m sched.BarrierMsg) []byte {
 		b = binary.AppendVarint(b, int64(it.At))
 		b = binary.AppendVarint(b, int64(it.Mod))
 		b = binary.AppendUvarint(b, it.Req)
-		b = appendBool(b, it.Drop)
+		b = wire.AppendBool(b, it.Drop)
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Charges)))
 	for _, c := range m.Charges {
@@ -338,29 +130,29 @@ func appendBarrier(b []byte, m sched.BarrierMsg) []byte {
 // barrier decodes into m, reusing the capacity of m's slices: the executor
 // copies out what it keeps before the next exchange (see sched.Transport), so
 // a session decodes every barrier into the same storage.
-func (r *wireReader) barrier(m *sched.BarrierMsg) {
-	m.Group = r.int32()
-	m.CtrlAt, m.CtrlOK = r.dur(), r.bool()
-	m.LaneAt, m.LaneOK = r.dur(), r.bool()
-	n := r.count(minWirePost)
+func readBarrier(r *wire.Reader, m *sched.BarrierMsg) {
+	m.Group = r.Int32()
+	m.CtrlAt, m.CtrlOK = r.Dur(), r.Bool()
+	m.LaneAt, m.LaneOK = r.Dur(), r.Bool()
+	n := r.Count(minWirePost)
 	m.Posts = slices.Grow(m.Posts[:0], n)
 	for i := 0; i < n; i++ {
-		m.Posts = append(m.Posts, sched.WirePost{At: r.dur(), Src: r.int32(), Dst: r.int32(), Req: r.uint()})
+		m.Posts = append(m.Posts, sched.WirePost{At: r.Dur(), Src: r.Int32(), Dst: r.Int32(), Req: r.Uint()})
 	}
-	n = r.count(minWireIntent)
+	n = r.Count(minWireIntent)
 	m.Intents = slices.Grow(m.Intents[:0], n)
 	for i := 0; i < n; i++ {
-		m.Intents = append(m.Intents, sched.WireIntent{At: r.dur(), Mod: r.int32(), Req: r.uint(), Drop: r.bool()})
+		m.Intents = append(m.Intents, sched.WireIntent{At: r.Dur(), Mod: r.Int32(), Req: r.Uint(), Drop: r.Bool()})
 	}
-	n = r.count(minWireCharge)
+	n = r.Count(minWireCharge)
 	m.Charges = slices.Grow(m.Charges[:0], n)
 	for i := 0; i < n; i++ {
-		m.Charges = append(m.Charges, sched.WireCharge{Mod: r.int32(), Req: r.uint(), GPU: r.dur(), Q: r.dur(), W: r.dur(), D: r.dur()})
+		m.Charges = append(m.Charges, sched.WireCharge{Mod: r.Int32(), Req: r.Uint(), GPU: r.Dur(), Q: r.Dur(), W: r.Dur(), D: r.Dur()})
 	}
-	n = r.count(minWireMerge)
+	n = r.Count(minWireMerge)
 	m.Merges = slices.Grow(m.Merges[:0], n)
 	for i := 0; i < n; i++ {
-		m.Merges = append(m.Merges, sched.WireMergeReset{At: r.dur(), Mod: r.int32(), Req: r.uint(), Expected: r.int32()})
+		m.Merges = append(m.Merges, sched.WireMergeReset{At: r.Dur(), Mod: r.Int32(), Req: r.Uint(), Expected: r.Int32()})
 	}
 }
 
@@ -372,10 +164,10 @@ func appendBoard(b []byte, m sched.BoardMsg) []byte {
 		b = binary.AppendVarint(b, int64(row.Mod))
 		b = binary.AppendVarint(b, int64(row.State.QueueDelay))
 		b = binary.AppendVarint(b, int64(row.State.ProfiledDur))
-		b = appendFloats(b, row.State.BatchWait)
-		b = appendFloat(b, row.State.InputRate)
-		b = appendFloat(b, row.State.Throughput)
-		b = appendBool(b, row.State.Overloaded)
+		b = wire.AppendFloats(b, row.State.BatchWait)
+		b = wire.AppendFloat(b, row.State.InputRate)
+		b = wire.AppendFloat(b, row.State.Throughput)
+		b = wire.AppendBool(b, row.State.Overloaded)
 		b = binary.AppendVarint(b, int64(row.State.WCL))
 	}
 	return b
@@ -384,20 +176,20 @@ func appendBoard(b []byte, m sched.BoardMsg) []byte {
 // board decodes into m, reusing the capacity of m's rows and of each row's
 // BatchWait samples: the executor publishes the rows to its state board,
 // which copies them, before the next exchange (see sched.Transport).
-func (r *wireReader) board(m *sched.BoardMsg) {
-	m.Group = r.int32()
-	n := r.count(minBoardRow)
+func readBoard(r *wire.Reader, m *sched.BoardMsg) {
+	m.Group = r.Int32()
+	n := r.Count(minBoardRow)
 	m.Rows = slices.Grow(m.Rows[:0], n)[:n]
 	for i := range m.Rows {
 		row := &m.Rows[i]
-		row.Mod = r.int32()
-		row.State.QueueDelay = r.dur()
-		row.State.ProfiledDur = r.dur()
-		row.State.BatchWait = r.floats(row.State.BatchWait)
-		row.State.InputRate = r.float()
-		row.State.Throughput = r.float()
-		row.State.Overloaded = r.bool()
-		row.State.WCL = r.dur()
+		row.Mod = r.Int32()
+		row.State.QueueDelay = r.Dur()
+		row.State.ProfiledDur = r.Dur()
+		row.State.BatchWait = r.Floats(row.State.BatchWait)
+		row.State.InputRate = r.Float()
+		row.State.Throughput = r.Float()
+		row.State.Overloaded = r.Bool()
+		row.State.WCL = r.Dur()
 	}
 }
 
@@ -412,12 +204,12 @@ func appendScale(b []byte, m sched.ScaleMsg) []byte {
 }
 
 // scale decodes into m, reusing the capacity of m's rows, as board does.
-func (r *wireReader) scale(m *sched.ScaleMsg) {
-	m.Group = r.int32()
-	n := r.count(minScaleRow)
+func readScale(r *wire.Reader, m *sched.ScaleMsg) {
+	m.Group = r.Int32()
+	n := r.Count(minScaleRow)
 	m.Rows = slices.Grow(m.Rows[:0], n)[:n]
 	for i := range m.Rows {
-		m.Rows[i] = sched.WireScaleRow{Mod: r.int32(), Desired: r.int32()}
+		m.Rows[i] = sched.WireScaleRow{Mod: r.Int32(), Desired: r.Int32()}
 	}
 }
 
@@ -430,29 +222,29 @@ func appendFinish(b []byte, m sched.FinishMsg) []byte {
 		b = binary.AppendVarint(b, int64(rep.Mod))
 		b = binary.AppendVarint(b, int64(rep.Peak))
 		for _, s := range [...]*metrics.Series{rep.QueueDelay, rep.Load, rep.Mode, rep.Budget, rep.Remain} {
-			b = appendSeries(b, s)
+			b = metrics.AppendSeries(b, s)
 		}
-		b = appendFloats(b, rep.WaitSamples)
+		b = wire.AppendFloats(b, rep.WaitSamples)
 	}
 	return b
 }
 
 // finish decodes into freshly allocated reports: the caller assembles its
 // result from them.
-func (r *wireReader) finish(m *sched.FinishMsg) {
-	m.Group = r.int32()
-	m.LaneFired = r.uint()
+func readFinish(r *wire.Reader, m *sched.FinishMsg) {
+	m.Group = r.Int32()
+	m.LaneFired = r.Uint()
 	m.Reports = nil
-	if n := r.count(minReport); n > 0 {
+	if n := r.Count(minReport); n > 0 {
 		m.Reports = make([]sched.ModuleReport, n)
 	}
 	for i := range m.Reports {
 		rep := &m.Reports[i]
-		rep.Mod = r.int32()
-		rep.Peak = integer[int](r)
-		rep.QueueDelay, rep.Load, rep.Mode = r.series(), r.series(), r.series()
-		rep.Budget, rep.Remain = r.series(), r.series()
-		rep.WaitSamples = r.floats(nil)
+		rep.Mod = r.Int32()
+		rep.Peak = wire.Integer[int](r)
+		rep.QueueDelay, rep.Load, rep.Mode = metrics.ReadSeries(r), metrics.ReadSeries(r), metrics.ReadSeries(r)
+		rep.Budget, rep.Remain = metrics.ReadSeries(r), metrics.ReadSeries(r)
+		rep.WaitSamples = r.Floats(nil)
 	}
 }
 
@@ -525,28 +317,28 @@ func (s wireShape) checkBarrier(m *sched.BarrierMsg, _ int) error {
 type wireKind[T any] struct {
 	kind  uint8
 	enc   func([]byte, T) []byte
-	dec   func(*wireReader, *T)
+	dec   func(*wire.Reader, *T)
 	group func(*T) int32
 	check func(wireShape, *T, int) error // the message is from the lane group given
 }
 
 var (
-	stepWire = wireKind[sched.StepMsg]{simKindStep, appendStep, (*wireReader).step,
+	stepWire = wireKind[sched.StepMsg]{simKindStep, appendStep, readStep,
 		func(m *sched.StepMsg) int32 { return m.Group },
 		func(wireShape, *sched.StepMsg, int) error { return nil }}
-	barrierWire = wireKind[sched.BarrierMsg]{simKindBarrier, appendBarrier, (*wireReader).barrier,
+	barrierWire = wireKind[sched.BarrierMsg]{simKindBarrier, appendBarrier, readBarrier,
 		func(m *sched.BarrierMsg) int32 { return m.Group }, wireShape.checkBarrier}
-	boardWire = wireKind[sched.BoardMsg]{simKindBoard, appendBoard, (*wireReader).board,
+	boardWire = wireKind[sched.BoardMsg]{simKindBoard, appendBoard, readBoard,
 		func(m *sched.BoardMsg) int32 { return m.Group },
 		func(s wireShape, m *sched.BoardMsg, g int) error {
 			return ownedRows(s, "board row Mod", m.Rows, func(r *sched.WireBoardRow) int32 { return r.Mod }, g)
 		}}
-	scaleWire = wireKind[sched.ScaleMsg]{simKindScale, appendScale, (*wireReader).scale,
+	scaleWire = wireKind[sched.ScaleMsg]{simKindScale, appendScale, readScale,
 		func(m *sched.ScaleMsg) int32 { return m.Group },
 		func(s wireShape, m *sched.ScaleMsg, g int) error {
 			return ownedRows(s, "scale row Mod", m.Rows, func(r *sched.WireScaleRow) int32 { return r.Mod }, g)
 		}}
-	finishWire = wireKind[sched.FinishMsg]{simKindFinish, appendFinish, (*wireReader).finish,
+	finishWire = wireKind[sched.FinishMsg]{simKindFinish, appendFinish, readFinish,
 		func(m *sched.FinishMsg) int32 { return m.Group },
 		func(s wireShape, m *sched.FinishMsg, g int) error {
 			return ownedRows(s, "report Mod", m.Reports, func(r *sched.ModuleReport) int32 { return r.Mod }, g)
@@ -565,24 +357,27 @@ func appendExchangeHeader(b []byte, seq uint64, kind uint8, count int) []byte {
 // messages the session expects at (seq, kind), through the caller's reader
 // (kept in the session so decoding allocates no reader). A different
 // sequence number or kind means the peer has left lockstep.
-func decodeExchange[T any](r *wireReader, payload []byte, k *wireKind[T], seq uint64, into []T) error {
-	*r = wireReader{b: payload}
-	gotSeq, gotKind := r.uint(), r.byte()
-	if r.err == nil && (gotSeq != seq || gotKind != k.kind) {
+func decodeExchange[T any](r *wire.Reader, payload []byte, k *wireKind[T], seq uint64, into []T) error {
+	*r = wire.NewReader(payload)
+	gotSeq, gotKind := r.Uint(), r.Byte()
+	if r.Err() == nil && (gotSeq != seq || gotKind != k.kind) {
 		return fmt.Errorf("lockstep divergence: peer sent %s seq %d while the session is at %s seq %d",
 			simKindName(gotKind), gotSeq, simKindName(k.kind), seq)
 	}
-	n := r.count(minWireMsg)
-	if r.err == nil && n != len(into) {
+	n := r.Count(minWireMsg)
+	if r.Err() == nil && n != len(into) {
 		return fmt.Errorf("frame carries %d contributions, want %d", n, len(into))
 	}
 	for i := range into {
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		k.dec(r, &into[i])
 	}
-	return r.done(simKindName(k.kind))
+	if err := r.Done("exchange frame"); err != nil {
+		return fmt.Errorf("%s: %w", simKindName(k.kind), err)
+	}
+	return nil
 }
 
 // Handshake codec: the Hello and HelloAck that open every session, in the
@@ -641,133 +436,212 @@ func appendHello(b []byte, h Hello) []byte {
 // decodeHello decodes a hello payload into h. A hello of another protocol
 // version decodes only as far as its version and fails with versionMismatch.
 func decodeHello(payload []byte, h *Hello) error {
-	r := wireReader{b: payload}
-	*h = Hello{Proto: integer[int](&r)}
-	if r.err == nil && h.Proto != ProtoVersion {
+	rd := wire.NewReader(payload)
+	r := &rd
+	*h = Hello{Proto: wire.Integer[int](r)}
+	if r.Err() == nil && h.Proto != ProtoVersion {
 		return versionMismatch(h.Proto)
 	}
-	h.LibraryFP = r.uint()
-	h.BaseSeed = r.int()
-	h.TraceDuration = r.dur()
-	h.Groups, h.Group = integer[int](&r), integer[int](&r)
-	if r.bool() {
-		h.Job = r.job()
+	h.LibraryFP = r.Uint()
+	h.BaseSeed = r.Int()
+	h.TraceDuration = r.Dur()
+	h.Groups, h.Group = wire.Integer[int](r), wire.Integer[int](r)
+	if r.Bool() {
+		h.Job = readJob(r)
 	}
-	return r.done("hello")
+	return r.Done("hello frame")
 }
 
 func appendHelloAck(b []byte, a HelloAck) []byte {
 	b = binary.AppendVarint(b, int64(a.Proto))
 	b = binary.AppendUvarint(b, a.LibraryFP)
 	b = binary.AppendVarint(b, int64(a.Capacity))
-	return appendStr(b, a.Err)
+	return wire.AppendStr(b, a.Err)
 }
 
 // decodeHelloAck decodes an ack payload into a, as decodeHello does a hello.
 func decodeHelloAck(payload []byte, a *HelloAck) error {
-	r := wireReader{b: payload}
-	*a = HelloAck{Proto: integer[int](&r)}
-	if r.err == nil && a.Proto != ProtoVersion {
+	rd := wire.NewReader(payload)
+	r := &rd
+	*a = HelloAck{Proto: wire.Integer[int](r)}
+	if r.Err() == nil && a.Proto != ProtoVersion {
 		return versionMismatch(a.Proto)
 	}
-	a.LibraryFP = r.uint()
-	a.Capacity = integer[int](&r)
-	a.Err = r.str()
-	return r.done("hello ack")
+	a.LibraryFP = r.Uint()
+	a.Capacity = wire.Integer[int](r)
+	a.Err = r.Str()
+	return r.Done("hello ack frame")
 }
 
 func appendJob(b []byte, j *SimJob) []byte {
 	b = appendSpec(b, j.Spec)
-	b = appendStr(b, j.PolicyName)
-	b = appendTrace(b, j.Trace)
+	b = wire.AppendStr(b, j.PolicyName)
+	b = trace.AppendTrace(b, j.Trace)
 	b = binary.AppendVarint(b, j.Seed)
 	b = binary.AppendVarint(b, int64(j.SyncPeriod))
 	b = binary.AppendVarint(b, int64(j.NetDelay))
-	b = appendFloat(b, j.JitterPct)
-	b = appendInts(b, j.FixedWorkers)
-	p := j.Probes
-	b = appendBool(b, p.QueueDelay)
-	b = appendBool(b, p.LoadFactor)
-	b = appendBool(b, p.Budget)
-	b = appendBool(b, p.Decomposition)
-	b = binary.AppendVarint(b, int64(p.SampleEvery))
-	b = binary.AppendUvarint(b, uint64(len(j.Failures)))
-	for _, f := range j.Failures {
+	b = wire.AppendFloat(b, j.JitterPct)
+	b = wire.AppendInts(b, j.FixedWorkers)
+	b = appendProbes(b, j.Probes)
+	b = appendFailures(b, j.Failures)
+	b = wire.AppendFloat(b, j.Lambda)
+	return binary.AppendVarint(b, int64(j.PriorityWindow))
+}
+
+func readJob(r *wire.Reader) *SimJob {
+	j := &SimJob{Spec: readSpec(r), PolicyName: r.Str(), Trace: trace.ReadTrace(r), Seed: r.Int()}
+	j.SyncPeriod, j.NetDelay = r.Dur(), r.Dur()
+	j.JitterPct = r.Float()
+	j.FixedWorkers = wire.Ints[int](r)
+	j.Probes = readProbes(r)
+	j.Failures = readFailures(r)
+	j.Lambda = r.Float()
+	j.PriorityWindow = r.Dur()
+	return j
+}
+
+func appendProbes(b []byte, p sched.ProbeConfig) []byte {
+	b = wire.AppendBool(b, p.QueueDelay)
+	b = wire.AppendBool(b, p.LoadFactor)
+	b = wire.AppendBool(b, p.Budget)
+	b = wire.AppendBool(b, p.Decomposition)
+	return binary.AppendVarint(b, int64(p.SampleEvery))
+}
+
+func readProbes(r *wire.Reader) (p sched.ProbeConfig) {
+	p.QueueDelay, p.LoadFactor, p.Budget, p.Decomposition = r.Bool(), r.Bool(), r.Bool(), r.Bool()
+	p.SampleEvery = wire.Integer[int](r)
+	return p
+}
+
+func appendFailures(b []byte, fs []sched.Failure) []byte {
+	b = binary.AppendUvarint(b, uint64(len(fs)))
+	for _, f := range fs {
 		b = binary.AppendVarint(b, int64(f.At))
 		b = binary.AppendVarint(b, int64(f.Module))
 		b = binary.AppendVarint(b, int64(f.Count))
 	}
-	b = appendFloat(b, j.Lambda)
-	return binary.AppendVarint(b, int64(j.PriorityWindow))
+	return b
 }
 
-func (r *wireReader) job() *SimJob {
-	j := &SimJob{Spec: r.spec(), PolicyName: r.str(), Trace: r.trace(), Seed: r.int()}
-	j.SyncPeriod, j.NetDelay = r.dur(), r.dur()
-	j.JitterPct = r.float()
-	j.FixedWorkers = ints[int](r)
-	p := &j.Probes
-	p.QueueDelay, p.LoadFactor, p.Budget, p.Decomposition = r.bool(), r.bool(), r.bool(), r.bool()
-	p.SampleEvery = integer[int](r)
-	if n := r.count(minFailure); n > 0 {
-		j.Failures = make([]sched.Failure, n)
-		for i := range j.Failures {
-			j.Failures[i] = sched.Failure{At: r.dur(), Module: integer[int](r), Count: integer[int](r)}
-		}
+func readFailures(r *wire.Reader) []sched.Failure {
+	n := r.Count(minFailure)
+	if n == 0 {
+		return nil
 	}
-	j.Lambda = r.float()
-	j.PriorityWindow = r.dur()
-	return j
+	fs := make([]sched.Failure, n)
+	for i := range fs {
+		fs[i] = sched.Failure{At: r.Dur(), Module: wire.Integer[int](r), Count: wire.Integer[int](r)}
+	}
+	return fs
 }
 
 func appendSpec(b []byte, s *pipeline.Spec) []byte {
 	if s == nil {
 		return append(b, 0)
 	}
-	b = appendStr(append(b, 1), s.App)
+	b = wire.AppendStr(append(b, 1), s.App)
 	b = binary.AppendVarint(b, int64(s.SLO))
 	b = binary.AppendUvarint(b, uint64(len(s.Modules)))
 	for i := range s.Modules {
 		m := &s.Modules[i]
 		b = binary.AppendVarint(b, int64(m.ID))
-		b = appendStr(b, m.Name)
-		b = appendInts(b, m.Pres)
-		b = appendInts(b, m.Subs)
-		b = appendBool(b, m.Exclusive)
-		b = appendFloats(b, m.BranchProb)
+		b = wire.AppendStr(b, m.Name)
+		b = wire.AppendInts(b, m.Pres)
+		b = wire.AppendInts(b, m.Subs)
+		b = wire.AppendBool(b, m.Exclusive)
+		b = wire.AppendFloats(b, m.BranchProb)
 	}
 	return b
 }
 
-func (r *wireReader) spec() *pipeline.Spec {
-	if !r.bool() {
+func readSpec(r *wire.Reader) *pipeline.Spec {
+	if !r.Bool() {
 		return nil
 	}
-	s := &pipeline.Spec{App: r.str(), SLO: r.dur()}
-	if n := r.count(minModule); n > 0 {
+	s := &pipeline.Spec{App: r.Str(), SLO: r.Dur()}
+	if n := r.Count(minModule); n > 0 {
 		s.Modules = make([]pipeline.Module, n)
 		for i := range s.Modules {
 			m := &s.Modules[i]
-			m.ID, m.Name = integer[int](r), r.str()
-			m.Pres, m.Subs = ints[int](r), ints[int](r)
-			m.Exclusive, m.BranchProb = r.bool(), r.floats(nil)
+			m.ID, m.Name = wire.Integer[int](r), r.Str()
+			m.Pres, m.Subs = wire.Ints[int](r), wire.Ints[int](r)
+			m.Exclusive, m.BranchProb = r.Bool(), r.Floats(nil)
 		}
 	}
 	return s
 }
 
-func appendTrace(b []byte, tr *trace.Trace) []byte {
-	if tr == nil {
-		return append(b, 0)
-	}
-	b = appendStr(append(b, 1), tr.Name)
-	b = appendInts(b, tr.Arrivals)
-	return binary.AppendVarint(b, int64(tr.Duration))
+// Sweep codec: a sweep session's WorkUnit and UnitResult, each alone in its
+// frame, in the handshake's format.
+//
+//	unit:    Epoch | ID | Key | spec
+//	spec:    App | pipeline? | Kind | Policy | probes | Lambda | SLOOverride |
+//	         WindowSize | FixedWorkers | SteadyRate | SteadyDur | failures
+//	result:  Epoch | ID | Key | Err | result? | CacheHit | Elapsed
+//
+// with the pipeline, probes and failures as in a simulation job and the
+// result in simgpu.AppendResult's form.
+
+// unitCap is room for a work unit frame that its encoding rarely outgrows.
+const unitCap = frameHeaderLen + 512
+
+func appendWorkUnit(b []byte, u WorkUnit) []byte {
+	b = binary.AppendUvarint(b, u.Epoch)
+	b = binary.AppendVarint(b, int64(u.ID))
+	b = wire.AppendStr(b, u.Key)
+	s := &u.Spec
+	b = wire.AppendStr(b, s.App)
+	b = appendSpec(b, s.Pipeline)
+	b = wire.AppendStr(b, string(s.Kind))
+	b = wire.AppendStr(b, s.Policy)
+	o := &s.Opts
+	b = appendProbes(b, o.Probes)
+	b = wire.AppendFloat(b, o.Lambda)
+	b = binary.AppendVarint(b, int64(o.SLOOverride))
+	b = binary.AppendVarint(b, int64(o.WindowSize))
+	b = wire.AppendInts(b, o.FixedWorkers)
+	b = wire.AppendFloat(b, o.SteadyRate)
+	b = binary.AppendVarint(b, int64(o.SteadyDur))
+	return appendFailures(b, o.Failures)
 }
 
-func (r *wireReader) trace() *trace.Trace {
-	if !r.bool() {
-		return nil
+func decodeWorkUnit(payload []byte, u *WorkUnit) error {
+	r := wire.NewReader(payload)
+	*u = WorkUnit{Epoch: r.Uint(), ID: wire.Integer[int](&r), Key: r.Str()}
+	s := &u.Spec
+	s.App, s.Pipeline = r.Str(), readSpec(&r)
+	s.Kind, s.Policy = trace.Kind(r.Str()), r.Str()
+	s.Opts = sweep.RunOpts{Probes: readProbes(&r), Lambda: r.Float(), SLOOverride: r.Dur(), WindowSize: r.Dur()}
+	s.Opts.FixedWorkers = wire.Ints[int](&r)
+	s.Opts.SteadyRate, s.Opts.SteadyDur = r.Float(), r.Dur()
+	s.Opts.Failures = readFailures(&r)
+	return r.Done("work unit frame")
+}
+
+func appendUnitResult(b []byte, u UnitResult) []byte {
+	b = binary.AppendUvarint(b, u.Epoch)
+	b = binary.AppendVarint(b, int64(u.ID))
+	b = wire.AppendStr(b, u.Key)
+	b = wire.AppendStr(b, u.Err)
+	if u.Result == nil {
+		b = append(b, 0)
+	} else {
+		b = simgpu.AppendResult(append(b, 1), u.Result)
 	}
-	return &trace.Trace{Name: r.str(), Arrivals: ints[time.Duration](r), Duration: r.dur()}
+	b = wire.AppendBool(b, u.CacheHit)
+	return binary.AppendVarint(b, int64(u.Elapsed))
+}
+
+// decodeUnitResult decodes a result payload into u. A result that does not
+// fit its own collector is an error here; whether it fits the unit it answers
+// is the coordinator's check.
+func decodeUnitResult(payload []byte, u *UnitResult) error {
+	r := wire.NewReader(payload)
+	*u = UnitResult{Epoch: r.Uint(), ID: wire.Integer[int](&r), Key: r.Str(), Err: r.Str()}
+	if r.Bool() {
+		u.Result = simgpu.ReadResult(&r)
+	}
+	u.CacheHit, u.Elapsed = r.Bool(), r.Dur()
+	return r.Done("unit result frame")
 }

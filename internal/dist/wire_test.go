@@ -14,6 +14,7 @@ import (
 	"pard/internal/core"
 	"pard/internal/metrics"
 	"pard/internal/sched"
+	"pard/internal/wire"
 )
 
 // roundTrip encodes msgs as one exchange frame, decodes it into zeroed
@@ -26,7 +27,7 @@ func roundTrip[T any](t *testing.T, k *wireKind[T], seq uint64, msgs []T) []byte
 		payload = k.enc(payload, m)
 	}
 	got := make([]T, len(msgs))
-	var r wireReader
+	var r wire.Reader
 	if err := decodeExchange(&r, payload, k, seq, got); err != nil {
 		t.Fatalf("%s: %v", simKindName(k.kind), err)
 	}
@@ -107,7 +108,7 @@ func TestWireRoundTrip(t *testing.T) {
 		}}
 		small := sched.BoardMsg{Group: 1, Rows: []sched.WireBoardRow{{Mod: 3, State: core.ModuleState{BatchWait: []float64{5}}}}}
 		got := make([]sched.BoardMsg, 1)
-		var r wireReader
+		var r wire.Reader
 		for i, want := range []sched.BoardMsg{big, small, big} {
 			payload := boardWire.enc(appendExchangeHeader(nil, uint64(i), simKindBoard, 1), want)
 			if err := decodeExchange(&r, payload, &boardWire, uint64(i), got); err != nil {
@@ -124,7 +125,7 @@ func TestWireRoundTrip(t *testing.T) {
 		payload := boardWire.enc(appendExchangeHeader(nil, 1, simKindBoard, 1),
 			sched.BoardMsg{Rows: []sched.WireBoardRow{{State: core.ModuleState{InputRate: nan}}}})
 		got := make([]sched.BoardMsg, 1)
-		var r wireReader
+		var r wire.Reader
 		if err := decodeExchange(&r, payload, &boardWire, 1, got); err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestWireDecodeFailsClosed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var r wireReader
+			var r wire.Reader
 			into := make([]sched.BarrierMsg, 1)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -32,7 +32,9 @@ type WorkerConfig struct {
 	// abruptly closes the connection after that many results have been sent,
 	// to prove reassignment keeps sweeps byte-identical. unitDelay stalls
 	// every unit execution (not cache hits) by that long before it runs, to
-	// prove endgame re-dispatch finishes a sweep around a straggler.
+	// prove endgame re-dispatch finishes a sweep around a straggler; a unit
+	// still held when the connection ends is given up, as nothing could
+	// report it, so a straggler does not run on into later tests.
 	handshakeTimeout time.Duration
 	crashAfterUnits  int
 	unitDelay        time.Duration
@@ -110,13 +112,14 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 	// loop takes a slot before it spawns a unit, so the excess waits in the
 	// socket, not decoded in this process.
 	sem := make(chan struct{}, cfg.Workers)
+	stop := make(chan struct{}) // closed when the read loop ends
 	sendResult := func(r UnitResult) {
 		sendMu.Lock()
 		defer sendMu.Unlock()
 		if crashed {
 			return
 		}
-		if err := f.send(r); err != nil {
+		if err := f.writeFrame(appendUnitResult(make([]byte, frameHeaderLen), r)); err != nil {
 			return // reader will see the broken stream too
 		}
 		sent++
@@ -127,7 +130,12 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 	}
 	for {
 		var u WorkUnit
-		if err := f.recv(&u, 0); err != nil {
+		payload, err := f.readFrame(0)
+		if err == nil {
+			err = decodeWorkUnit(payload, &u)
+		}
+		if err != nil {
+			close(stop)
 			wg.Wait()
 			sendMu.Lock()
 			wasCrash := crashed
@@ -146,7 +154,7 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 		go func(u WorkUnit) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			sendResult(runUnit(eng, u, cfg))
+			sendResult(runUnit(eng, u, cfg, stop))
 		}(u)
 	}
 }
@@ -158,7 +166,7 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 // cache (a -cache-dir survives restarts and may be shared or pre-seeded) is
 // served through the Lookup seam without executing anything and flagged as
 // a hit, so a warm cluster provably recomputes nothing.
-func runUnit(eng *sweep.Engine, u WorkUnit, cfg WorkerConfig) UnitResult {
+func runUnit(eng *sweep.Engine, u WorkUnit, cfg WorkerConfig, stop <-chan struct{}) UnitResult {
 	r := UnitResult{Epoch: u.Epoch, ID: u.ID, Key: u.Key}
 	if want := "run|" + u.Spec.Key(); u.Key != want {
 		r.Err = fmt.Sprintf("dist: unit %d key mismatch: coordinator sent %q, worker derives %q (version skew?)", u.ID, u.Key, want)
@@ -174,7 +182,12 @@ func runUnit(eng *sweep.Engine, u WorkUnit, cfg WorkerConfig) UnitResult {
 		}
 	}
 	if cfg.unitDelay > 0 {
-		time.Sleep(cfg.unitDelay)
+		select {
+		case <-time.After(cfg.unitDelay):
+		case <-stop:
+			r.Err = "dist: the connection ended while the unit was held"
+			return r
+		}
 	}
 	if cfg.Logf != nil {
 		cfg.Logf("dist: running unit %d: %s", u.ID, u.Key)

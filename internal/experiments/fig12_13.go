@@ -92,7 +92,7 @@ func fig12b(h *Harness) (*Output, error) {
 	}
 	qs := []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99}
 	// One reusable Empirical per column: res.SumQ/SumW/SumD are cached
-	// result slices (shared across figures and gob-serialized), so they must
+	// result slices (shared across figures and persisted), so they must
 	// never be sorted in place — Reset copies, and each column sorts once
 	// instead of once per quantile.
 	cols := [][]float64{res.SumQ, res.SumW, res.SumD}

@@ -15,14 +15,14 @@
 package metrics
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"time"
 
 	"pard/internal/stats"
+	"pard/internal/wire"
 )
 
 // Outcome classifies how a request's lifecycle ended.
@@ -80,8 +80,7 @@ func (r Record) Bad() bool { return r.Outcome != Good }
 // Not safe for concurrent use.
 type Tally struct{ n tallyCounts }
 
-// tallyCounts are a Tally's aggregates, their fields exported only so that
-// the Collector's wire form carries them whole.
+// tallyCounts are a Tally's aggregates.
 type tallyCounts struct {
 	Total, Good, Late, Dropped, Rejected int
 	GPUTotal, GPUWasted                  time.Duration
@@ -140,8 +139,7 @@ type Collector struct {
 	SLO      time.Duration
 	NModules int
 
-	// The rest stays unexported: gob puts even a GobEncoder's exported
-	// fields' types on the wire, and the disk cache's bytes are pinned.
+	// The rest is unexported: MarshalBinary carries it.
 	tally   Tally
 	buckets []bucket   // by send time, one per WindowBase up to End
 	digest  uint64     // every record, in order
@@ -192,8 +190,9 @@ func (c *Collector) Add(r Record) {
 	}
 }
 
-// collectorWire is the Collector's serialized form: the tally's counts, the
-// send-time buckets, the digest and the histogram's slots.
+// collectorWire is the Collector's wire form: the tally's counts, the
+// send-time buckets, the digest and the histogram's slots. A decoded one is
+// checked before it becomes a collector.
 type collectorWire struct {
 	SLO      time.Duration
 	NModules int
@@ -205,27 +204,47 @@ type collectorWire struct {
 	LatencyMax time.Duration
 }
 
-// GobEncode serializes the collector (sweep's on-disk run cache persists
-// whole simulation results).
-func (c *Collector) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(collectorWire{
+// AppendBinary appends the collector's wire form (collectorWire.append). It
+// never fails.
+func (c *Collector) AppendBinary(b []byte) ([]byte, error) {
+	w := collectorWire{
 		SLO: c.SLO, NModules: c.NModules, Tally: c.tally.n,
 		Buckets: c.buckets, Digest: c.digest,
 		Latency: c.lat.Counts(), LatencyMax: c.lat.Max(),
-	})
-	return buf.Bytes(), err
+	}
+	return w.append(b), nil
 }
 
-// GobDecode restores a serialized collector. The bytes come from a disk
-// cache or a peer, so a state Add cannot produce is an error, never a
-// collector that panics later.
-func (c *Collector) GobDecode(data []byte) error {
-	var w collectorWire
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w)
-	if err == nil {
-		err = w.check()
+// MarshalBinary returns AppendBinary's bytes. encoding/gob calls it too, so
+// a gob-encoded result carries the collector in this form.
+func (c *Collector) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
+
+// UnmarshalBinary restores a collector from exactly MarshalBinary's bytes.
+func (c *Collector) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	c.read(&r)
+	return r.Done("collector")
+}
+
+// ReadCollector decodes a collector from r, failing r on a state no run
+// produces.
+func ReadCollector(r *wire.Reader) *Collector {
+	c := new(Collector)
+	if c.read(r); r.Err() != nil {
+		return nil
 	}
+	return c
+}
+
+// read decodes into c. The bytes come from a disk cache or a peer, so a
+// state Add cannot produce fails r, never leaves a collector that panics
+// later.
+func (c *Collector) read(r *wire.Reader) {
+	var w collectorWire
+	if w.read(r); r.Err() != nil {
+		return
+	}
+	err := w.check()
 	if err == nil {
 		err = c.lat.Restore(w.Latency, w.LatencyMax)
 	}
@@ -233,11 +252,58 @@ func (c *Collector) GobDecode(data []byte) error {
 		err = fmt.Errorf("%d latencies for %d requests not dropped", c.lat.Count(), t.Total-t.Dropped)
 	}
 	if err != nil {
-		return fmt.Errorf("metrics: collector: %w", err)
+		r.Fail(fmt.Errorf("metrics: collector: %w", err))
+		return
 	}
 	c.SLO, c.NModules, c.tally = w.SLO, w.NModules, Tally{w.Tally}
 	c.buckets, c.digest = w.Buckets, w.Digest
-	return nil
+}
+
+// minBucket is a send-time bucket's smallest encoding: two varints.
+const minBucket = 2
+
+// append appends w in the codec of package wire:
+//
+//	SLO | NModules | Total | Good | Late | Dropped | Rejected | GPUTotal |
+//	GPUWasted | ModuleDrops | End | buckets (Arrived | Good) | Digest |
+//	Latency | LatencyMax
+func (w *collectorWire) append(b []byte) []byte {
+	t := &w.Tally
+	b = binary.AppendVarint(b, int64(w.SLO))
+	b = binary.AppendVarint(b, int64(w.NModules))
+	for _, v := range [...]int64{int64(t.Total), int64(t.Good), int64(t.Late), int64(t.Dropped), int64(t.Rejected), int64(t.GPUTotal), int64(t.GPUWasted)} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = wire.AppendInts(b, t.ModuleDrops)
+	b = binary.AppendVarint(b, int64(t.End))
+	b = binary.AppendUvarint(b, uint64(len(w.Buckets)))
+	for _, k := range w.Buckets {
+		b = binary.AppendVarint(b, int64(k.Arrived))
+		b = binary.AppendVarint(b, int64(k.Good))
+	}
+	b = binary.AppendUvarint(b, w.Digest)
+	b = wire.AppendUints(b, w.Latency)
+	return binary.AppendVarint(b, int64(w.LatencyMax))
+}
+
+// read decodes what append wrote, unchecked.
+func (w *collectorWire) read(r *wire.Reader) {
+	w.SLO, w.NModules = r.Dur(), wire.Integer[int](r)
+	t := &w.Tally
+	t.Total, t.Good, t.Late = wire.Integer[int](r), wire.Integer[int](r), wire.Integer[int](r)
+	t.Dropped, t.Rejected = wire.Integer[int](r), wire.Integer[int](r)
+	t.GPUTotal, t.GPUWasted = r.Dur(), r.Dur()
+	t.ModuleDrops = wire.Ints[int](r)
+	t.End = r.Dur()
+	if n := r.Count(minBucket); n > 0 {
+		w.Buckets = make([]bucket, n)
+		for i := range w.Buckets {
+			w.Buckets[i] = bucket{Arrived: wire.Integer[int](r), Good: wire.Integer[int](r)}
+		}
+	}
+	w.Digest = r.Uint()
+	w.Latency = r.Uints()
+	w.LatencyMax = r.Dur()
 }
 
 // check refuses what no sequence of Adds produces. Buckets must cover
@@ -263,6 +329,10 @@ func (w *collectorWire) check() error {
 			t.Good, t.Late, t.Dropped, t.Rejected, t.Total)
 	case !within(t.Dropped, t.ModuleDrops...):
 		return fmt.Errorf("per-module drops %v exceed %d drops", t.ModuleDrops, t.Dropped)
+	case len(w.Latency) > 0 && w.Latency[len(w.Latency)-1] == 0:
+		// Counts ends at the last slot in use; a zero after it would not
+		// encode again to the same bytes.
+		return fmt.Errorf("%d histogram slots end with an empty one", len(w.Latency))
 	}
 	arrived, good := t.Total, t.Good
 	for _, b := range w.Buckets {
@@ -480,6 +550,37 @@ func (s *Series) Add(at time.Duration, v float64) {
 
 // Len returns the sample count.
 func (s *Series) Len() int { return len(s.T) }
+
+// AppendSeries appends s behind a presence byte (0 for nil): Name | T | V.
+func AppendSeries(b []byte, s *Series) []byte {
+	if s == nil {
+		return append(b, 0)
+	}
+	b = wire.AppendStr(append(b, 1), s.Name)
+	b = wire.AppendInts(b, s.T)
+	return wire.AppendFloats(b, s.V)
+}
+
+// ReadSeries decodes what AppendSeries wrote. It refuses a series whose
+// timestamps and values differ in number, or whose timestamps are negative
+// or decrease: Bucketed indexes by them, and Add never records them.
+func ReadSeries(r *wire.Reader) *Series {
+	if !r.Bool() {
+		return nil
+	}
+	s := &Series{Name: r.Str(), T: wire.Ints[time.Duration](r)}
+	s.V = r.Floats(nil)
+	if len(s.V) != len(s.T) {
+		r.Fail(fmt.Errorf("series %q has %d timestamps for %d values", s.Name, len(s.T), len(s.V)))
+	}
+	for i, at := range s.T {
+		if at < 0 || i > 0 && at < s.T[i-1] {
+			r.Fail(fmt.Errorf("series %q: timestamp %d (%v) is negative or before the one ahead of it", s.Name, i, at))
+			break
+		}
+	}
+	return s
+}
 
 // Bucketed averages the series into consecutive buckets of the given width,
 // returning bucket starts and means. Empty buckets carry the previous mean

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pard/internal/stats"
+	"pard/internal/wire"
 )
 
 func mkCollector() *Collector { return NewCollector(500*time.Millisecond, 5) }
@@ -338,10 +339,11 @@ func TestPropertyRatesBounded(t *testing.T) {
 	}
 }
 
-// TestCollectorGobRoundTrip proves the collector survives the sweep disk
-// cache's gob serialization: its whole state — aggregates, buckets, digest,
-// histogram — and so every derived metric match after decode, and the
-// decoded collector encodes to the same bytes.
+// TestCollectorGobRoundTrip proves the collector survives its binary form
+// (MarshalBinary, which encoding/gob calls too, so a gob round trip is the
+// oracle here): its whole state — aggregates, buckets, digest, histogram —
+// and so every derived metric match after decode, and the decoded collector
+// encodes to the same bytes.
 func TestCollectorGobRoundTrip(t *testing.T) {
 	c := NewCollector(100*time.Millisecond, 3)
 	c.Add(Record{Send: 0, Done: 50 * time.Millisecond, Outcome: Good, DropModule: -1, GPUTime: 5 * time.Millisecond})
@@ -456,6 +458,30 @@ func TestTallyMatchesCollector(t *testing.T) {
 		}
 		if tally.End() != col.End() || arrived != len(recs) {
 			t.Fatalf("trial %d: end %v vs %v, %d requests in windows of %d", trial, tally.End(), col.End(), arrived, len(recs))
+		}
+	}
+}
+
+// TestSeriesCodec: a series, and a nil one, survive their wire form; one
+// whose timestamps and values differ in number, or whose timestamps are
+// negative or decrease — an index Bucketed would take — is refused.
+func TestSeriesCodec(t *testing.T) {
+	s := &Series{Name: "queue-delay", T: []time.Duration{0, 100 * time.Millisecond, 100 * time.Millisecond}, V: []float64{1, 2.5, 0}}
+	b := AppendSeries(AppendSeries(nil, s), nil)
+	r := wire.NewReader(b)
+	got, none := ReadSeries(&r), ReadSeries(&r)
+	if err := r.Done("series"); err != nil || !reflect.DeepEqual(got, s) || none != nil {
+		t.Fatalf("round trip: %+v, %+v, %v", got, none, err)
+	}
+	for name, bad := range map[string]*Series{
+		"counts differ": {Name: "x", T: []time.Duration{0, 1}, V: []float64{1}},
+		"negative":      {Name: "x", T: []time.Duration{-time.Second}, V: []float64{1}},
+		"decreasing":    {Name: "x", T: []time.Duration{2, 1}, V: []float64{1, 1}},
+	} {
+		r := wire.NewReader(AppendSeries(nil, bad))
+		ReadSeries(&r)
+		if r.Done("series") == nil {
+			t.Errorf("%s: a series with T %v and V %v decoded", name, bad.T, bad.V)
 		}
 	}
 }

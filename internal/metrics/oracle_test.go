@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"pard/internal/stats"
+	"pard/internal/wire"
 )
 
 // refCollector is the record-keeping collector, kept as the oracle for the
@@ -163,7 +163,7 @@ func TestCollectorDigest(t *testing.T) {
 		for _, r := range recs {
 			c.Add(r)
 		}
-		b, err := c.GobEncode()
+		b, err := c.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,13 +193,14 @@ func TestCollectorDecodeRefuses(t *testing.T) {
 	for _, rec := range randomRecords(rand.New(rand.NewSource(3)), 200, 5*time.Second) {
 		c.Add(rec)
 	}
-	good, err := c.GobEncode()
+	good, err := c.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var valid collectorWire
-	if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&valid); err != nil {
-		t.Fatal(err)
+	r := wire.NewReader(good)
+	if valid.read(&r); r.Done("collector") != nil {
+		t.Fatal(r.Done("collector"))
 	}
 	cases := []struct {
 		name, want string
@@ -221,6 +222,7 @@ func TestCollectorDecodeRefuses(t *testing.T) {
 		{"histogram short", "latencies for", func(w *collectorWire) { w.Latency[len(w.Latency)-1]-- }},
 		{"histogram max elsewhere", "max", func(w *collectorWire) { w.LatencyMax = 0 }},
 		{"histogram too wide", "slots", func(w *collectorWire) { w.Latency = make([]uint64, 1<<12) }},
+		{"histogram ends empty", "end with an empty one", func(w *collectorWire) { w.Latency = append(w.Latency, 0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,19 +231,15 @@ func TestCollectorDecodeRefuses(t *testing.T) {
 			w.Buckets = slices.Clone(valid.Buckets)
 			w.Latency = slices.Clone(valid.Latency)
 			tc.mutate(&w)
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-				t.Fatal(err)
-			}
 			var got Collector
-			err := got.GobDecode(buf.Bytes())
+			err := got.UnmarshalBinary(w.append(nil))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("decode error %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
 	var got Collector
-	if err := got.GobDecode(good); err != nil {
+	if err := got.UnmarshalBinary(good); err != nil {
 		t.Fatalf("the unmutated state is refused: %v", err)
 	}
 }

@@ -125,8 +125,8 @@ func runRecorded(cfg simgpu.Config) (*simRun, error) {
 }
 
 // runFlat executes one corpus case on one lane group and returns the result
-// plus its gob serialization (the byte-identity witness — the same encoding
-// the sweep disk cache persists).
+// plus its gob serialization (the byte-identity witness: gob walks every
+// field, and carries the collector in its binary form).
 func runFlat(t *testing.T, c diffCase, tr *trace.Trace) (*simRun, []byte) {
 	t.Helper()
 	res, err := runRecorded(c.config(tr))
@@ -160,20 +160,23 @@ func explainDivergence(t *testing.T, name string, groups int, base, got *simRun)
 
 // diffDigests pins the SHA-256 of each corpus case's gob-encoded result.
 // They were recorded before the shard pool was deleted, when 1, 2 and 8
-// shards agreed on every case; a change that moves one says why.
+// shards agreed on every case; a change that moves one says why. They were
+// re-pinned once since, when the collector's encoding left gob: the tree
+// before that change, with only the new collector encoder added, gives these
+// same digests, so the results themselves did not move.
 var diffDigests = map[string]string{
-	"tm-tweet-pard":            "454ec8fb91169792d7b98a509d532869ff3f546b0eccd5824a4bbf2b2b37b958",
-	"tm-steady-nexus-overload": "fdbc6a3a748a89613497b8068fa6aab52cb4c2c2a76e8176a4187dc8bcf2a8df",
-	"lv-tweet-pard-probes":     "4a10aef8d9a81e2457bf41e4066301b5e79989b7e32e8b6e245a1ae36b7f38ac",
-	"lv-azure-wcl":             "fd2cee364c97ee24b10237b013734e1f8771f0badf02060472267942d24cb69f",
-	"gm-azure-oc":              "2cad9386b3a9fc56afe92440ad4e32c45f309ca9692347f5830c917a85c44c34",
-	"gm-tweet-clipper":         "764e6bbe38346a6419ca3fdad0d05a35a2c2bcec20cb219b5ad6b147765ff7db",
-	"da-tweet-pard-probes":     "dbd1b6af29533e900d485358680cdd5e6291a7a4f0a3e3b8cbd21e75dba3dae9",
-	"da-steady-pard-failures":  "5229f8586bf27a5a0d19a72922a2842988a99c5b9ad7e962245229f9c39381ca",
-	"da-azure-nexus-fixed":     "3d8d530cd60b22d3aaa1c90a588b59c3b16bbce1306dc67f43f1dfc10678b29f",
-	"dadyn-tweet-pard":         "98fdde8f7a77c037a2d9688f4b882677f8420570df2000fa4c301d18bee4aa1f",
-	"dadyn-azure-lbf":          "133726b6607ede96a572091655a7832562ff7b90636811f05977a83537ff5237",
-	"wide-tweet-pard":          "610df641a428f56c72e2acc2c2fb3eaaefbacc856f9d1e8e35c9eb326ac1c052",
+	"tm-tweet-pard":            "9bea7100e55ace61b33033f41e8f37fda7274fea24debb8463b47e708edddbc5",
+	"tm-steady-nexus-overload": "688a415cc9094d2e6cde2de27423745a796514e71ddac533610af284ef225360",
+	"lv-tweet-pard-probes":     "71064632ce5a4942fdada4cd5460d6bb336a78b46d5a1838f04f452872d7a264",
+	"lv-azure-wcl":             "4adf6c60f8df393be21d509a5bc0807a4b9110fb8bc11f2ac9a622185c5a8eb1",
+	"gm-azure-oc":              "76312db3158d50f761f2d2220acda73ebdb64015df01a29821715171c211b2b6",
+	"gm-tweet-clipper":         "bbcf17184ca5d2ed351c9c1f622a84fbeae22dd46a3c48f57700e7d3bd19d6a5",
+	"da-tweet-pard-probes":     "0f1d4cd72df2b47d1cce06ff962dcd1d42ea6ca8f0ff731d2abf9e1775c2edd4",
+	"da-steady-pard-failures":  "260dcee3df2e341482bc8ad8a269e46d52963db106b80935db550d63f3c66d6b",
+	"da-azure-nexus-fixed":     "5a6b651cdc630701e7042dbe9c9f51eaea5a4ceef93652b86b30fbfba6a7c7c7",
+	"dadyn-tweet-pard":         "c7dcb0dc7345b2fed2dd735aca6b37b1cc74b6ee7d9372d5fdb443ad71b88a00",
+	"dadyn-azure-lbf":          "4df3971a11f5a496cf775170e6b5b197d43f0ebeb42869c365204bdc650f6ef3",
+	"wide-tweet-pard":          "5f49148dc231bc992d430a5d457ee8f9676a90ab253d26002d50566e8ee65d3c",
 }
 
 // TestShardedDifferential replays the corpus through the lane engine and

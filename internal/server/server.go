@@ -468,7 +468,7 @@ func (s *Server) ExecStats() *sched.ExecStats {
 }
 
 // statsDoc is the /stats document: the summary's fields with the executor's
-// beside them. (metrics.Summary itself is gob-encoded in the sweep cache.)
+// beside them.
 type statsDoc struct {
 	metrics.Summary
 	Executor *sched.ExecStats `json:"executor,omitempty"`

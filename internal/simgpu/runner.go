@@ -1,12 +1,16 @@
 package simgpu
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"pard/internal/core"
 	"pard/internal/metrics"
 	"pard/internal/sched"
+	"pard/internal/wire"
 )
 
 // Result is everything one simulation run produces.
@@ -39,6 +43,154 @@ type Result struct {
 	PrioritySwitches int
 	// SimEvents is the number of engine events dispatched.
 	SimEvents uint64
+}
+
+// A Result's wire form, shared by a sweep session's UnitResult and the sweep
+// engine's disk cache, in the codec of package wire:
+//
+//	Collector | PolicyName | Workload | TargetBatches | ProfiledDurs |
+//	PeakWorkers | QueueDelay | LoadFactor | ModeSeries | Consumed |
+//	Remaining | WaitSamples | SumQ | SumW | SumD | PrioritySwitches |
+//	SimEvents
+//
+// Summary does not travel: it is Collector.Summary(), recomputed on decode.
+
+// AppendResult appends r's wire form. r.Collector must be set.
+func AppendResult(b []byte, r *Result) []byte {
+	b, _ = r.Collector.AppendBinary(b) // never fails
+	b = wire.AppendStr(b, r.PolicyName)
+	b = wire.AppendStr(b, r.Workload)
+	b = wire.AppendInts(b, r.TargetBatches)
+	b = wire.AppendInts(b, r.ProfiledDurs)
+	b = wire.AppendInts(b, r.PeakWorkers)
+	b = appendSeriesList(b, r.QueueDelay)
+	b = metrics.AppendSeries(b, r.LoadFactor)
+	b = metrics.AppendSeries(b, r.ModeSeries)
+	b = appendSeriesList(b, r.Consumed)
+	b = appendSeriesList(b, r.Remaining)
+	b = binary.AppendUvarint(b, uint64(len(r.WaitSamples)))
+	for _, w := range r.WaitSamples {
+		b = wire.AppendFloats(b, w)
+	}
+	for _, col := range [...][]float64{r.SumQ, r.SumW, r.SumD} {
+		b = wire.AppendFloats(b, col)
+	}
+	b = binary.AppendVarint(b, int64(r.PrioritySwitches))
+	return binary.AppendUvarint(b, r.SimEvents)
+}
+
+func appendSeriesList(b []byte, list []*metrics.Series) []byte {
+	b = binary.AppendUvarint(b, uint64(len(list)))
+	for _, s := range list {
+		b = metrics.AppendSeries(b, s)
+	}
+	return b
+}
+
+// ReadResult decodes what AppendResult wrote, failing rd on a result whose
+// per-module slices do not fit its own collector (see Fits).
+func ReadResult(rd *wire.Reader) *Result {
+	r := &Result{Collector: metrics.ReadCollector(rd)}
+	r.PolicyName, r.Workload = rd.Str(), rd.Str()
+	r.TargetBatches = wire.Ints[int](rd)
+	r.ProfiledDurs = wire.Ints[time.Duration](rd)
+	r.PeakWorkers = wire.Ints[int](rd)
+	r.QueueDelay = readSeriesList(rd)
+	r.LoadFactor, r.ModeSeries = metrics.ReadSeries(rd), metrics.ReadSeries(rd)
+	r.Consumed, r.Remaining = readSeriesList(rd), readSeriesList(rd)
+	if n := rd.Count(1); n > 0 {
+		r.WaitSamples = make([][]float64, n)
+		for i := range r.WaitSamples {
+			r.WaitSamples[i] = rd.Floats(nil)
+		}
+	}
+	r.SumQ, r.SumW, r.SumD = rd.Floats(nil), rd.Floats(nil), rd.Floats(nil)
+	r.PrioritySwitches = wire.Integer[int](rd)
+	r.SimEvents = rd.Uint()
+	if rd.Err() != nil {
+		return nil
+	}
+	if err := r.shape(); err != nil {
+		rd.Fail(err)
+		return nil
+	}
+	r.Summary = r.Collector.Summary()
+	return r
+}
+
+func readSeriesList(rd *wire.Reader) []*metrics.Series {
+	n := rd.Count(1)
+	if n == 0 {
+		return nil
+	}
+	list := make([]*metrics.Series, n)
+	for i := range list {
+		list[i] = metrics.ReadSeries(rd)
+	}
+	return list
+}
+
+// Fits reports why r cannot be what a run of a pipeline of mods modules with
+// probes p returns, or nil. A sweep's consumers index the per-module slices
+// and read the series of each probe they enabled without looking, so a
+// result from elsewhere — a peer, a disk — is checked before it is served.
+func (r *Result) Fits(mods int, p ProbeConfig) error {
+	if r.Collector == nil {
+		return errors.New("simgpu: result has no collector")
+	}
+	if err := r.shape(); err != nil {
+		return err
+	}
+	if r.Collector.NModules != mods {
+		return fmt.Errorf("simgpu: result of %d modules for a pipeline of %d", r.Collector.NModules, mods)
+	}
+	perModule := func(on bool) int {
+		if on {
+			return mods
+		}
+		return 0
+	}
+	for _, probe := range [...]struct {
+		name string
+		on   bool
+		list []*metrics.Series
+	}{
+		{"queue-delay", p.QueueDelay, r.QueueDelay},
+		{"consumed-budget", p.Budget, r.Consumed},
+		{"remaining-budget", p.Budget, r.Remaining},
+	} {
+		if want := perModule(probe.on); len(probe.list) != want || slices.Contains(probe.list, nil) {
+			return fmt.Errorf("simgpu: result has %d %s series (nil among them: %t), want %d", len(probe.list), probe.name, slices.Contains(probe.list, nil), want)
+		}
+	}
+	if want := perModule(p.Decomposition); len(r.WaitSamples) != want {
+		return fmt.Errorf("simgpu: result has %d batch-wait sample sets, want %d", len(r.WaitSamples), want)
+	}
+	if lf, mode := r.LoadFactor, r.ModeSeries; (lf != nil) != p.LoadFactor || (mode != nil) != p.LoadFactor ||
+		lf != nil && mode != nil && lf.Len() != mode.Len() {
+		return fmt.Errorf("simgpu: result's load-factor and priority-mode series do not match its load-factor probe (%t)", p.LoadFactor)
+	}
+	return nil
+}
+
+// shape checks r against its own collector's module count: one target
+// batch, profiled duration and peak per module, none or one entry per module
+// in each probe list, and per-request decomposition columns of one length.
+func (r *Result) shape() error {
+	n := r.Collector.NModules
+	switch {
+	case len(r.TargetBatches) != n || len(r.ProfiledDurs) != n || len(r.PeakWorkers) != n:
+		return fmt.Errorf("simgpu: result has %d target batches, %d profiled durations and %d worker peaks for %d modules",
+			len(r.TargetBatches), len(r.ProfiledDurs), len(r.PeakWorkers), n)
+	case len(r.SumW) != len(r.SumQ) || len(r.SumD) != len(r.SumQ):
+		return fmt.Errorf("simgpu: result's per-request decomposition has %d, %d and %d entries", len(r.SumQ), len(r.SumW), len(r.SumD))
+	}
+	for _, k := range [...]int{len(r.QueueDelay), len(r.Consumed), len(r.Remaining), len(r.WaitSamples)} {
+		if k != 0 && k != n {
+			return fmt.Errorf("simgpu: result has a probe list of %d entries for %d modules", k, n)
+		}
+	}
+	return nil
 }
 
 // Runner executes one configuration: the shared scheduling core

@@ -1,17 +1,18 @@
 package sweep
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"pard/internal/simgpu"
 	"pard/internal/trace"
+	"pard/internal/wire"
 )
 
 // diskFormat versions the on-disk entry layout; bump it whenever the
@@ -33,27 +34,69 @@ import (
 // v4: metrics.Collector serializes fixed-size state — its tally, send-time
 // buckets, record digest and latency histogram — instead of one record per
 // request, and refuses on decode a state no run produces.
-const diskFormat = 4
+//
+// v5: entries left gob for the binary codec the cluster fabric speaks
+// (package wire): scope, key, and the value the key's prefix names, with no
+// type information. A v4 gob entry is under another scope, so it hashes to
+// another file name and never matches; one read anyway fails verification.
+const diskFormat = 5
 
-func init() {
-	// The cache stores entry values as `any`; register the concrete types
-	// the engine produces so gob can round-trip them.
-	gob.Register(&simgpu.Result{})
-	gob.Register(&trace.Trace{})
+// The key prefixes the disk cache persists, each fixing its value's type:
+// a run key holds a *simgpu.Result, a trace key a *trace.Trace. Other keys
+// (a RAG run, pard-sim's comparison) live in memory only.
+const (
+	runPrefix   = "run|"
+	tracePrefix = "trace|"
+)
+
+// appendEntry appends the persisted form of val under scope and key:
+//
+//	Scope | Key | value
+//
+// with the value in simgpu.AppendResult's or trace.AppendTrace's form. It
+// reports false for a value its key's prefix does not name.
+func appendEntry(b []byte, scope, key string, val any) ([]byte, bool) {
+	b = wire.AppendStr(wire.AppendStr(b, scope), key)
+	switch v := val.(type) {
+	case *simgpu.Result:
+		if strings.HasPrefix(key, runPrefix) && v != nil && v.Collector != nil {
+			return simgpu.AppendResult(b, v), true
+		}
+	case *trace.Trace:
+		if strings.HasPrefix(key, tracePrefix) && v != nil {
+			return trace.AppendTrace(b, v), true
+		}
+	}
+	return b, false
 }
 
-// encBufs pools the gob staging buffers for store: a warm grid writes one
-// multi-megabyte entry per point, and without pooling each write retires a
-// full-entry []byte to the garbage collector.
-var encBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// diskEntry is one persisted cache artifact. Scope and Key are stored in
-// full and verified on load, so a filename-hash collision can never serve
-// the wrong result.
-type diskEntry struct {
-	Scope string
-	Key   string
-	Val   any
+// decodeEntry decodes an entry read for key under scope. Scope and Key are
+// stored in full and must match, so a filename-hash collision can never
+// serve the wrong result, and the value must be what the key's prefix names.
+func decodeEntry(data []byte, scope, key string) (any, error) {
+	r := wire.NewReader(data)
+	gotScope, gotKey := r.Str(), r.Str()
+	if r.Err() == nil && (gotScope != scope || gotKey != key) {
+		return nil, fmt.Errorf("entry fails verification (scope %q, key %q)", gotScope, gotKey)
+	}
+	var v any
+	switch {
+	case strings.HasPrefix(key, runPrefix):
+		if res := simgpu.ReadResult(&r); res != nil {
+			v = res
+		}
+	case strings.HasPrefix(key, tracePrefix):
+		if tr := trace.ReadTrace(&r); tr != nil {
+			v = tr
+		}
+	}
+	if err := r.Done("disk entry"); err != nil {
+		return nil, err
+	}
+	if v == nil {
+		return nil, errors.New("entry holds no value its key names")
+	}
+	return v, nil
 }
 
 // diskCache persists finished artifacts (runs and traces) under their
@@ -93,7 +136,7 @@ func newDiskCache(dir string, baseSeed int64, scope string, logf func(string, ..
 func (d *diskCache) path(key string) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\x00%s", d.scope, key)
-	return filepath.Join(d.dir, fmt.Sprintf("%016x.gob", h.Sum64()))
+	return filepath.Join(d.dir, fmt.Sprintf("%016x.entry", h.Sum64()))
 }
 
 // load returns the cached value for key, if a valid entry exists. An entry
@@ -114,22 +157,17 @@ func (d *diskCache) load(key string) (any, bool) {
 		d.count(false)
 		return nil, false
 	}
-	var e diskEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		d.quarantine(path, info, fmt.Sprintf("undecodable entry: %v", err))
-		d.count(false)
-		return nil, false
-	}
-	if e.Scope != d.scope || e.Key != key || e.Val == nil {
-		// The filename hashes scope+key, so a well-formed entry that fails
-		// verification is a corruption (or a hash collision) — either way
-		// it can never serve this key again.
-		d.quarantine(path, info, fmt.Sprintf("entry fails verification (scope %q, key %q)", e.Scope, e.Key))
+	v, err := decodeEntry(data, d.scope, key)
+	if err != nil {
+		// The filename hashes scope+key, so an entry that fails is a
+		// corruption (or a hash collision) — either way it can never serve
+		// this key again.
+		d.quarantine(path, info, err.Error())
 		d.count(false)
 		return nil, false
 	}
 	d.count(true)
-	return e.Val, true
+	return v, true
 }
 
 // quarantine renames a corrupt entry aside (best-effort) so it reads as a
@@ -162,10 +200,8 @@ func (d *diskCache) quarantine(path string, seen os.FileInfo, reason string) {
 // crash at any point leaves either the old entry, no entry, or the complete
 // new entry — never truncated bytes under a valid name.
 func (d *diskCache) store(key string, val any) {
-	buf := encBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer encBufs.Put(buf)
-	if err := gob.NewEncoder(buf).Encode(diskEntry{Scope: d.scope, Key: key, Val: val}); err != nil {
+	entry, ok := appendEntry(nil, d.scope, key, val)
+	if !ok {
 		return
 	}
 	tmp, err := os.CreateTemp(d.dir, "entry-*.tmp")
@@ -173,7 +209,7 @@ func (d *diskCache) store(key string, val any) {
 		return
 	}
 	name := tmp.Name()
-	_, werr := tmp.Write(buf.Bytes())
+	_, werr := tmp.Write(entry)
 	serr := tmp.Sync()
 	cerr := tmp.Close()
 	if werr != nil || serr != nil || cerr != nil {

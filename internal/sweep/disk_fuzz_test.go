@@ -2,20 +2,22 @@ package sweep
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pard/internal/metrics"
 	"pard/internal/simgpu"
+	"pard/internal/trace"
+	"pard/internal/wire"
 )
 
 // goldenEntries returns the entries of pard-bench's disk cache golden: the
 // files one tiny run persisted, each as "== name len\n", its bytes, "\n".
 func goldenEntries(tb testing.TB) [][]byte {
-	blob, err := os.ReadFile(filepath.Join("..", "..", "cmd", "pard-bench", "testdata", "diskcache.gob.golden"))
+	blob, err := os.ReadFile(filepath.Join("..", "..", "cmd", "pard-bench", "testdata", "diskcache.golden"))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -38,20 +40,22 @@ func goldenEntries(tb testing.TB) [][]byte {
 
 // FuzzDiskEntry feeds the disk cache arbitrary bytes as the entry for a key.
 // load must never panic, and must end in a verified hit — a value stored
-// under this scope and key — or in a miss that quarantined the file. The
-// seeds are the golden's entries under their own keys, so mutations start
-// from a real result and a real trace.
+// under this scope and key, of the type the key's prefix names: a Result
+// with a collector under run|, a Trace under trace| — or in a miss that
+// quarantined the file. The seeds are the golden's entries under their own
+// keys, so mutations start from a real result and a real trace.
 func FuzzDiskEntry(f *testing.F) {
 	var scope string
 	for _, data := range goldenEntries(f) {
-		var e diskEntry
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
+		r := wire.NewReader(data)
+		scope = r.Str()
+		key := r.Str()
+		if _, err := decodeEntry(data, scope, key); err != nil {
 			f.Fatalf("golden entry does not decode: %v", err)
 		}
-		scope = e.Scope
-		f.Add(e.Key, data)
+		f.Add(key, data)
 	}
-	f.Add("run|k", []byte("not a gob"))
+	f.Add("run|k", []byte("not an entry"))
 
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
@@ -67,13 +71,20 @@ func FuzzDiskEntry(f *testing.F) {
 		v, hit := d.load(key)
 		_, err := os.Stat(path + ".corrupt")
 		quarantined := err == nil && d.quarantined == 1
-		if hit == quarantined || hit && v == nil {
+		if hit == quarantined {
 			t.Fatalf("hit %v (value %T), quarantined %v: want a verified hit or a quarantined miss", hit, v, quarantined)
 		}
-		if res, ok := v.(*simgpu.Result); ok && res.Collector != nil {
+		if !hit {
+			return
+		}
+		switch v := v.(type) {
+		case *simgpu.Result:
+			if !strings.HasPrefix(key, runPrefix) || v == nil || v.Collector == nil {
+				t.Fatalf("key %q served a result %+v", key, v)
+			}
 			// A served collector must survive what its readers call, and
 			// its window series must be no longer than the entry.
-			c := res.Collector
+			c := v.Collector
 			c.Summary()
 			c.LatencyQuantiles(0.5, 0.99, 1)
 			c.MaxDropRate(metrics.WindowBase)
@@ -81,6 +92,16 @@ func FuzzDiskEntry(f *testing.F) {
 			if ts, _ := c.GoodputSeries(metrics.WindowBase); len(ts) > len(data) {
 				t.Fatalf("%d windows from a %d-byte entry", len(ts), len(data))
 			}
+		case *trace.Trace:
+			if !strings.HasPrefix(key, tracePrefix) || v == nil {
+				t.Fatalf("key %q served a trace %+v", key, v)
+			}
+		default:
+			t.Fatalf("key %q served a %T", key, v)
+		}
+		// What decodes re-encodes to the identical bytes.
+		if again, ok := appendEntry(nil, scope, key, v); !ok || !bytes.Equal(again, data) {
+			t.Fatalf("entry decodes but re-encodes differently:\n in  %x\n out %x", data, again)
 		}
 	})
 }

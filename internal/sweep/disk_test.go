@@ -17,6 +17,7 @@ import (
 	"pard/internal/metrics"
 	"pard/internal/simgpu"
 	"pard/internal/trace"
+	"pard/internal/wire"
 )
 
 func diskEngine(t *testing.T, dir string, seed int64) *Engine {
@@ -51,7 +52,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if hits, misses := e1.DiskStats(); hits != 0 || misses == 0 {
 		t.Fatalf("cold run: hits=%d misses=%d", hits, misses)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gob"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*.entry"))
 	if len(files) == 0 {
 		t.Fatal("cold run persisted nothing")
 	}
@@ -104,9 +105,9 @@ func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gob"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*.entry"))
 	for _, f := range files {
-		if err := os.WriteFile(f, []byte("not a gob"), 0o644); err != nil {
+		if err := os.WriteFile(f, []byte("not an entry"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +168,7 @@ func TestDiskCacheQuarantinesCorruptEntries(t *testing.T) {
 	}
 	want := encode(r1)
 
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gob"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*.entry"))
 	if len(files) < 2 {
 		t.Fatalf("expected run + trace entries, found %v", files)
 	}
@@ -262,5 +263,100 @@ func TestDiskCacheQuarantinesHostileCollector(t *testing.T) {
 		if _, err := os.Stat(d.path("run|hostile") + ".corrupt"); err != nil || d.quarantined != 1 {
 			t.Fatalf("collector %+v: not quarantined (%d quarantined, %v)", col, d.quarantined, err)
 		}
+	}
+}
+
+// TestDiskEntryHoldsWhatItsKeyNames: an entry under a run key must hold a
+// result with a collector. A run key holding a trace once panicked Run's
+// type assertion, and a result with no collector was served as a hit to a
+// reader that dereferenced it. Both are quarantined misses now, the run is
+// recomputed, and store refuses to write a value its key does not name.
+func TestDiskEntryHoldsWhatItsKeyNames(t *testing.T) {
+	want, err := New(Config{Workers: 1, BaseSeed: 1, TraceDuration: 30 * time.Second}).Run(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := want.Collector.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{Name: "steady", Arrivals: []time.Duration{0, time.Millisecond}, Duration: time.Second}
+	key := runPrefix + smokeSpec().Key()
+	for name, value := range map[string][]byte{
+		"a trace":                    trace.AppendTrace(nil, tr),
+		"a result with no collector": simgpu.AppendResult(nil, want)[len(col):],
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := diskEngine(t, t.TempDir(), 1)
+			e.disk.store(key, tr)
+			if _, err := os.Stat(e.disk.path(key)); !os.IsNotExist(err) {
+				t.Fatalf("a trace was stored under a run key (stat: %v)", err)
+			}
+			entry := append(wire.AppendStr(wire.AppendStr(nil, e.disk.scope), key), value...)
+			if err := os.WriteFile(e.disk.path(key), entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Run(smokeSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits, _ := e.DiskStats(); hits != 0 {
+				t.Fatalf("%d disk hits on an entry holding %s", hits, name)
+			}
+			if _, err := os.Stat(e.disk.path(key) + ".corrupt"); err != nil {
+				t.Fatalf("the entry was not quarantined: %v", err)
+			}
+			if !reflect.DeepEqual(got.Summary, want.Summary) {
+				t.Fatalf("recomputed summary %+v, want %+v", got.Summary, want.Summary)
+			}
+		})
+	}
+}
+
+// TestDiskFormat4EntryIsAMiss: an entry as format 4 wrote it — gob, under a
+// v4 scope and a .gob name — is never served. Under its own name it is never
+// read; its bytes under this format's name fail verification and are
+// quarantined, and the run is recomputed.
+func TestDiskFormat4EntryIsAMiss(t *testing.T) {
+	want, err := New(Config{Workers: 1, BaseSeed: 1, TraceDuration: 30 * time.Second}).Run(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type v4Entry struct {
+		Scope string
+		Key   string
+		Val   any
+	}
+	gob.Register(&simgpu.Result{})
+	dir := t.TempDir()
+	e := diskEngine(t, dir, 1)
+	key := runPrefix + smokeSpec().Key()
+	scope := strings.Replace(e.disk.scope, fmt.Sprintf("v%d|", diskFormat), "v4|", 1)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v4Entry{Scope: scope, Key: key, Val: want}); err != nil {
+		t.Fatal(err)
+	}
+	v4 := &diskCache{dir: dir, scope: scope}
+	v4Path := strings.TrimSuffix(v4.path(key), ".entry") + ".gob"
+	for _, path := range []string{v4Path, e.disk.path(key)} {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := e.Run(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := e.DiskStats(); hits != 0 {
+		t.Fatalf("%d disk hits on format 4 entries", hits)
+	}
+	if _, err := os.Stat(e.disk.path(key) + ".corrupt"); err != nil {
+		t.Fatalf("the v4 bytes under this format's name were not quarantined: %v", err)
+	}
+	if _, err := os.Stat(v4Path); err != nil {
+		t.Fatalf("the v4 entry under its own name was touched: %v", err)
+	}
+	if !reflect.DeepEqual(got.Summary, want.Summary) {
+		t.Fatalf("recomputed summary %+v, want %+v", got.Summary, want.Summary)
 	}
 }

@@ -91,12 +91,23 @@ func (s Spec) pipelineSpec() (*pipeline.Spec, error) {
 	return nil, fmt.Errorf("sweep: unknown app %q", s.App)
 }
 
+// Fits reports why r cannot be the result of a run of s, or nil: its
+// pipeline's module count and the probes s enables fix the shape of what a
+// sweep's consumers index without looking (see simgpu.Result.Fits).
+func (s Spec) Fits(r *simgpu.Result) error {
+	spec, err := s.pipelineSpec()
+	if err != nil {
+		return err
+	}
+	return r.Fits(len(spec.Modules), s.Opts.Probes)
+}
+
 // Trace returns (and caches) the synthesized trace for a workload kind at
 // the engine's trace duration. The trace seed is derived from the base
 // seed plus the trace's own key, so each workload kind gets an independent
 // arrival process and regeneration is order-independent.
 func (e *Engine) Trace(kind trace.Kind) (*trace.Trace, error) {
-	key := fmt.Sprintf("trace|%s|%v", kind, e.cfg.TraceDuration)
+	key := fmt.Sprintf(tracePrefix+"%s|%v", kind, e.cfg.TraceDuration)
 	v, err := e.Do(key, func(seed int64) (any, error) {
 		return trace.Generate(trace.Config{
 			Kind:     kind,
@@ -115,7 +126,7 @@ func (e *Engine) steadyTrace(rate float64, dur time.Duration) (*trace.Trace, err
 	if dur <= 0 {
 		dur = e.cfg.TraceDuration / 2
 	}
-	key := fmt.Sprintf("trace|steady|r=%v|%v", rate, dur)
+	key := fmt.Sprintf(tracePrefix+"steady|r=%v|%v", rate, dur)
 	v, err := e.Do(key, func(seed int64) (any, error) {
 		return trace.Generate(trace.Config{
 			Kind:     trace.Steady,
@@ -133,7 +144,7 @@ func (e *Engine) steadyTrace(rate float64, dur time.Duration) (*trace.Trace, err
 // Run executes (or retrieves from cache) one simulation. Concurrent calls
 // with equal specs share a single execution.
 func (e *Engine) Run(s Spec) (*simgpu.Result, error) {
-	v, err := e.Do("run|"+s.Key(), func(seed int64) (any, error) {
+	v, err := e.Do(runPrefix+s.Key(), func(seed int64) (any, error) {
 		return e.exec(s, seed)
 	})
 	if err != nil {
@@ -218,7 +229,7 @@ func (e *Engine) SweepCtx(ctx context.Context, specs []Spec) ([]*simgpu.Result, 
 	for i, s := range specs {
 		s := s
 		jobs[i] = Job[*simgpu.Result]{
-			Key: "run|" + s.Key(),
+			Key: runPrefix + s.Key(),
 			Run: func(seed int64) (*simgpu.Result, error) { return e.exec(s, seed) },
 		}
 	}

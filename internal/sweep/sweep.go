@@ -71,8 +71,8 @@ type Config struct {
 	Library *profile.Library
 	// OnProgress, when set, is invoked (serially) after each job finishes.
 	OnProgress func(Progress)
-	// CacheDir, when set, persists finished artifacts to disk (gob entries
-	// keyed by the stable cache keys, scoped by base seed and trace
+	// CacheDir, when set, persists finished runs and traces to disk (binary
+	// entries keyed by the stable cache keys, scoped by base seed and trace
 	// duration) so repeated invocations reuse finished grid points across
 	// processes. Disk hits fill the in-memory cache without counting as
 	// executed work.

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -21,6 +22,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"pard/internal/wire"
 )
 
 // Kind names a built-in synthetic workload shape.
@@ -47,6 +50,25 @@ type Trace struct {
 
 // Len returns the number of arrivals.
 func (tr *Trace) Len() int { return len(tr.Arrivals) }
+
+// AppendTrace appends tr behind a presence byte (0 for nil): Name |
+// Arrivals | Duration, in the codec of package wire.
+func AppendTrace(b []byte, tr *Trace) []byte {
+	if tr == nil {
+		return append(b, 0)
+	}
+	b = wire.AppendStr(append(b, 1), tr.Name)
+	b = wire.AppendInts(b, tr.Arrivals)
+	return binary.AppendVarint(b, int64(tr.Duration))
+}
+
+// ReadTrace decodes what AppendTrace wrote.
+func ReadTrace(r *wire.Reader) *Trace {
+	if !r.Bool() {
+		return nil
+	}
+	return &Trace{Name: r.Str(), Arrivals: wire.Ints[time.Duration](r), Duration: r.Dur()}
+}
 
 // MeanRate returns the average request rate over the trace duration.
 func (tr *Trace) MeanRate() float64 {
