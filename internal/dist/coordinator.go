@@ -332,11 +332,9 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []sweep.Spec) ([]*simgpu.
 	results := make(map[int]*simgpu.Result, len(units))
 	var pending []int
 	for id := range units {
-		if v, ok := c.cfg.Engine.Lookup(units[id].Key); ok {
-			if r, isRun := v.(*simgpu.Result); isRun {
-				results[id] = r
-				continue
-			}
+		if r, ok := c.cfg.Engine.Lookup(units[id].Spec); ok {
+			results[id] = r
+			continue
 		}
 		pending = append(pending, id)
 	}

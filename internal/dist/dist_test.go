@@ -271,8 +271,7 @@ func TestStaleEpochResultDropped(t *testing.T) {
 	if st := c.Stats(); st.Completed != 0 {
 		t.Fatalf("stale result was merged: %+v", st)
 	}
-	key := "run|" + tinyGrid()[0].Key()
-	if _, ok := eng.Lookup(key); ok {
+	if _, ok := eng.Lookup(tinyGrid()[0]); ok {
 		t.Fatal("stale result reached the cache")
 	}
 }
@@ -338,7 +337,7 @@ func TestEchoedKeyMismatchFailsUnit(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "echoed key") {
 		t.Fatalf("err = %v, want an echoed-key integrity failure", err)
 	}
-	if _, ok := c.cfg.Engine.Lookup("run|" + tinyGrid()[0].Key()); ok {
+	if _, ok := c.cfg.Engine.Lookup(tinyGrid()[0]); ok {
 		t.Fatal("tampered result reached the cache")
 	}
 }
@@ -394,7 +393,7 @@ func TestHostileCollectorIsSessionError(t *testing.T) {
 		if st := c.Stats(); st.Completed != 0 || st.WorkersLost != 1 {
 			t.Fatalf("%s: stats %+v, want nothing completed and the worker lost", name, st)
 		}
-		if _, ok := c.cfg.Engine.Lookup("run|" + tinyGrid()[0].Key()); ok {
+		if _, ok := c.cfg.Engine.Lookup(tinyGrid()[0]); ok {
 			t.Fatalf("%s: hostile result reached the cache", name)
 		}
 	}
@@ -460,7 +459,7 @@ func TestMisfitResultFailsUnit(t *testing.T) {
 				!strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want a unit failure naming worker 1 and %q", err, tc.want)
 			}
-			if _, ok := c.cfg.Engine.Lookup("run|" + tc.spec.Key()); ok {
+			if _, ok := c.cfg.Engine.Lookup(tc.spec); ok {
 				t.Fatal("the misfit result reached the cache")
 			}
 			if st := c.Stats(); st.WorkersLost != 0 {
@@ -724,7 +723,7 @@ func TestLateDuplicateAfterFailureDropped(t *testing.T) {
 	if st := c.Stats(); st.Completed != 1 || st.Duplicated != 1 {
 		t.Fatalf("Completed = %d, Duplicated = %d, want 1 and 1 (late duplicate must not count): %+v", st.Completed, st.Duplicated, st)
 	}
-	if _, ok := c.cfg.Engine.Lookup("run|" + grid[0].Key()); ok {
+	if _, ok := c.cfg.Engine.Lookup(grid[0]); ok {
 		t.Fatal("late duplicate success reached the cache")
 	}
 	mu.Lock()

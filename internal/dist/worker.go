@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pard/internal/profile"
-	"pard/internal/simgpu"
 	"pard/internal/sweep"
 )
 
@@ -172,14 +171,12 @@ func runUnit(eng *sweep.Engine, u WorkUnit, cfg WorkerConfig, stop <-chan struct
 		r.Err = fmt.Sprintf("dist: unit %d key mismatch: coordinator sent %q, worker derives %q (version skew?)", u.ID, u.Key, want)
 		return r
 	}
-	if v, ok := eng.Lookup(u.Key); ok {
-		if res, isRun := v.(*simgpu.Result); isRun {
-			if cfg.Logf != nil {
-				cfg.Logf("dist: unit %d warm in worker cache: %s", u.ID, u.Key)
-			}
-			r.Result, r.CacheHit = res, true
-			return r
+	if res, ok := eng.Lookup(u.Spec); ok {
+		if cfg.Logf != nil {
+			cfg.Logf("dist: unit %d warm in worker cache: %s", u.ID, u.Key)
 		}
+		r.Result, r.CacheHit = res, true
+		return r
 	}
 	if cfg.unitDelay > 0 {
 		select {

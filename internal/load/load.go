@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pard/internal/sched"
 	"pard/internal/server"
 	"pard/internal/stats"
 	"pard/internal/trace"
@@ -304,10 +305,13 @@ func Run(cfg Config) (*Report, error) {
 // (counted, not sent) — the open-loop analogue of a full accept queue.
 func (r *run) runOpen() {
 	var wg sync.WaitGroup
+	pace := time.NewTimer(0) // a stale tick only makes SleepUntil look again
+	defer pace.Stop()
 	for _, at := range r.cfg.Trace.Arrivals {
-		if sleep := at - time.Since(r.start); sleep > 0 {
-			time.Sleep(sleep)
-		}
+		// The server's drainer waits the same way: time.Sleep would rest on
+		// the netpoller's whole milliseconds and book its oversleep as
+		// server latency, since latency runs from the due instant.
+		sched.SleepUntil(pace, r.start.Add(at), nil)
 		if time.Since(r.start)-at > lateDispatchSlack {
 			r.lateDispatch.Add(1)
 		}

@@ -62,16 +62,18 @@ func fnEvent(fn func(now time.Duration)) laneEvent { return laneEvent{h: funcHan
 // TimerExecutor is the live server's executor: one (at, seq) event queue
 // paced by the wall clock. A single goroutine pops events in queue order,
 // waits until the wall clock has reached the event's due instant, and fires
-// the callback with that due instant. An event never fires early, and however
-// late the host wakes the drainer — Go's netpoller sleeps in whole
-// milliseconds, so a sub-millisecond timer in an idle process fires ≈0.8 ms
-// late — the lag stays out of the model's clock: the next batch is scheduled
-// from the due instant, so lag neither compounds per stage nor leaks into the
-// policy's windows. Now is the wall clock, for callers outside callbacks.
+// the callback with that due instant. The wait is SleepUntil's: on Linux, Go's
+// netpoller sleeps in whole milliseconds, so a runtime timer only brings the
+// drainer to within fineWindow of the instant and the kernel sleeps the rest
+// in slices short enough to see a wake between them; an idle drainer then
+// fires a 0.3 ms timer tens of microseconds late, not ≈ 0.8 ms. An event
+// never fires early, and however late the host wakes the drainer, the lag
+// stays out of the model's clock: the next batch is scheduled from the due
+// instant, so lag neither compounds per stage nor leaks into the policy's
+// windows. Now is the wall clock, for callers outside callbacks.
 type TimerExecutor struct {
 	start time.Time
-	wake  chan struct{} // 1-slot: Schedule inserted ahead of parked
-	stop  chan struct{} // closed by Stop
+	wake  chan struct{} // 1-slot: Schedule inserted ahead of parked, or Stop
 	done  chan struct{} // closed when the drainer exits
 
 	mu      sync.Mutex // guards everything below
@@ -103,7 +105,6 @@ func NewTimerExecutor() *TimerExecutor {
 	return &TimerExecutor{
 		start: time.Now(),
 		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
 }
@@ -149,7 +150,7 @@ func (x *TimerExecutor) scheduleLaneEvent(_, _ int, at time.Duration, ev laneEve
 // next event is, a Schedule cuts ahead of it, or Stop.
 func (x *TimerExecutor) drain() {
 	defer close(x.done)
-	timer := time.NewTimer(0) // a stale tick only makes the loop look again
+	timer := time.NewTimer(0) // a stale tick only makes SleepUntil look again
 	defer timer.Stop()
 	for {
 		x.mu.Lock()
@@ -171,18 +172,15 @@ func (x *TimerExecutor) drain() {
 			ev.fire(at)
 			continue
 		}
-		x.parked = math.MaxInt64
-		if ok {
-			x.parked = at
-			timer.Reset(at - wall)
+		if !ok {
+			x.parked = math.MaxInt64
+			x.mu.Unlock()
+			<-x.wake
+			continue
 		}
+		x.parked = at
 		x.mu.Unlock()
-		select {
-		case <-timer.C:
-		case <-x.wake:
-		case <-x.stop:
-			return
-		}
+		SleepUntil(timer, x.start.Add(at), x.wake)
 	}
 }
 
@@ -200,11 +198,12 @@ func (x *TimerExecutor) Stats() ExecStats {
 // after any in-flight callback ends. After Stop, Schedule is a no-op.
 func (x *TimerExecutor) Stop() {
 	x.mu.Lock()
-	first, started := !x.stopped, x.started
 	x.stopped = true
+	started := x.started
 	x.mu.Unlock()
-	if first {
-		close(x.stop)
+	select { // a wake the drainer has yet to take serves as well
+	case x.wake <- struct{}{}:
+	default:
 	}
 	if started {
 		<-x.done

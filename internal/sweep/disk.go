@@ -140,10 +140,10 @@ func (d *diskCache) path(key string) string {
 }
 
 // load returns the cached value for key, if a valid entry exists. An entry
-// that exists but cannot be decoded or verified is quarantined so the next
-// lookup (and every other process sharing the directory) stops paying to
-// re-read it.
-func (d *diskCache) load(key string) (any, bool) {
+// that exists but cannot be decoded or verified, or a run that does not fit
+// spec (the run key's, when not nil), is quarantined so the next lookup (and
+// every other process sharing the directory) stops paying to re-read it.
+func (d *diskCache) load(key string, spec *Spec) (any, bool) {
 	path := d.path(key)
 	f, err := os.Open(path)
 	if err != nil {
@@ -158,6 +158,9 @@ func (d *diskCache) load(key string) (any, bool) {
 		return nil, false
 	}
 	v, err := decodeEntry(data, d.scope, key)
+	if err == nil && spec != nil {
+		err = spec.Fits(v.(*simgpu.Result)) // a run key decodes to a result
+	}
 	if err != nil {
 		// The filename hashes scope+key, so an entry that fails is a
 		// corruption (or a hash collision) — either way it can never serve

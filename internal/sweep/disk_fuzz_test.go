@@ -68,7 +68,7 @@ func FuzzDiskEntry(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		v, hit := d.load(key)
+		v, hit := d.load(key, nil)
 		_, err := os.Stat(path + ".corrupt")
 		quarantined := err == nil && d.quarantined == 1
 		if hit == quarantined {

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"pard/internal/metrics"
+	"pard/internal/pipeline"
 	"pard/internal/simgpu"
 	"pard/internal/trace"
 	"pard/internal/wire"
@@ -257,7 +259,7 @@ func TestDiskCacheQuarantinesHostileCollector(t *testing.T) {
 		if _, err := os.Stat(d.path("run|hostile")); err != nil {
 			t.Fatalf("collector %+v: entry not stored: %v", col, err)
 		}
-		if v, ok := d.load("run|hostile"); ok {
+		if v, ok := d.load("run|hostile", nil); ok {
 			t.Fatalf("collector %+v: served %+v", col, v)
 		}
 		if _, err := os.Stat(d.path("run|hostile") + ".corrupt"); err != nil || d.quarantined != 1 {
@@ -308,6 +310,61 @@ func TestDiskEntryHoldsWhatItsKeyNames(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Summary, want.Summary) {
 				t.Fatalf("recomputed summary %+v, want %+v", got.Summary, want.Summary)
+			}
+		})
+	}
+}
+
+// TestDiskCacheMisfitIsAMiss: a well-formed run entry holding another
+// pipeline's result — 9 modules under tm's 3-module key — decodes, but the
+// experiments would index its per-module slices as tm's. Run, SweepCtx and
+// Lookup each check a disk hit against its spec, as a worker's result is
+// checked: the entry is quarantined and the run recomputed.
+func TestDiskCacheMisfitIsAMiss(t *testing.T) {
+	want, err := New(Config{Workers: 1, BaseSeed: 1, TraceDuration: 30 * time.Second}).Run(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nine := Spec{Pipeline: pipeline.Uniform("nine", 9, "objdet", 400*time.Millisecond), Kind: trace.Steady, Policy: "pard"}
+	misfit, err := New(Config{Workers: 1, BaseSeed: 1, TraceDuration: 30 * time.Second}).Run(nine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if smokeSpec().Fits(misfit) == nil {
+		t.Fatal("a 9-module result fits tm")
+	}
+	key := runPrefix + smokeSpec().Key()
+	for name, serve := range map[string]func(e *Engine) (*simgpu.Result, error){
+		"Run": func(e *Engine) (*simgpu.Result, error) { return e.Run(smokeSpec()) },
+		"SweepCtx": func(e *Engine) (*simgpu.Result, error) {
+			rs, err := e.SweepCtx(context.Background(), []Spec{smokeSpec()})
+			if err != nil {
+				return nil, err
+			}
+			return rs[0], nil
+		},
+		"Lookup": func(e *Engine) (*simgpu.Result, error) {
+			if r, ok := e.Lookup(smokeSpec()); ok {
+				return r, nil
+			}
+			return e.Run(smokeSpec())
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := diskEngine(t, t.TempDir(), 1)
+			e.disk.store(key, misfit)
+			got, err := serve(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits, _ := e.DiskStats(); hits != 0 {
+				t.Fatalf("%d disk hits on a 9-module entry under tm's key", hits)
+			}
+			if _, err := os.Stat(e.disk.path(key) + ".corrupt"); err != nil {
+				t.Fatalf("the entry was not quarantined: %v", err)
+			}
+			if err := smokeSpec().Fits(got); err != nil || !reflect.DeepEqual(got.Summary, want.Summary) {
+				t.Fatalf("recomputed summary %+v (fit: %v), want %+v", got.Summary, err, want.Summary)
 			}
 		})
 	}

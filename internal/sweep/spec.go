@@ -144,13 +144,28 @@ func (e *Engine) steadyTrace(rate float64, dur time.Duration) (*trace.Trace, err
 // Run executes (or retrieves from cache) one simulation. Concurrent calls
 // with equal specs share a single execution.
 func (e *Engine) Run(s Spec) (*simgpu.Result, error) {
-	v, err := e.Do(runPrefix+s.Key(), func(seed int64) (any, error) {
+	v, err := e.do(runPrefix+s.Key(), &s, func(seed int64) (any, error) {
 		return e.exec(s, seed)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*simgpu.Result), nil
+}
+
+// Lookup returns the finished run of s without computing anything: a
+// completed in-memory entry, else a disk hit that fits s (which then fills
+// the in-memory cache; one that does not is quarantined). In-flight
+// computations and cached errors report a miss. Together with Install it
+// forms the cache injection seam a distributed coordinator merges remote
+// results through.
+func (e *Engine) Lookup(s Spec) (*simgpu.Result, bool) {
+	v, ok := e.lookup(runPrefix+s.Key(), &s)
+	if !ok {
+		return nil, false
+	}
+	r, ok := v.(*simgpu.Result)
+	return r, ok
 }
 
 // exec materializes and runs one spec with its derived seed.
@@ -229,8 +244,9 @@ func (e *Engine) SweepCtx(ctx context.Context, specs []Spec) ([]*simgpu.Result, 
 	for i, s := range specs {
 		s := s
 		jobs[i] = Job[*simgpu.Result]{
-			Key: runPrefix + s.Key(),
-			Run: func(seed int64) (*simgpu.Result, error) { return e.exec(s, seed) },
+			Key:  runPrefix + s.Key(),
+			Run:  func(seed int64) (*simgpu.Result, error) { return e.exec(s, seed) },
+			spec: &s,
 		}
 	}
 	return AllCtx(ctx, e, jobs)

@@ -179,12 +179,8 @@ func (e *Engine) peek(key string) (*flight, bool) {
 	return f, ok
 }
 
-// Lookup returns the finished cached value for key without computing
-// anything: a completed in-memory entry, else a disk hit (which then fills
-// the in-memory cache). In-flight computations and cached errors report a
-// miss. Together with Install it forms the cache injection seam a
-// distributed coordinator merges remote results through.
-func (e *Engine) Lookup(key string) (any, bool) {
+// lookup is Lookup for any key; spec vets a run's disk hit (see do).
+func (e *Engine) lookup(key string, spec *Spec) (any, bool) {
 	e.mu.Lock()
 	f, ok := e.cache[key]
 	e.mu.Unlock()
@@ -202,7 +198,7 @@ func (e *Engine) Lookup(key string) (any, bool) {
 	if e.disk == nil {
 		return nil, false
 	}
-	v, ok := e.disk.load(key)
+	v, ok := e.disk.load(key, spec)
 	if !ok {
 		return nil, false
 	}
@@ -249,6 +245,14 @@ func (e *Engine) Install(key string, val any) {
 // fn receives the seed derived from the key; concurrent callers with the
 // same key share a single execution and its result (errors included).
 func (e *Engine) Do(key string, fn func(seed int64) (any, error)) (any, error) {
+	return e.do(key, nil, fn)
+}
+
+// do is Do with spec, when not nil, the run key's spec: a disk hit that does
+// not fit it is quarantined and the run recomputed. The key names the spec
+// only as a string, so a well-formed entry for another pipeline's shape is
+// caught here, not in the decoder.
+func (e *Engine) do(key string, spec *Spec, fn func(seed int64) (any, error)) (any, error) {
 	e.mu.Lock()
 	if f, ok := e.cache[key]; ok {
 		e.mu.Unlock()
@@ -259,7 +263,7 @@ func (e *Engine) Do(key string, fn func(seed int64) (any, error)) (any, error) {
 	e.cache[key] = f
 	e.mu.Unlock()
 	if e.disk != nil {
-		if v, ok := e.disk.load(key); ok {
+		if v, ok := e.disk.load(key, spec); ok {
 			// A disk hit is not work: it fills the in-memory cache without
 			// counting toward progress, like any other cache hit.
 			f.val = v
@@ -285,6 +289,8 @@ func (e *Engine) Do(key string, fn func(seed int64) (any, error)) (any, error) {
 type Job[T any] struct {
 	Key string
 	Run func(seed int64) (T, error)
+
+	spec *Spec // a run's, to vet a disk hit against (see Engine.do)
 }
 
 // All executes jobs on the engine's bounded pool and returns their values
@@ -348,7 +354,7 @@ func AllCtx[T any](ctx context.Context, e *Engine, jobs []Job[T]) ([]T, error) {
 					errs[i] = cerr
 					return
 				}
-				v, err = e.Do(j.Key, func(seed int64) (any, error) { return j.Run(seed) })
+				v, err = e.do(j.Key, j.spec, func(seed int64) (any, error) { return j.Run(seed) })
 				if err != nil {
 					// Cancel before releasing the slot: waiters observe the
 					// cancellation no later than the slot becoming free.

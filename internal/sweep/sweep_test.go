@@ -361,16 +361,16 @@ func TestLookupInstall(t *testing.T) {
 	if err := e.DiskError(); err != nil {
 		t.Fatal(err)
 	}
-	key := "run|" + Spec{App: "tm", Kind: trace.Steady, Policy: "pard"}.Key()
-	if _, ok := e.Lookup(key); ok {
+	spec := Spec{App: "tm", Kind: trace.Steady, Policy: "pard"}
+	key := runPrefix + spec.Key()
+	if _, ok := e.Lookup(spec); ok {
 		t.Fatal("Lookup hit on an empty cache")
 	}
-	res, err := e.Run(Spec{App: "tm", Kind: trace.Steady, Policy: "pard"})
+	res, err := e.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := e.Lookup(key)
-	if !ok || v.(*simgpu.Result) != res {
+	if v, ok := e.Lookup(spec); !ok || v != res {
 		t.Fatal("Lookup missed a finished run")
 	}
 
@@ -379,7 +379,7 @@ func TestLookupInstall(t *testing.T) {
 	// engine straight from disk.
 	e2 := New(Config{Workers: 1, TraceDuration: 30 * time.Second, CacheDir: t.TempDir()})
 	e2.Install(key, res)
-	if v, ok := e2.Lookup(key); !ok || v.(*simgpu.Result) != res {
+	if v, ok := e2.Lookup(spec); !ok || v != res {
 		t.Fatal("Install not visible to Lookup")
 	}
 	var computed bool
@@ -388,13 +388,13 @@ func TestLookupInstall(t *testing.T) {
 		t.Fatalf("Do recomputed an installed key (computed=%v, err=%v)", computed, err)
 	}
 	e3 := New(Config{Workers: 1, TraceDuration: 30 * time.Second, CacheDir: e2.Config().CacheDir})
-	if _, ok := e3.Lookup(key); !ok {
+	if _, ok := e3.Lookup(spec); !ok {
 		t.Fatal("installed value did not reach the shared disk cache")
 	}
 
 	// An existing entry wins over a later install.
 	e2.Install(key, "bogus")
-	if v, _ := e2.Lookup(key); v.(*simgpu.Result) != res {
+	if v, _ := e2.Lookup(spec); v != res {
 		t.Fatal("Install overwrote an existing entry")
 	}
 }
