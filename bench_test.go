@@ -480,7 +480,7 @@ const fastSLO = 150 * time.Millisecond
 // fastServer is the live server of the server ops: a 3-stage chain of a
 // model whose batches take about a millisecond, on exec (nil: the wall
 // clock).
-func fastServer(tb testing.TB, exec sched.Executor) *server.Server {
+func fastServer(tb testing.TB, exec *sched.ManualExecutor) *server.Server {
 	lib := profile.NewLibrary()
 	if err := lib.Add(profile.Model{
 		Name:     "fast",
@@ -636,7 +636,7 @@ func BenchmarkRAGRun(b *testing.B) { benchOp(b, ragRun(b)) }
 func BenchmarkLaneQueue(b *testing.B) {
 	const trace, inFlight = 70000, 64
 	for i := 0; i < b.N; i++ {
-		x := sched.NewShardedExecutor(1, 0)
+		x := sched.NewLaneExecutor(1, 0)
 		var arrive, end func(time.Duration)
 		end = func(time.Duration) {}
 		arrive = func(now time.Duration) {
@@ -669,7 +669,7 @@ func modulePublish(tb testing.TB, measure func(tick func())) {
 		tb.Fatal(err)
 	}
 	const rate, window = 3500, 5 * time.Second
-	x := sched.NewShardedExecutor(1, time.Millisecond)
+	x := sched.NewLaneExecutor(1, time.Millisecond)
 	cl, err := sched.New(sched.Config{
 		Spec:       pipeline.Uniform("publish", 1, "stage", 400*time.Millisecond),
 		Lib:        lib,

@@ -15,7 +15,6 @@ import (
 var keepExports = map[string]string{
 	"core.Estimator.Explain":            "the per-path breakdown a sampled decision trace will print",
 	"core.Estimator.Lsub":               "the per-path breakdown a sampled decision trace will print",
-	"sched.ManualExecutor.Pending":      "tests in other packages observe the core through it",
 	"sched.Cluster.ActiveWorkers":       "tests in other packages observe the core through it",
 	"simgpu.Runner.Requests":            "tests in other packages read the per-request ledger a result does not keep through it",
 	"metrics.Collector.MarshalBinary":   "called by encoding/gob through reflection",

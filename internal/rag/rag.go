@@ -19,8 +19,9 @@
 // recent averages and offline profiles), and predict (proactive plus oracle
 // knowledge of rewrite output lengths).
 //
-// The run is a host of the repo's event queue (sched.ManualExecutor, drained
-// on a virtual clock) and schedules typed events on it: every request is a
+// The run is a host of the repo's one event loop (sched.ManualExecutor, run
+// to the end on a virtual clock; with no modules, every event rides its
+// control lane) and schedules typed events on it: every request is a
 // record in one slab, and each event kind is a named pointer type over that
 // record (sched.Handler), so a run allocates per slice it grows, not per
 // event.
@@ -236,9 +237,9 @@ func Run(cfg Config) (*Result, error) {
 	for i := range r.res.Latencies {
 		r.res.Latencies[i] = StageLatency{Name: StageNames[i], Samples: make([]float64, 0, min(cfg.Queries, maxSamples))}
 	}
-	r.eng.Reserve(cfg.Queries)
+	r.eng.Reserve(-1, cfg.Queries)
 	r.inject()
-	r.eng.Drain()
+	r.eng.Run()
 	r.finalize()
 	return r.res, nil
 }

@@ -22,19 +22,19 @@ import (
 // TestAllocsEventDispatch: pushing a laneEvent into a warmed lane and firing
 // it allocates nothing.
 func TestAllocsEventDispatch(t *testing.T) {
-	l := newLaneState(0)
+	l := new(laneState)
 	fired := 0
 	ev := fnEvent(func(now time.Duration) { fired++ })
 
 	// Warm the queue's backing array past the test's working set.
 	for i := 0; i < 64; i++ {
-		l.push(time.Duration(i), ev)
+		l.q.push(time.Duration(i), ev)
 	}
 	l.run(0, 1<<62)
 
 	at := time.Duration(64)
 	avg := testing.AllocsPerRun(200, func() {
-		l.push(at, ev)
+		l.q.push(at, ev)
 		l.run(at, at+1)
 		at++
 	})
@@ -107,7 +107,7 @@ func TestAllocsLaneQueue(t *testing.T) {
 // grid run allocated, and as many trips to the collector).
 func TestAllocsLaneReservation(t *testing.T) {
 	const n = 4096
-	x := NewShardedExecutor(2, time.Millisecond)
+	x := NewLaneExecutor(2, time.Millisecond)
 	ev := laneEvent{op: opWarmup}
 	x.Reserve(1, n)
 	was := cap(x.lanes[1].q.run)
@@ -125,47 +125,49 @@ func TestAllocsLaneReservation(t *testing.T) {
 	}
 }
 
-// TestAllocsScheduleEventLanePath: Cluster.scheduleEvent on the lane engine
+// TestAllocsScheduleEventLanePath: a lane-context schedule on the lane engine
 // allocates nothing per event: the event goes by value from the caller's
 // frame into the source lane's outbox. This floor catches anything on the way
 // (an interface conversion of the event, a closure over it) that would make
 // the by-value parameter escape.
 func TestAllocsScheduleEventLanePath(t *testing.T) {
-	x := NewShardedExecutor(2, time.Millisecond)
+	x := NewLaneExecutor(2, time.Millisecond)
 	x.running = true
 	cl := &Cluster{exec: x}
 	fired := 0
 	ev := fnEvent(func(now time.Duration) { fired++ })
 
 	for i := 0; i < 64; i++ {
-		cl.scheduleEvent(0, 1, time.Duration(i), ev)
+		cl.exec.scheduleLaneEvent(0, 1, time.Duration(i), ev)
 	}
 	x.flushOutboxes()
 	x.lanes[1].run(0, 1<<62)
 
 	at := time.Duration(1 << 20)
 	avg := testing.AllocsPerRun(200, func() {
-		cl.scheduleEvent(0, 1, at, ev)
+		cl.exec.scheduleLaneEvent(0, 1, at, ev)
 		x.flushOutboxes()
 		x.lanes[1].run(at, at+1)
 		at++
 	})
 	if avg != 0 {
-		t.Fatalf("lane-path scheduleEvent allocates %.1f per event, want 0", avg)
+		t.Fatalf("lane-path scheduleLaneEvent allocates %.1f per event, want 0", avg)
 	}
 	if fired == 0 {
 		t.Fatal("events never fired")
 	}
 }
 
-// TestAllocsScheduleEventGlobalQueue: the same call on a global-queue
-// executor — the live data plane's path — allocates nothing either. The
-// core's typed events (an arrival or hop, a batch end) sit in the executor's
-// one queue by value and fire through laneEvent.fire, with no closure and no
-// carrier per event. The module is a merge point still waiting for branches
-// and the worker is dead, so firing goes no further than the dispatch.
+// TestAllocsScheduleEventGlobalQueue: the same call from host context on the
+// manual clock, stepped by RunUntil — the live data plane's path — allocates
+// nothing either. The core's typed events (an arrival or hop, a batch end)
+// sit in the lane by value and fire through laneEvent.fire, with no closure
+// and no carrier per event, and a step costs nothing of its own. The module
+// is a merge point still waiting for branches and the worker is dead, so
+// firing goes no further than the dispatch.
 func TestAllocsScheduleEventGlobalQueue(t *testing.T) {
 	man := NewManualExecutor()
+	man.addLanes(1, 0)
 	cl := &Cluster{exec: man}
 	m := &module{cl: cl, spec: pipeline.Module{Pres: []int{0, 1}}}
 	req := &Request{ExpectedMerge: 1 << 30}
@@ -175,15 +177,15 @@ func TestAllocsScheduleEventGlobalQueue(t *testing.T) {
 	at := time.Duration(0)
 	round := func() {
 		at++
-		cl.scheduleEvent(-1, 0, at, receive)
-		cl.scheduleEvent(0, 0, at+1, batchEnd)
+		cl.exec.scheduleLaneEvent(-1, 0, at, receive)
+		cl.exec.scheduleLaneEvent(0, 0, at+1, batchEnd)
 		man.RunUntil(at + 1)
 	}
 	for i := 0; i < 64; i++ {
 		round()
 	}
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
-		t.Fatalf("global-queue scheduleEvent + fire allocates %.1f per two events, want 0", avg)
+		t.Fatalf("host-context scheduleLaneEvent + step allocates %.1f per two events, want 0", avg)
 	}
 	if req.mergeArrived != int(at) || man.Pending() != 0 {
 		t.Fatalf("%d of %d arrivals fired, %d events left", req.mergeArrived, at, man.Pending())
@@ -194,7 +196,7 @@ func TestAllocsScheduleEventGlobalQueue(t *testing.T) {
 // barrier mailbox merge, destination dispatch — plus a laneBridge intent
 // commit, all at zero allocations per event in steady state.
 func TestAllocsMailboxCommit(t *testing.T) {
-	x := NewShardedExecutor(2, time.Millisecond)
+	x := NewLaneExecutor(2, time.Millisecond)
 	x.running = true // cross-lane sends take the outbox path only while running
 	fired := 0
 	ev := fnEvent(func(now time.Duration) { fired++ })
@@ -271,13 +273,13 @@ func TestAllocsBarrierExchange(t *testing.T) {
 		Posts:   []WirePost{{At: time.Hour, Src: 1, Dst: 0, Req: 1}},
 		Charges: []WireCharge{{Mod: 1, Req: 1, GPU: time.Millisecond}},
 	}
-	x, err := NewShardedExecutorTopo(2, time.Millisecond, Topology{Groups: 2, Group: 0}, tr)
+	x, err := NewLaneExecutorTopo(2, time.Millisecond, Topology{Groups: 2, Group: 0}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := &Cluster{
 		modules: []*module{{}, {}},
-		shx:     x, topo: x.topo, tr: tr,
+		exec:    x, topo: x.topo, tr: tr,
 		resolve: func(id uint64) *Request { return &reqs[id] },
 	}
 	cl.bridge = newLaneBridge(cl, 2)
@@ -404,7 +406,7 @@ func (p *tickProbe) Fire(time.Duration) {
 
 // TestAllocsHandlerEvent: a typed host event is a pointer the host already
 // holds, converted to a Handler and queued by value — scheduling and firing
-// one allocates nothing on either global-queue executor. (A callback per
+// one allocates nothing on the manual or the wall clock. (A callback per
 // event costs the closure: internal/rag made 200 000 a run that way.)
 func TestAllocsHandlerEvent(t *testing.T) {
 	man := NewManualExecutor()
@@ -425,7 +427,7 @@ func TestAllocsHandlerEvent(t *testing.T) {
 	// A reserved queue takes a whole trace of them without growing.
 	const trace = 4096
 	res := NewManualExecutor()
-	res.Reserve(trace)
+	res.Reserve(-1, trace)
 	if avg := testing.AllocsPerRun(1, func() { // runs twice: half the trace each
 		for i := 0; i < trace/2; i++ {
 			at++
@@ -439,7 +441,7 @@ func TestAllocsHandlerEvent(t *testing.T) {
 	defer tim.Stop()
 	paced := &tickProbe{fired: make(chan struct{}, 1)}
 	timer := func() {
-		tim.scheduleLaneEvent(-1, -1, tim.Now(), laneEvent{h: paced})
+		tim.ScheduleHandler(tim.Now(), paced)
 		<-paced.fired
 	}
 	for i := 0; i < 64; i++ {
@@ -517,7 +519,7 @@ func TestAllocsWorkerPool(t *testing.T) {
 		scaleOut := func(k int) uint64 {
 			return fewest(func() uint64 {
 				cl, man := newCluster(pol, 1)
-				man.Reserve(k) // k warm-up events: the executor's queue must not grow
+				man.Reserve(0, k) // k warm-up events: the module's lane must not grow
 				m := cl.modules[0]
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)

@@ -24,12 +24,12 @@ func commitRuleLog(t *testing.T, groups, g int, tr Transport) ([]string, error) 
 		crashAt = 150 * time.Millisecond
 	)
 	spec := pipeline.LV()
-	var x *ShardedExecutor
+	var x *LaneExecutor
 	if groups == 1 {
-		x = NewShardedExecutor(spec.N(), time.Millisecond)
+		x = NewLaneExecutor(spec.N(), time.Millisecond)
 	} else {
 		var err error
-		if x, err = NewShardedExecutorTopo(spec.N(), time.Millisecond, Topology{Groups: groups, Group: g}, tr); err != nil {
+		if x, err = NewLaneExecutorTopo(spec.N(), time.Millisecond, Topology{Groups: groups, Group: g}, tr); err != nil {
 			return nil, err
 		}
 	}

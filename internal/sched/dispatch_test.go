@@ -195,19 +195,21 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 		}
 	}
 
-	var events, sawIdle, sawDead, sawCold int
+	// One step (a control round or a window) at a time, checking after each.
+	var steps, sawIdle, sawDead, sawCold int
 	for {
-		at, ok := man.q.peek()
-		if !ok || at > horizon+time.Minute {
+		tCtrl, okC, tLane, okL := man.next()
+		at := stepAt(tCtrl, okC, tLane, okL)
+		if !okC && !okL || at > horizon+time.Minute {
 			break
 		}
-		ev := man.q.pop()
-		man.now = at
-		ev.fire(at)
-		events++
+		man.running = true
+		man.step(tCtrl, okC, tLane, okL)
+		man.running = false
+		steps++
 		for _, m := range cl.modules {
 			if err := checkTree(m); err != nil {
-				t.Fatalf("event %d (op %d at %v): module %d: %v", events, ev.op, at, m.idx, err)
+				t.Fatalf("step %d (at %v): module %d: %v", steps, at, m.idx, err)
 			}
 			for _, w := range m.workers {
 				switch {
@@ -222,7 +224,7 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 				}
 			}
 			if got, want := m.leastLoaded(), scanLeastLoaded(m); got != want {
-				t.Fatalf("event %d (op %d at %v): module %d dispatches to worker %d, the pointer scan to %d", events, ev.op, at, m.idx, got, want)
+				t.Fatalf("step %d (at %v): module %d dispatches to worker %d, the pointer scan to %d", steps, at, m.idx, got, want)
 			}
 		}
 	}
@@ -234,7 +236,7 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 			t.Fatalf("request %d never terminated", r.ID)
 		}
 	}
-	t.Logf("%d events, %d requests", events, len(reqs))
+	t.Logf("%d events in %d steps, %d requests", man.Fired(), steps, len(reqs))
 }
 
 // TestCrashClearsWorker: a crashed worker's batch slabs keep no request
@@ -293,7 +295,7 @@ func TestCrashClearsWorker(t *testing.T) {
 				}
 			}
 		}
-		man.Drain()
+		man.Run()
 		if top.busy || len(top.forming) != 0 || top.queue.Len() != 0 {
 			t.Fatalf("%s: the scaled-down worker did not drain", pol)
 		}

@@ -1,13 +1,18 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pard/internal/pipeline"
+	"pard/internal/profile"
 )
 
 func TestManualExecutorDeterministicOrder(t *testing.T) {
@@ -60,7 +65,7 @@ func TestManualExecutorDrain(t *testing.T) {
 		}
 	}
 	x.Schedule(time.Second, "chain", chainFn)
-	if end := x.Drain(); end != 5*time.Second {
+	if end := x.Run(); end != 5*time.Second {
 		t.Fatalf("drain ended at %v", end)
 	}
 	if n != 5 {
@@ -162,6 +167,9 @@ func TestTimerExecutorNeverEarly(t *testing.T) {
 		}
 		prev = f.arg
 	}
+	for x.parkedOn() != math.MaxInt64 {
+		runtime.Gosched() // until the drainer has counted the last step and idles
+	}
 	if st := x.Stats(); st.Fired != n || st.Pending != 0 || st.LagMaxUS < st.LagMeanUS {
 		t.Fatalf("stats after %d events: %+v", n, st)
 	}
@@ -229,25 +237,23 @@ type orderProbe struct {
 
 func (p *orderProbe) Fire(now time.Duration) { p.fire(now, p.at) }
 
-// TestHandlerEventsInterleave: typed host events and callbacks share one
-// queue and one (timestamp, schedule order) on both global-queue executors,
-// whether scheduled from outside or from inside a firing event, and each is
-// handed its due instant.
+// TestHandlerEventsInterleave: typed host events and callbacks share the
+// control lane and one (timestamp, schedule order) on the manual and the wall
+// clock, whether scheduled from outside or from inside a firing event, and
+// each is handed its due instant.
 func TestHandlerEventsInterleave(t *testing.T) {
 	man := NewManualExecutor()
-	checkInterleave(t, man, man.ScheduleHandler, func() { man.Drain() })
+	checkInterleave(t, man, func() { man.Run() })
 
 	tim := NewTimerExecutor()
 	defer tim.Stop()
 	// The drainer sits inside this callback until everything is queued.
 	gate := make(chan struct{})
 	tim.Schedule(tim.Now(), "gate", func(time.Duration) { <-gate })
-	checkInterleave(t, tim, func(at time.Duration, h Handler) {
-		tim.scheduleLaneEvent(-1, -1, at, laneEvent{h: h})
-	}, func() { close(gate) })
+	checkInterleave(t, tim, func() { close(gate) })
 }
 
-func checkInterleave(t *testing.T, x Executor, scheduleHandler func(time.Duration, Handler), start func()) {
+func checkInterleave(t *testing.T, x *LaneExecutor, start func()) {
 	var due []time.Duration // by schedule order
 	var got []int           // schedule-order numbers, in firing order
 	var wg sync.WaitGroup
@@ -264,14 +270,14 @@ func checkInterleave(t *testing.T, x Executor, scheduleHandler func(time.Duratio
 			wg.Done()
 		}
 		if rng.Intn(2) == 0 {
-			scheduleHandler(at, &orderProbe{at: at, fire: fire})
+			x.ScheduleHandler(at, &orderProbe{at: at, fire: fire})
 		} else {
 			x.Schedule(at, "callback", func(now time.Duration) { fire(now, at) })
 		}
 	}
 	base := x.Now() + 2*time.Millisecond
 	wg.Add(1)
-	scheduleHandler(base, &orderProbe{at: base, fire: func(now, _ time.Duration) {
+	x.ScheduleHandler(base, &orderProbe{at: base, fire: func(now, _ time.Duration) {
 		for j := 0; j < 200; j++ {
 			schedule(now + time.Duration(j%5)*100*time.Microsecond)
 		}
@@ -347,15 +353,18 @@ func TestTimerExecutorWakesParkedDrainer(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the parked drainer never woke")
 	}
+	for x.parkedOn() == 0 {
+		runtime.Gosched() // until the drainer has counted the step and parked again
+	}
 	if st := x.Stats(); st.Fired != 1 || st.Pending != 1 {
 		t.Fatalf("stats = %+v, want 1 fired and 1 pending", st)
 	}
 }
 
 func (x *TimerExecutor) parkedOn() time.Duration {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.parked
+	x.wall.mu.Lock()
+	defer x.wall.mu.Unlock()
+	return x.wall.parked
 }
 
 // waitGoroutines fails the test unless the goroutine count returns to base.
@@ -417,9 +426,9 @@ func TestTimerExecutorStop(t *testing.T) {
 }
 
 func (x *TimerExecutor) isStopped() bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.stopped
+	x.wall.mu.Lock()
+	defer x.wall.mu.Unlock()
+	return x.wall.stopped
 }
 
 // TestTimerExecutorHammer: eight goroutines schedule events whose callbacks
@@ -473,5 +482,30 @@ func TestTimerExecutorHammer(t *testing.T) {
 	}
 	if n := int(total.Load()); n < stopAfter || n == len(fires) {
 		t.Fatalf("%d of %d events fired: Stop was meant to land mid-run", n, len(fires))
+	}
+}
+
+// TestTimerExecutorRefusesHop: a window spans the hop delay, so on the wall
+// clock its later events would fire ahead of their instants. A cluster with
+// a hop is refused there and taken on the manual clock, whose windows span
+// it; an executor runs one cluster.
+func TestTimerExecutorRefusesHop(t *testing.T) {
+	cfg := Config{Spec: pipeline.TM(), Lib: profile.DefaultLibrary(), Workers: []int{1, 1, 1}}
+	hop := cfg
+	hop.NetDelay = time.Millisecond
+	x := NewTimerExecutor()
+	defer x.Stop()
+	if _, err := New(hop, x); err == nil || !strings.Contains(err.Error(), "windows of one instant") {
+		t.Fatalf("a 1 ms hop on the wall clock: %v", err)
+	}
+	if _, err := New(cfg, x); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(cfg, x); err == nil || !strings.Contains(err.Error(), "already runs a cluster") {
+		t.Fatalf("a second cluster on one executor: %v", err)
+	}
+	man := NewManualExecutor()
+	if _, err := New(hop, man); err != nil || man.lookahead != hop.NetDelay || len(man.lanes) != 3 {
+		t.Fatalf("manual clock: %v, lookahead %v, %d lanes", err, man.lookahead, len(man.lanes))
 	}
 }

@@ -15,15 +15,14 @@ import "time"
 // warm-ups, an execution ahead of the posts still to come — in the run they
 // would send every later post to the heap) enter the binary min-heap, which
 // stays as deep as the lane has batches in flight whatever the trace length.
-// pop takes the smaller of the two heads. Popped slots are not cleared: a lane's
-// queue lives for one run. The global-queue executors' one queue (exec.go)
-// lives as long as the server does, and a stale slot there keeps what its
-// event held — the *Request and *worker of a core event, the Handler of a host
-// event — until a later push overwrites it: at most the queue's pending
-// high-water mark of them.
-// That pins nothing extra while the server's request slab is never reclaimed;
-// reclaiming the slab (ROADMAP, live-server item (1)) must account for these
-// slots, by clearing them or by bounding what they can reference.
+// pop takes the smaller of the two heads. Popped slots are not cleared: a
+// simulator's queues live for one run, but a live server's lanes live as long
+// as the server does, and a stale slot there keeps what its event held — the
+// *Request and *worker of a core event, the Handler of a host event — until a
+// later push overwrites it: at most each lane's pending high-water mark of
+// them. That pins nothing extra while the server's request slab is never
+// reclaimed; reclaiming the slab (ROADMAP, live-server item (1)) must account
+// for these slots, by clearing them or by bounding what they can reference.
 type laneQueue struct {
 	heap []laneItem // binary min-heap on (at, seq)
 	run  []laneItem // run[head:] is pending, in (at, seq) order

@@ -14,7 +14,7 @@ import (
 //     fan-out and merge hops). They are buffered in the sending lane's
 //     outbox and delivered at the window barrier in (virtual time, source
 //     module, send sequence) order — a merge of the outboxes, each already
-//     in time order (ShardedExecutor.flushOutboxes).
+//     in time order (LaneExecutor.flushOutboxes).
 //   - intents: request terminations (drops and completions) decided inside a
 //     window. They are buffered per lane and committed at the barrier sorted
 //     by (virtual time, module, decision sequence), so the globally visible
@@ -158,6 +158,7 @@ func (b *laneBridge) commit(all []BarrierMsg) error {
 				it.req.pendMod, it.req.pendMore = 0, false
 				merged = append(merged, mergedIntent{intent: it, mod: k})
 			}
+			clear(list) // a live server's lists outlast its requests: keep none
 			b.intents[k] = list[:0]
 		}
 		b.pending = 0
@@ -192,6 +193,7 @@ func (b *laneBridge) commit(all []BarrierMsg) error {
 			b.cl.commitComplete(m.req, m.at)
 		}
 	}
+	clear(merged)
 	b.scratch = merged[:0]
 	return nil
 }

@@ -3,17 +3,20 @@
 // decisions), worker pools with batch assembly, state-board synchronization,
 // budget accounting, the scaling engine and DAG fan-out/merge routing.
 //
-// The core is parameterized over a small Executor interface (time plus
-// scheduled callbacks), so the same state machine runs in two places:
+// The core runs on one event loop, the lane engine (LaneExecutor: a lane per
+// module plus a control lane, advanced through barrier-synchronized windows),
+// on one of three clocks:
 //
-//   - the discrete-event simulator (internal/simgpu) instantiates it with
-//     per-module event lanes on a virtual clock (ShardedExecutor), and
-//   - the live server (internal/server) instantiates it with one queue of
-//     the same kind paced by the wall clock (TimerExecutor).
+//   - the discrete-event simulator (internal/simgpu) runs it on a virtual
+//     clock (NewLaneExecutor, Run),
+//   - the live server (internal/server) on the wall clock (NewTimerExecutor),
+//   - deterministic tests and the RAG case study on a clock they step by
+//     hand (NewManualExecutor, RunUntil).
 //
-// Both instantiations exercise the exact same dropping, batching and
-// priority code paths; a parity test in internal/server proves the
-// decisions are identical under virtual and injected wall clocks.
+// Every host commits a termination one way, at the barrier, and every clock
+// breaks equal-instant ties the same way, so a live shell replayed on the
+// manual clock decides every request exactly as the simulator does: parity
+// tests in internal/server require it request for request.
 package sched
 
 import (
@@ -75,11 +78,11 @@ type Config struct {
 }
 
 // Cluster is one instantiated scheduling core: the controller + worker pool
-// per module of Fig. 4, driven by an Executor. All methods must be called
+// per module of Fig. 4, driven by a LaneExecutor. All methods must be called
 // from the executor's serial context (or before it starts running).
 type Cluster struct {
 	cfg  Config
-	exec Executor
+	exec *LaneExecutor
 	pol  policy.Policy
 	// readsWCL is set when the policy reads ModuleState.WCL; otherwise no
 	// module keeps a WCL window.
@@ -105,11 +108,9 @@ type Cluster struct {
 	coldStart  time.Duration
 	maxWorkers int
 
-	// Lane engine (nil on the global-queue executors): every termination
-	// becomes an intent in bridge, committed by the executor's barrier hook
-	// after each window and each control event; cross-module events travel
-	// through the executor's ordered mailbox.
-	shx    *ShardedExecutor
+	// Every termination becomes an intent in bridge, committed by the
+	// executor's barrier hook after each window and each control event;
+	// cross-module events travel through the executor's ordered mailbox.
 	bridge *laneBridge
 	// inControl marks a control callback (sync, scaling, injected
 	// failures). Its terminations defer like a window's, but every module of
@@ -117,7 +118,7 @@ type Cluster struct {
 	// while every lane is parked.
 	inControl bool
 
-	// Multi-group topology (tr nil on single-group and global-queue paths):
+	// Multi-group topology (tr nil on the single-group path):
 	// this cluster is one lane-group replica, exchanging board rows,
 	// scaling demands, mailbox posts, charges and termination intents with
 	// its peers through tr. See transport.go for the distribution model.
@@ -165,7 +166,9 @@ func streamSeed(seed int64, k int, purpose string) int64 {
 }
 
 // New validates the configuration and assembles the cluster on the executor.
-func New(cfg Config, exec Executor) (*Cluster, error) {
+// An executor built without lanes (the manual and the wall clock) gets one
+// per module, cfg.NetDelay apart.
+func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("sched: nil executor")
 	}
@@ -212,19 +215,12 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 	for k := 0; k < n; k++ {
 		c.pathRngs = append(c.pathRngs, rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path"))))
 	}
-	if sx, ok := exec.(*ShardedExecutor); ok {
-		if len(sx.lanes) != n {
-			return nil, fmt.Errorf("sched: executor has %d lanes for %d modules", len(sx.lanes), n)
+	c.bridge = newLaneBridge(c, n)
+	if exec.tr != nil {
+		if cfg.Resolve == nil {
+			return nil, fmt.Errorf("sched: a %d-group topology needs a Resolve hook (wire requests travel by ID)", exec.topo.Groups)
 		}
-		c.shx = sx
-		c.bridge = newLaneBridge(c, n)
-		sx.setBarrierHook(c.barrier)
-		if sx.tr != nil {
-			if cfg.Resolve == nil {
-				return nil, fmt.Errorf("sched: a %d-group topology needs a Resolve hook (wire requests travel by ID)", sx.topo.Groups)
-			}
-			c.topo, c.tr, c.resolve = sx.topo, sx.tr, cfg.Resolve
-		}
+		c.topo, c.tr, c.resolve = exec.topo, exec.tr, cfg.Resolve
 	}
 
 	estCfg := core.DefaultEstimatorConfig()
@@ -256,6 +252,9 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		}
 		m := newModule(c, k, cfg.Spec.Modules[k], model, batches[k], durs[k], cfg.Workers[k])
 		c.modules = append(c.modules, m)
+	}
+	if err := exec.attach(n, cfg.NetDelay, c.barrier); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -339,21 +338,12 @@ func (c *Cluster) Reserve(arrivals []time.Duration) {
 // Deadline, DropModule).
 func (c *Cluster) Inject(req *Request, sendAt time.Duration) {
 	src := c.modules[c.cfg.Spec.Source()]
-	c.scheduleEvent(-1, src.idx, sendAt+c.cfg.NetDelay,
+	c.exec.scheduleLaneEvent(-1, src.idx, sendAt+c.cfg.NetDelay,
 		laneEvent{op: opReceive, m: src, req: req})
 }
 
-// scheduleEvent registers ev for module dst at time at. src is the module
-// whose event is executing (-1 for host or control context). The event
-// travels by value on every executor, so the typed hot-path ops allocate
-// nothing; the lane engine routes cross-lane schedules through the ordered
-// mailbox, the global-queue executors push onto their one queue.
-func (c *Cluster) scheduleEvent(src, dst int, at time.Duration, ev laneEvent) {
-	c.exec.scheduleLaneEvent(src, dst, at, ev)
-}
-
 // control brackets a serial control-context callback (sync, scaling,
-// injected failures). In lane mode its terminations defer like a window's and
+// injected failures). Its terminations defer like a window's and
 // commit when the control event ends, through the barrier hook the executor
 // runs after every control event — on a multi-group topology the deciding
 // group alone knows them until that hook's exchange. Inside the bracket every
@@ -370,25 +360,17 @@ func (c *Cluster) owns(k int) bool { return c.topo.owns(k) }
 
 // fail aborts a multi-group run from control context, poisoning the
 // transport so peer groups unblock.
-func (c *Cluster) fail(err error) {
-	if c.shx != nil {
-		c.shx.fail(err)
-	}
-}
+func (c *Cluster) fail(err error) { c.exec.fail(err) }
 
 // ControlFlush commits the terminations (and charges) decided so far in the
 // running control event, so the same callback can read them: a host whose
 // control callback reads replicated state after mutating it (a ticker
 // predicate checking for drained requests right after a sync tick) calls it
-// first. In lane mode it is the barrier hook, which the executor also runs
-// when the event ends; on a multi-group topology it is an exchange, and an
-// all-empty one (the common case) is a valid empty-drain round. No-op on the
-// global-queue executors, which commit immediately. Errors abort the run via
+// first. It is the barrier hook, which the executor also runs when the event
+// ends; on a multi-group topology it is an exchange, and an all-empty one
+// (the common case) is a valid empty-drain round. Errors abort the run via
 // the executor.
 func (c *Cluster) ControlFlush() {
-	if c.bridge == nil {
-		return
-	}
 	if err := c.barrier(); err != nil {
 		c.fail(err)
 	}
@@ -418,12 +400,12 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) ([]BarrierMsg, error) {
 		Charges: buf.charges,
 		Merges:  buf.merges,
 	}
-	msg.CtrlAt, msg.CtrlOK, msg.LaneAt, msg.LaneOK = c.shx.heads()
+	msg.CtrlAt, msg.CtrlOK, msg.LaneAt, msg.LaneOK = c.exec.heads()
 	all, err := c.tr.Barrier(msg)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.shx.noteBarrier(all); err != nil {
+	if err := c.exec.noteBarrier(all); err != nil {
 		return nil, err
 	}
 	for i := range all {
@@ -440,11 +422,11 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) ([]BarrierMsg, error) {
 				return nil, fmt.Errorf("sched: post for unknown request %d from group %d", wp.Req, bm.Group)
 			}
 			dst := c.modules[wp.Dst]
-			c.shx.stagePost(post{src: int(wp.Src), dst: int(wp.Dst), at: wp.At,
+			c.exec.stagePost(post{src: int(wp.Src), dst: int(wp.Dst), at: wp.At,
 				ev: laneEvent{op: opReceive, m: dst, req: req}})
 		}
 	}
-	c.shx.deliverStaged()
+	c.exec.deliverStaged()
 	for i := range all {
 		if int(all[i].Group) == c.topo.Group {
 			continue // this group's own charges and resets were applied as they were made
@@ -600,24 +582,24 @@ func (c *Cluster) Crash(k int, now time.Duration, count int) int {
 // scheduleBatchEnd registers the batch-completion event on the worker's own
 // lane.
 func (c *Cluster) scheduleBatchEnd(w *worker, at time.Duration) {
-	c.scheduleEvent(w.mod.idx, w.mod.idx, at, laneEvent{op: opBatchEnd, w: w})
+	c.exec.scheduleLaneEvent(w.mod.idx, w.mod.idx, at, laneEvent{op: opBatchEnd, w: w})
 }
 
 // scheduleWarmup wakes a cold-started worker.
 func (c *Cluster) scheduleWarmup(w *worker, at time.Duration) {
-	c.scheduleEvent(w.mod.idx, w.mod.idx, at, laneEvent{op: opWarmup, w: w})
+	c.exec.scheduleLaneEvent(w.mod.idx, w.mod.idx, at, laneEvent{op: opWarmup, w: w})
 }
 
 // barrier is the executor's barrier hook, run after every lane window and
-// after every control event with all lanes parked; it is lane mode's one
-// commit path. On a multi-group topology it first exchanges with the peers,
+// after every control event with all lanes parked; it is the one commit
+// path. On a multi-group topology it first exchanges with the peers,
 // whose charges it applies. Then the deferred terminations commit, so host
 // OnDone/OnDrop callbacks observe complete sums.
 func (c *Cluster) barrier() error {
 	var all []BarrierMsg
 	if c.tr != nil {
 		var err error
-		if all, err = c.exchangeBarrier(c.shx.takeWirePosts()); err != nil {
+		if all, err = c.exchangeBarrier(c.exec.takeWirePosts()); err != nil {
 			return err
 		}
 	}
@@ -625,8 +607,8 @@ func (c *Cluster) barrier() error {
 }
 
 // retired reports whether module k should treat the request as terminated:
-// globally committed, or — in lane mode — terminated by module k itself in
-// the current window. A termination decided by *another* module inside the
+// globally committed, or terminated by module k itself in the current
+// window. A termination decided by *another* module inside the
 // current window becomes visible at the next barrier; that bounded, fully
 // deterministic visibility delay is the ordering contract that keeps the
 // order of a window's lanes unobservable. Inside a control event every
@@ -635,28 +617,20 @@ func (c *Cluster) retired(req *Request, k int) bool {
 	if req.Dropped || req.Finished {
 		return true
 	}
-	if c.bridge == nil {
-		return false
-	}
 	if c.inControl {
 		return c.bridge.seesAny(req)
 	}
 	return c.bridge.sees(k, req)
 }
 
-// drop marks a request dropped at module k and notifies the host. In lane
-// mode the decision becomes an intent, committed by the next barrier hook
-// (after the window or the control event), keeping the shared Request
-// untouched while other lanes run.
+// drop marks a request dropped at module k. The decision becomes an intent,
+// committed — and told to the host — by the next barrier hook (after the
+// window or the control event), keeping the shared Request untouched while
+// other lanes run.
 func (c *Cluster) drop(req *Request, k int, now time.Duration) {
-	if c.bridge != nil {
-		if c.retired(req, k) {
-			return
-		}
+	if !c.retired(req, k) {
 		c.bridge.add(k, req, now, true)
-		return
 	}
-	c.commitDrop(req, k, now)
 }
 
 // commitDrop applies a drop decision. The first commit for a request wins;
@@ -686,7 +660,7 @@ func (c *Cluster) forward(req *Request, k int, now time.Duration) {
 	if mod.Exclusive {
 		sub := mod.Subs[c.pickBranch(mod)]
 		c.resetMerge(req, k, now, 1)
-		c.scheduleEvent(k, sub, arrive, laneEvent{op: opReceive, m: c.modules[sub], req: req})
+		c.exec.scheduleLaneEvent(k, sub, arrive, laneEvent{op: opReceive, m: c.modules[sub], req: req})
 		return
 	}
 	subs := mod.Subs
@@ -694,7 +668,7 @@ func (c *Cluster) forward(req *Request, k int, now time.Duration) {
 		c.resetMerge(req, k, now, len(subs))
 	}
 	for _, sub := range subs {
-		c.scheduleEvent(k, sub, arrive, laneEvent{op: opReceive, m: c.modules[sub], req: req})
+		c.exec.scheduleLaneEvent(k, sub, arrive, laneEvent{op: opReceive, m: c.modules[sub], req: req})
 	}
 }
 
@@ -739,16 +713,11 @@ func (c *Cluster) pickBranch(mod pipeline.Module) int {
 }
 
 // complete finalizes a request that finished the sink module k. Like drop,
-// it defers to the barrier hook in lane mode.
+// it defers to the barrier hook.
 func (c *Cluster) complete(req *Request, k int, now time.Duration) {
-	if c.bridge != nil {
-		if c.retired(req, k) {
-			return
-		}
+	if !c.retired(req, k) {
 		c.bridge.add(k, req, now, false)
-		return
 	}
-	c.commitComplete(req, now)
 }
 
 // commitComplete applies a sink completion (no-op if the request already

@@ -11,16 +11,16 @@ import (
 
 // scheduleLane registers fn on lane dst at absolute time at: the closure form
 // of scheduleLaneEvent, for scripted tests. name labels the call site only.
-func (x *ShardedExecutor) scheduleLane(src, dst int, at time.Duration, name string, fn func(time.Duration)) {
+func (x *LaneExecutor) scheduleLane(src, dst int, at time.Duration, name string, fn func(time.Duration)) {
 	x.scheduleLaneEvent(src, dst, at, fnEvent(fn))
 }
 
 // logOf runs a scripted cascade on a fresh executor and returns the per-lane
 // firing logs plus the control log. The script seeds initial events; each
 // lane callback appends "name@time" to its lane's log.
-func logOf(t *testing.T, lanes int, lookahead time.Duration, script func(x *ShardedExecutor, logs [][]string) [][]string) ([][]string, uint64) {
+func logOf(t *testing.T, lanes int, lookahead time.Duration, script func(x *LaneExecutor, logs [][]string) [][]string) ([][]string, uint64) {
 	t.Helper()
-	x := NewShardedExecutor(lanes, lookahead)
+	x := NewLaneExecutor(lanes, lookahead)
 	logs := make([][]string, lanes+1) // logs[lanes] is the control log
 	logs = script(x, logs)
 	x.Run()
@@ -31,7 +31,7 @@ func logOf(t *testing.T, lanes int, lookahead time.Duration, script func(x *Shar
 // in (timestamp, insertion order) order, including events scheduled from
 // callbacks, and lane-past schedules clamp to the lane's present.
 func TestShardedExecutorLaneOrder(t *testing.T) {
-	script := func(x *ShardedExecutor, logs [][]string) [][]string {
+	script := func(x *LaneExecutor, logs [][]string) [][]string {
 		note := func(lane int, name string) func(time.Duration) {
 			return func(now time.Duration) {
 				logs[lane] = append(logs[lane], fmt.Sprintf("%s@%v", name, now))
@@ -63,7 +63,7 @@ func TestShardedExecutorLaneOrder(t *testing.T) {
 // independent of which lane executed first.
 func TestShardedExecutorMailboxOrder(t *testing.T) {
 	const lookahead = 10
-	script := func(x *ShardedExecutor, logs [][]string) [][]string {
+	script := func(x *LaneExecutor, logs [][]string) [][]string {
 		recv := func(tag string) func(time.Duration) {
 			return func(now time.Duration) {
 				logs[2] = append(logs[2], fmt.Sprintf("%s@%v", tag, now))
@@ -98,7 +98,7 @@ func TestFlushOutboxesMergesInMailboxOrder(t *testing.T) {
 	const lanes = 5
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
-		x := NewShardedExecutor(lanes, time.Millisecond)
+		x := NewLaneExecutor(lanes, time.Millisecond)
 		var id uint64
 		var gathered []post
 		for src, l := range x.lanes {
@@ -143,7 +143,7 @@ func TestFlushOutboxesMergesInMailboxOrder(t *testing.T) {
 // lookahead a same-time cross-lane chain still makes progress through
 // fixpoint sub-rounds and fires every hop at the same virtual instant.
 func TestShardedExecutorZeroLookahead(t *testing.T) {
-	script := func(x *ShardedExecutor, logs [][]string) [][]string {
+	script := func(x *LaneExecutor, logs [][]string) [][]string {
 		x.scheduleLane(-1, 0, 7, "start", func(now time.Duration) {
 			logs[0] = append(logs[0], fmt.Sprintf("start@%v", now))
 			x.scheduleLane(0, 1, now, "hop1", func(now time.Duration) {
@@ -172,10 +172,10 @@ func TestShardedExecutorZeroLookahead(t *testing.T) {
 // 10 (the lane engine's one commit path for its terminations) and once for
 // the window that runs the lane event.
 func TestShardedExecutorControlFirst(t *testing.T) {
-	x := NewShardedExecutor(2, 5)
+	x := NewLaneExecutor(2, 5)
 	var order []string
 	barriers := 0
-	x.setBarrierHook(func() error { barriers++; return nil })
+	x.barrierFn = func() error { barriers++; return nil }
 	x.Schedule(10, "ctrl", func(now time.Duration) { order = append(order, "ctrl") })
 	x.scheduleLane(-1, 0, 10, "lane", func(now time.Duration) { order = append(order, "lane") })
 	x.Run()
@@ -190,7 +190,7 @@ func TestShardedExecutorControlFirst(t *testing.T) {
 // TestShardedExecutorTicker verifies Ticker cadence and termination, and
 // that Now() tracks the committed frontier.
 func TestShardedExecutorTicker(t *testing.T) {
-	x := NewShardedExecutor(1, 0)
+	x := NewLaneExecutor(1, 0)
 	var at []time.Duration
 	x.Ticker(100, "tick", func(now time.Duration) bool {
 		at = append(at, now)
@@ -211,7 +211,7 @@ func TestShardedExecutorTicker(t *testing.T) {
 // event at t=12 shares the window [4,14) with the sender, but the delivery
 // fires strictly after it, at the post's timestamp, in the next window.
 func TestShardedExecutorWindowIsolation(t *testing.T) {
-	x := NewShardedExecutor(2, 10)
+	x := NewLaneExecutor(2, 10)
 	var got []string // appended only by lane 1 callbacks (serial per lane)
 	x.scheduleLane(-1, 0, 4, "a", func(now time.Duration) {
 		x.scheduleLane(0, 1, now+10, "b", func(now time.Duration) {
@@ -235,7 +235,7 @@ func TestShardedExecutorWindowIsolation(t *testing.T) {
 func TestShardedExecutorShardCountInvariance(t *testing.T) {
 	const lanes = 6
 	build := func() ([][]string, uint64) {
-		return logOf(t, lanes, 3, func(x *ShardedExecutor, logs [][]string) [][]string {
+		return logOf(t, lanes, 3, func(x *LaneExecutor, logs [][]string) [][]string {
 			// Each seed event cascades: lane L at time T sends to lanes
 			// (L+1)%lanes and (L+2)%lanes at T+3 and T+5, for 4 generations.
 			var cascade func(lane, gen int) func(time.Duration)

@@ -47,7 +47,7 @@ func TestWCLWindowOnlyForReaders(t *testing.T) {
 				}
 			})
 		}
-		man.Drain()
+		man.Run()
 		for _, m := range cl.modules {
 			if (m.wclWin != nil) != reads || (cap(m.wclScratch) > 0) != reads {
 				t.Fatalf("%s: module %d keeps a WCL window (%t) and scratch (%d), want %t", name, m.idx, m.wclWin != nil, cap(m.wclScratch), reads)

@@ -66,7 +66,7 @@ import (
 // barrier hook and the same merge as a multi-group replica — its own intents,
 // with no peer's to add — so the wire path would buy it nothing. Sending it
 // through anyway (a one-endpoint transport that hands each message straight
-// back, NewShardedExecutorTopo at every group count) held every golden but
+// back, NewLaneExecutorTopo at every group count) held every golden but
 // cost the per-barrier wire encode, the heads and watermark bookkeeping and
 // the peer merge. Measured on a 2-core x86-64 Xeon: TestAllocsWholeOps
 // allocations an op 438 → 500 (ShardedDASequential) and 1 331 → 1 405

@@ -345,14 +345,14 @@ func TestWatermarkSeesControlContextSchedules(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			x, err := NewShardedExecutorTopo(groups, time.Millisecond, Topology{Groups: groups, Group: g}, trs[g])
+			x, err := NewLaneExecutorTopo(groups, time.Millisecond, Topology{Groups: groups, Group: g}, trs[g])
 			if err != nil {
 				errs[g] = err
 				return
 			}
 			record := fnEvent(func(now time.Duration) { fired[g] = append(fired[g], now) })
 			barriers := 0
-			x.setBarrierHook(func() error {
+			x.barrierFn = func() error {
 				msg := BarrierMsg{Group: int32(g), Posts: x.takeWirePosts()}
 				msg.CtrlAt, msg.CtrlOK, msg.LaneAt, msg.LaneOK = x.heads()
 				all, err := x.tr.Barrier(msg)
@@ -368,7 +368,7 @@ func TestWatermarkSeesControlContextSchedules(t *testing.T) {
 					x.scheduleLaneEvent(-1, 1, 20*time.Millisecond, record)
 				}
 				return nil
-			})
+			}
 			x.scheduleLaneEvent(-1, 0, 10*time.Millisecond, record)
 			x.scheduleLaneEvent(-1, 1, 50*time.Millisecond, record)
 			x.Run()

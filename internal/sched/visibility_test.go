@@ -12,9 +12,9 @@ import (
 
 // visibilityCluster builds spec on the lane engine with a 1 ms lookahead and
 // records every OnDrop as "drop id@module at instant".
-func visibilityCluster(t *testing.T, spec *pipeline.Spec, policy string) (*Cluster, *ShardedExecutor, *[]string) {
+func visibilityCluster(t *testing.T, spec *pipeline.Spec, policy string) (*Cluster, *LaneExecutor, *[]string) {
 	t.Helper()
-	x := NewShardedExecutor(spec.N(), time.Millisecond)
+	x := NewLaneExecutor(spec.N(), time.Millisecond)
 	workers := make([]int, spec.N())
 	for k := range workers {
 		workers[k] = 1

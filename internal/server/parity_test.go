@@ -31,11 +31,9 @@ func parityTrace() *trace.Trace {
 	})
 }
 
-// replayOnLiveShell is side B of both tests: the live server shell on a fake
-// wall clock, fed the trace's arrival sequence request by request with the
-// config the simulator's defaults give (1 ms net hop, 5% execution jitter).
-// It returns every response in arrival order and the stopped server.
-func replayOnLiveShell(t *testing.T, tr *trace.Trace) ([]Response, *Server) {
+// simShell is the live server shell on a fake wall clock with the config
+// the simulator's defaults give (1 ms net hop, 5% execution jitter).
+func simShell(t *testing.T) (*Server, *sched.ManualExecutor) {
 	man := sched.NewManualExecutor()
 	srv, err := newServer(Config{
 		Spec:       pipeline.DA(),
@@ -52,20 +50,28 @@ func replayOnLiveShell(t *testing.T, tr *trace.Trace) ([]Response, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv, man
+}
+
+// replayOnLiveShell is the live side of the parity tests: srv on the manual
+// clock man, started and fed the trace's arrival sequence request by
+// request. It returns every response in arrival order and the core's record
+// of every request, and stops the server.
+func replayOnLiveShell(t *testing.T, srv *Server, man *sched.ManualExecutor, tr *trace.Trace) ([]Response, []*sched.Request) {
 	srv.Start()
-	chans := make([]<-chan Response, 0, tr.Len())
+	prs := make([]*pendingReq, 0, tr.Len())
 	for _, at := range tr.Arrivals {
 		man.RunUntil(at)
-		chans = append(chans, srv.Submit())
+		prs = append(prs, srv.submit())
 	}
 	// Step virtual time forward until every response resolved.
-	resps := make([]Response, len(chans))
+	resps := make([]Response, len(prs))
 	next := 0
-	for deadline := man.Now(); next < len(chans); deadline += paritySync {
+	for deadline := man.Now(); next < len(prs); deadline += paritySync {
 		man.RunUntil(deadline)
-		for ; next < len(chans); next++ {
+		for ; next < len(prs); next++ {
 			select {
-			case r := <-chans[next]:
+			case r := <-prs[next].done:
 				resps[next] = r
 			default:
 				goto stepped
@@ -73,14 +79,61 @@ func replayOnLiveShell(t *testing.T, tr *trace.Trace) ([]Response, *Server) {
 		}
 	stepped:
 		if deadline > tr.Duration+time.Minute {
-			t.Fatalf("live shell stalled: %d/%d responses after %v", next, len(chans), deadline)
+			t.Fatalf("live shell stalled: %d/%d responses after %v", next, len(prs), deadline)
 		}
 	}
 	// Tick past the virtual-clock side's drain point so the live mode series
 	// covers at least as many syncs as that side recorded.
 	man.RunUntil(man.Now() + 4*paritySync)
 	srv.Stop()
-	return resps, srv
+	reqs := make([]*sched.Request, len(prs))
+	for i, pr := range prs {
+		reqs[i] = &pr.req
+	}
+	return resps, reqs
+}
+
+// sameFates fails the test unless every request met the same fate on both
+// sides: completed at the same instant, or dropped at the same module at the
+// same instant. It returns the number of drops.
+func sameFates(t *testing.T, sim, live []*sched.Request) int {
+	t.Helper()
+	if len(sim) != len(live) {
+		t.Fatalf("request counts differ: sim %d, live %d", len(sim), len(live))
+	}
+	type fate struct {
+		finished, dropped bool
+		module            int
+		at                time.Duration
+	}
+	fateOf := func(r *sched.Request) fate {
+		if r.Dropped {
+			return fate{dropped: true, module: r.DropModule, at: r.DropAt}
+		}
+		return fate{finished: r.Finished, module: -1, at: r.DoneAt}
+	}
+	differ, drops := 0, 0
+	for i := range sim {
+		s, l := fateOf(sim[i]), fateOf(live[i])
+		if !s.finished && !s.dropped {
+			t.Fatalf("request %d never resolved in the simulator", i)
+		}
+		if s.dropped {
+			drops++
+		}
+		if s != l {
+			if differ++; differ <= 5 {
+				t.Errorf("request %d: sim %+v, live %+v", i, s, l)
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d requests met a different fate", differ, len(sim))
+	}
+	if drops == 0 {
+		t.Fatal("workload produced no drops; the comparison is vacuous")
+	}
+	return drops
 }
 
 // TestVirtualWallClockParity proves the tentpole claim of the shared
@@ -89,9 +142,10 @@ func replayOnLiveShell(t *testing.T, tr *trace.Trace) ([]Response, *Server) {
 // through the live server shell under an injected fake wall clock produces
 // *identical* per-request outcomes — every drop at the same module, every
 // completion at the same virtual instant — and identical per-sync priority
-// decisions (load factor and HBF/LBF mode). The lane engine's own order is
-// the differential harness's business (internal/sched); how closely it
-// tracks the live shell is TestLaneSimTracksLiveShell's.
+// decisions (load factor and HBF/LBF mode). Both sides run the lane engine
+// on the manual clock, one drained whole, one stepped arrival by arrival;
+// the simulator's own runner against the live shell is
+// TestLaneSimTracksLiveShell's.
 func TestVirtualWallClockParity(t *testing.T) {
 	spec := pipeline.DA()
 	tr := parityTrace()
@@ -131,9 +185,10 @@ func TestVirtualWallClockParity(t *testing.T) {
 		}
 	}
 	virt.Schedule(paritySync, "sync", tick)
-	virt.Drain()
+	virt.Run()
 
-	resps, srv := replayOnLiveShell(t, tr)
+	srv, man := simShell(t)
+	resps, _ := replayOnLiveShell(t, srv, man, tr)
 
 	// Per-request decisions: outcome, drop site and timing must all match.
 	drops := 0
@@ -182,13 +237,11 @@ func TestVirtualWallClockParity(t *testing.T) {
 
 // TestLaneSimTracksLiveShell is the regression guard behind pard-load
 // -compare-sim: the same workload through the simulator users run (the lane
-// engine at its defaults) and through the live shell. The two are not
-// identical — lanes break equal-timestamp ties by module and commit drops at
-// the window barrier, the live shell's one queue breaks them by schedule
-// order and commits at once — so agreement is statistical. Measured: 1.3 % of
-// per-request outcomes differ, good counts 0.2 % of requests apart, goodput
-// 0.23 % apart; the bounds leave room for a changed tie, not for either
-// side's drop behaviour drifting from the other's.
+// engine at its defaults: 1 ms hops, 5 % jitter) and through the live shell
+// on the manual clock. Both are the lane engine with the same ties, the same
+// windows and the same commits at the barrier, so every request must meet
+// the same fate: completed at the same instant, or dropped at the same module
+// at the same instant.
 func TestLaneSimTracksLiveShell(t *testing.T) {
 	tr := parityTrace()
 	runner, err := simgpu.New(simgpu.Config{
@@ -206,38 +259,52 @@ func TestLaneSimTracksLiveShell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resps, srv := replayOnLiveShell(t, tr)
+	srv, man := simShell(t)
+	_, live := replayOnLiveShell(t, srv, man, tr)
+	drops := sameFates(t, runner.Requests(), live)
 
-	reqs := runner.Requests()
-	if len(reqs) != len(resps) {
-		t.Fatalf("request counts differ: sim %d, live %d", len(reqs), len(resps))
+	sim, got := res.Summary, srv.Summary()
+	if sim.Good != got.Good || sim.Late != got.Late || sim.Dropped != got.Dropped {
+		t.Errorf("good/late/dropped: sim %d/%d/%d, live %d/%d/%d", sim.Good, sim.Late, sim.Dropped, got.Good, got.Late, got.Dropped)
 	}
-	differ := 0
-	for i, req := range reqs {
-		sim := OutcomeDropped
-		if req.Finished && req.DoneAt-req.Send <= pipeline.DA().SLO {
-			sim = OutcomeGood
-		} else if req.Finished {
-			sim = OutcomeLate
-		}
-		if sim != resps[i].Outcome {
-			differ++
-		}
+	if gap := math.Abs(sim.Goodput-got.Goodput) / got.Goodput; gap > 0.01 {
+		t.Errorf("goodput: sim %.2f, live %.2f, %.2f%% apart, want <= 1%%", sim.Goodput, got.Goodput, 100*gap)
 	}
-	n := float64(len(reqs))
-	sim, live := res.Summary, srv.Summary()
-	if sim.Dropped == 0 || live.Dropped == 0 {
-		t.Fatalf("workload produced no drops (sim %d, live %d); the comparison is vacuous", sim.Dropped, live.Dropped)
+	t.Logf("%d requests, %d dropped, alike; goodput sim %.2f live %.2f", len(live), drops, sim.Goodput, got.Goodput)
+}
+
+// TestTwinAtServerDefaults: the twin pard-load -compare-sim runs (RunTwin's
+// settings) and the live shell under New's defaults — no hop delay, no
+// jitter, two workers a module — decide every request alike on the DA
+// workload.
+func TestTwinAtServerDefaults(t *testing.T) {
+	tr := parityTrace()
+	man := sched.NewManualExecutor()
+	cfg := Config{Spec: pipeline.DA(), Seed: paritySeed, Exec: man}
+	sc, err := twinConfig(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if share := float64(differ) / n; share > 0.03 {
-		t.Errorf("%d of %d per-request outcomes differ (%.2f%%), want <= 3%%", differ, len(reqs), 100*share)
+	runner, err := simgpu.New(sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gap := math.Abs(float64(sim.Good-live.Good)) / n; gap > 0.01 {
-		t.Errorf("good: sim %d, live %d, %.2f%% of requests apart, want <= 1%%", sim.Good, live.Good, 100*gap)
+	if _, err := runner.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if gap := math.Abs(sim.Goodput-live.Goodput) / live.Goodput; gap > 0.01 {
-		t.Errorf("goodput: sim %.2f, live %.2f, %.2f%% apart, want <= 1%%", sim.Goodput, live.Goodput, 100*gap)
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("outcomes differing %d/%d; good sim %d live %d; goodput sim %.2f live %.2f",
-		differ, len(reqs), sim.Good, live.Good, sim.Goodput, live.Goodput)
+	_, live := replayOnLiveShell(t, srv, man, tr)
+	drops := sameFates(t, runner.Requests(), live)
+
+	twin, err := RunTwin(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := srv.Summary(); twin.Summary.Good != sum.Good || twin.Summary.Dropped != sum.Dropped {
+		t.Errorf("good/dropped: twin %d/%d, live %d/%d", twin.Summary.Good, twin.Summary.Dropped, sum.Good, sum.Dropped)
+	}
+	t.Logf("%d requests, %d dropped, alike; twin good %d", len(live), drops, twin.Summary.Good)
 }

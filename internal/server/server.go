@@ -1,8 +1,8 @@
 // Package server is the wall-clock serving runtime: a thin shell over the
 // shared scheduling core (internal/sched) — the same controller / worker /
-// policy state machine the discrete-event simulator runs — instantiated
-// with one event queue paced by the wall clock (sched.TimerExecutor) and an
-// HTTP data plane. Model execution is simulated by letting the profiled batch
+// policy state machine the discrete-event simulator runs, on the same lane
+// engine — paced by the wall clock (sched.TimerExecutor), and an HTTP data
+// plane. Model execution is simulated by letting the profiled batch
 // duration elapse: a batch end fires late, never early, with its due instant,
 // so the host's wake-up lag stays out of the model's clock, while the request
 // ledger (latency, good/late) is read off the wall clock at resolution. The
@@ -53,12 +53,11 @@ type Config struct {
 	SyncPeriod time.Duration
 	// Seed drives the core's deterministic random streams.
 	Seed int64
-	// Exec overrides the executor driving the core. Nil selects the paced
-	// wall-clock executor; tests inject a deterministic executor
-	// (sched.ManualExecutor) to replay workloads reproducibly. Concurrent
-	// Submit calls require a concurrency-safe executor (the wall-clock
-	// default is; ManualExecutor must be driven from one goroutine).
-	Exec sched.Executor
+	// Exec, when set, drives the core on a clock the caller steps instead of
+	// the wall clock, to replay workloads reproducibly. It must be driven
+	// from one goroutine, Submit calls included; the wall-clock default is
+	// safe for concurrent use.
+	Exec *sched.ManualExecutor
 	// MaxInFlight bounds the requests outstanding at once (0 = unbounded).
 	// It is a memory bound, not a latency prediction: an arrival that finds
 	// MaxInFlight requests unresolved is answered at once as rejected (HTTP
@@ -137,7 +136,7 @@ func answer(ch chan Response, resp Response) {
 // Server hosts one pipeline on the shared scheduling core.
 type Server struct {
 	cfg  Config
-	exec sched.Executor
+	exec *sched.LaneExecutor
 	wall *sched.TimerExecutor // owned executor, nil when injected
 	cl   *sched.Cluster
 
@@ -396,32 +395,36 @@ func (s *Server) unregister(pr *pendingReq) bool {
 	if pr.next != nil {
 		pr.next.prev = pr.prev
 	}
+	// A resolved request keeps no link into the list: a stale reference to
+	// it (an event slot the engine has yet to overwrite) then pins its own
+	// slab chunk, not every chunk back along its neighbours' links.
+	pr.prev, pr.next = nil, nil
 	return true
 }
 
-// onDone resolves a request that completed the sink module.
-func (s *Server) onDone(req *sched.Request, _ time.Duration) {
-	s.finish(req, Response{ID: req.ID, Outcome: OutcomeGood}, -1)
+// onDone resolves a request that completed the sink module at due.
+func (s *Server) onDone(req *sched.Request, due time.Duration) {
+	s.finish(req, Response{ID: req.ID, Outcome: OutcomeGood}, -1, due)
 }
 
-// onDrop resolves a request the policy dropped at module k.
-func (s *Server) onDrop(req *sched.Request, k int, _ time.Duration) {
-	s.finish(req, Response{ID: req.ID, Outcome: OutcomeDropped, DropModule: k}, k)
+// onDrop resolves a request the policy dropped at module k at due.
+func (s *Server) onDrop(req *sched.Request, k int, due time.Duration) {
+	s.finish(req, Response{ID: req.ID, Outcome: OutcomeDropped, DropModule: k}, k, due)
 }
 
-// finish records a terminal outcome decided by the core and delivers the
+// finish records a terminal outcome the core decided at due and delivers the
 // client response, unless Stop's drain already resolved the request. The
-// ledger is kept on the executor's clock at resolution, not on the callback's
-// due instant: the paced wall-clock executor fires late, never early, so a
-// completion that met its deadline in the model but was delivered past it is
-// late, and no latency is reported shorter than what elapsed. (Under
-// ManualExecutor the two instants are the same.)
-func (s *Server) finish(req *sched.Request, resp Response, dropModule int) {
+// ledger is kept on the executor's clock at resolution, never earlier than
+// due: the wall clock commits late, never early, so a completion that met its
+// deadline in the model but was delivered past it is late, and no latency is
+// reported shorter than what elapsed. (On the manual clock a window may
+// commit ahead of Now, and the ledger reads due.)
+func (s *Server) finish(req *sched.Request, resp Response, dropModule int, due time.Duration) {
 	pr := req.Payload.(*pendingReq)
 	if !s.unregister(pr) {
 		return
 	}
-	now := s.exec.Now()
+	now := max(s.exec.Now(), due)
 	if resp.Outcome == OutcomeGood && now > req.Deadline {
 		resp.Outcome = OutcomeLate
 	}
@@ -664,13 +667,24 @@ func FetchDeployment(target string) (Config, error) {
 
 // RunTwin replays tr through the discrete-event twin of the deployment cfg
 // describes, after the server's defaults: its worker counts pinned, no
-// execution jitter and no time between modules, as the live core runs.
+// execution jitter and no time between modules, as the live core runs. The
+// twin is the live core's engine on a virtual clock: the server replaying tr
+// on the manual clock decides every request as the twin does.
 func RunTwin(cfg Config, tr *trace.Trace) (*simgpu.Result, error) {
-	cfg, err := cfg.withDefaults()
+	sc, err := twinConfig(cfg, tr)
 	if err != nil {
 		return nil, err
 	}
-	return simgpu.Run(simgpu.Config{
+	return simgpu.Run(sc)
+}
+
+// twinConfig is the simulator configuration RunTwin runs.
+func twinConfig(cfg Config, tr *trace.Trace) (simgpu.Config, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return simgpu.Config{}, err
+	}
+	return simgpu.Config{
 		Spec:         cfg.Spec,
 		Lib:          cfg.Lib,
 		PolicyName:   cfg.PolicyName,
@@ -680,5 +694,5 @@ func RunTwin(cfg Config, tr *trace.Trace) (*simgpu.Result, error) {
 		FixedWorkers: cfg.Workers,
 		JitterPct:    -1,
 		NetDelay:     -1,
-	})
+	}, nil
 }

@@ -198,7 +198,7 @@ func (r *Result) shape() error {
 // clock, plus trace injection and result collection.
 type Runner struct {
 	cfg Config
-	shx *sched.ShardedExecutor
+	eng *sched.LaneExecutor
 	cl  *sched.Cluster
 
 	requests    []*sched.Request
@@ -254,12 +254,12 @@ func New(cfg Config) (*Runner, error) {
 		// transport's lockstep exchanges.
 		r.topo = sched.Topology{Groups: rt.Groups, Group: rt.Group}
 		r.tr = rt.Transport
-		r.shx, err = sched.NewShardedExecutorTopo(full.Spec.N(), full.NetDelay, r.topo, r.tr)
+		r.eng, err = sched.NewLaneExecutorTopo(full.Spec.N(), full.NetDelay, r.topo, r.tr)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		r.shx = sched.NewShardedExecutor(full.Spec.N(), full.NetDelay)
+		r.eng = sched.NewLaneExecutor(full.Spec.N(), full.NetDelay)
 	}
 	cl, err := sched.New(sched.Config{
 		Spec:           full.Spec,
@@ -275,7 +275,7 @@ func New(cfg Config) (*Runner, error) {
 		OnDone:         r.onDone,
 		OnDrop:         r.onDrop,
 		Resolve:        r.resolveRequest,
-	}, r.shx)
+	}, r.eng)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +323,7 @@ func (r *Runner) inject() {
 	r.slab = make([]sched.Request, r.cfg.Trace.Len())
 	slab := r.slab
 	r.requests = make([]*sched.Request, 0, len(slab))
-	r.shx.Reserve(r.cfg.Spec.Source(), len(slab))
+	r.eng.Reserve(r.cfg.Spec.Source(), len(slab))
 	r.cl.Reserve(r.cfg.Trace.Arrivals)
 	for i, at := range r.cfg.Trace.Arrivals {
 		req := &slab[i]
@@ -349,8 +349,8 @@ func (r *Runner) Run() (*Result, error) {
 	}
 	r.inject()
 
-	r.runSharded()
-	if err := r.shx.Err(); err != nil {
+	r.runLanes()
+	if err := r.eng.Err(); err != nil {
 		return nil, err
 	}
 	if r.tr != nil {
@@ -368,7 +368,7 @@ func (r *Runner) Run() (*Result, error) {
 // count plus every group's owned-lane count.
 func (r *Runner) finishExchange() error {
 	n := r.cl.N()
-	msg := sched.FinishMsg{Group: int32(r.topo.Group), LaneFired: r.shx.FiredLanes()}
+	msg := sched.FinishMsg{Group: int32(r.topo.Group), LaneFired: r.eng.FiredLanes()}
 	for k := 0; k < n; k++ {
 		if !r.topo.Owns(k) {
 			continue
@@ -390,7 +390,7 @@ func (r *Runner) finishExchange() error {
 		return err
 	}
 	r.reports = make(map[int]*sched.ModuleReport, n)
-	r.fired = r.shx.FiredControl()
+	r.fired = r.eng.FiredControl()
 	for i := range all {
 		r.fired += all[i].LaneFired
 		for j := range all[i].Reports {
@@ -430,21 +430,21 @@ func (r *Runner) moduleProbes(k int) sched.ModuleProbes {
 	return r.cl.Probes(k)
 }
 
-// runSharded drives the per-module lane engine. Sync, scaling and failure
+// runLanes drives the per-module lane engine. Sync, scaling and failure
 // events run on the executor's serial control lane (every module lane
 // parked), exactly the cross-module context they need.
-func (r *Runner) runSharded() {
+func (r *Runner) runLanes() {
 	// The ControlFlush calls commit a tick's drops/completions, which the
 	// lane engine otherwise commits when the control event ends: the drained
 	// predicate right after must read the committed counts — on every
 	// replica — or the groups could disagree on when the run ends.
-	r.shx.Ticker(r.cfg.SyncPeriod, "sync", func(now time.Duration) bool {
+	r.eng.Ticker(r.cfg.SyncPeriod, "sync", func(now time.Duration) bool {
 		r.cl.SyncTick(now)
 		r.cl.ControlFlush()
 		return !r.drained(now)
 	})
 	if r.cfg.FixedWorkers == nil {
-		r.shx.Ticker(sched.ScalePeriod, "scale", func(now time.Duration) bool {
+		r.eng.Ticker(sched.ScalePeriod, "scale", func(now time.Duration) bool {
 			r.cl.ScaleTick(now)
 			r.cl.ControlFlush()
 			return !r.drained(now)
@@ -452,11 +452,11 @@ func (r *Runner) runSharded() {
 	}
 	for _, f := range r.cfg.Failures {
 		f := f
-		r.shx.Schedule(f.At, "failure", func(now time.Duration) {
+		r.eng.Schedule(f.At, "failure", func(now time.Duration) {
 			r.cl.Crash(f.Module, now, f.Count)
 		})
 	}
-	r.shx.Run()
+	r.eng.Run()
 }
 
 func (r *Runner) buildResult() *Result {
@@ -489,7 +489,7 @@ func (r *Runner) buildResult() *Result {
 		col.Add(rec)
 	}
 
-	fired := r.shx.Fired()
+	fired := r.eng.Fired()
 	if r.reports != nil {
 		fired = r.fired // control events once + every group's owned lanes
 	}

@@ -451,12 +451,13 @@ func (tr *Trace) WriteFile(path string) error {
 // about 10⁶ s. Lines starting with '#' are comments, except that WriteCSV's
 // header before the first arrival sets the trace's name and duration.
 // Without it the trace is called name and lasts until 1 s after its last
-// arrival. Errors give name and the line number.
+// arrival; a header's duration must not end before the last arrival. Errors
+// give name and the line number.
 func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	tr := &Trace{Name: name, Duration: -1}
-	line := 0
+	line, header := 0, 0
 	for sc.Scan() {
 		line++
 		s := strings.TrimSpace(sc.Text())
@@ -469,7 +470,7 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("trace: %s:%d: duration_s: %w", name, line, err)
 			}
-			tr.Name, tr.Duration = rest[:i], d
+			tr.Name, tr.Duration, header = rest[:i], d, line
 			continue
 		}
 		if s == "" || s[0] == '#' {
@@ -485,11 +486,15 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: %s:%d: %w", name, line+1, err)
 	}
 	slices.Sort(tr.Arrivals)
-	if tr.Duration < 0 {
+	n := len(tr.Arrivals)
+	switch {
+	case tr.Duration < 0 && n == 0:
 		tr.Duration = 0
-		if n := len(tr.Arrivals); n > 0 {
-			tr.Duration = tr.Arrivals[n-1] + time.Second
-		}
+	case tr.Duration < 0:
+		tr.Duration = tr.Arrivals[n-1] + time.Second
+	case n > 0 && tr.Duration < tr.Arrivals[n-1]:
+		return nil, fmt.Errorf("trace: %s:%d: duration_s %.9f ends before the last arrival, at %.9f s",
+			name, header, tr.Duration.Seconds(), tr.Arrivals[n-1].Seconds())
 	}
 	return tr, nil
 }

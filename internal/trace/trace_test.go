@@ -194,18 +194,7 @@ func TestSliceReanchors(t *testing.T) {
 // nanosecond — name, duration and every arrival — for the paper's shapes at
 // full length, and for offsets drawn at random below 10⁶ s.
 func TestCSVRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	random := &Trace{Name: "random name", Duration: time.Duration(1e15)}
-	for range 10000 {
-		random.Arrivals = append(random.Arrivals, time.Duration(rng.Int63n(1e15)))
-	}
-	slices.Sort(random.Arrivals)
-	for _, tr := range []*Trace{
-		MustGenerate(Config{Kind: Tweet, Duration: 1400 * time.Second, Seed: 1}),
-		MustGenerate(Config{Kind: Azure, Duration: 1400 * time.Second, Seed: 1}),
-		Fixed(3, 7*time.Second),
-		random,
-	} {
+	for _, tr := range roundTripTraces() {
 		var buf bytes.Buffer
 		if err := tr.WriteCSV(&buf); err != nil {
 			t.Fatal(err)
@@ -227,24 +216,48 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadCSVErrors: a value that is not an offset is an error naming the
-// file and the line, never a panic or a trace the simulator refuses.
+// roundTripTraces are TestCSVRoundTrip's traces: two generated over 1400 s,
+// a fixed-rate one and 10 000 random offsets up to 10⁶ s.
+func roundTripTraces() []*Trace {
+	rng := rand.New(rand.NewSource(3))
+	random := &Trace{Name: "random name", Duration: time.Duration(1e15)}
+	for range 10000 {
+		random.Arrivals = append(random.Arrivals, time.Duration(rng.Int63n(1e15)))
+	}
+	slices.Sort(random.Arrivals)
+	return []*Trace{
+		MustGenerate(Config{Kind: Tweet, Duration: 1400 * time.Second, Seed: 1}),
+		MustGenerate(Config{Kind: Azure, Duration: 1400 * time.Second, Seed: 1}),
+		Fixed(3, 7*time.Second),
+		random,
+	}
+}
+
+// badCSVs are TestReadCSVErrors' inputs, each with the start of its error
+// after "trace: ".
+var badCSVs = []struct{ in, want string }{
+	{"abc\n", "f.csv:1: "},
+	{"1\n-1\n", "f.csv:2: "},
+	{"1\n\n1e20\n", "f.csv:3: "},
+	{"# c\nNaN\n", "f.csv:2: "},
+	{"+Inf\n", "f.csv:1: "},
+	{"-Inf\n", "f.csv:1: "},
+	{"1e400\n", "f.csv:1: "},
+	{"9223372037\n", "f.csv:1: "},
+	{"-1e-10\n", "f.csv:1: "},
+	{"# trace=x\n1\n", "f.csv:1: header has no duration_s"},
+	{"# trace=x duration_s=NaN\n1\n", "f.csv:1: duration_s: "},
+	{"# trace=x duration_s=-5\n1\n", "f.csv:1: duration_s: "},
+	{"0.5\n" + strings.Repeat("1", 2<<20) + "\n", "f.csv:2: "},
+	{"# trace=x duration_s=0.5\n1\n2\n30\n", "f.csv:1: duration_s 0.500000000 ends before the last arrival, at 30.000000000 s"},
+	{"# c\n# trace=x duration_s=29.999999999\n30\n", "f.csv:2: duration_s "},
+}
+
+// TestReadCSVErrors: a value that is not an offset, or a header whose
+// duration ends before the last arrival, is an error naming the file and the
+// line, never a panic or a trace the simulator refuses.
 func TestReadCSVErrors(t *testing.T) {
-	for _, c := range []struct{ in, want string }{
-		{"abc\n", "f.csv:1: "},
-		{"1\n-1\n", "f.csv:2: "},
-		{"1\n\n1e20\n", "f.csv:3: "},
-		{"# c\nNaN\n", "f.csv:2: "},
-		{"+Inf\n", "f.csv:1: "},
-		{"-Inf\n", "f.csv:1: "},
-		{"1e400\n", "f.csv:1: "},
-		{"9223372037\n", "f.csv:1: "},
-		{"-1e-10\n", "f.csv:1: "},
-		{"# trace=x\n1\n", "f.csv:1: header has no duration_s"},
-		{"# trace=x duration_s=NaN\n1\n", "f.csv:1: duration_s: "},
-		{"# trace=x duration_s=-5\n1\n", "f.csv:1: duration_s: "},
-		{"0.5\n" + strings.Repeat("1", 2<<20) + "\n", "f.csv:2: "},
-	} {
+	for _, c := range badCSVs {
 		_, err := ReadCSV("f.csv", strings.NewReader(c.in))
 		if err == nil || !strings.HasPrefix(err.Error(), "trace: "+c.want) {
 			t.Errorf("%.30q: %v, want an error starting %q", c.in, err, "trace: "+c.want)
@@ -252,11 +265,14 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// headerlessCSV is TestReadCSVWithoutHeader's input.
+const headerlessCSV = "# comment\n\n2.0\n# trace=y duration_s=9\n1\n-0\n"
+
 // TestReadCSVWithoutHeader: offsets alone are sorted, the trace takes the
 // given name and lasts until 1 s after its last arrival; '#' lines, blank
 // lines and a header-like line after the first arrival are comments.
 func TestReadCSVWithoutHeader(t *testing.T) {
-	tr, err := ReadCSV("x", strings.NewReader("# comment\n\n2.0\n# trace=y duration_s=9\n1\n-0\n"))
+	tr, err := ReadCSV("x", strings.NewReader(headerlessCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,4 +403,55 @@ func BenchmarkGenerateTweet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MustGenerate(Config{Kind: Tweet, Duration: 1400 * time.Second, Seed: int64(i)})
 	}
+}
+
+// FuzzTraceCSV: ReadCSV refuses or accepts any input without panicking, and
+// a trace it accepts is sorted, starts at 0 or later and lasts at least
+// until its last arrival. Below 10⁶ s, where offsets keep the nanosecond,
+// WriteCSV of it read back by ReadCSV writes the same bytes again.
+func FuzzTraceCSV(f *testing.F) {
+	for _, tr := range roundTripTraces() {
+		head := *tr
+		head.Arrivals = head.Arrivals[:min(len(head.Arrivals), 64)]
+		var buf bytes.Buffer
+		if err := head.WriteCSV(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, c := range badCSVs {
+		if len(c.in) < 1<<10 {
+			f.Add([]byte(c.in))
+		}
+	}
+	f.Add([]byte(headerlessCSV))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadCSV("f.csv", bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if !slices.IsSorted(tr.Arrivals) {
+			t.Fatalf("arrivals not sorted: %v", tr.Arrivals)
+		}
+		if n := tr.Len(); n > 0 && (tr.Arrivals[0] < 0 || tr.Duration < tr.Arrivals[n-1]) {
+			t.Fatalf("arrivals from %v to %v over a duration of %v", tr.Arrivals[0], tr.Arrivals[n-1], tr.Duration)
+		}
+		if tr.Duration >= 1e6*time.Second {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := tr.WriteCSV(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV("other", bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadCSV refuses what WriteCSV wrote: %v\n%q", err, first.Bytes())
+		}
+		if err := back.WriteCSV(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the CSV:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
 }
