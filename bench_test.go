@@ -480,7 +480,7 @@ const fastSLO = 150 * time.Millisecond
 // fastServer is the live server of the server ops: a 3-stage chain of a
 // model whose batches take about a millisecond, on exec (nil: the wall
 // clock).
-func fastServer(tb testing.TB, exec *sched.ManualExecutor) *server.Server {
+func fastServer(tb testing.TB, exec *sched.LaneExecutor) *server.Server {
 	lib := profile.NewLibrary()
 	if err := lib.Add(profile.Model{
 		Name:     "fast",

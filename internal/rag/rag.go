@@ -19,7 +19,7 @@
 // recent averages and offline profiles), and predict (proactive plus oracle
 // knowledge of rewrite output lengths).
 //
-// The run is a host of the repo's one event loop (sched.ManualExecutor, run
+// The run is a host of the repo's one event loop (sched.NewManualExecutor, run
 // to the end on a virtual clock; with no modules, every event rides its
 // control lane) and schedules typed events on it: every request is a
 // record in one slab, and each event kind is a named pointer type over that
@@ -195,7 +195,7 @@ func (s *slotPool) release(now time.Duration) {
 
 type runner struct {
 	cfg Config
-	eng *sched.ManualExecutor
+	eng *sched.LaneExecutor
 	rng *rand.Rand
 
 	rewrite  slotPool

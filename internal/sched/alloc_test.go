@@ -483,7 +483,7 @@ func TestStreamSeedMatchesFNV(t *testing.T) {
 // policy (pard) and a FIFO one (nexus).
 func TestAllocsWorkerPool(t *testing.T) {
 	spec := pipeline.LV()
-	newCluster := func(pol string, workers int) (*Cluster, *ManualExecutor) {
+	newCluster := func(pol string, workers int) (*Cluster, *LaneExecutor) {
 		man := NewManualExecutor()
 		ws := make([]int, spec.N())
 		for k := range ws {

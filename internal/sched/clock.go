@@ -25,38 +25,33 @@ func (f funcHandler) Fire(now time.Duration) { f(now) }
 // fnEvent is the event Schedule(at, name, fn) queues.
 func fnEvent(fn func(now time.Duration)) laneEvent { return laneEvent{h: funcHandler(fn)} }
 
-// ManualExecutor is the lane engine on a clock the caller steps (RunUntil,
-// Run): parity and server tests replay workloads on it, and the RAG case
-// study runs on it with no lanes, its events all on the control lane. A
-// cluster built on one sizes its lanes from the pipeline and its lookahead
-// from the hop delay. Single-goroutine, like the virtual clock.
-type ManualExecutor = LaneExecutor
+// NewManualExecutor returns the lane engine on a clock the caller steps
+// (RunUntil, Run), at t = 0 with no lanes and no pending events: parity and
+// server tests replay workloads on it, and the RAG case study runs on it with
+// no lanes, its events all on the control lane. A cluster built on one sizes
+// its lanes from the pipeline and its lookahead from the hop delay.
+// Single-goroutine, like the virtual clock.
+func NewManualExecutor() *LaneExecutor { return &LaneExecutor{ctrl: new(laneState)} }
 
-// NewManualExecutor returns an executor at t = 0 with no lanes and no
-// pending events.
-func NewManualExecutor() *ManualExecutor { return &LaneExecutor{ctrl: new(laneState)} }
-
-// TimerExecutor is the lane engine paced by the wall clock: the live
-// server's. One goroutine, the drainer, runs each step once the wall clock
-// has reached its instant and hands every callback its due instant. A cluster
-// built on it hops between modules at once, so a window is one instant and
-// no event fires ahead of its own. The wait is SleepUntil's: on Linux, Go's
-// netpoller sleeps in whole milliseconds, so a runtime timer only brings the
-// drainer to within fineWindow of the instant and the kernel sleeps the rest
-// in slices short enough to see a wake between them. However late the host
-// wakes the drainer, the lag stays out of the model's clock: the next batch
-// is scheduled from the due instant, so lag neither compounds per stage nor
-// leaks into the policy's windows. Now is the wall clock, for callers outside
-// callbacks.
+// wallClock is the drainer state of the lane engine paced by the wall clock
+// (NewTimerExecutor): the live server's. One goroutine, the drainer, runs
+// each step once the wall clock has reached its instant and hands every
+// callback its due instant. A cluster built on it hops between modules at
+// once, so a window is one instant and no event fires ahead of its own. The
+// wait is SleepUntil's: on Linux, Go's netpoller sleeps in whole
+// milliseconds, so a runtime timer only brings the drainer to within
+// fineWindow of the instant and the kernel sleeps the rest in slices short
+// enough to see a wake between them. However late the host wakes the
+// drainer, the lag stays out of the model's clock: the next batch is
+// scheduled from the due instant, so lag neither compounds per stage nor
+// leaks into the policy's windows. Now is the wall clock, for callers
+// outside callbacks.
 //
 // Host and control-context schedules — Submit's arrivals from any
 // goroutine, the sync ticks, those the drainer's own callbacks make — go
 // through a locked inbox, which the drainer moves into the lanes at its loop
 // head: lane state is touched by the drainer alone, and no lock is held while
 // an event fires.
-type TimerExecutor = LaneExecutor
-
-// wallClock is a TimerExecutor's drainer state.
 type wallClock struct {
 	start time.Time
 	wake  chan struct{} // 1-slot: a post ahead of parked, or Stop
@@ -65,7 +60,7 @@ type wallClock struct {
 	mu      sync.Mutex // guards everything below
 	inbox   []inboxItem
 	parked  time.Duration // instant the drainer sleeps toward: 0 while it runs a step, MaxInt64 with nothing pending
-	pending int           // events in the lanes at the drainer's last loop head
+	pending int           // events in the lanes: counted after each step, raised by each inbox move
 	started bool          // the drainer goroutine exists
 	stopped bool
 	stats   ExecStats // Pending and LagMeanUS are filled in by Stats
@@ -79,10 +74,11 @@ type inboxItem struct {
 	ev  laneEvent
 }
 
-// ExecStats is a TimerExecutor's account of itself. Lag is how far past its
-// due instant the wall clock stood when an event's step began: the host's
-// wake-up latency while the drainer keeps up, a growing backlog when it does
-// not. A step's events are counted once it has ended.
+// ExecStats is a wall clock's account of itself. Lag is how far past a
+// step's instant the wall clock stood as the step began — the host's wake-up
+// latency while the drainer keeps up, a growing backlog when it does not —
+// and is sampled once per step: an event queued behind slow callbacks of its
+// instant is charged its step's lag. A step's events are counted once it ends.
 type ExecStats struct {
 	Fired     uint64  `json:"fired"`
 	Pending   int     `json:"pending"`
@@ -93,9 +89,9 @@ type ExecStats struct {
 	LagHist [16]uint64 `json:"lag_hist_pow2_us"`
 }
 
-// NewTimerExecutor returns an executor anchored at the current instant, with
-// no lanes. Its drainer starts with the first Schedule.
-func NewTimerExecutor() *TimerExecutor {
+// NewTimerExecutor returns the lane engine paced by the wall clock (see
+// wallClock) at the current instant, with no lanes and no drainer yet.
+func NewTimerExecutor() *LaneExecutor {
 	return &LaneExecutor{
 		ctrl: new(laneState),
 		wall: &wallClock{
@@ -132,25 +128,18 @@ func (w *wallClock) post(x *LaneExecutor, dst int, at time.Duration, ev laneEven
 	}
 }
 
-// drain is the wall clock's one goroutine: at each loop head it counts the
-// last step's events, moves the inbox into the lanes and runs the next step
-// once it is due, or parks until it is, a post cuts ahead of it, or Stop.
+// drain is the wall clock's one goroutine: at each loop head it moves the
+// inbox into the lanes and runs the next step once it is due, or parks until
+// it is, a post cuts ahead of it, or Stop; after each step it counts the
+// step's events.
 func (x *LaneExecutor) drain() {
 	w := x.wall
 	defer close(w.done)
 	timer := time.NewTimer(0) // a stale tick only makes SleepUntil look again
 	defer timer.Stop()
 	x.running = true
-	var lag time.Duration // of the step just run
+	w.mu.Lock()
 	for {
-		w.mu.Lock()
-		if n := x.Fired() - w.stats.Fired; n > 0 {
-			lagUS := lag.Microseconds()
-			w.stats.Fired += n
-			w.lagSum += time.Duration(n) * lag
-			w.stats.LagMaxUS = max(w.stats.LagMaxUS, float64(lagUS))
-			w.stats.LagHist[min(bits.Len64(uint64(lagUS)), 15)] += n
-		}
 		if w.stopped {
 			w.mu.Unlock()
 			return
@@ -159,14 +148,15 @@ func (x *LaneExecutor) drain() {
 			it := &w.inbox[i]
 			x.insert(it.dst, it.at, it.ev)
 		}
+		w.pending += len(w.inbox)
 		clear(w.inbox) // drop the moved events' references
 		w.inbox = w.inbox[:0]
-		w.pending = x.Pending()
 		tCtrl, okC, tLane, okL := x.next()
 		if !okC && !okL {
 			w.parked = math.MaxInt64
 			w.mu.Unlock()
 			<-w.wake
+			w.mu.Lock()
 			continue
 		}
 		at := stepAt(tCtrl, okC, tLane, okL)
@@ -175,12 +165,21 @@ func (x *LaneExecutor) drain() {
 			w.parked = at
 			w.mu.Unlock()
 			SleepUntil(timer, w.start.Add(at), w.wake)
+			w.mu.Lock()
 			continue
 		}
 		w.parked = 0
 		w.mu.Unlock()
-		lag = wall - at
+		fired := x.Fired()
 		x.step(tCtrl, okC, tLane, okL)
+		n, lag := x.Fired()-fired, wall-at
+		w.mu.Lock()
+		lagUS := lag.Microseconds()
+		w.stats.Fired += n
+		w.lagSum += time.Duration(n) * lag
+		w.stats.LagMaxUS = max(w.stats.LagMaxUS, float64(lagUS))
+		w.stats.LagHist[min(bits.Len64(uint64(lagUS)), 15)] += n
+		w.pending = x.Pending()
 	}
 }
 

@@ -152,64 +152,60 @@ func TestNewRefusesWorkerCounts(t *testing.T) {
 // after every single event that the dispatch tree says what the workers say
 // (checkTree), and that its root is the worker the pointer scan picks.
 func TestDispatchTableTracksWorkers(t *testing.T) {
-	man := NewManualExecutor()
-	spec := pipeline.LV()
-	workers := make([]int, spec.N())
-	for k := range workers {
-		workers[k] = 3
-	}
-	cl, err := New(Config{
-		Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "pard", Seed: 3,
-		Workers: workers, NetDelay: time.Millisecond,
-	}, man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cold starts short enough to end while traffic still flows, and room
-	// to grow past the initial pool.
-	cl.coldStart, cl.maxWorkers = 300*time.Millisecond, 8
-
-	// Three seconds of heavy traffic, three of a trickle, three heavy again.
 	const horizon = 9 * time.Second
-	rng := rand.New(rand.NewSource(11))
-	var reqs []*Request
-	for at := time.Duration(0); at < horizon; {
-		rate := 600.0
-		if at >= 3*time.Second && at < 6*time.Second {
-			rate = 20
+	build := func() (*LaneExecutor, *Cluster, []*Request) {
+		man := NewManualExecutor()
+		spec := pipeline.LV()
+		workers := make([]int, spec.N())
+		for k := range workers {
+			workers[k] = 3
 		}
-		at += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-		reqs = append(reqs, &Request{ID: uint64(len(reqs)), Send: at, Deadline: at + spec.SLO})
-	}
-	for _, r := range reqs {
-		cl.Inject(r, r.Send)
-	}
-	for at := 100 * time.Millisecond; at < horizon; at += 100 * time.Millisecond {
-		man.Schedule(at, "sync", cl.SyncTick)
-		if at%(500*time.Millisecond) == 0 {
-			man.Schedule(at, "scale", cl.ScaleTick)
+		cl, err := New(Config{
+			Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "pard", Seed: 3,
+			Workers: workers, NetDelay: time.Millisecond,
+		}, man)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if at%(1700*time.Millisecond) == 0 {
-			k := rng.Intn(spec.N())
-			man.Schedule(at, "crash", func(now time.Duration) { cl.Crash(k, now, 1) })
-		}
-	}
+		// Cold starts short enough to end while traffic still flows, and
+		// room to grow past the initial pool.
+		cl.coldStart, cl.maxWorkers = 300*time.Millisecond, 8
 
-	// One step (a control round or a window) at a time, checking after each.
-	var steps, sawIdle, sawDead, sawCold int
-	for {
-		tCtrl, okC, tLane, okL := man.next()
-		at := stepAt(tCtrl, okC, tLane, okL)
-		if !okC && !okL || at > horizon+time.Minute {
-			break
+		// Three seconds of heavy traffic, three of a trickle, three heavy
+		// again.
+		rng := rand.New(rand.NewSource(11))
+		var reqs []*Request
+		for at := time.Duration(0); at < horizon; {
+			rate := 600.0
+			if at >= 3*time.Second && at < 6*time.Second {
+				rate = 20
+			}
+			at += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+			reqs = append(reqs, &Request{ID: uint64(len(reqs)), Send: at, Deadline: at + spec.SLO})
 		}
-		man.running = true
-		man.step(tCtrl, okC, tLane, okL)
-		man.running = false
-		steps++
+		for _, r := range reqs {
+			cl.Inject(r, r.Send)
+		}
+		for at := 100 * time.Millisecond; at < horizon; at += 100 * time.Millisecond {
+			man.Schedule(at, "sync", cl.SyncTick)
+			if at%(500*time.Millisecond) == 0 {
+				man.Schedule(at, "scale", cl.ScaleTick)
+			}
+			if at%(1700*time.Millisecond) == 0 {
+				k := rng.Intn(spec.N())
+				man.Schedule(at, "crash", func(now time.Duration) { cl.Crash(k, now, 1) })
+			}
+		}
+		return man, cl, reqs
+	}
+	man, cl, reqs := build()
+
+	var events, sawIdle, sawDead, sawCold int
+	check := func(ev *laneEvent, at time.Duration) {
+		events++
 		for _, m := range cl.modules {
 			if err := checkTree(m); err != nil {
-				t.Fatalf("step %d (at %v): module %d: %v", steps, at, m.idx, err)
+				t.Fatalf("event %d (op %d at %v): module %d: %v", events, ev.op, at, m.idx, err)
 			}
 			for _, w := range m.workers {
 				switch {
@@ -224,10 +220,58 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 				}
 			}
 			if got, want := m.leastLoaded(), scanLeastLoaded(m); got != want {
-				t.Fatalf("step %d (at %v): module %d dispatches to worker %d, the pointer scan to %d", steps, at, m.idx, got, want)
+				t.Fatalf("event %d (op %d at %v): module %d dispatches to worker %d, the pointer scan to %d", events, ev.op, at, m.idx, got, want)
 			}
 		}
 	}
+	barrier := func() {
+		if err := man.barrierFn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Step by step as runTo does, but with step's two loops — the control
+	// round's and each lane's (laneState.run) — spelled out, to check after
+	// every event.
+	man.running = true
+	for {
+		tCtrl, okC, tLane, okL := man.next()
+		if !okC && !okL || stepAt(tCtrl, okC, tLane, okL) > horizon+time.Minute {
+			break
+		}
+		if okC && (!okL || tCtrl <= tLane) {
+			man.frontier, man.now = tCtrl, max(man.now, tCtrl)
+			for at, ok := man.ctrl.q.peek(); ok && at == tCtrl; at, ok = man.ctrl.q.peek() {
+				ev := man.ctrl.q.pop()
+				man.ctrl.now = tCtrl
+				man.ctrl.fired++
+				ev.fire(tCtrl)
+				barrier()
+				check(&ev, tCtrl)
+			}
+			continue
+		}
+		man.now = max(man.now, tLane)
+		hi := tLane + man.lookahead
+		if okC && tCtrl < hi {
+			hi = tCtrl
+		}
+		hi = max(hi, tLane)
+		for _, l := range man.lanes {
+			for at, ok := l.q.peek(); ok && (at < hi || at == tLane); at, ok = l.q.peek() {
+				ev := l.q.pop()
+				l.now = max(l.now, at)
+				l.fired++
+				ev.fire(l.now)
+				check(&ev, l.now)
+			}
+		}
+		if man.posted {
+			man.flushOutboxes()
+		}
+		barrier()
+		man.frontier = max(man.frontier, hi)
+	}
+	man.running = false
 	if sawIdle == 0 || sawDead == 0 || sawCold == 0 {
 		t.Fatalf("the run never exercised deactivation (%d), a crash (%d) and a cold start (%d) together", sawIdle, sawDead, sawCold)
 	}
@@ -236,7 +280,20 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 			t.Fatalf("request %d never terminated", r.ID)
 		}
 	}
-	t.Logf("%d events in %d steps, %d requests", man.Fired(), steps, len(reqs))
+	// The loop above is step's: the same run through Run decides every
+	// request alike.
+	ref, _, refReqs := build()
+	ref.RunUntil(horizon + time.Minute)
+	if ref.Fired() != man.Fired() {
+		t.Fatalf("RunUntil fired %d events, the checked loop %d", ref.Fired(), man.Fired())
+	}
+	for i, r := range reqs {
+		q := refReqs[i]
+		if r.Dropped != q.Dropped || r.DropModule != q.DropModule || r.DropAt != q.DropAt || r.Finished != q.Finished || r.DoneAt != q.DoneAt {
+			t.Fatalf("request %d: the checked loop ended it %+v, RunUntil %+v", r.ID, *r, *q)
+		}
+	}
+	t.Logf("%d events, %d requests", events, len(reqs))
 }
 
 // TestCrashClearsWorker: a crashed worker's batch slabs keep no request

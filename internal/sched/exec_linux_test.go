@@ -43,7 +43,7 @@ func TestTimerExecutorFineWait(t *testing.T) {
 // sleepingToward spins until x's drainer sleeps toward due, and reports false
 // if due came first: a test that stalled that long missed the wait it meant
 // to land in, and tries again.
-func sleepingToward(x *TimerExecutor, due time.Duration) bool {
+func sleepingToward(x *LaneExecutor, due time.Duration) bool {
 	for x.parkedOn() != due {
 		if x.Now() >= due {
 			return false

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -167,10 +166,8 @@ func TestTimerExecutorNeverEarly(t *testing.T) {
 		}
 		prev = f.arg
 	}
-	for x.parkedOn() != math.MaxInt64 {
-		runtime.Gosched() // until the drainer has counted the last step and idles
-	}
-	if st := x.Stats(); st.Fired != n || st.Pending != 0 || st.LagMaxUS < st.LagMeanUS {
+	// The last callback returns before the drainer counts its step.
+	if st := statsWhen(t, x, func(st ExecStats) bool { return st.Fired == n }); st.Pending != 0 || st.LagMaxUS < st.LagMeanUS {
 		t.Fatalf("stats after %d events: %+v", n, st)
 	}
 }
@@ -339,8 +336,10 @@ func TestTimerExecutorWakesParkedDrainer(t *testing.T) {
 	x := NewTimerExecutor()
 	defer x.Stop()
 	x.Schedule(x.Now()+time.Hour, "far", func(time.Duration) { t.Error("an event an hour away fired") })
-	for x.parkedOn() == 0 {
-		runtime.Gosched() // until the drainer has parked on it
+	for deadline := time.Now().Add(5 * time.Second); x.parkedOn() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the drainer never parked on an event an hour away")
+		}
 	}
 	fired := make(chan time.Duration, 1)
 	start := x.Now()
@@ -353,15 +352,28 @@ func TestTimerExecutorWakesParkedDrainer(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the parked drainer never woke")
 	}
-	for x.parkedOn() == 0 {
-		runtime.Gosched() // until the drainer has counted the step and parked again
-	}
-	if st := x.Stats(); st.Fired != 1 || st.Pending != 1 {
+	if st := statsWhen(t, x, func(st ExecStats) bool { return st.Fired == 1 }); st.Pending != 1 {
 		t.Fatalf("stats = %+v, want 1 fired and 1 pending", st)
 	}
 }
 
-func (x *TimerExecutor) parkedOn() time.Duration {
+// statsWhen polls x's Stats until ok holds, and fails the test if it does
+// not within 5 s: a callback has returned before the drainer counts its
+// step.
+func statsWhen(t *testing.T, x *LaneExecutor, ok func(ExecStats) bool) ExecStats {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		st := x.Stats()
+		if ok(st) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats still %+v after 5 s", st)
+		}
+	}
+}
+
+func (x *LaneExecutor) parkedOn() time.Duration {
 	x.wall.mu.Lock()
 	defer x.wall.mu.Unlock()
 	return x.wall.parked
@@ -425,7 +437,7 @@ func TestTimerExecutorStop(t *testing.T) {
 	}
 }
 
-func (x *TimerExecutor) isStopped() bool {
+func (x *LaneExecutor) isStopped() bool {
 	x.wall.mu.Lock()
 	defer x.wall.mu.Unlock()
 	return x.wall.stopped

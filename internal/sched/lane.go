@@ -180,8 +180,10 @@ func NewLaneExecutor(lanes int, lookahead time.Duration) *LaneExecutor {
 func (x *LaneExecutor) addLanes(n int, lookahead time.Duration) {
 	x.lookahead = max(lookahead, 0)
 	x.sending = make([]*laneState, 0, n)
-	for i := 0; i < n; i++ {
-		x.lanes = append(x.lanes, new(laneState))
+	states := make([]laneState, n)
+	x.lanes = make([]*laneState, n)
+	for i := range states {
+		x.lanes[i] = &states[i]
 	}
 }
 
@@ -218,6 +220,12 @@ func (x *LaneExecutor) attach(n int, hop time.Duration, barrier func() error) er
 		return fmt.Errorf("sched: the wall clock runs windows of one instant, not a %v hop", hop)
 	case len(x.lanes) == 0:
 		x.addLanes(n, hop)
+		// A host's queues live as long as it does: room up front.
+		for _, l := range x.lanes {
+			l.q.reserve(32)
+			l.outbox = make([]post, 0, 32)
+		}
+		x.ctrl.q.reserve(32)
 	case len(x.lanes) != n:
 		return fmt.Errorf("sched: executor has %d lanes for %d modules", len(x.lanes), n)
 	}

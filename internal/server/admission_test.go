@@ -12,7 +12,7 @@ import (
 )
 
 // boundedServer is manualServer with an in-flight bound, on the executor exec.
-func boundedServer(t *testing.T, slo time.Duration, maxInFlight int, exec *sched.ManualExecutor) *Server {
+func boundedServer(t *testing.T, slo time.Duration, maxInFlight int, exec *sched.LaneExecutor) *Server {
 	t.Helper()
 	s, err := New(Config{
 		Spec:        pipeline.Uniform("manual", 3, "fast", slo),
@@ -30,7 +30,7 @@ func boundedServer(t *testing.T, slo time.Duration, maxInFlight int, exec *sched
 }
 
 // admissionServer is boundedServer on a fresh ManualExecutor.
-func admissionServer(t *testing.T, slo time.Duration, maxInFlight int) (*Server, *sched.ManualExecutor) {
+func admissionServer(t *testing.T, slo time.Duration, maxInFlight int) (*Server, *sched.LaneExecutor) {
 	t.Helper()
 	man := sched.NewManualExecutor()
 	return boundedServer(t, slo, maxInFlight, man), man
@@ -174,19 +174,36 @@ func TestAdmissionStopRace(t *testing.T) {
 }
 
 // TestAdmissionDisabledUntouched pins what the bound leaves alone: it has no
-// tick of its own, so Start schedules exactly the events with a bound as
-// without one, and an unbounded server admits and serves every submission.
+// tick of its own, so a started server's executor holds and fires exactly
+// the same events, instant by instant, with a bound as without one, and an
+// unbounded server admits and serves every submission.
 func TestAdmissionDisabledUntouched(t *testing.T) {
-	started := func(maxInFlight int) int {
+	type count struct {
+		fired   uint64
+		pending int
+	}
+	// The executor keeps no event names; what it holds and has fired at
+	// each millisecond of an idle second names every event by its instant.
+	timeline := func(maxInFlight int) []count {
 		man := sched.NewManualExecutor()
 		s := boundedServer(t, time.Second, maxInFlight, man)
 		s.Start()
 		defer s.Stop()
-		return man.Pending()
+		tl := []count{{man.Fired(), man.Pending()}}
+		for at := time.Millisecond; at <= time.Second; at += time.Millisecond {
+			man.RunUntil(at)
+			tl = append(tl, count{man.Fired(), man.Pending()})
+		}
+		return tl
 	}
-	unbounded, bounded := started(0), started(1)
-	if bounded != unbounded || unbounded == 0 {
-		t.Fatalf("Start scheduled %d events with a bound, %d without", bounded, unbounded)
+	unbounded, bounded := timeline(0), timeline(1)
+	if unbounded[0].pending == 0 || unbounded[len(unbounded)-1].fired == 0 {
+		t.Fatalf("an idle started server queued %d events and fired %d in a second", unbounded[0].pending, unbounded[len(unbounded)-1].fired)
+	}
+	for i := range unbounded {
+		if bounded[i] != unbounded[i] {
+			t.Fatalf("at %d ms: %+v events with a bound, %+v without", i, bounded[i], unbounded[i])
+		}
 	}
 
 	s, man := admissionServer(t, time.Second, 0)

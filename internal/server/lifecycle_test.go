@@ -16,10 +16,10 @@ import (
 	"pard/internal/sched"
 )
 
-// manualServer builds a server on an injected ManualExecutor: nothing
+// manualServer builds a server on an injected manual clock: nothing
 // resolves until the test steps the clock, so lifecycle edges (cancel,
 // stall, stop-with-inflight) are deterministic.
-func manualServer(t *testing.T, slo time.Duration) (*Server, *sched.ManualExecutor) {
+func manualServer(t *testing.T, slo time.Duration) (*Server, *sched.LaneExecutor) {
 	t.Helper()
 	spec := pipeline.Uniform("manual", 3, "fast", slo)
 	man := sched.NewManualExecutor()
@@ -325,5 +325,26 @@ func TestConcurrencyHammer(t *testing.T) {
 	sum := s.Summary()
 	if sum.Total < answered {
 		t.Fatalf("summary total %d < %d answered over HTTP", sum.Total, answered)
+	}
+}
+
+// TestStopStopsInjectedWallClock: Stop ends the executor the server runs on
+// even when the caller injected a wall clock, so its drainer does not outlive
+// the server: an event scheduled on it afterwards never fires.
+func TestStopStopsInjectedWallClock(t *testing.T) {
+	x := sched.NewTimerExecutor()
+	defer x.Stop()
+	s := boundedServer(t, time.Second, 0, x)
+	s.Start()
+	if r := <-s.Submit(); r.Outcome != OutcomeGood {
+		t.Fatalf("a lone request on the injected wall clock: %+v", r)
+	}
+	s.Stop()
+	fired := make(chan struct{})
+	x.Schedule(x.Now(), "late", func(time.Duration) { close(fired) })
+	select {
+	case <-fired:
+		t.Fatal("the injected wall clock still fires after Server.Stop")
+	case <-time.After(50 * time.Millisecond):
 	}
 }

@@ -19,7 +19,7 @@ const tmCapacity = 120
 
 // tmServer builds the tm pipeline on a ManualExecutor with one worker per
 // module, seed 1 and the default 250 ms sync period.
-func tmServer(t testing.TB) (*Server, *sched.ManualExecutor) {
+func tmServer(t testing.TB) (*Server, *sched.LaneExecutor) {
 	t.Helper()
 	man := sched.NewManualExecutor()
 	s, err := New(Config{
@@ -50,7 +50,7 @@ type openLoopResult struct {
 // send the executor fires everything due, and every answer that has landed
 // is received, once, as Submit's contract asks. It fails as soon as more than
 // limit requests are outstanding. each, when not nil, runs after every send.
-func openLoop(t testing.TB, s *Server, man *sched.ManualExecutor, rate float64, dur time.Duration, limit int, each func(at time.Duration)) openLoopResult {
+func openLoop(t testing.TB, s *Server, man *sched.LaneExecutor, rate float64, dur time.Duration, limit int, each func(at time.Duration)) openLoopResult {
 	t.Helper()
 	var res openLoopResult
 	var pending []<-chan Response

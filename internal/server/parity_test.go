@@ -33,7 +33,7 @@ func parityTrace() *trace.Trace {
 
 // simShell is the live server shell on a fake wall clock with the config
 // the simulator's defaults give (1 ms net hop, 5% execution jitter).
-func simShell(t *testing.T) (*Server, *sched.ManualExecutor) {
+func simShell(t *testing.T) (*Server, *sched.LaneExecutor) {
 	man := sched.NewManualExecutor()
 	srv, err := newServer(Config{
 		Spec:       pipeline.DA(),
@@ -57,7 +57,7 @@ func simShell(t *testing.T) (*Server, *sched.ManualExecutor) {
 // clock man, started and fed the trace's arrival sequence request by
 // request. It returns every response in arrival order and the core's record
 // of every request, and stops the server.
-func replayOnLiveShell(t *testing.T, srv *Server, man *sched.ManualExecutor, tr *trace.Trace) ([]Response, []*sched.Request) {
+func replayOnLiveShell(t *testing.T, srv *Server, man *sched.LaneExecutor, tr *trace.Trace) ([]Response, []*sched.Request) {
 	srv.Start()
 	prs := make([]*pendingReq, 0, tr.Len())
 	for _, at := range tr.Arrivals {

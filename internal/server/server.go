@@ -1,7 +1,7 @@
 // Package server is the wall-clock serving runtime: a thin shell over the
 // shared scheduling core (internal/sched) — the same controller / worker /
 // policy state machine the discrete-event simulator runs, on the same lane
-// engine — paced by the wall clock (sched.TimerExecutor), and an HTTP data
+// engine — paced by the wall clock (sched.NewTimerExecutor), and an HTTP data
 // plane. Model execution is simulated by letting the profiled batch
 // duration elapse: a batch end fires late, never early, with its due instant,
 // so the host's wake-up lag stays out of the model's clock, while the request
@@ -53,11 +53,12 @@ type Config struct {
 	SyncPeriod time.Duration
 	// Seed drives the core's deterministic random streams.
 	Seed int64
-	// Exec, when set, drives the core on a clock the caller steps instead of
-	// the wall clock, to replay workloads reproducibly. It must be driven
-	// from one goroutine, Submit calls included; the wall-clock default is
-	// safe for concurrent use.
-	Exec *sched.ManualExecutor
+	// Exec, when set, drives the core instead of a wall clock of the
+	// server's own: a clock the caller steps (sched.NewManualExecutor), to
+	// replay workloads reproducibly. It must be driven from one goroutine,
+	// Submit calls included; the wall-clock default is safe for concurrent
+	// use. Stop stops it, which on a stepped clock does nothing.
+	Exec *sched.LaneExecutor
 	// MaxInFlight bounds the requests outstanding at once (0 = unbounded).
 	// It is a memory bound, not a latency prediction: an arrival that finds
 	// MaxInFlight requests unresolved is answered at once as rejected (HTTP
@@ -137,7 +138,6 @@ func answer(ch chan Response, resp Response) {
 type Server struct {
 	cfg  Config
 	exec *sched.LaneExecutor
-	wall *sched.TimerExecutor // owned executor, nil when injected
 	cl   *sched.Cluster
 
 	// nextID allocates request IDs off the submit lock: IDs are issued in
@@ -211,19 +211,17 @@ func newServer(cfg Config, base sched.Config) (*Server, error) {
 		cfg:   cfg,
 		tally: metrics.NewTally(cfg.Spec.N()),
 	}
-	if cfg.Exec != nil {
-		s.exec = cfg.Exec
-	} else {
-		s.wall = sched.NewTimerExecutor()
-		s.exec = s.wall
+	s.exec = cfg.Exec
+	if s.exec == nil {
+		s.exec = sched.NewTimerExecutor()
 	}
 	base.Spec, base.Lib, base.PolicyName = cfg.Spec, cfg.Lib, cfg.PolicyName
 	base.Seed, base.Workers = cfg.Seed, cfg.Workers
 	base.OnDone, base.OnDrop = s.onDone, s.onDrop
 	cl, err := sched.New(base, s.exec)
 	if err != nil {
-		if s.wall != nil {
-			s.wall.Stop()
+		if cfg.Exec == nil {
+			s.exec.Stop()
 		}
 		return nil, err
 	}
@@ -281,10 +279,8 @@ func (s *Server) Stop() {
 	}
 	s.stopped = true
 	s.pmu.Unlock()
-	if s.wall != nil {
-		s.wall.Stop()
-	}
-	// After wall.Stop no finish callback can be running: detach the whole
+	s.exec.Stop()
+	// After exec.Stop no finish callback can be running: detach the whole
 	// outstanding list and resolve it. (unregister and this detach both
 	// clear linked under pmu, so resolution stays exactly-once even when an
 	// injected executor replays a late completion.)
@@ -461,12 +457,13 @@ func (s *Server) Summary() metrics.Summary {
 }
 
 // ExecStats returns the wall-clock executor's account of itself (events
-// fired and pending, wake-up lag), nil under an injected executor.
+// fired and pending, wake-up lag), nil under an injected executor, whose
+// holder reads its Stats.
 func (s *Server) ExecStats() *sched.ExecStats {
-	if s.wall == nil {
+	if s.cfg.Exec != nil {
 		return nil
 	}
-	st := s.wall.Stats()
+	st := s.exec.Stats()
 	return &st
 }
 

@@ -377,7 +377,7 @@ func TestLedgerOnExecutorClock(t *testing.T) {
 	const modelled = 900 * time.Microsecond
 	// serve returns the reply, the tally's resolution instant less the
 	// request's own Send, and the summary.
-	serve := func(exec *sched.ManualExecutor, step func()) (Response, time.Duration, metrics.Summary) {
+	serve := func(exec *sched.LaneExecutor, step func()) (Response, time.Duration, metrics.Summary) {
 		s, err := New(Config{
 			Spec: pipeline.Uniform("ledger", 3, "fast", modelled), Lib: fastLib(t),
 			PolicyName: "naive", Seed: 1, Exec: exec,
