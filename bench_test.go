@@ -11,8 +11,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -77,12 +75,13 @@ func runExperiment(b *testing.B, id string) *pard.ExperimentOutput {
 	return out
 }
 
-// cell parses a table cell as a float, stripping % signs.
-func cell(b *testing.B, s string) float64 {
+// number reads the number a table cell shows (a pct cell reads its
+// percent), failing on a label.
+func number(b *testing.B, c pard.ExperimentCell) float64 {
 	b.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		b.Fatalf("bad cell %q: %v", s, err)
+	v, ok := c.Number()
+	if !ok {
+		b.Fatalf("cell %q is not a number", c)
 	}
 	return v
 }
@@ -90,27 +89,27 @@ func cell(b *testing.B, s string) float64 {
 func BenchmarkFig2aMinGoodput(b *testing.B) {
 	out := runExperiment(b, "fig2a")
 	// columns: window, pard, nexus, clipper++, naive
-	b.ReportMetric(cell(b, out.Tables[0].Rows[0][1]), "pard-min-goodput")
-	b.ReportMetric(cell(b, out.Tables[0].Rows[0][4]), "naive-min-goodput")
+	b.ReportMetric(number(b, out.Tables[0].Rows[0][1]), "pard-min-goodput")
+	b.ReportMetric(number(b, out.Tables[0].Rows[0][4]), "naive-min-goodput")
 }
 
 func BenchmarkFig2bDropRate(b *testing.B) {
 	out := runExperiment(b, "fig2b")
-	b.ReportMetric(cell(b, out.Tables[0].Rows[0][1]), "pard-drop-pct")
+	b.ReportMetric(number(b, out.Tables[0].Rows[0][1]), "pard-drop-pct")
 }
 
 func BenchmarkFig2cDropsPerModule(b *testing.B) {
 	out := runExperiment(b, "fig2c")
 	// last-module drop share of lv-tweet under the reactive policy
 	rows := out.Tables[0].Rows
-	b.ReportMetric(cell(b, rows[len(rows)-1][1]), "reactive-lastmod-pct")
+	b.ReportMetric(number(b, rows[len(rows)-1][1]), "reactive-lastmod-pct")
 }
 
 func BenchmarkFig2dTransientDropRate(b *testing.B) {
 	out := runExperiment(b, "fig2d")
 	max := 0.0
 	for _, row := range out.Tables[0].Rows {
-		if v := cell(b, row[1]); v > max {
+		if v := number(b, row[1]); v > max {
 			max = v
 		}
 	}
@@ -120,15 +119,15 @@ func BenchmarkFig2dTransientDropRate(b *testing.B) {
 func BenchmarkFig6BatchWaitPDF(b *testing.B) {
 	out := runExperiment(b, "fig6")
 	// q10 of the full M1..M4 aggregation (paper: 0.31).
-	b.ReportMetric(cell(b, out.Tables[0].Rows[0][1]), "q10-frac")
+	b.ReportMetric(number(b, out.Tables[0].Rows[0][1]), "q10-frac")
 }
 
 func BenchmarkFig8DropInvalid(b *testing.B) {
 	out := runExperiment(b, "fig8")
 	var pardSum, nexusSum float64
 	for _, row := range out.Tables[0].Rows {
-		pardSum += cell(b, row[1])
-		nexusSum += cell(b, row[2])
+		pardSum += number(b, row[1])
+		nexusSum += number(b, row[2])
 	}
 	n := float64(len(out.Tables[0].Rows))
 	b.ReportMetric(pardSum/n, "pard-avg-drop-pct")
@@ -148,8 +147,8 @@ func BenchmarkFig10GoodputTimeline(b *testing.B) {
 func BenchmarkFig11Ablation(b *testing.B) {
 	out := runExperiment(b, "fig11")
 	for _, row := range out.Tables[0].Rows {
-		if row[0] == "pard" {
-			b.ReportMetric(cell(b, row[1]), "pard-drop-pct")
+		if row[0].String() == "pard" {
+			b.ReportMetric(number(b, row[1]), "pard-drop-pct")
 		}
 	}
 }
@@ -163,8 +162,8 @@ func BenchmarkFig12bLatencyCDF(b *testing.B) {
 	out := runExperiment(b, "fig12b")
 	// median ΣW (ms): the uncertain quantity PARD estimates.
 	for _, row := range out.Tables[0].Rows {
-		if row[0] == "p50" {
-			b.ReportMetric(cell(b, row[2]), "median-sumW-ms")
+		if row[0].String() == "p50" {
+			b.ReportMetric(number(b, row[2]), "median-sumW-ms")
 		}
 	}
 }
@@ -186,11 +185,11 @@ func BenchmarkFig13LoadFactor(b *testing.B) {
 			continue
 		}
 		for _, row := range t.Rows {
-			if row[0] == "pard" {
-				b.ReportMetric(cell(b, row[1]), "pard-switches")
+			if row[0].String() == "pard" {
+				b.ReportMetric(number(b, row[1]), "pard-switches")
 			}
-			if row[0] == "pard-instant" {
-				b.ReportMetric(cell(b, row[1]), "instant-switches")
+			if row[0].String() == "pard-instant" {
+				b.ReportMetric(number(b, row[1]), "instant-switches")
 			}
 		}
 	}
@@ -199,20 +198,20 @@ func BenchmarkFig13LoadFactor(b *testing.B) {
 func BenchmarkFig14aStress(b *testing.B) {
 	out := runExperiment(b, "fig14a")
 	last := out.Tables[0].Rows[len(out.Tables[0].Rows)-1]
-	b.ReportMetric(cell(b, last[1]), "pard-goodput-at-max-rate")
-	b.ReportMetric(cell(b, last[4]), "naive-goodput-at-max-rate")
+	b.ReportMetric(number(b, last[1]), "pard-goodput-at-max-rate")
+	b.ReportMetric(number(b, last[4]), "naive-goodput-at-max-rate")
 }
 
 func BenchmarkFig14bSLOSensitivity(b *testing.B) {
 	out := runExperiment(b, "fig14b")
-	b.ReportMetric(cell(b, out.Tables[0].Rows[0][1]), "pard-drop-at-200ms")
+	b.ReportMetric(number(b, out.Tables[0].Rows[0][1]), "pard-drop-at-200ms")
 }
 
 func BenchmarkFig14cLambdaSensitivity(b *testing.B) {
 	out := runExperiment(b, "fig14c")
 	for _, row := range out.Tables[0].Rows {
-		if row[0] == "0.100" {
-			b.ReportMetric(cell(b, row[1]), "lv-drop-at-lambda-0.1")
+		if lambda, _ := row[0].Number(); lambda == 0.1 {
+			b.ReportMetric(number(b, row[1]), "lv-drop-at-lambda-0.1")
 		}
 	}
 }
@@ -225,7 +224,7 @@ func BenchmarkFig14dWindowSensitivity(b *testing.B) {
 func BenchmarkFig15aRAGGoodput(b *testing.B) {
 	out := runExperiment(b, "fig15a")
 	for _, row := range out.Tables[0].Rows {
-		b.ReportMetric(cell(b, row[2]), row[0]+"-drop-pct")
+		b.ReportMetric(number(b, row[2]), row[0].String()+"-drop-pct")
 	}
 }
 

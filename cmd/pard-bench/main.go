@@ -26,12 +26,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
 	"pard"
 	"pard/internal/dist"
+	"pard/internal/experiments"
 	"pard/internal/plot"
 	"pard/internal/sweep"
 )
@@ -100,10 +100,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
+	// Every -only ID must be registered, checked before anything runs.
 	selected := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			selected[strings.TrimSpace(id)] = true
+			e, err := experiments.Get(strings.TrimSpace(id))
+			if err != nil {
+				return err
+			}
+			selected[e.ID] = true
 		}
 	}
 
@@ -225,9 +230,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintln(stdout)
 	}
-	if ran == 0 {
-		return fmt.Errorf("no experiments matched -only=%q", *only)
-	}
 	if *cacheDir != "" {
 		// Cache accounting goes to stderr so artifact output on stdout stays
 		// byte-identical between cold and warm invocations.
@@ -251,22 +253,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// chartFromTable renders an ASCII chart when the table looks like a time
-// series: a numeric-ish first column ("120s", "0.5") and numeric data
-// columns ("0.97", "42.0%").
+// chartFromTable renders an ASCII chart when the table looks like a series:
+// a numeric first column ("120s", "200ms", "0.5") and numeric data columns
+// ("0.97", "42.00%"), each plotted as the number its cell shows.
 func chartFromTable(tab pard.ExperimentTable) (string, bool) {
 	if len(tab.Rows) < 4 || len(tab.Columns) < 2 {
 		return "", false
 	}
-	parse := func(s string) (float64, bool) {
-		s = strings.TrimSuffix(strings.TrimSuffix(strings.TrimSpace(s), "%"), "s")
-		s = strings.TrimSuffix(s, "ms")
-		v, err := strconv.ParseFloat(s, 64)
-		return v, err == nil
-	}
 	xs := make([]float64, 0, len(tab.Rows))
 	for _, row := range tab.Rows {
-		x, ok := parse(row[0])
+		x, ok := row[0].Number()
 		if !ok {
 			return "", false
 		}
@@ -280,7 +276,7 @@ func chartFromTable(tab pard.ExperimentTable) (string, bool) {
 			if col >= len(row) {
 				continue
 			}
-			if y, ok := parse(row[col]); ok {
+			if y, ok := row[col].Number(); ok {
 				cx = append(cx, xs[i])
 				cy = append(cy, y)
 			}

@@ -11,6 +11,7 @@ import (
 
 	"pard"
 	"pard/internal/dist"
+	"pard/internal/experiments"
 )
 
 func TestListExperiments(t *testing.T) {
@@ -32,6 +33,15 @@ func TestBadFlagsRejected(t *testing.T) {
 	}
 	if err := run([]string{"-only", "nope"}, &out, &errb); err == nil {
 		t.Fatal("unknown -only accepted")
+	}
+	// An unknown ID is refused by name, before a known one beside it runs.
+	out.Reset()
+	err := run([]string{"-scale", "smoke", "-only", "fig14b,fig14x"}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), `"fig14x"`) {
+		t.Fatalf("-only fig14b,fig14x: %v, want an error naming fig14x", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-only fig14b,fig14x ran before refusing:\n%s", out.String())
 	}
 	for _, args := range [][]string{{"-shards", "2"}, {"-speculate-after", "1s"}} {
 		if err := run(args, &out, &errb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -194,18 +204,25 @@ func TestUnreachableWorkerRejected(t *testing.T) {
 }
 
 func TestChartFromTable(t *testing.T) {
-	tab := pard.ExperimentTable{
-		Title:   "t",
-		Columns: []string{"time", "v"},
-		Rows: [][]string{
-			{"0s", "1.0"}, {"10s", "2.0"}, {"20s", "3.0"}, {"30s", "4.0"},
-		},
-	}
-	if _, ok := chartFromTable(tab); !ok {
-		t.Fatal("numeric time series not charted")
-	}
-	tab.Rows[0][0] = "not-a-number"
-	if _, ok := chartFromTable(tab); ok {
-		t.Fatal("non-numeric first column charted")
+	for _, unit := range []string{"s", "ms", ""} {
+		tab := pard.ExperimentTable{Title: "t", Columns: []string{"x", "v"}}
+		for i := range 4 {
+			x := float64(200 * (i + 1))
+			tab.Rows = append(tab.Rows, []pard.ExperimentCell{
+				experiments.Fixed(x, 0, unit), experiments.Fixed(float64(i)/3, 2, "%"),
+			})
+		}
+		chart, ok := chartFromTable(tab)
+		if !ok {
+			t.Fatalf("numeric series with x unit %q not charted", unit)
+		}
+		// The x axis spans the numbers the cells show, 200 to 800.
+		if !strings.Contains(chart, "200") || !strings.Contains(chart, "800") {
+			t.Fatalf("x unit %q: axis does not span 200..800:\n%s", unit, chart)
+		}
+		tab.Rows[0][0] = experiments.Label("lv-tweet")
+		if _, ok := chartFromTable(tab); ok {
+			t.Fatalf("x unit %q: a label in the first column charted", unit)
+		}
 	}
 }

@@ -50,11 +50,9 @@ type ModuleState struct {
 // The board owns its snapshots: each module's slot keeps its own BatchWait
 // storage, which Publish copies into and reuses, so a slot stops allocating
 // once it has held its module's largest sample set. A Board is for one
-// goroutine at a time, except that goroutines may publish to and read
-// distinct slots at once (the sharded executor publishes every lane's slot
-// in parallel). Every host reads it from its executor's serial context only:
-// the sync tick and the lane-group board exchange. Nothing reads it per
-// request from another goroutine.
+// goroutine at a time: every host publishes to and reads it from its
+// executor's serial context only, the sync tick and the lane-group board
+// exchange. Nothing reads it per request from another goroutine.
 type Board struct {
 	states []ModuleState
 }

@@ -36,8 +36,9 @@ import (
 // shape (wireShape) before the engine sees it, since the engine indexes its
 // modules with what the peers send.
 
-// Exchange kind tags on the wire; they mirror the sharded executor's
-// rendezvous kinds so lockstep violations carry a readable name.
+// Exchange kind tags on the wire; they mirror the lane engine's Transport
+// exchanges (Step, Barrier, Board, Scale, Finish) so lockstep violations
+// carry a readable name.
 const (
 	simKindStep uint8 = iota + 1
 	simKindBarrier

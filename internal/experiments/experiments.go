@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -45,12 +46,49 @@ func traceDuration(s Scale) time.Duration {
 	}
 }
 
-// Table is one rendered artifact (a paper table, or a figure's data series).
+// Table is one artifact (a paper table, or a figure's data series). Its rows
+// hold cells, which keep their numbers until Render or CSV writes them.
 type Table struct {
 	ID      string
 	Title   string
 	Columns []string
-	Rows    [][]string
+	Rows    [][]Cell
+}
+
+// Cell is one table entry: a number with the format it is shown in, or a
+// text label (a workload, a policy, a percentile, "-"). Render and CSV are
+// the only places a cell turns into bytes.
+type Cell struct {
+	// text is a label's text; a number has none.
+	text string
+	// v is the number in the unit shown: a pct cell holds the percent.
+	v    float64
+	prec int    // digits after the decimal point
+	plus bool   // sign a positive number too ("+0.05x")
+	unit string // written right after the number: "%", "s", "ms", "x" or ""
+}
+
+// String is the cell as a table shows it.
+func (c Cell) String() string {
+	if c.text != "" {
+		return c.text
+	}
+	b := strconv.AppendFloat(make([]byte, 0, 24), c.v, 'f', c.prec, 64)
+	if c.plus && b[0] != '-' && b[0] != '+' {
+		b = append([]byte{'+'}, b...)
+	}
+	return string(append(b, c.unit...))
+}
+
+// Number returns the number the cell shows, in the unit shown (a "42.00%"
+// cell reads 42, a "200ms" cell 200), rounded to its digits as its text
+// reads; ok is false for a label.
+func (c Cell) Number() (v float64, ok bool) {
+	if c.text != "" {
+		return 0, false
+	}
+	v, _ = strconv.ParseFloat(strconv.FormatFloat(c.v, 'f', c.prec, 64), 64)
+	return v, true
 }
 
 // Output is everything one experiment produces.
@@ -189,25 +227,52 @@ func IDs() []string {
 	return out
 }
 
-// formatting helpers
+// Label is a text cell: it is shown as s and has no number.
+func Label(s string) Cell { return Cell{text: s} }
 
-func pct(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
-func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
-func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
-func secs(d time.Duration) string {
+// Fixed is a number cell showing v with prec digits after the point, then
+// unit ("7.5s"). The experiments' own formats follow; they are the one place
+// a cell format is written.
+func Fixed(v float64, prec int, unit string) Cell { return Cell{v: v, prec: prec, unit: unit} }
+
+func pct(v float64) Cell { return Fixed(100*v, 2, "%") }
+func f3(v float64) Cell  { return Fixed(v, 3, "") }
+func f1(v float64) Cell  { return Fixed(v, 1, "") }
+
+// whole shows an integer count, then unit ("200ms", "40s", "7").
+func whole(n int64, unit string) Cell { return Fixed(float64(n), 0, unit) }
+
+// secs shows a duration in seconds, with a tenth only when it has one.
+func secs(d time.Duration) Cell {
 	if d%time.Second == 0 {
-		return fmt.Sprintf("%.0fs", d.Seconds())
+		return Fixed(d.Seconds(), 0, "s")
 	}
-	return fmt.Sprintf("%.1fs", d.Seconds())
+	return Fixed(d.Seconds(), 1, "s")
+}
+
+// change shows a relative change as a signed factor ("+0.05x").
+func change(r float64) Cell { return Cell{v: r, prec: 2, plus: true, unit: "x"} }
+
+// texts writes every row's cells once, for Render and CSV.
+func (t *Table) texts() [][]string {
+	rows := make([][]string, len(t.Rows))
+	for i, row := range t.Rows {
+		rows[i] = make([]string, len(row))
+		for j, c := range row {
+			rows[i][j] = c.String()
+		}
+	}
+	return rows
 }
 
 // Render formats a table as aligned text.
 func (t *Table) Render() string {
+	rows := t.texts()
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
 	}
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		for i, cell := range row {
 			if i < len(widths) && len(cell) > widths[i] {
 				widths[i] = len(cell)
@@ -231,7 +296,7 @@ func (t *Table) Render() string {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	writeRow(sep)
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		writeRow(row)
 	}
 	return b.String()
@@ -252,12 +317,11 @@ func (t *Table) CSV() string {
 	}
 	b.WriteString(strings.Join(cols, ","))
 	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		cells := make([]string, len(row))
+	for _, row := range t.texts() {
 		for i, c := range row {
-			cells[i] = esc(c)
+			row[i] = esc(c)
 		}
-		b.WriteString(strings.Join(cells, ","))
+		b.WriteString(strings.Join(row, ","))
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -4,12 +4,13 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"pard/internal/sweep"
 	"pard/internal/trace"
@@ -129,15 +130,6 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 	}
 }
 
-func parsePct(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		t.Fatalf("bad pct %q: %v", s, err)
-	}
-	return v
-}
-
 // TestFig8Shape checks the headline claim on the lv-tweet row: PARD's drop
 // and invalid rates are the lowest of the four systems.
 func TestFig8Shape(t *testing.T) {
@@ -152,12 +144,10 @@ func TestFig8Shape(t *testing.T) {
 	drop := out.Tables[0]
 	// Columns: workload, pard, nexus, clipper++, naive.
 	for _, row := range drop.Rows {
-		if row[0] != "lv-tweet" {
+		if row[0].String() != "lv-tweet" {
 			continue
 		}
-		pard := parsePct(t, row[1])
-		nexus := parsePct(t, row[2])
-		naive := parsePct(t, row[4])
+		pard, nexus, naive := number(t, row[1]), number(t, row[2]), number(t, row[4])
 		if pard > nexus {
 			t.Fatalf("pard drop %.2f%% > nexus %.2f%% on lv-tweet", pard, nexus)
 		}
@@ -185,14 +175,28 @@ func TestFig13Shape(t *testing.T) {
 			switches = tab
 		}
 	}
-	if len(switches.Rows) != 2 {
-		t.Fatalf("switch table rows: %v", switches.Rows)
+	count := map[string]float64{}
+	for _, row := range switches.Rows {
+		count[row[0].String()] = number(t, row[1])
 	}
-	pard, _ := strconv.Atoi(switches.Rows[0][1])
-	instant, _ := strconv.Atoi(switches.Rows[1][1])
+	pard, okPard := count["pard"]
+	instant, okInstant := count["pard-instant"]
+	if !okPard || !okInstant {
+		t.Fatalf("switch table lacks a pard or pard-instant row: %v", switches.Rows)
+	}
 	if instant < pard {
-		t.Fatalf("pard-instant switched %d times, pard %d — expected instant >= pard", instant, pard)
+		t.Fatalf("pard-instant switched %v times, pard %v — expected instant >= pard", instant, pard)
 	}
+}
+
+// number reads the number a cell shows, failing on a label.
+func number(t *testing.T, c Cell) float64 {
+	t.Helper()
+	v, ok := c.Number()
+	if !ok {
+		t.Fatalf("cell %q is not a number", c)
+	}
+	return v
 }
 
 // renderAll flattens an experiment output for byte comparison.
@@ -302,7 +306,7 @@ func TestTableRenderAndCSVEscaping(t *testing.T) {
 		ID:      "x",
 		Title:   "t",
 		Columns: []string{"a", "b"},
-		Rows:    [][]string{{"1,2", `say "hi"`}},
+		Rows:    [][]Cell{{Label("1,2"), Label(`say "hi"`)}},
 	}
 	csv := tab.CSV()
 	if !strings.Contains(csv, `"1,2"`) || !strings.Contains(csv, `"say ""hi"""`) {
@@ -310,5 +314,43 @@ func TestTableRenderAndCSVEscaping(t *testing.T) {
 	}
 	if !strings.Contains(tab.Render(), "a") {
 		t.Fatal("render missing column")
+	}
+}
+
+// TestCellFormat checks each cell constructor writes what the fmt verb it
+// stands for writes, and reads back the number that text shows.
+func TestCellFormat(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		c    Cell
+		want string
+		num  float64 // NaN: the cell reads NaN; ignored for a label
+		ok   bool
+	}{
+		{pct(0.42356), fmt.Sprintf("%.2f%%", 100*0.42356), 42.36, true},
+		{pct(0), "0.00%", 0, true},
+		{pct(nan), fmt.Sprintf("%.2f%%", nan), nan, true},
+		{f3(-0.0004), fmt.Sprintf("%.3f", -0.0004), 0, true},
+		{f3(inf), fmt.Sprintf("%.3f", inf), inf, true},
+		{f1(123.45), fmt.Sprintf("%.1f", 123.45), 123.5, true},
+		{secs(120 * time.Second), "120s", 120, true},
+		{secs(7500 * time.Millisecond), "7.5s", 7.5, true},
+		{Fixed(2.25, 1, "s"), fmt.Sprintf("%.1fs", 2.25), 2.2, true},
+		{whole(200, "ms"), "200ms", 200, true},
+		{whole(7, ""), fmt.Sprintf("%d", 7), 7, true},
+		{change(0.05), fmt.Sprintf("%+.2fx", 0.05), 0.05, true},
+		{change(-0.104), fmt.Sprintf("%+.2fx", -0.104), -0.1, true},
+		{change(nan), fmt.Sprintf("%+.2fx", nan), nan, true},
+		{Label("p10"), "p10", 0, false},
+		{Label("-"), "-", 0, false},
+	}
+	for _, tc := range cases {
+		if got := tc.c.String(); got != tc.want {
+			t.Errorf("%+v: String() = %q, want %q", tc.c, got, tc.want)
+		}
+		v, ok := tc.c.Number()
+		if ok != tc.ok || ok && v != tc.num && !(math.IsNaN(v) && math.IsNaN(tc.num)) {
+			t.Errorf("%q: Number() = %v, %v, want %v, %v", tc.want, v, ok, tc.num, tc.ok)
+		}
 	}
 }

@@ -48,8 +48,8 @@ func extFailure(h *Harness) (*Output, error) {
 	}
 	for i, pol := range policy.Comparison() {
 		s := results[i].Summary
-		t.Rows = append(t.Rows, []string{
-			pol, pct(s.DropRate), pct(s.InvalidRate),
+		t.Rows = append(t.Rows, []Cell{
+			Label(pol), pct(s.DropRate), pct(s.InvalidRate),
 			f3(results[i].Collector.MinNormalizedGoodput(10 * time.Second)),
 			f1(s.Goodput),
 		})
@@ -80,8 +80,8 @@ func extAnalytic(h *Harness) (*Output, error) {
 	}
 	for i, kind := range kinds {
 		mc, an := results[2*i], results[2*i+1]
-		t.Rows = append(t.Rows, []string{
-			string(kind), pct(mc.Summary.DropRate), pct(an.Summary.DropRate),
+		t.Rows = append(t.Rows, []Cell{
+			Label(string(kind)), pct(mc.Summary.DropRate), pct(an.Summary.DropRate),
 		})
 	}
 	return &Output{Tables: []Table{t}, Notes: []string{

@@ -43,8 +43,8 @@ func fig11(h *Harness) (*Output, error) {
 		if s.Total > 0 {
 			norm = float64(s.Good) / float64(s.Total)
 		}
-		rates.Rows = append(rates.Rows, []string{pol, pct(s.DropRate), pct(s.InvalidRate), f3(norm)})
-		row := []string{pol}
+		rates.Rows = append(rates.Rows, []Cell{Label(pol), pct(s.DropRate), pct(s.InvalidRate), f3(norm)})
+		row := []Cell{Label(pol)}
 		for m := 0; m < 5; m++ {
 			row = append(row, f1(s.PerModuleDropPct[m]))
 		}

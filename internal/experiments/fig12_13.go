@@ -63,12 +63,12 @@ func fig12a(h *Harness) (*Output, error) {
 		cols[k] = vs
 	}
 	for i := range ts {
-		row := []string{secs(ts[i])}
+		row := []Cell{secs(ts[i])}
 		for _, vs := range cols {
 			if i < len(vs) {
 				row = append(row, f1(vs[i]))
 			} else {
-				row = append(row, "-")
+				row = append(row, Label("-"))
 			}
 		}
 		t.Rows = append(t.Rows, row)
@@ -106,7 +106,7 @@ func fig12b(h *Harness) (*Output, error) {
 		}
 	}
 	for j, q := range qs {
-		row := []string{fmt.Sprintf("p%.0f", q*100)}
+		row := []Cell{Label(fmt.Sprintf("p%.0f", q*100))}
 		for i := range cols {
 			row = append(row, f1(vals[i][j]*1000))
 		}
@@ -154,12 +154,12 @@ func fig12c(h *Harness) (*Output, error) {
 			cols[k] = vs
 		}
 		for i := range ts {
-			row := []string{secs(ts[i])}
+			row := []Cell{secs(ts[i])}
 			for _, vs := range cols {
 				if i < len(vs) {
 					row = append(row, f1(vs[i]))
 				} else {
-					row = append(row, "-")
+					row = append(row, Label("-"))
 				}
 			}
 			t.Rows = append(t.Rows, row)
@@ -186,8 +186,8 @@ func fig12d(h *Harness) (*Output, error) {
 	// Pick a window in the middle of the run.
 	off2, off3 := m2.Len()/2, m3.Len()/2
 	for i := 0; i < n && off2+i < m2.Len() && off3+i < m3.Len(); i++ {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", i), f1(m2.V[off2+i]), f1(m3.V[off3+i]),
+		t.Rows = append(t.Rows, []Cell{
+			whole(int64(i), ""), f1(m2.V[off2+i]), f1(m3.V[off3+i]),
 		})
 	}
 	// Variability summary: the paper's point is that remaining budgets are
@@ -224,12 +224,12 @@ func fig13(h *Harness) (*Output, error) {
 			Columns: []string{"time", "load factor", "mode"},
 		}
 		for i := 0; i < res.LoadFactor.Len(); i++ {
-			t.Rows = append(t.Rows, []string{
+			t.Rows = append(t.Rows, []Cell{
 				secs(res.LoadFactor.T[i]), f3(res.LoadFactor.V[i]), f1(res.ModeSeries.V[i]),
 			})
 		}
 		tables = append(tables, t)
-		switches.Rows = append(switches.Rows, []string{pol, fmt.Sprintf("%d", res.PrioritySwitches)})
+		switches.Rows = append(switches.Rows, []Cell{Label(pol), whole(int64(res.PrioritySwitches), "")})
 	}
 	tables = append(tables, switches)
 	return &Output{Tables: tables, Notes: []string{

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"pard/internal/policy"
@@ -55,7 +54,7 @@ func fig14a(h *Harness) (*Output, error) {
 	var capacity float64
 	i := 0
 	for _, rate := range rates {
-		row := []string{f1(rate)}
+		row := []Cell{f1(rate)}
 		for _, pol := range policy.Comparison() {
 			res := results[i]
 			i++
@@ -98,7 +97,7 @@ func fig14b(h *Harness) (*Output, error) {
 	}
 	i := 0
 	for _, slo := range slos {
-		row := []string{fmt.Sprintf("%dms", slo.Milliseconds())}
+		row := []Cell{whole(slo.Milliseconds(), "ms")}
 		for range policy.Comparison() {
 			row = append(row, pct(results[i].Summary.DropRate))
 			i++
@@ -131,7 +130,7 @@ func fig14c(h *Harness) (*Output, error) {
 	}
 	i := 0
 	for _, l := range lambdas {
-		row := []string{f3(l)}
+		row := []Cell{f3(l)}
 		for range apps {
 			row = append(row, pct(results[i].Summary.DropRate))
 			i++
@@ -165,7 +164,7 @@ func fig14d(h *Harness) (*Output, error) {
 	}
 	i := 0
 	for _, w := range windows {
-		row := []string{fmt.Sprintf("%.1fs", w.Seconds())}
+		row := []Cell{Fixed(w.Seconds(), 1, "s")}
 		for range kinds {
 			row = append(row, pct(results[i].Summary.DropRate))
 			i++

@@ -69,10 +69,10 @@ func fig15a(h *Harness) (*Output, error) {
 	}
 	for i, p := range rag.Policies() {
 		res := results[i]
-		t.Rows = append(t.Rows, []string{
-			string(p), f3(res.NormalizedGoodput), pct(res.DropRate),
-			fmt.Sprintf("%d/%d/%d/%d", res.DropsPerStage[0], res.DropsPerStage[1],
-				res.DropsPerStage[2], res.DropsPerStage[3]),
+		t.Rows = append(t.Rows, []Cell{
+			Label(string(p)), f3(res.NormalizedGoodput), pct(res.DropRate),
+			Label(fmt.Sprintf("%d/%d/%d/%d", res.DropsPerStage[0], res.DropsPerStage[1],
+				res.DropsPerStage[2], res.DropsPerStage[3])),
 		})
 	}
 	return &Output{Tables: []Table{t}, Notes: []string{
@@ -104,7 +104,7 @@ func fig15b(h *Harness) (*Output, error) {
 		}
 	}
 	for j, q := range qs {
-		row := []string{fmt.Sprintf("p%.0f", q*100)}
+		row := []Cell{Label(fmt.Sprintf("p%.0f", q*100))}
 		for i := range res.Latencies {
 			row = append(row, f1(vals[i][j]*1000))
 		}
@@ -137,12 +137,12 @@ func dagDynamic(h *Harness) (*Output, error) {
 	}
 	for i, kind := range kinds {
 		static, dyn := results[2*i], results[2*i+1]
-		inc := "-"
+		inc := Label("-")
 		if static.Summary.DropRate > 0 {
-			inc = fmt.Sprintf("%+.2fx", dyn.Summary.DropRate/static.Summary.DropRate-1)
+			inc = change(dyn.Summary.DropRate/static.Summary.DropRate - 1)
 		}
-		t.Rows = append(t.Rows, []string{
-			string(kind), pct(static.Summary.DropRate), pct(dyn.Summary.DropRate), inc,
+		t.Rows = append(t.Rows, []Cell{
+			Label(string(kind)), pct(static.Summary.DropRate), pct(dyn.Summary.DropRate), inc,
 		})
 	}
 	return &Output{Tables: []Table{t}, Notes: []string{

@@ -69,7 +69,7 @@ func fig2a(h *Harness) (*Output, error) {
 		return nil, err
 	}
 	for _, w := range windows {
-		row := []string{secs(w)}
+		row := []Cell{secs(w)}
 		for _, res := range results {
 			row = append(row, f3(res.Collector.MinNormalizedGoodput(w)))
 		}
@@ -90,7 +90,7 @@ func fig2b(h *Harness) (*Output, error) {
 		return nil, err
 	}
 	for _, w := range windows {
-		row := []string{secs(w)}
+		row := []Cell{secs(w)}
 		for _, res := range results {
 			row = append(row, pct(res.Collector.DropRateAtMinGoodput(w)))
 		}
@@ -130,12 +130,12 @@ func fig2c(h *Harness) (*Output, error) {
 		}
 	}
 	for m := 0; m < maxModules; m++ {
-		row := []string{fmt.Sprintf("M%d", m+1)}
+		row := []Cell{Label(fmt.Sprintf("M%d", m+1))}
 		for _, p := range perWorkload {
 			if m < len(p) {
 				row = append(row, f1(p[m]))
 			} else {
-				row = append(row, "-")
+				row = append(row, Label("-"))
 			}
 		}
 		t.Rows = append(t.Rows, row)
@@ -158,7 +158,7 @@ func fig2d(h *Harness) (*Output, error) {
 	t := Table{ID: "fig2d", Title: "transient drop rate over time, Clipper++ on lv-tweet",
 		Columns: []string{"time", "drop rate"}}
 	for i := range ts {
-		t.Rows = append(t.Rows, []string{secs(ts[i]), pct(vs[i])})
+		t.Rows = append(t.Rows, []Cell{secs(ts[i]), pct(vs[i])})
 	}
 	return &Output{Tables: []Table{t}}, nil
 }

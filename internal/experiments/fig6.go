@@ -61,8 +61,8 @@ func fig6(h *Harness) (*Output, error) {
 		q10, conv = stats.ConvolveQuantileInto(conv, sources, 0.1, 10000, rng)
 		q50, conv = stats.ConvolveQuantileInto(conv, sources, 0.5, 10000, rng)
 		q90, conv = stats.ConvolveQuantileInto(conv, sources, 0.9, 10000, rng)
-		quant.Rows = append(quant.Rows, []string{
-			fmt.Sprintf("M%d..M4", k+1), f3(q10 / sumD), f3(q50 / sumD), f3(q90 / sumD), f3(paperQ10[k]),
+		quant.Rows = append(quant.Rows, []Cell{
+			Label(fmt.Sprintf("M%d..M4", k+1)), f3(q10 / sumD), f3(q50 / sumD), f3(q90 / sumD), f3(paperQ10[k]),
 		})
 	}
 
@@ -79,7 +79,7 @@ func fig6(h *Harness) (*Output, error) {
 	edges, dens := dist.Histogram(24)
 	sumD := 4 * d
 	for i := range edges {
-		hist.Rows = append(hist.Rows, []string{f3(edges[i] / sumD), f3(dens[i] * sumD)})
+		hist.Rows = append(hist.Rows, []Cell{f3(edges[i] / sumD), f3(dens[i] * sumD)})
 	}
 	return &Output{
 		Tables: []Table{quant, hist},

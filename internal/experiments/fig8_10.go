@@ -63,8 +63,8 @@ func fig8(h *Harness) (*Output, error) {
 	i := 0
 	for _, kind := range traces12 {
 		for _, app := range apps12 {
-			dRow := []string{fmt.Sprintf("%s-%s", app, kind)}
-			iRow := []string{fmt.Sprintf("%s-%s", app, kind)}
+			dRow := []Cell{Label(fmt.Sprintf("%s-%s", app, kind))}
+			iRow := []Cell{Label(fmt.Sprintf("%s-%s", app, kind))}
 			for range policy.Comparison() {
 				res := results[i]
 				i++
@@ -101,7 +101,7 @@ func fig9(h *Harness) (*Output, error) {
 			perPol := results[i : i+len(policy.Comparison())]
 			i += len(policy.Comparison())
 			for _, w := range windows {
-				row := []string{secs(w)}
+				row := []Cell{secs(w)}
 				for _, res := range perPol {
 					row = append(row, pct(res.Collector.MaxDropRate(w)))
 				}
@@ -141,7 +141,7 @@ func fig10(h *Harness) (*Output, error) {
 			for j := i; j < i+step; j++ {
 				sum += st.PerSecond[j]
 			}
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%ds", i), f1(sum / float64(step))})
+			t.Rows = append(t.Rows, []Cell{whole(int64(i), "s"), f1(sum / float64(step))})
 		}
 		tables = append(tables, t)
 	}
@@ -169,12 +169,12 @@ func fig10(h *Harness) (*Output, error) {
 				series = append(series, vs)
 			}
 			for i := range ts {
-				row := []string{secs(ts[i])}
+				row := []Cell{secs(ts[i])}
 				for _, vs := range series {
 					if i < len(vs) {
 						row = append(row, f3(vs[i]))
 					} else {
-						row = append(row, "-")
+						row = append(row, Label("-"))
 					}
 				}
 				t.Rows = append(t.Rows, row)

@@ -51,42 +51,35 @@ func sortPosts(posts []post) {
 	})
 }
 
-// intent is one deferred request termination.
+// intent is one deferred request termination, decided by module mod. The
+// module index sits in the padding after drop: an intent is 24 bytes.
 type intent struct {
 	at  time.Duration
 	req *Request
 	// drop is true for a drop at the module, false for a sink completion.
 	drop bool
+	mod  int32
 }
 
 // laneBridge carries the cluster's per-lane deferred state while running on
 // a lane-aware executor.
 type laneBridge struct {
 	cl *Cluster
-	// intents[k] holds module k's terminations of the current window, in
-	// decision order; pending counts them over every module.
-	intents [][]intent
-	pending int
-	// scratch reuses the merged commit buffer across barriers.
-	scratch []mergedIntent
+	// intents holds every module's terminations of the current window in
+	// decision order, so each module's own are in its decision order too.
+	intents []intent
 }
 
-// mergedIntent tags an intent with its sort key (module, then per-lane
-// decision order preserved by the stable sort).
-type mergedIntent struct {
-	intent
-	mod int
-}
-
+// newLaneBridge returns the bridge of an n-module cluster, with room for one
+// termination a module before its list first grows.
 func newLaneBridge(cl *Cluster, n int) *laneBridge {
-	return &laneBridge{cl: cl, intents: make([][]intent, n)}
+	return &laneBridge{cl: cl, intents: make([]intent, 0, n)}
 }
 
 // add defers one termination decided by module k and marks it on the
 // request (see Request.pendMod). Callers add only what k does not see yet.
 func (b *laneBridge) add(k int, req *Request, at time.Duration, drop bool) {
-	b.intents[k] = append(b.intents[k], intent{at: at, req: req, drop: drop})
-	b.pending++
+	b.intents = append(b.intents, intent{at: at, req: req, drop: drop, mod: int32(k)})
 	if req.pendMod == 0 {
 		req.pendMod = int32(k) + 1
 	} else {
@@ -97,8 +90,8 @@ func (b *laneBridge) add(k int, req *Request, at time.Duration, drop bool) {
 // sees reports whether module k holds a pending termination for req: the
 // deciding module must see its own drops immediately, while other modules
 // learn of them at the next barrier (via the committed Request flags). Only
-// when a second module has marked the request too does it look through k's
-// own intents.
+// when a second module has marked the request too does it look through the
+// pending intents for one of k's.
 func (b *laneBridge) sees(k int, req *Request) bool {
 	switch req.pendMod {
 	case 0:
@@ -109,8 +102,8 @@ func (b *laneBridge) sees(k int, req *Request) bool {
 	if !req.pendMore {
 		return false
 	}
-	for i := range b.intents[k] {
-		if b.intents[k][i].req == req {
+	for i := range b.intents {
+		if b.intents[i].req == req && b.intents[i].mod == int32(k) {
 			return true
 		}
 	}
@@ -125,15 +118,12 @@ func (b *laneBridge) sees(k int, req *Request) bool {
 // pending set counts.
 func (b *laneBridge) seesAny(req *Request) bool { return req.pendMod != 0 }
 
-// encodeIntents appends the pending intents in their wire shape to out,
-// gathered in (module, decision order) — the order commit gathers them. The
-// intents and their marks stay as they are: commit applies and clears them
-// once the peers' intents are in.
+// encodeIntents appends the pending intents in their wire shape to out, in
+// decision order. The intents and their marks stay as they are: commit
+// applies and clears them once the peers' intents are in.
 func (b *laneBridge) encodeIntents(out []WireIntent) []WireIntent {
-	for k, list := range b.intents {
-		for _, it := range list {
-			out = append(out, WireIntent{At: it.at, Mod: int32(k), Req: it.req.ID, Drop: it.drop})
-		}
+	for _, it := range b.intents {
+		out = append(out, WireIntent{At: it.at, Mod: it.mod, Req: it.req.ID, Drop: it.drop})
 	}
 	return out
 }
@@ -141,27 +131,19 @@ func (b *laneBridge) encodeIntents(out []WireIntent) []WireIntent {
 // commit applies every deferred termination in (virtual time, module,
 // decision order) order: this replica's own intents, then the peer groups'
 // wire intents from a barrier exchange's reply all (nil on a single group;
-// this group's own entry is skipped, its intents are already in). Equal
-// (time, module) runs come from one module and so from one group, whose
-// decision order the concatenation keeps, so the stable sort gives every
-// replica the total order a single group gives. Committing sets the shared
+// this group's own entry is skipped, its intents are already in), sorted in
+// place. Equal (time, module) runs come from one module and so from one
+// group, in its decision order, which the stable sort keeps, so every replica
+// commits in the total order a single group gives. Committing sets the shared
 // Request flags (making the termination visible to every lane from the next
 // window on), counts the drop against the deciding module, and fires the
 // host callback. The first intent for a request in commit order wins; later
 // ones — a second branch of a DAG deciding to drop the same request inside
 // one window — are no-ops, exactly as under sequential execution.
 func (b *laneBridge) commit(all []BarrierMsg) error {
-	merged := b.scratch[:0]
-	if b.pending > 0 {
-		for k, list := range b.intents {
-			for _, it := range list {
-				it.req.pendMod, it.req.pendMore = 0, false
-				merged = append(merged, mergedIntent{intent: it, mod: k})
-			}
-			clear(list) // a live server's lists outlast its requests: keep none
-			b.intents[k] = list[:0]
-		}
-		b.pending = 0
+	merged := b.intents
+	for _, it := range merged {
+		it.req.pendMod, it.req.pendMore = 0, false
 	}
 	for i := range all {
 		if int(all[i].Group) == b.cl.topo.Group {
@@ -170,30 +152,29 @@ func (b *laneBridge) commit(all []BarrierMsg) error {
 		for _, wi := range all[i].Intents {
 			req := b.cl.resolve(wi.Req)
 			if req == nil {
-				b.scratch = merged[:0]
+				b.intents = merged[:0]
 				return fmt.Errorf("sched: intent for unknown request %d from group %d", wi.Req, all[i].Group)
 			}
-			merged = append(merged, mergedIntent{intent: intent{at: wi.At, req: req, drop: wi.Drop}, mod: int(wi.Mod)})
+			merged = append(merged, intent{at: wi.At, req: req, drop: wi.Drop, mod: wi.Mod})
 		}
 	}
 	if len(merged) == 0 {
-		b.scratch = merged
-		return nil
+		return nil // most barriers commit nothing: skip the sort call
 	}
-	slices.SortStableFunc(merged, func(a, b mergedIntent) int {
+	slices.SortStableFunc(merged, func(a, b intent) int {
 		if a.at != b.at {
 			return cmp.Compare(a.at, b.at)
 		}
 		return cmp.Compare(a.mod, b.mod)
 	})
-	for _, m := range merged {
-		if m.drop {
-			b.cl.commitDrop(m.req, m.mod, m.at)
+	for _, it := range merged {
+		if it.drop {
+			b.cl.commitDrop(it.req, int(it.mod), it.at)
 		} else {
-			b.cl.commitComplete(m.req, m.at)
+			b.cl.commitComplete(it.req, it.at)
 		}
 	}
-	clear(merged)
-	b.scratch = merged[:0]
+	clear(merged) // a live server's list outlasts its requests: keep none
+	b.intents = merged[:0]
 	return nil
 }

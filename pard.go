@@ -170,8 +170,10 @@ type (
 	ExperimentConfig = experiments.Config
 	// ExperimentOutput is the rendered tables of one artifact.
 	ExperimentOutput = experiments.Output
-	// ExperimentTable is one rendered table/series.
+	// ExperimentTable is one table/series; Render and CSV write it.
 	ExperimentTable = experiments.Table
+	// ExperimentCell is one table entry: a number and its format, or a label.
+	ExperimentCell = experiments.Cell
 	// ExperimentHarness caches simulation runs across experiments.
 	ExperimentHarness = experiments.Harness
 )
