@@ -653,14 +653,15 @@ func BenchmarkLaneQueue(b *testing.B) {
 }
 
 // modulePublish sets up the sync tick's per-module state publication (§4.1
-// step ②) over full windows: a single-module cluster is fed 3 500 req/s for
-// one queue window, so its queueing-delay and Q+W+D windows hold about
-// 17.5 k samples each — what every DA module holds in shardedDA — and then,
-// from one control event, hands measure a tick that runs SyncTick: the
-// window mean, the window copy, the p95 selection, the board's copy of the
-// reservoir and PARD-WCL's budget reallocation. It runs pard-wcl because only
-// a policy that reads WCL keeps the Q+W+D window (TestWCLWindowOnlyForReaders
-// holds every other one to none). The module's scratch buffers, the policy's
+// step ②) over a full window: a single-module cluster is fed 3 500 req/s for
+// one queue window, so its Q+W+D window holds about 17.5 k samples — what
+// every DA module holds in shardedDA — and then, from one control event,
+// hands measure a tick that runs SyncTick: the window copy, the p95
+// selection, the board's copy and PARD-WCL's budget reallocation. It runs
+// pard-wcl because only a policy that reads WCL keeps the Q+W+D window, the
+// largest a module keeps; pard-wcl reads neither queueing delay nor batch
+// wait, so its module keeps neither of those windows
+// (TestWindowsOnlyForReaders). The module's scratch buffers, the policy's
 // budgets and the board slot are warmed before measure is called.
 func modulePublish(tb testing.TB, measure func(tick func())) {
 	lib := profile.NewLibrary()

@@ -182,6 +182,9 @@ func (e *Estimator) Refresh(b *Board) {
 // Lsub returns module k's cached downstream latency estimate.
 func (e *Estimator) Lsub(k int) time.Duration { return e.lsub[k] }
 
+// Config returns the estimator's configuration.
+func (e *Estimator) Config() EstimatorConfig { return e.cfg }
+
 // Breakdown decomposes one downstream path's Lsub estimate into the three
 // components of Eq. 1 (ΣQ, ΣD, estimated ΣW), plus the path it covers.
 type Breakdown struct {

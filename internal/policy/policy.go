@@ -86,13 +86,22 @@ type Policy interface {
 	// the batch-wait samples Get returns, are valid only until the next
 	// tick's publication: a policy keeps what it needs by value or copies it.
 	OnSync(now time.Duration, board *core.Board)
+	// Reads reports which measured fields of ModuleState the policy reads.
+	// The scheduling core keeps a module's window for a field, and
+	// publishes it, only when the policy (or a probe) reads it; every field
+	// the policy does not read is published at its zero value.
+	Reads() Reads
 }
 
-// WCLReader is implemented by a policy that may read ModuleState.WCL. The
-// scheduling core keeps each module's Q+W+D window, and publishes WCL, only
-// when ReadsWCL reports true; every other policy sees WCL at 0.
-type WCLReader interface {
-	ReadsWCL() bool
+// Reads names the measured ModuleState fields a policy reads. ProfiledDur,
+// InputRate and Throughput cost no window and are always published.
+type Reads struct {
+	// QueueDelay: the PARD family with IncludeQueue, and PARD-oc.
+	QueueDelay bool
+	// BatchWait: the PARD family with Wait == WaitQuantile.
+	BatchWait bool
+	// WCL: PARD-WCL.
+	WCL bool
 }
 
 // Setup carries everything policy constructors need.
@@ -236,8 +245,17 @@ func (p *unified) Decide(ctx DecideCtx) bool {
 	}
 }
 
-// ReadsWCL reports whether OnSync reallocates budgets from WCL (PARD-WCL).
-func (p *unified) ReadsWCL() bool { return p.decide == decideWCLCum }
+func (p *unified) Reads() Reads {
+	var r Reads
+	if p.est != nil {
+		cfg := p.est.Config()
+		r.QueueDelay = cfg.IncludeQueue
+		r.BatchWait = cfg.Wait == core.WaitQuantile
+	}
+	r.QueueDelay = r.QueueDelay || p.ocEnabled
+	r.WCL = p.decide == decideWCLCum
+	return r
+}
 
 func (p *unified) OnSync(now time.Duration, board *core.Board) {
 	if p.est != nil {

@@ -48,9 +48,11 @@ type module struct {
 	// pool's levels.
 	tree []uint64
 
-	// Controller state (State Planner inputs, §4.1 step ①).
+	// Controller state (State Planner inputs, §4.1 step ①). A window is
+	// nil unless the policy reads its field (policy.Reads) or, for qWin,
+	// the queue-delay probe records it.
 	qWin    *stats.SlidingWindow // queueing delay samples (seconds)
-	wclWin  *stats.SlidingWindow // per-request Q+W+D samples (seconds); nil unless the policy reads WCL
+	wclWin  *stats.SlidingWindow // per-request Q+W+D samples (seconds)
 	waitRes *stats.Reservoir     // batch-wait samples (seconds)
 	// rateWin is the input workload: its span feeds the scaling engine
 	// (smooth), its inner span T_in for priority control (fast).
@@ -99,12 +101,18 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 		jitter:      c.jitter,
 		execRng:     rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "exec"))),
 		statRng:     statRng,
-		qWin:        stats.NewSlidingWindow(queueWindow),
-		waitRes:     stats.NewReservoir(waitReservoir, statRng),
 		rateWin:     stats.NewRateWindow(queueWindow, inputRateSpan),
 		workers:     make([]*worker, 0, workers),
 	}
-	if c.readsWCL {
+	if c.reads.QueueDelay || c.cfg.Probes.QueueDelay {
+		m.qWin = stats.NewSlidingWindow(queueWindow)
+	}
+	// The decomposition probe's reservoir draws from statRng after waitRes
+	// does, so its samples stay as they were only beside a fed waitRes.
+	if c.reads.BatchWait || c.cfg.Probes.Decomposition {
+		m.waitRes = stats.NewReservoir(waitReservoir, statRng)
+	}
+	if c.reads.WCL {
 		m.wclWin = stats.NewSlidingWindow(queueWindow)
 	}
 	if c.cfg.Probes.QueueDelay {
@@ -347,8 +355,12 @@ func (m *module) chargeRequest(r *Request, gpu, q, w, d time.Duration) {
 // observe records decision-time measurements for a batched request
 // (controller monitoring, §4.1 step ①).
 func (m *module) observe(q, wait, dur time.Duration, now time.Duration) {
-	m.qWin.Add(now, q.Seconds())
-	m.waitRes.Add(wait.Seconds())
+	if m.qWin != nil {
+		m.qWin.Add(now, q.Seconds())
+	}
+	if m.waitRes != nil {
+		m.waitRes.Add(wait.Seconds())
+	}
 	if m.wclWin != nil {
 		m.wclWin.Add(now, (q + wait + dur).Seconds())
 	}
@@ -367,10 +379,17 @@ func (m *module) probeBudget(arrive, done time.Duration) {
 }
 
 // publish pushes this module's snapshot to the shared board (sync step ②).
-// The board copies the reservoir's live samples into the module's slot. WCL
-// stays 0 for a policy that does not read it.
+// The board copies the reservoir's live samples into the module's slot. A
+// field whose window the module does not keep stays at its zero value.
 func (m *module) publish(now time.Duration, board *core.Board) {
-	qMean, _ := m.qWin.Mean(now)
+	var qMean float64
+	if m.qWin != nil {
+		qMean, _ = m.qWin.Mean(now)
+	}
+	var waits []float64
+	if m.waitRes != nil {
+		waits = m.waitRes.Values()
+	}
 	wcl := 0.0
 	if m.wclWin != nil {
 		m.wclScratch = m.wclWin.ValuesInto(now, m.wclScratch)
@@ -382,7 +401,7 @@ func (m *module) publish(now time.Duration, board *core.Board) {
 	st := core.ModuleState{
 		QueueDelay:  time.Duration(qMean * float64(time.Second)),
 		ProfiledDur: m.targetDur,
-		BatchWait:   m.waitRes.Values(),
+		BatchWait:   waits,
 		InputRate:   m.rateWin.InnerRate(now),
 		Throughput:  m.throughput(now),
 		WCL:         time.Duration(wcl * float64(time.Second)),

@@ -84,9 +84,9 @@ type Cluster struct {
 	cfg  Config
 	exec *LaneExecutor
 	pol  policy.Policy
-	// readsWCL is set when the policy reads ModuleState.WCL; otherwise no
-	// module keeps a WCL window.
-	readsWCL bool
+	// reads is what module state the policy reads: a module keeps the
+	// window behind a field only when the policy or a probe reads it.
+	reads policy.Reads
 
 	modules []*module
 	board   *core.Board
@@ -242,8 +242,7 @@ func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 		return nil, err
 	}
 	c.pol = pol
-	wr, ok := pol.(policy.WCLReader)
-	c.readsWCL = ok && wr.ReadsWCL()
+	c.reads = pol.Reads()
 
 	for k := 0; k < n; k++ {
 		model, err := cfg.Lib.Get(cfg.Spec.Modules[k].Name)
@@ -310,13 +309,14 @@ func (c *Cluster) Probes(k int) ModuleProbes {
 
 // Reserve sizes every owned module's State Planner windows for a run whose
 // requests are sent at the sorted times arrivals, so that they do not grow
-// while it runs; under a policy that reads WCL, also the WCL window and the
-// scratch publish copies it into. A module sees each request once, about one
-// hop delay after its neighbours, so the trace's peak count within
-// queueWindow, the span of every window (the rate window's inner span shares
-// its timestamps), is what a window holds live, give or take the bunching the
-// reservation's slack absorbs. Storage only: a window that outgrows it grows
-// as an unreserved one (the live server's) does.
+// while it runs: the rate window, and those of the queueing-delay and WCL
+// windows the module keeps, with the scratch publish copies WCL into. A
+// module sees each request once, about one hop delay after its neighbours,
+// so the trace's peak count within queueWindow, the span of every window
+// (the rate window's inner span shares its timestamps), is what a window
+// holds live, give or take the bunching the reservation's slack absorbs.
+// Storage only: a window that outgrows it grows as an unreserved one (the
+// live server's) does.
 func (c *Cluster) Reserve(arrivals []time.Duration) {
 	n := len(arrivals)
 	peak := stats.PeakCount(arrivals, queueWindow)
@@ -324,7 +324,9 @@ func (c *Cluster) Reserve(arrivals []time.Duration) {
 		if !c.owns(m.idx) {
 			continue
 		}
-		m.qWin.Reserve(peak, n)
+		if m.qWin != nil {
+			m.qWin.Reserve(peak, n)
+		}
 		m.rateWin.Reserve(peak, n)
 		if m.wclWin != nil {
 			m.wclWin.Reserve(peak, n)

@@ -9,13 +9,44 @@ import (
 	"pard/internal/profile"
 )
 
-// TestWCLWindowOnlyForReaders: only a policy that reads ModuleState.WCL
-// (pard-wcl) pays for it. Under any other, no module keeps a Q+W+D window or
-// its publish scratch, and every published WCL is 0; under pard-wcl every
-// module keeps one, and a loaded run publishes a positive WCL.
-func TestWCLWindowOnlyForReaders(t *testing.T) {
+// readsByPolicy is what each policy reads of ModuleState, written out from
+// the policies' definitions: the estimator's IncludeQueue and Wait mode, the
+// DAGOR admission control, and the WCL budget split.
+var readsByPolicy = map[string]policy.Reads{
+	"naive":         {},
+	"clipper++":     {},
+	"nexus":         {},
+	"pard":          {QueueDelay: true, BatchWait: true},
+	"pard-back":     {},
+	"pard-sf":       {},
+	"pard-oc":       {QueueDelay: true},
+	"pard-split":    {},
+	"pard-wcl":      {WCL: true},
+	"pard-lower":    {QueueDelay: true},
+	"pard-upper":    {QueueDelay: true},
+	"pard-instant":  {QueueDelay: true, BatchWait: true},
+	"pard-hbf":      {QueueDelay: true, BatchWait: true},
+	"pard-lbf":      {QueueDelay: true, BatchWait: true},
+	"pard-fcfs":     {QueueDelay: true, BatchWait: true},
+	"pard-analytic": {QueueDelay: true},
+}
+
+// TestWindowsOnlyForReaders: a module keeps the window behind a ModuleState
+// field only when its policy reads the field. Under every policy a module
+// keeps exactly the queueing-delay window, batch-wait reservoir and WCL window
+// (with its publish scratch) that policy.Reads names, and a loaded run
+// publishes a positive value for each field read and only zeros for the
+// others.
+func TestWindowsOnlyForReaders(t *testing.T) {
 	spec := pipeline.LV()
+	if len(readsByPolicy) != len(policy.Names()) {
+		t.Fatalf("readsByPolicy covers %d policies, policy.Names has %d", len(readsByPolicy), len(policy.Names()))
+	}
 	for _, name := range policy.Names() {
+		want, ok := readsByPolicy[name]
+		if !ok {
+			t.Fatalf("%s: not in readsByPolicy", name)
+		}
 		man := NewManualExecutor()
 		workers := make([]int, spec.N())
 		for k := range workers {
@@ -25,9 +56,8 @@ func TestWCLWindowOnlyForReaders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reads := name == "pard-wcl"
-		if wr, ok := cl.Policy().(policy.WCLReader); !ok || wr.ReadsWCL() != reads {
-			t.Fatalf("%s: ReadsWCL is not %t", name, reads)
+		if got := cl.Policy().Reads(); got != want {
+			t.Fatalf("%s: Reads() = %+v, want %+v", name, got, want)
 		}
 		const rate, horizon = 300, 2 * time.Second
 		arrivals := make([]time.Duration, 0, rate*2)
@@ -36,25 +66,56 @@ func TestWCLWindowOnlyForReaders(t *testing.T) {
 			cl.Inject(&Request{ID: uint64(len(arrivals)), Send: at, Deadline: at + spec.SLO}, at)
 		}
 		cl.Reserve(arrivals)
-		var published bool
+		var published policy.Reads
 		for at := 100 * time.Millisecond; at <= horizon; at += 100 * time.Millisecond {
 			man.Schedule(at, "sync", func(now time.Duration) {
 				cl.SyncTick(now)
 				for k := range cl.modules {
-					if wcl := cl.Board().Get(k).WCL; wcl > 0 {
-						published = true
-					}
+					s := cl.Board().Get(k)
+					published.QueueDelay = published.QueueDelay || s.QueueDelay > 0
+					published.BatchWait = published.BatchWait || len(s.BatchWait) > 0
+					published.WCL = published.WCL || s.WCL > 0
 				}
 			})
 		}
 		man.Run()
 		for _, m := range cl.modules {
-			if (m.wclWin != nil) != reads || (cap(m.wclScratch) > 0) != reads {
-				t.Fatalf("%s: module %d keeps a WCL window (%t) and scratch (%d), want %t", name, m.idx, m.wclWin != nil, cap(m.wclScratch), reads)
+			kept := policy.Reads{QueueDelay: m.qWin != nil, BatchWait: m.waitRes != nil, WCL: m.wclWin != nil}
+			if kept != want {
+				t.Fatalf("%s: module %d keeps windows %+v, want %+v", name, m.idx, kept, want)
+			}
+			if (cap(m.wclScratch) > 0) != want.WCL {
+				t.Fatalf("%s: module %d keeps WCL scratch of %d, want it only beside a WCL window", name, m.idx, cap(m.wclScratch))
 			}
 		}
-		if published != reads {
-			t.Fatalf("%s: a positive WCL was published: %t, want %t", name, published, reads)
+		if published != want {
+			t.Fatalf("%s: published non-zero fields %+v, want %+v", name, published, want)
+		}
+	}
+}
+
+// TestQueueDelayProbeKeepsItsWindow: the queue-delay probe records the
+// queueing-delay window's mean, so a module keeps that window for the probe
+// even under a policy that does not read it, and the probe records it.
+func TestQueueDelayProbeKeepsItsWindow(t *testing.T) {
+	spec := pipeline.TM()
+	man := NewManualExecutor()
+	cl, err := New(Config{Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "nexus", Seed: 1,
+		Workers: []int{1, 1, 1}, NetDelay: time.Millisecond, Probes: ProbeConfig{QueueDelay: true, SampleEvery: 1}}, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := time.Duration(0); at < time.Second; at += 5 * time.Millisecond {
+		cl.Inject(&Request{ID: uint64(at), Send: at, Deadline: at + spec.SLO}, at)
+	}
+	man.Schedule(time.Second, "sync", cl.SyncTick)
+	man.Run()
+	for k, m := range cl.modules {
+		if m.qWin == nil || m.waitRes != nil {
+			t.Fatalf("module %d: queueing-delay window kept %t, reservoir kept %t; want the window only", k, m.qWin != nil, m.waitRes != nil)
+		}
+		if s := cl.Probes(k).QueueDelay; s == nil || len(s.V) == 0 {
+			t.Fatalf("module %d: the queue-delay probe recorded nothing", k)
 		}
 	}
 }
