@@ -285,6 +285,32 @@ func BenchmarkShardedDASequential(b *testing.B) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// longChain is one PARD run on a 70-module chain (every stage eyetrack, 3 s
+// SLO, one hop of 1 ms each) at 300 req/s for 10 s of virtual time, syncing
+// every 100 ms: each of the hundred State Planner ticks refreshes the
+// downstream estimate of 69 suffixes, the run's PARD-only cost.
+func longChain(tb testing.TB) func() uint64 {
+	tr := pard.GenerateTrace(pard.TraceConfig{
+		Kind: pard.Steady, Duration: 10 * time.Second, PeakRate: 300, Seed: 1,
+	})
+	cfg := pard.SimConfig{
+		Spec:       pard.Chain("chain70", 3*time.Second, 70, "eyetrack"),
+		PolicyName: "pard",
+		Trace:      tr,
+		Seed:       1,
+		SyncPeriod: 100 * time.Millisecond,
+	}
+	return func() uint64 {
+		res, err := pard.Simulate(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return res.SimEvents
+	}
+}
+
+func BenchmarkLongChain(b *testing.B) { benchOp(b, longChain(b)) }
+
 // laneGroupCfg is the workload of the lane-group ops: a short DA run with a
 // tight sync period, so the per-window barrier exchange (posts + intents +
 // charges all-gather) dominates the topology overhead being measured.
@@ -758,10 +784,11 @@ func TestAllocsWholeOps(t *testing.T) {
 		events        uint64 // simulated events per op, exact (0: not a simulation)
 		run           func(tb testing.TB, m measure)
 	}{
-		{"ShardedDASequential", 370, 20_200_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb)) }},
-		{"LaneGroupBarrier/mem", 780, 2_120_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
-		{"LaneGroupBarrier/loopback", 935, 1_420_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
-		{"SweepGrid", 1200, 5_950_000, 113337, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"ShardedDASequential", 335, 20_200_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb)) }},
+		{"LaneGroupBarrier/mem", 725, 2_250_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
+		{"LaneGroupBarrier/loopback", 895, 1_520_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
+		{"SweepGrid", 1120, 5_950_000, 113326, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"LongChain", 3_960, 10_500_000, 306539, func(tb testing.TB, m measure) { m(longChain(tb)) }},
 		{"ServerSubmit", 0, 0, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
 			m(withoutGC(func() uint64 { submit(1); return 0 }))

@@ -14,14 +14,14 @@ import (
 func TestBoardPublishCopies(t *testing.T) {
 	b := NewBoard(2)
 	src := []float64{0.01, 0.02, 0.03}
-	b.Publish(0, ModuleState{QueueDelay: time.Millisecond, BatchWait: src, InputRate: 300, Overloaded: true})
+	b.Publish(0, ModuleState{QueueDelay: time.Millisecond, BatchWait: src, InputRate: 300, WCL: time.Second})
 	src[0], src[2] = 9, 9
 	src = append(src, 9)
 	got := b.Get(0)
 	if !slices.Equal(got.BatchWait, []float64{0.01, 0.02, 0.03}) {
 		t.Fatalf("changing the published buffer changed the board: %v", got.BatchWait)
 	}
-	if got.QueueDelay != time.Millisecond || got.InputRate != 300 || !got.Overloaded {
+	if got.QueueDelay != time.Millisecond || got.InputRate != 300 || got.WCL != time.Second {
 		t.Fatalf("published scalars did not survive: %+v", got)
 	}
 	if s := b.Get(1); s.QueueDelay != 0 || s.BatchWait != nil {
@@ -38,7 +38,7 @@ func TestBoardPublishCopies(t *testing.T) {
 	if s := b.Get(1); !slices.Equal(s.BatchWait, []float64{0.01, 0.02, 0.03}) {
 		t.Fatalf("slot 1 shares slot 0's samples: %v", s.BatchWait)
 	}
-	if s := b.Get(0); !slices.Equal(s.BatchWait, src) || s.InputRate != 0 || s.Overloaded {
+	if s := b.Get(0); !slices.Equal(s.BatchWait, src) || s.InputRate != 0 || s.WCL != 0 {
 		t.Fatalf("a second publication did not replace the first: %+v", s)
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -189,7 +190,7 @@ func TestExplainBreakdown(t *testing.T) {
 	q, d := 8*time.Millisecond, 25*time.Millisecond
 	b := boardFor(spec, q, d, uniformWaits(d, 500, rng))
 	e.Refresh(b)
-	br := e.Explain(b, 0)
+	br := e.Explain(0)
 	if len(br.Path) != 2 {
 		t.Fatalf("path = %v, want 2 downstream modules", br.Path)
 	}
@@ -202,13 +203,13 @@ func TestExplainBreakdown(t *testing.T) {
 	if br.Wait <= 0 || br.Wait > 2*d {
 		t.Fatalf("ΣW estimate %v outside (0, %v]", br.Wait, 2*d)
 	}
-	// Total must equal the cached Lsub (modulo MC noise on the same seed:
-	// Explain recomputes, so allow the sampling tolerance).
-	if diff := br.Total(cfg) - e.Lsub(0); diff < -5*time.Millisecond || diff > 5*time.Millisecond {
+	// Explain reads the last Refresh's estimates: its total is the cached
+	// Lsub.
+	if br.Total(cfg) != e.Lsub(0) {
 		t.Fatalf("Explain total %v differs from Lsub %v", br.Total(cfg), e.Lsub(0))
 	}
 	// Sink explains to an empty breakdown.
-	if br := e.Explain(b, 2); len(br.Path) != 0 || br.Total(cfg) != 0 {
+	if br := e.Explain(2); len(br.Path) != 0 || br.Total(cfg) != 0 {
 		t.Fatalf("sink breakdown = %+v", br)
 	}
 }
@@ -223,12 +224,146 @@ func TestExplainDAGPicksDominantPath(t *testing.T) {
 	}
 	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 100, IncludeDur: true, Wait: WaitZero}, rng)
 	e.Refresh(b)
-	br := e.Explain(b, 0)
+	br := e.Explain(0)
 	if br.Path[0] != 1 { // the slow pose branch dominates
 		t.Fatalf("dominant path = %v, want the pose branch", br.Path)
 	}
 	if br.Exec != 110*time.Millisecond {
 		t.Fatalf("dominant ΣD = %v", br.Exec)
+	}
+}
+
+// TestEstimatorSharesSuffixes: the estimator keeps one node per distinct
+// downstream suffix, so a tick convolves once per node where convolving every
+// module's paths from scratch took one pass per module on each path.
+func TestEstimatorSharesSuffixes(t *testing.T) {
+	for _, c := range []struct {
+		spec              *pipeline.Spec
+		nodes, perPathOld int
+	}{
+		{pipeline.TM(), 2, 3},
+		{pipeline.LV(), 4, 10},
+		{pipeline.GM(), 4, 10},
+		{pipeline.DA(), 4, 11},
+		{pipeline.DADynamic(0.5), 4, 11},
+		{pipeline.Uniform("chain70", 70, "facerec", 10*time.Second), 69, 2415},
+	} {
+		old := 0
+		for k := 0; k < c.spec.N(); k++ {
+			for _, p := range c.spec.DownstreamPaths(k) {
+				old += len(p)
+			}
+		}
+		e := NewEstimator(c.spec, DefaultEstimatorConfig(), rand.New(rand.NewSource(1)))
+		if len(e.nodes) != c.nodes || old != c.perPathOld {
+			t.Fatalf("%s: %d nodes, %d per-path passes; want %d and %d", c.spec.App, len(e.nodes), old, c.nodes, c.perPathOld)
+		}
+		if len(e.sums) != c.nodes*DefaultEstimatorConfig().Samples {
+			t.Fatalf("%s: %d Monte-Carlo sums, want %d per node", c.spec.App, len(e.sums), DefaultEstimatorConfig().Samples)
+		}
+		for i, nd := range e.nodes {
+			if nd.next >= i {
+				t.Fatalf("%s: node %d's successor %d does not come first", c.spec.App, i, nd.next)
+			}
+		}
+		// Each module's heads spell out its downstream paths, in order.
+		for k := 0; k < c.spec.N(); k++ {
+			var got [][]int
+			for _, h := range e.headsOf(k) {
+				var path []int
+				for j := h; j >= 0; j = e.nodes[j].next {
+					path = append(path, e.nodes[j].mod)
+				}
+				got = append(got, path)
+			}
+			if want := c.spec.DownstreamPaths(k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: module %d's nodes spell %v, its downstream paths are %v", c.spec.App, k, got, want)
+			}
+		}
+	}
+}
+
+// TestLsubExactOnConstantSources: when every module's batch waits are one
+// value, every Monte-Carlo sum is the path's exact sum, so Lsub must equal
+// the maximum over the module's downstream paths of ΣQ + ΣD + min(ΣW, ΣD),
+// computed here path by path from pipeline.Spec.DownstreamPaths. The values
+// are dyadic seconds, so the float sums are exact. Durations are chosen so
+// the W ≤ ΣD clamp binds on some paths and not on others.
+func TestLsubExactOnConstantSources(t *testing.T) {
+	for _, spec := range []*pipeline.Spec{pipeline.TM(), pipeline.LV(), pipeline.DA()} {
+		n := spec.N()
+		q, d, w := make([]time.Duration, n), make([]time.Duration, n), make([]float64, n)
+		b := NewBoard(n)
+		for k := 0; k < n; k++ {
+			q[k] = time.Duration(k+1) * time.Millisecond
+			d[k] = time.Duration(3+5*(k%3)) * time.Millisecond
+			w[k] = float64(1+2*(k%4)) / 256 // 3.90625 ms, 11.71875 ms, ...
+			waits := make([]float64, 64)
+			for i := range waits {
+				waits[i] = w[k]
+			}
+			b.Publish(k, ModuleState{QueueDelay: q[k], ProfiledDur: d[k], BatchWait: waits})
+		}
+		e := NewEstimator(spec, DefaultEstimatorConfig(), rand.New(rand.NewSource(1)))
+		for tick := 0; tick < 3; tick++ {
+			e.Refresh(b)
+			for k := 0; k < n; k++ {
+				var want time.Duration
+				for _, path := range spec.DownstreamPaths(k) {
+					var sq, sd time.Duration
+					var sw float64
+					for _, m := range path {
+						sq, sd, sw = sq+q[m], sd+d[m], sw+w[m]
+					}
+					want = max(want, sq+sd+min(time.Duration(sw*float64(time.Second)), sd))
+				}
+				if got := e.Lsub(k); got != want {
+					t.Fatalf("%s tick %d: Lsub(%d) = %v, want %v", spec.App, tick, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExplainDrawsNothing: Explain reads the last Refresh's estimates, so
+// it leaves the estimator's random stream where it was: an estimator that
+// explains every module between two ticks draws what one that does not
+// draws, and its estimates match.
+func TestExplainDrawsNothing(t *testing.T) {
+	spec := pipeline.DA()
+	src := rand.New(rand.NewSource(9))
+	b := boardFor(spec, 4*time.Millisecond, 20*time.Millisecond, uniformWaits(20*time.Millisecond, 512, src))
+	ra, rb := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	a, quiet := NewEstimator(spec, DefaultEstimatorConfig(), ra), NewEstimator(spec, DefaultEstimatorConfig(), rb)
+	for tick := 0; tick < 3; tick++ {
+		a.Refresh(b)
+		quiet.Refresh(b)
+		for k := 0; k < spec.N(); k++ {
+			if br := a.Explain(k); br.Total(a.cfg) != a.Lsub(k) {
+				t.Fatalf("tick %d: Explain(%d) totals %v, Lsub is %v", tick, k, br.Total(a.cfg), a.Lsub(k))
+			}
+			if a.Lsub(k) != quiet.Lsub(k) {
+				t.Fatalf("tick %d: Lsub(%d) = %v after Explain, %v without", tick, k, a.Lsub(k), quiet.Lsub(k))
+			}
+		}
+	}
+	if x, y := ra.Int63(), rb.Int63(); x != y {
+		t.Fatalf("Explain moved the random stream: next draw %d, want %d", x, y)
+	}
+}
+
+// TestAllocsRefresh: a tick's Refresh allocates nothing, in any wait mode.
+func TestAllocsRefresh(t *testing.T) {
+	spec := pipeline.DA()
+	rng := rand.New(rand.NewSource(1))
+	b := boardFor(spec, 4*time.Millisecond, 20*time.Millisecond, uniformWaits(20*time.Millisecond, 512, rng))
+	for _, mode := range []WaitMode{WaitQuantile, WaitZero, WaitUpper, WaitAnalytic} {
+		cfg := DefaultEstimatorConfig()
+		cfg.Wait = mode
+		e := NewEstimator(spec, cfg, rng)
+		if avg := testing.AllocsPerRun(20, func() { e.Refresh(b) }); avg != 0 {
+			t.Fatalf("wait mode %d: Refresh allocates %.1f per tick, want 0", mode, avg)
+		}
 	}
 }
 
@@ -409,15 +544,24 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func BenchmarkEstimatorRefreshLV(b *testing.B) {
-	spec := pipeline.LV()
+// benchRefresh times one sync tick's Refresh under PARD's configuration, every
+// module publishing 512 batch-wait samples: the size of a module's
+// batch-wait reservoir in the scheduling core.
+func benchRefresh(b *testing.B, spec *pipeline.Spec) {
 	rng := rand.New(rand.NewSource(1))
 	e := NewEstimator(spec, DefaultEstimatorConfig(), rng)
-	board := boardFor(spec, 5*time.Millisecond, 20*time.Millisecond, uniformWaits(20*time.Millisecond, 1000, rng))
+	board := boardFor(spec, 5*time.Millisecond, 20*time.Millisecond, uniformWaits(20*time.Millisecond, 512, rng))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Refresh(board)
 	}
+}
+
+func BenchmarkEstimatorRefreshLV(b *testing.B) { benchRefresh(b, pipeline.LV()) }
+func BenchmarkEstimatorRefreshDA(b *testing.B) { benchRefresh(b, pipeline.DA()) }
+func BenchmarkEstimatorRefreshChain70(b *testing.B) {
+	benchRefresh(b, pipeline.Uniform("chain70", 70, "facerec", 10*time.Second))
 }
 
 // BenchmarkBatchWaitEstimation measures the §5.4 overhead of a single

@@ -20,23 +20,25 @@ import (
 // ModuleState is the compact state a module's controller publishes at each
 // synchronization tick (§4.1 step ② / §5.4 "state synchronization"): recent
 // average queueing delay, profiled execution duration at the current target
-// batch size, a sample of recent batch waits, input rate and throughput.
+// batch size, a sample of the module's batch waits, input rate and
+// throughput. A field its policy does not read (policy.Reads) stays at its
+// zero value.
 type ModuleState struct {
 	// QueueDelay is the recent linear-weighted average queueing delay q_i.
 	QueueDelay time.Duration
 	// ProfiledDur is d_i at the module's current target batch size.
 	ProfiledDur time.Duration
-	// BatchWait holds sampled recent batch-wait observations in seconds
-	// (reservoir sampled; the estimator convolves these across modules).
+	// BatchWait holds batch-wait observations in seconds, a uniform sample
+	// (reservoir sampling, Algorithm R) of every batch wait the module has
+	// seen since it started: the reservoir is never reset or aged, so on a
+	// long-lived module it reflects the whole run, not the recent past. The
+	// estimator convolves these across modules.
 	BatchWait []float64
 	// InputRate is the module's recent input workload T_in (req/s).
 	InputRate float64
 	// Throughput is the module's capacity T_m (req/s) given batch size,
 	// execution duration and worker count.
 	Throughput float64
-	// Overloaded marks DAGOR-style overload (average queueing delay above
-	// threshold); used only by the PARD-oc ablation.
-	Overloaded bool
 	// WCL is the module's recent worst-case latency (queueing + batch wait +
 	// execution); used only by the PARD-WCL ablation.
 	WCL time.Duration
@@ -133,19 +135,40 @@ func DefaultEstimatorConfig() EstimatorConfig {
 // (Eq. 1/3). Estimates are recomputed from the board on Refresh — once per
 // sync tick, not per request — and cached, mirroring the State Planner's
 // asynchronous update thread (§5.4 overheads).
+//
+// A module's downstream path is a suffix of a source-to-sink path, and the
+// modules of a pipeline share those suffixes: on a chain, module k's one
+// path is module k+1 followed by module k+1's path. NewEstimator therefore
+// interns each distinct suffix once, as a node (its first module, the node
+// of the rest), and Refresh builds every node from its successor's: ΣQ and
+// ΣD by one addition each, the Monte-Carlo batch-wait sums by copying the
+// successor's and adding one draw per sample from the node's module. Each
+// node's λ-quantile is selected once, so a tick costs one convolution per
+// node (an N-module chain has N−1) where convolving every path from scratch
+// cost one per module on it (N(N−1)/2).
 type Estimator struct {
 	cfg   EstimatorConfig
-	spec  *pipeline.Spec
-	paths [][][]int // paths[k]: downstream paths (module id sequences) from k
-	lsub  []time.Duration
-	rng   *rand.Rand
+	nodes []suffix // sink-first: every node's successor comes before it
+	// Module k's downstream paths start at the nodes
+	// heads[headAt[k]:headAt[k+1]], in pipeline.Spec.DownstreamPaths order
+	// (the Explain tie-break).
+	heads, headAt []int
+	lsub          []time.Duration
+	rng           *rand.Rand
 
-	// computePath scratch, reused across paths and sync ticks: srcScratch
-	// collects the per-module batch-wait sources, sumScratch holds the
-	// Monte-Carlo sums, dsScratch the analytic per-module durations.
-	srcScratch [][]float64
-	sumScratch []float64
-	dsScratch  []float64
+	// sums holds Samples Monte-Carlo sums per node, node i's at
+	// [i·Samples, (i+1)·Samples), in WaitQuantile mode; ds is WaitAnalytic's
+	// scratch for a path's durations. Both are allocated once, up front.
+	sums []float64
+	ds   []float64
+}
+
+// suffix is one interned downstream path: module mod, then the path of node
+// next (-1 when mod is the sink). queue, exec and wait are the path's
+// breakdown as of the last Refresh.
+type suffix struct {
+	mod, next         int
+	queue, exec, wait time.Duration
 }
 
 // NewEstimator builds an estimator for the pipeline. The spec must be valid.
@@ -158,24 +181,142 @@ func NewEstimator(spec *pipeline.Spec, cfg EstimatorConfig, rng *rand.Rand) *Est
 	}
 	n := spec.N()
 	e := &Estimator{
-		cfg:   cfg,
-		spec:  spec,
-		paths: make([][][]int, n),
-		lsub:  make([]time.Duration, n),
-		rng:   rng,
+		cfg:    cfg,
+		headAt: make([]int, n+1),
+		lsub:   make([]time.Duration, n),
+		rng:    rng,
 	}
-	for k := 0; k < n; k++ {
-		e.paths[k] = spec.DownstreamPaths(k)
+	// A module with predecessors starts one node per path from it to the
+	// sink, made together once its successors' are: the run
+	// nodes[first[k]:first[k]+paths[k]]. A module's downstream paths are its
+	// successors' runs.
+	scratch := make([]int, 2*n)
+	paths, first := scratch[:n], scratch[n:]
+	nodes, heads := 0, 0
+	for k, m := range spec.Modules {
+		countPaths(spec, k, paths)
+		if len(m.Pres) > 0 {
+			nodes += paths[k]
+		}
+		if len(m.Subs) > 0 {
+			heads += paths[k]
+		}
+		first[k] = -1
+	}
+	e.nodes = make([]suffix, 0, nodes)
+	for k := range spec.Modules {
+		e.makeNodes(spec, k, paths, first)
+	}
+	e.heads = make([]int, 0, heads)
+	for k, m := range spec.Modules {
+		e.headAt[k] = len(e.heads)
+		for _, sub := range m.Subs {
+			for j := range paths[sub] {
+				e.heads = append(e.heads, first[sub]+j)
+			}
+		}
+	}
+	e.headAt[n] = len(e.heads)
+	switch cfg.Wait {
+	case WaitQuantile:
+		e.sums = make([]float64, len(e.nodes)*cfg.Samples)
+	case WaitAnalytic:
+		e.ds = make([]float64, 0, len(e.nodes)) // no path is longer
 	}
 	return e
 }
 
+// countPaths sets paths[k] to the number of paths from module k to the
+// sink, and returns it; a count already set (> 0) is reused.
+func countPaths(spec *pipeline.Spec, k int, paths []int) int {
+	if paths[k] == 0 {
+		subs := spec.Modules[k].Subs
+		if len(subs) == 0 {
+			paths[k] = 1
+		}
+		for _, sub := range subs {
+			paths[k] += countPaths(spec, sub, paths)
+		}
+	}
+	return paths[k]
+}
+
+// makeNodes makes module k's run of nodes, after its successors', unless
+// first[k] says it is made.
+func (e *Estimator) makeNodes(spec *pipeline.Spec, k int, paths, first []int) {
+	if first[k] >= 0 {
+		return
+	}
+	m := spec.Modules[k]
+	for _, sub := range m.Subs {
+		e.makeNodes(spec, sub, paths, first)
+	}
+	first[k] = len(e.nodes)
+	switch {
+	case len(m.Pres) == 0:
+		// No path starts at a module without predecessors.
+	case len(m.Subs) == 0:
+		e.nodes = append(e.nodes, suffix{mod: k, next: -1})
+	default:
+		for _, sub := range m.Subs {
+			for j := range paths[sub] {
+				e.nodes = append(e.nodes, suffix{mod: k, next: first[sub] + j})
+			}
+		}
+	}
+}
+
+// headsOf returns the nodes that start module k's downstream paths.
+func (e *Estimator) headsOf(k int) []int { return e.heads[e.headAt[k]:e.headAt[k+1]] }
+
 // Refresh recomputes every module's cached Lsub from the board. For DAG
 // pipelines the estimate for a module is the maximum over its downstream
-// paths (§4.2, §5.1).
+// paths (§4.2, §5.1). It allocates nothing. The Monte-Carlo draws are part of
+// the deterministic output, so an Estimator is for one goroutine at a time.
 func (e *Estimator) Refresh(b *Board) {
+	m := e.cfg.Samples
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		s := b.Get(nd.mod)
+		nd.queue, nd.exec = s.QueueDelay, s.ProfiledDur
+		if nd.next >= 0 {
+			nx := &e.nodes[nd.next]
+			nd.queue += nx.queue
+			nd.exec += nx.exec
+		}
+		switch e.cfg.Wait {
+		case WaitZero:
+			nd.wait = 0
+		case WaitUpper:
+			nd.wait = nd.exec
+		case WaitAnalytic:
+			ds := e.ds[:0]
+			for j := i; j >= 0; j = e.nodes[j].next {
+				ds = append(ds, b.Get(e.nodes[j].mod).ProfiledDur.Seconds())
+			}
+			e.ds = ds
+			nd.wait = time.Duration(stats.UniformSumQuantile(ds, e.cfg.Lambda) * float64(time.Second))
+		case WaitQuantile:
+			sums := e.sums[i*m : (i+1)*m]
+			if nd.next >= 0 {
+				// The successor's sums are in the order its selection left
+				// them; the draws added here are independent of that order.
+				copy(sums, e.sums[nd.next*m:(nd.next+1)*m])
+			} else {
+				clear(sums)
+			}
+			stats.AddDraws(sums, s.BatchWait, e.rng)
+			w := stats.SelectQuantile(sums, e.cfg.Lambda)
+			// W_i never exceeds d_i per module (Fig. 3b).
+			nd.wait = min(time.Duration(w*float64(time.Second)), nd.exec)
+		}
+	}
 	for k := range e.lsub {
-		e.lsub[k] = e.computeLsub(b, k)
+		var l time.Duration
+		for _, h := range e.headsOf(k) {
+			l = max(l, e.nodes[h].breakdown().Total(e.cfg))
+		}
+		e.lsub[k] = l
 	}
 }
 
@@ -212,76 +353,33 @@ func (br Breakdown) Total(cfg EstimatorConfig) time.Duration {
 	return total
 }
 
-// computePath evaluates one downstream path's breakdown from the board. It
-// reuses the estimator's scratch buffers (this runs per path per sync tick),
-// so an Estimator is not safe for concurrent use — it never was: the
-// Monte-Carlo rng draw order is part of the deterministic output.
-func (e *Estimator) computePath(b *Board, path []int) Breakdown {
-	br := Breakdown{Path: path}
-	waitSrc := e.srcScratch[:0]
-	for _, id := range path {
-		s := b.Get(id)
-		br.Queue += s.QueueDelay
-		br.Exec += s.ProfiledDur
-		if len(s.BatchWait) > 0 {
-			waitSrc = append(waitSrc, s.BatchWait)
-		}
-	}
-	e.srcScratch = waitSrc
-	switch e.cfg.Wait {
-	case WaitZero:
-		// nothing
-	case WaitUpper:
-		br.Wait = br.Exec
-	case WaitAnalytic:
-		ds := e.dsScratch[:0]
-		for _, id := range path {
-			ds = append(ds, b.Get(id).ProfiledDur.Seconds())
-		}
-		e.dsScratch = ds
-		w := stats.UniformSumQuantile(ds, e.cfg.Lambda)
-		br.Wait = time.Duration(w * float64(time.Second))
-	case WaitQuantile:
-		var w float64
-		w, e.sumScratch = stats.ConvolveQuantileInto(e.sumScratch, waitSrc, e.cfg.Lambda, e.cfg.Samples, e.rng)
-		wd := time.Duration(w * float64(time.Second))
-		if wd > br.Exec {
-			wd = br.Exec // W_i never exceeds d_i per module (Fig. 3b)
-		}
-		br.Wait = wd
-	}
-	return br
+// breakdown is the node's path breakdown as of the last Refresh, without
+// the path.
+func (nd *suffix) breakdown() Breakdown {
+	return Breakdown{Queue: nd.queue, Exec: nd.exec, Wait: nd.wait}
 }
 
-func (e *Estimator) computeLsub(b *Board, k int) time.Duration {
-	paths := e.paths[k]
-	if len(paths) == 0 {
-		return 0
-	}
-	var max time.Duration
-	for _, path := range paths {
-		if total := e.computePath(b, path).Total(e.cfg); total > max {
-			max = total
-		}
-	}
-	return max
-}
-
-// Explain returns the breakdown of module k's dominant downstream path
-// (the one whose total defines Lsub), recomputed from the board. Useful for
-// understanding *why* the Request Broker dropped a request.
-func (e *Estimator) Explain(b *Board, k int) Breakdown {
-	paths := e.paths[k]
-	if len(paths) == 0 {
+// Explain returns the breakdown of module k's dominant downstream path (the
+// first whose total defines Lsub) as of the last Refresh. It reads the
+// cached per-node estimates and draws nothing, so it leaves the estimator's
+// random stream where it was. Useful for understanding *why* the Request
+// Broker dropped a request.
+func (e *Estimator) Explain(k int) Breakdown {
+	heads := e.headsOf(k)
+	if len(heads) == 0 {
 		return Breakdown{}
 	}
-	best := e.computePath(b, paths[0])
-	for _, path := range paths[1:] {
-		if br := e.computePath(b, path); br.Total(e.cfg) > best.Total(e.cfg) {
-			best = br
+	best := heads[0]
+	for _, h := range heads[1:] {
+		if e.nodes[h].breakdown().Total(e.cfg) > e.nodes[best].breakdown().Total(e.cfg) {
+			best = h
 		}
 	}
-	return best
+	br := e.nodes[best].breakdown()
+	for j := best; j >= 0; j = e.nodes[j].next {
+		br.Path = append(br.Path, e.nodes[j].mod)
+	}
+	return br
 }
 
 // EntryEstimate is Eq. 1 read at module k: the predicted end-to-end latency

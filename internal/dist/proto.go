@@ -76,7 +76,14 @@ import (
 // session is gob. A v9 peer's gob unit or result would fail this side's
 // decoder and drop the connection mid-sweep; it is refused at its version
 // in the handshake instead, on both ends.
-const ProtoVersion = 10
+//
+// Version 11: the State Planner's estimator draws its Monte-Carlo batch
+// waits once per downstream suffix instead of once per module's path, so a
+// PARD run's results differ from a v10 peer's for the same spec; and a board
+// row lost its Overloaded byte, which nothing read. A v10 peer is refused at
+// its version rather than serving results of the old draws, or misreading
+// the lane-group board exchange.
+const ProtoVersion = 11
 
 // WorkUnit assigns one grid point. Key is the coordinator's full cache key
 // ("run|" + Spec.Key()); the worker re-derives it from Spec and refuses the

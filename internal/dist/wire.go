@@ -69,7 +69,7 @@ const (
 	minWireIntent = 4  // At, Mod, Req, Drop
 	minWireCharge = 6  // Mod, Req, GPU, Q, W, D
 	minWireMerge  = 4  // At, Mod, Req, Expected
-	minBoardRow   = 22 // Mod, three durations, BatchWait count, two floats, Overloaded
+	minBoardRow   = 21 // Mod, three durations, BatchWait count, two floats
 	minScaleRow   = 2  // Mod, Desired
 	minReport     = 8  // Mod, Peak, five presence bytes, WaitSamples count
 	minWireMsg    = 2  // the smallest message: a ScaleMsg with no rows
@@ -168,7 +168,6 @@ func appendBoard(b []byte, m sched.BoardMsg) []byte {
 		b = wire.AppendFloats(b, row.State.BatchWait)
 		b = wire.AppendFloat(b, row.State.InputRate)
 		b = wire.AppendFloat(b, row.State.Throughput)
-		b = wire.AppendBool(b, row.State.Overloaded)
 		b = binary.AppendVarint(b, int64(row.State.WCL))
 	}
 	return b
@@ -189,7 +188,6 @@ func readBoard(r *wire.Reader, m *sched.BoardMsg) {
 		row.State.BatchWait = r.Floats(row.State.BatchWait)
 		row.State.InputRate = r.Float()
 		row.State.Throughput = r.Float()
-		row.State.Overloaded = r.Bool()
 		row.State.WCL = r.Dur()
 	}
 }

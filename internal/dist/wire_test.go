@@ -75,7 +75,7 @@ func TestWireRoundTrip(t *testing.T) {
 			{Mod: 2, State: core.ModuleState{
 				QueueDelay: maxDur, ProfiledDur: -1,
 				BatchWait: []float64{0, math.Copysign(0, -1), math.Inf(1), math.SmallestNonzeroFloat64, -math.MaxFloat64},
-				InputRate: 299.5, Throughput: math.Inf(-1), Overloaded: true, WCL: time.Hour,
+				InputRate: 299.5, Throughput: math.Inf(-1), WCL: time.Hour,
 			}},
 		}}})
 	})
@@ -103,7 +103,7 @@ func TestWireRoundTrip(t *testing.T) {
 		// A session decodes every board reply into the same rows and samples:
 		// a reply with fewer of either must not show the last one's.
 		big := sched.BoardMsg{Group: 1, Rows: []sched.WireBoardRow{
-			{Mod: 1, State: core.ModuleState{QueueDelay: time.Second, BatchWait: []float64{1, 2, 3}, Overloaded: true}},
+			{Mod: 1, State: core.ModuleState{QueueDelay: time.Second, BatchWait: []float64{1, 2, 3}, WCL: time.Minute}},
 			{Mod: 3, State: core.ModuleState{BatchWait: []float64{4}, InputRate: 7}},
 		}}
 		small := sched.BoardMsg{Group: 1, Rows: []sched.WireBoardRow{{Mod: 3, State: core.ModuleState{BatchWait: []float64{5}}}}}

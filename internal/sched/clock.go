@@ -92,14 +92,23 @@ type ExecStats struct {
 // NewTimerExecutor returns the lane engine paced by the wall clock (see
 // wallClock) at the current instant, with no lanes and no drainer yet.
 func NewTimerExecutor() *LaneExecutor {
-	return &LaneExecutor{
-		ctrl: new(laneState),
-		wall: &wallClock{
-			start: time.Now(),
-			wake:  make(chan struct{}, 1),
-			done:  make(chan struct{}),
-		},
-	}
+	t := &timerExecutor{}
+	t.wall.start = time.Now()
+	t.wall.wake = make(chan struct{}, 1)
+	t.wall.done = make(chan struct{})
+	t.wall.inbox = t.inbox[:0]
+	t.x.ctrl, t.x.wall = &t.ctrl, &t.wall
+	return &t.x
+}
+
+// timerExecutor is what NewTimerExecutor allocates in one piece: the
+// executor, its control lane, its drainer state and the inbox's first room,
+// as much as a host's lanes get (see attach).
+type timerExecutor struct {
+	x     LaneExecutor
+	ctrl  laneState
+	wall  wallClock
+	inbox [32]inboxItem
 }
 
 // post queues one schedule in the inbox, starting the drainer with the first

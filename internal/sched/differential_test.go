@@ -163,20 +163,22 @@ func explainDivergence(t *testing.T, name string, groups int, base, got *simRun)
 // shards agreed on every case; a change that moves one says why. They were
 // re-pinned once since, when the collector's encoding left gob: the tree
 // before that change, with only the new collector encoder added, gives these
-// same digests, so the results themselves did not move.
+// same digests, so the results themselves did not move. The seven cases that
+// run a Monte-Carlo PARD estimator were re-pinned when it came to draw once
+// per downstream suffix rather than once per module's path.
 var diffDigests = map[string]string{
-	"tm-tweet-pard":            "9bea7100e55ace61b33033f41e8f37fda7274fea24debb8463b47e708edddbc5",
+	"tm-tweet-pard":            "457c1d35a3552b682ba8fd7fe5ff52ede61e4ed44ebdf71002e701ec59fa7444",
 	"tm-steady-nexus-overload": "688a415cc9094d2e6cde2de27423745a796514e71ddac533610af284ef225360",
-	"lv-tweet-pard-probes":     "71064632ce5a4942fdada4cd5460d6bb336a78b46d5a1838f04f452872d7a264",
+	"lv-tweet-pard-probes":     "62e461b5a183246d8ede4b67755905345072f64591d0e0442101f13583016baa",
 	"lv-azure-wcl":             "4adf6c60f8df393be21d509a5bc0807a4b9110fb8bc11f2ac9a622185c5a8eb1",
 	"gm-azure-oc":              "76312db3158d50f761f2d2220acda73ebdb64015df01a29821715171c211b2b6",
 	"gm-tweet-clipper":         "bbcf17184ca5d2ed351c9c1f622a84fbeae22dd46a3c48f57700e7d3bd19d6a5",
-	"da-tweet-pard-probes":     "0f1d4cd72df2b47d1cce06ff962dcd1d42ea6ca8f0ff731d2abf9e1775c2edd4",
-	"da-steady-pard-failures":  "260dcee3df2e341482bc8ad8a269e46d52963db106b80935db550d63f3c66d6b",
+	"da-tweet-pard-probes":     "2e98488011a03e1684222dfd66bcbf8badb52dfb26c39bde26c077665f849f4c",
+	"da-steady-pard-failures":  "bc19b0337caa321600d6c539a6d992bab393e0d23833a7a5b90998144639817b",
 	"da-azure-nexus-fixed":     "5a6b651cdc630701e7042dbe9c9f51eaea5a4ceef93652b86b30fbfba6a7c7c7",
-	"dadyn-tweet-pard":         "c7dcb0dc7345b2fed2dd735aca6b37b1cc74b6ee7d9372d5fdb443ad71b88a00",
-	"dadyn-azure-lbf":          "4df3971a11f5a496cf775170e6b5b197d43f0ebeb42869c365204bdc650f6ef3",
-	"wide-tweet-pard":          "5f49148dc231bc992d430a5d457ee8f9676a90ab253d26002d50566e8ee65d3c",
+	"dadyn-tweet-pard":         "d89cd84d60aeea79b80375daf04064873b27b3268b44f6c2b6a5e539098e33d7",
+	"dadyn-azure-lbf":          "97f14ddd430ab43d77fc35627575fdc6f4e82dae43fd60e1e21c6f976ed25e79",
+	"wide-tweet-pard":          "49a37e2910b905880e0d27f2745a3986649b9aaf154989cc8405c11b0f871c46",
 }
 
 // TestShardedDifferential replays the corpus through the lane engine and

@@ -32,7 +32,7 @@ type module struct {
 	// consumes its own streams rather than sharing ones whose draw order
 	// would then depend on the lane order.
 	execRng *rand.Rand // execution jitter
-	statRng *rand.Rand // reservoir sampling
+	statRng *rand.Rand // waitRes's reservoir sampling
 
 	// workers point into the arrays addWorkers carves each pool from: an
 	// event holds its *worker, so a worker never moves. nextWID numbers the
@@ -107,9 +107,7 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 	if c.reads.QueueDelay || c.cfg.Probes.QueueDelay {
 		m.qWin = stats.NewSlidingWindow(queueWindow)
 	}
-	// The decomposition probe's reservoir draws from statRng after waitRes
-	// does, so its samples stay as they were only beside a fed waitRes.
-	if c.reads.BatchWait || c.cfg.Probes.Decomposition {
+	if c.reads.BatchWait {
 		m.waitRes = stats.NewReservoir(waitReservoir, statRng)
 	}
 	if c.reads.WCL {
@@ -127,7 +125,8 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 		m.remainProbe = &metrics.Series{Name: "remaining-budget"}
 	}
 	if c.cfg.Probes.Decomposition {
-		m.waitProbe = stats.NewReservoir(10000, statRng)
+		// A stream of its own: a probe must not move the run it watches.
+		m.waitProbe = stats.NewReservoir(10000, rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "probe"))))
 	}
 	m.addWorkers(workers, 0, false)
 	m.peakWorkers = workers
@@ -406,7 +405,6 @@ func (m *module) publish(now time.Duration, board *core.Board) {
 		Throughput:  m.throughput(now),
 		WCL:         time.Duration(wcl * float64(time.Second)),
 	}
-	st.Overloaded = st.QueueDelay > 20*time.Millisecond
 	board.Publish(m.idx, st)
 
 	if m.queueDelayProbe != nil {

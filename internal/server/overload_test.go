@@ -101,12 +101,13 @@ func openLoop(t testing.TB, s *Server, man *sched.LaneExecutor, rate float64, du
 // its SLO plus one sync period, and the backlog stays bounded: without the
 // shedding about 10 000 requests were still parked at the end of the minute,
 // and the count grew linearly. Shedding only answers earlier what was doomed
-// anyway: the good count is the one the server had without it.
+// anyway: the good count was the one the server had without it (7 474), and
+// is 7 478 since PARD's estimator draws once per downstream suffix.
 func TestSustainedOverloadSheds(t *testing.T) {
 	const (
 		rate  = 2.5 * tmCapacity
 		bound = 128
-		good  = 7474
+		good  = 7478
 	)
 	s, man := tmServer(t)
 	res := openLoop(t, s, man, rate, time.Minute, bound, nil)

@@ -2,12 +2,14 @@ package simgpu
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"pard/internal/pipeline"
+	"pard/internal/policy"
 	"pard/internal/profile"
 	"pard/internal/sched"
 	"pard/internal/trace"
@@ -497,5 +499,36 @@ func BenchmarkSimLVSteady(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestProbesDoNotMoveTheRun: a probe watches a run without changing it.
+// Under every policy, a run with every probe on decides every request as the
+// same run with none: the same summary, event count and, request by
+// request, the same fate. The trace is long enough that the source's
+// decomposition reservoir (10 000 samples) fills and then draws to replace
+// samples, and bursty enough that every policy that drops, drops: when the
+// reservoir shared the module's batch-wait stream, pard's run here read one
+// good request fewer with the probes on.
+func TestProbesDoNotMoveTheRun(t *testing.T) {
+	spec := pipeline.LV()
+	tr := trace.MustGenerate(trace.Config{Kind: trace.Tweet, Duration: 30 * time.Second, PeakRate: 1000, Seed: 1})
+	for _, name := range policy.Names() {
+		cfg := Config{Spec: spec, PolicyName: name, Trace: tr, Seed: 1}
+		bare, bareReqs := runRecorded(t, cfg)
+		cfg.Probes = ProbeConfig{QueueDelay: true, LoadFactor: true, Budget: true, Decomposition: true, SampleEvery: 1}
+		probed, probedReqs := runRecorded(t, cfg)
+		if n := len(probed.WaitSamples[spec.Source()]); n != 10000 {
+			t.Fatalf("%s: the source's decomposition reservoir holds %d samples, want it full", name, n)
+		}
+		if !reflect.DeepEqual(bare.Summary, probed.Summary) || bare.SimEvents != probed.SimEvents {
+			t.Fatalf("%s: probes moved the run:\n  bare   %+v (%d events)\n  probed %+v (%d events)", name, bare.Summary, bare.SimEvents, probed.Summary, probed.SimEvents)
+		}
+		for i := range bareReqs {
+			if a, b := bareReqs[i], probedReqs[i]; a.DropModule != b.DropModule {
+				t.Fatalf("%s: request %d dropped at module %d bare, %d probed", name, a.ID, a.DropModule, b.DropModule)
+			}
+		}
+		t.Logf("%s: %d good, %d dropped of %d", name, bare.Summary.Good, bare.Summary.Dropped, bare.Summary.Total)
 	}
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -141,7 +140,7 @@ func ConvolveQuantileInto(scratch []float64, sources [][]float64, q float64, m i
 		return 0, scratch
 	}
 	sums := convolveInto(scratch, sources, m, rng)
-	return selectQuantile(sums, q), sums
+	return SelectQuantile(sums, q), sums
 }
 
 // ConvolveSamples draws m Monte-Carlo samples of the sum of one draw per
@@ -161,18 +160,23 @@ func convolveInto(scratch []float64, sources [][]float64, m int, rng *rand.Rand)
 	} else {
 		sums = make([]float64, m)
 	}
-	for i := range sums {
-		sums[i] = 0
-	}
+	clear(sums)
 	for _, src := range sources {
-		if len(src) == 0 {
-			continue
-		}
-		for i := range sums {
-			sums[i] += src[rng.Intn(len(src))]
-		}
+		AddDraws(sums, src, rng)
 	}
 	return sums
+}
+
+// AddDraws adds one uniform draw from src to each of sums, in order: one
+// Monte-Carlo convolution step. An empty src adds nothing and draws nothing;
+// src is read-only.
+func AddDraws(sums, src []float64, rng *rand.Rand) {
+	if len(src) == 0 {
+		return
+	}
+	for i := range sums {
+		sums[i] += src[rng.Intn(len(src))]
+	}
 }
 
 // MeanStd returns the mean and population standard deviation of xs.
@@ -212,7 +216,7 @@ func CoefficientOfVariation(xs []float64) float64 {
 // clamped, 0 when xs is empty).
 func PercentilesInto(dst []float64, xs []float64, qs ...float64) []float64 {
 	if len(qs) == 1 {
-		return append(dst, selectQuantile(xs, qs[0]))
+		return append(dst, SelectQuantile(xs, qs[0]))
 	}
 	slices.Sort(xs)
 	for _, q := range qs {
@@ -247,9 +251,9 @@ func rankIndex(n int, q float64) int {
 	return idx
 }
 
-// selectQuantile returns the nearest-rank q-quantile of xs (0 when empty),
-// reordering xs in place.
-func selectQuantile(xs []float64, q float64) float64 {
+// SelectQuantile returns the nearest-rank q-quantile of xs (0 when empty),
+// reordering xs in place: in linear time, xs is left partitioned around it.
+func SelectQuantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -262,27 +266,44 @@ func selectQuantile(xs []float64, q float64) float64 {
 // there (the same order, NaNs first), nothing before it is greater and
 // nothing after it smaller: quickselect on a median-of-three pivot. Once the
 // range still in play is short, or an unlucky input has used up 2·log2(n)
-// partitions, that range is sorted, so the worst case is the sort's.
+// partitions, that range is sorted, so the worst case is the sort's. NaNs
+// are gathered at the front first, so the partitions compare numbers with a
+// plain <.
 func selectNth(xs []float64, k int) {
+	nans := 0
+	for i, v := range xs {
+		if v != v {
+			xs[i], xs[nans] = xs[nans], v
+			nans++
+		}
+	}
+	if k < nans {
+		return
+	}
+	xs, k = xs[nans:], k-nans
 	lo, hi := 0, len(xs) // xs[k] lies in xs[lo:hi]
-	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 12 && budget > 0; budget-- {
+	budget := 2 * bits.Len(uint(len(xs)))
+	for ; hi-lo > floydRivestMin && budget > 0; budget-- {
+		lo, hi = floydRivestStep(xs, lo, hi, k)
+	}
+	for ; hi-lo > 12 && budget > 0; budget-- {
 		// Order first, middle and last; the outer two then bound the scans.
 		mid, last := lo+(hi-lo)/2, hi-1
-		if cmp.Less(xs[mid], xs[lo]) {
+		if xs[mid] < xs[lo] {
 			xs[mid], xs[lo] = xs[lo], xs[mid]
 		}
-		if cmp.Less(xs[last], xs[mid]) {
+		if xs[last] < xs[mid] {
 			xs[last], xs[mid] = xs[mid], xs[last]
-			if cmp.Less(xs[mid], xs[lo]) {
+			if xs[mid] < xs[lo] {
 				xs[mid], xs[lo] = xs[lo], xs[mid]
 			}
 		}
 		p := xs[mid]
 		i, j := lo, last
 		for {
-			for i++; cmp.Less(xs[i], p); i++ {
+			for i++; xs[i] < p; i++ {
 			}
-			for j--; cmp.Less(p, xs[j]); j-- {
+			for j--; p < xs[j]; j-- {
 			}
 			if i >= j {
 				break
@@ -300,4 +321,64 @@ func selectNth(xs []float64, k int) {
 		}
 	}
 	slices.Sort(xs[lo:hi])
+}
+
+// floydRivestMin is the range beyond which selectNth takes its pivot from a
+// sample (Floyd and Rivest, 1975): below it, median-of-three is cheaper.
+const floydRivestMin = 600
+
+// floydRivestStep narrows xs[lo:hi], a NaN-free range holding rank k, around
+// a pivot at about rank k: it first selects rank k within a window of about
+// n^(2/3) elements around k (whose order is as good as a random sample's
+// for a range quickselect has not touched), then partitions the range
+// around the element that lands at k and returns the part still holding
+// rank k, empty when the pivot is it. Since the pivot sits near k, one pass
+// leaves a short range, and the pass's branches are mostly predictable:
+// for λ = 0.1 nine elements in ten fall on the same side.
+func floydRivestStep(xs []float64, lo, hi, k int) (int, int) {
+	n, i := float64(hi-lo), float64(k-lo+1)
+	z := math.Log(n)
+	s := 0.5 * math.Exp(2*z/3)
+	sd := 0.5 * math.Sqrt(z*s*(n-s)/n)
+	if i < n/2 {
+		sd = -sd
+	}
+	wlo := min(max(lo, int(float64(k)-i*s/n+sd)), k)
+	whi := max(min(hi, int(float64(k)+(n-i)*s/n+sd)+1), k+1)
+	selectNth(xs[wlo:whi], k-wlo)
+	// Partition xs[lo:hi] around t = xs[k] (Hoare's scheme with the two
+	// ends as sentinels), leaving t at j.
+	left, right := lo, hi-1
+	t := xs[k]
+	xs[left], xs[k] = xs[k], xs[left]
+	if xs[right] > t {
+		xs[right], xs[left] = xs[left], xs[right]
+	}
+	a, j := left, right
+	for a < j {
+		xs[a], xs[j] = xs[j], xs[a]
+		a++
+		j--
+		for xs[a] < t {
+			a++
+		}
+		for xs[j] > t {
+			j--
+		}
+	}
+	if xs[left] == t {
+		xs[left], xs[j] = xs[j], xs[left]
+	} else {
+		j++
+		xs[j], xs[right] = xs[right], xs[j]
+	}
+	// xs[lo:j] <= t = xs[j] <= xs[j+1:hi].
+	switch {
+	case k < j:
+		return lo, j
+	case k > j:
+		return j + 1, hi
+	default:
+		return k, k
+	}
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -122,14 +123,63 @@ func TestSelectNthPartitions(t *testing.T) {
 	}
 }
 
+// TestSelectNthPartitionsLarge checks the same contract on ranges long
+// enough for the sampled (Floyd-Rivest) pivot, at the ranks the estimator
+// and the State Planner select, on every input shape, with and without NaNs.
+func TestSelectNthPartitionsLarge(t *testing.T) {
+	nan := math.NaN()
+	for _, n := range []int{floydRivestMin + 1, 2000, 4096, 17500} {
+		for _, in := range selectionInputs {
+			for _, withNaN := range []bool{false, true} {
+				xs := make([]float64, n)
+				rng := rand.New(rand.NewSource(int64(n)))
+				in.fill(xs, rng)
+				if withNaN {
+					for range 7 {
+						xs[rng.Intn(n)] = nan
+					}
+				}
+				sorted := slices.Clone(xs)
+				slices.Sort(sorted)
+				for _, k := range []int{0, 3, n / 10, n / 2, n * 95 / 100, n - 1} {
+					work := slices.Clone(xs)
+					selectNth(work, k)
+					if same := work[k] == sorted[k] || (work[k] != work[k] && sorted[k] != sorted[k]); !same {
+						t.Fatalf("%s/%d nan=%t k=%d: selected %v, sort puts %v there", in.name, n, withNaN, k, work[k], sorted[k])
+					}
+					// NaNs first, as the sort puts them; then the numbers,
+					// partitioned around rank k when it holds one.
+					nans := 0
+					for sorted[nans] != sorted[nans] {
+						nans++
+					}
+					for i, v := range work {
+						if (i < nans) != (v != v) {
+							t.Fatalf("%s/%d k=%d: %v at %d, want the %d NaNs first", in.name, n, k, v, i, nans)
+						}
+						if k >= nans && i >= nans && ((i < k && v > work[k]) || (i > k && v < work[k])) {
+							t.Fatalf("%s/%d nan=%t k=%d: %v at %d is on the wrong side of %v", in.name, n, withNaN, k, v, i, work[k])
+						}
+					}
+					slices.Sort(work)
+					if !slices.EqualFunc(work, sorted, func(a, b float64) bool { return a == b || a != a && b != b }) {
+						t.Fatalf("%s/%d k=%d: selection changed the multiset", in.name, n, k)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSelectNthBudgetFallsBackToSort drives the partition budget to zero
-// with an input built against the median-of-three rule and checks the
-// fallback still lands on the sort's element.
+// with an input built against the median-of-three rule, no longer than the
+// range median-of-three starts on, and checks the fallback still lands on
+// the sort's element.
 func TestSelectNthBudgetFallsBackToSort(t *testing.T) {
-	xs := medianOfThreeKiller(4096)
+	xs := medianOfThreeKiller(floydRivestMin)
 	sorted := slices.Clone(xs)
 	slices.Sort(sorted)
-	for _, k := range []int{0, 1, 2047, 3890, 4095} {
+	for _, k := range []int{0, 1, 299, 570, 599} {
 		work := slices.Clone(xs)
 		selectNth(work, k)
 		if work[k] != sorted[k] {

@@ -39,7 +39,13 @@ import (
 // (package wire): scope, key, and the value the key's prefix names, with no
 // type information. A v4 gob entry is under another scope, so it hashes to
 // another file name and never matches; one read anyway fails verification.
-const diskFormat = 5
+//
+// v6: the PARD estimator's Monte-Carlo draws changed (one convolution per
+// downstream suffix, not per module's path), and the decomposition probe
+// samples from a stream of its own, so a v5 entry of a PARD run, or of a run
+// with that probe, holds results this build no longer produces. v5 entries
+// are under another scope and never match.
+const diskFormat = 6
 
 // The key prefixes the disk cache persists, each fixing its value's type:
 // a run key holds a *simgpu.Result, a trace key a *trace.Trace. Other keys
