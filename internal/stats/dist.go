@@ -264,8 +264,9 @@ func SelectQuantile(xs []float64, q float64) float64 {
 
 // selectNth reorders xs so that xs[k] is the element slices.Sort would put
 // there (the same order, NaNs first), nothing before it is greater and
-// nothing after it smaller: quickselect on a median-of-three pivot. Once the
-// range still in play is short, or an unlucky input has used up 2·log2(n)
+// nothing after it smaller: quickselect, on a sampled pivot while the range
+// in play is long (floydRivestStep) and on a median-of-three pivot after.
+// Once the range is short, or an unlucky input has used up 2·log2(n)
 // partitions, that range is sorted, so the worst case is the sort's. NaNs
 // are gathered at the front first, so the partitions compare numbers with a
 // plain <.
