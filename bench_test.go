@@ -784,11 +784,11 @@ func TestAllocsWholeOps(t *testing.T) {
 		events        uint64 // simulated events per op, exact (0: not a simulation)
 		run           func(tb testing.TB, m measure)
 	}{
-		{"ShardedDASequential", 335, 20_200_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb)) }},
-		{"LaneGroupBarrier/mem", 725, 2_250_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
-		{"LaneGroupBarrier/loopback", 895, 1_520_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
-		{"SweepGrid", 1120, 5_950_000, 113326, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
-		{"LongChain", 3_960, 10_500_000, 306539, func(tb testing.TB, m measure) { m(longChain(tb)) }},
+		{"ShardedDASequential", 325, 20_170_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb)) }},
+		{"LaneGroupBarrier/mem", 700, 2_195_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
+		{"LaneGroupBarrier/loopback", 870, 1_465_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
+		{"SweepGrid", 1098, 5_890_000, 113301, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"LongChain", 3_810, 10_120_000, 305303, func(tb testing.TB, m measure) { m(longChain(tb)) }},
 		{"ServerSubmit", 0, 0, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
 			m(withoutGC(func() uint64 { submit(1); return 0 }))

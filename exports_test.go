@@ -17,8 +17,8 @@ var keepExports = map[string]string{
 	"core.Estimator.Lsub":               "the per-path breakdown a sampled decision trace will print",
 	"sched.Cluster.ActiveWorkers":       "tests in other packages observe the core through it",
 	"simgpu.Runner.Requests":            "tests in other packages read the per-request ledger a result does not keep through it",
-	"metrics.Collector.MarshalBinary":   "called by encoding/gob through reflection",
-	"metrics.Collector.UnmarshalBinary": "called by encoding/gob through reflection",
+	"metrics.Collector.MarshalBinary":   "bench/w_dist.go gob-encodes a simgpu.Result, and gob reaches the collector's encoder by reflection, never by name; metrics/oracle_test.go and sweep/disk_test.go call it too. It stays until bench/ stops using gob",
+	"metrics.Collector.UnmarshalBinary": "the decoding half of MarshalBinary's gob round trip (the differential tests decode results through it by reflection); metrics/oracle_test.go calls it too. It stays until bench/ stops using gob",
 	"server.Response.MarshalJSON":       "called by encoding/json through reflection",
 }
 

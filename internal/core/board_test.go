@@ -9,7 +9,7 @@ import (
 // TestBoardPublishCopies pins the board's ownership contract: Publish copies
 // the state, batch-wait samples included, into the slot's own storage, so
 // the publisher may reuse its sample buffer at once (module.publish hands
-// over its reservoir's live buffer), and republishing a slot's own snapshot
+// over its batch-wait ring's live buffer), and republishing a slot's own snapshot
 // changes nothing.
 func TestBoardPublishCopies(t *testing.T) {
 	b := NewBoard(2)
@@ -52,7 +52,7 @@ func TestBoardPublishCopies(t *testing.T) {
 }
 
 // TestAllocsBoardPublish: once a slot holds as many samples as its module
-// publishes — the 512 of a full batch-wait reservoir — a publication copies
+// publishes — the 512 of a full batch-wait ring — a publication copies
 // into that storage and allocates nothing.
 func TestAllocsBoardPublish(t *testing.T) {
 	b := NewBoard(2)
@@ -73,7 +73,7 @@ func TestAllocsBoardPublish(t *testing.T) {
 }
 
 // BenchmarkBoardPublish measures one publication as a module's sync tick
-// makes it: the state and a full reservoir's 512 batch-wait samples copied
+// makes it: the state and a full ring's 512 batch-wait samples copied
 // into the slot's own storage.
 func BenchmarkBoardPublish(b *testing.B) {
 	board := NewBoard(1)

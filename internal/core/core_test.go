@@ -546,7 +546,7 @@ func TestModeString(t *testing.T) {
 
 // benchRefresh times one sync tick's Refresh under PARD's configuration, every
 // module publishing 512 batch-wait samples: the size of a module's
-// batch-wait reservoir in the scheduling core.
+// batch-wait ring in the scheduling core.
 func benchRefresh(b *testing.B, spec *pipeline.Spec) {
 	rng := rand.New(rand.NewSource(1))
 	e := NewEstimator(spec, DefaultEstimatorConfig(), rng)

@@ -28,11 +28,11 @@ type ModuleState struct {
 	QueueDelay time.Duration
 	// ProfiledDur is d_i at the module's current target batch size.
 	ProfiledDur time.Duration
-	// BatchWait holds batch-wait observations in seconds, a uniform sample
-	// (reservoir sampling, Algorithm R) of every batch wait the module has
-	// seen since it started: the reservoir is never reset or aged, so on a
-	// long-lived module it reflects the whole run, not the recent past. The
-	// estimator convolves these across modules.
+	// BatchWait holds the module's last 512 batch waits in seconds (fewer
+	// until it has seen that many), in no particular order. Each new wait
+	// displaces the oldest, so after a load shift the sample describes the
+	// new load within 512 batched requests. The estimator convolves these
+	// across modules.
 	BatchWait []float64
 	// InputRate is the module's recent input workload T_in (req/s).
 	InputRate float64

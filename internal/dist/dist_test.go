@@ -200,8 +200,9 @@ func peerName(proto int) string {
 }
 
 // TestVersionMismatchRefused: both sides refuse a peer speaking another
-// protocol version — a future one, v10, whose PARD runs drew their
-// estimates differently and whose board rows carried one more byte, v9,
+// protocol version — a future one, v11, whose PARD runs kept a lifetime
+// batch-wait sample, v10, whose PARD runs drew their estimates differently
+// and whose board rows carried one more byte, v9,
 // whose sweep frames were gob, v8, whose sweep results carried a
 // collector of another layout, v7 and v6, whose binary handshakes carried a
 // job of another layout, and v5, v4 and v3, whose handshakes are gob — and
@@ -209,7 +210,7 @@ func peerName(proto int) string {
 // ack either: as a worker it hangs up, as a coordinator it fails to decode
 // the refusal.
 func TestVersionMismatchRefused(t *testing.T) {
-	for _, peer := range []int{ProtoVersion + 1, 10, 9, 8, 7, 6, 5, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 11, 10, 9, 8, 7, 6, 5, 4, 3} {
 		t.Run("worker-side/"+peerName(peer), func(t *testing.T) {
 			coordSide, workerSide := net.Pipe()
 			defer coordSide.Close()

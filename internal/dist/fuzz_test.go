@@ -88,7 +88,7 @@ func FuzzWorkUnit(f *testing.F) {
 
 // exchangeSeeds are frames a real session carries: an empty-drain barrier, a
 // barrier with posts, intents, charges and merge resets from both groups, an
-// opening step, a five-module board with full 512-sample reservoirs, a
+// opening step, a five-module board with full 512-sample batch-wait rings, a
 // scaling round and a finish with probe series — and two a hostile peer
 // sends, which once panicked the replica reading them: a board row and a
 // post naming modules 99 and 1000 of five.

@@ -83,7 +83,11 @@ import (
 // row lost its Overloaded byte, which nothing read. A v10 peer is refused at
 // its version rather than serving results of the old draws, or misreading
 // the lane-group board exchange.
-const ProtoVersion = 11
+//
+// Version 12: a module's batch-wait samples keep its latest waits instead of
+// lifetime random ones, so PARD runs and the Fig. 6 probe differ from a v11
+// peer's for the same spec; a v11 peer is refused at its version.
+const ProtoVersion = 12
 
 // WorkUnit assigns one grid point. Key is the coordinator's full cache key
 // ("run|" + Spec.Key()); the worker re-derives it from Spec and refuses the

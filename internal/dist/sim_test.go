@@ -289,6 +289,9 @@ func TestServeSimRefusals(t *testing.T) {
 	}
 	cases := []refusal{
 		{"version-skew", Hello{Proto: ProtoVersion + 1, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
+		// A v11 peer's PARD estimates draw from a lifetime batch-wait
+		// sample.
+		{"v11-peer", Hello{Proto: 11, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
 		// A v10 peer's board rows carry one byte more, and its PARD
 		// estimates draw differently.
 		{"v10-peer", Hello{Proto: 10, LibraryFP: fp, Groups: 2, Group: 1, Job: &job}, "version mismatch"},
@@ -414,7 +417,7 @@ func TestSimLockstepSkewAborts(t *testing.T) {
 // gob decoder cannot read the hello, and it hangs up.
 func TestRunSimDistributedRefusesPeerVersion(t *testing.T) {
 	cfg := simgpu.Config{Spec: pipeline.LV(), Trace: simTrace(trace.Steady, 50, 1)}
-	for _, peer := range []int{ProtoVersion + 1, 10, 9, 8, 7, 6, 5, 4, 3} {
+	for _, peer := range []int{ProtoVersion + 1, 11, 10, 9, 8, 7, 6, 5, 4, 3} {
 		t.Run(peerName(peer), func(t *testing.T) {
 			hubSide, spokeSide := net.Pipe()
 			spokeDone := make(chan error, 1)

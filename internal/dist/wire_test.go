@@ -239,7 +239,7 @@ func wirePair(t testing.TB) (*simHub, *simSpoke) {
 // TestAllocsWireExchange pins the transport's steady state over a live
 // connection: one Step and one Barrier exchange — a typical barrier's
 // posts, intents, charges and merge resets — and one sync tick's Board and
-// Scale exchanges — rows carrying a full reservoir's 512 batch-wait samples
+// Scale exchanges — rows carrying a full ring's 512 batch-wait samples
 // — allocate nothing on the hub or on the spoke (AllocsPerRun counts both
 // goroutines): every reply decodes into per-session storage. The executor's
 // side of a barrier is pinned at zero too: it builds the message into

@@ -117,11 +117,15 @@ type Setup struct {
 	// PriCfg configures the adaptive priority controller; zero value gets
 	// core.DefaultPriorityConfig.
 	PriCfg *core.PriorityConfig
-	// OCThreshold and OCAlpha parameterize PARD-oc (defaults: 20 ms, 0.4;
-	// §5.3 footnote 8).
-	OCThreshold time.Duration
-	OCAlpha     float64
 }
+
+// PARD-oc's DAGOR overload control (§5.3 footnote 8): a module whose average
+// queueing delay exceeds ocThreshold marks the pipeline overloaded, and the
+// source then admits an arrival with probability 1−ocAlpha.
+const (
+	ocThreshold = 50 * time.Millisecond
+	ocAlpha     = 0.4
+)
 
 func (s Setup) estCfg() core.EstimatorConfig {
 	if s.EstCfg != nil {
@@ -183,11 +187,9 @@ type unified struct {
 	slo        time.Duration
 
 	// PARD-oc state
-	ocEnabled   bool
-	ocThreshold time.Duration
-	ocAlpha     float64
-	ocShed      []bool // per module: shed arrivals due to pipeline overload
-	rng         *rand.Rand
+	ocEnabled bool
+	ocShed    []bool // per module: shed arrivals due to pipeline overload
+	rng       *rand.Rand
 }
 
 func (p *unified) Name() string     { return p.name }
@@ -208,7 +210,7 @@ func (p *unified) Admit(module int, now time.Duration, r RequestInfo) bool {
 		return true
 	}
 	// DAGOR overload control: admit at rate (1-α) while shedding.
-	return p.rng.Float64() >= p.ocAlpha
+	return p.rng.Float64() >= ocAlpha
 }
 
 func (p *unified) Decide(ctx DecideCtx) bool {
@@ -309,14 +311,14 @@ func (p *unified) reallocWCL(board *core.Board) {
 }
 
 // refreshShed recomputes admission shedding: DAGOR propagates overload
-// upstream to the *entry point*, which sheds incoming requests at rate
-// (1−α). Shedding only at the pipeline source (rather than at every hop)
-// avoids compounding the admission probability across modules.
+// upstream to the *entry point*, which then admits incoming requests at
+// rate 1−ocAlpha. Shedding only at the pipeline source (rather than at every
+// hop) avoids compounding the admission probability across modules.
 func (p *unified) refreshShed(board *core.Board) {
 	n := p.spec.N()
 	overloaded := false
 	for k := 0; k < n; k++ {
-		if board.Get(k).QueueDelay > p.ocThreshold {
+		if board.Get(k).QueueDelay > ocThreshold {
 			overloaded = true
 			break
 		}
@@ -486,8 +488,8 @@ func NewPARDWCL(s Setup) (Policy, error) {
 }
 
 // NewPARDOC adopts DAGOR's queue-delay-based overload control: a module
-// whose average queueing delay exceeds OCThreshold causes upstream modules
-// to shed arrivals at rate (1−α); per-request decisions consider only the
+// whose average queueing delay exceeds ocThreshold makes the source admit
+// arrivals at rate 1−ocAlpha; per-request decisions consider only the
 // current module.
 func NewPARDOC(s Setup) (Policy, error) {
 	if err := s.validate(); err != nil {
@@ -498,14 +500,6 @@ func NewPARDOC(s Setup) (Policy, error) {
 	p.decide = decideCurrent
 	p.pcs = newPriorityControllers(s, s.priCfg())
 	p.ocEnabled = true
-	p.ocThreshold = s.OCThreshold
-	if p.ocThreshold <= 0 {
-		p.ocThreshold = 50 * time.Millisecond
-	}
-	p.ocAlpha = s.OCAlpha
-	if p.ocAlpha <= 0 {
-		p.ocAlpha = 0.4
-	}
 	p.ocShed = make([]bool, s.Spec.N())
 	return p, nil
 }

@@ -165,20 +165,22 @@ func explainDivergence(t *testing.T, name string, groups int, base, got *simRun)
 // before that change, with only the new collector encoder added, gives these
 // same digests, so the results themselves did not move. The seven cases that
 // run a Monte-Carlo PARD estimator were re-pinned when it came to draw once
-// per downstream suffix rather than once per module's path.
+// per downstream suffix rather than once per module's path, and again when a
+// module's batch-wait sample became a ring of its last 512 waits (and the
+// decomposition probe a ring of its last 10 000).
 var diffDigests = map[string]string{
-	"tm-tweet-pard":            "457c1d35a3552b682ba8fd7fe5ff52ede61e4ed44ebdf71002e701ec59fa7444",
+	"tm-tweet-pard":            "8d806361ba8ae65574da96313768a25787cc093aa13edac51c84df5fed2a27f3",
 	"tm-steady-nexus-overload": "688a415cc9094d2e6cde2de27423745a796514e71ddac533610af284ef225360",
-	"lv-tweet-pard-probes":     "62e461b5a183246d8ede4b67755905345072f64591d0e0442101f13583016baa",
+	"lv-tweet-pard-probes":     "2b5034142e8d6663dfeda0b7ccf8ff94c1622b8ed52ce2f429f199be1d1dab41",
 	"lv-azure-wcl":             "4adf6c60f8df393be21d509a5bc0807a4b9110fb8bc11f2ac9a622185c5a8eb1",
 	"gm-azure-oc":              "76312db3158d50f761f2d2220acda73ebdb64015df01a29821715171c211b2b6",
 	"gm-tweet-clipper":         "bbcf17184ca5d2ed351c9c1f622a84fbeae22dd46a3c48f57700e7d3bd19d6a5",
-	"da-tweet-pard-probes":     "2e98488011a03e1684222dfd66bcbf8badb52dfb26c39bde26c077665f849f4c",
-	"da-steady-pard-failures":  "bc19b0337caa321600d6c539a6d992bab393e0d23833a7a5b90998144639817b",
+	"da-tweet-pard-probes":     "f831df309da93b463214e76cd92df8992b12a9dc59e1731e8011dd3de62ea273",
+	"da-steady-pard-failures":  "3b892f17b617848a2d02c634560763dc6096557b97cd78aa6f7e4964268c48cc",
 	"da-azure-nexus-fixed":     "5a6b651cdc630701e7042dbe9c9f51eaea5a4ceef93652b86b30fbfba6a7c7c7",
-	"dadyn-tweet-pard":         "d89cd84d60aeea79b80375daf04064873b27b3268b44f6c2b6a5e539098e33d7",
-	"dadyn-azure-lbf":          "97f14ddd430ab43d77fc35627575fdc6f4e82dae43fd60e1e21c6f976ed25e79",
-	"wide-tweet-pard":          "49a37e2910b905880e0d27f2745a3986649b9aaf154989cc8405c11b0f871c46",
+	"dadyn-tweet-pard":         "2b38cb275b5143855f7d5c7efbf2c8f92f1e14eb36714f99a841d802b3aaa4ec",
+	"dadyn-azure-lbf":          "b6c3c9fe107328b9bc1f75ead6731796a63739d8a360e90ba68bc2916ac92efe",
+	"wide-tweet-pard":          "c5d666682c71cf9d1b54239d59fafb5c3296bb1f5342bf506bfc24c472e51a0f",
 }
 
 // TestShardedDifferential replays the corpus through the lane engine and

@@ -27,12 +27,10 @@ type module struct {
 	targetDur   time.Duration
 	jitter      float64
 
-	// Per-module deterministic random streams: the lane engine advances
-	// modules lane by lane in any order within a window, so each module
-	// consumes its own streams rather than sharing ones whose draw order
-	// would then depend on the lane order.
-	execRng *rand.Rand // execution jitter
-	statRng *rand.Rand // waitRes's reservoir sampling
+	// execRng draws the execution jitter. It is the module's own stream: the
+	// lane engine advances modules lane by lane in any order within a window,
+	// so a stream shared between modules would be drawn in lane order.
+	execRng *rand.Rand
 
 	// workers point into the arrays addWorkers carves each pool from: an
 	// event holds its *worker, so a worker never moves. nextWID numbers the
@@ -53,7 +51,7 @@ type module struct {
 	// the queue-delay probe records it.
 	qWin    *stats.SlidingWindow // queueing delay samples (seconds)
 	wclWin  *stats.SlidingWindow // per-request Q+W+D samples (seconds)
-	waitRes *stats.Reservoir     // batch-wait samples (seconds)
+	waitRes *stats.Ring          // the last waitRing batch waits (seconds)
 	// rateWin is the input workload: its span feeds the scaling engine
 	// (smooth), its inner span T_in for priority control (fast).
 	rateWin *stats.RateWindow
@@ -85,12 +83,11 @@ type module struct {
 	modeProbe       *metrics.Series
 	budgetProbe     *metrics.Series // consumed budget per completed module visit (ms)
 	remainProbe     *metrics.Series // remaining budget at module arrival (ms)
-	waitProbe       *stats.Reservoir
+	waitProbe       *stats.Ring     // the last waitProbeRing batch waits (Fig. 6)
 	probeCount      int
 }
 
 func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, batch int, dur time.Duration, workers int) *module {
-	statRng := rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "stat")))
 	m := &module{
 		cl:          c,
 		idx:         idx,
@@ -100,15 +97,15 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 		targetDur:   dur,
 		jitter:      c.jitter,
 		execRng:     rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "exec"))),
-		statRng:     statRng,
 		rateWin:     stats.NewRateWindow(queueWindow, inputRateSpan),
 		workers:     make([]*worker, 0, workers),
 	}
 	if c.reads.QueueDelay || c.cfg.Probes.QueueDelay {
 		m.qWin = stats.NewSlidingWindow(queueWindow)
 	}
-	if c.reads.BatchWait {
-		m.waitRes = stats.NewReservoir(waitReservoir, statRng)
+	// A replica of a module another lane group owns observes no waits.
+	if c.reads.BatchWait && c.owns(idx) {
+		m.waitRes = stats.NewRing(waitRing)
 	}
 	if c.reads.WCL {
 		m.wclWin = stats.NewSlidingWindow(queueWindow)
@@ -124,9 +121,8 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 		m.budgetProbe = &metrics.Series{Name: "consumed-budget"}
 		m.remainProbe = &metrics.Series{Name: "remaining-budget"}
 	}
-	if c.cfg.Probes.Decomposition {
-		// A stream of its own: a probe must not move the run it watches.
-		m.waitProbe = stats.NewReservoir(10000, rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "probe"))))
+	if c.cfg.Probes.Decomposition && c.owns(idx) {
+		m.waitProbe = stats.NewRing(waitProbeRing)
 	}
 	m.addWorkers(workers, 0, false)
 	m.peakWorkers = workers
@@ -136,12 +132,15 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 // A module's State Planner statistics: queueWindow is the span of the
 // queueing-delay and WCL windows (§4.2 footnote 4) and of the rate window the
 // scaling engine reads, inputRateSpan the inner span of that same rate window,
-// the horizon of the fast T_in priority control reads, and waitReservoir the
-// size of the batch-wait sample reservoir.
+// the horizon of the fast T_in priority control reads, waitRing the number of
+// latest batch waits a module keeps for the §4.2 estimator (the paper does
+// not say how its sample ages), and waitProbeRing the number the Fig. 6
+// decomposition probe keeps.
 const (
 	inputRateSpan = 2 * time.Second
 	queueWindow   = 5 * time.Second
-	waitReservoir = 512
+	waitRing      = 512
+	waitProbeRing = 10000
 )
 
 // depqRoom is a DEPQ worker queue's room before it grows onto an array of its
@@ -378,7 +377,7 @@ func (m *module) probeBudget(arrive, done time.Duration) {
 }
 
 // publish pushes this module's snapshot to the shared board (sync step ②).
-// The board copies the reservoir's live samples into the module's slot. A
+// The board copies the ring's live samples into the module's slot. A
 // field whose window the module does not keep stays at its zero value.
 func (m *module) publish(now time.Duration, board *core.Board) {
 	var qMean float64

@@ -42,11 +42,11 @@ type Config struct {
 	Lib *profile.Library
 	// PolicyName selects the drop policy (see policy.Names()).
 	PolicyName string
-	// Seed derives the core's independent random streams. Execution jitter,
-	// reservoir sampling and DAG branch choice use per-module streams hashed
-	// from (seed, module, purpose) — module-local randomness is what lets
-	// the lane engine advance modules lane by lane without the lane order
-	// deciding a shared stream's draws. Policy internals keep the shared
+	// Seed derives the core's independent random streams. Execution jitter
+	// and DAG branch choice use per-module streams hashed from (seed,
+	// module, purpose) — module-local randomness is what lets the lane
+	// engine advance modules lane by lane without the lane order deciding a
+	// shared stream's draws. Policy internals keep the shared
 	// seed+4 stream (drawn only in serial contexts: sync ticks and
 	// source-module admission).
 	Seed int64
@@ -92,8 +92,8 @@ type Cluster struct {
 	board   *core.Board
 
 	// pathRngs holds per-module deterministic streams for exclusive DAG
-	// branch choice (execution jitter and reservoir streams live on the
-	// modules themselves).
+	// branch choice (the execution jitter stream lives on the module
+	// itself).
 	pathRngs []*rand.Rand
 	jitter   float64
 

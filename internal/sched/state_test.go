@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ var readsByPolicy = map[string]policy.Reads{
 
 // TestWindowsOnlyForReaders: a module keeps the window behind a ModuleState
 // field only when its policy reads the field. Under every policy a module
-// keeps exactly the queueing-delay window, batch-wait reservoir and WCL window
+// keeps exactly the queueing-delay window, batch-wait ring and WCL window
 // (with its publish scratch) that policy.Reads names, and a loaded run
 // publishes a positive value for each field read and only zeros for the
 // others.
@@ -112,10 +113,49 @@ func TestQueueDelayProbeKeepsItsWindow(t *testing.T) {
 	man.Run()
 	for k, m := range cl.modules {
 		if m.qWin == nil || m.waitRes != nil {
-			t.Fatalf("module %d: queueing-delay window kept %t, reservoir kept %t; want the window only", k, m.qWin != nil, m.waitRes != nil)
+			t.Fatalf("module %d: queueing-delay window kept %t, batch-wait ring kept %t; want the window only", k, m.qWin != nil, m.waitRes != nil)
 		}
 		if s := cl.Probes(k).QueueDelay; s == nil || len(s.V) == 0 {
 			t.Fatalf("module %d: the queue-delay probe recorded nothing", k)
 		}
+	}
+}
+
+// TestWaitRingsKeepTheLastWaits: every batch wait a module observes enters
+// both its samples, and each keeps exactly the latest of them: the board's
+// BatchWait the last waitRing, the decomposition probe's WaitSamples the last
+// waitProbeRing. The waits are distinct, so a sample that skipped a wait or
+// kept an older one shows as a different set.
+func TestWaitRingsKeepTheLastWaits(t *testing.T) {
+	spec := pipeline.TM()
+	man := NewManualExecutor()
+	cl, err := New(Config{Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "pard", Seed: 1,
+		Workers: []int{1, 1, 1}, Probes: ProbeConfig{Decomposition: true}}, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = waitProbeRing + waitProbeRing/4 + 3
+	waits := make([]float64, n)
+	m := cl.modules[1]
+	for i := range waits {
+		waits[i] = float64(i) * 1e-4
+		m.observe(time.Millisecond, time.Duration(waits[i]*float64(time.Second)), 10*time.Millisecond, time.Duration(i)*time.Millisecond)
+	}
+	last := func(k int) []float64 {
+		var want []float64
+		for _, w := range waits[n-k:] {
+			want = append(want, time.Duration(w*float64(time.Second)).Seconds())
+		}
+		return want
+	}
+	if got := slices.Sorted(slices.Values(cl.Probes(1).WaitSamples)); !slices.Equal(got, last(waitProbeRing)) {
+		t.Fatalf("WaitSamples holds %d waits from %v to %v, want the last %d of %d", len(got), got[0], got[len(got)-1], waitProbeRing, n)
+	}
+	cl.SyncTick(time.Duration(n) * time.Millisecond)
+	if got := slices.Sorted(slices.Values(cl.Board().Get(1).BatchWait)); !slices.Equal(got, last(waitRing)) {
+		t.Fatalf("the board's BatchWait holds %d waits from %v to %v, want the last %d of %d", len(got), got[0], got[len(got)-1], waitRing, n)
+	}
+	if got := cl.Probes(0).WaitSamples; len(got) != 0 {
+		t.Fatalf("module 0 observed nothing, yet its probe holds %d waits", len(got))
 	}
 }

@@ -1,16 +1,19 @@
 package server
 
 import (
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"testing"
 	"time"
 
 	"pard/internal/pipeline"
 	"pard/internal/sched"
+	"pard/internal/stats"
 )
 
 // tmCapacity is what tmServer serves at most, in requests per second: one
@@ -101,13 +104,14 @@ func openLoop(t testing.TB, s *Server, man *sched.LaneExecutor, rate float64, du
 // its SLO plus one sync period, and the backlog stays bounded: without the
 // shedding about 10 000 requests were still parked at the end of the minute,
 // and the count grew linearly. Shedding only answers earlier what was doomed
-// anyway: the good count was the one the server had without it (7 474), and
-// is 7 478 since PARD's estimator draws once per downstream suffix.
+// anyway: the good count was the one the server had without it (7 474), was
+// 7 478 once PARD's estimator drew once per downstream suffix, and is 7 477
+// since a module's batch-wait sample keeps its last 512 waits.
 func TestSustainedOverloadSheds(t *testing.T) {
 	const (
 		rate  = 2.5 * tmCapacity
 		bound = 128
-		good  = 7478
+		good  = 7477
 	)
 	s, man := tmServer(t)
 	res := openLoop(t, s, man, rate, time.Minute, bound, nil)
@@ -121,6 +125,86 @@ func TestSustainedOverloadSheds(t *testing.T) {
 	if sum := s.Summary(); sum.Total != res.sent || sum.Good != res.good {
 		t.Errorf("summary counts %d requests, %d good; the clients saw %d, %d good", sum.Total, sum.Good, res.sent, res.good)
 	}
+}
+
+// median returns the median of xs without reordering it.
+func median(xs []float64) float64 {
+	return stats.QuantileSorted(slices.Sorted(slices.Values(xs)), 0.5)
+}
+
+// TestBatchWaitFollowsLoadShift: the batch-wait sample a module publishes for
+// the §4.2 estimator describes its recent waits, not its whole life. tm runs
+// at 1× capacity for 20 virtual minutes, then at 2.5×. At the source the
+// shift moves the median wait from about 50 ms to a full batch's 72 ms: under
+// overload every request joins a full batch as the previous one starts. The
+// references are trailing-60 s samples of each load's waits, every wait a
+// fresh server observed in the last 60 s of its own 70 s at that load. From
+// followWithin after the shift to the end of two minutes at 2.5×, the
+// published median must stay within 5 % of the 2.5× reference's at every
+// sync tick. A lifetime sample of the 1× phase's 144 000 waits takes in
+// about one new wait in 280, and its median does not get there in those two
+// minutes.
+func TestBatchWaitFollowsLoadShift(t *testing.T) {
+	const (
+		src          = 0
+		history      = 20 * time.Minute
+		overload     = 2 * time.Minute
+		followWithin = 10 * time.Second
+		tolerance    = 0.05
+	)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= tolerance*want }
+	light := median(trailingWaits(t, src, tmCapacity, 10*time.Second, time.Minute))
+	want := median(trailingWaits(t, src, 2.5*tmCapacity, 10*time.Second, time.Minute))
+	if near(light, want) {
+		t.Fatalf("trailing-60 s median wait %.4f s at 1× and %.4f s at 2.5×: the shift shows nothing", light, want)
+	}
+
+	s, man := tmServer(t)
+	published := func() float64 { return median(s.cl.Board().Get(src).BatchWait) }
+	openLoop(t, s, man, tmCapacity, history, 1000, nil)
+	shift, atShift := man.Now(), published()
+	// lastOff is the last sync tick after the shift at which the published
+	// median was not near the reference; tick paces the reads.
+	var lastOff, tick time.Duration = -1, shift
+	openLoop(t, s, man, 2.5*tmCapacity, overload, 1000, func(at time.Duration) {
+		if at < tick {
+			return
+		}
+		tick += s.cfg.SyncPeriod
+		if got := published(); !near(got, want) {
+			if lastOff = at - shift; lastOff >= followWithin {
+				t.Fatalf("%v after the shift the published median wait is %.4f s, a trailing-60 s sample's %.4f s (%.4f s at 1×)", lastOff, got, want, light)
+			}
+		}
+	})
+	t.Logf("source median wait in a trailing-60 s sample: %.4f s at 1×, %.4f s at 2.5×; published: %.4f s at the shift, last off the 2.5× median %v after it (-1ns: never)", light, want, atShift, lastOff)
+}
+
+// trailingWaits drives a fresh tm server at rate for warm+span of virtual
+// time and returns every batch wait module k observed in the last span, in
+// seconds. The server's decomposition probe keeps its last 10 000 waits, so
+// until it fills it holds every wait, oldest first.
+func trailingWaits(t *testing.T, k int, rate float64, warm, span time.Duration) []float64 {
+	t.Helper()
+	man := sched.NewManualExecutor()
+	s, err := newServer(Config{Spec: pipeline.TM(), Workers: []int{1, 1, 1}, Seed: 1, Exec: man},
+		sched.Config{Probes: sched.ProbeConfig{Decomposition: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(s.Stop)
+	start, seen := man.Now(), -1
+	openLoop(t, s, man, rate, warm+span, 1000, func(at time.Duration) {
+		if seen < 0 && at-start >= warm {
+			seen = len(s.cl.Probes(k).WaitSamples)
+		}
+	})
+	waits := s.cl.Probes(k).WaitSamples
+	if len(waits) >= 10000 {
+		t.Fatalf("module %d observed %d waits or more, so its probe no longer holds them all", k, len(waits))
+	}
+	return waits[seen:]
 }
 
 // liveHeap returns the heap the garbage collector found live, after a full

@@ -10,8 +10,8 @@ import (
 // TestAllocsRun: a simulation's allocations do not grow with its length, as
 // internal/rag's TestAllocsRun holds for the RAG loop. The request slab, the
 // lane queues, the collector and every module's State Planner windows are
-// sized from the trace up front, batch and reservoir slabs are sized once,
-// and a sync tick publishes into storage the board already owns, so a run
+// sized from the trace up front, batch slabs and batch-wait rings are sized
+// once, and a sync tick publishes into storage the board already owns, so a run
 // four times as long makes the same allocations to within a constant: the
 // priority controllers' two windows a module, fed once a sync tick, double
 // toward the dead prefix at which they compact (1 024 samples) — two more

@@ -506,10 +506,10 @@ func BenchmarkSimLVSteady(b *testing.B) {
 // Under every policy, a run with every probe on decides every request as the
 // same run with none: the same summary, event count and, request by
 // request, the same fate. The trace is long enough that the source's
-// decomposition reservoir (10 000 samples) fills and then draws to replace
-// samples, and bursty enough that every policy that drops, drops: when the
-// reservoir shared the module's batch-wait stream, pard's run here read one
-// good request fewer with the probes on.
+// decomposition ring (10 000 waits) fills and wraps, and bursty enough that
+// every policy that drops, drops: when that probe was a random sample drawn
+// from the module's batch-wait stream, pard's run here read one good request
+// fewer with the probes on.
 func TestProbesDoNotMoveTheRun(t *testing.T) {
 	spec := pipeline.LV()
 	tr := trace.MustGenerate(trace.Config{Kind: trace.Tweet, Duration: 30 * time.Second, PeakRate: 1000, Seed: 1})
@@ -519,7 +519,7 @@ func TestProbesDoNotMoveTheRun(t *testing.T) {
 		cfg.Probes = ProbeConfig{QueueDelay: true, LoadFactor: true, Budget: true, Decomposition: true, SampleEvery: 1}
 		probed, probedReqs := runRecorded(t, cfg)
 		if n := len(probed.WaitSamples[spec.Source()]); n != 10000 {
-			t.Fatalf("%s: the source's decomposition reservoir holds %d samples, want it full", name, n)
+			t.Fatalf("%s: the source's decomposition ring holds %d waits, want it full", name, n)
 		}
 		if !reflect.DeepEqual(bare.Summary, probed.Summary) || bare.SimEvents != probed.SimEvents {
 			t.Fatalf("%s: probes moved the run:\n  bare   %+v (%d events)\n  probed %+v (%d events)", name, bare.Summary, bare.SimEvents, probed.Summary, probed.SimEvents)

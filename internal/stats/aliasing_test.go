@@ -12,8 +12,8 @@ import (
 // are guaranteed read-only. Call sites across sched/metrics/experiments rely
 // on these distinctions to share cached slices safely.
 
-func TestReservoirValuesIsLiveBuffer(t *testing.T) {
-	r := NewReservoir(4, rand.New(rand.NewSource(1)))
+func TestRingValuesIsLiveBuffer(t *testing.T) {
+	r := NewRing(4)
 	for i := 0; i < 4; i++ {
 		r.Add(float64(i))
 	}
@@ -22,16 +22,16 @@ func TestReservoirValuesIsLiveBuffer(t *testing.T) {
 		t.Fatalf("len = %d", len(vs))
 	}
 	// The contract is "live buffer, read-only": the same backing array keeps
-	// receiving replacements on subsequent Adds, so a caller that held on to
-	// the slice observes them. This is intentional — publication paths must
-	// copy (and do: core.Board.Publish copies the samples module.publish
+	// receiving the new values on subsequent Adds, so a caller that held on
+	// to the slice observes them. This is intentional — publication paths
+	// must copy (and do: core.Board.Publish copies the samples module.publish
 	// hands it into the board's own storage).
-	before := append([]float64(nil), vs...)
-	for i := 0; i < 100; i++ {
-		r.Add(float64(100 + i))
+	r.Add(100)
+	if !slices.Contains(vs, 100) {
+		t.Fatalf("an Add to a full ring is not visible through the slice Values returned before it: %v", vs)
 	}
-	if slices.Equal(before, vs) {
-		t.Fatal("100 adds to a full reservoir replaced nothing; Values no longer aliases the live buffer?")
+	if now := r.Values(); &now[0] != &vs[0] {
+		t.Fatal("Values returned a new array after an Add to a full ring")
 	}
 }
 

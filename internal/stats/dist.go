@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -80,47 +79,38 @@ func (d *Empirical) Histogram(n int) (edges, density []float64) {
 	return edges, density
 }
 
-// Reservoir maintains a fixed-size uniform random sample of a stream
-// (Vitter's algorithm R). PARD's modules use it to keep batch-wait samples
-// bounded while staying representative.
-type Reservoir struct {
-	cap  int
-	seen int
+// Ring keeps a stream's last values, at most its capacity: once full, each
+// Add overwrites the oldest. PARD's modules keep their batch-wait samples in
+// one, so a sample describes recent waits and its upkeep draws nothing.
+type Ring struct {
 	buf  []float64
-	rng  *rand.Rand
+	next int // the slot the next Add overwrites once buf is full
 }
 
-// NewReservoir returns a reservoir holding at most capacity samples.
-func NewReservoir(capacity int, rng *rand.Rand) *Reservoir {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("stats: reservoir capacity must be positive, got %d", capacity))
-	}
-	return &Reservoir{cap: capacity, rng: rng}
-}
+// NewRing returns a ring holding at most capacity (> 0) values, its storage
+// allocated at once.
+func NewRing(capacity int) *Ring { return &Ring{buf: make([]float64, 0, capacity)} }
 
-// Add offers one stream value to the reservoir.
-func (r *Reservoir) Add(v float64) {
-	r.seen++
-	if len(r.buf) < r.cap {
-		if r.buf == nil {
-			r.buf = make([]float64, 0, r.cap) // full size at once, not grown toward it
-		}
+// Add appends v, overwriting the oldest value once the ring is full.
+func (r *Ring) Add(v float64) {
+	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, v)
 		return
 	}
-	if j := r.rng.Intn(r.seen); j < r.cap {
-		r.buf[j] = v
+	r.buf[r.next] = v
+	if r.next++; r.next == len(r.buf) {
+		r.next = 0
 	}
 }
 
-// Values returns the live internal buffer, NOT a copy. The contract is
-// strictly read-only: callers must not sort, append to, or otherwise mutate
-// the returned slice (in particular, never pass it to PercentilesInto),
-// and must copy it before handing it to anything that outlives the next
-// Add. NewEmpirical, Empirical.Reset, core.Board.Publish and
-// ConvolveQuantileInto/ConvolveSamples (as sources) are safe consumers: they
-// copy or only read.
-func (r *Reservoir) Values() []float64 { return r.buf }
+// Values returns the live internal buffer, NOT a copy, in slot order. The
+// contract is strictly read-only: callers must not sort, append to, or
+// otherwise mutate the returned slice (in particular, never pass it to
+// PercentilesInto), and must copy it before handing it to anything that
+// outlives the next Add. NewEmpirical, Empirical.Reset, core.Board.Publish
+// and ConvolveQuantileInto/ConvolveSamples (as sources) are safe consumers:
+// they copy or only read.
+func (r *Ring) Values() []float64 { return r.buf }
 
 // ConvolveQuantileInto estimates the q-quantile of the sum of independent
 // draws, one from each source distribution, by Monte-Carlo with m samples.
@@ -207,7 +197,7 @@ func CoefficientOfVariation(xs []float64) float64 {
 
 // PercentilesInto evaluates the given quantiles over xs, REORDERING xs IN
 // PLACE, and appends the results to dst (which may be nil). Use it on
-// buffers the caller owns outright — never on live Reservoir.Values slices
+// buffers the caller owns outright — never on live Ring.Values slices
 // or cached result slices shared with other readers. A single quantile — the
 // State Planner's one p95 per module per sync — is selected in linear time
 // and leaves xs partitioned around it, not sorted; several quantiles sort xs

@@ -300,19 +300,22 @@ func TestEmpiricalHistogramIntegratesToOne(t *testing.T) {
 	}
 }
 
-func TestReservoirUniformity(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	r := NewReservoir(100, rng)
-	for i := 0; i < 10000; i++ {
-		r.Add(float64(i))
-	}
-	if len(r.Values()) != 100 || r.seen != 10000 {
-		t.Fatalf("len=%d seen=%d", len(r.Values()), r.seen)
-	}
-	m, _ := MeanStd(r.Values())
-	// Mean of a uniform sample of 0..9999 should be near 5000.
-	if m < 4000 || m > 6000 {
-		t.Fatalf("reservoir mean = %v, not near 5000", m)
+// TestRingKeepsLastN: after n Adds of 0, 1, …, n−1 a ring of capacity c
+// holds exactly the last min(n, c) of them, each once.
+func TestRingKeepsLastN(t *testing.T) {
+	for _, c := range []int{1, 2, 7, 512} {
+		r := NewRing(c)
+		for n := 1; n <= 3*c+1; n++ {
+			r.Add(float64(n - 1))
+			got := slices.Sorted(slices.Values(r.Values()))
+			want := make([]float64, 0, c)
+			for v := max(0, n-c); v < n; v++ {
+				want = append(want, float64(v))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("capacity %d after %d adds: holds %v, want %v", c, n, got, want)
+			}
+		}
 	}
 }
 
@@ -451,19 +454,22 @@ func TestPropertyWindowMeanConsistent(t *testing.T) {
 	}
 }
 
-// Property: reservoir never exceeds capacity and holds min(seen, cap).
-func TestPropertyReservoirSize(t *testing.T) {
+// Property: a ring never exceeds its capacity, holds min(adds, capacity)
+// values, and its newest value is the last one added.
+func TestPropertyRingSize(t *testing.T) {
 	f := func(n uint16) bool {
-		rng := rand.New(rand.NewSource(3))
-		r := NewReservoir(50, rng)
+		r := NewRing(50)
 		for i := 0; i < int(n); i++ {
 			r.Add(float64(i))
+			if len(r.Values()) > 50 {
+				return false
+			}
 		}
-		want := int(n)
-		if want > 50 {
-			want = 50
+		vs := r.Values()
+		if len(vs) != min(int(n), 50) {
+			return false
 		}
-		return len(r.Values()) == want
+		return n == 0 || slices.Max(vs) == float64(n-1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

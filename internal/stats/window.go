@@ -1,8 +1,8 @@
 // Package stats provides the statistical substrate PARD's State Planner is
 // built on: time-based sliding windows with linear weighting (§4.2 footnote
-// 4), empirical distributions with quantile inversion, reservoir sampling,
-// and Monte-Carlo convolution of per-module batch-wait distributions (the
-// F_{k+1→N} estimator behind w_k).
+// 4), empirical distributions with quantile inversion, a ring of a stream's
+// last values, and Monte-Carlo convolution of per-module batch-wait
+// distributions (the F_{k+1→N} estimator behind w_k).
 package stats
 
 import (

@@ -45,7 +45,11 @@ import (
 // samples from a stream of its own, so a v5 entry of a PARD run, or of a run
 // with that probe, holds results this build no longer produces. v5 entries
 // are under another scope and never match.
-const diskFormat = 6
+//
+// v7: a module's batch-wait samples keep its latest waits instead of
+// lifetime random ones, so a v6 entry of a PARD run, or of a run with the
+// decomposition probe, holds results this build no longer produces.
+const diskFormat = 7
 
 // The key prefixes the disk cache persists, each fixing its value's type:
 // a run key holds a *simgpu.Result, a trace key a *trace.Trace. Other keys
