@@ -417,7 +417,7 @@ func TestSplitBudgets(t *testing.T) {
 }
 
 func TestPriorityControllerSteadyStaysLBF(t *testing.T) {
-	p := NewPriorityController(DefaultPriorityConfig())
+	p := NewPriorityController(DefaultPriorityWindow, false)
 	for i := 0; i < 100; i++ {
 		now := time.Duration(i) * time.Second
 		if m := p.Update(now, 100, 200); m != LBF {
@@ -430,7 +430,7 @@ func TestPriorityControllerSteadyStaysLBF(t *testing.T) {
 }
 
 func TestPriorityControllerOverloadSwitchesToHBF(t *testing.T) {
-	p := NewPriorityController(DefaultPriorityConfig())
+	p := NewPriorityController(DefaultPriorityWindow, false)
 	var m Mode
 	for i := 0; i < 20; i++ {
 		m = p.Update(time.Duration(i)*time.Second, 300, 200)
@@ -444,7 +444,7 @@ func TestPriorityControllerOverloadSwitchesToHBF(t *testing.T) {
 }
 
 func TestPriorityControllerHysteresisHolds(t *testing.T) {
-	p := NewPriorityController(DefaultPriorityConfig())
+	p := NewPriorityController(DefaultPriorityWindow, false)
 	p.epsMin = 0.1
 	// Drive into HBF.
 	for i := 0; i < 10; i++ {
@@ -465,9 +465,7 @@ func TestPriorityControllerHysteresisHolds(t *testing.T) {
 
 func TestPriorityControllerInstantThrashes(t *testing.T) {
 	mk := func(instant bool) int {
-		cfg := DefaultPriorityConfig()
-		cfg.Instant = instant
-		p := NewPriorityController(cfg)
+		p := NewPriorityController(DefaultPriorityWindow, instant)
 		p.epsMin = 0.05
 		// Oscillate μ between 0.97 and 1.03 (inside a 5% band).
 		for i := 0; i < 200; i++ {
@@ -489,8 +487,8 @@ func TestPriorityControllerInstantThrashes(t *testing.T) {
 }
 
 func TestPriorityControllerEpsilonGrowsWithBurstiness(t *testing.T) {
-	steady := NewPriorityController(DefaultPriorityConfig())
-	bursty := NewPriorityController(DefaultPriorityConfig())
+	steady := NewPriorityController(DefaultPriorityWindow, false)
+	bursty := NewPriorityController(DefaultPriorityWindow, false)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 100; i++ {
 		now := time.Duration(i) * 100 * time.Millisecond
@@ -506,31 +504,15 @@ func TestPriorityControllerEpsilonGrowsWithBurstiness(t *testing.T) {
 	}
 }
 
-func TestPriorityControllerFixedModes(t *testing.T) {
-	h := NewPriorityController(FixedMode(HBF))
-	l := NewPriorityController(FixedMode(LBF))
-	for i := 0; i < 10; i++ {
-		now := time.Duration(i) * time.Second
-		if h.Update(now, 1, 1000) != HBF {
-			t.Fatal("fixed HBF moved")
-		}
-		if l.Update(now, 1000, 1) != LBF {
-			t.Fatal("fixed LBF moved")
-		}
-	}
-}
-
 func TestPriorityControllerPanics(t *testing.T) {
-	for _, cfg := range []PriorityConfig{
-		{Window: 0},
-	} {
+	for _, window := range []time.Duration{0, -time.Second} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("config %+v accepted", cfg)
+					t.Fatalf("window %v accepted", window)
 				}
 			}()
-			NewPriorityController(cfg)
+			NewPriorityController(window, false)
 		}()
 	}
 }
@@ -580,7 +562,7 @@ func BenchmarkBatchWaitEstimation(b *testing.B) {
 }
 
 func BenchmarkPriorityControllerUpdate(b *testing.B) {
-	p := NewPriorityController(DefaultPriorityConfig())
+	p := NewPriorityController(DefaultPriorityWindow, false)
 	for i := 0; i < b.N; i++ {
 		p.Update(time.Duration(i)*time.Millisecond, float64(90+i%20), 100)
 	}

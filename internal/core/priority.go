@@ -34,22 +34,9 @@ func (m Mode) String() string {
 	}
 }
 
-// PriorityConfig parameterizes the adaptive controller.
-type PriorityConfig struct {
-	// Window is the horizon over which the workload is smoothed and the
-	// hysteresis boundary ε is computed (the paper's 5 s default, §5.4).
-	Window time.Duration
-	// Instant disables delayed transition (ε = 0): the PARD-instant
-	// ablation.
-	Instant bool
-	// Fixed pins the mode permanently (PARD-HBF / PARD-LBF ablations).
-	Fixed *Mode
-}
-
-// DefaultPriorityConfig returns PARD's configuration.
-func DefaultPriorityConfig() PriorityConfig {
-	return PriorityConfig{Window: 5 * time.Second}
-}
+// DefaultPriorityWindow is the horizon over which the workload is smoothed
+// and the hysteresis boundary ε is computed (the paper's 5 s, §5.4).
+const DefaultPriorityWindow = 5 * time.Second
 
 // The hysteresis band's bounds: epsMin floors ε so micro-noise cannot force
 // a transition exactly at μ = 1 even on perfectly steady workloads, and
@@ -59,19 +46,14 @@ const (
 	epsMax = 0.25
 )
 
-// FixedMode returns a PriorityConfig pinning the controller to mode m.
-func FixedMode(m Mode) PriorityConfig {
-	c := DefaultPriorityConfig()
-	c.Fixed = &m
-	return c
-}
-
 // PriorityController implements the delayed adaptive priority transition:
 // switch to HBF when μ > 1+ε, to LBF when μ < 1−ε, hold otherwise, with
 // ε = Σ|T_in − T_s| / ΣT_in computed over the smoothing window so bursty
 // workloads widen the hysteresis band (§4.3).
 type PriorityController struct {
-	cfg      PriorityConfig
+	// instant disables delayed transition (ε = 0): the PARD-instant
+	// ablation.
+	instant  bool
 	mode     Mode
 	inWin    *stats.SlidingWindow // raw T_in samples
 	diffWin  *stats.SlidingWindow // |T_in − T_s| samples
@@ -82,17 +64,18 @@ type PriorityController struct {
 	epsMin, epsMax float64
 }
 
-// NewPriorityController returns a controller starting in LBF (steady-state
-// assumption).
-func NewPriorityController(cfg PriorityConfig) *PriorityController {
-	if cfg.Window <= 0 {
-		panic(fmt.Sprintf("core: priority window must be positive, got %v", cfg.Window))
+// NewPriorityController returns a controller over a smoothing window
+// starting in LBF (steady-state assumption); instant drops the hysteresis
+// band.
+func NewPriorityController(window time.Duration, instant bool) *PriorityController {
+	if window <= 0 {
+		panic(fmt.Sprintf("core: priority window must be positive, got %v", window))
 	}
 	return &PriorityController{
-		cfg:     cfg,
+		instant: instant,
 		mode:    LBF,
-		inWin:   stats.NewSlidingWindow(cfg.Window),
-		diffWin: stats.NewSlidingWindow(cfg.Window),
+		inWin:   stats.NewSlidingWindow(window),
+		diffWin: stats.NewSlidingWindow(window),
 		epsMin:  epsMin,
 		epsMax:  epsMax,
 	}
@@ -101,10 +84,6 @@ func NewPriorityController(cfg PriorityConfig) *PriorityController {
 // Update feeds one observation of input workload tin (req/s) and module
 // throughput tm (req/s) at time now, and returns the mode to use.
 func (p *PriorityController) Update(now time.Duration, tin, tm float64) Mode {
-	if p.cfg.Fixed != nil {
-		p.mode = *p.cfg.Fixed
-		return p.mode
-	}
 	// Smoothed workload T_s over the sliding window (before adding the new
 	// sample so the deviation measures surprise).
 	ts, ok := p.inWin.Mean(now)
@@ -119,7 +98,7 @@ func (p *PriorityController) Update(now time.Duration, tin, tm float64) Mode {
 	p.diffWin.Add(now, diff)
 
 	eps := 0.0
-	if !p.cfg.Instant {
+	if !p.instant {
 		sumIn := p.inWin.Sum(now)
 		if sumIn > 0 {
 			eps = p.diffWin.Sum(now) / sumIn

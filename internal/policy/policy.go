@@ -104,19 +104,19 @@ type Reads struct {
 	WCL bool
 }
 
-// Setup carries everything policy constructors need.
+// Setup carries everything New needs.
 type Setup struct {
 	Spec *pipeline.Spec
 	// Durs holds each module's profiled execution duration at its target
 	// batch size (for fixed SLO splitting).
 	Durs []time.Duration
 	Rng  *rand.Rand
-	// EstCfg configures PARD-family latency estimation; zero value gets
-	// core.DefaultEstimatorConfig.
-	EstCfg *core.EstimatorConfig
-	// PriCfg configures the adaptive priority controller; zero value gets
-	// core.DefaultPriorityConfig.
-	PriCfg *core.PriorityConfig
+	// Lambda is the PARD family's batch-wait quantile λ; zero or less gets
+	// core.DefaultEstimatorConfig's.
+	Lambda float64
+	// PriorityWindow is the adaptive priority controller's smoothing
+	// window; zero or less gets core.DefaultPriorityWindow.
+	PriorityWindow time.Duration
 }
 
 // PARD-oc's DAGOR overload control (§5.3 footnote 8): a module whose average
@@ -126,20 +126,6 @@ const (
 	ocThreshold = 50 * time.Millisecond
 	ocAlpha     = 0.4
 )
-
-func (s Setup) estCfg() core.EstimatorConfig {
-	if s.EstCfg != nil {
-		return *s.EstCfg
-	}
-	return core.DefaultEstimatorConfig()
-}
-
-func (s Setup) priCfg() core.PriorityConfig {
-	if s.PriCfg != nil {
-		return *s.PriCfg
-	}
-	return core.DefaultPriorityConfig()
-}
 
 func (s Setup) validate() error {
 	if s.Spec == nil {
@@ -154,8 +140,7 @@ func (s Setup) validate() error {
 	return nil
 }
 
-// decideKind enumerates the keep/drop conditions the unified implementation
-// supports.
+// decideKind enumerates the keep/drop conditions a row can select.
 type decideKind int
 
 const (
@@ -167,16 +152,85 @@ const (
 	decideWCLCum                     // like decideSplitCum with dynamically reallocated budgets
 )
 
-// unified implements Policy for every system; the constructors below select
-// the configuration matching each paper baseline.
+// priorityRule selects which DEPQ end a row's modules pop.
+type priorityRule int
+
+const (
+	priNone     priorityRule = iota // always the min end (FIFO rows)
+	priAdaptive                     // delayed HBF/LBF transition per module (§4.3)
+	priInstant                      // HBF/LBF switch at μ = 1, no hysteresis
+	priHBF                          // pinned High Budget First from the first sync
+	priLBF                          // pinned Low Budget First
+)
+
+// row is one system's configuration. The no* fields name the downstream
+// terms Lsub leaves out; they and wait matter only to decideEndToEnd.
+type row struct {
+	queue    QueueKind
+	decide   decideKind
+	noQueue  bool          // Lsub leaves out downstream queueing ΣQ
+	noDur    bool          // Lsub leaves out downstream execution ΣD
+	wait     core.WaitMode // how Lsub takes downstream batch wait ΣW
+	priority priorityRule
+	dagor    bool // DAGOR admission at the source (PARD-oc)
+}
+
+// table holds every system of the evaluation, one row each.
+var table = map[string]row{
+	// No dropping.
+	"naive": {queue: KindFIFO, decide: decideNaive},
+	// Clipper++: the SLO split into fixed per-module budgets proportional
+	// to profiled durations; drops a request already over its cumulative
+	// budget before inference (§5.1 Baseline).
+	"clipper++": {queue: KindFIFO, decide: decideClipper},
+	// Nexus: reactive dropping, in arrival order, of requests that cannot
+	// finish the current module within the end-to-end SLO.
+	"nexus": {queue: KindFIFO, decide: decideCurrent},
+	// PARD: proactive end-to-end estimation with bi-directional runtime
+	// information, adaptive DEPQ priority with delayed transition.
+	"pard": {queue: KindDEPQ, decide: decideEndToEnd, priority: priAdaptive},
+	// Preceding and current modules only (Lsub = 0): Clockwork/Nexus/
+	// Scrooge-style estimation with PARD's priority mechanism.
+	"pard-back": {queue: KindDEPQ, decide: decideEndToEnd, noQueue: true, noDur: true, wait: core.WaitZero, priority: priAdaptive},
+	// Downstream execution only, no queueing or batch wait (DREAM-style).
+	"pard-sf": {queue: KindDEPQ, decide: decideEndToEnd, noQueue: true, wait: core.WaitZero, priority: priAdaptive},
+	// Downstream batch wait assumed zero (ΣW = 0).
+	"pard-lower": {queue: KindDEPQ, decide: decideEndToEnd, wait: core.WaitZero, priority: priAdaptive},
+	// Downstream batch wait assumed maximal (ΣW = Σd_i).
+	"pard-upper": {queue: KindDEPQ, decide: decideEndToEnd, wait: core.WaitUpper, priority: priAdaptive},
+	// PARD's decision precision against fixed per-module SLO splits.
+	"pard-split": {queue: KindDEPQ, decide: decideSplitCum, priority: priAdaptive},
+	// Budgets split in proportion to each module's recent worst-case latency.
+	"pard-wcl": {queue: KindDEPQ, decide: decideWCLCum, priority: priAdaptive},
+	// DAGOR's overload control: a module queueing longer than ocThreshold
+	// makes the source admit at rate 1−ocAlpha; decisions see the current
+	// module only.
+	"pard-oc": {queue: KindDEPQ, decide: decideCurrent, priority: priAdaptive, dagor: true},
+	// Closed-form Irwin-Hall/CLT batch-wait quantile in place of Monte Carlo
+	// (an extension beyond the paper: same λ, no sampling, blind to
+	// non-uniform wait shapes).
+	"pard-analytic": {queue: KindDEPQ, decide: decideEndToEnd, wait: core.WaitAnalytic, priority: priAdaptive},
+	// PARD's estimation, served in arrival order.
+	"pard-fcfs": {queue: KindFIFO, decide: decideEndToEnd},
+	// Priority pinned to High Budget First.
+	"pard-hbf": {queue: KindDEPQ, decide: decideEndToEnd, priority: priHBF},
+	// Priority pinned to Low Budget First (SHEPHERD-style).
+	"pard-lbf": {queue: KindDEPQ, decide: decideEndToEnd, priority: priLBF},
+	// HBF/LBF switched instantly at μ = 1 (no hysteresis).
+	"pard-instant": {queue: KindDEPQ, decide: decideEndToEnd, priority: priInstant},
+}
+
+// unified implements Policy for every row of table.
 type unified struct {
-	name   string
-	queue  QueueKind
-	decide decideKind
+	name string
+	row
 
 	spec *pipeline.Spec
 	est  *core.Estimator // nil unless decideEndToEnd
 	pcs  []*core.PriorityController
+	// pinned is the end a row without controllers pops: MinEnd, and for a
+	// pinned HBF row MaxEnd from its first sync on.
+	pinned End
 
 	// split budgets (clipper/split); recomputed in place each sync for WCL,
 	// from the clamped WCLs in wcl
@@ -187,9 +241,53 @@ type unified struct {
 	slo        time.Duration
 
 	// PARD-oc state
-	ocEnabled bool
-	ocShed    []bool // per module: shed arrivals due to pipeline overload
-	rng       *rand.Rand
+	ocShed []bool // per module: shed arrivals due to pipeline overload
+	rng    *rand.Rand
+}
+
+// New builds the named policy from its row of table.
+func New(name string, s Setup) (Policy, error) {
+	r, ok := table[name]
+	if !ok {
+		return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
+	}
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	p := &unified{
+		name: name,
+		row:  r,
+		spec: s.Spec,
+		slo:  s.Spec.SLO,
+		durs: append([]time.Duration(nil), s.Durs...),
+		rng:  s.Rng,
+	}
+	switch r.decide {
+	case decideClipper, decideSplitCum, decideWCLCum:
+		p.budgets = core.SplitBudgets(nil, s.Spec.SLO, s.Durs)
+		p.cumBudgets = core.CumulativeBudgets(nil, p.budgets)
+	case decideEndToEnd:
+		cfg := core.DefaultEstimatorConfig()
+		if s.Lambda > 0 {
+			cfg.Lambda = s.Lambda
+		}
+		cfg.IncludeQueue, cfg.IncludeDur, cfg.Wait = !r.noQueue, !r.noDur, r.wait
+		p.est = core.NewEstimator(s.Spec, cfg, s.Rng)
+	}
+	if r.priority == priAdaptive || r.priority == priInstant {
+		window := core.DefaultPriorityWindow
+		if s.PriorityWindow > 0 {
+			window = s.PriorityWindow
+		}
+		p.pcs = make([]*core.PriorityController, s.Spec.N())
+		for k := range p.pcs {
+			p.pcs[k] = core.NewPriorityController(window, r.priority == priInstant)
+		}
+	}
+	if r.dagor {
+		p.ocShed = make([]bool, s.Spec.N())
+	}
+	return p, nil
 }
 
 func (p *unified) Name() string     { return p.name }
@@ -197,7 +295,7 @@ func (p *unified) Queue() QueueKind { return p.queue }
 
 func (p *unified) PopEnd(module int) End {
 	if p.pcs == nil {
-		return MinEnd
+		return p.pinned
 	}
 	if p.pcs[module].Mode() == core.HBF {
 		return MaxEnd
@@ -206,7 +304,7 @@ func (p *unified) PopEnd(module int) End {
 }
 
 func (p *unified) Admit(module int, now time.Duration, r RequestInfo) bool {
-	if !p.ocEnabled || !p.ocShed[module] {
+	if !p.dagor || !p.ocShed[module] {
 		return true
 	}
 	// DAGOR overload control: admit at rate (1-α) while shedding.
@@ -254,7 +352,7 @@ func (p *unified) Reads() Reads {
 		r.QueueDelay = cfg.IncludeQueue
 		r.BatchWait = cfg.Wait == core.WaitQuantile
 	}
-	r.QueueDelay = r.QueueDelay || p.ocEnabled
+	r.QueueDelay = r.QueueDelay || p.dagor
 	r.WCL = p.decide == decideWCLCum
 	return r
 }
@@ -263,16 +361,17 @@ func (p *unified) OnSync(now time.Duration, board *core.Board) {
 	if p.est != nil {
 		p.est.Refresh(board)
 	}
-	if p.pcs != nil {
-		for k, pc := range p.pcs {
-			s := board.Get(k)
-			pc.Update(now, s.InputRate, s.Throughput)
-		}
+	for k, pc := range p.pcs {
+		s := board.Get(k)
+		pc.Update(now, s.InputRate, s.Throughput)
+	}
+	if p.priority == priHBF {
+		p.pinned = MaxEnd
 	}
 	if p.decide == decideWCLCum {
 		p.reallocWCL(board)
 	}
-	if p.ocEnabled {
+	if p.dagor {
 		p.refreshShed(board)
 	}
 }
@@ -338,250 +437,10 @@ func (p *unified) Priority(k int) *core.PriorityController {
 	return p.pcs[k]
 }
 
-// Estimator returns the shared latency estimator, or nil.
-func (p *unified) Estimator() *core.Estimator { return p.est }
-
-func newPriorityControllers(s Setup, cfg core.PriorityConfig) []*core.PriorityController {
-	pcs := make([]*core.PriorityController, s.Spec.N())
-	for k := range pcs {
-		pcs[k] = core.NewPriorityController(cfg)
-	}
-	return pcs
-}
-
-func base(name string, s Setup) *unified {
-	return &unified{
-		name: name,
-		spec: s.Spec,
-		slo:  s.Spec.SLO,
-		durs: append([]time.Duration(nil), s.Durs...),
-		rng:  s.Rng,
-	}
-}
-
-// NewNaive returns the no-dropping baseline.
-func NewNaive(s Setup) (Policy, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	p := base("naive", s)
-	p.queue = KindFIFO
-	p.decide = decideNaive
-	return p, nil
-}
-
-// NewClipper returns Clipper++: the end-to-end SLO is split into fixed
-// per-module budgets proportional to profiled durations, and a request is
-// dropped when it has already exceeded its cumulative budget before
-// inference (§5.1 Baseline).
-func NewClipper(s Setup) (Policy, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	p := base("clipper++", s)
-	p.queue = KindFIFO
-	p.decide = decideClipper
-	p.budgets = core.SplitBudgets(nil, s.Spec.SLO, s.Durs)
-	p.cumBudgets = core.CumulativeBudgets(nil, p.budgets)
-	return p, nil
-}
-
-// NewNexus returns the Nexus baseline: reactive dropping in arrival order of
-// requests that cannot finish the current module within the end-to-end SLO.
-func NewNexus(s Setup) (Policy, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	p := base("nexus", s)
-	p.queue = KindFIFO
-	p.decide = decideCurrent
-	return p, nil
-}
-
-// NewPARD returns the full system: proactive end-to-end estimation with
-// bi-directional runtime information plus adaptive DEPQ priority with
-// delayed transition.
-func NewPARD(s Setup) (Policy, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	p := base("pard", s)
-	p.queue = KindDEPQ
-	p.decide = decideEndToEnd
-	p.est = core.NewEstimator(s.Spec, s.estCfg(), s.Rng)
-	p.pcs = newPriorityControllers(s, s.priCfg())
-	return p, nil
-}
-
-// variant builds a PARD ablation sharing the DEPQ + adaptive priority but
-// with a modified estimator configuration.
-func variant(name string, s Setup, est core.EstimatorConfig) (Policy, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	p := base(name, s)
-	p.queue = KindDEPQ
-	p.decide = decideEndToEnd
-	p.est = core.NewEstimator(s.Spec, est, s.Rng)
-	p.pcs = newPriorityControllers(s, s.priCfg())
-	return p, nil
-}
-
-// NewPARDBack considers preceding and current modules only (Lsub = 0):
-// Clockwork/Nexus/Scrooge-style estimation with PARD's priority mechanism.
-func NewPARDBack(s Setup) (Policy, error) {
-	cfg := s.estCfg()
-	cfg.IncludeQueue, cfg.IncludeDur, cfg.Wait = false, false, core.WaitZero
-	return variant("pard-back", s, cfg)
-}
-
-// NewPARDSF accounts for downstream execution durations but ignores
-// downstream queueing and batch wait (DREAM-style).
-func NewPARDSF(s Setup) (Policy, error) {
-	cfg := s.estCfg()
-	cfg.IncludeQueue, cfg.IncludeDur, cfg.Wait = false, true, core.WaitZero
-	return variant("pard-sf", s, cfg)
-}
-
-// NewPARDLower assumes downstream batch wait is zero (ΣW = 0).
-func NewPARDLower(s Setup) (Policy, error) {
-	cfg := s.estCfg()
-	cfg.IncludeQueue, cfg.IncludeDur, cfg.Wait = true, true, core.WaitZero
-	return variant("pard-lower", s, cfg)
-}
-
-// NewPARDUpper assumes downstream batch wait is maximal (ΣW = Σd_i).
-func NewPARDUpper(s Setup) (Policy, error) {
-	cfg := s.estCfg()
-	cfg.IncludeQueue, cfg.IncludeDur, cfg.Wait = true, true, core.WaitUpper
-	return variant("pard-upper", s, cfg)
-}
-
-// NewPARDSplit keeps PARD's decision precision but compares against fixed
-// per-module SLO splits instead of the end-to-end objective.
-func NewPARDSplit(s Setup) (Policy, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	p := base("pard-split", s)
-	p.queue = KindDEPQ
-	p.decide = decideSplitCum
-	p.budgets = core.SplitBudgets(nil, s.Spec.SLO, s.Durs)
-	p.cumBudgets = core.CumulativeBudgets(nil, p.budgets)
-	p.pcs = newPriorityControllers(s, s.priCfg())
-	return p, nil
-}
-
-// NewPARDWCL splits the latency budget dynamically in proportion to each
-// module's recent worst-case latency.
-func NewPARDWCL(s Setup) (Policy, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	p := base("pard-wcl", s)
-	p.queue = KindDEPQ
-	p.decide = decideWCLCum
-	p.budgets = core.SplitBudgets(nil, s.Spec.SLO, s.Durs)
-	p.cumBudgets = core.CumulativeBudgets(nil, p.budgets)
-	p.pcs = newPriorityControllers(s, s.priCfg())
-	return p, nil
-}
-
-// NewPARDOC adopts DAGOR's queue-delay-based overload control: a module
-// whose average queueing delay exceeds ocThreshold makes the source admit
-// arrivals at rate 1−ocAlpha; per-request decisions consider only the
-// current module.
-func NewPARDOC(s Setup) (Policy, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	p := base("pard-oc", s)
-	p.queue = KindDEPQ
-	p.decide = decideCurrent
-	p.pcs = newPriorityControllers(s, s.priCfg())
-	p.ocEnabled = true
-	p.ocShed = make([]bool, s.Spec.N())
-	return p, nil
-}
-
-// NewPARDAnalytic replaces the Monte-Carlo batch-wait quantile with the
-// closed-form Irwin-Hall/CLT quantile (an extension beyond the paper: same
-// λ semantics, no sampling cost, but blind to non-uniform wait shapes).
-func NewPARDAnalytic(s Setup) (Policy, error) {
-	cfg := s.estCfg()
-	cfg.IncludeQueue, cfg.IncludeDur, cfg.Wait = true, true, core.WaitAnalytic
-	return variant("pard-analytic", s, cfg)
-}
-
-// NewPARDFCFS keeps PARD's estimation but serves in arrival order.
-func NewPARDFCFS(s Setup) (Policy, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	p := base("pard-fcfs", s)
-	p.queue = KindFIFO
-	p.decide = decideEndToEnd
-	p.est = core.NewEstimator(s.Spec, s.estCfg(), s.Rng)
-	return p, nil
-}
-
-// NewPARDHBF pins the priority to High Budget First.
-func NewPARDHBF(s Setup) (Policy, error) {
-	cfg := core.FixedMode(core.HBF)
-	s.PriCfg = &cfg
-	return variant("pard-hbf", s, s.estCfg())
-}
-
-// NewPARDLBF pins the priority to Low Budget First (SHEPHERD-style).
-func NewPARDLBF(s Setup) (Policy, error) {
-	cfg := core.FixedMode(core.LBF)
-	s.PriCfg = &cfg
-	return variant("pard-lbf", s, s.estCfg())
-}
-
-// NewPARDInstant switches HBF/LBF instantly at μ = 1 (no hysteresis).
-func NewPARDInstant(s Setup) (Policy, error) {
-	cfg := s.priCfg()
-	cfg.Instant = true
-	s.PriCfg = &cfg
-	return variant("pard-instant", s, s.estCfg())
-}
-
-// Factory builds a policy by name.
-type Factory func(Setup) (Policy, error)
-
-var registry = map[string]Factory{
-	"naive":         NewNaive,
-	"clipper++":     NewClipper,
-	"nexus":         NewNexus,
-	"pard":          NewPARD,
-	"pard-back":     NewPARDBack,
-	"pard-sf":       NewPARDSF,
-	"pard-oc":       NewPARDOC,
-	"pard-split":    NewPARDSplit,
-	"pard-wcl":      NewPARDWCL,
-	"pard-lower":    NewPARDLower,
-	"pard-upper":    NewPARDUpper,
-	"pard-instant":  NewPARDInstant,
-	"pard-hbf":      NewPARDHBF,
-	"pard-lbf":      NewPARDLBF,
-	"pard-fcfs":     NewPARDFCFS,
-	"pard-analytic": NewPARDAnalytic,
-}
-
-// New builds the named policy.
-func New(name string, s Setup) (Policy, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
-	}
-	return f(s)
-}
-
-// Names lists registered policies in sorted order.
+// Names lists the policies of table in sorted order.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
+	out := make([]string, 0, len(table))
+	for name := range table {
 		out = append(out, name)
 	}
 	sort.Strings(out)

@@ -21,7 +21,7 @@ func lvSetup() Setup {
 func TestRegistryComplete(t *testing.T) {
 	names := Names()
 	if len(names) != 16 {
-		t.Fatalf("registry has %d policies, want 16: %v", len(names), names)
+		t.Fatalf("table has %d policies, want 16: %v", len(names), names)
 	}
 	for _, name := range names {
 		p, err := New(name, lvSetup())
@@ -48,17 +48,17 @@ func TestComparisonAndAblationsRegistered(t *testing.T) {
 func TestSetupValidation(t *testing.T) {
 	s := lvSetup()
 	s.Spec = nil
-	if _, err := NewPARD(s); err == nil {
+	if _, err := New("pard", s); err == nil {
 		t.Fatal("nil spec accepted")
 	}
 	s = lvSetup()
 	s.Durs = s.Durs[:2]
-	if _, err := NewPARD(s); err == nil {
+	if _, err := New("pard", s); err == nil {
 		t.Fatal("short durs accepted")
 	}
 	s = lvSetup()
 	s.Rng = nil
-	if _, err := NewPARD(s); err == nil {
+	if _, err := New("pard", s); err == nil {
 		t.Fatal("nil rng accepted")
 	}
 }
@@ -229,21 +229,44 @@ func TestAdaptivePopEnd(t *testing.T) {
 }
 
 func TestFixedPriorityPolicies(t *testing.T) {
-	hbf := syncedPARD(t, "pard-hbf")
-	lbf := syncedPARD(t, "pard-lbf")
+	// A pinned HBF row pops the min end until its first sync and the max end
+	// from then on, whatever the load; a pinned LBF row always pops the min
+	// end.
+	fresh, err := New("pard-hbf", lvSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := 0; k < 5; k++ {
-		if hbf.PopEnd(k) != MaxEnd {
-			t.Fatal("pard-hbf should always pop max")
-		}
-		if lbf.PopEnd(k) != MinEnd {
-			t.Fatal("pard-lbf should always pop min")
+		if fresh.PopEnd(k) != MinEnd {
+			t.Fatal("pard-hbf popped max before its first sync")
 		}
 	}
+	hbf := syncedPARD(t, "pard-hbf")
+	lbf := syncedPARD(t, "pard-lbf")
+	check := func(load string) {
+		t.Helper()
+		for k := 0; k < 5; k++ {
+			if hbf.PopEnd(k) != MaxEnd {
+				t.Fatalf("pard-hbf popped min after a sync at %s", load)
+			}
+			if lbf.PopEnd(k) != MinEnd {
+				t.Fatalf("pard-lbf popped max after a sync at %s", load)
+			}
+		}
+	}
+	check("μ = 0.5")
+	overload := core.NewBoard(5)
+	for k := 0; k < 5; k++ {
+		overload.Publish(k, core.ModuleState{InputRate: 400, Throughput: 100})
+	}
+	hbf.OnSync(2*time.Second, overload)
+	lbf.OnSync(2*time.Second, overload)
+	check("μ = 4")
 }
 
 func TestPARDOCAdmission(t *testing.T) {
 	s := lvSetup()
-	p, err := NewPARDOC(s)
+	p, err := New("pard-oc", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +307,7 @@ func TestPARDOCAdmission(t *testing.T) {
 }
 
 func TestPARDWCLReallocates(t *testing.T) {
-	p, err := NewPARDWCL(lvSetup())
+	p, err := New("pard-wcl", lvSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +331,7 @@ func TestPARDWCLReallocates(t *testing.T) {
 		t.Fatalf("budgets sum to %v, want ≈500ms", got)
 	}
 	// No WCL data yet → keep previous budgets.
-	p2, _ := NewPARDWCL(lvSetup())
+	p2, _ := New("pard-wcl", lvSetup())
 	u2 := p2.(*unified)
 	before := append([]time.Duration(nil), u2.cumBudgets...)
 	p2.OnSync(time.Second, core.NewBoard(5))

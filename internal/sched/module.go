@@ -29,7 +29,8 @@ type module struct {
 
 	// execRng draws the execution jitter. It is the module's own stream: the
 	// lane engine advances modules lane by lane in any order within a window,
-	// so a stream shared between modules would be drawn in lane order.
+	// so a stream shared between modules would be drawn in lane order. Nil
+	// on a replica of a module another lane group owns.
 	execRng *rand.Rand
 
 	// workers point into the arrays addWorkers carves each pool from: an
@@ -96,16 +97,19 @@ func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, b
 		targetBatch: batch,
 		targetDur:   dur,
 		jitter:      c.jitter,
-		execRng:     rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "exec"))),
 		rateWin:     stats.NewRateWindow(queueWindow, inputRateSpan),
 		workers:     make([]*worker, 0, workers),
 	}
 	if c.reads.QueueDelay || c.cfg.Probes.QueueDelay {
 		m.qWin = stats.NewSlidingWindow(queueWindow)
 	}
-	// A replica of a module another lane group owns observes no waits.
-	if c.reads.BatchWait && c.owns(idx) {
-		m.waitRes = stats.NewRing(waitRing)
+	// A replica of a module another lane group owns runs no batch and
+	// observes no waits.
+	if c.owns(idx) {
+		m.execRng = rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "exec")))
+		if c.reads.BatchWait {
+			m.waitRes = stats.NewRing(waitRing)
+		}
 	}
 	if c.reads.WCL {
 		m.wclWin = stats.NewSlidingWindow(queueWindow)
@@ -424,12 +428,8 @@ func (m *module) probePriority(now time.Duration, board *core.Board) {
 	}
 	m.loadProbe.Add(now, mu)
 	mode := 0.0
-	if pr, ok := m.cl.pol.(interface {
-		Priority(int) *core.PriorityController
-	}); ok {
-		if pc := pr.Priority(m.idx); pc != nil && pc.Mode() == core.HBF {
-			mode = 1
-		}
+	if m.cl.pol.PopEnd(m.idx) == policy.MaxEnd {
+		mode = 1
 	}
 	m.modeProbe.Add(now, mode)
 }

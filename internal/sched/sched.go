@@ -92,8 +92,8 @@ type Cluster struct {
 	board   *core.Board
 
 	// pathRngs holds per-module deterministic streams for exclusive DAG
-	// branch choice (the execution jitter stream lives on the module
-	// itself).
+	// branch choice, nil for a module another lane group owns (the
+	// execution jitter stream lives on the module itself).
 	pathRngs []*rand.Rand
 	jitter   float64
 
@@ -212,9 +212,6 @@ func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 		coldStart:  coldStart,
 		maxWorkers: maxWorkers,
 	}
-	for k := 0; k < n; k++ {
-		c.pathRngs = append(c.pathRngs, rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path"))))
-	}
 	c.bridge = newLaneBridge(c, n)
 	if exec.tr != nil {
 		if cfg.Resolve == nil {
@@ -222,21 +219,19 @@ func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 		}
 		c.topo, c.tr, c.resolve = exec.topo, exec.tr, cfg.Resolve
 	}
+	c.pathRngs = make([]*rand.Rand, n)
+	for k := range c.pathRngs {
+		if c.owns(k) {
+			c.pathRngs[k] = rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path")))
+		}
+	}
 
-	estCfg := core.DefaultEstimatorConfig()
-	if cfg.Lambda > 0 {
-		estCfg.Lambda = cfg.Lambda
-	}
-	priCfg := core.DefaultPriorityConfig()
-	if cfg.PriorityWindow > 0 {
-		priCfg.Window = cfg.PriorityWindow
-	}
 	pol, err := policy.New(cfg.PolicyName, policy.Setup{
-		Spec:   cfg.Spec,
-		Durs:   durs,
-		Rng:    rand.New(rand.NewSource(cfg.Seed + 4)),
-		EstCfg: &estCfg,
-		PriCfg: &priCfg,
+		Spec:           cfg.Spec,
+		Durs:           durs,
+		Rng:            rand.New(rand.NewSource(cfg.Seed + 4)),
+		Lambda:         cfg.Lambda,
+		PriorityWindow: cfg.PriorityWindow,
 	})
 	if err != nil {
 		return nil, err
