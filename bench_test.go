@@ -273,8 +273,9 @@ func shardedDA(tb testing.TB) func() uint64 {
 // per-module lanes advanced one after another. Typed lane events need no
 // per-event allocation, and no lane keeps a deep heap — the source lane's
 // 70 k arrivals, all queued at t = 0, sit in a time-ordered array that is
-// read front to back, and each lane's heap holds only its in-flight batch
-// ends and the posts of the current window (tens of entries).
+// read front to back, each module's posts sit in another, and each lane's
+// heap holds only its in-flight batch ends and the posts that arrive out of
+// time order (tens of entries).
 func BenchmarkShardedDASequential(b *testing.B) {
 	op := shardedDA(b)
 	b.ResetTimer()
@@ -755,7 +756,7 @@ func withoutGC(op func() uint64) func() uint64 {
 // measured when it was set plus a slack at least as wide as the spread seen
 // over 20 runs and under -race, and at most 5 % — except the loopback run,
 // whose -race readings (sync.Pool drops items under the race detector) sit
-// up to 10 % above its plain ones, and HTTPInfer, which is skipped under
+// up to 11 % above its plain ones, and HTTPInfer, which is skipped under
 // -race (its pooled per-request state is rebuilt whenever the pool drops
 // it, ≈ 10 % more allocations). RAGRun and ServerSubmit are counted with the
 // collector paused (withoutGC), so their counts are their own and have no
@@ -784,11 +785,11 @@ func TestAllocsWholeOps(t *testing.T) {
 		events        uint64 // simulated events per op, exact (0: not a simulation)
 		run           func(tb testing.TB, m measure)
 	}{
-		{"ShardedDASequential", 320, 20_170_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb)) }},
-		{"LaneGroupBarrier/mem", 670, 2_140_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
-		{"LaneGroupBarrier/loopback", 840, 1_410_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
-		{"SweepGrid", 1087, 5_890_000, 113301, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
-		{"LongChain", 3_801, 10_120_000, 305303, func(tb testing.TB, m measure) { m(longChain(tb)) }},
+		{"ShardedDASequential", 223, 18_400_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb)) }},
+		{"LaneGroupBarrier/mem", 612, 2_130_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
+		{"LaneGroupBarrier/loopback", 780, 1_400_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
+		{"SweepGrid", 955, 5_480_000, 113301, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"LongChain", 3_055, 9_875_000, 305303, func(tb testing.TB, m measure) { m(longChain(tb)) }},
 		{"ServerSubmit", 0, 0, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
 			m(withoutGC(func() uint64 { submit(1); return 0 }))
@@ -799,7 +800,7 @@ func TestAllocsWholeOps(t *testing.T) {
 			}
 			m(httpInfer(tb))
 		}},
-		{"RAGRun", 66, 2_660_000, 0, func(tb testing.TB, m measure) { m(withoutGC(ragRun(tb))) }},
+		{"RAGRun", 66, 2_470_000, 0, func(tb testing.TB, m measure) { m(withoutGC(ragRun(tb))) }},
 		{"ModulePublish", 0, 0, 0, func(tb testing.TB, m measure) {
 			modulePublish(tb, func(tick func()) { m(func() uint64 { tick(); return 0 }) })
 		}},

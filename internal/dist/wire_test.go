@@ -146,7 +146,7 @@ func TestWireRoundTrip(t *testing.T) {
 // sequence tiebreak: posts sharing (At, Src) carry no explicit sequence
 // number — their send order IS the order of the Posts slice — so the codec
 // must preserve slice order exactly, in every slice of the barrier message
-// (sched's TestSortPostsKeepSendOrder pins the stable sort that follows).
+// (sched's TestKeyedPostsKeepSendOrder pins the keyed push that follows).
 func TestWirePostRoundTripKeepsSendOrder(t *testing.T) {
 	roundTrip(t, &barrierWire, 12, []sched.BarrierMsg{{}, {
 		Group: 1,

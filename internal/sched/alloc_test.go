@@ -13,8 +13,8 @@ import (
 )
 
 // These tests pin the allocation floors the engine-flip refactor bought:
-// typed laneEvents travel by value through lane queues, outboxes, and the
-// barrier mailbox, and the intent bridge recycles its merge scratch and
+// typed laneEvents travel by value through lane queues and their window
+// bands, and the intent bridge recycles its merge scratch and
 // retired maps — so the steady-state hot path allocates nothing per event.
 // A regression that reintroduces a per-event closure, a per-barrier sort
 // copy, or a per-window map shows up here as a nonzero floor.
@@ -52,7 +52,7 @@ func TestAllocsEventDispatch(t *testing.T) {
 // under it keeps its storage — so steady-state push/pop allocates nothing.
 func TestAllocsLaneQueue(t *testing.T) {
 	var q laneQueue
-	ev := laneEvent{op: opWarmup}
+	ev := laneEvent{req: &Request{}}
 	at := time.Duration(0)
 	round := func() {
 		// 64 ascending arrivals into the run, the first 32 pops each leaving
@@ -108,7 +108,7 @@ func TestAllocsLaneQueue(t *testing.T) {
 func TestAllocsLaneReservation(t *testing.T) {
 	const n = 4096
 	x := NewLaneExecutor(2, time.Millisecond)
-	ev := laneEvent{op: opWarmup}
+	ev := laneEvent{req: &Request{}}
 	x.Reserve(1, n)
 	was := cap(x.lanes[1].q.run)
 	at := time.Duration(0)
@@ -127,7 +127,7 @@ func TestAllocsLaneReservation(t *testing.T) {
 
 // TestAllocsScheduleEventLanePath: a lane-context schedule on the lane engine
 // allocates nothing per event: the event goes by value from the caller's
-// frame into the source lane's outbox. This floor catches anything on the way
+// frame into the destination lane's window band. This floor catches anything on the way
 // (an interface conversion of the event, a closure over it) that would make
 // the by-value parameter escape.
 func TestAllocsScheduleEventLanePath(t *testing.T) {
@@ -140,13 +140,13 @@ func TestAllocsScheduleEventLanePath(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		cl.exec.scheduleLaneEvent(0, 1, time.Duration(i), ev)
 	}
-	x.flushOutboxes()
+	x.closeBands()
 	x.lanes[1].run(0, 1<<62)
 
 	at := time.Duration(1 << 20)
 	avg := testing.AllocsPerRun(200, func() {
 		cl.exec.scheduleLaneEvent(0, 1, at, ev)
-		x.flushOutboxes()
+		x.closeBands()
 		x.lanes[1].run(at, at+1)
 		at++
 	})
@@ -161,7 +161,7 @@ func TestAllocsScheduleEventLanePath(t *testing.T) {
 // TestAllocsScheduleEventGlobalQueue: the same call from host context on the
 // manual clock, stepped by RunUntil — the live data plane's path — allocates
 // nothing either. The core's typed events (an arrival or hop, a batch end)
-// sit in the lane by value and fire through laneEvent.fire, with no closure
+// sit in the lane by value and fire through laneState.run, with no closure
 // and no carrier per event, and a step costs nothing of its own. The module
 // is a merge point still waiting for branches and the worker is dead, so
 // firing goes no further than the dispatch.
@@ -170,9 +170,10 @@ func TestAllocsScheduleEventGlobalQueue(t *testing.T) {
 	man.addLanes(1, 0)
 	cl := &Cluster{exec: man}
 	m := &module{cl: cl, spec: pipeline.Module{Pres: []int{0, 1}}}
+	man.lanes[0].m = m
 	req := &Request{ExpectedMerge: 1 << 30}
-	receive := laneEvent{op: opReceive, m: m, req: req}
-	batchEnd := laneEvent{op: opBatchEnd, w: &worker{dead: true}}
+	receive := laneEvent{req: req}
+	batchEnd := laneEvent{h: (*batchEndEvent)(&worker{dead: true})}
 
 	at := time.Duration(0)
 	round := func() {
@@ -192,26 +193,27 @@ func TestAllocsScheduleEventGlobalQueue(t *testing.T) {
 	}
 }
 
-// TestAllocsMailboxCommit: a full cross-lane round trip — outbox post,
-// barrier mailbox merge, destination dispatch — plus a laneBridge intent
-// commit, all at zero allocations per event in steady state.
+// TestAllocsMailboxCommit: a full cross-lane round trip — a post into the
+// destination's window band, the band closed at the barrier, destination
+// dispatch — plus a laneBridge intent commit, all at zero allocations per
+// event in steady state.
 func TestAllocsMailboxCommit(t *testing.T) {
 	x := NewLaneExecutor(2, time.Millisecond)
-	x.running = true // cross-lane sends take the outbox path only while running
+	x.running = true // cross-lane sends are posts only while running
 	fired := 0
 	ev := fnEvent(func(now time.Duration) { fired++ })
 
-	// Warm outbox, mailbox, and destination queue storage.
+	// Warm the destination queue's storage.
 	for i := 0; i < 64; i++ {
 		x.scheduleLaneEvent(0, 1, time.Duration(i), ev)
 	}
-	x.flushOutboxes()
+	x.closeBands()
 	x.lanes[1].run(0, 1<<62)
 
 	at := time.Duration(1 << 20)
 	avg := testing.AllocsPerRun(200, func() {
 		x.scheduleLaneEvent(0, 1, at, ev)
-		x.flushOutboxes()
+		x.closeBands()
 		x.lanes[1].run(at, at+1)
 		at++
 	})

@@ -205,7 +205,7 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 		events++
 		for _, m := range cl.modules {
 			if err := checkTree(m); err != nil {
-				t.Fatalf("event %d (op %d at %v): module %d: %v", events, ev.op, at, m.idx, err)
+				t.Fatalf("event %d (%T at %v): module %d: %v", events, ev.h, at, m.idx, err)
 			}
 			for _, w := range m.workers {
 				switch {
@@ -220,7 +220,7 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 				}
 			}
 			if got, want := m.leastLoaded(), scanLeastLoaded(m); got != want {
-				t.Fatalf("event %d (op %d at %v): module %d dispatches to worker %d, the pointer scan to %d", events, ev.op, at, m.idx, got, want)
+				t.Fatalf("event %d (%T at %v): module %d dispatches to worker %d, the pointer scan to %d", events, ev.h, at, m.idx, got, want)
 			}
 		}
 	}
@@ -244,7 +244,7 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 				ev := man.ctrl.q.pop()
 				man.ctrl.now = tCtrl
 				man.ctrl.fired++
-				ev.fire(tCtrl)
+				ev.h.Fire(tCtrl)
 				barrier()
 				check(&ev, tCtrl)
 			}
@@ -257,16 +257,22 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 		}
 		hi = max(hi, tLane)
 		for _, l := range man.lanes {
-			for at, ok := l.q.peek(); ok && (at < hi || at == tLane); at, ok = l.q.peek() {
-				ev := l.q.pop()
-				l.now = max(l.now, at)
+			for {
+				it, inHeap := l.q.front()
+				if it == nil || (it.at >= hi && it.at != tLane) || l.q.posted(it) {
+					break
+				}
+				ev := it.ev
+				l.now = max(l.now, it.at)
+				l.q.take(inHeap)
 				l.fired++
-				ev.fire(l.now)
+				if ev.h != nil {
+					ev.h.Fire(l.now)
+				} else {
+					l.m.receive(ev.req, l.now)
+				}
 				check(&ev, l.now)
 			}
-		}
-		if man.posted {
-			man.flushOutboxes()
 		}
 		barrier()
 		man.frontier = max(man.frontier, hi)

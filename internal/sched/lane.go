@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 )
 
@@ -15,16 +14,18 @@ import (
 // through lookahead windows under a low-watermark barrier; the windows are
 // the contract for when a module's effects become visible to the others:
 //
-//   - Within a lane, events fire in (timestamp, insertion-order) order.
+//   - Within a lane, events fire in (timestamp, insertion-order) order; a
+//     post counts as inserted at the barrier after the window it was made in.
 //   - Lanes advance together through windows [low, high): low is the minimum
 //     pending lane timestamp across all lanes (the low watermark), high is
 //     low + lookahead, clamped to the next control event. Cross-lane
 //     messages travel at least one network hop (lookahead = the per-hop
 //     delay), so nothing produced inside a window can be consumed inside it:
 //     the order in which a window's lanes run is unobservable.
-//   - Cross-lane events (batch hand-off, DAG fan-out/merge hops) are posted
-//     to per-lane outboxes and merged at the window barrier into their
-//     destination lanes in (virtual time, source module, sequence) order.
+//   - Cross-lane events (batch hand-off, DAG fan-out/merge hops) go straight
+//     into their destination lanes, keyed in mailbox order: after everything
+//     the destination queued before the barrier, in (virtual time, source
+//     module, send order) among themselves (lanequeue.go).
 //   - A termination decided inside a window is seen at once by the module
 //     that decided it and by every other module from the barrier on, when
 //     it commits (mailbox.go).
@@ -33,7 +34,8 @@ import (
 //     equal timestamps.
 //
 // With a zero lookahead the window degenerates to a single timestamp and
-// same-time cross-lane messages are exchanged through fixpoint sub-rounds.
+// same-time cross-lane messages are exchanged through fixpoint sub-rounds: a
+// lane does not fire a post of the window it is running.
 //
 // One step is a control round or a window, and the steps run in that order
 // on each of three clocks: virtual (NewLaneExecutor, Run), manual
@@ -46,7 +48,7 @@ import (
 //
 // With a multi-group Topology (NewLaneExecutorTopo), the executor is one
 // lane group of a replicated cluster: it executes only the lanes it owns,
-// exchanges its cross-group mailbox posts — and, riding on the same message,
+// exchanges its cross-group posts — and, riding on the same message,
 // its lane heads — through the Transport at every barrier, derives the next
 // global low watermark from the gathered replies, and verifies control-lane
 // lockstep against its peers — see transport.go for the distribution model.
@@ -65,8 +67,6 @@ type LaneExecutor struct {
 	running       bool
 
 	barrierFn func() error
-	sending   []*laneState // barrier-scope scratch: the lanes with posts to merge
-	posted    bool         // some lane posted to its outbox since the last merge
 
 	wall *wallClock // the wall clock's drainer state; nil on a stepped clock
 
@@ -76,7 +76,6 @@ type LaneExecutor struct {
 	err       error      // first transport/lockstep error; aborts the run
 	wireOut   []WirePost // this window's cross-group posts (handed off per barrier)
 	wireSpare []WirePost // the previous barrier's posts, possibly still read by peers
-	staged    []post     // this barrier's local + decoded remote posts
 
 	// The next global low watermark, as derived from the last barrier
 	// exchange (see noteBarrier) and from the control-context schedules made
@@ -92,74 +91,48 @@ type LaneExecutor struct {
 // barrier differs from it. Only tests set it (export_test.go).
 var verifyWatermark bool
 
-// laneEvent is one scheduled event inside a lane. The hot-path kinds —
-// request arrivals and hops, batch completions, worker warmups — are
-// encoded as typed ops dispatched by fire, so scheduling one moves a plain
-// value through the lane queues and mailboxes with no per-event closure
-// allocation. Host and control events carry a Handler: a host's own typed
-// event (the RAG case study's stage completions), or a plain callback (sync
-// ticks, failures) wrapped by fnEvent. The event carries no label — a Schedule
-// call's name stays at the call site — so a queued item is 64 bytes.
+// laneEvent is one scheduled event inside a lane: a receive — an arrival or
+// a hop of req into the lane's module — when h is nil, h.Fire otherwise. The
+// core's other kinds are Handlers over the *worker (batchEndEvent,
+// warmupEvent) and a host's its own typed events or a callback wrapped by
+// fnEvent, so scheduling one moves a plain value through the lane queues with
+// no per-event allocation. The event carries no label — a Schedule call's
+// name stays at the call site — so a queued item is 40 bytes.
 type laneEvent struct {
-	h   Handler // opHandler only
-	op  laneOp
-	m   *module  // opReceive destination
-	w   *worker  // opBatchEnd / opWarmup worker
-	req *Request // opReceive payload
+	h   Handler
+	req *Request
 }
 
-// laneOp tags a laneEvent's dispatch kind.
-type laneOp uint8
-
-const (
-	opHandler  laneOp = iota // h.Fire(now)
-	opReceive                // m.receive(req, now): arrivals and cross-module hops
-	opBatchEnd               // w.batchEnd(now)
-	opWarmup                 // w.pump(now): cold-start wakeup
-)
-
-// fire dispatches the event at virtual time now.
-func (ev *laneEvent) fire(now time.Duration) {
-	switch ev.op {
-	case opReceive:
-		ev.m.receive(ev.req, now)
-	case opBatchEnd:
-		ev.w.batchEnd(now)
-	case opWarmup:
-		ev.w.pump(now)
-	default:
-		ev.h.Fire(now)
-	}
-}
-
-// laneState is one event lane: a min-ordered queue (keyed by timestamp,
-// FIFO-tied by insertion) plus the lane-local clock and this window's outbox.
+// laneState is one event lane: a queue ordered by (timestamp, key) — see
+// laneQueue — plus the lane-local clock and the module its receives go to.
 type laneState struct {
 	q     laneQueue
 	now   time.Duration
 	fired uint64
-
-	// outbox collects cross-lane sends made while this lane executes; sent
-	// counts those the barrier's merge has taken (see flushOutboxes).
-	outbox []post
-	sent   int
+	m     *module
 }
 
 // run fires every pending event with timestamp < hi — or == lo, which
 // guarantees progress when the lookahead is zero — including events the
-// callbacks push onto this same lane.
+// callbacks push onto this same lane, and stops at a post of the running
+// window: that fires in a later one.
 func (l *laneState) run(lo, hi time.Duration) {
 	for {
-		at, ok := l.q.peek()
-		if !ok || (at >= hi && at != lo) {
+		it, inHeap := l.q.front()
+		if it == nil || (it.at >= hi && it.at != lo) || l.q.posted(it) {
 			return
 		}
-		ev := l.q.pop()
+		at, ev := it.at, it.ev
+		l.q.take(inHeap)
 		if at > l.now {
 			l.now = at
 		}
 		l.fired++
-		ev.fire(l.now)
+		if ev.h != nil {
+			ev.h.Fire(l.now)
+		} else {
+			l.m.receive(ev.req, l.now)
+		}
 	}
 }
 
@@ -179,7 +152,6 @@ func NewLaneExecutor(lanes int, lookahead time.Duration) *LaneExecutor {
 // addLanes gives the executor its module lanes.
 func (x *LaneExecutor) addLanes(n int, lookahead time.Duration) {
 	x.lookahead = max(lookahead, 0)
-	x.sending = make([]*laneState, 0, n)
 	states := make([]laneState, n)
 	x.lanes = make([]*laneState, n)
 	for i := range states {
@@ -206,11 +178,13 @@ func NewLaneExecutorTopo(lanes int, lookahead time.Duration, topo Topology, tr T
 	return x, nil
 }
 
-// attach binds a cluster of n modules, hop apart, to the executor: an
-// executor built without lanes (the manual and the wall clock) gets one per
-// module with the hop as its lookahead, and barrier becomes the hook the
-// executor runs after every window and every control event.
-func (x *LaneExecutor) attach(n int, hop time.Duration, barrier func() error) error {
+// attach binds a cluster's modules, hop apart, to the executor: an executor
+// built without lanes (the manual and the wall clock) gets one per module with
+// the hop as its lookahead, every module lane is sized from its pool, and
+// barrier becomes the hook the executor runs after every window and every
+// control event.
+func (x *LaneExecutor) attach(mods []*module, hop time.Duration, barrier func() error) error {
+	n := len(mods)
 	switch {
 	case x.barrierFn != nil:
 		return fmt.Errorf("sched: the executor already runs a cluster")
@@ -220,14 +194,30 @@ func (x *LaneExecutor) attach(n int, hop time.Duration, barrier func() error) er
 		return fmt.Errorf("sched: the wall clock runs windows of one instant, not a %v hop", hop)
 	case len(x.lanes) == 0:
 		x.addLanes(n, hop)
-		// A host's queues live as long as it does: room up front.
-		for _, l := range x.lanes {
-			l.q.reserve(32)
-			l.outbox = make([]post, 0, 32)
-		}
-		x.ctrl.q.reserve(32)
+		x.ctrl.q.reserve(32) // a host's queues live as long as it does: room up front
 	case len(x.lanes) != n:
 		return fmt.Errorf("sched: executor has %d lanes for %d modules", len(x.lanes), n)
+	}
+	// Every module lane's heap and run are carved from one array each: a
+	// heap holds at most a batch end per worker and a warm-up per cold one,
+	// a run the posts of a batch from each, and both some stragglers.
+	room := func(m *module) (heap, run int) {
+		w := len(m.workers)
+		return 2*w + 16, w*m.targetBatch + 16
+	}
+	var hn, rn int
+	for _, m := range mods {
+		h, r := room(m)
+		hn, rn = hn+h, rn+r
+	}
+	hs, rs := make([]laneItem, hn), make([]laneItem, rn)
+	for i, l := range x.lanes {
+		h, r := room(mods[i])
+		l.m, l.q.heap, hs = mods[i], hs[:0:h], hs[h:]
+		if cap(l.q.run) == 0 { // a host may have reserved it already
+			l.q.run = rs[:0:r]
+		}
+		rs = rs[r:]
 	}
 	x.barrierFn = barrier
 	return nil
@@ -325,9 +315,10 @@ func (x *LaneExecutor) Reserve(dst, n int) {
 // absolute time at. src identifies the calling context: the executing lane,
 // or -1 for host/control/barrier context (every lane parked). Host and
 // control-context schedules insert directly — on the wall clock through the
-// drainer's inbox; cross-lane schedules from a running lane are posted to the
-// source lane's outbox and delivered at the window barrier in mailbox order.
-// The event travels by value the whole way, so the steady-state hot path
+// drainer's inbox; a running lane's schedule on itself goes to its heap, and
+// one on another lane is a post, in the destination's window band — or, when
+// another group owns the destination, encoded for the barrier exchange. The
+// event travels by value the whole way, so the steady-state hot path
 // allocates nothing.
 func (x *LaneExecutor) scheduleLaneEvent(src, dst int, at time.Duration, ev laneEvent) {
 	if src < 0 && x.wall != nil {
@@ -342,12 +333,19 @@ func (x *LaneExecutor) scheduleLaneEvent(src, dst int, at time.Duration, ev lane
 	if at < from.now {
 		at = from.now
 	}
-	if src == dst {
+	switch {
+	case src == dst:
 		from.q.pushHeap(at, ev) // a batch end or warm-up, far ahead of the posts to come: see laneQueue
-		return
+	case x.tr == nil || x.topo.owns(dst):
+		x.lanes[dst].q.post(at, src, ev)
+	default:
+		wp, err := encodeWirePost(src, dst, at, ev)
+		if err != nil {
+			x.fail(err)
+			return
+		}
+		x.wireOut = append(x.wireOut, wp)
 	}
-	from.outbox = append(from.outbox, post{src: src, dst: dst, at: at, ev: ev})
-	x.posted = true
 }
 
 // insert queues a host- or control-context event on lane dst (-1: the
@@ -385,34 +383,23 @@ func (x *LaneExecutor) takeWirePosts() []WirePost {
 	return out
 }
 
-// stagePost adds one post (local, or decoded from a peer group) to the
-// barrier's pending delivery set.
-func (x *LaneExecutor) stagePost(p post) { x.staged = append(x.staged, p) }
-
-// deliverStaged pushes the staged posts into their destination lanes in
-// mailbox order. Equal (time, source) runs never span groups — a source
-// lane lives in exactly one group — so the stable sort reproduces the exact
-// single-process delivery order regardless of group count.
-func (x *LaneExecutor) deliverStaged() {
-	if len(x.staged) == 0 {
-		return
+// closeBands ends every lane's window band (see laneQueue.close). The
+// barrier hook does, once an exchange has brought the peers' posts in and
+// before anything it commits can schedule; step does when there is no hook.
+func (x *LaneExecutor) closeBands() {
+	for _, l := range x.lanes {
+		l.q.close()
 	}
-	sortPosts(x.staged)
-	for i := range x.staged {
-		p := &x.staged[i]
-		x.lanes[p.dst].q.push(p.at, p.ev)
-	}
-	x.staged = x.staged[:0]
 }
 
-// encodeWirePost converts one cross-group post to its wire shape. Only the
-// typed receive op may cross the boundary; a closure reaching the wire is a
+// encodeWirePost converts one cross-group post to its wire shape. Only a
+// receive may cross the boundary; a Handler reaching the wire is a
 // programming error and aborts the run loudly.
-func encodeWirePost(p *post) (WirePost, error) {
-	if p.ev.op != opReceive || p.ev.h != nil || p.ev.req == nil {
-		return WirePost{}, fmt.Errorf("sched: a lane %d → %d event at %v (op %d) cannot cross lane groups: only typed receive events are wire-shaped", p.src, p.dst, p.at, p.ev.op)
+func encodeWirePost(src, dst int, at time.Duration, ev laneEvent) (WirePost, error) {
+	if ev.h != nil || ev.req == nil {
+		return WirePost{}, fmt.Errorf("sched: a lane %d → %d event at %v (%T) cannot cross lane groups: only receives are wire-shaped", src, dst, at, ev.h)
 	}
-	return WirePost{At: p.at, Src: int32(p.src), Dst: int32(p.dst), Req: p.ev.req.ID}, nil
+	return WirePost{At: at, Src: int32(src), Dst: int32(dst), Req: ev.req.ID}, nil
 }
 
 // minLane returns the low watermark: the earliest pending lane timestamp.
@@ -433,16 +420,17 @@ func (x *LaneExecutor) minLane() (time.Duration, bool) {
 // next event reads them.
 func (x *LaneExecutor) runControl(t time.Duration) {
 	for {
-		at, ok := x.ctrl.q.peek()
-		if !ok || at != t {
+		it, inHeap := x.ctrl.q.front()
+		if it == nil || it.at != t {
 			return
 		}
-		ev := x.ctrl.q.pop()
+		ev := it.ev
+		x.ctrl.q.take(inHeap)
 		if t > x.ctrl.now {
 			x.ctrl.now = t
 		}
 		x.ctrl.fired++
-		ev.fire(t)
+		ev.h.Fire(t)
 		if x.barrierFn != nil {
 			if err := x.barrierFn(); err != nil {
 				x.fail(err)
@@ -464,82 +452,6 @@ func (x *LaneExecutor) runWindow(lo, hi time.Duration) {
 			l.run(lo, hi)
 		}
 	}
-}
-
-// flushOutboxes delivers every lane's outbox into the destination lanes in
-// mailbox order: (virtual time, source module, send sequence). Insertion
-// order assigns the destination-lane FIFO tiebreak, so delivery — and
-// everything downstream of it — is deterministic. A lane's clock is monotone
-// and the hop delay constant, so each outbox is already in time order (one a
-// host closure posted to out of order is stably sorted first) and mailbox
-// order is a merge: the earliest head wins, the lowest source lane among
-// equals.
-func (x *LaneExecutor) flushOutboxes() {
-	from := x.sending[:0]
-	for _, l := range x.lanes {
-		if len(l.outbox) == 0 {
-			continue
-		}
-		for i := 1; i < len(l.outbox); i++ {
-			if l.outbox[i].at < l.outbox[i-1].at {
-				sortPosts(l.outbox) // one source lane: by time, send order kept
-				break
-			}
-		}
-		from = append(from, l)
-	}
-	x.sending = from[:0]
-	for len(from) > 0 && x.err == nil {
-		first := 0
-		for i := 1; i < len(from); i++ {
-			// from is in lane order, so only strictly earlier beats a lower lane.
-			if from[i].outbox[from[i].sent].at < from[first].outbox[from[first].sent].at {
-				first = i
-			}
-		}
-		l := from[first]
-		x.deliver(&l.outbox[l.sent])
-		if l.sent++; l.sent == len(l.outbox) {
-			from = slices.Delete(from, first, first+1)
-		}
-	}
-	for _, l := range x.lanes {
-		l.outbox, l.sent = l.outbox[:0], 0
-	}
-	x.posted = false
-}
-
-// deliver routes one merged post: into its destination lane, or — multi-group
-// — staged until the barrier exchange has brought the peers' posts, or, when
-// another group owns the destination, encoded for that exchange.
-func (x *LaneExecutor) deliver(p *post) {
-	switch {
-	case x.tr == nil:
-		x.lanes[p.dst].q.push(p.at, p.ev)
-	case x.topo.owns(p.dst):
-		x.staged = append(x.staged, *p)
-	default:
-		wp, err := encodeWirePost(p)
-		if err != nil {
-			x.fail(err)
-			return
-		}
-		x.wireOut = append(x.wireOut, wp)
-	}
-}
-
-// heads returns what this group reports in a BarrierMsg: the replicated
-// control lane's head and the earliest event this group will hold once the
-// barrier's locally staged posts are delivered.
-func (x *LaneExecutor) heads() (ctrlAt time.Duration, ctrlOK bool, laneAt time.Duration, laneOK bool) {
-	ctrlAt, ctrlOK = x.ctrl.q.peek()
-	laneAt, laneOK = x.minLane()
-	for i := range x.staged {
-		if at := x.staged[i].at; !laneOK || at < laneAt {
-			laneAt, laneOK = at, true
-		}
-	}
-	return
 }
 
 // noteBarrier derives the next global low watermark from one all-gathered
@@ -650,8 +562,8 @@ func stepAt(tCtrl time.Duration, okC bool, tLane time.Duration, okL bool) time.D
 
 // step runs one step: the control round at tCtrl — control precedes lane
 // events at equal timestamps — or the window from the low watermark tLane,
-// whose barrier merges the outboxes and runs the barrier hook. At least one
-// of okC and okL holds.
+// whose barrier runs the barrier hook, which closes the window's post bands.
+// At least one of okC and okL holds.
 func (x *LaneExecutor) step(tCtrl time.Duration, okC bool, tLane time.Duration, okL bool) {
 	if okC && (!okL || tCtrl <= tLane) {
 		x.frontier, x.now = tCtrl, max(x.now, tCtrl)
@@ -667,10 +579,10 @@ func (x *LaneExecutor) step(tCtrl time.Duration, okC bool, tLane time.Duration, 
 		hi = tLane // zero lookahead: the window is the watermark itself
 	}
 	x.runWindow(tLane, hi)
-	if x.posted {
-		x.flushOutboxes()
-	}
-	if x.barrierFn != nil && x.err == nil {
+	switch {
+	case x.barrierFn == nil:
+		x.closeBands()
+	case x.err == nil:
 		if err := x.barrierFn(); err != nil {
 			x.fail(err)
 		}

@@ -11,10 +11,13 @@ import (
 // engine. Two kinds of cross-module traffic flow through them:
 //
 //   - posts: events one lane schedules on another (batch hand-off, DAG
-//     fan-out and merge hops). They are buffered in the sending lane's
-//     outbox and delivered at the window barrier in (virtual time, source
-//     module, send sequence) order — a merge of the outboxes, each already
-//     in time order (LaneExecutor.flushOutboxes).
+//     fan-out and merge hops). Each goes straight into its destination lane
+//     in mailbox order: after everything the destination queued before the
+//     window's barrier, its own events of that window included, and before
+//     anything queued after it; among the window's posts at one instant, in
+//     (source module, send sequence) order. The key that says so is the
+//     lane queue's (lanequeue.go); a peer group's posts take the same keyed
+//     push at the barrier.
 //   - intents: request terminations (drops and completions) decided inside a
 //     window. They are buffered per lane and committed at the barrier sorted
 //     by (virtual time, module, decision sequence), so the globally visible
@@ -27,29 +30,6 @@ import (
 // the executor runs the cluster's barrier hook after every window and after
 // every control event, and the hook commits one merge of this replica's own
 // intents with the peers' wire intents (none on a single group).
-
-// post is one cross-lane event in flight.
-type post struct {
-	src, dst int
-	at       time.Duration
-	ev       laneEvent
-}
-
-// sortPosts puts a multi-group barrier's staged posts — this group's own,
-// already merged, followed by each peer's as decoded — into mailbox order,
-// (virtual time, source module). Equal keys come from one source lane and so
-// from one group, in send order, which the stable sort keeps: the full key is
-// (time, module, sequence). slices.SortStableFunc is in-place and
-// reflection-free, so the barrier allocates nothing in steady state. The
-// single-group barrier merges (flushOutboxes) and sorts only a stray outbox.
-func sortPosts(posts []post) {
-	slices.SortStableFunc(posts, func(a, b post) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return cmp.Compare(a.src, b.src)
-	})
-}
 
 // intent is one deferred request termination, decided by module mod. The
 // module index sits in the padding after drop: an intent is 24 bytes.

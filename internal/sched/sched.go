@@ -247,7 +247,7 @@ func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 		m := newModule(c, k, cfg.Spec.Modules[k], model, batches[k], durs[k], cfg.Workers[k])
 		c.modules = append(c.modules, m)
 	}
-	if err := exec.attach(n, cfg.NetDelay, c.barrier); err != nil {
+	if err := exec.attach(c.modules, cfg.NetDelay, c.barrier); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -335,8 +335,7 @@ func (c *Cluster) Reserve(arrivals []time.Duration) {
 // Deadline, DropModule).
 func (c *Cluster) Inject(req *Request, sendAt time.Duration) {
 	src := c.modules[c.cfg.Spec.Source()]
-	c.exec.scheduleLaneEvent(-1, src.idx, sendAt+c.cfg.NetDelay,
-		laneEvent{op: opReceive, m: src, req: req})
+	c.exec.scheduleLaneEvent(-1, src.idx, sendAt+c.cfg.NetDelay, laneEvent{req: req})
 }
 
 // control brackets a serial control-context callback (sync, scaling,
@@ -375,15 +374,15 @@ func (c *Cluster) ControlFlush() {
 
 // exchangeBarrier is the multi-group half of the barrier hook: all-gather
 // this group's cross-group posts, pending termination intents, buffered
-// charges and merge resets; deliver the incoming posts in mailbox order and
-// apply the peers' charges (integer sums — order-free) and merge resets. It
-// returns the gathered messages, whose peer intents the caller commits with
-// its own. After a control event posts is empty: control context schedules
-// straight into the lanes. The message also carries this group's lane heads,
-// from which every replica derives the next low watermark without a round
-// trip of its own. The gathered slices may live in transport buffers that the
-// next exchange overwrites: everything kept is copied out before the barrier
-// returns.
+// charges and merge resets; post the incoming posts into their lanes' window
+// bands and apply the peers' charges (integer sums — order-free) and merge
+// resets. It returns the gathered messages, whose peer intents the caller
+// commits with its own. After a control event posts is empty: control
+// context schedules straight into the lanes. The message also carries this
+// group's lane heads, from which every replica derives the next low watermark
+// without a round trip of its own. The gathered slices may live in transport
+// buffers that the next exchange overwrites: everything kept is copied out
+// before the barrier returns.
 func (c *Cluster) exchangeBarrier(posts []WirePost) ([]BarrierMsg, error) {
 	buf := &c.wireBufs[c.wireCur]
 	c.wireCur ^= 1
@@ -397,7 +396,8 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) ([]BarrierMsg, error) {
 		Charges: buf.charges,
 		Merges:  buf.merges,
 	}
-	msg.CtrlAt, msg.CtrlOK, msg.LaneAt, msg.LaneOK = c.exec.heads()
+	msg.CtrlAt, msg.CtrlOK = c.exec.ctrl.q.peek()
+	msg.LaneAt, msg.LaneOK = c.exec.minLane() // the window's posts to this group's lanes included
 	all, err := c.tr.Barrier(msg)
 	if err != nil {
 		return nil, err
@@ -418,12 +418,9 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) ([]BarrierMsg, error) {
 			if req == nil {
 				return nil, fmt.Errorf("sched: post for unknown request %d from group %d", wp.Req, bm.Group)
 			}
-			dst := c.modules[wp.Dst]
-			c.exec.stagePost(post{src: int(wp.Src), dst: int(wp.Dst), at: wp.At,
-				ev: laneEvent{op: opReceive, m: dst, req: req}})
+			c.exec.lanes[wp.Dst].q.post(wp.At, int(wp.Src), laneEvent{req: req})
 		}
 	}
-	c.exec.deliverStaged()
 	for i := range all {
 		if int(all[i].Group) == c.topo.Group {
 			continue // this group's own charges and resets were applied as they were made
@@ -579,19 +576,20 @@ func (c *Cluster) Crash(k int, now time.Duration, count int) int {
 // scheduleBatchEnd registers the batch-completion event on the worker's own
 // lane.
 func (c *Cluster) scheduleBatchEnd(w *worker, at time.Duration) {
-	c.exec.scheduleLaneEvent(w.mod.idx, w.mod.idx, at, laneEvent{op: opBatchEnd, w: w})
+	c.exec.scheduleLaneEvent(w.mod.idx, w.mod.idx, at, laneEvent{h: (*batchEndEvent)(w)})
 }
 
 // scheduleWarmup wakes a cold-started worker.
 func (c *Cluster) scheduleWarmup(w *worker, at time.Duration) {
-	c.exec.scheduleLaneEvent(w.mod.idx, w.mod.idx, at, laneEvent{op: opWarmup, w: w})
+	c.exec.scheduleLaneEvent(w.mod.idx, w.mod.idx, at, laneEvent{h: (*warmupEvent)(w)})
 }
 
 // barrier is the executor's barrier hook, run after every lane window and
 // after every control event with all lanes parked; it is the one commit
 // path. On a multi-group topology it first exchanges with the peers,
-// whose charges it applies. Then the deferred terminations commit, so host
-// OnDone/OnDrop callbacks observe complete sums.
+// whose posts and charges it applies. Then the window's post bands close and
+// the deferred terminations commit, so host OnDone/OnDrop callbacks observe
+// complete sums and what they schedule sorts after the window's posts.
 func (c *Cluster) barrier() error {
 	var all []BarrierMsg
 	if c.tr != nil {
@@ -600,6 +598,7 @@ func (c *Cluster) barrier() error {
 			return err
 		}
 	}
+	c.exec.closeBands()
 	return c.bridge.commit(all)
 }
 
@@ -657,7 +656,7 @@ func (c *Cluster) forward(req *Request, k int, now time.Duration) {
 	if mod.Exclusive {
 		sub := mod.Subs[c.pickBranch(mod)]
 		c.resetMerge(req, k, now, 1)
-		c.exec.scheduleLaneEvent(k, sub, arrive, laneEvent{op: opReceive, m: c.modules[sub], req: req})
+		c.exec.scheduleLaneEvent(k, sub, arrive, laneEvent{req: req})
 		return
 	}
 	subs := mod.Subs
@@ -665,7 +664,7 @@ func (c *Cluster) forward(req *Request, k int, now time.Duration) {
 		c.resetMerge(req, k, now, len(subs))
 	}
 	for _, sub := range subs {
-		c.exec.scheduleLaneEvent(k, sub, arrive, laneEvent{op: opReceive, m: c.modules[sub], req: req})
+		c.exec.scheduleLaneEvent(k, sub, arrive, laneEvent{req: req})
 	}
 }
 

@@ -59,8 +59,8 @@ func TestShardedExecutorLaneOrder(t *testing.T) {
 }
 
 // TestShardedExecutorMailboxOrder verifies cross-lane delivery order: posts
-// merge at the barrier keyed by (time, source module, send sequence),
-// independent of which lane executed first.
+// are keyed by (time, source module, send sequence), independent of which
+// lane executed first.
 func TestShardedExecutorMailboxOrder(t *testing.T) {
 	const lookahead = 10
 	script := func(x *LaneExecutor, logs [][]string) [][]string {
@@ -88,52 +88,102 @@ func TestShardedExecutorMailboxOrder(t *testing.T) {
 	}
 }
 
-// TestFlushOutboxesMergesInMailboxOrder checks the barrier's merge against
-// the definition of mailbox order: gather every outbox in (source lane, send
-// order), stable-sort by (time, source lane). Outboxes are random — silent
-// lanes, equal timestamps within and across lanes, and now and then a post
-// sent out of time order, which only a host closure can do and which takes
-// the per-outbox sort first.
-func TestFlushOutboxesMergesInMailboxOrder(t *testing.T) {
-	const lanes = 5
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		x := NewLaneExecutor(lanes, time.Millisecond)
-		var id uint64
-		var gathered []post
-		for src, l := range x.lanes {
-			at := time.Duration(rng.Intn(4))
-			for k := rng.Intn(8) - 2; k > 0; k-- {
-				at += time.Duration(rng.Intn(3)) // 0: a tie inside the outbox
-				postAt := at
-				if rng.Intn(10) == 0 {
-					postAt = time.Duration(rng.Intn(4)) // out of order
-				}
-				id++
-				l.outbox = append(l.outbox, wirePostAt(postAt, src, rng.Intn(lanes), id))
-			}
-			gathered = append(gathered, l.outbox...)
+// TestKeyedDeliveryMatchesMailboxOrder checks keyed delivery against the
+// definition of mailbox order. Events on every lane post to random lanes and
+// schedule follow-ups on their own lane (batch ends), often at one instant;
+// at every barrier a peer group's decoded posts join them, from source lanes
+// that post nothing locally. Each event is written down with its mailbox key,
+// (time, window, source lane, send order): a post belongs to the window it
+// was made in, and the host's events and a lane's own count as source -1 of
+// the window they were queued in, which puts them before that window's posts.
+// Every lane must fire all its events, in that key's order, never a post in
+// the window it was made in; at zero lookahead (the live clock's sub-rounds)
+// and at 3.
+func TestKeyedDeliveryMatchesMailboxOrder(t *testing.T) {
+	const lanes, peers = 6, 2 // the last two lanes post only as the peer group
+	type key struct {
+		at                time.Duration
+		window, src, send int
+	}
+	before := func(a, b key) bool {
+		switch {
+		case a.at != b.at:
+			return a.at < b.at
+		case a.window != b.window:
+			return a.window < b.window
+		case a.src != b.src:
+			return a.src < b.src
 		}
-		sortPosts(gathered)
-		want := make([][]uint64, lanes)
-		for _, p := range gathered {
-			want[p.dst] = append(want[p.dst], p.ev.req.ID)
-		}
-
-		x.flushOutboxes()
-		for dst, l := range x.lanes {
-			if len(l.outbox) != 0 || l.sent != 0 {
-				t.Fatalf("trial %d: lane %d's outbox was not emptied", trial, dst)
+		return a.send < b.send
+	}
+	for _, lookahead := range []time.Duration{0, 3} {
+		for trial := int64(0); trial < 100; trial++ {
+			rng := rand.New(rand.NewSource(trial))
+			x := NewLaneExecutor(lanes, lookahead)
+			fired := make([][]key, lanes)
+			window, sent, budget := 0, 0, 300
+			var lo time.Duration // the running window's first instant
+			ran := false         // an event has fired since the last barrier
+			var event func(dst int, k key) laneEvent
+			event = func(dst int, k key) laneEvent {
+				return fnEvent(func(now time.Duration) {
+					if now != k.at {
+						t.Fatalf("trial %d: event %+v fired at %v", trial, k, now)
+					}
+					if k.src >= 0 && k.window == window {
+						t.Fatalf("trial %d: post %+v fired in the window it was made in", trial, k)
+					}
+					if !ran {
+						lo, ran = now, true
+					}
+					fired[dst] = append(fired[dst], k)
+					for dst < lanes-peers && budget > 0 && rng.Intn(3) > 0 {
+						budget--
+						sent++
+						to, at := rng.Intn(lanes), now+time.Duration(rng.Intn(3))
+						if to == dst {
+							x.scheduleLaneEvent(dst, dst, at, event(dst, key{at, window, -1, sent}))
+							continue
+						}
+						at += lookahead
+						x.scheduleLaneEvent(dst, to, at, event(to, key{at, window, dst, sent}))
+					}
+				})
 			}
-			var got []uint64
-			for {
-				if _, ok := l.q.peek(); !ok {
-					break
+			for dst := 0; dst < lanes; dst++ {
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					sent++
+					at := time.Duration(rng.Intn(10))
+					x.scheduleLaneEvent(-1, dst, at, event(dst, key{at, 0, -1, sent}))
 				}
-				got = append(got, l.q.pop().req.ID)
 			}
-			if !reflect.DeepEqual(got, want[dst]) {
-				t.Fatalf("trial %d: lane %d received %v, mailbox order is %v", trial, dst, got, want[dst])
+			x.barrierFn = func() error {
+				// The peer group's window: what it decoded, in its send order,
+				// takes the same keyed push a multi-group barrier makes.
+				for n := rng.Intn(4); ran && n > 0 && budget > 0; n-- {
+					budget--
+					sent++
+					src, to := lanes-peers+rng.Intn(peers), rng.Intn(lanes)
+					at := lo + lookahead + time.Duration(rng.Intn(2))
+					x.lanes[to].q.post(at, src, event(to, key{at, window, src, sent}))
+				}
+				x.closeBands()
+				window++
+				ran = false
+				return nil
+			}
+			x.Run()
+			total := 0
+			for dst, ks := range fired {
+				total += len(ks)
+				for i := 1; i < len(ks); i++ {
+					if !before(ks[i-1], ks[i]) {
+						t.Fatalf("lookahead %v trial %d: lane %d fired %+v before %+v", lookahead, trial, dst, ks[i-1], ks[i])
+					}
+				}
+			}
+			if total != sent || x.Pending() != 0 {
+				t.Fatalf("lookahead %v trial %d: %d of %d events fired, %d pending", lookahead, trial, total, sent, x.Pending())
 			}
 		}
 	}

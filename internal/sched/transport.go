@@ -45,8 +45,8 @@ import (
 //
 // Why the watermark can ride on the barrier: between the moment a group
 // builds its BarrierMsg and the next loop head no lane runs, so a lane's
-// head can only be lowered by (a) the barrier's own posts — the locally
-// staged ones are folded into the sender's reported head, the cross-group
+// head can only be lowered by (a) the window's posts — those to the
+// sender's own lanes are already in its reported head, the cross-group
 // ones are in the gathered reply every replica sees — or (b) a
 // control-context schedule made while the merged commit is applied (host
 // OnDone/OnDrop callbacks), which every replica executes identically and
@@ -59,8 +59,9 @@ import (
 // Merges are deterministic by construction: per-group contributions are
 // gathered in (local module order, decision/send order) and concatenated in
 // group order; items with equal sort keys always originate from a single
-// module — hence a single group — so the stable sorts reproduce the exact
-// single-process order.
+// module — hence a single group — so the stable sort of the intents and the
+// keyed push of the posts (keyed by source module, then send order)
+// reproduce the exact single-process order.
 //
 // Why a single group skips the Transport. It commits through the same
 // barrier hook and the same merge as a multi-group replica — its own intents,
@@ -174,7 +175,7 @@ type StepMsg struct {
 // CtrlAt/CtrlOK and LaneAt/LaneOK are the StepMsg fields as of the moment
 // the message was built: the replicated control lane's head (identical on
 // every group, or the run aborts) and the earliest event the sender holds,
-// its locally staged posts included.
+// its window's posts to its own lanes included.
 type BarrierMsg struct {
 	Group   int32
 	CtrlAt  time.Duration

@@ -10,38 +10,49 @@ import (
 	"time"
 )
 
-// These tests pin the mailbox-ordering edge cases the lane-group merge
-// proof rests on: equal virtual-time posts across groups, send-sequence
-// stability through staging and sort, empty-drain barrier rounds, the
-// lockstep-divergence guard, and the watermark carried by the barrier.
+// These tests pin the mailbox-ordering edge cases the lane-group proof rests
+// on: equal virtual-time posts across groups, send-sequence stability through
+// the keyed push, empty-drain barrier rounds, the lockstep-divergence guard,
+// and the watermark carried by the barrier.
 
-// wirePostAt builds a minimal wire-shaped post (typed receive, no closure).
-func wirePostAt(at time.Duration, src, dst int, id uint64) post {
-	return post{
-		src: src,
-		dst: dst,
-		at:  at,
-		ev:  laneEvent{op: opReceive, req: &Request{ID: id}},
-	}
+// keyedPost is a post as a test writes it down: a receive of request id,
+// sent by lane src.
+type keyedPost struct {
+	at  time.Duration
+	src int
+	id  uint64
 }
 
-// TestSortPostsEqualTimeAcrossGroups replays the merge proof on a worst
-// case: many posts sharing one virtual timestamp, sourced from modules
-// owned by different lane groups, several per module so the sequence
-// tiebreak matters. The single-process mailbox gathers posts in (source
-// module order, send order) before the stable sort; a multi-group run
-// gathers each group's owned modules the same way and concatenates the
-// groups' contributions in group order. Because every (time, src) run
-// lives in exactly one group, both gather orders must sort to the same
-// delivery sequence.
-func TestSortPostsEqualTimeAcrossGroups(t *testing.T) {
+// deliverInOrder posts ps into one lane's window band in the order given,
+// closes the band, and returns the request IDs in pop order.
+func deliverInOrder(ps []keyedPost) []uint64 {
+	var q laneQueue
+	for _, p := range ps {
+		q.post(p.at, p.src, laneEvent{req: &Request{ID: p.id}})
+	}
+	q.close()
+	var got []uint64
+	for q.len() > 0 {
+		got = append(got, q.pop().req.ID)
+	}
+	return got
+}
+
+// TestKeyedPostsEqualTimeAcrossGroups replays the lane-group proof on a worst
+// case: many posts sharing one virtual timestamp, sourced from modules owned
+// by different lane groups, several per module so the send order matters. A
+// single process posts them in (source module, send order), as its lanes run;
+// a multi-group barrier posts the local group's first and each peer's as
+// decoded, in group order. The key carries the source module, so both must
+// pop in one order.
+func TestKeyedPostsEqualTimeAcrossGroups(t *testing.T) {
 	const modules, groups = 5, 3
 	at := 40 * time.Millisecond
 	var id uint64
 
 	// perModule[m] holds module m's posts in send order. Module 2 is
-	// silent that window — gaps must not disturb the merge.
-	perModule := make([][]post, modules)
+	// silent that window — gaps must not disturb the order.
+	perModule := make([][]keyedPost, modules)
 	for m := 0; m < modules; m++ {
 		if m == 2 {
 			continue
@@ -54,70 +65,62 @@ func TestSortPostsEqualTimeAcrossGroups(t *testing.T) {
 			if m == 4 && k == 0 {
 				postAt = at - time.Millisecond
 			}
-			perModule[m] = append(perModule[m], wirePostAt(postAt, m, (m+1)%modules, id))
+			perModule[m] = append(perModule[m], keyedPost{postAt, m, id})
 		}
 	}
 
-	single := make([]post, 0)
+	var single []keyedPost
 	for m := 0; m < modules; m++ {
 		single = append(single, perModule[m]...)
 	}
-	sortPosts(single)
-
-	merged := make([]post, 0)
-	for g := 0; g < groups; g++ {
-		for m := 0; m < modules; m++ {
-			if m%groups == g { // Topology ownership: module m belongs to group m % groups
-				merged = append(merged, perModule[m]...)
+	for local := 0; local < groups; local++ {
+		order := func(g int) int { return (g + local) % groups } // the local group's first
+		var grouped []keyedPost
+		for i := 0; i < groups; i++ {
+			for m := 0; m < modules; m++ {
+				if m%groups == order(i) { // Topology ownership: module m belongs to group m % groups
+					grouped = append(grouped, perModule[m]...)
+				}
 			}
 		}
-	}
-	sortPosts(merged)
-
-	if len(single) != len(merged) {
-		t.Fatalf("merged %d posts, single-process had %d", len(merged), len(single))
-	}
-	for i := range single {
-		if single[i].ev.req.ID != merged[i].ev.req.ID {
-			t.Fatalf("delivery order diverged at %d: single req %d, merged req %d",
-				i, single[i].ev.req.ID, merged[i].ev.req.ID)
+		want, got := deliverInOrder(single), deliverInOrder(grouped)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("group %d delivers %v, a single process %v", local, got, want)
 		}
+	}
+	if want := []uint64{9, 1, 2, 3, 4, 5, 6, 7, 8, 10}; !reflect.DeepEqual(deliverInOrder(single), want) {
+		t.Fatalf("single-process order %v, want %v", deliverInOrder(single), want)
 	}
 }
 
-// TestSortPostsKeepSendOrder pins the receiving leg of the sequence
-// tiebreak: posts sharing (At, Src) carry no explicit sequence number —
-// their send order IS the order of the Posts slice — so the stable sort that
-// follows staging must leave equal-key runs in wire order. (That the wire
-// itself preserves slice order is internal/dist's
-// TestWirePostRoundTripKeepsSendOrder, on the real codec.)
-func TestSortPostsKeepSendOrder(t *testing.T) {
+// TestKeyedPostsKeepSendOrder pins the receiving leg of the send order:
+// posts sharing (At, Src) carry no explicit sequence number — their send
+// order IS the order of the Posts slice — so the keyed push that decodes them
+// must pop equal-key runs in wire order. (That the wire itself preserves
+// slice order is internal/dist's TestWirePostRoundTripKeepsSendOrder, on the
+// real codec.)
+func TestKeyedPostsKeepSendOrder(t *testing.T) {
 	wire := []WirePost{
 		{At: 12 * time.Millisecond, Src: 1, Dst: 2, Req: 1},
 		{At: 10 * time.Millisecond, Src: 1, Dst: 2, Req: 7},
-		{At: 10 * time.Millisecond, Src: 1, Dst: 4, Req: 3}, // same (At, Src): order is the tiebreak
+		{At: 10 * time.Millisecond, Src: 1, Dst: 2, Req: 3}, // same (At, Src): order is the tiebreak
+		{At: 10 * time.Millisecond, Src: 0, Dst: 2, Req: 5}, // a lower source sorts first at its instant
 		{At: 10 * time.Millisecond, Src: 1, Dst: 2, Req: 9},
 	}
-	// Stage the way exchangeBarrier does, then sort.
-	staged := make([]post, 0, len(wire))
+	ps := make([]keyedPost, 0, len(wire))
 	for _, wp := range wire {
-		staged = append(staged, wirePostAt(wp.At, int(wp.Src), int(wp.Dst), wp.Req))
+		ps = append(ps, keyedPost{wp.At, int(wp.Src), wp.Req})
 	}
-	sortPosts(staged)
-	wantIDs := []uint64{7, 3, 9, 1}
-	for i, want := range wantIDs {
-		if staged[i].ev.req.ID != want {
-			t.Fatalf("post %d: req %d after sort, want %d", i, staged[i].ev.req.ID, want)
-		}
+	if got, want := deliverInOrder(ps), []uint64{5, 7, 3, 9, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pop order %v, want %v", got, want)
 	}
 }
 
-// TestEncodeWirePostRejectsClosures pins the boundary contract: only the
-// typed receive op is wire-shaped; a closure event reaching the group
-// boundary must fail loudly, never be silently dropped or half-encoded.
+// TestEncodeWirePostRejectsClosures pins the boundary contract: only a
+// receive is wire-shaped; a Handler reaching the group boundary must fail
+// loudly, never be silently dropped or half-encoded.
 func TestEncodeWirePostRejectsClosures(t *testing.T) {
-	good := wirePostAt(time.Millisecond, 0, 1, 42)
-	wp, err := encodeWirePost(&good)
+	wp, err := encodeWirePost(0, 1, time.Millisecond, laneEvent{req: &Request{ID: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +128,13 @@ func TestEncodeWirePostRejectsClosures(t *testing.T) {
 		t.Fatalf("encoded post mangled: %+v", wp)
 	}
 
-	bad := post{src: 0, dst: 1, at: time.Millisecond,
-		ev: fnEvent(func(time.Duration) {})}
-	if _, err := encodeWirePost(&bad); err == nil {
+	if _, err := encodeWirePost(0, 1, time.Millisecond, fnEvent(func(time.Duration) {})); err == nil {
 		t.Fatal("closure event crossed the lane-group boundary")
 	} else if !strings.Contains(err.Error(), "cannot cross lane groups") {
 		t.Fatalf("closure rejection error %q does not name the contract", err)
+	}
+	if _, err := encodeWirePost(0, 1, time.Millisecond, laneEvent{h: (*batchEndEvent)(&worker{})}); err == nil {
+		t.Fatal("a batch end crossed the lane-group boundary")
 	}
 }
 
@@ -354,7 +358,8 @@ func TestWatermarkSeesControlContextSchedules(t *testing.T) {
 			barriers := 0
 			x.barrierFn = func() error {
 				msg := BarrierMsg{Group: int32(g), Posts: x.takeWirePosts()}
-				msg.CtrlAt, msg.CtrlOK, msg.LaneAt, msg.LaneOK = x.heads()
+				msg.CtrlAt, msg.CtrlOK = x.ctrl.q.peek()
+				msg.LaneAt, msg.LaneOK = x.minLane()
 				all, err := x.tr.Barrier(msg)
 				if err != nil {
 					return err

@@ -43,6 +43,16 @@ type worker struct {
 	coldUntil time.Duration
 }
 
+// batchEndEvent and warmupEvent are a worker's own lane events as Handlers:
+// converting the *worker allocates nothing.
+type (
+	batchEndEvent worker
+	warmupEvent   worker
+)
+
+func (e *batchEndEvent) Fire(now time.Duration) { (*worker)(e).batchEnd(now) }
+func (e *warmupEvent) Fire(now time.Duration)   { (*worker)(e).pump(now) }
+
 // load is the dispatcher's balancing metric.
 func (w *worker) load() int { return w.queue.Len() + len(w.forming) }
 
