@@ -72,6 +72,41 @@ func TestAllocsBoardPublish(t *testing.T) {
 	}
 }
 
+// TestBoardReserve: a reserved slot keeps its storage from the first
+// publication up to room samples, each slot its own room of one array, and
+// a larger sample moves its slot out without touching a neighbour's.
+func TestBoardReserve(t *testing.T) {
+	const room = 512
+	b := NewBoard(3)
+	b.Reserve(room)
+	home := make([]*float64, 3)
+	for k := range home {
+		home[k] = &b.Get(k).BatchWait[:1][0]
+	}
+	waits := make([]float64, room+1)
+	for _, n := range []int{1, 37, room} {
+		for k := range home {
+			for i := range n {
+				waits[i] = float64(k*1000 + i)
+			}
+			b.Publish(k, ModuleState{BatchWait: waits[:n]})
+			if s := b.Get(k).BatchWait; &s[0] != home[k] || len(s) != n {
+				t.Fatalf("slot %d left its room publishing %d samples", k, n)
+			}
+		}
+	}
+	b.Publish(1, ModuleState{BatchWait: waits})
+	for k := range home {
+		s := b.Get(k).BatchWait
+		if moved := &s[0] != home[k]; moved != (k == 1) {
+			t.Fatalf("publishing %d samples to slot 1: slot %d moved %t", room+1, k, moved)
+		}
+		if k != 1 && s[room-1] != float64(k*1000+room-1) {
+			t.Fatalf("slot %d holds %v at its last sample, want %d", k, s[room-1], k*1000+room-1)
+		}
+	}
+}
+
 // BenchmarkBoardPublish measures one publication as a module's sync tick
 // makes it: the state and a full ring's 512 batch-wait samples copied
 // into the slot's own storage.

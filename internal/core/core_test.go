@@ -10,6 +10,11 @@ import (
 	"pard/internal/pipeline"
 )
 
+// newPriorityController builds one controller, as a policy's array holds it.
+func newPriorityController(window time.Duration, instant bool) *PriorityController {
+	return &NewPriorityControllers(1, window, instant)[0]
+}
+
 func uniformWaits(d time.Duration, n int, rng *rand.Rand) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -417,7 +422,7 @@ func TestSplitBudgets(t *testing.T) {
 }
 
 func TestPriorityControllerSteadyStaysLBF(t *testing.T) {
-	p := NewPriorityController(DefaultPriorityWindow, false)
+	p := newPriorityController(DefaultPriorityWindow, false)
 	for i := 0; i < 100; i++ {
 		now := time.Duration(i) * time.Second
 		if m := p.Update(now, 100, 200); m != LBF {
@@ -430,7 +435,7 @@ func TestPriorityControllerSteadyStaysLBF(t *testing.T) {
 }
 
 func TestPriorityControllerOverloadSwitchesToHBF(t *testing.T) {
-	p := NewPriorityController(DefaultPriorityWindow, false)
+	p := newPriorityController(DefaultPriorityWindow, false)
 	var m Mode
 	for i := 0; i < 20; i++ {
 		m = p.Update(time.Duration(i)*time.Second, 300, 200)
@@ -444,7 +449,7 @@ func TestPriorityControllerOverloadSwitchesToHBF(t *testing.T) {
 }
 
 func TestPriorityControllerHysteresisHolds(t *testing.T) {
-	p := NewPriorityController(DefaultPriorityWindow, false)
+	p := newPriorityController(DefaultPriorityWindow, false)
 	p.epsMin = 0.1
 	// Drive into HBF.
 	for i := 0; i < 10; i++ {
@@ -465,7 +470,7 @@ func TestPriorityControllerHysteresisHolds(t *testing.T) {
 
 func TestPriorityControllerInstantThrashes(t *testing.T) {
 	mk := func(instant bool) int {
-		p := NewPriorityController(DefaultPriorityWindow, instant)
+		p := newPriorityController(DefaultPriorityWindow, instant)
 		p.epsMin = 0.05
 		// Oscillate μ between 0.97 and 1.03 (inside a 5% band).
 		for i := 0; i < 200; i++ {
@@ -487,8 +492,8 @@ func TestPriorityControllerInstantThrashes(t *testing.T) {
 }
 
 func TestPriorityControllerEpsilonGrowsWithBurstiness(t *testing.T) {
-	steady := NewPriorityController(DefaultPriorityWindow, false)
-	bursty := NewPriorityController(DefaultPriorityWindow, false)
+	steady := newPriorityController(DefaultPriorityWindow, false)
+	bursty := newPriorityController(DefaultPriorityWindow, false)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 100; i++ {
 		now := time.Duration(i) * 100 * time.Millisecond
@@ -504,6 +509,39 @@ func TestPriorityControllerEpsilonGrowsWithBurstiness(t *testing.T) {
 	}
 }
 
+// TestPriorityControllersReserved: controllers built together and reserved
+// for their ticks decide exactly as one built alone and left to grow — the
+// same mode and the same μ and ε bit for bit on every tick, through many
+// compactions of the windows and past the ticks reserved for — and their
+// Updates allocate nothing.
+func TestPriorityControllersReserved(t *testing.T) {
+	const n, period, ticks = 4, 100 * time.Millisecond, 3000
+	feed := func(k, i int) float64 { return 100 + float64((i*(k+3))%17)*10 }
+	pcs := NewPriorityControllers(n, DefaultPriorityWindow, false)
+	ReservePriorityControllers(pcs, period, ticks)
+	alone := make([]*PriorityController, n)
+	for k := range alone {
+		alone[k] = newPriorityController(DefaultPriorityWindow, false)
+	}
+	step := func(i int) {
+		now := time.Duration(i) * period
+		for k := range pcs {
+			got, want := pcs[k].Update(now, feed(k, i), 150), alone[k].Update(now, feed(k, i), 150)
+			if got != want || math.Float64bits(pcs[k].lastEps) != math.Float64bits(alone[k].lastEps) || pcs[k].lastMu != alone[k].lastMu {
+				t.Fatalf("tick %d, controller %d: reserved %v (ε %v), alone %v (ε %v)", i, k, got, pcs[k].lastEps, want, alone[k].lastEps)
+			}
+		}
+	}
+	step(0)
+	i := 1
+	if a := testing.AllocsPerRun(ticks-2, func() { step(i); i++ }); a != 0 {
+		t.Fatalf("reserved controllers allocate %.2f a tick, want 0", a)
+	}
+	for ; i < ticks+2000; i++ {
+		step(i)
+	}
+}
+
 func TestPriorityControllerPanics(t *testing.T) {
 	for _, window := range []time.Duration{0, -time.Second} {
 		func() {
@@ -512,7 +550,7 @@ func TestPriorityControllerPanics(t *testing.T) {
 					t.Fatalf("window %v accepted", window)
 				}
 			}()
-			NewPriorityController(window, false)
+			newPriorityController(window, false)
 		}()
 	}
 }
@@ -562,7 +600,7 @@ func BenchmarkBatchWaitEstimation(b *testing.B) {
 }
 
 func BenchmarkPriorityControllerUpdate(b *testing.B) {
-	p := NewPriorityController(DefaultPriorityWindow, false)
+	p := newPriorityController(DefaultPriorityWindow, false)
 	for i := 0; i < b.N; i++ {
 		p.Update(time.Duration(i)*time.Millisecond, float64(90+i%20), 100)
 	}

@@ -55,8 +55,8 @@ type PriorityController struct {
 	// ablation.
 	instant  bool
 	mode     Mode
-	inWin    *stats.SlidingWindow // raw T_in samples
-	diffWin  *stats.SlidingWindow // |T_in − T_s| samples
+	inWin    stats.SlidingWindow // raw T_in samples
+	diffWin  stats.SlidingWindow // |T_in − T_s| samples
 	lastMu   float64
 	lastEps  float64
 	switches int
@@ -64,20 +64,39 @@ type PriorityController struct {
 	epsMin, epsMax float64
 }
 
-// NewPriorityController returns a controller over a smoothing window
-// starting in LBF (steady-state assumption); instant drops the hysteresis
-// band.
-func NewPriorityController(window time.Duration, instant bool) *PriorityController {
+// NewPriorityControllers returns n controllers, each over a smoothing window
+// and starting in LBF (steady-state assumption), in one array that holds
+// their windows by value: the set costs one allocation. instant drops the
+// hysteresis band.
+func NewPriorityControllers(n int, window time.Duration, instant bool) []PriorityController {
 	if window <= 0 {
 		panic(fmt.Sprintf("core: priority window must be positive, got %v", window))
 	}
-	return &PriorityController{
-		instant: instant,
-		mode:    LBF,
-		inWin:   stats.NewSlidingWindow(window),
-		diffWin: stats.NewSlidingWindow(window),
-		epsMin:  epsMin,
-		epsMax:  epsMax,
+	pcs := make([]PriorityController, n)
+	for i := range pcs {
+		p := &pcs[i]
+		p.instant, p.mode = instant, LBF
+		p.inWin.Init(window)
+		p.diffWin.Init(window)
+		p.epsMin, p.epsMax = epsMin, epsMax
+	}
+	return pcs
+}
+
+// ReservePriorityControllers sizes the two windows of every controller of
+// pcs for a run of at most ticks Updates, one every period, carving their
+// arrays from one (see stats.SlidingWindow.Reserve): a window then holds at
+// most its span's worth of ticks live. Storage only: every mode and ε stays
+// bit for bit what an unreserved controller computes.
+func ReservePriorityControllers(pcs []PriorityController, period time.Duration, ticks int) {
+	if len(pcs) == 0 || period <= 0 {
+		return
+	}
+	peak := int(pcs[0].inWin.Span()/period) + 1
+	slab := stats.NewWindowSlab(2*len(pcs), 0, peak, ticks)
+	for i := range pcs {
+		pcs[i].inWin.ReserveFrom(&slab)
+		pcs[i].diffWin.ReserveFrom(&slab)
 	}
 }
 

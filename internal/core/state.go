@@ -67,6 +67,18 @@ func NewBoard(n int) *Board {
 	return &Board{states: make([]ModuleState, n)}
 }
 
+// Reserve gives every slot room for room batch-wait samples, carved from one
+// array and capped at its own end, so that Publish does not grow a slot's
+// storage while its module's sample stays within room. Storage only: a
+// larger sample moves its slot onto an array of its own.
+func (b *Board) Reserve(room int) {
+	store := make([]float64, len(b.states)*room)
+	for k := range b.states {
+		s := &b.states[k]
+		s.BatchWait = append(store[k*room:k*room:(k+1)*room], s.BatchWait...)
+	}
+}
+
 // Publish copies s into module k's slot, BatchWait samples included: the
 // caller keeps s.BatchWait and may change it as soon as Publish returns.
 // s.BatchWait may be the slot's own samples, as Publish(k, Get(k)) passes.

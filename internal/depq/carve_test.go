@@ -126,7 +126,7 @@ func checkRooms(t *testing.T, rooms [][]entry[*int], caps []int) {
 			}
 		}
 	}
-	if caps[0] == len(rooms[0]) || moved < 2 || caps[len(caps)-1] != len(rooms[0]) {
+	if last := len(caps) - 1; caps[0] == len(rooms[0]) || moved < 2 || caps[last] != len(rooms[last]) {
 		t.Fatalf("%d of %d queues outgrew their room (queue 0: cap %d): the run exercised too little", moved, len(rooms), caps[0])
 	}
 }
@@ -151,15 +151,14 @@ func TestCarvedQueuesMatchOracles(t *testing.T) {
 		}
 		checkRooms(t, rooms, caps)
 	})
-	t.Run("FIFO", func(t *testing.T) {
-		qs := NewFIFOs[*int](n, room)
+	fifo := func(t *testing.T, qs []FIFO[*int]) {
 		got, want := make([]Queue[*int], n), make([]Queue[*int], n)
 		rooms := make([][]entry[*int], n)
 		for i := range qs {
-			got[i], want[i], rooms[i] = &qs[i], &sliceFIFO{}, qs[i].buf[:room]
+			got[i], want[i], rooms[i] = &qs[i], &sliceFIFO{}, qs[i].buf[:cap(qs[i].buf)]
 		}
 		compactions, lastHead := 0, 0
-		runCarved(t, got, want, func(i int) bool { return len(qs[i].buf) == room }, func(i int) {
+		runCarved(t, got, want, func(i int) bool { return len(qs[i].buf) == len(rooms[i]) }, func(i int) {
 			if i != 0 {
 				return
 			}
@@ -176,7 +175,11 @@ func TestCarvedQueuesMatchOracles(t *testing.T) {
 			caps[i] = cap(qs[i].buf)
 		}
 		checkRooms(t, rooms, caps)
-	})
+	}
+	t.Run("FIFO", func(t *testing.T) { fifo(t, NewFIFOs[*int](n, room)) })
+	// Groups of rooms of different sizes, as a cluster carves its modules'
+	// pools: queue 0 and the last sit in different groups.
+	t.Run("FIFOGroups", func(t *testing.T) { fifo(t, NewFIFOGroups[*int]([]int{3, 2, 3}, []int{room + 2, 1, room})) })
 }
 
 // TestCarveStaysInRoom: a carved room is capped at its own end, so neither
@@ -212,6 +215,10 @@ func TestAllocsCarvedQueues(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(10, func() { NewFIFOs[*int](n, room) }); a != 2 {
 			t.Errorf("NewFIFOs(%d, %d) allocates %.0f times, want 2", n, room, a)
+		}
+		counts, rooms := []int{n, 1, n}, []int{room, 2 * room, 1}
+		if a := testing.AllocsPerRun(10, func() { NewFIFOGroups[*int](counts, rooms) }); a != 2 {
+			t.Errorf("NewFIFOGroups(%v, %v) allocates %.0f times, want 2", counts, rooms, a)
 		}
 	}
 	dq, fq := NewDEPQs[*int](8, room), NewFIFOs[*int](8, room)

@@ -326,10 +326,27 @@ type FIFO[T any] struct {
 // with room for room entries, as NewDEPQs does for DEPQs. The zero FIFO is
 // ready to use as well.
 func NewFIFOs[T any](n, room int) []FIFO[T] {
+	return NewFIFOGroups[T]([]int{n}, []int{room})
+}
+
+// NewFIFOGroups returns FIFO queues in groups, group after group: counts[g]
+// queues with room for rooms[g] entries each. They are carved from one
+// storage array as NewFIFOs carves its queues, so every group together costs
+// two allocations.
+func NewFIFOGroups[T any](counts, rooms []int) []FIFO[T] {
+	n, size := 0, 0
+	for g, c := range counts {
+		n += c
+		size += c * rooms[g]
+	}
 	qs := make([]FIFO[T], n)
-	store := make([]entry[T], n*room)
-	for i := range qs {
-		qs[i].buf = Carve(store, i, room)
+	store := make([]entry[T], size)
+	i := 0
+	for g, c := range counts {
+		for range c {
+			qs[i].buf, store = store[:0:rooms[g]], store[rooms[g]:]
+			i++
+		}
 	}
 	return qs
 }

@@ -114,27 +114,27 @@ func (s *Spec) Validate() error {
 	if sinks != 1 {
 		return fmt.Errorf("pipeline %s: %d sinks, want exactly 1", s.App, sinks)
 	}
-	order, err := s.topoOrder()
-	if err != nil {
-		return err
-	}
+	// One array: the in-degrees, then Kahn's order, which is also its
+	// queue. The in-degrees' half then marks the modules the source reaches:
+	// every edge runs forward in a topological order, so one pass over it
+	// reaches them all.
+	buf := make([]int, 2*n)
+	reach, order := buf[:n], s.kahn(buf[:n], buf[n:n])
 	if len(order) != n {
 		return fmt.Errorf("pipeline %s: cycle detected", s.App)
 	}
-	reach := make([]bool, n)
-	var walk func(int)
-	walk = func(i int) {
-		if reach[i] {
-			return
+	clear(reach)
+	reach[s.Source()] = 1
+	for _, i := range order {
+		if reach[i] == 0 {
+			continue
 		}
-		reach[i] = true
 		for _, sub := range s.Modules[i].Subs {
-			walk(sub)
+			reach[sub] = 1
 		}
 	}
-	walk(s.Source())
 	for i, r := range reach {
-		if !r {
+		if r == 0 {
 			return fmt.Errorf("pipeline %s: module %d unreachable from source", s.App, i)
 		}
 	}
@@ -180,29 +180,31 @@ func (s *Spec) IsChain() bool {
 	return true
 }
 
-func (s *Spec) topoOrder() ([]int, error) {
-	n := len(s.Modules)
-	indeg := make([]int, n)
+// kahn appends the modules to order in Kahn's topological order and returns
+// it, short of every module caught in or behind a cycle. order's own tail is
+// the queue: order[head:] holds the modules whose in-degree has reached zero
+// but whose successors are not yet counted down, so order needs room for
+// every module. indeg (one entry a module) is scratch.
+func (s *Spec) kahn(indeg, order []int) []int {
 	for _, m := range s.Modules {
 		indeg[m.ID] = len(m.Pres)
-	}
-	var queue, order []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+		if len(m.Pres) == 0 {
+			order = append(order, m.ID)
 		}
 	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, sub := range s.Modules[i].Subs {
-			indeg[sub]--
-			if indeg[sub] == 0 {
-				queue = append(queue, sub)
+	for head := 0; head < len(order); head++ {
+		for _, sub := range s.Modules[order[head]].Subs {
+			if indeg[sub]--; indeg[sub] == 0 {
+				order = append(order, sub)
 			}
 		}
 	}
+	return order
+}
+
+func (s *Spec) topoOrder() ([]int, error) {
+	n := len(s.Modules)
+	order := s.kahn(make([]int, n), make([]int, 0, n))
 	if len(order) != n {
 		return order, fmt.Errorf("pipeline %s: cycle detected", s.App)
 	}

@@ -256,3 +256,19 @@ func TestUniform(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsValidate: Validate makes one allocation, the array that holds
+// the in-degrees and Kahn's order (its own queue), whose in-degree half
+// then marks reachability — the checks cost the same on a 70-module chain
+// as on DA.
+func TestAllocsValidate(t *testing.T) {
+	for _, s := range []*Spec{TM(), LV(), DA(), DADynamic(0.3), Uniform("c70", 70, "eyetrack", 3*time.Second)} {
+		if a := testing.AllocsPerRun(20, func() {
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); a > 1 {
+			t.Errorf("%s: Validate allocates %.0f times, want at most 1", s.App, a)
+		}
+	}
+}

@@ -86,6 +86,10 @@ type Policy interface {
 	// the batch-wait samples Get returns, are valid only until the next
 	// tick's publication: a policy keeps what it needs by value or copies it.
 	OnSync(now time.Duration, board *core.Board)
+	// Reserve sizes the state OnSync feeds for a run of at most ticks sync
+	// ticks, syncPeriod apart, so that it does not grow while the run
+	// lasts. Storage only: every decision stays the same.
+	Reserve(syncPeriod time.Duration, ticks int)
 	// Reads reports which measured fields of ModuleState the policy reads.
 	// The scheduling core keeps a module's window for a field, and
 	// publishes it, only when the policy (or a probe) reads it; every field
@@ -227,7 +231,7 @@ type unified struct {
 
 	spec *pipeline.Spec
 	est  *core.Estimator // nil unless decideEndToEnd
-	pcs  []*core.PriorityController
+	pcs  []core.PriorityController
 	// pinned is the end a row without controllers pops: MinEnd, and for a
 	// pinned HBF row MaxEnd from its first sync on.
 	pinned End
@@ -264,8 +268,10 @@ func New(name string, s Setup) (Policy, error) {
 	}
 	switch r.decide {
 	case decideClipper, decideSplitCum, decideWCLCum:
-		p.budgets = core.SplitBudgets(nil, s.Spec.SLO, s.Durs)
-		p.cumBudgets = core.CumulativeBudgets(nil, p.budgets)
+		n := s.Spec.N()
+		b := make([]time.Duration, 2*n)
+		p.budgets = core.SplitBudgets(b[:0:n], s.Spec.SLO, s.Durs)
+		p.cumBudgets = core.CumulativeBudgets(b[n:n], p.budgets)
 	case decideEndToEnd:
 		cfg := core.DefaultEstimatorConfig()
 		if s.Lambda > 0 {
@@ -279,10 +285,7 @@ func New(name string, s Setup) (Policy, error) {
 		if s.PriorityWindow > 0 {
 			window = s.PriorityWindow
 		}
-		p.pcs = make([]*core.PriorityController, s.Spec.N())
-		for k := range p.pcs {
-			p.pcs[k] = core.NewPriorityController(window, r.priority == priInstant)
-		}
+		p.pcs = core.NewPriorityControllers(s.Spec.N(), window, r.priority == priInstant)
 	}
 	if r.dagor {
 		p.ocShed = make([]bool, s.Spec.N())
@@ -361,9 +364,9 @@ func (p *unified) OnSync(now time.Duration, board *core.Board) {
 	if p.est != nil {
 		p.est.Refresh(board)
 	}
-	for k, pc := range p.pcs {
+	for k := range p.pcs {
 		s := board.Get(k)
-		pc.Update(now, s.InputRate, s.Throughput)
+		p.pcs[k].Update(now, s.InputRate, s.Throughput)
 	}
 	if p.priority == priHBF {
 		p.pinned = MaxEnd
@@ -374,6 +377,10 @@ func (p *unified) OnSync(now time.Duration, board *core.Board) {
 	if p.dagor {
 		p.refreshShed(board)
 	}
+}
+
+func (p *unified) Reserve(syncPeriod time.Duration, ticks int) {
+	core.ReservePriorityControllers(p.pcs, syncPeriod, ticks)
 }
 
 // reallocWCL recomputes per-module budgets proportionally to each module's
@@ -434,7 +441,7 @@ func (p *unified) Priority(k int) *core.PriorityController {
 	if p.pcs == nil {
 		return nil
 	}
-	return p.pcs[k]
+	return &p.pcs[k]
 }
 
 // Names lists the policies of table in sorted order.

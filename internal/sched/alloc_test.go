@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pard/internal/pipeline"
+	"pard/internal/policy"
 	"pard/internal/profile"
 )
 
@@ -537,6 +538,49 @@ func TestAllocsWorkerPool(t *testing.T) {
 		for _, k := range []int{4, 64} {
 			if n := scaleOut(k); n != one {
 				t.Errorf("%s: scaling out by %d allocates %d times, by 1 %d", pol, k, n, one)
+			}
+		}
+	}
+}
+
+// TestAllocsClusterBuild: New builds a cluster from per-cluster arrays —
+// modules, the initial worker pools, the State Planner windows and rings,
+// the priority controllers and the board's batch-wait slots — so a build
+// allocates a fixed count plus the execution-jitter stream (a math/rand Rand
+// and its source) of each module it owns. A 3-, a 5- and a 70-module chain
+// differ by at most 2 allocations a module under every policy, and the fixed
+// count (33–44 by policy) stays under fixedCeiling.
+func TestAllocsClusterBuild(t *testing.T) {
+	const fixedCeiling = 46
+	specs := []*pipeline.Spec{pipeline.TM(), pipeline.LV(), pipeline.Uniform("c70", 70, "eyetrack", 3*time.Second)}
+	lib := profile.DefaultLibrary()
+	for _, pol := range policy.Names() {
+		counts := make([]uint64, len(specs))
+		for i, spec := range specs {
+			ws := make([]int, spec.N())
+			for k := range ws {
+				ws[k] = 2
+			}
+			cfg := Config{Spec: spec, Lib: lib, PolicyName: pol, Seed: 1, Workers: ws}
+			build := func() uint64 {
+				return uint64(testing.AllocsPerRun(3, func() {
+					if _, err := New(cfg, NewManualExecutor()); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			// The fewest of three tries: under -race the runtime now and
+			// then adds one of its own.
+			counts[i] = min(build(), build(), build())
+		}
+		t.Logf("%-13s %d / %d / %d allocations for %d / %d / %d modules", pol, counts[0], counts[1], counts[2], specs[0].N(), specs[1].N(), specs[2].N())
+		if fixed := counts[0] - 2*uint64(specs[0].N()); fixed > fixedCeiling {
+			t.Errorf("%s: %d allocations for %d modules: %d besides the jitter streams, ceiling %d", pol, counts[0], specs[0].N(), fixed, fixedCeiling)
+		}
+		for i := 1; i < len(specs); i++ {
+			extra := uint64(specs[i].N() - specs[0].N())
+			if counts[i] > counts[0]+2*extra {
+				t.Errorf("%s: %d allocations for %d modules, %d for %d: more than 2 a module", pol, counts[i], specs[i].N(), counts[0], specs[0].N())
 			}
 		}
 	}

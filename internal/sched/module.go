@@ -47,9 +47,11 @@ type module struct {
 	// pool's levels.
 	tree []uint64
 
-	// Controller state (State Planner inputs, §4.1 step ①). A window is
-	// nil unless the policy reads its field (policy.Reads) or, for qWin,
-	// the queue-delay probe records it.
+	// Controller state (State Planner inputs, §4.1 step ①), pointing into
+	// the cluster's arrays (newModules). Every window and ring is nil on a
+	// replica of a module another lane group owns, and a window is nil
+	// unless the policy reads its field (policy.Reads) or, for qWin, the
+	// queue-delay probe records it.
 	qWin    *stats.SlidingWindow // queueing delay samples (seconds)
 	wclWin  *stats.SlidingWindow // per-request Q+W+D samples (seconds)
 	waitRes *stats.Ring          // the last waitRing batch waits (seconds)
@@ -88,49 +90,97 @@ type module struct {
 	probeCount      int
 }
 
-func newModule(c *Cluster, idx int, spec pipeline.Module, model profile.Model, batch int, dur time.Duration, workers int) *module {
-	m := &module{
-		cl:          c,
-		idx:         idx,
-		spec:        spec,
-		model:       model,
-		targetBatch: batch,
-		targetDur:   dur,
-		jitter:      c.jitter,
-		rateWin:     stats.NewRateWindow(queueWindow, inputRateSpan),
-		workers:     make([]*worker, 0, workers),
-	}
-	if c.reads.QueueDelay || c.cfg.Probes.QueueDelay {
-		m.qWin = stats.NewSlidingWindow(queueWindow)
-	}
-	// A replica of a module another lane group owns runs no batch and
-	// observes no waits.
-	if c.owns(idx) {
-		m.execRng = rand.New(rand.NewSource(streamSeed(c.cfg.Seed, idx, "exec")))
-		if c.reads.BatchWait {
-			m.waitRes = stats.NewRing(waitRing)
+// newModules builds the cluster's modules in one piece: the module structs,
+// the State Planner windows and rings of the modules this replica owns, and
+// every module's initial worker pool (see newPools) are arrays carved per
+// module, so a build costs the same allocations whatever the module count,
+// but for the execution-jitter stream of each owned module. A replica of a module another lane group owns runs no
+// batch and observes nothing: it keeps no window, ring or stream.
+func (c *Cluster) newModules(workers []int) error {
+	cfg := &c.cfg
+	n := len(workers)
+	owned := 0
+	for k := range n {
+		if c.owns(k) {
+			owned++
 		}
 	}
+	// Each owned module keeps the queueing-delay window when the policy or
+	// the queue-delay probe reads it, and the WCL window when the policy
+	// does; both sit in c.wins, a module's in a row.
+	keepQ := c.reads.QueueDelay || cfg.Probes.QueueDelay
+	perModule := 0
+	if keepQ {
+		perModule++
+	}
 	if c.reads.WCL {
-		m.wclWin = stats.NewSlidingWindow(queueWindow)
+		perModule++
 	}
-	if c.cfg.Probes.QueueDelay {
-		m.queueDelayProbe = &metrics.Series{Name: "queue-delay"}
+	mods := make([]module, n)
+	c.modules = make([]*module, n)
+	c.rates = make([]stats.RateWindow, owned)
+	c.wins = make([]stats.SlidingWindow, perModule*owned)
+	var waits, probes []stats.Ring
+	if c.reads.BatchWait {
+		waits = stats.NewRings(owned, waitRing)
 	}
-	if c.cfg.Probes.LoadFactor {
-		m.loadProbe = &metrics.Series{Name: "load-factor"}
-		m.modeProbe = &metrics.Series{Name: "priority-mode"}
+	if cfg.Probes.Decomposition {
+		probes = stats.NewRings(owned, waitProbeRing)
 	}
-	if c.cfg.Probes.Budget {
-		m.budgetProbe = &metrics.Series{Name: "consumed-budget"}
-		m.remainProbe = &metrics.Series{Name: "remaining-budget"}
+	o := 0 // owned modules so far
+	for k := range mods {
+		model, err := cfg.Lib.Get(cfg.Spec.Modules[k].Name)
+		if err != nil {
+			return err
+		}
+		m := &mods[k]
+		*m = module{
+			cl:          c,
+			idx:         k,
+			spec:        cfg.Spec.Modules[k],
+			model:       model,
+			targetBatch: c.batches[k],
+			targetDur:   c.durs[k],
+			jitter:      c.jitter,
+			peakWorkers: workers[k],
+		}
+		c.modules[k] = m
+		if cfg.Probes.QueueDelay {
+			m.queueDelayProbe = &metrics.Series{Name: "queue-delay"}
+		}
+		if cfg.Probes.LoadFactor {
+			m.loadProbe = &metrics.Series{Name: "load-factor"}
+			m.modeProbe = &metrics.Series{Name: "priority-mode"}
+		}
+		if cfg.Probes.Budget {
+			m.budgetProbe = &metrics.Series{Name: "consumed-budget"}
+			m.remainProbe = &metrics.Series{Name: "remaining-budget"}
+		}
+		if !c.owns(k) {
+			continue
+		}
+		m.execRng = rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "exec")))
+		m.rateWin = &c.rates[o]
+		m.rateWin.Init(queueWindow, inputRateSpan)
+		wins := c.wins[o*perModule : (o+1)*perModule]
+		if keepQ {
+			m.qWin, wins = &wins[0], wins[1:]
+			m.qWin.Init(queueWindow)
+		}
+		if c.reads.WCL {
+			m.wclWin = &wins[0]
+			m.wclWin.Init(queueWindow)
+		}
+		if waits != nil {
+			m.waitRes = &waits[o]
+		}
+		if probes != nil {
+			m.waitProbe = &probes[o]
+		}
+		o++
 	}
-	if c.cfg.Probes.Decomposition && c.owns(idx) {
-		m.waitProbe = stats.NewRing(waitProbeRing)
-	}
-	m.addWorkers(workers, 0, false)
-	m.peakWorkers = workers
-	return m
+	c.newPools(workers)
+	return nil
 }
 
 // A module's State Planner statistics: queueWindow is the span of the
@@ -152,9 +202,55 @@ const (
 // its forming batch), as every worker of a dense steady run does.
 const depqRoom = 1
 
-// addWorkers spawns n workers, numbered on from nextWID, in one piece: the
-// worker structs, their queues, the queues' storage and two batch slabs per
-// worker are four arrays carved per worker, so a pool costs the same
+// fifoRoom is a FIFO worker queue's room in target batches: the queue of a
+// worker keeping up holds about one, and one that falls behind grows it as it
+// would anyway.
+const fifoRoom = 4
+
+// newPools spawns every module's initial pool in one piece: worker structs,
+// their queues, the queues' storage, two batch slabs a worker, the modules'
+// worker slices and dispatch trees are arrays carved per module, then per
+// worker, so the pools cost the same allocations whatever the module count
+// and pool sizes. A module's slice and tree are capped at its own end: a
+// scale-out moves them onto arrays of their own (addWorkers).
+func (c *Cluster) newPools(workers []int) {
+	total, slabs, trees := 0, 0, 0
+	for k, m := range c.modules {
+		total += workers[k]
+		slabs += 2 * workers[k] * m.targetBatch
+		trees += 2 * treeSize(workers[k])
+	}
+	ws := make([]worker, total)
+	if c.pol.Queue() == policy.KindDEPQ {
+		qs := depq.NewDEPQs[entry](total, depqRoom)
+		for i := range ws {
+			ws[i].queue = &qs[i]
+		}
+	} else {
+		rooms := make([]int, len(c.modules))
+		for k, m := range c.modules {
+			rooms[k] = fifoRoom * m.targetBatch
+		}
+		qs := depq.NewFIFOGroups[entry](workers, rooms)
+		for i := range ws {
+			ws[i].queue = &qs[i]
+		}
+	}
+	ptrs := make([]*worker, total)
+	slab := make([]batchMember, slabs)
+	tree := make([]uint64, trees)
+	for k, m := range c.modules {
+		n, b, t := workers[k], m.targetBatch, 2*treeSize(workers[k])
+		m.workers, ptrs = ptrs[:0:n], ptrs[n:]
+		m.tree, tree = tree[:t:t], tree[t:]
+		m.spawn(ws[:n], slab[:2*n*b], 0, false)
+		ws, slab = ws[n:], slab[2*n*b:]
+	}
+}
+
+// addWorkers scales the pool out by n workers in one piece: the worker
+// structs, their queues, the queues' storage and two batch slabs per worker
+// are four arrays carved per worker, so a scale-out costs the same
 // allocations whatever its size. Cold workers serve only after the
 // cold-start delay.
 func (m *module) addWorkers(n int, now time.Duration, cold bool) {
@@ -165,16 +261,20 @@ func (m *module) addWorkers(n int, now time.Duration, cold bool) {
 			ws[i].queue = &qs[i]
 		}
 	} else {
-		// Room for four batches: the queue of a worker keeping up holds
-		// about one, and one that falls behind grows it as it would anyway.
-		qs := depq.NewFIFOs[entry](n, 4*m.targetBatch)
+		qs := depq.NewFIFOs[entry](n, fifoRoom*m.targetBatch)
 		for i := range ws {
 			ws[i].queue = &qs[i]
 		}
 	}
-	b := m.targetBatch
-	slabs := make([]batchMember, 2*n*b)
 	m.workers = slices.Grow(m.workers, n)
+	m.spawn(ws, make([]batchMember, 2*n*m.targetBatch), now, cold)
+}
+
+// spawn numbers the workers of ws, their queues set, on from nextWID, carves
+// each its two batch slabs from slabs, adds them to the pool and rebuilds the
+// dispatch tree.
+func (m *module) spawn(ws []worker, slabs []batchMember, now time.Duration, cold bool) {
+	b := m.targetBatch
 	for i := range ws {
 		w := &ws[i]
 		w.mod, w.id, w.active = m, m.nextWID, true
@@ -189,12 +289,19 @@ func (m *module) addWorkers(n int, now time.Duration, cold bool) {
 	m.growTree()
 }
 
-// growTree rebuilds the dispatch tree over every worker, new ones included.
-func (m *module) growTree() {
+// treeSize is the leaf count of a dispatch tree over n workers: the least
+// power of two not below n.
+func treeSize(n int) int {
 	size := 1
-	for size < len(m.workers) {
+	for size < n {
 		size *= 2
 	}
+	return size
+}
+
+// growTree rebuilds the dispatch tree over every worker, new ones included.
+func (m *module) growTree() {
+	size := treeSize(len(m.workers))
 	t := m.tree
 	if len(t) != 2*size {
 		t = make([]uint64, 2*size)

@@ -88,12 +88,17 @@ type Cluster struct {
 	// window behind a field only when the policy or a probe reads it.
 	reads policy.Reads
 
+	// modules point into one array; rates and wins hold the owned modules'
+	// rate windows and their queueing-delay and WCL windows, which the
+	// modules point into (see newModules).
 	modules []*module
+	rates   []stats.RateWindow
+	wins    []stats.SlidingWindow
 	board   *core.Board
 
-	// pathRngs holds per-module deterministic streams for exclusive DAG
-	// branch choice, nil for a module another lane group owns (the
-	// execution jitter stream lives on the module itself).
+	// pathRngs holds the deterministic branch-choice stream of each owned
+	// Exclusive fan-out module, which pickBranch draws; it is nil for every
+	// other module (the execution jitter stream lives on the module itself).
 	pathRngs []*rand.Rand
 	jitter   float64
 
@@ -221,7 +226,7 @@ func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 	}
 	c.pathRngs = make([]*rand.Rand, n)
 	for k := range c.pathRngs {
-		if c.owns(k) {
+		if c.owns(k) && cfg.Spec.Modules[k].Exclusive {
 			c.pathRngs[k] = rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path")))
 		}
 	}
@@ -238,14 +243,13 @@ func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 	}
 	c.pol = pol
 	c.reads = pol.Reads()
-
-	for k := 0; k < n; k++ {
-		model, err := cfg.Lib.Get(cfg.Spec.Modules[k].Name)
-		if err != nil {
-			return nil, err
-		}
-		m := newModule(c, k, cfg.Spec.Modules[k], model, batches[k], durs[k], cfg.Workers[k])
-		c.modules = append(c.modules, m)
+	if c.reads.BatchWait {
+		// Every replica's board holds every module's samples: a peer's
+		// rows arrive through the board exchange.
+		c.board.Reserve(waitRing)
+	}
+	if err := c.newModules(cfg.Workers); err != nil {
+		return nil, err
 	}
 	if err := exec.attach(c.modules, cfg.NetDelay, c.barrier); err != nil {
 		return nil, err
@@ -302,31 +306,39 @@ func (c *Cluster) Probes(k int) ModuleProbes {
 	return p
 }
 
-// Reserve sizes every owned module's State Planner windows for a run whose
-// requests are sent at the sorted times arrivals, so that they do not grow
-// while it runs: the rate window, and those of the queueing-delay and WCL
-// windows the module keeps, with the scratch publish copies WCL into. A
-// module sees each request once, about one hop delay after its neighbours,
-// so the trace's peak count within queueWindow, the span of every window
-// (the rate window's inner span shares its timestamps), is what a window
-// holds live, give or take the bunching the reservation's slack absorbs.
-// Storage only: a window that outgrows it grows as an unreserved one (the
-// live server's) does.
-func (c *Cluster) Reserve(arrivals []time.Duration) {
+// Reserve sizes the State Planner state of every owned module for a run of
+// span whose requests are sent at the sorted times arrivals, synchronized
+// every syncPeriod, so that it does not grow while the run lasts: the rate
+// window, those of the queueing-delay and WCL windows the module keeps, with
+// the scratch publish copies WCL into, each kind carved from one array; and
+// the policy's per-tick state, for the ticks of span and of one SLO's drain
+// after it. A module sees each request once, about one hop delay after its
+// neighbours, so the trace's peak count within queueWindow, the span of every
+// window (the rate window's inner span shares its timestamps), is what a
+// window holds live, give or take the bunching the reservation's slack
+// absorbs. Storage only: a window that outgrows it grows as an unreserved one
+// (the live server's) does.
+func (c *Cluster) Reserve(arrivals []time.Duration, span, syncPeriod time.Duration) {
 	n := len(arrivals)
 	peak := stats.PeakCount(arrivals, queueWindow)
-	for _, m := range c.modules {
-		if !c.owns(m.idx) {
-			continue
+	slab := stats.NewWindowSlab(len(c.wins), len(c.rates), peak, n)
+	for i := range c.wins {
+		c.wins[i].ReserveFrom(&slab)
+	}
+	for i := range c.rates {
+		c.rates[i].ReserveFrom(&slab)
+	}
+	if c.reads.WCL {
+		room := min(2*peak, n)
+		scratch := make([]float64, len(c.rates)*room)
+		for _, m := range c.modules {
+			if m.wclWin != nil {
+				m.wclScratch, scratch = scratch[:0:room], scratch[room:]
+			}
 		}
-		if m.qWin != nil {
-			m.qWin.Reserve(peak, n)
-		}
-		m.rateWin.Reserve(peak, n)
-		if m.wclWin != nil {
-			m.wclWin.Reserve(peak, n)
-			m.wclScratch = make([]float64, 0, min(2*peak, n))
-		}
+	}
+	if syncPeriod > 0 {
+		c.pol.Reserve(syncPeriod, int((span+c.cfg.Spec.SLO)/syncPeriod)+1)
 	}
 }
 

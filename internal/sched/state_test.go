@@ -66,7 +66,7 @@ func TestWindowsOnlyForReaders(t *testing.T) {
 			arrivals = append(arrivals, at)
 			cl.Inject(&Request{ID: uint64(len(arrivals)), Send: at, Deadline: at + spec.SLO}, at)
 		}
-		cl.Reserve(arrivals)
+		cl.Reserve(arrivals, horizon, 100*time.Millisecond)
 		var published policy.Reads
 		for at := 100 * time.Millisecond; at <= horizon; at += 100 * time.Millisecond {
 			man.Schedule(at, "sync", func(now time.Duration) {

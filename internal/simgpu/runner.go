@@ -324,7 +324,7 @@ func (r *Runner) inject() {
 	slab := r.slab
 	r.requests = make([]*sched.Request, 0, len(slab))
 	r.eng.Reserve(r.cfg.Spec.Source(), len(slab))
-	r.cl.Reserve(r.cfg.Trace.Arrivals)
+	r.cl.Reserve(r.cfg.Trace.Arrivals, r.cfg.Trace.Duration, r.cfg.SyncPeriod)
 	for i, at := range r.cfg.Trace.Arrivals {
 		req := &slab[i]
 		req.ID = uint64(i)

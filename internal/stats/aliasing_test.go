@@ -13,7 +13,7 @@ import (
 // on these distinctions to share cached slices safely.
 
 func TestRingValuesIsLiveBuffer(t *testing.T) {
-	r := NewRing(4)
+	r := newRing(4)
 	for i := 0; i < 4; i++ {
 		r.Add(float64(i))
 	}

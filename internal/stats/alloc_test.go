@@ -63,7 +63,7 @@ func TestAllocsSelectP95(t *testing.T) {
 // and allocates nothing at all.
 func TestAllocsWindowsSteadyFeed(t *testing.T) {
 	const span, perSpan, spans = time.Second, 10000, 20
-	sw, rw := NewSlidingWindow(span), NewRateWindow(span, span)
+	sw, rw := NewSlidingWindow(span), newRateWindow(span, span)
 	at := time.Duration(0)
 	feed := func(n int) {
 		for i := 0; i < n; i++ {
@@ -134,14 +134,14 @@ func TestAllocsWindowsReserved(t *testing.T) {
 	times, vals := burstyFeed(7, 20)
 	peak := PeakCount(times, span)
 	reserved := func() (*SlidingWindow, *RateWindow) {
-		sw, rw := NewSlidingWindow(span), NewRateWindow(span, inner)
+		sw, rw := NewSlidingWindow(span), newRateWindow(span, inner)
 		sw.Reserve(peak, len(times))
 		rw.Reserve(peak, len(times))
 		return sw, rw
 	}
 
 	sw, rw := reserved()
-	gsw, grw := NewSlidingWindow(span), NewRateWindow(span, inner)
+	gsw, grw := NewSlidingWindow(span), newRateWindow(span, inner)
 	var got, want []float64
 	compactions, sh, rh := 0, 0, 0
 	for i, at := range times {
@@ -205,6 +205,69 @@ func TestAllocsWindowsReserved(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("reserved windows allocated %.0f times over %d samples, want 0", avg, len(times))
+	}
+}
+
+// TestWindowSlabShared: windows whose arrays are carved from one slab answer
+// every query bit for bit as windows that grew on their own, each fed its
+// own stream. The slab is sized for the sparsest stream, so the denser
+// windows outgrow their rooms and move out while their neighbours keep
+// theirs.
+func TestWindowSlabShared(t *testing.T) {
+	const span, inner, n = time.Second, 400 * time.Millisecond, 3
+	times, vals := make([][]time.Duration, n), make([][]float64, n)
+	for i := range n {
+		times[i], vals[i] = burstyFeed(int64(11+i), 4*(i+1))
+		for j := range times[i] {
+			times[i][j] /= time.Duration(i + 1) // denser streams over the same 4 s
+		}
+	}
+	slab := NewWindowSlab(n, n, PeakCount(times[0], span), len(times[0]))
+	sw, rw := make([]SlidingWindow, n), make([]RateWindow, n)
+	gsw, grw := make([]*SlidingWindow, n), make([]*RateWindow, n)
+	rooms := make([]*sample, n)
+	for i := range n {
+		sw[i].Init(span)
+		rw[i].Init(span, inner)
+		sw[i].ReserveFrom(&slab)
+		rw[i].ReserveFrom(&slab)
+		rooms[i] = &sw[i].samples[:1][0]
+		gsw[i], grw[i] = NewSlidingWindow(span), newRateWindow(span, inner)
+	}
+	var got, want []float64
+	for j := 0; ; j++ {
+		fed := false
+		for i := range n {
+			if j >= len(times[i]) {
+				continue
+			}
+			fed = true
+			at := times[i][j]
+			sw[i].Add(at, vals[i][j])
+			gsw[i].Add(at, vals[i][j])
+			rw[i].Observe(at)
+			grw[i].Observe(at)
+			if j%61 != 0 {
+				continue
+			}
+			m, ok := sw[i].Mean(at)
+			gm, gok := gsw[i].Mean(at)
+			if ok != gok || math.Float64bits(m) != math.Float64bits(gm) || math.Float64bits(rw[i].InnerRate(at)) != math.Float64bits(grw[i].InnerRate(at)) || rw[i].Count(at) != grw[i].Count(at) {
+				t.Fatalf("window %d, sample %d: carved Mean %v, %t, grown %v, %t; or the rates differ", i, j, m, ok, gm, gok)
+			}
+			got, want = sw[i].ValuesInto(at, got), gsw[i].ValuesInto(at, want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("window %d, sample %d: carved window holds %d values, grown %d, or they differ", i, j, len(got), len(want))
+			}
+		}
+		if !fed {
+			break
+		}
+	}
+	for i := range n {
+		if moved := &sw[i].samples[:1][0] != rooms[i]; moved != (i > 0) {
+			t.Fatalf("window %d moved out of its room: %t, want %t", i, moved, i > 0)
+		}
 	}
 }
 

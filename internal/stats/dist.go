@@ -87,9 +87,17 @@ type Ring struct {
 	next int // the slot the next Add overwrites once buf is full
 }
 
-// NewRing returns a ring holding at most capacity (> 0) values, its storage
-// allocated at once.
-func NewRing(capacity int) *Ring { return &Ring{buf: make([]float64, 0, capacity)} }
+// NewRings returns n empty rings, each holding at most capacity (> 0)
+// values, in one array, their storage allocated at once and carved from
+// another, each room capped at its own end: the set costs two allocations.
+func NewRings(n, capacity int) []Ring {
+	rs := make([]Ring, n)
+	store := make([]float64, n*capacity)
+	for i := range rs {
+		rs[i].buf = store[i*capacity : i*capacity : (i+1)*capacity]
+	}
+	return rs
+}
 
 // Add appends v, overwriting the oldest value once the ring is full.
 func (r *Ring) Add(v float64) {

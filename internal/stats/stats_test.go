@@ -10,6 +10,16 @@ import (
 	"time"
 )
 
+// newRing and newRateWindow build one ring and one rate window, as an
+// owner's array holds them.
+func newRing(capacity int) *Ring { return &NewRings(1, capacity)[0] }
+
+func newRateWindow(span, inner time.Duration) *RateWindow {
+	r := new(RateWindow)
+	r.Init(span, inner)
+	return r
+}
+
 func TestSlidingWindowEviction(t *testing.T) {
 	w := NewSlidingWindow(5 * time.Second)
 	for i := 0; i < 10; i++ {
@@ -107,7 +117,7 @@ func TestSlidingWindowPanicsOnBadSpan(t *testing.T) {
 }
 
 func TestRateWindow(t *testing.T) {
-	r := NewRateWindow(time.Second, time.Second)
+	r := newRateWindow(time.Second, time.Second)
 	for i := 0; i < 100; i++ {
 		r.Observe(time.Duration(i) * 10 * time.Millisecond)
 	}
@@ -133,8 +143,8 @@ func TestRateWindowInnerHead(t *testing.T) {
 	const span, inner = 5 * time.Second, 2 * time.Second
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		merged := NewRateWindow(span, inner)
-		outer, fast := NewRateWindow(span, span), NewRateWindow(inner, inner)
+		merged := newRateWindow(span, inner)
+		outer, fast := newRateWindow(span, span), newRateWindow(inner, inner)
 		var clock time.Duration
 		compactions, last, queries := 0, 0, 0
 		for i := 0; i < 30000; i++ {
@@ -183,7 +193,7 @@ func TestRateWindowEvictsWhenRead(t *testing.T) {
 	const span, inner = 5 * time.Second, 2 * time.Second
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		lazy, eager := NewRateWindow(span, inner), NewRateWindow(span, inner)
+		lazy, eager := newRateWindow(span, inner), newRateWindow(span, inner)
 		var clock time.Duration
 		compactions, last, queries := 0, 0, 0
 		for i := 0; i < 30000; i++ {
@@ -232,10 +242,10 @@ func TestRateWindowRefusesSpans(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewRateWindow(%v, %v) did not panic", c[0], c[1])
+					t.Errorf("RateWindow.Init(%v, %v) did not panic", c[0], c[1])
 				}
 			}()
-			NewRateWindow(c[0], c[1])
+			newRateWindow(c[0], c[1])
 		}()
 	}
 }
@@ -304,7 +314,7 @@ func TestEmpiricalHistogramIntegratesToOne(t *testing.T) {
 // holds exactly the last min(n, c) of them, each once.
 func TestRingKeepsLastN(t *testing.T) {
 	for _, c := range []int{1, 2, 7, 512} {
-		r := NewRing(c)
+		r := newRing(c)
 		for n := 1; n <= 3*c+1; n++ {
 			r.Add(float64(n - 1))
 			got := slices.Sorted(slices.Values(r.Values()))
@@ -315,6 +325,23 @@ func TestRingKeepsLastN(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("capacity %d after %d adds: holds %v, want %v", c, n, got, want)
 			}
+		}
+	}
+	// Rings carved from one array keep their own values: each fed its own
+	// stream, interleaved, holds what a ring of its own does.
+	rs := NewRings(3, 7)
+	for n := 0; n < 40; n++ {
+		for i := range rs {
+			rs[i].Add(float64(100*i + n))
+		}
+	}
+	for i := range rs {
+		alone := newRing(7)
+		for n := 0; n < 40; n++ {
+			alone.Add(float64(100*i + n))
+		}
+		if !slices.Equal(rs[i].Values(), alone.Values()) {
+			t.Fatalf("carved ring %d holds %v, a ring of its own %v", i, rs[i].Values(), alone.Values())
 		}
 	}
 }
@@ -458,7 +485,7 @@ func TestPropertyWindowMeanConsistent(t *testing.T) {
 // values, and its newest value is the last one added.
 func TestPropertyRingSize(t *testing.T) {
 	f := func(n uint16) bool {
-		r := NewRing(50)
+		r := newRing(50)
 		for i := 0; i < int(n); i++ {
 			r.Add(float64(i))
 			if len(r.Values()) > 50 {

@@ -43,11 +43,22 @@ type SlidingWindow struct {
 
 // NewSlidingWindow returns a window covering the last span of virtual time.
 func NewSlidingWindow(span time.Duration) *SlidingWindow {
+	w := new(SlidingWindow)
+	w.Init(span)
+	return w
+}
+
+// Init makes w an empty window covering the last span, in place: the form
+// for windows kept by value in their owner's array.
+func (w *SlidingWindow) Init(span time.Duration) {
 	if span <= 0 {
 		panic(fmt.Sprintf("stats: window span must be positive, got %v", span))
 	}
-	return &SlidingWindow{span: span}
+	*w = SlidingWindow{span: span}
 }
+
+// Span returns the window's horizon.
+func (w *SlidingWindow) Span() time.Duration { return w.span }
 
 // Add records value v observed at time now. Timestamps must be nondecreasing;
 // out-of-order samples are clamped forward to preserve the eviction
@@ -88,10 +99,49 @@ func (w *SlidingWindow) tally(s sample, sign float64) {
 // grows it. It changes storage only: compaction keys on the dead prefix, not
 // on capacity, so every answer stays bit-identical.
 func (w *SlidingWindow) Reserve(peak, total int) {
-	n := reservation(peak, total, slidingCompactAfter)
+	s := NewWindowSlab(1, 0, peak, total)
+	w.ReserveFrom(&s)
+}
+
+// ReserveFrom is Reserve with the window's array carved from the next of the
+// slab's rooms for sliding windows. A window already holding that much room
+// leaves the room unused.
+func (w *SlidingWindow) ReserveFrom(s *WindowSlab) {
+	n := s.slidingRoom
+	room := s.samples[:0:n]
+	s.samples = s.samples[n:]
 	if n > cap(w.samples) {
-		w.samples = append(make([]sample, 0, n), w.samples...)
+		w.samples = append(room, w.samples...)
 	}
+}
+
+// WindowSlab is storage for the arrays of a set of windows reserved alike,
+// such as the windows of a cluster's modules or of a policy's priority
+// controllers: one array per kind of window, cut into rooms of one
+// reservation each, so the set costs one allocation per kind however many
+// windows it holds. Each ReserveFrom takes the next room; a room is capped at
+// its own end, so a window that outgrows it moves onto an array of its own
+// and never writes into a neighbour's.
+type WindowSlab struct {
+	samples               []sample        // rooms of sliding windows
+	times                 []time.Duration // rooms of rate windows
+	slidingRoom, rateRoom int
+}
+
+// NewWindowSlab returns rooms for sliding SlidingWindows and rate RateWindows,
+// each as large as Reserve(peak, total) makes a window's array.
+func NewWindowSlab(sliding, rate, peak, total int) WindowSlab {
+	s := WindowSlab{
+		slidingRoom: reservation(peak, total, slidingCompactAfter),
+		rateRoom:    reservation(peak, total, rateCompactAfter),
+	}
+	if sliding > 0 {
+		s.samples = make([]sample, sliding*s.slidingRoom)
+	}
+	if rate > 0 {
+		s.times = make([]time.Duration, rate*s.rateRoom)
+	}
+	return s
 }
 
 // reservation is Reserve's capacity for a window that compacts once its dead
@@ -225,13 +275,14 @@ type RateWindow struct {
 	innerHead   int // first live event over inner; never below head
 }
 
-// NewRateWindow returns a rate estimator over the last span whose inner head
-// counts the last inner of the same events; inner = span gives one window.
-func NewRateWindow(span, inner time.Duration) *RateWindow {
+// Init makes r an empty rate estimator over the last span whose inner head
+// counts the last inner of the same events (inner = span gives one window),
+// in place, as SlidingWindow.Init does.
+func (r *RateWindow) Init(span, inner time.Duration) {
 	if inner <= 0 || inner > span {
 		panic(fmt.Sprintf("stats: rate window spans must satisfy 0 < inner <= span, got %v and %v", inner, span))
 	}
-	return &RateWindow{span: span, inner: inner}
+	*r = RateWindow{span: span, inner: inner}
 }
 
 // Observe records one event at time now.
@@ -250,9 +301,18 @@ func (r *RateWindow) Observe(now time.Duration) {
 // stream that keeps at most peak events live at once over span and observes
 // at most total in all.
 func (r *RateWindow) Reserve(peak, total int) {
-	n := reservation(peak, total, rateCompactAfter)
+	s := NewWindowSlab(0, 1, peak, total)
+	r.ReserveFrom(&s)
+}
+
+// ReserveFrom is Reserve with the window's array carved from the next of the
+// slab's rooms for rate windows, as SlidingWindow.ReserveFrom carves.
+func (r *RateWindow) ReserveFrom(s *WindowSlab) {
+	n := s.rateRoom
+	room := s.times[:0:n]
+	s.times = s.times[n:]
 	if n > cap(r.times) {
-		r.times = append(make([]time.Duration, 0, n), r.times...)
+		r.times = append(room, r.times...)
 	}
 }
 
