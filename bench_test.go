@@ -696,15 +696,12 @@ func modulePublish(tb testing.TB, measure func(tick func())) {
 		tb.Fatal(err)
 	}
 	const rate, window = 3500, 5 * time.Second
+	plan, err := sched.NewPlan(pipeline.Uniform("publish", 1, "stage", 400*time.Millisecond), lib, []int{40}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	x := sched.NewLaneExecutor(1, time.Millisecond)
-	cl, err := sched.New(sched.Config{
-		Spec:       pipeline.Uniform("publish", 1, "stage", 400*time.Millisecond),
-		Lib:        lib,
-		PolicyName: "pard-wcl",
-		Seed:       1,
-		Workers:    []int{40},
-		NetDelay:   time.Millisecond,
-	}, x)
+	cl, err := sched.New(plan, sched.Config{PolicyName: "pard-wcl", Seed: 1, NetDelay: time.Millisecond}, x)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -756,7 +753,7 @@ func withoutGC(op func() uint64) func() uint64 {
 // measured when it was set plus a slack at least as wide as the spread seen
 // over 20 runs and under -race, and at most 5 % — except the loopback run,
 // whose -race readings (sync.Pool drops items under the race detector) sit
-// ≈ 70 above its plain ones (18 %), and HTTPInfer, which is skipped under
+// ≈ 74 above its plain ones (20 %), and HTTPInfer, which is skipped under
 // -race (its pooled per-request state is rebuilt whenever the pool drops
 // it, ≈ 10 % more allocations). RAGRun and ServerSubmit are counted with the
 // collector paused (withoutGC), so their counts are their own and have no
@@ -785,11 +782,11 @@ func TestAllocsWholeOps(t *testing.T) {
 		events        uint64 // simulated events per op, exact (0: not a simulation)
 		run           func(tb testing.TB, m measure)
 	}{
-		{"ShardedDASequential", 93, 18_100_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb)) }},
-		{"LaneGroupBarrier/mem", 312, 2_020_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
-		{"LaneGroupBarrier/loopback", 480, 1_300_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
-		{"SweepGrid", 663, 5_300_000, 113301, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
-		{"LongChain", 435, 8_700_000, 305303, func(tb testing.TB, m measure) { m(longChain(tb)) }},
+		{"ShardedDASequential", 84, 18_100_000, 599514, func(tb testing.TB, m measure) { m(shardedDA(tb)) }},
+		{"LaneGroupBarrier/mem", 294, 2_020_000, 13398, func(tb testing.TB, m measure) { m(laneGroupMem(tb)) }},
+		{"LaneGroupBarrier/loopback", 462, 1_300_000, 13398, func(tb testing.TB, m measure) { m(laneGroupLoopback(tb)) }},
+		{"SweepGrid", 653, 5_300_000, 113301, func(tb testing.TB, m measure) { m(sweepGrid(tb)) }},
+		{"LongChain", 423, 8_700_000, 305303, func(tb testing.TB, m measure) { m(longChain(tb)) }},
 		{"ServerSubmit", 0, 0, 0, func(tb testing.TB, m measure) {
 			submit := serverSubmitter(tb)
 			m(withoutGC(func() uint64 { submit(1); return 0 }))

@@ -394,7 +394,7 @@ func FuzzHello(f *testing.F) {
 				t.Fatalf("hello decodes but re-encodes differently:\n in  %x\n out %x", data, again)
 			}
 			if h.Job != nil {
-				buildLaneGroup(h, lib, &simSpoke{})
+				buildLaneGroup(h, &simSpoke{})
 			}
 		}
 		var a HelloAck
@@ -429,7 +429,7 @@ func TestAllocsHandshake(t *testing.T) {
 		defer spokeSide.Close()
 		accepted := make(chan error, 1)
 		go func() {
-			p, err := acceptSession(spokeSide, 0, lib)
+			p, err := acceptSession(spokeSide, 0)
 			if err == nil {
 				err = p.accept(0)
 			}

@@ -163,12 +163,12 @@ func TestHostileModuleIndicesRefused(t *testing.T) {
 			hubSide, spokeSide := net.Pipe()
 			go func() {
 				defer spokeSide.Close()
-				p, err := acceptSession(spokeSide, 10*time.Second, lib)
+				p, err := acceptSession(spokeSide, 10*time.Second)
 				if err != nil {
 					return
 				}
 				spoke := &simSpoke{}
-				r, err := buildLaneGroup(p.hello, lib, &tamperTransport{Transport: spoke, g: 1, row: row})
+				r, err := buildLaneGroup(p.hello, &tamperTransport{Transport: spoke, g: 1, row: row})
 				if err != nil {
 					p.refuse(err.Error())
 					return

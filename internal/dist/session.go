@@ -89,15 +89,16 @@ type pendingSession struct {
 }
 
 // acceptSession reads the hello of whoever opened conn and refuses a
-// malformed one, another protocol version or another profile library. A
+// malformed one, another protocol version or a profile library other than
+// the default one every worker serves. A
 // positive timeout bounds the whole handshake, up to accept: without it a port
 // scanner — or any peer that connects and sends nothing — would pin the server
 // forever.
-func acceptSession(conn net.Conn, timeout time.Duration, lib *profile.Library) (*pendingSession, error) {
+func acceptSession(conn net.Conn, timeout time.Duration) (*pendingSession, error) {
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 	}
-	p := &pendingSession{f: newFramed(conn), fp: lib.Fingerprint()}
+	p := &pendingSession{f: newFramed(conn), fp: profile.Default().Fingerprint()}
 	payload, err := p.f.readFrame(0)
 	if err != nil {
 		return nil, fmt.Errorf("dist: handshake: %w", err)

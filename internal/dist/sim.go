@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"sync"
@@ -376,11 +377,8 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 		return nil, fmt.Errorf("dist: distributed simulation needs a pipeline spec")
 	}
 	groups := len(conns) + 1
-	if cfg.Lib == nil {
-		cfg.Lib = profile.DefaultLibrary()
-	}
 	job := jobFromConfig(cfg)
-	hello := Hello{LibraryFP: cfg.Lib.Fingerprint(), Groups: groups, Job: &job}
+	hello := Hello{LibraryFP: cmp.Or(cfg.Lib, profile.Default()).Fingerprint(), Groups: groups, Job: &job}
 	peers := make([]*framed, len(conns))
 	for i, conn := range conns {
 		hello.Group = i + 1
@@ -413,24 +411,23 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 func ServeSim(conn net.Conn, opts SimOptions) (*simgpu.Result, error) {
 	defer conn.Close()
 	opts = opts.withDefaults()
-	lib := profile.DefaultLibrary()
-	p, err := acceptSession(conn, opts.handshakeTimeout, lib)
+	p, err := acceptSession(conn, opts.handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
 	if p.hello.Job == nil {
 		return nil, p.refuse("this peer serves simulation lane groups, not sweep units")
 	}
-	return serveLaneGroup(p, lib, opts)
+	return serveLaneGroup(p, opts)
 }
 
 // serveLaneGroup accepts the simulation session p opened and runs its lane
 // group to completion. The caller closes the connection, which is also what
 // releases the peers should the run fail.
-func serveLaneGroup(p *pendingSession, lib *profile.Library, opts SimOptions) (*simgpu.Result, error) {
+func serveLaneGroup(p *pendingSession, opts SimOptions) (*simgpu.Result, error) {
 	h := p.hello
 	spoke := &simSpoke{}
-	r, err := buildLaneGroup(h, lib, spoke)
+	r, err := buildLaneGroup(h, spoke)
 	if err != nil {
 		return nil, p.refuse(err.Error())
 	}
@@ -453,15 +450,15 @@ func serveLaneGroup(p *pendingSession, lib *profile.Library, opts SimOptions) (*
 }
 
 // buildLaneGroup builds the runner of the lane group a simulation hello
-// assigns, over transport tr. It is the whole of a spoke's validation of the
-// job: a hello it refuses is refused before the session is accepted, so no
-// job value off the wire reaches a running simulation unchecked.
-func buildLaneGroup(h Hello, lib *profile.Library, tr sched.Transport) (*simgpu.Runner, error) {
+// assigns, over transport tr, on the default library the handshake matched.
+// It is the whole of a spoke's validation of the job: a hello it refuses is
+// refused before the session is accepted, so no job value off the wire
+// reaches a running simulation unchecked.
+func buildLaneGroup(h Hello, tr sched.Transport) (*simgpu.Runner, error) {
 	if h.Groups < 2 || h.Group < 1 || h.Group >= h.Groups {
 		return nil, fmt.Errorf("lane group %d/%d out of range", h.Group, h.Groups)
 	}
 	cfg := h.Job.config()
-	cfg.Lib = lib
 	cfg.Remote = &simgpu.RemoteTopology{Groups: h.Groups, Group: h.Group, Transport: tr}
 	return simgpu.New(cfg)
 }

@@ -375,9 +375,9 @@ func badJobs() []badJob {
 		return cfg
 	}
 	return []badJob{
-		{"fixed-workers-negative", "FixedWorkers", base(func(c *simgpu.Config) { c.FixedWorkers = []int{-1, 1, 1} })},
-		{"fixed-workers-zero", "FixedWorkers", base(func(c *simgpu.Config) { c.FixedWorkers = []int{1, 0, 1} })},
-		{"fixed-workers-past-limit", "FixedWorkers", base(func(c *simgpu.Config) { c.FixedWorkers = []int{1, 1, sched.PoolLimit + 1} })},
+		{"fixed-workers-negative", "workers: module 0", base(func(c *simgpu.Config) { c.FixedWorkers = []int{-1, 1, 1} })},
+		{"fixed-workers-zero", "workers: module 1", base(func(c *simgpu.Config) { c.FixedWorkers = []int{1, 0, 1} })},
+		{"fixed-workers-past-limit", "workers: module 2", base(func(c *simgpu.Config) { c.FixedWorkers = []int{1, 1, sched.PoolLimit + 1} })},
 		{"lambda-above-one", "Lambda", base(func(c *simgpu.Config) { c.Lambda = 5 })},
 	}
 }

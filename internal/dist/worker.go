@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"pard/internal/profile"
 	"pard/internal/sweep"
 )
 
@@ -68,13 +67,12 @@ var errInjectedCrash = errors.New("dist: injected worker crash")
 func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 	defer conn.Close()
 	cfg = cfg.withDefaults()
-	lib := profile.DefaultLibrary()
-	p, err := acceptSession(conn, cfg.handshakeTimeout, lib)
+	p, err := acceptSession(conn, cfg.handshakeTimeout)
 	if err != nil {
 		return err
 	}
 	if p.hello.Job != nil {
-		_, err := serveLaneGroup(p, lib, SimOptions{Logf: cfg.Logf}.withDefaults())
+		_, err := serveLaneGroup(p, SimOptions{Logf: cfg.Logf}.withDefaults())
 		return err
 	}
 	h, f := p.hello, p.f
@@ -82,7 +80,6 @@ func ServeConn(conn net.Conn, cfg WorkerConfig) error {
 		Workers:       cfg.Workers,
 		BaseSeed:      h.BaseSeed,
 		TraceDuration: h.TraceDuration,
-		Library:       lib,
 		CacheDir:      cfg.CacheDir,
 		Logf:          cfg.Logf,
 	})

@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -228,9 +229,17 @@ func (l *Library) Scaled(factor float64) (*Library, error) {
 	return out, nil
 }
 
-// DefaultLibrary returns the model profiles used by the paper's four
-// applications (§5.1). Absolute numbers are calibrated for 2080Ti-class
-// throughput so each pipeline can meet its SLO at moderate batch sizes.
+// Default returns the process's one copy of DefaultLibrary, built at the
+// first call and shared by every deployment that names no library. It must
+// not be changed: a caller that adds models starts from DefaultLibrary.
+func Default() *Library { return defaultLibrary() }
+
+var defaultLibrary = sync.OnceValue(DefaultLibrary)
+
+// DefaultLibrary returns a new library of the model profiles used by the
+// paper's four applications (§5.1), which the caller may add to. Absolute
+// numbers are calibrated for 2080Ti-class throughput so each pipeline can
+// meet its SLO at moderate batch sizes.
 func DefaultLibrary() *Library {
 	l := NewLibrary()
 	// Per-worker throughput is calibrated to tens of req/s at the target

@@ -250,3 +250,22 @@ func TestFingerprintMatchesFNV(t *testing.T) {
 		t.Fatalf("Fingerprint allocates %.1f, want at most 1 (the name list)", avg)
 	}
 }
+
+// TestAllocsDefault: a process builds the default library once. Default
+// hands out one library, equal to a fresh DefaultLibrary, and allocates
+// nothing after its first call; DefaultLibrary builds a new library, which a
+// caller may add to, every time.
+func TestAllocsDefault(t *testing.T) {
+	shared := Default()
+	if avg := testing.AllocsPerRun(100, func() {
+		if Default() != shared {
+			t.Fatal("Default returned another library")
+		}
+	}); avg != 0 {
+		t.Fatalf("Default allocates %.1f times a call, want 0", avg)
+	}
+	fresh := DefaultLibrary()
+	if fresh == shared || fresh.Fingerprint() != shared.Fingerprint() {
+		t.Fatalf("DefaultLibrary = %p (fingerprint %016x), the shared default %p (%016x): want a copy", fresh, fresh.Fingerprint(), shared, shared.Fingerprint())
+	}
+}

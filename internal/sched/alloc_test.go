@@ -10,7 +10,6 @@ import (
 
 	"pard/internal/pipeline"
 	"pard/internal/policy"
-	"pard/internal/profile"
 )
 
 // These tests pin the allocation floors the engine-flip refactor bought:
@@ -492,9 +491,7 @@ func TestAllocsWorkerPool(t *testing.T) {
 		for k := range ws {
 			ws[k] = workers
 		}
-		cl, err := New(Config{
-			Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: pol, Seed: 1, Workers: ws,
-		}, man)
+		cl, err := New(mustPlan(t, spec, ws), Config{PolicyName: pol, Seed: 1}, man)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -549,11 +546,11 @@ func TestAllocsWorkerPool(t *testing.T) {
 // allocates a fixed count plus the execution-jitter stream (a math/rand Rand
 // and its source) of each module it owns. A 3-, a 5- and a 70-module chain
 // differ by at most 2 allocations a module under every policy, and the fixed
-// count (33–44 by policy) stays under fixedCeiling.
+// count (29–40 by policy) stays under fixedCeiling. The plan is built
+// before: New validates nothing and sizes no batch again.
 func TestAllocsClusterBuild(t *testing.T) {
-	const fixedCeiling = 46
+	const fixedCeiling = 40
 	specs := []*pipeline.Spec{pipeline.TM(), pipeline.LV(), pipeline.Uniform("c70", 70, "eyetrack", 3*time.Second)}
-	lib := profile.DefaultLibrary()
 	for _, pol := range policy.Names() {
 		counts := make([]uint64, len(specs))
 		for i, spec := range specs {
@@ -561,10 +558,10 @@ func TestAllocsClusterBuild(t *testing.T) {
 			for k := range ws {
 				ws[k] = 2
 			}
-			cfg := Config{Spec: spec, Lib: lib, PolicyName: pol, Seed: 1, Workers: ws}
+			plan, cfg := mustPlan(t, spec, ws), Config{PolicyName: pol, Seed: 1}
 			build := func() uint64 {
 				return uint64(testing.AllocsPerRun(3, func() {
-					if _, err := New(cfg, NewManualExecutor()); err != nil {
+					if _, err := New(plan, cfg, NewManualExecutor()); err != nil {
 						t.Fatal(err)
 					}
 				}))

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pard/internal/pipeline"
-	"pard/internal/profile"
 )
 
 // commitRuleLog runs the commit-rule scenario on lane group g of groups (a
@@ -35,9 +34,8 @@ func commitRuleLog(t *testing.T, groups, g int, tr Transport) ([]string, error) 
 	}
 	reqs := make([]Request, n)
 	var log []string
-	cl, err := New(Config{
-		Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "naive", Seed: 1,
-		Workers: []int{4, 1, 1, 1, 1}, NetDelay: time.Millisecond,
+	cl, err := New(mustPlan(t, spec, []int{4, 1, 1, 1, 1}), Config{
+		PolicyName: "naive", Seed: 1, NetDelay: time.Millisecond,
 		OnDrop: func(req *Request, module int, now time.Duration) {
 			log = append(log, fmt.Sprintf("drop %d@%d", req.ID, module))
 		},

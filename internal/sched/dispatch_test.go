@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pard/internal/pipeline"
-	"pard/internal/profile"
 )
 
 // scanLeastLoaded is the dispatcher as it was before the dispatch tree: walk
@@ -90,7 +89,7 @@ func FuzzDispatchTable(f *testing.F) {
 			workers[k] = 1
 		}
 		workers[0] = 1 + int(prog[0])%8
-		cl, err := New(Config{Spec: spec, Lib: profile.DefaultLibrary(), Seed: 1, Workers: workers}, man)
+		cl, err := New(mustPlan(t, spec, workers), Config{Seed: 1}, man)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,14 +135,24 @@ func FuzzDispatchTable(f *testing.F) {
 
 // TestNewRefusesWorkerCounts: a module with no worker would drop every
 // request, and a negative or huge count once sized a pool's slabs into a
-// panic (the live server's -workers reaches New unchecked).
+// panic (the live server's -workers reaches the plan unchecked).
 func TestNewRefusesWorkerCounts(t *testing.T) {
 	for _, bad := range []int{0, -1, PoolLimit + 1} {
-		_, err := New(Config{Spec: pipeline.TM(), Lib: profile.DefaultLibrary(), Workers: []int{1, bad, 1}}, NewManualExecutor())
-		if err == nil || !strings.Contains(err.Error(), "workers outside") {
-			t.Errorf("New with %d workers for module 1 = %v, want a refusal", bad, err)
+		_, err := NewPlan(pipeline.TM(), nil, []int{1, bad, 1}, 0)
+		if err == nil || !strings.Contains(err.Error(), "workers: module 1") {
+			t.Errorf("NewPlan with %d workers for module 1 = %v, want a refusal", bad, err)
 		}
 	}
+}
+
+// mustPlan plans spec on the default library with the given workers.
+func mustPlan(tb testing.TB, spec *pipeline.Spec, workers []int) Plan {
+	tb.Helper()
+	plan, err := NewPlan(spec, nil, workers, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
 }
 
 // TestDispatchTableTracksWorkers steps a cluster one event at a time through
@@ -160,10 +169,7 @@ func TestDispatchTableTracksWorkers(t *testing.T) {
 		for k := range workers {
 			workers[k] = 3
 		}
-		cl, err := New(Config{
-			Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "pard", Seed: 3,
-			Workers: workers, NetDelay: time.Millisecond,
-		}, man)
+		cl, err := New(mustPlan(t, spec, workers), Config{PolicyName: "pard", Seed: 3, NetDelay: time.Millisecond}, man)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,10 +317,7 @@ func TestCrashClearsWorker(t *testing.T) {
 	for _, pol := range []string{"pard", "nexus"} {
 		man := NewManualExecutor()
 		spec := pipeline.LV()
-		cl, err := New(Config{
-			Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: pol, Seed: 1,
-			Workers: []int{3, 3, 3, 3, 3},
-		}, man)
+		cl, err := New(mustPlan(t, spec, []int{3, 3, 3, 3, 3}), Config{PolicyName: pol, Seed: 1}, man)
 		if err != nil {
 			t.Fatal(err)
 		}

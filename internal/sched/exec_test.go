@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pard/internal/pipeline"
-	"pard/internal/profile"
 )
 
 func TestManualExecutorDeterministicOrder(t *testing.T) {
@@ -502,22 +501,22 @@ func TestTimerExecutorHammer(t *testing.T) {
 // a hop is refused there and taken on the manual clock, whose windows span
 // it; an executor runs one cluster.
 func TestTimerExecutorRefusesHop(t *testing.T) {
-	cfg := Config{Spec: pipeline.TM(), Lib: profile.DefaultLibrary(), Workers: []int{1, 1, 1}}
-	hop := cfg
-	hop.NetDelay = time.Millisecond
+	plan := mustPlan(t, pipeline.TM(), []int{1, 1, 1})
+	var cfg Config
+	hop := Config{NetDelay: time.Millisecond}
 	x := NewTimerExecutor()
 	defer x.Stop()
-	if _, err := New(hop, x); err == nil || !strings.Contains(err.Error(), "windows of one instant") {
+	if _, err := New(plan, hop, x); err == nil || !strings.Contains(err.Error(), "windows of one instant") {
 		t.Fatalf("a 1 ms hop on the wall clock: %v", err)
 	}
-	if _, err := New(cfg, x); err != nil {
+	if _, err := New(plan, cfg, x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(cfg, x); err == nil || !strings.Contains(err.Error(), "already runs a cluster") {
+	if _, err := New(plan, cfg, x); err == nil || !strings.Contains(err.Error(), "already runs a cluster") {
 		t.Fatalf("a second cluster on one executor: %v", err)
 	}
 	man := NewManualExecutor()
-	if _, err := New(hop, man); err != nil || man.lookahead != hop.NetDelay || len(man.lanes) != 3 {
+	if _, err := New(plan, hop, man); err != nil || man.lookahead != hop.NetDelay || len(man.lanes) != 3 {
 		t.Fatalf("manual clock: %v, lookahead %v, %d lanes", err, man.lookahead, len(man.lanes))
 	}
 }

@@ -96,9 +96,9 @@ type module struct {
 // module, so a build costs the same allocations whatever the module count,
 // but for the execution-jitter stream of each owned module. A replica of a module another lane group owns runs no
 // batch and observes nothing: it keeps no window, ring or stream.
-func (c *Cluster) newModules(workers []int) error {
-	cfg := &c.cfg
-	n := len(workers)
+func (c *Cluster) newModules() {
+	cfg, plan := &c.cfg, &c.plan
+	n := len(plan.Workers)
 	owned := 0
 	for k := range n {
 		if c.owns(k) {
@@ -129,20 +129,16 @@ func (c *Cluster) newModules(workers []int) error {
 	}
 	o := 0 // owned modules so far
 	for k := range mods {
-		model, err := cfg.Lib.Get(cfg.Spec.Modules[k].Name)
-		if err != nil {
-			return err
-		}
 		m := &mods[k]
 		*m = module{
 			cl:          c,
 			idx:         k,
-			spec:        cfg.Spec.Modules[k],
-			model:       model,
-			targetBatch: c.batches[k],
-			targetDur:   c.durs[k],
+			spec:        plan.Spec.Modules[k],
+			model:       plan.Lib.Models[plan.Spec.Modules[k].Name],
+			targetBatch: plan.Batches[k],
+			targetDur:   plan.Durs[k],
 			jitter:      c.jitter,
-			peakWorkers: workers[k],
+			peakWorkers: plan.Workers[k],
 		}
 		c.modules[k] = m
 		if cfg.Probes.QueueDelay {
@@ -179,8 +175,7 @@ func (c *Cluster) newModules(workers []int) error {
 		}
 		o++
 	}
-	c.newPools(workers)
-	return nil
+	c.newPools(plan.Workers)
 }
 
 // A module's State Planner statistics: queueWindow is the span of the
@@ -417,7 +412,7 @@ func (m *module) receive(r *Request, now time.Duration) {
 	e := entry{req: r, arrive: now}
 	if m.remainProbe != nil {
 		m.probeCount++
-		if m.probeCount%m.cl.cfg.Probes.SampleEvery == 0 {
+		if m.probeCount%m.cl.cfg.Probes.Every() == 0 {
 			m.remainProbe.Add(now, float64((r.Deadline - now).Milliseconds()))
 		}
 	}

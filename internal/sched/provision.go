@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -42,6 +43,10 @@ type ProbeConfig struct {
 	SampleEvery int
 }
 
+// Every returns the per-request probes' subsampling period: SampleEvery,
+// and 1 (every request) when SampleEvery is not positive.
+func (p ProbeConfig) Every() int { return max(p.SampleEvery, 1) }
+
 // Failure describes one injected machine failure: at time At, Count workers
 // of module Module crash. Requests queued or executing on a crashed worker
 // at that moment are lost (recorded as drops at that module); replacement
@@ -57,6 +62,50 @@ type Failure struct {
 // SLO·BatchFrac·d₁(k)/Σd₁, the paper-like regime where one execution pass
 // consumes half the SLO.
 const BatchFrac = 0.5
+
+// Plan is what offline profiling fixes for one deployment before anything
+// runs (Fig. 4): the validated pipeline, its model profiles, each module's
+// target batch and that batch's profiled duration — the inputs of the §4.1
+// State Planner and the §4.2 estimator — and each module's initial worker
+// count. NewPlan derives it once; a cluster, and every host above one, reads
+// it and derives nothing again. A plan is never changed once built, so its
+// copies share its slices.
+type Plan struct {
+	Spec    *pipeline.Spec
+	Lib     *profile.Library
+	Batches []int
+	Durs    []time.Duration
+	Workers []int
+}
+
+// NewPlan validates spec and plans it on lib, nil selecting the shared
+// profile.Default(). The initial workers are workers when it is non-nil,
+// checked by CheckWorkers, and otherwise the counts ProvisionWorkers sizes
+// for rate requests a second. An error that is not the spec's names the input
+// at fault: "library: module k: …" or "workers: …".
+func NewPlan(spec *pipeline.Spec, lib *profile.Library, workers []int, rate float64) (Plan, error) {
+	if spec == nil {
+		return Plan{}, fmt.Errorf("plan needs a pipeline spec")
+	}
+	if err := spec.Validate(); err != nil {
+		return Plan{}, err
+	}
+	p := Plan{Spec: spec, Lib: cmp.Or(lib, profile.Default())}
+	var err error
+	if p.Batches, p.Durs, err = TargetBatches(spec, p.Lib, BatchFrac); err != nil {
+		return Plan{}, fmt.Errorf("library: %w", err)
+	}
+	if workers == nil {
+		workers, err = ProvisionWorkers(spec, p.Lib, p.Batches, rate)
+	} else if err = CheckWorkers(workers, spec.N()); err != nil {
+		err = fmt.Errorf("workers: %w", err)
+	}
+	if err != nil {
+		return Plan{}, err
+	}
+	p.Workers = workers
+	return p, nil
+}
 
 // PoolLimit bounds a module's worker count. The paper's whole cluster has 64
 // GPUs; the bound is there so that a malformed count, such as one in a job
@@ -91,7 +140,7 @@ func TargetBatches(spec *pipeline.Spec, lib *profile.Library, frac float64) ([]i
 	for k := 0; k < n; k++ {
 		m, err := lib.Get(spec.Modules[k].Name)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("module %d: %w", k, err)
 		}
 		models[k] = m
 		d1Sum += m.Duration(1)

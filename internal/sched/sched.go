@@ -29,18 +29,13 @@ import (
 	"pard/internal/metrics"
 	"pard/internal/pipeline"
 	"pard/internal/policy"
-	"pard/internal/profile"
 	"pard/internal/stats"
 )
 
-// Config describes one cluster instantiation of the scheduling core.
+// Config describes how one cluster runs a Plan.
 type Config struct {
-	// Spec is the validated pipeline (chain or DAG).
-	Spec *pipeline.Spec
-	// Lib provides model profiles; hosts pass their library explicitly
-	// (no default is applied here).
-	Lib *profile.Library
-	// PolicyName selects the drop policy (see policy.Names()).
+	// PolicyName selects the drop policy (see policy.Names(); default
+	// "pard").
 	PolicyName string
 	// Seed derives the core's independent random streams. Execution jitter
 	// and DAG branch choice use per-module streams hashed from (seed,
@@ -50,9 +45,6 @@ type Config struct {
 	// seed+4 stream (drawn only in serial contexts: sync ticks and
 	// source-module admission).
 	Seed int64
-	// Workers is the initial per-module worker count (required, each in
-	// [1, PoolLimit]).
-	Workers []int
 	// NetDelay is the per-hop transfer delay between modules (>= 0).
 	NetDelay time.Duration
 	// JitterPct multiplies execution durations by 1 ± U[0,JitterPct]
@@ -82,6 +74,7 @@ type Config struct {
 // from the executor's serial context (or before it starts running).
 type Cluster struct {
 	cfg  Config
+	plan Plan
 	exec *LaneExecutor
 	pol  policy.Policy
 	// reads is what module state the policy reads: a module keeps the
@@ -101,9 +94,6 @@ type Cluster struct {
 	// other module (the execution jitter stream lives on the module itself).
 	pathRngs []*rand.Rand
 	jitter   float64
-
-	batches []int
-	durs    []time.Duration
 
 	// desired is scaling-tick scratch, so a tick allocates nothing: the
 	// per-module demands.
@@ -170,21 +160,12 @@ func streamSeed(seed int64, k int, purpose string) int64 {
 	return int64(h)
 }
 
-// New validates the configuration and assembles the cluster on the executor.
+// New assembles the cluster of plan on the executor, configured by cfg.
 // An executor built without lanes (the manual and the wall clock) gets one
 // per module, cfg.NetDelay apart.
-func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
+func New(plan Plan, cfg Config, exec *LaneExecutor) (*Cluster, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("sched: nil executor")
-	}
-	if cfg.Spec == nil {
-		return nil, fmt.Errorf("sched: config needs a pipeline spec")
-	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Lib == nil {
-		return nil, fmt.Errorf("sched: config needs a profile library")
 	}
 	if cfg.PolicyName == "" {
 		cfg.PolicyName = "pard"
@@ -192,26 +173,13 @@ func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 	if cfg.NetDelay < 0 {
 		return nil, fmt.Errorf("sched: negative net delay %v", cfg.NetDelay)
 	}
-	if cfg.Probes.SampleEvery <= 0 {
-		cfg.Probes.SampleEvery = 1
-	}
-	n := cfg.Spec.N()
-	if err := CheckWorkers(cfg.Workers, n); err != nil {
-		return nil, fmt.Errorf("sched: %w", err)
-	}
-
-	batches, durs, err := TargetBatches(cfg.Spec, cfg.Lib, BatchFrac)
-	if err != nil {
-		return nil, err
-	}
-
+	n := plan.Spec.N()
 	c := &Cluster{
 		cfg:     cfg,
+		plan:    plan,
 		exec:    exec,
 		board:   core.NewBoard(n),
 		jitter:  cfg.JitterPct,
-		batches: batches,
-		durs:    durs,
 		desired: make([]int, n),
 		// The scaling engine's constants, as seams for tests.
 		coldStart:  coldStart,
@@ -226,14 +194,14 @@ func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 	}
 	c.pathRngs = make([]*rand.Rand, n)
 	for k := range c.pathRngs {
-		if c.owns(k) && cfg.Spec.Modules[k].Exclusive {
+		if c.owns(k) && plan.Spec.Modules[k].Exclusive {
 			c.pathRngs[k] = rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path")))
 		}
 	}
 
 	pol, err := policy.New(cfg.PolicyName, policy.Setup{
-		Spec:           cfg.Spec,
-		Durs:           durs,
+		Spec:           plan.Spec,
+		Durs:           plan.Durs,
 		Rng:            rand.New(rand.NewSource(cfg.Seed + 4)),
 		Lambda:         cfg.Lambda,
 		PriorityWindow: cfg.PriorityWindow,
@@ -248,9 +216,7 @@ func New(cfg Config, exec *LaneExecutor) (*Cluster, error) {
 		// rows arrive through the board exchange.
 		c.board.Reserve(waitRing)
 	}
-	if err := c.newModules(cfg.Workers); err != nil {
-		return nil, err
-	}
+	c.newModules()
 	if err := exec.attach(c.modules, cfg.NetDelay, c.barrier); err != nil {
 		return nil, err
 	}
@@ -265,12 +231,6 @@ func (c *Cluster) Policy() policy.Policy { return c.pol }
 
 // Board returns the shared cross-module state board.
 func (c *Cluster) Board() *core.Board { return c.board }
-
-// TargetBatch returns module k's target batch size.
-func (c *Cluster) TargetBatch(k int) int { return c.batches[k] }
-
-// ProfiledDur returns module k's profiled duration at its target batch.
-func (c *Cluster) ProfiledDur(k int) time.Duration { return c.durs[k] }
 
 // PeakWorkers returns the maximum concurrently active workers seen at
 // module k.
@@ -338,7 +298,7 @@ func (c *Cluster) Reserve(arrivals []time.Duration, span, syncPeriod time.Durati
 		}
 	}
 	if syncPeriod > 0 {
-		c.pol.Reserve(syncPeriod, int((span+c.cfg.Spec.SLO)/syncPeriod)+1)
+		c.pol.Reserve(syncPeriod, int((span+c.plan.Spec.SLO)/syncPeriod)+1)
 	}
 }
 
@@ -346,7 +306,7 @@ func (c *Cluster) Reserve(arrivals []time.Duration, span, syncPeriod time.Durati
 // hop after sendAt. The caller owns the Request's identity fields (ID, Send,
 // Deadline, DropModule).
 func (c *Cluster) Inject(req *Request, sendAt time.Duration) {
-	src := c.modules[c.cfg.Spec.Source()]
+	src := c.modules[c.plan.Spec.Source()]
 	c.exec.scheduleLaneEvent(-1, src.idx, sendAt+c.cfg.NetDelay, laneEvent{req: req})
 }
 
@@ -659,7 +619,7 @@ func (c *Cluster) commitDrop(req *Request, k int, now time.Duration) {
 // forward routes a request leaving module k: split to successors, merge at
 // fan-in, or complete at the sink.
 func (c *Cluster) forward(req *Request, k int, now time.Duration) {
-	mod := c.cfg.Spec.Modules[k]
+	mod := c.plan.Spec.Modules[k]
 	if len(mod.Subs) == 0 {
 		c.complete(req, k, now)
 		return

@@ -7,7 +7,6 @@ import (
 
 	"pard/internal/pipeline"
 	"pard/internal/policy"
-	"pard/internal/profile"
 )
 
 // readsByPolicy is what each policy reads of ModuleState, written out from
@@ -53,7 +52,7 @@ func TestWindowsOnlyForReaders(t *testing.T) {
 		for k := range workers {
 			workers[k] = 2
 		}
-		cl, err := New(Config{Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: name, Seed: 1, Workers: workers, NetDelay: time.Millisecond}, man)
+		cl, err := New(mustPlan(t, spec, workers), Config{PolicyName: name, Seed: 1, NetDelay: time.Millisecond}, man)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,8 +100,8 @@ func TestWindowsOnlyForReaders(t *testing.T) {
 func TestQueueDelayProbeKeepsItsWindow(t *testing.T) {
 	spec := pipeline.TM()
 	man := NewManualExecutor()
-	cl, err := New(Config{Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "nexus", Seed: 1,
-		Workers: []int{1, 1, 1}, NetDelay: time.Millisecond, Probes: ProbeConfig{QueueDelay: true, SampleEvery: 1}}, man)
+	cl, err := New(mustPlan(t, spec, []int{1, 1, 1}), Config{PolicyName: "nexus", Seed: 1,
+		NetDelay: time.Millisecond, Probes: ProbeConfig{QueueDelay: true, SampleEvery: 1}}, man)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +128,8 @@ func TestQueueDelayProbeKeepsItsWindow(t *testing.T) {
 func TestWaitRingsKeepTheLastWaits(t *testing.T) {
 	spec := pipeline.TM()
 	man := NewManualExecutor()
-	cl, err := New(Config{Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: "pard", Seed: 1,
-		Workers: []int{1, 1, 1}, Probes: ProbeConfig{Decomposition: true}}, man)
+	cl, err := New(mustPlan(t, spec, []int{1, 1, 1}), Config{PolicyName: "pard", Seed: 1,
+		Probes: ProbeConfig{Decomposition: true}}, man)
 	if err != nil {
 		t.Fatal(err)
 	}

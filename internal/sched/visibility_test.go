@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pard/internal/pipeline"
-	"pard/internal/profile"
 )
 
 // visibilityCluster builds spec on the lane engine with a 1 ms lookahead and
@@ -20,9 +19,8 @@ func visibilityCluster(t *testing.T, spec *pipeline.Spec, policy string) (*Clust
 		workers[k] = 1
 	}
 	var log []string
-	cl, err := New(Config{
-		Spec: spec, Lib: profile.DefaultLibrary(), PolicyName: policy, Seed: 1,
-		Workers: workers, NetDelay: time.Millisecond,
+	cl, err := New(mustPlan(t, spec, workers), Config{
+		PolicyName: policy, Seed: 1, NetDelay: time.Millisecond,
 		OnDrop: func(req *Request, module int, now time.Duration) {
 			log = append(log, fmt.Sprintf("drop %d@%d at %v", req.ID, module, now))
 		},

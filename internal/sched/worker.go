@@ -164,7 +164,7 @@ func (w *worker) decide(e entry, now, te time.Duration) bool {
 		Now:           now,
 		ExpectedStart: te,
 		ExecDur:       m.targetDur,
-		SLO:           m.cl.cfg.Spec.SLO,
+		SLO:           m.cl.plan.Spec.SLO,
 	})
 }
 

@@ -77,6 +77,7 @@ func TestFetchDeployment(t *testing.T) {
 		{"library-missing-model", http.StatusOK, with("library", `{"models":{}}`), `deployment library: module 0: profile: unknown model "objdet"`},
 		{"unknown-policy", http.StatusOK, with("policy", `"bogus"`), `deployment policy: unknown policy "bogus"`},
 		{"workers-short", http.StatusOK, with("workers", `[2,2]`), "deployment workers: 2 worker counts for 3 modules"},
+		{"workers-missing", http.StatusOK, with("workers", `null`), "deployment workers: 0 worker counts for 3 modules"},
 		{"workers-zero", http.StatusOK, with("workers", `[2,0,2]`), "deployment workers: module 1: 0 workers"},
 		{"workers-past-limit", http.StatusOK, with("workers", fmt.Sprintf("[2,2,%d]", sched.PoolLimit+1)), "deployment workers: module 2"},
 		{"sync-zero", http.StatusOK, with("sync_period_ns", `0`), "deployment sync_period_ns"},

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pard/internal/pipeline"
-	"pard/internal/profile"
 	"pard/internal/sched"
 	"pard/internal/simgpu"
 	"pard/internal/trace"
@@ -157,12 +156,13 @@ func TestVirtualWallClockParity(t *testing.T) {
 	// so the shared core sees bit-identical inputs.
 	virt := sched.NewManualExecutor()
 	outstanding := tr.Len()
-	cl, err := sched.New(sched.Config{
-		Spec:       spec,
-		Lib:        profile.DefaultLibrary(),
+	plan, err := sched.NewPlan(spec, nil, parityWorkers(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := sched.New(plan, sched.Config{
 		PolicyName: "pard",
 		Seed:       paritySeed,
-		Workers:    parityWorkers(),
 		NetDelay:   parityNet,
 		JitterPct:  0.05,
 		Probes:     sched.ProbeConfig{LoadFactor: true},
@@ -281,11 +281,7 @@ func TestTwinAtServerDefaults(t *testing.T) {
 	tr := parityTrace()
 	man := sched.NewManualExecutor()
 	cfg := Config{Spec: pipeline.DA(), Seed: paritySeed, Exec: man}
-	sc, err := twinConfig(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := simgpu.New(sc)
+	runner, err := simgpu.New(twinConfig(cfg, tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,8 @@ const DefaultSyncPeriod = 250 * time.Millisecond
 // Config describes a live serving deployment.
 type Config struct {
 	Spec *pipeline.Spec
-	Lib  *profile.Library
+	// Lib provides the model profiles (nil: the shared profile.Default()).
+	Lib *profile.Library
 	// PolicyName selects the dropping policy (default "pard").
 	PolicyName string
 	// Workers is the per-module worker count (default 2 each).
@@ -137,6 +138,7 @@ func answer(ch chan Response, resp Response) {
 // Server hosts one pipeline on the shared scheduling core.
 type Server struct {
 	cfg  Config
+	plan sched.Plan
 	exec *sched.LaneExecutor
 	cl   *sched.Cluster
 
@@ -166,28 +168,17 @@ type Server struct {
 	tally *metrics.Tally
 }
 
-// withDefaults validates cfg's pipeline and fills in the server's defaults:
-// the default library, policy "pard", DefaultSyncPeriod, 2 workers a module.
-func (cfg Config) withDefaults() (Config, error) {
-	if cfg.Spec == nil {
-		return cfg, fmt.Errorf("server: config needs a pipeline spec")
-	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return cfg, err
-	}
-	if cfg.Lib == nil {
-		cfg.Lib = profile.DefaultLibrary()
-	}
-	if cfg.PolicyName == "" {
-		cfg.PolicyName = "pard"
-	}
+// withDefaults fills in the two defaults that are the server's own:
+// DefaultSyncPeriod, and 2 workers a module of a spec it has. The plan checks
+// the spec, the library and the workers.
+func (cfg Config) withDefaults() Config {
 	if cfg.SyncPeriod <= 0 {
 		cfg.SyncPeriod = DefaultSyncPeriod
 	}
-	if cfg.Workers == nil {
+	if cfg.Workers == nil && cfg.Spec != nil {
 		cfg.Workers = slices.Repeat([]int{2}, cfg.Spec.N())
 	}
-	return cfg, nil
+	return cfg
 }
 
 // New validates the config and builds (but does not start) a server for any
@@ -199,26 +190,27 @@ func New(cfg Config) (*Server, error) { return newServer(cfg, sched.Config{}) }
 // newServer is New on a core whose NetDelay, JitterPct and Probes come from
 // base, so that a test can run the live shell on the simulator's settings.
 func newServer(cfg Config, base sched.Config) (*Server, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	cfg = cfg.withDefaults()
 	if cfg.MaxInFlight < 0 {
 		return nil, fmt.Errorf("server: max in-flight %d < 0", cfg.MaxInFlight)
+	}
+	plan, err := sched.NewPlan(cfg.Spec, cfg.Lib, cfg.Workers, 0)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 
 	s := &Server{
 		cfg:   cfg,
+		plan:  plan,
 		tally: metrics.NewTally(cfg.Spec.N()),
 	}
 	s.exec = cfg.Exec
 	if s.exec == nil {
 		s.exec = sched.NewTimerExecutor()
 	}
-	base.Spec, base.Lib, base.PolicyName = cfg.Spec, cfg.Lib, cfg.PolicyName
-	base.Seed, base.Workers = cfg.Seed, cfg.Workers
+	base.PolicyName, base.Seed = cfg.PolicyName, cfg.Seed
 	base.OnDone, base.OnDrop = s.onDone, s.onDrop
-	cl, err := sched.New(base, s.exec)
+	cl, err := sched.New(plan, base, s.exec)
 	if err != nil {
 		if cfg.Exec == nil {
 			s.exec.Stop()
@@ -574,7 +566,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, statsDoc{s.Summary(), s.ExecStats()})
 	})
 	mux.HandleFunc("GET /deployment", func(w http.ResponseWriter, r *http.Request) {
-		doc, err := encodeDeployment(s.cfg)
+		doc, err := s.encodeDeployment()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -589,7 +581,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // deployment is the GET /deployment document: the pipeline as Spec.Write writes
-// it, the library as Library.Save does, the rest of the config as defaulted.
+// it, the library as Library.Save does, the rest of the deployment as it runs.
 type deployment struct {
 	Pipeline   json.RawMessage `json:"pipeline"`
 	Library    json.RawMessage `json:"library"`
@@ -603,16 +595,17 @@ type deployment struct {
 // library's is about 2 KiB.
 const maxDeployment = 1 << 20
 
-// encodeDeployment encodes the /deployment document of cfg, as defaulted.
-func encodeDeployment(cfg Config) ([]byte, error) {
+// encodeDeployment encodes the /deployment document of the server: its plan,
+// its core's policy and its sync period and seed.
+func (s *Server) encodeDeployment() ([]byte, error) {
 	var spec, lib bytes.Buffer
-	if err := cfg.Spec.Write(&spec); err != nil {
+	if err := s.plan.Spec.Write(&spec); err != nil {
 		return nil, err
 	}
-	if err := cfg.Lib.Save(&lib); err != nil {
+	if err := s.plan.Lib.Save(&lib); err != nil {
 		return nil, err
 	}
-	return json.Marshal(deployment{spec.Bytes(), lib.Bytes(), cfg.PolicyName, cfg.Workers, cfg.SyncPeriod, cfg.Seed})
+	return json.Marshal(deployment{spec.Bytes(), lib.Bytes(), s.cl.Policy().Name(), s.plan.Workers, s.cfg.SyncPeriod, s.cfg.Seed})
 }
 
 // FetchDeployment reads the /deployment document of the server at target
@@ -645,16 +638,13 @@ func FetchDeployment(target string) (Config, error) {
 	if cfg.Lib, err = profile.Load(bytes.NewReader(d.Library)); err != nil {
 		return Config{}, fmt.Errorf("server: deployment library: %w", err)
 	}
-	for _, m := range cfg.Spec.Modules {
-		if _, err := cfg.Lib.Get(m.Name); err != nil {
-			return Config{}, fmt.Errorf("server: deployment library: module %d: %w", m.ID, err)
-		}
-	}
 	if !slices.Contains(policy.Names(), d.Policy) {
 		return Config{}, fmt.Errorf("server: deployment policy: unknown policy %q", d.Policy)
 	}
-	if err := sched.CheckWorkers(d.Workers, cfg.Spec.N()); err != nil {
-		return Config{}, fmt.Errorf("server: deployment workers: %w", err)
+	// A document without workers is refused, not provisioned: the copy is
+	// never nil.
+	if _, err := sched.NewPlan(cfg.Spec, cfg.Lib, append([]int{}, d.Workers...), 0); err != nil {
+		return Config{}, fmt.Errorf("server: deployment %w", err)
 	}
 	if d.SyncPeriod <= 0 {
 		return Config{}, fmt.Errorf("server: deployment sync_period_ns: %v is not positive", d.SyncPeriod)
@@ -668,19 +658,13 @@ func FetchDeployment(target string) (Config, error) {
 // twin is the live core's engine on a virtual clock: the server replaying tr
 // on the manual clock decides every request as the twin does.
 func RunTwin(cfg Config, tr *trace.Trace) (*simgpu.Result, error) {
-	sc, err := twinConfig(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	return simgpu.Run(sc)
+	return simgpu.Run(twinConfig(cfg, tr))
 }
 
-// twinConfig is the simulator configuration RunTwin runs.
-func twinConfig(cfg Config, tr *trace.Trace) (simgpu.Config, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return simgpu.Config{}, err
-	}
+// twinConfig is the simulator configuration RunTwin runs; the twin's plan
+// checks what the server's would.
+func twinConfig(cfg Config, tr *trace.Trace) simgpu.Config {
+	cfg = cfg.withDefaults()
 	return simgpu.Config{
 		Spec:         cfg.Spec,
 		Lib:          cfg.Lib,
@@ -691,5 +675,5 @@ func twinConfig(cfg Config, tr *trace.Trace) (simgpu.Config, error) {
 		FixedWorkers: cfg.Workers,
 		JitterPct:    -1,
 		NetDelay:     -1,
-	}, nil
+	}
 }

@@ -26,8 +26,10 @@ type (
 // Config fully describes one simulation run.
 type Config struct {
 	Spec *pipeline.Spec
-	Lib  *profile.Library
-	// PolicyName selects the drop policy (see policy.Names()).
+	// Lib provides the model profiles (nil: the shared profile.Default()).
+	Lib *profile.Library
+	// PolicyName selects the drop policy (see policy.Names(); default
+	// "pard").
 	PolicyName string
 	Trace      *trace.Trace
 	Seed       int64
@@ -84,15 +86,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Spec == nil {
 		return out, fmt.Errorf("simgpu: config needs a pipeline spec")
 	}
-	if err := out.Spec.Validate(); err != nil {
-		return out, err
-	}
-	if out.Lib == nil {
-		out.Lib = profile.DefaultLibrary()
-	}
-	if out.PolicyName == "" {
-		out.PolicyName = "pard"
-	}
 	if out.Trace == nil || out.Trace.Len() == 0 {
 		return out, fmt.Errorf("simgpu: config needs a non-empty trace")
 	}
@@ -120,9 +113,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if a := out.Trace.Arrivals; !slices.IsSorted(a) || a[0] < 0 {
 		return out, fmt.Errorf("simgpu: trace arrivals must be sorted and non-negative")
 	}
-	if out.Probes.SampleEvery <= 0 {
-		out.Probes.SampleEvery = 1
-	}
 	for i, f := range out.Failures {
 		if f.Module < 0 || f.Module >= out.Spec.N() {
 			return out, fmt.Errorf("simgpu: failure %d: module %d out of range", i, f.Module)
@@ -141,11 +131,6 @@ func (c *Config) withDefaults() (Config, error) {
 		}
 		if out.Remote.Transport == nil {
 			return out, fmt.Errorf("simgpu: remote topology needs a transport")
-		}
-	}
-	if out.FixedWorkers != nil {
-		if err := sched.CheckWorkers(out.FixedWorkers, out.Spec.N()); err != nil {
-			return out, fmt.Errorf("simgpu: FixedWorkers: %w", err)
 		}
 	}
 	return out, nil

@@ -197,9 +197,10 @@ func (r *Result) shape() error {
 // (internal/sched) instantiated on the per-module lane engine's virtual
 // clock, plus trace injection and result collection.
 type Runner struct {
-	cfg Config
-	eng *sched.LaneExecutor
-	cl  *sched.Cluster
+	cfg  Config
+	plan sched.Plan
+	eng  *sched.LaneExecutor
+	cl   *sched.Cluster
 
 	requests    []*sched.Request
 	slab        []sched.Request // backing store; wire request IDs index it
@@ -218,35 +219,30 @@ type Runner struct {
 	fired   uint64 // global event count from the Finish exchange
 }
 
-// New validates the configuration and assembles the cluster.
+// New validates the configuration, plans the deployment and assembles the
+// cluster.
 func New(cfg Config) (*Runner, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 
-	// Provision workers: fixed counts, or sized for the early trace rate and
+	// The workers are the fixed counts, or sized for the early trace rate and
 	// left to the scaling engine.
-	workers := full.FixedWorkers
-	if workers == nil {
-		batches, _, err := sched.TargetBatches(full.Spec, full.Lib, sched.BatchFrac)
-		if err != nil {
-			return nil, err
-		}
-		warmup := full.Trace.Slice(0, 10*time.Second)
-		rate := warmup.MeanRate()
-		if rate <= 0 {
+	var rate float64
+	if full.FixedWorkers == nil {
+		if rate = full.Trace.Slice(0, 10*time.Second).MeanRate(); rate <= 0 {
 			rate = full.Trace.MeanRate()
 		}
-		workers, err = sched.ProvisionWorkers(full.Spec, full.Lib, batches, rate)
-		if err != nil {
-			return nil, err
-		}
+	}
+	plan, err := sched.NewPlan(full.Spec, full.Lib, full.FixedWorkers, rate)
+	if err != nil {
+		return nil, fmt.Errorf("simgpu: %w", err)
 	}
 
 	// One event lane per module, conservative lookahead = the per-hop
 	// network delay.
-	r := &Runner{cfg: full}
+	r := &Runner{cfg: full, plan: plan}
 	if rt := full.Remote; rt != nil {
 		// One lane group of a multi-group topology: the full cluster is
 		// built as a replica, but only owned lanes (module k with
@@ -261,12 +257,9 @@ func New(cfg Config) (*Runner, error) {
 	} else {
 		r.eng = sched.NewLaneExecutor(full.Spec.N(), full.NetDelay)
 	}
-	cl, err := sched.New(sched.Config{
-		Spec:           full.Spec,
-		Lib:            full.Lib,
+	cl, err := sched.New(plan, sched.Config{
 		PolicyName:     full.PolicyName,
 		Seed:           full.Seed,
-		Workers:        workers,
 		NetDelay:       full.NetDelay,
 		JitterPct:      full.JitterPct,
 		Probes:         full.Probes,
@@ -288,7 +281,7 @@ func (r *Runner) onDone(req *sched.Request, now time.Duration) {
 	r.outstanding--
 	if r.cfg.Probes.Decomposition {
 		r.sampleCounter++
-		if r.sampleCounter%r.cfg.Probes.SampleEvery == 0 {
+		if r.sampleCounter%r.cfg.Probes.Every() == 0 {
 			r.sumQ = append(r.sumQ, req.SumQ.Seconds())
 			r.sumW = append(r.sumW, req.SumW.Seconds())
 			r.sumD = append(r.sumD, req.SumD.Seconds())
@@ -496,20 +489,19 @@ func (r *Runner) buildResult() *Result {
 	res := &Result{
 		Collector:  col,
 		Summary:    col.Summary(),
-		PolicyName: r.cfg.PolicyName,
+		PolicyName: r.cl.Policy().Name(),
 		Workload:   r.cfg.Spec.App + "-" + r.cfg.Trace.Name,
-		SimEvents:  fired,
-		SumQ:       r.sumQ,
-		SumW:       r.sumW,
-		SumD:       r.sumD,
+		// A plan is never changed, and this one is the run's own.
+		TargetBatches: r.plan.Batches,
+		ProfiledDurs:  r.plan.Durs,
+		SimEvents:     fired,
+		SumQ:          r.sumQ,
+		SumW:          r.sumW,
+		SumD:          r.sumD,
 	}
 	n := r.cl.N()
-	res.TargetBatches = make([]int, n)
-	res.ProfiledDurs = make([]time.Duration, n)
 	res.PeakWorkers = make([]int, n)
 	for k := 0; k < n; k++ {
-		res.TargetBatches[k] = r.cl.TargetBatch(k)
-		res.ProfiledDurs[k] = r.cl.ProfiledDur(k)
 		res.PeakWorkers[k] = r.peakWorkers(k)
 	}
 	if r.cfg.Probes.QueueDelay {

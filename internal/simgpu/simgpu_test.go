@@ -67,10 +67,10 @@ func TestConfigValidation(t *testing.T) {
 		{"no-spec", func(c *Config) { c.Spec = nil }, "pipeline spec"},
 		{"no-trace", func(c *Config) { c.Trace = nil }, "non-empty trace"},
 		{"unknown-policy", func(c *Config) { c.PolicyName = "bogus" }, "bogus"},
-		{"fixed-workers-short", func(c *Config) { c.FixedWorkers = []int{1, 2} }, "FixedWorkers: 2 worker counts"},
-		{"fixed-workers-negative", func(c *Config) { c.FixedWorkers = []int{-1, 1, 1, 1, 1} }, "FixedWorkers"},
-		{"fixed-workers-zero", func(c *Config) { c.FixedWorkers = []int{1, 1, 0, 1, 1} }, "FixedWorkers"},
-		{"fixed-workers-past-limit", func(c *Config) { c.FixedWorkers = []int{1, 1, 1, 1, sched.PoolLimit + 1} }, "FixedWorkers"},
+		{"fixed-workers-short", func(c *Config) { c.FixedWorkers = []int{1, 2} }, "workers: 2 worker counts"},
+		{"fixed-workers-negative", func(c *Config) { c.FixedWorkers = []int{-1, 1, 1, 1, 1} }, "workers: module 0"},
+		{"fixed-workers-zero", func(c *Config) { c.FixedWorkers = []int{1, 1, 0, 1, 1} }, "workers: module 2"},
+		{"fixed-workers-past-limit", func(c *Config) { c.FixedWorkers = []int{1, 1, 1, 1, sched.PoolLimit + 1} }, "workers: module 4"},
 		{"lambda-above-one", func(c *Config) { c.Lambda = 5 }, "Lambda"},
 		{"lambda-nan", func(c *Config) { c.Lambda = math.NaN() }, "Lambda"},
 		{"jitter-above-one", func(c *Config) { c.JitterPct = 2 }, "JitterPct"},

@@ -184,27 +184,36 @@ func TestAllocsWindowsReserved(t *testing.T) {
 		t.Fatalf("the feed compacted the grown windows %d times, want many", compactions)
 	}
 
-	// Two fresh pairs: AllocsPerRun runs the feed once to warm up.
-	pairs := [2]struct {
-		sw *SlidingWindow
-		rw *RateWindow
-	}{}
-	for i := range pairs {
-		pairs[i].sw, pairs[i].rw = reserved()
-	}
-	run := 0
-	if avg := testing.AllocsPerRun(1, func() {
-		p := pairs[run]
-		run++
-		for i, at := range times {
-			p.sw.Add(at, vals[i])
-			p.rw.Observe(at)
-			if i%97 == 0 {
-				p.rw.InnerRate(at)
-			}
+	// AllocsPerRun counts the whole process's allocations, so one made by
+	// another goroutine meanwhile (the race detector's, the runtime's) lands
+	// in the count now and then. The feed's own count is the same on every
+	// run, so the bound holds the least over several measurements, each of
+	// two fresh pairs: AllocsPerRun runs the feed once to warm up.
+	const tries = 3
+	least := math.Inf(1)
+	for range tries {
+		pairs := [2]struct {
+			sw *SlidingWindow
+			rw *RateWindow
+		}{}
+		for i := range pairs {
+			pairs[i].sw, pairs[i].rw = reserved()
 		}
-	}); avg != 0 {
-		t.Fatalf("reserved windows allocated %.0f times over %d samples, want 0", avg, len(times))
+		run := 0
+		least = min(least, testing.AllocsPerRun(1, func() {
+			p := pairs[run]
+			run++
+			for i, at := range times {
+				p.sw.Add(at, vals[i])
+				p.rw.Observe(at)
+				if i%97 == 0 {
+					p.rw.InnerRate(at)
+				}
+			}
+		}))
+	}
+	if least != 0 {
+		t.Fatalf("reserved windows allocated %.0f times over %d samples (least of %d), want 0", least, len(times), tries)
 	}
 }
 

@@ -19,6 +19,7 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -67,7 +68,8 @@ type Config struct {
 	BaseSeed int64
 	// TraceDuration is the virtual length of synthesized traces.
 	TraceDuration time.Duration
-	// Library provides model profiles (default profile.DefaultLibrary()).
+	// Library provides model profiles (default: the shared
+	// profile.Default()).
 	Library *profile.Library
 	// OnProgress, when set, is invoked (serially) after each job finishes.
 	OnProgress func(Progress)
@@ -92,9 +94,7 @@ func (c Config) withDefaults() Config {
 	if c.TraceDuration <= 0 {
 		c.TraceDuration = 300 * time.Second
 	}
-	if c.Library == nil {
-		c.Library = profile.DefaultLibrary()
-	}
+	c.Library = cmp.Or(c.Library, profile.Default())
 	return c
 }
 

@@ -85,8 +85,10 @@ type (
 	ModelLibrary = profile.Library
 )
 
-// DefaultLibrary returns profiles for all models the paper's applications
-// use, calibrated for the simulator (see DESIGN.md substitutions).
+// DefaultLibrary returns a new library of profiles for all models the paper's
+// applications use, calibrated for the simulator (see DESIGN.md
+// substitutions). It is the caller's to add to: a configuration with no
+// library of its own runs on a shared copy that this one does not touch.
 func DefaultLibrary() *ModelLibrary { return profile.DefaultLibrary() }
 
 // LoadLibrary parses a profile library from JSON.

@@ -1,11 +1,14 @@
 package pard_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"pard"
+	"pard/internal/profile"
+	"pard/internal/simgpu"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -133,6 +136,42 @@ func TestRunRAG(t *testing.T) {
 	}
 	if res.Total != 1000 {
 		t.Fatalf("total = %d", res.Total)
+	}
+}
+
+// TestDefaultLibraryShared: a caller that adds a model to the library
+// DefaultLibrary hands out, as the custompipeline example does, changes
+// nothing for a simulation that names no library: it runs on the process's
+// shared default, whose fingerprint and result bytes stay what they were.
+func TestDefaultLibraryShared(t *testing.T) {
+	cfg := pard.SimConfig{
+		Spec:  pard.TM(),
+		Trace: pard.GenerateTrace(pard.TraceConfig{Kind: pard.Steady, Duration: 10 * time.Second, PeakRate: 100, Seed: 1}),
+		Seed:  1,
+	}
+	run := func() []byte {
+		res, err := pard.Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return simgpu.AppendResult(nil, res)
+	}
+	before, fp := run(), profile.Default().Fingerprint()
+	lib := pard.DefaultLibrary()
+	if lib.Fingerprint() != fp {
+		t.Fatal("DefaultLibrary's profiles differ from the shared default's")
+	}
+	if err := lib.Add(pard.ModelProfile{Name: "custom", Alpha: time.Millisecond, Beta: time.Millisecond, MaxBatch: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if lib.Fingerprint() == fp {
+		t.Fatal("adding a model left the caller's library's fingerprint as it was")
+	}
+	if got := profile.Default().Fingerprint(); got != fp {
+		t.Fatalf("the shared default's fingerprint moved from %016x to %016x after a caller's add", fp, got)
+	}
+	if !bytes.Equal(run(), before) {
+		t.Fatal("a simulation with no library gave other result bytes after a caller's add")
 	}
 }
 
