@@ -32,22 +32,14 @@ import (
 	"math/rand"
 )
 
-var (
-	benchHarness     *pard.ExperimentHarness
-	benchHarnessOnce sync.Once
-)
-
-// harness returns a shared experiment harness so benches reuse cached
+// engine returns a shared smoke-scale sweep engine so benches reuse cached
 // simulation runs (Figs. 8-10 share all 48 workload×policy runs).
-func harness() *pard.ExperimentHarness {
-	benchHarnessOnce.Do(func() {
-		benchHarness = pard.NewExperimentHarness(pard.ExperimentConfig{Scale: pard.ScaleSmoke, Seed: 1})
-	})
-	return benchHarness
-}
+var engine = sync.OnceValue(func() *pard.SweepEngine {
+	return pard.NewSweepEngine(pard.SweepConfig{BaseSeed: 1, TraceDuration: pard.ScaleSmoke})
+})
 
-// runExperiment executes one artifact through the shared harness and logs
-// its tables.
+// runExperiment executes one artifact on the shared engine and logs its
+// tables.
 func runExperiment(b *testing.B, id string) *pard.ExperimentOutput {
 	b.Helper()
 	var exp pard.Experiment
@@ -64,7 +56,7 @@ func runExperiment(b *testing.B, id string) *pard.ExperimentOutput {
 	var out *pard.ExperimentOutput
 	for i := 0; i < b.N; i++ {
 		var err error
-		out, err = exp.Run(harness())
+		out, err = exp.Run(engine())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	cfg := pard.ExperimentConfig{Scale: pard.ScaleQuick, Seed: *seed, Parallel: *parallel, CacheDir: *cacheDir}
+	cfg := pard.SweepConfig{BaseSeed: *seed, Workers: *parallel, CacheDir: *cacheDir}
 	if *cacheDir != "" {
 		// Cache maintenance (e.g. a corrupt entry quarantined instead of
 		// failing the run) is rare and worth an operator's attention.
@@ -82,11 +82,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	switch *scale {
 	case "smoke":
-		cfg.Scale = pard.ScaleSmoke
+		cfg.TraceDuration = pard.ScaleSmoke
 	case "quick":
-		cfg.Scale = pard.ScaleQuick
+		cfg.TraceDuration = pard.ScaleQuick
 	case "full":
-		cfg.Scale = pard.ScaleFull
+		cfg.TraceDuration = pard.ScaleFull
 	default:
 		return fmt.Errorf("unknown scale %q", *scale)
 	}
@@ -118,8 +118,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	harness := pard.NewExperimentHarness(cfg)
-	if err := harness.Engine().DiskError(); err != nil {
+	engine := pard.NewSweepEngine(cfg)
+	if err := engine.DiskError(); err != nil {
 		return err
 	}
 
@@ -129,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var coord *dist.Coordinator
 	if *workers != "" || *listen != "" {
 		coord = dist.NewCoordinator(dist.CoordinatorConfig{
-			Engine: harness.Engine(),
+			Engine: engine,
 			// Cluster lifecycle events (joins, losses, requeues, empty-
 			// cluster waits) are rare and operationally important, so they
 			// log unconditionally — unlike per-run -progress output.
@@ -195,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return errors.New("distributed mode requested but no workers connected")
 		}
 		fmt.Fprintf(stderr, "pard-bench: distributing sweeps across %d worker(s)\n", coord.Workers())
-		harness.Distribute(coord)
+		engine.SetDistributor(coord)
 	}
 
 	start := time.Now()
@@ -205,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			continue
 		}
 		t0 := time.Now()
-		output, err := e.Run(harness)
+		output, err := e.Run(engine)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
@@ -233,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *cacheDir != "" {
 		// Cache accounting goes to stderr so artifact output on stdout stays
 		// byte-identical between cold and warm invocations.
-		hits, misses := harness.Engine().DiskStats()
+		hits, misses := engine.DiskStats()
 		fmt.Fprintf(stderr, "cache: %d disk hits, %d misses (%s)\n", hits, misses, *cacheDir)
 	}
 	if coord != nil {

@@ -60,7 +60,7 @@ func TestLsubZeroAtSink(t *testing.T) {
 	e := NewEstimator(spec, DefaultEstimatorConfig(), rng)
 	b := boardFor(spec, 5*time.Millisecond, 20*time.Millisecond, uniformWaits(20*time.Millisecond, 500, rng))
 	e.Refresh(b)
-	if got := e.Lsub(spec.Sink()); got != 0 {
+	if got := e.Lsub(spec.N() - 1); got != 0 { // LV is a chain: the last module is the sink
 		t.Fatalf("sink Lsub = %v, want 0", got)
 	}
 }
@@ -86,28 +86,28 @@ func TestLsubComponents(t *testing.T) {
 	q, d := 7*time.Millisecond, 25*time.Millisecond
 
 	// PARD-back: no downstream at all.
-	back := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 100, Wait: WaitZero}, rng)
+	back := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, samples: 100, Wait: WaitZero}, rng)
 	back.Refresh(boardFor(spec, q, d, nil))
 	if back.Lsub(0) != 0 {
 		t.Fatalf("back Lsub = %v", back.Lsub(0))
 	}
 
 	// PARD-sf: only ΣD.
-	sf := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 100, IncludeDur: true, Wait: WaitZero}, rng)
+	sf := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, samples: 100, IncludeDur: true, Wait: WaitZero}, rng)
 	sf.Refresh(boardFor(spec, q, d, nil))
 	if sf.Lsub(0) != d {
 		t.Fatalf("sf Lsub = %v, want %v", sf.Lsub(0), d)
 	}
 
 	// PARD-lower: ΣQ + ΣD.
-	lower := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 100, IncludeQueue: true, IncludeDur: true, Wait: WaitZero}, rng)
+	lower := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, samples: 100, IncludeQueue: true, IncludeDur: true, Wait: WaitZero}, rng)
 	lower.Refresh(boardFor(spec, q, d, nil))
 	if lower.Lsub(0) != q+d {
 		t.Fatalf("lower Lsub = %v, want %v", lower.Lsub(0), q+d)
 	}
 
 	// PARD-upper: ΣQ + 2ΣD.
-	upper := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 100, IncludeQueue: true, IncludeDur: true, Wait: WaitUpper}, rng)
+	upper := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, samples: 100, IncludeQueue: true, IncludeDur: true, Wait: WaitUpper}, rng)
 	upper.Refresh(boardFor(spec, q, d, nil))
 	if upper.Lsub(0) != q+2*d {
 		t.Fatalf("upper Lsub = %v, want %v", upper.Lsub(0), q+2*d)
@@ -121,7 +121,7 @@ func TestLsubQuantileBetweenBounds(t *testing.T) {
 	waits := uniformWaits(d, 1000, rng)
 
 	mk := func(wait WaitMode, lambda float64) time.Duration {
-		e := NewEstimator(spec, EstimatorConfig{Lambda: lambda, Samples: 2000, IncludeQueue: true, IncludeDur: true, Wait: wait}, rng)
+		e := NewEstimator(spec, EstimatorConfig{Lambda: lambda, samples: 2000, IncludeQueue: true, IncludeDur: true, Wait: wait}, rng)
 		e.Refresh(boardFor(spec, q, d, waits))
 		return e.Lsub(0)
 	}
@@ -144,7 +144,7 @@ func TestLsubIrwinHallQuantiles(t *testing.T) {
 	spec := pipeline.Uniform("u4", 4, "facerec", 400*time.Millisecond)
 	rng := rand.New(rand.NewSource(5))
 	waits := uniformWaits(d, 5000, rng)
-	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 20000, Wait: WaitQuantile}, rng)
+	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, samples: 20000, Wait: WaitQuantile}, rng)
 	e.Refresh(boardFor(spec, 0, d, waits))
 	// With IncludeQueue/IncludeDur off, Lsub is exactly the wait quantile.
 	w0 := e.Lsub(0).Seconds() / d.Seconds() // 3 downstream uniforms
@@ -166,7 +166,7 @@ func TestLsubDAGTakesMaxPath(t *testing.T) {
 	for k := 0; k < spec.N(); k++ {
 		b.Publish(k, ModuleState{ProfiledDur: durs[k] * time.Millisecond})
 	}
-	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 100, IncludeDur: true, Wait: WaitZero}, rng)
+	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, samples: 100, IncludeDur: true, Wait: WaitZero}, rng)
 	e.Refresh(b)
 	// From source: max(90+10+10, 10+10+10) = 110ms.
 	if got := e.Lsub(0); got != 110*time.Millisecond {
@@ -177,7 +177,7 @@ func TestLsubDAGTakesMaxPath(t *testing.T) {
 func TestEstimateEndToEnd(t *testing.T) {
 	spec := pipeline.Uniform("u2", 2, "facerec", 300*time.Millisecond)
 	rng := rand.New(rand.NewSource(7))
-	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 100, IncludeDur: true, Wait: WaitZero}, rng)
+	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, samples: 100, IncludeDur: true, Wait: WaitZero}, rng)
 	b := boardFor(spec, 0, 30*time.Millisecond, nil)
 	e.Refresh(b)
 	// ts=10ms, te=100ms, dk=25ms, Lsub(0)=30ms → 145ms.
@@ -190,7 +190,7 @@ func TestEstimateEndToEnd(t *testing.T) {
 func TestExplainBreakdown(t *testing.T) {
 	spec := pipeline.Uniform("u3", 3, "facerec", 300*time.Millisecond)
 	rng := rand.New(rand.NewSource(11))
-	cfg := EstimatorConfig{Lambda: 0.1, Samples: 500, IncludeQueue: true, IncludeDur: true, Wait: WaitQuantile}
+	cfg := EstimatorConfig{Lambda: 0.1, samples: 500, IncludeQueue: true, IncludeDur: true, Wait: WaitQuantile}
 	e := NewEstimator(spec, cfg, rng)
 	q, d := 8*time.Millisecond, 25*time.Millisecond
 	b := boardFor(spec, q, d, uniformWaits(d, 500, rng))
@@ -227,7 +227,7 @@ func TestExplainDAGPicksDominantPath(t *testing.T) {
 	for k := 0; k < spec.N(); k++ {
 		b.Publish(k, ModuleState{ProfiledDur: durs[k] * time.Millisecond})
 	}
-	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 100, IncludeDur: true, Wait: WaitZero}, rng)
+	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, samples: 100, IncludeDur: true, Wait: WaitZero}, rng)
 	e.Refresh(b)
 	br := e.Explain(0)
 	if br.Path[0] != 1 { // the slow pose branch dominates
@@ -263,8 +263,8 @@ func TestEstimatorSharesSuffixes(t *testing.T) {
 		if len(e.nodes) != c.nodes || old != c.perPathOld {
 			t.Fatalf("%s: %d nodes, %d per-path passes; want %d and %d", c.spec.App, len(e.nodes), old, c.nodes, c.perPathOld)
 		}
-		if len(e.sums) != c.nodes*DefaultEstimatorConfig().Samples {
-			t.Fatalf("%s: %d Monte-Carlo sums, want %d per node", c.spec.App, len(e.sums), DefaultEstimatorConfig().Samples)
+		if len(e.sums) != c.nodes*DefaultEstimatorConfig().samples {
+			t.Fatalf("%s: %d Monte-Carlo sums, want %d per node", c.spec.App, len(e.sums), DefaultEstimatorConfig().samples)
 		}
 		for i, nd := range e.nodes {
 			if nd.next >= i {
@@ -376,7 +376,7 @@ func TestAnalyticWaitMode(t *testing.T) {
 	spec := pipeline.Uniform("u4", 4, "facerec", 400*time.Millisecond)
 	rng := rand.New(rand.NewSource(13))
 	d := 100 * time.Millisecond
-	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, Samples: 1, Wait: WaitAnalytic}, rng)
+	e := NewEstimator(spec, EstimatorConfig{Lambda: 0.1, samples: 1, Wait: WaitAnalytic}, rng)
 	e.Refresh(boardFor(spec, 0, d, nil))
 	// 3 downstream uniforms at λ=0.1 → ≈0.843d (no samples needed).
 	got := e.Lsub(0).Seconds() / d.Seconds()
@@ -389,9 +389,9 @@ func TestEstimatorPanicsOnBadConfig(t *testing.T) {
 	spec := pipeline.TM()
 	rng := rand.New(rand.NewSource(1))
 	for _, cfg := range []EstimatorConfig{
-		{Lambda: -0.1, Samples: 10},
-		{Lambda: 1.5, Samples: 10},
-		{Lambda: 0.1, Samples: 0},
+		{Lambda: -0.1, samples: 10},
+		{Lambda: 1.5, samples: 10},
+		{Lambda: 0.1, samples: 0},
 	} {
 		func() {
 			defer func() {
@@ -590,7 +590,7 @@ func BenchmarkBatchWaitEstimation(b *testing.B) {
 	spec := pipeline.LV()
 	rng := rand.New(rand.NewSource(1))
 	cfg := DefaultEstimatorConfig()
-	cfg.Samples = 10000
+	cfg.samples = 10000
 	e := NewEstimator(spec, cfg, rng)
 	board := boardFor(spec, 5*time.Millisecond, 20*time.Millisecond, uniformWaits(20*time.Millisecond, 10000, rng))
 	b.ResetTimer()

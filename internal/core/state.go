@@ -120,9 +120,10 @@ const (
 type EstimatorConfig struct {
 	// Lambda is the quantile λ for WaitQuantile mode (default 0.1, §4.2).
 	Lambda float64
-	// Samples is the Monte-Carlo sample count M (paper default 10,000; the
-	// simulator default trades a little estimator resolution for run time).
-	Samples int
+	// samples is the Monte-Carlo sample count M (paper default 10,000;
+	// DefaultEstimatorConfig's 2,000 trades a little estimator resolution
+	// for run time).
+	samples int
 	// IncludeQueue includes downstream queueing ΣQ in Lsub.
 	IncludeQueue bool
 	// IncludeDur includes downstream execution ΣD in Lsub.
@@ -136,7 +137,7 @@ type EstimatorConfig struct {
 func DefaultEstimatorConfig() EstimatorConfig {
 	return EstimatorConfig{
 		Lambda:       0.1,
-		Samples:      2000,
+		samples:      2000,
 		IncludeQueue: true,
 		IncludeDur:   true,
 		Wait:         WaitQuantile,
@@ -168,8 +169,8 @@ type Estimator struct {
 	lsub          []time.Duration
 	rng           *rand.Rand
 
-	// sums holds Samples Monte-Carlo sums per node, node i's at
-	// [i·Samples, (i+1)·Samples), in WaitQuantile mode; ds is WaitAnalytic's
+	// sums holds samples Monte-Carlo sums per node, node i's at
+	// [i·samples, (i+1)·samples), in WaitQuantile mode; ds is WaitAnalytic's
 	// scratch for a path's durations. Both are allocated once, up front.
 	sums []float64
 	ds   []float64
@@ -188,8 +189,8 @@ func NewEstimator(spec *pipeline.Spec, cfg EstimatorConfig, rng *rand.Rand) *Est
 	if cfg.Lambda < 0 || cfg.Lambda > 1 {
 		panic(fmt.Sprintf("core: lambda %v outside [0,1]", cfg.Lambda))
 	}
-	if cfg.Samples < 1 {
-		panic(fmt.Sprintf("core: samples %d < 1", cfg.Samples))
+	if cfg.samples < 1 {
+		panic(fmt.Sprintf("core: samples %d < 1", cfg.samples))
 	}
 	n := spec.N()
 	e := &Estimator{
@@ -231,7 +232,7 @@ func NewEstimator(spec *pipeline.Spec, cfg EstimatorConfig, rng *rand.Rand) *Est
 	e.headAt[n] = len(e.heads)
 	switch cfg.Wait {
 	case WaitQuantile:
-		e.sums = make([]float64, len(e.nodes)*cfg.Samples)
+		e.sums = make([]float64, len(e.nodes)*cfg.samples)
 	case WaitAnalytic:
 		e.ds = make([]float64, 0, len(e.nodes)) // no path is longer
 	}
@@ -286,7 +287,7 @@ func (e *Estimator) headsOf(k int) []int { return e.heads[e.headAt[k]:e.headAt[k
 // paths (§4.2, §5.1). It allocates nothing. The Monte-Carlo draws are part of
 // the deterministic output, so an Estimator is for one goroutine at a time.
 func (e *Estimator) Refresh(b *Board) {
-	m := e.cfg.Samples
+	m := e.cfg.samples
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		s := b.Get(nd.mod)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"pard/internal/profile"
 	"pard/internal/simgpu"
 	"pard/internal/sweep"
 )
@@ -174,7 +175,7 @@ func (c *Coordinator) AddConn(conn net.Conn) error {
 	}
 	ecfg := c.cfg.Engine.Config()
 	f, capacity, err := openSession(conn, c.cfg.handshakeTimeout, Hello{
-		LibraryFP: ecfg.Library.Fingerprint(), BaseSeed: ecfg.BaseSeed, TraceDuration: ecfg.TraceDuration,
+		LibraryFP: profile.Default().Fingerprint(), BaseSeed: ecfg.BaseSeed, TraceDuration: ecfg.TraceDuration,
 	})
 	if err != nil {
 		conn.Close()

@@ -281,28 +281,53 @@ func TestStaleEpochResultDropped(t *testing.T) {
 
 // TestLibraryMismatchRefused: a worker simulating different latency curves
 // would pass the key cross-check (profiles don't travel in keys) yet
-// produce divergent results — both sides must refuse at the handshake.
+// produce divergent results — both sides must refuse at the handshake. Every
+// process plans on the default library, so each side meets a mismatched
+// fingerprint from a hand-built peer: a hello the worker refuses, and an ack
+// the coordinator refuses.
 func TestLibraryMismatchRefused(t *testing.T) {
 	scaled, err := profile.DefaultLibrary().Scaled(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scaled.Fingerprint() == profile.DefaultLibrary().Fingerprint() {
+	if scaled.Fingerprint() == profile.Default().Fingerprint() {
 		t.Fatal("scaled library fingerprints like the default")
 	}
-	c := NewCoordinator(CoordinatorConfig{Engine: sweep.New(sweep.Config{
-		Workers: 1, BaseSeed: 3, TraceDuration: 10 * time.Second, Library: scaled,
-	})})
-	defer c.Close()
+
+	// The worker refuses a coordinator's hello with other profiles, and says
+	// why in its ack.
 	coordSide, workerSide := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1}) }()
-	if err := c.AddConn(coordSide); err == nil || !strings.Contains(err.Error(), "library mismatch") {
-		t.Fatalf("coordinator accepted a worker with different profiles: %v", err)
+	hello := sweepHello(testEngine())
+	hello.LibraryFP = scaled.Fingerprint()
+	f := newFramed(coordSide)
+	if err := sendHello(f, hello); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := recvAck(f, 0); err != nil || !strings.Contains(ack.Err, "library mismatch") {
+		t.Fatalf("worker acked a hello with different profiles: %+v, %v", ack, err)
 	}
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "library mismatch") {
 		t.Fatalf("worker served a coordinator with different profiles: %v", err)
 	}
+	coordSide.Close()
+
+	// The coordinator refuses a worker whose ack carries other profiles.
+	c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+	defer c.Close()
+	coordSide, fakeWorker := net.Pipe()
+	defer fakeWorker.Close()
+	go func() {
+		f := newFramed(fakeWorker)
+		if _, err := recvHello(f, 0); err == nil {
+			sendAck(f, HelloAck{Proto: ProtoVersion, Capacity: 1, LibraryFP: scaled.Fingerprint()})
+		}
+	}()
+	if err := c.AddConn(coordSide); err == nil || !strings.Contains(err.Error(), "library mismatch") {
+		t.Fatalf("coordinator accepted a worker with different profiles: %v", err)
+	}
+
 	// A coordinator on the default library, the one every worker runs, is
 	// accepted.
 	c2 := NewCoordinator(CoordinatorConfig{Engine: testEngine()})

@@ -100,7 +100,7 @@ func ackFrameLen(a HelloAck) int { return frameHeaderLen + len(appendHelloAck(ni
 // sweepHello is the hello a coordinator built on eng sends.
 func sweepHello(eng *sweep.Engine) Hello {
 	cfg := eng.Config()
-	return Hello{Proto: ProtoVersion, LibraryFP: cfg.Library.Fingerprint(), BaseSeed: cfg.BaseSeed, TraceDuration: cfg.TraceDuration}
+	return Hello{Proto: ProtoVersion, LibraryFP: profile.Default().Fingerprint(), BaseSeed: cfg.BaseSeed, TraceDuration: cfg.TraceDuration}
 }
 
 // simHellos are the hellos a hub sends to the first spoke of every run in the

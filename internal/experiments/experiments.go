@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (§5, §7). Each experiment is a named entry in a registry; the
-// harness runs the underlying simulations (caching runs shared between
-// figures), and renders the same rows/series the paper reports as text
+// evaluation (§5, §7). Each experiment is a named entry in a registry; it
+// runs its simulations on a sweep engine (which caches runs shared between
+// figures) and renders the same rows/series the paper reports as text
 // tables and CSV files.
 //
 // Absolute numbers differ from the paper — the substrate is a simulator,
@@ -16,35 +16,23 @@ import (
 	"strings"
 	"time"
 
-	"pard/internal/simgpu"
 	"pard/internal/sweep"
-	"pard/internal/trace"
 )
 
-// Scale selects how much virtual time each workload covers.
-type Scale string
-
-// Scales.
+// Scales are trace durations, the TraceDuration of the sweep engine an
+// experiment runs on: the engine's duration is the experiment's scale.
 const (
 	// Smoke is for unit tests: minutes of virtual time.
-	Smoke Scale = "smoke"
-	// Quick is the default benchmarking scale.
-	Quick Scale = "quick"
-	// Full replays paper-length traces.
-	Full Scale = "full"
+	Smoke = 120 * time.Second
+	// Quick is the default benchmarking scale (sweep.Config's default).
+	Quick = 300 * time.Second
+	// Full replays paper-length traces; at or above it an experiment also
+	// uses the paper's windows and buckets.
+	Full = 1400 * time.Second
 )
 
-// traceDuration maps scale to virtual trace length.
-func traceDuration(s Scale) time.Duration {
-	switch s {
-	case Smoke:
-		return 120 * time.Second
-	case Full:
-		return 1400 * time.Second
-	default:
-		return 300 * time.Second
-	}
-}
+// full reports whether e runs paper-length traces.
+func full(e *sweep.Engine) bool { return e.Config().TraceDuration >= Full }
 
 // Table is one artifact (a paper table, or a figure's data series). Its rows
 // hold cells, which keep their numbers until Render or CSV writes them.
@@ -97,87 +85,13 @@ type Output struct {
 	Notes  []string
 }
 
-// Config parameterizes an experiment run.
-type Config struct {
-	Scale Scale
-	Seed  int64
-	// Parallel bounds concurrent simulation runs when a generator submits
-	// a grid (0 = runtime.NumCPU(), 1 = sequential). Any value produces
-	// identical outputs at a fixed seed; it only changes wall-clock time.
-	Parallel int
-	// OnProgress, when set, receives one callback per finished grid run.
-	OnProgress func(sweep.Progress)
-	// CacheDir, when set, persists finished simulation runs to disk so
-	// repeated invocations reuse finished grid points (see sweep.Config).
-	CacheDir string
-	// Logf, when set, receives cache-maintenance logging (see sweep.Config).
-	Logf func(format string, args ...any)
-}
-
-func (c Config) withDefaults() Config {
-	if c.Scale == "" {
-		c.Scale = Quick
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// Experiment is a registered paper artifact.
+// Experiment is a registered paper artifact. Run executes it on a sweep
+// engine, whose cache of simulation runs lets figures sharing workloads
+// (e.g. Figs. 8-10) avoid recomputing them.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(h *Harness) (*Output, error)
-}
-
-// Harness executes experiments on a parallel sweep engine whose cache of
-// simulation runs lets figures sharing workloads (e.g. Figs. 8-10) avoid
-// recomputing them.
-type Harness struct {
-	cfg Config
-	eng *sweep.Engine
-}
-
-// NewHarness returns a harness for the config.
-func NewHarness(cfg Config) *Harness {
-	cfg = cfg.withDefaults()
-	return &Harness{
-		cfg: cfg,
-		eng: sweep.New(sweep.Config{
-			Workers:       cfg.Parallel,
-			BaseSeed:      cfg.Seed,
-			TraceDuration: traceDuration(cfg.Scale),
-			OnProgress:    cfg.OnProgress,
-			CacheDir:      cfg.CacheDir,
-			Logf:          cfg.Logf,
-		}),
-	}
-}
-
-// Config returns the effective configuration.
-func (h *Harness) Config() Config { return h.cfg }
-
-// Engine exposes the underlying sweep engine (for generic, non-simgpu
-// jobs such as the RAG case study).
-func (h *Harness) Engine() *sweep.Engine { return h.eng }
-
-// Distribute routes the harness's grid sweeps through d — e.g. a
-// dist.Coordinator fanning units out to remote worker processes — instead
-// of the in-process pool. Results are unchanged by construction (per-unit
-// seed derivation), so every figure regenerates byte-identically however
-// the cluster is shaped; single Run calls still execute locally and share
-// the same cache. Pass nil to restore in-process execution.
-func (h *Harness) Distribute(d sweep.Distributor) { h.eng.SetDistributor(d) }
-
-// Trace returns (and caches) the synthetic trace for a workload kind at the
-// harness scale.
-func (h *Harness) Trace(kind trace.Kind) *trace.Trace {
-	tr, err := h.eng.Trace(kind)
-	if err != nil {
-		panic(err) // built-in kinds always generate
-	}
-	return tr
+	Run   func(e *sweep.Engine) (*Output, error)
 }
 
 // RunOpts tweaks a single simulation beyond app/trace/policy.
@@ -185,17 +99,6 @@ type RunOpts = sweep.RunOpts
 
 // Spec identifies one grid point of a sweep.
 type Spec = sweep.Spec
-
-// Run executes (or retrieves from cache) one simulation.
-func (h *Harness) Run(app string, kind trace.Kind, policy string, opts RunOpts) (*simgpu.Result, error) {
-	return h.eng.Run(Spec{App: app, Kind: kind, Policy: policy, Opts: opts})
-}
-
-// Sweep executes a grid of specs concurrently and returns results in input
-// order; see sweep.Engine.Sweep for the determinism contract.
-func (h *Harness) Sweep(specs []Spec) ([]*simgpu.Result, error) {
-	return h.eng.Sweep(specs)
-}
 
 var registry []Experiment
 

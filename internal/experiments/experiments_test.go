@@ -16,7 +16,9 @@ import (
 	"pard/internal/trace"
 )
 
-func smokeHarness() *Harness { return NewHarness(Config{Scale: Smoke, Seed: 1}) }
+func smokeEngine() *sweep.Engine {
+	return sweep.New(sweep.Config{BaseSeed: 1, TraceDuration: Smoke})
+}
 
 func TestRegistryCoversPaperArtifacts(t *testing.T) {
 	want := []string{
@@ -73,12 +75,12 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 	}
 	// A run of some experiments (-run) checks and re-pins only their tables.
 	got, ran := map[string]string{}, map[string]bool{}
-	h := smokeHarness()
+	eng := smokeEngine()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			ran[e.ID] = true
-			out, err := e.Run(h)
+			out, err := e.Run(eng)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
@@ -136,8 +138,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	h := smokeHarness()
-	out, err := fig8(h)
+	out, err := fig8(smokeEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +165,7 @@ func TestFig13Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	h := smokeHarness()
-	out, err := fig13(h)
+	out, err := fig13(smokeEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +213,9 @@ func renderAll(out *Output) string {
 	return b.String()
 }
 
-// TestParallelHarnessMatchesSequential checks the harness-level determinism
-// contract: a parallel harness renders byte-identical artifacts to a
-// sequential one at the same seed.
+// TestParallelHarnessMatchesSequential checks the experiment-level
+// determinism contract: an experiment run on an engine with 8 workers renders
+// byte-identical artifacts to one run on a sequential engine at the same seed.
 func TestParallelHarnessMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
@@ -225,11 +225,11 @@ func TestParallelHarnessMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqOut, err := e.Run(NewHarness(Config{Scale: Smoke, Seed: 3, Parallel: 1}))
+		seqOut, err := e.Run(sweep.New(sweep.Config{BaseSeed: 3, TraceDuration: Smoke, Workers: 1}))
 		if err != nil {
 			t.Fatalf("%s sequential: %v", id, err)
 		}
-		parOut, err := e.Run(NewHarness(Config{Scale: Smoke, Seed: 3, Parallel: 8}))
+		parOut, err := e.Run(sweep.New(sweep.Config{BaseSeed: 3, TraceDuration: Smoke, Workers: 8}))
 		if err != nil {
 			t.Fatalf("%s parallel: %v", id, err)
 		}
@@ -245,9 +245,9 @@ func TestProgressReported(t *testing.T) {
 		t.Skip("skipped in -short")
 	}
 	var done int
-	h := NewHarness(Config{Scale: Smoke, Seed: 1, Parallel: 4,
+	eng := sweep.New(sweep.Config{BaseSeed: 1, TraceDuration: Smoke, Workers: 4,
 		OnProgress: func(p sweep.Progress) { done = p.Done }})
-	if _, err := fig13(h); err != nil {
+	if _, err := fig13(eng); err != nil {
 		t.Fatal(err)
 	}
 	// fig13 executes 2 simulation runs plus 1 trace synthesis (lv-tweet).
@@ -255,7 +255,7 @@ func TestProgressReported(t *testing.T) {
 		t.Fatalf("progress reported %d done artifacts, want 3", done)
 	}
 	// Re-running the experiment is all cache hits: no further callbacks.
-	if _, err := fig13(h); err != nil {
+	if _, err := fig13(eng); err != nil {
 		t.Fatal(err)
 	}
 	if done != 3 {
@@ -264,28 +264,34 @@ func TestProgressReported(t *testing.T) {
 }
 
 func TestTraceCaching(t *testing.T) {
-	h := smokeHarness()
-	a := h.Trace(trace.Tweet)
-	b := h.Trace(trace.Tweet)
+	eng := smokeEngine()
+	a, err := eng.Trace(trace.Tweet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := eng.Trace(trace.Tweet)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
 		t.Fatal("trace not cached")
 	}
 }
 
 func TestRunCaching(t *testing.T) {
-	h := smokeHarness()
-	a, err := h.Run("tm", trace.Wiki, "pard", RunOpts{})
+	eng := smokeEngine()
+	a, err := eng.Run(Spec{App: "tm", Kind: trace.Wiki, Policy: "pard"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.Run("tm", trace.Wiki, "pard", RunOpts{})
+	b, err := eng.Run(Spec{App: "tm", Kind: trace.Wiki, Policy: "pard"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("run not cached")
 	}
-	c, err := h.Run("tm", trace.Wiki, "nexus", RunOpts{})
+	c, err := eng.Run(Spec{App: "tm", Kind: trace.Wiki, Policy: "nexus"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +301,38 @@ func TestRunCaching(t *testing.T) {
 }
 
 func TestUnknownApp(t *testing.T) {
-	h := smokeHarness()
-	if _, err := h.Run("bogus", trace.Wiki, "pard", RunOpts{}); err == nil {
+	if _, err := smokeEngine().Run(Spec{App: "bogus", Kind: trace.Wiki, Policy: "pard"}); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// TestScaleRule: the engine's trace duration is the scale. Paper-length
+// choices start at Full, and the RAG query count steps at Smoke and Full;
+// an engine left at its default duration runs at Quick.
+func TestScaleRule(t *testing.T) {
+	cases := []struct {
+		dur     time.Duration
+		full    bool
+		queries int
+	}{
+		{0, false, 5000},
+		{Smoke, false, 2000},
+		{200 * time.Second, false, 5000},
+		{Quick, false, 5000},
+		{Full, true, 10000},
+		{2000 * time.Second, true, 10000},
+	}
+	for _, c := range cases {
+		eng := sweep.New(sweep.Config{TraceDuration: c.dur})
+		if got := full(eng); got != c.full {
+			t.Errorf("%v: full = %v, want %v", c.dur, got, c.full)
+		}
+		if got := ragQueries(eng); got != c.queries {
+			t.Errorf("%v: %d RAG queries, want %d", c.dur, got, c.queries)
+		}
+	}
+	if got := sweep.New(sweep.Config{}).Config().TraceDuration; got != Quick {
+		t.Errorf("default trace duration %v, want Quick (%v)", got, Quick)
 	}
 }
 

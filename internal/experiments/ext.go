@@ -6,6 +6,7 @@ import (
 
 	"pard/internal/policy"
 	"pard/internal/simgpu"
+	"pard/internal/sweep"
 	"pard/internal/trace"
 )
 
@@ -26,8 +27,8 @@ func init() {
 // dropping policies ride through the capacity loss. The paper motivates
 // dropping with machine failures (§2) but does not evaluate them; this
 // extension does.
-func extFailure(h *Harness) (*Output, error) {
-	dur := traceDuration(h.cfg.Scale)
+func extFailure(e *sweep.Engine) (*Output, error) {
+	dur := e.Config().TraceDuration
 	failAt := dur / 3
 	t := Table{
 		ID:      "ext-failure",
@@ -42,7 +43,7 @@ func extFailure(h *Harness) (*Output, error) {
 			Failures:   []simgpu.Failure{{At: failAt, Module: 2, Count: 2}},
 		}})
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,7 @@ func extFailure(h *Harness) (*Output, error) {
 
 // extAnalytic compares PARD's Monte-Carlo batch-wait quantile against the
 // closed-form Irwin-Hall/CLT estimator across the three traces.
-func extAnalytic(h *Harness) (*Output, error) {
+func extAnalytic(e *sweep.Engine) (*Output, error) {
 	t := Table{
 		ID:      "ext-analytic",
 		Title:   "drop rate: Monte-Carlo (pard) vs closed-form (pard-analytic) wait estimation, lv",
@@ -74,7 +75,7 @@ func extAnalytic(h *Harness) (*Output, error) {
 			specs = append(specs, Spec{App: "lv", Kind: kind, Policy: pol})
 		}
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

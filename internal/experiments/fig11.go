@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pard/internal/policy"
+	"pard/internal/sweep"
 	"pard/internal/trace"
 )
 
@@ -17,7 +18,7 @@ func init() {
 
 // fig11 runs the Table 1 ablation variants on lv-tweet (§5.3 uses this
 // workload for all ablations).
-func fig11(h *Harness) (*Output, error) {
+func fig11(e *sweep.Engine) (*Output, error) {
 	rates := Table{
 		ID:      "fig11a",
 		Title:   "drop rate and invalid rate per ablation",
@@ -32,7 +33,7 @@ func fig11(h *Harness) (*Output, error) {
 	for _, pol := range policy.Ablations() {
 		specs = append(specs, Spec{App: "lv", Kind: trace.Tweet, Policy: pol})
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

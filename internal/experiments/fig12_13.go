@@ -6,6 +6,7 @@ import (
 
 	"pard/internal/simgpu"
 	"pard/internal/stats"
+	"pard/internal/sweep"
 	"pard/internal/trace"
 )
 
@@ -39,13 +40,13 @@ func init() {
 
 var budgetProbes = simgpu.ProbeConfig{Budget: true, SampleEvery: 4}
 
-func fig12a(h *Harness) (*Output, error) {
-	res, err := h.Run("lv", trace.Tweet, "pard", RunOpts{Probes: budgetProbes})
+func fig12a(e *sweep.Engine) (*Output, error) {
+	res, err := e.Run(Spec{App: "lv", Kind: trace.Tweet, Policy: "pard", Opts: RunOpts{Probes: budgetProbes}})
 	if err != nil {
 		return nil, err
 	}
 	bucket := 20 * time.Second
-	if h.cfg.Scale != Full {
+	if !full(e) {
 		bucket = 10 * time.Second
 	}
 	t := Table{
@@ -78,10 +79,10 @@ func fig12a(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig12b(h *Harness) (*Output, error) {
-	res, err := h.Run("lv", trace.Tweet, "pard", RunOpts{
+func fig12b(e *sweep.Engine) (*Output, error) {
+	res, err := e.Run(Spec{App: "lv", Kind: trace.Tweet, Policy: "pard", Opts: RunOpts{
 		Probes: simgpu.ProbeConfig{Decomposition: true, SampleEvery: 4},
-	})
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -121,9 +122,9 @@ func fig12b(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig12c(h *Harness) (*Output, error) {
+func fig12c(e *sweep.Engine) (*Output, error) {
 	bucket := 10 * time.Second
-	if h.cfg.Scale != Full {
+	if !full(e) {
 		bucket = 5 * time.Second
 	}
 	var tables []Table
@@ -133,7 +134,7 @@ func fig12c(h *Harness) (*Output, error) {
 		specs[i] = Spec{App: "lv", Kind: trace.Tweet, Policy: pol,
 			Opts: RunOpts{Probes: simgpu.ProbeConfig{QueueDelay: true}}}
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -171,8 +172,8 @@ func fig12c(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig12d(h *Harness) (*Output, error) {
-	res, err := h.Run("lv", trace.Tweet, "pard", RunOpts{Probes: budgetProbes})
+func fig12d(e *sweep.Engine) (*Output, error) {
+	res, err := e.Run(Spec{App: "lv", Kind: trace.Tweet, Policy: "pard", Opts: RunOpts{Probes: budgetProbes}})
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +200,7 @@ func fig12d(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig13(h *Harness) (*Output, error) {
+func fig13(e *sweep.Engine) (*Output, error) {
 	var tables []Table
 	switches := Table{
 		ID:      "fig13-switches",
@@ -212,7 +213,7 @@ func fig13(h *Harness) (*Output, error) {
 		specs[i] = Spec{App: "lv", Kind: trace.Tweet, Policy: pol,
 			Opts: RunOpts{Probes: simgpu.ProbeConfig{LoadFactor: true}}}
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

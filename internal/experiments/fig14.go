@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"pard/internal/policy"
+	"pard/internal/sweep"
 	"pard/internal/trace"
 )
 
@@ -30,7 +31,7 @@ func init() {
 	})
 }
 
-func fig14a(h *Harness) (*Output, error) {
+func fig14a(e *sweep.Engine) (*Output, error) {
 	// Fixed instances (4 workers per module ≈ the per-app share of the
 	// paper's 64-GPU cluster); sweep the offered rate past capacity.
 	fixed := []int{4, 4, 4, 4, 4}
@@ -47,7 +48,7 @@ func fig14a(h *Harness) (*Output, error) {
 				Opts: RunOpts{SteadyRate: rate, FixedWorkers: fixed}})
 		}
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +77,7 @@ func fig14a(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig14b(h *Harness) (*Output, error) {
+func fig14b(e *sweep.Engine) (*Output, error) {
 	slos := []time.Duration{200 * time.Millisecond, 300 * time.Millisecond,
 		400 * time.Millisecond, 500 * time.Millisecond, 600 * time.Millisecond}
 	t := Table{
@@ -91,7 +92,7 @@ func fig14b(h *Harness) (*Output, error) {
 				Opts: RunOpts{SLOOverride: slo}})
 		}
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func fig14b(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig14c(h *Harness) (*Output, error) {
+func fig14c(e *sweep.Engine) (*Output, error) {
 	lambdas := []float64{0.01, 0.05, 0.075, 0.1, 0.15, 0.25, 0.5, 0.75, 1.0}
 	apps := []string{"lv", "tm", "gm", "da"}
 	t := Table{
@@ -124,7 +125,7 @@ func fig14c(h *Harness) (*Output, error) {
 				Opts: RunOpts{Lambda: l}})
 		}
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +143,7 @@ func fig14c(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig14d(h *Harness) (*Output, error) {
+func fig14d(e *sweep.Engine) (*Output, error) {
 	windows := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second,
 		4 * time.Second, 5 * time.Second, 7500 * time.Millisecond, 10 * time.Second, 15 * time.Second}
 	kinds := []trace.Kind{trace.Wiki, trace.Tweet, trace.Azure}
@@ -158,7 +159,7 @@ func fig14d(h *Harness) (*Output, error) {
 				Opts: RunOpts{WindowSize: w}})
 		}
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

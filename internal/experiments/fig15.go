@@ -27,11 +27,12 @@ func init() {
 	})
 }
 
-func ragQueries(h *Harness) int {
-	switch h.cfg.Scale {
-	case Smoke:
+// ragQueries is the RAG workflow's query count at e's scale.
+func ragQueries(e *sweep.Engine) int {
+	switch d := e.Config().TraceDuration; {
+	case d <= Smoke:
 		return 2000
-	case Full:
+	case d >= Full:
 		return 10000
 	default:
 		return 5000
@@ -40,8 +41,8 @@ func ragQueries(h *Harness) int {
 
 // ragJob wraps one RAG workflow run as a sweep job: the cache key encodes
 // policy and scale, and the run's RNG stream is the key-derived seed.
-func ragJob(h *Harness, p rag.PolicyKind) sweep.Job[*rag.Result] {
-	queries := ragQueries(h)
+func ragJob(e *sweep.Engine, p rag.PolicyKind) sweep.Job[*rag.Result] {
+	queries := ragQueries(e)
 	return sweep.Job[*rag.Result]{
 		Key: fmt.Sprintf("rag|%s|q=%d", p, queries),
 		Run: func(seed int64) (*rag.Result, error) {
@@ -53,7 +54,7 @@ func ragJob(h *Harness, p rag.PolicyKind) sweep.Job[*rag.Result] {
 	}
 }
 
-func fig15a(h *Harness) (*Output, error) {
+func fig15a(e *sweep.Engine) (*Output, error) {
 	t := Table{
 		ID:      "fig15a",
 		Title:   "RAG TTFT goodput per dropping policy (SLO 5s)",
@@ -61,9 +62,9 @@ func fig15a(h *Harness) (*Output, error) {
 	}
 	jobs := make([]sweep.Job[*rag.Result], len(rag.Policies()))
 	for i, p := range rag.Policies() {
-		jobs[i] = ragJob(h, p)
+		jobs[i] = ragJob(e, p)
 	}
-	results, err := sweep.All(h.Engine(), jobs)
+	results, err := sweep.All(e, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -80,8 +81,8 @@ func fig15a(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig15b(h *Harness) (*Output, error) {
-	results, err := sweep.All(h.Engine(), []sweep.Job[*rag.Result]{ragJob(h, rag.Proactive)})
+func fig15b(e *sweep.Engine) (*Output, error) {
+	results, err := sweep.All(e, []sweep.Job[*rag.Result]{ragJob(e, rag.Proactive)})
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +119,7 @@ func fig15b(h *Harness) (*Output, error) {
 // dagDynamic reproduces the §5.2 experiment: da with probabilistic branch
 // selection raises PARD's drop rate by a small factor due to path
 // mis-estimation.
-func dagDynamic(h *Harness) (*Output, error) {
+func dagDynamic(e *sweep.Engine) (*Output, error) {
 	t := Table{
 		ID:      "dag-dynamic",
 		Title:   "PARD drop rate: static DA vs dynamic-path DA",
@@ -131,7 +132,7 @@ func dagDynamic(h *Harness) (*Output, error) {
 			specs = append(specs, Spec{App: app, Kind: kind, Policy: "pard"})
 		}
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"pard/internal/policy"
 	"pard/internal/simgpu"
+	"pard/internal/sweep"
 	"pard/internal/trace"
 )
 
@@ -33,8 +34,8 @@ func init() {
 }
 
 // fig2Windows scales the paper's window sizes down for short traces.
-func fig2Windows(h *Harness, paper []time.Duration) []time.Duration {
-	if h.cfg.Scale == Full {
+func fig2Windows(e *sweep.Engine, paper []time.Duration) []time.Duration {
+	if full(e) {
 		return paper
 	}
 	out := make([]time.Duration, len(paper))
@@ -49,22 +50,22 @@ func fig2Windows(h *Harness, paper []time.Duration) []time.Duration {
 
 // lvTweetComparison sweeps the four headline policies on lv-tweet (the
 // windows in Figs. 2a/2b are applied post-hoc to the same four runs).
-func lvTweetComparison(h *Harness) ([]*simgpu.Result, error) {
+func lvTweetComparison(e *sweep.Engine) ([]*simgpu.Result, error) {
 	specs := make([]Spec, 0, len(policy.Comparison()))
 	for _, pol := range policy.Comparison() {
 		specs = append(specs, Spec{App: "lv", Kind: trace.Tweet, Policy: pol})
 	}
-	return h.Sweep(specs)
+	return e.Sweep(specs)
 }
 
-func fig2a(h *Harness) (*Output, error) {
-	windows := fig2Windows(h, []time.Duration{22 * time.Second, 24 * time.Second, 26 * time.Second})
+func fig2a(e *sweep.Engine) (*Output, error) {
+	windows := fig2Windows(e, []time.Duration{22 * time.Second, 24 * time.Second, 26 * time.Second})
 	t := Table{
 		ID:      "fig2a",
 		Title:   "min normalized goodput vs window size, lv-tweet",
 		Columns: append([]string{"window"}, policy.Comparison()...),
 	}
-	results, err := lvTweetComparison(h)
+	results, err := lvTweetComparison(e)
 	if err != nil {
 		return nil, err
 	}
@@ -78,14 +79,14 @@ func fig2a(h *Harness) (*Output, error) {
 	return &Output{Tables: []Table{t}}, nil
 }
 
-func fig2b(h *Harness) (*Output, error) {
-	windows := fig2Windows(h, []time.Duration{5 * time.Second, 25 * time.Second, 50 * time.Second})
+func fig2b(e *sweep.Engine) (*Output, error) {
+	windows := fig2Windows(e, []time.Duration{5 * time.Second, 25 * time.Second, 50 * time.Second})
 	t := Table{
 		ID:      "fig2b",
 		Title:   "drop rate at minimum-goodput window vs window size, lv-tweet",
 		Columns: append([]string{"window"}, policy.Comparison()...),
 	}
-	results, err := lvTweetComparison(h)
+	results, err := lvTweetComparison(e)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +100,7 @@ func fig2b(h *Harness) (*Output, error) {
 	return &Output{Tables: []Table{t}}, nil
 }
 
-func fig2c(h *Harness) (*Output, error) {
+func fig2c(e *sweep.Engine) (*Output, error) {
 	workloads := []struct {
 		app  string
 		kind trace.Kind
@@ -117,7 +118,7 @@ func fig2c(h *Harness) (*Output, error) {
 	for i, w := range workloads {
 		specs[i] = Spec{App: w.app, Kind: w.kind, Policy: "nexus"}
 	}
-	results, err := h.Sweep(specs)
+	results, err := e.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -145,13 +146,13 @@ func fig2c(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig2d(h *Harness) (*Output, error) {
-	res, err := h.Run("lv", trace.Tweet, "clipper++", RunOpts{})
+func fig2d(e *sweep.Engine) (*Output, error) {
+	res, err := e.Run(Spec{App: "lv", Kind: trace.Tweet, Policy: "clipper++"})
 	if err != nil {
 		return nil, err
 	}
 	bucket := 10 * time.Second
-	if h.cfg.Scale != Full {
+	if !full(e) {
 		bucket = 5 * time.Second
 	}
 	ts, vs := res.Collector.DropRateSeries(bucket)

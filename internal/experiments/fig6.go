@@ -8,6 +8,7 @@ import (
 	"pard/internal/pipeline"
 	"pard/internal/simgpu"
 	"pard/internal/stats"
+	"pard/internal/sweep"
 )
 
 func init() {
@@ -22,14 +23,14 @@ func init() {
 // module's batch wait is ~U[0, d], so the sum over the last j modules
 // concentrates around j·d/2, with the λ=0.1 quantiles at 0.31/0.28/0.22/0.10
 // of the aggregated Σd (the worked example in §4.2).
-func fig6(h *Harness) (*Output, error) {
+func fig6(e *sweep.Engine) (*Output, error) {
 	spec := pipeline.Uniform("u4", 4, "facerec", 400*time.Millisecond)
-	results, err := h.Sweep([]Spec{{
+	results, err := e.Sweep([]Spec{{
 		Pipeline: spec,
 		Policy:   "naive", // no dropping: observe the undisturbed distribution
 		Opts: RunOpts{
 			SteadyRate: 200,
-			SteadyDur:  traceDuration(h.cfg.Scale),
+			SteadyDur:  e.Config().TraceDuration,
 			Probes:     simgpu.ProbeConfig{Decomposition: true, SampleEvery: 1},
 		},
 	}})
@@ -38,7 +39,7 @@ func fig6(h *Harness) (*Output, error) {
 	}
 	res := results[0]
 
-	rng := rand.New(rand.NewSource(h.eng.SeedFor("fig6|convolve")))
+	rng := rand.New(rand.NewSource(e.SeedFor("fig6|convolve")))
 	quant := Table{
 		ID:      "fig6",
 		Title:   "aggregated batch wait from module k to 4: quantiles (fraction of aggregated Σd)",

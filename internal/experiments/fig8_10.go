@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pard/internal/policy"
+	"pard/internal/sweep"
 	"pard/internal/trace"
 )
 
@@ -45,7 +46,7 @@ func grid12() []Spec {
 	return specs
 }
 
-func fig8(h *Harness) (*Output, error) {
+func fig8(e *sweep.Engine) (*Output, error) {
 	drop := Table{
 		ID:      "fig8a",
 		Title:   "average drop rate",
@@ -56,7 +57,7 @@ func fig8(h *Harness) (*Output, error) {
 		Title:   "average invalid rate (wasted GPU time fraction)",
 		Columns: append([]string{"workload"}, policy.Comparison()...),
 	}
-	results, err := h.Sweep(grid12())
+	results, err := e.Sweep(grid12())
 	if err != nil {
 		return nil, err
 	}
@@ -83,9 +84,9 @@ func fig8(h *Harness) (*Output, error) {
 	}, nil
 }
 
-func fig9(h *Harness) (*Output, error) {
-	windows := fig2Windows(h, []time.Duration{22 * time.Second, 24 * time.Second, 26 * time.Second, 28 * time.Second})
-	results, err := h.Sweep(grid12())
+func fig9(e *sweep.Engine) (*Output, error) {
+	windows := fig2Windows(e, []time.Duration{22 * time.Second, 24 * time.Second, 26 * time.Second, 28 * time.Second})
+	results, err := e.Sweep(grid12())
 	if err != nil {
 		return nil, err
 	}
@@ -115,9 +116,9 @@ func fig9(h *Harness) (*Output, error) {
 	}}, nil
 }
 
-func fig10(h *Harness) (*Output, error) {
+func fig10(e *sweep.Engine) (*Output, error) {
 	bucket := 20 * time.Second
-	if h.cfg.Scale != Full {
+	if !full(e) {
 		bucket = 10 * time.Second
 	}
 	var tables []Table
@@ -127,7 +128,10 @@ func fig10(h *Harness) (*Output, error) {
 	// within the iteration).
 	var secScratch []float64
 	for _, kind := range traces12 {
-		tr := h.Trace(kind)
+		tr, err := e.Trace(kind)
+		if err != nil {
+			return nil, err
+		}
 		st := tr.AnalyzeInto(secScratch)
 		secScratch = st.PerSecond
 		t := Table{
@@ -147,7 +151,7 @@ func fig10(h *Harness) (*Output, error) {
 	}
 
 	// Right panels: normalized goodput timelines.
-	results, err := h.Sweep(grid12())
+	results, err := e.Sweep(grid12())
 	if err != nil {
 		return nil, err
 	}

@@ -160,16 +160,6 @@ func (s *Spec) Source() int {
 	return -1
 }
 
-// Sink returns the ID of the exit module (no successors), or -1.
-func (s *Spec) Sink() int {
-	for _, m := range s.Modules {
-		if len(m.Subs) == 0 {
-			return m.ID
-		}
-	}
-	return -1
-}
-
 // IsChain reports whether the pipeline is a simple linear chain.
 func (s *Spec) IsChain() bool {
 	for _, m := range s.Modules {
@@ -198,25 +188,6 @@ func (s *Spec) kahn(indeg, order []int) []int {
 				order = append(order, sub)
 			}
 		}
-	}
-	return order
-}
-
-func (s *Spec) topoOrder() ([]int, error) {
-	n := len(s.Modules)
-	order := s.kahn(make([]int, n), make([]int, 0, n))
-	if len(order) != n {
-		return order, fmt.Errorf("pipeline %s: cycle detected", s.App)
-	}
-	return order, nil
-}
-
-// TopoOrder returns module IDs in a topological order. The spec must be
-// valid.
-func (s *Spec) TopoOrder() []int {
-	order, err := s.topoOrder()
-	if err != nil {
-		panic(err)
 	}
 	return order
 }

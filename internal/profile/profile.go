@@ -76,19 +76,6 @@ func (m Model) Throughput(b int) float64 {
 	return float64(b) / d.Seconds()
 }
 
-// MaxThroughput returns the highest throughput over feasible batch sizes and
-// the batch size achieving it (always MaxBatch for affine profiles, but
-// computed generically).
-func (m Model) MaxThroughput() (float64, int) {
-	best, bestB := 0.0, 1
-	for b := 1; b <= m.MaxBatch; b++ {
-		if tp := m.Throughput(b); tp > best {
-			best, bestB = tp, b
-		}
-	}
-	return best, bestB
-}
-
 // BestBatch returns the largest batch size whose execution duration fits
 // within budget, or 0 when even batch size 1 does not fit. Serving systems
 // use it to pick the per-module target batch size from an SLO share.

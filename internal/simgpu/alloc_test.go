@@ -40,12 +40,13 @@ func TestAllocsRun(t *testing.T) {
 // process builds the default library once. A run that names no library
 // allocates exactly what one handed the shared default does, and a scaled
 // run allocates more than a fixed-worker run only by what provisioning itself
-// costs: the trace's warm-up rate and ProvisionWorkers' counts. A second
-// TargetBatches on the scaled path, or a default library built per run,
-// fails it, and so does a second validation of the spec: a fixed-worker
-// build stays under newCeiling, the count measured when it was set.
+// costs: ProvisionWorkers' counts (the trace's warm-up rate is counted in
+// place). A second TargetBatches on the scaled path, or a default library
+// built per run, fails it, and so does a second validation of the spec: a
+// fixed-worker build stays under newCeiling and a scaled one under
+// scaledCeiling, the counts measured when they were set.
 func TestAllocsDerivedOnce(t *testing.T) {
-	const newCeiling = 57
+	const newCeiling, scaledCeiling = 57, 58
 	spec, tr := pipeline.DA(), steadyTrace(200, 20*time.Second, 1)
 	// fewest is the fewest allocations of three tries: under -race the
 	// runtime now and then adds one of its own.
@@ -69,7 +70,7 @@ func TestAllocsDerivedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	provision := fewest(func() {
-		if _, err := sched.ProvisionWorkers(spec, plan.Lib, plan.Batches, tr.Slice(0, 10*time.Second).MeanRate()); err != nil {
+		if _, err := sched.ProvisionWorkers(spec, plan.Lib, plan.Batches, tr.RateIn(0, 10*time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -80,6 +81,9 @@ func TestAllocsDerivedOnce(t *testing.T) {
 	}
 	if nilLib != explicit {
 		t.Errorf("New allocates %.0f times with no library, %.0f with the shared default", nilLib, explicit)
+	}
+	if scaledN > scaledCeiling {
+		t.Errorf("a scaled New on DA allocates %.0f times, ceiling %d", scaledN, scaledCeiling)
 	}
 	if scaledN != nilLib+provision {
 		t.Errorf("a scaled New allocates %.0f times, a fixed-worker one %.0f plus provisioning's %.0f", scaledN, nilLib, provision)

@@ -231,7 +231,7 @@ func New(cfg Config) (*Runner, error) {
 	// left to the scaling engine.
 	var rate float64
 	if full.FixedWorkers == nil {
-		if rate = full.Trace.Slice(0, 10*time.Second).MeanRate(); rate <= 0 {
+		if rate = full.Trace.RateIn(0, 10*time.Second); rate <= 0 {
 			rate = full.Trace.MeanRate()
 		}
 	}

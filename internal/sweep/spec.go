@@ -190,7 +190,6 @@ func (e *Engine) exec(s Spec, seed int64) (*simgpu.Result, error) {
 	}
 	return simgpu.Run(simgpu.Config{
 		Spec:           spec,
-		Lib:            e.cfg.Library,
 		PolicyName:     s.Policy,
 		Trace:          tr,
 		Seed:           seed,

@@ -19,7 +19,6 @@
 package sweep
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -27,8 +26,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"pard/internal/profile"
 )
 
 // DeriveSeed maps a base seed and a stable key to a distinct per-artifact
@@ -68,9 +65,6 @@ type Config struct {
 	BaseSeed int64
 	// TraceDuration is the virtual length of synthesized traces.
 	TraceDuration time.Duration
-	// Library provides model profiles (default: the shared
-	// profile.Default()).
-	Library *profile.Library
 	// OnProgress, when set, is invoked (serially) after each job finishes.
 	OnProgress func(Progress)
 	// CacheDir, when set, persists finished runs and traces to disk (binary
@@ -94,7 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceDuration <= 0 {
 		c.TraceDuration = 300 * time.Second
 	}
-	c.Library = cmp.Or(c.Library, profile.Default())
 	return c
 }
 

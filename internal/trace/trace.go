@@ -407,15 +407,15 @@ func burstCV(counts []float64, width int) float64 {
 	return math.Sqrt(ss/float64(n)) / mean
 }
 
-// Slice returns the sub-trace covering [from, to), re-anchored at t=0.
-func (tr *Trace) Slice(from, to time.Duration) *Trace {
+// RateIn returns the mean arrival rate (req/s) over [from, to): the
+// arrivals in the window over its length, 0 for an empty window.
+func (tr *Trace) RateIn(from, to time.Duration) float64 {
+	if to <= from {
+		return 0
+	}
 	lo := sort.Search(len(tr.Arrivals), func(i int) bool { return tr.Arrivals[i] >= from })
 	hi := sort.Search(len(tr.Arrivals), func(i int) bool { return tr.Arrivals[i] >= to })
-	out := make([]time.Duration, 0, hi-lo)
-	for _, a := range tr.Arrivals[lo:hi] {
-		out = append(out, a-from)
-	}
-	return &Trace{Name: tr.Name, Arrivals: out, Duration: to - from}
+	return float64(hi-lo) / (to - from).Seconds()
 }
 
 // WriteCSV writes the trace as ReadCSV reads it back: a "# trace=<name>

@@ -80,9 +80,7 @@ func TestSteadyRateMatchesTarget(t *testing.T) {
 
 func TestStepDoubles(t *testing.T) {
 	tr := MustGenerate(Config{Kind: Step, Duration: 400 * time.Second, PeakRate: 200, Seed: 3})
-	first := tr.Slice(0, 200*time.Second)
-	second := tr.Slice(200*time.Second, 400*time.Second)
-	r1, r2 := first.MeanRate(), second.MeanRate()
+	r1, r2 := tr.RateIn(0, 200*time.Second), tr.RateIn(200*time.Second, 400*time.Second)
 	if r2 < 1.7*r1 || r2 > 2.3*r1 {
 		t.Fatalf("step ratio = %v (r1=%v r2=%v), want ≈2", r2/r1, r1, r2)
 	}
@@ -93,8 +91,8 @@ func TestTweetBurstDoublesRate(t *testing.T) {
 	tr := MustGenerate(Config{Kind: Tweet, Duration: dur, Seed: 11})
 	// Burst is centered at 0.6 × 1400 s = 840 s (paper: rate doubles around
 	// t = 850 s, Fig. 2d / §3.2).
-	pre := tr.Slice(700*time.Second, 800*time.Second).MeanRate()
-	burst := tr.Slice(840*time.Second, 880*time.Second).MeanRate()
+	pre := tr.RateIn(700*time.Second, 800*time.Second)
+	burst := tr.RateIn(840*time.Second, 880*time.Second)
 	if burst < 1.5*pre {
 		t.Fatalf("burst rate %v not ≥1.5× pre-burst %v", burst, pre)
 	}
@@ -117,8 +115,8 @@ func TestWikiSmootherThanAzure(t *testing.T) {
 
 func TestWikiRampsUp(t *testing.T) {
 	tr := MustGenerate(Config{Kind: Wiki, Duration: 1000 * time.Second, Seed: 9})
-	early := tr.Slice(0, 100*time.Second).MeanRate()
-	late := tr.Slice(900*time.Second, 1000*time.Second).MeanRate()
+	early := tr.RateIn(0, 100*time.Second)
+	late := tr.RateIn(900*time.Second, 1000*time.Second)
 	if late < 2*early {
 		t.Fatalf("wiki should ramp: early %v, late %v", early, late)
 	}
@@ -173,20 +171,27 @@ func TestAnalyzeEmpty(t *testing.T) {
 	}
 }
 
-func TestSliceReanchors(t *testing.T) {
+// TestRateInHalfOpen: RateIn counts the arrivals in [from, to) over the
+// window's length, and an empty window reads 0.
+func TestRateInHalfOpen(t *testing.T) {
 	tr := &Trace{
 		Arrivals: []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second},
 		Duration: 5 * time.Second,
 	}
-	s := tr.Slice(2*time.Second, 4*time.Second)
-	if s.Len() != 2 {
-		t.Fatalf("slice len = %d, want 2", s.Len())
+	cases := []struct {
+		from, to time.Duration
+		want     float64
+	}{
+		{2 * time.Second, 4 * time.Second, 1},         // 2 s and 3 s; 4 s is out
+		{0, 10 * time.Second, 0.4},                    // past the end
+		{1500 * time.Millisecond, 2 * time.Second, 0}, // no arrival in the window
+		{3 * time.Second, 3 * time.Second, 0},         // empty window
+		{4 * time.Second, 2 * time.Second, 0},         // reversed window
 	}
-	if s.Arrivals[0] != 0 || s.Arrivals[1] != time.Second {
-		t.Fatalf("slice not re-anchored: %v", s.Arrivals)
-	}
-	if s.Duration != 2*time.Second {
-		t.Fatalf("slice duration = %v", s.Duration)
+	for _, c := range cases {
+		if got := tr.RateIn(c.from, c.to); got != c.want {
+			t.Errorf("RateIn(%v, %v) = %v, want %v", c.from, c.to, got, c.want)
+		}
 	}
 }
 

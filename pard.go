@@ -168,19 +168,15 @@ func Simulate(cfg SimConfig) (*SimResult, error) { return simgpu.Run(cfg) }
 type (
 	// Experiment is one registered paper artifact.
 	Experiment = experiments.Experiment
-	// ExperimentConfig selects scale and seed.
-	ExperimentConfig = experiments.Config
 	// ExperimentOutput is the rendered tables of one artifact.
 	ExperimentOutput = experiments.Output
 	// ExperimentTable is one table/series; Render and CSV write it.
 	ExperimentTable = experiments.Table
 	// ExperimentCell is one table entry: a number and its format, or a label.
 	ExperimentCell = experiments.Cell
-	// ExperimentHarness caches simulation runs across experiments.
-	ExperimentHarness = experiments.Harness
 )
 
-// Experiment scales.
+// Experiment scales: the trace durations to put in SweepConfig.TraceDuration.
 const (
 	ScaleSmoke = experiments.Smoke
 	ScaleQuick = experiments.Quick
@@ -212,18 +208,16 @@ func DeriveSeed(base int64, key string) int64 { return sweep.DeriveSeed(base, ke
 // Experiments lists every registered paper artifact.
 func Experiments() []Experiment { return experiments.All() }
 
-// NewExperimentHarness builds a harness that caches runs across experiments.
-func NewExperimentHarness(cfg ExperimentConfig) *ExperimentHarness {
-	return experiments.NewHarness(cfg)
-}
-
-// RunExperiment regenerates one paper artifact by ID (e.g. "fig8").
-func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentOutput, error) {
+// RunExperiment regenerates one paper artifact by ID (e.g. "fig8") on a new
+// sweep engine for cfg; cfg.TraceDuration is the scale (ScaleQuick when
+// zero). To share runs across experiments, call Experiment.Run on one
+// engine.
+func RunExperiment(id string, cfg SweepConfig) (*ExperimentOutput, error) {
 	e, err := experiments.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(experiments.NewHarness(cfg))
+	return e.Run(sweep.New(cfg))
 }
 
 // Live serving (wall-clock runtime with an HTTP data plane). The server is

@@ -2,6 +2,9 @@ package pard_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -82,7 +85,7 @@ func TestExperimentRegistry(t *testing.T) {
 	if len(pard.Experiments()) < 20 {
 		t.Fatalf("only %d experiments registered", len(pard.Experiments()))
 	}
-	if _, err := pard.RunExperiment("bogus", pard.ExperimentConfig{}); err == nil {
+	if _, err := pard.RunExperiment("bogus", pard.SweepConfig{}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -91,12 +94,31 @@ func TestRunExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	out, err := pard.RunExperiment("fig2a", pard.ExperimentConfig{Scale: pard.ScaleSmoke, Seed: 1})
+	out, err := pard.RunExperiment("fig2a", pard.SweepConfig{BaseSeed: 1, TraceDuration: pard.ScaleSmoke})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Tables) == 0 || len(out.Tables[0].Rows) == 0 {
 		t.Fatal("empty experiment output")
+	}
+	// The facade's run renders every table as the experiments package pins
+	// it for its seed-1 smoke run.
+	raw, err := os.ReadFile("internal/experiments/testdata/smoke-seed1.digests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if key, digests, ok := strings.Cut(line, " "); ok {
+			pinned[key] = digests
+		}
+	}
+	for _, tab := range out.Tables {
+		key := "fig2a/" + tab.ID
+		got := fmt.Sprintf("%x %x", sha256.Sum256([]byte(tab.Render())), sha256.Sum256([]byte(tab.CSV())))
+		if want, ok := pinned[key]; !ok || got != want {
+			t.Errorf("table %s: render and CSV digests %s, pinned %q (ok=%v)", key, got, want, ok)
+		}
 	}
 }
 
